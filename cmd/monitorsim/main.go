@@ -549,7 +549,7 @@ func reportStorage(dev *fleet.Device, interval time.Duration, dur time.Duration)
 	}
 
 	st := store.Stats()
-	fmt.Printf("\nstorage leg (tsdb, %d-point raw ring):\n", n/8)
+	fmt.Printf("\nstorage leg (tsdb, %d-point raw store):\n", n/8)
 	fmt.Printf("  %d writes -> %d retained (%d compacted into tiers, %d dropped)\n",
 		st.Appends, st.Retained(), st.Compacted, st.Dropped)
 	for _, s := range store.Snapshot() {

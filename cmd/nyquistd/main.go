@@ -3,9 +3,7 @@
 // push batches of samples over HTTP; every series gets a live §3.2
 // streaming estimate, clean estimates retune the sharded store's
 // multi-resolution retention (the estimate→retain loop, closed across
-// the wire), and raw history is held in Gorilla-compressed blocks so a
-// serving node retains roughly an order of magnitude more points per
-// byte than a []Point store would.
+// the wire), and history is held in sealed Gorilla-compressed blocks.
 //
 // With -data-dir the daemon is restart-safe: sealed blocks and
 // estimator tuning state stream into a write-ahead log with batched
@@ -68,11 +66,11 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":9464", "listen address (host:port; port 0 picks a free one)")
 		shards       = flag.Int("shards", 16, "store shard count")
-		rawCapacity  = flag.Int("raw-capacity", 4096, "per-series raw ring capacity in points (0 = unbounded)")
+		rawCapacity  = flag.Int("raw-capacity", 4096, "per-series raw store capacity in points (0 = unbounded)")
 		tierCapacity = flag.Int("tier-capacity", 1024, "per-tier capacity in buckets")
-		tiers        = flag.Int("tiers", 2, "downsampled retention tiers below the raw ring")
-		compress     = flag.Int("compress-block", 128, "points per sealed Gorilla block (0 = uncompressed rings)")
-		cacheBytes   = flag.Int64("cache-bytes", 32<<20, "decoded-block query cache budget in bytes, split across shards (0 = off; only used with -compress-block > 0)")
+		tiers        = flag.Int("tiers", 2, "downsampled retention tiers below the raw store")
+		compress     = flag.Int("compress-block", 128, "points per sealed block (capped at a quarter of each capacity)")
+		cacheBytes   = flag.Int64("cache-bytes", 32<<20, "decoded-block query cache budget in bytes, split across shards (0 = off)")
 		window       = flag.Int("window", 256, "per-series streaming-estimator window in samples")
 		emitEvery    = flag.Int("emit-every", 8, "samples between estimate refreshes once a window is full")
 		maxSeries    = flag.Int("max-series", 1_000_000, "estimator series cap; new series beyond it are stored but not estimated (0 = unbounded)")
@@ -102,8 +100,8 @@ func main() {
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
-	if *dataDir != "" && *compress <= 0 {
-		fmt.Fprintln(os.Stderr, "nyquistd: -data-dir requires -compress-block > 0 (the WAL persists sealed blocks)")
+	if *compress <= 0 {
+		fmt.Fprintln(os.Stderr, "nyquistd: -compress-block must be positive")
 		os.Exit(2)
 	}
 	store := monitor.NewTieredStore(tsdb.Config{

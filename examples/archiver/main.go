@@ -87,7 +87,7 @@ func main() {
 
 	// The storage leg itself is now a sharded multi-resolution tsdb.
 	// Re-run the same session against a store bounded to a sliver of the
-	// archived footprint: where the seed store returned ErrStoreFull and
+	// archived footprint: where the seed store failed the write and
 	// stalled, the engine cascades old samples into Nyquist-derived
 	// min/max/mean tiers — resolution degrades, the session never stops.
 	small := fleet.NewTieredStore(fleet.StoreConfig{
@@ -110,7 +110,7 @@ func main() {
 		log.Fatal(err)
 	}
 	st := small.Stats()
-	fmt.Printf("\nbounded store (64-point raw ring): %d writes -> %d retained, %d compacted, %d dropped\n",
+	fmt.Printf("\nbounded store (64-point raw store): %d writes -> %d retained, %d compacted, %d dropped\n",
 		st.Appends, st.Retained(), st.Compacted, st.Dropped)
 	for _, s := range small.Snapshot() {
 		fmt.Printf("  %s: retention tuned to %.4g Hz (archiver estimate), raw %d pts\n",

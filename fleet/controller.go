@@ -94,7 +94,7 @@ type ControllerConfig struct {
 	// zero selects 6 hours of signal time.
 	ScanWindow time.Duration
 	// Store receives every polled sample and the retention retunes;
-	// nil selects a fresh sharded store with bounded raw rings.
+	// nil selects a fresh sharded store with bounded raw stores.
 	Store *Store
 	// Model prices samples; the zero value selects DefaultCostModel.
 	Model monitor.CostModel

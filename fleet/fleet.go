@@ -214,16 +214,8 @@ var DefaultCostModel = monitor.DefaultCostModel
 // Compare runs static and adaptive pollers head-to-head.
 var Compare = monitor.Compare
 
-// Pipeline errors.
-var (
-	// ErrNoSeries marks queries for unknown series.
-	ErrNoSeries = monitor.ErrNoSeries
-	// ErrStoreFull marks writes beyond a bounded store's capacity.
-	//
-	// Deprecated: the tsdb-backed store degrades resolution instead of
-	// failing; no code path returns it any more.
-	ErrStoreFull = monitor.ErrStoreFull
-)
+// ErrNoSeries marks queries for unknown series.
+var ErrNoSeries = monitor.ErrNoSeries
 
 // Re-exported experiment drivers (one per paper figure; each result has a
 // Render method producing the text form recorded in EXPERIMENTS.md).

@@ -55,8 +55,8 @@ import (
 // Config parameterizes a Server.
 type Config struct {
 	// Store is the backing store. Nil selects the serving default:
-	// 16-shard strict-append engine, 4096-point compressed raw rings,
-	// two min/max/mean tiers of 1024 buckets, 128-entry Gorilla blocks.
+	// 16-shard strict-append engine, 4096-point raw stores, two
+	// min/max/mean tiers of 1024 buckets, 128-entry Gorilla blocks.
 	Store *monitor.Store
 	// Estimator is the estimate-on-ingest hook. Nil builds one over
 	// Store from Ingest; pass an existing estimator when it was already

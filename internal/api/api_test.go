@@ -286,11 +286,11 @@ func TestServerHealthz(t *testing.T) {
 }
 
 // TestServerDefaultStoreCompresses pins the serving default: the store
-// behind a zero-config server runs the compressed engine.
+// behind a zero-config server seals 128-point blocks over 16 shards.
 func TestServerDefaultStoreCompresses(t *testing.T) {
 	srv := NewServer(Config{})
-	if cb := srv.Store().DB().Retention().CompressBlock; cb == 0 {
-		t.Fatal("serving default store is uncompressed")
+	if cb := srv.Store().DB().Retention().CompressBlock; cb != 128 {
+		t.Fatalf("serving default block length %d, want 128", cb)
 	}
 	if sh := srv.Store().DB().Shards(); sh != 16 {
 		t.Fatalf("serving default shards %d, want 16", sh)

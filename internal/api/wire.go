@@ -202,8 +202,7 @@ type SeriesEntry struct {
 	RawPoints int     `json:"raw_points"`
 	Compacted int64   `json:"compacted"`
 	Dropped   int64   `json:"dropped"`
-	// CompressedBytes is the sealed Gorilla payload for this series (0
-	// when the store runs uncompressed).
+	// CompressedBytes is the sealed Gorilla payload for this series.
 	CompressedBytes int64      `json:"compressed_bytes"`
 	RawOldest       string     `json:"raw_oldest,omitempty"`
 	RawNewest       string     `json:"raw_newest,omitempty"`
@@ -265,12 +264,12 @@ type StatsResponse struct {
 	Compacted              int64 `json:"compacted"`
 	Dropped                int64 `json:"dropped"`
 	// CompressedBytes/CompressedEntries describe the sealed Gorilla
-	// payload; BytesPerPoint is their ratio (0 when uncompressed).
+	// payload; BytesPerPoint is their ratio (0 before the first seal).
 	CompressedBytes   int64   `json:"compressed_bytes"`
 	CompressedEntries int64   `json:"compressed_entries"`
 	BytesPerPoint     float64 `json:"bytes_per_point"`
 	// Cache reports the decoded-block LRU; absent when the cache is
-	// disabled (no CacheBytes budget, or an uncompressed store).
+	// disabled (no CacheBytes budget).
 	Cache *CacheStatsJSON `json:"cache,omitempty"`
 	// WAL reports the durability subsystem; absent when the server runs
 	// memory-only.

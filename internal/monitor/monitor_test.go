@@ -68,9 +68,9 @@ func TestStoreAppendQuery(t *testing.T) {
 }
 
 // TestBoundedStoreNoLongerFails is the regression test for the seed
-// store's failure mode: a bounded store used to return a hard
-// ErrStoreFull once the capacity was hit, silently stalling long-running
-// archiver sessions. The tsdb-backed store must instead keep accepting
+// store's failure mode: a bounded store used to return a hard error
+// once the capacity was hit, silently stalling long-running archiver
+// sessions. The tsdb-backed store must instead keep accepting
 // writes forever and degrade resolution (compact into min/max/mean tiers).
 func TestBoundedStoreNoLongerFails(t *testing.T) {
 	s := NewStore(3)
@@ -167,8 +167,8 @@ func TestStaticPollerRun(t *testing.T) {
 
 func TestStaticPollerBoundedStoreDegrades(t *testing.T) {
 	// Regression for the seed failure mode: a bounded store filling
-	// mid-run used to abort the poller with ErrStoreFull. Now the run
-	// completes and old samples survive as coarser-tier summaries.
+	// mid-run used to abort the poller. Now the run completes and old
+	// samples survive as coarser-tier summaries.
 	s := NewStore(10)
 	p := &StaticPoller{ID: "dev", Target: slowTone(0.001), Interval: time.Second, Model: DefaultCostModel()}
 	cost, err := p.Run(s, start, 0, time.Minute)
@@ -179,8 +179,10 @@ func TestStaticPollerBoundedStoreDegrades(t *testing.T) {
 		t.Fatalf("samples = %d, want the full 60", cost.Samples)
 	}
 	st := s.Stats()
-	if st.Appends != 60 || st.Compacted != 50 {
-		t.Fatalf("appends = %d, compacted = %d; want 60/50", st.Appends, st.Compacted)
+	// Block-granular eviction keeps the raw store within a quarter of
+	// its capacity; every sample is still raw or was compacted.
+	if st.Appends != 60 || st.RawPoints <= 10-2 || st.RawPoints > 10 || st.Compacted != int64(60-st.RawPoints) {
+		t.Fatalf("appends = %d, raw = %d, compacted = %d; want 60, raw within (8, 10], compacted = 60 - raw", st.Appends, st.RawPoints, st.Compacted)
 	}
 }
 

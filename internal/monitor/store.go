@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"errors"
 	"time"
 
 	"repro/internal/series"
@@ -13,8 +12,7 @@ import (
 // spread across the engine's shards instead of serializing on one global
 // mutex, and a bounded store degrades resolution under pressure —
 // compacting old samples into Nyquist-derived min/max/mean tiers —
-// instead of returning the hard ErrStoreFull the seed store stalled
-// long-running archiver sessions with.
+// instead of failing the write (see TestBoundedStoreNoLongerFails).
 type Store struct {
 	db *tsdb.DB
 }
@@ -22,17 +20,9 @@ type Store struct {
 // ErrNoSeries is returned when querying an id that was never written.
 var ErrNoSeries = tsdb.ErrNoSeries
 
-// ErrStoreFull is the seed store's hard capacity failure.
-//
-// Deprecated: retained so existing callers keep compiling. The
-// tsdb-backed store compacts into coarser retention tiers when full; no
-// code path returns ErrStoreFull any more (see
-// TestBoundedStoreNoLongerFails for the regression contract).
-var ErrStoreFull = errors.New("monitor: store capacity exceeded")
-
 // NewStore returns an empty store. capacity bounds each series' raw
-// (full-resolution) ring in points (0 = unbounded); when a ring fills,
-// old samples cascade into downsampled retention tiers rather than
+// (full-resolution) store in points (0 = unbounded); when it fills, the
+// oldest samples cascade into downsampled retention tiers rather than
 // failing the write — the retention budget operators face, without the
 // seed store's hard stop.
 func NewStore(capacity int) *Store {
@@ -73,7 +63,7 @@ func (s *Store) AppendBatch(pts []tsdb.BatchPoint) int {
 	return s.db.AppendBatch(pts)
 }
 
-// SealActive force-seals every series' active compressed run (see
+// SealActive force-seals every series' active run (see
 // tsdb.DB.SealAll) so a write-ahead log sees the unsealed tails before
 // shutdown. Returns the number of blocks sealed.
 func (s *Store) SealActive() int { return s.db.SealAll() }

@@ -47,8 +47,9 @@ func (s *singleMutexStore) append(id string, p series.Point) error {
 
 // BenchmarkStoreAppendParallel is the write-path scaling comparison: the
 // seed's single-mutex store against the sharded engine at 1, 4 and 16
-// shards, under 8×GOMAXPROCS concurrent writers on distinct series. The
-// per-op numbers land in BENCH_tsdb.json as the perf trajectory baseline.
+// shards, under 8×GOMAXPROCS concurrent writers on distinct series.
+// (BENCH_tsdb.json's rows of this name predate the single sealed-block
+// backend and are kept there as history.)
 func BenchmarkStoreAppendParallel(b *testing.B) {
 	parallelAppend := func(b *testing.B, setup func(id string), appendFn func(id string, p series.Point)) {
 		var ctr int64
@@ -78,7 +79,7 @@ func BenchmarkStoreAppendParallel(b *testing.B) {
 			parallelAppend(b, nil, func(id string, p series.Point) { _ = db.Append(id, p) })
 		})
 	}
-	// The production shape: bounded rings with the compaction cascade
+	// The production shape: bounded stores with the compaction cascade
 	// active and retention tuned by a Nyquist estimate (the
 	// estimate→retain loop), still lock-scaled across shards. One-second
 	// polls against a 0.05 Hz requirement bucket ~17 samples per
@@ -90,7 +91,7 @@ func BenchmarkStoreAppendParallel(b *testing.B) {
 }
 
 // BenchmarkQueryRange measures tier-stitched range queries against a
-// bounded, compacted store: a recent window served by the raw ring alone
+// bounded, compacted store: a recent window served by the raw store alone
 // and a full-history window stitched across tiers with a point budget.
 func BenchmarkQueryRange(b *testing.B) {
 	db := New(Config{Retention: RetentionConfig{RawCapacity: 1024, TierCapacity: 512, Tiers: 2, Fanout: 4}})
@@ -131,7 +132,7 @@ func BenchmarkQueryRange(b *testing.B) {
 }
 
 // BenchmarkQueryHot measures the hot read path — the dashboard shape:
-// a recent window answered by the raw ring of a compressed production
+// a recent window answered by the raw store of a production-shape
 // store while the rest of history sits in sealed blocks and tiers.
 // Per-op latencies are collected individually and reported as p50/p99
 // (ns), the figures recorded in BENCH_tsdb.json: a mean hides exactly
@@ -333,9 +334,8 @@ func BenchmarkBlockDecode(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blk.Len()), "ns/point")
 }
 
-// BenchmarkCompressedAppend compares the engine's append hot path with
-// compression on, against BenchmarkStoreAppendParallel's uncompressed
-// figures.
+// BenchmarkCompressedAppend measures the engine's append hot path on one
+// hot series of the production shape.
 func BenchmarkCompressedAppend(b *testing.B) {
 	db := New(Config{Shards: 16, Retention: RetentionConfig{
 		RawCapacity: 4096, TierCapacity: 1024, Tiers: 2, CompressBlock: 128,

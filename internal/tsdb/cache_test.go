@@ -104,10 +104,10 @@ func TestCacheHitMissAccounting(t *testing.T) {
 // when a sealed block ages out of the raw store, its cache entry dies
 // with it, and subsequent queries never see evicted data resurrected.
 func TestCacheInvalidatedOnRetentionEviction(t *testing.T) {
-	// Tiny store: 2-block capacity with 4-point blocks, no tiers, so
+	// Tiny store: 4-block capacity with 2-point blocks, no tiers, so
 	// appends beyond 8 points evict whole sealed blocks.
 	db := New(Config{Shards: 1, CacheBytes: 1 << 20,
-		Retention: RetentionConfig{RawCapacity: 8, Tiers: -1, CompressBlock: 4}})
+		Retention: RetentionConfig{RawCapacity: 8, Tiers: -1, CompressBlock: 2}})
 	const id = "evict/series"
 	fillSealed(db, id, 8)
 	if _, err := db.Query(id, time.Time{}, time.Time{}, 0); err != nil {
@@ -157,22 +157,6 @@ func TestCacheRespectsByteBudget(t *testing.T) {
 	}
 	if cs.Evictions == 0 {
 		t.Fatal("working set exceeded the budget but nothing was LRU-evicted")
-	}
-}
-
-// TestCacheDisabledWithoutCompression pins the config interaction: a
-// CacheBytes budget on an uncompressed store is ignored (nothing to
-// decode, nothing to cache).
-func TestCacheDisabledWithoutCompression(t *testing.T) {
-	db := New(Config{Shards: 1, CacheBytes: 1 << 20,
-		Retention: RetentionConfig{RawCapacity: 1024}})
-	const id = "nocomp/series"
-	fillSealed(db, id, 512)
-	if _, err := db.Query(id, time.Time{}, time.Time{}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if cs := db.Stats().Cache; cs.MaxBytes != 0 || cs.Entries != 0 {
-		t.Fatalf("uncompressed store built a cache: %+v", cs)
 	}
 }
 

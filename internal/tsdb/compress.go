@@ -1,11 +1,10 @@
-// Compressed storage backends for memSeries: when RetentionConfig
-// selects CompressBlock > 0, the raw ring and the summary-tier rings
-// trade their []Point / []bucket slices for sealed Gorilla blocks plus a
-// small uncompressed active run. Eviction becomes block-granular — a
-// full store sheds its oldest sealed block into the next tier — so the
-// retained size breathes between capacity−blockLen and capacity instead
-// of sitting exactly at capacity; what a serving store buys for that is
-// roughly an order of magnitude more retained points per byte.
+// The storage representation of memSeries: the raw store and every
+// summary tier hold a FIFO of sealed Gorilla blocks plus a small
+// uncompressed active run. Eviction is block-granular — a full store
+// sheds its oldest sealed block into the next tier — so the retained
+// size breathes between capacity−blockLen and capacity instead of
+// sitting exactly at capacity; what a store buys for that is roughly an
+// order of magnitude more retained points per byte.
 
 package tsdb
 
@@ -16,7 +15,7 @@ import (
 	"repro/internal/series"
 )
 
-// pointSeg is one sealed segment of the compressed raw store: normally a
+// pointSeg is one sealed segment of the raw store: normally a
 // Gorilla block, or (only when the codec refused the data — e.g. a
 // timestamp outside the int64-nanosecond range) a verbatim fallback
 // slice, so compression can never lose or reject a write.
@@ -103,8 +102,8 @@ func trimWindow(pts []series.Point, from, to time.Time) []series.Point {
 	return pts[lo:hi]
 }
 
-// compPoints is the compressed raw store: a FIFO of sealed segments plus
-// an uncompressed active run of at most blockLen points.
+// compPoints is the raw store: a FIFO of sealed segments plus an
+// uncompressed active run of at most blockLen points.
 type compPoints struct {
 	blockLen int
 	capacity int // max total points; 0 = unbounded (never evicts)
@@ -121,10 +120,6 @@ type compPoints struct {
 	// retention since the last takeEvictedSeqs — the DB drains it (under
 	// the shard lock) to invalidate the decoded-block cache.
 	evictedSeqs []uint64
-}
-
-func newCompPoints(blockLen, capacity int) *compPoints {
-	return &compPoints{blockLen: blockLen, capacity: capacity}
 }
 
 func (c *compPoints) size() int { return c.n }
@@ -279,7 +274,7 @@ func (c *compPoints) compressedFootprint() (bytes, points int64) {
 	return bytes, points
 }
 
-// bucketSeg is one sealed segment of a compressed tier, mirroring
+// bucketSeg is one sealed segment of a tier, mirroring
 // pointSeg: a bucket block, or a verbatim fallback slice.
 type bucketSeg struct {
 	blk bucketBlock
@@ -332,7 +327,7 @@ func (s *bucketSeg) each(emit func(bucket)) {
 	_ = s.blk.each(emit) // decode errors impossible for self-encoded blocks
 }
 
-// compBuckets is the compressed finalized-bucket store of one tier.
+// compBuckets is the finalized-bucket store of one tier.
 type compBuckets struct {
 	blockLen int
 	capacity int // max finalized buckets; 0 = unbounded
@@ -341,10 +336,6 @@ type compBuckets struct {
 	n        int
 	builder  *bucketBlockBuilder
 	evbuf    []bucket
-}
-
-func newCompBuckets(blockLen, capacity int) *compBuckets {
-	return &compBuckets{blockLen: blockLen, capacity: capacity}
 }
 
 func (c *compBuckets) size() int { return c.n }

@@ -3,6 +3,7 @@ package tsdb
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -11,15 +12,14 @@ import (
 )
 
 // TestCompressedStoreEquivalence pins the central compression contract:
-// with unbounded retention (no eviction on either side), a compressed
-// store returns exactly the points an uncompressed store does — same
-// instants, bit-identical values — for monotonic and for out-of-order
-// append streams.
+// with unbounded retention (no eviction), the store returns exactly the
+// points that were appended, stably sorted by time — same instants,
+// bit-identical values — for monotonic and for out-of-order append
+// streams.
 func TestCompressedStoreEquivalence(t *testing.T) {
 	for name, outOfOrder := range map[string]bool{"monotonic": false, "out-of-order": true} {
 		t.Run(name, func(t *testing.T) {
-			plain := New(Config{Shards: 1})
-			comp := New(Config{Shards: 1, Retention: RetentionConfig{CompressBlock: 32}})
+			db := New(Config{Shards: 1, Retention: RetentionConfig{CompressBlock: 32}})
 			const id = "host/metric"
 			pts := diurnalWorkload(500)
 			if outOfOrder {
@@ -29,36 +29,61 @@ func TestCompressedStoreEquivalence(t *testing.T) {
 				}
 			}
 			for _, p := range pts {
-				plain.Append(id, p)
-				comp.Append(id, p)
+				db.Append(id, p)
 			}
-			want, err := plain.Full(id)
+			// The model: the appended multiset in time order, append order
+			// inside equal-time runs.
+			want := append([]series.Point(nil), pts...)
+			sort.SliceStable(want, func(a, b int) bool { return want[a].Time.Before(want[b].Time) })
+			got, err := db.Full(id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := comp.Full(id)
-			if err != nil {
-				t.Fatal(err)
+			if len(got.Points) != len(want) {
+				t.Fatalf("store returned %d points, appended %d", len(got.Points), len(want))
 			}
-			// Both engines order by time; the uncompressed ring keeps
-			// append order inside equal-time runs, the compressed store
-			// sorts stably — the point multisets must still match.
-			if len(got.Points) != len(want.Points) {
-				t.Fatalf("compressed store returned %d points, uncompressed %d", len(got.Points), len(want.Points))
-			}
-			for i := range want.Points {
-				if !got.Points[i].Time.Equal(want.Points[i].Time) {
-					t.Fatalf("point %d: time %v vs %v", i, got.Points[i].Time, want.Points[i].Time)
+			for i := range want {
+				if !got.Points[i].Time.Equal(want[i].Time) {
+					t.Fatalf("point %d: time %v vs %v", i, got.Points[i].Time, want[i].Time)
 				}
-				if math.Float64bits(got.Points[i].Value) != math.Float64bits(want.Points[i].Value) {
-					t.Fatalf("point %d: value %v vs %v", i, got.Points[i].Value, want.Points[i].Value)
+				if math.Float64bits(got.Points[i].Value) != math.Float64bits(want[i].Value) {
+					t.Fatalf("point %d: value %v vs %v", i, got.Points[i].Value, want[i].Value)
 				}
 			}
 		})
 	}
 }
 
-// TestCompressedCascade drives a small bounded compressed store far past
+// TestRawBandNeverCollapses pins block-granular eviction on small
+// stores: the block length is at most a quarter of the capacity, so once
+// a store has filled, its raw size stays within
+// (capacity − max(1, capacity/4), capacity] and every append is either
+// still raw or was compacted. (A block as long as the capacity would
+// seal the whole store and shed all of it on the next append.)
+func TestRawBandNeverCollapses(t *testing.T) {
+	for _, capacity := range []int{3, 8, 64, 100, 4096} {
+		t.Run(fmt.Sprintf("capacity=%d", capacity), func(t *testing.T) {
+			db := New(Config{Shards: 1, Retention: RetentionConfig{RawCapacity: capacity, CompressBlock: 128}})
+			const id = "host/metric"
+			floor := capacity - max(1, capacity/4)
+			for i := 1; i <= 3*capacity+7; i++ {
+				db.Append(id, series.Point{Time: start.Add(time.Duration(i) * time.Second), Value: float64(i)})
+				st, err := db.SeriesStats(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.RawPoints > capacity || (i >= capacity && st.RawPoints <= floor) {
+					t.Fatalf("after %d appends: raw store holds %d points, want within (%d, %d]", i, st.RawPoints, floor, capacity)
+				}
+				if got := st.Compacted + int64(st.RawPoints); got != st.Appends || st.Appends != int64(i) {
+					t.Fatalf("after %d appends: compacted %d + raw %d = %d, appends %d", i, st.Compacted, st.RawPoints, got, st.Appends)
+				}
+			}
+		})
+	}
+}
+
+// TestCompressedCascade drives a small bounded store far past
 // its capacity and checks the retention invariants survive
 // block-granular eviction: no write ever fails, every append is either
 // still raw or was compacted into the tiers, the raw store breathes

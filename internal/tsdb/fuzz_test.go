@@ -20,17 +20,18 @@ import (
 //     raw samples are strictly in-window,
 //   - a point budget is never exceeded, and Thinned is set iff it bit.
 //
-// The first input byte selects the storage backend — bit 0 picks
-// uncompressed rings vs Gorilla-compressed blocks (CompressBlock), bit 1
-// enables the decoded-block cache — so all engine configurations face
-// the same interleavings under the same contract (the cache must be
-// invisible to results, including across retention evictions).
+// The first input byte selects the engine configuration — bit 0 picks
+// raw block length 1 vs 2 (CompressBlock; the raw capacity of 8 allows
+// at most 2), bit 1 enables the decoded-block cache — so all
+// configurations face the same interleavings under the same contract
+// (the cache must be invisible to results, including across retention
+// evictions).
 func FuzzQueryRange(f *testing.F) {
 	f.Add([]byte{0x01, 0x10, 0x42, 0x02, 0x80, 0x03, 0x00, 0xff})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x01, 0x01, 0x02, 0x02, 0x03, 0x03, 0x07})
 	f.Add([]byte("append-cascade-query-interleaving"))
 	f.Add([]byte("Compressed-cascade-query-interleaving"))
-	// Compressed + cached (first byte 0x03), with queries (op 3) hitting
+	// Block length 2 + cached (first byte 0x03), with queries (op 3) hitting
 	// the same windows twice so the second read serves from the cache.
 	f.Add([]byte{0x03, 0x00, 0x10, 0x01, 0x07, 0x00, 0x20, 0x03, 0x06, 0x03, 0x06, 0x03, 0x0c})
 	// Cached with reconstruct-style budgets and retention churn (op 0
@@ -38,10 +39,10 @@ func FuzzQueryRange(f *testing.F) {
 	f.Add([]byte{0x03, 0x00, 0xff, 0x00, 0xff, 0x00, 0xff, 0x00, 0xff, 0x03, 0x03, 0x00, 0xff, 0x03, 0x09})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		compress, cacheBytes := 0, int64(0)
+		compress, cacheBytes := 1, int64(0)
 		if len(data) > 0 {
 			if data[0]%2 == 1 {
-				compress = 4
+				compress = 2
 			}
 			if (data[0]>>1)%2 == 1 {
 				cacheBytes = 1 << 20
@@ -127,7 +128,7 @@ func FuzzQueryRange(f *testing.F) {
 func checkQueryResult(t *testing.T, res *QueryResult, from, to time.Time, budget int) {
 	t.Helper()
 	// Aggregates carry the (unthinned) bucket points; any stitched point
-	// not on that grid came from the raw ring and must be strictly
+	// not on that grid came from the raw store and must be strictly
 	// in-window.
 	bucketTimes := make(map[time.Time]bool, len(res.Aggregates))
 	for _, a := range res.Aggregates {

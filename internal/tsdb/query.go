@@ -17,12 +17,12 @@ type QueryResult struct {
 	// its mean value; Aggregates has their full summaries.
 	Points []series.Point
 	// Tiers lists each tier that contributed, in read order (coarsest
-	// first, raw last). Tier 0 is the raw ring, tier k ≥ 1 the k-th
+	// first, raw last). Tier 0 is the raw store, tier k ≥ 1 the k-th
 	// downsampled tier.
 	Tiers []TierSlice
 	// Aggregates holds the min/max/mean summaries of every bucket point
 	// in the (unthinned) window, in time order. Empty when the window was
-	// answered from the raw ring alone.
+	// answered from the raw store alone.
 	Aggregates []AggPoint
 	// Thinned reports that the stitched result exceeded the requested
 	// point budget and was stride-decimated down to it.
@@ -31,10 +31,10 @@ type QueryResult struct {
 
 // TierSlice records one tier's contribution to a query.
 type TierSlice struct {
-	// Tier is the tier index: 0 = raw ring, k ≥ 1 = k-th downsampled
+	// Tier is the tier index: 0 = raw store, k ≥ 1 = k-th downsampled
 	// tier.
 	Tier int
-	// Width is the tier's bucket width (0 for the raw ring).
+	// Width is the tier's bucket width (0 for the raw store).
 	Width time.Duration
 	// Points is how many points the tier contributed (before thinning).
 	Points int
@@ -88,10 +88,9 @@ func (m *memSeries) query(id string, from, to time.Time, maxPoints int, cache *b
 		}
 	}
 	// Same band pruning for the raw store: a window entirely outside the
-	// retained raw span (deep-history queries) skips the scan. In
-	// compressed mode, sealed blocks outside the window are additionally
-	// skipped without decoding.
-	if oldest, newest, ok := m.rawBounds(); ok &&
+	// retained raw span (deep-history queries) skips the scan, and sealed
+	// blocks outside the window are skipped without decoding.
+	if oldest, newest, ok := m.raw.bounds(); ok &&
 		(to.IsZero() || oldest.Before(to)) &&
 		(from.IsZero() || !newest.Before(from)) {
 		before := len(res.Points)
@@ -100,18 +99,12 @@ func (m *memSeries) query(id string, from, to time.Time, maxPoints int, cache *b
 				res.Points = append(res.Points, p)
 			}
 		}
-		if m.raw != nil {
-			for i := 0; i < m.raw.size(); i++ {
-				keep(m.raw.at(i))
-			}
-		} else {
-			// Cache-resident blocks arrive window-trimmed as whole slices;
-			// one bulk append per block keeps the cached read path free of
-			// the per-point closure cost the streaming decode pays.
-			m.craw.each(from, to, cache, func(pts []series.Point) {
-				res.Points = append(res.Points, pts...)
-			}, keep)
-		}
+		// Cache-resident blocks arrive window-trimmed as whole slices;
+		// one bulk append per block keeps the cached read path free of
+		// the per-point closure cost the streaming decode pays.
+		m.raw.each(from, to, cache, func(pts []series.Point) {
+			res.Points = append(res.Points, pts...)
+		}, keep)
 		if n := len(res.Points) - before; n > 0 {
 			res.Tiers = append(res.Tiers, TierSlice{Tier: 0, Points: n})
 		}

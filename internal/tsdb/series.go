@@ -13,61 +13,6 @@ var errNoSeries = errors.New("tsdb: no such series")
 // cannot overflow duration arithmetic.
 const maxTierWidth = 365 * 24 * time.Hour
 
-// ring is a FIFO buffer. A positive capacity makes it circular: pushing
-// into a full ring evicts and returns the oldest element. Capacity zero
-// grows without bound and never evicts.
-type ring[T any] struct {
-	buf  []T
-	head int
-	n    int
-	cap  int
-}
-
-func newRing[T any](capacity int) *ring[T] {
-	r := &ring[T]{cap: capacity}
-	if capacity > 0 {
-		r.buf = make([]T, capacity)
-	}
-	return r
-}
-
-func (r *ring[T]) size() int { return r.n }
-
-// wrap reduces an index in [0, 2·cap) onto the ring without a divide —
-// the append path runs once per poll, so the modulo matters.
-func (r *ring[T]) wrap(i int) int {
-	if i >= r.cap {
-		i -= r.cap
-	}
-	return i
-}
-
-// at returns element i, 0 being the oldest.
-func (r *ring[T]) at(i int) T {
-	if r.cap > 0 {
-		return r.buf[r.wrap(r.head+i)]
-	}
-	return r.buf[i]
-}
-
-// push appends v, returning the evicted oldest element when full.
-func (r *ring[T]) push(v T) (evicted T, wasEvicted bool) {
-	if r.cap <= 0 {
-		r.buf = append(r.buf, v)
-		r.n++
-		return evicted, false
-	}
-	if r.n < r.cap {
-		r.buf[r.wrap(r.head+r.n)] = v
-		r.n++
-		return evicted, false
-	}
-	evicted = r.buf[r.head]
-	r.buf[r.head] = v
-	r.head = r.wrap(r.head + 1)
-	return evicted, true
-}
-
 // bucket is one aggregated interval of a downsampled tier. Each bucket
 // carries its own [start, end) coverage: tiers are retuned while buckets
 // written under older widths are still retained, so coverage must not be
@@ -101,14 +46,12 @@ func (b *bucket) merge(o bucket) {
 	b.count += o.count
 }
 
-// tier is one downsampled retention level: finalized buckets (an
-// uncompressed ring or, under RetentionConfig.CompressBlock, sealed
-// compressed bucket blocks) plus the in-progress bucket accumulating the
-// newest interval. Exactly one of ring and cb is non-nil.
+// tier is one downsampled retention level: its finalized buckets (the
+// embedded compBuckets: sealed bucket blocks plus an open tail) and the
+// in-progress bucket accumulating the newest interval.
 type tier struct {
+	compBuckets
 	width  time.Duration
-	ring   *ring[bucket]
-	cb     *compBuckets
 	cur    bucket
 	curSet bool
 	// next caches the grid start adjacent to cur under the CURRENT
@@ -117,74 +60,24 @@ type tier struct {
 	// unknown (fresh tier, restored tier, or width retuned while cur
 	// was open on the old grid) and forces the exact slow path.
 	next time.Time
-	evb  [1]bucket // reusable eviction buffer for ring mode
 }
 
 func newTier(width time.Duration, rc *RetentionConfig) *tier {
-	t := &tier{width: width}
-	if rc.CompressBlock > 0 {
-		t.cb = newCompBuckets(bucketBlockLen(rc), rc.TierCapacity)
-	} else {
-		t.ring = newRing[bucket](rc.TierCapacity)
+	return &tier{
+		compBuckets: compBuckets{blockLen: blockLen(rc.CompressBlock, rc.TierCapacity), capacity: rc.TierCapacity},
+		width:       width,
 	}
-	return t
 }
 
-// bucketBlockLen bounds a compressed tier's block length by its
-// capacity so eviction (one sealed block at a time) stays possible.
-func bucketBlockLen(rc *RetentionConfig) int {
-	bl := rc.CompressBlock
-	if rc.TierCapacity > 0 && bl > rc.TierCapacity {
-		bl = rc.TierCapacity
+// blockLen sizes a store's sealed blocks: the configured length, but at
+// most a quarter of a bounded capacity (floor 1). Eviction sheds one
+// sealed block at a time, so this keeps a full store's size within
+// (capacity − capacity/4, capacity] however small the capacity is.
+func blockLen(block, capacity int) int {
+	if capacity > 0 && block > capacity/4 {
+		block = max(1, capacity/4)
 	}
-	return bl
-}
-
-// push adds one finalized bucket, returning the evicted oldest buckets —
-// at most one in ring mode, a whole sealed block in compressed mode. The
-// returned slice is reused; consume it before the next push.
-func (t *tier) push(b bucket) []bucket {
-	if t.ring != nil {
-		if ev, wasEvicted := t.ring.push(b); wasEvicted {
-			t.evb[0] = ev
-			return t.evb[:1]
-		}
-		return nil
-	}
-	return t.cb.push(b)
-}
-
-// size returns the number of finalized buckets (excluding cur).
-func (t *tier) size() int {
-	if t.ring != nil {
-		return t.ring.size()
-	}
-	return t.cb.size()
-}
-
-// each emits the finalized buckets in order. In compressed mode, sealed
-// blocks whose coverage cannot intersect [from, to) are skipped without
-// decoding; callers still filter per bucket (zero bounds walk all).
-func (t *tier) each(from, to time.Time, emit func(bucket)) {
-	if t.ring != nil {
-		for i := 0; i < t.ring.size(); i++ {
-			emit(t.ring.at(i))
-		}
-		return
-	}
-	t.cb.each(from, to, emit)
-}
-
-// bounds returns the finalized buckets' [oldest start, newest coverage
-// end) band.
-func (t *tier) bounds() (oldest, newestEnd time.Time, ok bool) {
-	if t.ring != nil {
-		if t.ring.size() == 0 {
-			return oldest, newestEnd, false
-		}
-		return t.ring.at(0).start, t.ring.at(t.ring.size() - 1).end, true
-	}
-	return t.cb.bounds()
+	return block
 }
 
 // overlaps reports whether the tier's retained band [oldest bucket
@@ -209,10 +102,7 @@ func (t *tier) overlaps(from, to time.Time) bool {
 // own: the owning shard's mutex guards all access (query-time block
 // decoding touches no shared state, so readers share the RLock).
 type memSeries struct {
-	// Exactly one of raw (uncompressed ring) and craw (sealed Gorilla
-	// blocks, RetentionConfig.CompressBlock > 0) is non-nil.
-	raw   *ring[series.Point]
-	craw  *compPoints
+	raw   compPoints
 	tiers []*tier
 
 	// nyquist is the recorded Nyquist-rate estimate in hertz (0 =
@@ -230,40 +120,15 @@ type memSeries struct {
 }
 
 func newMemSeries(rc *RetentionConfig) *memSeries {
-	if rc.CompressBlock > 0 {
-		bl := rc.CompressBlock
-		if rc.RawCapacity > 0 && bl > rc.RawCapacity {
-			bl = rc.RawCapacity
-		}
-		return &memSeries{craw: newCompPoints(bl, rc.RawCapacity)}
-	}
-	return &memSeries{raw: newRing[series.Point](rc.RawCapacity)}
+	return &memSeries{raw: compPoints{blockLen: blockLen(rc.CompressBlock, rc.RawCapacity), capacity: rc.RawCapacity}}
 }
 
-// rawSize returns the raw store's current point count.
-func (m *memSeries) rawSize() int {
-	if m.raw != nil {
-		return m.raw.size()
-	}
-	return m.craw.size()
-}
-
-// rawBounds returns the raw store's retained time band.
-func (m *memSeries) rawBounds() (oldest, newest time.Time, ok bool) {
-	if m.raw != nil {
-		if n := m.raw.size(); n > 0 {
-			return m.raw.at(0).Time, m.raw.at(n - 1).Time, true
-		}
-		return oldest, newest, false
-	}
-	return m.craw.bounds()
-}
-
-// append ingests one point, cascading the evicted oldest raw point into
-// the tiers when the ring is full. In lenient mode points are expected in
-// time order (the poller's contract) but out-of-order points are accepted
-// and may land in an already-open bucket; in strict mode an out-of-order
-// or unrepresentable timestamp is rejected and nothing changes.
+// append ingests one point, cascading the evicted oldest sealed block
+// into the tiers when the raw store is full. In lenient mode points are
+// expected in time order (the poller's contract) but out-of-order points
+// are accepted and may land in an already-open bucket; in strict mode an
+// out-of-order or unrepresentable timestamp is rejected and nothing
+// changes.
 func (m *memSeries) append(p series.Point, rc *RetentionConfig, strict bool) error {
 	if strict {
 		if m.haveLast && p.Time.Before(m.lastTime) {
@@ -287,16 +152,7 @@ func (m *memSeries) append(p series.Point, rc *RetentionConfig, strict bool) err
 	m.lastTime = p.Time
 	m.haveLast = true
 	m.appends++
-	if m.raw != nil {
-		if ev, wasEvicted := m.raw.push(p); wasEvicted {
-			m.compact(ev, rc)
-		}
-		return nil
-	}
-	// Compressed mode evicts a whole sealed block at a time; the points
-	// cascade into the tiers oldest first, exactly as the ring's
-	// one-at-a-time evictions would have.
-	for _, ev := range m.craw.push(p) {
+	for _, ev := range m.raw.push(p) {
 		m.compact(ev, rc)
 	}
 	return nil
@@ -434,7 +290,7 @@ func (m *memSeries) tierWidths(rc *RetentionConfig) []time.Duration {
 
 // retained counts currently held points: raw samples plus finalized and
 // in-progress buckets.
-func (m *memSeries) retained() int { return m.rawSize() + m.buckets() }
+func (m *memSeries) retained() int { return m.raw.size() + m.buckets() }
 
 func (m *memSeries) buckets() int {
 	n := 0
@@ -450,15 +306,11 @@ func (m *memSeries) buckets() int {
 // compressedFootprint sums the sealed compressed payload across the raw
 // store and all tiers: bytes on the wire and the entries they hold.
 func (m *memSeries) compressedFootprint() (bytes, entries int64) {
-	if m.craw != nil {
-		bytes, entries = m.craw.compressedFootprint()
-	}
+	bytes, entries = m.raw.compressedFootprint()
 	for _, t := range m.tiers {
-		if t.cb != nil {
-			b, n := t.cb.compressedFootprint()
-			bytes += b
-			entries += n
-		}
+		b, n := t.compressedFootprint()
+		bytes += b
+		entries += n
 	}
 	return bytes, entries
 }
@@ -471,33 +323,20 @@ func (m *memSeries) stats(id string) SeriesStats {
 		Appends:     m.appends,
 		Compacted:   m.compacted,
 		Dropped:     m.dropped,
-		RawPoints:   m.rawSize(),
+		RawPoints:   m.raw.size(),
 	}
 	st.CompressedBytes, _ = m.compressedFootprint()
-	if oldest, newest, ok := m.rawBounds(); ok {
+	if oldest, newest, ok := m.raw.bounds(); ok {
 		st.RawOldest = oldest
 		st.RawNewest = newest
 	}
 	for _, t := range m.tiers {
-		ts := TierStats{Width: t.width, Buckets: t.size()}
-		if t.cb != nil {
-			// Sealed compressed blocks carry their bounds and sample
-			// totals as metadata; the stats path (which runs under the
-			// shard lock) must never pay a decode for them.
-			ts.Samples = t.cb.sampleTotal()
-			if oldest, newestEnd, ok := t.cb.bounds(); ok {
-				ts.Oldest, ts.Newest = oldest, newestEnd
-			}
-		} else {
-			t.each(time.Time{}, time.Time{}, func(b bucket) {
-				ts.Samples += b.count
-				if ts.Oldest.IsZero() || b.start.Before(ts.Oldest) {
-					ts.Oldest = b.start
-				}
-				if b.end.After(ts.Newest) {
-					ts.Newest = b.end
-				}
-			})
+		// Sealed blocks carry their bounds and sample totals as metadata;
+		// the stats path (which runs under the shard lock) must never pay
+		// a decode for them.
+		ts := TierStats{Width: t.width, Buckets: t.size(), Samples: t.sampleTotal()}
+		if oldest, newestEnd, ok := t.bounds(); ok {
+			ts.Oldest, ts.Newest = oldest, newestEnd
 		}
 		if t.curSet {
 			ts.Buckets++

@@ -30,11 +30,9 @@ type SeriesSnapshot struct {
 	HaveLast bool
 	// Appends, Compacted and Dropped mirror the per-series counters.
 	Appends, Compacted, Dropped int64
-	// Raw holds the sealed raw segments, oldest first (compressed stores
-	// only; uncompressed rings export everything through Active).
+	// Raw holds the sealed raw segments, oldest first.
 	Raw []RawSegment
-	// Active is the unsealed raw tail (or, for uncompressed stores, the
-	// whole ring), oldest first.
+	// Active is the unsealed raw tail, oldest first.
 	Active []series.Point
 	// Tiers describes each downsampled tier, finest first.
 	Tiers []TierSnapshot
@@ -109,21 +107,15 @@ func (m *memSeries) export(id string) SeriesSnapshot {
 		Compacted:   m.compacted,
 		Dropped:     m.dropped,
 	}
-	if m.raw != nil {
-		for i := 0; i < m.raw.size(); i++ {
-			s.Active = append(s.Active, m.raw.at(i))
+	for i := range m.raw.segs {
+		seg := &m.raw.segs[i]
+		if seg.pts != nil {
+			s.Raw = append(s.Raw, RawSegment{Points: append([]series.Point(nil), seg.pts...)})
+		} else {
+			s.Raw = append(s.Raw, RawSegment{Block: seg.blk})
 		}
-	} else {
-		for i := range m.craw.segs {
-			seg := &m.craw.segs[i]
-			if seg.pts != nil {
-				s.Raw = append(s.Raw, RawSegment{Points: append([]series.Point(nil), seg.pts...)})
-			} else {
-				s.Raw = append(s.Raw, RawSegment{Block: seg.blk})
-			}
-		}
-		s.Active = append([]series.Point(nil), m.craw.active...)
 	}
+	s.Active = append([]series.Point(nil), m.raw.active...)
 	for _, t := range m.tiers {
 		ts := TierSnapshot{Width: t.width}
 		t.each(time.Time{}, time.Time{}, func(b bucket) {
@@ -142,10 +134,10 @@ func (m *memSeries) export(id string) SeriesSnapshot {
 // with the same id. Restore is a boot-time operation: it is safe against
 // concurrent access to other series, but racing appends to the id being
 // restored lose. When the DB's retention config matches the exporting
-// one (the normal restart), the structure is rebuilt verbatim; when the
-// compression mode changed, points are converted through the regular
-// append path, cascading overflow into the (already restored) tiers.
-func (db *DB) RestoreSeries(s SeriesSnapshot) error {
+// one (the normal restart), the structure is rebuilt verbatim; when
+// capacities or the block length shrank, the overflow cascades into the
+// (already restored) tiers through the regular append path.
+func (db *DB) RestoreSeries(s SeriesSnapshot) {
 	rc := &db.cfg.Retention
 	m := newMemSeries(rc)
 	m.nyquist = s.NyquistRate
@@ -179,68 +171,39 @@ func (db *DB) RestoreSeries(s SeriesSnapshot) error {
 		}
 	}
 
-	if m.craw != nil {
-		for _, seg := range s.Raw {
-			if seg.Points != nil {
-				if len(seg.Points) == 0 {
-					continue
-				}
-				pts := append([]series.Point(nil), seg.Points...)
-				m.craw.segs = append(m.craw.segs, pointSeg{
-					pts:    pts,
-					firstT: pts[0].Time,
-					lastT:  pts[len(pts)-1].Time,
-				})
-				m.craw.n += len(pts)
-			} else {
-				if seg.Block.Len() == 0 {
-					continue
-				}
-				m.craw.segs = append(m.craw.segs, pointSeg{blk: seg.Block, seq: nextSegSeq()})
-				m.craw.n += seg.Block.Len()
-			}
-		}
-		// The active tail re-enters through push so an oversized tail
-		// (smaller block length after a config change) re-seals; blocks
-		// sealed during restore are already covered by the snapshot, so
-		// their hook queue is discarded, not replayed into the WAL.
-		for _, p := range s.Active {
-			for _, ev := range m.craw.push(p) {
-				m.compact(ev, rc)
-			}
-		}
-		m.craw.takeSealed()
-	} else {
-		// Uncompressed ring: decode everything back into points, oldest
-		// first, and let the ring evict/cascade if the capacity shrank.
-		emit := func(p series.Point) {
-			if ev, wasEvicted := m.raw.push(p); wasEvicted {
-				m.compact(ev, rc)
-			}
-		}
-		for _, seg := range s.Raw {
-			if seg.Points != nil {
-				for _, p := range seg.Points {
-					emit(p)
-				}
+	for _, seg := range s.Raw {
+		if seg.Points != nil {
+			if len(seg.Points) == 0 {
 				continue
 			}
-			pts, err := seg.Block.Points(nil)
-			if err != nil {
-				return err
+			pts := append([]series.Point(nil), seg.Points...)
+			m.raw.segs = append(m.raw.segs, pointSeg{
+				pts:    pts,
+				firstT: pts[0].Time,
+				lastT:  pts[len(pts)-1].Time,
+			})
+			m.raw.n += len(pts)
+		} else {
+			if seg.Block.Len() == 0 {
+				continue
 			}
-			for _, p := range pts {
-				emit(p)
-			}
-		}
-		for _, p := range s.Active {
-			emit(p)
+			m.raw.segs = append(m.raw.segs, pointSeg{blk: seg.Block, seq: nextSegSeq()})
+			m.raw.n += seg.Block.Len()
 		}
 	}
+	// The active tail re-enters through push so an oversized tail
+	// (smaller block length after a config change) re-seals; blocks
+	// sealed during restore are already covered by the snapshot, so
+	// their hook queue is discarded, not replayed into the WAL.
+	for _, p := range s.Active {
+		for _, ev := range m.raw.push(p) {
+			m.compact(ev, rc)
+		}
+	}
+	m.raw.takeSealed()
 
 	sh := db.shardFor(s.ID)
 	sh.mu.Lock()
 	sh.series[s.ID] = m
 	sh.mu.Unlock()
-	return nil
 }

@@ -11,31 +11,30 @@
 //     of the series id, each with its own lock, so writers scale with
 //     cores instead of serializing on one global mutex.
 //
-//   - Each series holds a raw ring buffer at the polled rate plus
+//   - Each series holds a bounded raw store at the polled rate plus
 //     downsampled retention tiers. The first tier's bucket width derives
 //     from the series' estimated Nyquist rate (lossless at ≥ 2·f_max with
 //     headroom); deeper tiers widen by a fixed fan-out and keep
 //     min/max/mean summaries — progressively cheaper, progressively
 //     coarser.
 //
-//   - A full raw ring never fails a write. The oldest point cascades into
-//     the first tier's current bucket; a full tier cascades its oldest
-//     bucket into the next; only the last tier forgets (and counts what it
-//     forgot). Resource pressure degrades resolution, it does not stall
-//     the pipeline.
+//   - A full raw store never fails a write. Its oldest sealed block
+//     cascades into the first tier's buckets; a full tier cascades its
+//     oldest block into the next; only the last tier forgets (and counts
+//     what it forgot). Resource pressure degrades resolution, it does not
+//     stall the pipeline.
 //
 // Range queries stitch the tiers intersecting the requested window —
-// recent queries touch only the raw ring, deep-history queries read the
-// coarse tiers — and thin the result to a point budget when asked.
+// recent queries touch only the raw store, deep-history queries read
+// the coarse tiers — and thin the result to a point budget when asked.
 // Snapshot and stats surfaces exist for operator reporting.
 //
-// For network-facing deployments the engine also ships a compressed
-// block format (block.go): Gorilla-style delta-of-delta timestamps and
-// XOR-chained values, round-trip exact for arbitrary float64 values and
-// int64-nanosecond instants. RetentionConfig.CompressBlock switches the
-// raw rings and the summary tiers onto sealed compressed blocks, which
-// hold roughly an order of magnitude more points per byte on production
-// telemetry (quantized, mostly idle, regularly polled) at the cost of
+// Raw samples and finalized tier buckets are stored as sealed compressed
+// blocks (block.go) plus a small open tail: Gorilla-style delta-of-delta
+// timestamps and XOR-chained values, round-trip exact for arbitrary
+// float64 values and int64-nanosecond instants. They hold roughly an
+// order of magnitude more points per byte on production telemetry
+// (quantized, mostly idle, regularly polled) at the cost of
 // block-granular eviction and decode-on-read for cold history. The
 // BlockBuilder/Block surface is usable on its own for wire transfer or
 // snapshot persistence.
@@ -71,25 +70,24 @@ type Config struct {
 	StrictAppend bool
 	// CacheBytes, when positive, bounds a decoded-block LRU split evenly
 	// across the shards: queries over sealed compressed history serve
-	// repeat decodes from memory instead of re-running the codec. Only
-	// meaningful with Retention.CompressBlock > 0 (uncompressed stores
-	// never decode); 0 disables the cache.
+	// repeat decodes from memory instead of re-running the codec; 0
+	// disables the cache.
 	CacheBytes int64
 }
 
 // RetentionConfig is the per-series multi-resolution retention policy.
 type RetentionConfig struct {
-	// RawCapacity bounds the raw (full-resolution) ring buffer of each
-	// series in points; zero means unbounded, which disables compaction
+	// RawCapacity bounds the raw (full-resolution) store of each series
+	// in points; zero means unbounded, which disables compaction
 	// entirely (the regeneration-figures configuration).
 	RawCapacity int
 	// TierCapacity bounds each downsampled tier in buckets; zero selects
 	// RawCapacity.
 	TierCapacity int
-	// Tiers is the number of downsampled tiers below the raw ring; zero
-	// selects 2, negative selects none (a plain bounded ring that simply
+	// Tiers is the number of downsampled tiers below the raw store; zero
+	// selects 2, negative selects none (a plain bounded store that simply
 	// forgets evicted points, the seed-style retention). Tiers only
-	// matter when RawCapacity bounds the ring.
+	// matter when RawCapacity bounds the raw store.
 	Tiers int
 	// Fanout is the integer bucket-width multiplier between consecutive
 	// tiers; zero selects 4. Integer fan-outs keep the tier grids nested.
@@ -99,14 +97,12 @@ type RetentionConfig struct {
 	// matching the rest of the pipeline: bucketing exactly at the
 	// critical rate leaves the top component ambiguous.
 	Headroom float64
-	// CompressBlock, when positive, stores raw samples and finalized
-	// tier buckets as sealed Gorilla-compressed blocks of (up to) this
-	// many entries instead of uncompressed rings — the serving
-	// configuration, holding ~8-25x more points per byte on telemetry
-	// workloads. Eviction becomes block-granular: a full store sheds its
-	// oldest sealed block into the next tier, so the retained size
-	// breathes between capacity−block and capacity. Values in [1, 4)
-	// select 4; 0 (the default) keeps uncompressed rings.
+	// CompressBlock is the number of entries per sealed Gorilla block of
+	// raw samples or finalized tier buckets; zero or negative selects
+	// 128. A bounded store uses at most a quarter of its capacity (floor
+	// 1) instead: eviction is block-granular — a full store sheds its
+	// oldest sealed block into the next tier — so its retained size
+	// breathes within (capacity − capacity/4, capacity].
 	CompressBlock int
 }
 
@@ -132,11 +128,8 @@ func (c Config) withDefaults() Config {
 	if c.Retention.Headroom <= 1 {
 		c.Retention.Headroom = 1.2
 	}
-	if c.Retention.CompressBlock < 0 {
-		c.Retention.CompressBlock = 0
-	}
-	if c.Retention.CompressBlock > 0 && c.Retention.CompressBlock < 4 {
-		c.Retention.CompressBlock = 4
+	if c.Retention.CompressBlock <= 0 {
+		c.Retention.CompressBlock = 128
 	}
 	if c.CacheBytes < 0 {
 		c.CacheBytes = 0
@@ -166,9 +159,7 @@ type SealHook func(id string, blk Block)
 
 // OnSeal installs fn as the seal hook: every raw block sealed from this
 // point on — by appends filling a block, or by SealAll — is passed to
-// fn. Only compressed stores (RetentionConfig.CompressBlock > 0) seal
-// blocks; the hook never fires on uncompressed rings. A nil fn removes
-// the hook.
+// fn. A nil fn removes the hook.
 func (db *DB) OnSeal(fn SealHook) {
 	if fn == nil {
 		db.sealHook.Store(nil)
@@ -205,10 +196,7 @@ type shard struct {
 func New(cfg Config) *DB {
 	c := cfg.withDefaults()
 	db := &DB{cfg: c, shards: make([]shard, c.Shards)}
-	per := int64(0)
-	if c.CacheBytes > 0 && c.Retention.CompressBlock > 0 {
-		per = c.CacheBytes / int64(c.Shards)
-	}
+	per := c.CacheBytes / int64(c.Shards)
 	for i := range db.shards {
 		db.shards[i].series = make(map[string]*memSeries)
 		if per > 0 {
@@ -250,8 +238,8 @@ func (sh *shard) getOrCreate(id string, rc *RetentionConfig) *memSeries {
 }
 
 // Append adds one point to the series with the given id, creating the
-// series on first write. Appends never fail for capacity: a full raw ring
-// compacts its oldest point into the retention tiers instead. Under
+// series on first write. Appends never fail for capacity: a full raw store
+// compacts its oldest block into the retention tiers instead. Under
 // StrictAppend, out-of-order or unrepresentable timestamps are rejected
 // (ErrOutOfOrder / ErrTimeRange) and the point does not land; the
 // default lenient mode always returns nil.
@@ -289,15 +277,12 @@ func (db *DB) AppendUniform(id string, u *series.Uniform) error {
 // calls per series and orders invalidations after the eviction they
 // reflect.
 func (db *DB) drainSealed(sh *shard, id string, m *memSeries) {
-	if m.craw == nil {
-		return
-	}
 	if sh.cache != nil {
-		for _, seq := range m.craw.takeEvictedSeqs() {
+		for _, seq := range m.raw.takeEvictedSeqs() {
 			sh.cache.invalidate(seq)
 		}
 	}
-	sealed := m.craw.takeSealed()
+	sealed := m.raw.takeSealed()
 	if len(sealed) == 0 {
 		return
 	}
@@ -309,11 +294,10 @@ func (db *DB) drainSealed(sh *shard, id string, m *memSeries) {
 	}
 }
 
-// SealAll force-seals every series' active compressed run, firing the
-// seal hook for each block sealed. This is the graceful-shutdown path: a
-// write-ahead log only sees sealed blocks, so sealing the active tails
-// makes them durable before exit. Uncompressed stores have nothing to
-// seal. Returns the number of blocks sealed.
+// SealAll force-seals every series' active run, firing the seal hook for
+// each block sealed. This is the graceful-shutdown path: a write-ahead
+// log only sees sealed blocks, so sealing the active tails makes them
+// durable before exit. Returns the number of blocks sealed.
 func (db *DB) SealAll() int {
 	total := 0
 	h := db.hook()
@@ -321,11 +305,8 @@ func (db *DB) SealAll() int {
 		sh := &db.shards[i]
 		sh.mu.Lock()
 		for id, m := range sh.series {
-			if m.craw == nil {
-				continue
-			}
-			m.craw.seal()
-			for _, blk := range m.craw.takeSealed() {
+			m.raw.seal()
+			for _, blk := range m.raw.takeSealed() {
 				total++
 				db.sealedBlocks.Add(1)
 				if h != nil {
@@ -370,11 +351,11 @@ func (db *DB) NyquistRate(id string) float64 {
 }
 
 // Query returns the retained samples for id within [from, to), stitched
-// across tiers: coarse (older) tiers first, the raw ring last, sorted by
+// across tiers: coarse (older) tiers first, the raw store last, sorted by
 // time. A zero from or to leaves that side unbounded. Compacted buckets
 // are returned when their own [start, end) coverage overlaps the window.
-// Only tiers (and the raw ring) whose retained band intersects the
-// window are read, so recent queries touch just the raw ring. When
+// Only tiers (and the raw store) whose retained band intersects the
+// window are read, so recent queries touch just the raw store. When
 // maxPoints > 0 and the stitched result is larger, it is stride-thinned
 // to exactly maxPoints (Result.Thinned reports the degradation).
 func (db *DB) Query(id string, from, to time.Time, maxPoints int) (*QueryResult, error) {
@@ -423,8 +404,8 @@ func (db *DB) Points() int {
 	return total
 }
 
-// SealedBlocks returns the number of raw compressed blocks sealed over
-// the DB's lifetime (0 on uncompressed stores).
+// SealedBlocks returns the number of raw blocks sealed over the DB's
+// lifetime.
 func (db *DB) SealedBlocks() int64 { return db.sealedBlocks.Load() }
 
 // Stats aggregates the whole database for operator reporting.
@@ -436,7 +417,7 @@ func (db *DB) Stats() Stats {
 		st.SeriesPerShard[i] = len(sh.series)
 		st.Series += len(sh.series)
 		for _, m := range sh.series {
-			st.RawPoints += m.rawSize()
+			st.RawPoints += m.raw.size()
 			st.Buckets += m.buckets()
 			st.Appends += m.appends
 			st.Compacted += m.compacted
@@ -507,14 +488,14 @@ type Stats struct {
 	// last tier — the only data the engine ever forgets.
 	Dropped int64
 	// CompressedBytes is the total sealed Gorilla-block payload across
-	// raw stores and tiers (0 when CompressBlock is off).
+	// raw stores and tiers.
 	CompressedBytes int64
 	// CompressedEntries is the number of points and buckets those sealed
 	// blocks hold; CompressedBytes/CompressedEntries is the achieved
 	// bytes-per-point figure.
 	CompressedEntries int64
 	// SealedBlocks counts raw blocks sealed over the DB's lifetime
-	// (append-filled plus force-sealed; 0 on uncompressed stores).
+	// (append-filled plus force-sealed).
 	SealedBlocks int64
 	// Cache aggregates the per-shard decoded-block LRUs (zero-valued when
 	// the cache is disabled — Cache.MaxBytes == 0 distinguishes the two).
@@ -535,12 +516,11 @@ type SeriesStats struct {
 	// Appends, Compacted and Dropped mirror the Stats counters for this
 	// series alone.
 	Appends, Compacted, Dropped int64
-	// CompressedBytes is this series' sealed compressed payload (0 when
-	// CompressBlock is off).
+	// CompressedBytes is this series' sealed compressed payload.
 	CompressedBytes int64
-	// RawPoints is the raw ring's current size.
+	// RawPoints is the raw store's current size.
 	RawPoints int
-	// RawOldest and RawNewest bound the raw ring's retained window (zero
+	// RawOldest and RawNewest bound the raw store's retained window (zero
 	// when empty).
 	RawOldest, RawNewest time.Time
 	// Tiers describes each downsampled tier, finest first.

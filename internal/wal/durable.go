@@ -155,18 +155,14 @@ type Durable struct {
 // arms the write path: sealed blocks and estimator state flow into the
 // log from the moment Open returns. The store must have been built with
 // tsdb.Config.StrictAppend — replay relies on the strict-order contract
-// to skip snapshot-boundary duplicates — and with CompressBlock > 0,
-// since only sealed compressed blocks are logged. The store and
-// estimator must not receive traffic until Open returns.
+// to skip snapshot-boundary duplicates. The store and estimator must
+// not receive traffic until Open returns.
 func Open(dir string, store *monitor.Store, est *monitor.IngestEstimator, opts Options) (*Durable, error) {
 	if store == nil || est == nil {
 		return nil, errors.New("wal: Open needs a store and an ingest estimator")
 	}
 	if !store.DB().Strict() {
 		return nil, errors.New("wal: durability requires a strict-append store (tsdb.Config.StrictAppend)")
-	}
-	if store.DB().Retention().CompressBlock <= 0 {
-		return nil, errors.New("wal: durability requires compressed blocks (RetentionConfig.CompressBlock > 0)")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -422,9 +418,7 @@ func (d *Durable) loadSnapshot(idx uint64, watermark map[string]time.Time) (snap
 		return snapHeader{}, false, nil // incomplete snapshot: fall back
 	}
 	for _, s := range seriesS {
-		if err := d.store.DB().RestoreSeries(s); err != nil {
-			return snapHeader{}, false, err
-		}
+		d.store.DB().RestoreSeries(s)
 		if s.HaveLast {
 			watermark[s.ID] = s.LastTime
 		}

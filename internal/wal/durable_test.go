@@ -284,15 +284,11 @@ func TestCleanShutdownSealsTail(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsUnsafeStores pins the contract checks.
+// TestOpenRejectsUnsafeStores pins the contract check.
 func TestOpenRejectsUnsafeStores(t *testing.T) {
 	est := monitor.NewIngestEstimator(nil, ingestCfg)
 	lenient := monitor.NewTieredStore(tsdb.Config{Retention: tsdb.RetentionConfig{RawCapacity: 64, CompressBlock: 16}})
 	if _, err := Open(t.TempDir(), lenient, est, Options{}); err == nil {
 		t.Fatal("Open accepted a lenient store")
-	}
-	uncompressed := monitor.NewTieredStore(tsdb.Config{StrictAppend: true, Retention: tsdb.RetentionConfig{RawCapacity: 64}})
-	if _, err := Open(t.TempDir(), uncompressed, est, Options{}); err == nil {
-		t.Fatal("Open accepted an uncompressed store")
 	}
 }
