@@ -105,12 +105,8 @@ func main() {
 		os.Exit(2)
 	}
 	store := monitor.NewTieredStore(tsdb.Config{
-		Shards: *shards,
-		// The serving store is strict-append: a point the store refuses
-		// (out of order, unrepresentable timestamp) is reported to the
-		// client as rejected — and, when durable, never reaches the WAL.
-		StrictAppend: true,
-		CacheBytes:   *cacheBytes,
+		Shards:     *shards,
+		CacheBytes: *cacheBytes,
 		Retention: tsdb.RetentionConfig{
 			RawCapacity:   *rawCapacity,
 			TierCapacity:  *tierCapacity,

@@ -115,7 +115,8 @@ var ProfileFor = dcsim.ProfileFor
 // behind Store; see internal/tsdb).
 type (
 	// StoreConfig parameterizes a tiered store: shard count plus the
-	// multi-resolution retention policy.
+	// multi-resolution retention policy. There is no write-mode field:
+	// every store is strict-append (see NewStore).
 	StoreConfig = tsdb.Config
 	// RetentionConfig is the per-series Nyquist-aware retention policy.
 	RetentionConfig = tsdb.RetentionConfig
@@ -205,8 +206,18 @@ var Allocate = monitor.Allocate
 // knee is the sweet spot.
 var Frontier = monitor.Frontier
 
-// NewStore returns an empty time-series store.
+// NewStore returns an empty time-series store. The store is
+// strict-append: Append and AppendUniform return ErrOutOfOrder for a
+// point older than the series' newest accepted sample and ErrTimeRange
+// for a timestamp within a year of the int64-nanosecond limits, and a
+// rejected point does not land.
 var NewStore = monitor.NewStore
+
+// ErrOutOfOrder and ErrTimeRange are the store's append rejections.
+var (
+	ErrOutOfOrder = tsdb.ErrOutOfOrder
+	ErrTimeRange  = tsdb.ErrTimeRange
+)
 
 // DefaultCostModel returns the standard sample pricing.
 var DefaultCostModel = monitor.DefaultCostModel

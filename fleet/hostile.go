@@ -171,8 +171,7 @@ func NewHostileRunner(sc *Scenario, cfg HostileConfig) (*HostileRunner, error) {
 		cfg.EvictAfter = 3 * len(sc.Fleet.Devices) * cfg.SamplesPerRound / 2
 	}
 	store := monitor.NewTieredStore(tsdb.Config{
-		Shards:       8,
-		StrictAppend: true,
+		Shards: 8,
 		Retention: tsdb.RetentionConfig{
 			RawCapacity:   1024,
 			TierCapacity:  256,

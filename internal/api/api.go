@@ -97,15 +97,14 @@ type Config struct {
 }
 
 // DefaultStore returns the serving-default store configuration (see
-// Config.Store). Serving stores are strict-append: a point the store
-// refuses (out of order, or a timestamp outside the representable
-// range) is reported as rejected, never as accepted — the contract the
-// write-ahead log's replay also relies on.
+// Config.Store). The store is strict-append: a point it refuses (out of
+// order, or a timestamp outside the accepted range) is reported as
+// rejected, never as accepted — the contract the write-ahead log's
+// replay also relies on.
 func DefaultStore() *monitor.Store {
 	return monitor.NewTieredStore(tsdb.Config{
-		Shards:       16,
-		StrictAppend: true,
-		CacheBytes:   32 << 20,
+		Shards:     16,
+		CacheBytes: 32 << 20,
 		Retention: tsdb.RetentionConfig{
 			RawCapacity:   4096,
 			TierCapacity:  1024,
@@ -316,7 +315,7 @@ func appendReason(err error) string {
 	case errors.Is(err, tsdb.ErrOutOfOrder):
 		return "out of order: timestamp precedes the series' newest stored sample"
 	case errors.Is(err, tsdb.ErrTimeRange):
-		return "timestamp outside the storable range (years 1678-2262)"
+		return "timestamp outside the storable range (1678-09-21 to 2261-04-11)"
 	default:
 		//nyquist:allow-alloc reject path: the reason is rendered once per rejected point
 		return "store rejected the point: " + err.Error()

@@ -33,8 +33,7 @@ type diffPair struct {
 func newDiffPair() *diffPair {
 	mk := func() *monitor.Store {
 		return monitor.NewTieredStore(tsdb.Config{
-			Shards:       4,
-			StrictAppend: true,
+			Shards: 4,
 			Retention: tsdb.RetentionConfig{
 				RawCapacity:   64,
 				TierCapacity:  32,
@@ -155,8 +154,8 @@ func runDiff(t *testing.T, d *diffPair, body io.Reader, raw []byte) {
 		var b strings.Builder
 		fmt.Fprintf(&b, "%s ny=%v gap=%v last=%v/%v app=%d comp=%d drop=%d\n",
 			ss.ID, ss.NyquistRate, ss.Gap, ss.LastTime, ss.HaveLast, ss.Appends, ss.Compacted, ss.Dropped)
-		for _, seg := range ss.Raw {
-			fmt.Fprintf(&b, "raw pts=%v blk=%x n=%d\n", seg.Points, seg.Block.Data(), seg.Block.Len())
+		for _, blk := range ss.Raw {
+			fmt.Fprintf(&b, "raw blk=%x n=%d\n", blk.Data(), blk.Len())
 		}
 		fmt.Fprintf(&b, "active=%v\n", ss.Active)
 		for _, tr := range ss.Tiers {

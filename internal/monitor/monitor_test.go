@@ -4,11 +4,13 @@ import (
 	"errors"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/series"
+	"repro/internal/tsdb"
 )
 
 var start = time.Date(2021, 11, 10, 0, 0, 0, 0, time.UTC)
@@ -106,25 +108,54 @@ func TestBoundedStoreNoLongerFails(t *testing.T) {
 	}
 }
 
+// TestStoreConcurrentAppend races two writers per series over the same
+// timestamps: conservation under contention. A writer that falls behind
+// its twin is rejected as out of order; every attempt is accepted or
+// rejected, exactly the accepted points land, and no series goes
+// backwards in time.
 func TestStoreConcurrentAppend(t *testing.T) {
 	s := NewStore(0)
+	const writers, perWriter = 8, 200
+	var accepted, rejected atomic.Int64
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < writers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			id := string(rune('a' + g%4))
-			for i := 0; i < 200; i++ {
-				_ = s.Append(id, series.Point{Time: start.Add(time.Duration(i) * time.Second), Value: float64(i)})
+			for i := 0; i < perWriter; i++ {
+				err := s.Append(id, series.Point{Time: start.Add(time.Duration(i) * time.Second), Value: float64(i)})
+				switch {
+				case err == nil:
+					accepted.Add(1)
+				case errors.Is(err, tsdb.ErrOutOfOrder):
+					rejected.Add(1)
+				default:
+					t.Errorf("Append = %v", err)
+				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if s.Points() != 1600 {
-		t.Fatalf("points = %d, want 1600", s.Points())
+	if got := accepted.Load() + rejected.Load(); got != writers*perWriter {
+		t.Fatalf("accepted %d + rejected %d = %d, attempted %d", accepted.Load(), rejected.Load(), got, writers*perWriter)
+	}
+	if st := s.Stats(); st.Appends != accepted.Load() || int64(s.Points()) != accepted.Load() {
+		t.Fatalf("appends = %d, points = %d, accepted %d", st.Appends, s.Points(), accepted.Load())
 	}
 	if len(s.IDs()) != 4 {
 		t.Fatalf("ids = %v", s.IDs())
+	}
+	for _, id := range s.IDs() {
+		full, err := s.DB().Full(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < len(full.Points); i++ {
+			if full.Points[i].Time.Before(full.Points[i-1].Time) {
+				t.Fatalf("%s point %d at %v precedes %v", id, i, full.Points[i].Time, full.Points[i-1].Time)
+			}
+		}
 	}
 }
 

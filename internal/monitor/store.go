@@ -38,19 +38,18 @@ func NewTieredStore(cfg tsdb.Config) *Store {
 // DB exposes the underlying engine for query/retention reporting.
 func (s *Store) DB() *tsdb.DB { return s.db }
 
-// Append adds one point to the series with the given id. Lenient stores
-// (the default) never fail; a store built with tsdb.Config.StrictAppend
-// — the serving/durability configuration — returns tsdb.ErrOutOfOrder
-// for a point older than the series' newest sample and tsdb.ErrTimeRange
-// for a timestamp outside the int64-nanosecond range, and the point does
-// not land.
+// Append adds one point to the series with the given id. The store is
+// strict-append: it returns tsdb.ErrOutOfOrder for a point older than
+// the series' newest sample and tsdb.ErrTimeRange for a timestamp
+// outside the accepted range (see tsdb.DB.Append), and a rejected point
+// does not land.
 func (s *Store) Append(id string, p series.Point) error {
 	return s.db.Append(id, p)
 }
 
 // AppendUniform stores every sample of a uniform trace under id, locking
-// the series' shard once for the whole block. Under StrictAppend the
-// first rejected sample stops the append and is returned.
+// the series' shard once for the whole block. The first rejected sample
+// stops the append and is returned.
 func (s *Store) AppendUniform(id string, u *series.Uniform) error {
 	return s.db.AppendUniform(id, u)
 }

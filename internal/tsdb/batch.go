@@ -18,9 +18,8 @@ import (
 )
 
 // BatchPoint is one point of an AppendBatch call. Err is an output: nil
-// after the call means the point landed; under StrictAppend a refused
-// point carries ErrOutOfOrder/ErrTimeRange exactly as Append would have
-// returned it. Writing verdicts in place keeps the batch path free of
+// after the call means the point landed; a refused point carries
+// ErrOutOfOrder/ErrTimeRange exactly as Append would have returned it. Writing verdicts in place keeps the batch path free of
 // per-call result allocations.
 type BatchPoint struct {
 	ID  string
@@ -63,8 +62,8 @@ func (sc *batchScratch) size(points, shards int) {
 
 // AppendBatch appends every point of the batch, grouping points by
 // target shard so each touched shard's lock is taken once for the whole
-// batch. Each point's verdict is written to its Err field (always nil in
-// lenient mode; ErrOutOfOrder/ErrTimeRange under StrictAppend), and the
+// batch. Each point's verdict is written to its Err field (nil, or
+// ErrOutOfOrder/ErrTimeRange as Append would have returned), and the
 // number of accepted points is returned. Points of the same series are
 // applied in slice order, so per-series verdicts — and the per-series
 // seal order the WAL hook observes — match a sequential Append loop
@@ -119,7 +118,7 @@ func (db *DB) AppendBatch(pts []BatchPoint) (accepted int) {
 				m = sh.getOrCreate(bp.ID, &db.cfg.Retention)
 				lastID = bp.ID
 			}
-			bp.Err = m.append(bp.P, &db.cfg.Retention, db.cfg.StrictAppend)
+			bp.Err = m.append(bp.P, &db.cfg.Retention)
 			if bp.Err == nil {
 				accepted++
 			}

@@ -3,6 +3,8 @@ package tsdb
 import (
 	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,8 +25,7 @@ func TestAppendBatchMatchesSequential(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
 		cfg := Config{
-			Shards:       1 + rng.Intn(8),
-			StrictAppend: trial%2 == 0,
+			Shards: 1 + rng.Intn(8),
 			Retention: RetentionConfig{
 				RawCapacity:   64,
 				TierCapacity:  32,
@@ -70,9 +71,8 @@ func TestAppendBatchMatchesSequential(t *testing.T) {
 			sid := rng.Intn(nSeries)
 			var ts time.Time
 			if rng.Intn(6) == 0 {
-				// A late point: behind this series' clock, so under
-				// StrictAppend it must draw the same rejection from both
-				// paths; lenient stores must land it identically too.
+				// A late point: behind this series' clock, so it must draw
+				// the same rejection from both paths.
 				ts = clocks[sid].Add(-time.Duration(1+rng.Intn(90)) * time.Second)
 			} else {
 				clocks[sid] = clocks[sid].Add(time.Duration(1+rng.Intn(30)) * time.Second)
@@ -136,7 +136,7 @@ func TestAppendBatchSealsThroughHook(t *testing.T) {
 		})
 		return out
 	}
-	cfg := Config{Shards: 4, StrictAppend: true,
+	cfg := Config{Shards: 4,
 		Retention: RetentionConfig{RawCapacity: 256, TierCapacity: 64, Tiers: 1, CompressBlock: 8}}
 	dbBatch, dbRef := New(cfg), New(cfg)
 	gotB, gotR := collect(dbBatch), collect(dbRef)
@@ -177,5 +177,134 @@ func TestAppendBatchSealsThroughHook(t *testing.T) {
 				t.Fatalf("series %s block %d: payload diverges", id, i)
 			}
 		}
+	}
+}
+
+// renderSnapshot is the canonical rendering of one series' stored state:
+// every sealed byte, the open tail, every bucket and counter, with the
+// in-progress tier bucket dereferenced (its pointer identity is not part
+// of the stored state).
+func renderSnapshot(ss SeriesSnapshot) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s ny=%v gap=%v last=%v/%v app=%d comp=%d drop=%d\n",
+		ss.ID, ss.NyquistRate, ss.Gap, ss.LastTime.UnixNano(), ss.HaveLast, ss.Appends, ss.Compacted, ss.Dropped)
+	for _, blk := range ss.Raw {
+		fmt.Fprintf(&b, "raw blk=%x n=%d\n", blk.Data(), blk.Len())
+	}
+	fmt.Fprintf(&b, "active=%v\n", ss.Active)
+	for _, tr := range ss.Tiers {
+		fmt.Fprintf(&b, "tier w=%v buckets=%+v", tr.Width, tr.Buckets)
+		if tr.Cur != nil {
+			fmt.Fprintf(&b, " cur=%+v", *tr.Cur)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// renderDB renders every stored series, sorted by id.
+func renderDB(t *testing.T, db *DB) string {
+	t.Helper()
+	var out []string
+	if err := db.ExportSeries(func(ss SeriesSnapshot) error {
+		out = append(out, renderSnapshot(ss))
+		return nil
+	}); err != nil {
+		t.Fatalf("export: %v", err)
+	}
+	sort.Strings(out)
+	return strings.Join(out, "")
+}
+
+// TestAppendContractTable pins the one write contract across its three
+// entry points. Each case is a sequence of uniform runs applied to three
+// twin stores — per-point Append, one AppendBatch per run, AppendUniform —
+// and must draw the same per-point verdicts and leave the same stored
+// bytes. Every run is built so that nothing after its first rejected
+// sample is acceptable, which is where AppendUniform (stop at the first
+// rejection, earlier samples landed) and the per-point paths (judge every
+// point) store the same thing.
+func TestAppendContractTable(t *testing.T) {
+	type run struct {
+		start    time.Time
+		interval time.Duration
+		n        int
+		accepted int   // samples that land
+		err      error // verdict of every later sample; nil when all land
+	}
+	cases := []struct {
+		name string
+		runs []run
+	}{
+		{"in-order", []run{
+			{start, time.Second, 40, 40, nil},
+			{start.Add(40 * time.Second), 7 * time.Second, 25, 25, nil},
+		}},
+		{"equal timestamps", []run{
+			{start, time.Second, 10, 10, nil},
+			{start.Add(9 * time.Second), 0, 12, 12, nil},
+		}},
+		{"run behind the clock", []run{
+			{start, time.Second, 30, 30, nil},
+			{start.Add(5 * time.Second), time.Second, 3, 0, ErrOutOfOrder},
+			{start.Add(29 * time.Second), time.Second, 4, 4, nil},
+		}},
+		{"one backwards step", []run{
+			{start, time.Second, 20, 20, nil},
+			{start.Add(30 * time.Second), -time.Second, 5, 1, ErrOutOfOrder},
+		}},
+		{"crossing the accepted range", []run{
+			{maxAppendTime.Add(-40 * time.Second), time.Second, 38, 38, nil},
+			{maxAppendTime.Add(-2 * time.Second), time.Second, 6, 3, ErrTimeRange},
+		}},
+		{"first stamp out of range", []run{
+			{minAppendTime.Add(-time.Nanosecond), 0, 2, 0, ErrTimeRange},
+			{minAppendTime, time.Hour, 20, 20, nil},
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Shards: 2, Retention: RetentionConfig{RawCapacity: 16, TierCapacity: 8, Tiers: 2, CompressBlock: 4}}
+			dbAppend, dbBatch, dbUniform := New(cfg), New(cfg), New(cfg)
+			const id = "host/metric"
+			wantAppends := 0
+			for ri, r := range tc.runs {
+				u := &series.Uniform{Start: r.start, Interval: r.interval, Values: make([]float64, r.n)}
+				chunk := make([]BatchPoint, r.n)
+				for i := range u.Values {
+					u.Values[i] = float64(100*ri + i)
+					chunk[i] = BatchPoint{ID: id, P: series.Point{Time: u.TimeAt(i), Value: u.Values[i]}}
+				}
+				if got := dbBatch.AppendBatch(chunk); got != r.accepted {
+					t.Fatalf("run %d: AppendBatch accepted %d, want %d", ri, got, r.accepted)
+				}
+				for i := range chunk {
+					var want error
+					if i >= r.accepted {
+						want = r.err
+					}
+					if err := dbAppend.Append(id, chunk[i].P); err != want {
+						t.Fatalf("run %d sample %d: Append = %v, want %v", ri, i, err, want)
+					}
+					if chunk[i].Err != want {
+						t.Fatalf("run %d sample %d: AppendBatch verdict %v, want %v", ri, i, chunk[i].Err, want)
+					}
+				}
+				if err := dbUniform.AppendUniform(id, u); err != r.err {
+					t.Fatalf("run %d: AppendUniform = %v, want %v", ri, err, r.err)
+				}
+				wantAppends += r.accepted
+			}
+			want := renderDB(t, dbAppend)
+			if got := renderDB(t, dbBatch); got != want {
+				t.Fatalf("AppendBatch stored state diverges:\nbatch:  %s\nappend: %s", got, want)
+			}
+			if got := renderDB(t, dbUniform); got != want {
+				t.Fatalf("AppendUniform stored state diverges:\nuniform: %s\nappend:  %s", got, want)
+			}
+			if got := dbAppend.Stats().Appends; got != int64(wantAppends) {
+				t.Fatalf("Appends = %d, want %d (accepted == landed)", got, wantAppends)
+			}
+		})
 	}
 }

@@ -45,7 +45,9 @@ var (
 	// construction; callers seal the block and start a new one instead.
 	ErrOutOfOrder = errors.New("tsdb: block append out of order")
 	// ErrTimeRange is returned for timestamps not representable as
-	// int64 nanoseconds since the Unix epoch (roughly years 1678–2262).
+	// int64 nanoseconds since the Unix epoch (roughly years 1678–2262);
+	// DB appends return it one year inside those limits (see
+	// memSeries.append).
 	ErrTimeRange = errors.New("tsdb: timestamp outside int64-nanosecond range")
 	// ErrCorruptBlock is returned when decoding runs off the end of the
 	// bit stream or decodes more points than the block holds.
@@ -507,6 +509,11 @@ type bucketBlock struct {
 
 func (bb bucketBlock) size() int { return len(bb.data) }
 
+// firstStart is the oldest bucket's start; coverageEnd the newest
+// coverage end. Both are block metadata: no decode.
+func (bb bucketBlock) firstStart() time.Time  { return time.Unix(0, bb.firstNano) }
+func (bb bucketBlock) coverageEnd() time.Time { return time.Unix(0, bb.lastEnd) }
+
 type bucketBlockBuilder struct {
 	w         *bitWriter
 	n         int
@@ -523,6 +530,24 @@ type bucketBlockBuilder struct {
 
 func newBucketBlockBuilder() *bucketBlockBuilder {
 	return &bucketBlockBuilder{w: newBitWriter()}
+}
+
+// bucketBuilderPool is blockBuilderPool for tier seals: a series carries
+// no idle encode buffer per tier.
+var bucketBuilderPool = sync.Pool{New: func() any { return newBucketBlockBuilder() }}
+
+// encodeBucketBlockPooled compresses an ordered run of buckets with
+// pooled scratch; finish copies the payload out of the pooled builder.
+func encodeBucketBlockPooled(bks []bucket) (bucketBlock, error) {
+	b := bucketBuilderPool.Get().(*bucketBlockBuilder)
+	defer bucketBuilderPool.Put(b)
+	b.reset()
+	for _, bk := range bks {
+		if err := b.append(bk); err != nil {
+			return bucketBlock{}, err
+		}
+	}
+	return b.finish(), nil
 }
 
 func (b *bucketBlockBuilder) reset() {

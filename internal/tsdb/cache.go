@@ -13,15 +13,16 @@ package tsdb
 
 import (
 	"container/list"
+	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/series"
 )
 
 // segSeq hands out process-unique cache keys for sealed segments. Seal
-// and snapshot-restore both assign from it; 0 is reserved for "not
-// cacheable" (fallback segments, pre-cache stores).
+// and snapshot-restore both assign from it, so every segment has one.
 var segSeq atomic.Uint64
 
 func nextSegSeq() uint64 { return segSeq.Add(1) }
@@ -111,9 +112,6 @@ func (c *blockCache) put(seq uint64, pts []series.Point) {
 // invalidate drops seq's entry, if cached — called when the segment is
 // evicted from retention, so the cache never outlives the data.
 func (c *blockCache) invalidate(seq uint64) {
-	if seq == 0 {
-		return
-	}
 	c.mu.Lock()
 	if el, ok := c.entries[seq]; ok {
 		e := el.Value.(*cacheEntry)
@@ -146,4 +144,20 @@ type CacheStats struct {
 	// the byte budget and Invalidations counts entries dropped because
 	// their segment left retention.
 	Hits, Misses, Evictions, Invalidations int64
+}
+
+// trimWindow narrows a time-ordered slice to [from, to) by binary search;
+// zero bounds are unbounded.
+func trimWindow(pts []series.Point, from, to time.Time) []series.Point {
+	lo, hi := 0, len(pts)
+	if !from.IsZero() {
+		lo = sort.Search(len(pts), func(i int) bool { return !pts[i].Time.Before(from) })
+	}
+	if !to.IsZero() {
+		hi = sort.Search(len(pts), func(i int) bool { return !pts[i].Time.Before(to) })
+	}
+	if lo >= hi {
+		return nil
+	}
+	return pts[lo:hi]
 }

@@ -9,97 +9,46 @@
 package tsdb
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/series"
 )
 
-// pointSeg is one sealed segment of the raw store: normally a
-// Gorilla block, or (only when the codec refused the data — e.g. a
-// timestamp outside the int64-nanosecond range) a verbatim fallback
-// slice, so compression can never lose or reject a write.
+// pointSeg is one sealed segment of the raw store: a Gorilla block plus
+// its process-unique decoded-block cache key, assigned at seal (and on
+// snapshot restore).
 type pointSeg struct {
-	blk Block
-	pts []series.Point // fallback; nil when blk is used
-	// firstT/lastT bound the segment (fallback mode; blk carries its own).
-	firstT, lastT time.Time
-	// seq is the segment's process-unique decoded-block cache key,
-	// assigned at seal (and on snapshot restore); 0 = not cacheable.
+	Block
 	seq uint64
-}
-
-func (s *pointSeg) size() int {
-	if s.pts != nil {
-		return len(s.pts)
-	}
-	return s.blk.Len()
-}
-
-func (s *pointSeg) first() time.Time {
-	if s.pts != nil {
-		return s.firstT
-	}
-	return s.blk.First()
-}
-
-func (s *pointSeg) last() time.Time {
-	if s.pts != nil {
-		return s.lastT
-	}
-	return s.blk.Last()
 }
 
 // each emits the segment's points in time order. Decode state is local,
 // so concurrent readers may share a segment.
 func (s *pointSeg) each(emit func(series.Point)) {
-	if s.pts != nil {
-		for _, p := range s.pts {
-			emit(p)
-		}
-		return
-	}
-	it := s.blk.Iter()
+	it := s.Iter()
 	for it.Next() {
 		emit(it.Point())
 	}
 }
 
 // cachedWindow returns the segment's decoded points trimmed to [from, to),
-// served from c (and populating c on a miss). ok is false when the segment
-// cannot use the cache — nil cache, a fallback slice, or no seq — and the
-// caller must fall back to a streaming decode. The returned slice aliases
-// the shared cache entry and must never be mutated.
+// served from c (and populating c on a miss). ok is false when there is
+// no cache and the caller must fall back to a streaming decode. The
+// returned slice aliases the shared cache entry and must never be mutated.
 func (s *pointSeg) cachedWindow(c *blockCache, from, to time.Time) (_ []series.Point, ok bool) {
-	if c == nil || s.seq == 0 || s.pts != nil {
+	if c == nil {
 		return nil, false
 	}
 	pts, hit := c.get(s.seq)
 	if !hit {
-		pts = make([]series.Point, 0, s.blk.Len())
-		it := s.blk.Iter()
+		pts = make([]series.Point, 0, s.Len())
+		it := s.Iter()
 		for it.Next() {
 			pts = append(pts, it.Point())
 		}
 		c.put(s.seq, pts)
 	}
 	return trimWindow(pts, from, to), true
-}
-
-// trimWindow narrows a time-ordered slice to [from, to) by binary search;
-// zero bounds are unbounded.
-func trimWindow(pts []series.Point, from, to time.Time) []series.Point {
-	lo, hi := 0, len(pts)
-	if !from.IsZero() {
-		lo = sort.Search(len(pts), func(i int) bool { return !pts[i].Time.Before(from) })
-	}
-	if !to.IsZero() {
-		hi = sort.Search(len(pts), func(i int) bool { return !pts[i].Time.Before(to) })
-	}
-	if lo >= hi {
-		return nil
-	}
-	return pts[lo:hi]
 }
 
 // compPoints is the raw store: a FIFO of sealed segments plus an
@@ -112,9 +61,7 @@ type compPoints struct {
 	n        int
 	evbuf    []series.Point // reusable eviction decode buffer
 	// sealed queues blocks sealed since the last takeSealed — the DB's
-	// seal-hook feed. Fallback (uncompressable) segments never enter it:
-	// strict serving stores cannot produce them, and lenient stores have
-	// no hook.
+	// seal-hook feed.
 	sealed []Block
 	// evictedSeqs queues the cache keys of segments evicted from
 	// retention since the last takeEvictedSeqs — the DB drains it (under
@@ -141,29 +88,20 @@ func (c *compPoints) push(p series.Point) []series.Point {
 	return nil
 }
 
-// seal compresses the active run into a segment. Appends may arrive out
-// of time order (the Append contract tolerates them); storage order
-// inside a segment is by time, which preserves the point multiset — the
-// query path orders across bands anyway.
+// seal compresses the active run into a segment. memSeries.append admits
+// only time-ordered, in-range points, so the codec cannot refuse the run;
+// a refusal is a broken invariant and panics rather than drop the points
+// or hide them in a second representation.
 func (c *compPoints) seal() {
 	if len(c.active) == 0 {
 		return
 	}
-	pts := c.active
-	if !sort.SliceIsSorted(pts, func(a, b int) bool { return pts[a].Time.Before(pts[b].Time) }) {
-		sort.SliceStable(pts, func(a, b int) bool { return pts[a].Time.Before(pts[b].Time) })
+	blk, err := encodeBlockPooled(c.active)
+	if err != nil {
+		panic("tsdb: sealing an accepted run: " + err.Error())
 	}
-	seg := pointSeg{}
-	if blk, err := encodeBlockPooled(pts); err == nil {
-		seg.blk = blk
-		seg.seq = nextSegSeq()
-		c.sealed = append(c.sealed, blk)
-	} else {
-		seg.pts = append([]series.Point(nil), pts...)
-		seg.firstT = pts[0].Time
-		seg.lastT = pts[len(pts)-1].Time
-	}
-	c.segs = append(c.segs, seg)
+	c.segs = append(c.segs, pointSeg{Block: blk, seq: nextSegSeq()})
+	c.sealed = append(c.sealed, blk)
 	c.active = c.active[:0]
 }
 
@@ -187,12 +125,10 @@ func (c *compPoints) evictOldest() []series.Point {
 	copy(c.segs, c.segs[1:])
 	c.segs[len(c.segs)-1] = pointSeg{}
 	c.segs = c.segs[:len(c.segs)-1]
-	if seg.seq != 0 {
-		c.evictedSeqs = append(c.evictedSeqs, seg.seq)
-	}
+	c.evictedSeqs = append(c.evictedSeqs, seg.seq)
 	c.evbuf = c.evbuf[:0]
 	seg.each(func(p series.Point) { c.evbuf = append(c.evbuf, p) })
-	c.n -= seg.size()
+	c.n -= seg.Len()
 	return c.evbuf
 }
 
@@ -209,28 +145,21 @@ func (c *compPoints) takeEvictedSeqs() []uint64 {
 	return out
 }
 
-// bounds returns the oldest and newest retained timestamps.
+// bounds returns the oldest and newest retained timestamps. Storage is
+// in append order, which the strict-append contract makes time order.
 func (c *compPoints) bounds() (oldest, newest time.Time, ok bool) {
-	for i := range c.segs {
-		s := &c.segs[i]
-		if !ok || s.first().Before(oldest) {
-			oldest = s.first()
-		}
-		if s.last().After(newest) {
-			newest = s.last()
-		}
-		ok = true
+	switch {
+	case len(c.segs) > 0:
+		oldest = c.segs[0].First()
+	case len(c.active) > 0:
+		oldest = c.active[0].Time
+	default:
+		return oldest, newest, false
 	}
-	for _, p := range c.active {
-		if !ok || p.Time.Before(oldest) {
-			oldest = p.Time
-		}
-		if p.Time.After(newest) {
-			newest = p.Time
-		}
-		ok = true
+	if n := len(c.active); n > 0 {
+		return oldest, c.active[n-1].Time, true
 	}
-	return oldest, newest, ok
+	return oldest, c.segs[len(c.segs)-1].Last(), true
 }
 
 // each emits every retained point whose segment can overlap [from, to)
@@ -243,10 +172,10 @@ func (c *compPoints) bounds() (oldest, newest time.Time, ok bool) {
 func (c *compPoints) each(from, to time.Time, cache *blockCache, bulk func([]series.Point), emit func(series.Point)) {
 	for i := range c.segs {
 		s := &c.segs[i]
-		if !to.IsZero() && !s.first().Before(to) {
+		if !to.IsZero() && !s.First().Before(to) {
 			continue
 		}
-		if !from.IsZero() && s.last().Before(from) {
+		if !from.IsZero() && s.Last().Before(from) {
 			continue
 		}
 		if pts, ok := s.cachedWindow(cache, from, to); ok {
@@ -263,78 +192,23 @@ func (c *compPoints) each(from, to time.Time, cache *blockCache, bulk func([]ser
 }
 
 // compressedFootprint reports the sealed compressed payload: bytes and
-// the points they hold (fallback segments count as uncompressed).
+// the points they hold.
 func (c *compPoints) compressedFootprint() (bytes, points int64) {
 	for i := range c.segs {
-		if c.segs[i].pts == nil {
-			bytes += int64(c.segs[i].blk.Size())
-			points += int64(c.segs[i].blk.Len())
-		}
+		bytes += int64(c.segs[i].Size())
+		points += int64(c.segs[i].Len())
 	}
 	return bytes, points
 }
 
-// bucketSeg is one sealed segment of a tier, mirroring
-// pointSeg: a bucket block, or a verbatim fallback slice.
-type bucketSeg struct {
-	blk bucketBlock
-	bks []bucket // fallback; nil when blk is used
-	// firstT/lastEndT bound the segment (fallback mode).
-	firstT, lastEndT time.Time
-}
-
-func (s *bucketSeg) size() int {
-	if s.bks != nil {
-		return len(s.bks)
-	}
-	return s.blk.n
-}
-
-func (s *bucketSeg) firstStart() time.Time {
-	if s.bks != nil {
-		return s.firstT
-	}
-	return time.Unix(0, s.blk.firstNano)
-}
-
-func (s *bucketSeg) lastEnd() time.Time {
-	if s.bks != nil {
-		return s.lastEndT
-	}
-	return time.Unix(0, s.blk.lastEnd)
-}
-
-// samples is the sum of the segment's bucket counts, available without
-// decoding.
-func (s *bucketSeg) samples() int64 {
-	if s.bks != nil {
-		var n int64
-		for _, b := range s.bks {
-			n += b.count
-		}
-		return n
-	}
-	return s.blk.samples
-}
-
-func (s *bucketSeg) each(emit func(bucket)) {
-	if s.bks != nil {
-		for _, b := range s.bks {
-			emit(b)
-		}
-		return
-	}
-	_ = s.blk.each(emit) // decode errors impossible for self-encoded blocks
-}
-
-// compBuckets is the finalized-bucket store of one tier.
+// compBuckets is the finalized-bucket store of one tier: a FIFO of sealed
+// bucket blocks plus an uncompressed active run.
 type compBuckets struct {
 	blockLen int
 	capacity int // max finalized buckets; 0 = unbounded
-	segs     []bucketSeg
+	segs     []bucketBlock
 	active   []bucket
 	n        int
-	builder  *bucketBlockBuilder
 	evbuf    []bucket
 }
 
@@ -356,46 +230,29 @@ func (c *compBuckets) push(b bucket) []bucket {
 	return nil
 }
 
+// seal compresses the active run into a bucket block. As with the raw
+// store, the append door guarantees it encodes: bucket starts only
+// increase within a tier and both bounds stay in range.
 func (c *compBuckets) seal() {
 	if len(c.active) == 0 {
 		return
 	}
-	if c.builder == nil {
-		c.builder = newBucketBlockBuilder()
-	} else {
-		c.builder.reset()
+	blk, err := encodeBucketBlockPooled(c.active)
+	if err != nil {
+		panic("tsdb: sealing finalized buckets: " + err.Error())
 	}
-	seg := bucketSeg{}
-	ok := true
-	for _, b := range c.active {
-		if err := c.builder.append(b); err != nil {
-			ok = false
-			break
-		}
-	}
-	if ok {
-		seg.blk = c.builder.finish()
-	} else {
-		seg.bks = append([]bucket(nil), c.active...)
-		seg.firstT = c.active[0].start
-		for _, b := range c.active {
-			if b.end.After(seg.lastEndT) {
-				seg.lastEndT = b.end
-			}
-		}
-	}
-	c.segs = append(c.segs, seg)
+	c.segs = append(c.segs, blk)
 	c.active = c.active[:0]
 }
 
 func (c *compBuckets) evictOldest() []bucket {
 	seg := c.segs[0]
 	copy(c.segs, c.segs[1:])
-	c.segs[len(c.segs)-1] = bucketSeg{}
+	c.segs[len(c.segs)-1] = bucketBlock{}
 	c.segs = c.segs[:len(c.segs)-1]
 	c.evbuf = c.evbuf[:0]
-	seg.each(func(b bucket) { c.evbuf = append(c.evbuf, b) })
-	c.n -= seg.size()
+	_ = seg.each(func(b bucket) { c.evbuf = append(c.evbuf, b) }) // decode errors impossible for self-encoded blocks
+	c.n -= seg.n
 	return c.evbuf
 }
 
@@ -406,8 +263,8 @@ func (c *compBuckets) bounds() (oldest, newestEnd time.Time, ok bool) {
 		if !ok || s.firstStart().Before(oldest) {
 			oldest = s.firstStart()
 		}
-		if s.lastEnd().After(newestEnd) {
-			newestEnd = s.lastEnd()
+		if s.coverageEnd().After(newestEnd) {
+			newestEnd = s.coverageEnd()
 		}
 		ok = true
 	}
@@ -431,10 +288,10 @@ func (c *compBuckets) each(from, to time.Time, emit func(bucket)) {
 		if !to.IsZero() && !s.firstStart().Before(to) {
 			continue
 		}
-		if !from.IsZero() && !s.lastEnd().After(from) {
+		if !from.IsZero() && !s.coverageEnd().After(from) {
 			continue
 		}
-		s.each(emit)
+		_ = s.each(emit) // decode errors impossible for self-encoded blocks
 	}
 	for _, b := range c.active {
 		emit(b)
@@ -446,7 +303,7 @@ func (c *compBuckets) each(from, to time.Time, emit func(bucket)) {
 func (c *compBuckets) sampleTotal() int64 {
 	var n int64
 	for i := range c.segs {
-		n += c.segs[i].samples()
+		n += c.segs[i].samples
 	}
 	for _, b := range c.active {
 		n += b.count
@@ -456,10 +313,8 @@ func (c *compBuckets) sampleTotal() int64 {
 
 func (c *compBuckets) compressedFootprint() (bytes, buckets int64) {
 	for i := range c.segs {
-		if c.segs[i].bks == nil {
-			bytes += int64(c.segs[i].blk.size())
-			buckets += int64(c.segs[i].blk.n)
-		}
+		bytes += int64(c.segs[i].size())
+		buckets += int64(c.segs[i].n)
 	}
 	return bytes, buckets
 }

@@ -3,7 +3,6 @@ package tsdb
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -13,9 +12,10 @@ import (
 
 // TestCompressedStoreEquivalence pins the central compression contract:
 // with unbounded retention (no eviction), the store returns exactly the
-// points that were appended, stably sorted by time — same instants,
-// bit-identical values — for monotonic and for out-of-order append
-// streams.
+// points it accepted — same instants, bit-identical values, append order.
+// For a monotonic stream that is every point; for a stream with pairs
+// swapped, each swapped-back point is rejected with ErrOutOfOrder and the
+// store holds exactly the accepted subsequence.
 func TestCompressedStoreEquivalence(t *testing.T) {
 	for name, outOfOrder := range map[string]bool{"monotonic": false, "out-of-order": true} {
 		t.Run(name, func(t *testing.T) {
@@ -28,19 +28,31 @@ func TestCompressedStoreEquivalence(t *testing.T) {
 					pts[i], pts[i+1] = pts[i+1], pts[i]
 				}
 			}
-			for _, p := range pts {
-				db.Append(id, p)
+			// The model: the accepted subsequence, in append order.
+			var want []series.Point
+			for i, p := range pts {
+				late := len(want) > 0 && p.Time.Before(want[len(want)-1].Time)
+				switch err := db.Append(id, p); {
+				case late && err != ErrOutOfOrder:
+					t.Fatalf("point %d goes backwards: Append = %v, want ErrOutOfOrder", i, err)
+				case !late && err != nil:
+					t.Fatalf("point %d: Append = %v", i, err)
+				case !late:
+					want = append(want, p)
+				}
 			}
-			// The model: the appended multiset in time order, append order
-			// inside equal-time runs.
-			want := append([]series.Point(nil), pts...)
-			sort.SliceStable(want, func(a, b int) bool { return want[a].Time.Before(want[b].Time) })
+			if outOfOrder == (len(want) == len(pts)) {
+				t.Fatalf("accepted %d of %d points", len(want), len(pts))
+			}
+			if got := db.Stats().Appends; got != int64(len(want)) {
+				t.Fatalf("Appends = %d, accepted %d", got, len(want))
+			}
 			got, err := db.Full(id)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(got.Points) != len(want) {
-				t.Fatalf("store returned %d points, appended %d", len(got.Points), len(want))
+				t.Fatalf("store returned %d points, accepted %d", len(got.Points), len(want))
 			}
 			for i := range want {
 				if !got.Points[i].Time.Equal(want[i].Time) {

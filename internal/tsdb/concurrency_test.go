@@ -3,6 +3,7 @@ package tsdb
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -103,22 +104,65 @@ func TestConcurrentWritersAcrossShards(t *testing.T) {
 	}
 }
 
-// TestConcurrentSameSeries serializes correctly when every writer hits
-// one series (single shard lock contention path).
+// TestConcurrentSameSeries is conservation under contention: eight
+// writers race disjoint time ranges into one series (single shard lock),
+// so whichever writer is ahead makes the others' points late. Every
+// attempt is either accepted or rejected as out of order, exactly the
+// accepted ones land, and the stored stream never goes backwards.
 func TestConcurrentSameSeries(t *testing.T) {
 	db := New(Config{Shards: 4, Retention: RetentionConfig{RawCapacity: 128}})
+	const writers, perWriter = 8, 250
+	var accepted, rejected atomic.Int64
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < writers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 250; i++ {
-				db.Append("hot", series.Point{Time: start.Add(time.Duration(g*250+i) * time.Second), Value: 1})
+			for i := 0; i < perWriter; i++ {
+				switch err := db.Append("hot", series.Point{Time: start.Add(time.Duration(g*perWriter+i) * time.Second), Value: 1}); err {
+				case nil:
+					accepted.Add(1)
+				case ErrOutOfOrder:
+					rejected.Add(1)
+				default:
+					t.Errorf("Append = %v", err)
+				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if st := db.Stats(); st.Appends != 2000 {
-		t.Fatalf("appends = %d, want 2000", st.Appends)
+	if got := accepted.Load() + rejected.Load(); got != writers*perWriter {
+		t.Fatalf("accepted %d + rejected %d = %d, attempted %d", accepted.Load(), rejected.Load(), got, writers*perWriter)
+	}
+	if st := db.Stats(); st.Appends != accepted.Load() {
+		t.Fatalf("appends = %d, accepted %d", st.Appends, accepted.Load())
+	}
+	// Stored order, not query order (a query sorts what it stitches).
+	var stored []series.Point
+	if err := db.ExportSeries(func(ss SeriesSnapshot) error {
+		for _, blk := range ss.Raw {
+			var err error
+			if stored, err = blk.Points(stored); err != nil {
+				return err
+			}
+		}
+		stored = append(stored, ss.Active...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(stored); i++ {
+		if stored[i].Time.Before(stored[i-1].Time) {
+			t.Fatalf("stored point %d at %v precedes %v", i, stored[i].Time, stored[i-1].Time)
+		}
+	}
+	full, err := db.Full("hot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(full.Points); i++ {
+		if full.Points[i].Time.Before(full.Points[i-1].Time) {
+			t.Fatalf("point %d at %v precedes %v", i, full.Points[i].Time, full.Points[i-1].Time)
+		}
 	}
 }

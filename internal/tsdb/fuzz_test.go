@@ -69,7 +69,10 @@ func FuzzQueryRange(f *testing.F) {
 			switch op % 4 {
 			case 0: // append one point, time advancing 1..256 s
 				now = now.Add(time.Duration(1+int(arg)) * time.Second)
-				db.Append(id, series.Point{Time: now, Value: float64(int8(arg))})
+				// The clock only moves forward, so a rejection is a finding.
+				if err := db.Append(id, series.Point{Time: now, Value: float64(int8(arg))}); err != nil {
+					t.Fatalf("in-order append at %v: %v", now, err)
+				}
 				appended++
 			case 1: // append a uniform block of up to 8 samples
 				n := 1 + int(arg%8)
@@ -77,11 +80,14 @@ func FuzzQueryRange(f *testing.F) {
 				for k := range vals {
 					vals[k] = float64(arg) + float64(k)
 				}
-				db.AppendUniform(id, &series.Uniform{
+				u := &series.Uniform{
 					Start:    now.Add(time.Second),
 					Interval: time.Duration(1+int(arg%4)) * time.Second,
 					Values:   vals,
-				})
+				}
+				if err := db.AppendUniform(id, u); err != nil {
+					t.Fatalf("in-order uniform append from %v: %v", u.Start, err)
+				}
 				now = now.Add(time.Duration(n*(1+int(arg%4))) * time.Second)
 				appended += n
 			case 2: // retune retention from a pseudo-Nyquist estimate

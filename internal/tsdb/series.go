@@ -13,6 +13,24 @@ var errNoSeries = errors.New("tsdb: no such series")
 // cannot overflow duration arithmetic.
 const maxTierWidth = 365 * 24 * time.Hour
 
+// minAppendTime and maxAppendTime bound the timestamps a store accepts:
+// the int64-nanosecond range less one maxTierWidth at either end.
+var (
+	minAppendTime = minUnixNano.Add(maxTierWidth)
+	maxAppendTime = maxUnixNano.Add(-maxTierWidth)
+)
+
+// gridFloor rounds t down to the width grid, but never below the
+// encodable range: each cascade level truncates again, and across
+// non-nested grids (capped or retuned widths) a deep tier's start could
+// otherwise walk more than the append margin below the oldest point.
+func gridFloor(t time.Time, width time.Duration) time.Time {
+	if g := t.Truncate(width); !g.Before(minUnixNano) {
+		return g
+	}
+	return minUnixNano
+}
+
 // bucket is one aggregated interval of a downsampled tier. Each bucket
 // carries its own [start, end) coverage: tiers are retuned while buckets
 // written under older widths are still retained, so coverage must not be
@@ -123,20 +141,22 @@ func newMemSeries(rc *RetentionConfig) *memSeries {
 	return &memSeries{raw: compPoints{blockLen: blockLen(rc.CompressBlock, rc.RawCapacity), capacity: rc.RawCapacity}}
 }
 
-// append ingests one point, cascading the evicted oldest sealed block
-// into the tiers when the raw store is full. In lenient mode points are
-// expected in time order (the poller's contract) but out-of-order points
-// are accepted and may land in an already-open bucket; in strict mode an
-// out-of-order or unrepresentable timestamp is rejected and nothing
-// changes.
-func (m *memSeries) append(p series.Point, rc *RetentionConfig, strict bool) error {
-	if strict {
-		if m.haveLast && p.Time.Before(m.lastTime) {
-			return ErrOutOfOrder
-		}
-		if !unixNanoSafe(p.Time) {
-			return ErrTimeRange
-		}
+// append is the store's one write contract: strict-append. A point older
+// than the series' newest accepted sample is rejected with ErrOutOfOrder
+// (equal timestamps are fine — production pollers emit duplicates), a
+// timestamp within maxTierWidth of either end of the int64-nanosecond
+// range with ErrTimeRange, and a rejected point changes nothing. An
+// accepted point lands, cascading the evicted oldest sealed block into
+// the tiers when the raw store is full. The two checks are what make
+// every seal encodable: runs are time-ordered, and a bucket spans at most
+// maxTierWidth past a point that opened or joined it, from a start
+// gridFloor keeps in range.
+func (m *memSeries) append(p series.Point, rc *RetentionConfig) error {
+	if m.haveLast && p.Time.Before(m.lastTime) {
+		return ErrOutOfOrder
+	}
+	if p.Time.Before(minAppendTime) || p.Time.After(maxAppendTime) {
+		return ErrTimeRange
 	}
 	// The gap EWMA only seeds the initial tier grid; once the tiers
 	// exist, retention follows the Nyquist estimates.
@@ -178,15 +198,15 @@ func (m *memSeries) compact(p series.Point, rc *RetentionConfig) {
 func (m *memSeries) ingest(k int, b bucket) {
 	t := m.tiers[k]
 	if !t.curSet {
-		b.start = b.start.Truncate(t.width)
+		b.start = gridFloor(b.start, t.width)
 		b.end = b.start.Add(t.width)
 		t.cur = b
 		t.curSet = true
 		t.next = b.start.Add(t.width)
 		return
 	}
-	// Common case: the point lands in the open bucket (or before it,
-	// for out-of-order arrivals) — one comparison, no grid division.
+	// Common case: the point lands in the open bucket — one comparison,
+	// no grid division.
 	if b.start.Before(t.cur.end) {
 		t.cur.merge(b)
 		return
@@ -204,7 +224,7 @@ func (m *memSeries) ingest(k int, b bucket) {
 	if !t.next.IsZero() && !b.start.Before(t.next) && b.start.Before(t.next.Add(t.width)) {
 		gridStart = t.next
 	} else {
-		gridStart = b.start.Truncate(t.width)
+		gridStart = gridFloor(b.start, t.width)
 		if !gridStart.After(t.cur.start) {
 			t.cur.merge(b)
 			return

@@ -30,22 +30,12 @@ type SeriesSnapshot struct {
 	HaveLast bool
 	// Appends, Compacted and Dropped mirror the per-series counters.
 	Appends, Compacted, Dropped int64
-	// Raw holds the sealed raw segments, oldest first.
-	Raw []RawSegment
+	// Raw holds the sealed raw blocks, oldest first.
+	Raw []Block
 	// Active is the unsealed raw tail, oldest first.
 	Active []series.Point
 	// Tiers describes each downsampled tier, finest first.
 	Tiers []TierSnapshot
-}
-
-// RawSegment is one sealed raw segment: a compressed Block, or — only
-// when the codec had refused the data (timestamps outside the
-// int64-nanosecond range) — a verbatim point slice.
-type RawSegment struct {
-	// Points is the verbatim fallback; nil when Block carries the data.
-	Points []series.Point
-	// Block is the sealed compressed run (valid when Points is nil).
-	Block Block
 }
 
 // TierSnapshot is one retention tier's state.
@@ -108,12 +98,7 @@ func (m *memSeries) export(id string) SeriesSnapshot {
 		Dropped:     m.dropped,
 	}
 	for i := range m.raw.segs {
-		seg := &m.raw.segs[i]
-		if seg.pts != nil {
-			s.Raw = append(s.Raw, RawSegment{Points: append([]series.Point(nil), seg.pts...)})
-		} else {
-			s.Raw = append(s.Raw, RawSegment{Block: seg.blk})
-		}
+		s.Raw = append(s.Raw, m.raw.segs[i].Block)
 	}
 	s.Active = append([]series.Point(nil), m.raw.active...)
 	for _, t := range m.tiers {
@@ -171,25 +156,12 @@ func (db *DB) RestoreSeries(s SeriesSnapshot) {
 		}
 	}
 
-	for _, seg := range s.Raw {
-		if seg.Points != nil {
-			if len(seg.Points) == 0 {
-				continue
-			}
-			pts := append([]series.Point(nil), seg.Points...)
-			m.raw.segs = append(m.raw.segs, pointSeg{
-				pts:    pts,
-				firstT: pts[0].Time,
-				lastT:  pts[len(pts)-1].Time,
-			})
-			m.raw.n += len(pts)
-		} else {
-			if seg.Block.Len() == 0 {
-				continue
-			}
-			m.raw.segs = append(m.raw.segs, pointSeg{blk: seg.Block, seq: nextSegSeq()})
-			m.raw.n += seg.Block.Len()
+	for _, blk := range s.Raw {
+		if blk.Len() == 0 {
+			continue
 		}
+		m.raw.segs = append(m.raw.segs, pointSeg{Block: blk, seq: nextSegSeq()})
+		m.raw.n += blk.Len()
 	}
 	// The active tail re-enters through push so an oversized tail
 	// (smaller block length after a config change) re-seals; blocks

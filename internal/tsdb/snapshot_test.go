@@ -11,14 +11,10 @@ import (
 
 var snapStart = time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
 
-// TestStrictAppendRejects locks the serving-path contract: a strict
-// store rejects out-of-order and unrepresentable timestamps without
-// mutating anything, while the lenient default keeps absorbing them.
-func TestStrictAppendRejects(t *testing.T) {
-	db := New(Config{StrictAppend: true, Retention: RetentionConfig{RawCapacity: 64, CompressBlock: 8}})
-	if !db.Strict() {
-		t.Fatal("Strict() = false on a StrictAppend store")
-	}
+// TestAppendRejects locks the store's write contract: out-of-order
+// and out-of-range timestamps are rejected without mutating anything.
+func TestAppendRejects(t *testing.T) {
+	db := New(Config{Retention: RetentionConfig{RawCapacity: 64, CompressBlock: 8}})
 	for i := 0; i < 10; i++ {
 		if err := db.Append("s", series.Point{Time: snapStart.Add(time.Duration(i) * time.Second), Value: float64(i)}); err != nil {
 			t.Fatalf("in-order append %d: %v", i, err)
@@ -38,18 +34,12 @@ func TestStrictAppendRejects(t *testing.T) {
 	if got := db.Stats().Appends; got != before {
 		t.Fatalf("rejected appends still counted: %d -> %d", before, got)
 	}
-
-	lenient := New(Config{})
-	lenient.Append("s", series.Point{Time: snapStart.Add(time.Hour)})
-	if err := lenient.Append("s", series.Point{Time: snapStart}); err != nil {
-		t.Fatalf("lenient store rejected an out-of-order append: %v", err)
-	}
 }
 
 // TestSealHook asserts the hook sees exactly the appended points, in
 // order, as blocks seal — including the forced SealAll tail.
 func TestSealHook(t *testing.T) {
-	db := New(Config{StrictAppend: true, Retention: RetentionConfig{RawCapacity: 1024, CompressBlock: 16}})
+	db := New(Config{Retention: RetentionConfig{RawCapacity: 1024, CompressBlock: 16}})
 	var got []series.Point
 	db.OnSeal(func(id string, blk Block) {
 		if id != "s" {
@@ -148,8 +138,7 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	for _, compress := range []int{16, 128} {
 		t.Run(fmt.Sprintf("compress=%d", compress), func(t *testing.T) {
 			cfg := Config{
-				StrictAppend: true,
-				Retention:    RetentionConfig{RawCapacity: 256, TierCapacity: 64, Tiers: 2, CompressBlock: compress},
+				Retention: RetentionConfig{RawCapacity: 256, TierCapacity: 64, Tiers: 2, CompressBlock: compress},
 			}
 			src := New(cfg)
 			fillSnapshotDB(src, 3, 2000)
@@ -202,6 +191,108 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 			}
 			if err := dst.Append(id, series.Point{Time: snapStart.Add(3000 * time.Second), Value: 1}); err != nil {
 				t.Fatalf("restored store rejected a fresh append: %v", err)
+			}
+		})
+	}
+}
+
+// TestAppendRangeMargin pins the encodability guarantee of the append
+// door at both ends of the accepted range. Just inside: the point lands
+// and survives a full raw → tier-1 → tier-2 cascade at the widest tier
+// width (every bucket bound stays int64-nanosecond representable, so
+// every seal encodes) and an export/restore round trip. Just outside:
+// ErrTimeRange, nothing lands. The third case walks the low edge over
+// non-nested tier grids, where each cascade level's truncation can fall
+// further below the oldest point than the margin covers (gridFloor).
+func TestAppendRangeMargin(t *testing.T) {
+	// A tier-0 width whose grid start for minAppendTime truncates, on the
+	// (non-nested) maxTierWidth grid of the deeper tiers, to before the
+	// representable range.
+	var crooked time.Duration
+	for w := maxTierWidth / 4; w < maxTierWidth; w += 24 * time.Hour {
+		if minAppendTime.Truncate(w).Truncate(maxTierWidth).Before(minUnixNano) {
+			crooked = w
+			break
+		}
+	}
+	if crooked == 0 {
+		t.Fatal("no tier-0 width walks the tier-1 grid start out of range; the gridFloor case is untested")
+	}
+	yearly := func(from time.Time, n int) []time.Time {
+		out := make([]time.Time, n)
+		for i := range out {
+			out[i] = from.Add(time.Duration(i) * maxTierWidth)
+		}
+		return out
+	}
+	high := yearly(maxAppendTime.Add(-39*maxTierWidth), 40)
+	for i := 0; i < 8; i++ { // equal stamps push the edge point itself into the tiers
+		high = append(high, maxAppendTime)
+	}
+	cases := []struct {
+		name    string
+		width   time.Duration // tier-0 width to tune to
+		outside time.Time
+		stamps  []time.Time
+	}{
+		{"low edge", maxTierWidth, minAppendTime.Add(-time.Nanosecond), yearly(minAppendTime, 40)},
+		{"high edge", maxTierWidth, maxAppendTime.Add(time.Nanosecond), high},
+		{"low edge, non-nested grids", crooked, minAppendTime.Add(-time.Nanosecond), yearly(minAppendTime, 40)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Shards: 1, Retention: RetentionConfig{RawCapacity: 4, TierCapacity: 4, Tiers: 2, CompressBlock: 1}}
+			db := New(cfg)
+			const id = "edge"
+			// The rate whose first-tier width (1 / (Headroom × rate)) is tc.width.
+			db.SetNyquistRate(id, 1/(1.2*tc.width.Seconds()))
+			if err := db.Append(id, series.Point{Time: tc.outside}); err != ErrTimeRange {
+				t.Fatalf("append just outside the range: %v, want ErrTimeRange", err)
+			}
+			for i, ts := range tc.stamps {
+				if err := db.Append(id, series.Point{Time: ts, Value: float64(i)}); err != nil {
+					t.Fatalf("append %d at %v (inside the range): %v", i, ts, err)
+				}
+			}
+			before := renderDB(t, db)
+			if err := db.Append(id, series.Point{Time: tc.outside}); err != ErrTimeRange && err != ErrOutOfOrder {
+				t.Fatalf("append just outside the range: %v", err)
+			}
+			if after := renderDB(t, db); after != before {
+				t.Fatalf("a rejected append changed the store:\nbefore: %s\nafter:  %s", before, after)
+			}
+			st, err := db.SeriesStats(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Appends != int64(len(tc.stamps)) {
+				t.Fatalf("Appends = %d, want %d", st.Appends, len(tc.stamps))
+			}
+			inTiers := int64(0)
+			for k, ts := range st.Tiers {
+				if ts.Samples == 0 {
+					t.Fatalf("tier %d is empty: the cascade did not reach it", k+1)
+				}
+				if k > 0 && ts.Width != maxTierWidth {
+					t.Fatalf("tier %d width %v, want the cap %v", k+1, ts.Width, maxTierWidth)
+				}
+				if !unixNanoSafe(ts.Oldest) || !unixNanoSafe(ts.Newest) {
+					t.Fatalf("tier %d spans [%v, %v], outside the encodable range", k+1, ts.Oldest, ts.Newest)
+				}
+				inTiers += ts.Samples
+			}
+			if st.Dropped == 0 {
+				t.Fatal("nothing aged out of the last tier: the cascade is not full")
+			}
+			if got := int64(st.RawPoints) + inTiers + st.Dropped; got != st.Appends {
+				t.Fatalf("conservation: raw %d + tiered %d + dropped %d = %d, want %d", st.RawPoints, inTiers, st.Dropped, got, st.Appends)
+			}
+			twin := New(cfg)
+			if err := db.ExportSeries(func(s SeriesSnapshot) error { twin.RestoreSeries(s); return nil }); err != nil {
+				t.Fatal(err)
+			}
+			if got := renderDB(t, twin); got != before {
+				t.Fatalf("export/restore round trip diverges:\nrestored: %s\noriginal: %s", got, before)
 			}
 		})
 	}

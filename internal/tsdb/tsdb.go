@@ -60,14 +60,6 @@ type Config struct {
 	Shards int
 	// Retention is the per-series retention policy.
 	Retention RetentionConfig
-	// StrictAppend, when true, makes Append fail instead of tolerate:
-	// a point older than the series' newest accepted sample returns
-	// ErrOutOfOrder, and a timestamp outside the int64-nanosecond range
-	// returns ErrTimeRange. This is the serving-path (and write-ahead
-	// log) contract — "accepted" must mean "landed, in order, and
-	// replayable" — whereas the default lenient mode keeps the library
-	// behavior of absorbing whatever a poller hands it.
-	StrictAppend bool
 	// CacheBytes, when positive, bounds a decoded-block LRU split evenly
 	// across the shards: queries over sealed compressed history serve
 	// repeat decodes from memory instead of re-running the codec; 0
@@ -175,9 +167,6 @@ func (db *DB) hook() SealHook {
 	return nil
 }
 
-// Strict reports whether the DB enforces StrictAppend ordering.
-func (db *DB) Strict() bool { return db.cfg.StrictAppend }
-
 type shard struct {
 	// mu guards series membership and everything a memSeries holds.
 	// It is the ingest hot path's contention point: code holding it
@@ -239,24 +228,24 @@ func (sh *shard) getOrCreate(id string, rc *RetentionConfig) *memSeries {
 
 // Append adds one point to the series with the given id, creating the
 // series on first write. Appends never fail for capacity: a full raw store
-// compacts its oldest block into the retention tiers instead. Under
-// StrictAppend, out-of-order or unrepresentable timestamps are rejected
-// (ErrOutOfOrder / ErrTimeRange) and the point does not land; the
-// default lenient mode always returns nil.
+// compacts its oldest block into the retention tiers instead. The store
+// is strict-append: a point older than the series' newest accepted sample
+// returns ErrOutOfOrder, a timestamp outside the accepted range (see
+// ErrTimeRange) returns ErrTimeRange, and a rejected point does not land —
+// "accepted" means landed, in order, and replayable.
 func (db *DB) Append(id string, p series.Point) error {
 	sh := db.shardFor(id)
 	sh.mu.Lock()
 	m := sh.getOrCreate(id, &db.cfg.Retention)
-	err := m.append(p, &db.cfg.Retention, db.cfg.StrictAppend)
+	err := m.append(p, &db.cfg.Retention)
 	db.drainSealed(sh, id, m)
 	sh.mu.Unlock()
 	return err
 }
 
 // AppendUniform stores every sample of a uniform trace under id, taking
-// the shard lock once for the whole block. Under StrictAppend the first
-// rejected sample stops the append and is returned; earlier samples have
-// already landed.
+// the shard lock once for the whole block. The first rejected sample
+// stops the append and is returned; earlier samples have already landed.
 func (db *DB) AppendUniform(id string, u *series.Uniform) error {
 	sh := db.shardFor(id)
 	sh.mu.Lock()
@@ -264,7 +253,7 @@ func (db *DB) AppendUniform(id string, u *series.Uniform) error {
 	m := sh.getOrCreate(id, &db.cfg.Retention)
 	defer db.drainSealed(sh, id, m)
 	for i, v := range u.Values {
-		if err := m.append(series.Point{Time: u.TimeAt(i), Value: v}, &db.cfg.Retention, db.cfg.StrictAppend); err != nil {
+		if err := m.append(series.Point{Time: u.TimeAt(i), Value: v}, &db.cfg.Retention); err != nil {
 			return err
 		}
 	}

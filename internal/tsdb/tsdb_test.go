@@ -325,7 +325,9 @@ func TestNegativeTiersPlainBoundedRing(t *testing.T) {
 func TestAppendUniform(t *testing.T) {
 	db := New(Config{})
 	u := &series.Uniform{Start: start, Interval: time.Second, Values: []float64{1, 2, 3}}
-	db.AppendUniform("u", u)
+	if err := db.AppendUniform("u", u); err != nil {
+		t.Fatal(err)
+	}
 	full, err := db.Full("u")
 	if err != nil {
 		t.Fatal(err)

@@ -153,16 +153,12 @@ type Durable struct {
 
 // Open recovers the durable state in dir into store and est, then
 // arms the write path: sealed blocks and estimator state flow into the
-// log from the moment Open returns. The store must have been built with
-// tsdb.Config.StrictAppend — replay relies on the strict-order contract
-// to skip snapshot-boundary duplicates. The store and estimator must
-// not receive traffic until Open returns.
+// log from the moment Open returns. Replay relies on the store's
+// strict-append contract to skip snapshot-boundary duplicates. The store
+// and estimator must not receive traffic until Open returns.
 func Open(dir string, store *monitor.Store, est *monitor.IngestEstimator, opts Options) (*Durable, error) {
 	if store == nil || est == nil {
 		return nil, errors.New("wal: Open needs a store and an ingest estimator")
-	}
-	if !store.DB().Strict() {
-		return nil, errors.New("wal: durability requires a strict-append store (tsdb.Config.StrictAppend)")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err

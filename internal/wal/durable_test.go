@@ -3,6 +3,7 @@ package wal
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,8 +16,7 @@ var walStart = time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
 
 func servingStore() *monitor.Store {
 	return monitor.NewTieredStore(tsdb.Config{
-		Shards:       4,
-		StrictAppend: true,
+		Shards: 4,
 		Retention: tsdb.RetentionConfig{
 			RawCapacity:   2048,
 			TierCapacity:  256,
@@ -284,11 +284,40 @@ func TestCleanShutdownSealsTail(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsUnsafeStores pins the contract check.
-func TestOpenRejectsUnsafeStores(t *testing.T) {
-	est := monitor.NewIngestEstimator(nil, ingestCfg)
-	lenient := monitor.NewTieredStore(tsdb.Config{Retention: tsdb.RetentionConfig{RawCapacity: 64, CompressBlock: 16}})
-	if _, err := Open(t.TempDir(), lenient, est, Options{}); err == nil {
-		t.Fatal("Open accepted a lenient store")
+// TestSnapshotVerbatimSegmentTag pins the snapshot format's raw-segment
+// tag byte. It stays in the format — a data dir written before the store
+// became strict-append-only must still recover — but its other value
+// marked a verbatim point segment, which no strict store could write and
+// the store can no longer hold: it decodes to an error naming the series
+// instead of being restored.
+func TestSnapshotVerbatimSegmentTag(t *testing.T) {
+	blk, err := tsdb.EncodeBlock([]series.Point{{Time: walStart, Value: 1}, {Time: walStart.Add(time.Second), Value: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := enc{}
+	encodeSeriesSnap(&e, tsdb.SeriesSnapshot{ID: "ext/dev00/metric", Raw: []tsdb.Block{blk}})
+	s, err := decodeSeriesSnap(e.b)
+	if err != nil || len(s.Raw) != 1 || s.Raw[0].Len() != 2 {
+		t.Fatalf("block-tagged segment: %d segments, err %v", len(s.Raw), err)
+	}
+
+	// The same series with its one segment written the verbatim way:
+	// tag 0, then a delta-coded point list.
+	verbatim := enc{}
+	verbatim.str("ext/dev00/metric")
+	verbatim.f64(0)      // NyquistRate
+	verbatim.varint(0)   // Gap
+	verbatim.bool(false) // HaveLast
+	for i := 0; i < 3; i++ {
+		verbatim.varint(0) // Appends, Compacted, Dropped
+	}
+	verbatim.uvarint(1) // one raw segment
+	verbatim.bool(false)
+	encodePoints(&verbatim, []series.Point{{Time: walStart, Value: 1}})
+	encodePoints(&verbatim, nil) // Active
+	verbatim.uvarint(0)          // Tiers
+	if _, err := decodeSeriesSnap(verbatim.b); err == nil || !strings.Contains(err.Error(), `"ext/dev00/metric"`) {
+		t.Fatalf("verbatim-tagged segment: err = %v, want an error naming the series", err)
 	}
 }

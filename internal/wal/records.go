@@ -86,15 +86,12 @@ func encodeSeriesSnap(e *enc, s tsdb.SeriesSnapshot) {
 	e.varint(s.Compacted)
 	e.varint(s.Dropped)
 	e.uvarint(uint64(len(s.Raw)))
-	for _, seg := range s.Raw {
-		if seg.Points != nil {
-			e.bool(false)
-			encodePoints(e, seg.Points)
-		} else {
-			e.bool(true)
-			e.uvarint(uint64(seg.Block.Len()))
-			e.bytes(seg.Block.Data())
-		}
+	for _, blk := range s.Raw {
+		// The segment tag: true = compressed block, the only kind a
+		// strict-append store holds (see decodeSeriesSnap).
+		e.bool(true)
+		e.uvarint(uint64(blk.Len()))
+		e.bytes(blk.Data())
 	}
 	encodePoints(e, s.Active)
 	e.uvarint(uint64(len(s.Tiers)))
@@ -126,21 +123,21 @@ func decodeSeriesSnap(payload []byte) (tsdb.SeriesSnapshot, error) {
 	s.Dropped = d.varint()
 	nRaw := int(d.uvarint())
 	for i := 0; i < nRaw && d.err() == nil; i++ {
-		if d.bool() {
-			n := int(d.uvarint())
-			data := append([]byte(nil), d.bytes()...)
-			if d.err() != nil {
-				break
-			}
-			blk, err := tsdb.RebuildBlock(data, n)
-			if err != nil {
-				return s, fmt.Errorf("snapshot series %q: %w", s.ID, err)
-			}
-			s.Raw = append(s.Raw, tsdb.RawSegment{Block: blk})
-		} else {
-			pts := decodePoints(&d)
-			s.Raw = append(s.Raw, tsdb.RawSegment{Points: pts})
+		// The format's other tag marked a verbatim point segment — data
+		// the codec had refused, which no strict-append store could write.
+		if !d.bool() && d.err() == nil {
+			return s, fmt.Errorf("snapshot series %q: raw segment %d is a verbatim point segment, which the store no longer holds", s.ID, i)
 		}
+		n := int(d.uvarint())
+		data := append([]byte(nil), d.bytes()...)
+		if d.err() != nil {
+			break
+		}
+		blk, err := tsdb.RebuildBlock(data, n)
+		if err != nil {
+			return s, fmt.Errorf("snapshot series %q: %w", s.ID, err)
+		}
+		s.Raw = append(s.Raw, blk)
 	}
 	s.Active = decodePoints(&d)
 	nTiers := int(d.uvarint())

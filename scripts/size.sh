@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# size.sh — print the three "least machinery" numbers ROADMAP aim 2 tracks
+# size.sh — print the four "least machinery" numbers ROADMAP aim 2 tracks
 # for the main module (tools/ and bench/ excluded): non-test Go LoC, the
-# nyquistd flag count, and the //nyquist:allow-* annotation count.
+# nyquistd flag count, the exported-field count of the five config
+# structs (each field is an independently settable value), and the
+# //nyquist:allow-* annotation count.
 # Print-only: compare against the previous PR's figures in CHANGES.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -11,7 +13,20 @@ gofiles() {
 		! -path './tools/*' ! -path './bench/*' ! -path './.bench_build/*'
 }
 
+# fields FILE STRUCT — exported fields of one struct ("A, B T" counts two).
+fields() {
+	awk -v re="^type $2 struct" '
+		$0 ~ re { on = 1; next }
+		on && /^}/ { exit }
+		on && /^\t[A-Z]/ { for (i = 1; i <= NF; i++) { n++; if ($i !~ /,$/) break } }
+		END { print n + 0 }' "$1"
+}
+
 echo "non-test Go LoC (main module): $(gofiles | xargs cat | wc -l)"
 echo "non-test Go LoC (internal/tsdb): $(gofiles ./internal/tsdb | xargs cat | wc -l)"
 echo "nyquistd flags: $(grep -cE 'flag\.[A-Z][A-Za-z0-9]*\("' cmd/nyquistd/main.go)"
+echo "config fields (tsdb.Config, tsdb.RetentionConfig, monitor.IngestConfig, wal.Options, api.Config): $((
+	$(fields internal/tsdb/tsdb.go Config) + $(fields internal/tsdb/tsdb.go RetentionConfig) +
+	$(fields internal/monitor/ingest.go IngestConfig) + $(fields internal/wal/durable.go Options) +
+	$(fields internal/api/api.go Config)))"
 echo "//nyquist:allow-* annotations: $(gofiles | xargs grep -h '//nyquist:allow-' | wc -l)"
