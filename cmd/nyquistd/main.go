@@ -71,7 +71,7 @@ func main() {
 		tiers        = flag.Int("tiers", 2, "downsampled retention tiers below the raw store")
 		compress     = flag.Int("compress-block", 128, "points per sealed block (capped at a quarter of each capacity)")
 		cacheBytes   = flag.Int64("cache-bytes", 32<<20, "decoded-block query cache budget in bytes, split across shards (0 = off)")
-		window       = flag.Int("window", 256, "per-series streaming-estimator window in samples")
+		window       = flag.Int("window", 256, "per-series streaming-estimator window in samples (at least 16)")
 		emitEvery    = flag.Int("emit-every", 8, "samples between estimate refreshes once a window is full")
 		maxSeries    = flag.Int("max-series", 1_000_000, "estimator series cap; new series beyond it are stored but not estimated (0 = unbounded)")
 		evictAfter   = flag.Int("evict-after", -1, "observations of idleness before a capped-out estimator LRU-evicts an idle series (0 = never evict, negative = 4x max-series)")
@@ -102,6 +102,12 @@ func main() {
 
 	if *compress <= 0 {
 		fmt.Fprintln(os.Stderr, "nyquistd: -compress-block must be positive")
+		os.Exit(2)
+	}
+	if *window < 16 {
+		// The estimator refuses shorter windows, and a series that can
+		// never lock would sit in the interval probe forever.
+		fmt.Fprintln(os.Stderr, "nyquistd: -window must be at least 16 samples")
 		os.Exit(2)
 	}
 	store := monitor.NewTieredStore(tsdb.Config{

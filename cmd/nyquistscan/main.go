@@ -10,8 +10,8 @@
 //
 // With -window the trace is additionally scanned with a sliding window:
 // the samples are replayed through the streaming estimator, which keeps
-// the spectral state incrementally (O(window) per sample instead of an
-// FFT per window) and emits one Fig. 7-style line per step.
+// the newest window of samples in a ring and emits one Fig. 7-style line
+// per step, from one FFT of the window over a shared plan.
 //
 // With -fleet the command audits a simulated datacenter instead of a
 // trace, sharding the devices across the concurrent fleet scanner.

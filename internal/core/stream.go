@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/dsp"
@@ -25,11 +26,6 @@ type StreamConfig struct {
 	// EmitEvery is the number of pushes between emitted updates once the
 	// window is full; zero selects 1 (an update per poll).
 	EmitEvery int
-	// ResyncEvery is the number of pushes between exact FFT
-	// re-derivations of the sliding spectral state; zero selects
-	// WindowSamples. The first full window always coincides with a
-	// resync, so the first emission is FFT-exact.
-	ResyncEvery int
 	// Headroom multiplies the estimated Nyquist rate when suggesting a
 	// poll interval; zero selects 1.2 (sampling exactly at the critical
 	// rate leaves the top component ambiguous).
@@ -37,10 +33,6 @@ type StreamConfig struct {
 	// Start, when set, anchors update timestamps: sample i is taken to
 	// occur at Start + i*Interval.
 	Start time.Time
-	// EmitSpectrum attaches a copy of the window PSD to each emitted
-	// Result. Off by default so the steady-state push path allocates
-	// nothing.
-	EmitSpectrum bool
 }
 
 func (c StreamConfig) withDefaults() (StreamConfig, error) {
@@ -103,40 +95,92 @@ type StreamUpdate struct {
 	SuggestedInterval time.Duration
 }
 
-// StreamEstimator is the incremental counterpart of Estimator: it
-// maintains a sliding-window power spectrum over a live stream of polls
-// and re-derives the Nyquist rate, aliasing verdict and sweet-spot
-// suggestion in O(window) arithmetic per poll — where re-running the
-// batch estimator would cost a full O(N log N) FFT every time. Memory is
-// bounded by the window length no matter how long the stream runs.
+// StreamEstimator is the incremental counterpart of Estimator: it keeps
+// the newest WindowSamples polls of a live stream in a ring and derives
+// the Nyquist rate, aliasing verdict and sweet-spot suggestion from one
+// FFT of that window whenever an estimate is consumed — at the EmitEvery
+// cadence in Push, or on Current. A push that emits nothing is one store
+// into the ring. The ring is the only per-stream array: the FFT tables
+// and work buffers are shared by every estimator of the same window
+// length, so memory is 8 bytes per window sample no matter how long the
+// stream runs or how many streams there are.
 //
-// The spectral state is a sliding DFT (internal/dsp) that is periodically
-// re-derived with an exact FFT, so a StreamEstimator's results match the
-// batch Estimator (DetrendMean, rectangular window — the paper's §3.2
-// configuration) on the same window to floating-point accuracy. The mean
-// subtraction batch performs only affects the DC bin under a rectangular
-// window, and both estimators exclude DC from the energy budget.
+// Every estimate is an exact transform of the window, so results match
+// the batch Estimator (DetrendMean, rectangular window — the paper's
+// §3.2 configuration) on the same samples to floating-point accuracy.
+// The mean subtraction batch performs only affects the DC bin under a
+// rectangular window, and both estimators exclude DC from the energy
+// budget.
 //
 // A StreamEstimator is not safe for concurrent use; shard streams across
 // estimators instead (fleet.Scanner does exactly that).
 type StreamEstimator struct {
-	cfg   StreamConfig
-	sd    *dsp.SlidingDFT
-	power []float64
-	freqs []float64
+	cfg  StreamConfig
+	eng  *spectral
+	ring []float64
+	head int // ring slot the next Push overwrites (the oldest sample once warm)
+	// count is the total number of polls pushed.
 	count int64
 	// streak is the current run of consecutive aliased emissions.
 	streak int
+	// memo is the newest estimate and memoAt the count it was derived
+	// at, so Current right after an emission (every caller that reads a
+	// window once gets one at the fill) does not transform the same
+	// window again.
+	memo   *Result
+	memoAt int64
 	// ref is subtracted from every pushed value before it enters the
-	// spectral state. Removing a constant only changes the (excluded) DC
-	// bin in exact arithmetic, but without it a large offset — counters
-	// and gauges ride on them — scatters eps-level FFT rounding noise
-	// across all bins, which an exactly-constant signal would then read
-	// as a flat (aliased-looking) spectrum. Anchoring to the first
-	// sample keeps the analyzed magnitudes small, the same numerical
+	// ring. Removing a constant only changes the (excluded) DC bin in
+	// exact arithmetic, but without it a large offset — counters and
+	// gauges ride on them — scatters eps-level FFT rounding noise across
+	// all bins, which an exactly-constant signal would then read as a
+	// flat (aliased-looking) spectrum. Anchoring to the first sample
+	// keeps the analyzed magnitudes small, the same numerical
 	// conditioning the batch estimator gets from subtracting the mean.
 	ref     float64
 	haveRef bool
+}
+
+// spectral is what every StreamEstimator of one window length shares:
+// the FFT plan and a pool of work buffers, so a series holds neither.
+type spectral struct {
+	// plan is nil for window lengths that are not a power of two; those
+	// take the one-shot FFT (Bluestein) through dsp.Periodogram.
+	plan *dsp.Plan
+	pool sync.Pool // of *psdScratch
+}
+
+// psdScratch is one estimate's work area.
+type psdScratch struct {
+	frame []float64    // the window in time order, oldest sample first
+	fft   []complex128 // plan work area
+	power []float64    // one-sided PSD
+	freqs []float64    // bin k sits at k·fs/N
+}
+
+// spectrals maps a window length to its *spectral. Entries are never
+// dropped: window lengths come from configuration, a handful per process.
+var spectrals sync.Map
+
+func spectralFor(n int) *spectral {
+	if e, ok := spectrals.Load(n); ok {
+		return e.(*spectral)
+	}
+	e := &spectral{}
+	if n&(n-1) == 0 {
+		e.plan, _ = dsp.NewPlan(n) // a power of two cannot be refused
+	}
+	e.pool.New = func() any {
+		sc := &psdScratch{frame: make([]float64, n)}
+		if e.plan != nil {
+			sc.fft = make([]complex128, n/2)
+			sc.power = make([]float64, n/2+1)
+			sc.freqs = make([]float64, n/2+1)
+		}
+		return sc
+	}
+	actual, _ := spectrals.LoadOrStore(n, e)
+	return actual.(*spectral)
 }
 
 // NewStreamEstimator validates cfg and returns a StreamEstimator.
@@ -145,22 +189,11 @@ func NewStreamEstimator(cfg StreamConfig) (*StreamEstimator, error) {
 	if err != nil {
 		return nil, err
 	}
-	sd, err := dsp.NewSlidingDFT(c.WindowSamples, c.ResyncEvery)
-	if err != nil {
-		return nil, err
-	}
-	s := &StreamEstimator{
-		cfg:   c,
-		sd:    sd,
-		power: make([]float64, sd.Bins()),
-		freqs: make([]float64, sd.Bins()),
-	}
-	fs := 1 / c.Interval.Seconds()
-	df := fs / float64(c.WindowSamples)
-	for k := range s.freqs {
-		s.freqs[k] = float64(k) * df
-	}
-	return s, nil
+	return &StreamEstimator{
+		cfg:  c,
+		eng:  spectralFor(c.WindowSamples),
+		ring: make([]float64, c.WindowSamples),
+	}, nil
 }
 
 // SampleRate returns the configured poll rate in hertz.
@@ -177,25 +210,31 @@ func (s *StreamEstimator) Seen() int64 { return s.count }
 func (s *StreamEstimator) Warm() bool { return s.count >= int64(s.cfg.WindowSamples) }
 
 // Reset clears the stream state for reuse on a new signal with the same
-// configuration, without reallocating.
+// configuration, without reallocating. The ring keeps its stale samples:
+// nothing reads it until a full new window has overwritten them.
 func (s *StreamEstimator) Reset() {
-	s.sd.Reset()
+	s.head = 0
 	s.count = 0
+	s.memo = nil
 	s.streak = 0
 	s.ref = 0
 	s.haveRef = false
 }
 
 // Push ingests one poll. It returns a non-nil update when the window is
-// full and the emission cadence hits, nil otherwise. The steady-state
-// path performs O(window) float work and no allocation except for the
-// emitted update itself.
+// full and the emission cadence hits, nil otherwise. A push that emits
+// nothing does no spectral work and allocates nothing; an emitting push
+// runs one FFT of the window and allocates only the update it returns.
 func (s *StreamEstimator) Push(v float64) *StreamUpdate {
 	if !s.haveRef {
 		s.ref = v
 		s.haveRef = true
 	}
-	s.sd.Push(v - s.ref)
+	s.ring[s.head] = v - s.ref
+	s.head++
+	if s.head == len(s.ring) {
+		s.head = 0
+	}
 	s.count++
 	w := int64(s.cfg.WindowSamples)
 	if s.count < w || (s.count-w)%int64(s.cfg.EmitEvery) != 0 {
@@ -224,7 +263,13 @@ func (s *StreamEstimator) Current() (*Result, error) {
 	if !s.Warm() {
 		return nil, ErrTooShort
 	}
-	res := s.estimate()
+	var res *Result
+	if s.memo != nil && s.memoAt == s.count {
+		c := *s.memo
+		res = &c
+	} else {
+		res = s.estimate()
+	}
 	if res.Aliased {
 		return res, ErrAliased
 	}
@@ -256,11 +301,24 @@ func (s *StreamEstimator) emit() *StreamUpdate {
 	return up
 }
 
-// estimate derives a batch-equivalent Result from the sliding spectrum.
+// estimate derives a batch-equivalent Result from the current window.
 func (s *StreamEstimator) estimate() *Result {
-	_ = s.sd.PSDInto(s.power) // length is fixed at construction
 	fs := s.SampleRate()
-	spec := dsp.Spectrum{Freqs: s.freqs, Power: s.power, SampleRate: fs}
+	sc := s.eng.pool.Get().(*psdScratch)
+	defer s.eng.pool.Put(sc)
+	n := copy(sc.frame, s.ring[s.head:])
+	copy(sc.frame[n:], s.ring[:s.head])
+	var spec *dsp.Spectrum
+	if s.eng.plan != nil {
+		_ = s.eng.plan.PSDInto(sc.power, sc.fft, sc.frame) // lengths are fixed by spectralFor
+		df := fs / float64(len(sc.frame))
+		for k := range sc.freqs {
+			sc.freqs[k] = float64(k) * df
+		}
+		spec = &dsp.Spectrum{Freqs: sc.freqs, Power: sc.power, SampleRate: fs}
+	} else {
+		spec, _ = dsp.Periodogram(sc.frame, fs, nil) // refuses only an empty frame or a bad rate; the config rules out both
+	}
 	// DC is excluded from the energy budget, matching the batch
 	// estimator's default (DetrendMean / !IncludeDC).
 	const startBin = 1
@@ -268,15 +326,9 @@ func (s *StreamEstimator) estimate() *Result {
 	res := &Result{
 		CutoffFreq:     cutFreq,
 		SampleRate:     fs,
-		EnergyCaptured: capturedFraction(&spec, startBin, bin),
+		EnergyCaptured: capturedFraction(spec, startBin, bin),
 	}
-	if s.cfg.EmitSpectrum {
-		res.Spectrum = &dsp.Spectrum{
-			Freqs:      append([]float64(nil), s.freqs...),
-			Power:      append([]float64(nil), s.power...),
-			SampleRate: fs,
-		}
-	}
+	s.memo, s.memoAt = res, s.count
 	if bin >= len(spec.Power)-1 || cutFreq >= s.cfg.AliasedGuard*fs/2 {
 		res.Aliased = true
 		return res

@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -28,42 +30,97 @@ func dayTrace(t *testing.T, n int, interval time.Duration, noise float64, seed i
 	return u
 }
 
-// TestStreamMatchesBatch is the equivalence contract: a StreamEstimator
-// fed a whole trace produces the same estimate as the batch Estimator
-// over that trace, to floating-point accuracy.
-func TestStreamMatchesBatch(t *testing.T) {
-	u := dayTrace(t, 1440, time.Minute, 0.05, 4)
+// streamBatchTol is how far a streaming estimate may sit from the batch
+// estimate of the same window, relative to the value: both are exact
+// transforms, so only FFT rounding separates them — at every emission.
+const streamBatchTol = 1e-12
 
-	var batch Estimator
-	want, err := batch.Estimate(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := NewStreamEstimator(StreamConfig{Interval: time.Minute, WindowSamples: u.Len()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range u.Values {
-		st.Push(v)
-	}
-	got, err := st.Current()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	relClose := func(name string, g, w float64) {
-		t.Helper()
-		if diff := math.Abs(g - w); diff > 1e-9*(1+math.Abs(w)) {
-			t.Fatalf("%s: streaming %g, batch %g", name, g, w)
+func requireMatchesBatch(t *testing.T, where string, got, want *Result) {
+	t.Helper()
+	for _, f := range []struct {
+		name string
+		g, w float64
+	}{
+		{"NyquistRate", got.NyquistRate, want.NyquistRate},
+		{"CutoffFreq", got.CutoffFreq, want.CutoffFreq},
+		{"ReductionRatio", got.ReductionRatio, want.ReductionRatio},
+		{"EnergyCaptured", got.EnergyCaptured, want.EnergyCaptured},
+	} {
+		if diff := math.Abs(f.g - f.w); diff > streamBatchTol*(1+math.Abs(f.w)) {
+			t.Fatalf("%s %s: streaming %.17g, batch %.17g", where, f.name, f.g, f.w)
 		}
 	}
-	relClose("NyquistRate", got.NyquistRate, want.NyquistRate)
-	relClose("CutoffFreq", got.CutoffFreq, want.CutoffFreq)
-	relClose("ReductionRatio", got.ReductionRatio, want.ReductionRatio)
-	relClose("EnergyCaptured", got.EnergyCaptured, want.EnergyCaptured)
 	if got.Aliased != want.Aliased {
-		t.Fatalf("aliased: streaming %v, batch %v", got.Aliased, want.Aliased)
+		t.Fatalf("%s aliased: streaming %v, batch %v", where, got.Aliased, want.Aliased)
+	}
+}
+
+// TestStreamMatchesBatch is the equivalence contract: every estimate a
+// StreamEstimator emits equals the batch Estimator's over the same
+// window, to floating-point accuracy.
+func TestStreamMatchesBatch(t *testing.T) {
+	cases := []struct {
+		name                  string
+		samples, window, emit int
+		noise                 float64
+		resetAfter            int // push this many samples of another signal first, then Reset
+		interval              time.Duration
+	}{
+		{name: "whole trace, one emission", samples: 1440, window: 1440, emit: 1, noise: 0.05, interval: time.Minute},
+		{name: "power-of-two window, every sample", samples: 700, window: 256, emit: 1, noise: 0.02, interval: 30 * time.Second},
+		{name: "serving shape", samples: 2048, window: 256, emit: 8, noise: 0.02, interval: 30 * time.Second},
+		{name: "non-power-of-two window", samples: 3000, window: 1440, emit: 97, noise: 0.05, interval: time.Minute},
+		{name: "after Reset", samples: 700, window: 256, emit: 8, noise: 0.02, resetAfter: 333, interval: 30 * time.Second},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			u := dayTrace(t, tc.samples, tc.interval, tc.noise, 4)
+			st, err := NewStreamEstimator(StreamConfig{Interval: tc.interval, WindowSamples: tc.window, EmitEvery: tc.emit})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < tc.resetAfter; i++ {
+				st.Push(1e6 * float64(i%5))
+			}
+			if tc.resetAfter > 0 {
+				st.Reset()
+			}
+			var batch Estimator
+			emissions := 0
+			var last *StreamUpdate
+			for i, v := range u.Values {
+				up := st.Push(v)
+				if last = up; up == nil {
+					continue
+				}
+				emissions++
+				sub, err := u.Slice(i+1-tc.window, i+1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := batch.Estimate(sub)
+				if (up.Err != nil) != (err != nil) {
+					t.Fatalf("sample %d: streaming err %v, batch err %v", i, up.Err, err)
+				}
+				requireMatchesBatch(t, fmt.Sprintf("sample %d", i), up.Result, want)
+			}
+			if want := (tc.samples-tc.window)/tc.emit + 1; emissions != want {
+				t.Fatalf("%d emissions, want %d", emissions, want)
+			}
+			// Current, on or off the cadence, sees the same window, and
+			// hands out a Result of its own even when the newest sample
+			// just emitted one.
+			got, gerr := st.Current()
+			if last != nil && got == last.Result {
+				t.Fatal("Current returned the emitted update's Result itself")
+			}
+			sub, _ := u.Slice(tc.samples-tc.window, tc.samples)
+			want, werr := batch.Estimate(sub)
+			if (gerr != nil) != (werr != nil) {
+				t.Fatalf("Current err %v, batch err %v", gerr, werr)
+			}
+			requireMatchesBatch(t, "Current", got, want)
+		})
 	}
 }
 
@@ -104,13 +161,76 @@ func TestStreamMatchesMovingWindow(t *testing.T) {
 		if (up.Err != nil) != (w.Err != nil) {
 			t.Fatalf("window %d: streaming err %v, batch err %v", i, up.Err, w.Err)
 		}
-		if w.Err != nil {
-			continue
-		}
-		if diff := math.Abs(up.Result.NyquistRate - w.Result.NyquistRate); diff > 1e-6*(1+w.Result.NyquistRate) {
-			t.Fatalf("window %d rate: streaming %g, batch %g", i, up.Result.NyquistRate, w.Result.NyquistRate)
-		}
+		requireMatchesBatch(t, fmt.Sprintf("window %d", i), up.Result, w.Result)
 	}
+}
+
+// TestStreamConstantWindowReadsClean pins exactness where it decides a
+// verdict: once the window holds only one value, every non-DC bin is
+// exactly zero and the estimate is the finest measurable rate, as the
+// batch estimator says — whatever the stream carried before. (An
+// incrementally updated spectrum keeps rounding residue of the earlier
+// samples there, and a spectrum of residue is flat: it reads as aliased.)
+func TestStreamConstantWindowReadsClean(t *testing.T) {
+	st, err := NewStreamEstimator(StreamConfig{Interval: 30 * time.Second, WindowSamples: 64, EmitEvery: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 720; i++ {
+		v := 20.0
+		if i < 720-64 {
+			v = float64(19 + (i*7)%3)
+		}
+		st.Push(v)
+	}
+	res, err := st.Current()
+	if err != nil {
+		t.Fatalf("constant window: %v", err)
+	}
+	if want := 2 * st.SampleRate() / 64; res.NyquistRate != want || res.EnergyCaptured != 1 {
+		t.Fatalf("constant window: rate %g (want %g), energy captured %g (want 1)", res.NyquistRate, want, res.EnergyCaptured)
+	}
+}
+
+// TestStreamStateSize pins the per-stream memory: a warm estimator
+// retains its sample ring and a small fixed header, nothing that scales
+// with the window besides the ring.
+func TestStreamStateSize(t *testing.T) {
+	const (
+		streams = 1000
+		window  = 256
+	)
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	// Shared tables and pooled scratch are not per-stream state: build
+	// them before the baseline.
+	warm := func() *StreamEstimator {
+		st, err := NewStreamEstimator(StreamConfig{Interval: time.Second, WindowSamples: window, EmitEvery: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < window+8; i++ {
+			st.Push(float64(i % 7))
+		}
+		return st
+	}
+	warm()
+	all := make([]*StreamEstimator, streams)
+	before := heap()
+	for i := range all {
+		all[i] = warm()
+	}
+	after := heap()
+	per := float64(after-before) / streams
+	t.Logf("state bytes per warm stream (window %d): %.0f", window, per)
+	if limit := 8.0*window + 512; per > limit {
+		t.Fatalf("a warm stream retains %.0f B, want at most %.0f", per, limit)
+	}
+	runtime.KeepAlive(all)
 }
 
 // TestStreamAliasingStreak feeds a signal whose energy sits entirely at
@@ -193,14 +313,13 @@ func TestStreamWarmupAndReset(t *testing.T) {
 	}
 }
 
-// TestStreamPushSteadyStateAllocs checks the non-emitting, non-resync
-// push path allocates nothing — the bounded-memory property.
+// TestStreamPushSteadyStateAllocs checks the non-emitting push path
+// allocates nothing — the bounded-memory property.
 func TestStreamPushSteadyStateAllocs(t *testing.T) {
 	st, err := NewStreamEstimator(StreamConfig{
 		Interval:      time.Second,
 		WindowSamples: 256,
 		EmitEvery:     1 << 30,
-		ResyncEvery:   1 << 30,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -81,18 +81,7 @@ func (p *Plan) execute(dst, src []complex128, stages [][]complex128, normalize b
 			dst[i], dst[j] = dst[j], dst[i]
 		}
 	}
-	for s, tw := range stages {
-		size := 2 << s
-		half := size >> 1
-		for start := 0; start < p.n; start += size {
-			for k := 0; k < half; k++ {
-				a := dst[start+k]
-				b := dst[start+k+half] * tw[k]
-				dst[start+k] = a + b
-				dst[start+k+half] = a - b
-			}
-		}
-	}
+	butterflies(dst, stages)
 	if normalize {
 		inv := complex(1/float64(p.n), 0)
 		for i := range dst {
@@ -102,27 +91,65 @@ func (p *Plan) execute(dst, src []complex128, stages [][]complex128, normalize b
 	return nil
 }
 
+// butterflies runs the radix-2 stages over x, which must already be in
+// bit-reversed order; stages[s] holds the twiddles of the 2^(s+1)-point
+// stage, so a prefix of a larger plan's tables transforms a shorter x.
+func butterflies(x []complex128, stages [][]complex128) {
+	for s, tw := range stages {
+		size := 2 << s
+		half := size >> 1
+		for start := 0; start < len(x); start += size {
+			lo, hi := x[start:start+half], x[start+half:start+size]
+			for k, w := range tw {
+				a := lo[k]
+				b := hi[k] * w
+				lo[k] = a + b
+				hi[k] = a - b
+			}
+		}
+	}
+}
+
 // PSDInto computes a one-sided PSD of the real signal src (length Size)
-// into power (length Size/2+1) using scratch (length Size), with the same
-// normalization as Periodogram under a nil window. Allocation-free.
+// into power (length Size/2+1), with the same normalization as
+// Periodogram under a nil window. Allocation-free.
+//
+// The real window is packed into a half-size complex transform (even
+// samples in the real parts, odd in the imaginary) that runs over the
+// plan's own tables: scratch must hold at least Size/2 entries, and only
+// the first Size/2 are used.
 func (p *Plan) PSDInto(power []float64, scratch []complex128, src []float64) error {
-	if len(src) != p.n || len(scratch) != p.n || len(power) != p.n/2+1 {
+	n, h := p.n, p.n/2
+	if len(src) != n || len(scratch) < h || len(power) != h+1 {
 		return errors.New("dsp: PSDInto buffer length mismatch")
 	}
-	for i, v := range src {
-		scratch[i] = complex(v, 0)
+	if n == 1 {
+		power[0] = src[0] * src[0]
+		return nil
 	}
-	if err := p.Forward(scratch, scratch); err != nil {
-		return err
+	// The h-point bit reversal of m is the n-point one shifted down: m < h
+	// has a zero top bit, which reverses into a zero bottom bit.
+	z := scratch[:h]
+	for m := range z {
+		z[p.rev[m]>>1] = complex(src[2*m], src[2*m+1])
 	}
-	norm := 1 / (float64(p.n) * float64(p.n))
-	for k := 0; k <= p.n/2; k++ {
-		re, im := real(scratch[k]), imag(scratch[k])
-		pw := (re*re + im*im) * norm
-		if k != 0 && k != p.n/2 {
-			pw *= 2
-		}
-		power[k] = pw
+	last := len(p.forward) - 1
+	butterflies(z, p.forward[:last])
+	// Unpack: with E and O the transforms of the even and odd samples,
+	// Z[k] = E[k] + i·O[k] and conj(Z[h-k]) = E[k] - i·O[k], and the
+	// n-point bin is X[k] = E[k] + w^k·O[k] with w = e^{-2πi/n} — the
+	// last stage's twiddles.
+	norm := 1 / (float64(n) * float64(n))
+	re0, im0 := real(z[0]), imag(z[0])
+	power[0] = (re0 + im0) * (re0 + im0) * norm
+	power[h] = (re0 - im0) * (re0 - im0) * norm
+	tw := p.forward[last]
+	for k := 1; k < h; k++ {
+		a, b := z[k], cmplx.Conj(z[h-k])
+		d := a - b
+		x := (a + b) + tw[k]*complex(imag(d), -real(d)) // 2·X[k]
+		re, im := real(x), imag(x)
+		power[k] = (re*re + im*im) * (norm / 2)
 	}
 	return nil
 }

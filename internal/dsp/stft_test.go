@@ -2,7 +2,9 @@ package dsp
 
 import (
 	"math"
+	"math/rand"
 	"testing"
+	"testing/quick"
 )
 
 func TestPlanMatchesFFT(t *testing.T) {
@@ -97,6 +99,65 @@ func TestPlanPSDMatchesPeriodogram(t *testing.T) {
 		if !almostEqual(power[k], want.Power[k], 1e-12+1e-9*want.Power[k]) {
 			t.Fatalf("bin %d: %v vs %v", k, power[k], want.Power[k])
 		}
+	}
+}
+
+// Differential property: over random plan sizes 1…4096 and hostile
+// signals, the packed half-size transform behind PSDInto must match the
+// one-shot FFT periodogram of the same samples to floating-point
+// accuracy, with a scratch of either accepted length.
+func TestPlanPSDMatchesPeriodogramProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 << rng.Intn(13)
+		p, err := NewPlan(n)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		// Tones on and off the bin grid, a ramp, an offset and noise;
+		// every fifth signal is exactly constant.
+		offset := 50 * (rng.Float64() - 0.5)
+		slope := rng.Float64() - 0.5
+		f1 := float64(1+rng.Intn(n/2+1)) / float64(n)
+		f2 := rng.Float64() / 2
+		x := make([]float64, n)
+		var energy float64
+		for i := range x {
+			ts := float64(i)
+			x[i] = offset
+			if seed%5 != 0 {
+				x[i] += slope*ts +
+					math.Sin(2*math.Pi*f1*ts+0.3) +
+					0.5*math.Sin(2*math.Pi*f2*ts+1.1) +
+					0.1*(rng.Float64()-0.5)
+			}
+			energy += x[i] * x[i]
+		}
+		want, err := Periodogram(x, 1, nil)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		scratchLen := n / 2
+		if seed%2 == 0 {
+			scratchLen = n
+		}
+		got := make([]float64, n/2+1)
+		if err := p.PSDInto(got, make([]complex128, scratchLen), x); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		// Rounding error spreads across bins in proportion to the
+		// signal's mean square, which is what the bins sum to.
+		tol := 1e-13 * (1 + energy/float64(n))
+		for k := range got {
+			if math.Abs(got[k]-want.Power[k]) > tol {
+				t.Logf("seed %d: n=%d bin %d: plan %g vs fft %g (tol %g)", seed, n, k, got[k], want.Power[k], tol)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 

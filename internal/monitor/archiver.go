@@ -22,11 +22,11 @@ type Archiver struct {
 	id       string
 	interval time.Duration
 
-	// stream maintains the block's spectral estimate incrementally as
-	// samples are ingested (paper-default estimator configurations only;
-	// nil otherwise). It makes the current rate estimate available at
-	// every sample (Advice) and lets Flush consume the already-built
-	// state — O(window) — instead of running a fresh O(W log W) FFT.
+	// stream rides the ingested samples (paper-default estimator
+	// configurations only; nil otherwise). It makes the current rate
+	// estimate available at every sample (Advice) and lets Flush take the
+	// block's estimate from the shared FFT plan and pooled scratch
+	// instead of the batch estimator's allocating one-shot transform.
 	stream *core.StreamEstimator
 
 	buf        []float64
@@ -125,7 +125,7 @@ func (a *Archiver) Ingest(p series.Point) error {
 }
 
 // Advice returns the Nyquist estimate over the trailing window of
-// ingested samples — the live view the incremental state affords between
+// ingested samples — the live view the riding stream affords between
 // flushes (the window may span the last block boundary). It returns
 // core.ErrTooShort until a full window has been ingested since the last
 // partial flush (or always, for estimator variants that keep the batch
@@ -182,8 +182,8 @@ func (a *Archiver) Flush() error {
 	return nil
 }
 
-// estimateBlock uses the incrementally maintained spectral state when the
-// buffered block fills a whole window, and falls back to the batch
+// estimateBlock asks the riding stream when the buffered block fills a
+// whole window, and falls back to the batch
 // estimator for partial blocks (final flushes) and non-default estimator
 // variants.
 func (a *Archiver) estimateBlock(u *series.Uniform) (*core.Result, error) {

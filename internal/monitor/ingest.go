@@ -96,9 +96,10 @@ type IngestConfig struct {
 	// ones is noise, not license to coarsen storage). Zero selects 2.
 	RetuneCleanStreak int
 	// MaxSeries bounds the number of per-series estimator windows. Each
-	// series costs a sliding-DFT window (O(WindowSamples) floats), so a
-	// hostile cardinality explosion — an id per request — would grow the
-	// estimator without bound. Observations for new series beyond the cap
+	// estimated series holds its sample ring, 8 bytes per window sample
+	// (about 2.1 KiB at the default 256), so a hostile cardinality
+	// explosion — an id per request — would grow the estimator without
+	// bound. Observations for new series beyond the cap
 	// are dropped (and counted; see Rejected): existing series keep
 	// estimating, the overflow series simply get no estimates or
 	// retention retuning. Zero means unbounded.
@@ -321,7 +322,7 @@ func (e *IngestEstimator) observeLocked(s *ingestSeries, id string, p series.Poi
 	}
 	s.lastTime, s.haveLast = p.Time, true
 	if up := s.est.Push(p.Value); up != nil {
-		s.last = up
+		s.refresh(up, p.Time)
 		if up.Err == nil && up.Result.NyquistRate > 0 {
 			s.cleanStreak++
 			if s.cleanStreak >= e.cfg.RetuneCleanStreak {
@@ -394,6 +395,15 @@ func (e *IngestEstimator) evictOneLocked(now int64) bool {
 	return false
 }
 
+// refresh records up as the series' newest estimate, stamped with the
+// timestamp of the sample that completed its window: the estimator only
+// knows sample indices, and a grid time extrapolated from the first
+// sample drifts from the real one with every jittered gap.
+func (s *ingestSeries) refresh(up *core.StreamUpdate, newest time.Time) {
+	up.Time = newest
+	s.last = up
+}
+
 // probe accumulates pre-lock points and locks the interval once enough
 // gaps are seen. Called with s.mu held.
 func (s *ingestSeries) probe(e *IngestEstimator, id string, p series.Point) {
@@ -406,11 +416,8 @@ func (s *ingestSeries) probe(e *IngestEstimator, id string, p series.Point) {
 		}
 	}
 	if len(gaps) < e.cfg.ProbeGaps {
-		// Constant or backwards timestamps never lock; cap the probe
-		// buffer so a misbehaving client cannot grow it unboundedly.
-		if max := 4 * (e.cfg.ProbeGaps + 1); len(s.pending) > max {
-			s.pending = append(s.pending[:0], s.pending[len(s.pending)-max:]...)
-		}
+		// Constant or backwards timestamps never lock.
+		s.capPending(e)
 		return
 	}
 	sort.Slice(gaps, func(a, b int) bool { return gaps[a] < gaps[b] })
@@ -421,11 +428,11 @@ func (s *ingestSeries) probe(e *IngestEstimator, id string, p series.Point) {
 		EmitEvery:     e.cfg.EmitEvery,
 		EnergyCutoff:  e.cfg.EnergyCutoff,
 		Headroom:      e.cfg.Headroom,
-		Start:         s.pending[0].Time,
 	})
 	if err != nil {
 		// Unlockable configuration (e.g. sub-minimum window from the
 		// caller); stay in probe mode rather than fail ingest.
+		s.capPending(e)
 		return
 	}
 	s.est = est
@@ -433,10 +440,19 @@ func (s *ingestSeries) probe(e *IngestEstimator, id string, p series.Point) {
 	e.probes.Add(1)
 	for _, q := range s.pending {
 		if up := s.est.Push(q.Value); up != nil {
-			s.last = up
+			s.refresh(up, q.Time)
 		}
 	}
 	s.pending = nil
+}
+
+// capPending bounds the probe buffer of a series that stays unlocked, so
+// neither a misbehaving client nor a bad configuration can grow it (and
+// probe's scan over it) with every point.
+func (s *ingestSeries) capPending(e *IngestEstimator) {
+	if max := 4 * (e.cfg.ProbeGaps + 1); len(s.pending) > max {
+		s.pending = append(s.pending[:0], s.pending[len(s.pending)-max:]...)
+	}
 }
 
 // reprobe drops the locked grid after sustained gap drift and restarts

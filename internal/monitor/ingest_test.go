@@ -113,6 +113,48 @@ func TestIngestEstimatorLocksJitteredGrid(t *testing.T) {
 	}
 }
 
+// TestIngestEstimatorUpdatedAtIsSampleTime: the refresh stamp is the
+// real timestamp of the sample that completed the window, jitter and
+// all, not a grid time extrapolated from the first sample.
+func TestIngestEstimatorUpdatedAtIsSampleTime(t *testing.T) {
+	e := NewIngestEstimator(nil, IngestConfig{WindowSamples: 64, EmitEvery: 8})
+	const id = "ext/jitter"
+	rng := rand.New(rand.NewSource(3))
+	ts := ingestStart
+	var stamps []time.Time
+	for i := 0; i < 100; i++ {
+		stamps = append(stamps, ts)
+		e.Observe(id, series.Point{Time: ts, Value: math.Sin(float64(i) / 3)})
+		ts = ts.Add(10*time.Second + time.Duration(rng.Intn(4001)-2000)*time.Millisecond)
+	}
+	adv, _ := e.Advice(id)
+	// 96 = 64 + 4·8 is the last refresh within 100 samples.
+	if want := stamps[95]; !adv.UpdatedAt.Equal(want) {
+		t.Fatalf("UpdatedAt %v, want sample 95's own timestamp %v", adv.UpdatedAt, want)
+	}
+}
+
+// TestIngestEstimatorUnlockableWindowStaysBounded: a window below the
+// estimator's 16-sample minimum can never lock; the series must stay in
+// probe mode at a bounded cost instead of buffering every point.
+func TestIngestEstimatorUnlockableWindowStaysBounded(t *testing.T) {
+	e := NewIngestEstimator(nil, IngestConfig{WindowSamples: 8})
+	const id = "ext/tiny-window"
+	for i := 0; i < 5000; i++ {
+		e.Observe(id, series.Point{Time: ingestStart.Add(time.Duration(i) * time.Second), Value: float64(i % 5)})
+	}
+	adv, ok := e.Advice(id)
+	if !ok || adv.Samples != 5000 || adv.Interval != 0 {
+		t.Fatalf("advice %+v (ok=%v), want 5000 samples still probing", adv, ok)
+	}
+	e.mu.RLock()
+	s := e.series[id]
+	e.mu.RUnlock()
+	if limit := 4 * (e.cfg.ProbeGaps + 1); len(s.pending) > limit {
+		t.Fatalf("probe buffer holds %d points after 5000, want at most %d", len(s.pending), limit)
+	}
+}
+
 // TestIngestEstimatorReprobesOnDrift: a client redeploy that changes the
 // poll rate must re-lock the interval instead of estimating on a wrong
 // frequency axis.
@@ -222,6 +264,10 @@ func TestIngestEstimatorStateRoundTrip(t *testing.T) {
 	if pre.NyquistRate == 0 {
 		t.Fatal("no trusted estimate to persist")
 	}
+	// 600 = 256 + 43·8: the newest sample completed a refresh.
+	if want := ingestStart.Add(599 * interval); !pre.UpdatedAt.Equal(want) {
+		t.Fatalf("UpdatedAt %v, want the newest refresh sample's %v", pre.UpdatedAt, want)
+	}
 
 	states := e1.ExportState()
 	if len(states) != 1 || states[0].Series != id {
@@ -262,6 +308,11 @@ func TestIngestEstimatorStateRoundTrip(t *testing.T) {
 	}
 	if adv2.Reprobes != pre.Reprobes {
 		t.Fatalf("restored estimator re-probed: %d, want %d", adv2.Reprobes, pre.Reprobes)
+	}
+	// 696 = 256 + 55·8 is the last refresh among the 700 points fed since
+	// the restore: a recovered series stamps its estimates like any other.
+	if want := ingestStart.Add((600 + 695) * interval); !adv2.UpdatedAt.Equal(want) {
+		t.Fatalf("UpdatedAt after restore %v, want %v", adv2.UpdatedAt, want)
 	}
 	if rel := math.Abs(adv2.NyquistRate-pre.NyquistRate) / pre.NyquistRate; rel > 0.05 {
 		t.Fatalf("rewarmed estimate %.6f Hz drifted from %.6f Hz (%.1f%%)", adv2.NyquistRate, pre.NyquistRate, 100*rel)

@@ -108,7 +108,7 @@ const (
 )
 
 // Re-exported streaming-estimation types (the incremental counterpart of
-// Estimator: bounded memory, O(window) work per poll).
+// Estimator: one sample ring per stream, one FFT per consumed estimate).
 type (
 	// StreamEstimator maintains a sliding-window spectral estimate over
 	// a live stream of polls.

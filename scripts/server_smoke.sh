@@ -72,6 +72,16 @@ start_daemon() {
     return 1
 }
 
+# A window no estimator accepts is a usage error, not a daemon that
+# stores points and never estimates them.
+rc=0
+"$workdir/nyquistd" -addr 127.0.0.1:0 -window 15 >"$workdir/badwindow.log" 2>&1 || rc=$?
+if [ "$rc" -ne 2 ] || ! grep -q -- "-window must be at least 16" "$workdir/badwindow.log"; then
+    echo "server_smoke: nyquistd -window 15 exited $rc, want 2 with a usage message" >&2
+    cat "$workdir/badwindow.log" >&2
+    exit 1
+fi
+
 log="$workdir/nyquistd.log"
 start_daemon "$log" -addr 127.0.0.1:0 -bulk-addr 127.0.0.1:0
 echo "server_smoke: nyquistd up on port $port"
@@ -210,6 +220,15 @@ awk -v a="$before" -v b="$after" 'BEGIN {
     if (rel > 1e-6) { print "server_smoke: estimate drifted across restart: " a " -> " b; exit 1 }
 }' || exit 1
 echo "server_smoke: estimate survived the crash ($before Hz)"
+
+# The rewarmed window ends on the same newest sample, so a recovered
+# series must stamp its estimate with the same updated_at — not drop it.
+upd() { sed -n 's/.*"updated_at":"\([^"]*\)".*/\1/p' "$1"; }
+if [ -z "$(upd "$workdir/est_after.json")" ] || [ "$(upd "$workdir/est_before.json")" != "$(upd "$workdir/est_after.json")" ]; then
+    echo "server_smoke: updated_at changed across restart: '$(upd "$workdir/est_before.json")' -> '$(upd "$workdir/est_after.json")'" >&2
+    exit 1
+fi
+echo "server_smoke: updated_at survived the crash ($(upd "$workdir/est_after.json"))"
 
 grep -q '"wal":{' "$workdir/stats_after.json" || { echo "server_smoke: stats missing wal section" >&2; cat "$workdir/stats_after.json" >&2; exit 1; }
 grep -q '"points":1024' "$workdir/stats_after.json" || { echo "server_smoke: replay accounting missing 1024 points" >&2; cat "$workdir/stats_after.json" >&2; exit 1; }

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # size.sh — print the four "least machinery" numbers ROADMAP aim 2 tracks
 # for the main module (tools/ and bench/ excluded): non-test Go LoC, the
-# nyquistd flag count, the exported-field count of the five config
-# structs (each field is an independently settable value), and the
-# //nyquist:allow-* annotation count.
+# nyquistd flag count, the exported-field count of the six config
+# structs (each field is an independently settable value), the
+# //nyquist:allow-* annotation count, and the estimator state one warm
+# series retains (measured by core's TestStreamStateSize).
 # Print-only: compare against the previous PR's figures in CHANGES.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -25,8 +26,9 @@ fields() {
 echo "non-test Go LoC (main module): $(gofiles | xargs cat | wc -l)"
 echo "non-test Go LoC (internal/tsdb): $(gofiles ./internal/tsdb | xargs cat | wc -l)"
 echo "nyquistd flags: $(grep -cE 'flag\.[A-Z][A-Za-z0-9]*\("' cmd/nyquistd/main.go)"
-echo "config fields (tsdb.Config, tsdb.RetentionConfig, monitor.IngestConfig, wal.Options, api.Config): $((
+echo "config fields (tsdb.Config, tsdb.RetentionConfig, monitor.IngestConfig, wal.Options, api.Config, core.StreamConfig): $((
 	$(fields internal/tsdb/tsdb.go Config) + $(fields internal/tsdb/tsdb.go RetentionConfig) +
 	$(fields internal/monitor/ingest.go IngestConfig) + $(fields internal/wal/durable.go Options) +
-	$(fields internal/api/api.go Config)))"
+	$(fields internal/api/api.go Config) + $(fields internal/core/stream.go StreamConfig)))"
 echo "//nyquist:allow-* annotations: $(gofiles | xargs grep -h '//nyquist:allow-' | wc -l)"
+go test ./internal/core -run '^TestStreamStateSize$' -count=1 -v | sed -n 's/.*\(state bytes per warm stream.*\)/estimator \1/p'
