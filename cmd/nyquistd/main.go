@@ -256,9 +256,13 @@ func main() {
 	st := store.Stats()
 	fmt.Printf("nyquistd: served %d appends across %d series; retained %d raw + %d buckets",
 		st.Appends, st.Series, st.RawPoints, st.Buckets)
-	if st.CompressedEntries > 0 {
-		fmt.Printf("; %.2f bytes/point over %d sealed entries",
-			float64(st.CompressedBytes)/float64(st.CompressedEntries), st.CompressedEntries)
+	if st.RawCompressedEntries > 0 {
+		fmt.Printf("; %.2f bytes/point over %d sealed points",
+			float64(st.RawCompressedBytes)/float64(st.RawCompressedEntries), st.RawCompressedEntries)
+	}
+	if st.TierCompressedEntries > 0 {
+		fmt.Printf(", %.2f bytes/bucket over %d sealed buckets",
+			float64(st.TierCompressedBytes)/float64(st.TierCompressedEntries), st.TierCompressedEntries)
 	}
 	fmt.Println()
 }

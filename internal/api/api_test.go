@@ -162,6 +162,11 @@ func TestServerEndToEnd(t *testing.T) {
 	if st.BytesPerPoint > 2 {
 		t.Fatalf("bytes/point %.2f on the quantized diurnal stream, want <= 2", st.BytesPerPoint)
 	}
+	if st.RawCompressedEntries == 0 ||
+		st.RawCompressedBytes+st.TierCompressedBytes != st.CompressedBytes ||
+		st.RawCompressedEntries+st.TierCompressedEntries != st.CompressedEntries {
+		t.Fatalf("raw/tier split does not add up to the totals: %+v", st)
+	}
 
 	// The store really holds the data (not just the estimator).
 	if got := srv.Store().NyquistRate(id); got == 0 {

@@ -183,10 +183,18 @@ func newServerMetrics(reg *obs.Registry, store *monitor.Store, est *monitor.Inge
 		func() float64 { return float64(ts.get().Dropped) })
 	reg.CounterFunc("nyquistd_tsdb_sealed_blocks_total", "Raw blocks sealed (compressed) over the store's lifetime.",
 		func() float64 { return float64(ts.get().SealedBlocks) })
-	reg.GaugeFunc("nyquistd_tsdb_compressed_bytes", "Sealed Gorilla-block payload bytes currently held.",
+	reg.GaugeFunc("nyquistd_tsdb_compressed_bytes", "Sealed block payload bytes currently held (raw + tier).",
 		func() float64 { return float64(ts.get().CompressedBytes) })
-	reg.GaugeFunc("nyquistd_tsdb_compressed_entries", "Points and buckets held in sealed blocks.",
+	reg.GaugeFunc("nyquistd_tsdb_compressed_entries", "Points and buckets held in sealed blocks (raw + tier).",
 		func() float64 { return float64(ts.get().CompressedEntries) })
+	reg.GaugeFunc("nyquistd_tsdb_raw_compressed_bytes", "Sealed raw-block payload bytes currently held.",
+		func() float64 { return float64(ts.get().RawCompressedBytes) })
+	reg.GaugeFunc("nyquistd_tsdb_raw_compressed_entries", "Points held in sealed raw blocks.",
+		func() float64 { return float64(ts.get().RawCompressedEntries) })
+	reg.GaugeFunc("nyquistd_tsdb_tier_compressed_bytes", "Sealed tier-block payload bytes currently held.",
+		func() float64 { return float64(ts.get().TierCompressedBytes) })
+	reg.GaugeFunc("nyquistd_tsdb_tier_compressed_entries", "Buckets held in sealed tier blocks.",
+		func() float64 { return float64(ts.get().TierCompressedEntries) })
 
 	reg.CounterFunc("nyquistd_query_cache_hits_total", "Sealed-block decodes served from the decoded-block cache.",
 		func() float64 { return float64(ts.get().Cache.Hits) })

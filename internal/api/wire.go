@@ -263,11 +263,17 @@ type StatsResponse struct {
 	Appends                int64 `json:"appends"`
 	Compacted              int64 `json:"compacted"`
 	Dropped                int64 `json:"dropped"`
-	// CompressedBytes/CompressedEntries describe the sealed Gorilla
+	// CompressedBytes/CompressedEntries describe the sealed block
 	// payload; BytesPerPoint is their ratio (0 before the first seal).
-	CompressedBytes   int64   `json:"compressed_bytes"`
-	CompressedEntries int64   `json:"compressed_entries"`
-	BytesPerPoint     float64 `json:"bytes_per_point"`
+	// The Raw*/Tier* pairs split both into sealed raw blocks (bytes per
+	// stored sample) and sealed tier blocks (bytes per summary bucket).
+	CompressedBytes       int64   `json:"compressed_bytes"`
+	CompressedEntries     int64   `json:"compressed_entries"`
+	BytesPerPoint         float64 `json:"bytes_per_point"`
+	RawCompressedBytes    int64   `json:"raw_compressed_bytes"`
+	RawCompressedEntries  int64   `json:"raw_compressed_entries"`
+	TierCompressedBytes   int64   `json:"tier_compressed_bytes"`
+	TierCompressedEntries int64   `json:"tier_compressed_entries"`
 	// Cache reports the decoded-block LRU; absent when the cache is
 	// disabled (no CacheBytes budget).
 	Cache *CacheStatsJSON `json:"cache,omitempty"`
@@ -354,6 +360,10 @@ func statsResponseFrom(st tsdb.Stats, est *monitor.IngestEstimator, walStats *wa
 		Dropped:                 st.Dropped,
 		CompressedBytes:         st.CompressedBytes,
 		CompressedEntries:       st.CompressedEntries,
+		RawCompressedBytes:      st.RawCompressedBytes,
+		RawCompressedEntries:    st.RawCompressedEntries,
+		TierCompressedBytes:     st.TierCompressedBytes,
+		TierCompressedEntries:   st.TierCompressedEntries,
 	}
 	if st.CompressedEntries > 0 {
 		out.BytesPerPoint = float64(st.CompressedBytes) / float64(st.CompressedEntries)

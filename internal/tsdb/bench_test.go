@@ -292,46 +292,72 @@ func BenchmarkQueryMulti(b *testing.B) {
 	reportTail(b, lat)
 }
 
-// BenchmarkBlockEncode measures the codec's append path on the diurnal
-// workload; bytes/point is reported as a custom metric (the figure
-// recorded in BENCH_ingest.json).
+// codecWorkloads are the two value shapes the codec's modes exist for:
+// the 1/64-quantized diurnal gauge (stays on the XOR chain) and the
+// two-decimal gauge (decimal column).
+var codecWorkloads = []struct {
+	name string
+	gen  func(int) []series.Point
+}{{"diurnal", diurnalWorkload}, {"two-decimal", twoDecimalGauge}}
+
+// BenchmarkBlockEncode measures the seal path in store-sized runs of 128
+// points; bytes/point is reported as a custom metric.
 func BenchmarkBlockEncode(b *testing.B) {
-	pts := diurnalWorkload(4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var size, n int
-	for i := 0; i < b.N; i++ {
-		blk, err := EncodeBlock(pts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		size, n = blk.Size(), blk.Len()
+	for _, w := range codecWorkloads {
+		b.Run(w.name, func(b *testing.B) {
+			pts := w.gen(4096)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var size int
+			for i := 0; i < b.N; i++ {
+				size = 0
+				for run := pts; len(run) > 0; run = run[128:] {
+					blk, err := EncodeBlock(run[:128])
+					if err != nil {
+						b.Fatal(err)
+					}
+					size += blk.Size()
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(size)/float64(len(pts)), "bytes/point")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pts)), "ns/point")
+		})
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(size)/float64(n), "bytes/point")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pts)), "ns/point")
 }
 
-// BenchmarkBlockDecode measures the query-path decode cost.
+// BenchmarkBlockDecode measures the query-path decode cost over the same
+// 128-point blocks.
 func BenchmarkBlockDecode(b *testing.B) {
-	blk, err := EncodeBlock(diurnalWorkload(4096))
-	if err != nil {
-		b.Fatal(err)
+	for _, w := range codecWorkloads {
+		b.Run(w.name, func(b *testing.B) {
+			pts := w.gen(4096)
+			var blks []Block
+			for run := pts; len(run) > 0; run = run[128:] {
+				blk, err := EncodeBlock(run[:128])
+				if err != nil {
+					b.Fatal(err)
+				}
+				blks = append(blks, blk)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n := 0
+				for _, blk := range blks {
+					it := blk.Iter()
+					for it.Next() {
+						n++
+					}
+				}
+				if n != len(pts) {
+					b.Fatalf("decoded %d of %d", n, len(pts))
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pts)), "ns/point")
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it := blk.Iter()
-		n := 0
-		for it.Next() {
-			n++
-		}
-		if n != blk.Len() {
-			b.Fatalf("decoded %d of %d", n, blk.Len())
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blk.Len()), "ns/point")
 }
 
 // BenchmarkCompressedAppend measures the engine's append hot path on one

@@ -1,34 +1,56 @@
-// The compressed-block codec: Gorilla-style delta-of-delta timestamps and
-// XOR-chained values packed into a bit stream, the format that lets a
-// network-facing store hold roughly an order of magnitude more points per
-// byte than []Point slices.
+// The compressed-block codec: delta-of-delta timestamps and value columns
+// packed into a bit stream behind a one-byte tag — the format that lets a
+// network-facing store hold an order of magnitude more points per byte
+// than []Point slices.
 //
-// The scheme follows Facebook's Gorilla (VLDB 2015), adapted to
-// nanosecond timestamps:
+// Timestamps follow Facebook's Gorilla (VLDB 2015), adapted to
+// nanoseconds: the first is stored verbatim, every later one as the
+// delta-of-delta — the change in inter-sample spacing — which is exactly
+// zero on a regular poll grid. A zero costs one bit; jittered grids cost
+// a few bytes; an arbitrary shift falls back to a full 64-bit field.
 //
-//   - The first point's timestamp and value are stored verbatim (64 bits
-//     each). Every later timestamp stores the delta-of-delta — the change
-//     in inter-sample spacing — which is exactly zero on a regular poll
-//     grid. A zero costs one bit; jittered grids cost a few bytes; an
-//     arbitrary shift falls back to a full 64-bit field.
+// A value column (a raw block's values; a bucket block's min, max and
+// sum) is coded in one of two modes, chosen per column at seal time, when
+// the encoder holds the whole run (colEnc.plan), and recorded in the tag
+// byte (bit i set = column i is decimal):
 //
-//   - Every later value stores the XOR against its predecessor. Repeated
-//     readings (idle counters, quantized gauges — most of a production
-//     fleet) cost one bit; slowly moving readings share sign, exponent
-//     and high mantissa bits and store only the short meaningful window.
+//   - XOR (Gorilla's): every value stores the XOR against its predecessor.
+//     Repeated readings cost one bit; readings quantized to a power of
+//     two share sign, exponent and high mantissa bits and store only the
+//     short meaningful window — 1.3 bytes/point on a 1/64-quantized
+//     diurnal gauge (TestBlockBytesPerPointDiurnal). Decimal fractions
+//     are what it is bad at: hundredths have full-length IEEE mantissas,
+//     and the same chain costs ~7 bytes/point on two-decimal telemetry.
 //
-// Both encodings are bijective: decoding returns the exact UnixNano
-// instants and bit-identical float64 values that were appended, NaN
-// payloads included. Blocks refuse decreasing timestamps (equal stamps
-// are allowed — production pollers do emit duplicates) and timestamps
-// outside the int64-nanosecond range; both come back as ErrOutOfOrder /
-// ErrTimeRange so callers can seal and start a fresh block.
+//   - Decimal: when every value is m/10^e for one exponent e ≤ 12 and
+//     integer |m| < 2^51 — exactly, or within a few ulps, as a float sum
+//     of decimals is — the column stores a header (e, W, R), the first
+//     mantissa, then per entry a W-bit zigzag mantissa delta and an R-bit
+//     zigzag ulp residual (W = 0 for a flat column, R = 0 for an exact
+//     one): 1.4 bytes/point on two-decimal telemetry in 128-point blocks
+//     (TestBlockBytesPerPointDecimal).
+//
+// The planner takes decimal only when it fits and is strictly smaller
+// than the column's XOR form, so a NaN, ±Inf, −0, an out-of-range or
+// non-decimal value — or a binary-quantized column — leaves the column
+// on the XOR chain, and a sealed block is never more than its tag byte
+// larger than the all-XOR payload (TestBlockNeverLargerThanXOR). That
+// all-XOR payload, without the tag, is the format every block had before
+// decimal columns (payload version 1 in internal/wal, which prepends a
+// zero tag to read it): one decoder reads both.
+//
+// Every mode is bijective: decoding returns the exact UnixNano instants
+// and bit-identical float64 values that were sealed, NaN payloads
+// included. Runs with decreasing timestamps (equal stamps are allowed —
+// production pollers do emit duplicates) or timestamps outside the
+// int64-nanosecond range are refused with ErrOutOfOrder / ErrTimeRange.
 //
 // This comment documents the file; the package doc lives in tsdb.go.
 
 package tsdb
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -40,9 +62,9 @@ import (
 )
 
 var (
-	// ErrOutOfOrder is returned by BlockBuilder.Append for a timestamp
-	// earlier than the previous one. Blocks are time-ordered by
-	// construction; callers seal the block and start a new one instead.
+	// ErrOutOfOrder is returned by EncodeBlock for a run holding a
+	// timestamp earlier than its predecessor (and by DB appends older than
+	// the series' newest sample). Blocks are time-ordered by construction.
 	ErrOutOfOrder = errors.New("tsdb: block append out of order")
 	// ErrTimeRange is returned for timestamps not representable as
 	// int64 nanoseconds since the Unix epoch (roughly years 1678–2262);
@@ -55,109 +77,119 @@ var (
 )
 
 // unixNanoSafe reports whether t survives a UnixNano round trip.
+// time.Unix(0, n) covers 1678-09-21 .. 2262-04-11; a whole second strictly
+// inside that range settles it, only the two edge seconds need the exact
+// comparison against the representable extremes.
 func unixNanoSafe(t time.Time) bool {
-	// time.Unix(0, n) covers 1678-09-21 .. 2262-04-11; compare against
-	// the representable extremes directly.
+	if s := t.Unix(); s > minUnixSec && s < maxUnixSec {
+		return true
+	}
 	return !t.Before(minUnixNano) && !t.After(maxUnixNano)
 }
 
 var (
 	minUnixNano = time.Unix(0, math.MinInt64)
 	maxUnixNano = time.Unix(0, math.MaxInt64)
+	minUnixSec  = minUnixNano.Unix()
+	maxUnixSec  = maxUnixNano.Unix()
 )
 
-// bitWriter packs MSB-first bit fields into a byte slice.
+// bitWriter packs MSB-first bit fields into a byte slice, a 64-bit word
+// at a time.
 type bitWriter struct {
-	buf  []byte
-	cur  byte
-	free uint // bits still free in cur (8 when cur is empty)
+	buf []byte
+	acc uint64 // pending bits, in the low n bits
+	n   uint   // pending bit count, always < 64
 }
 
-func newBitWriter() *bitWriter { return &bitWriter{free: 8} }
+func (w *bitWriter) reset() {
+	w.buf = w.buf[:0]
+	w.acc, w.n = 0, 0
+}
 
 func (w *bitWriter) writeBit(b uint64) { w.writeBits(b, 1) }
 
-// writeBits appends the low n bits of v, most significant first. n ≤ 64.
-func (w *bitWriter) writeBits(v uint64, n uint) {
-	for n > 0 {
-		take := n
-		if take > w.free {
-			take = w.free
-		}
-		shift := n - take
-		chunk := byte(v>>shift) & byte((1<<take)-1)
-		w.cur |= chunk << (w.free - take)
-		w.free -= take
-		n -= take
-		if w.free == 0 {
-			w.buf = append(w.buf, w.cur)
-			w.cur = 0
-			w.free = 8
-		}
+// writeBits appends the low k bits of v, most significant first. k ≤ 64.
+func (w *bitWriter) writeBits(v uint64, k uint) {
+	if k < 64 {
+		v &= 1<<k - 1
 	}
+	if w.n+k < 64 {
+		w.acc = w.acc<<k | v
+		w.n += k
+		return
+	}
+	rest := w.n + k - 64 // low bits of v that spill into the next word
+	w.buf = binary.BigEndian.AppendUint64(w.buf, w.acc<<(k-rest)|v>>rest)
+	w.acc = v & (1<<rest - 1)
+	w.n = rest
 }
 
-// bytes returns the encoded stream, flushing any partial byte.
-func (w *bitWriter) bytes() []byte {
-	if w.free == 8 {
-		return w.buf
+// sealed returns a copy of the encoded stream, the pending bits padded
+// with zeros to a whole byte.
+func (w *bitWriter) sealed() []byte {
+	tail := int(w.n+7) / 8
+	out := make([]byte, len(w.buf)+tail)
+	copy(out, w.buf)
+	word := w.acc << (64 - w.n)
+	for i := 0; i < tail; i++ {
+		out[len(w.buf)+i] = byte(word >> 56)
+		word <<= 8
 	}
-	return append(w.buf, w.cur)
+	return out
 }
 
-// size returns the current encoded size in bytes, counting a partial
-// byte as a full one.
-func (w *bitWriter) size() int {
-	n := len(w.buf)
-	if w.free != 8 {
-		n++
-	}
-	return n
-}
-
-// bitReader consumes MSB-first bit fields from a byte slice. It is a
-// value type so concurrent readers can each iterate a shared block
-// without touching shared state.
+// bitReader consumes MSB-first bit fields from a byte slice, refilling a
+// 64-bit accumulator a word at a time. It is a value type so concurrent
+// readers can each iterate a shared block without touching shared state.
 type bitReader struct {
 	data []byte
-	byte int  // index of the next byte to load from
-	left uint // bits not yet consumed in data[byte]
+	pos  int    // index of the next byte to load into acc
+	acc  uint64 // unread bits, left-aligned
+	n    uint   // unread bit count in acc
 	err  error
 }
 
-func newBitReader(data []byte) bitReader {
-	r := bitReader{data: data}
-	if len(data) > 0 {
-		r.left = 8
-	}
-	return r
-}
+func newBitReader(data []byte) bitReader { return bitReader{data: data} }
 
 func (r *bitReader) readBit() uint64 { return r.readBits(1) }
 
-// readBits returns the next n bits as the low bits of a uint64. On
-// underflow it sets err and returns 0.
-func (r *bitReader) readBits(n uint) uint64 {
-	var v uint64
-	for n > 0 {
-		if r.byte >= len(r.data) {
-			r.err = ErrCorruptBlock
-			return 0
-		}
-		take := n
-		if take > r.left {
-			take = r.left
-		}
-		shift := r.left - take
-		chunk := (r.data[r.byte] >> shift) & byte((1<<take)-1)
-		v = v<<take | uint64(chunk)
-		r.left -= take
-		n -= take
-		if r.left == 0 {
-			r.byte++
-			r.left = 8
+// readBits returns the next k bits as the low bits of a uint64. On
+// underflow it sets err and returns 0. k ≤ 64.
+func (r *bitReader) readBits(k uint) uint64 {
+	if k <= r.n {
+		v := r.acc >> (64 - k)
+		r.acc <<= k
+		r.n -= k
+		return v
+	}
+	return r.refillRead(k)
+}
+
+// refillRead is readBits' slow path: the accumulator's last bits are the
+// field's high part, the rest comes from the next word of the payload.
+func (r *bitReader) refillRead(k uint) uint64 {
+	v := r.acc >> (64 - r.n)
+	k -= r.n
+	if len(r.data)-r.pos >= 8 {
+		r.acc = binary.BigEndian.Uint64(r.data[r.pos:])
+		r.pos += 8
+		r.n = 64
+	} else {
+		r.acc, r.n = 0, 0
+		for ; r.pos < len(r.data); r.pos++ {
+			r.acc |= uint64(r.data[r.pos]) << (56 - r.n)
+			r.n += 8
 		}
 	}
+	if k > r.n {
+		r.err = ErrCorruptBlock
+		r.acc, r.n = 0, 0
+		return 0
+	}
+	v = v<<k | r.acc>>(64-k)
+	r.acc <<= k
+	r.n -= k
 	return v
 }
 
@@ -184,11 +216,9 @@ func writeDoD(w *bitWriter, dod int64) {
 	case z == 0:
 		w.writeBit(0)
 	case z < 1<<dodSmallBits:
-		w.writeBits(0b10, 2)
-		w.writeBits(z, dodSmallBits)
+		w.writeBits(0b10<<dodSmallBits|z, 2+dodSmallBits)
 	case z < 1<<dodMidBits:
-		w.writeBits(0b110, 3)
-		w.writeBits(z, dodMidBits)
+		w.writeBits(0b110<<dodMidBits|z, 3+dodMidBits)
 	default:
 		w.writeBits(0b111, 3)
 		w.writeBits(z, 64)
@@ -217,34 +247,63 @@ type xorState struct {
 	haveWind bool
 }
 
-// write encodes v against the chain and advances it.
-func (s *xorState) write(w *bitWriter, v uint64) {
-	x := v ^ s.prev
+// xorKind is how one chain step is coded.
+type xorKind uint8
+
+const (
+	xorSame   xorKind = iota // the value repeats: '0'
+	xorReuse                 // its XOR fits the previous window: '10' + the window's bits
+	xorWindow                // a new window: '11' + 5-bit leading + 6-bit length + bits
+)
+
+// step advances the chain to v and reports how v is coded: its XOR against
+// the predecessor and the kind, with leading/sigbits holding the window the
+// code uses. write and cost both go through it, so the planner's count is
+// the encoder's size by construction.
+func (s *xorState) step(v uint64) (x uint64, kind xorKind) {
+	x = v ^ s.prev
 	s.prev = v
 	if x == 0 {
-		w.writeBit(0)
-		return
+		return 0, xorSame
 	}
-	w.writeBit(1)
-	lead := uint(bits.LeadingZeros64(x))
-	if lead > 31 {
-		lead = 31
-	}
+	lead := min(uint(bits.LeadingZeros64(x)), 31)
 	trail := uint(bits.TrailingZeros64(x))
 	sig := 64 - lead - trail
 	// Reuse the previous window when the new meaningful bits fit inside
 	// it — both ends — and it is not grossly oversized (the classic
 	// heuristic: a stale wide window would pad every subsequent value).
 	if s.haveWind && lead >= s.leading && trail >= 64-s.leading-s.sigbits && s.sigbits < sig+12 {
-		w.writeBit(0)
-		w.writeBits(x>>(64-s.leading-s.sigbits), s.sigbits)
-		return
+		return x, xorReuse
 	}
-	w.writeBit(1)
-	w.writeBits(uint64(lead), 5)
-	w.writeBits(uint64(sig-1), 6)
-	w.writeBits(x>>trail, sig)
 	s.leading, s.sigbits, s.haveWind = lead, sig, true
+	return x, xorWindow
+}
+
+// write encodes v against the chain and advances it.
+func (s *xorState) write(w *bitWriter, v uint64) {
+	x, kind := s.step(v)
+	switch kind {
+	case xorSame:
+		w.writeBit(0)
+		return
+	case xorReuse:
+		w.writeBits(0b10, 2)
+	case xorWindow:
+		w.writeBits(0b11<<11|uint64(s.leading)<<6|uint64(s.sigbits-1), 13)
+	}
+	w.writeBits(x>>(64-s.leading-s.sigbits), s.sigbits)
+}
+
+// cost advances the chain to v and returns the bits write would emit.
+func (s *xorState) cost(v uint64) int {
+	switch _, kind := s.step(v); kind {
+	case xorSame:
+		return 1
+	case xorReuse:
+		return 2 + int(s.sigbits)
+	default:
+		return 13 + int(s.sigbits)
+	}
 }
 
 // read decodes the next value in the chain and advances it.
@@ -273,68 +332,237 @@ func (s *xorState) read(r *bitReader) uint64 {
 	return s.prev
 }
 
-// BlockBuilder incrementally encodes an append-ordered run of points
-// into one compressed block. The zero value is not usable; call
-// NewBlockBuilder. Builders are reusable via Reset and are not safe for
-// concurrent use.
-type BlockBuilder struct {
-	w         *bitWriter
-	n         int
-	firstNano int64
-	lastNano  int64
-	prevDelta int64
-	vals      xorState
+// A decimal column stores v as the integer mantissa m = round(v·10^e)
+// plus the signed ulp distance from float64(m)/10^e back to v. The
+// exponent is per column; |m| < 2^51 keeps the first mantissa in 52
+// zigzag bits and every delta in 53; the residual field is at most 7
+// bits, r in [-64, 64).
+const (
+	maxDecimalExp = 12
+	mantLimit     = 1<<51 - 1 // |v·10^e| below this rounds to |m| < 2^51
+	firstMantBits = 52
+	maxDeltaBits  = 53
+	maxResid      = 64
+	// colHeaderBits is the (e, W, R) header: 4 + 6 + 3 bits.
+	colHeaderBits = 13
+)
+
+var pow10 = [maxDecimalExp + 1]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12}
+
+// ulpOrd maps a float64 bit pattern to an integer that moves by one per
+// ulp across the whole line, zero included; ulpBits is its inverse. The
+// two zeros share ordinal 0, which ulpBits returns as +0 — the reason a
+// column holding −0 is never decimal.
+func ulpOrd(b uint64) int64 {
+	if b>>63 == 0 {
+		return int64(b)
+	}
+	return -int64(b &^ (1 << 63))
 }
 
-// NewBlockBuilder returns an empty builder.
-func NewBlockBuilder() *BlockBuilder { return &BlockBuilder{w: newBitWriter()} }
-
-// Len returns the number of points appended so far.
-func (b *BlockBuilder) Len() int { return b.n }
-
-// Size returns the current encoded size in bytes.
-func (b *BlockBuilder) Size() int { return b.w.size() }
-
-// Reset clears the builder for a fresh block, keeping the buffer.
-func (b *BlockBuilder) Reset() {
-	b.w.buf = b.w.buf[:0]
-	b.w.cur, b.w.free = 0, 8
-	*b = BlockBuilder{w: b.w}
+func ulpBits(o int64) uint64 {
+	if o >= 0 {
+		return uint64(o)
+	}
+	return uint64(-o) | 1<<63
 }
 
-// Append encodes one point. Timestamps must be non-decreasing within a
-// block (ErrOutOfOrder otherwise) and representable as int64 nanoseconds
-// (ErrTimeRange otherwise); on error the block is unchanged.
-func (b *BlockBuilder) Append(t time.Time, v float64) error {
-	if !unixNanoSafe(t) {
-		return ErrTimeRange
+// decimalAt fits v at one exponent (scale = 10^e): the mantissa, the ulp
+// residual, and whether float64(m)/scale + r ulps is v exactly. NaN, ±Inf
+// and out-of-range products fail the range test; −0 is refused by name.
+func decimalAt(v, scale float64) (m, r int64, ok bool) {
+	s := v * scale
+	if !(s > -mantLimit && s < mantLimit) {
+		return 0, 0, false
 	}
-	nano := t.UnixNano()
-	if b.n == 0 {
-		b.w.writeBits(uint64(nano), 64)
-		b.w.writeBits(math.Float64bits(v), 64)
-		b.vals.prev = math.Float64bits(v)
-		b.firstNano, b.lastNano = nano, nano
-		b.n = 1
-		return nil
-	}
-	if nano < b.lastNano {
-		return ErrOutOfOrder
-	}
-	delta := nano - b.lastNano
-	writeDoD(b.w, delta-b.prevDelta)
-	b.vals.write(b.w, math.Float64bits(v))
-	b.prevDelta = delta
-	b.lastNano = nano
-	b.n++
-	return nil
+	m = int64(s + math.Copysign(0.5, s))
+	vb := math.Float64bits(v)
+	r = ulpOrd(vb) - ulpOrd(math.Float64bits(float64(m)/scale))
+	return m, r, r >= -maxResid && r < maxResid && vb != 1<<63
 }
 
-// Finish seals the builder into an immutable Block. The builder must be
-// Reset before reuse.
-func (b *BlockBuilder) Finish() Block {
-	data := append([]byte(nil), b.w.bytes()...)
-	return Block{data: data, n: b.n, firstNano: b.firstNano, lastNano: b.lastNano}
+// colEnc plans and writes one float64 column of a sealed run. The caller
+// gathers the column into vals, plan picks the mode, write emits entry i.
+type colEnc struct {
+	vals  []float64
+	mant  []int64 // per-entry mantissas and residuals, valid when decimal
+	resid []int64
+
+	decimal           bool
+	exp, width, rbits uint // the decimal header: e, W, R
+	xor               xorState
+}
+
+// planPrefix is how many leading values plan fits before it looks at the
+// XOR chain: enough to see a column's typical delta, few enough to cost
+// nothing when the column turns out not to be decimal-shaped.
+const planPrefix = 8
+
+// plan chooses the column's mode: decimal when every value fits one
+// exponent and the fixed-width deltas come out smaller than the XOR
+// chain, XOR otherwise — so a column never costs more than its XOR form.
+// Widths only grow as more of the column is fitted, so a short prefix
+// bounds the decimal cost from below: a column whose XOR chain fits under
+// that bound (binary-quantized readings) stays XOR without being fitted,
+// and one whose chain overshoots it (decimal telemetry) is found out a
+// fraction of the way into the count.
+func (c *colEnc) plan() {
+	c.decimal, c.exp = false, 0
+	c.xor = xorState{}
+	n := len(c.vals)
+	if n < 2 || !c.fitDecimal(min(n, planPrefix)) {
+		return
+	}
+	lower := c.decimalBits()
+	if xorFits(c.vals, lower) || !c.fitDecimal(n) {
+		return
+	}
+	bits := c.decimalBits()
+	c.decimal = bits == lower || !xorFits(c.vals, bits)
+}
+
+// decimalBits is the column's size in decimal mode at the fitted widths.
+func (c *colEnc) decimalBits() int {
+	n := len(c.vals)
+	return colHeaderBits + firstMantBits + (n-1)*int(c.width) + n*int(c.rbits)
+}
+
+// fitDecimal fits vals[:k] at the smallest common exponent not below
+// c.exp, filling mant and resid and measuring the delta and residual
+// widths. A value that needs more digits raises the exponent and restarts
+// the run, so the pass is repeated once per distinct raise (rarely more
+// than twice) and a non-decimal value costs maxDecimalExp probes, not
+// passes.
+func (c *colEnc) fitDecimal(k int) bool {
+	var deltas, resids uint64
+	c.mant, c.resid = c.mant[:0], c.resid[:0]
+	for i := 0; i < k; i++ {
+		m, r, ok := decimalAt(c.vals[i], pow10[c.exp])
+		if !ok {
+			for !ok {
+				if c.exp == maxDecimalExp {
+					return false
+				}
+				c.exp++
+				_, _, ok = decimalAt(c.vals[i], pow10[c.exp])
+			}
+			deltas, resids = 0, 0
+			c.mant, c.resid = c.mant[:0], c.resid[:0]
+			i = -1
+			continue
+		}
+		if i > 0 {
+			deltas |= zigzag(m - c.mant[i-1])
+		}
+		resids |= zigzag(r)
+		c.mant, c.resid = append(c.mant, m), append(c.resid, r)
+	}
+	c.width, c.rbits = uint(bits.Len64(deltas)), uint(bits.Len64(resids))
+	return true
+}
+
+// xorFits reports whether the XOR chain codes vals in at most budget
+// bits, giving up at the first value that takes it past.
+func xorFits(vals []float64, budget int) bool {
+	s := xorState{prev: math.Float64bits(vals[0])}
+	total := 64
+	for _, v := range vals[1:] {
+		if total += s.cost(math.Float64bits(v)); total > budget {
+			return false
+		}
+	}
+	return total <= budget
+}
+
+// write emits entry i of the planned column. Entry 0 carries the decimal
+// header and the first mantissa, or the first value verbatim.
+func (c *colEnc) write(w *bitWriter, i int) {
+	switch {
+	case !c.decimal && i == 0:
+		c.xor.prev = math.Float64bits(c.vals[0])
+		w.writeBits(c.xor.prev, 64)
+		return
+	case !c.decimal:
+		c.xor.write(w, math.Float64bits(c.vals[i]))
+		return
+	case i == 0:
+		w.writeBits(uint64(c.exp)<<9|uint64(c.width)<<3|uint64(c.rbits), colHeaderBits)
+		w.writeBits(zigzag(c.mant[0]), firstMantBits)
+	default:
+		w.writeBits(zigzag(c.mant[i]-c.mant[i-1]), c.width)
+	}
+	w.writeBits(zigzag(c.resid[i]), c.rbits)
+}
+
+// colDec decodes one float64 column, in either mode.
+type colDec struct {
+	decimal      bool
+	width, rbits uint
+	scale        float64
+	mant         int64
+	xor          xorState
+}
+
+// first reads entry 0 (and the decimal header), returning the value.
+func (c *colDec) first(r *bitReader) float64 {
+	if !c.decimal {
+		c.xor.prev = r.readBits(64)
+		return math.Float64frombits(c.xor.prev)
+	}
+	h := r.readBits(colHeaderBits)
+	exp := h >> 9
+	c.width, c.rbits = uint(h>>3&0x3f), uint(h&7)
+	if exp > maxDecimalExp || c.width > maxDeltaBits {
+		r.err = ErrCorruptBlock
+		return 0
+	}
+	c.scale = pow10[exp]
+	c.mant = unzigzag(r.readBits(firstMantBits))
+	return c.value(r)
+}
+
+// next reads one later entry.
+func (c *colDec) next(r *bitReader) float64 {
+	if !c.decimal {
+		return math.Float64frombits(c.xor.read(r))
+	}
+	c.mant += unzigzag(r.readBits(c.width))
+	return c.value(r)
+}
+
+func (c *colDec) value(r *bitReader) float64 {
+	v := float64(c.mant) / c.scale
+	if c.rbits > 0 {
+		v = math.Float64frombits(ulpBits(ulpOrd(math.Float64bits(v)) + unzigzag(r.readBits(c.rbits))))
+	}
+	return v
+}
+
+// blockEncoder is the pooled seal-time scratch: the bit buffer and one
+// colEnc per value column (a raw block uses the first, a bucket block
+// min, max and sum). Under sustained ingest every series seals a block
+// every CompressBlock points; fresh scratch per seal made the seal path
+// the write side's main GC churn.
+type blockEncoder struct {
+	w     bitWriter
+	nanos []int64 // the run's timestamps (bucket starts), validated
+	cols  [3]colEnc
+}
+
+var encoderPool = sync.Pool{New: func() any { return new(blockEncoder) }}
+
+// plan resets the bit buffer, plans the first n columns and writes the
+// tag byte: bit i set = column i is decimal.
+func (e *blockEncoder) plan(n int) {
+	e.w.reset()
+	var tag uint64
+	for i := range e.cols[:n] {
+		e.cols[i].plan()
+		if e.cols[i].decimal {
+			tag |= 1 << i
+		}
+	}
+	e.w.writeBits(tag, 8)
 }
 
 // Block is a sealed compressed run of points. Blocks are immutable and
@@ -345,6 +573,41 @@ type Block struct {
 	n         int
 	firstNano int64
 	lastNano  int64
+}
+
+// EncodeBlock compresses an append-ordered run of points. Timestamps must
+// be non-decreasing (ErrOutOfOrder otherwise; equal stamps are allowed)
+// and representable as int64 nanoseconds (ErrTimeRange otherwise). The
+// returned block shares nothing with the pooled scratch.
+func EncodeBlock(pts []series.Point) (Block, error) {
+	if len(pts) == 0 {
+		return Block{}, nil
+	}
+	e := encoderPool.Get().(*blockEncoder)
+	defer encoderPool.Put(e)
+	col := &e.cols[0]
+	e.nanos, col.vals = e.nanos[:0], col.vals[:0]
+	for i, p := range pts {
+		if !unixNanoSafe(p.Time) {
+			return Block{}, ErrTimeRange
+		}
+		nano := p.Time.UnixNano()
+		if i > 0 && nano < e.nanos[i-1] {
+			return Block{}, ErrOutOfOrder
+		}
+		e.nanos, col.vals = append(e.nanos, nano), append(col.vals, p.Value)
+	}
+	e.plan(1)
+	e.w.writeBits(uint64(e.nanos[0]), 64)
+	col.write(&e.w, 0)
+	prevDelta := int64(0)
+	for i := 1; i < len(pts); i++ {
+		delta := e.nanos[i] - e.nanos[i-1]
+		writeDoD(&e.w, delta-prevDelta)
+		col.write(&e.w, i)
+		prevDelta = delta
+	}
+	return Block{data: e.w.sealed(), n: len(pts), firstNano: e.nanos[0], lastNano: e.nanos[len(pts)-1]}, nil
 }
 
 // Len returns the number of points in the block.
@@ -405,9 +668,28 @@ func (blk Block) Points(dst []series.Point) ([]series.Point, error) {
 	return dst, it.Err()
 }
 
+// tagReader opens a payload: the tag byte, then the bit stream. A tag
+// with bits beyond the block kind's columns is corrupt.
+func tagReader(data []byte, cols uint) (tag byte, r bitReader) {
+	if len(data) == 0 {
+		return 0, bitReader{err: ErrCorruptBlock}
+	}
+	r = newBitReader(data[1:])
+	if data[0]>>cols != 0 {
+		r.err = ErrCorruptBlock
+	}
+	return data[0], r
+}
+
 // Iter returns a fresh iterator positioned before the first point.
 func (blk Block) Iter() BlockIter {
-	return BlockIter{r: newBitReader(blk.data), n: blk.n}
+	it := BlockIter{n: blk.n}
+	if blk.n > 0 {
+		var tag byte
+		tag, it.r = tagReader(blk.data, 1)
+		it.col.decimal = tag&1 != 0
+	}
+	return it
 }
 
 // BlockIter walks a Block one point at a time without allocating.
@@ -417,7 +699,7 @@ type BlockIter struct {
 	i         int
 	nano      int64
 	prevDelta int64
-	vals      xorState
+	col       colDec
 	val       float64
 }
 
@@ -429,14 +711,12 @@ func (it *BlockIter) Next() bool {
 	}
 	if it.i == 0 {
 		it.nano = int64(it.r.readBits(64))
-		bits := it.r.readBits(64)
-		it.vals.prev = bits
-		it.val = math.Float64frombits(bits)
+		it.val = it.col.first(&it.r)
 	} else {
 		delta := it.prevDelta + readDoD(&it.r)
 		it.nano += delta
 		it.prevDelta = delta
-		it.val = math.Float64frombits(it.vals.read(&it.r))
+		it.val = it.col.next(&it.r)
 	}
 	if it.r.err != nil {
 		return false
@@ -458,45 +738,11 @@ func (it *BlockIter) Err() error {
 	return nil
 }
 
-// EncodeBlock compresses an append-ordered run of points in one call.
-func EncodeBlock(pts []series.Point) (Block, error) {
-	b := NewBlockBuilder()
-	for _, p := range pts {
-		if err := b.Append(p.Time, p.Value); err != nil {
-			return Block{}, err
-		}
-	}
-	return b.Finish(), nil
-}
-
-// blockBuilderPool recycles encode scratch — the builder struct and its
-// bit buffer — across seals. Under sustained ingest every series seals a
-// block every CompressBlock points; a fresh builder per seal made the
-// seal path the write side's main GC churn.
-var blockBuilderPool = sync.Pool{New: func() any { return NewBlockBuilder() }}
-
-// encodeBlockPooled is EncodeBlock with pooled scratch. Finish copies the
-// payload into the immutable Block, so the returned block shares nothing
-// with the pooled builder.
-func encodeBlockPooled(pts []series.Point) (Block, error) {
-	b := blockBuilderPool.Get().(*BlockBuilder)
-	b.Reset()
-	for _, p := range pts {
-		if err := b.Append(p.Time, p.Value); err != nil {
-			blockBuilderPool.Put(b)
-			return Block{}, err
-		}
-	}
-	blk := b.Finish()
-	blockBuilderPool.Put(b)
-	return blk, nil
-}
-
 // bucketBlock is the summary-tier counterpart of Block: a sealed
 // compressed run of min/max/mean buckets. Starts ride a delta-of-delta
 // chain (tier grids are regular), widths and counts ride their own
 // small-delta chains (constant per tier between retunes), and min, max
-// and sum are XOR chains against their own predecessors.
+// and sum are value columns like a raw block's, each in its own mode.
 type bucketBlock struct {
 	data      []byte
 	n         int
@@ -514,137 +760,139 @@ func (bb bucketBlock) size() int { return len(bb.data) }
 func (bb bucketBlock) firstStart() time.Time  { return time.Unix(0, bb.firstNano) }
 func (bb bucketBlock) coverageEnd() time.Time { return time.Unix(0, bb.lastEnd) }
 
-type bucketBlockBuilder struct {
-	w         *bitWriter
-	n         int
-	firstNano int64
-	lastStart int64
-	lastEnd   int64
-	prevDelta int64
-	prevWidth int64
-	prevCount int64
-	samples   int64
-	min, max  xorState
-	sum       xorState
-}
-
-func newBucketBlockBuilder() *bucketBlockBuilder {
-	return &bucketBlockBuilder{w: newBitWriter()}
-}
-
-// bucketBuilderPool is blockBuilderPool for tier seals: a series carries
-// no idle encode buffer per tier.
-var bucketBuilderPool = sync.Pool{New: func() any { return newBucketBlockBuilder() }}
-
-// encodeBucketBlockPooled compresses an ordered run of buckets with
-// pooled scratch; finish copies the payload out of the pooled builder.
-func encodeBucketBlockPooled(bks []bucket) (bucketBlock, error) {
-	b := bucketBuilderPool.Get().(*bucketBlockBuilder)
-	defer bucketBuilderPool.Put(b)
-	b.reset()
-	for _, bk := range bks {
-		if err := b.append(bk); err != nil {
-			return bucketBlock{}, err
+// encodeBucketBlock compresses an ordered run of buckets. Bucket starts
+// must be non-decreasing; both bounds must be UnixNano-representable.
+func encodeBucketBlock(bks []bucket) (bucketBlock, error) {
+	if len(bks) == 0 {
+		return bucketBlock{}, nil
+	}
+	e := encoderPool.Get().(*blockEncoder)
+	defer encoderPool.Put(e)
+	mn, mx, sum := &e.cols[0], &e.cols[1], &e.cols[2]
+	e.nanos, mn.vals, mx.vals, sum.vals = e.nanos[:0], mn.vals[:0], mx.vals[:0], sum.vals[:0]
+	for i, bk := range bks {
+		if !unixNanoSafe(bk.start) || !unixNanoSafe(bk.end) {
+			return bucketBlock{}, ErrTimeRange
 		}
+		start := bk.start.UnixNano()
+		if i > 0 && start < e.nanos[i-1] {
+			return bucketBlock{}, ErrOutOfOrder
+		}
+		e.nanos = append(e.nanos, start)
+		mn.vals, mx.vals, sum.vals = append(mn.vals, bk.min), append(mx.vals, bk.max), append(sum.vals, bk.sum)
 	}
-	return b.finish(), nil
-}
-
-func (b *bucketBlockBuilder) reset() {
-	b.w.buf = b.w.buf[:0]
-	b.w.cur, b.w.free = 0, 8
-	*b = bucketBlockBuilder{w: b.w}
-}
-
-// append encodes one bucket. Bucket starts must be non-decreasing; both
-// bounds must be UnixNano-representable.
-func (b *bucketBlockBuilder) append(bk bucket) error {
-	if !unixNanoSafe(bk.start) || !unixNanoSafe(bk.end) {
-		return ErrTimeRange
-	}
-	start, end := bk.start.UnixNano(), bk.end.UnixNano()
-	width := end - start
-	if b.n == 0 {
-		b.w.writeBits(uint64(start), 64)
-		b.w.writeBits(uint64(width), 64)
-		b.w.writeBits(math.Float64bits(bk.min), 64)
-		b.w.writeBits(math.Float64bits(bk.max), 64)
-		b.w.writeBits(math.Float64bits(bk.sum), 64)
-		b.w.writeBits(uint64(bk.count), 64)
-		b.min.prev = math.Float64bits(bk.min)
-		b.max.prev = math.Float64bits(bk.max)
-		b.sum.prev = math.Float64bits(bk.sum)
-		b.firstNano, b.lastStart, b.lastEnd = start, start, end
-		b.prevWidth, b.prevCount = width, bk.count
-		b.samples = bk.count
-		b.n = 1
-		return nil
-	}
-	if start < b.lastStart {
-		return ErrOutOfOrder
-	}
-	delta := start - b.lastStart
-	writeDoD(b.w, delta-b.prevDelta)
-	writeDoD(b.w, width-b.prevWidth)
-	b.min.write(b.w, math.Float64bits(bk.min))
-	b.max.write(b.w, math.Float64bits(bk.max))
-	b.sum.write(b.w, math.Float64bits(bk.sum))
-	writeDoD(b.w, bk.count-b.prevCount)
-	b.prevDelta, b.lastStart = delta, start
-	b.prevWidth, b.prevCount = width, bk.count
-	if end > b.lastEnd {
-		b.lastEnd = end
-	}
-	b.samples += bk.count
-	b.n++
-	return nil
-}
-
-func (b *bucketBlockBuilder) finish() bucketBlock {
-	data := append([]byte(nil), b.w.bytes()...)
-	return bucketBlock{data: data, n: b.n, firstNano: b.firstNano, lastEnd: b.lastEnd, samples: b.samples}
-}
-
-// each decodes the block in order, calling emit for every bucket. The
-// decode state is local, so concurrent readers may iterate one block.
-func (bb bucketBlock) each(emit func(bucket)) error {
-	r := newBitReader(bb.data)
-	var (
-		nano      int64
-		prevDelta int64
-		width     int64
-		count     int64
-		mn, mx, s xorState
-	)
-	for i := 0; i < bb.n; i++ {
+	e.plan(3)
+	out := bucketBlock{n: len(bks), firstNano: e.nanos[0], lastEnd: math.MinInt64}
+	var prevDelta, prevWidth, prevCount int64
+	for i, bk := range bks {
+		start, end := e.nanos[i], bk.end.UnixNano()
+		width := end - start
 		if i == 0 {
-			nano = int64(r.readBits(64))
-			width = int64(r.readBits(64))
-			mn.prev = r.readBits(64)
-			mx.prev = r.readBits(64)
-			s.prev = r.readBits(64)
-			count = int64(r.readBits(64))
+			e.w.writeBits(uint64(start), 64)
+			e.w.writeBits(uint64(width), 64)
 		} else {
-			delta := prevDelta + readDoD(&r)
-			nano += delta
+			delta := start - e.nanos[i-1]
+			writeDoD(&e.w, delta-prevDelta)
+			writeDoD(&e.w, width-prevWidth)
 			prevDelta = delta
-			width += readDoD(&r)
-			mn.read(&r)
-			mx.read(&r)
-			s.read(&r)
-			count += readDoD(&r)
 		}
-		if r.err != nil {
-			return fmt.Errorf("%w (bucket %d of %d)", r.err, i, bb.n)
+		mn.write(&e.w, i)
+		mx.write(&e.w, i)
+		sum.write(&e.w, i)
+		if i == 0 {
+			e.w.writeBits(uint64(bk.count), 64)
+		} else {
+			writeDoD(&e.w, bk.count-prevCount)
 		}
-		emit(bucket{
-			start: time.Unix(0, nano),
-			end:   time.Unix(0, nano+width),
-			min:   math.Float64frombits(mn.prev),
-			max:   math.Float64frombits(mx.prev),
-			sum:   math.Float64frombits(s.prev),
-			count: count,
-		})
+		prevWidth, prevCount = width, bk.count
+		out.lastEnd = max(out.lastEnd, end)
+		out.samples += bk.count
+	}
+	out.data = e.w.sealed()
+	return out, nil
+}
+
+// bucketIter walks a bucketBlock one bucket at a time without
+// allocating. The decode state is local, so concurrent readers may
+// iterate one block.
+type bucketIter struct {
+	r         bitReader
+	n, i      int
+	nano      int64
+	prevDelta int64
+	width     int64
+	count     int64
+	cols      [3]colDec // min, max, sum
+	vals      [3]float64
+}
+
+func (bb bucketBlock) iter() bucketIter {
+	it := bucketIter{n: bb.n}
+	if bb.n > 0 {
+		var tag byte
+		tag, it.r = tagReader(bb.data, uint(len(it.cols)))
+		for i := range it.cols {
+			it.cols[i].decimal = tag>>i&1 != 0
+		}
+	}
+	return it
+}
+
+// next advances to the next bucket, returning false at the end of the
+// block or on a decode error (see err).
+func (it *bucketIter) next() bool {
+	if it.i >= it.n || it.r.err != nil {
+		return false
+	}
+	r := &it.r
+	if it.i == 0 {
+		it.nano = int64(r.readBits(64))
+		it.width = int64(r.readBits(64))
+		for i := range it.cols {
+			it.vals[i] = it.cols[i].first(r)
+		}
+		it.count = int64(r.readBits(64))
+	} else {
+		delta := it.prevDelta + readDoD(r)
+		it.nano += delta
+		it.prevDelta = delta
+		it.width += readDoD(r)
+		for i := range it.cols {
+			it.vals[i] = it.cols[i].next(r)
+		}
+		it.count += readDoD(r)
+	}
+	if r.err != nil {
+		return false
+	}
+	it.i++
+	return true
+}
+
+// bucket returns the current bucket. Valid only after a true next.
+func (it *bucketIter) bucket() bucket {
+	return bucket{
+		start: time.Unix(0, it.nano),
+		end:   time.Unix(0, it.nano+it.width),
+		min:   it.vals[0],
+		max:   it.vals[1],
+		sum:   it.vals[2],
+		count: it.count,
+	}
+}
+
+func (it *bucketIter) err() error {
+	if it.r.err != nil {
+		return fmt.Errorf("%w (bucket %d of %d)", it.r.err, it.i, it.n)
 	}
 	return nil
+}
+
+// each decodes the block in order, calling emit for every bucket.
+func (bb bucketBlock) each(emit func(bucket)) error {
+	it := bb.iter()
+	for it.next() {
+		emit(it.bucket())
+	}
+	return it.err()
 }

@@ -1,11 +1,13 @@
 package tsdb
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
 	"time"
 
+	"repro/internal/dcsim"
 	"repro/internal/series"
 )
 
@@ -134,45 +136,27 @@ func TestBlockRoundTripRandom(t *testing.T) {
 	}
 }
 
-// TestBlockRejectsOutOfOrder pins the ordering contract: a decreasing
-// timestamp is refused with ErrOutOfOrder, leaves the block intact, and
-// equal timestamps (duplicate polls) are accepted.
+// TestBlockRejectsOutOfOrder pins the ordering contract: a run with a
+// decreasing timestamp is refused whole with ErrOutOfOrder, and equal
+// timestamps (duplicate polls) are accepted.
 func TestBlockRejectsOutOfOrder(t *testing.T) {
-	b := NewBlockBuilder()
-	if err := b.Append(blockEpoch, 1); err != nil {
-		t.Fatal(err)
+	at := func(sec int, v float64) series.Point {
+		return series.Point{Time: blockEpoch.Add(time.Duration(sec) * time.Second), Value: v}
 	}
-	if err := b.Append(blockEpoch.Add(time.Second), 2); err != nil {
-		t.Fatal(err)
+	if _, err := EncodeBlock([]series.Point{at(0, 1), at(1, 2), at(0, 3)}); err != ErrOutOfOrder {
+		t.Fatalf("out-of-order run: got %v, want ErrOutOfOrder", err)
 	}
-	if err := b.Append(blockEpoch, 3); err != ErrOutOfOrder {
-		t.Fatalf("out-of-order append: got %v, want ErrOutOfOrder", err)
-	}
-	if err := b.Append(blockEpoch.Add(time.Second), 4); err != nil {
-		t.Fatalf("equal-timestamp append after rejection: %v", err)
-	}
-	got, err := b.Finish().Points(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[2].Value != 4 {
-		t.Fatalf("rejected append leaked into the block: %+v", got)
-	}
+	checkRoundTrip(t, []series.Point{at(0, 1), at(1, 2), at(1, 4)})
 }
 
 // TestBlockRejectsTimeRange pins the UnixNano-representability contract.
 func TestBlockRejectsTimeRange(t *testing.T) {
-	b := NewBlockBuilder()
 	tooOld := time.Date(1600, 1, 1, 0, 0, 0, 0, time.UTC)
 	tooNew := time.Date(2400, 1, 1, 0, 0, 0, 0, time.UTC)
-	if err := b.Append(tooOld, 1); err != ErrTimeRange {
-		t.Fatalf("pre-1678 append: got %v, want ErrTimeRange", err)
-	}
-	if err := b.Append(tooNew, 1); err != ErrTimeRange {
-		t.Fatalf("post-2262 append: got %v, want ErrTimeRange", err)
-	}
-	if b.Len() != 0 {
-		t.Fatalf("rejected appends changed the block: len %d", b.Len())
+	for _, at := range []time.Time{tooOld, tooNew} {
+		if _, err := EncodeBlock([]series.Point{{Time: at, Value: 1}}); err != ErrTimeRange {
+			t.Fatalf("run at %v: got %v, want ErrTimeRange", at, err)
+		}
 	}
 }
 
@@ -238,31 +222,62 @@ func TestBucketBlockRoundTrip(t *testing.T) {
 			}
 			start = start.Add(width)
 		}
-		bb := newBucketBlockBuilder()
-		for i, bk := range in {
-			if err := bb.append(bk); err != nil {
-				t.Fatalf("trial %d: append %d: %v", trial, i, err)
-			}
-		}
-		sealed := bb.finish()
-		var got []bucket
-		if err := sealed.each(func(bk bucket) { got = append(got, bk) }); err != nil {
-			t.Fatalf("trial %d: decode: %v", trial, err)
-		}
-		if len(got) != n {
-			t.Fatalf("trial %d: decoded %d buckets, want %d", trial, len(got), n)
-		}
-		for i := range in {
-			a, b := in[i], got[i]
-			if !a.start.Equal(b.start) || !a.end.Equal(b.end) ||
-				math.Float64bits(a.min) != math.Float64bits(b.min) ||
-				math.Float64bits(a.max) != math.Float64bits(b.max) ||
-				math.Float64bits(a.sum) != math.Float64bits(b.sum) ||
-				a.count != b.count {
-				t.Fatalf("trial %d: bucket %d mismatch:\n got %+v\nwant %+v", trial, i, b, a)
-			}
-		}
+		checkBucketRoundTrip(t, in)
 	}
+	// The summary tier of two-decimal telemetry: min and max are exact
+	// decimals, sum is a float accumulation of them, off by a few ulps —
+	// the column the residual field exists for.
+	pts := twoDecimalGauge(26 * 128)
+	in := make([]bucket, 128)
+	for i := range in {
+		run := pts[26*i : 26*i+26]
+		in[i] = bucketOf(run[0])
+		for _, p := range run[1:] {
+			in[i].merge(bucketOf(p))
+		}
+		in[i].end = run[25].Time.Add(time.Second)
+	}
+	bb := checkBucketRoundTrip(t, in)
+	xor := len(xorOnlyBucketPayload(in))
+	t.Logf("two-decimal tier: %.2f bytes/bucket (XOR chains: %.2f)", float64(bb.size())/128, float64(xor)/128)
+	if bb.data[0] != 0b111 {
+		t.Fatalf("tag %03b: min, max and the accumulated sum should all be decimal columns", bb.data[0])
+	}
+	if 2*bb.size() > xor {
+		t.Fatalf("two-decimal tier costs %d bytes, more than half its XOR form (%d)", bb.size(), xor)
+	}
+}
+
+// checkBucketRoundTrip encodes in and asserts the decode is bit-exact.
+func checkBucketRoundTrip(t *testing.T, in []bucket) bucketBlock {
+	t.Helper()
+	sealed, err := encodeBucketBlock(in)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	var got []bucket
+	if err := sealed.each(func(bk bucket) { got = append(got, bk) }); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if len(got) != len(in) {
+		t.Fatalf("decoded %d buckets, want %d", len(got), len(in))
+	}
+	var samples int64
+	for i := range in {
+		a, b := in[i], got[i]
+		if !a.start.Equal(b.start) || !a.end.Equal(b.end) ||
+			math.Float64bits(a.min) != math.Float64bits(b.min) ||
+			math.Float64bits(a.max) != math.Float64bits(b.max) ||
+			math.Float64bits(a.sum) != math.Float64bits(b.sum) ||
+			a.count != b.count {
+			t.Fatalf("bucket %d mismatch:\n got %+v\nwant %+v", i, b, a)
+		}
+		samples += a.count
+	}
+	if sealed.samples != samples {
+		t.Fatalf("block metadata counts %d samples, the buckets %d", sealed.samples, samples)
+	}
+	return sealed
 }
 
 // TestBlockIterConcurrent pins the share-safety contract Block promises:
@@ -286,6 +301,190 @@ func TestBlockIterConcurrent(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// xorOnlyPayload is the reference the codec's size bound is stated
+// against: the run coded with every value on the XOR chain and no tag
+// byte, which is byte for byte the payload format before decimal columns
+// existed (payload version 1 in internal/wal).
+func xorOnlyPayload(pts []series.Point) []byte {
+	var (
+		w               bitWriter
+		vals            xorState
+		last, prevDelta int64
+	)
+	for i, p := range pts {
+		nano, v := p.Time.UnixNano(), math.Float64bits(p.Value)
+		if i == 0 {
+			w.writeBits(uint64(nano), 64)
+			w.writeBits(v, 64)
+			vals.prev = v
+		} else {
+			delta := nano - last
+			writeDoD(&w, delta-prevDelta)
+			vals.write(&w, v)
+			prevDelta = delta
+		}
+		last = nano
+	}
+	return w.sealed()
+}
+
+// xorOnlyBucketPayload is xorOnlyPayload for a bucket run.
+func xorOnlyBucketPayload(bks []bucket) []byte {
+	var (
+		w                                     bitWriter
+		mn, mx, sum                           xorState
+		last, prevDelta, prevWidth, prevCount int64
+	)
+	for i, bk := range bks {
+		start := bk.start.UnixNano()
+		width := bk.end.UnixNano() - start
+		vals := [3]uint64{math.Float64bits(bk.min), math.Float64bits(bk.max), math.Float64bits(bk.sum)}
+		if i == 0 {
+			w.writeBits(uint64(start), 64)
+			w.writeBits(uint64(width), 64)
+			for k, s := range []*xorState{&mn, &mx, &sum} {
+				w.writeBits(vals[k], 64)
+				s.prev = vals[k]
+			}
+			w.writeBits(uint64(bk.count), 64)
+		} else {
+			delta := start - last
+			writeDoD(&w, delta-prevDelta)
+			writeDoD(&w, width-prevWidth)
+			for k, s := range []*xorState{&mn, &mx, &sum} {
+				s.write(&w, vals[k])
+			}
+			writeDoD(&w, bk.count-prevCount)
+			prevDelta = delta
+		}
+		last, prevWidth, prevCount = start, width, bk.count
+	}
+	return w.sealed()
+}
+
+// twoDecimalGauge is the benchmark fleet's signal shape (bench/gen.go): a
+// two-tone gauge sampled at 1 Hz and quantized to hundredths, built the
+// way a parser builds it — the float64 nearest the two-decimal literal.
+func twoDecimalGauge(n int) []series.Point {
+	pts := make([]series.Point, n)
+	for i := range pts {
+		ts := float64(i)
+		v := 51.3 + 7.5*math.Sin(2*math.Pi*ts/23+0.4) + 4.1*math.Sin(2*math.Pi*ts/61+2.2)
+		pts[i] = series.Point{
+			Time:  blockEpoch.Add(time.Duration(i) * time.Second),
+			Value: math.Round(v*100) / 100,
+		}
+	}
+	return pts
+}
+
+// sealedBytes encodes pts in store-sized runs of 128 and sums the
+// payloads — per-block headers included, as a store pays them.
+func sealedBytes(t *testing.T, pts []series.Point) (bytes int) {
+	t.Helper()
+	for ; len(pts) > 0; pts = pts[min(128, len(pts)):] {
+		bytes += checkRoundTrip(t, pts[:min(128, len(pts))]).Size()
+	}
+	return bytes
+}
+
+// TestBlockBytesPerPointDecimal is the decimal column's bar, beside the
+// diurnal one: two-decimal telemetry in 128-point blocks costs at most 2
+// bytes per point. Its XOR form costs about 7 — IEEE mantissas of
+// hundredths are long, which is what the XOR chain pays for.
+func TestBlockBytesPerPointDecimal(t *testing.T) {
+	pts := twoDecimalGauge(4096)
+	bpp := float64(sealedBytes(t, pts)) / float64(len(pts))
+	xor := float64(len(xorOnlyPayload(pts))) / float64(len(pts))
+	t.Logf("two-decimal gauge: %.3f bytes/point in 128-point blocks (XOR chain: %.3f)", bpp, xor)
+	if bpp > 2.0 {
+		t.Fatalf("two-decimal gauge costs %.3f bytes/point, want <= 2", bpp)
+	}
+	if xor < 2*bpp {
+		t.Fatalf("the XOR chain costs %.3f bytes/point on two-decimal data: this workload no longer tells the modes apart", xor)
+	}
+}
+
+// TestXORColumnIsPayloadV1 pins the format claim internal/wal's version
+// handling rests on: when a column stays on the XOR chain, the payload
+// is a zero tag byte followed by exactly the pre-decimal payload — so a
+// version-1 payload is read by prepending that byte, through the same
+// decoder.
+func TestXORColumnIsPayloadV1(t *testing.T) {
+	pts := diurnalWorkload(128)
+	blk := checkRoundTrip(t, pts)
+	v1 := xorOnlyPayload(pts)
+	if blk.Data()[0] != 0 || !bytes.Equal(blk.Data()[1:], v1) {
+		t.Fatalf("a 1/64-quantized run did not seal as tag 0 + its XOR payload (%d bytes vs %d)", blk.Size(), len(v1))
+	}
+	re, err := RebuildBlock(append([]byte{0}, v1...), len(pts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := re.Points(nil)
+	if err != nil || len(got) != len(pts) {
+		t.Fatalf("v1 payload decoded to %d points, %v", len(got), err)
+	}
+	for i := range pts {
+		if !got[i].Time.Equal(pts[i].Time) || math.Float64bits(got[i].Value) != math.Float64bits(pts[i].Value) {
+			t.Fatalf("point %d differs through the v1 path", i)
+		}
+	}
+}
+
+// TestBlockNeverLargerThanXOR is the fallback rule as a property: over
+// every simulator regime, random floats, the diurnal workload and
+// two-decimal telemetry, a sealed raw block is at most its tag byte
+// larger than the run's XOR form, and a bucket block built from the same
+// run likewise.
+func TestBlockNeverLargerThanXOR(t *testing.T) {
+	runs := map[string][]series.Point{
+		"diurnal":     diurnalWorkload(512),
+		"two-decimal": twoDecimalGauge(512),
+	}
+	rng := rand.New(rand.NewSource(11))
+	random := make([]series.Point, 512)
+	for i := range random {
+		random[i] = series.Point{Time: blockEpoch.Add(time.Duration(i) * time.Second), Value: math.Float64frombits(rng.Uint64())}
+	}
+	runs["random-bits"] = random
+	for _, name := range dcsim.ScenarioNames() {
+		sc, err := dcsim.BuildScenario(name, 1, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range sc.Fleet.Devices {
+			runs[name+"/"+d.ID] = d.Trace(blockEpoch, sc.PhaseOffset[i], 300*d.PollInterval).Series().Points()
+		}
+	}
+	for name, pts := range runs {
+		for ; len(pts) > 0; pts = pts[min(128, len(pts)):] {
+			run := pts[:min(128, len(pts))]
+			blk := checkRoundTrip(t, run)
+			if xor := len(xorOnlyPayload(run)); blk.Size() > xor+1 {
+				t.Fatalf("%s: raw block is %d bytes, its XOR form %d", name, blk.Size(), xor)
+			}
+			// Fold the run four points to a bucket, as a first tier would.
+			var bks []bucket
+			for i := 0; i+4 <= len(run); i += 4 {
+				b := bucketOf(run[i])
+				for _, p := range run[i+1 : i+4] {
+					b.merge(bucketOf(p))
+				}
+				b.end = run[i+3].Time.Add(time.Nanosecond)
+				bks = append(bks, b)
+			}
+			if len(bks) == 0 {
+				continue
+			}
+			bb := checkBucketRoundTrip(t, bks)
+			if xor := len(xorOnlyBucketPayload(bks)); bb.size() > xor+1 {
+				t.Fatalf("%s: bucket block is %d bytes, its XOR form %d", name, bb.size(), xor)
+			}
 		}
 	}
 }

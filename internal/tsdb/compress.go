@@ -59,7 +59,6 @@ type compPoints struct {
 	segs     []pointSeg
 	active   []series.Point
 	n        int
-	evbuf    []series.Point // reusable eviction decode buffer
 	// sealed queues blocks sealed since the last takeSealed — the DB's
 	// seal-hook feed.
 	sealed []Block
@@ -72,9 +71,9 @@ type compPoints struct {
 func (c *compPoints) size() int { return c.n }
 
 // push appends one point. When the store exceeds its capacity the oldest
-// sealed segment is evicted and returned, oldest point first; the slice
-// is reused across calls and must be consumed before the next push.
-func (c *compPoints) push(p series.Point) []series.Point {
+// sealed segment leaves retention and is handed back for the caller to
+// cascade into the tiers.
+func (c *compPoints) push(p series.Point) (evicted Block, ok bool) {
 	c.active = append(c.active, p)
 	c.n++
 	if len(c.active) >= c.blockLen {
@@ -82,10 +81,9 @@ func (c *compPoints) push(p series.Point) []series.Point {
 		c.seal()
 	}
 	if c.capacity > 0 && c.n > c.capacity && len(c.segs) > 0 {
-		//nyquist:allow-alloc eviction happens at capacity, once per sealed block
-		return c.evictOldest()
+		return c.evictOldest(), true
 	}
-	return nil
+	return Block{}, false
 }
 
 // seal compresses the active run into a segment. memSeries.append admits
@@ -96,7 +94,7 @@ func (c *compPoints) seal() {
 	if len(c.active) == 0 {
 		return
 	}
-	blk, err := encodeBlockPooled(c.active)
+	blk, err := EncodeBlock(c.active)
 	if err != nil {
 		panic("tsdb: sealing an accepted run: " + err.Error())
 	}
@@ -117,19 +115,16 @@ func (c *compPoints) takeSealed() []Block {
 	return out
 }
 
-// evictOldest decodes and removes the oldest sealed segment, returning
-// its points (reusable buffer). The segment's cache key is queued for
-// invalidation (see takeEvictedSeqs).
-func (c *compPoints) evictOldest() []series.Point {
+// evictOldest removes and returns the oldest sealed segment. Its cache
+// key is queued for invalidation (see takeEvictedSeqs).
+func (c *compPoints) evictOldest() Block {
 	seg := c.segs[0]
 	copy(c.segs, c.segs[1:])
 	c.segs[len(c.segs)-1] = pointSeg{}
 	c.segs = c.segs[:len(c.segs)-1]
 	c.evictedSeqs = append(c.evictedSeqs, seg.seq)
-	c.evbuf = c.evbuf[:0]
-	seg.each(func(p series.Point) { c.evbuf = append(c.evbuf, p) })
 	c.n -= seg.Len()
-	return c.evbuf
+	return seg.Block
 }
 
 // takeEvictedSeqs drains the queue of cache keys whose segments left
@@ -209,14 +204,13 @@ type compBuckets struct {
 	segs     []bucketBlock
 	active   []bucket
 	n        int
-	evbuf    []bucket
 }
 
 func (c *compBuckets) size() int { return c.n }
 
-// push appends one finalized bucket, returning evicted buckets (oldest
-// first, reusable buffer) once capacity is exceeded.
-func (c *compBuckets) push(b bucket) []bucket {
+// push appends one finalized bucket, handing back the oldest sealed
+// block once capacity is exceeded.
+func (c *compBuckets) push(b bucket) (evicted bucketBlock, ok bool) {
 	c.active = append(c.active, b)
 	c.n++
 	if len(c.active) >= c.blockLen {
@@ -224,10 +218,9 @@ func (c *compBuckets) push(b bucket) []bucket {
 		c.seal()
 	}
 	if c.capacity > 0 && c.n > c.capacity && len(c.segs) > 0 {
-		//nyquist:allow-alloc eviction happens at capacity, once per sealed block
-		return c.evictOldest()
+		return c.evictOldest(), true
 	}
-	return nil
+	return bucketBlock{}, false
 }
 
 // seal compresses the active run into a bucket block. As with the raw
@@ -237,7 +230,7 @@ func (c *compBuckets) seal() {
 	if len(c.active) == 0 {
 		return
 	}
-	blk, err := encodeBucketBlockPooled(c.active)
+	blk, err := encodeBucketBlock(c.active)
 	if err != nil {
 		panic("tsdb: sealing finalized buckets: " + err.Error())
 	}
@@ -245,15 +238,13 @@ func (c *compBuckets) seal() {
 	c.active = c.active[:0]
 }
 
-func (c *compBuckets) evictOldest() []bucket {
+func (c *compBuckets) evictOldest() bucketBlock {
 	seg := c.segs[0]
 	copy(c.segs, c.segs[1:])
 	c.segs[len(c.segs)-1] = bucketBlock{}
 	c.segs = c.segs[:len(c.segs)-1]
-	c.evbuf = c.evbuf[:0]
-	_ = seg.each(func(b bucket) { c.evbuf = append(c.evbuf, b) }) // decode errors impossible for self-encoded blocks
 	c.n -= seg.n
-	return c.evbuf
+	return seg
 }
 
 // bounds returns the oldest bucket start and newest coverage end.

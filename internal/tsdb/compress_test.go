@@ -3,6 +3,7 @@ package tsdb
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -208,6 +209,81 @@ func TestCompressedRetune(t *testing.T) {
 		if a.Min > a.Max || a.Mean < a.Min-1e-9 || a.Mean > a.Max+1e-9 {
 			t.Fatalf("bucket summary inconsistent after retune: %+v", a)
 		}
+	}
+}
+
+// TestRetuneUnchangedRateIsFree pins what live estimators rely on: they
+// re-record a series' rate on every clean emission, mostly the rate it
+// already has. Such a call must leave the tier grid exactly as it was —
+// width, open bucket and the cached adjacent grid start that keeps the
+// next bucket off Truncate's division — so a store retuned redundantly
+// holds the same buckets as one that was not; and a retune that does
+// change the rate rewrites the widths in place, without allocating.
+func TestRetuneUnchangedRateIsFree(t *testing.T) {
+	cfg := Config{
+		Shards:    1,
+		Retention: RetentionConfig{RawCapacity: 32, TierCapacity: 64, Tiers: 2, Fanout: 4, CompressBlock: 8},
+	}
+	plain, noisy := New(cfg), New(cfg)
+	const id = "host/metric"
+	start := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
+	for i := 0; i < 1500; i++ {
+		p := series.Point{Time: start.Add(time.Duration(i) * time.Second), Value: float64(i%17) / 4}
+		plain.Append(id, p)
+		noisy.Append(id, p)
+		if i == 400 || i == 900 {
+			rate := 0.5 / float64(i/100)
+			plain.SetNyquistRate(id, rate)
+			noisy.SetNyquistRate(id, rate)
+		}
+		if i > 400 && i%8 == 0 {
+			noisy.SetNyquistRate(id, noisy.NyquistRate(id))
+		}
+	}
+	m := noisy.shards[0].series[id]
+	type grid struct {
+		width time.Duration
+		next  time.Time
+		cur   bucket
+	}
+	grids := func() (out []grid) {
+		for _, tr := range m.tiers {
+			out = append(out, grid{tr.width, tr.next, tr.cur})
+		}
+		return out
+	}
+	before := grids()
+	if len(before) != 2 || !before[0].cur.start.After(start) || before[0].next.IsZero() {
+		t.Fatalf("precondition: tier 0 should hold an open bucket with a cached next grid start: %+v", before)
+	}
+	noisy.SetNyquistRate(id, m.nyquist)
+	for k, g := range grids() {
+		if g != before[k] {
+			t.Fatalf("tier %d moved across a no-op retune:\n got %+v\nwant %+v", k, g, before[k])
+		}
+	}
+	a, err := plain.Full(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := noisy.Full(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("redundant retunes changed the stored buckets: %d vs %d points", len(a.Points), len(b.Points))
+	}
+
+	rates := [2]float64{0.05, 0.07}
+	i := 0
+	if allocs := testing.AllocsPerRun(200, func() {
+		noisy.SetNyquistRate(id, rates[i%2])
+		i++
+	}); allocs != 0 {
+		t.Fatalf("a retune allocates %.1f times, want 0", allocs)
+	}
+	if m.tiers[0].width != m.baseWidth(&noisy.cfg.Retention) || m.tiers[1].width != 4*m.tiers[0].width {
+		t.Fatalf("in-place retune left widths %v, %v", m.tiers[0].width, m.tiers[1].width)
 	}
 }
 

@@ -1,6 +1,9 @@
 package tsdb
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -176,16 +179,35 @@ func checkQueryResult(t *testing.T, res *QueryResult, from, to time.Time, budget
 	}
 }
 
-// FuzzBlockRoundTrip drives the Gorilla point codec with fuzzer-chosen
-// timestamp gaps (spanning nanosecond jitter to decade shifts, including
-// deliberate out-of-order attempts) and raw float64 bit patterns, and
-// checks the codec's whole contract:
+// blockFuzzRecord is one 12-byte FuzzBlockRoundTrip record: a flag byte,
+// a 3-byte gap and 8 value bytes.
+func blockFuzzRecord(flags byte, gap uint32, value uint64) []byte {
+	rec := []byte{flags, byte(gap >> 16), byte(gap >> 8), byte(gap)}
+	return binary.BigEndian.AppendUint64(rec, value)
+}
+
+// decimalFuzzValue is the value a record with the decimal flag carries:
+// exponent byte 0 (mod 13), then a signed 56-bit mantissa.
+func decimalFuzzValue(exp byte, mant int64) uint64 {
+	return uint64(exp)<<56 | uint64(mant)&(1<<56-1)
+}
+
+// FuzzBlockRoundTrip drives the point codec with fuzzer-chosen timestamp
+// gaps (spanning nanosecond jitter to decade shifts, including deliberate
+// out-of-order attempts) and values, and checks the codec's whole
+// contract:
 //
-//   - accepted points decode back bit-exactly (same UnixNano instant,
-//     identical value bits — NaN payloads included),
-//   - a decreasing timestamp is rejected with ErrOutOfOrder and leaves
-//     the block untouched,
-//   - block metadata (Len, First, Last) matches the accepted points.
+//   - an ordered run decodes back bit-exactly (same UnixNano instant,
+//     identical value bits — NaN payloads included), straight from the
+//     encoder and again through RebuildBlock,
+//   - a run with a decreasing timestamp is refused with ErrOutOfOrder,
+//   - block metadata (Len, First, Last) matches the run,
+//   - the payload is at most one tag byte larger than the run's XOR form.
+//
+// Flag bit 0 negates the gap, bits 1–2 scale it, and bit 3 reads the 8
+// value bytes as a decimal m/10^e instead of raw float64 bits (bit 4
+// narrows m to 16 bits) — random bit patterns never form a decimal
+// column, so without it the fuzzer could not reach that half of the codec.
 func FuzzBlockRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x01, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0})
@@ -195,13 +217,42 @@ func FuzzBlockRoundTrip(f *testing.F) {
 		seed = append(seed, 0x02, 0x00, 0x00, byte(i), 0x7f, 0xf8, 0, 0, 0, 0, 0, byte(i))
 	}
 	f.Add(seed) // NaN payload walk on a near-regular microsecond grid
+	const sec, dec, narrow = 0x04, 0x08, 0x10
+	run := func(recs ...[]byte) []byte { return bytes.Join(recs, nil) }
+	// A two-decimal gauge at 1 Hz: the column the decimal mode exists for.
+	gauge := make([][]byte, 40)
+	for i := range gauge {
+		gauge[i] = blockFuzzRecord(sec|dec, 1, decimalFuzzValue(2, 4200+int64(i*i%97)-48))
+	}
+	f.Add(run(gauge...))
+	// The same run with one value the decimal column must refuse, each in turn.
+	for _, odd := range []uint64{
+		math.Float64bits(math.Copysign(0, -1)),
+		math.Float64bits(math.NaN()),
+		math.Float64bits(math.Inf(1)),
+		math.Float64bits(math.Inf(-1)),
+		math.Float64bits(math.Pi),
+	} {
+		f.Add(run(run(gauge[:20]...), blockFuzzRecord(sec, 1, odd), run(gauge[20:]...)))
+	}
+	// Mantissas at the decimal range's edge and at float64's integer edge.
+	for _, m := range []int64{1<<51 - 2, 1<<51 - 1, 1 << 51, -(1 << 51), 1 << 53, 1<<53 + 1} {
+		f.Add(run(blockFuzzRecord(sec|dec, 1, decimalFuzzValue(0, m)), blockFuzzRecord(sec|dec, 1, decimalFuzzValue(0, m-1)), gauge[0]))
+		f.Add(run(blockFuzzRecord(sec|dec, 1, decimalFuzzValue(3, m)), blockFuzzRecord(sec|dec, 1, decimalFuzzValue(3, -m))))
+	}
+	// Runs of length 1 and 2, a flat column, and mixed exponents.
+	f.Add(run(gauge[0]))
+	f.Add(run(gauge[0], gauge[1]))
+	f.Add(run(gauge[3], gauge[3], gauge[3], gauge[3]))
+	f.Add(run(blockFuzzRecord(sec|dec|narrow, 1, decimalFuzzValue(0, 7<<40)), blockFuzzRecord(sec|dec|narrow, 1, decimalFuzzValue(12, 9<<40)),
+		blockFuzzRecord(sec|dec, 1, decimalFuzzValue(5, 123456789))))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b := NewBlockBuilder()
 		var want []series.Point
 		nano := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC).UnixNano()
 		last := nano
-		// 12-byte records: 1 flag byte, 3-byte gap, 8-byte value bits.
+		checkedReject := false
+		// 12-byte records: 1 flag byte, 3-byte gap, 8-byte value.
 		for i := 0; i+12 <= len(data); i += 12 {
 			flags := data[i]
 			gap := int64(data[i+1])<<16 | int64(data[i+2])<<8 | int64(data[i+3])
@@ -219,53 +270,135 @@ func FuzzBlockRoundTrip(f *testing.F) {
 				gap = -gap // an out-of-order (or duplicate) attempt
 			}
 			nano += gap // deliberate wrap-around is fine: it must be rejected below
-			var vbits uint64
-			for k := 0; k < 8; k++ {
-				vbits = vbits<<8 | uint64(data[i+4+k])
-			}
+			vbits := binary.BigEndian.Uint64(data[i+4:])
 			v := math.Float64frombits(vbits)
-			// An empty block accepts any starting timestamp; ordering
-			// only binds from the second point on.
-			wantReject := b.Len() > 0 && nano < last
-			err := b.Append(time.Unix(0, nano), v)
-			if wantReject {
-				if err != ErrOutOfOrder {
-					t.Fatalf("append at %d after %d: got %v, want ErrOutOfOrder", nano, last, err)
+			if flags&0x08 != 0 {
+				mant := int64(vbits<<8) >> 8
+				if flags&0x10 != 0 {
+					mant >>= 40
 				}
-				nano = last // the builder must be untouched; resync our mirror
+				v = float64(mant) / pow10[vbits>>56%(maxDecimalExp+1)]
+			}
+			p := series.Point{Time: time.Unix(0, nano), Value: v}
+			// An empty run accepts any starting timestamp; ordering only
+			// binds from the second point on.
+			if len(want) > 0 && nano < last {
+				if !checkedReject { // once per input: the check re-encodes the run
+					checkedReject = true
+					if _, err := EncodeBlock(append(want[:len(want):len(want)], p)); err != ErrOutOfOrder {
+						t.Fatalf("run ending at %d after %d: got %v, want ErrOutOfOrder", nano, last, err)
+					}
+				}
+				nano = last
 				continue
 			}
-			if err != nil {
-				t.Fatalf("in-order append at %d: %v", nano, err)
-			}
 			last = nano
-			want = append(want, series.Point{Time: time.Unix(0, nano), Value: v})
+			want = append(want, p)
 		}
-		blk := b.Finish()
+		blk, err := EncodeBlock(want)
+		if err != nil {
+			t.Fatalf("encoding an ordered run: %v", err)
+		}
 		if blk.Len() != len(want) {
 			t.Fatalf("block len %d, want %d", blk.Len(), len(want))
 		}
-		got, err := blk.Points(nil)
+		if xor := len(xorOnlyPayload(want)); blk.Size() > xor+1 {
+			t.Fatalf("payload is %d bytes, the run's XOR form %d", blk.Size(), xor)
+		}
+		if len(want) == 0 {
+			return
+		}
+		rebuilt, err := RebuildBlock(blk.Data(), blk.Len())
 		if err != nil {
-			t.Fatalf("decode: %v", err)
+			t.Fatalf("rebuild: %v", err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("decoded %d points, want %d", len(got), len(want))
-		}
-		for i := range want {
-			if !got[i].Time.Equal(want[i].Time) {
-				t.Fatalf("point %d: time %v, want %v", i, got[i].Time, want[i].Time)
+		for _, b := range []Block{blk, rebuilt} {
+			got, err := b.Points(nil)
+			if err != nil {
+				t.Fatalf("decode: %v", err)
 			}
-			if math.Float64bits(got[i].Value) != math.Float64bits(want[i].Value) {
-				t.Fatalf("point %d: value bits %016x, want %016x",
-					i, math.Float64bits(got[i].Value), math.Float64bits(want[i].Value))
+			if len(got) != len(want) {
+				t.Fatalf("decoded %d points, want %d", len(got), len(want))
 			}
-		}
-		if len(want) > 0 {
-			if !blk.First().Equal(want[0].Time) || !blk.Last().Equal(want[len(want)-1].Time) {
+			for i := range want {
+				if !got[i].Time.Equal(want[i].Time) {
+					t.Fatalf("point %d: time %v, want %v", i, got[i].Time, want[i].Time)
+				}
+				if math.Float64bits(got[i].Value) != math.Float64bits(want[i].Value) {
+					t.Fatalf("point %d: value bits %016x, want %016x",
+						i, math.Float64bits(got[i].Value), math.Float64bits(want[i].Value))
+				}
+			}
+			if !b.First().Equal(want[0].Time) || !b.Last().Equal(want[len(want)-1].Time) {
 				t.Fatalf("block bounds [%v, %v], want [%v, %v]",
-					blk.First(), blk.Last(), want[0].Time, want[len(want)-1].Time)
+					b.First(), b.Last(), want[0].Time, want[len(want)-1].Time)
 			}
+		}
+	})
+}
+
+// FuzzBlockDecode feeds arbitrary bytes and entry counts to both block
+// decoders. Each must come back with ErrCorruptBlock or a block — never a
+// panic, never a read past the payload (which Go would turn into one) —
+// and must stop within the count it was given.
+func FuzzBlockDecode(f *testing.F) {
+	at := func(i int) time.Time { return blockEpoch.Add(time.Duration(i) * time.Second) }
+	pts := make([]series.Point, 24)
+	bks := make([]bucket, 24)
+	for i := range pts {
+		v := float64(4200+i*i%97) / 100
+		pts[i] = series.Point{Time: at(i), Value: v}
+		bks[i] = bucket{start: at(4 * i), end: at(4*i + 4), min: v - 1, max: v + 1, sum: 4*v + 0.1, count: 4}
+	}
+	for _, decimal := range []bool{true, false} {
+		if !decimal {
+			pts[7].Value, bks[7].min, bks[8].max, bks[9].sum = math.Pi, math.Pi, math.Pi, math.Pi
+		}
+		blk, err := EncodeBlock(pts)
+		if err != nil {
+			f.Fatal(err)
+		}
+		bb, err := encodeBucketBlock(bks)
+		if err != nil {
+			f.Fatal(err)
+		}
+		// The first column header follows the tag byte and the verbatim
+		// 64-bit fields: start (and, for buckets, width).
+		for header, payload := range map[int][]byte{9: blk.Data(), 17: bb.data} {
+			f.Add(payload, uint16(len(pts)))
+			f.Add(payload, uint16(len(pts)+1))
+			f.Add(payload[:len(payload)/2], uint16(len(pts)))
+			// Every column claims decimal; then the header declares an
+			// exponent, a delta width and a tag the format does not have.
+			for _, edit := range []struct {
+				at int
+				to byte
+			}{{0, 0x07}, {header, 0xf0}, {header, 0x0f}, {0, 0x08}, {0, 0xff}} {
+				bad := append([]byte(nil), payload...)
+				bad[edit.at] = edit.to
+				f.Add(bad, uint16(len(pts)))
+			}
+		}
+	}
+	f.Add([]byte{}, uint16(1))
+	f.Add([]byte{1}, uint16(3))
+
+	f.Fuzz(func(t *testing.T, data []byte, n uint16) {
+		if blk, err := RebuildBlock(data, int(n)); err == nil {
+			got, err := blk.Points(nil)
+			if err != nil || len(got) != int(n) {
+				t.Fatalf("rebuilt block of %d points decodes to %d, %v", n, len(got), err)
+			}
+		} else if !errors.Is(err, ErrCorruptBlock) {
+			t.Fatalf("RebuildBlock: %v, want ErrCorruptBlock", err)
+		}
+		seen := 0
+		err := bucketBlock{data: data, n: int(n)}.each(func(bucket) { seen++ })
+		if err == nil && seen != int(n) || seen > int(n) {
+			t.Fatalf("bucket decoder emitted %d of %d buckets, err %v", seen, n, err)
+		}
+		if err != nil && !errors.Is(err, ErrCorruptBlock) {
+			t.Fatalf("bucket decoder: %v, want ErrCorruptBlock", err)
 		}
 	})
 }

@@ -172,10 +172,19 @@ func (m *memSeries) append(p series.Point, rc *RetentionConfig) error {
 	m.lastTime = p.Time
 	m.haveLast = true
 	m.appends++
-	for _, ev := range m.raw.push(p) {
-		m.compact(ev, rc)
-	}
+	m.pushRaw(p, rc)
 	return nil
+}
+
+// pushRaw lands p in the raw store, cascading the block it evicts (if
+// any) point by point into the first tier.
+func (m *memSeries) pushRaw(p series.Point, rc *RetentionConfig) {
+	if seg, ok := m.raw.push(p); ok {
+		it := seg.Iter()
+		for it.Next() {
+			m.compact(it.Point(), rc)
+		}
+	}
 }
 
 // compact cascades one evicted raw point into the first tier (or counts
@@ -230,17 +239,30 @@ func (m *memSeries) ingest(k int, b bucket) {
 			return
 		}
 	}
-	for _, ev := range t.push(t.cur) {
-		if k+1 < len(m.tiers) {
-			m.ingest(k+1, ev)
-		} else {
-			m.dropped += ev.count
-		}
-	}
+	m.pushBucket(k, t.cur)
 	b.start = gridStart
 	b.end = gridStart.Add(t.width)
 	t.cur = b
 	t.next = gridStart.Add(t.width)
+}
+
+// pushBucket finalizes b into tier k, cascading the block it evicts (if
+// any) into tier k+1; past the last tier the block's samples are counted
+// dropped from its metadata, without a decode. Self-encoded blocks cannot
+// fail to decode, so the iterators' errors are not consulted.
+func (m *memSeries) pushBucket(k int, b bucket) {
+	seg, ok := m.tiers[k].push(b)
+	if !ok {
+		return
+	}
+	if k+1 >= len(m.tiers) {
+		m.dropped += seg.samples
+		return
+	}
+	it := seg.iter()
+	for it.next() {
+		m.ingest(k+1, it.bucket())
+	}
 }
 
 // ensureTiers lazily creates the downsampled tiers on first compaction,
@@ -251,37 +273,36 @@ func (m *memSeries) ensureTiers(rc *RetentionConfig) {
 		return
 	}
 	m.tiers = make([]*tier, rc.Tiers)
-	widths := m.tierWidths(rc)
+	w := m.baseWidth(rc)
 	for i := range m.tiers {
-		m.tiers[i] = newTier(widths[i], rc)
+		m.tiers[i] = newTier(w, rc)
+		w = widen(w, rc.Fanout)
 	}
 }
 
 // retune updates existing tier widths after a Nyquist estimate change;
-// future buckets use the new grid, retained buckets are left as written.
+// future buckets use the new grid, retained and open buckets keep the
+// coverage they were written with.
 func (m *memSeries) retune(rc *RetentionConfig) {
-	if m.tiers == nil {
-		return
-	}
-	// Open and retained buckets keep the coverage they were written
-	// with; only buckets opened from here on use the new grid.
-	widths := m.tierWidths(rc)
-	for i, t := range m.tiers {
-		t.width = widths[i]
-		// The open bucket still sits on the old grid; drop the cached
-		// adjacent grid start so ingest recomputes via Truncate until a
-		// bucket opens on the new grid.
-		t.next = time.Time{}
+	w := m.baseWidth(rc)
+	for _, t := range m.tiers {
+		if t.width != w {
+			t.width = w
+			// The open bucket still sits on the old grid; drop the cached
+			// adjacent grid start so ingest recomputes via Truncate until a
+			// bucket opens on the new grid.
+			t.next = time.Time{}
+		}
+		w = widen(w, rc.Fanout)
 	}
 }
 
-// tierWidths derives the bucket width of every tier. The first tier is
+// baseWidth derives the first tier's bucket width. The first tier is
 // lossless with respect to the estimated Nyquist rate: its bucket rate is
-// Headroom × rate, i.e. at least 2·f_max. Each deeper tier widens by the
-// integer fan-out, keeping the grids nested. While no estimate exists the
+// Headroom × rate, i.e. at least 2·f_max. While no estimate exists the
 // native inter-sample interval stands in, making the first tier lossless
 // with respect to whatever is actually being polled.
-func (m *memSeries) tierWidths(rc *RetentionConfig) []time.Duration {
+func (m *memSeries) baseWidth(rc *RetentionConfig) time.Duration {
 	var base time.Duration
 	if m.nyquist > 0 {
 		base = time.Duration(float64(time.Second) / (rc.Headroom * m.nyquist))
@@ -292,20 +313,16 @@ func (m *memSeries) tierWidths(rc *RetentionConfig) []time.Duration {
 	if base <= 0 {
 		base = time.Second
 	}
-	if base > maxTierWidth {
-		base = maxTierWidth
+	return min(base, maxTierWidth)
+}
+
+// widen is the next deeper tier's width: the integer fan-out keeps the
+// grids nested, up to the maxTierWidth cap.
+func widen(w time.Duration, fanout int) time.Duration {
+	if w < maxTierWidth/time.Duration(fanout) {
+		return w * time.Duration(fanout)
 	}
-	widths := make([]time.Duration, rc.Tiers)
-	w := base
-	for i := range widths {
-		widths[i] = w
-		if w < maxTierWidth/time.Duration(rc.Fanout) {
-			w *= time.Duration(rc.Fanout)
-		} else {
-			w = maxTierWidth
-		}
-	}
-	return widths
+	return maxTierWidth
 }
 
 // retained counts currently held points: raw samples plus finalized and
@@ -323,16 +340,16 @@ func (m *memSeries) buckets() int {
 	return n
 }
 
-// compressedFootprint sums the sealed compressed payload across the raw
-// store and all tiers: bytes on the wire and the entries they hold.
-func (m *memSeries) compressedFootprint() (bytes, entries int64) {
-	bytes, entries = m.raw.compressedFootprint()
+// tierFootprint sums the sealed compressed payload across all tiers:
+// bytes and the buckets they hold (the raw store's own is
+// m.raw.compressedFootprint).
+func (m *memSeries) tierFootprint() (bytes, buckets int64) {
 	for _, t := range m.tiers {
 		b, n := t.compressedFootprint()
 		bytes += b
-		entries += n
+		buckets += n
 	}
-	return bytes, entries
+	return bytes, buckets
 }
 
 // stats builds the operator view of this series.
@@ -345,7 +362,9 @@ func (m *memSeries) stats(id string) SeriesStats {
 		Dropped:     m.dropped,
 		RawPoints:   m.raw.size(),
 	}
-	st.CompressedBytes, _ = m.compressedFootprint()
+	rawBytes, _ := m.raw.compressedFootprint()
+	tierBytes, _ := m.tierFootprint()
+	st.CompressedBytes = rawBytes + tierBytes
 	if oldest, newest, ok := m.raw.bounds(); ok {
 		st.RawOldest = oldest
 		st.RawNewest = newest

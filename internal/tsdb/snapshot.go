@@ -139,19 +139,12 @@ func (db *DB) RestoreSeries(s SeriesSnapshot) {
 			m.tiers[k] = newTier(s.Tiers[k].Width, rc)
 		}
 		for k := len(s.Tiers) - 1; k >= 0; k-- {
-			t := m.tiers[k]
 			for _, bs := range s.Tiers[k].Buckets {
-				for _, ev := range t.push(bs.bucket()) {
-					if k+1 < len(m.tiers) {
-						m.ingest(k+1, ev)
-					} else {
-						m.dropped += ev.count
-					}
-				}
+				m.pushBucket(k, bs.bucket())
 			}
 			if s.Tiers[k].Cur != nil {
-				t.cur = s.Tiers[k].Cur.bucket()
-				t.curSet = true
+				m.tiers[k].cur = s.Tiers[k].Cur.bucket()
+				m.tiers[k].curSet = true
 			}
 		}
 	}
@@ -168,9 +161,7 @@ func (db *DB) RestoreSeries(s SeriesSnapshot) {
 	// sealed during restore are already covered by the snapshot, so
 	// their hook queue is discarded, not replayed into the WAL.
 	for _, p := range s.Active {
-		for _, ev := range m.raw.push(p) {
-			m.compact(ev, rc)
-		}
+		m.pushRaw(p, rc)
 	}
 	m.raw.takeSealed()
 

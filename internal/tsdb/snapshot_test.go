@@ -82,13 +82,14 @@ func TestSealHook(t *testing.T) {
 
 // TestRebuildBlock round-trips a sealed block through its persisted form.
 func TestRebuildBlock(t *testing.T) {
-	b := NewBlockBuilder()
-	for i := 0; i < 100; i++ {
-		if err := b.Append(snapStart.Add(time.Duration(i)*30*time.Second), float64(i%7)); err != nil {
-			t.Fatal(err)
-		}
+	pts := make([]series.Point, 100)
+	for i := range pts {
+		pts[i] = series.Point{Time: snapStart.Add(time.Duration(i) * 30 * time.Second), Value: float64(i % 7)}
 	}
-	blk := b.Finish()
+	blk, err := EncodeBlock(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	re, err := RebuildBlock(blk.Data(), blk.Len())
 	if err != nil {
 		t.Fatalf("RebuildBlock: %v", err)

@@ -256,10 +256,10 @@ func (d *Durable) recover() error {
 		if idx < fromSeg {
 			continue
 		}
-		records, torn, err := replayFile(filepath.Join(d.dir, segName(idx)), segMagic, func(typ byte, payload []byte) error {
+		records, torn, err := replayFile(filepath.Join(d.dir, segName(idx)), segMagic, func(ver uint64, typ byte, payload []byte) error {
 			switch typ {
 			case recBlock:
-				r, err := decodeBlockRec(payload)
+				r, err := decodeBlockRec(payload, ver)
 				if err != nil {
 					return err
 				}
@@ -363,7 +363,9 @@ func (d *Durable) rewarmTails() map[string][]series.Point {
 // (or failing any record CRC) is reported invalid, not an error: the
 // caller falls back to the previous one. The whole file is decoded
 // before anything is applied, so a half-written snapshot never leaves a
-// half-restored store.
+// half-restored store. A snapshot from a newer format is an error
+// (ErrVersion), not a fallback: an older snapshot plus the segments that
+// survive it would come up as a silently incomplete store.
 func (d *Durable) loadSnapshot(idx uint64, watermark map[string]time.Time) (snapHeader, bool, error) {
 	var (
 		header   snapHeader
@@ -373,17 +375,20 @@ func (d *Durable) loadSnapshot(idx uint64, watermark map[string]time.Time) (snap
 		footer   *snapFooter
 		parseErr error
 	)
-	_, torn, err := replayFile(filepath.Join(d.dir, snapName(idx)), snapMagic, func(typ byte, payload []byte) error {
+	_, torn, err := replayFile(filepath.Join(d.dir, snapName(idx)), snapMagic, func(_ uint64, typ byte, payload []byte) error {
 		switch typ {
 		case recSnapHeader:
 			h, err := decodeSnapHeader(payload)
+			if errors.Is(err, ErrVersion) {
+				return err
+			}
 			if err != nil {
 				parseErr = err
 				return err
 			}
 			header, haveHdr = h, true
 		case recSnapSeries:
-			s, err := decodeSeriesSnap(payload)
+			s, err := decodeSeriesSnap(payload, header.version)
 			if err != nil {
 				parseErr = err
 				return err
@@ -407,7 +412,7 @@ func (d *Durable) loadSnapshot(idx uint64, watermark map[string]time.Time) (snap
 		return nil
 	})
 	if err != nil && parseErr == nil {
-		return snapHeader{}, false, err
+		return snapHeader{}, false, fmt.Errorf("wal: loading %s: %w", snapName(idx), err)
 	}
 	if parseErr != nil || torn || !haveHdr || footer == nil ||
 		footer.series != uint64(len(seriesS)) || footer.states != uint64(len(statesS)) {
@@ -467,7 +472,7 @@ func (d *Durable) snapshotLocked() error {
 	writeRec := func(typ byte, e *enc) error { return frame(w, typ, e.b) }
 
 	e := &enc{}
-	encodeSnapHeader(e, snapHeader{version: 1, nextSeg: nextSeg})
+	encodeSnapHeader(e, snapHeader{version: payloadVersion, nextSeg: nextSeg})
 	if err := writeRec(recSnapHeader, e); err != nil {
 		f.Close()
 		return err
@@ -557,7 +562,7 @@ func (d *Durable) Scrub() (checked, corrupt int) {
 			continue // compacted away behind a snapshot
 		}
 		checked++
-		_, torn, err := replayFile(path, segMagic, func(byte, []byte) error { return nil })
+		_, torn, err := replayFile(path, segMagic, func(uint64, byte, []byte) error { return nil })
 		switch {
 		case err != nil:
 			corrupt++
@@ -589,19 +594,20 @@ func (d *Durable) Scrub() (checked, corrupt int) {
 // header, per-record CRCs, and a footer whose counts match.
 func verifySnapshotFile(path string) bool {
 	var (
+		header           snapHeader
 		haveHdr          bool
 		nSeries, nStates uint64
 		footer           *snapFooter
 		bad              bool
 	)
-	_, torn, err := replayFile(path, snapMagic, func(typ byte, payload []byte) error {
+	_, torn, err := replayFile(path, snapMagic, func(_ uint64, typ byte, payload []byte) error {
 		var derr error
 		switch typ {
 		case recSnapHeader:
-			_, derr = decodeSnapHeader(payload)
+			header, derr = decodeSnapHeader(payload)
 			haveHdr = derr == nil
 		case recSnapSeries:
-			_, derr = decodeSeriesSnap(payload)
+			_, derr = decodeSeriesSnap(payload, header.version)
 			nSeries++
 		case recSnapState:
 			_, derr = decodeStateRec(payload)

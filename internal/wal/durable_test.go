@@ -297,7 +297,7 @@ func TestSnapshotVerbatimSegmentTag(t *testing.T) {
 	}
 	e := enc{}
 	encodeSeriesSnap(&e, tsdb.SeriesSnapshot{ID: "ext/dev00/metric", Raw: []tsdb.Block{blk}})
-	s, err := decodeSeriesSnap(e.b)
+	s, err := decodeSeriesSnap(e.b, payloadVersion)
 	if err != nil || len(s.Raw) != 1 || s.Raw[0].Len() != 2 {
 		t.Fatalf("block-tagged segment: %d segments, err %v", len(s.Raw), err)
 	}
@@ -317,7 +317,7 @@ func TestSnapshotVerbatimSegmentTag(t *testing.T) {
 	encodePoints(&verbatim, []series.Point{{Time: walStart, Value: 1}})
 	encodePoints(&verbatim, nil) // Active
 	verbatim.uvarint(0)          // Tiers
-	if _, err := decodeSeriesSnap(verbatim.b); err == nil || !strings.Contains(err.Error(), `"ext/dev00/metric"`) {
+	if _, err := decodeSeriesSnap(verbatim.b, payloadVersion); err == nil || !strings.Contains(err.Error(), `"ext/dev00/metric"`) {
 		t.Fatalf("verbatim-tagged segment: err = %v, want an error naming the series", err)
 	}
 }

@@ -25,18 +25,28 @@ func encodeBlockRec(e *enc, r blockRec) {
 	e.bytes(r.blk.Data())
 }
 
-// decodeBlockRec rebuilds the block, copying its payload out of the
-// replay buffer (the buffer is reused record to record, but a rebuilt
-// Block retains its data slice for the life of the store).
-func decodeBlockRec(payload []byte) (blockRec, error) {
+// decodeBlock reads one persisted block — point count, then payload —
+// written at payload version ver. The payload is copied out of the replay
+// buffer (the buffer is reused record to record, but a rebuilt Block
+// retains its data slice for the life of the store); a version-1 payload
+// gains the zero tag byte that makes it a version-2 XOR payload.
+func decodeBlock(d *dec, ver uint64) (tsdb.Block, error) {
+	n := int(d.uvarint())
+	payload := d.bytes()
+	if err := d.err(); err != nil {
+		return tsdb.Block{}, err
+	}
+	data := make([]byte, 0, len(payload)+1)
+	if ver == 1 {
+		data = append(data, 0)
+	}
+	return tsdb.RebuildBlock(append(data, payload...), n)
+}
+
+func decodeBlockRec(payload []byte, ver uint64) (blockRec, error) {
 	d := dec{b: payload}
 	id := d.str()
-	n := int(d.uvarint())
-	data := append([]byte(nil), d.bytes()...)
-	if err := d.err(); err != nil {
-		return blockRec{}, err
-	}
-	blk, err := tsdb.RebuildBlock(data, n)
+	blk, err := decodeBlock(&d, ver)
 	if err != nil {
 		return blockRec{}, fmt.Errorf("block record for %q: %w", id, err)
 	}
@@ -108,7 +118,9 @@ func encodeSeriesSnap(e *enc, s tsdb.SeriesSnapshot) {
 	}
 }
 
-func decodeSeriesSnap(payload []byte) (tsdb.SeriesSnapshot, error) {
+// decodeSeriesSnap reads one series record of a snapshot whose blocks are
+// at payload version ver.
+func decodeSeriesSnap(payload []byte, ver uint64) (tsdb.SeriesSnapshot, error) {
 	d := dec{b: payload}
 	s := tsdb.SeriesSnapshot{}
 	s.ID = d.str()
@@ -128,12 +140,10 @@ func decodeSeriesSnap(payload []byte) (tsdb.SeriesSnapshot, error) {
 		if !d.bool() && d.err() == nil {
 			return s, fmt.Errorf("snapshot series %q: raw segment %d is a verbatim point segment, which the store no longer holds", s.ID, i)
 		}
-		n := int(d.uvarint())
-		data := append([]byte(nil), d.bytes()...)
+		blk, err := decodeBlock(&d, ver)
 		if d.err() != nil {
 			break
 		}
-		blk, err := tsdb.RebuildBlock(data, n)
 		if err != nil {
 			return s, fmt.Errorf("snapshot series %q: %w", s.ID, err)
 		}
@@ -213,6 +223,8 @@ func decodeBucket(d *dec) tsdb.BucketSnapshot {
 
 // snapHeader opens a snapshot file.
 type snapHeader struct {
+	// version is the payload version of the blocks in the series records
+	// (see payloadVersion).
 	version uint64
 	// nextSeg is the first segment index NOT covered by the snapshot:
 	// replay resumes there.
@@ -227,7 +239,10 @@ func encodeSnapHeader(e *enc, h snapHeader) {
 func decodeSnapHeader(payload []byte) (snapHeader, error) {
 	d := dec{b: payload}
 	h := snapHeader{version: d.uvarint(), nextSeg: d.uvarint()}
-	return h, d.err()
+	if err := d.err(); err != nil {
+		return h, err
+	}
+	return h, checkVersion("snapshot", h.version, payloadVersion)
 }
 
 // snapFooter closes a snapshot file; its presence (with matching

@@ -51,9 +51,25 @@ const (
 	recSnapFooter byte = 6 // snapshot footer: record counts (completeness proof)
 )
 
+// A framed file opens with an 8-byte magic: a 6-byte family, one version
+// digit and a newline; the constants below carry the newest version this
+// build reads (and the one it writes). A segment's digit is the version
+// of the block payloads in its records; a snapshot carries that version
+// in its header record instead (snapHeader.version), so its container
+// digit stays 1.
+//
+// Payload version 1 is the all-XOR block codec; version 2 puts a tag byte
+// in front of every block payload (see tsdb's block.go). A version-1
+// payload is exactly a version-2 XOR payload without the tag, so replay
+// prepends a zero byte and both go through the one decoder. This build
+// writes version 2 only: a directory is upgraded in place, file by file,
+// and an older build cannot read it back.
 const (
-	segMagic  = "NYQWAL1\n"
+	segMagic  = "NYQWAL2\n"
 	snapMagic = "NYQSNP1\n"
+	// payloadVersion is the block-payload version this build writes:
+	// segMagic's digit.
+	payloadVersion = 2
 	// maxRecordBytes bounds one record so replay of a corrupt length
 	// prefix cannot attempt an absurd allocation.
 	maxRecordBytes = 64 << 20
@@ -64,6 +80,19 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // ErrCorrupt is returned when a segment or snapshot record fails its
 // CRC or decodes to an impossible shape.
 var ErrCorrupt = errors.New("wal: corrupt record")
+
+// ErrVersion is returned for a segment or snapshot written in a format
+// newer than this build reads. It stops recovery: skipping the file as if
+// it were torn would bring the store up without its data.
+var ErrVersion = errors.New("wal: unsupported format version")
+
+// checkVersion refuses a format version outside [1, newest].
+func checkVersion(what string, v, newest uint64) error {
+	if v < 1 || v > newest {
+		return fmt.Errorf("%w: %s is version %d, this build reads 1 to %d", ErrVersion, what, v, newest)
+	}
+	return nil
+}
 
 // LogOptions parameterizes a segment log.
 type LogOptions struct {
@@ -494,11 +523,13 @@ func (l *Log) Stats() LogStats {
 	}
 }
 
-// replayFile walks one framed file (segment or snapshot), calling fn for
-// every intact record. It stops cleanly at a torn tail — a truncated or
+// replayFile walks one framed file (segment or snapshot; magic is the
+// kind's newest), calling fn with the file's own version digit and every
+// intact record. It stops cleanly at a torn tail — a truncated or
 // CRC-failing record, the expected shape after a crash — reporting
-// torn=true; fn errors abort the walk.
-func replayFile(path, magic string, fn func(typ byte, payload []byte) error) (records int64, torn bool, err error) {
+// torn=true; fn errors abort the walk, and so does a version newer than
+// magic's (ErrVersion).
+func replayFile(path, magic string, fn func(ver uint64, typ byte, payload []byte) error) (records int64, torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, false, err
@@ -506,10 +537,15 @@ func replayFile(path, magic string, fn func(typ byte, payload []byte) error) (re
 	defer f.Close()
 	r := bufio.NewReaderSize(f, 1<<20)
 	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(r, head); err != nil || string(head) != magic {
+	digit := len(magic) - 2
+	if _, err := io.ReadFull(r, head); err != nil || string(head[:digit]) != magic[:digit] || head[digit+1] != '\n' {
 		// A missing or wrong magic means the file never finished its
 		// header write (or is foreign); treat as fully torn.
 		return 0, true, nil
+	}
+	ver := uint64(head[digit] - '0')
+	if err := checkVersion(filepath.Base(path), ver, uint64(magic[digit]-'0')); err != nil {
+		return 0, false, err
 	}
 	var hdr [5]byte
 	payload := make([]byte, 0, 64<<10)
@@ -540,7 +576,7 @@ func replayFile(path, magic string, fn func(typ byte, payload []byte) error) (re
 		if crc != binary.LittleEndian.Uint32(tail[:]) {
 			return records, true, nil
 		}
-		if err := fn(typ, payload); err != nil {
+		if err := fn(ver, typ, payload); err != nil {
 			return records, false, err
 		}
 		records++

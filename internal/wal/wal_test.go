@@ -40,7 +40,7 @@ func TestLogRoundTrip(t *testing.T) {
 	}
 	var got []rec
 	for _, idx := range segs {
-		_, torn, err := replayFile(filepath.Join(dir, segName(idx)), segMagic, func(typ byte, payload []byte) error {
+		_, torn, err := replayFile(filepath.Join(dir, segName(idx)), segMagic, func(_ uint64, typ byte, payload []byte) error {
 			got = append(got, rec{typ: typ, payload: append([]byte(nil), payload...)})
 			return nil
 		})
@@ -96,7 +96,7 @@ func TestLogTornTail(t *testing.T) {
 			if err := os.WriteFile(path, mutate(data), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			n, torn, err := replayFile(path, segMagic, func(byte, []byte) error { return nil })
+			n, torn, err := replayFile(path, segMagic, func(uint64, byte, []byte) error { return nil })
 			if err != nil {
 				t.Fatalf("replay errored instead of stopping: %v", err)
 			}
@@ -128,7 +128,7 @@ func TestLogGroupCommit(t *testing.T) {
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	n, _, err := replayFile(filepath.Join(dir, segName(1)), segMagic, func(byte, []byte) error { return nil })
+	n, _, err := replayFile(filepath.Join(dir, segName(1)), segMagic, func(uint64, byte, []byte) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
