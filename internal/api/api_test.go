@@ -167,6 +167,9 @@ func TestServerEndToEnd(t *testing.T) {
 		st.RawCompressedEntries+st.TierCompressedEntries != st.CompressedEntries {
 		t.Fatalf("raw/tier split does not add up to the totals: %+v", st)
 	}
+	if want := srv.Store().Stats().OpenTailBytes; st.OpenTailBytes == 0 || st.OpenTailBytes != want {
+		t.Fatalf("open_tail_bytes = %d, the store reports %d", st.OpenTailBytes, want)
+	}
 
 	// The store really holds the data (not just the estimator).
 	if got := srv.Store().NyquistRate(id); got == 0 {

@@ -274,6 +274,9 @@ type StatsResponse struct {
 	RawCompressedEntries  int64   `json:"raw_compressed_entries"`
 	TierCompressedBytes   int64   `json:"tier_compressed_bytes"`
 	TierCompressedEntries int64   `json:"tier_compressed_entries"`
+	// OpenTailBytes is the memory the uncompressed open tails (unsealed
+	// raw points and tier buckets) hold allocated.
+	OpenTailBytes int64 `json:"open_tail_bytes"`
 	// Cache reports the decoded-block LRU; absent when the cache is
 	// disabled (no CacheBytes budget).
 	Cache *CacheStatsJSON `json:"cache,omitempty"`
@@ -364,6 +367,7 @@ func statsResponseFrom(st tsdb.Stats, est *monitor.IngestEstimator, walStats *wa
 		RawCompressedEntries:    st.RawCompressedEntries,
 		TierCompressedBytes:     st.TierCompressedBytes,
 		TierCompressedEntries:   st.TierCompressedEntries,
+		OpenTailBytes:           st.OpenTailBytes,
 	}
 	if st.CompressedEntries > 0 {
 		out.BytesPerPoint = float64(st.CompressedBytes) / float64(st.CompressedEntries)

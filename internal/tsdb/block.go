@@ -545,7 +545,7 @@ func (c *colDec) value(r *bitReader) float64 {
 // the write side's main GC churn.
 type blockEncoder struct {
 	w     bitWriter
-	nanos []int64 // the run's timestamps (bucket starts), validated
+	nanos []int64 // a raw run's timestamps, validated
 	cols  [3]colEnc
 }
 
@@ -597,17 +597,40 @@ func EncodeBlock(pts []series.Point) (Block, error) {
 		}
 		e.nanos, col.vals = append(e.nanos, nano), append(col.vals, p.Value)
 	}
+	return e.pointBlock(), nil
+}
+
+// encodeTail is EncodeBlock for the raw store's open tail, whose instants
+// are already int64 nanoseconds: only the order is left to refuse.
+func encodeTail(tail []rawPoint) (Block, error) {
+	e := encoderPool.Get().(*blockEncoder)
+	defer encoderPool.Put(e)
+	col := &e.cols[0]
+	e.nanos, col.vals = e.nanos[:0], col.vals[:0]
+	for i, p := range tail {
+		if i > 0 && p.nano < e.nanos[i-1] {
+			return Block{}, ErrOutOfOrder
+		}
+		e.nanos, col.vals = append(e.nanos, p.nano), append(col.vals, p.value)
+	}
+	return e.pointBlock(), nil
+}
+
+// pointBlock seals the non-empty, ordered run gathered in e.nanos and the
+// first column.
+func (e *blockEncoder) pointBlock() Block {
+	col, n := &e.cols[0], len(e.nanos)
 	e.plan(1)
 	e.w.writeBits(uint64(e.nanos[0]), 64)
 	col.write(&e.w, 0)
 	prevDelta := int64(0)
-	for i := 1; i < len(pts); i++ {
+	for i := 1; i < n; i++ {
 		delta := e.nanos[i] - e.nanos[i-1]
 		writeDoD(&e.w, delta-prevDelta)
 		col.write(&e.w, i)
 		prevDelta = delta
 	}
-	return Block{data: e.w.sealed(), n: len(pts), firstNano: e.nanos[0], lastNano: e.nanos[len(pts)-1]}, nil
+	return Block{data: e.w.sealed(), n: n, firstNano: e.nanos[0], lastNano: e.nanos[n-1]}
 }
 
 // Len returns the number of points in the block.
@@ -755,13 +778,8 @@ type bucketBlock struct {
 
 func (bb bucketBlock) size() int { return len(bb.data) }
 
-// firstStart is the oldest bucket's start; coverageEnd the newest
-// coverage end. Both are block metadata: no decode.
-func (bb bucketBlock) firstStart() time.Time  { return time.Unix(0, bb.firstNano) }
-func (bb bucketBlock) coverageEnd() time.Time { return time.Unix(0, bb.lastEnd) }
-
 // encodeBucketBlock compresses an ordered run of buckets. Bucket starts
-// must be non-decreasing; both bounds must be UnixNano-representable.
+// must be non-decreasing.
 func encodeBucketBlock(bks []bucket) (bucketBlock, error) {
 	if len(bks) == 0 {
 		return bucketBlock{}, nil
@@ -769,29 +787,23 @@ func encodeBucketBlock(bks []bucket) (bucketBlock, error) {
 	e := encoderPool.Get().(*blockEncoder)
 	defer encoderPool.Put(e)
 	mn, mx, sum := &e.cols[0], &e.cols[1], &e.cols[2]
-	e.nanos, mn.vals, mx.vals, sum.vals = e.nanos[:0], mn.vals[:0], mx.vals[:0], sum.vals[:0]
+	mn.vals, mx.vals, sum.vals = mn.vals[:0], mx.vals[:0], sum.vals[:0]
 	for i, bk := range bks {
-		if !unixNanoSafe(bk.start) || !unixNanoSafe(bk.end) {
-			return bucketBlock{}, ErrTimeRange
-		}
-		start := bk.start.UnixNano()
-		if i > 0 && start < e.nanos[i-1] {
+		if i > 0 && bk.start < bks[i-1].start {
 			return bucketBlock{}, ErrOutOfOrder
 		}
-		e.nanos = append(e.nanos, start)
 		mn.vals, mx.vals, sum.vals = append(mn.vals, bk.min), append(mx.vals, bk.max), append(sum.vals, bk.sum)
 	}
 	e.plan(3)
-	out := bucketBlock{n: len(bks), firstNano: e.nanos[0], lastEnd: math.MinInt64}
+	out := bucketBlock{n: len(bks), firstNano: bks[0].start, lastEnd: math.MinInt64}
 	var prevDelta, prevWidth, prevCount int64
 	for i, bk := range bks {
-		start, end := e.nanos[i], bk.end.UnixNano()
-		width := end - start
+		width := bk.end - bk.start
 		if i == 0 {
-			e.w.writeBits(uint64(start), 64)
+			e.w.writeBits(uint64(bk.start), 64)
 			e.w.writeBits(uint64(width), 64)
 		} else {
-			delta := start - e.nanos[i-1]
+			delta := bk.start - bks[i-1].start
 			writeDoD(&e.w, delta-prevDelta)
 			writeDoD(&e.w, width-prevWidth)
 			prevDelta = delta
@@ -805,7 +817,7 @@ func encodeBucketBlock(bks []bucket) (bucketBlock, error) {
 			writeDoD(&e.w, bk.count-prevCount)
 		}
 		prevWidth, prevCount = width, bk.count
-		out.lastEnd = max(out.lastEnd, end)
+		out.lastEnd = max(out.lastEnd, bk.end)
 		out.samples += bk.count
 	}
 	out.data = e.w.sealed()
@@ -872,8 +884,8 @@ func (it *bucketIter) next() bool {
 // bucket returns the current bucket. Valid only after a true next.
 func (it *bucketIter) bucket() bucket {
 	return bucket{
-		start: time.Unix(0, it.nano),
-		end:   time.Unix(0, it.nano+it.width),
+		start: it.nano,
+		end:   it.nano + it.width,
 		min:   it.vals[0],
 		max:   it.vals[1],
 		sum:   it.vals[2],

@@ -213,8 +213,8 @@ func TestBucketBlockRoundTrip(t *testing.T) {
 			}
 			lo := rng.NormFloat64() * 10
 			in[i] = bucket{
-				start: start,
-				end:   start.Add(width),
+				start: start.UnixNano(),
+				end:   start.Add(width).UnixNano(),
 				min:   lo,
 				max:   lo + rng.Float64()*5,
 				sum:   lo * float64(1+rng.Intn(10)),
@@ -231,11 +231,11 @@ func TestBucketBlockRoundTrip(t *testing.T) {
 	in := make([]bucket, 128)
 	for i := range in {
 		run := pts[26*i : 26*i+26]
-		in[i] = bucketOf(run[0])
+		in[i] = bucketOf(rawOf(run[0]))
 		for _, p := range run[1:] {
-			in[i].merge(bucketOf(p))
+			in[i].merge(bucketOf(rawOf(p)))
 		}
-		in[i].end = run[25].Time.Add(time.Second)
+		in[i].end = run[25].Time.Add(time.Second).UnixNano()
 	}
 	bb := checkBucketRoundTrip(t, in)
 	xor := len(xorOnlyBucketPayload(in))
@@ -247,6 +247,9 @@ func TestBucketBlockRoundTrip(t *testing.T) {
 		t.Fatalf("two-decimal tier costs %d bytes, more than half its XOR form (%d)", bb.size(), xor)
 	}
 }
+
+// rawOf is the store's view of an in-range point.
+func rawOf(p series.Point) rawPoint { return rawPoint{nano: p.Time.UnixNano(), value: p.Value} }
 
 // checkBucketRoundTrip encodes in and asserts the decode is bit-exact.
 func checkBucketRoundTrip(t *testing.T, in []bucket) bucketBlock {
@@ -265,7 +268,7 @@ func checkBucketRoundTrip(t *testing.T, in []bucket) bucketBlock {
 	var samples int64
 	for i := range in {
 		a, b := in[i], got[i]
-		if !a.start.Equal(b.start) || !a.end.Equal(b.end) ||
+		if a.start != b.start || a.end != b.end ||
 			math.Float64bits(a.min) != math.Float64bits(b.min) ||
 			math.Float64bits(a.max) != math.Float64bits(b.max) ||
 			math.Float64bits(a.sum) != math.Float64bits(b.sum) ||
@@ -340,8 +343,8 @@ func xorOnlyBucketPayload(bks []bucket) []byte {
 		last, prevDelta, prevWidth, prevCount int64
 	)
 	for i, bk := range bks {
-		start := bk.start.UnixNano()
-		width := bk.end.UnixNano() - start
+		start := bk.start
+		width := bk.end - start
 		vals := [3]uint64{math.Float64bits(bk.min), math.Float64bits(bk.max), math.Float64bits(bk.sum)}
 		if i == 0 {
 			w.writeBits(uint64(start), 64)
@@ -471,11 +474,11 @@ func TestBlockNeverLargerThanXOR(t *testing.T) {
 			// Fold the run four points to a bucket, as a first tier would.
 			var bks []bucket
 			for i := 0; i+4 <= len(run); i += 4 {
-				b := bucketOf(run[i])
+				b := bucketOf(rawOf(run[i]))
 				for _, p := range run[i+1 : i+4] {
-					b.merge(bucketOf(p))
+					b.merge(bucketOf(rawOf(p)))
 				}
-				b.end = run[i+3].Time.Add(time.Nanosecond)
+				b.end = run[i+3].Time.UnixNano() + 1
 				bks = append(bks, b)
 			}
 			if len(bks) == 0 {

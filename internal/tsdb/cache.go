@@ -16,7 +16,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/series"
 )
@@ -146,18 +145,19 @@ type CacheStats struct {
 	Hits, Misses, Evictions, Invalidations int64
 }
 
-// trimWindow narrows a time-ordered slice to [from, to) by binary search;
-// zero bounds are unbounded.
-func trimWindow(pts []series.Point, from, to time.Time) []series.Point {
-	lo, hi := 0, len(pts)
-	if !from.IsZero() {
-		lo = sort.Search(len(pts), func(i int) bool { return !pts[i].Time.Before(from) })
+// trimWindow narrows a time-ordered decoded block to [lo, hi) by binary
+// search, skipping the search on a side the block does not cross.
+func trimWindow(pts []series.Point, lo, hi int64) []series.Point {
+	nano := func(i int) int64 { return pts[i].Time.UnixNano() }
+	from, to := 0, len(pts)
+	if to > 0 && nano(0) < lo {
+		from = sort.Search(to, func(i int) bool { return nano(i) >= lo })
 	}
-	if !to.IsZero() {
-		hi = sort.Search(len(pts), func(i int) bool { return !pts[i].Time.Before(to) })
+	if to > 0 && nano(to-1) >= hi {
+		to = sort.Search(to, func(i int) bool { return nano(i) >= hi })
 	}
-	if lo >= hi {
+	if from >= to {
 		return nil
 	}
-	return pts[lo:hi]
+	return pts[from:to]
 }

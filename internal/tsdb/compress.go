@@ -9,7 +9,7 @@
 package tsdb
 
 import (
-	"time"
+	"math"
 
 	"repro/internal/series"
 )
@@ -24,18 +24,18 @@ type pointSeg struct {
 
 // each emits the segment's points in time order. Decode state is local,
 // so concurrent readers may share a segment.
-func (s *pointSeg) each(emit func(series.Point)) {
+func (s *pointSeg) each(emit func(rawPoint)) {
 	it := s.Iter()
 	for it.Next() {
-		emit(it.Point())
+		emit(rawPoint{nano: it.nano, value: it.val})
 	}
 }
 
-// cachedWindow returns the segment's decoded points trimmed to [from, to),
+// cachedWindow returns the segment's decoded points trimmed to [lo, hi),
 // served from c (and populating c on a miss). ok is false when there is
 // no cache and the caller must fall back to a streaming decode. The
 // returned slice aliases the shared cache entry and must never be mutated.
-func (s *pointSeg) cachedWindow(c *blockCache, from, to time.Time) (_ []series.Point, ok bool) {
+func (s *pointSeg) cachedWindow(c *blockCache, lo, hi int64) (_ []series.Point, ok bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -48,7 +48,35 @@ func (s *pointSeg) cachedWindow(c *blockCache, from, to time.Time) (_ []series.P
 		}
 		c.put(s.seq, pts)
 	}
-	return trimWindow(pts, from, to), true
+	return trimWindow(pts, lo, hi), true
+}
+
+// appendSeg appends a sealed segment to a store's FIFO. A store of full
+// blocks never holds more than capacity/blockLen + 1 of them (a seal lands
+// the newest before the eviction it triggers sheds the oldest), so a full
+// index doubles only up to that bound: a sparse series keeps a small
+// index and a warm one settles at exactly the bound instead of the next
+// power of two. An unbounded store, and one already past the bound (a
+// restore into smaller capacities, force-sealed short blocks), grow as
+// append does.
+func appendSeg[T any](segs []T, seg T, capacity, blockLen int) []T {
+	if bound := capacity/blockLen + 1; capacity > 0 && len(segs) == cap(segs) && len(segs) < bound {
+		grown := make([]T, len(segs), min(max(2*len(segs), 4), bound))
+		copy(grown, segs)
+		segs = grown
+	}
+	return append(segs, seg)
+}
+
+// resetTail empties a sealed tail for reuse. append may have rounded its
+// capacity past blockLen (a malloc size class above the doubling step);
+// the first seal swaps such a tail for one that holds exactly a block, so
+// a warm store's tail never exceeds blockLen entries.
+func resetTail[T any](tail []T, blockLen int) []T {
+	if cap(tail) > blockLen {
+		return make([]T, 0, blockLen)
+	}
+	return tail[:0]
 }
 
 // compPoints is the raw store: a FIFO of sealed segments plus an
@@ -57,7 +85,7 @@ type compPoints struct {
 	blockLen int
 	capacity int // max total points; 0 = unbounded (never evicts)
 	segs     []pointSeg
-	active   []series.Point
+	active   []rawPoint
 	n        int
 	// sealed queues blocks sealed since the last takeSealed — the DB's
 	// seal-hook feed.
@@ -73,7 +101,7 @@ func (c *compPoints) size() int { return c.n }
 // push appends one point. When the store exceeds its capacity the oldest
 // sealed segment leaves retention and is handed back for the caller to
 // cascade into the tiers.
-func (c *compPoints) push(p series.Point) (evicted Block, ok bool) {
+func (c *compPoints) push(p rawPoint) (evicted Block, ok bool) {
 	c.active = append(c.active, p)
 	c.n++
 	if len(c.active) >= c.blockLen {
@@ -87,20 +115,27 @@ func (c *compPoints) push(p series.Point) (evicted Block, ok bool) {
 }
 
 // seal compresses the active run into a segment. memSeries.append admits
-// only time-ordered, in-range points, so the codec cannot refuse the run;
-// a refusal is a broken invariant and panics rather than drop the points
-// or hide them in a second representation.
+// only time-ordered points, so the codec cannot refuse the run; a refusal
+// is a broken invariant and panics rather than drop the points or hide
+// them in a second representation.
 func (c *compPoints) seal() {
 	if len(c.active) == 0 {
 		return
 	}
-	blk, err := EncodeBlock(c.active)
+	blk, err := encodeTail(c.active)
 	if err != nil {
 		panic("tsdb: sealing an accepted run: " + err.Error())
 	}
-	c.segs = append(c.segs, pointSeg{Block: blk, seq: nextSegSeq()})
+	c.addSeg(blk)
 	c.sealed = append(c.sealed, blk)
-	c.active = c.active[:0]
+	c.active = resetTail(c.active, c.blockLen)
+}
+
+// addSeg lands a sealed block at the young end of the FIFO under a fresh
+// cache key. Its points are already counted in n (seal) or are counted
+// by the caller (restore).
+func (c *compPoints) addSeg(blk Block) {
+	c.segs = appendSeg(c.segs, pointSeg{Block: blk, seq: nextSegSeq()}, c.capacity, c.blockLen)
 }
 
 // takeSealed drains the sealed-block queue. The returned slice is reused
@@ -140,40 +175,37 @@ func (c *compPoints) takeEvictedSeqs() []uint64 {
 	return out
 }
 
-// bounds returns the oldest and newest retained timestamps. Storage is
-// in append order, which the strict-append contract makes time order.
-func (c *compPoints) bounds() (oldest, newest time.Time, ok bool) {
+// bounds returns the oldest and newest retained instants. Storage is in
+// append order, which the strict-append contract makes time order.
+func (c *compPoints) bounds() (oldest, newest int64, ok bool) {
 	switch {
 	case len(c.segs) > 0:
-		oldest = c.segs[0].First()
+		oldest = c.segs[0].firstNano
 	case len(c.active) > 0:
-		oldest = c.active[0].Time
+		oldest = c.active[0].nano
 	default:
-		return oldest, newest, false
+		return 0, 0, false
 	}
 	if n := len(c.active); n > 0 {
-		return oldest, c.active[n-1].Time, true
+		return oldest, c.active[n-1].nano, true
 	}
-	return oldest, c.segs[len(c.segs)-1].Last(), true
+	return oldest, c.segs[len(c.segs)-1].lastNano, true
 }
 
-// each emits every retained point whose segment can overlap [from, to)
-// (zero bounds are unbounded). Sealed segments fully outside the window
-// are skipped without decoding. A non-nil cache serves repeated decodes
-// of hot segments from memory: cache-served segments are handed to bulk
-// as one window-trimmed, already-filtered slice (the query hot path
-// appends it with a single copy instead of a closure call per point);
-// everything else streams through emit, which the caller still filters.
-func (c *compPoints) each(from, to time.Time, cache *blockCache, bulk func([]series.Point), emit func(series.Point)) {
+// each emits every retained point whose segment can overlap [lo, hi).
+// Sealed segments fully outside the window are skipped without decoding.
+// A non-nil cache serves repeated decodes of hot segments from memory:
+// cache-served segments are handed to bulk as one window-trimmed,
+// already-filtered slice (the query hot path appends it with a single
+// copy instead of a closure call per point); everything else streams
+// through emit, which the caller still filters.
+func (c *compPoints) each(lo, hi int64, cache *blockCache, bulk func([]series.Point), emit func(rawPoint)) {
 	for i := range c.segs {
 		s := &c.segs[i]
-		if !to.IsZero() && !s.First().Before(to) {
+		if s.firstNano >= hi || s.lastNano < lo {
 			continue
 		}
-		if !from.IsZero() && s.Last().Before(from) {
-			continue
-		}
-		if pts, ok := s.cachedWindow(cache, from, to); ok {
+		if pts, ok := s.cachedWindow(cache, lo, hi); ok {
 			if len(pts) > 0 {
 				bulk(pts)
 			}
@@ -225,7 +257,7 @@ func (c *compBuckets) push(b bucket) (evicted bucketBlock, ok bool) {
 
 // seal compresses the active run into a bucket block. As with the raw
 // store, the append door guarantees it encodes: bucket starts only
-// increase within a tier and both bounds stay in range.
+// increase within a tier.
 func (c *compBuckets) seal() {
 	if len(c.active) == 0 {
 		return
@@ -234,8 +266,8 @@ func (c *compBuckets) seal() {
 	if err != nil {
 		panic("tsdb: sealing finalized buckets: " + err.Error())
 	}
-	c.segs = append(c.segs, blk)
-	c.active = c.active[:0]
+	c.segs = appendSeg(c.segs, blk, c.capacity, c.blockLen)
+	c.active = resetTail(c.active, c.blockLen)
 }
 
 func (c *compBuckets) evictOldest() bucketBlock {
@@ -248,38 +280,25 @@ func (c *compBuckets) evictOldest() bucketBlock {
 }
 
 // bounds returns the oldest bucket start and newest coverage end.
-func (c *compBuckets) bounds() (oldest, newestEnd time.Time, ok bool) {
+func (c *compBuckets) bounds() (oldest, newestEnd int64, ok bool) {
+	oldest, newestEnd = math.MaxInt64, math.MinInt64
 	for i := range c.segs {
-		s := &c.segs[i]
-		if !ok || s.firstStart().Before(oldest) {
-			oldest = s.firstStart()
-		}
-		if s.coverageEnd().After(newestEnd) {
-			newestEnd = s.coverageEnd()
-		}
-		ok = true
+		oldest = min(oldest, c.segs[i].firstNano)
+		newestEnd = max(newestEnd, c.segs[i].lastEnd)
 	}
 	for _, b := range c.active {
-		if !ok || b.start.Before(oldest) {
-			oldest = b.start
-		}
-		if b.end.After(newestEnd) {
-			newestEnd = b.end
-		}
-		ok = true
+		oldest = min(oldest, b.start)
+		newestEnd = max(newestEnd, b.end)
 	}
-	return oldest, newestEnd, ok
+	return oldest, newestEnd, len(c.segs)+len(c.active) > 0
 }
 
 // each emits finalized buckets in order, skipping sealed segments whose
-// coverage cannot intersect [from, to); zero bounds are unbounded.
-func (c *compBuckets) each(from, to time.Time, emit func(bucket)) {
+// coverage cannot intersect [lo, hi).
+func (c *compBuckets) each(lo, hi int64, emit func(bucket)) {
 	for i := range c.segs {
 		s := &c.segs[i]
-		if !to.IsZero() && !s.firstStart().Before(to) {
-			continue
-		}
-		if !from.IsZero() && !s.coverageEnd().After(from) {
+		if s.firstNano >= hi || s.lastEnd <= lo {
 			continue
 		}
 		_ = s.each(emit) // decode errors impossible for self-encoded blocks

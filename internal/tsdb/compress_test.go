@@ -242,18 +242,19 @@ func TestRetuneUnchangedRateIsFree(t *testing.T) {
 	}
 	m := noisy.shards[0].series[id]
 	type grid struct {
-		width time.Duration
-		next  time.Time
-		cur   bucket
+		width   time.Duration
+		next    int64
+		nextSet bool
+		cur     bucket
 	}
 	grids := func() (out []grid) {
 		for _, tr := range m.tiers {
-			out = append(out, grid{tr.width, tr.next, tr.cur})
+			out = append(out, grid{tr.width, tr.next, tr.nextSet, tr.cur})
 		}
 		return out
 	}
 	before := grids()
-	if len(before) != 2 || !before[0].cur.start.After(start) || before[0].next.IsZero() {
+	if len(before) != 2 || before[0].cur.start <= start.UnixNano() || !before[0].nextSet {
 		t.Fatalf("precondition: tier 0 should hold an open bucket with a cached next grid start: %+v", before)
 	}
 	noisy.SetNyquistRate(id, m.nyquist)

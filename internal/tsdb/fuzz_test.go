@@ -348,7 +348,7 @@ func FuzzBlockDecode(f *testing.F) {
 	for i := range pts {
 		v := float64(4200+i*i%97) / 100
 		pts[i] = series.Point{Time: at(i), Value: v}
-		bks[i] = bucket{start: at(4 * i), end: at(4*i + 4), min: v - 1, max: v + 1, sum: 4*v + 0.1, count: 4}
+		bks[i] = bucket{start: at(4 * i).UnixNano(), end: at(4*i + 4).UnixNano(), min: v - 1, max: v + 1, sum: 4*v + 0.1, count: 4}
 	}
 	for _, decimal := range []bool{true, false} {
 		if !decimal {

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"math"
 	"sort"
 	"time"
 
@@ -50,11 +51,38 @@ type AggPoint struct {
 	Count int64
 }
 
+// windowNanos maps a query's [from, to) onto the store's int64 axis: a
+// zero bound is unbounded, a bound outside the int64-nanosecond range
+// clamps to it. The append door keeps every stored instant a year inside
+// both extremes, so the clamped window selects exactly what the time.Time
+// one would.
+func windowNanos(from, to time.Time) (lo, hi int64) {
+	lo, hi = math.MinInt64, math.MaxInt64
+	if !from.IsZero() {
+		lo = clampNano(from)
+	}
+	if !to.IsZero() {
+		hi = clampNano(to)
+	}
+	return lo, hi
+}
+
+func clampNano(t time.Time) int64 {
+	switch {
+	case t.Before(minUnixNano):
+		return math.MinInt64
+	case t.After(maxUnixNano):
+		return math.MaxInt64
+	}
+	return t.UnixNano()
+}
+
 // query stitches the retained tiers over [from, to). Caller holds the
 // shard lock. A non-nil cache serves sealed-block decodes from the
 // shard's decoded-block LRU.
 func (m *memSeries) query(id string, from, to time.Time, maxPoints int, cache *blockCache) *QueryResult {
 	res := &QueryResult{ID: id}
+	lo, hi := windowNanos(from, to)
 	// Coarsest tier first: the cascade makes deeper tiers strictly older,
 	// so this emits (approximately) oldest → newest. A bucket is returned
 	// when its own [start, end) coverage overlaps [from, to) — so a
@@ -63,23 +91,21 @@ func (m *memSeries) query(id string, from, to time.Time, maxPoints int, cache *b
 	// were written with.
 	for k := len(m.tiers) - 1; k >= 0; k-- {
 		t := m.tiers[k]
-		if !t.overlaps(from, to) {
+		if !t.overlaps(lo, hi) {
 			continue
 		}
 		before := len(res.Points)
 		emit := func(b bucket) {
-			if !to.IsZero() && !b.start.Before(to) {
+			if b.start >= hi || b.end <= lo {
 				return
 			}
-			if !from.IsZero() && !b.end.After(from) {
-				return
-			}
-			res.Points = append(res.Points, series.Point{Time: b.start, Value: b.mean()})
+			start := time.Unix(0, b.start)
+			res.Points = append(res.Points, series.Point{Time: start, Value: b.mean()})
 			res.Aggregates = append(res.Aggregates, AggPoint{
-				Time: b.start, Min: b.min, Max: b.max, Mean: b.mean(), Count: b.count,
+				Time: start, Min: b.min, Max: b.max, Mean: b.mean(), Count: b.count,
 			})
 		}
-		t.each(from, to, emit)
+		t.each(lo, hi, emit)
 		if t.curSet {
 			emit(t.cur)
 		}
@@ -90,19 +116,17 @@ func (m *memSeries) query(id string, from, to time.Time, maxPoints int, cache *b
 	// Same band pruning for the raw store: a window entirely outside the
 	// retained raw span (deep-history queries) skips the scan, and sealed
 	// blocks outside the window are skipped without decoding.
-	if oldest, newest, ok := m.raw.bounds(); ok &&
-		(to.IsZero() || oldest.Before(to)) &&
-		(from.IsZero() || !newest.Before(from)) {
+	if oldest, newest, ok := m.raw.bounds(); ok && oldest < hi && newest >= lo {
 		before := len(res.Points)
-		keep := func(p series.Point) {
-			if (from.IsZero() || !p.Time.Before(from)) && (to.IsZero() || p.Time.Before(to)) {
-				res.Points = append(res.Points, p)
+		keep := func(p rawPoint) {
+			if p.nano >= lo && p.nano < hi {
+				res.Points = append(res.Points, p.point())
 			}
 		}
 		// Cache-resident blocks arrive window-trimmed as whole slices;
 		// one bulk append per block keeps the cached read path free of
 		// the per-point closure cost the streaming decode pays.
-		m.raw.each(from, to, cache, func(pts []series.Point) {
+		m.raw.each(lo, hi, cache, func(pts []series.Point) {
 			res.Points = append(res.Points, pts...)
 		}, keep)
 		if n := len(res.Points) - before; n > 0 {

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"errors"
+	"math"
 	"time"
 
 	"repro/internal/series"
@@ -20,15 +21,36 @@ var (
 	maxAppendTime = maxUnixNano.Add(-maxTierWidth)
 )
 
-// gridFloor rounds t down to the width grid, but never below the
+// Inside the store every instant is int64 nanoseconds since the Unix
+// epoch — what sealed blocks have always held — so the open tails carry
+// no pointers and the garbage collector never scans them. series.Point
+// becomes a rawPoint once, in memSeries.append after the range check;
+// instants become time.Time again only where a result leaves the package
+// (time.Unix(0, n), as block decoding always returned them).
+
+// rawPoint is one sample of the raw store's open tail.
+type rawPoint struct {
+	nano  int64
+	value float64
+}
+
+func (p rawPoint) point() series.Point {
+	return series.Point{Time: time.Unix(0, p.nano), Value: p.value}
+}
+
+// gridFloor rounds nano down to the width grid, but never below the
 // encodable range: each cascade level truncates again, and across
 // non-nested grids (capped or retuned widths) a deep tier's start could
 // otherwise walk more than the append margin below the oldest point.
-func gridFloor(t time.Time, width time.Duration) time.Time {
-	if g := t.Truncate(width); !g.Before(minUnixNano) {
-		return g
+// The grid is time.Time.Truncate's, which counts from year 1, not from
+// the Unix epoch; that offset does not fit int64 nanoseconds, so the
+// rounding itself stays in time.Time. Only bucket-opening slow paths
+// come here.
+func gridFloor(nano int64, width time.Duration) int64 {
+	if g := time.Unix(0, nano).Truncate(width); !g.Before(minUnixNano) {
+		return g.UnixNano()
 	}
-	return minUnixNano
+	return math.MinInt64
 }
 
 // bucket is one aggregated interval of a downsampled tier. Each bucket
@@ -36,14 +58,21 @@ func gridFloor(t time.Time, width time.Duration) time.Time {
 // written under older widths are still retained, so coverage must not be
 // derived from the tier's live width.
 type bucket struct {
-	start, end time.Time
+	start, end int64
 	min, max   float64
 	sum        float64
 	count      int64
 }
 
-func bucketOf(p series.Point) bucket {
-	return bucket{start: p.Time, end: p.Time, min: p.Value, max: p.Value, sum: p.Value, count: 1}
+// Element sizes of the open tails, as openTailBytes accounts them
+// (TestSeriesStateBytes holds them to unsafe.Sizeof).
+const (
+	rawPointBytes = 16
+	bucketBytes   = 48
+)
+
+func bucketOf(p rawPoint) bucket {
+	return bucket{start: p.nano, end: p.nano, min: p.value, max: p.value, sum: p.value, count: 1}
 }
 
 func (b bucket) mean() float64 { return b.sum / float64(b.count) }
@@ -57,9 +86,7 @@ func (b *bucket) merge(o bucket) {
 	if o.max > b.max {
 		b.max = o.max
 	}
-	if o.end.After(b.end) {
-		b.end = o.end
-	}
+	b.end = max(b.end, o.end)
 	b.sum += o.sum
 	b.count += o.count
 }
@@ -74,10 +101,12 @@ type tier struct {
 	curSet bool
 	// next caches the grid start adjacent to cur under the CURRENT
 	// width — the fast path for the dense in-order cadence, letting
-	// ingest skip Truncate's 128-bit division per point. Zero means
-	// unknown (fresh tier, restored tier, or width retuned while cur
-	// was open on the old grid) and forces the exact slow path.
-	next time.Time
+	// ingest skip Truncate's 128-bit division per point. It is unknown
+	// (nextSet false: fresh tier, restored tier, or width retuned while
+	// cur was open on the old grid) until a bucket opens on the current
+	// grid, which forces the exact slow path.
+	next    int64
+	nextSet bool
 }
 
 func newTier(width time.Duration, rc *RetentionConfig) *tier {
@@ -98,22 +127,25 @@ func blockLen(block, capacity int) int {
 	return block
 }
 
-// overlaps reports whether the tier's retained band [oldest bucket
-// start, newest bucket end) intersects [from, to) — the pruning check
-// that keeps recent-window queries from walking cold tiers. Zero bounds
-// are unbounded.
-func (t *tier) overlaps(from, to time.Time) bool {
-	oldest, newestEnd, ok := t.bounds()
-	if ok {
-		if t.curSet && t.cur.end.After(newestEnd) {
-			newestEnd = t.cur.end
-		}
-	} else if t.curSet {
-		oldest, newestEnd = t.cur.start, t.cur.end
-	} else {
-		return false
+// band returns the tier's retained band: the oldest bucket start and the
+// newest coverage end, the open bucket included.
+func (t *tier) band() (oldest, newestEnd int64, ok bool) {
+	oldest, newestEnd, ok = t.bounds()
+	if !t.curSet {
+		return oldest, newestEnd, ok
 	}
-	return (to.IsZero() || oldest.Before(to)) && (from.IsZero() || newestEnd.After(from))
+	if !ok {
+		return t.cur.start, t.cur.end, true
+	}
+	return min(oldest, t.cur.start), max(newestEnd, t.cur.end), true
+}
+
+// overlaps reports whether the tier's retained band intersects [lo, hi)
+// — the pruning check that keeps recent-window queries from walking cold
+// tiers.
+func (t *tier) overlaps(lo, hi int64) bool {
+	oldest, newestEnd, ok := t.band()
+	return ok && oldest < hi && newestEnd > lo
 }
 
 // memSeries is one series' in-memory state. It carries no lock of its
@@ -129,7 +161,7 @@ type memSeries struct {
 	// gap is an EWMA of positive inter-sample gaps — the fallback basis
 	// for tier widths while no Nyquist estimate exists.
 	gap      time.Duration
-	lastTime time.Time
+	lastNano int64
 	haveLast bool
 
 	appends   int64
@@ -152,16 +184,21 @@ func newMemSeries(rc *RetentionConfig) *memSeries {
 // maxTierWidth past a point that opened or joined it, from a start
 // gridFloor keeps in range.
 func (m *memSeries) append(p series.Point, rc *RetentionConfig) error {
-	if m.haveLast && p.Time.Before(m.lastTime) {
+	if m.haveLast && p.Time.Before(time.Unix(0, m.lastNano)) {
 		return ErrOutOfOrder
 	}
 	if p.Time.Before(minAppendTime) || p.Time.After(maxAppendTime) {
 		return ErrTimeRange
 	}
+	nano := p.Time.UnixNano()
 	// The gap EWMA only seeds the initial tier grid; once the tiers
 	// exist, retention follows the Nyquist estimates.
 	if m.tiers == nil && m.haveLast {
-		if gap := p.Time.Sub(m.lastTime); gap > 0 {
+		gap := time.Duration(nano - m.lastNano)
+		if gap < 0 { // nano ≥ lastNano: only overflow gets here; saturate as Time.Sub does
+			gap = math.MaxInt64
+		}
+		if gap > 0 {
 			if m.gap == 0 {
 				m.gap = gap
 			} else {
@@ -169,27 +206,27 @@ func (m *memSeries) append(p series.Point, rc *RetentionConfig) error {
 			}
 		}
 	}
-	m.lastTime = p.Time
+	m.lastNano = nano
 	m.haveLast = true
 	m.appends++
-	m.pushRaw(p, rc)
+	m.pushRaw(rawPoint{nano: nano, value: p.Value}, rc)
 	return nil
 }
 
 // pushRaw lands p in the raw store, cascading the block it evicts (if
 // any) point by point into the first tier.
-func (m *memSeries) pushRaw(p series.Point, rc *RetentionConfig) {
+func (m *memSeries) pushRaw(p rawPoint, rc *RetentionConfig) {
 	if seg, ok := m.raw.push(p); ok {
 		it := seg.Iter()
 		for it.Next() {
-			m.compact(it.Point(), rc)
+			m.compact(rawPoint{nano: it.nano, value: it.val}, rc)
 		}
 	}
 }
 
 // compact cascades one evicted raw point into the first tier (or counts
 // it dropped when tiers are disabled).
-func (m *memSeries) compact(p series.Point, rc *RetentionConfig) {
+func (m *memSeries) compact(p rawPoint, rc *RetentionConfig) {
 	//nyquist:allow-alloc tier arrays are built on a series' first compaction, then reused for its lifetime
 	m.ensureTiers(rc)
 	if len(m.tiers) == 0 {
@@ -207,16 +244,13 @@ func (m *memSeries) compact(p series.Point, rc *RetentionConfig) {
 func (m *memSeries) ingest(k int, b bucket) {
 	t := m.tiers[k]
 	if !t.curSet {
-		b.start = gridFloor(b.start, t.width)
-		b.end = b.start.Add(t.width)
-		t.cur = b
 		t.curSet = true
-		t.next = b.start.Add(t.width)
+		t.open(b, gridFloor(b.start, t.width))
 		return
 	}
 	// Common case: the point lands in the open bucket — one comparison,
 	// no grid division.
-	if b.start.Before(t.cur.end) {
+	if b.start < t.cur.end {
 		t.cur.merge(b)
 		return
 	}
@@ -226,24 +260,32 @@ func (m *memSeries) ingest(k int, b bucket) {
 	// adjacent bucket. That is the dense in-order cadence, and
 	// answering it with two comparisons skips Truncate's 128-bit
 	// division — measurably hot when every append cascades a raw point
-	// through here. A retune zeroes t.next (cur then straddles the old
+	// through here. A retune forgets t.next (cur then straddles the old
 	// grid), falling back to the exact slow path until the next bucket
-	// opens on the new grid.
-	var gridStart time.Time
-	if !t.next.IsZero() && !b.start.Before(t.next) && b.start.Before(t.next.Add(t.width)) {
+	// opens on the new grid. (The unsigned difference cannot overflow the
+	// way next+width could at the top of the range.)
+	var gridStart int64
+	if t.nextSet && b.start >= t.next && uint64(b.start-t.next) < uint64(t.width) {
 		gridStart = t.next
 	} else {
 		gridStart = gridFloor(b.start, t.width)
-		if !gridStart.After(t.cur.start) {
+		if gridStart <= t.cur.start {
 			t.cur.merge(b)
 			return
 		}
 	}
 	m.pushBucket(k, t.cur)
+	t.open(b, gridStart)
+}
+
+// open makes b the tier's in-progress bucket, covering the current grid's
+// cell at gridStart. The append door keeps every point a maxTierWidth
+// inside the int64 range, so the cell's end cannot overflow.
+func (t *tier) open(b bucket, gridStart int64) {
 	b.start = gridStart
-	b.end = gridStart.Add(t.width)
+	b.end = gridStart + int64(t.width)
 	t.cur = b
-	t.next = gridStart.Add(t.width)
+	t.next, t.nextSet = b.end, true
 }
 
 // pushBucket finalizes b into tier k, cascading the block it evicts (if
@@ -291,7 +333,7 @@ func (m *memSeries) retune(rc *RetentionConfig) {
 			// The open bucket still sits on the old grid; drop the cached
 			// adjacent grid start so ingest recomputes via Truncate until a
 			// bucket opens on the new grid.
-			t.next = time.Time{}
+			t.nextSet = false
 		}
 		w = widen(w, rc.Fanout)
 	}
@@ -340,6 +382,16 @@ func (m *memSeries) buckets() int {
 	return n
 }
 
+// openTailBytes is what the uncompressed open tails hold allocated: the
+// raw tail plus every tier's, capacity × element size, no decode.
+func (m *memSeries) openTailBytes() int64 {
+	n := int64(cap(m.raw.active)) * rawPointBytes
+	for _, t := range m.tiers {
+		n += int64(cap(t.active)) * bucketBytes
+	}
+	return n
+}
+
 // tierFootprint sums the sealed compressed payload across all tiers:
 // bytes and the buckets they hold (the raw store's own is
 // m.raw.compressedFootprint).
@@ -366,26 +418,20 @@ func (m *memSeries) stats(id string) SeriesStats {
 	tierBytes, _ := m.tierFootprint()
 	st.CompressedBytes = rawBytes + tierBytes
 	if oldest, newest, ok := m.raw.bounds(); ok {
-		st.RawOldest = oldest
-		st.RawNewest = newest
+		st.RawOldest = time.Unix(0, oldest)
+		st.RawNewest = time.Unix(0, newest)
 	}
 	for _, t := range m.tiers {
 		// Sealed blocks carry their bounds and sample totals as metadata;
 		// the stats path (which runs under the shard lock) must never pay
 		// a decode for them.
 		ts := TierStats{Width: t.width, Buckets: t.size(), Samples: t.sampleTotal()}
-		if oldest, newestEnd, ok := t.bounds(); ok {
-			ts.Oldest, ts.Newest = oldest, newestEnd
+		if oldest, newestEnd, ok := t.band(); ok {
+			ts.Oldest, ts.Newest = time.Unix(0, oldest), time.Unix(0, newestEnd)
 		}
 		if t.curSet {
 			ts.Buckets++
 			ts.Samples += t.cur.count
-			if ts.Oldest.IsZero() || t.cur.start.Before(ts.Oldest) {
-				ts.Oldest = t.cur.start
-			}
-			if t.cur.end.After(ts.Newest) {
-				ts.Newest = t.cur.end
-			}
 		}
 		st.Tiers = append(st.Tiers, ts)
 	}

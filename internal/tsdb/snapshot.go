@@ -10,6 +10,7 @@
 package tsdb
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/series"
@@ -57,11 +58,11 @@ type BucketSnapshot struct {
 }
 
 func bucketSnapOf(b bucket) BucketSnapshot {
-	return BucketSnapshot{Start: b.start, End: b.end, Min: b.min, Max: b.max, Sum: b.sum, Count: b.count}
+	return BucketSnapshot{Start: time.Unix(0, b.start), End: time.Unix(0, b.end), Min: b.min, Max: b.max, Sum: b.sum, Count: b.count}
 }
 
 func (bs BucketSnapshot) bucket() bucket {
-	return bucket{start: bs.Start, end: bs.End, min: bs.Min, max: bs.Max, sum: bs.Sum, count: bs.Count}
+	return bucket{start: bs.Start.UnixNano(), end: bs.End.UnixNano(), min: bs.Min, max: bs.Max, sum: bs.Sum, count: bs.Count}
 }
 
 // ExportSeries calls fn once per stored series with its full retention
@@ -91,19 +92,26 @@ func (m *memSeries) export(id string) SeriesSnapshot {
 		ID:          id,
 		NyquistRate: m.nyquist,
 		Gap:         m.gap,
-		LastTime:    m.lastTime,
 		HaveLast:    m.haveLast,
 		Appends:     m.appends,
 		Compacted:   m.compacted,
 		Dropped:     m.dropped,
 	}
+	if m.haveLast {
+		s.LastTime = time.Unix(0, m.lastNano)
+	}
 	for i := range m.raw.segs {
 		s.Raw = append(s.Raw, m.raw.segs[i].Block)
 	}
-	s.Active = append([]series.Point(nil), m.raw.active...)
+	if n := len(m.raw.active); n > 0 {
+		s.Active = make([]series.Point, n)
+		for i, p := range m.raw.active {
+			s.Active[i] = p.point()
+		}
+	}
 	for _, t := range m.tiers {
 		ts := TierSnapshot{Width: t.width}
-		t.each(time.Time{}, time.Time{}, func(b bucket) {
+		t.each(math.MinInt64, math.MaxInt64, func(b bucket) {
 			ts.Buckets = append(ts.Buckets, bucketSnapOf(b))
 		})
 		if t.curSet {
@@ -121,13 +129,17 @@ func (m *memSeries) export(id string) SeriesSnapshot {
 // restored lose. When the DB's retention config matches the exporting
 // one (the normal restart), the structure is rebuilt verbatim; when
 // capacities or the block length shrank, the overflow cascades into the
-// (already restored) tiers through the regular append path.
+// (already restored) tiers through the regular append path. Every instant
+// in s must be representable as int64 nanoseconds — anything ExportSeries
+// or the WAL decoder produced is.
 func (db *DB) RestoreSeries(s SeriesSnapshot) {
 	rc := &db.cfg.Retention
 	m := newMemSeries(rc)
 	m.nyquist = s.NyquistRate
 	m.gap = s.Gap
-	m.lastTime, m.haveLast = s.LastTime, s.HaveLast
+	if s.HaveLast {
+		m.lastNano, m.haveLast = s.LastTime.UnixNano(), true
+	}
 	m.appends, m.compacted, m.dropped = s.Appends, s.Compacted, s.Dropped
 
 	// Tiers first — deepest first, so any evictions a shallower tier's
@@ -153,7 +165,7 @@ func (db *DB) RestoreSeries(s SeriesSnapshot) {
 		if blk.Len() == 0 {
 			continue
 		}
-		m.raw.segs = append(m.raw.segs, pointSeg{Block: blk, seq: nextSegSeq()})
+		m.raw.addSeg(blk)
 		m.raw.n += blk.Len()
 	}
 	// The active tail re-enters through push so an oversized tail
@@ -161,7 +173,7 @@ func (db *DB) RestoreSeries(s SeriesSnapshot) {
 	// sealed during restore are already covered by the snapshot, so
 	// their hook queue is discarded, not replayed into the WAL.
 	for _, p := range s.Active {
-		m.pushRaw(p, rc)
+		m.pushRaw(rawPoint{nano: p.Time.UnixNano(), value: p.Value}, rc)
 	}
 	m.raw.takeSealed()
 

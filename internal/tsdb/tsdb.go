@@ -30,10 +30,13 @@
 // Snapshot and stats surfaces exist for operator reporting.
 //
 // Raw samples and finalized tier buckets are stored as sealed compressed
-// blocks (block.go) plus a small open tail: delta-of-delta timestamps and
-// value columns held either as Gorilla XOR chains or, when the column is
-// decimal telemetry, as bit-packed integer deltas — round-trip exact for
-// arbitrary float64 values and int64-nanosecond instants. Measured in
+// blocks (block.go): delta-of-delta timestamps and value columns held
+// either as Gorilla XOR chains or, when the column is decimal telemetry,
+// as bit-packed integer deltas — round-trip exact for arbitrary float64
+// values and int64-nanosecond instants. The newest entries of each store
+// wait in an uncompressed open tail of at most one block: 16-byte points,
+// 48-byte buckets, instants as int64 nanoseconds like the blocks', so the
+// tails hold no pointers for the collector to walk. Measured in
 // 128-point blocks: 1.3 bytes/point on binary-quantized (1/64) diurnal
 // telemetry, 1.4 on two-decimal telemetry, against 32 for a []Point; on
 // the end-to-end benchmark's two-decimal fleet, raw blocks and tier
@@ -425,6 +428,7 @@ func (db *DB) Stats() Stats {
 			b, n = m.tierFootprint()
 			st.TierCompressedBytes += b
 			st.TierCompressedEntries += n
+			st.OpenTailBytes += m.openTailBytes()
 		}
 		sh.mu.RUnlock()
 		if c := sh.cache; c != nil {
@@ -503,6 +507,10 @@ type Stats struct {
 	// blocks' payload and the buckets it holds: bytes per summary bucket
 	// (min, max, sum, count and coverage).
 	TierCompressedBytes, TierCompressedEntries int64
+	// OpenTailBytes is what the uncompressed open tails hold allocated —
+	// every series' unsealed raw run plus each tier's unsealed bucket run,
+	// capacity × element size (16-byte points, 48-byte buckets).
+	OpenTailBytes int64
 	// SealedBlocks counts raw blocks sealed over the DB's lifetime
 	// (append-filled plus force-sealed).
 	SealedBlocks int64

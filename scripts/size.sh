@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# size.sh — print the four "least machinery" numbers ROADMAP aim 2 tracks
+# size.sh — print the "least machinery" numbers ROADMAP aim 2 tracks
 # for the main module (tools/ and bench/ excluded): non-test Go LoC, the
 # nyquistd flag count, the exported-field count of the six config
 # structs (each field is an independently settable value), the
-# //nyquist:allow-* annotation count, and the estimator state one warm
-# series retains (measured by core's TestStreamStateSize).
+# //nyquist:allow-* annotation count, and the state one warm series
+# retains: the estimator's (core's TestStreamStateSize) and the store's
+# (tsdb's TestSeriesStateBytes).
 # Print-only: compare against the previous PR's figures in CHANGES.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -32,3 +33,4 @@ echo "config fields (tsdb.Config, tsdb.RetentionConfig, monitor.IngestConfig, wa
 	$(fields internal/api/api.go Config) + $(fields internal/core/stream.go StreamConfig)))"
 echo "//nyquist:allow-* annotations: $(gofiles | xargs grep -h '//nyquist:allow-' | wc -l)"
 go test ./internal/core -run '^TestStreamStateSize$' -count=1 -v | sed -n 's/.*\(state bytes per warm stream.*\)/estimator \1/p'
+go test ./internal/tsdb -run '^TestSeriesStateBytes$' -count=1 -v | sed -n 's/.*\(state bytes per warm series.*\)/store \1/p'
