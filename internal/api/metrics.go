@@ -195,7 +195,7 @@ func newServerMetrics(reg *obs.Registry, store *monitor.Store, est *monitor.Inge
 		func() float64 { return float64(ts.get().TierCompressedBytes) })
 	reg.GaugeFunc("nyquistd_tsdb_tier_compressed_entries", "Buckets held in sealed tier blocks.",
 		func() float64 { return float64(ts.get().TierCompressedEntries) })
-	reg.GaugeFunc("nyquistd_tsdb_open_tail_bytes", "Bytes the uncompressed open tails (unsealed raw points and tier buckets) hold allocated.",
+	reg.GaugeFunc("nyquistd_tsdb_open_tail_bytes", "Bytes the open blocks hold allocated: unsealed raw points, staged tier buckets and the tiers' open compressed payloads.",
 		func() float64 { return float64(ts.get().OpenTailBytes) })
 
 	reg.CounterFunc("nyquistd_query_cache_hits_total", "Sealed-block decodes served from the decoded-block cache.",

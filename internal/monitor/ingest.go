@@ -36,7 +36,7 @@ import (
 // parallel.
 type IngestEstimator struct {
 	cfg   IngestConfig
-	store *Store
+	store retentionTuner
 
 	// clock counts every observation estimator-wide; each series stamps
 	// it into lastSeen so idleness is measured in observations, not wall
@@ -47,7 +47,8 @@ type IngestEstimator struct {
 	// per-series fast path never takes the estimator lock to bump them:
 	// probes counts interval locks (a series graduating from the gap
 	// probe to a live analysis window), reprobes the drift-triggered
-	// re-locks, retunes the clean-streak SetNyquist handoffs, and
+	// re-locks, retunes the clean-streak SetNyquist handoffs (one per
+	// change of a series' rate, not per refresh), and
 	// aliasedRefreshes every estimate refresh carrying the aliased
 	// signature.
 	probes           atomic.Int64
@@ -205,11 +206,20 @@ type ingestSeries struct {
 // NewIngestEstimator returns a hook feeding estimates into store (which
 // may be nil when only advice, not retention retuning, is wanted).
 func NewIngestEstimator(store *Store, cfg IngestConfig) *IngestEstimator {
-	return &IngestEstimator{
+	e := &IngestEstimator{
 		cfg:    cfg.withDefaults(),
-		store:  store,
 		series: make(map[string]*ingestSeries),
 	}
+	if store != nil {
+		e.store = store
+	}
+	return e
+}
+
+// retentionTuner is where clean estimates are handed over: the *Store in
+// production, a recorder in tests.
+type retentionTuner interface {
+	SetNyquist(id string, rate float64)
 }
 
 // Observe ingests one point for id: pre-lock points accumulate toward
@@ -326,11 +336,7 @@ func (e *IngestEstimator) observeLocked(s *ingestSeries, id string, p series.Poi
 		if up.Err == nil && up.Result.NyquistRate > 0 {
 			s.cleanStreak++
 			if s.cleanStreak >= e.cfg.RetuneCleanStreak {
-				s.lastNyquist = up.Result.NyquistRate
-				e.retunes.Add(1)
-				if e.store != nil {
-					e.store.SetNyquist(id, up.Result.NyquistRate)
-				}
+				e.handOver(s, id, up.Result.NyquistRate)
 			}
 		} else {
 			s.cleanStreak = 0
@@ -338,6 +344,22 @@ func (e *IngestEstimator) observeLocked(s *ingestSeries, id string, p series.Poi
 				e.aliasedRefreshes.Add(1)
 			}
 		}
+	}
+}
+
+// handOver makes rate the series' trusted estimate and retunes the store's
+// retention to it. A steady series emits the rate it already handed over
+// at almost every refresh; such an emission changes nothing, so it neither
+// takes the store's shard lock nor counts as a retune. Called with s.mu
+// held.
+func (e *IngestEstimator) handOver(s *ingestSeries, id string, rate float64) {
+	if rate == s.lastNyquist {
+		return
+	}
+	s.lastNyquist = rate
+	e.retunes.Add(1)
+	if e.store != nil {
+		e.store.SetNyquist(id, rate)
 	}
 }
 
@@ -548,7 +570,8 @@ func (e *IngestEstimator) Probes() int64 { return e.probes.Load() }
 func (e *IngestEstimator) Reprobes() int64 { return e.reprobesTotal.Load() }
 
 // Retunes returns the number of clean-streak estimate refreshes that
-// (re)tuned retention via SetNyquist.
+// (re)tuned retention via SetNyquist: those whose rate differed from the
+// one the series last handed over.
 func (e *IngestEstimator) Retunes() int64 { return e.retunes.Load() }
 
 // AliasedRefreshes returns the number of estimate refreshes that

@@ -376,3 +376,80 @@ func TestIngestEstimatorLRUEviction(t *testing.T) {
 		t.Fatalf("Evicted() = %d, want 0", got)
 	}
 }
+
+// recordingTuner records every SetNyquist handoff in order.
+type recordingTuner struct {
+	mu    sync.Mutex
+	calls []float64
+}
+
+func (r *recordingTuner) SetNyquist(_ string, rate float64) {
+	r.mu.Lock()
+	r.calls = append(r.calls, rate)
+	r.mu.Unlock()
+}
+
+// TestIngestEstimatorHandsOverChangesOnly pins what reaches the store: an
+// emission repeating the rate the series last handed over is not a retune
+// — no SetNyquist call (it would take the shard's write lock to change
+// nothing), no count — while a changed rate, the first estimate after a
+// re-probe and a restored state are all handed over.
+func TestIngestEstimatorHandsOverChangesOnly(t *testing.T) {
+	const id = "ext/steady"
+	rec := &recordingTuner{}
+	e := NewIngestEstimator(nil, IngestConfig{WindowSamples: 64, EmitEvery: 4})
+	e.store = rec
+	e.Observe(id, series.Point{Time: ingestStart, Value: 1})
+	s := e.series[id]
+	for i, step := range []struct {
+		name      string
+		do        func()
+		wantCalls []float64 // cumulative
+	}{
+		{"first clean estimate", func() { e.handOver(s, id, 0.5) }, []float64{0.5}},
+		{"the same rate, five refreshes running", func() {
+			for k := 0; k < 5; k++ {
+				e.handOver(s, id, 0.5)
+			}
+		}, []float64{0.5}},
+		{"a changed rate", func() { e.handOver(s, id, 0.25) }, []float64{0.5, 0.25}},
+		{"and the same again", func() { e.handOver(s, id, 0.25) }, []float64{0.5, 0.25}},
+		{"back to the first", func() { e.handOver(s, id, 0.5) }, []float64{0.5, 0.25, 0.5}},
+		{"a re-probe, then the new grid's estimate", func() {
+			s.reprobe(series.Point{Time: ingestStart.Add(time.Hour), Value: 1})
+			e.handOver(s, id, 0.7)
+		}, []float64{0.5, 0.25, 0.5, 0.7}},
+		{"a restored state", func() {
+			e.RestoreState(IngestSeriesState{Series: id, Interval: time.Second, NyquistRate: 0.3, CleanStreak: 1})
+		}, []float64{0.5, 0.25, 0.5, 0.7, 0.3}},
+		{"the restored rate re-estimated", func() { e.handOver(e.series[id], id, 0.3) }, []float64{0.5, 0.25, 0.5, 0.7, 0.3}},
+		{"then a new one", func() { e.handOver(e.series[id], id, 0.4) }, []float64{0.5, 0.25, 0.5, 0.7, 0.3, 0.4}},
+	} {
+		step.do()
+		if fmt.Sprint(rec.calls) != fmt.Sprint(step.wantCalls) {
+			t.Fatalf("step %d (%s): store saw %v, want %v", i, step.name, rec.calls, step.wantCalls)
+		}
+	}
+	// The restore is a handoff by RestoreState itself, not a counted retune.
+	if got := e.Retunes(); got != 5 {
+		t.Fatalf("Retunes = %d, want 5 (every handOver that changed the rate)", got)
+	}
+
+	// The same through the door: a steady two-tone series refreshes its
+	// estimate dozens of times and hands over only when the rate moves.
+	rec = &recordingTuner{}
+	e = NewIngestEstimator(nil, IngestConfig{WindowSamples: 64, EmitEvery: 4})
+	e.store = rec
+	for i := 0; i < 2000; i++ {
+		e.Observe(id, series.Point{Time: ingestStart.Add(time.Duration(i) * time.Second), Value: twoTone(1.0/64, 4.0/64, float64(i))})
+	}
+	adv, _ := e.Advice(id)
+	if n := len(rec.calls); n == 0 || n > 5 || int64(n) != e.Retunes() || rec.calls[n-1] != adv.NyquistRate {
+		t.Fatalf("a steady series handed over %v (%d counted retunes) and advises %v: want a handful of changes ending on the advised rate", rec.calls, e.Retunes(), adv.NyquistRate)
+	}
+	for i := 1; i < len(rec.calls); i++ {
+		if rec.calls[i] == rec.calls[i-1] {
+			t.Fatalf("handoff %d repeats rate %v", i, rec.calls[i])
+		}
+	}
+}

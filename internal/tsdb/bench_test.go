@@ -378,3 +378,81 @@ func BenchmarkCompressedAppend(b *testing.B) {
 		}
 	})
 }
+
+// foldTier buckets pts on a width grid the way a first tier does: one
+// bucket per occupied grid cell.
+func foldTier(pts []series.Point, width time.Duration) []bucket {
+	var bks []bucket
+	for _, p := range pts {
+		cell := p.Time.UnixNano() / int64(width) * int64(width)
+		if n := len(bks); n > 0 && bks[n-1].start == cell {
+			bks[n-1].merge(bucketOf(rawOf(p)))
+			continue
+		}
+		b := bucketOf(rawOf(p))
+		b.start, b.end = cell, cell+int64(width)
+		bks = append(bks, b)
+	}
+	return bks
+}
+
+// bucketCodecWorkloads are the two tiers the bucket codec's forms exist
+// for, in whole 128-bucket blocks. The two-decimal gauge at 1 Hz on a
+// 1.5 s grid — counts flip between 1 and 2, as on a tier whose width the
+// Nyquist estimate sized — takes the joint decimal form throughout. The
+// 1/64-quantized diurnal gauge, two 30 s polls to a bucket, stays on the
+// XOR chains for most of its miniblocks.
+func bucketCodecWorkloads() map[string][]bucket {
+	return map[string][]bucket{
+		"two-decimal": foldTier(twoDecimalGauge(6144), 1500*time.Millisecond)[:4096],
+		"diurnal":     foldTier(diurnalWorkload(8192), time.Minute),
+	}
+}
+
+// BenchmarkBucketBlockEncode measures the tier store's write path: each
+// bucket pushed once through the open block's miniblock encoder, a block
+// sealed every 128.
+func BenchmarkBucketBlockEncode(b *testing.B) {
+	for name, bks := range bucketCodecWorkloads() {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var size int
+			for i := 0; i < b.N; i++ {
+				size = 0
+				for run := bks; len(run) > 0; run = run[128:] {
+					size += encodeBucketBlock(run[:128]).size()
+				}
+			}
+			b.ReportMetric(float64(size)/float64(len(bks)), "bytes/bucket")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(bks)), "ns/bucket")
+		})
+	}
+}
+
+// BenchmarkBucketBlockDecode measures the read side — queries, export
+// and the cascade all iterate bucket blocks — over the same blocks.
+func BenchmarkBucketBlockDecode(b *testing.B) {
+	for name, bks := range bucketCodecWorkloads() {
+		b.Run(name, func(b *testing.B) {
+			var blks []bucketBlock
+			for run := bks; len(run) > 0; run = run[128:] {
+				blks = append(blks, encodeBucketBlock(run[:128]))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n := 0
+				for _, blk := range blks {
+					it := blk.iter()
+					for it.next() {
+						n++
+					}
+				}
+				if n != len(bks) {
+					b.Fatalf("decoded %d of %d", n, len(bks))
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(bks)), "ns/bucket")
+		})
+	}
+}

@@ -1,7 +1,10 @@
-// The compressed-block codec: delta-of-delta timestamps and value columns
-// packed into a bit stream behind a one-byte tag — the format that lets a
-// network-facing store hold an order of magnitude more points per byte
-// than []Point slices.
+// The compressed-block codecs: delta-of-delta timestamps and value columns
+// packed into a bit stream — the formats that let a network-facing store
+// hold an order of magnitude more points per byte than []Point slices.
+// Raw blocks (Block: one value column behind a one-byte tag) are what the
+// WAL and snapshots persist; bucket blocks (bucketBlock: a chain of
+// byte-aligned miniblocks, described at bucketStream.add) exist only in
+// memory.
 //
 // Timestamps follow Facebook's Gorilla (VLDB 2015), adapted to
 // nanoseconds: the first is stored verbatim, every later one as the
@@ -9,10 +12,9 @@
 // zero on a regular poll grid. A zero costs one bit; jittered grids cost
 // a few bytes; an arbitrary shift falls back to a full 64-bit field.
 //
-// A value column (a raw block's values; a bucket block's min, max and
-// sum) is coded in one of two modes, chosen per column at seal time, when
-// the encoder holds the whole run (colEnc.plan), and recorded in the tag
-// byte (bit i set = column i is decimal):
+// A raw block's value column is coded in one of two modes, chosen at seal
+// time, when the encoder holds the whole run (colEnc.plan), and recorded
+// in the tag byte (bit 0 set = decimal):
 //
 //   - XOR (Gorilla's): every value stores the XOR against its predecessor.
 //     Repeated readings cost one bit; readings quantized to a power of
@@ -38,6 +40,15 @@
 // all-XOR payload, without the tag, is the format every block had before
 // decimal columns (payload version 1 in internal/wal, which prepends a
 // zero tag to read it): one decoder reads both.
+//
+// A bucket block makes the same choice per miniblock of at most 16
+// buckets, jointly for its three value columns: the XOR chains, or one
+// decimal exponent under which count, max and sum are coded against the
+// miniblock's smallest count, the bucket's min and a prediction from
+// both — on two-decimal tiers 3.3 bytes a bucket where three independent
+// columns and a count chain took 8.0 at one or two readings to a bucket,
+// 5.4 against 5.8 at 26 (BenchmarkBucketBlockEncode,
+// TestBucketBlockRoundTrip) — and the same bound holds per miniblock.
 //
 // Every mode is bijective: decoding returns the exact UnixNano instants
 // and bit-identical float64 values that were sealed, NaN payloads
@@ -125,17 +136,28 @@ func (w *bitWriter) writeBits(v uint64, k uint) {
 	w.n = rest
 }
 
-// sealed returns a copy of the encoded stream, the pending bits padded
-// with zeros to a whole byte.
-func (w *bitWriter) sealed() []byte {
-	tail := int(w.n+7) / 8
-	out := make([]byte, len(w.buf)+tail)
-	copy(out, w.buf)
+// align pads the pending bits with zeros to a whole byte and moves them
+// into buf, so the next field starts on a byte boundary.
+func (w *bitWriter) align() {
 	word := w.acc << (64 - w.n)
-	for i := 0; i < tail; i++ {
-		out[len(w.buf)+i] = byte(word >> 56)
+	for i := uint(0); i < (w.n+7)/8; i++ {
+		w.buf = append(w.buf, byte(word>>56))
 		word <<= 8
 	}
+	w.acc, w.n = 0, 0
+}
+
+// sealed aligns the stream and returns an exactly-sized copy of it.
+func (w *bitWriter) sealed() []byte {
+	w.align()
+	return exactCopy(w.buf)
+}
+
+// exactCopy copies b into a slice with no spare capacity: what a sealed
+// block keeps for as long as it is retained.
+func exactCopy(b []byte) []byte {
+	out := make([]byte, len(b))
+	copy(out, b)
 	return out
 }
 
@@ -193,6 +215,14 @@ func (r *bitReader) refillRead(k uint) uint64 {
 	return v
 }
 
+// align skips to the next byte boundary. The accumulator is loaded in
+// whole bytes, so the bits to drop are the unread count modulo 8.
+func (r *bitReader) align() {
+	k := r.n % 8
+	r.acc <<= k
+	r.n -= k
+}
+
 // zigzag maps signed to unsigned so small-magnitude values of either
 // sign get small codes.
 func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
@@ -209,7 +239,8 @@ const (
 )
 
 // writeDoD appends one delta-of-delta (or any small-signed-int chain
-// step: the bucket-block codec reuses it for widths and counts).
+// step: the bucket-block codec reuses it for widths and, in its XOR form,
+// counts).
 func writeDoD(w *bitWriter, dod int64) {
 	z := zigzag(dod)
 	switch {
@@ -531,39 +562,33 @@ func (c *colDec) next(r *bitReader) float64 {
 }
 
 func (c *colDec) value(r *bitReader) float64 {
-	v := float64(c.mant) / c.scale
-	if c.rbits > 0 {
-		v = math.Float64frombits(ulpBits(ulpOrd(math.Float64bits(v)) + unzigzag(r.readBits(c.rbits))))
+	if c.rbits == 0 {
+		return float64(c.mant) / c.scale
+	}
+	return decimalValue(c.mant, c.scale, unzigzag(r.readBits(c.rbits)))
+}
+
+// decimalValue is the float64 a decimal column's mantissa and ulp residual
+// stand for.
+func decimalValue(mant int64, scale float64, resid int64) float64 {
+	v := float64(mant) / scale
+	if resid != 0 {
+		v = math.Float64frombits(ulpBits(ulpOrd(math.Float64bits(v)) + resid))
 	}
 	return v
 }
 
-// blockEncoder is the pooled seal-time scratch: the bit buffer and one
-// colEnc per value column (a raw block uses the first, a bucket block
-// min, max and sum). Under sustained ingest every series seals a block
-// every CompressBlock points; fresh scratch per seal made the seal path
-// the write side's main GC churn.
+// blockEncoder is the pooled seal-time scratch of the raw store: the bit
+// buffer, the run's timestamps and its value column. Under sustained
+// ingest every series seals a block every CompressBlock points; fresh
+// scratch per seal made the seal path the write side's main GC churn.
 type blockEncoder struct {
 	w     bitWriter
-	nanos []int64 // a raw run's timestamps, validated
-	cols  [3]colEnc
+	nanos []int64 // the run's timestamps, validated
+	col   colEnc
 }
 
 var encoderPool = sync.Pool{New: func() any { return new(blockEncoder) }}
-
-// plan resets the bit buffer, plans the first n columns and writes the
-// tag byte: bit i set = column i is decimal.
-func (e *blockEncoder) plan(n int) {
-	e.w.reset()
-	var tag uint64
-	for i := range e.cols[:n] {
-		e.cols[i].plan()
-		if e.cols[i].decimal {
-			tag |= 1 << i
-		}
-	}
-	e.w.writeBits(tag, 8)
-}
 
 // Block is a sealed compressed run of points. Blocks are immutable and
 // safe for concurrent iteration: every iterator carries its own decode
@@ -585,7 +610,7 @@ func EncodeBlock(pts []series.Point) (Block, error) {
 	}
 	e := encoderPool.Get().(*blockEncoder)
 	defer encoderPool.Put(e)
-	col := &e.cols[0]
+	col := &e.col
 	e.nanos, col.vals = e.nanos[:0], col.vals[:0]
 	for i, p := range pts {
 		if !unixNanoSafe(p.Time) {
@@ -605,7 +630,7 @@ func EncodeBlock(pts []series.Point) (Block, error) {
 func encodeTail(tail []rawPoint) (Block, error) {
 	e := encoderPool.Get().(*blockEncoder)
 	defer encoderPool.Put(e)
-	col := &e.cols[0]
+	col := &e.col
 	e.nanos, col.vals = e.nanos[:0], col.vals[:0]
 	for i, p := range tail {
 		if i > 0 && p.nano < e.nanos[i-1] {
@@ -616,11 +641,17 @@ func encodeTail(tail []rawPoint) (Block, error) {
 	return e.pointBlock(), nil
 }
 
-// pointBlock seals the non-empty, ordered run gathered in e.nanos and the
-// first column.
+// pointBlock seals the non-empty, ordered run gathered in e.nanos and
+// e.col.
 func (e *blockEncoder) pointBlock() Block {
-	col, n := &e.cols[0], len(e.nanos)
-	e.plan(1)
+	col, n := &e.col, len(e.nanos)
+	e.w.reset()
+	col.plan()
+	var tag uint64 // bit 0 set = the value column is decimal
+	if col.decimal {
+		tag = 1
+	}
+	e.w.writeBits(tag, 8)
 	e.w.writeBits(uint64(e.nanos[0]), 64)
 	col.write(&e.w, 0)
 	prevDelta := int64(0)
@@ -691,26 +722,18 @@ func (blk Block) Points(dst []series.Point) ([]series.Point, error) {
 	return dst, it.Err()
 }
 
-// tagReader opens a payload: the tag byte, then the bit stream. A tag
-// with bits beyond the block kind's columns is corrupt.
-func tagReader(data []byte, cols uint) (tag byte, r bitReader) {
-	if len(data) == 0 {
-		return 0, bitReader{err: ErrCorruptBlock}
-	}
-	r = newBitReader(data[1:])
-	if data[0]>>cols != 0 {
-		r.err = ErrCorruptBlock
-	}
-	return data[0], r
-}
-
-// Iter returns a fresh iterator positioned before the first point.
+// Iter returns a fresh iterator positioned before the first point. A
+// payload opens with the tag byte; a tag with bits beyond the value
+// column's is corrupt.
 func (blk Block) Iter() BlockIter {
 	it := BlockIter{n: blk.n}
-	if blk.n > 0 {
-		var tag byte
-		tag, it.r = tagReader(blk.data, 1)
-		it.col.decimal = tag&1 != 0
+	switch {
+	case blk.n == 0:
+	case len(blk.data) == 0 || blk.data[0] > 1:
+		it.r.err = ErrCorruptBlock
+	default:
+		it.r = newBitReader(blk.data[1:])
+		it.col.decimal = blk.data[0] == 1
 	}
 	return it
 }
@@ -761,93 +784,461 @@ func (it *BlockIter) Err() error {
 	return nil
 }
 
-// bucketBlock is the summary-tier counterpart of Block: a sealed
-// compressed run of min/max/mean buckets. Starts ride a delta-of-delta
-// chain (tier grids are regular), widths and counts ride their own
-// small-delta chains (constant per tier between retunes), and min, max
-// and sum are value columns like a raw block's, each in its own mode.
+// bucketBlock is the summary-tier counterpart of Block: a compressed run
+// of min/max/sum/count buckets, coded as a chain of byte-aligned
+// miniblocks (see bucketStream.add). Bucket blocks live only in memory —
+// snapshots carry plain buckets — so their layout is free to change.
 type bucketBlock struct {
 	data      []byte
 	n         int
 	firstNano int64 // oldest start
 	lastEnd   int64 // newest coverage end
 	// samples is the sum of the bucket counts, kept so stats reporting
-	// never has to decode a sealed block under the shard lock.
+	// never has to decode a block under the shard lock.
 	samples int64
 }
 
 func (bb bucketBlock) size() int { return len(bb.data) }
 
-// encodeBucketBlock compresses an ordered run of buckets. Bucket starts
-// must be non-decreasing.
-func encodeBucketBlock(bks []bucket) (bucketBlock, error) {
-	if len(bks) == 0 {
-		return bucketBlock{}, nil
+// miniLen is the most buckets one miniblock holds: few enough that field
+// widths chosen per miniblock stay tight and that an open block stages
+// under a kilobyte, enough that the header amortizes to a few bits.
+const miniLen = 16
+
+// The miniblock header byte: three flags and the entry count less one.
+// Bit 4 is unused and must be zero.
+const (
+	miniContinues = 0x80 // the value chains carry over from the previous miniblock
+	miniDecimal   = 0x40 // joint decimal form; the XOR chains otherwise
+	miniRegular   = 0x20 // every start and width delta-of-delta is zero, and omitted
+	miniSpare     = 0x10
+	miniCountMask = 0x0f
+)
+
+const (
+	// maxFieldBits bounds the four per-miniblock field widths of the
+	// decimal form; a miniblock that needs more stays on the XOR chains.
+	maxFieldBits = 53
+	// decHeaderBits is the decimal form's width header: four 6-bit field
+	// widths (count, min, max, sum) and three 3-bit residual widths.
+	decHeaderBits = 4*6 + 3*3
+	// xorWindowBits is what an XOR miniblock following a decimal one spends
+	// to be handed the three chains' windows (present flag, 5-bit leading,
+	// 6-bit length each) — and the margin by which the decimal form must
+	// beat the XOR form to be taken, so that every such handover was paid
+	// for by the decimal miniblock before it.
+	xorWindowBits = 3 * 12
+)
+
+// dodBits is the size writeDoD gives one step.
+func dodBits(dod int64) int {
+	switch z := zigzag(dod); {
+	case z == 0:
+		return 1
+	case z < 1<<dodSmallBits:
+		return 2 + dodSmallBits
+	case z < 1<<dodMidBits:
+		return 3 + dodMidBits
 	}
-	e := encoderPool.Get().(*blockEncoder)
-	defer encoderPool.Put(e)
-	mn, mx, sum := &e.cols[0], &e.cols[1], &e.cols[2]
-	mn.vals, mx.vals, sum.vals = mn.vals[:0], mx.vals[:0], sum.vals[:0]
-	for i, bk := range bks {
-		if i > 0 && bk.start < bks[i-1].start {
-			return bucketBlock{}, ErrOutOfOrder
+	return 3 + 64
+}
+
+// A count base moves by a sample or two between miniblocks, where
+// writeDoD's nanosecond-sized ladder would spend 23 bits: 0 → one bit;
+// |step| < 8 → '10' + 4 bits; anything → '11' + 64 bits, zigzagged.
+const stepSmallBits = 4
+
+func stepBits(d int64) int {
+	switch z := zigzag(d); {
+	case z == 0:
+		return 1
+	case z < 1<<stepSmallBits:
+		return 2 + stepSmallBits
+	}
+	return 2 + 64
+}
+
+func writeStep(w *bitWriter, d int64) {
+	switch z := zigzag(d); {
+	case z == 0:
+		w.writeBit(0)
+	case z < 1<<stepSmallBits:
+		w.writeBits(0b10<<stepSmallBits|z, 2+stepSmallBits)
+	default:
+		w.writeBits(0b11, 2)
+		w.writeBits(z, 64)
+	}
+}
+
+func readStep(r *bitReader) int64 {
+	if r.readBit() == 0 {
+		return 0
+	}
+	if r.readBit() == 0 {
+		return unzigzag(r.readBits(stepSmallBits))
+	}
+	return unzigzag(r.readBits(64))
+}
+
+// sumGuess predicts a bucket's sum mantissa from its other columns: count
+// samples averaging the midpoint of min and max. It is exact for buckets
+// of one or two samples. The arithmetic wraps on overflow, identically on
+// both sides.
+func sumGuess(count, mn, mx int64) int64 { return count * (mn + mx) >> 1 }
+
+// miniPlan is the decimal form of one miniblock as the encoder fits it:
+// every min, max and sum as mantissa and ulp residual at one exponent,
+// and the field widths the entries need.
+type miniPlan struct {
+	exp         uint
+	mant, resid [3][miniLen]int64 // min, max, sum
+	base        int64             // the smallest count
+	width       [4]uint           // count, min, max, sum fields
+	rbits       [3]uint
+}
+
+// fit fits all three value columns of bks at the smallest common exponent
+// not below p.exp. A value that needs more digits raises the exponent and
+// restarts the run.
+func (p *miniPlan) fit(bks []bucket) bool {
+	for i := 0; i < len(bks); i++ {
+		vals := [3]float64{bks[i].min, bks[i].max, bks[i].sum}
+		for c, v := range vals {
+			m, r, ok := decimalAt(v, pow10[p.exp])
+			if !ok {
+				for !ok {
+					if p.exp == maxDecimalExp {
+						return false
+					}
+					p.exp++
+					_, _, ok = decimalAt(v, pow10[p.exp])
+				}
+				i = -1
+				break
+			}
+			p.mant[c][i], p.resid[c][i] = m, r
 		}
-		mn.vals, mx.vals, sum.vals = append(mn.vals, bk.min), append(mx.vals, bk.max), append(sum.vals, bk.sum)
 	}
-	e.plan(3)
-	out := bucketBlock{n: len(bks), firstNano: bks[0].start, lastEnd: math.MinInt64}
-	var prevDelta, prevWidth, prevCount int64
+	return true
+}
+
+// measure sizes the fitted miniblock's fields — count above the smallest
+// count, min as the mantissa delta along the chain from prevMant, max as
+// the offset above min, sum as the residual against sumGuess — and returns
+// the bits one entry takes, or false when the form does not apply: a
+// bucket whose max is below its min, or a field wider than maxFieldBits.
+func (p *miniPlan) measure(bks []bucket, prevMant int64) (entryBits int, ok bool) {
+	p.base = bks[0].count
+	for _, bk := range bks[1:] {
+		p.base = min(p.base, bk.count)
+	}
+	var fields [4]uint64
+	var resids [3]uint64
+	for i, bk := range bks {
+		mn, mx := p.mant[0][i], p.mant[1][i]
+		if mx < mn {
+			return 0, false
+		}
+		fields[0] |= uint64(bk.count - p.base)
+		fields[1] |= zigzag(mn - prevMant)
+		fields[2] |= uint64(mx - mn)
+		fields[3] |= zigzag(p.mant[2][i] - sumGuess(bk.count, mn, mx))
+		for c := range resids {
+			resids[c] |= zigzag(p.resid[c][i])
+		}
+		prevMant = mn
+	}
+	for k, f := range fields {
+		p.width[k] = uint(bits.Len64(f))
+		if p.width[k] > maxFieldBits {
+			return 0, false
+		}
+		entryBits += int(p.width[k])
+	}
+	for c, f := range resids {
+		p.rbits[c] = uint(bits.Len64(f))
+		entryBits += int(p.rbits[c])
+	}
+	return entryBits, true
+}
+
+// bucketStream is a bucket block under construction: the miniblocks
+// written so far — a valid, iterable bucketBlock at every moment — and the
+// chain state the next miniblock continues from. Every bucket is planned
+// and written exactly once, so the open block of a tier stays compressed
+// and sealing it is a copy of its bytes.
+type bucketStream struct {
+	blk bucketBlock
+
+	// The last bucket's start, start delta, width and count: the chains
+	// every miniblock after the first continues in either form.
+	start, delta, width, count int64
+	// decimal records the form of the last miniblock, exp the exponent of
+	// the last fit that succeeded (the floor of the next, so exponents only
+	// rise while a decimal chain lasts) and mant the last min mantissa.
+	decimal bool
+	exp     uint
+	mant    int64
+	// xor holds the min, max and sum XOR chains, advanced over every bucket
+	// in either form: an XOR miniblock always costs what those entries
+	// would in one unbroken chain.
+	xor [3]xorState
+}
+
+// reset empties the stream, keeping its buffer.
+func (s *bucketStream) reset() {
+	*s = bucketStream{blk: bucketBlock{data: s.blk.data[:0]}}
+}
+
+// add appends up to miniLen buckets as one miniblock:
+//
+//	header byte, then bit-packed and zero-padded to a whole byte:
+//	first miniblock of a block: start and width of its first bucket, 64 bits each
+//	decimal form:  unless continuing: exponent (4 bits), previous min mantissa (52, zigzag)
+//	               the widths header (decHeaderBits)
+//	               the smallest count: 64 bits in a first miniblock, else a step from the last count
+//	XOR form:      unless continuing or first: the three chains' windows (xorWindowBits)
+//	per bucket:    start and width delta-of-deltas (unless first-of-block, or miniRegular)
+//	               decimal: count − smallest | min mantissa delta, residual | max − min, residual |
+//	                        sum − sumGuess, residual — at the header's widths
+//	               XOR: min, max, sum chain steps and the count's delta-of-delta
+//	                    (first-of-block: the four fields verbatim, 64 bits each)
+//
+// The decimal form applies when all three columns fit one exponent (see
+// decimalAt) and is taken when it is smaller than the XOR form by
+// xorWindowBits; an XOR miniblock costs exactly what its entries would in
+// one unbroken run of the chains, so a block is never larger than that run
+// by more than the header byte and padding of each miniblock.
+func (s *bucketStream) add(bks []bucket) {
+	first := s.blk.n == 0
+	if first {
+		s.blk.firstNano, s.blk.lastEnd = bks[0].start, math.MinInt64
+	}
+
+	// The two forms share the time chains; cost the XOR chains and the
+	// count's, advancing s.xor to where this miniblock leaves them. chains
+	// keeps where they stood: what the XOR form is written from.
+	if first {
+		s.xor[0].prev, s.xor[1].prev, s.xor[2].prev = math.Float64bits(bks[0].min), math.Float64bits(bks[0].max), math.Float64bits(bks[0].sum)
+	}
+	chains := s.xor
+	regular, xorBits := true, 0
+	prevStart, prevDelta, prevWidth, prevCount := s.start, s.delta, s.width, s.count
 	for i, bk := range bks {
 		width := bk.end - bk.start
-		if i == 0 {
-			e.w.writeBits(uint64(bk.start), 64)
-			e.w.writeBits(uint64(width), 64)
+		if first && i == 0 {
+			xorBits += 4 * 64 // the chains open on this bucket, stored verbatim
 		} else {
-			delta := bk.start - bks[i-1].start
-			writeDoD(&e.w, delta-prevDelta)
-			writeDoD(&e.w, width-prevWidth)
+			delta := bk.start - prevStart
+			regular = regular && delta == prevDelta && width == prevWidth
+			prevDelta = delta
+			xorBits += s.xor[0].cost(math.Float64bits(bk.min)) + s.xor[1].cost(math.Float64bits(bk.max)) +
+				s.xor[2].cost(math.Float64bits(bk.sum)) + dodBits(bk.count-prevCount)
+		}
+		prevStart, prevWidth, prevCount = bk.start, width, bk.count
+	}
+
+	// Fit the decimal form. Its min chain continues from the previous
+	// miniblock's when that was decimal at the same exponent; otherwise it
+	// opens on this miniblock's first mantissa.
+	p := miniPlan{exp: s.exp}
+	prevMant := s.mant
+	continues, useDecimal := !first && s.decimal, false
+	if p.fit(bks) {
+		if continues = continues && p.exp == s.exp; !continues {
+			prevMant = p.mant[0][0]
+		}
+		s.exp = p.exp
+		if entryBits, ok := p.measure(bks, prevMant); ok {
+			decBits := decHeaderBits + len(bks)*entryBits
+			if !continues {
+				decBits += 4 + firstMantBits
+			}
+			if first {
+				decBits += 64
+			} else {
+				decBits += stepBits(p.base - s.count)
+			}
+			useDecimal = decBits+xorWindowBits <= xorBits
+		}
+	} else {
+		s.exp = 0
+	}
+	if !useDecimal {
+		continues = !first && !s.decimal
+	}
+
+	w := bitWriter{buf: s.blk.data}
+	header := uint64(len(bks) - 1)
+	if continues {
+		header |= miniContinues
+	}
+	if useDecimal {
+		header |= miniDecimal
+	}
+	if regular {
+		header |= miniRegular
+	}
+	w.writeBits(header, 8)
+	if first {
+		w.writeBits(uint64(bks[0].start), 64)
+		w.writeBits(uint64(bks[0].end-bks[0].start), 64)
+	}
+	switch {
+	case useDecimal:
+		if !continues {
+			w.writeBits(uint64(p.exp), 4)
+			w.writeBits(zigzag(prevMant), firstMantBits)
+		}
+		w.writeBits(uint64(p.width[0])<<27|uint64(p.width[1])<<21|uint64(p.width[2])<<15|uint64(p.width[3])<<9|
+			uint64(p.rbits[0])<<6|uint64(p.rbits[1])<<3|uint64(p.rbits[2]), decHeaderBits)
+		if first {
+			w.writeBits(uint64(p.base), 64)
+		} else {
+			writeStep(&w, p.base-s.count)
+		}
+	case !continues && !first:
+		for _, x := range chains {
+			if x.haveWind {
+				w.writeBits(1<<11|uint64(x.leading)<<6|uint64(x.sigbits-1), 12)
+			} else {
+				w.writeBits(0, 12)
+			}
+		}
+	}
+	prevStart, prevDelta, prevWidth, prevCount = s.start, s.delta, s.width, s.count
+	for i, bk := range bks {
+		width := bk.end - bk.start
+		verbatim := first && i == 0
+		if !verbatim {
+			delta := bk.start - prevStart
+			if !regular {
+				writeDoD(&w, delta-prevDelta)
+				writeDoD(&w, width-prevWidth)
+			}
 			prevDelta = delta
 		}
-		mn.write(&e.w, i)
-		mx.write(&e.w, i)
-		sum.write(&e.w, i)
-		if i == 0 {
-			e.w.writeBits(uint64(bk.count), 64)
-		} else {
-			writeDoD(&e.w, bk.count-prevCount)
+		switch {
+		case useDecimal:
+			mn, mx := p.mant[0][i], p.mant[1][i]
+			w.writeBits(uint64(bk.count-p.base), p.width[0])
+			w.writeBits(zigzag(mn-prevMant), p.width[1])
+			w.writeBits(zigzag(p.resid[0][i]), p.rbits[0])
+			w.writeBits(uint64(mx-mn), p.width[2])
+			w.writeBits(zigzag(p.resid[1][i]), p.rbits[1])
+			w.writeBits(zigzag(p.mant[2][i]-sumGuess(bk.count, mn, mx)), p.width[3])
+			w.writeBits(zigzag(p.resid[2][i]), p.rbits[2])
+			prevMant = mn
+		case verbatim:
+			w.writeBits(math.Float64bits(bk.min), 64)
+			w.writeBits(math.Float64bits(bk.max), 64)
+			w.writeBits(math.Float64bits(bk.sum), 64)
+			w.writeBits(uint64(bk.count), 64)
+		default:
+			chains[0].write(&w, math.Float64bits(bk.min))
+			chains[1].write(&w, math.Float64bits(bk.max))
+			chains[2].write(&w, math.Float64bits(bk.sum))
+			writeDoD(&w, bk.count-prevCount)
 		}
-		prevWidth, prevCount = width, bk.count
-		out.lastEnd = max(out.lastEnd, bk.end)
-		out.samples += bk.count
+		prevStart, prevWidth, prevCount = bk.start, width, bk.count
+		s.blk.lastEnd = max(s.blk.lastEnd, bk.end)
+		s.blk.samples += bk.count
 	}
-	out.data = e.w.sealed()
-	return out, nil
+	w.align()
+	s.blk.data = w.buf
+	s.blk.n += len(bks)
+	s.start, s.delta, s.width, s.count = prevStart, prevDelta, prevWidth, prevCount
+	s.decimal, s.mant = useDecimal, prevMant
 }
 
 // bucketIter walks a bucketBlock one bucket at a time without
 // allocating. The decode state is local, so concurrent readers may
 // iterate one block.
 type bucketIter struct {
-	r         bitReader
-	n, i      int
-	nano      int64
-	prevDelta int64
-	width     int64
-	count     int64
-	cols      [3]colDec // min, max, sum
-	vals      [3]float64
+	r    bitReader
+	n, i int
+	left int // entries left in the current miniblock
+
+	// The current miniblock's form, and the decimal form's widths, scale,
+	// smallest count and running min mantissa.
+	decimal, regular bool
+	width            [4]uint
+	rbits            [3]uint
+	scale            float64
+	base, mant       int64
+
+	nano, prevDelta int64
+	span            int64 // the current bucket's end − start
+	count           int64
+	xor             [3]xorState
+	vals            [3]float64 // min, max, sum
 }
 
 func (bb bucketBlock) iter() bucketIter {
-	it := bucketIter{n: bb.n}
-	if bb.n > 0 {
-		var tag byte
-		tag, it.r = tagReader(bb.data, uint(len(it.cols)))
-		for i := range it.cols {
-			it.cols[i].decimal = tag>>i&1 != 0
+	return bucketIter{n: bb.n, r: newBitReader(bb.data)}
+}
+
+// open reads the next miniblock's header. A header the encoder cannot
+// have written — an entry count past the block's, the spare bit, a chain
+// continuing from nothing or across a change of form, an exponent or a
+// field width out of range — is corrupt.
+func (it *bucketIter) open() {
+	r := &it.r
+	r.align()
+	h := r.readBits(8)
+	first := it.i == 0
+	continues, decimal := h&miniContinues != 0, h&miniDecimal != 0
+	it.left = int(h&miniCountMask) + 1
+	if h&miniSpare != 0 || it.left > it.n-it.i || continues && (first || decimal != it.decimal) {
+		r.err = ErrCorruptBlock
+		return
+	}
+	it.decimal, it.regular = decimal, h&miniRegular != 0
+	if first {
+		it.nano = int64(r.readBits(64))
+		it.span = int64(r.readBits(64))
+	}
+	switch {
+	case decimal:
+		if !continues {
+			exp := r.readBits(4)
+			if exp > maxDecimalExp {
+				r.err = ErrCorruptBlock
+				return
+			}
+			it.scale = pow10[exp]
+			it.mant = unzigzag(r.readBits(firstMantBits))
+		}
+		wh := r.readBits(decHeaderBits)
+		for k := range it.width {
+			it.width[k] = uint(wh >> (27 - 6*k) & 0x3f)
+			if it.width[k] > maxFieldBits {
+				r.err = ErrCorruptBlock
+				return
+			}
+		}
+		for c := range it.rbits {
+			it.rbits[c] = uint(wh >> (6 - 3*c) & 7)
+		}
+		if first {
+			it.base = int64(r.readBits(64))
+		} else {
+			it.base = it.count + readStep(r)
+		}
+	case !continues && !first:
+		for c := range it.xor {
+			win := r.readBits(12)
+			x := xorState{prev: math.Float64bits(it.vals[c])}
+			if win>>11 != 0 {
+				x.leading, x.sigbits, x.haveWind = uint(win>>6&0x1f), uint(win&0x3f)+1, true
+				if x.leading+x.sigbits > 64 {
+					r.err = ErrCorruptBlock
+					return
+				}
+			}
+			it.xor[c] = x
 		}
 	}
-	return it
 }
 
 // next advances to the next bucket, returning false at the end of the
@@ -857,35 +1248,63 @@ func (it *bucketIter) next() bool {
 		return false
 	}
 	r := &it.r
-	if it.i == 0 {
-		it.nano = int64(r.readBits(64))
-		it.width = int64(r.readBits(64))
-		for i := range it.cols {
-			it.vals[i] = it.cols[i].first(r)
+	verbatim := it.i == 0
+	if it.left == 0 {
+		if it.open(); r.err != nil {
+			return false
+		}
+	}
+	if !verbatim {
+		if !it.regular {
+			it.prevDelta += readDoD(r)
+			it.span += readDoD(r)
+		}
+		it.nano += it.prevDelta
+	}
+	switch {
+	case it.decimal:
+		it.count = it.base + int64(r.readBits(it.width[0]))
+		it.mant += unzigzag(r.readBits(it.width[1]))
+		mn := it.mant
+		it.vals[0] = it.value(mn, 0)
+		mx := mn + int64(r.readBits(it.width[2]))
+		it.vals[1] = it.value(mx, 1)
+		sum := sumGuess(it.count, mn, mx) + unzigzag(r.readBits(it.width[3]))
+		it.vals[2] = it.value(sum, 2)
+	case verbatim:
+		for c := range it.xor {
+			it.xor[c].prev = r.readBits(64)
+			it.vals[c] = math.Float64frombits(it.xor[c].prev)
 		}
 		it.count = int64(r.readBits(64))
-	} else {
-		delta := it.prevDelta + readDoD(r)
-		it.nano += delta
-		it.prevDelta = delta
-		it.width += readDoD(r)
-		for i := range it.cols {
-			it.vals[i] = it.cols[i].next(r)
+	default:
+		for c := range it.xor {
+			it.vals[c] = math.Float64frombits(it.xor[c].read(r))
 		}
 		it.count += readDoD(r)
 	}
 	if r.err != nil {
 		return false
 	}
+	it.left--
 	it.i++
 	return true
+}
+
+// value reads column c's ulp residual and returns the value mant stands
+// for in the current decimal miniblock.
+func (it *bucketIter) value(mant int64, c int) float64 {
+	if it.rbits[c] == 0 {
+		return float64(mant) / it.scale
+	}
+	return decimalValue(mant, it.scale, unzigzag(it.r.readBits(it.rbits[c])))
 }
 
 // bucket returns the current bucket. Valid only after a true next.
 func (it *bucketIter) bucket() bucket {
 	return bucket{
 		start: it.nano,
-		end:   it.nano + it.width,
+		end:   it.nano + it.span,
 		min:   it.vals[0],
 		max:   it.vals[1],
 		sum:   it.vals[2],

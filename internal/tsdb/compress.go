@@ -1,10 +1,11 @@
 // The storage representation of memSeries: the raw store and every
-// summary tier hold a FIFO of sealed Gorilla blocks plus a small
-// uncompressed active run. Eviction is block-granular — a full store
-// sheds its oldest sealed block into the next tier — so the retained
-// size breathes between capacity−blockLen and capacity instead of
-// sitting exactly at capacity; what a store buys for that is roughly an
-// order of magnitude more retained points per byte.
+// summary tier hold a FIFO of sealed blocks plus one open block — an
+// uncompressed run of points in the raw store, a compressed stream of
+// miniblocks plus a few staged buckets in a tier. Eviction is
+// block-granular — a full store sheds its oldest sealed block into the
+// next tier — so the retained size breathes between capacity−blockLen and
+// capacity instead of sitting exactly at capacity; what a store buys for
+// that is roughly an order of magnitude more retained points per byte.
 
 package tsdb
 
@@ -68,13 +69,13 @@ func appendSeg[T any](segs []T, seg T, capacity, blockLen int) []T {
 	return append(segs, seg)
 }
 
-// resetTail empties a sealed tail for reuse. append may have rounded its
+// resetTail empties the raw store's sealed tail for reuse. append may have rounded its
 // capacity past blockLen (a malloc size class above the doubling step);
 // the first seal swaps such a tail for one that holds exactly a block, so
 // a warm store's tail never exceeds blockLen entries.
-func resetTail[T any](tail []T, blockLen int) []T {
+func resetTail(tail []rawPoint, blockLen int) []rawPoint {
 	if cap(tail) > blockLen {
-		return make([]T, 0, blockLen)
+		return make([]rawPoint, 0, blockLen)
 	}
 	return tail[:0]
 }
@@ -229,13 +230,20 @@ func (c *compPoints) compressedFootprint() (bytes, points int64) {
 }
 
 // compBuckets is the finalized-bucket store of one tier: a FIFO of sealed
-// bucket blocks plus an uncompressed active run.
+// bucket blocks plus the open block, which stays compressed too — its
+// whole miniblocks already encoded in stream, only the newest few buckets
+// (fewer than a miniblock) staged as plain values.
 type compBuckets struct {
 	blockLen int
 	capacity int // max finalized buckets; 0 = unbounded
 	segs     []bucketBlock
-	active   []bucket
+	stream   bucketStream
+	staged   []bucket
 	n        int
+}
+
+func newCompBuckets(blockLen, capacity int) compBuckets {
+	return compBuckets{blockLen: blockLen, capacity: capacity, staged: make([]bucket, 0, min(miniLen, blockLen))}
 }
 
 func (c *compBuckets) size() int { return c.n }
@@ -243,11 +251,11 @@ func (c *compBuckets) size() int { return c.n }
 // push appends one finalized bucket, handing back the oldest sealed
 // block once capacity is exceeded.
 func (c *compBuckets) push(b bucket) (evicted bucketBlock, ok bool) {
-	c.active = append(c.active, b)
+	c.staged = append(c.staged, b)
 	c.n++
-	if len(c.active) >= c.blockLen {
-		//nyquist:allow-alloc seal fires once per blockLen buckets; its cost amortizes to ~0 per append
-		c.seal()
+	if len(c.staged) == miniLen || c.stream.blk.n+len(c.staged) >= c.blockLen {
+		//nyquist:allow-alloc a miniblock is encoded once per miniLen buckets and a block sealed once per blockLen; the cost amortizes to ~0 per append
+		c.flush()
 	}
 	if c.capacity > 0 && c.n > c.capacity && len(c.segs) > 0 {
 		return c.evictOldest(), true
@@ -255,19 +263,19 @@ func (c *compBuckets) push(b bucket) (evicted bucketBlock, ok bool) {
 	return bucketBlock{}, false
 }
 
-// seal compresses the active run into a bucket block. As with the raw
-// store, the append door guarantees it encodes: bucket starts only
-// increase within a tier.
-func (c *compBuckets) seal() {
-	if len(c.active) == 0 {
+// flush encodes the staged buckets as the open block's next miniblock and,
+// once the block holds blockLen buckets, seals it: the bytes already
+// written, copied to size. Nothing is decoded or encoded a second time.
+func (c *compBuckets) flush() {
+	c.stream.add(c.staged)
+	c.staged = c.staged[:0]
+	if c.stream.blk.n < c.blockLen {
 		return
 	}
-	blk, err := encodeBucketBlock(c.active)
-	if err != nil {
-		panic("tsdb: sealing finalized buckets: " + err.Error())
-	}
+	blk := c.stream.blk
+	blk.data = exactCopy(blk.data)
 	c.segs = appendSeg(c.segs, blk, c.capacity, c.blockLen)
-	c.active = resetTail(c.active, c.blockLen)
+	c.stream.reset()
 }
 
 func (c *compBuckets) evictOldest() bucketBlock {
@@ -286,41 +294,53 @@ func (c *compBuckets) bounds() (oldest, newestEnd int64, ok bool) {
 		oldest = min(oldest, c.segs[i].firstNano)
 		newestEnd = max(newestEnd, c.segs[i].lastEnd)
 	}
-	for _, b := range c.active {
+	if c.stream.blk.n > 0 {
+		oldest = min(oldest, c.stream.blk.firstNano)
+		newestEnd = max(newestEnd, c.stream.blk.lastEnd)
+	}
+	for _, b := range c.staged {
 		oldest = min(oldest, b.start)
 		newestEnd = max(newestEnd, b.end)
 	}
-	return oldest, newestEnd, len(c.segs)+len(c.active) > 0
+	return oldest, newestEnd, c.n > 0
 }
 
-// each emits finalized buckets in order, skipping sealed segments whose
-// coverage cannot intersect [lo, hi).
+// each emits finalized buckets in order, skipping blocks — the open one
+// is decoded in place like a sealed one — whose coverage cannot intersect
+// [lo, hi).
 func (c *compBuckets) each(lo, hi int64, emit func(bucket)) {
 	for i := range c.segs {
-		s := &c.segs[i]
-		if s.firstNano >= hi || s.lastEnd <= lo {
-			continue
-		}
-		_ = s.each(emit) // decode errors impossible for self-encoded blocks
+		c.segs[i].eachIn(lo, hi, emit)
 	}
-	for _, b := range c.active {
+	c.stream.blk.eachIn(lo, hi, emit)
+	for _, b := range c.staged {
 		emit(b)
 	}
 }
 
+// eachIn decodes the block if its coverage can intersect [lo, hi). Decode
+// errors are impossible for self-encoded blocks.
+func (bb *bucketBlock) eachIn(lo, hi int64, emit func(bucket)) {
+	if bb.n > 0 && bb.firstNano < hi && bb.lastEnd > lo {
+		_ = bb.each(emit)
+	}
+}
+
 // sampleTotal sums every finalized bucket's count without decoding any
-// sealed block — the stats path runs under the shard lock.
+// block — the stats path runs under the shard lock.
 func (c *compBuckets) sampleTotal() int64 {
-	var n int64
+	n := c.stream.blk.samples
 	for i := range c.segs {
 		n += c.segs[i].samples
 	}
-	for _, b := range c.active {
+	for _, b := range c.staged {
 		n += b.count
 	}
 	return n
 }
 
+// compressedFootprint reports the sealed payload only: the open block's
+// bytes are open-tail state (openTailBytes), as the raw store's tail is.
 func (c *compBuckets) compressedFootprint() (bytes, buckets int64) {
 	for i := range c.segs {
 		bytes += int64(c.segs[i].size())

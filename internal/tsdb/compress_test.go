@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"reflect"
@@ -345,4 +346,108 @@ func TestCompressedConcurrent(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	close(stop)
 	<-done
+}
+
+// TestBucketStoreStreamsItsOpenBlock holds the tier store to a plain
+// []bucket model while its open block stays compressed: after every push
+// each (whole range and a window), bounds, sampleTotal and the size equal
+// the model's, every block that seals is byte for byte encodeBucketBlock
+// of its run with no spare capacity, and every evicted block is the
+// model's oldest run — across block lengths on both sides of the
+// miniblock length, widths retuned mid-block, and stretches of
+// non-decimal values that flip miniblocks to the XOR form and back.
+func TestBucketStoreStreamsItsOpenBlock(t *testing.T) {
+	pts := twoDecimalGauge(3 * 700)
+	for _, bl := range []int{1, 2, 15, 16, 17, 128} {
+		t.Run(fmt.Sprintf("blockLen=%d", bl), func(t *testing.T) {
+			c := newCompBuckets(bl, 4*bl)
+			var model []bucket
+			forms := map[bool]bool{} // decimal?
+			width := int64(3 * time.Second)
+			start := blockEpoch.UnixNano()
+			for i := 0; i < 700; i++ {
+				if i%53 == 52 {
+					width += int64(time.Second) // a retune: later buckets sit on a new grid
+				}
+				b := bucketOf(rawOf(pts[3*i]))
+				b.merge(bucketOf(rawOf(pts[3*i+1])))
+				b.merge(bucketOf(rawOf(pts[3*i+2])))
+				if i%5 == 0 {
+					b.count-- // counts flip between two values, as on a non-integer grid
+				}
+				if i/20%4 == 3 { // 20 buckets in every 80 are not decimal
+					b.sum *= 1e40
+				}
+				b.start, b.end = start, start+width
+				start += width
+
+				sealedBefore := len(c.segs)
+				evicted, ok := c.push(b)
+				model = append(model, b)
+				if ok {
+					if !reflect.DeepEqual(bucketsOf(t, evicted), model[:bl]) {
+						t.Fatalf("push %d: the evicted block is not the oldest %d buckets", i, bl)
+					}
+					model = model[bl:]
+					sealedBefore--
+				}
+				if len(c.segs) > sealedBefore {
+					seg := c.segs[len(c.segs)-1]
+					run := model[len(model)-bl:]
+					want := encodeBucketBlock(run)
+					if !bytes.Equal(seg.data, want.data) || cap(seg.data) != len(seg.data) {
+						t.Fatalf("push %d: the streamed block is %d bytes (cap %d), encodeBucketBlock of its run %d", i, len(seg.data), cap(seg.data), len(want.data))
+					}
+					want.data = seg.data
+					if !reflect.DeepEqual(seg, want) {
+						t.Fatalf("push %d: streamed block metadata %+v, want %+v", i, seg, want)
+					}
+					for it := seg.iter(); it.next(); {
+						forms[it.decimal] = true
+					}
+				}
+
+				var got []bucket
+				c.each(math.MinInt64, math.MaxInt64, func(b bucket) { got = append(got, b) })
+				if !reflect.DeepEqual(got, model) {
+					t.Fatalf("push %d: each emits %d buckets that differ from the %d pushed", i, len(got), len(model))
+				}
+				lo, hi := model[len(model)/3].start, model[2*len(model)/3].end
+				inWindow := func(bks []bucket) (out []bucket) {
+					for _, b := range bks {
+						if b.start < hi && b.end > lo {
+							out = append(out, b)
+						}
+					}
+					return out
+				}
+				got = got[:0]
+				c.each(lo, hi, func(b bucket) { got = append(got, b) })
+				if !reflect.DeepEqual(inWindow(got), inWindow(model)) {
+					t.Fatalf("push %d: each over [%d, %d) misses or invents buckets", i, lo, hi)
+				}
+				var samples int64
+				for _, b := range model {
+					samples += b.count
+				}
+				oldest, newestEnd, ok := c.bounds()
+				if !ok || oldest != model[0].start || newestEnd != b.end || c.sampleTotal() != samples || c.size() != len(model) {
+					t.Fatalf("push %d: bounds [%d, %d) ok=%v, %d samples in %d buckets; the model spans [%d, %d) with %d in %d",
+						i, oldest, newestEnd, ok, c.sampleTotal(), c.size(), model[0].start, b.end, samples, len(model))
+				}
+			}
+			if !forms[true] || !forms[false] {
+				t.Fatalf("sealed miniblocks took forms %v (decimal?): the run should exercise both", forms)
+			}
+		})
+	}
+}
+
+// bucketsOf decodes a whole block.
+func bucketsOf(t *testing.T, bb bucketBlock) (out []bucket) {
+	t.Helper()
+	if err := bb.each(func(b bucket) { out = append(out, b) }); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

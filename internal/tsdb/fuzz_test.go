@@ -337,47 +337,220 @@ func FuzzBlockRoundTrip(f *testing.F) {
 	})
 }
 
+// bucketFuzzRecord is one 12-byte FuzzBucketBlockRoundTrip record: a flag
+// byte, an exponent byte, a 4-byte min mantissa, a 2-byte max offset, a
+// count byte, a sum-perturbation byte and two spare value bytes.
+func bucketFuzzRecord(flags, exp byte, mant int32, off uint16, count, perturb byte) []byte {
+	rec := []byte{flags, exp}
+	rec = binary.BigEndian.AppendUint32(rec, uint32(mant))
+	rec = binary.BigEndian.AppendUint16(rec, off)
+	return append(rec, count, perturb, 0, 0)
+}
+
+// Flag bits of a bucketFuzzRecord.
+const (
+	bucketFuzzBits    = 0x01 // min is the record's last 8 bytes as raw float64 bits, not a decimal
+	bucketFuzzUlps    = 0x02 // the sum is moved by the perturbation byte, in ulps
+	bucketFuzzRetune  = 0x04 // the bucket width changes here
+	bucketFuzzGap     = 0x08 // grid cells are skipped before this bucket
+	bucketFuzzWide    = 0x10 // the mantissa is scaled up by 2^20
+	bucketFuzzCountSh = 5    // the top three bits shift the count left by 6 bits each
+)
+
+// bucketsFromFuzz builds a run of 1…300 buckets from fuzz bytes: two bytes
+// of run length, then 12-byte records used round-robin (so a short input
+// still crosses miniblock and block-sized boundaries), each varied a
+// little by its position so repeats are not identical.
+func bucketsFromFuzz(data []byte) []bucket {
+	if len(data) < 2+12 {
+		return nil
+	}
+	n := 1 + int(binary.BigEndian.Uint16(data))%300
+	recs := data[2 : 2+(len(data)-2)/12*12]
+	bks := make([]bucket, n)
+	start, width := blockEpoch.UnixNano(), int64(5*time.Second)
+	for i := range bks {
+		rec := recs[i*12%len(recs):][:12]
+		flags := rec[0]
+		scale := pow10[rec[1]%(maxDecimalExp+1)]
+		mant := int64(int32(binary.BigEndian.Uint32(rec[2:]))) + int64(i%7)
+		if flags&bucketFuzzWide != 0 {
+			mant <<= 20
+		}
+		off := int64(binary.BigEndian.Uint16(rec[6:]))
+		count := int64(rec[8]) << (6 * (flags >> bucketFuzzCountSh))
+		b := bucket{min: float64(mant) / scale, max: float64(mant+off) / scale, count: count}
+		if flags&bucketFuzzBits != 0 {
+			b.min = math.Float64frombits(binary.BigEndian.Uint64(rec[4:]))
+			if b.max = b.min + float64(off); !(b.max >= b.min) {
+				b.max = b.min // NaN, or an infinity
+			}
+		}
+		b.sum = (b.min + b.max) / 2 * float64(count)
+		if flags&bucketFuzzUlps != 0 {
+			b.sum = math.Float64frombits(ulpBits(ulpOrd(math.Float64bits(b.sum)) + int64(int8(rec[9]))))
+		}
+		if flags&bucketFuzzRetune != 0 {
+			width = int64(1+rec[9]) * int64(time.Second) / 4
+		}
+		if flags&bucketFuzzGap != 0 {
+			start += int64(rec[8]) * width
+		}
+		b.start, b.end = start, start+width
+		start += width
+		bks[i] = b
+	}
+	return bks
+}
+
+// FuzzBucketBlockRoundTrip drives the bucket codec with runs that cross
+// miniblock and block-length boundaries and mix everything that decides a
+// miniblock's form: exact decimals at one or several exponents, raw float
+// bits (NaN and infinities included), sums a few ulps off their decimal,
+// counts up to 2^40 and beyond, retuned widths and skipped grid cells. It
+// checks the codec's whole contract: the run decodes back bit-exactly, the
+// block's metadata (n, firstNano, lastEnd, samples) matches it, and the
+// payload is at most two bytes per miniblock larger than the run's XOR
+// form.
+func FuzzBucketBlockRoundTrip(f *testing.F) {
+	run := func(n int, recs ...[]byte) []byte {
+		return append(binary.BigEndian.AppendUint16(nil, uint16(n-1)), bytes.Join(recs, nil)...)
+	}
+	gauge := bucketFuzzRecord(0, 2, 4217, 310, 3, 0)
+	f.Add(run(1, gauge))
+	f.Add(run(16, gauge))
+	f.Add(run(17, gauge))
+	f.Add(run(128, gauge, bucketFuzzRecord(0, 2, 4630, 12, 2, 0)))
+	f.Add(run(300, gauge, bucketFuzzRecord(bucketFuzzUlps, 2, 3977, 655, 4, 3), bucketFuzzRecord(bucketFuzzUlps, 2, 5102, 80, 3, 0xfe)))
+	// Mixed exponents: the common exponent rises mid-block.
+	f.Add(run(60, gauge, gauge, gauge, bucketFuzzRecord(0, 5, 4217000, 1, 3, 0), bucketFuzzRecord(0, 12, 7, 65535, 1, 0)))
+	// Stretches of raw float bits flip miniblocks to the XOR form and back.
+	pi := bucketFuzzRecord(bucketFuzzBits, 0, 0x400921fb, 0x5444, 0x2d, 0x18)
+	var mixed [][]byte
+	for i := 0; i < 50; i++ {
+		if i/10%2 == 0 {
+			mixed = append(mixed, gauge)
+		} else {
+			mixed = append(mixed, pi)
+		}
+	}
+	f.Add(run(250, mixed...))
+	f.Add(run(40, bucketFuzzRecord(bucketFuzzBits, 0, 0x7ff80000, 0, 1, 0), pi, bucketFuzzRecord(bucketFuzzBits, 0, -0x100000, 0, 0, 0)))
+	// Counts from zero to past 2^40, retunes, gaps and wide mantissas.
+	f.Add(run(90, bucketFuzzRecord(7<<bucketFuzzCountSh, 2, 4217, 310, 255, 0), bucketFuzzRecord(0, 2, 4217, 310, 0, 0),
+		bucketFuzzRecord(bucketFuzzRetune|bucketFuzzGap, 2, 4217, 310, 9, 77), bucketFuzzRecord(bucketFuzzWide, 0, math.MaxInt32, 65535, 1, 0),
+		bucketFuzzRecord(bucketFuzzWide, 0, math.MinInt32, 0, 200, 0)))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		bks := bucketsFromFuzz(data)
+		if len(bks) == 0 {
+			return
+		}
+		bb := checkBucketRoundTrip(t, bks)
+		if xor := len(xorOnlyBucketPayload(bks)); bb.size() > xor+2*miniblocks(len(bks)) {
+			t.Fatalf("payload of %d miniblocks is %d bytes, the run's XOR form %d", miniblocks(len(bks)), bb.size(), xor)
+		}
+	})
+}
+
+// corruptBucketPayloads returns a valid 24-bucket payload (a first and a
+// continuing miniblock; decimal form, or XOR when decimal is false) and,
+// by name, copies of it whose miniblock headers claim what the encoder
+// never writes.
+func corruptBucketPayloads(decimal bool) (valid []byte, n int, corrupt map[string][]byte) {
+	bks := make([]bucket, 24)
+	for i := range bks {
+		v := float64(4200+i*i%97) / 100
+		at := blockEpoch.Add(time.Duration(4*i) * time.Second).UnixNano()
+		bks[i] = bucket{start: at, end: at + int64(4*time.Second), min: v - 1, max: v + 1, sum: 4*v + 0.1, count: 4}
+		if !decimal {
+			bks[i].sum *= 1e30 // past the mantissa range
+		}
+	}
+	valid = encodeBucketBlock(bks).data
+	second := len(encodeBucketBlock(bks[:miniLen]).data) // miniblocks are byte-aligned: the second one's header
+	edit := func(at int, to byte) []byte {
+		bad := append([]byte(nil), valid...)
+		bad[at] = to
+		return bad
+	}
+	corrupt = map[string][]byte{
+		"chain continues on the first miniblock": edit(0, valid[0]|miniContinues),
+		"spare header bit":                       edit(0, valid[0]|miniSpare),
+		"chain continues across a form change":   edit(second, valid[second]^miniDecimal),
+		"entry count past the block":             edit(second, valid[second]|miniCountMask),
+		"truncated":                              valid[:len(valid)/2],
+	}
+	if decimal {
+		// After the header byte and the verbatim start and width: the 4-bit
+		// exponent, the 52-bit first mantissa, then the widths header.
+		corrupt["exponent above 12"] = edit(17, valid[17]|0xf0)
+		corrupt["count width above 53"] = edit(24, valid[24]|0xfc)
+	} else {
+		corrupt["form flipped to decimal"] = edit(0, valid[0]|miniDecimal)
+	}
+	return valid, len(bks), corrupt
+}
+
+// TestBucketBlockRejectsCorruptHeaders: every header the encoder cannot
+// have written decodes to ErrCorruptBlock, within the block's entry count.
+func TestBucketBlockRejectsCorruptHeaders(t *testing.T) {
+	for _, decimal := range []bool{true, false} {
+		valid, n, corrupt := corruptBucketPayloads(decimal)
+		if err := (bucketBlock{data: valid, n: n}).each(func(bucket) {}); err != nil {
+			t.Fatalf("decimal=%v: the unedited payload: %v", decimal, err)
+		}
+		if decimal != (valid[0]&miniDecimal != 0) {
+			t.Fatalf("decimal=%v: the payload opens with header %08b", decimal, valid[0])
+		}
+		for name, data := range corrupt {
+			seen := 0
+			err := bucketBlock{data: data, n: n}.each(func(bucket) { seen++ })
+			if !errors.Is(err, ErrCorruptBlock) || seen >= n {
+				t.Errorf("decimal=%v, %s: decoded %d of %d buckets, err %v; want ErrCorruptBlock", decimal, name, seen, n, err)
+			}
+		}
+	}
+}
+
 // FuzzBlockDecode feeds arbitrary bytes and entry counts to both block
 // decoders. Each must come back with ErrCorruptBlock or a block — never a
 // panic, never a read past the payload (which Go would turn into one) —
 // and must stop within the count it was given.
 func FuzzBlockDecode(f *testing.F) {
-	at := func(i int) time.Time { return blockEpoch.Add(time.Duration(i) * time.Second) }
 	pts := make([]series.Point, 24)
-	bks := make([]bucket, 24)
 	for i := range pts {
-		v := float64(4200+i*i%97) / 100
-		pts[i] = series.Point{Time: at(i), Value: v}
-		bks[i] = bucket{start: at(4 * i).UnixNano(), end: at(4*i + 4).UnixNano(), min: v - 1, max: v + 1, sum: 4*v + 0.1, count: 4}
+		pts[i] = series.Point{Time: blockEpoch.Add(time.Duration(i) * time.Second), Value: float64(4200+i*i%97) / 100}
 	}
 	for _, decimal := range []bool{true, false} {
 		if !decimal {
-			pts[7].Value, bks[7].min, bks[8].max, bks[9].sum = math.Pi, math.Pi, math.Pi, math.Pi
+			pts[7].Value = math.Pi
 		}
 		blk, err := EncodeBlock(pts)
 		if err != nil {
 			f.Fatal(err)
 		}
-		bb, err := encodeBucketBlock(bks)
-		if err != nil {
-			f.Fatal(err)
+		payload := blk.Data()
+		f.Add(payload, uint16(len(pts)))
+		f.Add(payload, uint16(len(pts)+1))
+		f.Add(payload[:len(payload)/2], uint16(len(pts)))
+		// The column claims decimal; then its header — after the tag byte
+		// and the verbatim first timestamp — declares an exponent, a delta
+		// width and a tag the format does not have.
+		for _, edit := range []struct {
+			at int
+			to byte
+		}{{0, 0x01}, {9, 0xf0}, {9, 0x0f}, {0, 0x02}, {0, 0xff}} {
+			bad := append([]byte(nil), payload...)
+			bad[edit.at] = edit.to
+			f.Add(bad, uint16(len(pts)))
 		}
-		// The first column header follows the tag byte and the verbatim
-		// 64-bit fields: start (and, for buckets, width).
-		for header, payload := range map[int][]byte{9: blk.Data(), 17: bb.data} {
-			f.Add(payload, uint16(len(pts)))
-			f.Add(payload, uint16(len(pts)+1))
-			f.Add(payload[:len(payload)/2], uint16(len(pts)))
-			// Every column claims decimal; then the header declares an
-			// exponent, a delta width and a tag the format does not have.
-			for _, edit := range []struct {
-				at int
-				to byte
-			}{{0, 0x07}, {header, 0xf0}, {header, 0x0f}, {0, 0x08}, {0, 0xff}} {
-				bad := append([]byte(nil), payload...)
-				bad[edit.at] = edit.to
-				f.Add(bad, uint16(len(pts)))
-			}
+		valid, n, corrupt := corruptBucketPayloads(decimal)
+		f.Add(valid, uint16(n))
+		f.Add(valid, uint16(n+1))
+		f.Add(valid, uint16(10)) // the first miniblock alone holds 16
+		for _, data := range corrupt {
+			f.Add(data, uint16(n))
 		}
 	}
 	f.Add([]byte{}, uint16(1))

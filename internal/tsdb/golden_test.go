@@ -18,7 +18,10 @@ import (
 // The parent-commit differential: a seeded script over the public API
 // whose full ExportSeries + Query dump was written by commit bdd626f (the
 // last build that kept time.Time inside the store) and must repeat line
-// for line. It uses only exported names, so the same file compiles there:
+// for line — except the stats lines' compressed= figures, which count
+// sealed bucket payloads and were restated when the bucket codec changed
+// (PR 18: 17 lines, each old → new in CHANGES.md; no other line moved). It
+// uses only exported names, so the same file compiles there:
 //
 //	NYQ_GOLDEN_DIR=<dir> go test ./internal/tsdb -run TestParentDifferential
 //

@@ -64,8 +64,9 @@ type bucket struct {
 	count      int64
 }
 
-// Element sizes of the open tails, as openTailBytes accounts them
-// (TestSeriesStateBytes holds them to unsafe.Sizeof).
+// Element sizes of the raw tail and the tiers' staged buckets, as
+// openTailBytes accounts them (TestSeriesStateBytes holds them to
+// unsafe.Sizeof).
 const (
 	rawPointBytes = 16
 	bucketBytes   = 48
@@ -92,7 +93,7 @@ func (b *bucket) merge(o bucket) {
 }
 
 // tier is one downsampled retention level: its finalized buckets (the
-// embedded compBuckets: sealed bucket blocks plus an open tail) and the
+// embedded compBuckets: sealed bucket blocks plus the open one) and the
 // in-progress bucket accumulating the newest interval.
 type tier struct {
 	compBuckets
@@ -111,7 +112,7 @@ type tier struct {
 
 func newTier(width time.Duration, rc *RetentionConfig) *tier {
 	return &tier{
-		compBuckets: compBuckets{blockLen: blockLen(rc.CompressBlock, rc.TierCapacity), capacity: rc.TierCapacity},
+		compBuckets: newCompBuckets(blockLen(rc.CompressBlock, rc.TierCapacity), rc.TierCapacity),
 		width:       width,
 	}
 }
@@ -382,12 +383,13 @@ func (m *memSeries) buckets() int {
 	return n
 }
 
-// openTailBytes is what the uncompressed open tails hold allocated: the
-// raw tail plus every tier's, capacity × element size, no decode.
+// openTailBytes is what the open blocks hold allocated, no decode: the raw
+// tail's capacity × element size, plus every tier's staged buckets
+// likewise and the capacity of its open block's compressed payload.
 func (m *memSeries) openTailBytes() int64 {
 	n := int64(cap(m.raw.active)) * rawPointBytes
 	for _, t := range m.tiers {
-		n += int64(cap(t.active)) * bucketBytes
+		n += int64(cap(t.staged))*bucketBytes + int64(cap(t.stream.blk.data))
 	}
 	return n
 }

@@ -31,7 +31,10 @@ var defaultRetention = RetentionConfig{RawCapacity: 4096, TierCapacity: 1024, Ti
 const warmAppends = 15360
 
 // accountedBytes sums what one series holds, part by part, from slice
-// capacities and struct sizes (no malloc size-class rounding).
+// capacities and struct sizes (no malloc size-class rounding). A tier's
+// open block is in two of the parts: its staged buckets and compressed
+// payload under tails (openTailBytes), its chain state — inside the tier
+// struct — under headers.
 func accountedBytes(m *memSeries) (tails, payloads, index, headers int64) {
 	tails = m.openTailBytes()
 	headers = int64(unsafe.Sizeof(*m)) + int64(cap(m.tiers))*int64(unsafe.Sizeof(m.tiers[0]))
@@ -51,7 +54,7 @@ func accountedBytes(m *memSeries) (tails, payloads, index, headers int64) {
 }
 
 // TestSeriesStateBytes pins the store's per-series memory: the element
-// sizes of the two open tails, and the bytes one warm default-retention
+// sizes of the raw tail and the staged buckets, and the bytes one warm default-retention
 // series accounts for — beside the heap it actually retains, size classes
 // included — under a budget. scripts/size.sh prints the logged line.
 func TestSeriesStateBytes(t *testing.T) {
@@ -81,9 +84,9 @@ func TestSeriesStateBytes(t *testing.T) {
 
 	tails, payloads, index, headers := accountedBytes(db.shards[0].series[ids[0]])
 	total := tails + payloads + index + headers
-	t.Logf("state bytes per warm series (4096/1024/2 tiers/128, two-decimal): %d accounted = %d tails + %d sealed payloads + %d block index + %d headers; %.0f on the heap",
+	t.Logf("state bytes per warm series (4096/1024/2 tiers/128, two-decimal): %d accounted = %d open blocks + %d sealed payloads + %d block index + %d headers; %.0f on the heap",
 		total, tails, payloads, index, headers, perHeap)
-	const budget = 36 << 10
+	const budget = 24 << 10
 	if total > budget {
 		t.Errorf("a warm series accounts for %d B, budget %d", total, budget)
 	}
@@ -96,19 +99,36 @@ func TestSeriesStateBytes(t *testing.T) {
 }
 
 // TestOpenTailBytes pins the open-tail gauge on warm default-retention
-// series: one 128-point raw tail and two 128-bucket tier tails each.
+// series: one 128-point raw tail, and per tier a miniblock of staged
+// buckets plus the open block's compressed payload — a fraction of the
+// 128 plain buckets (6,144 B) a tier's open block used to be.
 func TestOpenTailBytes(t *testing.T) {
 	db := New(Config{Shards: 2, Retention: defaultRetention})
 	if got := db.Stats().OpenTailBytes; got != 0 {
 		t.Fatalf("empty store: OpenTailBytes = %d", got)
 	}
-	warmSeries(db, warmAppends, "a", "b", "c")
-	const perSeries = 2*128*bucketBytes + 128*rawPointBytes
-	if perSeries != 2*6144+2048 {
-		t.Fatalf("per-series tails are %d B, the sized figure is %d", perSeries, 2*6144+2048)
+	ids := []string{"a", "b", "c"}
+	warmSeries(db, warmAppends, ids...)
+	const fixed = 128*rawPointBytes + 2*miniLen*bucketBytes
+	if fixed != 2048+2*768 {
+		t.Fatalf("per-series raw tail and staging are %d B, the sized figure is %d", fixed, 2048+2*768)
 	}
-	if got := db.Stats().OpenTailBytes; got != 3*perSeries {
-		t.Fatalf("OpenTailBytes = %d, want %d (3 warm series × %d)", got, 3*perSeries, perSeries)
+	var want int64
+	for _, id := range ids {
+		m := db.shardFor(id).series[id]
+		want += fixed
+		for k, tr := range m.tiers {
+			open := int64(cap(tr.stream.blk.data))
+			// A warm block of 128 two-decimal buckets is ~700 B; the buffer
+			// outlives its blocks, at whatever capacity append last grew it to.
+			if open == 0 || open > 1024 {
+				t.Fatalf("series %s tier %d: open block payload holds %d B allocated, want within (0, 1024]", id, k, open)
+			}
+			want += open
+		}
+	}
+	if got := db.Stats().OpenTailBytes; got != want {
+		t.Fatalf("OpenTailBytes = %d, want %d (raw tails, staged buckets and open payloads of 3 warm series)", got, want)
 	}
 }
 
@@ -118,7 +138,7 @@ type storeCaps struct{ active, segs int }
 func seriesCaps(m *memSeries) []storeCaps {
 	out := []storeCaps{{cap(m.raw.active), cap(m.raw.segs)}}
 	for _, t := range m.tiers {
-		out = append(out, storeCaps{cap(t.active), cap(t.segs)})
+		out = append(out, storeCaps{cap(t.staged), cap(t.segs)})
 	}
 	return out
 }
