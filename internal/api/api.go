@@ -415,7 +415,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	resp := queryResponseFrom(res)
 	resp.Clamped = clamped
 	if spec.want {
-		rec, err := reconstruct(res, spec, s.store.NyquistRate(id), from, maxPoints)
+		rec, err := reconstruct(res, spec, s.store.NyquistRate(id), s.store.DB().Retention().Headroom, from, maxPoints)
 		if err != nil {
 			s.writeError(w, r, http.StatusInternalServerError, fmt.Sprintf("reconstruct %q: %v", id, err))
 			return
@@ -457,7 +457,7 @@ func (s *Server) handleQueryMatch(w http.ResponseWriter, r *http.Request, patter
 		}
 		qr := queryResponseFrom(res)
 		if spec.want {
-			rec, err := reconstruct(res, spec, s.store.NyquistRate(res.ID), from, perBudget)
+			rec, err := reconstruct(res, spec, s.store.NyquistRate(res.ID), s.store.DB().Retention().Headroom, from, perBudget)
 			if err != nil {
 				s.writeError(w, r, http.StatusInternalServerError, fmt.Sprintf("reconstruct %q: %v", res.ID, err))
 				return

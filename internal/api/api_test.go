@@ -124,6 +124,14 @@ func TestServerEndToEnd(t *testing.T) {
 	if est.RetentionNyquistHz == 0 {
 		t.Fatal("retention was never retuned from the ingest estimates")
 	}
+	// Why this rate: retention is held at or above the newest estimate,
+	// and the wait toward lowering it is visible (window 256 / emit 8).
+	if est.RetentionNyquistHz < est.NyquistHz || est.HoldTurnover != 32 || est.HeldRefreshes < 0 || est.HeldRefreshes >= 32 {
+		t.Fatalf("retention %v Hz over estimate %v Hz, %d of %d held refreshes", est.RetentionNyquistHz, est.NyquistHz, est.HeldRefreshes, est.HoldTurnover)
+	}
+	if (est.RetentionNyquistHz > est.NyquistHz) != (est.HeldRefreshes > 0) {
+		t.Fatalf("retention %v Hz, estimate %v Hz, held refreshes %d: a wait is open exactly while retention is above the estimate", est.RetentionNyquistHz, est.NyquistHz, est.HeldRefreshes)
+	}
 	if est.Samples != n {
 		t.Fatalf("samples %d, want %d", est.Samples, n)
 	}

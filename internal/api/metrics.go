@@ -221,6 +221,8 @@ func newServerMetrics(reg *obs.Registry, store *monitor.Store, est *monitor.Inge
 		func() float64 { return float64(est.Reprobes()) })
 	reg.CounterFunc("nyquistd_estimator_retunes_total", "Retention retunes applied after a clean estimate streak.",
 		func() float64 { return float64(est.Retunes()) })
+	reg.CounterFunc("nyquistd_estimator_held_refreshes_total", "Clean estimate refreshes below the rate retention is held at, which changed nothing.",
+		func() float64 { return float64(est.HeldRefreshes()) })
 	reg.CounterFunc("nyquistd_estimator_aliased_refreshes_total", "Estimate refreshes rejected as aliased/unstable (clean streak reset).",
 		func() float64 { return float64(est.AliasedRefreshes()) })
 	reg.CounterFunc("nyquistd_estimator_evictions_total", "Idle series evicted at the estimator's series cap.",

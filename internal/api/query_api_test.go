@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/dcsim"
 	"repro/internal/monitor"
+	"repro/internal/tsdb"
 )
 
 // rampLines builds n ingest lines for a linear ramp: value i at
@@ -293,6 +294,45 @@ func TestQueryReconstructGrid(t *testing.T) {
 			t.Fatalf("empty window reconstructed %d points", len(qr.Points))
 		}
 	})
+}
+
+// TestReconstructDefaultStepFollowsStoreHeadroom: with no ?step=, the
+// grid is cut at the store's own retention headroom over its recorded
+// rate — the pitch the tier buckets were sized at — not at a constant of
+// the API's.
+func TestReconstructDefaultStepFollowsStoreHeadroom(t *testing.T) {
+	const (
+		id   = "r/ramp"
+		rate = 0.05 // Hz, recorded as the series' Nyquist rate
+	)
+	for _, tc := range []struct {
+		name     string
+		headroom float64 // 0 = the store's default
+		wantStep float64 // seconds
+	}{
+		{"default headroom 1.2", 0, 1 / (1.2 * rate)},
+		{"configured headroom 1.5", 1.5, 1 / (1.5 * rate)},
+		{"configured headroom 3", 3, 1 / (3 * rate)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := monitor.NewTieredStore(tsdb.Config{Retention: tsdb.RetentionConfig{RawCapacity: 4096, Headroom: tc.headroom}})
+			ts := httptest.NewServer(NewServer(Config{Store: store}).Handler())
+			defer ts.Close()
+			postLines(t, ts.URL, rampLines(id, 200, time.Second))
+			store.SetNyquist(id, rate)
+			var qr QueryResponse
+			if code := getJSON(t, ts.URL+"/api/v1/query?series="+id+"&reconstruct=auto", &qr); code != http.StatusOK {
+				t.Fatalf("HTTP %d", code)
+			}
+			// The step is truncated to whole nanoseconds.
+			if qr.Reconstruct != "linear" || math.Abs(qr.StepSeconds-tc.wantStep) > 1e-9 {
+				t.Fatalf("reconstruct=%q step=%v s, want linear at %v s", qr.Reconstruct, qr.StepSeconds, tc.wantStep)
+			}
+			if want := int(199/tc.wantStep) + 1; len(qr.Points) != want {
+				t.Fatalf("grid has %d slots, want %d over 199 s", len(qr.Points), want)
+			}
+		})
+	}
 }
 
 // TestReconstructionBeatsStairStep is the acceptance golden test: over a

@@ -89,15 +89,16 @@ type reconstruction struct {
 // mode interpolates linearly when an estimate exists (the signal is
 // known band-limited, so linear between sufficiently dense samples is
 // faithful) and falls back to nearest-neighbour otherwise; a missing
-// step derives from the estimate at the pipeline's standard 1.2×
-// headroom, or from the stored points' median interval.
+// step derives from the estimate at headroom — the store's own
+// Retention.Headroom, so the served grid is the one the tier buckets
+// were cut on — or from the stored points' median interval.
 //
 // The grid is anchored at the later of `from` and the first stored
 // point and runs through the last stored point — reconstruction never
 // extrapolates past the observed span. A grid that would exceed budget
 // points is coarsened to exactly budget (clamped reports it). An empty
 // result reconstructs to an empty result.
-func reconstruct(res *tsdb.QueryResult, spec reconstructSpec, nyquist float64, from time.Time, budget int) (reconstruction, error) {
+func reconstruct(res *tsdb.QueryResult, spec reconstructSpec, nyquist, headroom float64, from time.Time, budget int) (reconstruction, error) {
 	out := reconstruction{step: spec.step}
 	mode := spec.mode
 	if spec.auto {
@@ -114,7 +115,7 @@ func reconstruct(res *tsdb.QueryResult, spec reconstructSpec, nyquist float64, f
 	s := series.New(res.Points)
 	if out.step <= 0 {
 		if nyquist > 0 {
-			out.step = time.Duration(float64(time.Second) / (1.2 * nyquist))
+			out.step = time.Duration(float64(time.Second) / (headroom * nyquist))
 		} else if iv, err := s.MedianInterval(); err == nil && iv > 0 {
 			out.step = iv
 		} else {

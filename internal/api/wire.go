@@ -161,8 +161,13 @@ type EstimateResponse struct {
 	// EnergyCaptured is the spectral energy fraction below the cut-off.
 	EnergyCaptured float64 `json:"energy_captured"`
 	// RetentionNyquistHz is the rate the store's retention is currently
-	// tuned to (lags NyquistHz by the clean-streak debounce).
+	// tuned to: the highest trusted estimate of the last window turnover
+	// (HoldTurnover refreshes). It rises with NyquistHz at once and
+	// follows it down only after HoldTurnover lower estimates in a row;
+	// HeldRefreshes is how many of those the current wait has seen.
 	RetentionNyquistHz float64 `json:"retention_nyquist_hz"`
+	HeldRefreshes      int     `json:"held_refreshes"`
+	HoldTurnover       int     `json:"hold_turnover"`
 	// UpdatedAt stamps the newest sample of the last estimate refresh.
 	UpdatedAt string `json:"updated_at,omitempty"`
 	// Reprobes counts poll-interval re-locks after sustained gap drift.
@@ -181,6 +186,8 @@ func estimateResponseFrom(adv monitor.IngestAdvice, retentionHz float64) Estimat
 		AliasStreak:              adv.AliasStreak,
 		EnergyCaptured:           adv.EnergyCaptured,
 		RetentionNyquistHz:       retentionHz,
+		HeldRefreshes:            adv.HeldRefreshes,
+		HoldTurnover:             adv.HoldTurnover,
 		Reprobes:                 adv.Reprobes,
 	}
 	if !adv.UpdatedAt.IsZero() {

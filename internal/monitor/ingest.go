@@ -23,10 +23,12 @@ import (
 //     core.StreamEstimator, so a live §3.2 estimate, aliasing verdict
 //     and sweet-spot poll suggestion exist for every external series.
 //  3. Clean estimates retune the store's retention (Store.SetNyquist) —
-//     the paper's estimate→retain loop, closed across the wire. Aliased
-//     windows never retune (the §4.2 asymmetry: an aliased estimate is
-//     exactly the one you must not trust), they only raise AliasStreak
-//     so clients can poll faster.
+//     the paper's estimate→retain loop, closed across the wire — through
+//     a core.RetentionHold: a higher estimate is retained at once, a
+//     lower one only after a whole window turnover of lower estimates.
+//     Aliased windows never retune (the §4.2 asymmetry: an aliased
+//     estimate is exactly the one you must not trust), they only raise
+//     AliasStreak so clients can poll faster.
 //
 // A sustained shift in the observed inter-arrival gap (a client
 // redeploy changing its poll rate) re-probes the interval and restarts
@@ -37,6 +39,10 @@ import (
 type IngestEstimator struct {
 	cfg   IngestConfig
 	store retentionTuner
+	// turnover is how many refreshes replace every sample of a series'
+	// window (WindowSamples / EmitEvery): how long a lower estimate must
+	// persist before retention follows it down.
+	turnover int
 
 	// clock counts every observation estimator-wide; each series stamps
 	// it into lastSeen so idleness is measured in observations, not wall
@@ -48,12 +54,14 @@ type IngestEstimator struct {
 	// probes counts interval locks (a series graduating from the gap
 	// probe to a live analysis window), reprobes the drift-triggered
 	// re-locks, retunes the clean-streak SetNyquist handoffs (one per
-	// change of a series' rate, not per refresh), and
+	// change of a series' held rate, not per refresh), heldRefreshes the
+	// clean refreshes below the held rate that changed nothing, and
 	// aliasedRefreshes every estimate refresh carrying the aliased
 	// signature.
 	probes           atomic.Int64
 	reprobesTotal    atomic.Int64
 	retunes          atomic.Int64
+	heldRefreshes    atomic.Int64
 	aliasedRefreshes atomic.Int64
 
 	mu     sync.RWMutex
@@ -172,6 +180,11 @@ type IngestAdvice struct {
 	UpdatedAt time.Time
 	// Reprobes counts interval re-locks caused by sustained gap drift.
 	Reprobes int
+	// HeldRefreshes counts the consecutive clean refreshes that estimated
+	// below the rate retention is held at; at HoldTurnover of them the
+	// held rate drops to the highest among them.
+	HeldRefreshes int
+	HoldTurnover  int
 }
 
 // ingestSeries is one series' hook state. Its own mutex serializes
@@ -200,7 +213,9 @@ type ingestSeries struct {
 	cleanStreak int
 
 	last        *core.StreamUpdate
-	lastNyquist float64 // last clean estimate handed to SetNyquist
+	lastNyquist float64 // newest clean estimate past the streak
+	// hold is what SetNyquist last saw: lastNyquist, peak-held.
+	hold core.RetentionHold
 }
 
 // NewIngestEstimator returns a hook feeding estimates into store (which
@@ -210,6 +225,7 @@ func NewIngestEstimator(store *Store, cfg IngestConfig) *IngestEstimator {
 		cfg:    cfg.withDefaults(),
 		series: make(map[string]*ingestSeries),
 	}
+	e.turnover = e.cfg.WindowSamples / e.cfg.EmitEvery
 	if store != nil {
 		e.store = store
 	}
@@ -347,19 +363,27 @@ func (e *IngestEstimator) observeLocked(s *ingestSeries, id string, p series.Poi
 	}
 }
 
-// handOver makes rate the series' trusted estimate and retunes the store's
-// retention to it. A steady series emits the rate it already handed over
-// at almost every refresh; such an emission changes nothing, so it neither
-// takes the store's shard lock nor counts as a retune. Called with s.mu
-// held.
+// handOver makes rate the series' trusted estimate and offers it to the
+// series' hold; the store's retention is retuned only when the held rate
+// changes. The 99 %-energy cut-off of a steady signal wanders by a few
+// bins as the tones' phases slide through the window, so following every
+// estimate would move the tier grid on most refreshes; the hold raises at
+// once and lowers only after a full window turnover of lower estimates,
+// to the highest of them. An emission that leaves the held rate where it
+// was neither takes the store's shard lock nor counts as a retune. Called
+// with s.mu held.
 func (e *IngestEstimator) handOver(s *ingestSeries, id string, rate float64) {
-	if rate == s.lastNyquist {
+	s.lastNyquist = rate
+	held, changed := s.hold.Offer(rate, e.turnover)
+	if !changed {
+		if rate < held {
+			e.heldRefreshes.Add(1)
+		}
 		return
 	}
-	s.lastNyquist = rate
 	e.retunes.Add(1)
 	if e.store != nil {
-		e.store.SetNyquist(id, rate)
+		e.store.SetNyquist(id, held)
 	}
 }
 
@@ -478,12 +502,15 @@ func (s *ingestSeries) capPending(e *IngestEstimator) {
 }
 
 // reprobe drops the locked grid after sustained gap drift and restarts
-// the probe from the current point. Called with s.mu held.
+// the probe from the current point. Retention stays where it is held, but
+// lower estimates counted on the old grid are not evidence about the new
+// one. Called with s.mu held.
 func (s *ingestSeries) reprobe(p series.Point) {
 	s.est = nil
 	s.interval = 0
 	s.drift = 0
 	s.cleanStreak = 0
+	s.hold.Reset(s.hold.Rate())
 	s.last = nil
 	s.reprobes++
 	s.pending = append(s.pending[:0], p)
@@ -502,11 +529,13 @@ func (e *IngestEstimator) Advice(id string) (IngestAdvice, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	adv := IngestAdvice{
-		Series:      id,
-		Samples:     s.samples,
-		Interval:    s.interval,
-		NyquistRate: s.lastNyquist,
-		Reprobes:    s.reprobes,
+		Series:        id,
+		Samples:       s.samples,
+		Interval:      s.interval,
+		NyquistRate:   s.lastNyquist,
+		Reprobes:      s.reprobes,
+		HeldRefreshes: s.hold.Below(),
+		HoldTurnover:  e.turnover,
 	}
 	if s.est != nil {
 		adv.Warm = s.est.Warm()
@@ -570,9 +599,13 @@ func (e *IngestEstimator) Probes() int64 { return e.probes.Load() }
 func (e *IngestEstimator) Reprobes() int64 { return e.reprobesTotal.Load() }
 
 // Retunes returns the number of clean-streak estimate refreshes that
-// (re)tuned retention via SetNyquist: those whose rate differed from the
-// one the series last handed over.
+// (re)tuned retention via SetNyquist: those that changed the series' held
+// rate.
 func (e *IngestEstimator) Retunes() int64 { return e.retunes.Load() }
+
+// HeldRefreshes returns the number of clean-streak estimate refreshes
+// that came in below the series' held rate and changed nothing.
+func (e *IngestEstimator) HeldRefreshes() int64 { return e.heldRefreshes.Load() }
 
 // AliasedRefreshes returns the number of estimate refreshes that
 // carried the aliased signature — the fleet-wide under-sampling pulse.
@@ -592,10 +625,13 @@ type IngestSeriesState struct {
 	Samples int64
 	// Reprobes counts interval re-locks from sustained gap drift.
 	Reprobes int
-	// NyquistRate is the last clean estimate handed to SetNyquist.
+	// NyquistRate is the newest clean estimate past the streak.
 	NyquistRate float64
 	// CleanStreak is the retune debounce counter.
 	CleanStreak int
+	// HeldRate is the rate retention is held at: what SetNyquist last saw
+	// (0 = nothing handed over yet).
+	HeldRate float64
 }
 
 // ExportState captures every series' tuning state for persistence.
@@ -618,6 +654,7 @@ func (e *IngestEstimator) ExportState() []IngestSeriesState {
 			Reprobes:    s.reprobes,
 			NyquistRate: s.lastNyquist,
 			CleanStreak: s.cleanStreak,
+			HeldRate:    s.hold.Rate(),
 		})
 		s.mu.Unlock()
 	}
@@ -627,9 +664,11 @@ func (e *IngestEstimator) ExportState() []IngestSeriesState {
 
 // RestoreState reinstates one series' tuning state, replacing any
 // existing state for the id: the locked interval comes back immediately
-// (no re-probe) and the last trusted Nyquist estimate is carried over so
-// Advice answers before the analysis window rewarms. Subject to the same
-// MaxSeries cap as Observe; returns false when the cap drops it.
+// (no re-probe), the last trusted Nyquist estimate is carried over so
+// Advice answers before the analysis window rewarms, and the store is
+// retuned to the held rate with the hold's wait cleared: nothing lowers
+// retention until a full turnover of fresh estimates says so. Subject to
+// the same MaxSeries cap as Observe; returns false when the cap drops it.
 func (e *IngestEstimator) RestoreState(st IngestSeriesState) bool {
 	tick := e.clock.Add(1)
 	e.mu.Lock()
@@ -658,6 +697,7 @@ func (e *IngestEstimator) RestoreState(st IngestSeriesState) bool {
 	s.reprobes = st.Reprobes
 	s.lastNyquist = st.NyquistRate
 	s.cleanStreak = st.CleanStreak
+	s.hold.Reset(st.HeldRate)
 	if st.Interval > 0 {
 		est, err := core.NewStreamEstimator(core.StreamConfig{
 			Interval:      st.Interval,
@@ -671,8 +711,8 @@ func (e *IngestEstimator) RestoreState(st IngestSeriesState) bool {
 			s.interval = st.Interval
 		}
 	}
-	if st.NyquistRate > 0 && e.store != nil {
-		e.store.SetNyquist(st.Series, st.NyquistRate)
+	if held := s.hold.Rate(); held > 0 && e.store != nil {
+		e.store.SetNyquist(st.Series, held)
 	}
 	return true
 }

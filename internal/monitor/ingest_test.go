@@ -7,7 +7,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
+	"repro/internal/core"
 	"repro/internal/series"
 	"repro/internal/tsdb"
 )
@@ -242,7 +244,8 @@ func TestIngestEstimatorMaxSeries(t *testing.T) {
 // TestIngestEstimatorStateRoundTrip pins the durability contract:
 // exported tuning state restored into a fresh estimator answers Advice
 // with the same interval and Nyquist rate, re-applies the retention
-// retune, and continues estimating when new points arrive.
+// retune at the held rate, and continues estimating when new points
+// arrive.
 func TestIngestEstimatorStateRoundTrip(t *testing.T) {
 	mkStore := func() *Store {
 		return NewTieredStore(tsdb.Config{Retention: tsdb.RetentionConfig{RawCapacity: 128, Tiers: 2}})
@@ -291,8 +294,17 @@ func TestIngestEstimatorStateRoundTrip(t *testing.T) {
 	if adv.Samples != pre.Samples {
 		t.Fatalf("restored samples %d, want %d", adv.Samples, pre.Samples)
 	}
-	if got := store2.NyquistRate(id); got != pre.NyquistRate {
-		t.Fatalf("restore did not re-apply SetNyquist: store rate %v, want %v", got, pre.NyquistRate)
+	// Retention comes back at the held rate (what the first store was
+	// tuned to), which the export carries beside the newest estimate.
+	held := store1.NyquistRate(id)
+	if states[0].HeldRate != held || held < pre.NyquistRate {
+		t.Fatalf("exported held rate %v, store rate %v, newest estimate %v: want the first two equal and no lower than the third", states[0].HeldRate, held, pre.NyquistRate)
+	}
+	if got := store2.NyquistRate(id); got != held {
+		t.Fatalf("restore did not re-apply SetNyquist: store rate %v, want %v", got, held)
+	}
+	if again := e2.ExportState(); len(again) != 1 || again[0] != states[0] {
+		t.Fatalf("ExportState after RestoreState = %+v, want %+v", again, states)
 	}
 
 	// Rewarm: feeding the same tail the original estimator last saw
@@ -389,67 +401,217 @@ func (r *recordingTuner) SetNyquist(_ string, rate float64) {
 	r.mu.Unlock()
 }
 
-// TestIngestEstimatorHandsOverChangesOnly pins what reaches the store: an
-// emission repeating the rate the series last handed over is not a retune
-// — no SetNyquist call (it would take the shard's write lock to change
-// nothing), no count — while a changed rate, the first estimate after a
-// re-probe and a restored state are all handed over.
+// TestIngestEstimatorHandsOverChangesOnly pins what reaches the store:
+// the series' held rate (core.RetentionHold over the clean estimates, one
+// window turnover long), and only when it changes. An emission at the
+// held rate is not a retune — no SetNyquist call (it would take the
+// shard's write lock to change nothing), no count; a higher estimate is
+// handed over at once; a lower one only after turnover lower estimates in
+// a row, as the highest of them; Advice keeps reporting the newest clean
+// estimate throughout.
 func TestIngestEstimatorHandsOverChangesOnly(t *testing.T) {
 	const id = "ext/steady"
 	rec := &recordingTuner{}
 	e := NewIngestEstimator(nil, IngestConfig{WindowSamples: 64, EmitEvery: 4})
 	e.store = rec
+	if e.turnover != 16 {
+		t.Fatalf("turnover = %d, want WindowSamples/EmitEvery = 16", e.turnover)
+	}
 	e.Observe(id, series.Point{Time: ingestStart, Value: 1})
 	s := e.series[id]
+	offer := func(rate float64, times int) func() {
+		return func() {
+			for k := 0; k < times; k++ {
+				e.handOver(e.series[id], id, rate)
+			}
+		}
+	}
 	for i, step := range []struct {
 		name      string
 		do        func()
 		wantCalls []float64 // cumulative
+		wantHeld  int       // Advice.HeldRefreshes
 	}{
-		{"first clean estimate", func() { e.handOver(s, id, 0.5) }, []float64{0.5}},
-		{"the same rate, five refreshes running", func() {
-			for k := 0; k < 5; k++ {
-				e.handOver(s, id, 0.5)
-			}
-		}, []float64{0.5}},
-		{"a changed rate", func() { e.handOver(s, id, 0.25) }, []float64{0.5, 0.25}},
-		{"and the same again", func() { e.handOver(s, id, 0.25) }, []float64{0.5, 0.25}},
-		{"back to the first", func() { e.handOver(s, id, 0.5) }, []float64{0.5, 0.25, 0.5}},
-		{"a re-probe, then the new grid's estimate", func() {
+		{"first clean estimate", offer(0.5, 1), []float64{0.5}, 0},
+		{"the same rate, five refreshes running", offer(0.5, 5), []float64{0.5}, 0},
+		{"a higher rate, at once", offer(0.75, 1), []float64{0.5, 0.75}, 0},
+		{"a lower rate, one short of a turnover", offer(0.25, 15), []float64{0.5, 0.75}, 15},
+		{"the held rate again: the wait is over", offer(0.75, 1), []float64{0.5, 0.75}, 0},
+		{"lower again, one short of a turnover", func() { offer(0.25, 7)(); offer(0.5, 1)(); offer(0.25, 7)() }, []float64{0.5, 0.75}, 15},
+		{"the turnover-th lowers to the highest of them", offer(0.375, 1), []float64{0.5, 0.75, 0.5}, 0},
+		{"a re-probe mid-wait keeps the rate and clears the wait", func() {
+			offer(0.25, 10)()
 			s.reprobe(series.Point{Time: ingestStart.Add(time.Hour), Value: 1})
-			e.handOver(s, id, 0.7)
-		}, []float64{0.5, 0.25, 0.5, 0.7}},
-		{"a restored state", func() {
-			e.RestoreState(IngestSeriesState{Series: id, Interval: time.Second, NyquistRate: 0.3, CleanStreak: 1})
-		}, []float64{0.5, 0.25, 0.5, 0.7, 0.3}},
-		{"the restored rate re-estimated", func() { e.handOver(e.series[id], id, 0.3) }, []float64{0.5, 0.25, 0.5, 0.7, 0.3}},
-		{"then a new one", func() { e.handOver(e.series[id], id, 0.4) }, []float64{0.5, 0.25, 0.5, 0.7, 0.3, 0.4}},
+		}, []float64{0.5, 0.75, 0.5}, 0},
+		{"so the new grid needs its own full turnover", offer(0.25, 15), []float64{0.5, 0.75, 0.5}, 15},
+		{"and then lowers", offer(0.25, 1), []float64{0.5, 0.75, 0.5, 0.25}, 0},
+		{"a restored state is handed over at its held rate, not its newest estimate", func() {
+			e.RestoreState(IngestSeriesState{Series: id, Interval: time.Second, NyquistRate: 0.3, HeldRate: 0.4, CleanStreak: 1})
+		}, []float64{0.5, 0.75, 0.5, 0.25, 0.4}, 0},
+		{"the restored rate re-estimated", offer(0.4, 1), []float64{0.5, 0.75, 0.5, 0.25, 0.4}, 0},
+		{"then a higher one", offer(0.45, 1), []float64{0.5, 0.75, 0.5, 0.25, 0.4, 0.45}, 0},
 	} {
 		step.do()
 		if fmt.Sprint(rec.calls) != fmt.Sprint(step.wantCalls) {
 			t.Fatalf("step %d (%s): store saw %v, want %v", i, step.name, rec.calls, step.wantCalls)
 		}
+		adv, _ := e.Advice(id)
+		if adv.HeldRefreshes != step.wantHeld || adv.HoldTurnover != 16 {
+			t.Fatalf("step %d (%s): advice says %d of %d held refreshes, want %d of 16", i, step.name, adv.HeldRefreshes, adv.HoldTurnover, step.wantHeld)
+		}
 	}
 	// The restore is a handoff by RestoreState itself, not a counted retune.
 	if got := e.Retunes(); got != 5 {
-		t.Fatalf("Retunes = %d, want 5 (every handOver that changed the rate)", got)
+		t.Fatalf("Retunes = %d, want 5 (every handOver that changed the held rate)", got)
+	}
+	if got := e.HeldRefreshes(); got != 15+15+10+15 {
+		t.Fatalf("HeldRefreshes = %d, want 55 (every handOver below the held rate that changed nothing)", got)
+	}
+	if adv, _ := e.Advice(id); adv.NyquistRate != 0.45 {
+		t.Fatalf("advised rate %v, want the newest clean estimate 0.45", adv.NyquistRate)
 	}
 
-	// The same through the door: a steady two-tone series refreshes its
-	// estimate dozens of times and hands over only when the rate moves.
-	rec = &recordingTuner{}
-	e = NewIngestEstimator(nil, IngestConfig{WindowSamples: 64, EmitEvery: 4})
-	e.store = rec
-	for i := 0; i < 2000; i++ {
-		e.Observe(id, series.Point{Time: ingestStart.Add(time.Duration(i) * time.Second), Value: twoTone(1.0/64, 4.0/64, float64(i))})
-	}
-	adv, _ := e.Advice(id)
-	if n := len(rec.calls); n == 0 || n > 5 || int64(n) != e.Retunes() || rec.calls[n-1] != adv.NyquistRate {
-		t.Fatalf("a steady series handed over %v (%d counted retunes) and advises %v: want a handful of changes ending on the advised rate", rec.calls, e.Retunes(), adv.NyquistRate)
-	}
-	for i := 1; i < len(rec.calls); i++ {
-		if rec.calls[i] == rec.calls[i-1] {
-			t.Fatalf("handoff %d repeats rate %v", i, rec.calls[i])
+	// The same through the door. The tones sit between bins, so the 99 %
+	// cut-off of the 64-sample window wanders as their phases slide:
+	// following every estimate (the parent build) hands over 455 and 454
+	// times on these 2,000 points; the hold 2 and 31 times.
+	for _, tc := range []struct {
+		f1, f2      float64
+		parent, now int
+	}{
+		{1.0 / 64, 4.37 / 64, 455, 2},
+		{0.7 / 64, 5.5 / 64, 454, 31},
+	} {
+		rec = &recordingTuner{}
+		e = NewIngestEstimator(nil, IngestConfig{WindowSamples: 64, EmitEvery: 4})
+		e.store = rec
+		estimates, lastEstimate, lastChange := 0, 0.0, 0
+		for i := 0; i < 2000; i++ {
+			before := len(rec.calls)
+			e.Observe(id, series.Point{Time: ingestStart.Add(time.Duration(i) * time.Second), Value: twoTone(tc.f1, tc.f2, float64(i))})
+			if adv, _ := e.Advice(id); adv.NyquistRate != lastEstimate {
+				estimates, lastEstimate = estimates+1, adv.NyquistRate
+			}
+			if len(rec.calls) == before {
+				continue
+			}
+			if n := len(rec.calls); n > 1 {
+				if rec.calls[n-1] == rec.calls[n-2] {
+					t.Fatalf("handoff %d repeats rate %v", n-1, rec.calls[n-1])
+				}
+				// A whole turnover is WindowSamples points.
+				if rec.calls[n-1] < rec.calls[n-2] && i-lastChange < 64 {
+					t.Fatalf("handoff %d lowers %v → %v only %d points after the last change", n-1, rec.calls[n-2], rec.calls[n-1], i-lastChange)
+				}
+			}
+			lastChange = i
 		}
+		if estimates != tc.parent {
+			t.Fatalf("tones %v/%v: the newest clean estimate changed %d times, want %d (what following every estimate hands over)", tc.f1, tc.f2, estimates, tc.parent)
+		}
+		if n := len(rec.calls); n != tc.now || n >= estimates || int64(n) != e.Retunes() {
+			t.Fatalf("tones %v/%v: handed over %v (%d counted retunes), want %d changes against %d estimate changes", tc.f1, tc.f2, rec.calls, e.Retunes(), tc.now, estimates)
+		}
+	}
+}
+
+// TestIngestEstimatorAliasedRefreshLeavesTheHoldAlone drives a series
+// through a drop in bandwidth with an aliased burst in the middle of the
+// wait: aliased refreshes neither count toward the turnover nor reset it,
+// and when retention finally lowers it lowers to the highest estimate of
+// the wait, not the newest.
+func TestIngestEstimatorAliasedRefreshLeavesTheHoldAlone(t *testing.T) {
+	const id = "ext/burst"
+	rec := &recordingTuner{}
+	e := NewIngestEstimator(nil, IngestConfig{WindowSamples: 64, EmitEvery: 4})
+	e.store = rec
+	signal := func(i int) float64 {
+		switch {
+		case i < 200: // wide: top tone at bin 12 of 64
+			return twoTone(1.0/64, 12.0/64, float64(i))
+		case i < 300, i >= 332: // narrow: one tone at bin 3
+			return math.Sin(2 * math.Pi * 3 / 64 * float64(i))
+		default: // all energy at the top of the band: the aliased signature
+			return float64(3 - 6*(i%2))
+		}
+	}
+	var prev IngestAdvice
+	aliasedMidWait, peak := 0, 0.0
+	for i := 0; i < 600; i++ {
+		calls := len(rec.calls)
+		e.Observe(id, series.Point{Time: ingestStart.Add(time.Duration(i) * time.Second), Value: signal(i)})
+		adv, _ := e.Advice(id)
+		if adv.UpdatedAt.Equal(prev.UpdatedAt) {
+			continue // no refresh on this point
+		}
+		if adv.Aliased {
+			if len(rec.calls) != calls || adv.HeldRefreshes != prev.HeldRefreshes {
+				t.Fatalf("point %d: an aliased refresh moved the hold: %d → %d held refreshes, store saw %v", i, prev.HeldRefreshes, adv.HeldRefreshes, rec.calls[calls:])
+			}
+			if adv.HeldRefreshes > 0 {
+				aliasedMidWait++
+			}
+		}
+		if i >= 300 && adv.HeldRefreshes > 0 {
+			peak = max(peak, adv.NyquistRate)
+		}
+		prev = adv
+	}
+	if aliasedMidWait < 8 {
+		t.Fatalf("only %d aliased refreshes fell inside a wait; the scenario no longer tests anything", aliasedMidWait)
+	}
+	// The wait that the burst interrupted began while the window still
+	// held wide-band samples, so its highest estimate is well above the
+	// narrow tone's; the last two handoffs are that peak, then (a full
+	// turnover later) the narrow tone itself.
+	n := len(rec.calls)
+	if n < 2 || rec.calls[n-1] != prev.NyquistRate || !(rec.calls[n-2] > 2*rec.calls[n-1]) || rec.calls[n-2] < peak {
+		t.Fatalf("store saw %v, advice ends at %v: want the interrupted wait to lower to its peak (≥ %v), then to the settled estimate", rec.calls, prev.NyquistRate, peak)
+	}
+}
+
+// TestIngestSeriesStateSize holds the hold to its budget: three scalars,
+// 24 bytes on top of what a series' hook state was before it
+// (scripts/size.sh prints the line).
+func TestIngestSeriesStateSize(t *testing.T) {
+	const before = 136 // unsafe.Sizeof(ingestSeries{}) at PR 18
+	hold, total := unsafe.Sizeof(core.RetentionHold{}), unsafe.Sizeof(ingestSeries{})
+	t.Logf("hold state bytes per series: %d (ingestSeries %d)", hold, total)
+	if hold > 24 || total > before+24 {
+		t.Fatalf("hold %d B, ingestSeries %d B: want at most 24 and %d", hold, total, before+24)
+	}
+}
+
+// TestIngestEstimatorFlapRate measures how often retention moves on a
+// seeded fleet of steady two-tone series (scripts/size.sh prints the
+// line): the wander of the spectral cut-off must stay out of the store.
+// Following every estimate changes the rate on roughly 690 of 1,000
+// clean refreshes of such series.
+func TestIngestEstimatorFlapRate(t *testing.T) {
+	const (
+		fleet  = 32
+		points = 4096
+		window = 256
+		emit   = 8
+	)
+	rng := rand.New(rand.NewSource(19))
+	e := NewIngestEstimator(nil, IngestConfig{WindowSamples: window, EmitEvery: emit})
+	for k := 0; k < fleet; k++ {
+		id := fmt.Sprintf("ext/fleet/%02d", k)
+		f2 := 0.02 * math.Pow(10, rng.Float64()) // top tone 0.02–0.2 Hz at 1 Hz polls
+		f1 := f2 * (0.1 + 0.4*rng.Float64())
+		for i := 0; i < points; i++ {
+			e.Observe(id, series.Point{Time: ingestStart.Add(time.Duration(i) * time.Second), Value: math.Round(100*twoTone(f1, f2, float64(i))) / 100})
+		}
+	}
+	if got := e.AliasedRefreshes(); got != 0 {
+		t.Fatalf("%d aliased refreshes on a band-limited fleet", got)
+	}
+	// Every refresh from the second on is past the clean streak.
+	clean := int64(fleet * ((points-window)/emit + 1 - 1))
+	per1000 := 1000 * float64(e.Retunes()) / float64(clean)
+	t.Logf("held-rate changes per 1,000 clean refreshes: %.1f (%d of %d; %d held below the rate)", per1000, e.Retunes(), clean, e.HeldRefreshes())
+	if per1000 > 60 {
+		t.Fatalf("retention moved on %.1f of 1,000 clean refreshes, want at most 60", per1000)
 	}
 }

@@ -20,8 +20,14 @@ import (
 // last build that kept time.Time inside the store) and must repeat line
 // for line — except the stats lines' compressed= figures, which count
 // sealed bucket payloads and were restated when the bucket codec changed
-// (PR 18: 17 lines, each old → new in CHANGES.md; no other line moved). It
-// uses only exported names, so the same file compiles there:
+// (PR 18: 17 lines, each old → new in CHANGES.md; no other line moved),
+// and the four series whose estimate-derived width exceeds their poll
+// interval (decimal-1hz, pre1970, odd-width, capped), whose tier widths,
+// buckets and everything derived from buckets were restated when widths
+// became whole numbers of poll intervals (PR 19; counts in CHANGES.md).
+// No raw or active line has ever moved, and dups, jitter and span are
+// still bdd626f's lines. It uses only exported names, so the same file
+// compiles there:
 //
 //	NYQ_GOLDEN_DIR=<dir> go test ./internal/tsdb -run TestParentDifferential
 //

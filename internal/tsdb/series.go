@@ -342,9 +342,17 @@ func (m *memSeries) retune(rc *RetentionConfig) {
 
 // baseWidth derives the first tier's bucket width. The first tier is
 // lossless with respect to the estimated Nyquist rate: its bucket rate is
-// Headroom × rate, i.e. at least 2·f_max. While no estimate exists the
-// native inter-sample interval stands in, making the first tier lossless
-// with respect to whatever is actually being polled.
+// at least Headroom × rate, i.e. at least 2·f_max. While no estimate
+// exists the native inter-sample interval stands in, making the first
+// tier lossless with respect to whatever is actually being polled.
+//
+// A width wider than one native interval is floored to a whole number of
+// them (m.gap, frozen once the tiers exist). Rounding down only raises
+// the bucket rate, so the tier stays lossless; widen's integer fan-out
+// keeps deeper tiers on the same lattice; a bucket of a steadily polled
+// series then holds exactly k samples — a decimate-by-k boxcar the bucket
+// codec's regular miniblocks and count field store for nothing — and most
+// changes of the estimate map to the same k and move no grid at all.
 func (m *memSeries) baseWidth(rc *RetentionConfig) time.Duration {
 	var base time.Duration
 	if m.nyquist > 0 {
@@ -356,7 +364,11 @@ func (m *memSeries) baseWidth(rc *RetentionConfig) time.Duration {
 	if base <= 0 {
 		base = time.Second
 	}
-	return min(base, maxTierWidth)
+	base = min(base, maxTierWidth)
+	if m.gap > 0 && base > m.gap {
+		base -= base % m.gap
+	}
+	return base
 }
 
 // widen is the next deeper tier's width: the integer fan-out keeps the

@@ -157,3 +157,172 @@ func TestGridFloorMatchesTruncate(t *testing.T) {
 		}
 	}
 }
+
+// TestTierWidthsAreWholePollIntervals is the tier grid's property: whatever
+// appends and retunes a series has seen, its first tier's width is the
+// Nyquist-derived width rounded down, by less than one interval, to a
+// whole number of the series' observed poll intervals (untouched when it is
+// no wider than one interval, or when no interval is known), and every
+// deeper tier is the fan-out times the one above.
+func TestTierWidthsAreWholePollIntervals(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	rc := RetentionConfig{RawCapacity: 16, TierCapacity: 64, Tiers: 3, Fanout: 4, Headroom: 1.2, CompressBlock: 4}
+	snapped, unsnapped, gapless := 0, 0, 0
+	for trial := 0; trial < 60; trial++ {
+		db := New(Config{Shards: 1, Retention: rc})
+		interval := time.Duration(1+rng.Int63n(int64(90*time.Second))) / time.Duration(1+rng.Intn(1000))
+		jitter := time.Duration(0)
+		switch trial % 5 {
+		case 1:
+			jitter = interval / 4
+		case 4:
+			interval = 0 // every sample at one instant: no interval to observe
+		}
+		ts := snapStart
+		for op := 0; op < 400; op++ {
+			if rng.Intn(6) == 0 || op == 0 && trial%2 == 0 {
+				// Widths from a thirtieth of an interval to 300 intervals,
+				// and now and then one far past the maxTierWidth cap.
+				rate := 1 / (1.2 * max(interval, time.Millisecond).Seconds() * math.Pow(10, -1.5+4*rng.Float64()))
+				if rng.Intn(20) == 0 {
+					rate = 1e-12
+				}
+				db.SetNyquistRate("s", rate)
+			} else {
+				if err := db.Append("s", series.Point{Time: ts, Value: float64(op)}); err != nil {
+					t.Fatal(err)
+				}
+				ts = ts.Add(interval + time.Duration(rng.Int63n(int64(2*jitter+1))) - jitter)
+			}
+			m := db.shards[0].series["s"]
+			if len(m.tiers) == 0 {
+				continue
+			}
+			want := time.Second // what the estimate alone asks for
+			if m.gap > 0 {
+				want = m.gap
+			}
+			if w := time.Duration(float64(time.Second) / (rc.Headroom * m.nyquist)); m.nyquist > 0 && w > 0 {
+				want = w
+			}
+			want = min(want, maxTierWidth)
+			got := m.tiers[0].width
+			switch {
+			case m.gap == 0:
+				gapless++
+				if got != want {
+					t.Fatalf("trial %d op %d: no interval known, width %v, want %v as derived", trial, op, got, want)
+				}
+			case want <= m.gap:
+				unsnapped++
+				if got != want {
+					t.Fatalf("trial %d op %d: width %v, want %v untouched (one %v interval or less)", trial, op, got, want, m.gap)
+				}
+			default:
+				snapped++
+				if got%m.gap != 0 || got < m.gap || got > want || want-got >= m.gap {
+					t.Fatalf("trial %d op %d: width %v for a derived %v over %v polls: want the whole multiple just below it", trial, op, got, want, m.gap)
+				}
+			}
+			for k := 1; k < len(m.tiers); k++ {
+				above := m.tiers[k-1].width
+				if w := m.tiers[k].width; w != widen(above, rc.Fanout) || w != 4*above && w != maxTierWidth {
+					t.Fatalf("trial %d op %d: tier %d is %v under a %v tier, want fan-out × 4", trial, op, k+1, w, above)
+				}
+			}
+		}
+	}
+	if snapped < 1000 || unsnapped < 1000 || gapless < 1000 {
+		t.Fatalf("%d snapped, %d unsnapped, %d gapless states seen: the trials no longer cover both sides", snapped, unsnapped, gapless)
+	}
+}
+
+// TestRegularFeedFillsBucketsExactly is what the whole-interval grid buys
+// on a steady 1 Hz series retuned at random: between two changes of width
+// every finalized bucket is a decimate-by-k boxcar — count exactly k —
+// and every miniblock lying inside such a stretch is written regular (no
+// start or width bits at all). Only a stretch's first bucket, opened on
+// the new grid beside a bucket still on the old one, may hold fewer.
+func TestRegularFeedFillsBucketsExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	rc := RetentionConfig{RawCapacity: 32, TierCapacity: 1 << 20, Tiers: 1, Headroom: 1.2, CompressBlock: 64}
+	db := New(Config{Shards: 1, Retention: rc})
+	const points = 60000
+	for i := 0; i < points; i++ {
+		if i%3000 == 40 {
+			// Widths of 2 … 20 polls; most distinct rates share a k.
+			db.SetNyquistRate("s", 1/(1.2*(2+18*rng.Float64())))
+		}
+		if err := db.Append("s", series.Point{Time: snapStart.Add(time.Duration(i) * time.Second), Value: float64(i % 97)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr := db.shards[0].series["s"].tiers[0]
+
+	// Every finalized bucket with its block, its miniblock's index within
+	// the block, and that miniblock header's regular flag.
+	type entry struct {
+		bucket
+		block, mini int
+		regular     bool
+	}
+	var all []entry
+	for k, blk := range append(append([]bucketBlock(nil), tr.segs...), tr.stream.blk) {
+		it, mini := blk.iter(), -1
+		for {
+			opening := it.left == 0
+			if !it.next() {
+				break
+			}
+			if opening {
+				mini++
+			}
+			all = append(all, entry{it.bucket(), k, mini, it.regular})
+		}
+		if err := it.err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	width := func(j int) int64 { return all[j].end - all[j].start }
+	widths, exact := map[int64]bool{}, 0
+	for j := range all {
+		if width(j)%int64(time.Second) != 0 {
+			t.Fatalf("bucket %d is %v wide on a 1 s feed", j, time.Duration(width(j)))
+		}
+		widths[width(j)] = true
+		if j > 0 && width(j-1) == width(j) {
+			if all[j].count != width(j)/int64(time.Second) {
+				t.Fatalf("bucket %d [%d, %d) holds %d samples inside a stretch of %v buckets", j, all[j].start, all[j].end, all[j].count, time.Duration(width(j)))
+			}
+			exact++
+		}
+	}
+	// steady(j): bucket j continues the grid of the two before it — what
+	// the start and width chains need to code it in no bits.
+	steady := func(j int) bool {
+		return j >= 2 && width(j-1) == width(j) && width(j-2) == width(j) &&
+			all[j].start-all[j-1].start == width(j) && all[j-1].start-all[j-2].start == width(j)
+	}
+	regularMinis, steadyMinis := 0, 0
+	for j := 0; j < len(all); {
+		end, allSteady := j, true
+		for ; end < len(all) && all[end].block == all[j].block && all[end].mini == all[j].mini; end++ {
+			allSteady = allSteady && steady(end)
+		}
+		// A block's first miniblock opens its chains and is never regular.
+		if all[j].mini > 0 && allSteady {
+			steadyMinis++
+			if !all[j].regular {
+				t.Fatalf("miniblock at bucket %d (%d entries, %v wide) lies inside a steady stretch and is not regular", j, end-j, time.Duration(width(j)))
+			}
+		}
+		if all[j].regular {
+			regularMinis++
+		}
+		j = end
+	}
+	if len(widths) < 6 || exact < len(all)*9/10 || steadyMinis < 200 {
+		t.Fatalf("%d widths, %d of %d buckets inside a stretch, %d steady miniblocks: the feed no longer exercises the property", len(widths), exact, len(all), steadyMinis)
+	}
+	t.Logf("%d buckets, %d widths, %d inside a stretch (all exact), %d miniblocks regular (%d had to be)", len(all), len(widths), exact, regularMinis, steadyMinis)
+}

@@ -107,8 +107,10 @@ func TestNyquistDerivedTierWidths(t *testing.T) {
 	rc := RetentionConfig{RawCapacity: 16, TierCapacity: 8, Tiers: 2, Fanout: 4, Headroom: 1.2}
 	db := New(Config{Retention: rc})
 	// The estimate→retain loop: the estimator says 0.05 Hz Nyquist rate;
-	// the lossless tier buckets at headroom×rate (≥ 2·f_max), i.e. one
-	// bucket per 1/(1.2·0.05) ≈ 16.7 s, aggregating ~17 one-second polls.
+	// the lossless tier buckets at no less than headroom×rate (≥ 2·f_max):
+	// 1/(1.2·0.05) = 16.666666666 s floored to a whole number of the
+	// series' one-second polls, 16 s (and 1m4s, not 1m6.666666664s, for
+	// the second tier), so every bucket aggregates exactly 16 polls.
 	db.SetNyquistRate("a", 0.05)
 	appendN(db, "a", 400, time.Second)
 
@@ -119,8 +121,7 @@ func TestNyquistDerivedTierWidths(t *testing.T) {
 	if st.NyquistRate != 0.05 {
 		t.Fatalf("nyquist = %v", st.NyquistRate)
 	}
-	rate := 0.05
-	wantW1 := time.Duration(float64(time.Second) / (1.2 * rate))
+	wantW1 := 16 * time.Second
 	if len(st.Tiers) != 2 || st.Tiers[0].Width != wantW1 || st.Tiers[1].Width != 4*wantW1 {
 		t.Fatalf("tier widths = %+v, want %v and %v", st.Tiers, wantW1, 4*wantW1)
 	}
@@ -144,8 +145,9 @@ func TestRetuneAppliesToFutureBuckets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rate := 0.01
-	want := time.Duration(float64(time.Second) / (1.2 * rate))
+	// 1/(1.2·0.01) = 1m23.333333333s, floored to 83 of the one-second
+	// polls the series was seen to arrive at.
+	want := 83 * time.Second
 	if after.Tiers[0].Width != want {
 		t.Fatalf("retuned width = %v, want %v", after.Tiers[0].Width, want)
 	}

@@ -316,10 +316,12 @@ func (d *Durable) recover() error {
 				st.Samples = 0
 			}
 		}
+		// RestoreState retunes the store to st.HeldRate (the record's
+		// retentionHz); only a series the estimator's cap turned away
+		// needs the store told directly.
 		if d.est.RestoreState(st) {
 			info.EstimatorStates++
-		}
-		if r.retentionHz > 0 {
+		} else if r.retentionHz > 0 {
 			d.store.SetNyquist(st.Series, r.retentionHz)
 		}
 		d.lastState[st.Series] = r

@@ -321,3 +321,98 @@ func TestSnapshotVerbatimSegmentTag(t *testing.T) {
 		t.Fatalf("verbatim-tagged segment: err = %v, want an error naming the series", err)
 	}
 }
+
+// TestCrashRecoveryMidHold kills the process while a series' retention is
+// held above its newest estimates: the signal widened (retention rose at
+// once), narrowed again, and ten lower refreshes into the wait the state
+// sweep ran and the process died. Recovery must bring retention back at
+// the held rate — not at the newest estimate the record also carries —
+// and must not count the dead process's wait: retention lowers only after
+// a full turnover of the recovered estimator's own lower estimates.
+func TestCrashRecoveryMidHold(t *testing.T) {
+	const id = "ext/dev00/metric"
+	signal := func(i int) float64 {
+		if i >= 512 && i < 1024 {
+			return twoTone(1.0/64, 40.0/256, float64(i)) // wide
+		}
+		return twoTone(1.0/64, 8.0/256, float64(i)) // narrow
+	}
+	feed := func(store *monitor.Store, est *monitor.IngestEstimator, i int) {
+		p := series.Point{Time: walStart.Add(time.Duration(i) * time.Second), Value: signal(i)}
+		if err := store.Append(id, p); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+		est.Observe(id, p)
+	}
+	opts := Options{FsyncEvery: -1, SnapshotEvery: -1, StateEvery: -1}
+
+	dir := t.TempDir()
+	store1 := servingStore()
+	est1 := monitor.NewIngestEstimator(store1, ingestCfg)
+	d1, err := Open(dir, store1, est1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	for adv := (monitor.IngestAdvice{}); i < 1024 || adv.HeldRefreshes < 10; i++ {
+		if i > 2048 {
+			t.Fatalf("the wait never reached ten refreshes: %+v", adv)
+		}
+		feed(store1, est1, i)
+		adv, _ = est1.Advice(id)
+	}
+	pre, _ := est1.Advice(id)
+	held := store1.NyquistRate(id)
+	if !(held > 2*pre.NyquistRate) {
+		t.Fatalf("precondition: retention %v should be held well above the newest estimate %v", held, pre.NyquistRate)
+	}
+	// The crash falls on a block boundary, so the stored tail the recovered
+	// estimator rewarms from ends inside the wait: every estimate it
+	// re-derives is one of the ten lower ones.
+	store1.SealActive()
+	d1.writeStates()
+	d1.abort()
+
+	store2 := servingStore()
+	est2 := monitor.NewIngestEstimator(store2, ingestCfg)
+	d2, err := Open(dir, store2, est2, opts)
+	if err != nil {
+		t.Fatalf("reopen after crash: %v", err)
+	}
+	defer d2.abort()
+	if got := store2.NyquistRate(id); got != held {
+		t.Fatalf("recovered retention rate %v, want the held %v (newest estimate before the crash: %v)", got, held, pre.NyquistRate)
+	}
+	states := est2.ExportState()
+	if len(states) != 1 || states[0].HeldRate != held {
+		t.Fatalf("recovered state %+v, want held rate %v", states, held)
+	}
+	// The rewarm replayed the stored tail through the recovered estimator;
+	// whatever lower estimates that produced are the new wait's first.
+	adv, _ := est2.Advice(id)
+	if adv.HeldRefreshes == 0 || adv.HeldRefreshes >= 10 || adv.HoldTurnover != 32 {
+		t.Fatalf("recovered wait %d of %d: want the rewarm's few lower estimates, not the dead process's ten", adv.HeldRefreshes, adv.HoldTurnover)
+	}
+	// Carry on and watch retention refresh by refresh.
+	lowered := false
+	for next := i; i < next+40*8 && !lowered; i++ {
+		before, _ := est2.Advice(id)
+		feed(store2, est2, i)
+		after, _ := est2.Advice(id)
+		switch got := store2.NyquistRate(id); {
+		case got == held:
+		case got > held:
+			t.Fatalf("point %d: retention rose to %v on a narrowing signal", i, got)
+		case before.HeldRefreshes != 31:
+			t.Fatalf("point %d: retention lowered to %v after %d lower refreshes of this process, want a full turnover of 32", i, got, before.HeldRefreshes+1)
+		default:
+			lowered = true
+			if got < after.NyquistRate {
+				t.Fatalf("retention lowered to %v, below the newest estimate %v", got, after.NyquistRate)
+			}
+		}
+	}
+	if !lowered {
+		t.Fatal("retention never followed the narrowed signal down")
+	}
+}

@@ -54,7 +54,9 @@ func decodeBlockRec(payload []byte, ver uint64) (blockRec, error) {
 }
 
 // stateRec is one series' estimator tuning state plus the retention
-// rate the store is currently tuned to.
+// rate the store is currently tuned to. The record has no field of its
+// own for st.HeldRate: the store's rate is the held rate, so decoding
+// fills it from retentionHz.
 type stateRec struct {
 	st          monitor.IngestSeriesState
 	retentionHz float64
@@ -80,6 +82,7 @@ func decodeStateRec(payload []byte) (stateRec, error) {
 	r.st.NyquistRate = d.f64()
 	r.st.CleanStreak = int(d.varint())
 	r.retentionHz = d.f64()
+	r.st.HeldRate = r.retentionHz
 	return r, d.err()
 }
 

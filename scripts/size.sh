@@ -4,8 +4,11 @@
 # nyquistd flag count, the exported-field count of the six config
 # structs (each field is an independently settable value), the
 # //nyquist:allow-* annotation count, and the state one warm series
-# retains: the estimator's (core's TestStreamStateSize) and the store's
-# (tsdb's TestSeriesStateBytes).
+# retains: the estimator's (core's TestStreamStateSize), the retention
+# hold's on top of it (monitor's TestIngestSeriesStateSize) and the
+# store's (tsdb's TestSeriesStateBytes) — and the retune flap rate: how
+# often a steady fleet's retention moves (monitor's
+# TestIngestEstimatorFlapRate).
 # Print-only: compare against the previous PR's figures in CHANGES.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -33,4 +36,6 @@ echo "config fields (tsdb.Config, tsdb.RetentionConfig, monitor.IngestConfig, wa
 	$(fields internal/api/api.go Config) + $(fields internal/core/stream.go StreamConfig)))"
 echo "//nyquist:allow-* annotations: $(gofiles | xargs grep -h '//nyquist:allow-' | wc -l)"
 go test ./internal/core -run '^TestStreamStateSize$' -count=1 -v | sed -n 's/.*\(state bytes per warm stream.*\)/estimator \1/p'
+go test ./internal/monitor -run '^TestIngestSeriesStateSize$' -count=1 -v | sed -n 's/.*\(hold state bytes per series.*\)/estimator \1/p'
 go test ./internal/tsdb -run '^TestSeriesStateBytes$' -count=1 -v | sed -n 's/.*\(state bytes per warm series.*\)/store \1/p'
+go test ./internal/monitor -run '^TestIngestEstimatorFlapRate$' -count=1 -v | sed -n 's/.*\(held-rate changes per 1,000 clean refreshes.*\)/retention \1/p'
