@@ -39,7 +39,7 @@ type Controller struct {
 	cost      []monitor.Cost
 	converged []bool
 	aliased   []bool
-	streak    []int // consecutive aliased rounds per device
+	policy    []core.RatePolicy // the §4.2 verdict-to-rate door, per device
 
 	round   int
 	rounds  []RoundSummary
@@ -60,11 +60,6 @@ type ControllerConfig struct {
 	// paper's 99 % keeps chasing the measurement-noise floor there —
 	// the same trade the §4.2 adaptive loop makes).
 	EnergyCutoff float64
-	// AliasPersistence is how many consecutive aliased rounds a device
-	// must show before its rate probes upward; zero selects 2 (a
-	// one-window aliased blip is usually noise — StreamUpdate's
-	// AliasStreak reasoning applied across rounds).
-	AliasPersistence int
 	// Headroom multiplies estimated Nyquist rates into granted poll
 	// rates; zero selects 1.2 (polling exactly at the critical rate
 	// leaves the top component ambiguous).
@@ -122,9 +117,6 @@ func (c ControllerConfig) withDefaults() (ControllerConfig, error) {
 	}
 	if c.EnergyCutoff == 0 {
 		c.EnergyCutoff = 0.90
-	}
-	if c.AliasPersistence <= 0 {
-		c.AliasPersistence = 2
 	}
 	if c.Headroom <= 1 {
 		c.Headroom = 1.2
@@ -187,7 +179,7 @@ func NewController(scenario *Scenario, cfg ControllerConfig) (*Controller, error
 		cost:      make([]monitor.Cost, n),
 		converged: make([]bool, n),
 		aliased:   make([]bool, n),
-		streak:    make([]int, n),
+		policy:    make([]core.RatePolicy, n),
 	}
 	if ctl.store == nil {
 		ctl.store = monitor.NewTieredStore(tsdb.Config{
@@ -320,25 +312,21 @@ func (ctl *Controller) Step() (RoundSummary, error) {
 		sum.Samples += r.samples
 		ctl.cost[i].Add(ctl.cfg.Model, r.samples)
 		ctl.aliased[i] = r.aliased
-		if r.nyquist > 0 {
-			ctl.store.SetNyquist(devices[i].ID, r.nyquist)
-		}
-		// The §4.2 asymmetry: only a persistent aliased signature may
-		// raise a device's rate (a one-window blip is usually noise);
-		// clean estimates may only lower or hold it — a clean window
-		// certifies the current rate recovers the content, so chasing a
-		// noise-floor estimate upward is never warranted.
+		// core.RatePolicy decides (rounds are disjoint windows: turnover
+		// 1). A clean estimate may only lower or hold the poll rate — a
+		// clean window certifies the current rate recovers the content,
+		// so chasing a noise-floor estimate upward is never warranted.
 		var desired float64
 		if r.aliased {
 			sum.Aliased++
-			ctl.streak[i]++
-			if ctl.streak[i] >= ctl.cfg.AliasPersistence {
+			desired = ctl.rate[i]
+			if ctl.policy[i].Aliased() {
 				desired = clamp(2*ctl.rate[i], ctl.cfg.MinRate, ctl.cfg.MaxRate)
-			} else {
-				desired = ctl.rate[i]
 			}
 		} else {
-			ctl.streak[i] = 0
+			if held, changed := ctl.policy[i].Clean(r.nyquist, 1); changed {
+				ctl.store.SetNyquist(devices[i].ID, held)
+			}
 			desired = clamp(ctl.cfg.Headroom*r.nyquist, ctl.cfg.MinRate, ctl.cfg.MaxRate)
 			if desired > ctl.rate[i] {
 				desired = ctl.rate[i]
@@ -425,8 +413,8 @@ func (ctl *Controller) pollOne(i int) perDevice {
 	switch {
 	case errors.Is(err, core.ErrAliased):
 		// The window needed (nearly) every bin: content above the
-		// current rate's Nyquist limit (or a noise blip — Step's streak
-		// logic decides whether to probe upward, §4.2).
+		// current rate's Nyquist limit (or a noise blip — Step's
+		// RatePolicy decides whether to probe upward, §4.2).
 		out.aliased = true
 	case err != nil:
 		out.err = err

@@ -81,11 +81,6 @@ type Config struct {
 	// zero selects 512. Extra matches are cut deterministically (smallest
 	// ids win) and reported via "truncated": true.
 	MaxQuerySeries int
-	// Metrics is the registry the server instruments itself into and
-	// serves at GET /metrics. Nil builds a fresh one — metrics are
-	// always on; the registry is only injectable so tests and embedders
-	// can read it.
-	Metrics *obs.Registry
 	// Logger receives structured request/error logs. Nil discards —
 	// embedders and benchmarks stay quiet by default; cmd/nyquistd
 	// passes a real handler.
@@ -162,9 +157,6 @@ func NewServer(cfg Config) *Server {
 	if cfg.MaxQuerySeries <= 0 {
 		cfg.MaxQuerySeries = 512
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = obs.NewRegistry()
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(127)}))
 	}
@@ -183,7 +175,7 @@ func NewServer(cfg Config) *Server {
 	if cfg.WAL != nil {
 		s.walp.Store(cfg.WAL)
 	}
-	s.metrics = newServerMetrics(cfg.Metrics, s.store, s.ingest, s.walp.Load, s.start)
+	s.metrics = newServerMetrics(obs.NewRegistry(), s.store, s.ingest, s.walp.Load, s.start)
 	s.ready.Store(true)
 	return s
 }
@@ -194,8 +186,9 @@ func (s *Server) Store() *monitor.Store { return s.store }
 // Ingest exposes the estimate-on-ingest hook (durability wiring, tests).
 func (s *Server) Ingest() *monitor.IngestEstimator { return s.ingest }
 
-// Metrics exposes the server's registry (self-scrape loop, tests).
-func (s *Server) Metrics() *obs.Registry { return s.cfg.Metrics }
+// Metrics exposes the registry the server instruments itself into and
+// serves at GET /metrics (self-scrape loop, tests); metrics are always on.
+func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }
 
 // SetReady flips the readiness gate (see Server.ready).
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
@@ -224,7 +217,7 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /api/v1/stats", s.route("stats", false, s.handleStats))
 	mux.Handle("GET /healthz", s.route("healthz", false, s.handleHealthz))
 	mux.Handle("GET /readyz", s.route("readyz", false, s.handleReadyz))
-	mux.Handle("GET /metrics", s.route("metrics", false, s.cfg.Metrics.Handler(func(error) {
+	mux.Handle("GET /metrics", s.route("metrics", false, s.metrics.reg.Handler(func(error) {
 		s.metrics.httpWriteErrs.Inc()
 	}).ServeHTTP))
 	return s.wrap(mux)

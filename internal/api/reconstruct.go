@@ -2,10 +2,11 @@
 // bargain. The store keeps only what the sampling theorem says it must
 // (raw near the live edge, Nyquist-sized tier buckets behind it); a
 // dashboard wants a dense uniform grid at whatever pixel pitch it is
-// rendering. ?reconstruct=&step= runs the internal/series interpolation
-// machinery over the tier-stitched result so the client gets the
-// band-limited signal on its requested grid instead of a stair-step it
-// would have to (wrongly) interpolate itself.
+// rendering. ?reconstruct=&step= resamples the tier-stitched result with
+// the internal/series interpolators (linear by default when an estimate
+// exists) onto the requested grid, or the store's headroom grid, instead
+// of leaving the client a stair-step. It is interpolation, not §4.3's
+// low-pass: that is core.Reconstruct, which the server does not use.
 
 package api
 
@@ -24,7 +25,7 @@ type reconstructSpec struct {
 	// want reports reconstruction was requested at all.
 	want bool
 	// auto defers the interpolation choice to the series' stored Nyquist
-	// estimate (linear for band-limited signals, nearest otherwise).
+	// estimate (linear when one exists, nearest otherwise).
 	auto bool
 	// mode is the interpolation policy (meaningful when !auto).
 	mode series.Interpolation
@@ -86,9 +87,9 @@ type reconstruction struct {
 
 // reconstruct resamples a tier-stitched query result onto a uniform
 // grid. nyquist is the series' stored rate estimate (0 = none): auto
-// mode interpolates linearly when an estimate exists (the signal is
-// known band-limited, so linear between sufficiently dense samples is
-// faithful) and falls back to nearest-neighbour otherwise; a missing
+// mode interpolates linearly when an estimate exists (the stored grid is
+// then dense enough for straight lines between samples to stay close)
+// and falls back to nearest-neighbour otherwise; a missing
 // step derives from the estimate at headroom — the store's own
 // Retention.Headroom, so the served grid is the one the tier buckets
 // were cut on — or from the stored points' median interval.

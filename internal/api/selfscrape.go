@@ -46,7 +46,7 @@ type SelfScraper struct {
 // errors, pass duration) in the same registry it scrapes — the loop
 // observes itself too.
 func (s *Server) NewSelfScraper(interval time.Duration) *SelfScraper {
-	reg := s.cfg.Metrics
+	reg := s.metrics.reg
 	return &SelfScraper{
 		srv:      s,
 		interval: interval,
@@ -69,7 +69,7 @@ func (s *Server) NewSelfScraper(interval time.Duration) *SelfScraper {
 // signal the estimator locks onto quickly.
 func (sc *SelfScraper) ScrapeOnce() (landed, rejected int) {
 	t0 := time.Now()
-	for _, smp := range sc.srv.cfg.Metrics.Gather() {
+	for _, smp := range sc.srv.metrics.reg.Gather() {
 		if strings.HasSuffix(smp.Name, "_bucket") {
 			continue
 		}

@@ -202,6 +202,11 @@ func (s *StreamEstimator) SampleRate() float64 { return 1 / s.cfg.Interval.Secon
 // WindowSamples returns the sliding window length.
 func (s *StreamEstimator) WindowSamples() int { return s.cfg.WindowSamples }
 
+// Turnover returns how many emitted updates it takes to replace every
+// sample of the window (WindowSamples / EmitEvery); one or less means
+// consecutive updates analyze disjoint windows.
+func (s *StreamEstimator) Turnover() int { return s.cfg.WindowSamples / s.cfg.EmitEvery }
+
 // Seen returns the total number of polls pushed so far.
 func (s *StreamEstimator) Seen() int64 { return s.count }
 

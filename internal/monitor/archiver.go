@@ -33,6 +33,8 @@ type Archiver struct {
 	blockStart time.Time
 	haveStart  bool
 
+	policy core.RatePolicy // fed each block's verdict; blocks are disjoint (turnover 1)
+
 	raw, kept, aliasedBlocks int
 }
 
@@ -149,6 +151,7 @@ func (a *Archiver) Flush() error {
 	switch {
 	case errors.Is(err, core.ErrAliased), errors.Is(err, core.ErrTooShort):
 		a.aliasedBlocks++
+		a.policy.Aliased()
 		if err := a.store.AppendUniform(a.id, u); err != nil {
 			return fmt.Errorf("monitor: archiver raw block: %w", err)
 		}
@@ -167,7 +170,9 @@ func (a *Archiver) Flush() error {
 		// Close the estimate→retain loop: the block's Nyquist estimate
 		// retunes the store's retention tiers, so a bounded store degrades
 		// this series on the signal's own terms rather than a default grid.
-		a.store.SetNyquist(a.id, res.NyquistRate)
+		if held, changed := a.policy.Clean(res.NyquistRate, 1); changed {
+			a.store.SetNyquist(a.id, held)
+		}
 	}
 	wasPartial := len(a.buf) != a.cfg.WindowSamples
 	a.buf = a.buf[:0]

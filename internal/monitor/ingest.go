@@ -22,13 +22,10 @@ import (
 //  2. Once the interval locks, every point feeds a per-series
 //     core.StreamEstimator, so a live §3.2 estimate, aliasing verdict
 //     and sweet-spot poll suggestion exist for every external series.
-//  3. Clean estimates retune the store's retention (Store.SetNyquist) —
-//     the paper's estimate→retain loop, closed across the wire — through
-//     a core.RetentionHold: a higher estimate is retained at once, a
-//     lower one only after a whole window turnover of lower estimates.
-//     Aliased windows never retune (the §4.2 asymmetry: an aliased
-//     estimate is exactly the one you must not trust), they only raise
-//     AliasStreak so clients can poll faster.
+//  3. Every refresh's verdict goes through the series' core.RatePolicy,
+//     the one door to the store's retention (Store.SetNyquist) — the
+//     paper's estimate→retain loop, closed across the wire. Aliased
+//     windows only raise AliasStreak so clients can poll faster.
 //
 // A sustained shift in the observed inter-arrival gap (a client
 // redeploy changing its poll rate) re-probes the interval and restarts
@@ -49,15 +46,9 @@ type IngestEstimator struct {
 	// time (a quiet fleet should not age anything out).
 	clock atomic.Int64
 
-	// Lifecycle counters for the observability layer, atomic so the
-	// per-series fast path never takes the estimator lock to bump them:
-	// probes counts interval locks (a series graduating from the gap
-	// probe to a live analysis window), reprobes the drift-triggered
-	// re-locks, retunes the clean-streak SetNyquist handoffs (one per
-	// change of a series' held rate, not per refresh), heldRefreshes the
-	// clean refreshes below the held rate that changed nothing, and
-	// aliasedRefreshes every estimate refresh carrying the aliased
-	// signature.
+	// Lifecycle counters for the observability layer (documented at the
+	// accessors of the same names), atomic so the per-series fast path
+	// never takes the estimator lock to bump them.
 	probes           atomic.Int64
 	reprobesTotal    atomic.Int64
 	retunes          atomic.Int64
@@ -89,21 +80,9 @@ type IngestConfig struct {
 	// cut-off, passed through to each series' stream estimator; zero
 	// selects the core default.
 	EnergyCutoff float64
-	// Headroom multiplies the estimated Nyquist rate when suggesting a
-	// poll interval and when retuning retention; zero selects 1.2.
-	Headroom float64
 	// ProbeGaps is the number of inter-arrival gaps observed before the
 	// poll interval locks; zero selects 8.
 	ProbeGaps int
-	// DriftFactor bounds how far the observed gap may drift from the
-	// locked interval (in either direction) before the series re-probes;
-	// zero selects 2 (half/double). Values ≤ 1 disable drift re-probes.
-	DriftFactor float64
-	// RetuneCleanStreak is how many consecutive clean estimate refreshes
-	// a series needs before a refresh retunes retention — the mirror of
-	// the controller's §4.2 asymmetry (one clean window among aliased
-	// ones is noise, not license to coarsen storage). Zero selects 2.
-	RetuneCleanStreak int
 	// MaxSeries bounds the number of per-series estimator windows. Each
 	// estimated series holds its sample ring, 8 bytes per window sample
 	// (about 2.1 KiB at the default 256), so a hostile cardinality
@@ -131,17 +110,8 @@ func (c IngestConfig) withDefaults() IngestConfig {
 	if c.EmitEvery <= 0 {
 		c.EmitEvery = 8
 	}
-	if c.Headroom <= 1 {
-		c.Headroom = 1.2
-	}
 	if c.ProbeGaps <= 0 {
 		c.ProbeGaps = 8
-	}
-	if c.DriftFactor == 0 {
-		c.DriftFactor = 2
-	}
-	if c.RetuneCleanStreak <= 0 {
-		c.RetuneCleanStreak = 2
 	}
 	if c.EvictAfter < 0 {
 		c.EvictAfter = 4 * c.MaxSeries
@@ -208,14 +178,11 @@ type ingestSeries struct {
 	// drift counts consecutive gaps outside the accepted band around
 	// the locked interval.
 	drift int
-	// cleanStreak counts consecutive clean estimate refreshes — the
-	// retune debounce.
-	cleanStreak int
 
 	last        *core.StreamUpdate
-	lastNyquist float64 // newest clean estimate past the streak
-	// hold is what SetNyquist last saw: lastNyquist, peak-held.
-	hold core.RetentionHold
+	lastNyquist float64 // newest clean estimate the policy trusted
+	// policy holds what SetNyquist last saw: lastNyquist, peak-held.
+	policy core.RatePolicy
 }
 
 // NewIngestEstimator returns a hook feeding estimates into store (which
@@ -240,25 +207,15 @@ type retentionTuner interface {
 
 // Observe ingests one point for id: pre-lock points accumulate toward
 // the interval probe, post-lock points feed the series' streaming
-// estimator, and clean estimate refreshes retune the store's retention
-// for id. The only way it declines is the MaxSeries cap: an observation
-// for a new series beyond the cap is dropped and counted, and Observe
-// returns false.
+// estimator, and every estimate refresh feeds the series' rate policy.
+// The only way it declines is the MaxSeries cap: an observation for a new
+// series beyond the cap is dropped and counted, and Observe returns false.
 func (e *IngestEstimator) Observe(id string, p series.Point) bool {
-	tick := e.clock.Add(1)
-	s := e.lookupOrCreate(id, tick)
-	if s == nil {
-		return false
-	}
-	s.lastSeen.Store(tick)
-	s.mu.Lock()
-	e.observeLocked(s, id, p)
-	s.mu.Unlock()
-	return true
+	return e.ObserveRun(id, []series.Point{p}) == 1
 }
 
 // ObserveRun ingests a same-series run of points in arrival order:
-// semantically exactly len(pts) Observe calls, but the series is
+// semantically len(pts) one-point runs, but the series is
 // resolved once and its lock is held for the whole run, so the batched
 // ingest path pays one map lookup and one lock round-trip per series per
 // batch instead of per point. Returns the number of points observed; the
@@ -319,6 +276,10 @@ func (e *IngestEstimator) lookupOrCreate(id string, tick int64) *ingestSeries {
 	return s
 }
 
+// driftFactor bounds how far the observed gap may drift from the locked
+// interval (half/double) before it counts toward a re-probe.
+const driftFactor = 2
+
 // observeLocked is the per-point body shared by Observe and ObserveRun.
 // Called with s.mu held.
 func (e *IngestEstimator) observeLocked(s *ingestSeries, id string, p series.Point) {
@@ -330,11 +291,9 @@ func (e *IngestEstimator) observeLocked(s *ingestSeries, id string, p series.Poi
 	// Drift watch: a sustained change in the inter-arrival gap means
 	// the client changed its poll rate; the locked grid (and with it
 	// the frequency axis) is wrong, so re-probe.
-	if s.haveLast && e.cfg.DriftFactor > 1 {
+	if s.haveLast {
 		if gap := p.Time.Sub(s.lastTime); gap > 0 {
-			lo := time.Duration(float64(s.interval) / e.cfg.DriftFactor)
-			hi := time.Duration(float64(s.interval) * e.cfg.DriftFactor)
-			if gap < lo || gap > hi {
+			if gap < s.interval/driftFactor || gap > s.interval*driftFactor {
 				s.drift++
 			} else {
 				s.drift = 0
@@ -349,32 +308,26 @@ func (e *IngestEstimator) observeLocked(s *ingestSeries, id string, p series.Poi
 	s.lastTime, s.haveLast = p.Time, true
 	if up := s.est.Push(p.Value); up != nil {
 		s.refresh(up, p.Time)
-		if up.Err == nil && up.Result.NyquistRate > 0 {
-			s.cleanStreak++
-			if s.cleanStreak >= e.cfg.RetuneCleanStreak {
-				e.handOver(s, id, up.Result.NyquistRate)
-			}
+		if up.Err != nil {
+			s.policy.Aliased()
+			e.aliasedRefreshes.Add(1)
 		} else {
-			s.cleanStreak = 0
-			if up.Err != nil {
-				e.aliasedRefreshes.Add(1)
-			}
+			e.handOver(s, id, up.Result.NyquistRate)
 		}
 	}
 }
 
-// handOver makes rate the series' trusted estimate and offers it to the
-// series' hold; the store's retention is retuned only when the held rate
-// changes. The 99 %-energy cut-off of a steady signal wanders by a few
-// bins as the tones' phases slide through the window, so following every
-// estimate would move the tier grid on most refreshes; the hold raises at
-// once and lowers only after a full window turnover of lower estimates,
-// to the highest of them. An emission that leaves the held rate where it
-// was neither takes the store's shard lock nor counts as a retune. Called
-// with s.mu held.
+// handOver feeds one clean estimate to the series' policy: once trusted
+// it is the series' newest estimate, and the store is retuned only when
+// the held rate changes — an emission that leaves it where it was neither
+// takes the store's shard lock nor counts as a retune. Called with s.mu
+// held.
 func (e *IngestEstimator) handOver(s *ingestSeries, id string, rate float64) {
+	held, changed := s.policy.Clean(rate, e.turnover)
+	if !s.policy.Trusted(e.turnover) {
+		return
+	}
 	s.lastNyquist = rate
-	held, changed := s.hold.Offer(rate, e.turnover)
 	if !changed {
 		if rate < held {
 			e.heldRefreshes.Add(1)
@@ -468,13 +421,7 @@ func (s *ingestSeries) probe(e *IngestEstimator, id string, p series.Point) {
 	}
 	sort.Slice(gaps, func(a, b int) bool { return gaps[a] < gaps[b] })
 	interval := gaps[len(gaps)/2]
-	est, err := core.NewStreamEstimator(core.StreamConfig{
-		Interval:      interval,
-		WindowSamples: e.cfg.WindowSamples,
-		EmitEvery:     e.cfg.EmitEvery,
-		EnergyCutoff:  e.cfg.EnergyCutoff,
-		Headroom:      e.cfg.Headroom,
-	})
+	est, err := e.newStream(interval)
 	if err != nil {
 		// Unlockable configuration (e.g. sub-minimum window from the
 		// caller); stay in probe mode rather than fail ingest.
@@ -492,6 +439,16 @@ func (s *ingestSeries) probe(e *IngestEstimator, id string, p series.Point) {
 	s.pending = nil
 }
 
+// newStream returns a series' analysis window on a locked interval.
+func (e *IngestEstimator) newStream(interval time.Duration) (*core.StreamEstimator, error) {
+	return core.NewStreamEstimator(core.StreamConfig{
+		Interval:      interval,
+		WindowSamples: e.cfg.WindowSamples,
+		EmitEvery:     e.cfg.EmitEvery,
+		EnergyCutoff:  e.cfg.EnergyCutoff,
+	})
+}
+
 // capPending bounds the probe buffer of a series that stays unlocked, so
 // neither a misbehaving client nor a bad configuration can grow it (and
 // probe's scan over it) with every point.
@@ -502,15 +459,12 @@ func (s *ingestSeries) capPending(e *IngestEstimator) {
 }
 
 // reprobe drops the locked grid after sustained gap drift and restarts
-// the probe from the current point. Retention stays where it is held, but
-// lower estimates counted on the old grid are not evidence about the new
-// one. Called with s.mu held.
+// the probe from the current point. Called with s.mu held.
 func (s *ingestSeries) reprobe(p series.Point) {
 	s.est = nil
 	s.interval = 0
 	s.drift = 0
-	s.cleanStreak = 0
-	s.hold.Reset(s.hold.Rate())
+	s.policy.Regrid()
 	s.last = nil
 	s.reprobes++
 	s.pending = append(s.pending[:0], p)
@@ -534,7 +488,7 @@ func (e *IngestEstimator) Advice(id string) (IngestAdvice, bool) {
 		Interval:      s.interval,
 		NyquistRate:   s.lastNyquist,
 		Reprobes:      s.reprobes,
-		HeldRefreshes: s.hold.Below(),
+		HeldRefreshes: s.policy.Below(),
 		HoldTurnover:  e.turnover,
 	}
 	if s.est != nil {
@@ -653,8 +607,8 @@ func (e *IngestEstimator) ExportState() []IngestSeriesState {
 			Samples:     s.samples,
 			Reprobes:    s.reprobes,
 			NyquistRate: s.lastNyquist,
-			CleanStreak: s.cleanStreak,
-			HeldRate:    s.hold.Rate(),
+			CleanStreak: s.policy.CleanStreak(),
+			HeldRate:    s.policy.Held(),
 		})
 		s.mu.Unlock()
 	}
@@ -666,23 +620,14 @@ func (e *IngestEstimator) ExportState() []IngestSeriesState {
 // existing state for the id: the locked interval comes back immediately
 // (no re-probe), the last trusted Nyquist estimate is carried over so
 // Advice answers before the analysis window rewarms, and the store is
-// retuned to the held rate with the hold's wait cleared: nothing lowers
-// retention until a full turnover of fresh estimates says so. Subject to
-// the same MaxSeries cap as Observe; returns false when the cap drops it.
+// retuned to the held rate (core.RatePolicy.Restore). Subject to the same
+// MaxSeries cap as Observe; returns false when the cap drops it.
 func (e *IngestEstimator) RestoreState(st IngestSeriesState) bool {
 	tick := e.clock.Add(1)
-	e.mu.Lock()
-	s := e.series[st.Series]
+	s := e.lookupOrCreate(st.Series, tick)
 	if s == nil {
-		if e.cfg.MaxSeries > 0 && len(e.series) >= e.cfg.MaxSeries && !e.evictOneLocked(tick) {
-			e.rejected++
-			e.mu.Unlock()
-			return false
-		}
-		s = &ingestSeries{}
-		e.series[st.Series] = s
+		return false
 	}
-	e.mu.Unlock()
 	s.lastSeen.Store(tick)
 
 	s.mu.Lock()
@@ -696,22 +641,14 @@ func (e *IngestEstimator) RestoreState(st IngestSeriesState) bool {
 	s.samples = st.Samples
 	s.reprobes = st.Reprobes
 	s.lastNyquist = st.NyquistRate
-	s.cleanStreak = st.CleanStreak
-	s.hold.Reset(st.HeldRate)
+	s.policy.Restore(st.HeldRate, st.CleanStreak)
 	if st.Interval > 0 {
-		est, err := core.NewStreamEstimator(core.StreamConfig{
-			Interval:      st.Interval,
-			WindowSamples: e.cfg.WindowSamples,
-			EmitEvery:     e.cfg.EmitEvery,
-			EnergyCutoff:  e.cfg.EnergyCutoff,
-			Headroom:      e.cfg.Headroom,
-		})
-		if err == nil {
+		if est, err := e.newStream(st.Interval); err == nil {
 			s.est = est
 			s.interval = st.Interval
 		}
 	}
-	if held := s.hold.Rate(); held > 0 && e.store != nil {
+	if held := s.policy.Held(); held > 0 && e.store != nil {
 		e.store.SetNyquist(st.Series, held)
 	}
 	return true

@@ -402,7 +402,7 @@ func (r *recordingTuner) SetNyquist(_ string, rate float64) {
 }
 
 // TestIngestEstimatorHandsOverChangesOnly pins what reaches the store:
-// the series' held rate (core.RetentionHold over the clean estimates, one
+// the series' held rate (core.RatePolicy over the clean estimates, one
 // window turnover long), and only when it changes. An emission at the
 // held rate is not a retune — no SetNyquist call (it would take the
 // shard's write lock to change nothing), no count; a higher estimate is
@@ -432,7 +432,8 @@ func TestIngestEstimatorHandsOverChangesOnly(t *testing.T) {
 		wantCalls []float64 // cumulative
 		wantHeld  int       // Advice.HeldRefreshes
 	}{
-		{"first clean estimate", offer(0.5, 1), []float64{0.5}, 0},
+		{"one clean estimate over overlapping windows is not yet trusted", offer(0.5, 1), nil, 0},
+		{"the second is", offer(0.5, 1), []float64{0.5}, 0},
 		{"the same rate, five refreshes running", offer(0.5, 5), []float64{0.5}, 0},
 		{"a higher rate, at once", offer(0.75, 1), []float64{0.5, 0.75}, 0},
 		{"a lower rate, one short of a turnover", offer(0.25, 15), []float64{0.5, 0.75}, 15},
@@ -443,7 +444,7 @@ func TestIngestEstimatorHandsOverChangesOnly(t *testing.T) {
 			offer(0.25, 10)()
 			s.reprobe(series.Point{Time: ingestStart.Add(time.Hour), Value: 1})
 		}, []float64{0.5, 0.75, 0.5}, 0},
-		{"so the new grid needs its own full turnover", offer(0.25, 15), []float64{0.5, 0.75, 0.5}, 15},
+		{"so the new grid needs its own clean run and full turnover", offer(0.25, 16), []float64{0.5, 0.75, 0.5}, 15},
 		{"and then lowers", offer(0.25, 1), []float64{0.5, 0.75, 0.5, 0.25}, 0},
 		{"a restored state is handed over at its held rate, not its newest estimate", func() {
 			e.RestoreState(IngestSeriesState{Series: id, Interval: time.Second, NyquistRate: 0.3, HeldRate: 0.4, CleanStreak: 1})

@@ -276,6 +276,82 @@ func TestAdaptivePollerStoresPrimarySamples(t *testing.T) {
 	}
 }
 
+// twoToneAbove is two tones at 3.03 Hz and 1.71 Hz: above anything an
+// adaptive loop capped at 1 Hz can sample cleanly.
+var twoToneAbove = core.SamplerFunc(func(t float64) float64 {
+	return 40 + 10*math.Sin(2*math.Pi*3.03*t) + 7*math.Sin(2*math.Pi*1.71*t)
+})
+
+// lastCleanEstimate returns the newest epoch estimate of a run (0 = none).
+func lastCleanEstimate(run *core.RunResult) float64 {
+	last := 0.0
+	for _, e := range run.Epochs {
+		if e.EstimatedNyquist > 0 {
+			last = e.EstimatedNyquist
+		}
+	}
+	return last
+}
+
+// TestAdaptivePollerAliasedRunNeverRetunes: a run whose every epoch was
+// aliased has no estimate to trust, so retention must stay untuned (the
+// parent handed the store FinalRate/Headroom = 0.5 Hz regardless).
+func TestAdaptivePollerAliasedRunNeverRetunes(t *testing.T) {
+	s := NewStore(0)
+	p := &AdaptivePoller{
+		ID:     "dev",
+		Target: twoToneAbove,
+		Config: core.AdaptiveConfig{InitialRate: 0.05, MaxRate: 1, EpochDuration: 256},
+		Model:  DefaultCostModel(),
+	}
+	res, err := p.Run(s, start, 0, 8*256*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Run.Epochs) != 8 {
+		t.Fatalf("epochs = %d, want 8", len(res.Run.Epochs))
+	}
+	for _, e := range res.Run.Epochs {
+		if !e.Aliased || e.EstimatedNyquist != 0 {
+			t.Fatalf("epoch %d: aliased=%v estimate=%g, want an all-aliased run", e.Index, e.Aliased, e.EstimatedNyquist)
+		}
+	}
+	if got := s.NyquistRate("dev"); got != 0 {
+		t.Fatalf("retention tuned to %g Hz by a run with no clean estimate (FinalRate %g)", got, res.Run.FinalRate)
+	}
+}
+
+// TestAdaptivePollerAliasedTailKeepsLastCleanEstimate: clean epochs
+// followed by aliased ones leave retention at the last clean estimate —
+// not at the probed-up poll rate divided by the headroom.
+func TestAdaptivePollerAliasedTailKeepsLastCleanEstimate(t *testing.T) {
+	const switchAt = 4 * 256.0
+	target := core.SamplerFunc(func(ts float64) float64 {
+		if ts < switchAt {
+			return slowTone(0.02).At(ts)
+		}
+		return twoToneAbove.At(ts)
+	})
+	s := NewStore(0)
+	p := &AdaptivePoller{
+		ID:     "dev",
+		Target: target,
+		Config: core.AdaptiveConfig{InitialRate: 0.5, MaxRate: 1, EpochDuration: 256},
+		Model:  DefaultCostModel(),
+	}
+	res, err := p.Run(s, start, 0, 8*256*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastClean := lastCleanEstimate(res.Run)
+	if last := res.Run.Epochs[len(res.Run.Epochs)-1]; lastClean == 0 || !last.Aliased {
+		t.Fatalf("want clean epochs then an aliased tail, got last clean %g and a final epoch %+v", lastClean, last)
+	}
+	if got := s.NyquistRate("dev"); got != lastClean {
+		t.Fatalf("retention rate %g, want the last clean estimate %g (FinalRate/2 = %g)", got, lastClean, res.Run.FinalRate/2)
+	}
+}
+
 func TestAdaptivePollerNilTarget(t *testing.T) {
 	p := &AdaptivePoller{ID: "x", Config: core.AdaptiveConfig{InitialRate: 1, MaxRate: 2, EpochDuration: 10}}
 	if _, err := p.Run(nil, start, 0, time.Minute); err == nil {
@@ -333,7 +409,7 @@ func TestArchiverClosesEstimateRetainLoop(t *testing.T) {
 
 // TestManagerPersistsThroughStore checks the fleet path writes through
 // the sharded engine: concurrent workers store their primary-rate
-// samples and feed converged rates into per-series retention.
+// samples and feed clean epoch estimates into per-series retention.
 func TestManagerPersistsThroughStore(t *testing.T) {
 	s := NewStore(0)
 	cfg := managerConfig()
@@ -362,10 +438,13 @@ func TestManagerPersistsThroughStore(t *testing.T) {
 		if stored.Len() == 0 {
 			t.Fatalf("%s: nothing persisted", tr.ID)
 		}
-		// The converged rate is Headroom (default 2) × the requirement;
-		// the store receives the raw Nyquist rate.
-		if rate := s.NyquistRate(tr.ID); rate != tr.Run.FinalRate/2 {
-			t.Fatalf("%s: retention rate %g, want converged/headroom %g", tr.ID, rate, tr.Run.FinalRate/2)
+		// Retention follows the epochs' verdicts through core.RatePolicy:
+		// the store holds the last clean epoch's raw Nyquist estimate (not
+		// the final poll rate divided by the headroom, which decay and
+		// probing move without any estimate behind them).
+		want := lastCleanEstimate(tr.Run)
+		if rate := s.NyquistRate(tr.ID); rate != want || want == 0 {
+			t.Fatalf("%s: retention rate %g, want the last clean estimate %g", tr.ID, rate, want)
 		}
 	}
 }

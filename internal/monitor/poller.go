@@ -44,21 +44,19 @@ func (p *StaticPoller) Run(store *Store, start time.Time, offset float64, durati
 	if n < 1 {
 		n = 1
 	}
-	lastRate := 0.0
+	// The riding stream's verdicts retune the store's retention tiers (the
+	// estimate→retain loop), so even a never-reconsidered static rate gets
+	// Nyquist-aware storage.
+	var policy core.RatePolicy
 	for i := 0; i < n; i++ {
 		v := p.Target.At(offset + float64(i)*ivs)
 		if p.Stream != nil {
-			up := p.Stream.Push(v)
-			// A clean streaming estimate retunes the store's retention
-			// tiers for this series (the estimate→retain loop), so even a
-			// never-reconsidered static rate gets Nyquist-aware storage.
-			// Only a changed estimate takes the store's write lock: with
-			// the default per-poll emission cadence a converged stream
-			// would otherwise retune on every sample.
-			if up != nil && store != nil && up.Err == nil && up.Result.NyquistRate > 0 &&
-				up.Result.NyquistRate != lastRate {
-				lastRate = up.Result.NyquistRate
-				store.SetNyquist(p.ID, lastRate)
+			if up := p.Stream.Push(v); up != nil && store != nil {
+				if up.Err != nil {
+					policy.Aliased()
+				} else if held, changed := policy.Clean(up.Result.NyquistRate, p.Stream.Turnover()); changed {
+					store.SetNyquist(p.ID, held)
+				}
 			}
 		}
 		if store != nil {
@@ -113,18 +111,16 @@ func (p *AdaptivePoller) Run(store *Store, start time.Time, offset float64, dura
 	res := &AdaptiveResult{Run: run}
 	res.Cost.Add(p.Model, run.TotalSamples)
 	if store != nil {
-		// The converged poll rate is Headroom × the estimated Nyquist
-		// rate; divide the loop's headroom back out so the store receives
-		// the raw 2·f_max the other retain-loop feeds supply (tsdb
-		// applies its own headroom when sizing tiers).
-		if run.FinalRate > 0 {
-			h := p.Config.Headroom
-			if h <= 0 {
-				h = 2 // core.AdaptiveConfig's default
-			}
-			store.SetNyquist(p.ID, run.FinalRate/h)
-		}
+		// Each epoch's verdict reaches retention before its samples are
+		// stored: a clean estimate is the raw 2·f_max the other retain-loop
+		// feeds supply (tsdb applies its own headroom when sizing tiers).
+		var policy core.RatePolicy
 		for _, e := range run.Epochs {
+			if e.Aliased {
+				policy.Aliased()
+			} else if held, changed := policy.Clean(e.EstimatedNyquist, 1); changed {
+				store.SetNyquist(p.ID, held)
+			}
 			// Re-materialize the primary-rate samples of this epoch for
 			// storage. (The adaptive sampler already billed them.)
 			n := int(p.Config.EpochDuration * e.Rate)

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/monitor"
 	"repro/internal/series"
 	"repro/internal/tsdb"
@@ -31,9 +32,6 @@ type Options struct {
 	// 60s, negative disables automatic snapshots (Snapshot can still be
 	// called manually).
 	SnapshotEvery time.Duration
-	// SnapshotMinBytes skips a compaction round when fewer WAL bytes
-	// accumulated since the last snapshot; zero selects 1 MiB.
-	SnapshotMinBytes int64
 	// StateEvery is the estimator tuning-state record cadence; zero
 	// selects 15s, negative disables periodic state records (they are
 	// still written on Close and captured by snapshots).
@@ -55,9 +53,6 @@ func (o Options) withDefaults() Options {
 	if o.SnapshotEvery == 0 {
 		o.SnapshotEvery = 60 * time.Second
 	}
-	if o.SnapshotMinBytes <= 0 {
-		o.SnapshotMinBytes = 1 << 20
-	}
 	if o.StateEvery == 0 {
 		o.StateEvery = 15 * time.Second
 	}
@@ -66,6 +61,10 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
+
+// snapshotMinBytes skips a background compaction round when fewer WAL
+// bytes accumulated since the last snapshot.
+const snapshotMinBytes = 1 << 20
 
 // ReplayInfo summarizes what boot recovery did.
 type ReplayInfo struct {
@@ -344,7 +343,7 @@ func (d *Durable) recover() error {
 // their interval from the same tail.
 func (d *Durable) rewarmTails() map[string][]series.Point {
 	cfg := d.est.Config()
-	want := cfg.WindowSamples + cfg.EmitEvery*(cfg.RetuneCleanStreak+2)
+	want := cfg.WindowSamples + cfg.EmitEvery*(core.Persistence+2)
 	tails := map[string][]series.Point{}
 	for _, id := range d.store.IDs() {
 		res, err := d.store.QueryRange(id, time.Time{}, time.Time{}, 0)
@@ -690,7 +689,7 @@ func (d *Durable) background() {
 			d.Scrub()
 		case <-snapc:
 			d.mu.Lock()
-			grown := d.log.Stats().Bytes-d.bytesAtSnap >= d.opts.SnapshotMinBytes
+			grown := d.log.Stats().Bytes-d.bytesAtSnap >= snapshotMinBytes
 			if grown {
 				if err := d.snapshotLocked(); err != nil {
 					d.snapshotErrs++

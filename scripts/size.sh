@@ -9,7 +9,13 @@
 # store's (tsdb's TestSeriesStateBytes) — and the retune flap rate: how
 # often a steady fleet's retention moves (monitor's
 # TestIngestEstimatorFlapRate).
-# Print-only: compare against the previous PR's figures in CHANGES.md.
+# The three counts below have ceilings: the script exits non-zero when one
+# is exceeded (CI's size step gates on it). Lower a ceiling when a PR
+# lowers the count; the rest is print-only, compared against the previous
+# PR's figures in CHANGES.md.
+MAX_FLAGS=24
+MAX_CONFIG_FIELDS=37
+MAX_ALLOWS=19
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,13 +35,20 @@ fields() {
 
 echo "non-test Go LoC (main module): $(gofiles | xargs cat | wc -l)"
 echo "non-test Go LoC (internal/tsdb): $(gofiles ./internal/tsdb | xargs cat | wc -l)"
-echo "nyquistd flags: $(grep -cE 'flag\.[A-Z][A-Za-z0-9]*\("' cmd/nyquistd/main.go)"
-echo "config fields (tsdb.Config, tsdb.RetentionConfig, monitor.IngestConfig, wal.Options, api.Config, core.StreamConfig): $((
+flags=$(grep -cE 'flag\.[A-Z][A-Za-z0-9]*\("' cmd/nyquistd/main.go)
+cfgfields=$((
 	$(fields internal/tsdb/tsdb.go Config) + $(fields internal/tsdb/tsdb.go RetentionConfig) +
 	$(fields internal/monitor/ingest.go IngestConfig) + $(fields internal/wal/durable.go Options) +
-	$(fields internal/api/api.go Config) + $(fields internal/core/stream.go StreamConfig)))"
-echo "//nyquist:allow-* annotations: $(gofiles | xargs grep -h '//nyquist:allow-' | wc -l)"
+	$(fields internal/api/api.go Config) + $(fields internal/core/stream.go StreamConfig)))
+allows=$(gofiles | xargs grep -h '//nyquist:allow-' | wc -l)
+echo "nyquistd flags: $flags (ceiling $MAX_FLAGS)"
+echo "config fields (tsdb.Config, tsdb.RetentionConfig, monitor.IngestConfig, wal.Options, api.Config, core.StreamConfig): $cfgfields (ceiling $MAX_CONFIG_FIELDS)"
+echo "//nyquist:allow-* annotations: $allows (ceiling $MAX_ALLOWS)"
 go test ./internal/core -run '^TestStreamStateSize$' -count=1 -v | sed -n 's/.*\(state bytes per warm stream.*\)/estimator \1/p'
 go test ./internal/monitor -run '^TestIngestSeriesStateSize$' -count=1 -v | sed -n 's/.*\(hold state bytes per series.*\)/estimator \1/p'
 go test ./internal/tsdb -run '^TestSeriesStateBytes$' -count=1 -v | sed -n 's/.*\(state bytes per warm series.*\)/store \1/p'
 go test ./internal/monitor -run '^TestIngestEstimatorFlapRate$' -count=1 -v | sed -n 's/.*\(held-rate changes per 1,000 clean refreshes.*\)/retention \1/p'
+if ((flags > MAX_FLAGS || cfgfields > MAX_CONFIG_FIELDS || allows > MAX_ALLOWS)); then
+	echo "size.sh: a count exceeds its ceiling (see the top of this script)" >&2
+	exit 1
+fi
