@@ -564,7 +564,7 @@ func reportStorage(dev *fleet.Device, interval time.Duration, dur time.Duration)
 				i+1, t.Buckets, t.Width, t.Samples)
 		}
 	}
-	res, err := store.QueryRange(dev.ID, start, start.Add(dur), 24)
+	res, err := store.Query(dev.ID, start, start.Add(dur), 24)
 	if err != nil {
 		fatal(err)
 	}

@@ -110,7 +110,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nyquistd: -window must be at least 16 samples")
 		os.Exit(2)
 	}
-	store := monitor.NewTieredStore(tsdb.Config{
+	store := tsdb.New(tsdb.Config{
 		Shards:     *shards,
 		CacheBytes: *cacheBytes,
 		Retention: tsdb.RetentionConfig{
@@ -148,9 +148,15 @@ func main() {
 	}
 	fmt.Printf("nyquistd: listening on %s\n", ln.Addr())
 
+	// Constants, not flags: a request body (≤ -max-body) that takes a minute
+	// to arrive or a response nobody reads for a minute is a stuck peer, and
+	// neither may hold its goroutine and buffers forever.
 	hs := &http.Server{
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       time.Minute,
+		WriteTimeout:      time.Minute,
+		IdleTimeout:       2 * time.Minute,
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

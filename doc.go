@@ -20,6 +20,6 @@
 //
 // The benchmarks in this package (bench_test.go) regenerate each paper
 // figure under the Go benchmark harness; see EXPERIMENTS.md for
-// paper-versus-measured results (serving figures in BENCH_ingest.json)
+// paper-versus-measured results (serving figures from scripts/gobench.sh)
 // and DESIGN.md for the system inventory.
 package repro

@@ -124,7 +124,7 @@ func main() {
 	// The operator's range query: day 1 under a 12-point budget. The
 	// engine stitches the cheapest tiers covering the window and thins to
 	// the budget.
-	res, err := small.QueryRange(dev.ID, start, start.Add(24*time.Hour), 12)
+	res, err := small.Query(dev.ID, start, start.Add(24*time.Hour), 12)
 	if err != nil {
 		log.Fatal(err)
 	}

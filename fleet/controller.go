@@ -20,7 +20,7 @@ import (
 // device at its current rate, stream the polls through a per-device
 // estimator, turn the estimates into next-round poll rates under a
 // fleet-wide sample budget (monitor.Allocate), and retune each series'
-// storage retention (tsdb SetNyquist) — estimate → poll rate → retention,
+// storage retention (tsdb SetNyquistRate) — estimate → poll rate → retention,
 // round after round, until rates stop moving.
 //
 // One Controller instance drives one scenario run. Rounds are driven by
@@ -182,7 +182,7 @@ func NewController(scenario *Scenario, cfg ControllerConfig) (*Controller, error
 		policy:    make([]core.RatePolicy, n),
 	}
 	if ctl.store == nil {
-		ctl.store = monitor.NewTieredStore(tsdb.Config{
+		ctl.store = tsdb.New(tsdb.Config{
 			Retention: tsdb.RetentionConfig{RawCapacity: 4 * c.SamplesPerRound, TierCapacity: 2 * c.SamplesPerRound},
 		})
 	}
@@ -325,7 +325,7 @@ func (ctl *Controller) Step() (RoundSummary, error) {
 			}
 		} else {
 			if held, changed := ctl.policy[i].Clean(r.nyquist, 1); changed {
-				ctl.store.SetNyquist(devices[i].ID, held)
+				ctl.store.SetNyquistRate(devices[i].ID, held)
 			}
 			desired = clamp(ctl.cfg.Headroom*r.nyquist, ctl.cfg.MinRate, ctl.cfg.MaxRate)
 			if desired > ctl.rate[i] {

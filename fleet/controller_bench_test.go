@@ -9,8 +9,7 @@ import (
 // op is one full control round — poll every device for a window, stream
 // the polls through per-device estimators, allocate the budget, retune
 // retention. The custom metrics put it in operator units: devices and
-// samples driven per second of wall clock. Results are recorded in
-// BENCH_controller.json.
+// samples driven per second of wall clock (scripts/gobench.sh runs it).
 func BenchmarkControllerRound(b *testing.B) {
 	for _, devices := range []int{64, 256, 1000} {
 		b.Run(fmt.Sprintf("devices=%d", devices), func(b *testing.B) {

@@ -62,7 +62,7 @@ func TestControllerSoakAllRegimes(t *testing.T) {
 						default:
 						}
 						d := sc.Fleet.Devices[(i*3+r)%len(sc.Fleet.Devices)]
-						_, _ = store.QueryRange(d.ID, from, to, 64)
+						_, _ = store.Query(d.ID, from, to, 64)
 						if i%16 == 0 {
 							_ = store.Stats()
 						}

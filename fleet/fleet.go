@@ -114,6 +114,9 @@ var ProfileFor = dcsim.ProfileFor
 // Re-exported storage-engine types (the sharded multi-resolution tsdb
 // behind Store; see internal/tsdb).
 type (
+	// Store is a concurrency-safe in-memory time-series database: the
+	// sharded multi-resolution tsdb engine.
+	Store = tsdb.DB
 	// StoreConfig parameterizes a tiered store: shard count plus the
 	// multi-resolution retention policy. There is no write-mode field:
 	// every store is strict-append (see NewStore).
@@ -135,13 +138,10 @@ type (
 )
 
 // NewTieredStore returns a store with explicit sharding and retention.
-var NewTieredStore = monitor.NewTieredStore
+func NewTieredStore(cfg StoreConfig) *Store { return tsdb.New(cfg) }
 
 // Re-exported monitoring-pipeline types.
 type (
-	// Store is a concurrency-safe in-memory time-series database backed
-	// by the sharded multi-resolution tsdb engine.
-	Store = monitor.Store
 	// StaticPoller samples at a fixed interval (today's practice).
 	StaticPoller = monitor.StaticPoller
 	// AdaptivePoller samples with the paper's dynamic method (§4.2).
@@ -180,21 +180,6 @@ type ArchiverConfig = monitor.ArchiverConfig
 // NewArchiver returns an archiver writing to a store.
 var NewArchiver = monitor.NewArchiver
 
-// Manager runs adaptive sampling over a fleet concurrently.
-type Manager = monitor.Manager
-
-// ManagerConfig parameterizes a Manager.
-type ManagerConfig = monitor.ManagerConfig
-
-// ManagedTarget is one fleet member under adaptive control.
-type ManagedTarget = monitor.ManagedTarget
-
-// FleetReport aggregates a fleet-wide adaptive run.
-type FleetReport = monitor.FleetReport
-
-// NewManager validates a config and returns a fleet manager.
-var NewManager = monitor.NewManager
-
 // RateFromCounter differences a cumulative counter trace into the rate
 // signal spectral analysis operates on.
 var RateFromCounter = dcsim.RateFromCounter
@@ -206,12 +191,15 @@ var Allocate = monitor.Allocate
 // knee is the sweet spot.
 var Frontier = monitor.Frontier
 
-// NewStore returns an empty time-series store. The store is
+// NewStore returns an empty time-series store whose raw ring holds
+// capacity points per series (0 = unbounded). The store is
 // strict-append: Append and AppendUniform return ErrOutOfOrder for a
 // point older than the series' newest accepted sample and ErrTimeRange
 // for a timestamp within a year of the int64-nanosecond limits, and a
 // rejected point does not land.
-var NewStore = monitor.NewStore
+func NewStore(capacity int) *Store {
+	return tsdb.New(StoreConfig{Retention: RetentionConfig{RawCapacity: capacity}})
+}
 
 // ErrOutOfOrder and ErrTimeRange are the store's append rejections.
 var (
@@ -226,7 +214,7 @@ var DefaultCostModel = monitor.DefaultCostModel
 var Compare = monitor.Compare
 
 // ErrNoSeries marks queries for unknown series.
-var ErrNoSeries = monitor.ErrNoSeries
+var ErrNoSeries = tsdb.ErrNoSeries
 
 // Re-exported experiment drivers (one per paper figure; each result has a
 // Render method producing the text form recorded in EXPERIMENTS.md).

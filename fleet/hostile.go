@@ -140,7 +140,7 @@ type HostileRunner struct {
 	sc    *Scenario
 	cfg   HostileConfig
 	gen   *dcsim.WireGen
-	store *monitor.Store
+	store *Store
 	est   *monitor.IngestEstimator
 
 	accepted map[string]int
@@ -170,7 +170,7 @@ func NewHostileRunner(sc *Scenario, cfg HostileConfig) (*HostileRunner, error) {
 	if cfg.EvictAfter <= 0 {
 		cfg.EvictAfter = 3 * len(sc.Fleet.Devices) * cfg.SamplesPerRound / 2
 	}
-	store := monitor.NewTieredStore(tsdb.Config{
+	store := tsdb.New(tsdb.Config{
 		Shards: 8,
 		Retention: tsdb.RetentionConfig{
 			RawCapacity:   1024,
@@ -202,7 +202,7 @@ func NewHostileRunner(sc *Scenario, cfg HostileConfig) (*HostileRunner, error) {
 
 // Store returns the runner's live store — safe to query concurrently
 // with Run.
-func (r *HostileRunner) Store() *monitor.Store { return r.store }
+func (r *HostileRunner) Store() *Store { return r.store }
 
 // Estimator returns the runner's ingest estimator.
 func (r *HostileRunner) Estimator() *monitor.IngestEstimator { return r.est }

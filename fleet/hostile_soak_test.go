@@ -49,7 +49,7 @@ func TestHostileSoakAllRegimes(t *testing.T) {
 						default:
 						}
 						d := sc.Fleet.Devices[(i*3+g)%len(sc.Fleet.Devices)]
-						_, _ = store.QueryRange(d.ID, from, to, 64)
+						_, _ = store.Query(d.ID, from, to, 64)
 						if i%16 == 0 {
 							_ = store.Stats()
 							_ = est.Len()

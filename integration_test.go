@@ -41,10 +41,11 @@ func TestPipelinePollStoreEstimateArchive(t *testing.T) {
 	}
 
 	// 2. Audit the stored series (irregular-capable path).
-	stored, err := store.Full(dev.ID)
+	full, err := store.Full(dev.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
+	stored := nyquist.NewSeries(full.Points)
 	var est nyquist.Estimator
 	res, err := est.EstimateSeries(stored)
 	if err != nil {
@@ -289,7 +290,7 @@ func TestPipelineAlignedGroupFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aligned, err := nyquist.AlignToCommonGrid([]*nyquist.Series{sCPU, sMem}, nyquist.NearestNeighbor)
+	aligned, err := nyquist.AlignToCommonGrid([]*nyquist.Series{nyquist.NewSeries(sCPU.Points), nyquist.NewSeries(sMem.Points)}, nyquist.NearestNeighbor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,13 +313,12 @@ func TestPipelineAlignedGroupFromStore(t *testing.T) {
 	}
 }
 
-// TestPipelineFleetManager runs the concurrent adaptive manager over a
-// mixed fleet of simulated devices and checks fleet-level economics.
-func TestPipelineFleetManager(t *testing.T) {
+// TestPipelineFleetAdaptiveCost runs the adaptive poller over a mixed
+// fleet of simulated devices and checks fleet-level economics.
+func TestPipelineFleetAdaptiveCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(106))
 	metrics := []fleet.Metric{fleet.LinkUtil, fleet.CPUUtil5pct, fleet.FCSErrors, fleet.Temperature}
-	var targets []fleet.ManagedTarget
-	var staticSamples int
+	var adaptiveSamples, staticSamples int
 	const dur = 24 * time.Hour
 	for i := 0; i < 8; i++ {
 		m := metrics[i%len(metrics)]
@@ -328,32 +328,27 @@ func TestPipelineFleetManager(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		targets = append(targets, fleet.ManagedTarget{ID: dev.ID + string(rune('0'+i)), Target: dev})
+		poller := &fleet.AdaptivePoller{
+			ID:     dev.ID + string(rune('0'+i)),
+			Target: dev,
+			Config: nyquist.AdaptiveConfig{
+				InitialRate:   1.0 / 300,
+				MaxRate:       1.0 / 30,
+				EpochDuration: 4 * 3600,
+				Estimator:     nyquist.EstimatorConfig{EnergyCutoff: 0.90},
+				Detector:      nyquist.DualRateConfig{Tolerance: 0.25},
+			},
+			Model: fleet.DefaultCostModel(),
+		}
+		res, err := poller.Run(nil, t0, 0, dur)
+		if err != nil {
+			t.Fatalf("%s: %v", poller.ID, err)
+		}
+		adaptiveSamples += res.Cost.Samples
 		staticSamples += int(dur.Seconds() / 30)
 	}
-	mgr, err := fleet.NewManager(fleet.ManagerConfig{
-		Adaptive: nyquist.AdaptiveConfig{
-			InitialRate:   1.0 / 300,
-			MaxRate:       1.0 / 30,
-			EpochDuration: 4 * 3600,
-			Estimator:     nyquist.EstimatorConfig{EnergyCutoff: 0.90},
-			Detector:      nyquist.DualRateConfig{Tolerance: 0.25},
-		},
-		Concurrency: 4,
-		Model:       fleet.DefaultCostModel(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := mgr.Run(targets, 0, dur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Failed != 0 {
-		t.Fatalf("%d targets failed", rep.Failed)
-	}
-	if rep.TotalCost.Samples >= staticSamples {
-		t.Fatalf("fleet adaptive cost %d not below static 30s cost %d", rep.TotalCost.Samples, staticSamples)
+	if adaptiveSamples >= staticSamples {
+		t.Fatalf("fleet adaptive cost %d not below static 30s cost %d", adaptiveSamples, staticSamples)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package api is the serving surface of the monitoring toolkit: the
 // HTTP handlers behind cmd/nyquistd. It turns the in-process pipeline —
-// sharded compressed storage (internal/tsdb via monitor.Store) plus
+// sharded compressed storage (internal/tsdb) plus
 // estimate-on-ingest (monitor.IngestEstimator) — into a network service
 // external pollers can push telemetry into and query reconstructions,
 // estimates and operator advice back out of.
@@ -57,7 +57,7 @@ type Config struct {
 	// Store is the backing store. Nil selects the serving default:
 	// 16-shard strict-append engine, 4096-point raw stores, two
 	// min/max/mean tiers of 1024 buckets, 128-entry Gorilla blocks.
-	Store *monitor.Store
+	Store *tsdb.DB
 	// Estimator is the estimate-on-ingest hook. Nil builds one over
 	// Store from Ingest; pass an existing estimator when it was already
 	// wired elsewhere (the durability layer restores state into it
@@ -96,8 +96,8 @@ type Config struct {
 // order, or a timestamp outside the accepted range) is reported as
 // rejected, never as accepted — the contract the write-ahead log's
 // replay also relies on.
-func DefaultStore() *monitor.Store {
-	return monitor.NewTieredStore(tsdb.Config{
+func DefaultStore() *tsdb.DB {
+	return tsdb.New(tsdb.Config{
 		Shards:     16,
 		CacheBytes: 32 << 20,
 		Retention: tsdb.RetentionConfig{
@@ -113,7 +113,7 @@ func DefaultStore() *monitor.Store {
 // hook, and the HTTP plumbing around them.
 type Server struct {
 	cfg    Config
-	store  *monitor.Store
+	store  *tsdb.DB
 	ingest *monitor.IngestEstimator
 	start  time.Time
 
@@ -136,6 +136,10 @@ type Server struct {
 	// SetDurable; nil on memory-only servers. Atomic because metric
 	// gathers and handlers read it while startup writes it.
 	walp atomic.Pointer[wal.Durable]
+
+	// bulkFrameTimeout is bulkFrameDeadline, a field only so the slow-peer
+	// test need not wait the production figure out.
+	bulkFrameTimeout time.Duration
 }
 
 // NewServer returns a Server over cfg. The server starts ready; a boot
@@ -170,6 +174,8 @@ func NewServer(cfg Config) *Server {
 		start:     time.Now(),
 		logger:    cfg.Logger,
 		slowQuery: cfg.SlowQuery,
+
+		bulkFrameTimeout: bulkFrameDeadline,
 	}
 	s.interned.m = make(map[string]string)
 	if cfg.WAL != nil {
@@ -181,7 +187,7 @@ func NewServer(cfg Config) *Server {
 }
 
 // Store exposes the backing store (reporting, tests).
-func (s *Server) Store() *monitor.Store { return s.store }
+func (s *Server) Store() *tsdb.DB { return s.store }
 
 // Ingest exposes the estimate-on-ingest hook (durability wiring, tests).
 func (s *Server) Ingest() *monitor.IngestEstimator { return s.ingest }
@@ -387,14 +393,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t0 := time.Now()
-	res, err := s.store.QueryRange(id, from, to, maxPoints)
+	res, err := s.store.Query(id, from, to, maxPoints)
 	s.metrics.querySeconds.ObserveSince(t0)
 	if err != nil {
 		// Only a genuinely unknown series is a 404. Any other store
 		// failure (e.g. a corrupt replayed block surfacing at read
 		// time) is a 500: masking it as "unknown series" would hide a
 		// durability problem behind an answer that looks routine.
-		if errors.Is(err, monitor.ErrNoSeries) {
+		if errors.Is(err, tsdb.ErrNoSeries) {
 			s.writeError(w, r, http.StatusNotFound, fmt.Sprintf("unknown series %q", id))
 			return
 		}
@@ -408,7 +414,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	resp := queryResponseFrom(res)
 	resp.Clamped = clamped
 	if spec.want {
-		rec, err := reconstruct(res, spec, s.store.NyquistRate(id), s.store.DB().Retention().Headroom, from, maxPoints)
+		rec, err := reconstruct(res, spec, s.store.NyquistRate(id), s.store.Retention().Headroom, from, maxPoints)
 		if err != nil {
 			s.writeError(w, r, http.StatusInternalServerError, fmt.Sprintf("reconstruct %q: %v", id, err))
 			return
@@ -450,7 +456,7 @@ func (s *Server) handleQueryMatch(w http.ResponseWriter, r *http.Request, patter
 		}
 		qr := queryResponseFrom(res)
 		if spec.want {
-			rec, err := reconstruct(res, spec, s.store.NyquistRate(res.ID), s.store.DB().Retention().Headroom, from, perBudget)
+			rec, err := reconstruct(res, spec, s.store.NyquistRate(res.ID), s.store.Retention().Headroom, from, perBudget)
 			if err != nil {
 				s.writeError(w, r, http.StatusInternalServerError, fmt.Sprintf("reconstruct %q: %v", res.ID, err))
 				return
@@ -499,9 +505,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 // full retention detail.
 func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 	if id := r.URL.Query().Get("series"); id != "" {
-		st, err := s.store.DB().SeriesStats(id)
+		st, err := s.store.SeriesStats(id)
 		if err != nil {
-			if errors.Is(err, monitor.ErrNoSeries) {
+			if errors.Is(err, tsdb.ErrNoSeries) {
 				s.writeError(w, r, http.StatusNotFound, fmt.Sprintf("unknown series %q", id))
 				return
 			}

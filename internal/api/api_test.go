@@ -305,14 +305,14 @@ func TestServerHealthz(t *testing.T) {
 // behind a zero-config server seals 128-point blocks over 16 shards.
 func TestServerDefaultStoreCompresses(t *testing.T) {
 	srv := NewServer(Config{})
-	if cb := srv.Store().DB().Retention().CompressBlock; cb != 128 {
+	if cb := srv.Store().Retention().CompressBlock; cb != 128 {
 		t.Fatalf("serving default block length %d, want 128", cb)
 	}
-	if sh := srv.Store().DB().Shards(); sh != 16 {
+	if sh := srv.Store().Shards(); sh != 16 {
 		t.Fatalf("serving default shards %d, want 16", sh)
 	}
 	// A custom store must be honored untouched.
-	custom := monitor.NewTieredStore(tsdb.Config{Shards: 2})
+	custom := tsdb.New(tsdb.Config{Shards: 2})
 	if got := NewServer(Config{Store: custom}).Store(); got != custom {
 		t.Fatal("custom store replaced")
 	}
@@ -385,7 +385,7 @@ func TestIngestOutOfOrderAccounting(t *testing.T) {
 	}
 
 	// The store holds exactly the 5 accepted points.
-	res, err := srv.Store().QueryRange(id, time.Time{}, time.Time{}, 0)
+	res, err := srv.Store().Query(id, time.Time{}, time.Time{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

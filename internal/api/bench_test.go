@@ -21,7 +21,7 @@ import (
 // BenchmarkIngestBatch measures the serving hot path: one op is a
 // 1000-line POST /api/v1/ingest batch (store append + estimate-on-ingest
 // for every line), spread over 16 series. points/s is reported as a
-// custom metric; BENCH_ingest.json records the measured figures.
+// custom metric.
 func BenchmarkIngestBatch(b *testing.B) {
 	srv := NewServer(Config{})
 	h := srv.Handler()
@@ -80,7 +80,7 @@ func BenchmarkIngestBatch(b *testing.B) {
 // the same 1000-line batches, but every sealed block is framed into the
 // write-ahead log under the default 10ms group-commit window. The delta
 // against BenchmarkIngestBatch is the whole durability tax on the hot
-// path; BENCH_ingest.json records both.
+// path.
 func BenchmarkIngestWithWAL(b *testing.B) {
 	store := DefaultStore()
 	est := monitor.NewIngestEstimator(store, monitor.IngestConfig{})

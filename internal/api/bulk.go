@@ -30,11 +30,21 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"time"
 )
 
 // bulkReadBuffer sizes each connection's buffered reader; frames larger
 // than this stream through it in chunks.
 const bulkReadBuffer = 64 << 10
+
+// bulkFrameDeadline bounds one frame's exchange: from the arrival of its
+// header, the declared payload must be read and the response written
+// within this long, or the connection is dropped — a peer that declares
+// 8 MiB and trickles would otherwise pin the buffer and the goroutine
+// forever. 30 s for the largest frame is ≈ 280 KB/s, far below any link a
+// bulk pusher uses. Waiting for the next header carries no deadline: an
+// idle connection between frames is legal.
+const bulkFrameDeadline = 30 * time.Second
 
 // ServeBulk accepts bulk-lane connections on ln until the listener
 // closes, serving each connection on its own goroutine. Closing ln is
@@ -71,6 +81,11 @@ func (s *Server) serveBulkConn(conn net.Conn) {
 			// (mid-header cut, reset) has no recovery either way.
 			return
 		}
+		// One deadline covers the payload read and the response write; it
+		// is lifted once the response is out (the end of the loop body).
+		if conn.SetDeadline(time.Now().Add(s.bulkFrameTimeout)) != nil {
+			return
+		}
 		n := binary.BigEndian.Uint32(hdr[:])
 		if int64(n) > s.cfg.MaxBodyBytes {
 			// Mirror of HTTP's 413. The payload was never read, so the
@@ -96,23 +111,20 @@ func (s *Server) serveBulkConn(conn net.Conn) {
 			if s.writeBulkFrame(wr, &out, errorBody{Error: "starting: WAL replay in progress, retry shortly"}) != nil {
 				return
 			}
-			if wr.Flush() != nil {
+		} else {
+			resp := IngestResponse{}
+			var tally ingestTally
+			br.Reset(payload)
+			// A bytes.Reader can't hit the HTTP body limit, so the error
+			// return is always nil here; every line-level failure is already
+			// inside resp.
+			_ = s.runIngest(&br, &resp, &tally)
+			tally.flush(s.metrics)
+			if s.writeBulkFrame(wr, &out, resp) != nil {
 				return
 			}
-			continue
 		}
-		resp := IngestResponse{}
-		var tally ingestTally
-		br.Reset(payload)
-		// A bytes.Reader can't hit the HTTP body limit, so the error
-		// return is always nil here; every line-level failure is already
-		// inside resp.
-		_ = s.runIngest(&br, &resp, &tally)
-		tally.flush(s.metrics)
-		if s.writeBulkFrame(wr, &out, resp) != nil {
-			return
-		}
-		if wr.Flush() != nil {
+		if wr.Flush() != nil || conn.SetDeadline(time.Time{}) != nil {
 			return
 		}
 	}

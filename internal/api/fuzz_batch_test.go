@@ -26,13 +26,13 @@ import (
 // reject stream, which is the thing under test.
 type diffPair struct {
 	srv      *Server
-	refStore *monitor.Store
+	refStore *tsdb.DB
 	refEst   *monitor.IngestEstimator
 }
 
 func newDiffPair() *diffPair {
-	mk := func() *monitor.Store {
-		return monitor.NewTieredStore(tsdb.Config{
+	mk := func() *tsdb.DB {
+		return tsdb.New(tsdb.Config{
 			Shards: 4,
 			Retention: tsdb.RetentionConfig{
 				RawCapacity:   64,
@@ -56,7 +56,7 @@ func newDiffPair() *diffPair {
 // bufio.ReadBytes, fast/fallback parse, one store.Append and one
 // estimator.Observe per line — preserved verbatim as the semantic
 // contract the batched core must reproduce bit for bit.
-func referenceIngest(store *monitor.Store, est *monitor.IngestEstimator, raw []byte) IngestResponse {
+func referenceIngest(store *tsdb.DB, est *monitor.IngestEstimator, raw []byte) IngestResponse {
 	body := bufio.NewReaderSize(bytes.NewReader(raw), 64<<10)
 	resp := IngestResponse{}
 	seen := map[string]string{}
@@ -167,9 +167,9 @@ func runDiff(t *testing.T, d *diffPair, body io.Reader, raw []byte) {
 		}
 		return b.String()
 	}
-	snap := func(s *monitor.Store) map[string]string {
+	snap := func(s *tsdb.DB) map[string]string {
 		out := map[string]string{}
-		if err := s.DB().ExportSeries(func(ss tsdb.SeriesSnapshot) error {
+		if err := s.ExportSeries(func(ss tsdb.SeriesSnapshot) error {
 			out[ss.ID] = render(ss)
 			return nil
 		}); err != nil {

@@ -104,7 +104,7 @@ var queryTierBuckets = []float64{0, 1, 2, 3, 4, 8}
 // newServerMetrics registers the full inventory on reg. getWAL is
 // called at gather time so the WAL family reports zeros before the
 // durability layer attaches (and on memory-only servers).
-func newServerMetrics(reg *obs.Registry, store *monitor.Store, est *monitor.IngestEstimator, getWAL func() *wal.Durable, start time.Time) *serverMetrics {
+func newServerMetrics(reg *obs.Registry, store *tsdb.DB, est *monitor.IngestEstimator, getWAL func() *wal.Durable, start time.Time) *serverMetrics {
 	m := &serverMetrics{reg: reg}
 
 	m.httpRequests = reg.CounterVec("nyquistd_http_requests_total",
@@ -255,6 +255,15 @@ func newServerMetrics(reg *obs.Registry, store *monitor.Store, est *monitor.Inge
 		func() float64 { return float64(ws.get().Log.Rotations) })
 	reg.CounterFunc("nyquistd_wal_errors_total", "WAL write/sync/scrub errors this session; non-zero means durability is degraded.",
 		func() float64 { return float64(ws.get().Log.Errors) })
+	reg.GaugeFunc("nyquistd_wal_unsynced_age_seconds", "Age of the oldest WAL append no fsync covers yet (0 = all durable); growth past the group-commit interval is acked-but-not-durable lag.",
+		func() float64 { return ws.get().Log.UnsyncedAge.Seconds() })
+	reg.GaugeFunc("nyquistd_wal_snapshot_age_seconds", "Seconds since the newest block snapshot this session (0 before the first): the WAL tail a restart would replay grows with it.",
+		func() float64 {
+			if last := ws.get().LastSnapshot; !last.IsZero() {
+				return time.Since(last).Seconds()
+			}
+			return 0
+		})
 	reg.CounterFunc("nyquistd_wal_snapshots_total", "Block snapshots taken this session.",
 		func() float64 { return float64(ws.get().Snapshots) })
 	reg.CounterFunc("nyquistd_wal_snapshot_errors_total", "Failed snapshot attempts this session.",

@@ -210,7 +210,7 @@ func TestSelfScrape(t *testing.T) {
 	time.Sleep(2 * time.Millisecond)
 	sc.ScrapeOnce()
 
-	res, err := srv.Store().QueryRange("nyquistd_up", time.Time{}, time.Time{}, 0)
+	res, err := srv.Store().Query("nyquistd_up", time.Time{}, time.Time{}, 0)
 	if err != nil {
 		t.Fatalf("query nyquistd_up from the store: %v", err)
 	}
@@ -225,7 +225,7 @@ func TestSelfScrape(t *testing.T) {
 
 	// The labeled ingest counter lands under its full exposition ID.
 	id := `nyquistd_ingest_points_total{result="accepted"}`
-	if _, err := srv.Store().QueryRange(id, time.Time{}, time.Time{}, 0); err != nil {
+	if _, err := srv.Store().Query(id, time.Time{}, time.Time{}, 0); err != nil {
 		t.Fatalf("query %s from the store: %v", id, err)
 	}
 

@@ -315,11 +315,11 @@ func TestReconstructDefaultStepFollowsStoreHeadroom(t *testing.T) {
 		{"configured headroom 3", 3, 1 / (3 * rate)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			store := monitor.NewTieredStore(tsdb.Config{Retention: tsdb.RetentionConfig{RawCapacity: 4096, Headroom: tc.headroom}})
+			store := tsdb.New(tsdb.Config{Retention: tsdb.RetentionConfig{RawCapacity: 4096, Headroom: tc.headroom}})
 			ts := httptest.NewServer(NewServer(Config{Store: store}).Handler())
 			defer ts.Close()
 			postLines(t, ts.URL, rampLines(id, 200, time.Second))
-			store.SetNyquist(id, rate)
+			store.SetNyquistRate(id, rate)
 			var qr QueryResponse
 			if code := getJSON(t, ts.URL+"/api/v1/query?series="+id+"&reconstruct=auto", &qr); code != http.StatusOK {
 				t.Fatalf("HTTP %d", code)

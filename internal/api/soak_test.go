@@ -168,7 +168,7 @@ func TestIngestSoakConservation(t *testing.T) {
 			case <-stop:
 				return
 			case <-time.After(10 * time.Millisecond):
-				srv.Store().SealActive()
+				srv.Store().SealAll()
 			}
 		}
 	}()
@@ -205,7 +205,7 @@ func TestIngestSoakConservation(t *testing.T) {
 // replay error but keeps the connection; an empty frame is a no-op ping.
 func TestBulkLaneProtocol(t *testing.T) {
 	srv := NewServer(Config{
-		Store: monitor.NewTieredStore(tsdb.Config{Shards: 2,
+		Store: tsdb.New(tsdb.Config{Shards: 2,
 			Retention: tsdb.RetentionConfig{RawCapacity: 64}}),
 		MaxBodyBytes: 256,
 	})

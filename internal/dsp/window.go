@@ -12,16 +12,6 @@ type Window interface {
 	Name() string
 }
 
-// Rectangular is the identity window (no taper). It has the narrowest main
-// lobe and the worst leakage; it is the implicit window of a raw FFT.
-type Rectangular struct{}
-
-// Coeff implements Window.
-func (Rectangular) Coeff(i, n int) float64 { return 1 }
-
-// Name implements Window.
-func (Rectangular) Name() string { return "rectangular" }
-
 // Hann is the raised-cosine window, a good default for noisy monitoring
 // signals with unknown content.
 type Hann struct{}
@@ -51,25 +41,8 @@ func (Hamming) Coeff(i, n int) float64 {
 // Name implements Window.
 func (Hamming) Name() string { return "hamming" }
 
-// Blackman is a three-term cosine window with very low side lobes, useful
-// when a weak high-frequency component must be detected next to a strong
-// low-frequency one.
-type Blackman struct{}
-
-// Coeff implements Window.
-func (Blackman) Coeff(i, n int) float64 {
-	if n <= 1 {
-		return 1
-	}
-	x := 2 * math.Pi * float64(i) / float64(n-1)
-	return 0.42 - 0.5*math.Cos(x) + 0.08*math.Cos(2*x)
-}
-
-// Name implements Window.
-func (Blackman) Name() string { return "blackman" }
-
 // ApplyWindow returns a copy of x multiplied point-wise by w. The input is
-// not modified. A nil window is treated as Rectangular.
+// not modified. A nil window is the rectangular (identity) one.
 func ApplyWindow(x []float64, w Window) []float64 {
 	out := make([]float64, len(x))
 	if w == nil {

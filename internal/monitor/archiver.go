@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/series"
+	"repro/internal/tsdb"
 )
 
 // Archiver implements the paper's a-posteriori path (§4, first
@@ -18,7 +19,7 @@ import (
 type Archiver struct {
 	cfg      ArchiverConfig
 	est      *core.Estimator
-	store    *Store
+	store    *tsdb.DB
 	id       string
 	interval time.Duration
 
@@ -65,7 +66,7 @@ func (c ArchiverConfig) withDefaults() ArchiverConfig {
 
 // NewArchiver returns an archiver writing series id to store. interval is
 // the (uniform) spacing of the ingested samples.
-func NewArchiver(id string, store *Store, interval time.Duration, cfg ArchiverConfig) (*Archiver, error) {
+func NewArchiver(id string, store *tsdb.DB, interval time.Duration, cfg ArchiverConfig) (*Archiver, error) {
 	if store == nil {
 		return nil, errors.New("monitor: archiver needs a store")
 	}
@@ -171,7 +172,7 @@ func (a *Archiver) Flush() error {
 		// retunes the store's retention tiers, so a bounded store degrades
 		// this series on the signal's own terms rather than a default grid.
 		if held, changed := a.policy.Clean(res.NyquistRate, 1); changed {
-			a.store.SetNyquist(a.id, held)
+			a.store.SetNyquistRate(a.id, held)
 		}
 	}
 	wasPartial := len(a.buf) != a.cfg.WindowSamples
@@ -225,7 +226,7 @@ func (a *Archiver) ReadBack(targetRate float64) (*series.Uniform, error) {
 	}
 	// Archived blocks have varying rates; regularize onto the stored
 	// median grid first, then band-limited-upsample to the target.
-	u, err := stored.RegularizeAuto()
+	u, err := series.New(stored.Points).RegularizeAuto()
 	if err != nil {
 		return nil, err
 	}

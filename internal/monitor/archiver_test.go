@@ -10,7 +10,7 @@ import (
 )
 
 func TestArchiverCompressesOversampledStream(t *testing.T) {
-	store := NewStore(0)
+	store := newStore(0)
 	a, err := NewArchiver("temp", store, time.Second, ArchiverConfig{WindowSamples: 1024})
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +41,7 @@ func TestArchiverCompressesOversampledStream(t *testing.T) {
 }
 
 func TestArchiverReadBackFidelity(t *testing.T) {
-	store := NewStore(0)
+	store := newStore(0)
 	a, err := NewArchiver("sig", store, time.Second, ArchiverConfig{WindowSamples: 2048})
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestArchiverReadBackFidelity(t *testing.T) {
 }
 
 func TestArchiverKeepsAliasedBlocksRaw(t *testing.T) {
-	store := NewStore(0)
+	store := newStore(0)
 	a, err := NewArchiver("noise", store, time.Second, ArchiverConfig{WindowSamples: 512})
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestArchiverKeepsAliasedBlocksRaw(t *testing.T) {
 }
 
 func TestArchiverPartialFlush(t *testing.T) {
-	store := NewStore(0)
+	store := newStore(0)
 	a, err := NewArchiver("short", store, time.Second, ArchiverConfig{WindowSamples: 1024})
 	if err != nil {
 		t.Fatal(err)
@@ -128,10 +128,10 @@ func TestArchiverErrors(t *testing.T) {
 	if _, err := NewArchiver("x", nil, time.Second, ArchiverConfig{}); err == nil {
 		t.Fatal("nil store should fail")
 	}
-	if _, err := NewArchiver("x", NewStore(0), 0, ArchiverConfig{}); err == nil {
+	if _, err := NewArchiver("x", newStore(0), 0, ArchiverConfig{}); err == nil {
 		t.Fatal("zero interval should fail")
 	}
-	a, err := NewArchiver("x", NewStore(0), time.Second, ArchiverConfig{})
+	a, err := NewArchiver("x", newStore(0), time.Second, ArchiverConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/series"
+	"repro/internal/tsdb"
 )
 
 // IngestEstimator is the estimate-on-ingest hook for externally pushed
@@ -23,7 +24,7 @@ import (
 //     core.StreamEstimator, so a live §3.2 estimate, aliasing verdict
 //     and sweet-spot poll suggestion exist for every external series.
 //  3. Every refresh's verdict goes through the series' core.RatePolicy,
-//     the one door to the store's retention (Store.SetNyquist) — the
+//     the one door to the store's retention (tsdb.DB.SetNyquistRate) — the
 //     paper's estimate→retain loop, closed across the wire. Aliased
 //     windows only raise AliasStreak so clients can poll faster.
 //
@@ -181,13 +182,13 @@ type ingestSeries struct {
 
 	last        *core.StreamUpdate
 	lastNyquist float64 // newest clean estimate the policy trusted
-	// policy holds what SetNyquist last saw: lastNyquist, peak-held.
+	// policy holds what SetNyquistRate last saw: lastNyquist, peak-held.
 	policy core.RatePolicy
 }
 
 // NewIngestEstimator returns a hook feeding estimates into store (which
 // may be nil when only advice, not retention retuning, is wanted).
-func NewIngestEstimator(store *Store, cfg IngestConfig) *IngestEstimator {
+func NewIngestEstimator(store *tsdb.DB, cfg IngestConfig) *IngestEstimator {
 	e := &IngestEstimator{
 		cfg:    cfg.withDefaults(),
 		series: make(map[string]*ingestSeries),
@@ -199,11 +200,16 @@ func NewIngestEstimator(store *Store, cfg IngestConfig) *IngestEstimator {
 	return e
 }
 
-// retentionTuner is where clean estimates are handed over: the *Store in
+// retentionTuner is where clean estimates are handed over: the *tsdb.DB in
 // production, a recorder in tests.
 type retentionTuner interface {
-	SetNyquist(id string, rate float64)
+	SetNyquistRate(id string, rate float64)
 }
+
+// Store exists only because bench/trace.go names its store's type through
+// this package; the [benchmark] PR that re-points the trace at *tsdb.DB
+// deletes it.
+type Store = tsdb.DB
 
 // Observe ingests one point for id: pre-lock points accumulate toward
 // the interval probe, post-lock points feed the series' streaming
@@ -336,7 +342,7 @@ func (e *IngestEstimator) handOver(s *ingestSeries, id string, rate float64) {
 	}
 	e.retunes.Add(1)
 	if e.store != nil {
-		e.store.SetNyquist(id, held)
+		e.store.SetNyquistRate(id, held)
 	}
 }
 
@@ -553,7 +559,7 @@ func (e *IngestEstimator) Probes() int64 { return e.probes.Load() }
 func (e *IngestEstimator) Reprobes() int64 { return e.reprobesTotal.Load() }
 
 // Retunes returns the number of clean-streak estimate refreshes that
-// (re)tuned retention via SetNyquist: those that changed the series' held
+// (re)tuned retention via SetNyquistRate: those that changed the series' held
 // rate.
 func (e *IngestEstimator) Retunes() int64 { return e.retunes.Load() }
 
@@ -583,7 +589,7 @@ type IngestSeriesState struct {
 	NyquistRate float64
 	// CleanStreak is the retune debounce counter.
 	CleanStreak int
-	// HeldRate is the rate retention is held at: what SetNyquist last saw
+	// HeldRate is the rate retention is held at: what SetNyquistRate last saw
 	// (0 = nothing handed over yet).
 	HeldRate float64
 }
@@ -649,7 +655,7 @@ func (e *IngestEstimator) RestoreState(st IngestSeriesState) bool {
 		}
 	}
 	if held := s.policy.Held(); held > 0 && e.store != nil {
-		e.store.SetNyquist(st.Series, held)
+		e.store.SetNyquistRate(st.Series, held)
 	}
 	return true
 }

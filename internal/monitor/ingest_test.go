@@ -27,7 +27,7 @@ func twoTone(f1, f2, t float64) float64 {
 // estimate near ground truth, suggests the sweet-spot interval, and
 // retunes the store's retention via SetNyquist.
 func TestIngestEstimatorClosesLoop(t *testing.T) {
-	store := NewTieredStore(tsdb.Config{Retention: tsdb.RetentionConfig{RawCapacity: 128, Tiers: 2}})
+	store := tsdb.New(tsdb.Config{Retention: tsdb.RetentionConfig{RawCapacity: 128, Tiers: 2}})
 	e := NewIngestEstimator(store, IngestConfig{WindowSamples: 256, EmitEvery: 8})
 	const (
 		id       = "ext/router7/octets"
@@ -74,7 +74,7 @@ func TestIngestEstimatorClosesLoop(t *testing.T) {
 // measurable band, the aliasing signature — raises the alias streak and
 // halves the suggested interval, but never touches retention.
 func TestIngestEstimatorAliasedNeverRetunes(t *testing.T) {
-	store := NewTieredStore(tsdb.Config{Retention: tsdb.RetentionConfig{RawCapacity: 128, Tiers: 2}})
+	store := tsdb.New(tsdb.Config{Retention: tsdb.RetentionConfig{RawCapacity: 128, Tiers: 2}})
 	e := NewIngestEstimator(store, IngestConfig{WindowSamples: 64, EmitEvery: 4})
 	const id = "ext/undersampled"
 	for i := 0; i < 300; i++ {
@@ -187,7 +187,7 @@ func TestIngestEstimatorReprobesOnDrift(t *testing.T) {
 // TestIngestEstimatorConcurrent hammers distinct and shared series from
 // many goroutines — the serving ingest pattern — for the race detector.
 func TestIngestEstimatorConcurrent(t *testing.T) {
-	store := NewTieredStore(tsdb.Config{Shards: 4, Retention: tsdb.RetentionConfig{RawCapacity: 64, Tiers: 2}})
+	store := tsdb.New(tsdb.Config{Shards: 4, Retention: tsdb.RetentionConfig{RawCapacity: 64, Tiers: 2}})
 	e := NewIngestEstimator(store, IngestConfig{WindowSamples: 64, EmitEvery: 4})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -247,8 +247,8 @@ func TestIngestEstimatorMaxSeries(t *testing.T) {
 // retune at the held rate, and continues estimating when new points
 // arrive.
 func TestIngestEstimatorStateRoundTrip(t *testing.T) {
-	mkStore := func() *Store {
-		return NewTieredStore(tsdb.Config{Retention: tsdb.RetentionConfig{RawCapacity: 128, Tiers: 2}})
+	mkStore := func() *tsdb.DB {
+		return tsdb.New(tsdb.Config{Retention: tsdb.RetentionConfig{RawCapacity: 128, Tiers: 2}})
 	}
 	cfg := IngestConfig{WindowSamples: 256, EmitEvery: 8}
 	store1 := mkStore()
@@ -395,7 +395,7 @@ type recordingTuner struct {
 	calls []float64
 }
 
-func (r *recordingTuner) SetNyquist(_ string, rate float64) {
+func (r *recordingTuner) SetNyquistRate(_ string, rate float64) {
 	r.mu.Lock()
 	r.calls = append(r.calls, rate)
 	r.mu.Unlock()

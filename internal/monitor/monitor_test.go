@@ -15,6 +15,12 @@ import (
 
 var start = time.Date(2021, 11, 10, 0, 0, 0, 0, time.UTC)
 
+// newStore returns a store whose raw ring holds capacity points per
+// series (0 = unbounded).
+func newStore(capacity int) *tsdb.DB {
+	return tsdb.New(tsdb.Config{Retention: tsdb.RetentionConfig{RawCapacity: capacity}})
+}
+
 func slowTone(f float64) core.SamplerFunc {
 	return func(t float64) float64 { return 40 + 10*math.Sin(2*math.Pi*f*t) }
 }
@@ -44,21 +50,21 @@ func TestCostModelAccumulation(t *testing.T) {
 }
 
 func TestStoreAppendQuery(t *testing.T) {
-	s := NewStore(0)
+	s := newStore(0)
 	for i := 0; i < 10; i++ {
 		if err := s.Append("a", series.Point{Time: start.Add(time.Duration(i) * time.Second), Value: float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := s.Query("a", start.Add(2*time.Second), start.Add(5*time.Second))
+	got, err := s.Query("a", start.Add(2*time.Second), start.Add(5*time.Second), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 3 {
-		t.Fatalf("query returned %d points, want 3", got.Len())
+	if len(got.Points) != 3 {
+		t.Fatalf("query returned %d points, want 3", len(got.Points))
 	}
-	if _, err := s.Query("missing", start, start.Add(time.Hour)); !errors.Is(err, ErrNoSeries) {
-		t.Fatalf("err = %v, want ErrNoSeries", err)
+	if _, err := s.Query("missing", start, start.Add(time.Hour), 0); !errors.Is(err, tsdb.ErrNoSeries) {
+		t.Fatalf("err = %v, want tsdb.ErrNoSeries", err)
 	}
 	if s.Points() != 10 {
 		t.Fatalf("points = %d", s.Points())
@@ -75,7 +81,7 @@ func TestStoreAppendQuery(t *testing.T) {
 // sessions. The tsdb-backed store must instead keep accepting
 // writes forever and degrade resolution (compact into min/max/mean tiers).
 func TestBoundedStoreNoLongerFails(t *testing.T) {
-	s := NewStore(3)
+	s := newStore(3)
 	for i := 0; i < 500; i++ {
 		if err := s.Append("a", series.Point{Time: start.Add(time.Duration(i) * time.Second), Value: float64(i)}); err != nil {
 			t.Fatalf("append %d: %v (the bounded store must never fail a write)", i, err)
@@ -90,7 +96,7 @@ func TestBoundedStoreNoLongerFails(t *testing.T) {
 	}
 	// Degraded, not dead: history is still queryable at reduced
 	// resolution alongside the exact raw tail.
-	full, err := s.QueryRange("a", start, start.Add(500*time.Second), 0)
+	full, err := s.Query("a", start, start.Add(500*time.Second), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +120,7 @@ func TestBoundedStoreNoLongerFails(t *testing.T) {
 // rejected, exactly the accepted points land, and no series goes
 // backwards in time.
 func TestStoreConcurrentAppend(t *testing.T) {
-	s := NewStore(0)
+	s := newStore(0)
 	const writers, perWriter = 8, 200
 	var accepted, rejected atomic.Int64
 	var wg sync.WaitGroup
@@ -147,7 +153,7 @@ func TestStoreConcurrentAppend(t *testing.T) {
 		t.Fatalf("ids = %v", s.IDs())
 	}
 	for _, id := range s.IDs() {
-		full, err := s.DB().Full(id)
+		full, err := s.Full(id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +166,7 @@ func TestStoreConcurrentAppend(t *testing.T) {
 }
 
 func TestStoreAppendUniform(t *testing.T) {
-	s := NewStore(0)
+	s := newStore(0)
 	u := &series.Uniform{Start: start, Interval: time.Second, Values: []float64{1, 2, 3}}
 	if err := s.AppendUniform("u", u); err != nil {
 		t.Fatal(err)
@@ -169,16 +175,16 @@ func TestStoreAppendUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.Len() != 3 {
-		t.Fatalf("full len = %d", full.Len())
+	if len(full.Points) != 3 {
+		t.Fatalf("full len = %d", len(full.Points))
 	}
-	if _, err := s.Full("nope"); !errors.Is(err, ErrNoSeries) {
-		t.Fatal("want ErrNoSeries")
+	if _, err := s.Full("nope"); !errors.Is(err, tsdb.ErrNoSeries) {
+		t.Fatal("want tsdb.ErrNoSeries")
 	}
 }
 
 func TestStaticPollerRun(t *testing.T) {
-	s := NewStore(0)
+	s := newStore(0)
 	p := &StaticPoller{ID: "dev", Target: slowTone(0.001), Interval: 10 * time.Second, Model: DefaultCostModel()}
 	cost, err := p.Run(s, start, 0, 10*time.Minute)
 	if err != nil {
@@ -191,8 +197,8 @@ func TestStaticPollerRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stored.Len() != 60 {
-		t.Fatalf("stored = %d", stored.Len())
+	if len(stored.Points) != 60 {
+		t.Fatalf("stored = %d", len(stored.Points))
 	}
 }
 
@@ -200,7 +206,7 @@ func TestStaticPollerBoundedStoreDegrades(t *testing.T) {
 	// Regression for the seed failure mode: a bounded store filling
 	// mid-run used to abort the poller. Now the run completes and old
 	// samples survive as coarser-tier summaries.
-	s := NewStore(10)
+	s := newStore(10)
 	p := &StaticPoller{ID: "dev", Target: slowTone(0.001), Interval: time.Second, Model: DefaultCostModel()}
 	cost, err := p.Run(s, start, 0, time.Minute)
 	if err != nil {
@@ -221,7 +227,7 @@ func TestArchiverBoundedStoreKeepsRunning(t *testing.T) {
 	// The seed archiver stalled for good once its bounded store filled.
 	// A long session over a tiny store must now run to completion with
 	// every block accepted.
-	s := NewStore(3)
+	s := newStore(3)
 	a, err := NewArchiver("x", s, time.Second, ArchiverConfig{WindowSamples: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +255,7 @@ func TestStaticPollerErrors(t *testing.T) {
 }
 
 func TestAdaptivePollerStoresPrimarySamples(t *testing.T) {
-	s := NewStore(0)
+	s := newStore(0)
 	p := &AdaptivePoller{
 		ID:     "dev",
 		Target: slowTone(0.02),
@@ -267,12 +273,12 @@ func TestAdaptivePollerStoresPrimarySamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stored.Len() == 0 {
+	if len(stored.Points) == 0 {
 		t.Fatal("nothing stored")
 	}
 	// Probe overhead means billed > stored.
-	if res.Cost.Samples <= stored.Len() {
-		t.Fatalf("billed %d should exceed stored %d (companion probes)", res.Cost.Samples, stored.Len())
+	if res.Cost.Samples <= len(stored.Points) {
+		t.Fatalf("billed %d should exceed stored %d (companion probes)", res.Cost.Samples, len(stored.Points))
 	}
 }
 
@@ -297,7 +303,7 @@ func lastCleanEstimate(run *core.RunResult) float64 {
 // aliased has no estimate to trust, so retention must stay untuned (the
 // parent handed the store FinalRate/Headroom = 0.5 Hz regardless).
 func TestAdaptivePollerAliasedRunNeverRetunes(t *testing.T) {
-	s := NewStore(0)
+	s := newStore(0)
 	p := &AdaptivePoller{
 		ID:     "dev",
 		Target: twoToneAbove,
@@ -332,7 +338,7 @@ func TestAdaptivePollerAliasedTailKeepsLastCleanEstimate(t *testing.T) {
 		}
 		return twoToneAbove.At(ts)
 	})
-	s := NewStore(0)
+	s := newStore(0)
 	p := &AdaptivePoller{
 		ID:     "dev",
 		Target: target,
@@ -385,7 +391,7 @@ func TestCompareAdaptiveBeatsStaticOnSlowSignal(t *testing.T) {
 // lands in the store's retention policy: after archiving, the series
 // carries the Nyquist rate the stream estimator found.
 func TestArchiverClosesEstimateRetainLoop(t *testing.T) {
-	s := NewStore(256)
+	s := newStore(256)
 	a, err := NewArchiver("temp", s, time.Second, ArchiverConfig{WindowSamples: 1024})
 	if err != nil {
 		t.Fatal(err)
@@ -404,48 +410,6 @@ func TestArchiverClosesEstimateRetainLoop(t *testing.T) {
 	want := 2 * 16.0 / 1024
 	if got < want/2 || got > 4*want {
 		t.Fatalf("retained rate %g Hz, want within a small factor of %g", got, want)
-	}
-}
-
-// TestManagerPersistsThroughStore checks the fleet path writes through
-// the sharded engine: concurrent workers store their primary-rate
-// samples and feed clean epoch estimates into per-series retention.
-func TestManagerPersistsThroughStore(t *testing.T) {
-	s := NewStore(0)
-	cfg := managerConfig()
-	cfg.Store = s
-	m, err := NewManager(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	targets := fleetTargets(4)
-	rep, err := m.Run(targets, 0, 256*8*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Failed != 0 {
-		t.Fatalf("failed = %d", rep.Failed)
-	}
-	ids := s.IDs()
-	if len(ids) != 4 {
-		t.Fatalf("stored series = %v, want all 4 targets", ids)
-	}
-	for _, tr := range rep.Targets {
-		stored, err := s.Full(tr.ID)
-		if err != nil {
-			t.Fatalf("%s: %v", tr.ID, err)
-		}
-		if stored.Len() == 0 {
-			t.Fatalf("%s: nothing persisted", tr.ID)
-		}
-		// Retention follows the epochs' verdicts through core.RatePolicy:
-		// the store holds the last clean epoch's raw Nyquist estimate (not
-		// the final poll rate divided by the headroom, which decay and
-		// probing move without any estimate behind them).
-		want := lastCleanEstimate(tr.Run)
-		if rate := s.NyquistRate(tr.ID); rate != want || want == 0 {
-			t.Fatalf("%s: retention rate %g, want the last clean estimate %g", tr.ID, rate, want)
-		}
 	}
 }
 

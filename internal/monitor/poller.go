@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/series"
+	"repro/internal/tsdb"
 )
 
 // StaticPoller samples a target at a fixed interval — today's production
@@ -31,7 +32,7 @@ type StaticPoller struct {
 // Run polls over [offset, offset+duration) seconds of signal time, writing
 // to store (which may be nil for cost-only runs) with wall-clock timestamps
 // anchored at start. It returns the bill.
-func (p *StaticPoller) Run(store *Store, start time.Time, offset float64, duration time.Duration) (Cost, error) {
+func (p *StaticPoller) Run(store *tsdb.DB, start time.Time, offset float64, duration time.Duration) (Cost, error) {
 	var cost Cost
 	if p.Target == nil {
 		return cost, errors.New("monitor: static poller has no target")
@@ -55,7 +56,7 @@ func (p *StaticPoller) Run(store *Store, start time.Time, offset float64, durati
 				if up.Err != nil {
 					policy.Aliased()
 				} else if held, changed := policy.Clean(up.Result.NyquistRate, p.Stream.Turnover()); changed {
-					store.SetNyquist(p.ID, held)
+					store.SetNyquistRate(p.ID, held)
 				}
 			}
 		}
@@ -96,7 +97,7 @@ type AdaptiveResult struct {
 // with timestamps anchored at start; companion-probe samples are billed
 // but not stored (they exist only to detect aliasing, §4.1's ~2x cost that
 // the expected >2x over-sampling savings amortize).
-func (p *AdaptivePoller) Run(store *Store, start time.Time, offset float64, duration time.Duration) (*AdaptiveResult, error) {
+func (p *AdaptivePoller) Run(store *tsdb.DB, start time.Time, offset float64, duration time.Duration) (*AdaptiveResult, error) {
 	if p.Target == nil {
 		return nil, errors.New("monitor: adaptive poller has no target")
 	}
@@ -119,7 +120,7 @@ func (p *AdaptivePoller) Run(store *Store, start time.Time, offset float64, dura
 			if e.Aliased {
 				policy.Aliased()
 			} else if held, changed := policy.Clean(e.EstimatedNyquist, 1); changed {
-				store.SetNyquist(p.ID, held)
+				store.SetNyquistRate(p.ID, held)
 			}
 			// Re-materialize the primary-rate samples of this epoch for
 			// storage. (The adaptive sampler already billed them.)

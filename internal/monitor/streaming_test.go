@@ -16,7 +16,7 @@ import (
 // windows spanning a block boundary.
 func TestArchiverAdviceMatchesBatch(t *testing.T) {
 	const w = 256
-	store := NewStore(0)
+	store := newStore(0)
 	a, err := NewArchiver("sig", store, time.Second, ArchiverConfig{WindowSamples: w})
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestArchiverAdviceMatchesBatch(t *testing.T) {
 func TestArchiverStreamingMatchesBatchBlocks(t *testing.T) {
 	type outcome struct{ raw, stored, aliased int }
 	run := func(cfg ArchiverConfig) outcome {
-		store := NewStore(0)
+		store := newStore(0)
 		a, err := NewArchiver("sig", store, time.Second, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -112,7 +112,7 @@ func TestArchiverStreamingMatchesBatchBlocks(t *testing.T) {
 // block size still forces raw storage instead of a stream estimate.
 func TestArchiverStreamFallbacks(t *testing.T) {
 	// Tiny window: constructor must succeed, blocks stored raw.
-	a, err := NewArchiver("tiny", NewStore(0), time.Second, ArchiverConfig{WindowSamples: 8})
+	a, err := NewArchiver("tiny", newStore(0), time.Second, ArchiverConfig{WindowSamples: 8})
 	if err != nil {
 		t.Fatalf("tiny window: %v", err)
 	}
@@ -128,7 +128,7 @@ func TestArchiverStreamFallbacks(t *testing.T) {
 
 	// MinSamples above the block size: blocks are "too short" by
 	// configuration and must flush raw, not via the stream.
-	b, err := NewArchiver("minsamples", NewStore(0), time.Second, ArchiverConfig{
+	b, err := NewArchiver("minsamples", newStore(0), time.Second, ArchiverConfig{
 		WindowSamples: 64,
 		Estimator:     core.EstimatorConfig{MinSamples: 128},
 	})
@@ -192,7 +192,7 @@ func TestStaticPollerStreamRetunesRetention(t *testing.T) {
 	target := core.SamplerFunc(func(ts float64) float64 {
 		return 20 + math.Sin(2*math.Pi*ts/64)
 	})
-	s := NewStore(128)
+	s := newStore(128)
 	p := &StaticPoller{ID: "s", Target: target, Interval: time.Second, Stream: st}
 	if _, err := p.Run(s, start, 0, 1024*time.Second); err != nil {
 		t.Fatal(err)

@@ -12,7 +12,7 @@ import (
 	"repro/internal/series"
 )
 
-// singleMutexStore replicates the seed monitor.Store exactly — one global
+// singleMutexStore replicates the seed store exactly — one global
 // mutex in front of a map of append-only series, with the capacity
 // bookkeeping the seed performed — as the baseline the sharded engine is
 // measured against.
@@ -48,8 +48,6 @@ func (s *singleMutexStore) append(id string, p series.Point) error {
 // BenchmarkStoreAppendParallel is the write-path scaling comparison: the
 // seed's single-mutex store against the sharded engine at 1, 4 and 16
 // shards, under 8×GOMAXPROCS concurrent writers on distinct series.
-// (BENCH_tsdb.json's rows of this name predate the single sealed-block
-// backend and are kept there as history.)
 func BenchmarkStoreAppendParallel(b *testing.B) {
 	parallelAppend := func(b *testing.B, setup func(id string), appendFn func(id string, p series.Point)) {
 		var ctr int64
@@ -135,8 +133,7 @@ func BenchmarkQueryRange(b *testing.B) {
 // a recent window answered by the raw store of a production-shape
 // store while the rest of history sits in sealed blocks and tiers.
 // Per-op latencies are collected individually and reported as p50/p99
-// (ns), the figures recorded in BENCH_tsdb.json: a mean hides exactly
-// the tail a serving read path is judged by.
+// (ns): a mean hides exactly the tail a serving read path is judged by.
 func BenchmarkQueryHot(b *testing.B) {
 	db := New(Config{Shards: 16, Retention: RetentionConfig{
 		RawCapacity: 4096, TierCapacity: 1024, Tiers: 2, CompressBlock: 128,
@@ -206,7 +203,7 @@ func benchSealedStore(b *testing.B, cacheBytes int64) (*DB, []string, time.Time,
 }
 
 // reportTail reports per-op p50/p99 latencies (ns) from individual
-// timings — the serving figures recorded in BENCH_tsdb.json.
+// timings.
 func reportTail(b *testing.B, lat []time.Duration) {
 	b.Helper()
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })

@@ -229,44 +229,69 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// Delta-of-delta bucket sizes. Nanosecond grids make the classic Gorilla
-// second-scale buckets useless, so the ladder is: 0 → one bit;
-// sub-millisecond jitter → '10' + 21 bits; sub-4-second shifts → '110' +
-// 33 bits; anything → '111' + 64 bits. All bucketed fields are zigzagged.
-const (
-	dodSmallBits = 21
-	dodMidBits   = 33
+// ladder is a variable-length code for small signed integers. A value takes
+// the first rung whose width holds its zigzag: rung i is i one-bits, a
+// zero (omitted on the last rung, which is 64 wide), then the zigzag in
+// the rung's width.
+type ladder []uint
+
+var (
+	// dodLadder codes delta-of-deltas (and the bucket codec's widths and
+	// XOR-form counts). Nanosecond grids make the classic Gorilla
+	// second-scale buckets useless, so: 0 → one bit; sub-millisecond
+	// jitter → '10' + 21 bits; sub-4-second shifts → '110' + 33 bits;
+	// anything → '111' + 64 bits.
+	dodLadder = ladder{0, 21, 33, 64}
+	// stepLadder codes the move of a count base between miniblocks — a
+	// sample or two, where dodLadder would spend 23 bits: 0 → one bit;
+	// |step| < 8 → '10' + 4 bits; anything → '11' + 64 bits.
+	stepLadder = ladder{0, 4, 64}
 )
 
-// writeDoD appends one delta-of-delta (or any small-signed-int chain
-// step: the bucket-block codec reuses it for widths and, in its XOR form,
-// counts).
-func writeDoD(w *bitWriter, dod int64) {
-	z := zigzag(dod)
-	switch {
-	case z == 0:
-		w.writeBit(0)
-	case z < 1<<dodSmallBits:
-		w.writeBits(0b10<<dodSmallBits|z, 2+dodSmallBits)
-	case z < 1<<dodMidBits:
-		w.writeBits(0b110<<dodMidBits|z, 3+dodMidBits)
-	default:
-		w.writeBits(0b111, 3)
-		w.writeBits(z, 64)
+// rung is the index of the first rung past the bottom that holds z ≠ 0.
+func (l ladder) rung(z uint64) int {
+	i := 1
+	for i < len(l)-1 && z>>l[i] != 0 {
+		i++
 	}
+	return i
 }
 
-func readDoD(r *bitReader) int64 {
+// bits is the size write gives v.
+func (l ladder) bits(v int64) int {
+	if v == 0 {
+		return 1
+	}
+	i := l.rung(zigzag(v))
+	return min(i+1, len(l)-1) + int(l[i])
+}
+
+// write and read take the bottom rung — a lone zero bit, the whole code on
+// a regular grid — before they consult the table.
+func (l ladder) write(w *bitWriter, v int64) {
+	if v == 0 {
+		w.writeBit(0)
+		return
+	}
+	z := zigzag(v)
+	i := l.rung(z)
+	if i == len(l)-1 {
+		w.writeBits(1<<i-1, uint(i))
+		w.writeBits(z, 64)
+		return
+	}
+	w.writeBits((1<<i-1)<<(1+l[i])|z, uint(i)+1+l[i])
+}
+
+func (l ladder) read(r *bitReader) int64 {
 	if r.readBit() == 0 {
 		return 0
 	}
-	if r.readBit() == 0 {
-		return unzigzag(r.readBits(dodSmallBits))
+	i := 1
+	for i < len(l)-1 && r.readBit() == 1 {
+		i++
 	}
-	if r.readBit() == 0 {
-		return unzigzag(r.readBits(dodMidBits))
-	}
-	return unzigzag(r.readBits(64))
+	return unzigzag(r.readBits(l[i]))
 }
 
 // xorState is one Gorilla XOR value chain: the previous value plus the
@@ -412,6 +437,21 @@ func decimalAt(v, scale float64) (m, r int64, ok bool) {
 	return m, r, r >= -maxResid && r < maxResid && vb != 1<<63
 }
 
+// raiseExp raises *exp to the next exponent v fits at, or reports false
+// when none up to maxDecimalExp does. Both planners call it on the first
+// value their current exponent cannot hold and then restart their run, so
+// a pass is repeated once per distinct raise (rarely more than twice) and a
+// non-decimal value costs maxDecimalExp probes, not passes.
+func raiseExp(v float64, exp *uint) bool {
+	for *exp < maxDecimalExp {
+		*exp++
+		if _, _, ok := decimalAt(v, pow10[*exp]); ok {
+			return true
+		}
+	}
+	return false
+}
+
 // colEnc plans and writes one float64 column of a sealed run. The caller
 // gathers the column into vals, plan picks the mode, write emits entry i.
 type colEnc struct {
@@ -461,21 +501,15 @@ func (c *colEnc) decimalBits() int {
 // fitDecimal fits vals[:k] at the smallest common exponent not below
 // c.exp, filling mant and resid and measuring the delta and residual
 // widths. A value that needs more digits raises the exponent and restarts
-// the run, so the pass is repeated once per distinct raise (rarely more
-// than twice) and a non-decimal value costs maxDecimalExp probes, not
-// passes.
+// the run (see raiseExp).
 func (c *colEnc) fitDecimal(k int) bool {
 	var deltas, resids uint64
 	c.mant, c.resid = c.mant[:0], c.resid[:0]
 	for i := 0; i < k; i++ {
 		m, r, ok := decimalAt(c.vals[i], pow10[c.exp])
 		if !ok {
-			for !ok {
-				if c.exp == maxDecimalExp {
-					return false
-				}
-				c.exp++
-				_, _, ok = decimalAt(c.vals[i], pow10[c.exp])
+			if !raiseExp(c.vals[i], &c.exp) {
+				return false
 			}
 			deltas, resids = 0, 0
 			c.mant, c.resid = c.mant[:0], c.resid[:0]
@@ -657,7 +691,7 @@ func (e *blockEncoder) pointBlock() Block {
 	prevDelta := int64(0)
 	for i := 1; i < n; i++ {
 		delta := e.nanos[i] - e.nanos[i-1]
-		writeDoD(&e.w, delta-prevDelta)
+		dodLadder.write(&e.w, delta-prevDelta)
 		col.write(&e.w, i)
 		prevDelta = delta
 	}
@@ -759,7 +793,7 @@ func (it *BlockIter) Next() bool {
 		it.nano = int64(it.r.readBits(64))
 		it.val = it.col.first(&it.r)
 	} else {
-		delta := it.prevDelta + readDoD(&it.r)
+		delta := it.prevDelta + dodLadder.read(&it.r)
 		it.nano += delta
 		it.prevDelta = delta
 		it.val = it.col.next(&it.r)
@@ -830,56 +864,6 @@ const (
 	xorWindowBits = 3 * 12
 )
 
-// dodBits is the size writeDoD gives one step.
-func dodBits(dod int64) int {
-	switch z := zigzag(dod); {
-	case z == 0:
-		return 1
-	case z < 1<<dodSmallBits:
-		return 2 + dodSmallBits
-	case z < 1<<dodMidBits:
-		return 3 + dodMidBits
-	}
-	return 3 + 64
-}
-
-// A count base moves by a sample or two between miniblocks, where
-// writeDoD's nanosecond-sized ladder would spend 23 bits: 0 → one bit;
-// |step| < 8 → '10' + 4 bits; anything → '11' + 64 bits, zigzagged.
-const stepSmallBits = 4
-
-func stepBits(d int64) int {
-	switch z := zigzag(d); {
-	case z == 0:
-		return 1
-	case z < 1<<stepSmallBits:
-		return 2 + stepSmallBits
-	}
-	return 2 + 64
-}
-
-func writeStep(w *bitWriter, d int64) {
-	switch z := zigzag(d); {
-	case z == 0:
-		w.writeBit(0)
-	case z < 1<<stepSmallBits:
-		w.writeBits(0b10<<stepSmallBits|z, 2+stepSmallBits)
-	default:
-		w.writeBits(0b11, 2)
-		w.writeBits(z, 64)
-	}
-}
-
-func readStep(r *bitReader) int64 {
-	if r.readBit() == 0 {
-		return 0
-	}
-	if r.readBit() == 0 {
-		return unzigzag(r.readBits(stepSmallBits))
-	}
-	return unzigzag(r.readBits(64))
-}
-
 // sumGuess predicts a bucket's sum mantissa from its other columns: count
 // samples averaging the midpoint of min and max. It is exact for buckets
 // of one or two samples. The arithmetic wraps on overflow, identically on
@@ -906,12 +890,8 @@ func (p *miniPlan) fit(bks []bucket) bool {
 		for c, v := range vals {
 			m, r, ok := decimalAt(v, pow10[p.exp])
 			if !ok {
-				for !ok {
-					if p.exp == maxDecimalExp {
-						return false
-					}
-					p.exp++
-					_, _, ok = decimalAt(v, pow10[p.exp])
+				if !raiseExp(v, &p.exp) {
+					return false
 				}
 				i = -1
 				break
@@ -1033,7 +1013,7 @@ func (s *bucketStream) add(bks []bucket) {
 			regular = regular && delta == prevDelta && width == prevWidth
 			prevDelta = delta
 			xorBits += s.xor[0].cost(math.Float64bits(bk.min)) + s.xor[1].cost(math.Float64bits(bk.max)) +
-				s.xor[2].cost(math.Float64bits(bk.sum)) + dodBits(bk.count-prevCount)
+				s.xor[2].cost(math.Float64bits(bk.sum)) + dodLadder.bits(bk.count-prevCount)
 		}
 		prevStart, prevWidth, prevCount = bk.start, width, bk.count
 	}
@@ -1057,7 +1037,7 @@ func (s *bucketStream) add(bks []bucket) {
 			if first {
 				decBits += 64
 			} else {
-				decBits += stepBits(p.base - s.count)
+				decBits += stepLadder.bits(p.base - s.count)
 			}
 			useDecimal = decBits+xorWindowBits <= xorBits
 		}
@@ -1095,7 +1075,7 @@ func (s *bucketStream) add(bks []bucket) {
 		if first {
 			w.writeBits(uint64(p.base), 64)
 		} else {
-			writeStep(&w, p.base-s.count)
+			stepLadder.write(&w, p.base-s.count)
 		}
 	case !continues && !first:
 		for _, x := range chains {
@@ -1113,8 +1093,8 @@ func (s *bucketStream) add(bks []bucket) {
 		if !verbatim {
 			delta := bk.start - prevStart
 			if !regular {
-				writeDoD(&w, delta-prevDelta)
-				writeDoD(&w, width-prevWidth)
+				dodLadder.write(&w, delta-prevDelta)
+				dodLadder.write(&w, width-prevWidth)
 			}
 			prevDelta = delta
 		}
@@ -1138,7 +1118,7 @@ func (s *bucketStream) add(bks []bucket) {
 			chains[0].write(&w, math.Float64bits(bk.min))
 			chains[1].write(&w, math.Float64bits(bk.max))
 			chains[2].write(&w, math.Float64bits(bk.sum))
-			writeDoD(&w, bk.count-prevCount)
+			dodLadder.write(&w, bk.count-prevCount)
 		}
 		prevStart, prevWidth, prevCount = bk.start, width, bk.count
 		s.blk.lastEnd = max(s.blk.lastEnd, bk.end)
@@ -1223,7 +1203,7 @@ func (it *bucketIter) open() {
 		if first {
 			it.base = int64(r.readBits(64))
 		} else {
-			it.base = it.count + readStep(r)
+			it.base = it.count + stepLadder.read(r)
 		}
 	case !continues && !first:
 		for c := range it.xor {
@@ -1256,8 +1236,8 @@ func (it *bucketIter) next() bool {
 	}
 	if !verbatim {
 		if !it.regular {
-			it.prevDelta += readDoD(r)
-			it.span += readDoD(r)
+			it.prevDelta += dodLadder.read(r)
+			it.span += dodLadder.read(r)
 		}
 		it.nano += it.prevDelta
 	}
@@ -1281,7 +1261,7 @@ func (it *bucketIter) next() bool {
 		for c := range it.xor {
 			it.vals[c] = math.Float64frombits(it.xor[c].read(r))
 		}
-		it.count += readDoD(r)
+		it.count += dodLadder.read(r)
 	}
 	if r.err != nil {
 		return false

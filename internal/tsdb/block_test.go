@@ -163,7 +163,7 @@ func TestBlockRejectsTimeRange(t *testing.T) {
 // TestBlockBytesPerPointDiurnal is the acceptance bar: a realistic
 // diurnal workload — a quantized daily-rhythm gauge polled on a regular
 // grid — compresses to at most 2 bytes per point (a []Point slice costs
-// 32). The measured figure is recorded in BENCH_ingest.json.
+// 32).
 func TestBlockBytesPerPointDiurnal(t *testing.T) {
 	pts := diurnalWorkload(4096)
 	blk := checkRoundTrip(t, pts)
@@ -350,7 +350,7 @@ func xorOnlyPayload(pts []series.Point) []byte {
 			vals.prev = v
 		} else {
 			delta := nano - last
-			writeDoD(&w, delta-prevDelta)
+			dodLadder.write(&w, delta-prevDelta)
 			vals.write(&w, v)
 			prevDelta = delta
 		}
@@ -380,12 +380,12 @@ func xorOnlyBucketPayload(bks []bucket) []byte {
 			w.writeBits(uint64(bk.count), 64)
 		} else {
 			delta := start - last
-			writeDoD(&w, delta-prevDelta)
-			writeDoD(&w, width-prevWidth)
+			dodLadder.write(&w, delta-prevDelta)
+			dodLadder.write(&w, width-prevWidth)
 			for k, s := range []*xorState{&mn, &mx, &sum} {
 				s.write(&w, vals[k])
 			}
-			writeDoD(&w, bk.count-prevCount)
+			dodLadder.write(&w, bk.count-prevCount)
 			prevDelta = delta
 		}
 		last, prevWidth, prevCount = start, width, bk.count

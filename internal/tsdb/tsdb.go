@@ -211,6 +211,10 @@ func (db *DB) Shards() int { return len(db.shards) }
 // Retention returns the configured retention policy.
 func (db *DB) Retention() RetentionConfig { return db.cfg.Retention }
 
+// DB exists only because bench/trace.go unwraps its store with it; the
+// [benchmark] PR that re-points the trace deletes it.
+func (db *DB) DB() *DB { return db }
+
 // fnv32a is the FNV-1a hash of s, inlined to keep the append hot path
 // allocation-free.
 func fnv32a(s string) uint32 {

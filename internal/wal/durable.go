@@ -124,7 +124,7 @@ type Stats struct {
 type Durable struct {
 	dir   string
 	opts  Options
-	store *monitor.Store
+	store *tsdb.DB
 	est   *monitor.IngestEstimator
 	log   *Log
 
@@ -155,7 +155,7 @@ type Durable struct {
 // log from the moment Open returns. Replay relies on the store's
 // strict-append contract to skip snapshot-boundary duplicates. The store
 // and estimator must not receive traffic until Open returns.
-func Open(dir string, store *monitor.Store, est *monitor.IngestEstimator, opts Options) (*Durable, error) {
+func Open(dir string, store *tsdb.DB, est *monitor.IngestEstimator, opts Options) (*Durable, error) {
 	if store == nil || est == nil {
 		return nil, errors.New("wal: Open needs a store and an ingest estimator")
 	}
@@ -184,7 +184,7 @@ func Open(dir string, store *monitor.Store, est *monitor.IngestEstimator, opts O
 	}
 	d.log = log
 	d.bytesAtSnap = log.Stats().Bytes
-	store.DB().OnSeal(func(id string, blk tsdb.Block) {
+	store.OnSeal(func(id string, blk tsdb.Block) {
 		e := enc{}
 		encodeBlockRec(&e, blockRec{id: id, blk: blk})
 		// Append counts every failure — including append-after-close —
@@ -203,7 +203,7 @@ func Open(dir string, store *monitor.Store, est *monitor.IngestEstimator, opts O
 func (d *Durable) Replay() ReplayInfo { return d.replay }
 
 // Store and Estimator expose the wrapped serving pair.
-func (d *Durable) Store() *monitor.Store               { return d.store }
+func (d *Durable) Store() *tsdb.DB                     { return d.store }
 func (d *Durable) Estimator() *monitor.IngestEstimator { return d.est }
 
 // recover loads the newest valid snapshot and replays the segments past
@@ -321,7 +321,7 @@ func (d *Durable) recover() error {
 		if d.est.RestoreState(st) {
 			info.EstimatorStates++
 		} else if r.retentionHz > 0 {
-			d.store.SetNyquist(st.Series, r.retentionHz)
+			d.store.SetNyquistRate(st.Series, r.retentionHz)
 		}
 		d.lastState[st.Series] = r
 	}
@@ -346,7 +346,7 @@ func (d *Durable) rewarmTails() map[string][]series.Point {
 	want := cfg.WindowSamples + cfg.EmitEvery*(core.Persistence+2)
 	tails := map[string][]series.Point{}
 	for _, id := range d.store.IDs() {
-		res, err := d.store.QueryRange(id, time.Time{}, time.Time{}, 0)
+		res, err := d.store.Query(id, time.Time{}, time.Time{}, 0)
 		if err != nil || len(res.Points) == 0 {
 			continue
 		}
@@ -420,7 +420,7 @@ func (d *Durable) loadSnapshot(idx uint64, watermark map[string]time.Time) (snap
 		return snapHeader{}, false, nil // incomplete snapshot: fall back
 	}
 	for _, s := range seriesS {
-		d.store.DB().RestoreSeries(s)
+		d.store.RestoreSeries(s)
 		if s.HaveLast {
 			watermark[s.ID] = s.LastTime
 		}
@@ -479,7 +479,7 @@ func (d *Durable) snapshotLocked() error {
 		return err
 	}
 	nSeries := uint64(0)
-	err = d.store.DB().ExportSeries(func(s tsdb.SeriesSnapshot) error {
+	err = d.store.ExportSeries(func(s tsdb.SeriesSnapshot) error {
 		nSeries++
 		e := &enc{}
 		encodeSeriesSnap(e, s)
@@ -709,10 +709,10 @@ func (d *Durable) background() {
 func (d *Durable) Close() error {
 	close(d.stopc)
 	<-d.donec
-	d.store.SealActive()
+	d.store.SealAll()
 	d.writeStates()
 	err := d.log.Close()
-	d.store.DB().OnSeal(nil)
+	d.store.OnSeal(nil)
 	return err
 }
 
@@ -722,7 +722,7 @@ func (d *Durable) Close() error {
 func (d *Durable) abort() {
 	close(d.stopc)
 	<-d.donec
-	d.store.DB().OnSeal(nil)
+	d.store.OnSeal(nil)
 	d.log.abort()
 }
 

@@ -14,8 +14,8 @@ import (
 
 var walStart = time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
 
-func servingStore() *monitor.Store {
-	return monitor.NewTieredStore(tsdb.Config{
+func servingStore() *tsdb.DB {
+	return tsdb.New(tsdb.Config{
 		Shards: 4,
 		Retention: tsdb.RetentionConfig{
 			RawCapacity:   2048,
@@ -35,7 +35,7 @@ func twoTone(f1, f2, t float64) float64 {
 
 // ingestLoad pushes n points of s series through the serving pair, as
 // handleIngest would (store append + estimator observe per point).
-func ingestLoad(t *testing.T, store *monitor.Store, est *monitor.IngestEstimator, seriesN, n int) {
+func ingestLoad(t *testing.T, store *tsdb.DB, est *monitor.IngestEstimator, seriesN, n int) {
 	t.Helper()
 	const f2 = 16.0 / 256
 	for s := 0; s < seriesN; s++ {
@@ -54,18 +54,18 @@ func ingestLoad(t *testing.T, store *monitor.Store, est *monitor.IngestEstimator
 }
 
 // assertStoresMatch compares every series' full query results.
-func assertStoresMatch(t *testing.T, a, b *monitor.Store, context string) {
+func assertStoresMatch(t *testing.T, a, b *tsdb.DB, context string) {
 	t.Helper()
 	idsA, idsB := a.IDs(), b.IDs()
 	if len(idsA) != len(idsB) {
 		t.Fatalf("%s: %d series recovered, want %d", context, len(idsB), len(idsA))
 	}
 	for _, id := range idsA {
-		ra, err := a.QueryRange(id, time.Time{}, time.Time{}, 0)
+		ra, err := a.Query(id, time.Time{}, time.Time{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := b.QueryRange(id, time.Time{}, time.Time{}, 0)
+		rb, err := b.Query(id, time.Time{}, time.Time{}, 0)
 		if err != nil {
 			t.Fatalf("%s: recovered store lost %s: %v", context, id, err)
 		}
@@ -172,7 +172,7 @@ func TestCrashRecoveryUnsyncedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.abort()
-	res, err := store2.QueryRange(id, time.Time{}, time.Time{}, 0)
+	res, err := store2.Query(id, time.Time{}, time.Time{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestCrashRecoveryMidHold(t *testing.T) {
 		}
 		return twoTone(1.0/64, 8.0/256, float64(i)) // narrow
 	}
-	feed := func(store *monitor.Store, est *monitor.IngestEstimator, i int) {
+	feed := func(store *tsdb.DB, est *monitor.IngestEstimator, i int) {
 		p := series.Point{Time: walStart.Add(time.Duration(i) * time.Second), Value: signal(i)}
 		if err := store.Append(id, p); err != nil {
 			t.Fatalf("append %d: %v", i, err)
@@ -369,7 +369,7 @@ func TestCrashRecoveryMidHold(t *testing.T) {
 	// The crash falls on a block boundary, so the stored tail the recovered
 	// estimator rewarms from ends inside the wait: every estimate it
 	// re-derives is one of the ten lower ones.
-	store1.SealActive()
+	store1.SealAll()
 	d1.writeStates()
 	d1.abort()
 

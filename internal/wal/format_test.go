@@ -20,8 +20,8 @@ import (
 // fixtureStore is the store shape the checked-in data directories were
 // written with: small blocks and capacities, so a few hundred points
 // reach sealed blocks, both tiers and the cascade.
-func fixtureStore() *monitor.Store {
-	return monitor.NewTieredStore(tsdb.Config{
+func fixtureStore() *tsdb.DB {
+	return tsdb.New(tsdb.Config{
 		Shards: 2,
 		Retention: tsdb.RetentionConfig{
 			RawCapacity:   128,
@@ -51,7 +51,7 @@ func fixtureValue(s, i int) float64 {
 }
 
 // fixtureLoad appends samples [from, to) of the three fixture series.
-func fixtureLoad(t *testing.T, store *monitor.Store, est *monitor.IngestEstimator, from, to int) {
+func fixtureLoad(t *testing.T, store *tsdb.DB, est *monitor.IngestEstimator, from, to int) {
 	t.Helper()
 	for s := 0; s < 3; s++ {
 		id := fmt.Sprintf("fixture/dev%02d/metric", s)
@@ -104,7 +104,7 @@ func dumpRecovered(t *testing.T, d *Durable) string {
 	fmt.Fprintf(&b, "replay snapshot=%v seq=%d segments=%d records=%d points=%d skipped=%d series=%d states=%d torn=%v\n",
 		r.SnapshotLoaded, r.SnapshotSeq, r.Segments, r.Records, r.Points, r.SkippedPoints, r.Series, r.EstimatorStates, r.TornTail)
 	for _, id := range d.Store().IDs() {
-		res, err := d.Store().QueryRange(id, time.Time{}, time.Time{}, 0)
+		res, err := d.Store().Query(id, time.Time{}, time.Time{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,11 +202,11 @@ func TestV1DirectoryUpgradesInPlace(t *testing.T) {
 	// not: replay retunes once at the end, live ingest as it goes).
 	from := walStart.Add(500 * time.Second)
 	for _, id := range d.Store().IDs() {
-		live, err := d.Store().QueryRange(id, from, time.Time{}, 0)
+		live, err := d.Store().Query(id, from, time.Time{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := d2.Store().QueryRange(id, from, time.Time{}, 0)
+		back, err := d2.Store().Query(id, from, time.Time{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

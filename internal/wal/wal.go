@@ -142,6 +142,11 @@ type LogStats struct {
 	// visible before a crash makes it fatal.
 	Errors    int64
 	LastError string
+	// UnsyncedAge is how long the oldest append not yet covered by an
+	// fsync has been waiting (0 when everything appended is durable). It
+	// stays near FsyncEvery on a healthy disk; growth is the lag between
+	// acked and durable.
+	UnsyncedAge time.Duration
 }
 
 // Log is an append-only segment log. Appends are safe for concurrent
@@ -150,21 +155,23 @@ type Log struct {
 	dir  string
 	opts LogOptions
 
-	mu        sync.Mutex
-	f         *os.File
-	w         *bufio.Writer
-	seg       uint64 // current segment index
-	startSeg  uint64 // first segment opened by this session (scrub floor)
-	segBytes  int64  // bytes written to the current segment
-	oldBytes  int64  // bytes in older (already sealed) live segments
-	segCount  int
-	dirty     bool
-	records   int64
-	syncs     int64
-	rotations int64
-	errors    int64
-	lastErr   string
-	closed    bool
+	mu       sync.Mutex
+	f        *os.File
+	w        *bufio.Writer
+	seg      uint64 // current segment index
+	startSeg uint64 // first segment opened by this session (scrub floor)
+	segBytes int64  // bytes written to the current segment
+	oldBytes int64  // bytes in older (already sealed) live segments
+	segCount int
+	// dirtySince is when the oldest write not yet fsynced was buffered;
+	// zero when the segment is clean.
+	dirtySince time.Time
+	records    int64
+	syncs      int64
+	rotations  int64
+	errors     int64
+	lastErr    string
+	closed     bool
 
 	stopc chan struct{}
 	donec chan struct{}
@@ -258,8 +265,16 @@ func (l *Log) openSegment(idx uint64) error {
 	l.f, l.w = f, w
 	l.seg = idx
 	l.segBytes = int64(len(segMagic))
-	l.dirty = true
+	l.markDirty()
 	return nil
+}
+
+// markDirty stamps the first write after a sync: one clock read per group
+// commit, not per append. Caller holds mu (or is the constructor).
+func (l *Log) markDirty() {
+	if l.dirtySince.IsZero() {
+		l.dirtySince = time.Now()
+	}
 }
 
 // frame appends one framed record to w: u32le payload length, type
@@ -304,7 +319,7 @@ func (l *Log) Append(typ byte, payload []byte) error {
 	}
 	l.segBytes += frameSize(payload)
 	l.records++
-	l.dirty = true
+	l.markDirty()
 	if l.opts.FsyncEvery < 0 {
 		if l.segBytes >= l.opts.SegmentBytes {
 			if _, err := l.rotateLocked(); err != nil {
@@ -350,7 +365,7 @@ func (l *Log) noteErr(err error) error {
 
 // syncLocked flushes the buffer and fsyncs. Caller holds mu.
 func (l *Log) syncLocked() error {
-	if !l.dirty {
+	if l.dirtySince.IsZero() {
 		return nil
 	}
 	begin := time.Now()
@@ -360,7 +375,7 @@ func (l *Log) syncLocked() error {
 	if err := l.f.Sync(); err != nil {
 		return err
 	}
-	l.dirty = false
+	l.dirtySince = time.Time{}
 	l.syncs++
 	if l.opts.SyncObserver != nil {
 		l.opts.SyncObserver(time.Since(begin))
@@ -512,7 +527,7 @@ func (l *Log) flushLoop() {
 func (l *Log) Stats() LogStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return LogStats{
+	st := LogStats{
 		Segments:  l.segCount,
 		Bytes:     l.oldBytes + l.segBytes,
 		Records:   l.records,
@@ -521,6 +536,10 @@ func (l *Log) Stats() LogStats {
 		Errors:    l.errors,
 		LastError: l.lastErr,
 	}
+	if !l.dirtySince.IsZero() {
+		st.UnsyncedAge = time.Since(l.dirtySince)
+	}
+	return st
 }
 
 // replayFile walks one framed file (segment or snapshot; magic is the

@@ -195,7 +195,7 @@ wait "$daemon" 2>/dev/null || true
 echo "server_smoke: SIGKILLed the durable daemon mid-flight"
 
 start_daemon "$dlog.2" -addr 127.0.0.1:0 -data-dir "$datadir" \
-    -fsync-every 2ms -state-every 100ms
+    -fsync-every 2ms -state-every 100ms -self-scrape 50ms
 wait_ready "$port"
 grep -q "recovered $datadir" "$dlog.2" || { echo "server_smoke: no recovery line after restart" >&2; cat "$dlog.2" >&2; exit 1; }
 echo "server_smoke: restarted on port $port: $(grep 'recovered' "$dlog.2")"
@@ -229,6 +229,21 @@ if [ -z "$(upd "$workdir/est_after.json")" ] || [ "$(upd "$workdir/est_before.js
     exit 1
 fi
 echo "server_smoke: updated_at survived the crash ($(upd "$workdir/est_after.json"))"
+
+# The durability lag gauges: both families on /metrics, and — every
+# signal being a series here — both stored by the self-scrape loop.
+curl -sf "http://127.0.0.1:$port/metrics" >"$workdir/metrics_durable.txt"
+for fam in nyquistd_wal_unsynced_age_seconds nyquistd_wal_snapshot_age_seconds; do
+    grep -q "^# TYPE $fam gauge" "$workdir/metrics_durable.txt" || {
+        echo "server_smoke: durable /metrics missing gauge $fam" >&2; exit 1; }
+    for _ in $(seq 1 50); do
+        n=$(curl -sf "http://127.0.0.1:$port/api/v1/query?series=$fam" | grep -o '"ts":' | wc -l)
+        [ "$n" -ge 3 ] && break
+        sleep 0.1
+    done
+    [ "$n" -ge 3 ] || { echo "server_smoke: self-scrape stored $n samples of $fam, want >= 3" >&2; exit 1; }
+done
+echo "server_smoke: WAL lag gauges exported and self-scraped as series"
 
 grep -q '"wal":{' "$workdir/stats_after.json" || { echo "server_smoke: stats missing wal section" >&2; cat "$workdir/stats_after.json" >&2; exit 1; }
 grep -q '"points":1024' "$workdir/stats_after.json" || { echo "server_smoke: replay accounting missing 1024 points" >&2; cat "$workdir/stats_after.json" >&2; exit 1; }

@@ -36,14 +36,12 @@ type denyKey struct {
 }
 
 var denied = map[denyKey]bool{
-	{"tsdb", "DB", "Append"}:              true,
-	{"tsdb", "DB", "AppendUniform"}:       true,
-	{"monitor", "Store", "Append"}:        true,
-	{"monitor", "Store", "AppendUniform"}: true,
-	{"wal", "Log", "Append"}:              true,
-	{"wal", "Log", "Sync"}:                true,
-	{"obs", "Registry", "WriteProm"}:      true,
-	{"http", "ResponseWriter", "Write"}:   true,
+	{"tsdb", "DB", "Append"}:            true,
+	{"tsdb", "DB", "AppendUniform"}:     true,
+	{"wal", "Log", "Append"}:            true,
+	{"wal", "Log", "Sync"}:              true,
+	{"obs", "Registry", "WriteProm"}:    true,
+	{"http", "ResponseWriter", "Write"}: true,
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {

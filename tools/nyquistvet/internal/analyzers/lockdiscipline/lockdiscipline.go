@@ -5,8 +5,7 @@
 // block or do I/O (time.Sleep, os/net/fmt-print/log), channel
 // operations (except non-blocking selects with a default), WaitGroup
 // and Cond waits, and — the re-entrancy contract — calls to exported
-// tsdb.DB / monitor.Store methods, which would self-deadlock on the
-// lock already held.
+// tsdb.DB methods, which would self-deadlock on the lock already held.
 //
 // The OnSeal hook contract is checked the same way from the caller's
 // side: a function literal passed to (*tsdb.DB).OnSeal runs under the
@@ -69,8 +68,7 @@ var blockingPkgs = map[string]map[string]bool{
 // exported methods re-enter the store and would self-deadlock under a
 // shard lock.
 var reentrant = map[[2]string]bool{
-	{"tsdb", "DB"}:       true,
-	{"monitor", "Store"}: true,
+	{"tsdb", "DB"}: true,
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
