@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/fleet"
+	"repro/internal/dsp"
 	"repro/nyquist"
 )
 
@@ -278,12 +279,16 @@ func BenchmarkStreamVsBatchRefresh(b *testing.B) {
 	for _, shape := range []struct {
 		name                   string
 		window, hop, emitEvery int // one op pushes hop samples
+		taper                  nyquist.Window
 	}{
-		{"serving-256-every-8", 256, 8, 8},
-		{"census-1024-once", 1024, 1024, 1 << 30},
+		{"serving-256-every-8", 256, 8, 8, dsp.Hann{}}, // the ingest hook's window
+		{"census-1024-once", 1024, 1024, 1 << 30, nil},
 	} {
 		b.Run("batch/"+shape.name, func(b *testing.B) {
-			var est nyquist.Estimator
+			est, err := nyquist.NewEstimator(nyquist.EstimatorConfig{Window: shape.taper})
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				lo := (i * shape.hop) % (len(vals) - shape.window)
@@ -301,6 +306,7 @@ func BenchmarkStreamVsBatchRefresh(b *testing.B) {
 				Interval:      interval,
 				WindowSamples: shape.window,
 				EmitEvery:     shape.emitEvery,
+				Window:        shape.taper,
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -76,6 +76,7 @@ func main() {
 		run("Window-length ablation", func() (renderer, error) { return fleet.RunWindowAblation(*seed) })
 		run("§4.2 memory ablation", func() (renderer, error) { return fleet.RunMemoryAblation(*seed) })
 		run("Estimator-variant ablation", func() (renderer, error) { return fleet.RunEstimatorAblation(*seed) })
+		run("Serving-estimator taper ablation", func() (renderer, error) { return fleet.RunTaperAblation() })
 		run("§4.2 headroom ablation", func() (renderer, error) { return fleet.RunHeadroomAblation(*seed) })
 		run("Cost/quality sweet spot", func() (renderer, error) { return fleet.RunBudgetFrontier(cfg) })
 		run("§6 ergodicity", func() (renderer, error) { return fleet.RunErgodicity(*seed) })

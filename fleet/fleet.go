@@ -299,6 +299,10 @@ var RunEstimatorAblation = experiments.RunEstimatorAblation
 // EstimatorAblation is the estimator-variant comparison data.
 type EstimatorAblation = experiments.EstimatorAblation
 
+// RunTaperAblation decomposes the serving estimator's error by taper,
+// energy cut-off and window length.
+var RunTaperAblation = experiments.RunTaperAblation
+
 // RunHeadroomAblation sweeps §4.2's headroom factor against a
 // first-of-its-kind event.
 var RunHeadroomAblation = experiments.RunHeadroomAblation

@@ -182,9 +182,10 @@ func NewHostileRunner(sc *Scenario, cfg HostileConfig) (*HostileRunner, error) {
 	est := monitor.NewIngestEstimator(store, monitor.IngestConfig{
 		WindowSamples: cfg.Window,
 		EmitEvery:     cfg.EmitEvery,
-		// The paper's 90 % cut-off: with a 64-sample window the default
-		// 99 % rides rectangular-window leakage several bins past the
-		// band edge.
+		// The paper's 90 % cut-off: a 64-sample window has 32 bins and the
+		// hook's Hann main lobe spans four of them, so the default 99 %
+		// sits a lobe's skirt past the band edge — bin resolution, not
+		// leakage, is what this window length pays.
 		EnergyCutoff: 0.9,
 		MaxSeries:    cfg.MaxSeries,
 		EvictAfter:   cfg.EvictAfter,

@@ -393,7 +393,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t0 := time.Now()
-	res, err := s.store.Query(id, from, to, maxPoints)
+	res, err := s.store.Query(id, from, to, storeBudget(maxPoints, spec))
 	s.metrics.querySeconds.ObserveSince(t0)
 	if err != nil {
 		// Only a genuinely unknown series is a 404. Any other store
@@ -411,17 +411,42 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if res.Thinned {
 		s.metrics.queryThinned.Inc()
 	}
-	resp := queryResponseFrom(res)
-	resp.Clamped = clamped
-	if spec.want {
-		rec, err := reconstruct(res, spec, s.store.NyquistRate(id), s.store.Retention().Headroom, from, maxPoints)
-		if err != nil {
-			s.writeError(w, r, http.StatusInternalServerError, fmt.Sprintf("reconstruct %q: %v", id, err))
-			return
-		}
-		applyReconstruction(&resp, rec)
+	resp, err := s.queryResponse(res, spec, from, maxPoints)
+	if err != nil {
+		s.writeError(w, r, http.StatusInternalServerError, err.Error())
+		return
 	}
+	resp.Clamped = resp.Clamped || clamped
 	s.writeJSON(w, r, http.StatusOK, resp)
+}
+
+// storeBudget is the point budget handed to the store: none when the
+// result is to be reconstructed, because the budget then bounds the grid
+// (reconstruct's clamp) and thinning what the grid is interpolated
+// through only loses signal.
+func storeBudget(maxPoints int, spec reconstructSpec) int {
+	if spec.want {
+		return 0
+	}
+	return maxPoints
+}
+
+// queryResponse renders one series' result: the stored points as they
+// are, or — when spec asks — the grid reconstructed from them within
+// budget, annotated with how it was produced.
+func (s *Server) queryResponse(res *tsdb.QueryResult, spec reconstructSpec, from time.Time, budget int) (QueryResponse, error) {
+	if !spec.want {
+		return queryResponseFrom(res, res.Points), nil
+	}
+	rec, err := reconstruct(res, spec, s.store.NyquistRate(res.ID), s.store.Retention().Headroom, from, budget)
+	if err != nil {
+		return QueryResponse{}, fmt.Errorf("reconstruct %q: %v", res.ID, err)
+	}
+	resp := queryResponseFrom(res, rec.pts)
+	resp.Reconstruct = rec.mode
+	resp.StepSeconds = rec.step.Seconds()
+	resp.Clamped = rec.clamped
+	return resp, nil
 }
 
 // handleQueryMatch is the multi-series fan-in: one request answers every
@@ -430,7 +455,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // fleet reports in, and a 404 would page someone over an empty rack.
 func (s *Server) handleQueryMatch(w http.ResponseWriter, r *http.Request, pattern string, from, to time.Time, maxPoints int, clamped bool, spec reconstructSpec) {
 	t0 := time.Now()
-	mres := s.store.QueryMatch(pattern, from, to, maxPoints, s.cfg.MaxQuerySeries)
+	mres := s.store.QueryMatch(pattern, from, to, storeBudget(maxPoints, spec), s.cfg.MaxQuerySeries)
 	s.metrics.querySeconds.ObserveSince(t0)
 	s.metrics.queryMatchSeries.Observe(float64(len(mres.Results)))
 	resp := MatchResponse{
@@ -454,35 +479,15 @@ func (s *Server) handleQueryMatch(w http.ResponseWriter, r *http.Request, patter
 		if res.Thinned {
 			s.metrics.queryThinned.Inc()
 		}
-		qr := queryResponseFrom(res)
-		if spec.want {
-			rec, err := reconstruct(res, spec, s.store.NyquistRate(res.ID), s.store.Retention().Headroom, from, perBudget)
-			if err != nil {
-				s.writeError(w, r, http.StatusInternalServerError, fmt.Sprintf("reconstruct %q: %v", res.ID, err))
-				return
-			}
-			applyReconstruction(&qr, rec)
-			if qr.Clamped {
-				resp.Clamped = true
-			}
+		qr, err := s.queryResponse(res, spec, from, perBudget)
+		if err != nil {
+			s.writeError(w, r, http.StatusInternalServerError, err.Error())
+			return
 		}
+		resp.Clamped = resp.Clamped || qr.Clamped
 		resp.Results = append(resp.Results, qr)
 	}
 	s.writeJSON(w, r, http.StatusOK, resp)
-}
-
-// applyReconstruction swaps a response's stored points for the
-// reconstructed grid and annotates how the grid was produced.
-func applyReconstruction(resp *QueryResponse, rec reconstruction) {
-	resp.Points = make([]PointJSON, 0, len(rec.pts))
-	for _, p := range rec.pts {
-		resp.Points = append(resp.Points, PointJSON{TS: wireTime(p.Time), Value: p.Value})
-	}
-	resp.Reconstruct = rec.mode
-	resp.StepSeconds = rec.step.Seconds()
-	if rec.clamped {
-		resp.Clamped = true
-	}
 }
 
 // handleEstimate answers the live per-series estimate and poll advice:

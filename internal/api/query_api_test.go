@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/dcsim"
 	"repro/internal/monitor"
+	"repro/internal/series"
 	"repro/internal/tsdb"
 )
 
@@ -406,6 +407,46 @@ func TestReconstructionBeatsStairStep(t *testing.T) {
 			linear, bar, 100*scn.Spec.QualityBar, swing)
 	}
 	t.Logf("RMSE: linear %.4f, stair %.4f, bar %.4f (swing %.4f)", linear, stair, bar, swing)
+
+	// The same on history a tier has decimated by 16: a bucket mean sits at
+	// the centroid of the polls it averages, so straight lines through the
+	// centroids beat straight lines through the buckets' grid starts (what
+	// a client interpolating a plain query draws, half a bucket late), and
+	// both beat the stair-step through those starts.
+	t.Run("decimated tier", func(t *testing.T) {
+		store, ts := tonedTierServer(t)
+		to := apiStart.Add(1792 * time.Second) // where the raw tail begins
+		const step = 4 * time.Second
+		var qr QueryResponse
+		u := fmt.Sprintf("%s/api/v1/query?series=%s&to=%d&reconstruct=linear&step=%v", ts.URL, toneID, to.Unix(), step.Seconds())
+		if code := getJSON(t, u, &qr); code != http.StatusOK {
+			t.Fatalf("HTTP %d", code)
+		}
+		if len(qr.Tiers) != 1 || qr.Tiers[0].Tier != 1 || qr.Tiers[0].WidthSeconds != 16 {
+			t.Fatalf("window answered from %+v, want tier 1 at 16 s only", qr.Tiers)
+		}
+		plain, err := store.Query(toneID, time.Time{}, to, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		startPlaced := func(mode series.Interpolation) float64 {
+			first, last := plain.Points[0].Time, plain.Points[len(plain.Points)-1].Time
+			u, err := series.New(plain.Points).ResampleGrid(first, step, int(last.Sub(first)/step)+1, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pts := make([]PointJSON, len(u.Values))
+			for i, v := range u.Values {
+				pts[i] = PointJSON{TS: wireTime(u.TimeAt(i)), Value: v}
+			}
+			return toneRMSE(t, pts)
+		}
+		centroid, start, stair := toneRMSE(t, qr.Points), startPlaced(series.Linear), startPlaced(series.NearestNeighbor)
+		t.Logf("RMSE: centroid-placed linear %.3f, start-placed linear %.3f, start-placed nearest %.3f", centroid, start, stair)
+		if !(centroid < start && start < stair) {
+			t.Fatalf("RMSE centroid-placed linear %.3f, start-placed linear %.3f, start-placed nearest %.3f: want them in that order", centroid, start, stair)
+		}
+	})
 }
 
 // TestStatsAndMetricsCacheBlock pins the cache's observability: the
@@ -445,4 +486,97 @@ func TestStatsAndMetricsCacheBlock(t *testing.T) {
 	if got := metricValue(t, ts.URL, "nyquistd_query_cache_max_bytes"); got != float64(32<<20) {
 		t.Fatalf("nyquistd_query_cache_max_bytes = %v, want %d", got, 32<<20)
 	}
+}
+
+// TestReconstructReadsUnthinnedStore: reconstruction resamples what the
+// store holds, not a stride-thinned subset of it. The series is a 40 s
+// tone polled at 1 Hz and recorded at its Nyquist rate, so the tier keeps
+// one mean per 16 s; 2,048 polls stitch to 368 points (112 buckets and
+// the 256-point raw tail), over a 96-point budget. Handing that budget to
+// the store keeps one bucket in four — 64 s between the survivors, longer
+// than the tone's period — before the grid is cut, and the response said
+// `thinned` beside its reconstruction, which missed the tone by an RMSE of
+// 0.73 of its unit amplitude (a flat line misses by 0.71). Read whole and
+// coarsened only by the grid clamp it misses by 0.39: what is left is the
+// attenuation of a 16 s mean and the straight lines between them.
+func TestReconstructReadsUnthinnedStore(t *testing.T) {
+	const budget = 96
+	store, ts := tonedTierServer(t)
+	plain, err := store.Query(toneID, time.Time{}, time.Time{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plain.Points) <= budget || len(plain.Aggregates) == 0 {
+		t.Fatalf("fixture stitches to %d points, %d from tiers: want tier history and more than the %d budget", len(plain.Points), len(plain.Aggregates), budget)
+	}
+	check := func(t *testing.T, qr QueryResponse) {
+		t.Helper()
+		if qr.Reconstruct != "linear" || len(qr.Points) != budget {
+			t.Fatalf("reconstruct=%q with %d points, want linear on the %d-point budget", qr.Reconstruct, len(qr.Points), budget)
+		}
+		if qr.Thinned || !qr.Clamped {
+			t.Fatalf("thinned=%v clamped=%v: a reconstruction reads the store whole (never thinned) and reports the coarsened grid (clamped)", qr.Thinned, qr.Clamped)
+		}
+		rmse := toneRMSE(t, qr.Points)
+		t.Logf("RMSE against the tone: %.3f", rmse)
+		if rmse > 0.45 {
+			t.Fatalf("reconstruction misses the tone by RMSE %.3f, want at most 0.45 (0.73 when interpolated through stride-thinned points)", rmse)
+		}
+	}
+	t.Run("series", func(t *testing.T) {
+		var qr QueryResponse
+		if code := getJSON(t, fmt.Sprintf("%s/api/v1/query?series=%s&reconstruct=auto&max_points=%d", ts.URL, toneID, budget), &qr); code != http.StatusOK {
+			t.Fatalf("HTTP %d", code)
+		}
+		check(t, qr)
+	})
+	t.Run("match", func(t *testing.T) {
+		var mr MatchResponse
+		if code := getJSON(t, fmt.Sprintf("%s/api/v1/query?match=u/&reconstruct=auto&max_points=%d", ts.URL, budget), &mr); code != http.StatusOK {
+			t.Fatalf("HTTP %d", code)
+		}
+		if len(mr.Results) != 1 || !mr.Clamped {
+			t.Fatalf("%d results, clamped=%v: want the one series and the request-level clamp", len(mr.Results), mr.Clamped)
+		}
+		check(t, mr.Results[0])
+	})
+}
+
+// The tiered-tone fixture: a 40 s unit tone polled 2,048 times at 1 Hz
+// into a store recording it at its Nyquist rate, which leaves a 256-point
+// raw tail behind 112 tier buckets of 16 polls each.
+const (
+	toneID     = "u/tone"
+	tonePeriod = 40.0
+)
+
+func toneAt(sec float64) float64 { return math.Sin(2 * math.Pi * sec / tonePeriod) }
+
+func tonedTierServer(t *testing.T) (*tsdb.DB, *httptest.Server) {
+	t.Helper()
+	store := tsdb.New(tsdb.Config{Retention: tsdb.RetentionConfig{RawCapacity: 256, TierCapacity: 512, CompressBlock: 16}})
+	for i := 0; i < 2048; i++ {
+		if i == 2 {
+			store.SetNyquistRate(toneID, 2/tonePeriod)
+		}
+		if err := store.Append(toneID, series.Point{Time: apiStart.Add(time.Duration(i) * time.Second), Value: toneAt(float64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return store, newHTTPServer(t, NewServer(Config{Store: store}))
+}
+
+// toneRMSE is the root-mean-square distance of pts from the fixture's tone.
+func toneRMSE(t *testing.T, pts []PointJSON) float64 {
+	t.Helper()
+	var sq float64
+	for _, p := range pts {
+		when, err := time.Parse(time.RFC3339Nano, p.TS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := p.Value - toneAt(when.Sub(apiStart).Seconds())
+		sq += d * d
+	}
+	return math.Sqrt(sq / float64(len(pts)))
 }

@@ -5,8 +5,12 @@
 // rendering. ?reconstruct=&step= resamples the tier-stitched result with
 // the internal/series interpolators (linear by default when an estimate
 // exists) onto the requested grid, or the store's headroom grid, instead
-// of leaving the client a stair-step. It is interpolation, not §4.3's
-// low-pass: that is core.Reconstruct, which the server does not use.
+// of leaving the client a stair-step. It reads everything the store holds
+// in the window — the point budget applies to the grid, not to what the
+// grid is interpolated through — and places each bucket mean at the
+// centroid of the samples it averages, not at the bucket's grid start. It
+// is interpolation, not §4.3's low-pass: that is core.Reconstruct, which
+// the server does not use.
 
 package api
 
@@ -85,20 +89,23 @@ type reconstruction struct {
 	clamped bool
 }
 
-// reconstruct resamples a tier-stitched query result onto a uniform
-// grid. nyquist is the series' stored rate estimate (0 = none): auto
-// mode interpolates linearly when an estimate exists (the stored grid is
-// then dense enough for straight lines between samples to stay close)
-// and falls back to nearest-neighbour otherwise; a missing
-// step derives from the estimate at headroom — the store's own
+// reconstruct resamples an un-thinned tier-stitched query result onto a
+// uniform grid, moving res's bucket points to their centroids first (a
+// plain query stamps them at the bucket's start, half a bucket before the
+// middle of what the mean averages). nyquist is the series' stored rate
+// estimate (0 = none): auto mode interpolates linearly when an estimate
+// exists (the stored grid is then dense enough for straight lines between
+// samples to stay close) and falls back to nearest-neighbour otherwise; a
+// missing step derives from the estimate at headroom — the store's own
 // Retention.Headroom, so the served grid is the one the tier buckets
 // were cut on — or from the stored points' median interval.
 //
 // The grid is anchored at the later of `from` and the first stored
-// point and runs through the last stored point — reconstruction never
-// extrapolates past the observed span. A grid that would exceed budget
-// points is coarsened to exactly budget (clamped reports it). An empty
-// result reconstructs to an empty result.
+// point (a bucket's centroid, when that is a bucket) and runs through the
+// last stored point — reconstruction never extrapolates past the
+// observed span. A grid that would exceed budget points is coarsened to
+// exactly budget (clamped reports it). An empty result reconstructs to an
+// empty result.
 func reconstruct(res *tsdb.QueryResult, spec reconstructSpec, nyquist, headroom float64, from time.Time, budget int) (reconstruction, error) {
 	out := reconstruction{step: spec.step}
 	mode := spec.mode
@@ -113,7 +120,20 @@ func reconstruct(res *tsdb.QueryResult, spec reconstructSpec, nyquist, headroom 
 	if len(res.Points) == 0 {
 		return out, nil
 	}
-	s := series.New(res.Points)
+	// Points and Aggregates are both in time order, and at equal stamps a
+	// bucket's point precedes a raw one (tiers are read first, the sort is
+	// stable), so one pass pairs every aggregate with its point.
+	aggs := res.Aggregates
+	for i := 0; i < len(res.Points) && len(aggs) > 0; i++ {
+		if a := aggs[0]; a.Time.Equal(res.Points[i].Time) {
+			// Count samples spread evenly over [Time, End) have their
+			// centroid (Count−1)/(2·Count) of the way through it.
+			res.Points[i].Time = a.Time.Add(time.Duration(float64(a.End.Sub(a.Time)) * float64(a.Count-1) / float64(2*a.Count)))
+			aggs = aggs[1:]
+		}
+	}
+	s := series.New(res.Points) // sorts: a centroid may pass a raw point its bucket overlaps
+	pts := s.Points()
 	if out.step <= 0 {
 		if nyquist > 0 {
 			out.step = time.Duration(float64(time.Second) / (headroom * nyquist))
@@ -128,11 +148,11 @@ func reconstruct(res *tsdb.QueryResult, spec reconstructSpec, nyquist, headroom 
 			out.step = time.Nanosecond
 		}
 	}
-	start := res.Points[0].Time
+	start := pts[0].Time
 	if !from.IsZero() && from.After(start) {
 		start = from
 	}
-	end := res.Points[len(res.Points)-1].Time
+	end := pts[len(pts)-1].Time
 	span := end.Sub(start)
 	if span < 0 {
 		span = 0

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/monitor"
+	"repro/internal/series"
 	"repro/internal/tsdb"
 	"repro/internal/wal"
 )
@@ -124,9 +125,11 @@ type AggPointJSON struct {
 	Count int64   `json:"count"`
 }
 
-func queryResponseFrom(res *tsdb.QueryResult) QueryResponse {
-	out := QueryResponse{Series: res.ID, Points: make([]PointJSON, 0, len(res.Points)), Thinned: res.Thinned}
-	for _, p := range res.Points {
+// queryResponseFrom renders res with pts as its points: res.Points
+// themselves, or the grid reconstructed from them.
+func queryResponseFrom(res *tsdb.QueryResult, pts []series.Point) QueryResponse {
+	out := QueryResponse{Series: res.ID, Points: make([]PointJSON, 0, len(pts)), Thinned: res.Thinned}
+	for _, p := range pts {
 		out.Points = append(out.Points, PointJSON{TS: wireTime(p.Time), Value: p.Value})
 	}
 	for _, t := range res.Tiers {

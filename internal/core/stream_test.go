@@ -9,8 +9,17 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dsp"
 	"repro/internal/series"
 )
+
+// oracleWindows are the tapers every stream-vs-batch oracle runs under:
+// nil (rectangular, the paper's method) and Hann (what the ingest hook
+// serves).
+var oracleWindows = []struct {
+	name string
+	w    dsp.Window
+}{{"rect", nil}, {"hann", dsp.Hann{}}}
 
 func dayTrace(t *testing.T, n int, interval time.Duration, noise float64, seed int64) *series.Uniform {
 	t.Helper()
@@ -74,52 +83,56 @@ func TestStreamMatchesBatch(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			u := dayTrace(t, tc.samples, tc.interval, tc.noise, 4)
-			st, err := NewStreamEstimator(StreamConfig{Interval: tc.interval, WindowSamples: tc.window, EmitEvery: tc.emit})
-			if err != nil {
-				t.Fatal(err)
+			for _, win := range oracleWindows {
+				t.Run(win.name, func(t *testing.T) {
+					u := dayTrace(t, tc.samples, tc.interval, tc.noise, 4)
+					st, err := NewStreamEstimator(StreamConfig{Interval: tc.interval, WindowSamples: tc.window, EmitEvery: tc.emit, Window: win.w})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := 0; i < tc.resetAfter; i++ {
+						st.Push(1e6 * float64(i%5))
+					}
+					if tc.resetAfter > 0 {
+						st.Reset()
+					}
+					batch := Estimator{cfg: EstimatorConfig{Window: win.w}}
+					emissions := 0
+					var last *StreamUpdate
+					for i, v := range u.Values {
+						up := st.Push(v)
+						if last = up; up == nil {
+							continue
+						}
+						emissions++
+						sub, err := u.Slice(i+1-tc.window, i+1)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := batch.Estimate(sub)
+						if (up.Err != nil) != (err != nil) {
+							t.Fatalf("sample %d: streaming err %v, batch err %v", i, up.Err, err)
+						}
+						requireMatchesBatch(t, fmt.Sprintf("sample %d", i), up.Result, want)
+					}
+					if want := (tc.samples-tc.window)/tc.emit + 1; emissions != want {
+						t.Fatalf("%d emissions, want %d", emissions, want)
+					}
+					// Current, on or off the cadence, sees the same window, and
+					// hands out a Result of its own even when the newest sample
+					// just emitted one.
+					got, gerr := st.Current()
+					if last != nil && got == last.Result {
+						t.Fatal("Current returned the emitted update's Result itself")
+					}
+					sub, _ := u.Slice(tc.samples-tc.window, tc.samples)
+					want, werr := batch.Estimate(sub)
+					if (gerr != nil) != (werr != nil) {
+						t.Fatalf("Current err %v, batch err %v", gerr, werr)
+					}
+					requireMatchesBatch(t, "Current", got, want)
+				})
 			}
-			for i := 0; i < tc.resetAfter; i++ {
-				st.Push(1e6 * float64(i%5))
-			}
-			if tc.resetAfter > 0 {
-				st.Reset()
-			}
-			var batch Estimator
-			emissions := 0
-			var last *StreamUpdate
-			for i, v := range u.Values {
-				up := st.Push(v)
-				if last = up; up == nil {
-					continue
-				}
-				emissions++
-				sub, err := u.Slice(i+1-tc.window, i+1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := batch.Estimate(sub)
-				if (up.Err != nil) != (err != nil) {
-					t.Fatalf("sample %d: streaming err %v, batch err %v", i, up.Err, err)
-				}
-				requireMatchesBatch(t, fmt.Sprintf("sample %d", i), up.Result, want)
-			}
-			if want := (tc.samples-tc.window)/tc.emit + 1; emissions != want {
-				t.Fatalf("%d emissions, want %d", emissions, want)
-			}
-			// Current, on or off the cadence, sees the same window, and
-			// hands out a Result of its own even when the newest sample
-			// just emitted one.
-			got, gerr := st.Current()
-			if last != nil && got == last.Result {
-				t.Fatal("Current returned the emitted update's Result itself")
-			}
-			sub, _ := u.Slice(tc.samples-tc.window, tc.samples)
-			want, werr := batch.Estimate(sub)
-			if (gerr != nil) != (werr != nil) {
-				t.Fatalf("Current err %v, batch err %v", gerr, werr)
-			}
-			requireMatchesBatch(t, "Current", got, want)
 		})
 	}
 }
@@ -132,36 +145,40 @@ func TestStreamMatchesMovingWindow(t *testing.T) {
 		step   = 64
 	)
 	u := dayTrace(t, 2048, 30*time.Second, 0.02, 11)
+	for _, win := range oracleWindows {
+		t.Run(win.name, func(t *testing.T) {
+			batch := Estimator{cfg: EstimatorConfig{Window: win.w}}
+			wins, err := batch.MovingWindow(u, window*30*time.Second, step*30*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	var batch Estimator
-	wins, err := batch.MovingWindow(u, window*30*time.Second, step*30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+			st, err := NewStreamEstimator(StreamConfig{
+				Interval:      30 * time.Second,
+				WindowSamples: window,
+				EmitEvery:     step,
+				Window:        win.w,
+				Start:         u.Start,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ups := st.Feed(u.Values)
 
-	st, err := NewStreamEstimator(StreamConfig{
-		Interval:      30 * time.Second,
-		WindowSamples: window,
-		EmitEvery:     step,
-		Start:         u.Start,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ups := st.Feed(u.Values)
-
-	if len(ups) != len(wins) {
-		t.Fatalf("emissions: streaming %d, batch %d", len(ups), len(wins))
-	}
-	for i, up := range ups {
-		w := wins[i]
-		if !up.WindowStart.Equal(w.WindowStart) {
-			t.Fatalf("window %d start: streaming %v, batch %v", i, up.WindowStart, w.WindowStart)
-		}
-		if (up.Err != nil) != (w.Err != nil) {
-			t.Fatalf("window %d: streaming err %v, batch err %v", i, up.Err, w.Err)
-		}
-		requireMatchesBatch(t, fmt.Sprintf("window %d", i), up.Result, w.Result)
+			if len(ups) != len(wins) {
+				t.Fatalf("emissions: streaming %d, batch %d", len(ups), len(wins))
+			}
+			for i, up := range ups {
+				w := wins[i]
+				if !up.WindowStart.Equal(w.WindowStart) {
+					t.Fatalf("window %d start: streaming %v, batch %v", i, up.WindowStart, w.WindowStart)
+				}
+				if (up.Err != nil) != (w.Err != nil) {
+					t.Fatalf("window %d: streaming err %v, batch err %v", i, up.Err, w.Err)
+				}
+				requireMatchesBatch(t, fmt.Sprintf("window %d", i), up.Result, w.Result)
+			}
+		})
 	}
 }
 
@@ -263,11 +280,11 @@ func TestStreamAliasingStreak(t *testing.T) {
 	}
 }
 
-// TestStreamSweetSpot checks the suggested interval applies the headroom
-// factor to the estimated rate.
+// TestStreamSweetSpot checks the suggested interval applies the constant
+// 1.2 headroom to the estimated rate.
 func TestStreamSweetSpot(t *testing.T) {
 	u := dayTrace(t, 1440, time.Minute, 0, 4)
-	st, err := NewStreamEstimator(StreamConfig{Interval: time.Minute, WindowSamples: u.Len(), Headroom: 2})
+	st, err := NewStreamEstimator(StreamConfig{Interval: time.Minute, WindowSamples: u.Len()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +297,7 @@ func TestStreamSweetSpot(t *testing.T) {
 	if last == nil {
 		t.Fatal("no emission after a full window")
 	}
-	want := time.Duration(float64(time.Second) / (2 * last.Result.NyquistRate))
+	want := time.Duration(float64(time.Second) / (1.2 * last.Result.NyquistRate))
 	if last.SuggestedInterval != want {
 		t.Fatalf("suggested %v, want %v", last.SuggestedInterval, want)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -159,6 +160,48 @@ func TestWindowAblation(t *testing.T) {
 		}
 	}
 	if out := res.Render(); !strings.Contains(out, "resolution floor") {
+		t.Fatal("render incomplete")
+	}
+}
+
+// TestTaperAblation pins the decomposition EXPERIMENTS.md tabulates at the
+// serving window: what the rectangular window's 13 % is made of, and that
+// the taper removes the under-estimates at the serving cut-off while the
+// rectangular window stays the better one at 0.90.
+func TestTaperAblation(t *testing.T) {
+	res, err := RunTaperAblation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 16 {
+		t.Fatalf("rows = %d, want 2 tapers x 2 cut-offs x 4 lengths", len(res.Rows))
+	}
+	for _, want := range []struct {
+		taper               string
+		cutoff              float64
+		median, p90, underP float64 // to three decimals, and percent to one
+	}{
+		{"rect", 0.99, 0.133, 0.969, 7.6},
+		{"hann", 0.99, 0.045, 0.124, 0},
+		{"rect", 0.90, 0.012, 0.044, 31.6},
+		{"hann", 0.90, 0.019, 0.063, 12.7},
+	} {
+		found := false
+		for _, row := range res.Rows {
+			if row.Taper != want.taper || row.Cutoff != want.cutoff || row.Samples != 256 {
+				continue
+			}
+			found = true
+			if math.Abs(row.MedianAbs-want.median) > 5e-4 || math.Abs(row.P90Abs-want.p90) > 5e-4 || math.Abs(100*row.UnderFrac-want.underP) > 0.05 {
+				t.Errorf("%s/%v at 256: median %.4f p90 %.4f under %.2f%%, want %.3f %.3f %.1f%%",
+					want.taper, want.cutoff, row.MedianAbs, row.P90Abs, 100*row.UnderFrac, want.median, want.p90, want.underP)
+			}
+		}
+		if !found {
+			t.Errorf("no %s/%v row at 256 samples", want.taper, want.cutoff)
+		}
+	}
+	if out := res.Render(); !strings.Contains(out, "below truth") {
 		t.Fatal("render incomplete")
 	}
 }

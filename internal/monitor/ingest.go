@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dsp"
 	"repro/internal/series"
 	"repro/internal/tsdb"
 )
@@ -133,7 +134,7 @@ type IngestAdvice struct {
 	Warm bool
 	// NyquistRate is the latest clean estimate in hertz (0 = none yet).
 	NyquistRate float64
-	// SuggestedInterval is the sweet-spot poll interval: 1/(Headroom ×
+	// SuggestedInterval is the sweet-spot poll interval: 1/(1.2 ×
 	// NyquistRate) for clean windows, half the current interval while
 	// aliased.
 	SuggestedInterval time.Duration
@@ -445,13 +446,17 @@ func (s *ingestSeries) probe(e *IngestEstimator, id string, p series.Point) {
 	s.pending = nil
 }
 
-// newStream returns a series' analysis window on a locked interval.
+// newStream returns a series' analysis window on a locked interval. It is
+// Hann-tapered: at the serving cut-off a rectangular window's sidelobes
+// carry the estimate bins past the band edge, or — the silent direction —
+// leave it short of it.
 func (e *IngestEstimator) newStream(interval time.Duration) (*core.StreamEstimator, error) {
 	return core.NewStreamEstimator(core.StreamConfig{
 		Interval:      interval,
 		WindowSamples: e.cfg.WindowSamples,
 		EmitEvery:     e.cfg.EmitEvery,
 		EnergyCutoff:  e.cfg.EnergyCutoff,
+		Window:        dsp.Hann{},
 	})
 }
 

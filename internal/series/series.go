@@ -159,7 +159,11 @@ func (s *Series) sort() {
 	if s.sorted && len(s.points) > 0 {
 		return
 	}
-	sort.SliceStable(s.points, func(i, j int) bool { return s.points[i].Time.Before(s.points[j].Time) })
+	// Most series arrive in order; the linear check spares them the sort.
+	less := func(i, j int) bool { return s.points[i].Time.Before(s.points[j].Time) }
+	if !sort.SliceIsSorted(s.points, less) {
+		sort.SliceStable(s.points, less)
+	}
 	s.sorted = true
 }
 

@@ -5,50 +5,6 @@ import (
 	"sort"
 )
 
-// Summary holds descriptive statistics of a sample set.
-type Summary struct {
-	Count    int
-	Mean     float64
-	Variance float64 // population variance
-	Std      float64
-	Min      float64
-	Max      float64
-	RMS      float64
-}
-
-// Summarize computes descriptive statistics over values. An empty input
-// yields a zero Summary.
-func Summarize(values []float64) Summary {
-	if len(values) == 0 {
-		return Summary{}
-	}
-	s := Summary{
-		Count: len(values),
-		Min:   math.Inf(1),
-		Max:   math.Inf(-1),
-	}
-	var sum, sumSq float64
-	for _, v := range values {
-		sum += v
-		sumSq += v * v
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
-	}
-	n := float64(len(values))
-	s.Mean = sum / n
-	s.Variance = sumSq/n - s.Mean*s.Mean
-	if s.Variance < 0 {
-		s.Variance = 0 // rounding guard
-	}
-	s.Std = math.Sqrt(s.Variance)
-	s.RMS = math.Sqrt(sumSq / n)
-	return s
-}
-
 // Mean returns the arithmetic mean of values (0 for empty input).
 func Mean(values []float64) float64 {
 	if len(values) == 0 {
@@ -126,15 +82,4 @@ func Diff(values []float64) []float64 {
 		out[i] = values[i+1] - values[i]
 	}
 	return out
-}
-
-// IsMonotone reports whether values never decrease — the signature of a raw
-// counter metric that should be differenced before analysis.
-func IsMonotone(values []float64) bool {
-	for i := 1; i < len(values); i++ {
-		if values[i] < values[i-1] {
-			return false
-		}
-	}
-	return len(values) > 0
 }

@@ -6,26 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4})
-	if s.Count != 4 || s.Mean != 2.5 || s.Min != 1 || s.Max != 4 {
-		t.Fatalf("Summary = %+v", s)
-	}
-	if math.Abs(s.Variance-1.25) > 1e-12 {
-		t.Fatalf("Variance = %v, want 1.25", s.Variance)
-	}
-	if math.Abs(s.RMS-math.Sqrt(7.5)) > 1e-12 {
-		t.Fatalf("RMS = %v", s.RMS)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.Count != 0 || s.Mean != 0 {
-		t.Fatalf("empty Summary = %+v", s)
-	}
-}
-
 func TestDetrendZeroMeanProperty(t *testing.T) {
 	f := func(vals []float64) bool {
 		clean := make([]float64, 0, len(vals))
@@ -112,18 +92,6 @@ func TestDiff(t *testing.T) {
 	}
 	if Diff([]float64{1}) != nil {
 		t.Fatal("Diff of singleton should be nil")
-	}
-}
-
-func TestIsMonotone(t *testing.T) {
-	if !IsMonotone([]float64{1, 1, 2, 3}) {
-		t.Fatal("non-decreasing should be monotone")
-	}
-	if IsMonotone([]float64{1, 2, 1}) {
-		t.Fatal("decreasing step should not be monotone")
-	}
-	if IsMonotone(nil) {
-		t.Fatal("empty should not be monotone")
 	}
 }
 

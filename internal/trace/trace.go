@@ -1,13 +1,12 @@
-// Package trace reads and writes monitoring traces so that external data
-// (e.g. a real production export) can be audited with the same pipeline
-// the simulated fleet uses. The CSV format is two columns — timestamp,
-// value — where the timestamp is RFC 3339 or a Unix epoch in seconds
-// (fractional allowed). JSON carries a uniform trace with metadata.
+// Package trace reads monitoring traces so that external data (e.g. a
+// real production export) can be audited with the same pipeline the
+// simulated fleet uses. The CSV format is two columns — timestamp, value
+// — where the timestamp is RFC 3339 or a Unix epoch in seconds
+// (fractional allowed).
 package trace
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -60,25 +59,6 @@ func ReadCSV(r io.Reader) (*series.Series, error) {
 	return s, nil
 }
 
-// WriteCSV emits a series as timestamp,value rows with an RFC 3339
-// nanosecond timestamp column and a header.
-func WriteCSV(w io.Writer, s *series.Series) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"timestamp", "value"}); err != nil {
-		return err
-	}
-	for _, p := range s.Points() {
-		if err := cw.Write([]string{
-			p.Time.UTC().Format(time.RFC3339Nano),
-			strconv.FormatFloat(p.Value, 'g', -1, 64),
-		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 func parseTimestamp(s string) (time.Time, error) {
 	if ts, err := time.Parse(time.RFC3339Nano, s); err == nil {
 		return ts, nil
@@ -92,49 +72,4 @@ func parseTimestamp(s string) (time.Time, error) {
 		return time.Unix(whole, int64(frac*1e9)).UTC(), nil
 	}
 	return time.Time{}, fmt.Errorf("trace: unparseable timestamp %q", s)
-}
-
-// UniformJSON is the JSON wire form of a uniform trace.
-type UniformJSON struct {
-	// Metric names the measured quantity.
-	Metric string `json:"metric,omitempty"`
-	// Device names the measurement point.
-	Device string `json:"device,omitempty"`
-	// Start is the time of the first sample.
-	Start time.Time `json:"start"`
-	// IntervalSeconds is the sample spacing.
-	IntervalSeconds float64 `json:"interval_seconds"`
-	// Values holds the samples.
-	Values []float64 `json:"values"`
-}
-
-// WriteJSON emits a uniform trace with metadata.
-func WriteJSON(w io.Writer, metric, device string, u *series.Uniform) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(UniformJSON{
-		Metric:          metric,
-		Device:          device,
-		Start:           u.Start,
-		IntervalSeconds: u.Interval.Seconds(),
-		Values:          u.Values,
-	})
-}
-
-// ReadJSON parses a uniform trace written by WriteJSON.
-func ReadJSON(r io.Reader) (*series.Uniform, *UniformJSON, error) {
-	var uj UniformJSON
-	if err := json.NewDecoder(r).Decode(&uj); err != nil {
-		return nil, nil, fmt.Errorf("trace: json: %w", err)
-	}
-	if uj.IntervalSeconds <= 0 {
-		return nil, nil, series.ErrBadInterval
-	}
-	if len(uj.Values) == 0 {
-		return nil, nil, ErrNoData
-	}
-	u, err := series.NewUniform(uj.Start, time.Duration(uj.IntervalSeconds*float64(time.Second)), uj.Values)
-	if err != nil {
-		return nil, nil, err
-	}
-	return u, &uj, nil
 }

@@ -1,14 +1,10 @@
 package trace
 
 import (
-	"bytes"
 	"errors"
-	"math"
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/series"
 )
 
 func TestReadCSVRFC3339(t *testing.T) {
@@ -59,67 +55,5 @@ func TestReadCSVBadRows(t *testing.T) {
 	}
 	if _, err := ReadCSV(strings.NewReader("notatime,5\n")); err == nil {
 		t.Fatal("bad timestamp should fail")
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	start := time.Date(2021, 11, 10, 0, 0, 0, 0, time.UTC)
-	s := &series.Series{}
-	for i := 0; i < 50; i++ {
-		s.AppendValue(start.Add(time.Duration(i)*time.Second), math.Sin(float64(i)))
-	}
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != s.Len() {
-		t.Fatalf("round trip len %d, want %d", got.Len(), s.Len())
-	}
-	a, b := s.Points(), got.Points()
-	for i := range a {
-		if !a[i].Time.Equal(b[i].Time) || a[i].Value != b[i].Value {
-			t.Fatalf("point %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	start := time.Date(2021, 11, 10, 0, 0, 0, 0, time.UTC)
-	u, err := series.NewUniform(start, 30*time.Second, []float64{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, "temperature", "dev1", u); err != nil {
-		t.Fatal(err)
-	}
-	got, meta, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.Metric != "temperature" || meta.Device != "dev1" {
-		t.Fatalf("meta = %+v", meta)
-	}
-	if got.Interval != 30*time.Second || got.Len() != 4 {
-		t.Fatalf("trace = %+v", got)
-	}
-	if !got.Start.Equal(start) {
-		t.Fatalf("start = %v", got.Start)
-	}
-}
-
-func TestReadJSONErrors(t *testing.T) {
-	if _, _, err := ReadJSON(strings.NewReader("{bad")); err == nil {
-		t.Fatal("bad json should fail")
-	}
-	if _, _, err := ReadJSON(strings.NewReader(`{"interval_seconds":0,"values":[1]}`)); err == nil {
-		t.Fatal("zero interval should fail")
-	}
-	if _, _, err := ReadJSON(strings.NewReader(`{"interval_seconds":1,"values":[]}`)); !errors.Is(err, ErrNoData) {
-		t.Fatal("empty values should be ErrNoData")
 	}
 }

@@ -43,8 +43,8 @@ type TierSlice struct {
 
 // AggPoint is a bucket summary surfaced by a query.
 type AggPoint struct {
-	// Time is the bucket's grid-aligned start.
-	Time time.Time
+	// Time is the bucket's grid-aligned start, End the end of its coverage.
+	Time, End time.Time
 	// Min, Max and Mean summarize the samples the bucket represents.
 	Min, Max, Mean float64
 	// Count is the number of raw samples represented.
@@ -102,7 +102,7 @@ func (m *memSeries) query(id string, from, to time.Time, maxPoints int, cache *b
 			start := time.Unix(0, b.start)
 			res.Points = append(res.Points, series.Point{Time: start, Value: b.mean()})
 			res.Aggregates = append(res.Aggregates, AggPoint{
-				Time: start, Min: b.min, Max: b.max, Mean: b.mean(), Count: b.count,
+				Time: start, End: time.Unix(0, b.end), Min: b.min, Max: b.max, Mean: b.mean(), Count: b.count,
 			})
 		}
 		t.each(lo, hi, emit)

@@ -44,8 +44,6 @@ type (
 	Gap = series.Gap
 	// FiveNumber is a box-plot summary.
 	FiveNumber = series.FiveNumber
-	// Summary holds descriptive statistics.
-	Summary = series.Summary
 )
 
 // Interpolation policies for Series.Regularize.

@@ -13,7 +13,11 @@
 # is exceeded (CI's size step gates on it). Lower a ceiling when a PR
 # lowers the count; the rest is print-only, compared against the previous
 # PR's figures in CHANGES.md.
-MAX_LOC=21855
+# PR 23 raised MAX_LOC 21,855 → 21,944 in the open: the serving taper, the
+# centroid-placed reconstruction and ROADMAP 4b's experiment driver add 219
+# lines, the deletions the issue named (internal/trace's writers and JSON
+# form, internal/series' Summarize/IsMonotone) pay for 130 of them.
+MAX_LOC=21944
 MAX_TSDB_LOC=3475
 MAX_FLAGS=24
 MAX_CONFIG_FIELDS=37
