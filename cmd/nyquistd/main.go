@@ -25,14 +25,12 @@
 // Usage:
 //
 //	nyquistd [-addr :9464] [-shards 16] [-raw-capacity 4096]
-//	         [-tier-capacity 1024] [-tiers 2] [-compress-block 128]
-//	         [-cache-bytes 33554432]
-//	         [-window 256] [-emit-every 8] [-max-body 8388608]
-//	         [-bulk-addr ADDR]
-//	         [-max-series 1000000] [-evict-after -1]
+//	         [-tier-capacity 1024] [-compress-block 128]
+//	         [-cache-bytes 33554432] [-window 256] [-max-series 1000000]
+//	         [-max-body 8388608] [-bulk-addr ADDR]
 //	         [-data-dir DIR] [-fsync-every 10ms] [-snapshot-every 60s]
-//	         [-scrub-every 60s] [-self-scrape 0] [-debug-addr ADDR]
-//	         [-log-level info] [-slow-query 1s]
+//	         [-state-every 15s] [-scrub-every 60s] [-self-scrape 0]
+//	         [-debug-addr ADDR] [-log-level info] [-slow-query 1s]
 //
 // The daemon prints "nyquistd: listening on HOST:PORT" once the socket
 // is bound (use -addr 127.0.0.1:0 to pick a free port: the printed line
@@ -62,26 +60,24 @@ import (
 	"repro/internal/wal"
 )
 
+// drainTimeout is the graceful-shutdown budget for in-flight requests.
+const drainTimeout = 10 * time.Second
+
 func main() {
 	var (
 		addr         = flag.String("addr", ":9464", "listen address (host:port; port 0 picks a free one)")
 		shards       = flag.Int("shards", 16, "store shard count")
 		rawCapacity  = flag.Int("raw-capacity", 4096, "per-series raw store capacity in points (0 = unbounded)")
 		tierCapacity = flag.Int("tier-capacity", 1024, "per-tier capacity in buckets")
-		tiers        = flag.Int("tiers", 2, "downsampled retention tiers below the raw store")
 		compress     = flag.Int("compress-block", 128, "points per sealed block (capped at a quarter of each capacity)")
 		cacheBytes   = flag.Int64("cache-bytes", 32<<20, "decoded-block query cache budget in bytes, split across shards (0 = off)")
 		window       = flag.Int("window", 256, "per-series streaming-estimator window in samples (at least 16)")
-		emitEvery    = flag.Int("emit-every", 8, "samples between estimate refreshes once a window is full")
 		maxSeries    = flag.Int("max-series", 1_000_000, "estimator series cap; new series beyond it are stored but not estimated (0 = unbounded)")
-		evictAfter   = flag.Int("evict-after", -1, "observations of idleness before a capped-out estimator LRU-evicts an idle series (0 = never evict, negative = 4x max-series)")
 		maxBody      = flag.Int64("max-body", 8<<20, "max ingest request body in bytes")
 		bulkAddr     = flag.String("bulk-addr", "", "listen address for the plain-TCP length-prefixed bulk ingest lane (empty = off)")
-		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain budget")
 
 		dataDir       = flag.String("data-dir", "", "durability directory for the WAL and snapshots (empty = memory-only)")
 		fsyncEvery    = flag.Duration("fsync-every", 10*time.Millisecond, "WAL group-commit window (negative = fsync every append)")
-		segmentBytes  = flag.Int64("segment-bytes", 64<<20, "WAL segment rotation size in bytes")
 		snapshotEvery = flag.Duration("snapshot-every", 60*time.Second, "snapshot/compaction cadence (negative = never)")
 		stateEvery    = flag.Duration("state-every", 15*time.Second, "estimator tuning-state record cadence (negative = only on shutdown/snapshot)")
 		scrubEvery    = flag.Duration("scrub-every", 60*time.Second, "background CRC scrub cadence over sealed WAL segments and the newest snapshot (negative = never)")
@@ -116,15 +112,13 @@ func main() {
 		Retention: tsdb.RetentionConfig{
 			RawCapacity:   *rawCapacity,
 			TierCapacity:  *tierCapacity,
-			Tiers:         *tiers,
 			CompressBlock: *compress,
 		},
 	})
 	est := monitor.NewIngestEstimator(store, monitor.IngestConfig{
 		WindowSamples: *window,
-		EmitEvery:     *emitEvery,
 		MaxSeries:     *maxSeries,
-		EvictAfter:    *evictAfter,
+		EvictAfter:    -1, // idle for 4 × -max-series observations
 	})
 
 	srv := api.NewServer(api.Config{
@@ -186,7 +180,6 @@ func main() {
 	if *dataDir != "" {
 		durable, err = wal.Open(*dataDir, store, est, wal.Options{
 			FsyncEvery:    *fsyncEvery,
-			SegmentBytes:  *segmentBytes,
 			SnapshotEvery: *snapshotEvery,
 			StateEvery:    *stateEvery,
 			ScrubEvery:    *scrubEvery,
@@ -239,7 +232,7 @@ func main() {
 		// the close as end-of-stream and reconnect elsewhere.
 		bulkLn.Close()
 	}
-	shCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	shCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := hs.Shutdown(shCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintf(os.Stderr, "nyquistd: shutdown: %v\n", err)

@@ -66,11 +66,6 @@ type Config struct {
 	// Ingest parameterizes the per-series estimate-on-ingest hook
 	// (ignored when Estimator is set).
 	Ingest monitor.IngestConfig
-	// WAL, when set, is the durability subsystem whose stats are
-	// surfaced through /api/v1/stats. The server never writes to it
-	// directly — sealed blocks reach the log through the store's seal
-	// hook — so this is reporting-only wiring.
-	WAL *wal.Durable
 	// MaxBodyBytes bounds an ingest request body; zero selects 8 MiB.
 	MaxBodyBytes int64
 	// MaxQueryPoints caps (and defaults) a query's point budget; zero
@@ -178,9 +173,6 @@ func NewServer(cfg Config) *Server {
 		bulkFrameTimeout: bulkFrameDeadline,
 	}
 	s.interned.m = make(map[string]string)
-	if cfg.WAL != nil {
-		s.walp.Store(cfg.WAL)
-	}
 	s.metrics = newServerMetrics(obs.NewRegistry(), s.store, s.ingest, s.walp.Load, s.start)
 	s.ready.Store(true)
 	return s
@@ -200,7 +192,9 @@ func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 
 // SetDurable attaches the durability layer after boot replay, making
-// its stats visible to /api/v1/stats and the nyquistd_wal_* metrics.
+// its stats visible to /api/v1/stats and the nyquistd_wal_* metrics. The
+// server never writes to it — sealed blocks reach the log through the
+// store's seal hook — so this is reporting-only wiring.
 func (s *Server) SetDurable(d *wal.Durable) { s.walp.Store(d) }
 
 // ObserveWALFsync records one group-commit fsync duration — wire it to
@@ -438,7 +432,7 @@ func (s *Server) queryResponse(res *tsdb.QueryResult, spec reconstructSpec, from
 	if !spec.want {
 		return queryResponseFrom(res, res.Points), nil
 	}
-	rec, err := reconstruct(res, spec, s.store.NyquistRate(res.ID), s.store.Retention().Headroom, from, budget)
+	rec, err := reconstruct(res, spec, s.store.NyquistRate(res.ID), from, budget)
 	if err != nil {
 		return QueryResponse{}, fmt.Errorf("reconstruct %q: %v", res.ID, err)
 	}
@@ -631,8 +625,7 @@ func timeFromUnixSeconds(s string) (time.Time, error) {
 		sec, err := strconv.ParseFloat(s, 64)
 		const maxAbs = float64(1<<63-1) / 1e9
 		if err != nil || sec != sec || sec < -maxAbs || sec > maxAbs {
-			//nyquist:allow-alloc error path: a malformed timestamp bails the line off the fast path
-			return time.Time{}, fmt.Errorf("%q is not a representable Unix-seconds timestamp", s)
+			return time.Time{}, errUnixSeconds(s)
 		}
 		whole := int64(sec)
 		return time.Unix(whole, int64((sec-float64(whole))*1e9)), nil
@@ -647,8 +640,7 @@ func timeFromUnixSeconds(s string) (time.Time, error) {
 	if intPart == "" {
 		if frac == "" {
 			// "-", "." and "-." are not timestamps, not epoch 0.
-			//nyquist:allow-alloc error path: a malformed timestamp bails the line off the fast path
-			return time.Time{}, fmt.Errorf("%q is not a representable Unix-seconds timestamp", s)
+			return time.Time{}, errUnixSeconds(s)
 		}
 		intPart = "0"
 	}
@@ -656,27 +648,30 @@ func timeFromUnixSeconds(s string) (time.Time, error) {
 	// accept a second one ("--1").
 	usec, err := strconv.ParseUint(intPart, 10, 63)
 	if err != nil {
-		//nyquist:allow-alloc error path: a malformed timestamp bails the line off the fast path
-		return time.Time{}, fmt.Errorf("%q is not a representable Unix-seconds timestamp", s)
+		return time.Time{}, errUnixSeconds(s)
 	}
 	sec := int64(usec)
 	var ns int64
-	if frac != "" {
-		if len(frac) > 9 {
-			frac = frac[:9] // sub-nanosecond digits truncate
+	for i := 0; i < len(frac); i++ {
+		c := frac[i]
+		if c < '0' || c > '9' {
+			return time.Time{}, errUnixSeconds(s)
 		}
-		uns, err := strconv.ParseUint(frac, 10, 63)
-		if err != nil {
-			//nyquist:allow-alloc error path: a malformed timestamp bails the line off the fast path
-			return time.Time{}, fmt.Errorf("%q is not a representable Unix-seconds timestamp", s)
+		if i < 9 { // sub-nanosecond digits are checked, then truncate
+			ns = ns*10 + int64(c-'0')
 		}
-		ns = int64(uns)
-		for i := len(frac); i < 9; i++ {
-			ns *= 10
-		}
+	}
+	for i := len(frac); i < 9; i++ {
+		ns *= 10
 	}
 	if neg {
 		sec, ns = -sec, -ns
 	}
 	return time.Unix(sec, ns), nil
+}
+
+// errUnixSeconds is timeFromUnixSeconds' one error, built off the fast path.
+func errUnixSeconds(s string) error {
+	//nyquist:allow-alloc error path: a malformed timestamp bails the line off the fast path
+	return fmt.Errorf("%q is not a representable Unix-seconds timestamp", s)
 }

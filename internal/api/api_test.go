@@ -339,9 +339,10 @@ func TestServerIngestOverlongLine(t *testing.T) {
 }
 
 // TestTimeParamRejectsDegenerateLiterals pins the fix for "-"/"."/"-."
-// parsing to epoch 0 instead of erroring.
+// parsing to epoch 0 instead of erroring, and for junk past the ninth
+// fractional digit being truncated away before it was validated.
 func TestTimeParamRejectsDegenerateLiterals(t *testing.T) {
-	for _, bad := range []string{"-", ".", "-.", "--1", "1.2.3", "nan"} {
+	for _, bad := range []string{"-", ".", "-.", "--1", "1.2.3", "nan", "1700000000.1234567890abc", "1.123456789-5"} {
 		if got, err := parseTimeParam(bad); err == nil {
 			t.Fatalf("parseTimeParam(%q) = %v, want error", bad, got)
 		}
@@ -352,6 +353,7 @@ func TestTimeParamRejectsDegenerateLiterals(t *testing.T) {
 		"-1.5":          time.Unix(-1, -500000000),
 		".5":            time.Unix(0, 500000000),
 		"1753500000.":   time.Unix(1753500000, 0),
+		"1.1234567899":  time.Unix(1, 123456789),
 	} {
 		got, err := parseTimeParam(in)
 		if err != nil || !got.Equal(want) {
@@ -464,7 +466,8 @@ func TestStatsWALSection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	srv := NewServer(Config{Store: store, Estimator: est, WAL: d})
+	srv := NewServer(Config{Store: store, Estimator: est})
+	srv.SetDurable(d)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 

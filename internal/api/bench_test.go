@@ -89,7 +89,8 @@ func BenchmarkIngestWithWAL(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer d.Close()
-	srv := NewServer(Config{Store: store, Estimator: est, WAL: d})
+	srv := NewServer(Config{Store: store, Estimator: est})
+	srv.SetDurable(d)
 	h := srv.Handler()
 	const (
 		batchLines = 1000
@@ -324,7 +325,8 @@ func BenchmarkIngestWALParallel(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer d.Close()
-	srv := NewServer(Config{Store: store, Estimator: est, WAL: d})
+	srv := NewServer(Config{Store: store, Estimator: est})
+	srv.SetDurable(d)
 	const (
 		batchLines = 1000
 		nSeries    = 16

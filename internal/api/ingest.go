@@ -313,26 +313,31 @@ func (s *Server) ingestLine(b *ingestBatch, line []byte, lineNo int32, tally *in
 			b.meta = append(b.meta, pointMeta{line: lineNo, sid: sid})
 			return
 		}
-		tally.fallback++
-		var in IngestLine
-		//nyquist:allow-alloc json fallback: lines the fast parser bails on take encoding/json
-		if jerr := json.Unmarshal(line, &in); jerr != nil {
-			//nyquist:allow-alloc reject path: the reason string is built once per rejected line
-			b.addReject(lineNo, "bad JSON: "+jerr.Error())
-			tally.rejBadJSON++
-			return
-		}
-		//nyquist:allow-alloc json fallback: validation of a line the fast parser already bailed on
-		p, perr := in.point()
-		if perr != nil {
-			b.addReject(lineNo, perr.Error())
-			tally.rejBadShape++
-			return
-		}
-		sid := b.sidForString(s, in.Series)
-		b.pts = append(b.pts, tsdb.BatchPoint{ID: b.series[sid].id, P: p})
-		b.meta = append(b.meta, pointMeta{line: lineNo, sid: sid})
+		//nyquist:allow-alloc json fallback: a line the fast parser bails on pays encoding/json, validation and its reject reason
+		s.ingestLineFallback(b, line, lineNo, tally)
 	}
+}
+
+// ingestLineFallback is ingestLine's cold half: a line the fast parser
+// bailed on goes through encoding/json and IngestLine.point, and joins
+// the pending chunk or the rejects exactly as a fast-parsed one would.
+func (s *Server) ingestLineFallback(b *ingestBatch, line []byte, lineNo int32, tally *ingestTally) {
+	tally.fallback++
+	var in IngestLine
+	if jerr := json.Unmarshal(line, &in); jerr != nil {
+		b.addReject(lineNo, "bad JSON: "+jerr.Error())
+		tally.rejBadJSON++
+		return
+	}
+	p, perr := in.point()
+	if perr != nil {
+		b.addReject(lineNo, perr.Error())
+		tally.rejBadShape++
+		return
+	}
+	sid := b.sidForString(s, in.Series)
+	b.pts = append(b.pts, tsdb.BatchPoint{ID: b.series[sid].id, P: p})
+	b.meta = append(b.meta, pointMeta{line: lineNo, sid: sid})
 }
 
 // flushChunk lands the pending chunk: one AppendBatch (per-shard lock

@@ -306,34 +306,25 @@ func TestReconstructDefaultStepFollowsStoreHeadroom(t *testing.T) {
 		id   = "r/ramp"
 		rate = 0.05 // Hz, recorded as the series' Nyquist rate
 	)
-	for _, tc := range []struct {
-		name     string
-		headroom float64 // 0 = the store's default
-		wantStep float64 // seconds
-	}{
-		{"default headroom 1.2", 0, 1 / (1.2 * rate)},
-		{"configured headroom 1.5", 1.5, 1 / (1.5 * rate)},
-		{"configured headroom 3", 3, 1 / (3 * rate)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			store := tsdb.New(tsdb.Config{Retention: tsdb.RetentionConfig{RawCapacity: 4096, Headroom: tc.headroom}})
-			ts := httptest.NewServer(NewServer(Config{Store: store}).Handler())
-			defer ts.Close()
-			postLines(t, ts.URL, rampLines(id, 200, time.Second))
-			store.SetNyquistRate(id, rate)
-			var qr QueryResponse
-			if code := getJSON(t, ts.URL+"/api/v1/query?series="+id+"&reconstruct=auto", &qr); code != http.StatusOK {
-				t.Fatalf("HTTP %d", code)
-			}
-			// The step is truncated to whole nanoseconds.
-			if qr.Reconstruct != "linear" || math.Abs(qr.StepSeconds-tc.wantStep) > 1e-9 {
-				t.Fatalf("reconstruct=%q step=%v s, want linear at %v s", qr.Reconstruct, qr.StepSeconds, tc.wantStep)
-			}
-			if want := int(199/tc.wantStep) + 1; len(qr.Points) != want {
-				t.Fatalf("grid has %d slots, want %d over 199 s", len(qr.Points), want)
-			}
-		})
-	}
+	wantStep := 1 / (tsdb.Headroom * rate) // seconds
+	t.Run("default headroom 1.2", func(t *testing.T) {
+		store := tsdb.New(tsdb.Config{Retention: tsdb.RetentionConfig{RawCapacity: 4096}})
+		ts := httptest.NewServer(NewServer(Config{Store: store}).Handler())
+		defer ts.Close()
+		postLines(t, ts.URL, rampLines(id, 200, time.Second))
+		store.SetNyquistRate(id, rate)
+		var qr QueryResponse
+		if code := getJSON(t, ts.URL+"/api/v1/query?series="+id+"&reconstruct=auto", &qr); code != http.StatusOK {
+			t.Fatalf("HTTP %d", code)
+		}
+		// The step is truncated to whole nanoseconds.
+		if qr.Reconstruct != "linear" || math.Abs(qr.StepSeconds-wantStep) > 1e-9 {
+			t.Fatalf("reconstruct=%q step=%v s, want linear at %v s", qr.Reconstruct, qr.StepSeconds, wantStep)
+		}
+		if want := int(199/wantStep) + 1; len(qr.Points) != want {
+			t.Fatalf("grid has %d slots, want %d over 199 s", len(qr.Points), want)
+		}
+	})
 }
 
 // TestReconstructionBeatsStairStep is the acceptance golden test: over a

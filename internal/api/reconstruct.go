@@ -96,9 +96,9 @@ type reconstruction struct {
 // estimate (0 = none): auto mode interpolates linearly when an estimate
 // exists (the stored grid is then dense enough for straight lines between
 // samples to stay close) and falls back to nearest-neighbour otherwise; a
-// missing step derives from the estimate at headroom — the store's own
-// Retention.Headroom, so the served grid is the one the tier buckets
-// were cut on — or from the stored points' median interval.
+// missing step derives from the estimate at tsdb.Headroom, so the served
+// grid is the one the tier buckets were cut on, or from the stored points'
+// median interval.
 //
 // The grid is anchored at the later of `from` and the first stored
 // point (a bucket's centroid, when that is a bucket) and runs through the
@@ -106,7 +106,7 @@ type reconstruction struct {
 // observed span. A grid that would exceed budget points is coarsened to
 // exactly budget (clamped reports it). An empty result reconstructs to an
 // empty result.
-func reconstruct(res *tsdb.QueryResult, spec reconstructSpec, nyquist, headroom float64, from time.Time, budget int) (reconstruction, error) {
+func reconstruct(res *tsdb.QueryResult, spec reconstructSpec, nyquist float64, from time.Time, budget int) (reconstruction, error) {
 	out := reconstruction{step: spec.step}
 	mode := spec.mode
 	if spec.auto {
@@ -136,7 +136,7 @@ func reconstruct(res *tsdb.QueryResult, spec reconstructSpec, nyquist, headroom 
 	pts := s.Points()
 	if out.step <= 0 {
 		if nyquist > 0 {
-			out.step = time.Duration(float64(time.Second) / (headroom * nyquist))
+			out.step = time.Duration(float64(time.Second) / (tsdb.Headroom * nyquist))
 		} else if iv, err := s.MedianInterval(); err == nil && iv > 0 {
 			out.step = iv
 		} else {

@@ -91,10 +91,14 @@ type EstimatorConfig struct {
 	// is "all bins needed"; in practice a near-flat spectrum (noise or
 	// folded content) parks the cut-off within a hair of the top bin, so
 	// any cut-off above AliasedGuard * sampleRate/2 is treated as the
-	// aliased signature. Zero selects 0.95; 1 restores the literal
-	// all-bins rule.
+	// aliased signature. Zero selects 0.95 (what every StreamEstimator
+	// runs); 1 restores the literal all-bins rule.
 	AliasedGuard float64
 }
+
+// defaultAliasedGuard is EstimatorConfig.AliasedGuard's default and the
+// streaming estimator's fixed guard.
+const defaultAliasedGuard = 0.95
 
 func (c EstimatorConfig) withDefaults() (EstimatorConfig, error) {
 	if c.EnergyCutoff == 0 {
@@ -110,7 +114,7 @@ func (c EstimatorConfig) withDefaults() (EstimatorConfig, error) {
 		c.MinSamples = 16
 	}
 	if c.AliasedGuard <= 0 {
-		c.AliasedGuard = 0.95
+		c.AliasedGuard = defaultAliasedGuard
 	}
 	if c.AliasedGuard > 1 {
 		return c, fmt.Errorf("core: aliased guard %v above 1", c.AliasedGuard)

@@ -19,10 +19,6 @@ type StreamConfig struct {
 	// EnergyCutoff is the energy fraction threshold; zero selects
 	// DefaultEnergyCutoff. Values must lie in (0, 1].
 	EnergyCutoff float64
-	// AliasedGuard is the fraction of the analyzed band the cut-off may
-	// reach before a window is declared aliased; zero selects 0.95 (see
-	// EstimatorConfig.AliasedGuard).
-	AliasedGuard float64
 	// EmitEvery is the number of pushes between emitted updates once the
 	// window is full; zero selects 1 (an update per poll).
 	EmitEvery int
@@ -53,12 +49,9 @@ func (c StreamConfig) withDefaults() (StreamConfig, error) {
 	if c.EnergyCutoff == 0 {
 		c.EnergyCutoff = DefaultEnergyCutoff
 	}
-	// Reuse the batch validation for the shared knobs.
-	if _, err := (EstimatorConfig{EnergyCutoff: c.EnergyCutoff, AliasedGuard: c.AliasedGuard}).withDefaults(); err != nil {
+	// Reuse the batch validation for the shared knob.
+	if _, err := (EstimatorConfig{EnergyCutoff: c.EnergyCutoff}).withDefaults(); err != nil {
 		return c, err
-	}
-	if c.AliasedGuard <= 0 {
-		c.AliasedGuard = 0.95
 	}
 	if c.EmitEvery <= 0 {
 		c.EmitEvery = 1
@@ -386,7 +379,7 @@ func (s *StreamEstimator) estimate() *Result {
 		EnergyCaptured: captured,
 	}
 	s.memo, s.memoAt = res, s.count
-	if bin >= last || cutFreq >= s.cfg.AliasedGuard*fs/2 {
+	if bin >= last || cutFreq >= defaultAliasedGuard*fs/2 {
 		res.Aliased = true
 		return res
 	}

@@ -358,7 +358,6 @@ func TestStreamConfigValidation(t *testing.T) {
 		{}, // missing interval
 		{Interval: time.Second, WindowSamples: 8},  // window too short
 		{Interval: time.Second, EnergyCutoff: 1.5}, // cutoff out of range
-		{Interval: time.Second, AliasedGuard: 2},   // guard above 1
 	}
 	for i, cfg := range cases {
 		if _, err := NewStreamEstimator(cfg); err == nil {

@@ -12,7 +12,6 @@
 package dsp
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"math/cmplx"
@@ -161,36 +160,4 @@ func fftBluestein(x []complex128, inverse bool) {
 	for k := 0; k < n; k++ {
 		x[k] = cmplx.Conj(a[k]) * scale * chirp[k]
 	}
-}
-
-// NextPow2 returns the smallest power of two >= n. It panics if n exceeds
-// the largest power of two representable in an int.
-func NextPow2(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	p := 1 << (bits.Len(uint(n - 1)))
-	if p < n {
-		panic(fmt.Sprintf("dsp: NextPow2 overflow for n=%d", n))
-	}
-	return p
-}
-
-// FFTFreqs returns the frequency in hertz of each bin of an N-point
-// transform of a signal sampled at sampleRate. Bins in the upper half are
-// reported as negative frequencies, matching the conventional layout.
-func FFTFreqs(n int, sampleRate float64) []float64 {
-	out := make([]float64, n)
-	if n == 0 {
-		return out
-	}
-	df := sampleRate / float64(n)
-	for i := range out {
-		if i <= (n-1)/2 {
-			out[i] = float64(i) * df
-		} else {
-			out[i] = float64(i-n) * df
-		}
-	}
-	return out
 }

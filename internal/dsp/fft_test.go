@@ -222,37 +222,6 @@ func TestFFTRealConjugateSymmetry(t *testing.T) {
 	}
 }
 
-func TestNextPow2(t *testing.T) {
-	cases := []struct{ in, want int }{
-		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {1023, 1024}, {1024, 1024}, {1025, 2048},
-	}
-	for _, c := range cases {
-		if got := NextPow2(c.in); got != c.want {
-			t.Errorf("NextPow2(%d) = %d, want %d", c.in, got, c.want)
-		}
-	}
-}
-
-func TestFFTFreqs(t *testing.T) {
-	got := FFTFreqs(4, 8)
-	want := []float64{0, 2, -4, -2}
-	for i := range want {
-		if !almostEqual(got[i], want[i], tol) {
-			t.Fatalf("FFTFreqs(4,8)[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	got = FFTFreqs(5, 5)
-	want = []float64{0, 1, 2, -2, -1}
-	for i := range want {
-		if !almostEqual(got[i], want[i], tol) {
-			t.Fatalf("FFTFreqs(5,5)[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if got := FFTFreqs(0, 10); len(got) != 0 {
-		t.Fatalf("FFTFreqs(0) should be empty, got %v", got)
-	}
-}
-
 func TestFFTDoesNotMutateInput(t *testing.T) {
 	x := []complex128{1, 2, 3, 4, 5}
 	orig := append([]complex128(nil), x...)

@@ -33,98 +33,3 @@ func LowPassFFT(x []float64, sampleRate, cutoff float64) ([]float64, error) {
 	}
 	return IFFTReal(spec), nil
 }
-
-// HighPassFFT removes all frequency content at or below cutoff hertz
-// (always including DC) from x. It is the complement of LowPassFFT and is
-// used by the dual-rate aliasing detector to isolate suspect content.
-func HighPassFFT(x []float64, sampleRate, cutoff float64) ([]float64, error) {
-	if len(x) == 0 {
-		return nil, ErrEmptySignal
-	}
-	if !(sampleRate > 0) || math.IsInf(sampleRate, 0) {
-		return nil, ErrBadSampleRate
-	}
-	n := len(x)
-	spec := FFTReal(x)
-	spec[0] = 0
-	df := sampleRate / float64(n)
-	for k := 1; k <= n/2; k++ {
-		f := float64(k) * df
-		if f <= cutoff {
-			spec[k] = 0
-			if k != n-k {
-				spec[n-k] = 0
-			}
-		}
-	}
-	return IFFTReal(spec), nil
-}
-
-// FIRLowPass designs a windowed-sinc low-pass FIR filter with the given
-// number of taps (forced odd for a symmetric, linear-phase kernel) and
-// cutoff in hertz for signals sampled at sampleRate. The kernel is
-// normalized to unit DC gain. It exists as the streaming alternative to
-// LowPassFFT for adaptive pollers that cannot buffer a whole window.
-func FIRLowPass(taps int, sampleRate, cutoff float64) ([]float64, error) {
-	if taps < 1 {
-		return nil, errors.New("dsp: FIR filter needs at least one tap")
-	}
-	if !(sampleRate > 0) || math.IsInf(sampleRate, 0) {
-		return nil, ErrBadSampleRate
-	}
-	if cutoff <= 0 || cutoff > sampleRate/2 {
-		return nil, errors.New("dsp: FIR cutoff must be in (0, sampleRate/2]")
-	}
-	if taps%2 == 0 {
-		taps++
-	}
-	mid := taps / 2
-	fc := cutoff / sampleRate // normalized cutoff in cycles/sample
-	h := make([]float64, taps)
-	var sum float64
-	w := Hamming{}
-	for i := range h {
-		m := float64(i - mid)
-		var v float64
-		if m == 0 {
-			v = 2 * fc
-		} else {
-			v = math.Sin(2*math.Pi*fc*m) / (math.Pi * m)
-		}
-		v *= w.Coeff(i, taps)
-		h[i] = v
-		sum += v
-	}
-	if sum != 0 {
-		for i := range h {
-			h[i] /= sum
-		}
-	}
-	return h, nil
-}
-
-// Convolve returns the "same"-length convolution of x with kernel h,
-// i.e. the filtered signal aligned with the input. Edges are handled by
-// treating samples outside x as the nearest edge value, which avoids the
-// startup transient distorting short monitoring windows.
-func Convolve(x, h []float64) []float64 {
-	out := make([]float64, len(x))
-	if len(x) == 0 || len(h) == 0 {
-		return out
-	}
-	mid := len(h) / 2
-	for i := range x {
-		var acc float64
-		for j, hv := range h {
-			idx := i + mid - j
-			if idx < 0 {
-				idx = 0
-			} else if idx >= len(x) {
-				idx = len(x) - 1
-			}
-			acc += hv * x[idx]
-		}
-		out[i] = acc
-	}
-	return out
-}

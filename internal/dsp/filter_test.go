@@ -66,94 +66,6 @@ func TestLowPassFFTErrors(t *testing.T) {
 	}
 }
 
-func TestHighPassFFTComplementsLowPass(t *testing.T) {
-	const fs = 200.0
-	x := make([]float64, 400)
-	for i := range x {
-		ti := float64(i) / fs
-		x[i] = 3 + math.Sin(2*math.Pi*5*ti) + 0.5*math.Sin(2*math.Pi*60*ti)
-	}
-	lo, err := LowPassFFT(x, fs, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hi, err := HighPassFFT(x, fs, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if !almostEqual(lo[i]+hi[i], x[i], 1e-8) {
-			t.Fatalf("low+high != original at %d: %v vs %v", i, lo[i]+hi[i], x[i])
-		}
-	}
-	// High-pass output must have (near-)zero mean: DC always removed.
-	var mean float64
-	for _, v := range hi {
-		mean += v
-	}
-	mean /= float64(len(hi))
-	if math.Abs(mean) > 1e-9 {
-		t.Fatalf("high-pass output mean = %v, want 0", mean)
-	}
-}
-
-func TestFIRLowPassDesign(t *testing.T) {
-	h, err := FIRLowPass(64, 1000, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h)%2 != 1 {
-		t.Fatalf("taps = %d, want odd", len(h))
-	}
-	// Unit DC gain.
-	var sum float64
-	for _, v := range h {
-		sum += v
-	}
-	if !almostEqual(sum, 1, 1e-12) {
-		t.Fatalf("DC gain = %v, want 1", sum)
-	}
-	// Symmetric (linear phase).
-	for i := 0; i < len(h)/2; i++ {
-		if !almostEqual(h[i], h[len(h)-1-i], 1e-12) {
-			t.Fatalf("kernel asymmetric at %d", i)
-		}
-	}
-}
-
-func TestFIRLowPassErrors(t *testing.T) {
-	if _, err := FIRLowPass(0, 1000, 100); err == nil {
-		t.Fatal("want error for zero taps")
-	}
-	if _, err := FIRLowPass(5, 0, 100); err == nil {
-		t.Fatal("want error for bad sample rate")
-	}
-	if _, err := FIRLowPass(5, 1000, 600); err == nil {
-		t.Fatal("want error for cutoff above Nyquist")
-	}
-	if _, err := FIRLowPass(5, 1000, 0); err == nil {
-		t.Fatal("want error for zero cutoff")
-	}
-}
-
-func TestFIRFilterAttenuatesStopband(t *testing.T) {
-	const fs = 1000.0
-	h, err := FIRLowPass(101, fs, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pass := sineWave(2000, fs, 10, 1)
-	stop := sineWave(2000, fs, 300, 1)
-	passOut := Convolve(pass, h)
-	stopOut := Convolve(stop, h)
-	if r := rmsMid(passOut) / rmsMid(pass); r < 0.95 {
-		t.Fatalf("passband gain %v, want ~1", r)
-	}
-	if r := rmsMid(stopOut) / rmsMid(stop); r > 0.01 {
-		t.Fatalf("stopband gain %v, want < 0.01", r)
-	}
-}
-
 // rmsMid returns the RMS of the middle half of x, avoiding edge transients.
 func rmsMid(x []float64) float64 {
 	lo, hi := len(x)/4, 3*len(x)/4
@@ -162,21 +74,4 @@ func rmsMid(x []float64) float64 {
 		acc += v * v
 	}
 	return math.Sqrt(acc / float64(hi-lo))
-}
-
-func TestConvolveDegenerate(t *testing.T) {
-	if out := Convolve(nil, []float64{1}); len(out) != 0 {
-		t.Fatal("convolve with empty input should be empty")
-	}
-	if out := Convolve([]float64{1, 2}, nil); len(out) != 2 || out[0] != 0 {
-		t.Fatal("convolve with empty kernel should be zeros")
-	}
-	// Identity kernel.
-	x := []float64{1, 2, 3, 4}
-	out := Convolve(x, []float64{1})
-	for i := range x {
-		if out[i] != x[i] {
-			t.Fatalf("identity convolution mismatch at %d", i)
-		}
-	}
 }

@@ -138,51 +138,9 @@ func TestEstimateStepConstant(t *testing.T) {
 	}
 }
 
-func TestGoertzelMatchesPeriodogram(t *testing.T) {
-	const fs = 500.0
-	const n = 1000
-	x := sineWave(n, fs, 50, 2)
-	s, err := Periodogram(x, fs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, bin := s.PeakFrequency(1)
-	g, err := Goertzel(x, fs, s.Freqs[bin])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(g, s.Power[bin], 1e-9*(1+s.Power[bin])) {
-		t.Fatalf("goertzel power %v != periodogram bin power %v", g, s.Power[bin])
-	}
-}
-
-func TestGoertzelErrors(t *testing.T) {
-	if _, err := Goertzel(nil, 1, 0); err == nil {
-		t.Fatal("want error for empty input")
-	}
-	if _, err := Goertzel([]float64{1}, 0, 0); err == nil {
-		t.Fatal("want error for bad rate")
-	}
-	if _, err := Goertzel([]float64{1, 2}, 10, 9); err == nil {
-		t.Fatal("want error for frequency above Nyquist")
-	}
-}
-
-func TestGoertzelZeroAwayFromTone(t *testing.T) {
-	const fs = 256.0
-	x := sineWave(512, fs, 32, 1)
-	g, err := Goertzel(x, fs, 96)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g > 1e-12 {
-		t.Fatalf("power at 96 Hz = %v, want ~0", g)
-	}
-}
-
 func TestWindowCoefficients(t *testing.T) {
 	// All windows are 1 at a single point and bounded in [0, 1.01].
-	for _, w := range []Window{Hann{}, Hamming{}} {
+	for _, w := range []Window{Hann{}} {
 		if got := w.Coeff(0, 1); got != 1 {
 			t.Errorf("%s: Coeff(0,1) = %v, want 1", w.Name(), got)
 		}
@@ -196,7 +154,7 @@ func TestWindowCoefficients(t *testing.T) {
 }
 
 func TestWindowSymmetry(t *testing.T) {
-	for _, w := range []Window{Hann{}, Hamming{}} {
+	for _, w := range []Window{Hann{}} {
 		const n = 33
 		for i := 0; i < n/2; i++ {
 			if !almostEqual(w.Coeff(i, n), w.Coeff(n-1-i, n), 1e-12) {

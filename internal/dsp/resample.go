@@ -1,9 +1,6 @@
 package dsp
 
-import (
-	"errors"
-	"math"
-)
+import "errors"
 
 // Decimate keeps every factor-th sample of x starting at index 0. It does
 // not apply an anti-alias filter; it models exactly what a monitoring
@@ -77,81 +74,4 @@ func UpsampleFFT(x []float64, outLen int) ([]float64, error) {
 		out[i] *= scale
 	}
 	return out, nil
-}
-
-// ResampleLinear resamples x (sampled at inRate) to outRate using linear
-// interpolation, returning the samples covering the same time span.
-func ResampleLinear(x []float64, inRate, outRate float64) ([]float64, error) {
-	if len(x) == 0 {
-		return nil, ErrEmptySignal
-	}
-	if !(inRate > 0) || !(outRate > 0) {
-		return nil, ErrBadSampleRate
-	}
-	dur := float64(len(x)-1) / inRate
-	outLen := int(math.Floor(dur*outRate)) + 1
-	if outLen < 1 {
-		outLen = 1
-	}
-	out := make([]float64, outLen)
-	for i := range out {
-		t := float64(i) / outRate * inRate // position in input samples
-		j := int(math.Floor(t))
-		if j >= len(x)-1 {
-			out[i] = x[len(x)-1]
-			continue
-		}
-		frac := t - float64(j)
-		out[i] = x[j]*(1-frac) + x[j+1]*frac
-	}
-	return out, nil
-}
-
-// ResampleNearest resamples x (sampled at inRate) to outRate by taking the
-// nearest input sample. This is the pre-cleaning interpolation the paper
-// uses for irregular traces (§3.2, nearest-neighbour re-sampling).
-func ResampleNearest(x []float64, inRate, outRate float64) ([]float64, error) {
-	if len(x) == 0 {
-		return nil, ErrEmptySignal
-	}
-	if !(inRate > 0) || !(outRate > 0) {
-		return nil, ErrBadSampleRate
-	}
-	dur := float64(len(x)-1) / inRate
-	outLen := int(math.Floor(dur*outRate)) + 1
-	if outLen < 1 {
-		outLen = 1
-	}
-	out := make([]float64, outLen)
-	for i := range out {
-		j := int(math.Round(float64(i) / outRate * inRate))
-		if j >= len(x) {
-			j = len(x) - 1
-		}
-		out[i] = x[j]
-	}
-	return out, nil
-}
-
-// SincInterpolate evaluates the Whittaker-Shannon reconstruction of the
-// uniformly sampled signal x (rate sampleRate, first sample at t=0) at an
-// arbitrary time t in seconds. It is exact for signals band-limited below
-// sampleRate/2 and infinitely long; for finite windows the edges degrade,
-// so callers should keep t away from the window boundaries.
-func SincInterpolate(x []float64, sampleRate, t float64) float64 {
-	var acc float64
-	for n, v := range x {
-		u := t*sampleRate - float64(n)
-		acc += v * sinc(u)
-	}
-	return acc
-}
-
-// sinc is the normalized sinc function sin(pi x)/(pi x).
-func sinc(x float64) float64 {
-	if x == 0 {
-		return 1
-	}
-	px := math.Pi * x
-	return math.Sin(px) / px
 }

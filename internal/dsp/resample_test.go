@@ -135,110 +135,6 @@ func TestUpsampleFFTErrors(t *testing.T) {
 	}
 }
 
-func TestResampleLinearIdentityProperty(t *testing.T) {
-	f := func(vals []float64) bool {
-		if len(vals) < 2 {
-			return true
-		}
-		if len(vals) > 200 {
-			vals = vals[:200]
-		}
-		clean := make([]float64, len(vals))
-		for i, v := range vals {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				v = 0
-			}
-			clean[i] = math.Mod(v, 1e9)
-		}
-		out, err := ResampleLinear(clean, 10, 10)
-		if err != nil || len(out) != len(clean) {
-			return false
-		}
-		for i := range clean {
-			if math.Abs(out[i]-clean[i]) > 1e-9*(1+math.Abs(clean[i])) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestResampleLinearHalvesRamp(t *testing.T) {
-	x := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8}
-	out, err := ResampleLinear(x, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range out {
-		want := float64(i) / 2
-		if math.Abs(out[i]-want) > 1e-12 {
-			t.Fatalf("index %d: %v, want %v", i, out[i], want)
-		}
-	}
-}
-
-func TestResampleNearestPicksClosest(t *testing.T) {
-	x := []float64{10, 20, 30, 40}
-	out, err := ResampleNearest(x, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// t = 0, 1/3, 2/3, 1, 4/3, ... -> nearest indices 0,0,1,1,1,2,2,2,3,3.
-	want := []float64{10, 10, 20, 20, 20, 30, 30, 30, 40, 40}
-	if len(out) != len(want) {
-		t.Fatalf("len = %d, want %d (%v)", len(out), len(want), out)
-	}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("index %d: %v, want %v", i, out[i], want[i])
-		}
-	}
-}
-
-func TestResampleErrors(t *testing.T) {
-	if _, err := ResampleLinear(nil, 1, 1); err == nil {
-		t.Fatal("want error for empty input")
-	}
-	if _, err := ResampleLinear([]float64{1}, 0, 1); err == nil {
-		t.Fatal("want error for bad in rate")
-	}
-	if _, err := ResampleNearest([]float64{1}, 1, 0); err == nil {
-		t.Fatal("want error for bad out rate")
-	}
-}
-
-func TestSincInterpolateExactAtSamples(t *testing.T) {
-	x := []float64{1, -2, 3, 0.5, -1, 2, 0, 1}
-	for n, v := range x {
-		got := SincInterpolate(x, 4, float64(n)/4)
-		if math.Abs(got-v) > 1e-9 {
-			t.Fatalf("sample %d: %v, want %v", n, got, v)
-		}
-	}
-}
-
-func TestSincInterpolateMidpointOfTone(t *testing.T) {
-	// Interpolate a slow tone between samples; interior accuracy should
-	// be high even with a modest window.
-	const fs = 16.0
-	const f0 = 1.0
-	n := 256
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = math.Sin(2 * math.Pi * f0 * float64(i) / fs)
-	}
-	tm := float64(n/2) / fs // interior point
-	tq := tm + 0.5/fs       // halfway between samples
-	want := math.Sin(2 * math.Pi * f0 * tq)
-	got := SincInterpolate(x, fs, tq)
-	if math.Abs(got-want) > 1e-3 {
-		t.Fatalf("midpoint interpolation %v, want %v", got, want)
-	}
-}
-
 func BenchmarkUpsampleFFT(b *testing.B) {
 	x := sineWave(1024, 1024, 60, 1)
 	b.ReportAllocs()

@@ -27,20 +27,6 @@ func (Hann) Coeff(i, n int) float64 {
 // Name implements Window.
 func (Hann) Name() string { return "hann" }
 
-// Hamming is the classic 0.54/0.46 raised-cosine window.
-type Hamming struct{}
-
-// Coeff implements Window.
-func (Hamming) Coeff(i, n int) float64 {
-	if n <= 1 {
-		return 1
-	}
-	return 0.54 - 0.46*math.Cos(2*math.Pi*float64(i)/float64(n-1))
-}
-
-// Name implements Window.
-func (Hamming) Name() string { return "hamming" }
-
 // ApplyWindow returns a copy of x multiplied point-wise by w. The input is
 // not modified. A nil window is the rectangular (identity) one.
 func ApplyWindow(x []float64, w Window) []float64 {

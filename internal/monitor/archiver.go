@@ -23,13 +23,6 @@ type Archiver struct {
 	id       string
 	interval time.Duration
 
-	// stream rides the ingested samples (paper-default estimator
-	// configurations only; nil otherwise). It makes the current rate
-	// estimate available at every sample (Advice) and lets Flush take the
-	// block's estimate from the shared FFT plan and pooled scratch
-	// instead of the batch estimator's allocating one-shot transform.
-	stream *core.StreamEstimator
-
 	buf        []float64
 	blockStart time.Time
 	haveStart  bool
@@ -78,34 +71,7 @@ func NewArchiver(id string, store *tsdb.DB, interval time.Duration, cfg Archiver
 	if err != nil {
 		return nil, err
 	}
-	a := &Archiver{cfg: c, est: est, store: store, id: id, interval: interval}
-	// The streaming engine reproduces the batch estimator's paper-default
-	// configuration (mean detrend, rectangular window, single FFT); any
-	// other variant keeps the batch path. A MinSamples above the block
-	// size must also stay on the batch path: those blocks are meant to
-	// flush raw via ErrTooShort, which the stream (warm at a full
-	// window) would instead estimate.
-	e := c.Estimator
-	minSamples := e.MinSamples
-	if minSamples <= 0 {
-		minSamples = 16
-	}
-	if !e.Welch && e.Window == nil && e.Detrend == core.DetrendMean && !e.IncludeDC && minSamples <= c.WindowSamples {
-		// Windows too short for the stream (< 16 samples) are not an
-		// archiver misconfiguration — they previously flushed raw via
-		// the batch ErrTooShort path, and still do.
-		if st, err := core.NewStreamEstimator(core.StreamConfig{
-			Interval:      interval,
-			WindowSamples: c.WindowSamples,
-			EnergyCutoff:  e.EnergyCutoff,
-			AliasedGuard:  e.AliasedGuard,
-			// The estimate is read on demand (Advice/Flush), not emitted.
-			EmitEvery: 1 << 30,
-		}); err == nil {
-			a.stream = st
-		}
-	}
-	return a, nil
+	return &Archiver{cfg: c, est: est, store: store, id: id, interval: interval}, nil
 }
 
 // Ingest buffers one high-rate sample; completing a window triggers an
@@ -117,28 +83,11 @@ func (a *Archiver) Ingest(p series.Point) error {
 		a.haveStart = true
 	}
 	a.buf = append(a.buf, p.Value)
-	if a.stream != nil {
-		a.stream.Push(p.Value)
-	}
 	a.raw++
 	if len(a.buf) >= a.cfg.WindowSamples {
 		return a.Flush()
 	}
 	return nil
-}
-
-// Advice returns the Nyquist estimate over the trailing window of
-// ingested samples — the live view the riding stream affords between
-// flushes (the window may span the last block boundary). It returns
-// core.ErrTooShort until a full window has been ingested since the last
-// partial flush (or always, for estimator variants that keep the batch
-// path) and core.ErrAliased when the window carries the aliased
-// signature.
-func (a *Archiver) Advice() (*core.Result, error) {
-	if a.stream == nil {
-		return nil, core.ErrTooShort
-	}
-	return a.stream.Current()
 }
 
 // Flush archives the buffered partial window. Blocks too short for
@@ -148,7 +97,7 @@ func (a *Archiver) Flush() error {
 		return nil
 	}
 	u := &series.Uniform{Start: a.blockStart, Interval: a.interval, Values: a.buf}
-	res, err := a.estimateBlock(u)
+	res, err := a.est.Estimate(u)
 	switch {
 	case errors.Is(err, core.ErrAliased), errors.Is(err, core.ErrTooShort):
 		a.aliasedBlocks++
@@ -175,28 +124,9 @@ func (a *Archiver) Flush() error {
 			a.store.SetNyquistRate(a.id, held)
 		}
 	}
-	wasPartial := len(a.buf) != a.cfg.WindowSamples
 	a.buf = a.buf[:0]
 	a.haveStart = false
-	if a.stream != nil && wasPartial {
-		// A full-block flush leaves the stream alone: its sliding window
-		// realigns with the next block exactly when that block fills,
-		// and Advice stays live in between. A partial (manual) flush
-		// breaks that alignment, so the stream starts over.
-		a.stream.Reset()
-	}
 	return nil
-}
-
-// estimateBlock asks the riding stream when the buffered block fills a
-// whole window, and falls back to the batch
-// estimator for partial blocks (final flushes) and non-default estimator
-// variants.
-func (a *Archiver) estimateBlock(u *series.Uniform) (*core.Result, error) {
-	if a.stream != nil && a.stream.Warm() && len(u.Values) == a.cfg.WindowSamples {
-		return a.stream.Current()
-	}
-	return a.est.Estimate(u)
 }
 
 // Savings reports the raw sample count seen, the samples actually stored,

@@ -82,9 +82,6 @@ type IngestConfig struct {
 	// cut-off, passed through to each series' stream estimator; zero
 	// selects the core default.
 	EnergyCutoff float64
-	// ProbeGaps is the number of inter-arrival gaps observed before the
-	// poll interval locks; zero selects 8.
-	ProbeGaps int
 	// MaxSeries bounds the number of per-series estimator windows. Each
 	// estimated series holds its sample ring, 8 bytes per window sample
 	// (about 2.1 KiB at the default 256), so a hostile cardinality
@@ -105,15 +102,16 @@ type IngestConfig struct {
 	EvictAfter int
 }
 
+// probeGaps is the number of inter-arrival gaps observed before the poll
+// interval locks, and of drifted gaps in a row before it re-probes.
+const probeGaps = 8
+
 func (c IngestConfig) withDefaults() IngestConfig {
 	if c.WindowSamples <= 0 {
 		c.WindowSamples = 256
 	}
 	if c.EmitEvery <= 0 {
 		c.EmitEvery = 8
-	}
-	if c.ProbeGaps <= 0 {
-		c.ProbeGaps = 8
 	}
 	if c.EvictAfter < 0 {
 		c.EvictAfter = 4 * c.MaxSeries
@@ -305,7 +303,7 @@ func (e *IngestEstimator) observeLocked(s *ingestSeries, id string, p series.Poi
 			} else {
 				s.drift = 0
 			}
-			if s.drift > e.cfg.ProbeGaps {
+			if s.drift > probeGaps {
 				s.reprobe(p)
 				e.reprobesTotal.Add(1)
 				return
@@ -421,9 +419,9 @@ func (s *ingestSeries) probe(e *IngestEstimator, id string, p series.Point) {
 			gaps = append(gaps, g)
 		}
 	}
-	if len(gaps) < e.cfg.ProbeGaps {
+	if len(gaps) < probeGaps {
 		// Constant or backwards timestamps never lock.
-		s.capPending(e)
+		s.capPending()
 		return
 	}
 	sort.Slice(gaps, func(a, b int) bool { return gaps[a] < gaps[b] })
@@ -432,7 +430,7 @@ func (s *ingestSeries) probe(e *IngestEstimator, id string, p series.Point) {
 	if err != nil {
 		// Unlockable configuration (e.g. sub-minimum window from the
 		// caller); stay in probe mode rather than fail ingest.
-		s.capPending(e)
+		s.capPending()
 		return
 	}
 	s.est = est
@@ -463,8 +461,8 @@ func (e *IngestEstimator) newStream(interval time.Duration) (*core.StreamEstimat
 // capPending bounds the probe buffer of a series that stays unlocked, so
 // neither a misbehaving client nor a bad configuration can grow it (and
 // probe's scan over it) with every point.
-func (s *ingestSeries) capPending(e *IngestEstimator) {
-	if max := 4 * (e.cfg.ProbeGaps + 1); len(s.pending) > max {
+func (s *ingestSeries) capPending() {
+	if max := 4 * (probeGaps + 1); len(s.pending) > max {
 		s.pending = append(s.pending[:0], s.pending[len(s.pending)-max:]...)
 	}
 }

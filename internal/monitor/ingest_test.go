@@ -152,7 +152,7 @@ func TestIngestEstimatorUnlockableWindowStaysBounded(t *testing.T) {
 	e.mu.RLock()
 	s := e.series[id]
 	e.mu.RUnlock()
-	if limit := 4 * (e.cfg.ProbeGaps + 1); len(s.pending) > limit {
+	if limit := 4 * (probeGaps + 1); len(s.pending) > limit {
 		t.Fatalf("probe buffer holds %d points after 5000, want at most %d", len(s.pending), limit)
 	}
 }
@@ -161,7 +161,7 @@ func TestIngestEstimatorUnlockableWindowStaysBounded(t *testing.T) {
 // poll rate must re-lock the interval instead of estimating on a wrong
 // frequency axis.
 func TestIngestEstimatorReprobesOnDrift(t *testing.T) {
-	e := NewIngestEstimator(nil, IngestConfig{WindowSamples: 64, ProbeGaps: 4})
+	e := NewIngestEstimator(nil, IngestConfig{WindowSamples: 64})
 	const id = "ext/redeployed"
 	ts := ingestStart
 	for i := 0; i < 40; i++ {

@@ -92,7 +92,7 @@ func BenchmarkStoreAppendParallel(b *testing.B) {
 // bounded, compacted store: a recent window served by the raw store alone
 // and a full-history window stitched across tiers with a point budget.
 func BenchmarkQueryRange(b *testing.B) {
-	db := New(Config{Retention: RetentionConfig{RawCapacity: 1024, TierCapacity: 512, Tiers: 2, Fanout: 4}})
+	db := New(Config{Retention: RetentionConfig{RawCapacity: 1024, TierCapacity: 512, Tiers: 2}})
 	const n = 20000
 	for s := 0; s < 8; s++ {
 		id := fmt.Sprintf("dev%02d/metric", s)

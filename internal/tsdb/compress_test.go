@@ -107,7 +107,7 @@ func TestCompressedCascade(t *testing.T) {
 	db := New(Config{
 		Shards: 1,
 		Retention: RetentionConfig{
-			RawCapacity: 64, TierCapacity: 16, Tiers: 2, Fanout: 4, CompressBlock: 16,
+			RawCapacity: 64, TierCapacity: 16, Tiers: 2, CompressBlock: 16,
 		},
 	})
 	const id = "host/metric"
@@ -179,7 +179,7 @@ func TestCompressedFootprint(t *testing.T) {
 func TestCompressedRetune(t *testing.T) {
 	db := New(Config{
 		Shards:    1,
-		Retention: RetentionConfig{RawCapacity: 32, TierCapacity: 64, Tiers: 2, Fanout: 4, CompressBlock: 8},
+		Retention: RetentionConfig{RawCapacity: 32, TierCapacity: 64, Tiers: 2, CompressBlock: 8},
 	})
 	const id = "host/metric"
 	start := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
@@ -223,7 +223,7 @@ func TestCompressedRetune(t *testing.T) {
 func TestRetuneUnchangedRateIsFree(t *testing.T) {
 	cfg := Config{
 		Shards:    1,
-		Retention: RetentionConfig{RawCapacity: 32, TierCapacity: 64, Tiers: 2, Fanout: 4, CompressBlock: 8},
+		Retention: RetentionConfig{RawCapacity: 32, TierCapacity: 64, Tiers: 2, CompressBlock: 8},
 	}
 	plain, noisy := New(cfg), New(cfg)
 	const id = "host/metric"
@@ -284,7 +284,7 @@ func TestRetuneUnchangedRateIsFree(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("a retune allocates %.1f times, want 0", allocs)
 	}
-	if m.tiers[0].width != m.baseWidth(&noisy.cfg.Retention) || m.tiers[1].width != 4*m.tiers[0].width {
+	if m.tiers[0].width != m.baseWidth() || m.tiers[1].width != 4*m.tiers[0].width {
 		t.Fatalf("in-place retune left widths %v, %v", m.tiers[0].width, m.tiers[1].width)
 	}
 }
@@ -295,7 +295,7 @@ func TestRetuneUnchangedRateIsFree(t *testing.T) {
 func TestCompressedConcurrent(t *testing.T) {
 	db := New(Config{
 		Shards:    4,
-		Retention: RetentionConfig{RawCapacity: 64, TierCapacity: 32, Tiers: 2, Fanout: 4, CompressBlock: 16},
+		Retention: RetentionConfig{RawCapacity: 64, TierCapacity: 32, Tiers: 2, CompressBlock: 16},
 	})
 	start := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
 	ids := make([]string, 4)

@@ -16,7 +16,7 @@ import (
 // SetNyquistRate. Run under -race (the CI race job does), this is the
 // shard-locking contract test.
 func TestConcurrentWritersAcrossShards(t *testing.T) {
-	db := New(Config{Shards: 8, Retention: RetentionConfig{RawCapacity: 64, TierCapacity: 32, Tiers: 2, Fanout: 4}})
+	db := New(Config{Shards: 8, Retention: RetentionConfig{RawCapacity: 64, TierCapacity: 32, Tiers: 2}})
 	const (
 		writers = 8
 		perID   = 500

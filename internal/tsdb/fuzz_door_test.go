@@ -94,7 +94,7 @@ func FuzzAppendDoorNeverWedges(f *testing.F) {
 		rc := RetentionConfig{CompressBlock: 4}
 		if len(data) > 0 {
 			if data[0]&1 == 1 {
-				rc.RawCapacity, rc.TierCapacity, rc.Tiers, rc.Fanout = 16, 8, 2, 2
+				rc.RawCapacity, rc.TierCapacity, rc.Tiers = 16, 8, 2
 			}
 			data = data[1:]
 		}

@@ -58,8 +58,7 @@ func FuzzQueryRange(f *testing.F) {
 			// Tiny capacities so a short op stream reaches the cascade
 			// and the last tier's forgetting path.
 			Retention: RetentionConfig{
-				RawCapacity: 8, TierCapacity: 4, Tiers: 2, Fanout: 2,
-				CompressBlock: compress,
+				RawCapacity: 8, TierCapacity: 4, Tiers: 2, CompressBlock: compress,
 			},
 		})
 		const id = "fuzz/series"

@@ -316,18 +316,18 @@ func (m *memSeries) ensureTiers(rc *RetentionConfig) {
 		return
 	}
 	m.tiers = make([]*tier, rc.Tiers)
-	w := m.baseWidth(rc)
+	w := m.baseWidth()
 	for i := range m.tiers {
 		m.tiers[i] = newTier(w, rc)
-		w = widen(w, rc.Fanout)
+		w = widen(w)
 	}
 }
 
 // retune updates existing tier widths after a Nyquist estimate change;
 // future buckets use the new grid, retained and open buckets keep the
 // coverage they were written with.
-func (m *memSeries) retune(rc *RetentionConfig) {
-	w := m.baseWidth(rc)
+func (m *memSeries) retune() {
+	w := m.baseWidth()
 	for _, t := range m.tiers {
 		if t.width != w {
 			t.width = w
@@ -336,7 +336,7 @@ func (m *memSeries) retune(rc *RetentionConfig) {
 			// bucket opens on the new grid.
 			t.nextSet = false
 		}
-		w = widen(w, rc.Fanout)
+		w = widen(w)
 	}
 }
 
@@ -353,10 +353,10 @@ func (m *memSeries) retune(rc *RetentionConfig) {
 // series then holds exactly k samples — a decimate-by-k boxcar the bucket
 // codec's regular miniblocks and count field store for nothing — and most
 // changes of the estimate map to the same k and move no grid at all.
-func (m *memSeries) baseWidth(rc *RetentionConfig) time.Duration {
+func (m *memSeries) baseWidth() time.Duration {
 	var base time.Duration
 	if m.nyquist > 0 {
-		base = time.Duration(float64(time.Second) / (rc.Headroom * m.nyquist))
+		base = time.Duration(float64(time.Second) / (Headroom * m.nyquist))
 	}
 	if base <= 0 {
 		base = m.gap
@@ -373,9 +373,9 @@ func (m *memSeries) baseWidth(rc *RetentionConfig) time.Duration {
 
 // widen is the next deeper tier's width: the integer fan-out keeps the
 // grids nested, up to the maxTierWidth cap.
-func widen(w time.Duration, fanout int) time.Duration {
-	if w < maxTierWidth/time.Duration(fanout) {
-		return w * time.Duration(fanout)
+func widen(w time.Duration) time.Duration {
+	if w < maxTierWidth/fanout {
+		return w * fanout
 	}
 	return maxTierWidth
 }

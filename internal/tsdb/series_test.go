@@ -166,7 +166,7 @@ func TestGridFloorMatchesTruncate(t *testing.T) {
 // deeper tier is the fan-out times the one above.
 func TestTierWidthsAreWholePollIntervals(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	rc := RetentionConfig{RawCapacity: 16, TierCapacity: 64, Tiers: 3, Fanout: 4, Headroom: 1.2, CompressBlock: 4}
+	rc := RetentionConfig{RawCapacity: 16, TierCapacity: 64, Tiers: 3, CompressBlock: 4}
 	snapped, unsnapped, gapless := 0, 0, 0
 	for trial := 0; trial < 60; trial++ {
 		db := New(Config{Shards: 1, Retention: rc})
@@ -202,7 +202,7 @@ func TestTierWidthsAreWholePollIntervals(t *testing.T) {
 			if m.gap > 0 {
 				want = m.gap
 			}
-			if w := time.Duration(float64(time.Second) / (rc.Headroom * m.nyquist)); m.nyquist > 0 && w > 0 {
+			if w := time.Duration(float64(time.Second) / (Headroom * m.nyquist)); m.nyquist > 0 && w > 0 {
 				want = w
 			}
 			want = min(want, maxTierWidth)
@@ -226,7 +226,7 @@ func TestTierWidthsAreWholePollIntervals(t *testing.T) {
 			}
 			for k := 1; k < len(m.tiers); k++ {
 				above := m.tiers[k-1].width
-				if w := m.tiers[k].width; w != widen(above, rc.Fanout) || w != 4*above && w != maxTierWidth {
+				if w := m.tiers[k].width; w != widen(above) || w != 4*above && w != maxTierWidth {
 					t.Fatalf("trial %d op %d: tier %d is %v under a %v tier, want fan-out × 4", trial, op, k+1, w, above)
 				}
 			}
@@ -245,7 +245,7 @@ func TestTierWidthsAreWholePollIntervals(t *testing.T) {
 // the new grid beside a bucket still on the old one, may hold fewer.
 func TestRegularFeedFillsBucketsExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	rc := RetentionConfig{RawCapacity: 32, TierCapacity: 1 << 20, Tiers: 1, Headroom: 1.2, CompressBlock: 64}
+	rc := RetentionConfig{RawCapacity: 32, TierCapacity: 1 << 20, Tiers: 1, CompressBlock: 64}
 	db := New(Config{Shards: 1, Retention: rc})
 	const points = 60000
 	for i := 0; i < points; i++ {

@@ -91,14 +91,6 @@ type RetentionConfig struct {
 	// forgets evicted points, the seed-style retention). Tiers only
 	// matter when RawCapacity bounds the raw store.
 	Tiers int
-	// Fanout is the integer bucket-width multiplier between consecutive
-	// tiers; zero selects 4. Integer fan-outs keep the tier grids nested.
-	Fanout int
-	// Headroom multiplies the estimated Nyquist rate when sizing the
-	// first (lossless) tier's bucket rate. Values ≤ 1 select 1.2,
-	// matching the rest of the pipeline: bucketing exactly at the
-	// critical rate leaves the top component ambiguous.
-	Headroom float64
 	// CompressBlock is the number of entries per sealed Gorilla block of
 	// raw samples or finalized tier buckets; zero or negative selects
 	// 128. A bounded store uses at most a quarter of its capacity (floor
@@ -107,6 +99,16 @@ type RetentionConfig struct {
 	// breathes within (capacity − capacity/4, capacity].
 	CompressBlock int
 }
+
+// Headroom multiplies the estimated Nyquist rate when sizing the first
+// (lossless) tier's bucket rate, matching the rest of the pipeline:
+// bucketing exactly at the critical rate leaves the top component
+// ambiguous.
+const Headroom = 1.2
+
+// fanout is the integer bucket-width multiplier between consecutive
+// tiers; an integer keeps the tier grids nested.
+const fanout = 4
 
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
@@ -123,12 +125,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Retention.Tiers < 0 {
 		c.Retention.Tiers = 0
-	}
-	if c.Retention.Fanout <= 1 {
-		c.Retention.Fanout = 4
-	}
-	if c.Retention.Headroom <= 1 {
-		c.Retention.Headroom = 1.2
 	}
 	if c.Retention.CompressBlock <= 0 {
 		c.Retention.CompressBlock = 128
@@ -342,7 +338,7 @@ func (db *DB) SetNyquistRate(id string, rate float64) {
 		return
 	}
 	m.nyquist = rate
-	m.retune(&db.cfg.Retention)
+	m.retune()
 }
 
 // NyquistRate returns the series' recorded Nyquist rate estimate in

@@ -56,7 +56,7 @@ func TestAppendQueryUnbounded(t *testing.T) {
 // mean summaries) and keeps accepting writes forever, instead of failing
 // them the way the seed store did.
 func TestBoundedSeriesDegradesInsteadOfFailing(t *testing.T) {
-	db := New(Config{Retention: RetentionConfig{RawCapacity: 32, TierCapacity: 16, Tiers: 2, Fanout: 4}})
+	db := New(Config{Retention: RetentionConfig{RawCapacity: 32, TierCapacity: 16, Tiers: 2}})
 	appendN(db, "a", 1000, time.Second)
 
 	st := db.Stats()
@@ -104,7 +104,7 @@ func TestBoundedSeriesDegradesInsteadOfFailing(t *testing.T) {
 }
 
 func TestNyquistDerivedTierWidths(t *testing.T) {
-	rc := RetentionConfig{RawCapacity: 16, TierCapacity: 8, Tiers: 2, Fanout: 4, Headroom: 1.2}
+	rc := RetentionConfig{RawCapacity: 16, TierCapacity: 8, Tiers: 2}
 	db := New(Config{Retention: rc})
 	// The estimate→retain loop: the estimator says 0.05 Hz Nyquist rate;
 	// the lossless tier buckets at no less than headroom×rate (≥ 2·f_max):
@@ -133,7 +133,7 @@ func TestNyquistDerivedTierWidths(t *testing.T) {
 }
 
 func TestRetuneAppliesToFutureBuckets(t *testing.T) {
-	rc := RetentionConfig{RawCapacity: 8, TierCapacity: 8, Tiers: 2, Fanout: 4, Headroom: 1.2}
+	rc := RetentionConfig{RawCapacity: 8, TierCapacity: 8, Tiers: 2}
 	db := New(Config{Retention: rc})
 	appendN(db, "a", 40, time.Second) // tiers created on native 1 s grid
 	before, err := db.SeriesStats("a")
@@ -163,7 +163,7 @@ func TestRetuneAppliesToFutureBuckets(t *testing.T) {
 }
 
 func TestQueryTierSelection(t *testing.T) {
-	db := New(Config{Retention: RetentionConfig{RawCapacity: 50, TierCapacity: 100, Tiers: 2, Fanout: 4}})
+	db := New(Config{Retention: RetentionConfig{RawCapacity: 50, TierCapacity: 100, Tiers: 2}})
 	appendN(db, "a", 500, time.Second)
 	// Recent window: answered from the raw store alone.
 	recent, err := db.Query("a", start.Add(460*time.Second), start.Add(500*time.Second), 0)
@@ -220,7 +220,7 @@ func TestQueryTierSelection(t *testing.T) {
 // were written with: a retune widening the tier grid must not let old
 // narrow buckets answer (or phantom-cover) windows they never spanned.
 func TestBucketCoverageSurvivesRetune(t *testing.T) {
-	rc := RetentionConfig{RawCapacity: 4, TierCapacity: 8, Tiers: 1, Fanout: 4}
+	rc := RetentionConfig{RawCapacity: 4, TierCapacity: 8, Tiers: 1}
 	db := New(Config{Retention: rc})
 	appendN(db, "a", 12, time.Second) // tier buckets at the native 1 s grid, t=0..7
 	rate := 0.01

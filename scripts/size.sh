@@ -9,19 +9,22 @@
 # store's (tsdb's TestSeriesStateBytes) — and the retune flap rate: how
 # often a steady fleet's retention moves (monitor's
 # TestIngestEstimatorFlapRate).
+# It also lists the nyquistd flags that no command line under scripts/,
+# bench/, .github/ or docs/ passes a value to (an inline `-flag` mention
+# in prose is not a setting) — the candidates of the next knob audit.
 # The five counts below have ceilings: the script exits non-zero when one
 # is exceeded (CI's size step gates on it). Lower a ceiling when a PR
 # lowers the count; the rest is print-only, compared against the previous
 # PR's figures in CHANGES.md.
-# PR 23 raised MAX_LOC 21,855 → 21,944 in the open: the serving taper, the
-# centroid-placed reconstruction and ROADMAP 4b's experiment driver add 219
-# lines, the deletions the issue named (internal/trace's writers and JSON
-# form, internal/series' Summarize/IsMonotone) pay for 130 of them.
-MAX_LOC=21944
-MAX_TSDB_LOC=3475
-MAX_FLAGS=24
-MAX_CONFIG_FIELDS=37
-MAX_ALLOWS=19
+# PR 24 lowered all five to what the script measured (21,944 / 3,475 / 24 /
+# 37 / 19 before it): five flags and five config fields nothing set became
+# constants, the Archiver's riding stream and the dsp declarations nothing
+# called went, and five allow annotations folded into two cold helpers.
+MAX_LOC=21594
+MAX_TSDB_LOC=3471
+MAX_FLAGS=19
+MAX_CONFIG_FIELDS=32
+MAX_ALLOWS=14
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -50,6 +53,11 @@ cfgfields=$((
 	$(fields internal/api/api.go Config) + $(fields internal/core/stream.go StreamConfig)))
 allows=$(gofiles | xargs grep -h '//nyquist:allow-' | wc -l)
 echo "nyquistd flags: $flags (ceiling $MAX_FLAGS)"
+unset_flags=
+for f in $(sed -nE 's/.*flag\.[A-Z][A-Za-z0-9]*\("([^"]+)".*/\1/p' cmd/nyquistd/main.go); do
+	grep -rqE -- "(^|[[:space:](\"])-$f(\"|[ =][^ ])" scripts bench .github docs || unset_flags+=" -$f"
+done
+echo "flags no file under scripts/ bench/ .github/ docs/ sets:${unset_flags:- none}"
 echo "config fields (tsdb.Config, tsdb.RetentionConfig, monitor.IngestConfig, wal.Options, api.Config, core.StreamConfig): $cfgfields (ceiling $MAX_CONFIG_FIELDS)"
 echo "//nyquist:allow-* annotations: $allows (ceiling $MAX_ALLOWS)"
 go test ./internal/core -run '^TestStreamStateSize$' -count=1 -v | sed -n 's/.*\(state bytes per warm stream.*\)/estimator \1/p'
