@@ -43,6 +43,8 @@ func TestQueryParamValidation(t *testing.T) {
 		{"zero-step", "series=v/ramp&reconstruct=linear&step=0", "bad step"},
 		{"negative-step", "series=v/ramp&reconstruct=linear&step=-2", "bad step"},
 		{"nan-step", "series=v/ramp&reconstruct=linear&step=NaN", "bad step"},
+		{"inf-step", "series=v/ramp&reconstruct=linear&step=Inf", "above the longest representable step"},
+		{"huge-step", "series=v/ramp&reconstruct=linear&step=1e10", "above the longest representable step"},
 		{"garbage-step", "series=v/ramp&step=fast", "bad step"},
 		{"series-and-match", "series=v/ramp&match=v/", "mutually exclusive"},
 		{"neither", "", "missing required parameter"},
@@ -300,7 +302,8 @@ func TestQueryReconstructGrid(t *testing.T) {
 // TestReconstructDefaultStepFollowsStoreHeadroom: with no ?step=, the
 // grid is cut at the store's own retention headroom over its recorded
 // rate — the pitch the tier buckets were sized at — not at a constant of
-// the API's.
+// the API's. The 200 points all sit in the raw tail, which auto never
+// band-limits, so it resolves to linear.
 func TestReconstructDefaultStepFollowsStoreHeadroom(t *testing.T) {
 	const (
 		id   = "r/ramp"
@@ -403,18 +406,27 @@ func TestReconstructionBeatsStairStep(t *testing.T) {
 	// the centroid of the polls it averages, so straight lines through the
 	// centroids beat straight lines through the buckets' grid starts (what
 	// a client interpolating a plain query draws, half a bucket late), and
-	// both beat the stair-step through those starts.
+	// both beat the stair-step through those starts. auto beats them all:
+	// the tier is cut above the tone's Nyquist rate, so it band-limits the
+	// run and divides out the droop of the 16 s means.
 	t.Run("decimated tier", func(t *testing.T) {
 		store, ts := tonedTierServer(t)
 		to := apiStart.Add(1792 * time.Second) // where the raw tail begins
 		const step = 4 * time.Second
-		var qr QueryResponse
-		u := fmt.Sprintf("%s/api/v1/query?series=%s&to=%d&reconstruct=linear&step=%v", ts.URL, toneID, to.Unix(), step.Seconds())
-		if code := getJSON(t, u, &qr); code != http.StatusOK {
-			t.Fatalf("HTTP %d", code)
+		query := func(mode string) QueryResponse {
+			var qr QueryResponse
+			u := fmt.Sprintf("%s/api/v1/query?series=%s&to=%d&reconstruct=%s&step=%v", ts.URL, toneID, to.Unix(), mode, step.Seconds())
+			if code := getJSON(t, u, &qr); code != http.StatusOK {
+				t.Fatalf("reconstruct=%s: HTTP %d", mode, code)
+			}
+			return qr
 		}
+		qr, band := query("linear"), query("auto")
 		if len(qr.Tiers) != 1 || qr.Tiers[0].Tier != 1 || qr.Tiers[0].WidthSeconds != 16 {
 			t.Fatalf("window answered from %+v, want tier 1 at 16 s only", qr.Tiers)
+		}
+		if band.Reconstruct != "bandlimited" {
+			t.Fatalf("auto over one tier-1 run reconstructed %q, want bandlimited", band.Reconstruct)
 		}
 		plain, err := store.Query(toneID, time.Time{}, to, 0)
 		if err != nil {
@@ -432,10 +444,11 @@ func TestReconstructionBeatsStairStep(t *testing.T) {
 			}
 			return toneRMSE(t, pts)
 		}
-		centroid, start, stair := toneRMSE(t, qr.Points), startPlaced(series.Linear), startPlaced(series.NearestNeighbor)
-		t.Logf("RMSE: centroid-placed linear %.3f, start-placed linear %.3f, start-placed nearest %.3f", centroid, start, stair)
-		if !(centroid < start && start < stair) {
-			t.Fatalf("RMSE centroid-placed linear %.3f, start-placed linear %.3f, start-placed nearest %.3f: want them in that order", centroid, start, stair)
+		bandlimited, centroid := toneRMSE(t, band.Points), toneRMSE(t, qr.Points)
+		start, stair := startPlaced(series.Linear), startPlaced(series.NearestNeighbor)
+		t.Logf("RMSE: band-limited %.3f, centroid-placed linear %.3f, start-placed linear %.3f, start-placed nearest %.3f", bandlimited, centroid, start, stair)
+		if !(bandlimited < centroid && centroid < start && start < stair) {
+			t.Fatalf("RMSE band-limited %.3f, centroid-placed linear %.3f, start-placed linear %.3f, start-placed nearest %.3f: want them in that order", bandlimited, centroid, start, stair)
 		}
 	})
 }
@@ -488,8 +501,9 @@ func TestStatsAndMetricsCacheBlock(t *testing.T) {
 // than the tone's period — before the grid is cut, and the response said
 // `thinned` beside its reconstruction, which missed the tone by an RMSE of
 // 0.73 of its unit amplitude (a flat line misses by 0.71). Read whole and
-// coarsened only by the grid clamp it misses by 0.39: what is left is the
-// attenuation of a 16 s mean and the straight lines between them.
+// coarsened only by the grid clamp, straight lines between the centroids
+// miss by 0.39 — the attenuation of a 16 s mean and the chords between
+// them — and auto's band-limited, droop-compensated tier run by 0.04.
 func TestReconstructReadsUnthinnedStore(t *testing.T) {
 	const budget = 96
 	store, ts := tonedTierServer(t)
@@ -502,16 +516,16 @@ func TestReconstructReadsUnthinnedStore(t *testing.T) {
 	}
 	check := func(t *testing.T, qr QueryResponse) {
 		t.Helper()
-		if qr.Reconstruct != "linear" || len(qr.Points) != budget {
-			t.Fatalf("reconstruct=%q with %d points, want linear on the %d-point budget", qr.Reconstruct, len(qr.Points), budget)
+		if qr.Reconstruct != "bandlimited" || len(qr.Points) != budget {
+			t.Fatalf("reconstruct=%q with %d points, want bandlimited on the %d-point budget", qr.Reconstruct, len(qr.Points), budget)
 		}
 		if qr.Thinned || !qr.Clamped {
 			t.Fatalf("thinned=%v clamped=%v: a reconstruction reads the store whole (never thinned) and reports the coarsened grid (clamped)", qr.Thinned, qr.Clamped)
 		}
 		rmse := toneRMSE(t, qr.Points)
 		t.Logf("RMSE against the tone: %.3f", rmse)
-		if rmse > 0.45 {
-			t.Fatalf("reconstruction misses the tone by RMSE %.3f, want at most 0.45 (0.73 when interpolated through stride-thinned points)", rmse)
+		if rmse > 0.05 {
+			t.Fatalf("reconstruction misses the tone by RMSE %.3f, want at most 0.05 (0.39 linear, 0.73 when interpolated through stride-thinned points)", rmse)
 		}
 	}
 	t.Run("series", func(t *testing.T) {

@@ -79,8 +79,9 @@ type QueryResponse struct {
 	Thinned bool `json:"thinned"`
 	// Reconstruct and StepSeconds report server-side reconstruction:
 	// when present, Points is the signal resampled onto a uniform grid
-	// with this interpolation policy and pitch (auto reports the policy
-	// it resolved to).
+	// with this policy and pitch (auto reports what it resolved to:
+	// "bandlimited" when it band-limited a bucket run, else its
+	// interpolation).
 	Reconstruct string  `json:"reconstruct,omitempty"`
 	StepSeconds float64 `json:"step_seconds,omitempty"`
 	// Clamped reports the response honors a smaller point budget than the

@@ -230,16 +230,6 @@ func (s *StreamEstimator) Seen() int64 { return s.count }
 // describe real samples only.
 func (s *StreamEstimator) Warm() bool { return s.count >= int64(s.cfg.WindowSamples) }
 
-// Reset clears the stream state for reuse on a new signal with the same
-// configuration, without reallocating. The ring keeps its stale samples:
-// nothing reads it until a full new window has overwritten them.
-func (s *StreamEstimator) Reset() {
-	s.head = 0
-	s.count = 0
-	s.memo = nil
-	s.streak = 0
-}
-
 // Push ingests one poll. It returns a non-nil update when the window is
 // full and the emission cadence hits, nil otherwise. A push that emits
 // nothing does no spectral work and allocates nothing; an emitting push

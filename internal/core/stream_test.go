@@ -72,29 +72,34 @@ func TestStreamMatchesBatch(t *testing.T) {
 		name                  string
 		samples, window, emit int
 		noise                 float64
-		resetAfter            int // push this many samples of another signal first, then Reset
+		priorSamples          int // push this many samples of another signal into an estimator of the same shape first
 		interval              time.Duration
 	}{
 		{name: "whole trace, one emission", samples: 1440, window: 1440, emit: 1, noise: 0.05, interval: time.Minute},
 		{name: "power-of-two window, every sample", samples: 700, window: 256, emit: 1, noise: 0.02, interval: 30 * time.Second},
 		{name: "serving shape", samples: 2048, window: 256, emit: 8, noise: 0.02, interval: 30 * time.Second},
 		{name: "non-power-of-two window", samples: 3000, window: 1440, emit: 97, noise: 0.05, interval: time.Minute},
-		{name: "after Reset", samples: 700, window: 256, emit: 8, noise: 0.02, resetAfter: 333, interval: 30 * time.Second},
+		{name: "fresh after another signal", samples: 700, window: 256, emit: 8, noise: 0.02, priorSamples: 333, interval: 30 * time.Second},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, win := range oracleWindows {
 				t.Run(win.name, func(t *testing.T) {
 					u := dayTrace(t, tc.samples, tc.interval, tc.noise, 4)
-					st, err := NewStreamEstimator(StreamConfig{Interval: tc.interval, WindowSamples: tc.window, EmitEvery: tc.emit, Window: win.w})
+					cfg := StreamConfig{Interval: tc.interval, WindowSamples: tc.window, EmitEvery: tc.emit, Window: win.w}
+					// Estimators of one window length share the plan, the
+					// taper table and pooled work buffers: a stream used
+					// before must leave nothing behind in them.
+					prior, err := NewStreamEstimator(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for i := 0; i < tc.resetAfter; i++ {
-						st.Push(1e6 * float64(i%5))
+					for i := 0; i < tc.priorSamples; i++ {
+						prior.Push(1e6 * float64(i%5))
 					}
-					if tc.resetAfter > 0 {
-						st.Reset()
+					st, err := NewStreamEstimator(cfg)
+					if err != nil {
+						t.Fatal(err)
 					}
 					batch := Estimator{cfg: EstimatorConfig{Window: win.w}}
 					emissions := 0
@@ -304,9 +309,11 @@ func TestStreamSweetSpot(t *testing.T) {
 }
 
 // TestStreamWarmupAndReset checks nothing is emitted before a full
-// window, Current reports ErrTooShort, and Reset restores a fresh state.
+// window, Current reports ErrTooShort, and a fresh estimator of the same
+// configuration — the reset — starts cold again.
 func TestStreamWarmupAndReset(t *testing.T) {
-	st, err := NewStreamEstimator(StreamConfig{Interval: time.Second, WindowSamples: 32})
+	cfg := StreamConfig{Interval: time.Second, WindowSamples: 32}
+	st, err := NewStreamEstimator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +328,9 @@ func TestStreamWarmupAndReset(t *testing.T) {
 	if up := st.Push(1); up == nil {
 		t.Fatal("no emission at window fill")
 	}
-	st.Reset()
+	if st, err = NewStreamEstimator(cfg); err != nil {
+		t.Fatal(err)
+	}
 	if st.Warm() || st.Seen() != 0 {
 		t.Fatalf("reset left warm=%v seen=%d", st.Warm(), st.Seen())
 	}

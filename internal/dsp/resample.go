@@ -41,19 +41,24 @@ func DecimateFiltered(x []float64, sampleRate float64, factor int) ([]float64, e
 // step used to compare a Nyquist-rate trace against the original (Fig. 6).
 // outLen must be >= len(x).
 func UpsampleFFT(x []float64, outLen int) ([]float64, error) {
-	n := len(x)
+	if outLen == len(x) && outLen > 0 {
+		return append([]float64(nil), x...), nil
+	}
+	return UpsampleSpectrum(FFTReal(x), outLen)
+}
+
+// UpsampleSpectrum is UpsampleFFT given the full spectrum of the real
+// signal (FFTReal's output) instead of the signal, for a caller that
+// shapes the spectrum first — a droop correction — and so transforms
+// once, not twice. outLen must exceed len(spec).
+func UpsampleSpectrum(spec []complex128, outLen int) ([]float64, error) {
+	n := len(spec)
 	if n == 0 {
 		return nil, ErrEmptySignal
 	}
-	if outLen < n {
-		return nil, errors.New("dsp: UpsampleFFT target length below input length")
+	if outLen <= n {
+		return nil, errors.New("dsp: upsampling target length not above input length")
 	}
-	if outLen == n {
-		out := make([]float64, n)
-		copy(out, x)
-		return out, nil
-	}
-	spec := FFTReal(x)
 	padded := make([]complex128, outLen)
 	half := n / 2
 	for k := 0; k <= half; k++ {
@@ -68,10 +73,11 @@ func UpsampleFFT(x []float64, outLen int) ([]float64, error) {
 		padded[half] = spec[half] / 2
 		padded[outLen-half] = spec[half] / 2
 	}
-	out := IFFTReal(padded)
+	fftInPlace(padded, true)
+	out := make([]float64, outLen)
 	scale := float64(outLen) / float64(n)
-	for i := range out {
-		out[i] *= scale
+	for i, v := range padded {
+		out[i] = real(v) * scale
 	}
 	return out, nil
 }

@@ -20,7 +20,12 @@
 # 37 / 19 before it): five flags and five config fields nothing set became
 # constants, the Archiver's riding stream and the dsp declarations nothing
 # called went, and five allow annotations folded into two cold helpers.
-MAX_LOC=21594
+# MAX_LOC was then raised by exactly the net 104 lines (21,594 → 21,698)
+# that band-limited, droop-compensated reconstruction of tier runs took
+# (internal/api/reconstruct.go and dsp.UpsampleSpectrum under it, less
+# (*core.StreamEstimator).Reset): nothing else unreferenced was left to
+# pay for it.
+MAX_LOC=21698
 MAX_TSDB_LOC=3471
 MAX_FLAGS=19
 MAX_CONFIG_FIELDS=32
