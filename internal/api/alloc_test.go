@@ -39,20 +39,20 @@ func TestFastParseZeroAlloc(t *testing.T) {
 // TestIngestBatchAllocCeiling pins the amortized allocation budget of
 // the whole batched core — zero-copy parse, shard-affinity AppendBatch,
 // seal path, estimator run-feeding — on warm repeat-series traffic.
-// Steady state is NOT zero per batch: the estimator emits a StreamUpdate
-// every EmitEvery accepted points and sealing retains compressed block
-// payloads, both by design. But everything per-point in the serving
-// layer must stay off the heap, so the whole pipeline is pinned to a
-// small fraction of an allocation per point. The seed's per-line loop
-// sat near 4 allocs/point; the batched core measures ~0.3 (estimator
-// emissions + seals), and this ceiling fails the build if a per-point
-// allocation ever creeps back in.
+// What a warm batch allocates is what the store retains: the payload of
+// each block it seals. Estimator refreshes write into state each series'
+// estimator owns, and only a series' first sight and its interval probe
+// allocate on the estimator side, so neither shows here. The seed's
+// per-line loop sat near 4 allocs/point and the batched core near 0.25
+// while every refresh allocated its update; sealed payloads alone come
+// to about 0.01, and this ceiling fails the build if a per-point or
+// per-refresh allocation ever creeps back in.
 func TestIngestBatchAllocCeiling(t *testing.T) {
 	const (
 		batchLines = 1000
 		nSeries    = 16
 		runs       = 20
-		ceiling    = 0.6 // allocs per point, amortized over a warm batch
+		ceiling    = 0.02 // allocs per point, amortized over a warm batch
 	)
 	srv := NewServer(Config{})
 	start := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
@@ -93,7 +93,12 @@ func TestIngestBatchAllocCeiling(t *testing.T) {
 	run()
 	run()
 	perBatch := testing.AllocsPerRun(runs, run)
-	if perPoint := perBatch / batchLines; perPoint > ceiling {
+	perPoint := perBatch / batchLines
+	t.Logf("warm ingest allocs per point: %.3f (%.0f per %d-line batch)", perPoint, perBatch, batchLines)
+	if raceEnabled {
+		t.Skip("race build: its sync.Pool drops pooled buffers at random")
+	}
+	if perPoint > ceiling {
 		t.Fatalf("warm ingest batch allocates %.0f/batch = %.3f/point, ceiling %.2f/point",
 			perBatch, perPoint, ceiling)
 	}

@@ -378,7 +378,7 @@ func (s *Server) flushChunk(b *ingestBatch, resp *IngestResponse, tally *ingestT
 	for ; ri < len(b.rejects); ri++ {
 		resp.reject(int(b.rejects[ri].line), b.rejects[ri].reason)
 	}
-	//nyquist:allow-alloc estimator feed runs once per flushed chunk, amortized over its points
+	//nyquist:allow-alloc only a series' first sight and its interval probe allocate in the feed (and its run buffers, grown to the largest chunk); warm refreshes reuse estimator-owned state
 	s.feedEstimator(b, resp, tally)
 	b.pts = b.pts[:0]
 	b.meta = b.meta[:0]

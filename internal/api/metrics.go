@@ -13,6 +13,7 @@ package api
 
 import (
 	"runtime"
+	"runtime/metrics"
 	"sync"
 	"time"
 
@@ -284,6 +285,16 @@ func newServerMetrics(reg *obs.Registry, store *tsdb.DB, est *monitor.IngestEsti
 		func() float64 { return time.Since(start).Seconds() })
 	reg.GaugeFunc("nyquistd_go_goroutines", "Live goroutines.",
 		func() float64 { return float64(runtime.NumGoroutine()) })
+	// runtime/metrics, unlike runtime.ReadMemStats, does not stop the world.
+	hs := &cached[[]metrics.Sample]{fetch: func() []metrics.Sample {
+		s := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}, {Name: "/memory/classes/heap/unused:bytes"}}
+		metrics.Read(s)
+		return s
+	}}
+	heap := reg.GaugeVec("nyquistd_heap_bytes", "Go heap bytes by class: objects is live objects plus garbage not yet swept, unused is span space reserved for objects but holding none — the fragmentation short-lived garbage leaves beside retained data.", "class")
+	for i, class := range []string{"objects", "unused"} {
+		heap.Func(func() float64 { return float64(hs.get()[i].Value.Uint64()) }, class)
+	}
 
 	return m
 }

@@ -77,6 +77,20 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("malformed exposition line %q", line)
 		}
 	}
+	// The heap family splits what the runtime holds for objects into
+	// live objects and the span space beside them that holds none.
+	for _, class := range []string{"objects", "unused"} {
+		v := -1.0
+		prefix := `nyquistd_heap_bytes{class="` + class + `"} `
+		for _, line := range strings.Split(text, "\n") {
+			if rest, ok := strings.CutPrefix(line, prefix); ok {
+				fmt.Sscan(rest, &v)
+			}
+		}
+		if v < 0 || class == "objects" && v == 0 {
+			t.Errorf("/metrics heap class %s = %v, want a byte count (objects > 0)", class, v)
+		}
+	}
 }
 
 // TestReadinessGate pins the liveness/readiness split: while not ready

@@ -120,11 +120,13 @@ type StreamEstimator struct {
 	count int64
 	// streak is the current run of consecutive aliased emissions.
 	streak int
-	// memo is the newest estimate and memoAt the count it was derived
-	// at, so Current right after an emission (every caller that reads a
-	// window once gets one at the fill) does not transform the same
-	// window again.
-	memo   *Result
+	// up and memo are the newest emission and its estimate, rewritten in
+	// place by every emitting Push (up.Result points at memo). memoAt is
+	// the count memo was derived at, so Current right after an emission
+	// (every caller that reads a window once gets one at the fill) copies
+	// memo instead of transforming the same window again.
+	up     StreamUpdate
+	memo   Result
 	memoAt int64
 	// ref is subtracted from every pushed value before it enters the
 	// ring. Removing a constant only changes the (excluded) DC bin in
@@ -232,8 +234,13 @@ func (s *StreamEstimator) Warm() bool { return s.count >= int64(s.cfg.WindowSamp
 
 // Push ingests one poll. It returns a non-nil update when the window is
 // full and the emission cadence hits, nil otherwise. A push that emits
-// nothing does no spectral work and allocates nothing; an emitting push
-// runs one FFT of the window and allocates only the update it returns.
+// nothing does no spectral work; an emitting push runs one FFT of the
+// window. Neither allocates.
+//
+// The returned update and its Result belong to the estimator: the next
+// emitting Push overwrites both in place. A caller that keeps an
+// emission past that copies it (Feed does); Current returns an
+// independent Result.
 func (s *StreamEstimator) Push(v float64) *StreamUpdate {
 	if s.count == 0 {
 		s.ref = v
@@ -252,12 +259,16 @@ func (s *StreamEstimator) Push(v float64) *StreamUpdate {
 }
 
 // Feed pushes every value of a trace and returns the emitted updates —
-// the streaming replacement for the batch MovingWindow scan.
+// the streaming replacement for the batch MovingWindow scan. Each
+// returned update owns a copy of its Result, so later pushes leave them
+// unchanged.
 func (s *StreamEstimator) Feed(values []float64) []StreamUpdate {
 	var out []StreamUpdate
 	for _, v := range values {
 		if up := s.Push(v); up != nil {
+			res := *up.Result
 			out = append(out, *up)
+			out[len(out)-1].Result = &res
 		}
 	}
 	return out
@@ -267,16 +278,16 @@ func (s *StreamEstimator) Feed(values []float64) []StreamUpdate {
 // for the emission cadence. It returns ErrTooShort until a full window
 // has been seen, and ErrAliased (with a populated Result) for windows
 // carrying the aliased signature, mirroring the batch Estimate contract.
+// The Result is the caller's: no later push changes it.
 func (s *StreamEstimator) Current() (*Result, error) {
 	if !s.Warm() {
 		return nil, ErrTooShort
 	}
-	var res *Result
-	if s.memo != nil && s.memoAt == s.count {
-		c := *s.memo
-		res = &c
+	res := new(Result)
+	if s.memoAt == s.count {
+		*res = s.memo
 	} else {
-		res = s.estimate()
+		s.estimate(res)
 	}
 	if res.Aliased {
 		return res, ErrAliased
@@ -284,13 +295,14 @@ func (s *StreamEstimator) Current() (*Result, error) {
 	return res, nil
 }
 
-// emit builds the cadence-gated update and maintains the alias streak.
+// emit writes the cadence-gated update into s.up and maintains the alias
+// streak.
 func (s *StreamEstimator) emit() *StreamUpdate {
-	res := s.estimate()
-	up := &StreamUpdate{
-		Index:  s.count - 1,
-		Result: res,
-	}
+	res := &s.memo
+	s.estimate(res)
+	s.memoAt = s.count
+	up := &s.up
+	*up = StreamUpdate{Index: s.count - 1, Result: res}
 	if !s.cfg.Start.IsZero() {
 		up.Time = s.cfg.Start.Add(time.Duration(up.Index) * s.cfg.Interval)
 		up.WindowStart = up.Time.Add(-time.Duration(s.cfg.WindowSamples-1) * s.cfg.Interval)
@@ -309,8 +321,9 @@ func (s *StreamEstimator) emit() *StreamUpdate {
 	return up
 }
 
-// estimate derives a batch-equivalent Result from the current window.
-func (s *StreamEstimator) estimate() *Result {
+// estimate derives a batch-equivalent Result from the current window
+// into res.
+func (s *StreamEstimator) estimate(res *Result) {
 	fs := s.SampleRate()
 	sc := s.eng.pool.Get().(*psdScratch)
 	defer s.eng.pool.Put(sc)
@@ -363,17 +376,15 @@ func (s *StreamEstimator) estimate() *Result {
 		captured = cum / total
 	}
 	cutFreq := float64(bin) * df
-	res := &Result{
+	*res = Result{
 		CutoffFreq:     cutFreq,
 		SampleRate:     fs,
 		EnergyCaptured: captured,
 	}
-	s.memo, s.memoAt = res, s.count
 	if bin >= last || cutFreq >= defaultAliasedGuard*fs/2 {
 		res.Aliased = true
-		return res
+		return
 	}
 	res.NyquistRate = 2 * cutFreq
 	res.ReductionRatio = fs / res.NyquistRate
-	return res
 }

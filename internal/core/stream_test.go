@@ -361,6 +361,91 @@ func TestStreamPushSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestStreamEmitZeroAlloc checks a warm emitting push allocates nothing
+// either: on the serving shape (window 256, Hann, a refresh every 8
+// points) every measured run crosses one emission, which the estimator
+// writes into the update and Result it owns.
+func TestStreamEmitZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race build: its sync.Pool drops pooled buffers at random")
+	}
+	const emitEvery = 8
+	st, err := NewStreamEstimator(StreamConfig{
+		Interval:      time.Second,
+		WindowSamples: 256,
+		EmitEvery:     emitEvery,
+		Window:        dsp.Hann{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	for ; i < 300; i++ {
+		st.Push(float64(i % 7))
+	}
+	emitted := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		for k := 0; k < emitEvery; k++ {
+			if up := st.Push(float64(i % 7)); up != nil && up.Result != nil {
+				emitted++
+			}
+			i++
+		}
+	})
+	if emitted != 1001 {
+		t.Fatalf("%d emissions over 1001 runs of %d pushes, want one per run", emitted, emitEvery)
+	}
+	if allocs != 0 {
+		t.Fatalf("a warm emitting push run allocates %v objects, want 0", allocs)
+	}
+}
+
+// TestStreamFeedOwnsItsUpdates pins the ownership split: Push hands out
+// the estimator's own update and Result, overwritten by the next
+// emission, while Feed returns copies that later pushes leave alone.
+func TestStreamFeedOwnsItsUpdates(t *testing.T) {
+	u := dayTrace(t, 1024, 30*time.Second, 0.02, 5)
+	st, err := NewStreamEstimator(StreamConfig{Interval: 30 * time.Second, WindowSamples: 256, EmitEvery: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ups := st.Feed(u.Values[:512])
+	if len(ups) != 5 {
+		t.Fatalf("%d emissions from 512 samples, want 5", len(ups))
+	}
+	type frozen struct {
+		up  StreamUpdate
+		res Result
+	}
+	before := make([]frozen, len(ups))
+	for i, up := range ups {
+		before[i] = frozen{up, *up.Result}
+		if i > 0 && up.Result == ups[i-1].Result {
+			t.Fatalf("updates %d and %d share one Result", i-1, i)
+		}
+	}
+	var pushed *StreamUpdate
+	for _, v := range u.Values[512:] {
+		if up := st.Push(v); up != nil {
+			if pushed != nil && up != pushed {
+				t.Fatal("an emitting Push returned a different update than the one before it")
+			}
+			pushed = up
+		}
+	}
+	if pushed == nil {
+		t.Fatal("no emission after Feed")
+	}
+	for i, up := range ups {
+		if up != before[i].up || *up.Result != before[i].res {
+			t.Fatalf("Feed's update %d changed after further pushes", i)
+		}
+		if up.Result == pushed.Result {
+			t.Fatalf("Feed's update %d shares the estimator's Result", i)
+		}
+	}
+}
+
 // TestStreamConfigValidation exercises the config error paths.
 func TestStreamConfigValidation(t *testing.T) {
 	cases := []StreamConfig{

@@ -179,6 +179,8 @@ type ingestSeries struct {
 	// the locked interval.
 	drift int
 
+	// last is est's newest emission — the update est owns and rewrites in
+	// place at every refresh — or nil before the first one.
 	last        *core.StreamUpdate
 	lastNyquist float64 // newest clean estimate the policy trusted
 	// policy holds what SetNyquistRate last saw: lastNyquist, peak-held.

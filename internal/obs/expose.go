@@ -110,7 +110,11 @@ func (f *family) gather(out *[]Sample) {
 		case KindCounter:
 			*out = append(*out, Sample{Name: f.name, Labels: labels, Value: float64(c.counter.Value())})
 		case KindGauge:
-			*out = append(*out, Sample{Name: f.name, Labels: labels, Value: c.gauge.Value()})
+			v := c.gauge.Value()
+			if c.fn != nil {
+				v = c.fn()
+			}
+			*out = append(*out, Sample{Name: f.name, Labels: labels, Value: v})
 		case KindHistogram:
 			h := c.hist
 			cum := int64(0)

@@ -181,6 +181,7 @@ type child struct {
 	counter     *Counter
 	gauge       *Gauge
 	hist        *Histogram
+	fn          func() float64 // set by GaugeVec.Func: read in place of gauge
 }
 
 // Registry holds metric families and renders them. The zero value is
@@ -301,6 +302,16 @@ type GaugeVec struct{ f *family }
 
 // With returns the gauge for the given label values.
 func (v *GaugeVec) With(values ...string) *Gauge { return v.f.child(values).gauge }
+
+// Func makes the gauge for the given label values sampled by fn at read
+// time, as GaugeFunc does for an unlabeled family. Call it before the
+// registry is first read.
+func (v *GaugeVec) Func(fn func() float64, values ...string) {
+	c := v.f.child(values)
+	v.f.mu.Lock()
+	c.fn = fn
+	v.f.mu.Unlock()
+}
 
 // HistogramVec hands out per-label-set histograms.
 type HistogramVec struct{ f *family }

@@ -94,6 +94,9 @@ func TestExpositionGolden(t *testing.T) {
 	h.Observe(0.5)
 	h.Observe(2)
 	r.GaugeFunc("test_fn", "A sampled gauge.", func() float64 { return 42 })
+	gv := r.GaugeVec("test_fv", "Sampled gauges, labeled.", "class")
+	gv.Func(func() float64 { return 7 }, "b")
+	gv.With("a").Set(2)
 
 	var sb strings.Builder
 	if err := r.WriteProm(&sb); err != nil {
@@ -110,6 +113,10 @@ func TestExpositionGolden(t *testing.T) {
 		"# HELP test_fn A sampled gauge.",
 		"# TYPE test_fn gauge",
 		"test_fn 42",
+		"# HELP test_fv Sampled gauges, labeled.",
+		"# TYPE test_fv gauge",
+		`test_fv{class="a"} 2`,
+		`test_fv{class="b"} 7`,
 		`# HELP test_g A gauge with an "odd"\nhelp\\string.`,
 		"# TYPE test_g gauge",
 		"test_g 1.5",

@@ -185,15 +185,13 @@ func Open(dir string, store *tsdb.DB, est *monitor.IngestEstimator, opts Options
 	d.log = log
 	d.bytesAtSnap = log.Stats().Bytes
 	store.OnSeal(func(id string, blk tsdb.Block) {
-		e := enc{}
-		encodeBlockRec(&e, blockRec{id: id, blk: blk})
-		// Append counts every failure — including append-after-close —
-		// into LogStats.Errors, so a dropped block record surfaces as
+		// The append counts every failure — including append-after-close
+		// — into LogStats.Errors, so a dropped block record surfaces as
 		// degraded durability in /metrics and the scrub report. Under
 		// the shard lock there is nothing else safe to do with the
 		// error: no I/O, no logging, no re-entering the store.
-		//nyquist:allow-discard Append self-counts failures into LogStats.Errors; the seal hook runs under the shard lock
-		_ = d.log.Append(recBlock, e.b)
+		//nyquist:allow-discard appendBlock self-counts failures into LogStats.Errors; the seal hook runs under the shard lock
+		_ = d.log.appendBlock(id, blk)
 	})
 	go d.background()
 	return d, nil
@@ -470,20 +468,24 @@ func (d *Durable) snapshotLocked() error {
 		f.Close()
 		return err
 	}
-	writeRec := func(typ byte, e *enc) error { return frame(w, typ, e.b) }
-
 	e := &enc{}
+	writeRec := func() error {
+		_, err := w.Write(e.closeFrame())
+		return err
+	}
+
+	e.openFrame(recSnapHeader)
 	encodeSnapHeader(e, snapHeader{version: payloadVersion, nextSeg: nextSeg})
-	if err := writeRec(recSnapHeader, e); err != nil {
+	if err := writeRec(); err != nil {
 		f.Close()
 		return err
 	}
 	nSeries := uint64(0)
 	err = d.store.ExportSeries(func(s tsdb.SeriesSnapshot) error {
 		nSeries++
-		e := &enc{}
+		e.openFrame(recSnapSeries)
 		encodeSeriesSnap(e, s)
-		return writeRec(recSnapSeries, e)
+		return writeRec()
 	})
 	if err != nil {
 		f.Close()
@@ -491,18 +493,18 @@ func (d *Durable) snapshotLocked() error {
 	}
 	states := d.est.ExportState()
 	for _, st := range states {
-		e := &enc{}
 		r := stateRec{st: st, retentionHz: d.store.NyquistRate(st.Series)}
+		e.openFrame(recSnapState)
 		encodeStateRec(e, r)
-		if err := writeRec(recSnapState, e); err != nil {
+		if err := writeRec(); err != nil {
 			f.Close()
 			return err
 		}
 		d.lastState[st.Series] = r
 	}
-	e = &enc{}
+	e.openFrame(recSnapFooter)
 	encodeSnapFooter(e, snapFooter{series: nSeries, states: uint64(len(states))})
-	if err := writeRec(recSnapFooter, e); err != nil {
+	if err := writeRec(); err != nil {
 		f.Close()
 		return err
 	}
@@ -649,9 +651,7 @@ func (d *Durable) writeStates() {
 		if prev, ok := d.lastState[st.Series]; ok && prev == r {
 			continue
 		}
-		e := enc{}
-		encodeStateRec(&e, r)
-		if err := d.log.Append(recState, e.b); err != nil {
+		if err := d.log.appendRec(recState, func(e *enc) { encodeStateRec(e, r) }); err != nil {
 			return
 		}
 		d.lastState[st.Series] = r

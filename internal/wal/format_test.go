@@ -277,17 +277,20 @@ func TestRefusesFutureVersions(t *testing.T) {
 		path := filepath.Join(dir, snapName(snaps[0]))
 		out := bytes.NewBufferString(snapMagic)
 		if _, _, err := replayFile(path, snapMagic, func(_ uint64, typ byte, payload []byte) error {
+			e := enc{}
+			e.openFrame(typ)
 			if typ == recSnapHeader {
 				h, err := decodeSnapHeader(payload)
 				if err != nil {
 					return err
 				}
 				h.version = payloadVersion + 1
-				e := enc{}
 				encodeSnapHeader(&e, h)
-				payload = e.b
+			} else {
+				e.b = append(e.b, payload...)
 			}
-			return frame(out, typ, payload)
+			_, err := out.Write(e.closeFrame())
+			return err
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -25,6 +25,11 @@ func encodeBlockRec(e *enc, r blockRec) {
 	e.bytes(r.blk.Data())
 }
 
+// appendBlock is the seal hook's append.
+func (l *Log) appendBlock(id string, blk tsdb.Block) error {
+	return l.appendRec(recBlock, func(e *enc) { encodeBlockRec(e, blockRec{id: id, blk: blk}) })
+}
+
 // decodeBlock reads one persisted block — point count, then payload —
 // written at payload version ver. The payload is copied out of the replay
 // buffer (the buffer is reused record to record, but a rebuilt Block

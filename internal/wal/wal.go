@@ -172,6 +172,9 @@ type Log struct {
 	errors     int64
 	lastErr    string
 	closed     bool
+	// rec is the framing buffer every appended record is built in, under
+	// mu; it grows to the largest record appended.
+	rec enc
 
 	stopc chan struct{}
 	donec chan struct{}
@@ -277,35 +280,30 @@ func (l *Log) markDirty() {
 	}
 }
 
-// frame appends one framed record to w: u32le payload length, type
-// byte, payload, u32le CRC-32C over type+payload.
-func frame(w io.Writer, typ byte, payload []byte) error {
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	hdr[4] = typ
-	crc := crc32.Update(crc32.Checksum(hdr[4:5], crcTable), crcTable, payload)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc)
-	_, err := w.Write(tail[:])
-	return err
+// A framed record is u32le payload length, type byte, payload, u32le
+// CRC-32C over type+payload, built whole in one enc: openFrame reserves
+// the header, the payload is encoded after it, closeFrame fills in the
+// length and appends the CRC.
+const frameHeader = 5
+
+func (e *enc) openFrame(typ byte) { e.b = append(e.b[:0], 0, 0, 0, 0, typ) }
+
+func (e *enc) closeFrame() []byte {
+	binary.LittleEndian.PutUint32(e.b, uint32(len(e.b)-frameHeader))
+	e.b = binary.LittleEndian.AppendUint32(e.b, crc32.Checksum(e.b[frameHeader-1:], crcTable))
+	return e.b
 }
 
-func frameSize(payload []byte) int64 { return int64(len(payload)) + 9 }
-
-// Append frames one record into the live segment. With a non-negative
-// FsyncEvery the write is buffered and becomes durable at the next
-// group commit — no file I/O happens on the caller's path (size-based
-// rotation runs in the flusher), so a seal hook calling Append under a
-// shard lock only pays a mutex and a buffer copy. A negative FsyncEvery
-// syncs (and rotates, when due) before returning. Failures are counted
-// in LogStats.Errors as well as returned.
-func (l *Log) Append(typ byte, payload []byte) error {
+// appendRec frames one record into the live segment, fill encoding its
+// payload straight into the log's framing buffer: once that buffer has
+// grown, an append allocates nothing. With a non-negative FsyncEvery the
+// write is buffered and becomes durable at the next group commit — no
+// file I/O happens on the caller's path (size-based rotation runs in the
+// flusher), so the seal hook appending under a shard lock only pays a
+// mutex and the encode. A negative FsyncEvery syncs (and rotates, when
+// due) before returning. Failures are counted in LogStats.Errors as well
+// as returned.
+func (l *Log) appendRec(typ byte, fill func(*enc)) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -314,10 +312,13 @@ func (l *Log) Append(typ byte, payload []byte) error {
 		// durability, not just a caller error.
 		return l.noteErr(os.ErrClosed)
 	}
-	if err := frame(l.w, typ, payload); err != nil {
+	l.rec.openFrame(typ)
+	fill(&l.rec)
+	rec := l.rec.closeFrame()
+	if _, err := l.w.Write(rec); err != nil {
 		return l.noteErr(err)
 	}
-	l.segBytes += frameSize(payload)
+	l.segBytes += int64(len(rec))
 	l.records++
 	l.markDirty()
 	if l.opts.FsyncEvery < 0 {

@@ -6,7 +6,15 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/series"
+	"repro/internal/tsdb"
 )
+
+// appendRaw logs one record with an opaque payload.
+func appendRaw(l *Log, typ byte, payload []byte) error {
+	return l.appendRec(typ, func(e *enc) { e.b = append(e.b, payload...) })
+}
 
 // TestLogRoundTrip pins the framing contract: records appended across
 // rotations come back intact, typed and in order.
@@ -24,7 +32,7 @@ func TestLogRoundTrip(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		r := rec{typ: byte(1 + i%2), payload: bytes.Repeat([]byte{byte(i)}, i)}
 		want = append(want, r)
-		if err := l.Append(r.typ, r.payload); err != nil {
+		if err := appendRaw(l, r.typ, r.payload); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -71,7 +79,7 @@ func TestLogTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := l.Append(recBlock, bytes.Repeat([]byte{0xAB}, 100)); err != nil {
+		if err := appendRaw(l, recBlock, bytes.Repeat([]byte{0xAB}, 100)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -121,7 +129,7 @@ func TestLogGroupCommit(t *testing.T) {
 	}
 	defer l.Close()
 	for i := 0; i < 100; i++ {
-		if err := l.Append(recState, []byte("state")); err != nil {
+		if err := appendRaw(l, recState, []byte("state")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,6 +149,55 @@ func TestLogGroupCommit(t *testing.T) {
 	}
 }
 
+// TestSealRecordZeroAlloc pins the seal hook's append: once the log's
+// framing buffer has grown to a block record, logging another sealed
+// block allocates nothing — the record is encoded straight into that
+// buffer, header and CRC included — and what lands is the record replay
+// decodes back to the same block.
+func TestSealRecordZeroAlloc(t *testing.T) {
+	pts := make([]series.Point, 128)
+	for i := range pts {
+		pts[i] = series.Point{Time: walStart.Add(time.Duration(i) * time.Second), Value: 40 + float64(i%37)*0.25}
+	}
+	blk, err := tsdb.EncodeBlock(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	// An hour-long group commit keeps the flusher out of the measurement.
+	l, err := openLog(dir, LogOptions{FsyncEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "seal/dev00/metric"
+	if err := l.appendBlock(id, blk); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		if err := l.appendBlock(id, blk); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("a warm seal record allocates %v objects, want 0", n)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	records, torn, err := replayFile(filepath.Join(dir, segName(1)), segMagic, func(ver uint64, typ byte, payload []byte) error {
+		r, err := decodeBlockRec(payload, ver)
+		if err != nil {
+			return err
+		}
+		if typ != recBlock || r.id != id || r.blk.Len() != blk.Len() || !bytes.Equal(r.blk.Data(), blk.Data()) {
+			t.Fatalf("replayed type %d id %q, %d points: not the appended block", typ, r.id, r.blk.Len())
+		}
+		return nil
+	})
+	if err != nil || torn || records != 1002 {
+		t.Fatalf("replayed %d records (torn %v, err %v), want 1002 intact", records, torn, err)
+	}
+}
+
 // TestRemoveBefore pins compaction bookkeeping.
 func TestRemoveBefore(t *testing.T) {
 	dir := t.TempDir()
@@ -150,7 +207,7 @@ func TestRemoveBefore(t *testing.T) {
 	}
 	defer l.Close()
 	for i := 0; i < 3; i++ {
-		if err := l.Append(recState, []byte("x")); err != nil {
+		if err := appendRaw(l, recState, []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := l.Rotate(); err != nil {

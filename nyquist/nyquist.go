@@ -114,7 +114,10 @@ type (
 	// StreamConfig parameterizes streaming estimation.
 	StreamConfig = core.StreamConfig
 	// StreamUpdate is one emission: the windowed estimate plus aliasing
-	// risk and the sweet-spot poll interval.
+	// risk and the sweet-spot poll interval. The update Push returns and
+	// its Result belong to the estimator, and the next emitting Push
+	// overwrites them; copy what you keep. Feed and Current return
+	// independent copies.
 	StreamUpdate = core.StreamUpdate
 )
 

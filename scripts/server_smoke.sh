@@ -17,7 +17,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 workdir=$(mktemp -d)
-trap 'rm -rf "$workdir"' EXIT
+daemon=
+trap '[ -z "$daemon" ] || kill "$daemon" 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
 go build -o "$workdir/nyquistd" ./cmd/nyquistd
 go build -o "$workdir/monitorsim" ./cmd/monitorsim
@@ -149,7 +150,8 @@ for fam in nyquistd_http_requests_total nyquistd_http_request_seconds \
     nyquistd_query_cache_bytes nyquistd_query_cache_max_bytes \
     nyquistd_estimator_series nyquistd_estimator_probes_total nyquistd_up \
     nyquistd_bulk_frames_total nyquistd_bulk_bytes_total \
-    nyquistd_bulk_connections nyquistd_ingest_batch_bytes; do
+    nyquistd_bulk_connections nyquistd_ingest_batch_bytes \
+    nyquistd_heap_bytes; do
     grep -q "^# TYPE $fam " "$workdir/metrics.txt" || {
         echo "server_smoke: /metrics missing family $fam" >&2; exit 1; }
 done
@@ -237,13 +239,21 @@ for fam in nyquistd_wal_unsynced_age_seconds nyquistd_wal_snapshot_age_seconds; 
     grep -q "^# TYPE $fam gauge" "$workdir/metrics_durable.txt" || {
         echo "server_smoke: durable /metrics missing gauge $fam" >&2; exit 1; }
     for _ in $(seq 1 50); do
-        n=$(curl -sf "http://127.0.0.1:$port/api/v1/query?series=$fam" | grep -o '"ts":' | wc -l)
+        # A 404 until the first self-scrape pass lands is a retry, not a failure.
+        n=$(curl -sf "http://127.0.0.1:$port/api/v1/query?series=$fam" | grep -o '"ts":' | wc -l || true)
         [ "$n" -ge 3 ] && break
         sleep 0.1
     done
     [ "$n" -ge 3 ] || { echo "server_smoke: self-scrape stored $n samples of $fam, want >= 3" >&2; exit 1; }
 done
 echo "server_smoke: WAL lag gauges exported and self-scraped as series"
+# Heap fragmentation is a stored series too (id nyquistd_heap_bytes{class="unused"}).
+for _ in $(seq 1 50); do
+    n=$(curl -sf "http://127.0.0.1:$port/api/v1/query?series=nyquistd_heap_bytes%7Bclass%3D%22unused%22%7D" | grep -o '"ts":' | wc -l || true)
+    [ "$n" -ge 3 ] && break
+    sleep 0.1
+done
+[ "$n" -ge 3 ] || { echo "server_smoke: self-scrape stored $n samples of nyquistd_heap_bytes{class=\"unused\"}, want >= 3" >&2; exit 1; }
 
 grep -q '"wal":{' "$workdir/stats_after.json" || { echo "server_smoke: stats missing wal section" >&2; cat "$workdir/stats_after.json" >&2; exit 1; }
 grep -q '"points":1024' "$workdir/stats_after.json" || { echo "server_smoke: replay accounting missing 1024 points" >&2; cat "$workdir/stats_after.json" >&2; exit 1; }

@@ -39,6 +39,8 @@ var denied = map[denyKey]bool{
 	{"tsdb", "DB", "Append"}:            true,
 	{"tsdb", "DB", "AppendUniform"}:     true,
 	{"wal", "Log", "Append"}:            true,
+	{"wal", "Log", "appendRec"}:         true,
+	{"wal", "Log", "appendBlock"}:       true,
 	{"wal", "Log", "Sync"}:              true,
 	{"obs", "Registry", "WriteProm"}:    true,
 	{"http", "ResponseWriter", "Write"}: true,
@@ -104,7 +106,7 @@ func checkAssign(pass *analysis.Pass, as *ast.AssignStmt, report func(token.Pos,
 		}
 		return
 	}
-	// Pairwise: _ = d.log.Append(...)
+	// Pairwise: _ = d.log.appendBlock(...)
 	for i := range as.Rhs {
 		if i >= len(as.Lhs) || !isBlank(as.Lhs[i]) {
 			continue
