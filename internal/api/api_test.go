@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/monitor"
+	"repro/internal/series"
 	"repro/internal/tsdb"
 	"repro/internal/wal"
 )
@@ -305,8 +306,13 @@ func TestServerHealthz(t *testing.T) {
 // behind a zero-config server seals 128-point blocks over 16 shards.
 func TestServerDefaultStoreCompresses(t *testing.T) {
 	srv := NewServer(Config{})
-	if cb := srv.Store().Retention().CompressBlock; cb != 128 {
-		t.Fatalf("serving default block length %d, want 128", cb)
+	for i := 0; i < 128; i++ {
+		if err := srv.Store().Append("a", series.Point{Time: time.Unix(int64(i), 0), Value: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if sealed, want := srv.Store().SealedBlocks(), int64((i+1)/128); sealed != want {
+			t.Fatalf("%d points sealed %d blocks, want %d: the serving block length is 128", i+1, sealed, want)
+		}
 	}
 	if sh := srv.Store().Shards(); sh != 16 {
 		t.Fatalf("serving default shards %d, want 16", sh)

@@ -154,7 +154,7 @@ func TestStoreShapeIsBounded(t *testing.T) {
 	}
 	check := func(t *testing.T, db *DB, from int) {
 		t.Helper()
-		rc := db.Retention()
+		rc := db.cfg.Retention
 		m := db.shards[0].series["s"]
 		var filled []storeCaps
 		for i := from; i < from+40*rc.RawCapacity; i++ {

@@ -204,9 +204,6 @@ func New(cfg Config) *DB {
 // Shards returns the configured shard count.
 func (db *DB) Shards() int { return len(db.shards) }
 
-// Retention returns the configured retention policy.
-func (db *DB) Retention() RetentionConfig { return db.cfg.Retention }
-
 // DB exists only because bench/trace.go unwraps its store with it; the
 // [benchmark] PR that re-points the trace deletes it.
 func (db *DB) DB() *DB { return db }

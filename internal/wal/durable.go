@@ -10,6 +10,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -23,10 +24,13 @@ import (
 
 // Options parameterizes a Durable store. The zero value is serving-safe.
 type Options struct {
-	// FsyncEvery is the group-commit window (see LogOptions.FsyncEvery):
-	// zero selects 10ms, negative syncs every append.
+	// FsyncEvery is the group-commit window: how often the background
+	// flusher pushes buffered records to disk and fsyncs. Zero selects
+	// 10ms; negative syncs synchronously on every append (the paranoid
+	// configuration — every accepted record is durable before the next).
 	FsyncEvery time.Duration
-	// SegmentBytes rotates segments at this size; zero selects 64 MiB.
+	// SegmentBytes rotates the live segment once it exceeds this size;
+	// zero selects 64 MiB.
 	SegmentBytes int64
 	// SnapshotEvery is the background compactor's cadence; zero selects
 	// 60s, negative disables automatic snapshots (Snapshot can still be
@@ -43,13 +47,20 @@ type Options struct {
 	// replay, when the good copy in memory is already gone. Zero selects
 	// 60s, negative disables (Scrub can still be called manually).
 	ScrubEvery time.Duration
-	// SyncObserver, when set, is called with each group commit's fsync
-	// wall time (see LogOptions.SyncObserver). It runs with the log's
-	// mutex held, so it must be fast and nonblocking.
+	// SyncObserver, when set, observes the wall time of every flush+fsync
+	// the log issues — the observability layer's fsync-latency histogram.
+	// It is called with the log's mutex held, so it must be fast and
+	// nonblocking (an atomic histogram observe, not I/O).
 	SyncObserver func(time.Duration)
 }
 
 func (o Options) withDefaults() Options {
+	if o.FsyncEvery == 0 {
+		o.FsyncEvery = 10 * time.Millisecond
+	}
+	if o.SegmentBytes <= 0 {
+		o.SegmentBytes = 64 << 20
+	}
 	if o.SnapshotEvery == 0 {
 		o.SnapshotEvery = 60 * time.Second
 	}
@@ -128,23 +139,13 @@ type Durable struct {
 	est   *monitor.IngestEstimator
 	log   *Log
 
-	replay ReplayInfo
-
-	mu             sync.Mutex // serializes snapshots, state sweeps and scrubs
-	snapshots      int64
-	snapshotErrs   int64
-	lastSnapshot   time.Time
-	snapshotSeries int
-	bytesAtSnap    int64
-	scrubRuns      int64
-	scrubFiles     int64
-	scrubCorrupt   int64
-	lastScrub      time.Time
-	lastState      map[string]stateRec
-	// pendingStates carries snapshot-loaded estimator states from
-	// loadSnapshot to recover, which applies them (WAL records may
-	// override) with rewarm-adjusted sample counts.
-	pendingStates map[string]stateRec
+	mu sync.Mutex // serializes snapshots, state sweeps and scrubs
+	// stats holds Replay (written once, before Open returns, so Replay
+	// reads it without mu) and the snapshot and scrub counters (under mu);
+	// Stats fills in Dir and Log.
+	stats       Stats
+	bytesAtSnap int64
+	lastState   map[string]stateRec
 
 	stopc chan struct{}
 	donec chan struct{}
@@ -174,11 +175,7 @@ func Open(dir string, store *tsdb.DB, est *monitor.IngestEstimator, opts Options
 	if err := d.recover(); err != nil {
 		return nil, err
 	}
-	log, err := openLog(dir, LogOptions{
-		FsyncEvery:   d.opts.FsyncEvery,
-		SegmentBytes: d.opts.SegmentBytes,
-		SyncObserver: d.opts.SyncObserver,
-	})
+	log, err := openLog(dir, d.opts)
 	if err != nil {
 		return nil, err
 	}
@@ -198,17 +195,13 @@ func Open(dir string, store *tsdb.DB, est *monitor.IngestEstimator, opts Options
 }
 
 // Replay returns what boot recovery did.
-func (d *Durable) Replay() ReplayInfo { return d.replay }
-
-// Store and Estimator expose the wrapped serving pair.
-func (d *Durable) Store() *tsdb.DB                     { return d.store }
-func (d *Durable) Estimator() *monitor.IngestEstimator { return d.est }
+func (d *Durable) Replay() ReplayInfo { return d.stats.Replay }
 
 // recover loads the newest valid snapshot and replays the segments past
 // it, then rewarms the estimator windows from the newest stored points.
 func (d *Durable) recover() error {
 	begin := time.Now()
-	info := &d.replay
+	info := &d.stats.Replay
 
 	fromSeg := uint64(0)
 	// watermark maps snapshot-restored series to their newest captured
@@ -220,34 +213,41 @@ func (d *Durable) recover() error {
 	// deduplicates on replay — the lesser evil against double-counting
 	// every boundary point.
 	watermark := map[string]time.Time{}
-	if snaps, err := listSnapshots(d.dir); err == nil {
-		for i := len(snaps) - 1; i >= 0; i-- {
-			h, ok, err := d.loadSnapshot(snaps[i], watermark)
-			if err != nil {
-				return err
-			}
-			if ok {
-				info.SnapshotLoaded = true
-				info.SnapshotSeq = snaps[i]
-				fromSeg = h.nextSeg
-				break
-			}
-		}
-	} else {
-		return err
-	}
-
-	segs, err := listSegments(d.dir)
-	if err != nil {
-		return err
-	}
 	// Latest state record per series wins — WAL records over snapshot
 	// ones — applied after the store replay so the estimator sees the
 	// final tuning.
-	states := d.pendingStates
-	d.pendingStates = nil
-	if states == nil {
-		states = map[string]stateRec{}
+	states := map[string]stateRec{}
+	snaps, err := listFiles(d.dir, snapFmt)
+	if err != nil {
+		return err
+	}
+	for i := len(snaps) - 1; i >= 0; i-- {
+		// The whole file is decoded before anything is applied, so a
+		// half-written snapshot never leaves a half-restored store; an
+		// incomplete one falls back to the previous.
+		snap, ok, err := readSnapshot(filepath.Join(d.dir, snapName(snaps[i])), true)
+		if err != nil {
+			return fmt.Errorf("wal: loading %s: %w", snapName(snaps[i]), err)
+		}
+		if !ok {
+			continue
+		}
+		for _, s := range snap.series {
+			d.store.RestoreSeries(s)
+			if s.HaveLast {
+				watermark[s.ID] = s.LastTime
+			}
+		}
+		for _, r := range snap.states {
+			states[r.st.Series] = r
+		}
+		info.SnapshotLoaded, info.SnapshotSeq, fromSeg = true, snaps[i], snap.header.nextSeg
+		break
+	}
+
+	segs, err := listFiles(d.dir, segFmt)
+	if err != nil {
+		return err
 	}
 	for _, idx := range segs {
 		if idx < fromSeg {
@@ -357,82 +357,65 @@ func (d *Durable) rewarmTails() map[string][]series.Point {
 	return tails
 }
 
-// loadSnapshot parses and applies snapshot idx, recording each restored
-// series' newest timestamp in watermark. A snapshot missing its footer
-// (or failing any record CRC) is reported invalid, not an error: the
-// caller falls back to the previous one. The whole file is decoded
-// before anything is applied, so a half-written snapshot never leaves a
-// half-restored store. A snapshot from a newer format is an error
-// (ErrVersion), not a fallback: an older snapshot plus the segments that
-// survive it would come up as a silently incomplete store.
-func (d *Durable) loadSnapshot(idx uint64, watermark map[string]time.Time) (snapHeader, bool, error) {
+// snapshot is one snapshot file's records.
+type snapshot struct {
+	header snapHeader
+	series []tsdb.SeriesSnapshot
+	states []stateRec
+}
+
+// readSnapshot is the one judge of a snapshot's completeness, for
+// recovery and the scrub alike: a complete file has its magic, a header,
+// every record's CRC and decode, and a footer whose counts match. An
+// incomplete file returns ok=false and a nil error — recovery falls back
+// to the previous snapshot. Only an unreadable file or a newer format
+// (ErrVersion) is an error: an older snapshot plus the segments that
+// survive it would come up as a silently incomplete store. keep=false
+// decodes every record and keeps none (the scrub).
+func readSnapshot(path string, keep bool) (s snapshot, ok bool, err error) {
 	var (
-		header   snapHeader
-		haveHdr  bool
-		seriesS  []tsdb.SeriesSnapshot
-		statesS  []stateRec
-		footer   *snapFooter
-		parseErr error
+		haveHdr, bad     bool
+		nSeries, nStates uint64
+		footer           *snapFooter
 	)
-	_, torn, err := replayFile(filepath.Join(d.dir, snapName(idx)), snapMagic, func(_ uint64, typ byte, payload []byte) error {
+	_, torn, err := replayFile(path, snapMagic, func(_ uint64, typ byte, payload []byte) error {
+		var derr error
 		switch typ {
 		case recSnapHeader:
-			h, err := decodeSnapHeader(payload)
-			if errors.Is(err, ErrVersion) {
-				return err
+			s.header, derr = decodeSnapHeader(payload)
+			if errors.Is(derr, ErrVersion) {
+				return derr
 			}
-			if err != nil {
-				parseErr = err
-				return err
-			}
-			header, haveHdr = h, true
+			haveHdr = derr == nil
 		case recSnapSeries:
-			s, err := decodeSeriesSnap(payload, header.version)
-			if err != nil {
-				parseErr = err
-				return err
+			var ss tsdb.SeriesSnapshot
+			ss, derr = decodeSeriesSnap(payload, s.header.version)
+			nSeries++
+			if keep {
+				s.series = append(s.series, ss)
 			}
-			seriesS = append(seriesS, s)
 		case recSnapState:
-			r, err := decodeStateRec(payload)
-			if err != nil {
-				parseErr = err
-				return err
+			var r stateRec
+			r, derr = decodeStateRec(payload)
+			nStates++
+			if keep {
+				s.states = append(s.states, r)
 			}
-			statesS = append(statesS, r)
 		case recSnapFooter:
-			f, err := decodeSnapFooter(payload)
-			if err != nil {
-				parseErr = err
-				return err
-			}
+			var f snapFooter
+			f, derr = decodeSnapFooter(payload)
 			footer = &f
 		}
-		return nil
+		bad = derr != nil
+		return derr
 	})
-	if err != nil && parseErr == nil {
-		return snapHeader{}, false, fmt.Errorf("wal: loading %s: %w", snapName(idx), err)
+	if err != nil && !bad {
+		return snapshot{}, false, err
 	}
-	if parseErr != nil || torn || !haveHdr || footer == nil ||
-		footer.series != uint64(len(seriesS)) || footer.states != uint64(len(statesS)) {
-		return snapHeader{}, false, nil // incomplete snapshot: fall back
+	if bad || torn || !haveHdr || footer == nil || footer.series != nSeries || footer.states != nStates {
+		return snapshot{}, false, nil
 	}
-	for _, s := range seriesS {
-		d.store.RestoreSeries(s)
-		if s.HaveLast {
-			watermark[s.ID] = s.LastTime
-		}
-	}
-	// Estimator states are not applied here: recover() merges them with
-	// any newer WAL state records and applies the winners once, with
-	// sample counts adjusted for the rewarm feed.
-	if d.pendingStates == nil {
-		d.pendingStates = make(map[string]stateRec, len(statesS))
-	}
-	for _, r := range statesS {
-		d.pendingStates[r.st.Series] = r
-	}
-	return header, true, nil
+	return s, true, nil
 }
 
 // Sync forces a group commit.
@@ -456,91 +439,77 @@ func (d *Durable) snapshotLocked() error {
 	if err != nil {
 		return err
 	}
-	seq := nextSeg
-	tmp := filepath.Join(d.dir, fmt.Sprintf("snap-%08d.tmp", seq))
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	tmp := filepath.Join(d.dir, fmt.Sprintf("snap-%08d.tmp", nextSeg))
+	f, w, err := createFramed(tmp, snapMagic, os.O_TRUNC)
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp) // no-op after the rename
-	w := bufio.NewWriterSize(f, 1<<20)
-	if _, err := w.WriteString(snapMagic); err != nil {
-		f.Close()
-		return err
+	nSeries, err := d.writeSnapshot(w, nextSeg)
+	if err == nil {
+		err = w.Flush()
 	}
-	e := &enc{}
-	writeRec := func() error {
-		_, err := w.Write(e.closeFrame())
-		return err
+	if err == nil {
+		err = f.Sync()
 	}
-
-	e.openFrame(recSnapHeader)
-	encodeSnapHeader(e, snapHeader{version: payloadVersion, nextSeg: nextSeg})
-	if err := writeRec(); err != nil {
-		f.Close()
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	nSeries := uint64(0)
-	err = d.store.ExportSeries(func(s tsdb.SeriesSnapshot) error {
-		nSeries++
-		e.openFrame(recSnapSeries)
-		encodeSeriesSnap(e, s)
-		return writeRec()
-	})
 	if err != nil {
-		f.Close()
 		return err
 	}
-	states := d.est.ExportState()
-	for _, st := range states {
-		r := stateRec{st: st, retentionHz: d.store.NyquistRate(st.Series)}
-		e.openFrame(recSnapState)
-		encodeStateRec(e, r)
-		if err := writeRec(); err != nil {
-			f.Close()
-			return err
-		}
-		d.lastState[st.Series] = r
-	}
-	e.openFrame(recSnapFooter)
-	encodeSnapFooter(e, snapFooter{series: nSeries, states: uint64(len(states))})
-	if err := writeRec(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	final := filepath.Join(d.dir, snapName(seq))
-	if err := os.Rename(tmp, final); err != nil {
+	if err := os.Rename(tmp, filepath.Join(d.dir, snapName(nextSeg))); err != nil {
 		return err
 	}
 	syncDir(d.dir)
 
-	// Compaction: everything before the boundary is now covered.
+	// Compaction: everything before the boundary is now covered. An older
+	// snapshot left behind is harmless — recovery reads the newest
+	// complete one — so its deletion is best-effort.
 	if err := d.log.RemoveBefore(nextSeg); err != nil {
 		return err
 	}
-	if snaps, err := listSnapshots(d.dir); err == nil {
-		for _, idx := range snaps {
-			if idx < seq {
-				_ = os.Remove(filepath.Join(d.dir, snapName(idx)))
-			}
-		}
-	}
-	d.snapshots++
-	d.lastSnapshot = time.Now()
-	d.snapshotSeries = int(nSeries)
+	_, _, _ = removeBelow(d.dir, snapFmt, nextSeg)
+	d.stats.Snapshots++
+	d.stats.LastSnapshot = time.Now()
+	d.stats.SnapshotSeries = nSeries
 	d.bytesAtSnap = d.log.Stats().Bytes
 	return nil
+}
+
+// writeSnapshot writes a snapshot's records behind its magic: the header,
+// every series, every estimator state and the footer that counts them.
+// It returns the series count.
+func (d *Durable) writeSnapshot(w *bufio.Writer, nextSeg uint64) (int, error) {
+	var e enc
+	rec := func(typ byte, fill func(*enc)) error {
+		e.openFrame(typ)
+		fill(&e)
+		_, err := w.Write(e.closeFrame())
+		return err
+	}
+	err := rec(recSnapHeader, func(e *enc) { encodeSnapHeader(e, snapHeader{version: payloadVersion, nextSeg: nextSeg}) })
+	if err != nil {
+		return 0, err
+	}
+	nSeries := 0
+	err = d.store.ExportSeries(func(s tsdb.SeriesSnapshot) error {
+		nSeries++
+		return rec(recSnapSeries, func(e *enc) { encodeSeriesSnap(e, s) })
+	})
+	if err != nil {
+		return 0, err
+	}
+	states := d.est.ExportState()
+	for _, st := range states {
+		r := stateRec{st: st, retentionHz: d.store.NyquistRate(st.Series)}
+		if err := rec(recSnapState, func(e *enc) { encodeStateRec(e, r) }); err != nil {
+			return 0, err
+		}
+		d.lastState[st.Series] = r
+	}
+	f := snapFooter{series: uint64(nSeries), states: uint64(len(states))}
+	return nSeries, rec(recSnapFooter, func(e *enc) { encodeSnapFooter(e, f) })
 }
 
 // Scrub re-reads and CRC-verifies the durable files this process is
@@ -560,77 +529,37 @@ func (d *Durable) Scrub() (checked, corrupt int) {
 	// compaction deletes sealed segments behind each snapshot.
 	from, to := d.log.sealedRange()
 	for idx := from; idx < to; idx++ {
-		path := filepath.Join(d.dir, segName(idx))
-		if _, err := os.Stat(path); err != nil {
+		_, torn, err := replayFile(filepath.Join(d.dir, segName(idx)), segMagic, func(uint64, byte, []byte) error { return nil })
+		if errors.Is(err, fs.ErrNotExist) {
 			continue // compacted away behind a snapshot
 		}
 		checked++
-		_, torn, err := replayFile(path, segMagic, func(uint64, byte, []byte) error { return nil })
-		switch {
-		case err != nil:
-			corrupt++
-			d.log.noteExternalErr(fmt.Errorf("wal: scrub: %s: %w", segName(idx), err))
-		case torn:
+		if err == nil && torn {
 			// This session sealed the segment cleanly; a torn record now
 			// is bit rot, not a crash artifact.
+			err = ErrCorrupt
+		}
+		if err != nil {
 			corrupt++
-			d.log.noteExternalErr(fmt.Errorf("wal: scrub: %s: %w", segName(idx), ErrCorrupt))
+			d.log.noteExternalErr(fmt.Errorf("wal: scrub: %s: %w", segName(idx), err))
 		}
 	}
-	if snaps, err := listSnapshots(d.dir); err == nil && len(snaps) > 0 {
-		idx := snaps[len(snaps)-1]
+	if snaps, err := listFiles(d.dir, snapFmt); err == nil && len(snaps) > 0 {
+		name := snapName(snaps[len(snaps)-1])
 		checked++
-		if !verifySnapshotFile(filepath.Join(d.dir, snapName(idx))) {
-			corrupt++
-			d.log.noteExternalErr(fmt.Errorf("wal: scrub: %s: %w", snapName(idx), ErrCorrupt))
-		}
-	}
-	d.scrubRuns++
-	d.scrubFiles += int64(checked)
-	d.scrubCorrupt += int64(corrupt)
-	d.lastScrub = time.Now()
-	return checked, corrupt
-}
-
-// verifySnapshotFile decodes every record of a snapshot without applying
-// anything, reporting whether the file is structurally complete: magic,
-// header, per-record CRCs, and a footer whose counts match.
-func verifySnapshotFile(path string) bool {
-	var (
-		header           snapHeader
-		haveHdr          bool
-		nSeries, nStates uint64
-		footer           *snapFooter
-		bad              bool
-	)
-	_, torn, err := replayFile(path, snapMagic, func(_ uint64, typ byte, payload []byte) error {
-		var derr error
-		switch typ {
-		case recSnapHeader:
-			header, derr = decodeSnapHeader(payload)
-			haveHdr = derr == nil
-		case recSnapSeries:
-			_, derr = decodeSeriesSnap(payload, header.version)
-			nSeries++
-		case recSnapState:
-			_, derr = decodeStateRec(payload)
-			nStates++
-		case recSnapFooter:
-			var f snapFooter
-			f, derr = decodeSnapFooter(payload)
-			if derr == nil {
-				footer = &f
+		if _, ok, err := readSnapshot(filepath.Join(d.dir, name), false); !ok {
+			if err == nil {
+				err = ErrCorrupt
 			}
+			corrupt++
+			d.log.noteExternalErr(fmt.Errorf("wal: scrub: %s: %w", name, err))
 		}
-		if derr != nil {
-			bad = true
-		}
-		return derr
-	})
-	if err != nil || torn || bad {
-		return false
 	}
-	return haveHdr && footer != nil && footer.series == nSeries && footer.states == nStates
+	d.stats.ScrubRuns++
+	d.stats.ScrubFiles += int64(checked)
+	d.stats.ScrubCorrupt += int64(corrupt)
+	d.stats.LastScrub = time.Now()
+	return checked, corrupt
 }
 
 // syncDir fsyncs a directory so a just-renamed file's dirent is durable.
@@ -660,25 +589,12 @@ func (d *Durable) writeStates() {
 
 func (d *Durable) background() {
 	defer close(d.donec)
-	stateEvery := d.opts.StateEvery
-	snapEvery := d.opts.SnapshotEvery
-	scrubEvery := d.opts.ScrubEvery
-	var statec, snapc, scrubc <-chan time.Time
-	if stateEvery > 0 {
-		t := time.NewTicker(stateEvery)
-		defer t.Stop()
-		statec = t.C
-	}
-	if snapEvery > 0 {
-		t := time.NewTicker(snapEvery)
-		defer t.Stop()
-		snapc = t.C
-	}
-	if scrubEvery > 0 {
-		t := time.NewTicker(scrubEvery)
-		defer t.Stop()
-		scrubc = t.C
-	}
+	statec, stopState := ticker(d.opts.StateEvery)
+	defer stopState()
+	snapc, stopSnap := ticker(d.opts.SnapshotEvery)
+	defer stopSnap()
+	scrubc, stopScrub := ticker(d.opts.ScrubEvery)
+	defer stopScrub()
 	for {
 		select {
 		case <-d.stopc:
@@ -692,7 +608,7 @@ func (d *Durable) background() {
 			grown := d.log.Stats().Bytes-d.bytesAtSnap >= snapshotMinBytes
 			if grown {
 				if err := d.snapshotLocked(); err != nil {
-					d.snapshotErrs++
+					d.stats.SnapshotErrors++
 					fmt.Fprintf(os.Stderr, "wal: background snapshot failed: %v\n", err)
 				}
 			}
@@ -730,17 +646,7 @@ func (d *Durable) abort() {
 func (d *Durable) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return Stats{
-		Dir:            d.dir,
-		Log:            d.log.Stats(),
-		Snapshots:      d.snapshots,
-		SnapshotErrors: d.snapshotErrs,
-		LastSnapshot:   d.lastSnapshot,
-		SnapshotSeries: d.snapshotSeries,
-		ScrubRuns:      d.scrubRuns,
-		ScrubFiles:     d.scrubFiles,
-		ScrubCorrupt:   d.scrubCorrupt,
-		LastScrub:      d.lastScrub,
-		Replay:         d.replay,
-	}
+	st := d.stats
+	st.Dir, st.Log = d.dir, d.log.Stats()
+	return st
 }

@@ -200,7 +200,7 @@ func TestSnapshotCompaction(t *testing.T) {
 	if err := d1.Snapshot(); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	segsAfter, _ := listSegments(dir)
+	segsAfter, _ := listFiles(dir, segFmt)
 	if len(segsAfter) != 1 {
 		t.Fatalf("snapshot left %d segments, want 1 (the live one)", len(segsAfter))
 	}

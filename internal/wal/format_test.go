@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -69,7 +70,8 @@ func fixtureLoad(t *testing.T, store *tsdb.DB, est *monitor.IngestEstimator, fro
 // format into $NYQ_FIXTURE_DIR (skipped when unset): a snapshot, the
 // segment after it, a second segment with state records, then a crash.
 // testdata/v1 is this test's output at commit a9757e2, the last one that
-// wrote payload version 1; run it again before the next format change.
+// wrote payload version 1, and testdata/v2 its output at commit e380351;
+// run it again before the next format change.
 func TestWriteFormatFixture(t *testing.T) {
 	dir := os.Getenv("NYQ_FIXTURE_DIR")
 	if dir == "" {
@@ -103,17 +105,17 @@ func dumpRecovered(t *testing.T, d *Durable) string {
 	r := d.Replay()
 	fmt.Fprintf(&b, "replay snapshot=%v seq=%d segments=%d records=%d points=%d skipped=%d series=%d states=%d torn=%v\n",
 		r.SnapshotLoaded, r.SnapshotSeq, r.Segments, r.Records, r.Points, r.SkippedPoints, r.Series, r.EstimatorStates, r.TornTail)
-	for _, id := range d.Store().IDs() {
-		res, err := d.Store().Query(id, time.Time{}, time.Time{}, 0)
+	for _, id := range d.store.IDs() {
+		res, err := d.store.Query(id, time.Time{}, time.Time{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(&b, "series %s nyquist=%016x points=%d\n", id, math.Float64bits(d.Store().NyquistRate(id)), len(res.Points))
+		fmt.Fprintf(&b, "series %s nyquist=%016x points=%d\n", id, math.Float64bits(d.store.NyquistRate(id)), len(res.Points))
 		for _, p := range res.Points {
 			fmt.Fprintf(&b, "%d %016x\n", p.Time.UnixNano(), math.Float64bits(p.Value))
 		}
 	}
-	states := d.Estimator().ExportState()
+	states := d.est.ExportState()
 	sort.Slice(states, func(i, j int) bool { return states[i].Series < states[j].Series })
 	for _, st := range states {
 		fmt.Fprintf(&b, "state %s interval=%d samples=%d reprobes=%d nyquist=%016x clean=%d\n",
@@ -152,17 +154,18 @@ func openFixture(t *testing.T, dir string) (*Durable, error) {
 	return Open(dir, store, monitor.NewIngestEstimator(store, fixtureIngest), fixtureOpts)
 }
 
-// TestRecoversPayloadV1 opens the data directory the last version-1
-// build left behind (a snapshot and two segments, SIGKILLed) and requires
-// the recovery that build itself performed on it, line for line:
-// testdata/v1/recovered.golden is dumpRecovered's output there.
-func TestRecoversPayloadV1(t *testing.T) {
-	d, err := openFixture(t, copyDir(t, filepath.Join("testdata", "v1")))
+// requireRecovery opens a copy of testdata/<version> (a snapshot and two
+// segments, SIGKILLed) and requires the recovery the build that wrote it
+// performed, line for line: recovered.golden is dumpRecovered's output
+// there.
+func requireRecovery(t *testing.T, version string) {
+	t.Helper()
+	d, err := openFixture(t, copyDir(t, filepath.Join("testdata", version)))
 	if err != nil {
-		t.Fatalf("opening a version-1 directory: %v", err)
+		t.Fatalf("opening the %s directory: %v", version, err)
 	}
 	defer d.abort()
-	want, err := os.ReadFile(filepath.Join("testdata", "v1", "recovered.golden"))
+	want, err := os.ReadFile(filepath.Join("testdata", version, "recovered.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,13 +173,79 @@ func TestRecoversPayloadV1(t *testing.T) {
 		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 		for i := range gl {
 			if i >= len(wl) || gl[i] != wl[i] {
-				t.Fatalf("recovery differs from the version-1 build's at line %d:\n got %q\nwant %q", i+1, gl[i], append(wl, "")[min(i, len(wl))])
+				t.Fatalf("recovery differs from the %s build's at line %d:\n got %q\nwant %q", version, i+1, gl[i], append(wl, "")[min(i, len(wl))])
 			}
 		}
-		t.Fatalf("recovery dump is %d lines, the version-1 build's %d", len(gl), len(wl))
+		t.Fatalf("recovery dump is %d lines, the %s build's %d", len(gl), version, len(wl))
 	}
 	if r := d.Replay(); !r.SnapshotLoaded || r.Segments != 2 {
 		t.Fatalf("fixture should recover from one snapshot and two segments: %+v", r)
+	}
+}
+
+// TestRecoversPayloadV1: the last version-1 build's directory recovers as
+// that build recovered it.
+func TestRecoversPayloadV1(t *testing.T) { requireRecovery(t, "v1") }
+
+// TestRecoversPayloadV2: the directory written by the build before
+// recovery and the scrub shared one snapshot reader recovers as that build
+// recovered it.
+func TestRecoversPayloadV2(t *testing.T) { requireRecovery(t, "v2") }
+
+// recordEnds returns the offsets at which a framed file's magic and each
+// whole record end; a torn last record has none.
+func recordEnds(data []byte) []int {
+	ends := []int{len(snapMagic)} // segMagic is as long
+	for off := len(snapMagic); off+frameHeader <= len(data); {
+		off += frameHeader + int(binary.LittleEndian.Uint32(data[off:])) + 4
+		if off > len(data) {
+			break
+		}
+		ends = append(ends, off)
+	}
+	return ends
+}
+
+// TestSnapshotRecordsMatchV2 snapshots the fixture's first 300 samples, as
+// TestWriteFormatFixture did for testdata/v2, and requires the framed
+// records of that build's snapshot byte for byte. ExportSeries walks maps,
+// so the records are compared as a sorted multiset, not as one stream.
+func TestSnapshotRecordsMatchV2(t *testing.T) {
+	dir := t.TempDir()
+	d, err := openFixture(t, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixtureLoad(t, d.store, d.est, 0, 300)
+	if err := d.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	d.abort()
+	frames := func(path string) []string {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends := recordEnds(data)
+		if ends[len(ends)-1] != len(data) {
+			t.Fatalf("%s: %d bytes past its last whole record", path, len(data)-ends[len(ends)-1])
+		}
+		out := []string{string(data[:ends[0]])}
+		for i := 1; i < len(ends); i++ {
+			out = append(out, string(data[ends[i-1]:ends[i]]))
+		}
+		sort.Strings(out[1:])
+		return out
+	}
+	got := frames(filepath.Join(dir, snapName(2)))
+	want := frames(filepath.Join("testdata", "v2", snapName(2)))
+	if len(got) != len(want) {
+		t.Fatalf("snapshot has %d records, the v2 build's %d", len(got)-1, len(want)-1)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("sorted frame %d differs from the v2 build's:\n got %x\nwant %x", i, got[i], want[i])
+		}
 	}
 }
 
@@ -190,7 +259,7 @@ func TestV1DirectoryUpgradesInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixtureLoad(t, d.Store(), d.Estimator(), 500, 596) // six whole blocks: nothing unsealed at the crash
+	fixtureLoad(t, d.store, d.est, 500, 596) // six whole blocks: nothing unsealed at the crash
 	d.abort()
 
 	d2, err := openFixture(t, dir)
@@ -201,12 +270,12 @@ func TestV1DirectoryUpgradesInPlace(t *testing.T) {
 	// and the recovered store must agree on them exactly (tier grids may
 	// not: replay retunes once at the end, live ingest as it goes).
 	from := walStart.Add(500 * time.Second)
-	for _, id := range d.Store().IDs() {
-		live, err := d.Store().Query(id, from, time.Time{}, 0)
+	for _, id := range d.store.IDs() {
+		live, err := d.store.Query(id, from, time.Time{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := d2.Store().Query(id, from, time.Time{}, 0)
+		back, err := d2.store.Query(id, from, time.Time{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +301,7 @@ func TestV1DirectoryUpgradesInPlace(t *testing.T) {
 	if !d3.Replay().SnapshotLoaded {
 		t.Fatalf("the v2 snapshot was not loaded: %+v", d3.Replay())
 	}
-	assertStoresMatch(t, d2.Store(), d3.Store(), "v2 snapshot")
+	assertStoresMatch(t, d2.store, d3.store, "v2 snapshot")
 }
 
 // TestRefusesFutureVersions: a segment or snapshot from a newer format
@@ -264,13 +333,13 @@ func TestRefusesFutureVersions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fixtureLoad(t, d.Store(), d.Estimator(), 0, 100)
+		fixtureLoad(t, d.store, d.est, 0, 100)
 		if err := d.Snapshot(); err != nil {
 			t.Fatal(err)
 		}
 		d.abort()
 		// Re-frame the snapshot with its header's version raised.
-		snaps, err := listSnapshots(dir)
+		snaps, err := listFiles(dir, snapFmt)
 		if err != nil || len(snaps) != 1 {
 			t.Fatalf("snapshots %v, %v", snaps, err)
 		}

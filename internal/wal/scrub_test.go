@@ -91,7 +91,7 @@ func TestSnapshotFooterFallback(t *testing.T) {
 	if err := d1.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	snapsA, _ := listSnapshots(dir)
+	snapsA, _ := listFiles(dir, snapFmt)
 	if len(snapsA) != 1 {
 		t.Fatalf("%d snapshots after first Snapshot, want 1", len(snapsA))
 	}
@@ -107,7 +107,7 @@ func TestSnapshotFooterFallback(t *testing.T) {
 	d1.abort()
 
 	// Corrupt snapshot B's footer (truncate its tail) and restore A.
-	snaps, _ := listSnapshots(dir)
+	snaps, _ := listFiles(dir, snapFmt)
 	pathB := filepath.Join(dir, snapName(snaps[len(snaps)-1]))
 	rawB, err := os.ReadFile(pathB)
 	if err != nil {
@@ -119,8 +119,10 @@ func TestSnapshotFooterFallback(t *testing.T) {
 	if err := os.WriteFile(pathA, copyA, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if verifySnapshotFile(pathB) || !verifySnapshotFile(pathA) {
-		t.Fatal("corruption setup backwards: B must fail verification, A must pass")
+	_, okB, errB := readSnapshot(pathB, false)
+	_, okA, errA := readSnapshot(pathA, false)
+	if okB || !okA || errA != nil || errB != nil {
+		t.Fatal("corruption setup backwards: B must be incomplete, A complete")
 	}
 
 	store2 := servingStore()

@@ -35,7 +35,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -94,33 +95,6 @@ func checkVersion(what string, v, newest uint64) error {
 	return nil
 }
 
-// LogOptions parameterizes a segment log.
-type LogOptions struct {
-	// FsyncEvery is the group-commit window: how often the background
-	// flusher pushes buffered records to disk and fsyncs. Zero selects
-	// 10ms; negative syncs synchronously on every append (the paranoid
-	// configuration — every accepted record is durable before the next).
-	FsyncEvery time.Duration
-	// SegmentBytes rotates the live segment once it exceeds this size;
-	// zero selects 64 MiB.
-	SegmentBytes int64
-	// SyncObserver, when set, observes the wall time of every flush+fsync
-	// the log issues — the observability layer's fsync-latency histogram.
-	// It is called with the log's mutex held, so it must be fast and
-	// nonblocking (an atomic histogram observe, not I/O).
-	SyncObserver func(time.Duration)
-}
-
-func (o LogOptions) withDefaults() LogOptions {
-	if o.FsyncEvery == 0 {
-		o.FsyncEvery = 10 * time.Millisecond
-	}
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 64 << 20
-	}
-	return o
-}
-
 // LogStats is the log's operator view.
 type LogStats struct {
 	// Segments is the number of live segment files (including current).
@@ -153,7 +127,7 @@ type LogStats struct {
 // use; one background flusher provides the group commit.
 type Log struct {
 	dir  string
-	opts LogOptions
+	opts Options
 
 	mu       sync.Mutex
 	f        *os.File
@@ -162,15 +136,11 @@ type Log struct {
 	startSeg uint64 // first segment opened by this session (scrub floor)
 	segBytes int64  // bytes written to the current segment
 	oldBytes int64  // bytes in older (already sealed) live segments
-	segCount int
+	// st holds the counters; Stats fills in Bytes and UnsyncedAge.
+	st LogStats
 	// dirtySince is when the oldest write not yet fsynced was buffered;
 	// zero when the segment is clean.
 	dirtySince time.Time
-	records    int64
-	syncs      int64
-	rotations  int64
-	errors     int64
-	lastErr    string
 	closed     bool
 	// rec is the framing buffer every appended record is built in, under
 	// mu; it grows to the largest record appended.
@@ -180,49 +150,82 @@ type Log struct {
 	donec chan struct{}
 }
 
-func segName(idx uint64) string  { return fmt.Sprintf("seg-%08d.wal", idx) }
-func snapName(idx uint64) string { return fmt.Sprintf("snap-%08d.snap", idx) }
+// A segment or snapshot file is named by its index through one of these
+// formats.
+const (
+	segFmt  = "seg-%08d.wal"
+	snapFmt = "snap-%08d.snap"
+)
 
-// listSegments returns the segment indices present in dir, sorted.
-func listSegments(dir string) ([]uint64, error) {
+func segName(idx uint64) string  { return fmt.Sprintf(segFmt, idx) }
+func snapName(idx uint64) string { return fmt.Sprintf(snapFmt, idx) }
+
+// listFiles returns the indices of the files in dir named by format
+// (segFmt or snapFmt), sorted.
+func listFiles(dir, format string) ([]uint64, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
+	scan := strings.Replace(format, "%08d", "%d", 1) // %08d scans at most eight digits
 	var out []uint64
 	for _, e := range ents {
 		var idx uint64
-		if n, _ := fmt.Sscanf(e.Name(), "seg-%d.wal", &idx); n == 1 && e.Name() == segName(idx) {
+		if n, _ := fmt.Sscanf(e.Name(), scan, &idx); n == 1 && e.Name() == fmt.Sprintf(format, idx) {
 			out = append(out, idx)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out, nil
 }
 
-// listSnapshots returns the snapshot indices present in dir, sorted.
-func listSnapshots(dir string) ([]uint64, error) {
-	ents, err := os.ReadDir(dir)
+// removeBelow deletes the files in dir named by format whose index is
+// below idx, returning how many went, their bytes and the first error (a
+// file that fails to delete is left for the next pass).
+func removeBelow(dir, format string, idx uint64) (n int, bytes int64, err error) {
+	idxs, err := listFiles(dir, format)
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	var out []uint64
-	for _, e := range ents {
-		var idx uint64
-		if n, _ := fmt.Sscanf(e.Name(), "snap-%d.snap", &idx); n == 1 && e.Name() == snapName(idx) {
-			out = append(out, idx)
+	for _, i := range idxs {
+		if i >= idx {
+			break
+		}
+		path := filepath.Join(dir, fmt.Sprintf(format, i))
+		fi, serr := os.Stat(path)
+		if rerr := os.Remove(path); rerr != nil {
+			if err == nil {
+				err = rerr
+			}
+			continue
+		}
+		n++
+		if serr == nil {
+			bytes += fi.Size()
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out, nil
+	return n, bytes, err
+}
+
+// createFramed creates path (flag adds O_EXCL or O_TRUNC) behind a 1 MiB
+// buffered writer holding the file's magic. A failed write is sticky in
+// the writer, so the caller's Flush reports it.
+func createFramed(path, magic string, flag int) (*os.File, *bufio.Writer, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|flag, 0o644)
+	if err != nil {
+		return nil, nil, err
+	}
+	w := bufio.NewWriterSize(f, 1<<20)
+	_, _ = w.WriteString(magic)
+	return f, w, nil
 }
 
 // openLog opens dir for appending: existing segments are left untouched
 // (boot replays them; compaction deletes them) and a fresh segment one
 // past the newest becomes the append target.
-func openLog(dir string, opts LogOptions) (*Log, error) {
+func openLog(dir string, opts Options) (*Log, error) {
 	opts = opts.withDefaults()
-	segs, err := listSegments(dir)
+	segs, err := listFiles(dir, segFmt)
 	if err != nil {
 		return nil, err
 	}
@@ -242,7 +245,7 @@ func openLog(dir string, opts LogOptions) (*Log, error) {
 		seg:      next,
 		startSeg: next,
 		oldBytes: oldBytes,
-		segCount: len(segs) + 1,
+		st:       LogStats{Segments: len(segs) + 1},
 		stopc:    make(chan struct{}),
 		donec:    make(chan struct{}),
 	}
@@ -256,13 +259,8 @@ func openLog(dir string, opts LogOptions) (*Log, error) {
 // openSegment creates and syncs segment idx as the append target.
 // Caller holds mu (or is the constructor).
 func (l *Log) openSegment(idx uint64) error {
-	f, err := os.OpenFile(filepath.Join(l.dir, segName(idx)), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	f, w, err := createFramed(filepath.Join(l.dir, segName(idx)), segMagic, os.O_EXCL)
 	if err != nil {
-		return err
-	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	if _, err := w.WriteString(segMagic); err != nil {
-		f.Close()
 		return err
 	}
 	l.f, l.w = f, w
@@ -319,7 +317,7 @@ func (l *Log) appendRec(typ byte, fill func(*enc)) error {
 		return l.noteErr(err)
 	}
 	l.segBytes += int64(len(rec))
-	l.records++
+	l.st.Records++
 	l.markDirty()
 	if l.opts.FsyncEvery < 0 {
 		if l.segBytes >= l.opts.SegmentBytes {
@@ -358,8 +356,8 @@ func (l *Log) noteExternalErr(err error) {
 // noteErr records a durability failure in the stats. Caller holds mu.
 func (l *Log) noteErr(err error) error {
 	if err != nil {
-		l.errors++
-		l.lastErr = err.Error()
+		l.st.Errors++
+		l.st.LastError = err.Error()
 	}
 	return err
 }
@@ -377,7 +375,7 @@ func (l *Log) syncLocked() error {
 		return err
 	}
 	l.dirtySince = time.Time{}
-	l.syncs++
+	l.st.Syncs++
 	if l.opts.SyncObserver != nil {
 		l.opts.SyncObserver(time.Since(begin))
 	}
@@ -406,8 +404,8 @@ func (l *Log) rotateLocked() (uint64, error) {
 		return 0, err
 	}
 	l.oldBytes += l.segBytes
-	l.segCount++
-	l.rotations++
+	l.st.Segments++
+	l.st.Rotations++
 	if err := l.openSegment(l.seg + 1); err != nil {
 		return 0, err
 	}
@@ -429,32 +427,12 @@ func (l *Log) Rotate() (uint64, error) {
 // RemoveBefore deletes segment files with index < seg — the compaction
 // step after a successful snapshot covering them.
 func (l *Log) RemoveBefore(seg uint64) error {
-	segs, err := listSegments(l.dir)
-	if err != nil {
-		return err
-	}
-	var firstErr error
-	for _, idx := range segs {
-		if idx >= seg {
-			continue
-		}
-		path := filepath.Join(l.dir, segName(idx))
-		var size int64
-		if fi, err := os.Stat(path); err == nil {
-			size = fi.Size()
-		}
-		if err := os.Remove(path); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		l.mu.Lock()
-		l.segCount--
-		l.oldBytes -= size
-		l.mu.Unlock()
-	}
-	return firstErr
+	n, bytes, err := removeBelow(l.dir, segFmt, seg)
+	l.mu.Lock()
+	l.st.Segments -= n
+	l.oldBytes -= bytes
+	l.mu.Unlock()
+	return err
 }
 
 // Close seals the log: final group commit, stop the flusher, close the
@@ -492,18 +470,13 @@ func (l *Log) abort() {
 
 func (l *Log) flushLoop() {
 	defer close(l.donec)
-	every := l.opts.FsyncEvery
-	if every < 0 {
-		<-l.stopc // synchronous mode: nothing to do in the background
-		return
-	}
-	t := time.NewTicker(every)
-	defer t.Stop()
+	tick, stop := ticker(l.opts.FsyncEvery) // nil in synchronous mode
+	defer stop()
 	for {
 		select {
 		case <-l.stopc:
 			return
-		case <-t.C:
+		case <-tick:
 			l.mu.Lock()
 			if !l.closed {
 				// Size-based rotation happens here, not in Append, so
@@ -524,19 +497,22 @@ func (l *Log) flushLoop() {
 	}
 }
 
+// ticker returns a channel that ticks every period and the function that
+// stops it; a period ≤ 0 returns a nil channel, which never fires.
+func ticker(period time.Duration) (<-chan time.Time, func()) {
+	if period <= 0 {
+		return nil, func() {}
+	}
+	t := time.NewTicker(period)
+	return t.C, t.Stop
+}
+
 // Stats reports the log's current footprint.
 func (l *Log) Stats() LogStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	st := LogStats{
-		Segments:  l.segCount,
-		Bytes:     l.oldBytes + l.segBytes,
-		Records:   l.records,
-		Syncs:     l.syncs,
-		Rotations: l.rotations,
-		Errors:    l.errors,
-		LastError: l.lastErr,
-	}
+	st := l.st
+	st.Bytes = l.oldBytes + l.segBytes
 	if !l.dirtySince.IsZero() {
 		st.UnsyncedAge = time.Since(l.dirtySince)
 	}

@@ -20,7 +20,7 @@ func appendRaw(l *Log, typ byte, payload []byte) error {
 // rotations come back intact, typed and in order.
 func TestLogRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	l, err := openLog(dir, LogOptions{FsyncEvery: -1, SegmentBytes: 256})
+	l, err := openLog(dir, Options{FsyncEvery: -1, SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestLogRoundTrip(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := listSegments(dir)
+	segs, err := listFiles(dir, segFmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestLogRoundTrip(t *testing.T) {
 // feeding garbage through.
 func TestLogTornTail(t *testing.T) {
 	dir := t.TempDir()
-	l, err := openLog(dir, LogOptions{FsyncEvery: -1})
+	l, err := openLog(dir, Options{FsyncEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestLogTornTail(t *testing.T) {
 // flusher catches up on its own within the window.
 func TestLogGroupCommit(t *testing.T) {
 	dir := t.TempDir()
-	l, err := openLog(dir, LogOptions{FsyncEvery: 5 * time.Millisecond})
+	l, err := openLog(dir, Options{FsyncEvery: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestSealRecordZeroAlloc(t *testing.T) {
 	}
 	dir := t.TempDir()
 	// An hour-long group commit keeps the flusher out of the measurement.
-	l, err := openLog(dir, LogOptions{FsyncEvery: time.Hour})
+	l, err := openLog(dir, Options{FsyncEvery: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestSealRecordZeroAlloc(t *testing.T) {
 // TestRemoveBefore pins compaction bookkeeping.
 func TestRemoveBefore(t *testing.T) {
 	dir := t.TempDir()
-	l, err := openLog(dir, LogOptions{FsyncEvery: -1})
+	l, err := openLog(dir, Options{FsyncEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestRemoveBefore(t *testing.T) {
 	if err := l.RemoveBefore(cur); err != nil {
 		t.Fatal(err)
 	}
-	segs, _ := listSegments(dir)
+	segs, _ := listFiles(dir, segFmt)
 	if len(segs) != 1 || segs[0] != cur {
 		t.Fatalf("segments after RemoveBefore(%d) = %v, want just the live one", cur, segs)
 	}
