@@ -196,7 +196,7 @@ func newServerMetrics(reg *obs.Registry, store *tsdb.DB, est *monitor.IngestEsti
 		func() float64 { return float64(ts.get().TierCompressedBytes) })
 	reg.GaugeFunc("nyquistd_tsdb_tier_compressed_entries", "Buckets held in sealed tier blocks.",
 		func() float64 { return float64(ts.get().TierCompressedEntries) })
-	reg.GaugeFunc("nyquistd_tsdb_open_tail_bytes", "Bytes the open blocks hold allocated: unsealed raw points, staged tier buckets and the tiers' open compressed payloads.",
+	reg.GaugeFunc("nyquistd_tsdb_open_tail_bytes", "Bytes the open blocks hold allocated: the raw runs' buffers (unsealed points, compressed as they arrive), staged tier buckets and the tiers' open compressed payloads.",
 		func() float64 { return float64(ts.get().OpenTailBytes) })
 
 	reg.CounterFunc("nyquistd_query_cache_hits_total", "Sealed-block decodes served from the decoded-block cache.",
@@ -216,6 +216,8 @@ func newServerMetrics(reg *obs.Registry, store *tsdb.DB, est *monitor.IngestEsti
 
 	reg.GaugeFunc("nyquistd_estimator_series", "Series with a live estimator window.",
 		func() float64 { return float64(est.Len()) })
+	reg.GaugeFunc("nyquistd_estimator_state_bytes", "Bytes the estimator holds for its series, from counts: every series' hook state (retention hold included) and each live analysis window's ring and header.",
+		func() float64 { return float64(est.StateBytes()) })
 	reg.CounterFunc("nyquistd_estimator_probes_total", "Interval probes completed (first lock per series, plus re-probes that locked).",
 		func() float64 { return float64(est.Probes()) })
 	reg.CounterFunc("nyquistd_estimator_reprobes_total", "Re-probes triggered by interval drift past the tolerance band.",

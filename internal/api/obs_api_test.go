@@ -56,6 +56,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"nyquistd_tsdb_appends_total 64",
 		"nyquistd_tsdb_series 1",
 		"nyquistd_estimator_series 1",
+		"# TYPE nyquistd_estimator_state_bytes gauge",
 		"# TYPE nyquistd_estimator_retunes_total counter",
 		"# TYPE nyquistd_estimator_held_refreshes_total counter",
 		"nyquistd_wal_enabled 0",

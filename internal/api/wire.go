@@ -285,9 +285,9 @@ type StatsResponse struct {
 	RawCompressedEntries  int64   `json:"raw_compressed_entries"`
 	TierCompressedBytes   int64   `json:"tier_compressed_bytes"`
 	TierCompressedEntries int64   `json:"tier_compressed_entries"`
-	// OpenTailBytes is the memory the open blocks hold allocated: unsealed
-	// raw points, staged tier buckets and the tiers' open compressed
-	// payloads.
+	// OpenTailBytes is the memory the open blocks hold allocated: the raw
+	// runs' buffers (unsealed points, compressed as they arrive), staged
+	// tier buckets and the tiers' open compressed payloads.
 	OpenTailBytes int64 `json:"open_tail_bytes"`
 	// Cache reports the decoded-block LRU; absent when the cache is
 	// disabled (no CacheBytes budget).

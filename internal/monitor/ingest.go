@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/dsp"
@@ -56,6 +57,8 @@ type IngestEstimator struct {
 	retunes          atomic.Int64
 	heldRefreshes    atomic.Int64
 	aliasedRefreshes atomic.Int64
+	// streams counts the series holding an analysis window (setStream).
+	streams atomic.Int64
 
 	mu     sync.RWMutex
 	series map[string]*ingestSeries
@@ -172,6 +175,8 @@ type ingestSeries struct {
 	pending  []series.Point // pre-lock probe window
 	lastTime time.Time
 	haveLast bool
+	// evicted is set when eviction detaches the series; see setStream.
+	evicted  bool
 	samples  int64
 	reprobes int
 
@@ -306,7 +311,7 @@ func (e *IngestEstimator) observeLocked(s *ingestSeries, id string, p series.Poi
 				s.drift = 0
 			}
 			if s.drift > probeGaps {
-				s.reprobe(p)
+				s.reprobe(e, p)
 				e.reprobesTotal.Add(1)
 				return
 			}
@@ -396,6 +401,10 @@ func (e *IngestEstimator) evictOneLocked(now int64) bool {
 		}
 		delete(e.series, id)
 		e.evicted++
+		s.mu.Lock()
+		e.setStream(s, nil)
+		s.evicted = true
+		s.mu.Unlock()
 		return true
 	}
 	return false
@@ -429,13 +438,13 @@ func (s *ingestSeries) probe(e *IngestEstimator, id string, p series.Point) {
 	sort.Slice(gaps, func(a, b int) bool { return gaps[a] < gaps[b] })
 	interval := gaps[len(gaps)/2]
 	est, err := e.newStream(interval)
-	if err != nil {
+	if err != nil || !e.setStream(s, est) {
 		// Unlockable configuration (e.g. sub-minimum window from the
-		// caller); stay in probe mode rather than fail ingest.
+		// caller), or a detached series; stay in probe mode rather than
+		// fail ingest.
 		s.capPending()
 		return
 	}
-	s.est = est
 	s.interval = interval
 	e.probes.Add(1)
 	for _, q := range s.pending {
@@ -460,6 +469,25 @@ func (e *IngestEstimator) newStream(interval time.Duration) (*core.StreamEstimat
 	})
 }
 
+// setStream makes est s's analysis window (nil drops it), keeping the
+// count StateBytes reads. A series eviction detached takes none and
+// reports false: only an observer that resolved it just before the
+// eviction can still reach it, and its windows would be counted forever.
+// Called with s.mu held.
+func (e *IngestEstimator) setStream(s *ingestSeries, est *core.StreamEstimator) bool {
+	if est != nil && s.evicted {
+		return false
+	}
+	if s.est != nil {
+		e.streams.Add(-1)
+	}
+	if est != nil {
+		e.streams.Add(1)
+	}
+	s.est = est
+	return true
+}
+
 // capPending bounds the probe buffer of a series that stays unlocked, so
 // neither a misbehaving client nor a bad configuration can grow it (and
 // probe's scan over it) with every point.
@@ -471,8 +499,8 @@ func (s *ingestSeries) capPending() {
 
 // reprobe drops the locked grid after sustained gap drift and restarts
 // the probe from the current point. Called with s.mu held.
-func (s *ingestSeries) reprobe(p series.Point) {
-	s.est = nil
+func (s *ingestSeries) reprobe(e *IngestEstimator, p series.Point) {
+	e.setStream(s, nil)
 	s.interval = 0
 	s.drift = 0
 	s.policy.Regrid()
@@ -534,6 +562,16 @@ func (e *IngestEstimator) Len() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return len(e.series)
+}
+
+// StateBytes is what the estimator holds for its series, from counts and
+// type sizes rather than a walk: every series' hook state, its retention
+// hold included, and every live analysis window — the stream's header
+// and its ring of WindowSamples floats. Probe buffers, map entries and
+// ids are outside it.
+func (e *IngestEstimator) StateBytes() int64 {
+	window := int64(unsafe.Sizeof(core.StreamEstimator{})) + 8*int64(e.cfg.WindowSamples)
+	return int64(e.Len())*int64(unsafe.Sizeof(ingestSeries{})) + e.streams.Load()*window
 }
 
 // Rejected returns the number of observations dropped because the
@@ -643,7 +681,7 @@ func (e *IngestEstimator) RestoreState(st IngestSeriesState) bool {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.est = nil
+	e.setStream(s, nil)
 	s.interval = 0
 	s.pending = nil
 	s.haveLast = false
@@ -654,8 +692,7 @@ func (e *IngestEstimator) RestoreState(st IngestSeriesState) bool {
 	s.lastNyquist = st.NyquistRate
 	s.policy.Restore(st.HeldRate, st.CleanStreak)
 	if st.Interval > 0 {
-		if est, err := e.newStream(st.Interval); err == nil {
-			s.est = est
+		if est, err := e.newStream(st.Interval); err == nil && e.setStream(s, est) {
 			s.interval = st.Interval
 		}
 	}

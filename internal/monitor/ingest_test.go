@@ -442,7 +442,7 @@ func TestIngestEstimatorHandsOverChangesOnly(t *testing.T) {
 		{"the turnover-th lowers to the highest of them", offer(0.375, 1), []float64{0.5, 0.75, 0.5}, 0},
 		{"a re-probe mid-wait keeps the rate and clears the wait", func() {
 			offer(0.25, 10)()
-			s.reprobe(series.Point{Time: ingestStart.Add(time.Hour), Value: 1})
+			s.reprobe(e, series.Point{Time: ingestStart.Add(time.Hour), Value: 1})
 		}, []float64{0.5, 0.75, 0.5}, 0},
 		{"so the new grid needs its own clean run and full turnover", offer(0.25, 16), []float64{0.5, 0.75, 0.5}, 15},
 		{"and then lowers", offer(0.25, 1), []float64{0.5, 0.75, 0.5, 0.25}, 0},
@@ -590,6 +590,43 @@ func TestIngestSeriesStateSize(t *testing.T) {
 	t.Logf("hold state bytes per series: %d (ingestSeries %d)", hold, total)
 	if hold > 24 || total > before+24 {
 		t.Fatalf("hold %d B, ingestSeries %d B: want at most 24 and %d", hold, total, before+24)
+	}
+}
+
+// TestIngestStateBytes follows the estimator-state figure through every
+// way a series gains or loses its analysis window: the interval lock, a
+// drift re-probe, a restore with and without an interval, and an LRU
+// eviction — each moves StateBytes by exactly a window, and every series
+// in the map costs its hook state whether it holds one or not.
+func TestIngestStateBytes(t *testing.T) {
+	const window = 64
+	e := NewIngestEstimator(nil, IngestConfig{WindowSamples: window, MaxSeries: 2, EvictAfter: 1})
+	hook := int64(unsafe.Sizeof(ingestSeries{}))
+	ring := int64(unsafe.Sizeof(core.StreamEstimator{})) + 8*window
+	next := map[string]int{}
+	feed := func(id string, n int, gap time.Duration) {
+		for i := 0; i < n; i++ {
+			e.Observe(id, series.Point{Time: ingestStart.Add(time.Duration(next[id]) * gap), Value: float64(i % 5)})
+			next[id]++
+		}
+	}
+	for i, step := range []struct {
+		name           string
+		do             func()
+		series, window int64
+	}{
+		{"a probes its interval", func() { feed("a", probeGaps, time.Second) }, 1, 0},
+		{"a locks", func() { feed("a", 1, time.Second) }, 1, 1},
+		{"b probes beside it", func() { feed("b", 3, time.Second) }, 2, 1},
+		{"a drifts and re-probes", func() { feed("a", probeGaps+1, time.Minute) }, 2, 0},
+		{"b is restored locked", func() { e.RestoreState(IngestSeriesState{Series: "b", Interval: time.Second}) }, 2, 1},
+		{"a is restored probing", func() { e.RestoreState(IngestSeriesState{Series: "a"}) }, 2, 1},
+		{"c evicts the idle b", func() { feed("c", 1, time.Second) }, 2, 0},
+	} {
+		step.do()
+		if got, want := e.StateBytes(), step.series*hook+step.window*ring; got != want {
+			t.Fatalf("step %d (%s): StateBytes %d, want %d series × %d + %d windows × %d", i, step.name, got, step.series, hook, step.window, ring)
+		}
 	}
 }
 

@@ -170,6 +170,10 @@ type bitReader struct {
 	acc  uint64 // unread bits, left-aligned
 	n    uint   // unread bit count in acc
 	err  error
+	// tail holds tailN bits, left-aligned, that follow a data of whole
+	// words: an open run's bits still pending in its writer.
+	tail  uint64
+	tailN uint
 }
 
 func newBitReader(data []byte) bitReader { return bitReader{data: data} }
@@ -202,6 +206,9 @@ func (r *bitReader) refillRead(k uint) uint64 {
 		for ; r.pos < len(r.data); r.pos++ {
 			r.acc |= uint64(r.data[r.pos]) << (56 - r.n)
 			r.n += 8
+		}
+		if r.n == 0 {
+			r.acc, r.n, r.tailN = r.tail, r.tailN, 0
 		}
 	}
 	if k > r.n {
@@ -246,6 +253,11 @@ var (
 	// sample or two, where dodLadder would spend 23 bits: 0 → one bit;
 	// |step| < 8 → '10' + 4 bits; anything → '11' + 64 bits.
 	stepLadder = ladder{0, 4, 64}
+	// mantLadder codes the open raw run's mantissa deltas, whose width no
+	// planner has measured yet: 0 → one bit; |d| < 32 → '10' + 6 bits;
+	// < 2048 (two-decimal telemetry's typical step) → '110' + 12 bits;
+	// < 2^23 → '1110' + 24 bits; anything → '1111' + 64 bits.
+	mantLadder = ladder{0, 6, 12, 24, 64}
 )
 
 // rung is the index of the first rung past the bottom that holds z ≠ 0.
@@ -399,6 +411,7 @@ const (
 	firstMantBits = 52
 	maxDeltaBits  = 53
 	maxResid      = 64
+	residBits     = 7 // a zigzag residual in [-maxResid, maxResid)
 	// colHeaderBits is the (e, W, R) header: 4 + 6 + 3 bits.
 	colHeaderBits = 13
 )
@@ -559,9 +572,11 @@ func (c *colEnc) write(w *bitWriter, i int) {
 	w.writeBits(zigzag(c.resid[i]), c.rbits)
 }
 
-// colDec decodes one float64 column, in either mode.
+// colDec decodes one float64 column, in either mode — or an open run's
+// values (run set: decimal mantissas chained from zero on mantLadder at
+// the run's scale, no header).
 type colDec struct {
-	decimal      bool
+	decimal, run bool
 	width, rbits uint
 	scale        float64
 	mant         int64
@@ -570,9 +585,12 @@ type colDec struct {
 
 // first reads entry 0 (and the decimal header), returning the value.
 func (c *colDec) first(r *bitReader) float64 {
-	if !c.decimal {
+	switch {
+	case !c.decimal:
 		c.xor.prev = r.readBits(64)
 		return math.Float64frombits(c.xor.prev)
+	case c.run:
+		return c.next(r)
 	}
 	h := r.readBits(colHeaderBits)
 	exp := h >> 9
@@ -590,6 +608,14 @@ func (c *colDec) first(r *bitReader) float64 {
 func (c *colDec) next(r *bitReader) float64 {
 	if !c.decimal {
 		return math.Float64frombits(c.xor.read(r))
+	}
+	if c.run {
+		c.mant += mantLadder.read(r)
+		var resid int64
+		if r.readBit() == 1 {
+			resid = unzigzag(r.readBits(residBits))
+		}
+		return decimalValue(c.mant, c.scale, resid)
 	}
 	c.mant += unzigzag(r.readBits(c.width))
 	return c.value(r)
@@ -659,20 +685,137 @@ func EncodeBlock(pts []series.Point) (Block, error) {
 	return e.pointBlock(), nil
 }
 
-// encodeTail is EncodeBlock for the raw store's open tail, whose instants
-// are already int64 nanoseconds: only the order is left to refuse.
-func encodeTail(tail []rawPoint) (Block, error) {
+// rawRun is the raw store's open block: the points appended since the
+// last seal, coded as they arrive — the raw counterpart of a tier's
+// bucketStream, and about a seventh of the 16 bytes a plain point takes
+// on two-decimal telemetry. Every point is its instant (the first
+// verbatim, then the sealed codec's delta-of-delta on dodLadder) and its
+// value. Values are decimal while one exponent fits all of them: each
+// mantissa's delta from the previous one (the first's from zero) on
+// mantLadder, then its ulp residual, '0' or '1' and residBits of zigzag.
+// A value the run's exponent cannot hold re-codes the run at the lowest
+// exponent that fits it all, so the exponent only rises; a run no exponent
+// fits (NaN, ±Inf, −0, binary-quantized readings) is re-coded on the XOR
+// chain — the first value verbatim — and stays there until its seal.
+//
+// Nothing here decides a sealed byte: a seal decodes the run into the
+// pooled seal scratch and plans the block there, so it is EncodeBlock of
+// the same points. The buffer outlives its runs.
+type rawRun struct {
+	w                          bitWriter
+	n                          int
+	firstNano, lastNano, delta int64 // delta is the newest instant's, the chain's state
+	xorForm                    bool
+	exp                        uint  // the decimal form's exponent
+	mant                       int64 // the newest mantissa
+	chain                      xorState
+}
+
+// push appends one point.
+func (r *rawRun) push(nano int64, v float64) {
+	if !r.write(nano, v) {
+		r.recode(nano, v)
+	}
+}
+
+// write codes one point in the run's form, or writes nothing and reports
+// false when its value does not fit the run's exponent.
+func (r *rawRun) write(nano int64, v float64) bool {
+	var m, resid int64
+	if !r.xorForm {
+		var ok bool
+		if m, resid, ok = decimalAt(v, pow10[r.exp]); !ok {
+			return false
+		}
+	}
+	if r.n == 0 {
+		r.w.writeBits(uint64(nano), 64)
+		r.firstNano, r.delta = nano, 0
+	} else {
+		delta := nano - r.lastNano
+		dodLadder.write(&r.w, delta-r.delta)
+		r.delta = delta
+	}
+	r.lastNano = nano
+	r.n++
+	switch {
+	case !r.xorForm:
+		mantLadder.write(&r.w, m-r.mant)
+		r.mant = m
+		if resid == 0 {
+			r.w.writeBit(0)
+		} else {
+			r.w.writeBits(1<<residBits|zigzag(resid), 1+residBits)
+		}
+	case r.n == 1:
+		r.chain = xorState{prev: math.Float64bits(v)}
+		r.w.writeBits(r.chain.prev, 64)
+	default:
+		r.chain.write(&r.w, math.Float64bits(v))
+	}
+	return true
+}
+
+// recode rewrites the run with (nano, v) appended, at the lowest exponent
+// not below the run's that fits every value, or on the XOR chain.
+func (r *rawRun) recode(nano int64, v float64) {
 	e := encoderPool.Get().(*blockEncoder)
 	defer encoderPool.Put(e)
+	r.gather(e)
 	col := &e.col
-	e.nanos, col.vals = e.nanos[:0], col.vals[:0]
-	for i, p := range tail {
-		if i > 0 && p.nano < e.nanos[i-1] {
-			return Block{}, ErrOutOfOrder
-		}
-		e.nanos, col.vals = append(e.nanos, p.nano), append(col.vals, p.value)
+	e.nanos, col.vals = append(e.nanos, nano), append(col.vals, v)
+	col.exp = r.exp
+	xorForm := !col.fitDecimal(len(col.vals))
+	r.reset()
+	r.xorForm, r.exp = xorForm, col.exp
+	for i, t := range e.nanos {
+		r.write(t, col.vals[i])
 	}
-	return e.pointBlock(), nil
+}
+
+// seal returns the run as a sealed block and empties it.
+func (r *rawRun) seal() Block {
+	e := encoderPool.Get().(*blockEncoder)
+	defer encoderPool.Put(e)
+	r.gather(e)
+	r.reset()
+	return e.pointBlock()
+}
+
+// reset empties the run, keeping its buffer.
+func (r *rawRun) reset() {
+	*r = rawRun{w: bitWriter{buf: r.w.buf[:0]}}
+}
+
+// gather decodes the run into e's seal scratch. The slices grow as locals
+// and are stored back once: a store into the pooled encoder per point
+// pays a write barrier whenever a collection is running.
+func (r *rawRun) gather(e *blockEncoder) {
+	nanos, vals := e.nanos[:0], e.col.vals[:0]
+	it := r.iter()
+	for it.Next() {
+		nanos, vals = append(nanos, it.nano), append(vals, it.val)
+	}
+	e.nanos, e.col.vals = nanos, vals
+}
+
+// iter walks the run like a sealed block. The writer's buffer holds whole
+// words; the bits still pending in it are the reader's tail. Readers share
+// the run read-only.
+func (r *rawRun) iter() BlockIter {
+	it := BlockIter{n: r.n, r: bitReader{data: r.w.buf}, col: colDec{decimal: !r.xorForm, run: true, scale: pow10[r.exp]}}
+	if r.w.n > 0 {
+		it.r.tail, it.r.tailN = r.w.acc<<(64-r.w.n), r.w.n
+	}
+	return it
+}
+
+// each emits the iterator's remaining points. Self-encoded blocks and
+// runs cannot fail to decode.
+func (it BlockIter) each(emit func(rawPoint)) {
+	for it.Next() {
+		emit(rawPoint{nano: it.nano, value: it.val})
+	}
 }
 
 // pointBlock seals the non-empty, ordered run gathered in e.nanos and

@@ -1,11 +1,12 @@
 // The storage representation of memSeries: the raw store and every
-// summary tier hold a FIFO of sealed blocks plus one open block — an
-// uncompressed run of points in the raw store, a compressed stream of
-// miniblocks plus a few staged buckets in a tier. Eviction is
-// block-granular — a full store sheds its oldest sealed block into the
-// next tier — so the retained size breathes between capacity−blockLen and
-// capacity instead of sitting exactly at capacity; what a store buys for
-// that is roughly an order of magnitude more retained points per byte.
+// summary tier hold a FIFO of sealed blocks plus one open block that is
+// compressed as it fills — a run of points coded on arrival in the raw
+// store, a stream of miniblocks plus a few staged buckets in a tier.
+// Eviction is block-granular — a full store sheds its oldest sealed block
+// into the next tier — so the retained size breathes between
+// capacity−blockLen and capacity instead of sitting exactly at capacity;
+// what a store buys for that is roughly an order of magnitude more
+// retained points per byte.
 
 package tsdb
 
@@ -21,15 +22,6 @@ import (
 type pointSeg struct {
 	Block
 	seq uint64
-}
-
-// each emits the segment's points in time order. Decode state is local,
-// so concurrent readers may share a segment.
-func (s *pointSeg) each(emit func(rawPoint)) {
-	it := s.Iter()
-	for it.Next() {
-		emit(rawPoint{nano: it.nano, value: it.val})
-	}
 }
 
 // cachedWindow returns the segment's decoded points trimmed to [lo, hi),
@@ -69,24 +61,13 @@ func appendSeg[T any](segs []T, seg T, capacity, blockLen int) []T {
 	return append(segs, seg)
 }
 
-// resetTail empties the raw store's sealed tail for reuse. append may have rounded its
-// capacity past blockLen (a malloc size class above the doubling step);
-// the first seal swaps such a tail for one that holds exactly a block, so
-// a warm store's tail never exceeds blockLen entries.
-func resetTail(tail []rawPoint, blockLen int) []rawPoint {
-	if cap(tail) > blockLen {
-		return make([]rawPoint, 0, blockLen)
-	}
-	return tail[:0]
-}
-
-// compPoints is the raw store: a FIFO of sealed segments plus an
-// uncompressed active run of at most blockLen points.
+// compPoints is the raw store: a FIFO of sealed segments plus the open
+// run of at most blockLen points.
 type compPoints struct {
 	blockLen int
 	capacity int // max total points; 0 = unbounded (never evicts)
 	segs     []pointSeg
-	active   []rawPoint
+	run      rawRun
 	n        int
 	// sealed queues blocks sealed since the last takeSealed — the DB's
 	// seal-hook feed.
@@ -103,9 +84,9 @@ func (c *compPoints) size() int { return c.n }
 // sealed segment leaves retention and is handed back for the caller to
 // cascade into the tiers.
 func (c *compPoints) push(p rawPoint) (evicted Block, ok bool) {
-	c.active = append(c.active, p)
+	c.run.push(p.nano, p.value)
 	c.n++
-	if len(c.active) >= c.blockLen {
+	if c.run.n >= c.blockLen {
 		//nyquist:allow-alloc seal fires once per blockLen points; its cost amortizes to ~0 per append
 		c.seal()
 	}
@@ -115,21 +96,15 @@ func (c *compPoints) push(p rawPoint) (evicted Block, ok bool) {
 	return Block{}, false
 }
 
-// seal compresses the active run into a segment. memSeries.append admits
-// only time-ordered points, so the codec cannot refuse the run; a refusal
-// is a broken invariant and panics rather than drop the points or hide
-// them in a second representation.
+// seal turns the open run into a segment. memSeries.append admits only
+// time-ordered points, so the run is what EncodeBlock would accept.
 func (c *compPoints) seal() {
-	if len(c.active) == 0 {
+	if c.run.n == 0 {
 		return
 	}
-	blk, err := encodeTail(c.active)
-	if err != nil {
-		panic("tsdb: sealing an accepted run: " + err.Error())
-	}
+	blk := c.run.seal()
 	c.addSeg(blk)
 	c.sealed = append(c.sealed, blk)
-	c.active = resetTail(c.active, c.blockLen)
 }
 
 // addSeg lands a sealed block at the young end of the FIFO under a fresh
@@ -182,13 +157,13 @@ func (c *compPoints) bounds() (oldest, newest int64, ok bool) {
 	switch {
 	case len(c.segs) > 0:
 		oldest = c.segs[0].firstNano
-	case len(c.active) > 0:
-		oldest = c.active[0].nano
+	case c.run.n > 0:
+		oldest = c.run.firstNano
 	default:
 		return 0, 0, false
 	}
-	if n := len(c.active); n > 0 {
-		return oldest, c.active[n-1].nano, true
+	if c.run.n > 0 {
+		return oldest, c.run.lastNano, true
 	}
 	return oldest, c.segs[len(c.segs)-1].lastNano, true
 }
@@ -212,11 +187,9 @@ func (c *compPoints) each(lo, hi int64, cache *blockCache, bulk func([]series.Po
 			}
 			continue
 		}
-		s.each(emit)
+		s.Iter().each(emit)
 	}
-	for _, p := range c.active {
-		emit(p)
-	}
+	c.run.iter().each(emit)
 }
 
 // compressedFootprint reports the sealed compressed payload: bytes and
@@ -340,7 +313,8 @@ func (c *compBuckets) sampleTotal() int64 {
 }
 
 // compressedFootprint reports the sealed payload only: the open block's
-// bytes are open-tail state (openTailBytes), as the raw store's tail is.
+// bytes are open-tail state (openTailBytes), as the raw store's open run
+// is.
 func (c *compBuckets) compressedFootprint() (bytes, buckets int64) {
 	for i := range c.segs {
 		bytes += int64(c.segs[i].size())

@@ -12,9 +12,9 @@ import (
 
 // TestConcurrentWritersAcrossShards drives parallel writers over many
 // series with bounded retention — so compaction cascades are active the
-// whole time — while readers hammer Query, Stats, Snapshot and
-// SetNyquistRate. Run under -race (the CI race job does), this is the
-// shard-locking contract test.
+// whole time — while readers hammer Query (every reader also reads one
+// shared series), Stats, Snapshot and SetNyquistRate. Run under -race
+// (the CI race job does), this is the shard-locking contract test.
 func TestConcurrentWritersAcrossShards(t *testing.T) {
 	db := New(Config{Shards: 8, Retention: RetentionConfig{RawCapacity: 64, TierCapacity: 32, Tiers: 2}})
 	const (
@@ -47,6 +47,8 @@ func TestConcurrentWritersAcrossShards(t *testing.T) {
 						return
 					}
 				}
+				// Every reader decodes the first series' open run too.
+				_, _ = db.Full(ids[0])
 				_ = db.Stats()
 				_ = db.Snapshot()
 				db.SetNyquistRate(id, 0.05)

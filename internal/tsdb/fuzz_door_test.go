@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"time"
@@ -70,14 +71,17 @@ func (m *doorModel) admit(p series.Point) (want error) {
 
 // FuzzAppendDoorNeverWedges drives op sequences through DB.Append and
 // DB.AppendBatch at CompressBlock 4 — a seal every fourth accepted point,
-// under the shard lock, where compPoints.seal panics if the codec refuses
-// a run the door let in. Stamps move forward, repeat, step back, and jump
+// under the shard lock. Stamps move forward, repeat, step back, and jump
 // to and past both ends of the accepted range; values come from
 // doorValue. Whatever the sequence: no panic, every verdict is the door's
 // contract (doorModel), and accepted == landed == decodable — an unbounded
 // store reads back exactly the accepted points, bit for bit; a bounded one
 // keeps their newest run raw and accounts for every other one as summarized
-// in a tier or forgotten past the last.
+// in a tier or forgotten past the last. After every op, the open run —
+// coded as it fills, re-coded when its exponent rises or its values leave
+// the decimal form — is held to the same bar: every block it sealed is
+// byte for byte EncodeBlock of the accepted points it took, and a query
+// over the points not yet sealed returns exactly those.
 //
 // Byte 0 bit 0 bounds the store (16 raw points, two tiers of 8 buckets)
 // so the cascade and the bucket codec face the same values; each op is
@@ -113,6 +117,46 @@ func FuzzAppendDoorNeverWedges(f *testing.F) {
 					ids[s], p.Time, math.Float64bits(p.Value), got, want)
 			}
 		}
+		// seals queues each series' sealed raw blocks in seal order, as the
+		// WAL sees them; sealed counts the accepted points they took.
+		var seals [4][]Block
+		var sealed [4]int
+		db.OnSeal(func(id string, blk Block) {
+			s := int(id[len(id)-1] - 'a')
+			seals[s] = append(seals[s], blk)
+		})
+		checkRuns := func() {
+			t.Helper()
+			for s, id := range ids {
+				accepted := models[s].accepted
+				for _, blk := range seals[s] {
+					if sealed[s]+blk.Len() > len(accepted) {
+						t.Fatalf("%s: sealed %d points, %d accepted", id, sealed[s]+blk.Len(), len(accepted))
+					}
+					pts := accepted[sealed[s] : sealed[s]+blk.Len()]
+					want, err := EncodeBlock(pts)
+					if err != nil || !bytes.Equal(blk.Data(), want.Data()) || !blk.First().Equal(want.First()) || !blk.Last().Equal(want.Last()) {
+						t.Fatalf("%s: block of %d sealed from the open run is %x, EncodeBlock of its points %x (%v)", id, blk.Len(), blk.Data(), want.Data(), err)
+					}
+					sealed[s] += blk.Len()
+				}
+				seals[s] = seals[s][:0]
+				run := accepted[sealed[s]:]
+				if len(run) == 0 {
+					continue
+				}
+				res, err := db.Query(id, run[0].Time, run[len(run)-1].Time.Add(time.Nanosecond), 0)
+				if err != nil || len(res.Points) < len(run) {
+					t.Fatalf("%s: a query over the %d unsealed points: %v", id, len(run), err)
+				}
+				for i, p := range res.Points[len(res.Points)-len(run):] {
+					if !p.Time.Equal(run[i].Time) || math.Float64bits(p.Value) != math.Float64bits(run[i].Value) {
+						t.Fatalf("%s unsealed point %d of %d: read back (%v, %#x), accepted (%v, %#x)", id, i, len(run),
+							p.Time, math.Float64bits(p.Value), run[i].Time, math.Float64bits(run[i].Value))
+					}
+				}
+			}
+		}
 		var batch []BatchPoint
 		var batchSeries []int
 		flush := func() {
@@ -124,6 +168,7 @@ func FuzzAppendDoorNeverWedges(f *testing.F) {
 		}
 
 		for i := 0; i+2 < len(data); i += 3 {
+			checkRuns()
 			kind, arg, sel := data[i], data[i+1], data[i+2]
 			s := int(kind >> 5 & 3)
 			var at time.Time
@@ -171,6 +216,7 @@ func FuzzAppendDoorNeverWedges(f *testing.F) {
 			}
 		}
 		flush()
+		checkRuns()
 
 		for s, id := range ids {
 			want := models[s].accepted

@@ -22,13 +22,13 @@ var (
 )
 
 // Inside the store every instant is int64 nanoseconds since the Unix
-// epoch — what sealed blocks have always held — so the open tails carry
+// epoch — what sealed blocks have always held — so the open blocks carry
 // no pointers and the garbage collector never scans them. series.Point
 // becomes a rawPoint once, in memSeries.append after the range check;
 // instants become time.Time again only where a result leaves the package
 // (time.Unix(0, n), as block decoding always returned them).
 
-// rawPoint is one sample of the raw store's open tail.
+// rawPoint is one raw sample on its way into or out of the raw store.
 type rawPoint struct {
 	nano  int64
 	value float64
@@ -64,13 +64,10 @@ type bucket struct {
 	count      int64
 }
 
-// Element sizes of the raw tail and the tiers' staged buckets, as
-// openTailBytes accounts them (TestSeriesStateBytes holds them to
+// bucketBytes is the element size of the tiers' staged buckets, as
+// openTailBytes accounts them (TestSeriesStateBytes holds it to
 // unsafe.Sizeof).
-const (
-	rawPointBytes = 16
-	bucketBytes   = 48
-)
+const bucketBytes = 48
 
 func bucketOf(p rawPoint) bucket {
 	return bucket{start: p.nano, end: p.nano, min: p.value, max: p.value, sum: p.value, count: 1}
@@ -395,11 +392,12 @@ func (m *memSeries) buckets() int {
 	return n
 }
 
-// openTailBytes is what the open blocks hold allocated, no decode: the raw
-// tail's capacity × element size, plus every tier's staged buckets
-// likewise and the capacity of its open block's compressed payload.
+// openTailBytes is what the open blocks hold allocated, no decode: the
+// capacity of the raw run's buffer, plus every tier's staged buckets
+// (capacity × element size) and the capacity of its open block's
+// compressed payload.
 func (m *memSeries) openTailBytes() int64 {
-	n := int64(cap(m.raw.active)) * rawPointBytes
+	n := int64(cap(m.raw.run.w.buf))
 	for _, t := range m.tiers {
 		n += int64(cap(t.staged))*bucketBytes + int64(cap(t.stream.blk.data))
 	}

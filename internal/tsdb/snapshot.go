@@ -2,8 +2,8 @@
 // layer (internal/wal) uses to write block snapshots and to rebuild a
 // store on boot. A SeriesSnapshot is a faithful copy of one memSeries —
 // sealed raw blocks verbatim (they are already the byte-exact,
-// self-delimiting persistence unit), the unsealed active tail as plain
-// points, and every retention tier's finalized buckets plus its open
+// self-delimiting persistence unit), the unsealed open run decoded to
+// plain points, and every retention tier's finalized buckets plus its open
 // bucket — so restore followed by the same appends is indistinguishable
 // from never having restarted.
 
@@ -103,10 +103,11 @@ func (m *memSeries) export(id string) SeriesSnapshot {
 	for i := range m.raw.segs {
 		s.Raw = append(s.Raw, m.raw.segs[i].Block)
 	}
-	if n := len(m.raw.active); n > 0 {
-		s.Active = make([]series.Point, n)
-		for i, p := range m.raw.active {
-			s.Active[i] = p.point()
+	if n := m.raw.run.n; n > 0 {
+		s.Active = make([]series.Point, 0, n)
+		it := m.raw.run.iter()
+		for it.Next() {
+			s.Active = append(s.Active, it.Point())
 		}
 	}
 	for _, t := range m.tiers {

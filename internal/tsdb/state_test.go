@@ -53,70 +53,99 @@ func accountedBytes(m *memSeries) (tails, payloads, index, headers int64) {
 	return tails, payloads, index, headers
 }
 
-// TestSeriesStateBytes pins the store's per-series memory: the element
-// sizes of the raw tail and the staged buckets, and the bytes one warm default-retention
-// series accounts for — beside the heap it actually retains, size classes
-// included — under a budget. scripts/size.sh prints the logged line.
+// storeHeap is the live heap after a collection.
+func storeHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestSeriesStateBytes pins the store's per-series memory in two shapes of
+// default retention: a warm series, every store full and wrapped, and the
+// high-cardinality benchmark's series, 512 points that never leave the raw
+// store. Each accounts, part by part, for under a budget, beside the heap
+// it actually retains, size classes included. It also pins the staged
+// bucket's element size. scripts/size.sh prints the logged lines.
 func TestSeriesStateBytes(t *testing.T) {
 	if got := unsafe.Sizeof(bucket{}); got != bucketBytes {
 		t.Errorf("bucket is %d bytes, want %d", got, bucketBytes)
 	}
-	if got := unsafe.Sizeof(rawPoint{}); got != rawPointBytes {
-		t.Errorf("raw tail point is %d bytes, want %d", got, rawPointBytes)
-	}
-
-	const streams = 64
-	heap := func() uint64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 	warmSeries(New(Config{Shards: 1, Retention: defaultRetention}), warmAppends, "warm-up") // pooled encoder scratch
-	ids := make([]string, streams)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("host%03d/metric", i)
-	}
-	before := heap()
-	db := New(Config{Shards: 1, Retention: defaultRetention})
-	warmSeries(db, warmAppends, ids...)
-	perHeap := float64(heap()-before) / streams
+	for _, shape := range []struct {
+		name    string
+		appends int
+		budget  int64
+	}{
+		{"warm series (4096/1024/2 tiers/128, two-decimal)", warmAppends, 24 << 10},
+		{"highcard series (4096/1024/2 tiers/128, 512 two-decimal points, no tier)", 512, 2 << 10},
+	} {
+		const streams = 64
+		ids := make([]string, streams)
+		for i := range ids {
+			ids[i] = fmt.Sprintf("host%03d/metric", i)
+		}
+		before := storeHeap()
+		db := New(Config{Shards: 1, Retention: defaultRetention})
+		warmSeries(db, shape.appends, ids...)
+		perHeap := float64(storeHeap()-before) / streams
 
-	tails, payloads, index, headers := accountedBytes(db.shards[0].series[ids[0]])
-	total := tails + payloads + index + headers
-	t.Logf("state bytes per warm series (4096/1024/2 tiers/128, two-decimal): %d accounted = %d open blocks + %d sealed payloads + %d block index + %d headers; %.0f on the heap",
-		total, tails, payloads, index, headers, perHeap)
-	const budget = 24 << 10
-	if total > budget {
-		t.Errorf("a warm series accounts for %d B, budget %d", total, budget)
+		tails, payloads, index, headers := accountedBytes(db.shards[0].series[ids[0]])
+		total := tails + payloads + index + headers
+		t.Logf("state bytes per %s: %d accounted = %d open blocks + %d sealed payloads + %d block index + %d headers; %.0f on the heap",
+			shape.name, total, tails, payloads, index, headers, perHeap)
+		if total > shape.budget {
+			t.Errorf("a %s accounts for %d B, budget %d", shape.name, total, shape.budget)
+		}
+		// Size classes and the shard map add to the accounted bytes; a
+		// tenth over budget means something the accounting does not see.
+		if perHeap > 1.1*float64(shape.budget) {
+			t.Errorf("a %s retains %.0f B of heap, budget %d", shape.name, perHeap, shape.budget)
+		}
+		runtime.KeepAlive(db)
 	}
-	// Size classes and the shard map add to the accounted bytes; a tenth
-	// over budget means something the accounting does not see.
-	if perHeap > 1.1*budget {
-		t.Errorf("a warm series retains %.0f B of heap, budget %d", perHeap, budget)
-	}
-	runtime.KeepAlive(db)
 }
 
+// maxRunBytes bounds the raw run's buffer on two-decimal telemetry: a
+// 128-point run codes in under 300 B, and append's doubling leaves the
+// buffer at 512 — a quarter of the 2,048 B of plain points it replaced.
+const maxRunBytes = 512
+
 // TestOpenTailBytes pins the open-tail gauge on warm default-retention
-// series: one 128-point raw tail, and per tier a miniblock of staged
-// buckets plus the open block's compressed payload — a fraction of the
-// 128 plain buckets (6,144 B) a tier's open block used to be.
+// series: the raw run's buffer — at the capacity its first run gave it,
+// at most maxRunBytes — and per tier a miniblock of staged buckets plus
+// the open block's compressed payload, a fraction of the 128 plain
+// buckets (6,144 B) a tier's open block used to be.
 func TestOpenTailBytes(t *testing.T) {
 	db := New(Config{Shards: 2, Retention: defaultRetention})
 	if got := db.Stats().OpenTailBytes; got != 0 {
 		t.Fatalf("empty store: OpenTailBytes = %d", got)
 	}
 	ids := []string{"a", "b", "c"}
-	warmSeries(db, warmAppends, ids...)
-	const fixed = 128*rawPointBytes + 2*miniLen*bucketBytes
-	if fixed != 2048+2*768 {
-		t.Fatalf("per-series raw tail and staging are %d B, the sized figure is %d", fixed, 2048+2*768)
+	pts := twoDecimalGauge(warmAppends)
+	firstFill := map[string]int{}
+	for _, id := range ids {
+		for i, p := range pts {
+			if i == 128 {
+				firstFill[id] = cap(db.shardFor(id).series[id].raw.run.w.buf)
+			}
+			if err := db.Append(id, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const staged = 2 * miniLen * bucketBytes
+	if staged != 2*768 {
+		t.Fatalf("per-series staging is %d B, the sized figure is %d", staged, 2*768)
 	}
 	var want int64
 	for _, id := range ids {
 		m := db.shardFor(id).series[id]
-		want += fixed
+		run := cap(m.raw.run.w.buf)
+		if run == 0 || run > maxRunBytes || run != firstFill[id] {
+			t.Fatalf("series %s: the raw run's buffer holds %d B allocated, want its first fill's %d, within (0, %d]", id, run, firstFill[id], maxRunBytes)
+		}
+		want += staged + int64(run)
 		for k, tr := range m.tiers {
 			open := int64(cap(tr.stream.blk.data))
 			// A warm block of 128 two-decimal buckets is ~700 B; the buffer
@@ -128,15 +157,17 @@ func TestOpenTailBytes(t *testing.T) {
 		}
 	}
 	if got := db.Stats().OpenTailBytes; got != want {
-		t.Fatalf("OpenTailBytes = %d, want %d (raw tails, staged buckets and open payloads of 3 warm series)", got, want)
+		t.Fatalf("OpenTailBytes = %d, want %d (raw runs, staged buckets and open payloads of 3 warm series)", got, want)
 	}
 }
 
-// storeCaps is the allocated shape of one store: tail and index capacity.
-type storeCaps struct{ active, segs int }
+// storeCaps is the allocated shape of one store: open-block and index
+// capacity — the raw run's buffer in bytes, a tier's staged buckets in
+// entries.
+type storeCaps struct{ open, segs int }
 
 func seriesCaps(m *memSeries) []storeCaps {
-	out := []storeCaps{{cap(m.raw.active), cap(m.raw.segs)}}
+	out := []storeCaps{{cap(m.raw.run.w.buf), cap(m.raw.segs)}}
 	for _, t := range m.tiers {
 		out = append(out, storeCaps{cap(t.staged), cap(t.segs)})
 	}
@@ -144,10 +175,13 @@ func seriesCaps(m *memSeries) []storeCaps {
 }
 
 // TestStoreShapeIsBounded holds every store — raw and tiers — to its
-// sized shape: once a store has filled and evicted for the first time,
-// its tail never holds more than a block and its segment index sits at
+// sized shape: once every store has filled and evicted, the raw run's
+// buffer never gives back the capacity it had then — no seal swaps it —
+// and stays within maxRunBytes on these two-decimal values (only a run
+// longer than any before it grows it: 2-point runs do, once, at append
+// 83), a tier stages at most a block, and every segment index sits at
 // capacity/blockLen + 1 and never grows again. The restored case re-seals
-// a 23-point tail under a smaller block length that no size class matches.
+// a 23-point run under a smaller block length.
 func TestStoreShapeIsBounded(t *testing.T) {
 	at := func(i int) series.Point {
 		return series.Point{Time: snapStart.Add(time.Duration(i) * time.Second), Value: float64(i%89) / 4}
@@ -173,8 +207,11 @@ func TestStoreShapeIsBounded(t *testing.T) {
 					capacity = rc.TierCapacity
 				}
 				bl := blockLen(rc.CompressBlock, capacity)
-				if c.active > bl {
-					t.Fatalf("append %d, store %d: tail capacity %d exceeds the block length %d", i, k, c.active, bl)
+				if k == 0 && (c.open < filled[0].open || c.open > maxRunBytes) {
+					t.Fatalf("append %d: the raw run's buffer holds %d B (was %d at first fill, bound %d)", i, c.open, filled[0].open, maxRunBytes)
+				}
+				if k > 0 && c.open > bl {
+					t.Fatalf("append %d, store %d: staging capacity %d exceeds the block length %d", i, k, c.open, bl)
 				}
 				if c.segs != filled[k].segs || c.segs > capacity/bl+1 {
 					t.Fatalf("append %d, store %d: segment index capacity %d (was %d at first fill, bound %d)", i, k, c.segs, filled[k].segs, capacity/bl+1)
@@ -187,7 +224,7 @@ func TestStoreShapeIsBounded(t *testing.T) {
 	}
 	for _, rc := range []RetentionConfig{
 		{RawCapacity: 4096, TierCapacity: 1024, Tiers: 2, CompressBlock: 128},
-		{RawCapacity: 96, TierCapacity: 48, Tiers: 2, CompressBlock: 12}, // 12 × 16 B and 12 × 48 B round up to larger size classes
+		{RawCapacity: 96, TierCapacity: 48, Tiers: 2, CompressBlock: 12}, // 12 × 48 B rounds up to a larger size class
 		{RawCapacity: 10, TierCapacity: 6, Tiers: 1, CompressBlock: 128}, // block length derived from capacity: 2 and 1
 	} {
 		t.Run(fmt.Sprintf("raw%d-tier%d-block%d", rc.RawCapacity, rc.TierCapacity, rc.CompressBlock), func(t *testing.T) {

@@ -34,12 +34,13 @@
 // either as Gorilla XOR chains or, when the column is decimal telemetry,
 // as bit-packed integer deltas — round-trip exact for arbitrary float64
 // values and int64-nanosecond instants. The newest entries of each store
-// wait in its open block: in the raw store an uncompressed tail of at
-// most one block of 16-byte points (what a seal hands the WAL), in a tier
-// a block that is compressed as it fills — a miniblock per 16 buckets —
-// with only the newest few 48-byte buckets staged; instants are int64
-// nanoseconds like the blocks', so neither holds pointers for the
-// collector to walk. Measured in 128-point blocks: 1.3 bytes/point on
+// wait in its open block, which is compressed as it fills: in the raw
+// store a run of at most one block coded point by point (≈ 2.2 bytes a
+// point on two-decimal telemetry, against 16 for a plain one) and
+// re-planned at its seal, in a tier a miniblock per 16 buckets with only
+// the newest few 48-byte buckets staged; instants are int64 nanoseconds
+// like the blocks', so neither holds pointers for the collector to walk.
+// Measured in 128-point blocks: 1.3 bytes/point on
 // binary-quantized (1/64) diurnal telemetry, 1.4 on two-decimal
 // telemetry, against 32 for a []Point; on the end-to-end benchmark's
 // two-decimal fleet, raw blocks and tier buckets together,
@@ -507,11 +508,11 @@ type Stats struct {
 	// blocks' payload and the buckets it holds: bytes per summary bucket
 	// (min, max, sum, count and coverage).
 	TierCompressedBytes, TierCompressedEntries int64
-	// OpenTailBytes is what the open blocks hold allocated: every series'
-	// unsealed raw run and each tier's staged buckets, capacity × element
-	// size (16-byte points, 48-byte buckets), plus the capacity of each
-	// tier's open compressed payload. None of it is in the Compressed*
-	// figures, which count sealed blocks only.
+	// OpenTailBytes is what the open blocks hold allocated: the capacity
+	// of every series' unsealed raw run (compressed as it fills), each
+	// tier's staged 48-byte buckets, and the capacity of each tier's open
+	// compressed payload. None of it is in the Compressed* figures, which
+	// count sealed blocks only.
 	OpenTailBytes int64
 	// SealedBlocks counts raw blocks sealed over the DB's lifetime
 	// (append-filled plus force-sealed).

@@ -6,7 +6,10 @@
 # //nyquist:allow-* annotation count, and the state one warm series
 # retains: the estimator's (core's TestStreamStateSize), the retention
 # hold's on top of it (monitor's TestIngestSeriesStateSize) and the
-# store's (tsdb's TestSeriesStateBytes) — what a warm ingest batch
+# store's, for a warm series and one shaped like highcard_http's (tsdb's
+# TestSeriesStateBytes), the share of a high-cardinality series' heap
+# those named parts cover (tsdb's TestHighcardStateAccounted, which fails
+# under 90 %) — what a warm ingest batch
 # allocates per point (api's TestIngestBatchAllocCeiling: only the sealed
 # payloads the store keeps), and the retune flap rate: how often a steady
 # fleet's retention moves (monitor's TestIngestEstimatorFlapRate), and the
@@ -38,8 +41,14 @@
 # recovery and the scrub, one options struct, one file lister, one file
 # creator, one stats value per type — and the test-only
 # (*wal.Durable).Store/Estimator and (*tsdb.DB).Retention went.
-MAX_LOC=21625
-MAX_TSDB_LOC=3468
+# Both were then raised by exactly the net lines (21,625 → 21,781 and
+# 3,468 → 3,585) that coding the raw store's open run as it fills took:
+# the run, its decoder in the block iterator and the reader's tail, less
+# the plain tail, resetTail and encodeTail (tsdb +117), and the
+# estimator's live-window count and StateBytes behind the
+# nyquistd_estimator_state_bytes gauge (monitor, api +39).
+MAX_LOC=21781
+MAX_TSDB_LOC=3585
 MAX_FLAGS=19
 MAX_CONFIG_FIELDS=32
 MAX_ALLOWS=14
@@ -81,7 +90,8 @@ echo "//nyquist:allow-* annotations: $allows (ceiling $MAX_ALLOWS)"
 echo "os.* call sites in internal/wal: $(gofiles ./internal/wal | xargs grep -ohE '\bos\.[A-Z][A-Za-z0-9_]*\(' | wc -l)"
 go test ./internal/core -run '^TestStreamStateSize$' -count=1 -v | sed -n 's/.*\(state bytes per warm stream.*\)/estimator \1/p'
 go test ./internal/monitor -run '^TestIngestSeriesStateSize$' -count=1 -v | sed -n 's/.*\(hold state bytes per series.*\)/estimator \1/p'
-go test ./internal/tsdb -run '^TestSeriesStateBytes$' -count=1 -v | sed -n 's/.*\(state bytes per warm series.*\)/store \1/p'
+go test ./internal/tsdb -run '^TestSeriesStateBytes$' -count=1 -v | sed -n 's/.*\(state bytes per [a-z]* series.*\)/store \1/p'
+go test ./internal/tsdb -run '^TestHighcardStateAccounted$' -count=1 -v | sed -n 's/.*\(highcard state bytes per series.*\)/\1/p'
 go test ./internal/api -run '^TestIngestBatchAllocCeiling$' -count=1 -v | sed -n 's/.*\(warm ingest allocs per point.*\)/\1/p'
 go test ./internal/monitor -run '^TestIngestEstimatorFlapRate$' -count=1 -v | sed -n 's/.*\(held-rate changes per 1,000 clean refreshes.*\)/retention \1/p'
 if ((loc > MAX_LOC || tsdbloc > MAX_TSDB_LOC || flags > MAX_FLAGS || cfgfields > MAX_CONFIG_FIELDS || allows > MAX_ALLOWS)); then
