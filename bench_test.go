@@ -264,26 +264,33 @@ func BenchmarkAblationInterpolation(b *testing.B) {
 // default — a 256-sample window refreshed every 8 points (one op = 8
 // pushes and the emission they trigger) — and "census" is the
 // scanner/controller/archiver shape — fill a 1024-sample window, read it
-// once (one op = 1024 pushes and one Current). The batch rows run the
-// batch Estimator over the same window at the same cadence: the same
-// transform, plus the copy and allocations the stream's shared plan and
-// pooled scratch avoid.
+// once (one op = 1024 pushes and one Current). Both feed unrounded
+// floats, which the stream holds as float64 samples; the "two-decimal"
+// serving row feeds the same signal rounded to hundredths, as parsed
+// telemetry arrives, which the stream holds as decimal offsets and
+// decodes at every refresh. The batch rows run the batch Estimator over
+// the same window at the same cadence: the same transform, plus the copy
+// and allocations the stream's shared plan and pooled scratch avoid.
 func BenchmarkStreamVsBatchRefresh(b *testing.B) {
 	start := time.Date(2021, 11, 10, 0, 0, 0, 0, time.UTC)
 	const interval = 30 * time.Second
-	vals := make([]float64, 4096)
-	for i := range vals {
+	floats, decimals := make([]float64, 4096), make([]float64, 4096)
+	for i := range floats {
 		ts := float64(i) * interval.Seconds()
-		vals[i] = 50 + 5*math.Sin(2*math.Pi*12/86400*ts) + 2*math.Sin(2*math.Pi*40/86400*ts)
+		floats[i] = 50 + 5*math.Sin(2*math.Pi*12/86400*ts) + 2*math.Sin(2*math.Pi*40/86400*ts)
+		decimals[i] = math.Round(floats[i]*100) / 100
 	}
 	for _, shape := range []struct {
 		name                   string
 		window, hop, emitEvery int // one op pushes hop samples
 		taper                  nyquist.Window
+		vals                   []float64
 	}{
-		{"serving-256-every-8", 256, 8, 8, dsp.Hann{}}, // the ingest hook's window
-		{"census-1024-once", 1024, 1024, 1 << 30, nil},
+		{"serving-256-every-8", 256, 8, 8, dsp.Hann{}, floats}, // the ingest hook's window
+		{"serving-256-every-8-two-decimal", 256, 8, 8, dsp.Hann{}, decimals},
+		{"census-1024-once", 1024, 1024, 1 << 30, nil, floats},
 	} {
+		vals := shape.vals
 		b.Run("batch/"+shape.name, func(b *testing.B) {
 			est, err := nyquist.NewEstimator(nyquist.EstimatorConfig{Window: shape.taper})
 			if err != nil {

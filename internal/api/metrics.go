@@ -216,7 +216,7 @@ func newServerMetrics(reg *obs.Registry, store *tsdb.DB, est *monitor.IngestEsti
 
 	reg.GaugeFunc("nyquistd_estimator_series", "Series with a live estimator window.",
 		func() float64 { return float64(est.Len()) })
-	reg.GaugeFunc("nyquistd_estimator_state_bytes", "Bytes the estimator holds for its series, from counts: every series' hook state (retention hold included) and each live analysis window's ring and header.",
+	reg.GaugeFunc("nyquistd_estimator_state_bytes", "Bytes the estimator holds for its series, from counts: every series' hook state (retention hold included) and each live analysis window's header and ring: 4 bytes a sample while the series' readings are short decimals, 8 once one is not.",
 		func() float64 { return float64(est.StateBytes()) })
 	reg.CounterFunc("nyquistd_estimator_probes_total", "Interval probes completed (first lock per series, plus re-probes that locked).",
 		func() float64 { return float64(est.Probes()) })

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"time"
 
+	"repro/internal/decimal"
 	"repro/internal/dsp"
 	"repro/internal/series"
 )
@@ -97,8 +99,17 @@ type StreamUpdate struct {
 // cadence in Push, or on Current. A push that emits nothing is one store
 // into the ring. The ring is the only per-stream array: the FFT tables
 // and work buffers are shared by every estimator of the same window
-// length, so memory is 8 bytes per window sample no matter how long the
-// stream runs or how many streams there are.
+// length, so memory is 4 bytes per window sample for a stream of short
+// decimals — what parsed telemetry carries — and 8 for any other, no
+// matter how long the stream runs or how many streams there are.
+//
+// A compact ring holds each sample as its decimal mantissa at the
+// stream's exponent e ≤ 12, an int32 offset from the first sample's, and
+// only when float64(m)/10^e is the sample bit for bit; e only rises, and
+// a raise rescales the offsets. The first sample that does not fit (−0,
+// NaN, ±Inf, no exponent, an offset past int32) widens the ring to
+// float64 samples for good. Both forms rebuild the same window bit for
+// bit, so the form never changes an estimate.
 //
 // Every estimate is an exact transform of the window, so results match
 // the batch Estimator (DetrendMean, the same EstimatorConfig.Window) on
@@ -112,9 +123,15 @@ type StreamUpdate struct {
 // A StreamEstimator is not safe for concurrent use; shard streams across
 // estimators instead (fleet.Scanner does exactly that).
 type StreamEstimator struct {
-	cfg  StreamConfig
-	eng  *spectral
+	cfg StreamConfig
+	eng *spectral
+	// The ring is offs while compact (slot i holds sample i's mantissa at
+	// exp less mref, the first sample's) and ring once wide (sample i −
+	// ref). The first push allocates one of them.
+	offs []int32
 	ring []float64
+	mref int64
+	exp  uint8
 	head int // ring slot the next Push overwrites (the oldest sample once warm)
 	// count is the total number of polls pushed.
 	count int64
@@ -136,7 +153,7 @@ type StreamEstimator struct {
 	// flat (aliased-looking) spectrum. Anchoring to the first sample
 	// keeps the analyzed magnitudes small, the same numerical
 	// conditioning the batch estimator gets from subtracting the mean.
-	// Set by the first push after construction or Reset (count == 0).
+	// Set by the first push.
 	ref float64
 }
 
@@ -207,11 +224,7 @@ func NewStreamEstimator(cfg StreamConfig) (*StreamEstimator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &StreamEstimator{
-		cfg:  c,
-		eng:  spectralFor(c.WindowSamples, c.Window),
-		ring: make([]float64, c.WindowSamples),
-	}, nil
+	return &StreamEstimator{cfg: c, eng: spectralFor(c.WindowSamples, c.Window)}, nil
 }
 
 // SampleRate returns the configured poll rate in hertz.
@@ -232,6 +245,11 @@ func (s *StreamEstimator) Seen() int64 { return s.count }
 // describe real samples only.
 func (s *StreamEstimator) Warm() bool { return s.count >= int64(s.cfg.WindowSamples) }
 
+// Wide reports whether the ring holds float64 samples, 8 bytes each,
+// rather than 4-byte decimal offsets (see StreamEstimator). It is false
+// before the first push, and once true it stays true.
+func (s *StreamEstimator) Wide() bool { return s.ring != nil }
+
 // Push ingests one poll. It returns a non-nil update when the window is
 // full and the emission cadence hits, nil otherwise. A push that emits
 // nothing does no spectral work; an emitting push runs one FFT of the
@@ -243,11 +261,13 @@ func (s *StreamEstimator) Warm() bool { return s.count >= int64(s.cfg.WindowSamp
 // independent Result.
 func (s *StreamEstimator) Push(v float64) *StreamUpdate {
 	if s.count == 0 {
-		s.ref = v
+		s.anchor(v)
 	}
-	s.ring[s.head] = v - s.ref
+	if s.offs == nil || !s.hold(v) {
+		s.ring[s.head] = v - s.ref
+	}
 	s.head++
-	if s.head == len(s.ring) {
+	if s.head == s.cfg.WindowSamples {
 		s.head = 0
 	}
 	s.count++
@@ -256,6 +276,86 @@ func (s *StreamEstimator) Push(v float64) *StreamUpdate {
 		return nil
 	}
 	return s.emit()
+}
+
+// anchor pins ref to the stream's first sample and allocates the ring in
+// the form that sample selects.
+func (s *StreamEstimator) anchor(v float64) {
+	s.ref = v
+	if m, e, ok := exactFrom(v, 0); ok {
+		s.offs, s.mref, s.exp = make([]int32, s.cfg.WindowSamples), m, e
+		return
+	}
+	s.ring = make([]float64, s.cfg.WindowSamples)
+}
+
+// exactFrom returns v's mantissa at the lowest exponent from e up that
+// holds v bit for bit, or false when none up to decimal.MaxExp does.
+func exactFrom(v float64, e uint8) (int64, uint8, bool) {
+	for ; e <= decimal.MaxExp; e++ {
+		if m, r, ok := decimal.At(v, decimal.Pow10[e]); ok && r == 0 {
+			return m, e, true
+		}
+	}
+	return 0, 0, false
+}
+
+// hold stores v into the compact ring's head slot, raising the exponent
+// if v needs it. When v has no place there it widens the ring instead and
+// reports false: the caller stores v into the wide ring.
+func (s *StreamEstimator) hold(v float64) bool {
+	m, e, ok := exactFrom(v, s.exp)
+	if ok && e > s.exp {
+		ok = s.rescale(e)
+	}
+	if off := m - s.mref; ok && off == int64(int32(off)) {
+		s.offs[s.head] = int32(off)
+		return true
+	}
+	s.widen()
+	return false
+}
+
+// rescale raises the compact ring's exponent to e: every offset and the
+// first sample's mantissa gain e − exp zeros, which leaves each sample's
+// float64 unchanged (the same real quotient, rounded once). It changes
+// nothing and reports false when an offset would leave int32 or the
+// mantissa decimal.At's range.
+func (s *StreamEstimator) rescale(e uint8) bool {
+	k := int64(decimal.Pow10[e-s.exp])
+	if s.mref > decimal.MantLimit/k || s.mref < -decimal.MantLimit/k {
+		return false
+	}
+	lo, hi := math.MinInt32/k, math.MaxInt32/k
+	for _, o := range s.offs {
+		if int64(o) < lo || int64(o) > hi {
+			return false
+		}
+	}
+	for i, o := range s.offs {
+		s.offs[i] = int32(int64(o) * k)
+	}
+	s.mref *= k
+	s.exp = e
+	return true
+}
+
+// widen trades the compact ring for a wide one holding the same samples.
+func (s *StreamEstimator) widen() {
+	s.ring = make([]float64, len(s.offs))
+	s.unpack(s.ring, s.offs)
+	s.offs = nil
+}
+
+// unpack writes each compact offset's sample less ref into dst: exactly
+// the float64 the wide ring holds for it. It must divide: a multiply by
+// 10^−e does not round the same.
+func (s *StreamEstimator) unpack(dst []float64, offs []int32) {
+	dst = dst[:len(offs)]
+	scale, mref, ref := decimal.Pow10[s.exp], s.mref, s.ref
+	for i, o := range offs {
+		dst[i] = float64(mref+int64(o))/scale - ref
+	}
 }
 
 // Feed pushes every value of a trace and returns the emitted updates —
@@ -327,8 +427,13 @@ func (s *StreamEstimator) estimate(res *Result) {
 	fs := s.SampleRate()
 	sc := s.eng.pool.Get().(*psdScratch)
 	defer s.eng.pool.Put(sc)
-	n := copy(sc.frame, s.ring[s.head:])
-	copy(sc.frame[n:], s.ring[:s.head])
+	if n := s.cfg.WindowSamples - s.head; s.offs != nil {
+		s.unpack(sc.frame, s.offs[s.head:])
+		s.unpack(sc.frame[n:], s.offs[:s.head])
+	} else {
+		copy(sc.frame, s.ring[s.head:])
+		copy(sc.frame[n:], s.ring[:s.head])
+	}
 	if taper := s.eng.taper; taper != nil {
 		// Four partial sums: one chain of 256 dependent adds costs more
 		// than the taper's multiplies (measured, about 120 ns a refresh).

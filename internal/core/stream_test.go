@@ -215,8 +215,9 @@ func TestStreamConstantWindowReadsClean(t *testing.T) {
 }
 
 // TestStreamStateSize pins the per-stream memory: a warm estimator
-// retains its sample ring and a small fixed header, nothing that scales
-// with the window besides the ring.
+// retains its sample ring — 4 bytes a sample for a stream of two-decimal
+// readings, 8 for one of arbitrary floats — and a small fixed header,
+// nothing that scales with the window besides the ring.
 func TestStreamStateSize(t *testing.T) {
 	const (
 		streams = 1000
@@ -228,31 +229,81 @@ func TestStreamStateSize(t *testing.T) {
 		runtime.ReadMemStats(&m)
 		return m.HeapAlloc
 	}
-	// Shared tables and pooled scratch are not per-stream state: build
-	// them before the baseline.
-	warm := func() *StreamEstimator {
-		st, err := NewStreamEstimator(StreamConfig{Interval: time.Second, WindowSamples: window, EmitEvery: 8})
+	for _, form := range []struct {
+		name   string
+		sample func(i int) float64
+		wide   bool
+		bytes  float64 // per window sample
+	}{
+		{"decimal", func(i int) float64 { return float64(4800+i%7*13) / 100 }, false, 4},
+		{"float", func(i int) float64 { return 48 + math.Sin(float64(i)) }, true, 8},
+	} {
+		// Shared tables and pooled scratch are not per-stream state: build
+		// them before the baseline.
+		warm := func() *StreamEstimator {
+			st, err := NewStreamEstimator(StreamConfig{Interval: time.Second, WindowSamples: window, EmitEvery: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < window+8; i++ {
+				st.Push(form.sample(i))
+			}
+			if st.Wide() != form.wide {
+				t.Fatalf("%s stream: Wide() = %v", form.name, st.Wide())
+			}
+			return st
+		}
+		warm()
+		all := make([]*StreamEstimator, streams)
+		before := heap()
+		for i := range all {
+			all[i] = warm()
+		}
+		after := heap()
+		per := float64(after-before) / streams
+		t.Logf("state bytes per warm stream (window %d, %s): %.0f", window, form.name, per)
+		if limit := form.bytes*window + 512; per > limit {
+			t.Fatalf("a warm %s stream retains %.0f B, want at most %.0f", form.name, per, limit)
+		}
+		runtime.KeepAlive(all)
+	}
+}
+
+// TestStreamForm pins which form the differential script's streams end in
+// and the sample each widens at, so TestStreamDifferential keeps covering
+// the compact ring, its raises and every way out of it.
+func TestStreamForm(t *testing.T) {
+	widensAt := map[string]int{
+		"two-decimal":      -1,
+		"counter":          -1,
+		"raise":            -1,
+		"int32-edge":       400,
+		"raise-past-int32": 330,
+		"float-first":      0,
+		"float-mid":        300,
+		"nan-mid":          270,
+		"negzero-mid":      300,
+		"nan-first":        0,
+		"negzero-first":    0,
+	}
+	for _, s := range streamScript() {
+		st, err := NewStreamEstimator(StreamConfig{Interval: time.Second, WindowSamples: 256})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < window+8; i++ {
-			st.Push(float64(i % 7))
+		at := -1
+		for i, v := range s.vals {
+			if st.Push(v); at < 0 && st.Wide() {
+				at = i
+			}
 		}
-		return st
+		if want, ok := widensAt[s.name]; !ok || at != want {
+			t.Errorf("%s: widens at sample %d, want %d", s.name, at, want)
+		}
+		if s.name == "raise" && st.exp != 6 {
+			t.Errorf("raise: exponent %d, want 6", st.exp)
+		}
 	}
-	warm()
-	all := make([]*StreamEstimator, streams)
-	before := heap()
-	for i := range all {
-		all[i] = warm()
-	}
-	after := heap()
-	per := float64(after-before) / streams
-	t.Logf("state bytes per warm stream (window %d): %.0f", window, per)
-	if limit := 8.0*window + 512; per > limit {
-		t.Fatalf("a warm stream retains %.0f B, want at most %.0f", per, limit)
-	}
-	runtime.KeepAlive(all)
 }
 
 // TestStreamAliasingStreak feeds a signal whose energy sits entirely at

@@ -57,8 +57,10 @@ type IngestEstimator struct {
 	retunes          atomic.Int64
 	heldRefreshes    atomic.Int64
 	aliasedRefreshes atomic.Int64
-	// streams counts the series holding an analysis window (setStream).
-	streams atomic.Int64
+	// streams counts the series holding an analysis window (setStream),
+	// wide those of them whose window has widened to float64 samples
+	// (push).
+	streams, wide atomic.Int64
 
 	mu     sync.RWMutex
 	series map[string]*ingestSeries
@@ -86,8 +88,9 @@ type IngestConfig struct {
 	// selects the core default.
 	EnergyCutoff float64
 	// MaxSeries bounds the number of per-series estimator windows. Each
-	// estimated series holds its sample ring, 8 bytes per window sample
-	// (about 2.1 KiB at the default 256), so a hostile cardinality
+	// estimated series holds its sample ring, 4 bytes per window sample
+	// for decimal readings and 8 for others (about 1.3 or 2.4 KiB with
+	// its header at the default 256), so a hostile cardinality
 	// explosion — an id per request — would grow the estimator without
 	// bound. Observations for new series beyond the cap
 	// are dropped (and counted; see Rejected): existing series keep
@@ -318,7 +321,7 @@ func (e *IngestEstimator) observeLocked(s *ingestSeries, id string, p series.Poi
 		}
 	}
 	s.lastTime, s.haveLast = p.Time, true
-	if up := s.est.Push(p.Value); up != nil {
+	if up := e.push(s, p.Value); up != nil {
 		s.refresh(up, p.Time)
 		if up.Err != nil {
 			s.policy.Aliased()
@@ -448,7 +451,7 @@ func (s *ingestSeries) probe(e *IngestEstimator, id string, p series.Point) {
 	s.interval = interval
 	e.probes.Add(1)
 	for _, q := range s.pending {
-		if up := s.est.Push(q.Value); up != nil {
+		if up := e.push(s, q.Value); up != nil {
 			s.refresh(up, q.Time)
 		}
 	}
@@ -480,12 +483,26 @@ func (e *IngestEstimator) setStream(s *ingestSeries, est *core.StreamEstimator) 
 	}
 	if s.est != nil {
 		e.streams.Add(-1)
+		if s.est.Wide() {
+			e.wide.Add(-1)
+		}
 	}
 	if est != nil {
 		e.streams.Add(1)
 	}
 	s.est = est
 	return true
+}
+
+// push feeds v to s's window, counting the window in wide when v widens
+// it. Called with s.mu held.
+func (e *IngestEstimator) push(s *ingestSeries, v float64) *core.StreamUpdate {
+	wide := s.est.Wide()
+	up := s.est.Push(v)
+	if !wide && s.est.Wide() {
+		e.wide.Add(1)
+	}
+	return up
 }
 
 // capPending bounds the probe buffer of a series that stays unlocked, so
@@ -567,11 +584,13 @@ func (e *IngestEstimator) Len() int {
 // StateBytes is what the estimator holds for its series, from counts and
 // type sizes rather than a walk: every series' hook state, its retention
 // hold included, and every live analysis window — the stream's header
-// and its ring of WindowSamples floats. Probe buffers, map entries and
-// ids are outside it.
+// and its ring of WindowSamples samples, 4 bytes each while compact
+// (decimal readings) and 8 once wide. A window not yet pushed counts as
+// compact. Probe buffers, map entries and ids are outside it.
 func (e *IngestEstimator) StateBytes() int64 {
-	window := int64(unsafe.Sizeof(core.StreamEstimator{})) + 8*int64(e.cfg.WindowSamples)
-	return int64(e.Len())*int64(unsafe.Sizeof(ingestSeries{})) + e.streams.Load()*window
+	n := int64(e.cfg.WindowSamples)
+	window := int64(unsafe.Sizeof(core.StreamEstimator{})) + 4*n
+	return int64(e.Len())*int64(unsafe.Sizeof(ingestSeries{})) + e.streams.Load()*window + e.wide.Load()*4*n
 }
 
 // Rejected returns the number of observations dropped because the

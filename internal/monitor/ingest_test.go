@@ -596,36 +596,45 @@ func TestIngestSeriesStateSize(t *testing.T) {
 // TestIngestStateBytes follows the estimator-state figure through every
 // way a series gains or loses its analysis window: the interval lock, a
 // drift re-probe, a restore with and without an interval, and an LRU
-// eviction — each moves StateBytes by exactly a window, and every series
-// in the map costs its hook state whether it holds one or not.
+// eviction — each moves StateBytes by exactly a window, compact or wide —
+// and through the two ways a window widens, at a later sample and from
+// its first; every series in the map costs its hook state whether it
+// holds a window or not.
 func TestIngestStateBytes(t *testing.T) {
 	const window = 64
 	e := NewIngestEstimator(nil, IngestConfig{WindowSamples: window, MaxSeries: 2, EvictAfter: 1})
 	hook := int64(unsafe.Sizeof(ingestSeries{}))
-	ring := int64(unsafe.Sizeof(core.StreamEstimator{})) + 8*window
+	compact := int64(unsafe.Sizeof(core.StreamEstimator{})) + 4*window
+	wide := compact + 4*window
 	next := map[string]int{}
+	observe := func(id string, gap time.Duration, v float64) {
+		e.Observe(id, series.Point{Time: ingestStart.Add(time.Duration(next[id]) * gap), Value: v})
+		next[id]++
+	}
 	feed := func(id string, n int, gap time.Duration) {
 		for i := 0; i < n; i++ {
-			e.Observe(id, series.Point{Time: ingestStart.Add(time.Duration(next[id]) * gap), Value: float64(i % 5)})
-			next[id]++
+			observe(id, gap, float64(i%5))
 		}
 	}
 	for i, step := range []struct {
-		name           string
-		do             func()
-		series, window int64
+		name                  string
+		do                    func()
+		series, compact, wide int64
 	}{
-		{"a probes its interval", func() { feed("a", probeGaps, time.Second) }, 1, 0},
-		{"a locks", func() { feed("a", 1, time.Second) }, 1, 1},
-		{"b probes beside it", func() { feed("b", 3, time.Second) }, 2, 1},
-		{"a drifts and re-probes", func() { feed("a", probeGaps+1, time.Minute) }, 2, 0},
-		{"b is restored locked", func() { e.RestoreState(IngestSeriesState{Series: "b", Interval: time.Second}) }, 2, 1},
-		{"a is restored probing", func() { e.RestoreState(IngestSeriesState{Series: "a"}) }, 2, 1},
-		{"c evicts the idle b", func() { feed("c", 1, time.Second) }, 2, 0},
+		{"a probes its interval", func() { feed("a", probeGaps, time.Second) }, 1, 0, 0},
+		{"a locks", func() { feed("a", 1, time.Second) }, 1, 1, 0},
+		{"a widens", func() { observe("a", time.Second, math.Pi) }, 1, 0, 1},
+		{"b probes beside it", func() { feed("b", 3, time.Second) }, 2, 0, 1},
+		{"a drifts and re-probes", func() { feed("a", probeGaps+1, time.Minute) }, 2, 0, 0},
+		{"b is restored locked", func() { e.RestoreState(IngestSeriesState{Series: "b", Interval: time.Second}) }, 2, 1, 0},
+		{"b's first sample widens it", func() { observe("b", time.Second, math.NaN()) }, 2, 0, 1},
+		{"a is restored probing", func() { e.RestoreState(IngestSeriesState{Series: "a"}) }, 2, 0, 1},
+		{"c evicts the idle b", func() { feed("c", 1, time.Second) }, 2, 0, 0},
 	} {
 		step.do()
-		if got, want := e.StateBytes(), step.series*hook+step.window*ring; got != want {
-			t.Fatalf("step %d (%s): StateBytes %d, want %d series × %d + %d windows × %d", i, step.name, got, step.series, hook, step.window, ring)
+		if got, want := e.StateBytes(), step.series*hook+step.compact*compact+step.wide*wide; got != want {
+			t.Fatalf("step %d (%s): StateBytes %d, want %d series × %d + %d compact windows × %d + %d wide × %d",
+				i, step.name, got, step.series, hook, step.compact, compact, step.wide, wide)
 		}
 	}
 }

@@ -69,6 +69,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/decimal"
 	"repro/internal/series"
 )
 
@@ -401,64 +402,27 @@ func (s *xorState) read(r *bitReader) uint64 {
 }
 
 // A decimal column stores v as the integer mantissa m = round(v·10^e)
-// plus the signed ulp distance from float64(m)/10^e back to v. The
-// exponent is per column; |m| < 2^51 keeps the first mantissa in 52
-// zigzag bits and every delta in 53; the residual field is at most 7
-// bits, r in [-64, 64).
+// plus the signed ulp distance from float64(m)/10^e back to v
+// (decimal.At). The exponent is per column; |m| < 2^51 keeps the first
+// mantissa in 52 zigzag bits and every delta in 53; the residual field is
+// at most 7 bits, r in [-64, 64). A column holding −0 is never decimal.
 const (
-	maxDecimalExp = 12
-	mantLimit     = 1<<51 - 1 // |v·10^e| below this rounds to |m| < 2^51
 	firstMantBits = 52
 	maxDeltaBits  = 53
-	maxResid      = 64
-	residBits     = 7 // a zigzag residual in [-maxResid, maxResid)
+	residBits     = 7 // a zigzag residual in [-decimal.MaxResid, decimal.MaxResid)
 	// colHeaderBits is the (e, W, R) header: 4 + 6 + 3 bits.
 	colHeaderBits = 13
 )
 
-var pow10 = [maxDecimalExp + 1]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12}
-
-// ulpOrd maps a float64 bit pattern to an integer that moves by one per
-// ulp across the whole line, zero included; ulpBits is its inverse. The
-// two zeros share ordinal 0, which ulpBits returns as +0 — the reason a
-// column holding −0 is never decimal.
-func ulpOrd(b uint64) int64 {
-	if b>>63 == 0 {
-		return int64(b)
-	}
-	return -int64(b &^ (1 << 63))
-}
-
-func ulpBits(o int64) uint64 {
-	if o >= 0 {
-		return uint64(o)
-	}
-	return uint64(-o) | 1<<63
-}
-
-// decimalAt fits v at one exponent (scale = 10^e): the mantissa, the ulp
-// residual, and whether float64(m)/scale + r ulps is v exactly. NaN, ±Inf
-// and out-of-range products fail the range test; −0 is refused by name.
-func decimalAt(v, scale float64) (m, r int64, ok bool) {
-	s := v * scale
-	if !(s > -mantLimit && s < mantLimit) {
-		return 0, 0, false
-	}
-	m = int64(s + math.Copysign(0.5, s))
-	vb := math.Float64bits(v)
-	r = ulpOrd(vb) - ulpOrd(math.Float64bits(float64(m)/scale))
-	return m, r, r >= -maxResid && r < maxResid && vb != 1<<63
-}
-
 // raiseExp raises *exp to the next exponent v fits at, or reports false
-// when none up to maxDecimalExp does. Both planners call it on the first
+// when none up to decimal.MaxExp does. Both planners call it on the first
 // value their current exponent cannot hold and then restart their run, so
 // a pass is repeated once per distinct raise (rarely more than twice) and a
-// non-decimal value costs maxDecimalExp probes, not passes.
+// non-decimal value costs decimal.MaxExp probes, not passes.
 func raiseExp(v float64, exp *uint) bool {
-	for *exp < maxDecimalExp {
+	for *exp < decimal.MaxExp {
 		*exp++
-		if _, _, ok := decimalAt(v, pow10[*exp]); ok {
+		if _, _, ok := decimal.At(v, decimal.Pow10[*exp]); ok {
 			return true
 		}
 	}
@@ -519,7 +483,7 @@ func (c *colEnc) fitDecimal(k int) bool {
 	var deltas, resids uint64
 	c.mant, c.resid = c.mant[:0], c.resid[:0]
 	for i := 0; i < k; i++ {
-		m, r, ok := decimalAt(c.vals[i], pow10[c.exp])
+		m, r, ok := decimal.At(c.vals[i], decimal.Pow10[c.exp])
 		if !ok {
 			if !raiseExp(c.vals[i], &c.exp) {
 				return false
@@ -595,11 +559,11 @@ func (c *colDec) first(r *bitReader) float64 {
 	h := r.readBits(colHeaderBits)
 	exp := h >> 9
 	c.width, c.rbits = uint(h>>3&0x3f), uint(h&7)
-	if exp > maxDecimalExp || c.width > maxDeltaBits {
+	if exp > decimal.MaxExp || c.width > maxDeltaBits {
 		r.err = ErrCorruptBlock
 		return 0
 	}
-	c.scale = pow10[exp]
+	c.scale = decimal.Pow10[exp]
 	c.mant = unzigzag(r.readBits(firstMantBits))
 	return c.value(r)
 }
@@ -633,7 +597,7 @@ func (c *colDec) value(r *bitReader) float64 {
 func decimalValue(mant int64, scale float64, resid int64) float64 {
 	v := float64(mant) / scale
 	if resid != 0 {
-		v = math.Float64frombits(ulpBits(ulpOrd(math.Float64bits(v)) + resid))
+		v = math.Float64frombits(decimal.UlpBits(decimal.UlpOrd(math.Float64bits(v)) + resid))
 	}
 	return v
 }
@@ -724,7 +688,7 @@ func (r *rawRun) write(nano int64, v float64) bool {
 	var m, resid int64
 	if !r.xorForm {
 		var ok bool
-		if m, resid, ok = decimalAt(v, pow10[r.exp]); !ok {
+		if m, resid, ok = decimal.At(v, decimal.Pow10[r.exp]); !ok {
 			return false
 		}
 	}
@@ -803,7 +767,7 @@ func (r *rawRun) gather(e *blockEncoder) {
 // words; the bits still pending in it are the reader's tail. Readers share
 // the run read-only.
 func (r *rawRun) iter() BlockIter {
-	it := BlockIter{n: r.n, r: bitReader{data: r.w.buf}, col: colDec{decimal: !r.xorForm, run: true, scale: pow10[r.exp]}}
+	it := BlockIter{n: r.n, r: bitReader{data: r.w.buf}, col: colDec{decimal: !r.xorForm, run: true, scale: decimal.Pow10[r.exp]}}
 	if r.w.n > 0 {
 		it.r.tail, it.r.tailN = r.w.acc<<(64-r.w.n), r.w.n
 	}
@@ -1031,7 +995,7 @@ func (p *miniPlan) fit(bks []bucket) bool {
 	for i := 0; i < len(bks); i++ {
 		vals := [3]float64{bks[i].min, bks[i].max, bks[i].sum}
 		for c, v := range vals {
-			m, r, ok := decimalAt(v, pow10[p.exp])
+			m, r, ok := decimal.At(v, decimal.Pow10[p.exp])
 			if !ok {
 				if !raiseExp(v, &p.exp) {
 					return false
@@ -1310,26 +1274,26 @@ func (it *bucketIter) open() {
 	r.align()
 	h := r.readBits(8)
 	first := it.i == 0
-	continues, decimal := h&miniContinues != 0, h&miniDecimal != 0
+	continues, dec := h&miniContinues != 0, h&miniDecimal != 0
 	it.left = int(h&miniCountMask) + 1
-	if h&miniSpare != 0 || it.left > it.n-it.i || continues && (first || decimal != it.decimal) {
+	if h&miniSpare != 0 || it.left > it.n-it.i || continues && (first || dec != it.decimal) {
 		r.err = ErrCorruptBlock
 		return
 	}
-	it.decimal, it.regular = decimal, h&miniRegular != 0
+	it.decimal, it.regular = dec, h&miniRegular != 0
 	if first {
 		it.nano = int64(r.readBits(64))
 		it.span = int64(r.readBits(64))
 	}
 	switch {
-	case decimal:
+	case dec:
 		if !continues {
 			exp := r.readBits(4)
-			if exp > maxDecimalExp {
+			if exp > decimal.MaxExp {
 				r.err = ErrCorruptBlock
 				return
 			}
-			it.scale = pow10[exp]
+			it.scale = decimal.Pow10[exp]
 			it.mant = unzigzag(r.readBits(firstMantBits))
 		}
 		wh := r.readBits(decHeaderBits)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/decimal"
 	"repro/internal/series"
 )
 
@@ -276,7 +277,7 @@ func FuzzBlockRoundTrip(f *testing.F) {
 				if flags&0x10 != 0 {
 					mant >>= 40
 				}
-				v = float64(mant) / pow10[vbits>>56%(maxDecimalExp+1)]
+				v = float64(mant) / decimal.Pow10[vbits>>56%(decimal.MaxExp+1)]
 			}
 			p := series.Point{Time: time.Unix(0, nano), Value: v}
 			// An empty run accepts any starting timestamp; ordering only
@@ -371,7 +372,7 @@ func bucketsFromFuzz(data []byte) []bucket {
 	for i := range bks {
 		rec := recs[i*12%len(recs):][:12]
 		flags := rec[0]
-		scale := pow10[rec[1]%(maxDecimalExp+1)]
+		scale := decimal.Pow10[rec[1]%(decimal.MaxExp+1)]
 		mant := int64(int32(binary.BigEndian.Uint32(rec[2:]))) + int64(i%7)
 		if flags&bucketFuzzWide != 0 {
 			mant <<= 20
@@ -387,7 +388,7 @@ func bucketsFromFuzz(data []byte) []bucket {
 		}
 		b.sum = (b.min + b.max) / 2 * float64(count)
 		if flags&bucketFuzzUlps != 0 {
-			b.sum = math.Float64frombits(ulpBits(ulpOrd(math.Float64bits(b.sum)) + int64(int8(rec[9]))))
+			b.sum = math.Float64frombits(decimal.UlpBits(decimal.UlpOrd(math.Float64bits(b.sum)) + int64(int8(rec[9]))))
 		}
 		if flags&bucketFuzzRetune != 0 {
 			width = int64(1+rec[9]) * int64(time.Second) / 4

@@ -461,7 +461,13 @@ func (d *Durable) snapshotLocked() error {
 	if err := os.Rename(tmp, filepath.Join(d.dir, snapName(nextSeg))); err != nil {
 		return err
 	}
-	syncDir(d.dir)
+	if err := syncDir(d.dir); err != nil {
+		// The rename may never reach the disk: keep the segments the
+		// snapshot covers, so a crash still recovers from them.
+		err = fmt.Errorf("wal: snapshot: sync %s: %w", d.dir, err)
+		d.log.noteExternalErr(err)
+		return err
+	}
 
 	// Compaction: everything before the boundary is now covered. An older
 	// snapshot left behind is harmless — recovery reads the newest
@@ -563,11 +569,17 @@ func (d *Durable) Scrub() (checked, corrupt int) {
 }
 
 // syncDir fsyncs a directory so a just-renamed file's dirent is durable.
-func syncDir(dir string) {
-	if f, err := os.Open(dir); err == nil {
-		_ = f.Sync()
-		f.Close()
+// A variable so a test can fail it.
+var syncDir = func(dir string) error {
+	f, err := os.Open(dir)
+	if err != nil {
+		return err
 	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // writeStates appends a state record for every series whose tuning

@@ -1,8 +1,11 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -415,4 +418,54 @@ func TestCrashRecoveryMidHold(t *testing.T) {
 	if !lowered {
 		t.Fatal("retention never followed the narrowed signal down")
 	}
+}
+
+// TestSnapshotKeepsSegmentsWhenDirSyncFails: when the directory fsync
+// after the snapshot's rename fails, the rename's dirent may never reach
+// the disk, so the snapshot must not compact away the segments it covers.
+// The test fails the sync, then crashes as if the dirent were lost — the
+// snapshot file gone — and requires every point back from the segments,
+// and the failure counted.
+func TestSnapshotKeepsSegmentsWhenDirSyncFails(t *testing.T) {
+	errSync := errors.New("injected directory fsync failure")
+	defer func(f func(string) error) { syncDir = f }(syncDir)
+	syncDir = func(string) error { return errSync }
+
+	dir := t.TempDir()
+	store1 := servingStore()
+	est1 := monitor.NewIngestEstimator(store1, ingestCfg)
+	d1, err := Open(dir, store1, est1, Options{FsyncEvery: -1, SnapshotEvery: -1, StateEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestLoad(t, store1, est1, 2, 1024) // 8 sealed blocks per series, no tail
+	segsBefore, _ := listFiles(dir, segFmt)
+	if err := d1.Snapshot(); !errors.Is(err, errSync) {
+		t.Fatalf("snapshot with a failing directory fsync returned %v, want the fsync's error", err)
+	}
+	if segs, _ := listFiles(dir, segFmt); len(segs) != len(segsBefore)+1 {
+		t.Fatalf("%d segments after the failed snapshot, want the %d it covers plus the live one", len(segs), len(segsBefore))
+	}
+	if st := d1.Stats(); st.Log.Errors != 1 || st.Snapshots != 0 {
+		t.Fatalf("stats after the failed snapshot: %d log errors, %d snapshots; want 1 and 0", st.Log.Errors, st.Snapshots)
+	}
+	d1.abort()
+	snaps, _ := listFiles(dir, snapFmt)
+	for _, idx := range snaps { // the dirent the failed fsync never made durable
+		if err := os.Remove(filepath.Join(dir, snapName(idx))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	store2 := servingStore()
+	est2 := monitor.NewIngestEstimator(store2, ingestCfg)
+	d2, err := Open(dir, store2, est2, Options{SnapshotEvery: -1, StateEvery: -1})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer d2.abort()
+	if info := d2.Replay(); info.SnapshotLoaded || info.Points != 2*1024 {
+		t.Fatalf("recovered %d points (snapshot loaded: %v), want all %d from the segments", info.Points, info.SnapshotLoaded, 2*1024)
+	}
+	assertStoresMatch(t, store1, store2, "failed directory fsync")
 }

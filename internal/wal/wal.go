@@ -345,8 +345,8 @@ func (l *Log) sealedRange() (from, to uint64) {
 }
 
 // noteExternalErr counts a durability failure detected outside the
-// append path (the scrub) so it surfaces through LogStats.Errors like
-// any other degradation.
+// append path (the scrub, a snapshot's directory fsync) so it surfaces
+// through LogStats.Errors like any other degradation.
 func (l *Log) noteExternalErr(err error) {
 	l.mu.Lock()
 	l.noteErr(err)
