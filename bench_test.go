@@ -267,10 +267,13 @@ func BenchmarkAblationInterpolation(b *testing.B) {
 // once (one op = 1024 pushes and one Current). Both feed unrounded
 // floats, which the stream holds as float64 samples; the "two-decimal"
 // serving row feeds the same signal rounded to hundredths, as parsed
-// telemetry arrives, which the stream holds as decimal offsets and
-// decodes at every refresh. The batch rows run the batch Estimator over
-// the same window at the same cadence: the same transform, plus the copy
-// and allocations the stream's shared plan and pooled scratch avoid.
+// telemetry arrives, which the stream holds as 16-bit decimal offsets and
+// decodes at every refresh; the "counter" row feeds a byte counter far
+// from zero climbing 47 a sample, which the stream holds as 16-bit
+// offsets re-based about every 570 pushes. The batch rows run the batch
+// Estimator over the same window at the same cadence: the same transform,
+// plus the copy and allocations the stream's shared plan and pooled
+// scratch avoid.
 func BenchmarkStreamVsBatchRefresh(b *testing.B) {
 	start := time.Date(2021, 11, 10, 0, 0, 0, 0, time.UTC)
 	const interval = 30 * time.Second
@@ -280,17 +283,23 @@ func BenchmarkStreamVsBatchRefresh(b *testing.B) {
 		floats[i] = 50 + 5*math.Sin(2*math.Pi*12/86400*ts) + 2*math.Sin(2*math.Pi*40/86400*ts)
 		decimals[i] = math.Round(floats[i]*100) / 100
 	}
+	cycle := func(vals []float64) func(int) float64 { return func(k int) float64 { return vals[k%len(vals)] } }
+	counter := func(k int) float64 { return 7_340_032_000 + 47*float64(k) + math.Round(floats[k%len(floats)]) }
 	for _, shape := range []struct {
 		name                   string
 		window, hop, emitEvery int // one op pushes hop samples
 		taper                  nyquist.Window
-		vals                   []float64
+		at                     func(k int) float64 // the stream's sample k
 	}{
-		{"serving-256-every-8", 256, 8, 8, dsp.Hann{}, floats}, // the ingest hook's window
-		{"serving-256-every-8-two-decimal", 256, 8, 8, dsp.Hann{}, decimals},
-		{"census-1024-once", 1024, 1024, 1 << 30, nil, floats},
+		{"serving-256-every-8", 256, 8, 8, dsp.Hann{}, cycle(floats)}, // the ingest hook's window
+		{"serving-256-every-8-two-decimal", 256, 8, 8, dsp.Hann{}, cycle(decimals)},
+		{"serving-256-every-8-counter", 256, 8, 8, dsp.Hann{}, counter},
+		{"census-1024-once", 1024, 1024, 1 << 30, nil, cycle(floats)},
 	} {
-		vals := shape.vals
+		vals := make([]float64, len(floats))
+		for k := range vals {
+			vals[k] = shape.at(k)
+		}
 		b.Run("batch/"+shape.name, func(b *testing.B) {
 			est, err := nyquist.NewEstimator(nyquist.EstimatorConfig{Window: shape.taper})
 			if err != nil {
@@ -318,15 +327,15 @@ func BenchmarkStreamVsBatchRefresh(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			for _, v := range vals[:shape.window] {
-				st.Push(v)
+			for k := 0; k < shape.window; k++ {
+				st.Push(shape.at(k))
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var up *nyquist.StreamUpdate
 				for j := 0; j < shape.hop; j++ {
-					up = st.Push(vals[(i*shape.hop+j)%len(vals)])
+					up = st.Push(shape.at(shape.window + i*shape.hop + j))
 				}
 				// The serving shape consumes the emission its last push
 				// triggered; the census shape never emits after the first

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/decimal"
 	"repro/internal/dsp"
@@ -97,19 +98,31 @@ type StreamUpdate struct {
 // the Nyquist rate, aliasing verdict and sweet-spot suggestion from one
 // FFT of that window whenever an estimate is consumed — at the EmitEvery
 // cadence in Push, or on Current. A push that emits nothing is one store
-// into the ring. The ring is the only per-stream array: the FFT tables
-// and work buffers are shared by every estimator of the same window
-// length, so memory is 4 bytes per window sample for a stream of short
-// decimals — what parsed telemetry carries — and 8 for any other, no
-// matter how long the stream runs or how many streams there are.
+// into the ring. The ring is the only per-stream array: the configuration,
+// the FFT tables and the work buffers are shared by every estimator of the
+// same shape, so memory is 2, 4 or 8 bytes per window sample and a small
+// header, no matter how long the stream runs or how many streams there
+// are.
 //
-// A compact ring holds each sample as its decimal mantissa at the
-// stream's exponent e ≤ 12, an int32 offset from the first sample's, and
-// only when float64(m)/10^e is the sample bit for bit; e only rises, and
-// a raise rescales the offsets. The first sample that does not fit (−0,
-// NaN, ±Inf, no exponent, an offset past int32) widens the ring to
-// float64 samples for good. Both forms rebuild the same window bit for
-// bit, so the form never changes an estimate.
+// The ring's samples are 2 or 4 bytes wide while the stream's readings are
+// short decimals — what parsed telemetry carries — and 8 otherwise. An
+// integer ring holds each sample as its decimal mantissa at the stream's
+// exponent e ≤ 12, less an integer anchor, and only when float64(m)/10^e
+// is the sample bit for bit. The first sample sets the anchor and selects
+// 2 bytes. When a sample's offset does not fit, the ring re-bases —
+// moves the anchor to the middle of the window and rewrites the offsets —
+// if the window, that sample included, spans at most 2^14 (2 bytes) or
+// 2^30 (4 bytes), a quarter of what the width holds; otherwise it widens.
+// A raise of e (it only rises) scales the offsets and takes the same path.
+// After a re-base the window lies within an eighth of the width's range
+// of the anchor, so the next overflow while any of its samples remains
+// spans too much to re-base: re-bases are a window apart, O(1) a push
+// amortized. The first sample no integer width holds (−0, NaN, ±Inf, no
+// exponent, a raise past decimal.MantLimit, an offset past 32 bits in a
+// window spread wider than 2^30) widens the ring to float64 samples of
+// v − ref for good. The width only grows. Every
+// form rebuilds the same window bit for bit — re-bases and raises keep
+// each sample's mantissa exact — so the form never changes an estimate.
 //
 // Every estimate is an exact transform of the window, so results match
 // the batch Estimator (DetrendMean, the same EstimatorConfig.Window) on
@@ -123,20 +136,34 @@ type StreamUpdate struct {
 // A StreamEstimator is not safe for concurrent use; shard streams across
 // estimators instead (fleet.Scanner does exactly that).
 type StreamEstimator struct {
-	cfg StreamConfig
-	eng *spectral
-	// The ring is offs while compact (slot i holds sample i's mantissa at
-	// exp less mref, the first sample's) and ring once wide (sample i −
-	// ref). The first push allocates one of them.
-	offs []int32
-	ring []float64
+	// eng holds what every stream of this shape shares: window length,
+	// cadence, cut-off, taper, FFT plan and scratch.
+	eng      *spectral
+	interval time.Duration
+	start    time.Time
+	// ring is WindowSamples samples of width bytes, allocated by the first
+	// push: int16 or int32 offsets (slot i holds sample i's mantissa at exp
+	// less mref) or float64 (sample i − ref).
+	ring unsafe.Pointer
 	mref int64
-	exp  uint8
+	// ref is subtracted from every pushed value before it enters the
+	// analysis. Removing a constant only changes the (excluded) DC bin in
+	// exact arithmetic, but without it a large offset — counters and
+	// gauges ride on them — scatters eps-level FFT rounding noise across
+	// all bins, which an exactly-constant signal would then read as a
+	// flat (aliased-looking) spectrum. Anchoring to the first sample
+	// keeps the analyzed magnitudes small, the same numerical
+	// conditioning the batch estimator gets from subtracting the mean.
+	// Set by the first push; a re-base moves mref, never ref.
+	ref  float64
 	head int // ring slot the next Push overwrites (the oldest sample once warm)
 	// count is the total number of polls pushed.
 	count int64
 	// streak is the current run of consecutive aliased emissions.
 	streak int
+	// exp is an integer ring's decimal exponent, width the ring's bytes a
+	// sample (SampleBytes).
+	exp, width uint8
 	// up and memo are the newest emission and its estimate, rewritten in
 	// place by every emitting Push (up.Result points at memo). memoAt is
 	// the count memo was derived at, so Current right after an emission
@@ -145,22 +172,14 @@ type StreamEstimator struct {
 	up     StreamUpdate
 	memo   Result
 	memoAt int64
-	// ref is subtracted from every pushed value before it enters the
-	// ring. Removing a constant only changes the (excluded) DC bin in
-	// exact arithmetic, but without it a large offset — counters and
-	// gauges ride on them — scatters eps-level FFT rounding noise across
-	// all bins, which an exactly-constant signal would then read as a
-	// flat (aliased-looking) spectrum. Anchoring to the first sample
-	// keeps the analyzed magnitudes small, the same numerical
-	// conditioning the batch estimator gets from subtracting the mean.
-	// Set by the first push.
-	ref float64
 }
 
-// spectral is what every StreamEstimator of one window length and taper
-// shares: the FFT plan, the taper's coefficients and a pool of work
-// buffers, so a series holds none of them.
+// spectral is what every StreamEstimator of one window length, cadence,
+// cut-off and taper shares: the configuration, the FFT plan, the taper's
+// coefficients and a pool of work buffers, so a series holds none of them.
 type spectral struct {
+	n, emitEvery int
+	cutoff       float64
 	// plan is nil for window lengths that are not a power of two; those
 	// take the one-shot FFT (Bluestein) through dsp.Periodogram.
 	plan *dsp.Plan
@@ -176,34 +195,36 @@ type psdScratch struct {
 	power []float64    // one-sided PSD
 }
 
-// spectralKey identifies a *spectral: a window length and a taper's name
-// ("" for rectangular).
+// spectralKey identifies a *spectral: a window length, an emission
+// cadence, an energy cut-off and a taper's name ("" for rectangular).
 type spectralKey struct {
-	n     int
-	taper string
+	n, emitEvery int
+	cutoff       float64
+	taper        string
 }
 
 // spectrals maps a spectralKey to its *spectral. Entries are never
-// dropped: window lengths and tapers come from configuration, a handful
-// per process.
+// dropped: window lengths, cadences, cut-offs and tapers come from
+// configuration, a handful per process.
 var spectrals sync.Map
 
-func spectralFor(n int, w dsp.Window) *spectral {
-	key := spectralKey{n: n}
-	if w != nil {
-		key.taper = w.Name()
+func spectralFor(c StreamConfig) *spectral {
+	n := c.WindowSamples
+	key := spectralKey{n: n, emitEvery: c.EmitEvery, cutoff: c.EnergyCutoff}
+	if c.Window != nil {
+		key.taper = c.Window.Name()
 	}
 	if e, ok := spectrals.Load(key); ok {
 		return e.(*spectral)
 	}
-	e := &spectral{}
+	e := &spectral{n: n, emitEvery: c.EmitEvery, cutoff: c.EnergyCutoff}
 	if n&(n-1) == 0 {
 		e.plan, _ = dsp.NewPlan(n) // a power of two cannot be refused
 	}
-	if w != nil {
+	if c.Window != nil {
 		e.taper = make([]float64, n)
 		for i := range e.taper {
-			e.taper[i] = w.Coeff(i, n)
+			e.taper[i] = c.Window.Coeff(i, n)
 		}
 	}
 	e.pool.New = func() any {
@@ -224,31 +245,31 @@ func NewStreamEstimator(cfg StreamConfig) (*StreamEstimator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &StreamEstimator{cfg: c, eng: spectralFor(c.WindowSamples, c.Window)}, nil
+	return &StreamEstimator{eng: spectralFor(c), interval: c.Interval, start: c.Start}, nil
 }
 
 // SampleRate returns the configured poll rate in hertz.
-func (s *StreamEstimator) SampleRate() float64 { return 1 / s.cfg.Interval.Seconds() }
+func (s *StreamEstimator) SampleRate() float64 { return 1 / s.interval.Seconds() }
 
 // WindowSamples returns the sliding window length.
-func (s *StreamEstimator) WindowSamples() int { return s.cfg.WindowSamples }
+func (s *StreamEstimator) WindowSamples() int { return s.eng.n }
 
 // Turnover returns how many emitted updates it takes to replace every
 // sample of the window (WindowSamples / EmitEvery); one or less means
 // consecutive updates analyze disjoint windows.
-func (s *StreamEstimator) Turnover() int { return s.cfg.WindowSamples / s.cfg.EmitEvery }
+func (s *StreamEstimator) Turnover() int { return s.eng.n / s.eng.emitEvery }
 
 // Seen returns the total number of polls pushed so far.
 func (s *StreamEstimator) Seen() int64 { return s.count }
 
 // Warm reports whether a full window has been seen, i.e. estimates
 // describe real samples only.
-func (s *StreamEstimator) Warm() bool { return s.count >= int64(s.cfg.WindowSamples) }
+func (s *StreamEstimator) Warm() bool { return s.count >= int64(s.eng.n) }
 
-// Wide reports whether the ring holds float64 samples, 8 bytes each,
-// rather than 4-byte decimal offsets (see StreamEstimator). It is false
-// before the first push, and once true it stays true.
-func (s *StreamEstimator) Wide() bool { return s.ring != nil }
+// SampleBytes returns the ring's bytes per window sample: 2 or 4 while
+// it holds decimal offsets, 8 once it holds float64 samples (see
+// StreamEstimator), and 0 before the first push. It never falls.
+func (s *StreamEstimator) SampleBytes() int { return int(s.width) }
 
 // Push ingests one poll. It returns a non-nil update when the window is
 // full and the emission cadence hits, nil otherwise. A push that emits
@@ -263,30 +284,46 @@ func (s *StreamEstimator) Push(v float64) *StreamUpdate {
 	if s.count == 0 {
 		s.anchor(v)
 	}
-	if s.offs == nil || !s.hold(v) {
-		s.ring[s.head] = v - s.ref
+	if s.width == 8 || !s.hold(v) {
+		view[float64](s.ring, s.eng.n)[s.head] = v - s.ref
 	}
 	s.head++
-	if s.head == s.cfg.WindowSamples {
+	if s.head == s.eng.n {
 		s.head = 0
 	}
 	s.count++
-	w := int64(s.cfg.WindowSamples)
-	if s.count < w || (s.count-w)%int64(s.cfg.EmitEvery) != 0 {
+	w := int64(s.eng.n)
+	if s.count < w || (s.count-w)%int64(s.eng.emitEvery) != 0 {
 		return nil
 	}
 	return s.emit()
 }
 
+// offset is an integer ring's sample type.
+type offset interface{ ~int16 | ~int32 }
+
+// view is the ring at p as a slice of n samples of type T: the one way
+// the estimator reads or writes its ring.
+//
+//nyquist:view
+func view[T offset | float64](p unsafe.Pointer, n int) []T { return unsafe.Slice((*T)(p), n) }
+
+// newRing allocates a zeroed ring of n samples of type T.
+func newRing[T offset | float64](n int) unsafe.Pointer {
+	r := make([]T, n)
+	return unsafe.Pointer(&r[0])
+}
+
 // anchor pins ref to the stream's first sample and allocates the ring in
-// the form that sample selects.
+// the form that sample selects: 2-byte offsets from its own mantissa, or
+// float64 samples.
 func (s *StreamEstimator) anchor(v float64) {
 	s.ref = v
 	if m, e, ok := exactFrom(v, 0); ok {
-		s.offs, s.mref, s.exp = make([]int32, s.cfg.WindowSamples), m, e
+		s.ring, s.width, s.mref, s.exp = newRing[int16](s.eng.n), 2, m, e
 		return
 	}
-	s.ring = make([]float64, s.cfg.WindowSamples)
+	s.ring, s.width = newRing[float64](s.eng.n), 8
 }
 
 // exactFrom returns v's mantissa at the lowest exponent from e up that
@@ -300,59 +337,156 @@ func exactFrom(v float64, e uint8) (int64, uint8, bool) {
 	return 0, 0, false
 }
 
-// hold stores v into the compact ring's head slot, raising the exponent
-// if v needs it. When v has no place there it widens the ring instead and
-// reports false: the caller stores v into the wide ring.
+// hold stores v into an integer ring's head slot, raising the exponent,
+// re-basing or widening the ring to 4 bytes as v needs. When no integer
+// width holds v it widens the ring to float64 samples instead and
+// reports false: the caller stores v there.
 func (s *StreamEstimator) hold(v float64) bool {
 	m, e, ok := exactFrom(v, s.exp)
-	if ok && e > s.exp {
-		ok = s.rescale(e)
+	if ok && (e > s.exp || !s.put(m)) {
+		ok = s.refit(m, e)
 	}
-	if off := m - s.mref; ok && off == int64(int32(off)) {
-		s.offs[s.head] = int32(off)
-		return true
+	if !ok {
+		s.widen()
 	}
-	s.widen()
-	return false
+	return ok
 }
 
-// rescale raises the compact ring's exponent to e: every offset and the
-// first sample's mantissa gain e − exp zeros, which leaves each sample's
-// float64 unchanged (the same real quotient, rounded once). It changes
-// nothing and reports false when an offset would leave int32 or the
-// mantissa decimal.At's range.
-func (s *StreamEstimator) rescale(e uint8) bool {
-	k := int64(decimal.Pow10[e-s.exp])
-	if s.mref > decimal.MantLimit/k || s.mref < -decimal.MantLimit/k {
-		return false
-	}
-	lo, hi := math.MinInt32/k, math.MaxInt32/k
-	for _, o := range s.offs {
-		if int64(o) < lo || int64(o) > hi {
+// put stores mantissa m into the head slot as an offset from mref, or
+// reports false when the offset does not fit the ring's width.
+func (s *StreamEstimator) put(m int64) bool {
+	off := m - s.mref
+	if s.width == 2 {
+		if off != int64(int16(off)) {
 			return false
 		}
+		view[int16](s.ring, s.eng.n)[s.head] = int16(off)
+		return true
 	}
-	for i, o := range s.offs {
-		s.offs[i] = int32(int64(o) * k)
+	if off != int64(int32(off)) {
+		return false
 	}
-	s.mref *= k
-	s.exp = e
+	view[int32](s.ring, s.eng.n)[s.head] = int32(off)
 	return true
 }
 
-// widen trades the compact ring for a wide one holding the same samples.
-func (s *StreamEstimator) widen() {
-	s.ring = make([]float64, len(s.offs))
-	s.unpack(s.ring, s.offs)
-	s.offs = nil
+// refit stores mantissa m at exponent e ≥ exp after making room: at the
+// ring's width if the raised offsets and m's fit around the anchor, else
+// re-based if the window spans at most a quarter of that width, else at 4
+// bytes by the same two tests. It changes nothing and reports false when
+// no integer width passes, or when a raise would take a sample's mantissa
+// past decimal.MantLimit (a float64 no longer holds every mantissa and
+// offset sum exactly beyond it).
+func (s *StreamEstimator) refit(m int64, e uint8) bool {
+	k := int64(decimal.Pow10[e-s.exp])
+	lim := decimal.MantLimit / k
+	lo, hi := s.bounds()
+	if s.mref+lo < -lim || s.mref+hi > lim {
+		return false
+	}
+	// The window's least and greatest mantissas at e, m's included. An
+	// anchor the window has left may be past lim, and s.mref·k may wrap:
+	// offsets from it and every anchor + offset sum are exact modulo 2^64
+	// all the same, and the sums are mantissas, which int64 holds.
+	lo, hi = min((s.mref+lo)*k, m), max((s.mref+hi)*k, m)
+	for w := s.width; w <= 4; w *= 2 {
+		base, half := s.mref*k, int64(1)<<(8*w-1) // offsets lie in [−half, half)
+		switch {
+		case lo-base >= -half && hi-base < half:
+		case hi-lo <= half/2:
+			base = lo + (hi-lo)/2
+		default:
+			continue
+		}
+		s.rebase(w, k, base)
+		s.exp = e
+		return s.put(m)
+	}
+	return false
 }
 
-// unpack writes each compact offset's sample less ref into dst: exactly
-// the float64 the wide ring holds for it. It must divide: a multiply by
-// 10^−e does not round the same.
-func (s *StreamEstimator) unpack(dst []float64, offs []int32) {
+// bounds returns the least and greatest offsets in the window, leaving
+// out the head slot, which the push in progress overwrites. Only refit
+// calls it, and never before the first sample is in the ring.
+func (s *StreamEstimator) bounds() (lo, hi int64) {
+	n, warm := s.eng.n, s.count >= int64(s.eng.n)
+	if s.width == 2 {
+		return span(view[int16](s.ring, n), s.head, warm)
+	}
+	return span(view[int32](s.ring, n), s.head, warm)
+}
+
+func span[T offset](r []T, head int, warm bool) (lo, hi int64) {
+	lo, hi = math.MaxInt64, math.MinInt64
+	rest := r[head+1:]
+	if !warm {
+		rest = nil // slots from head on hold no sample yet
+	}
+	for _, part := range [2][]T{r[:head], rest} {
+		for _, o := range part {
+			lo, hi = min(lo, int64(o)), max(hi, int64(o))
+		}
+	}
+	return lo, hi
+}
+
+// rebase rewrites every offset for a ring of width w anchored at base,
+// with the mantissas raised by k: slot i goes from mref+off to
+// (mref+off)·k − base, the same sample. A slot outside the window may
+// wrap; it is overwritten before any estimate reads it.
+func (s *StreamEstimator) rebase(w uint8, k, base int64) {
+	n, to := s.eng.n, s.ring
+	switch {
+	case s.width == 2 && w == 2:
+		shift(view[int16](to, n), view[int16](s.ring, n), s.mref, k, base)
+	case s.width == 2:
+		to = newRing[int32](n)
+		shift(view[int32](to, n), view[int16](s.ring, n), s.mref, k, base)
+	default:
+		shift(view[int32](to, n), view[int32](s.ring, n), s.mref, k, base)
+	}
+	s.ring, s.width, s.mref = to, w, base
+}
+
+func shift[D, S offset](dst []D, src []S, mref, k, base int64) {
+	dst = dst[:len(src)]
+	for i, o := range src {
+		dst[i] = D((mref+int64(o))*k - base)
+	}
+}
+
+// widen trades the integer ring for a float64 one holding the same
+// samples.
+func (s *StreamEstimator) widen() {
+	n := s.eng.n
+	to := newRing[float64](n)
+	s.unpack(view[float64](to, n), 0, n)
+	s.ring, s.width = to, 8
+}
+
+// unpack writes ring slots [lo, hi) into dst as each sample less ref: for
+// an integer ring, exactly the float64 a float64 ring holds for it. It
+// must divide: a multiply by 10^−e does not round the same.
+func (s *StreamEstimator) unpack(dst []float64, lo, hi int) {
+	n := s.eng.n
+	switch s.width {
+	case 2:
+		decode(dst, view[int16](s.ring, n)[lo:hi], s.mref, decimal.Pow10[s.exp], s.ref)
+	case 4:
+		decode(dst, view[int32](s.ring, n)[lo:hi], s.mref, decimal.Pow10[s.exp], s.ref)
+	default:
+		copy(dst, view[float64](s.ring, n)[lo:hi])
+	}
+}
+
+func decode[T offset](dst []float64, offs []T, mref int64, scale, ref float64) {
 	dst = dst[:len(offs)]
-	scale, mref, ref := decimal.Pow10[s.exp], s.mref, s.ref
+	if scale == 1 { // whole numbers, counters mostly: x/1 is x
+		for i, o := range offs {
+			dst[i] = float64(mref+int64(o)) - ref
+		}
+		return
+	}
 	for i, o := range offs {
 		dst[i] = float64(mref+int64(o))/scale - ref
 	}
@@ -403,14 +537,14 @@ func (s *StreamEstimator) emit() *StreamUpdate {
 	s.memoAt = s.count
 	up := &s.up
 	*up = StreamUpdate{Index: s.count - 1, Result: res}
-	if !s.cfg.Start.IsZero() {
-		up.Time = s.cfg.Start.Add(time.Duration(up.Index) * s.cfg.Interval)
-		up.WindowStart = up.Time.Add(-time.Duration(s.cfg.WindowSamples-1) * s.cfg.Interval)
+	if !s.start.IsZero() {
+		up.Time = s.start.Add(time.Duration(up.Index) * s.interval)
+		up.WindowStart = up.Time.Add(-time.Duration(s.eng.n-1) * s.interval)
 	}
 	if res.Aliased {
 		up.Err = ErrAliased
 		s.streak++
-		up.SuggestedInterval = s.cfg.Interval / 2
+		up.SuggestedInterval = s.interval / 2
 	} else {
 		s.streak = 0
 		if res.NyquistRate > 0 {
@@ -427,13 +561,9 @@ func (s *StreamEstimator) estimate(res *Result) {
 	fs := s.SampleRate()
 	sc := s.eng.pool.Get().(*psdScratch)
 	defer s.eng.pool.Put(sc)
-	if n := s.cfg.WindowSamples - s.head; s.offs != nil {
-		s.unpack(sc.frame, s.offs[s.head:])
-		s.unpack(sc.frame[n:], s.offs[:s.head])
-	} else {
-		copy(sc.frame, s.ring[s.head:])
-		copy(sc.frame[n:], s.ring[:s.head])
-	}
+	n := s.eng.n
+	s.unpack(sc.frame, s.head, n)
+	s.unpack(sc.frame[n-s.head:], 0, s.head)
 	if taper := s.eng.taper; taper != nil {
 		// Four partial sums: one chain of 256 dependent adds costs more
 		// than the taper's multiplies (measured, about 120 ns a refresh).
@@ -472,7 +602,7 @@ func (s *StreamEstimator) estimate(res *Result) {
 	}
 	bin, captured := 1, 1.0 // no energy off DC: the finest measurable rate
 	if !(total <= 0) {
-		target := s.cfg.EnergyCutoff * total
+		target := s.eng.cutoff * total
 		for bin = 1; ; bin++ {
 			if cum += power[bin]; cum >= target || bin == last {
 				break

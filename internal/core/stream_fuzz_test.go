@@ -13,22 +13,25 @@ import (
 
 // FuzzStreamCompactMatchesWide drives a stream and one widened from its
 // first push (core.NewWidenedStream) with the same samples and requires
-// every emission and every Current to agree bit for bit: the compact
-// decimal ring — its exponent raises, its int32 edges and the widening
-// itself — must rebuild exactly the window a float64 ring holds.
+// every emission and every Current to agree bit for bit: the integer
+// rings — their exponent raises, their re-bases, their 16- and 32-bit
+// edges and every widening — must rebuild exactly the window a float64
+// ring holds.
 //
 // data[0] picks the shape (window 16, 17 or 32; EmitEvery 1–4; Hann or
 // rectangular); the rest is 9-byte records, a kind byte and 8 payload
 // bytes:
 //
-//	0, 5  a parsed decimal literal: a mantissa of up to 40 bits at an
+//	0     a parsed decimal literal: a mantissa of up to 40 bits at an
 //	      exponent 0–13 (13 fits no exponent the ring holds)
 //	1     raw float64 bits
 //	2     a step of the previous literal at one more decimal
-//	3     the first literal's mantissa ± 2^31 ± a small step, at the
-//	      highest exponent so far: offsets at and just past the int32
-//	      edges
+//	3     the first literal's mantissa ± 2^31 (± 2^15 with payload bit 1
+//	      set) ± a small step, at the highest exponent so far: offsets
+//	      from the first anchor at and just past the 32- and 16-bit edges
 //	4     NaN, −0, +0 or ±Inf
+//	5     the previous literal plus a signed 32-bit step at its exponent:
+//	      drifts that re-base
 func FuzzStreamCompactMatchesWide(f *testing.F) {
 	rec := func(kind byte, payload uint64) []byte {
 		return binary.LittleEndian.AppendUint64([]byte{kind}, payload)
@@ -84,6 +87,53 @@ func FuzzStreamCompactMatchesWide(f *testing.F) {
 	f.Add(seed(4, append(append(head, rec(4, 1), rec(4, 3)), tail...)...))
 	f.Add(seed(3, append(append(head, rec(1, math.Float64bits(math.Nextafter(48.15, 49)))), tail...)...))
 	f.Add(seed(6, append(append(head, rec(1, math.Float64bits(math.Pi))), tail...)...))
+	// The same tone at the 16-bit edges: one sample past the upper one,
+	// which re-bases a window that has left the lower edge, then two past
+	// the lower edge, a spread only 4 bytes hold.
+	edges16 := [][]byte{rec(0, 4801|2<<56), rec(3, 2), rec(3, 3)}
+	for i := 0; i < 40; i++ {
+		step := int8(-60 + math.Round(50*math.Sin(float64(i)/3)))
+		if i == 24 {
+			step = 1
+		}
+		edges16 = append(edges16, rec(3, uint64(uint8(step))<<8|2))
+	}
+	f.Add(seed(0, append(edges16, rec(3, 0xfe<<8|3))...))
+	// Hundredths drifting 3 to 4 a sample: past the 16-bit edge after
+	// about 90 samples, in the middle of every window, spanning little.
+	drift := [][]byte{rec(0, 2000|2<<56)}
+	for i := 0; i < 120; i++ {
+		drift = append(drift, rec(5, uint64(uint32(int32(300+math.Round(100*math.Sin(float64(i)/2)))))))
+	}
+	f.Add(seed(8, drift...))
+	// Whole numbers ±5000 around 6000, then a tenth: the raise scales the
+	// offsets past 16 bits, not past 32.
+	var raise16 [][]byte
+	for i := 0; i < 40; i++ {
+		raise16 = append(raise16, rec(0, uint64(6000+math.Round(5000*math.Sin(float64(i)/3)))))
+		if i == 20 {
+			raise16 = append(raise16, rec(2, 3))
+		}
+	}
+	f.Add(seed(0, raise16...))
+	// A counter at 10^9 climbing 2 to 3·10^7 a sample: past 2^31 from its
+	// first sample after about 90, while 16 samples span under 2^30.
+	counter := [][]byte{rec(0, 1_000_000_000)}
+	for i := 0; i < 100; i++ {
+		counter = append(counter, rec(5, uint64(uint32(int32(25_000_000+math.Round(5_000_000*math.Sin(float64(i))))))))
+	}
+	f.Add(seed(0, counter...))
+	// A first sample of 2·10^9 the window then leaves for a flat 0, and a
+	// raise by 12 decimals the window's spread allows: the anchor's raised
+	// mantissa wraps int64.
+	wrap := [][]byte{rec(0, 2_000_000_000)}
+	for i := 0; i < 40; i++ {
+		wrap = append(wrap, rec(0, 0))
+	}
+	for i := 0; i < 20; i++ {
+		wrap = append(wrap, rec(0, uint64(1+i%3)|12<<56))
+	}
+	f.Add(seed(0, wrap...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			return
@@ -135,7 +185,7 @@ func FuzzStreamCompactMatchesWide(f *testing.F) {
 			p := binary.LittleEndian.Uint64(r[1:])
 			var v float64
 			switch r[0] % 6 {
-			case 0, 5:
+			case 0:
 				v = literal(int64(p<<24)>>24, int(p>>56%14))
 			case 1:
 				v = math.Float64frombits(p)
@@ -143,8 +193,11 @@ func FuzzStreamCompactMatchesWide(f *testing.F) {
 				v = literal(lastM*10+int64(int8(p)), lastE+1)
 			case 3:
 				edge := int64(math.MaxInt32)
+				if p&2 != 0 {
+					edge = math.MaxInt16
+				}
 				if p&1 != 0 {
-					edge = math.MinInt32
+					edge = -edge - 1
 				}
 				k := int64(1)
 				for e := firstE; e < topE; e++ {
@@ -153,6 +206,8 @@ func FuzzStreamCompactMatchesWide(f *testing.F) {
 				v = literal(firstM*k+edge+int64(int8(p>>8)), topE)
 			case 4:
 				v = []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1)}[p%5]
+			case 5:
+				v = literal(lastM+int64(int32(p)), lastE)
 			}
 			vals = append(vals, v)
 		}
@@ -188,7 +243,7 @@ func FuzzStreamCompactMatchesWide(f *testing.F) {
 				requireSameBits(t, "Current", i+1, cr, wr)
 			}
 		}
-		if !wide.Wide() {
+		if wide.SampleBytes() != 8 {
 			t.Fatal("the widened reference is not wide")
 		}
 	})

@@ -15,15 +15,17 @@ import (
 
 // The stream differential: seeded streams through the estimator, rendered
 // as every emission's Result fields as float64 bits, its alias streak and
-// suggested interval, and two off-cadence Current reads. The dump was
-// written by commit 2500ede, the last build whose window was a ring of
-// float64 samples, and must repeat byte for byte: how the window holds its
-// samples is invisible in every estimate. It uses only exported names, so
-// the same file compiles there:
+// suggested interval, and two off-cadence Current reads, and compared byte
+// for byte with dumps older builds wrote: how the window holds its samples
+// is invisible in every estimate. stream.golden (streamScript) was written
+// by commit 2500ede, the last build whose window was a ring of float64
+// samples; stream_transitions.golden (transitionScript) by commit 9be7c49,
+// the last build whose integer ring was one width anchored at the first
+// sample. The file uses only exported names, so it compiles at both:
 //
 //	NYQ_GOLDEN_DIR=<dir> go test ./internal/core -run TestStreamDifferential
 //
-// writes <dir>/stream.golden instead of comparing.
+// writes both dumps into <dir> instead of comparing.
 
 type scriptStream struct {
 	name string
@@ -130,6 +132,87 @@ func streamScript() []scriptStream {
 	return out
 }
 
+// transitionScript builds streams that move between the ring's widths:
+// offsets at the 16-bit edges, gauges and counters that drift out of the
+// width they hold by more than a window spans, raises that scale offsets
+// past 16 bits, and a widening through every width. They run twice as long
+// as streamScript's so that a counter can drift past 2^31 in steps a
+// window spans less of.
+func transitionScript() []scriptStream {
+	const n = 1024
+	rng := rand.New(rand.NewSource(30))
+	var out []scriptStream
+	add := func(name string, f func(i int) float64) {
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = f(i)
+		}
+		out = append(out, scriptStream{name, vals})
+	}
+	wave := func(i int) float64 { return math.Sin(float64(i)/9) + 0.5*math.Sin(float64(i)/2.3) }
+	// Whole numbers at both 16-bit edges of the first sample, then one
+	// past.
+	add("int16-edges", func(i int) float64 {
+		switch {
+		case i == 0:
+			return 100
+		case i == 600:
+			return 100 + math.MaxInt16 + 1
+		case i%3 == 0:
+			return 100 + math.MaxInt16 - float64(rng.Intn(3))
+		case i%3 == 1:
+			return 100 + math.MinInt16 + float64(rng.Intn(3))
+		}
+		return float64(100 + rng.Intn(1000))
+	})
+	// Hundredths drifting 0.45 a sample, up and down, under a ±3 wave.
+	add("rising-gauge", func(i int) float64 {
+		return math.Round(2000+45*float64(i)+300*wave(i)) / 100
+	})
+	add("sinking-gauge", func(i int) float64 {
+		return math.Round(-1500-45*float64(i)+300*wave(i)) / 100
+	})
+	// A packet counter far from zero, 40 a sample on average.
+	packets := 9_000_000_000.0
+	add("counter-int16", func(int) float64 { packets += float64(rng.Intn(80)); return packets })
+	// Whole numbers, then tenths ten times the spread, then hundredths.
+	add("raise-past-int16", func(i int) float64 {
+		switch {
+		case i < 300:
+			return float64(1000 + rng.Intn(10000) - 5000)
+		case i < 700:
+			return float64(10000+rng.Intn(100000)-50000) / 10
+		}
+		return float64(100000+rng.Intn(1000000)-500000) / 100
+	})
+	// Tenths around 400 after a first sample of 0, then one hundredth: the
+	// raise takes the offsets past 16 bits, not the window's spread.
+	add("raise-rebase", func(i int) float64 {
+		switch {
+		case i == 0:
+			return 0
+		case i == 500:
+			return 400.05
+		}
+		return float64(4000+rng.Intn(100)-50) / 10
+	})
+	// A byte counter 3e6 a sample on average: past 2^31 from its first
+	// sample by sample 716, while a window spans under 2^30.
+	bytes := 1e12
+	add("counter-past-int32", func(int) float64 { bytes += float64(rng.Int63n(6_000_000)); return bytes })
+	// Hundredths, then a reading far above them, then a float.
+	add("two-four-eight", func(i int) float64 {
+		switch {
+		case i == 300:
+			return 50000
+		case i == 600:
+			return math.Pi
+		}
+		return math.Round(4800+300*wave(i)) / 100
+	})
+	return out
+}
+
 func streamDumpResult(w *strings.Builder, r *Result) {
 	fmt.Fprintf(w, "nyq=%016x cut=%016x fs=%016x rr=%016x ec=%016x aliased=%t",
 		math.Float64bits(r.NyquistRate), math.Float64bits(r.CutoffFreq), math.Float64bits(r.SampleRate),
@@ -139,7 +222,7 @@ func streamDumpResult(w *strings.Builder, r *Result) {
 // streamPlay runs every stream under the serving shape (256 samples, Hann,
 // a refresh every 8) and a rectangular window whose length is not a power
 // of two.
-func streamPlay(t *testing.T) string {
+func streamPlay(t *testing.T, script []scriptStream) string {
 	t.Helper()
 	var w strings.Builder
 	for _, shape := range []struct {
@@ -147,7 +230,7 @@ func streamPlay(t *testing.T) string {
 		window, emit int
 		taper        dsp.Window
 	}{{"hann-256-8", 256, 8, dsp.Hann{}}, {"rect-100-13", 100, 13, nil}} {
-		for _, s := range streamScript() {
+		for _, s := range script {
 			st, err := NewStreamEstimator(StreamConfig{Interval: time.Second, WindowSamples: shape.window, EmitEvery: shape.emit, Window: shape.taper})
 			if err != nil {
 				t.Fatal(err)
@@ -171,24 +254,29 @@ func streamPlay(t *testing.T) string {
 }
 
 func TestStreamDifferential(t *testing.T) {
-	got := streamPlay(t)
-	if dir := os.Getenv("NYQ_GOLDEN_DIR"); dir != "" {
-		if err := os.WriteFile(filepath.Join(dir, "stream.golden"), []byte(got), 0o644); err != nil {
+	for _, g := range []struct {
+		file   string
+		script []scriptStream
+	}{{"stream.golden", streamScript()}, {"stream_transitions.golden", transitionScript()}} {
+		got := streamPlay(t, g.script)
+		if dir := os.Getenv("NYQ_GOLDEN_DIR"); dir != "" {
+			if err := os.WriteFile(filepath.Join(dir, g.file), []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", g.file))
+		if err != nil {
 			t.Fatal(err)
 		}
-		return
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", "stream.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	for i := range gl {
-		if i >= len(wl) || gl[i] != wl[i] {
-			t.Fatalf("differs from the parent build's dump at line %d:\n got %q\nwant %q", i+1, gl[i], append(wl, "")[min(i, len(wl))])
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := range gl {
+			if i >= len(wl) || gl[i] != wl[i] {
+				t.Fatalf("%s: differs from the parent build's dump at line %d:\n got %q\nwant %q", g.file, i+1, gl[i], append(wl, "")[min(i, len(wl))])
+			}
 		}
-	}
-	if len(gl) != len(wl) {
-		t.Fatalf("dump has %d lines, the parent build's %d", len(gl), len(wl))
+		if len(gl) != len(wl) {
+			t.Fatalf("%s: dump has %d lines, the parent build's %d", g.file, len(gl), len(wl))
+		}
 	}
 }

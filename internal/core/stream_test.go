@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -215,9 +216,10 @@ func TestStreamConstantWindowReadsClean(t *testing.T) {
 }
 
 // TestStreamStateSize pins the per-stream memory: a warm estimator
-// retains its sample ring — 4 bytes a sample for a stream of two-decimal
-// readings, 8 for one of arbitrary floats — and a small fixed header,
-// nothing that scales with the window besides the ring.
+// retains its sample ring — 2 bytes a sample for a stream of two-decimal
+// readings, 4 for a counter whose window spans more than 2^14, 8 for one
+// of arbitrary floats — and a small fixed header, nothing that scales
+// with the window besides the ring.
 func TestStreamStateSize(t *testing.T) {
 	const (
 		streams = 1000
@@ -232,11 +234,11 @@ func TestStreamStateSize(t *testing.T) {
 	for _, form := range []struct {
 		name   string
 		sample func(i int) float64
-		wide   bool
-		bytes  float64 // per window sample
+		bytes  int // per window sample
 	}{
-		{"decimal", func(i int) float64 { return float64(4800+i%7*13) / 100 }, false, 4},
-		{"float", func(i int) float64 { return 48 + math.Sin(float64(i)) }, true, 8},
+		{"decimal", func(i int) float64 { return float64(4800+i%7*13) / 100 }, 2},
+		{"counter", func(i int) float64 { return float64(7_340_032_000 + 2500*i + i%7*13) }, 4},
+		{"float", func(i int) float64 { return 48 + math.Sin(float64(i)) }, 8},
 	} {
 		// Shared tables and pooled scratch are not per-stream state: build
 		// them before the baseline.
@@ -248,8 +250,8 @@ func TestStreamStateSize(t *testing.T) {
 			for i := 0; i < window+8; i++ {
 				st.Push(form.sample(i))
 			}
-			if st.Wide() != form.wide {
-				t.Fatalf("%s stream: Wide() = %v", form.name, st.Wide())
+			if st.SampleBytes() != form.bytes {
+				t.Fatalf("%s stream: SampleBytes() = %d, want %d", form.name, st.SampleBytes(), form.bytes)
 			}
 			return st
 		}
@@ -262,43 +264,59 @@ func TestStreamStateSize(t *testing.T) {
 		after := heap()
 		per := float64(after-before) / streams
 		t.Logf("state bytes per warm stream (window %d, %s): %.0f", window, form.name, per)
-		if limit := form.bytes*window + 512; per > limit {
+		if limit := float64(form.bytes*window + 320); per > limit {
 			t.Fatalf("a warm %s stream retains %.0f B, want at most %.0f", form.name, per, limit)
 		}
 		runtime.KeepAlive(all)
 	}
 }
 
-// TestStreamForm pins which form the differential script's streams end in
-// and the sample each widens at, so TestStreamDifferential keeps covering
-// the compact ring, its raises and every way out of it.
+// TestStreamForm pins, for every stream of both differential scripts
+// under the serving window, the samples at which the ring takes a width
+// ("2@0" is the first sample's 2-byte ring) or re-bases ("r@i": the
+// anchor moved by more than a raise scales it), so TestStreamDifferential
+// keeps covering every width, the re-bases and raises inside them and
+// every way from one width to the next.
 func TestStreamForm(t *testing.T) {
-	widensAt := map[string]int{
-		"two-decimal":      -1,
-		"counter":          -1,
-		"raise":            -1,
-		"int32-edge":       400,
-		"raise-past-int32": 330,
-		"float-first":      0,
-		"float-mid":        300,
-		"nan-mid":          270,
-		"negzero-mid":      300,
-		"nan-first":        0,
-		"negzero-first":    0,
+	want := map[string]string{
+		"two-decimal":        "2@0",
+		"counter":            "2@0 4@13",
+		"raise":              "2@0 4@340",
+		"int32-edge":         "2@0 4@1 8@400",
+		"raise-past-int32":   "2@0 4@1 8@330",
+		"float-first":        "8@0",
+		"float-mid":          "2@0 8@300",
+		"nan-mid":            "2@0 8@270",
+		"negzero-mid":        "2@0 8@300",
+		"nan-first":          "8@0",
+		"negzero-first":      "8@0",
+		"int16-edges":        "2@0 4@600",
+		"rising-gauge":       "2@0 r@734",
+		"sinking-gauge":      "2@0 r@719",
+		"counter-int16":      "2@0 r@822",
+		"raise-past-int16":   "2@0 4@300",
+		"raise-rebase":       "2@0 r@500",
+		"counter-past-int32": "2@0 4@1 r@684",
+		"two-four-eight":     "2@0 4@300 8@600",
 	}
-	for _, s := range streamScript() {
+	for _, s := range append(streamScript(), transitionScript()...) {
 		st, err := NewStreamEstimator(StreamConfig{Interval: time.Second, WindowSamples: 256})
 		if err != nil {
 			t.Fatal(err)
 		}
-		at := -1
+		var got []string
 		for i, v := range s.vals {
-			if st.Push(v); at < 0 && st.Wide() {
-				at = i
+			width, mref, exp := st.width, st.mref, st.exp
+			st.Push(v)
+			if st.width != width {
+				got = append(got, fmt.Sprintf("%d@%d", st.width, i))
+			}
+			if k := int64(math.Pow10(int(st.exp - exp))); width != 0 && st.width < 8 && st.mref != mref*k {
+				got = append(got, fmt.Sprintf("r@%d", i))
 			}
 		}
-		if want, ok := widensAt[s.name]; !ok || at != want {
-			t.Errorf("%s: widens at sample %d, want %d", s.name, at, want)
+		if g := strings.Join(got, " "); g != want[s.name] {
+			t.Errorf("%s: %q, want %q", s.name, g, want[s.name])
 		}
 		if s.name == "raise" && st.exp != 6 {
 			t.Errorf("raise: exponent %d, want 6", st.exp)

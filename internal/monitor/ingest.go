@@ -1,6 +1,8 @@
 package monitor
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -57,10 +59,10 @@ type IngestEstimator struct {
 	retunes          atomic.Int64
 	heldRefreshes    atomic.Int64
 	aliasedRefreshes atomic.Int64
-	// streams counts the series holding an analysis window (setStream),
-	// wide those of them whose window has widened to float64 samples
-	// (push).
-	streams, wide atomic.Int64
+	// windows counts the live analysis windows by ring width (setStream,
+	// push): slot 0 holds those not pushed yet, slots 1, 2 and 3 those of
+	// 2, 4 and 8 bytes a sample (widthSlot).
+	windows [4]atomic.Int64
 
 	mu     sync.RWMutex
 	series map[string]*ingestSeries
@@ -88,9 +90,10 @@ type IngestConfig struct {
 	// selects the core default.
 	EnergyCutoff float64
 	// MaxSeries bounds the number of per-series estimator windows. Each
-	// estimated series holds its sample ring, 4 bytes per window sample
-	// for decimal readings and 8 for others (about 1.3 or 2.4 KiB with
-	// its header at the default 256), so a hostile cardinality
+	// estimated series holds its sample ring, 2 bytes per window sample
+	// for short decimal readings, 4 for counters and wide decimals and 8
+	// for others (about 0.8, 1.3 or 2.3 KiB with its header at the
+	// default 256), so a hostile cardinality
 	// explosion — an id per request — would grow the estimator without
 	// bound. Observations for new series beyond the cap
 	// are dropped (and counted; see Rejected): existing series keep
@@ -314,7 +317,7 @@ func (e *IngestEstimator) observeLocked(s *ingestSeries, id string, p series.Poi
 				s.drift = 0
 			}
 			if s.drift > probeGaps {
-				s.reprobe(e, p)
+				s.reprobe(e, id, p)
 				e.reprobesTotal.Add(1)
 				return
 			}
@@ -423,11 +426,17 @@ func (s *ingestSeries) refresh(up *core.StreamUpdate, newest time.Time) {
 }
 
 // probe accumulates pre-lock points and locks the interval once enough
-// gaps are seen. Called with s.mu held.
+// gaps are seen. The buffer is allocated once, at what locks a series
+// whose gaps are all positive, and the gaps are sorted on the stack.
+// Called with s.mu held.
 func (s *ingestSeries) probe(e *IngestEstimator, id string, p series.Point) {
+	if s.pending == nil {
+		s.pending = make([]series.Point, 0, probeGaps+1)
+	}
 	s.pending = append(s.pending, p)
 	s.lastTime, s.haveLast = p.Time, true
-	gaps := make([]time.Duration, 0, len(s.pending)-1)
+	var buf [maxPending]time.Duration
+	gaps := buf[:0]
 	for i := 1; i < len(s.pending); i++ {
 		if g := s.pending[i].Time.Sub(s.pending[i-1].Time); g > 0 {
 			gaps = append(gaps, g)
@@ -438,7 +447,7 @@ func (s *ingestSeries) probe(e *IngestEstimator, id string, p series.Point) {
 		s.capPending()
 		return
 	}
-	sort.Slice(gaps, func(a, b int) bool { return gaps[a] < gaps[b] })
+	slices.Sort(gaps)
 	interval := gaps[len(gaps)/2]
 	est, err := e.newStream(interval)
 	if err != nil || !e.setStream(s, est) {
@@ -482,49 +491,54 @@ func (e *IngestEstimator) setStream(s *ingestSeries, est *core.StreamEstimator) 
 		return false
 	}
 	if s.est != nil {
-		e.streams.Add(-1)
-		if s.est.Wide() {
-			e.wide.Add(-1)
-		}
+		e.windows[widthSlot(s.est.SampleBytes())].Add(-1)
 	}
 	if est != nil {
-		e.streams.Add(1)
+		e.windows[widthSlot(est.SampleBytes())].Add(1)
 	}
 	s.est = est
 	return true
 }
 
-// push feeds v to s's window, counting the window in wide when v widens
-// it. Called with s.mu held.
+// widthSlot is the windows slot of a ring of b bytes a sample: 0 for 0
+// (not pushed yet), 1, 2 and 3 for 2, 4 and 8.
+func widthSlot(b int) int { return bits.Len(uint(b) >> 1) }
+
+// push feeds v to s's window, moving the window's count to its new width
+// when v widens it. Called with s.mu held.
 func (e *IngestEstimator) push(s *ingestSeries, v float64) *core.StreamUpdate {
-	wide := s.est.Wide()
+	was := s.est.SampleBytes()
 	up := s.est.Push(v)
-	if !wide && s.est.Wide() {
-		e.wide.Add(1)
+	if now := s.est.SampleBytes(); now != was {
+		e.windows[widthSlot(was)].Add(-1)
+		e.windows[widthSlot(now)].Add(1)
 	}
 	return up
 }
 
-// capPending bounds the probe buffer of a series that stays unlocked, so
+// maxPending bounds the probe buffer of a series that stays unlocked, so
 // neither a misbehaving client nor a bad configuration can grow it (and
-// probe's scan over it) with every point.
+// probe's scan over it) with every point: capPending keeps its newest
+// maxPending points, so a probe sees at most one more and sorts at most
+// maxPending gaps.
+const maxPending = 4 * (probeGaps + 1)
+
 func (s *ingestSeries) capPending() {
-	if max := 4 * (probeGaps + 1); len(s.pending) > max {
-		s.pending = append(s.pending[:0], s.pending[len(s.pending)-max:]...)
+	if len(s.pending) > maxPending {
+		s.pending = append(s.pending[:0], s.pending[len(s.pending)-maxPending:]...)
 	}
 }
 
 // reprobe drops the locked grid after sustained gap drift and restarts
 // the probe from the current point. Called with s.mu held.
-func (s *ingestSeries) reprobe(e *IngestEstimator, p series.Point) {
+func (s *ingestSeries) reprobe(e *IngestEstimator, id string, p series.Point) {
 	e.setStream(s, nil)
 	s.interval = 0
 	s.drift = 0
 	s.policy.Regrid()
 	s.last = nil
 	s.reprobes++
-	s.pending = append(s.pending[:0], p)
-	s.lastTime, s.haveLast = p.Time, true
+	s.probe(e, id, p)
 }
 
 // Advice returns the live guidance for id, or ok=false when the series
@@ -584,13 +598,20 @@ func (e *IngestEstimator) Len() int {
 // StateBytes is what the estimator holds for its series, from counts and
 // type sizes rather than a walk: every series' hook state, its retention
 // hold included, and every live analysis window — the stream's header
-// and its ring of WindowSamples samples, 4 bytes each while compact
-// (decimal readings) and 8 once wide. A window not yet pushed counts as
-// compact. Probe buffers, map entries and ids are outside it.
+// and its ring of WindowSamples samples, 2, 4 or 8 bytes each as the
+// series' readings need (core.StreamEstimator.SampleBytes). A window not
+// yet pushed has no ring. Probe buffers, map entries and ids are outside
+// it.
 func (e *IngestEstimator) StateBytes() int64 {
-	n := int64(e.cfg.WindowSamples)
-	window := int64(unsafe.Sizeof(core.StreamEstimator{})) + 4*n
-	return int64(e.Len())*int64(unsafe.Sizeof(ingestSeries{})) + e.streams.Load()*window + e.wide.Load()*4*n
+	total := int64(e.Len()) * int64(unsafe.Sizeof(ingestSeries{}))
+	for slot := range e.windows {
+		ring := int64(0)
+		if slot > 0 {
+			ring = int64(e.cfg.WindowSamples) << slot
+		}
+		total += e.windows[slot].Load() * (int64(unsafe.Sizeof(core.StreamEstimator{})) + ring)
+	}
+	return total
 }
 
 // Rejected returns the number of observations dropped because the

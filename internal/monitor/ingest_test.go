@@ -442,7 +442,7 @@ func TestIngestEstimatorHandsOverChangesOnly(t *testing.T) {
 		{"the turnover-th lowers to the highest of them", offer(0.375, 1), []float64{0.5, 0.75, 0.5}, 0},
 		{"a re-probe mid-wait keeps the rate and clears the wait", func() {
 			offer(0.25, 10)()
-			s.reprobe(e, series.Point{Time: ingestStart.Add(time.Hour), Value: 1})
+			s.reprobe(e, id, series.Point{Time: ingestStart.Add(time.Hour), Value: 1})
 		}, []float64{0.5, 0.75, 0.5}, 0},
 		{"so the new grid needs its own clean run and full turnover", offer(0.25, 16), []float64{0.5, 0.75, 0.5}, 15},
 		{"and then lowers", offer(0.25, 1), []float64{0.5, 0.75, 0.5, 0.25}, 0},
@@ -594,18 +594,22 @@ func TestIngestSeriesStateSize(t *testing.T) {
 }
 
 // TestIngestStateBytes follows the estimator-state figure through every
-// way a series gains or loses its analysis window: the interval lock, a
+// way a series gains or loses its analysis window — the interval lock, a
 // drift re-probe, a restore with and without an interval, and an LRU
-// eviction — each moves StateBytes by exactly a window, compact or wide —
-// and through the two ways a window widens, at a later sample and from
-// its first; every series in the map costs its hook state whether it
-// holds a window or not.
+// eviction at each ring width — and every way a window changes width:
+// 2 → 4 and 4 → 8 bytes a sample at a later push, and to 8 from its first.
+// Each moves StateBytes by exactly the windows it counts; a re-base, which
+// keeps the width, moves nothing. Every series in the map costs its hook
+// state whether it holds a window or not.
 func TestIngestStateBytes(t *testing.T) {
 	const window = 64
-	e := NewIngestEstimator(nil, IngestConfig{WindowSamples: window, MaxSeries: 2, EvictAfter: 1})
 	hook := int64(unsafe.Sizeof(ingestSeries{}))
-	compact := int64(unsafe.Sizeof(core.StreamEstimator{})) + 4*window
-	wide := compact + 4*window
+	header := int64(unsafe.Sizeof(core.StreamEstimator{}))
+	type counts struct{ series, unpushed, w2, w4, w8 int64 }
+	want := func(c counts) int64 {
+		return c.series*hook + c.unpushed*header + c.w2*(header+2*window) + c.w4*(header+4*window) + c.w8*(header+8*window)
+	}
+	var e *IngestEstimator
 	next := map[string]int{}
 	observe := func(id string, gap time.Duration, v float64) {
 		e.Observe(id, series.Point{Time: ingestStart.Add(time.Duration(next[id]) * gap), Value: v})
@@ -616,26 +620,92 @@ func TestIngestStateBytes(t *testing.T) {
 			observe(id, gap, float64(i%5))
 		}
 	}
-	for i, step := range []struct {
-		name                  string
-		do                    func()
-		series, compact, wide int64
-	}{
-		{"a probes its interval", func() { feed("a", probeGaps, time.Second) }, 1, 0, 0},
-		{"a locks", func() { feed("a", 1, time.Second) }, 1, 1, 0},
-		{"a widens", func() { observe("a", time.Second, math.Pi) }, 1, 0, 1},
-		{"b probes beside it", func() { feed("b", 3, time.Second) }, 2, 0, 1},
-		{"a drifts and re-probes", func() { feed("a", probeGaps+1, time.Minute) }, 2, 0, 0},
-		{"b is restored locked", func() { e.RestoreState(IngestSeriesState{Series: "b", Interval: time.Second}) }, 2, 1, 0},
-		{"b's first sample widens it", func() { observe("b", time.Second, math.NaN()) }, 2, 0, 1},
-		{"a is restored probing", func() { e.RestoreState(IngestSeriesState{Series: "a"}) }, 2, 0, 1},
-		{"c evicts the idle b", func() { feed("c", 1, time.Second) }, 2, 0, 0},
-	} {
-		step.do()
-		if got, want := e.StateBytes(), step.series*hook+step.compact*compact+step.wide*wide; got != want {
-			t.Fatalf("step %d (%s): StateBytes %d, want %d series × %d + %d compact windows × %d + %d wide × %d",
-				i, step.name, got, step.series, hook, step.compact, compact, step.wide, wide)
+	type step struct {
+		name string
+		do   func()
+		want counts
+	}
+	play := func(steps []step) {
+		t.Helper()
+		for i, st := range steps {
+			st.do()
+			if got, want := e.StateBytes(), want(st.want); got != want {
+				t.Fatalf("step %d (%s): StateBytes %d, want %d for %+v (hook %d, header %d, window %d)",
+					i, st.name, got, want, st.want, hook, header, window)
+			}
 		}
+	}
+	e = NewIngestEstimator(nil, IngestConfig{WindowSamples: window, MaxSeries: 2, EvictAfter: 1})
+	play([]step{
+		{"a probes its interval", func() { feed("a", probeGaps, time.Second) }, counts{series: 1}},
+		{"a locks", func() { feed("a", 1, time.Second) }, counts{series: 1, w2: 1}},
+		{"a spreads past 2^14: 4 bytes", func() { observe("a", time.Second, 1e6) }, counts{series: 1, w4: 1}},
+		{"a takes a float: 8 bytes", func() { observe("a", time.Second, math.Pi) }, counts{series: 1, w8: 1}},
+		{"b probes beside it", func() { feed("b", 3, time.Second) }, counts{series: 2, w8: 1}},
+		{"a drifts and re-probes", func() { feed("a", probeGaps+1, time.Minute) }, counts{series: 2}},
+		{"b is restored locked", func() { e.RestoreState(IngestSeriesState{Series: "b", Interval: time.Second}) }, counts{series: 2, unpushed: 1}},
+		{"b's first sample", func() { observe("b", time.Second, 5) }, counts{series: 2, w2: 1}},
+		{"b drifts 40,000 past it and re-bases: still 2 bytes", func() {
+			for i := 1; i <= 200; i++ {
+				observe("b", time.Second, float64(5+200*i))
+			}
+		}, counts{series: 2, w2: 1}},
+		{"b's first sample is a float: 8 bytes", func() {
+			e.RestoreState(IngestSeriesState{Series: "b", Interval: time.Second})
+			observe("b", time.Second, math.NaN())
+		}, counts{series: 2, w8: 1}},
+		{"a is restored probing", func() { e.RestoreState(IngestSeriesState{Series: "a"}) }, counts{series: 2, w8: 1}},
+	})
+	// An eviction releases a window of each width, and one not pushed yet.
+	for _, last := range []struct {
+		name string
+		v    float64
+		want counts
+	}{
+		{"none", 0, counts{series: 1, unpushed: 1}},
+		{"2 bytes", 3, counts{series: 1, w2: 1}},
+		{"4 bytes", 1e6, counts{series: 1, w4: 1}},
+		{"8 bytes", math.Pi, counts{series: 1, w8: 1}},
+	} {
+		e = NewIngestEstimator(nil, IngestConfig{WindowSamples: window, MaxSeries: 1, EvictAfter: 1})
+		clear(next)
+		do := func() {
+			feed("x", probeGaps+1, time.Second)
+			observe("x", time.Second, last.v)
+		}
+		if last.name == "none" {
+			do = func() { e.RestoreState(IngestSeriesState{Series: "x", Interval: time.Second}) }
+		}
+		play([]step{
+			{"x holds a window of " + last.name, do, last.want},
+			{"y evicts the idle x", func() { feed("y", 1, time.Second) }, counts{series: 1}},
+		})
+	}
+}
+
+// TestIngestFirstSightAllocs pins what a new series costs the hook on its
+// way to a locked window — highcard_http's path, where most series are
+// new: one run formats an id and observes the probeGaps+1 points that
+// lock its interval. The hook state, the probe buffer, the stream's
+// header and its ring are four allocations; the id and the map's growth
+// are the harness's. (A probe that grew its buffer point by point and
+// sorted a fresh gap slice per point took 19.)
+func TestIngestFirstSightAllocs(t *testing.T) {
+	e := NewIngestEstimator(nil, IngestConfig{})
+	n := 0
+	allocs := testing.AllocsPerRun(500, func() {
+		id := fmt.Sprintf("ext/first/%d", n)
+		n++
+		for i := 0; i <= probeGaps; i++ {
+			e.Observe(id, series.Point{Time: ingestStart.Add(time.Duration(i) * time.Second), Value: float64(4800+i%5) / 100})
+		}
+	})
+	t.Logf("allocations per new series locked: %.2f", allocs)
+	if e.Probes() != int64(n) {
+		t.Fatalf("%d of %d series locked", e.Probes(), n)
+	}
+	if allocs > 7 {
+		t.Fatalf("a new series' first %d points allocate %.2f times, want at most 7", probeGaps+1, allocs)
 	}
 }
 

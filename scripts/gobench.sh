@@ -22,7 +22,8 @@ commit=$(git rev-parse HEAD 2>/dev/null || echo unknown)
 	# Closed-loop controller throughput, one round.
 	bench BenchmarkControllerRound 1x ./fleet/
 	# The estimator on the two shapes the tree runs: serving (window 256
-	# refreshed every 8 points) and census (fill 1024, read once).
+	# refreshed every 8 points; floats, two-decimal readings and a counter
+	# whose ring re-bases) and census (fill 1024, read once).
 	bench BenchmarkStreamVsBatchRefresh 1x .
 	# Ingest with and without the WAL (the delta is the durability tax),
 	# the bare parse/append core, and the bulk lane.
