@@ -270,7 +270,8 @@ func BenchmarkAblationInterpolation(b *testing.B) {
 // telemetry arrives, which the stream holds as 16-bit decimal offsets and
 // decodes at every refresh; the "counter" row feeds a byte counter far
 // from zero climbing 47 a sample, which the stream holds as 16-bit
-// offsets re-based about every 570 pushes. The batch rows run the batch
+// offsets from its first sample for about 700 pushes and as 32-bit ones
+// from there on, decoded without a division. The batch rows run the batch
 // Estimator over the same window at the same cadence: the same transform,
 // plus the copy and allocations the stream's shared plan and pooled
 // scratch avoid.

@@ -104,7 +104,7 @@ func (c EstimatorConfig) withDefaults() (EstimatorConfig, error) {
 	if c.EnergyCutoff == 0 {
 		c.EnergyCutoff = DefaultEnergyCutoff
 	}
-	if c.EnergyCutoff <= 0 || c.EnergyCutoff > 1 {
+	if !(c.EnergyCutoff > 0 && c.EnergyCutoff <= 1) { // refuses NaN too
 		return c, fmt.Errorf("core: energy cutoff %v outside (0, 1]", c.EnergyCutoff)
 	}
 	if c.WelchSegments <= 0 {

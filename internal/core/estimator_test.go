@@ -134,6 +134,9 @@ func TestEstimatorConfigValidation(t *testing.T) {
 	if _, err := NewEstimator(EstimatorConfig{EnergyCutoff: -0.1}); err == nil {
 		t.Fatal("negative cutoff should fail")
 	}
+	if _, err := NewEstimator(EstimatorConfig{EnergyCutoff: math.NaN()}); err == nil {
+		t.Fatal("NaN cutoff should fail")
+	}
 	if _, err := NewEstimator(EstimatorConfig{AliasedGuard: 2}); err == nil {
 		t.Fatal("guard above 1 should fail")
 	}

@@ -107,21 +107,15 @@ type StreamUpdate struct {
 // The ring's samples are 2 or 4 bytes wide while the stream's readings are
 // short decimals — what parsed telemetry carries — and 8 otherwise. An
 // integer ring holds each sample as its decimal mantissa at the stream's
-// exponent e ≤ 12, less an integer anchor, and only when float64(m)/10^e
-// is the sample bit for bit. The first sample sets the anchor and selects
-// 2 bytes. When a sample's offset does not fit, the ring re-bases —
-// moves the anchor to the middle of the window and rewrites the offsets —
-// if the window, that sample included, spans at most 2^14 (2 bytes) or
-// 2^30 (4 bytes), a quarter of what the width holds; otherwise it widens.
-// A raise of e (it only rises) scales the offsets and takes the same path.
-// After a re-base the window lies within an eighth of the width's range
-// of the anchor, so the next overflow while any of its samples remains
-// spans too much to re-base: re-bases are a window apart, O(1) a push
-// amortized. The first sample no integer width holds (−0, NaN, ±Inf, no
-// exponent, a raise past decimal.MantLimit, an offset past 32 bits in a
-// window spread wider than 2^30) widens the ring to float64 samples of
-// v − ref for good. The width only grows. Every
-// form rebuilds the same window bit for bit — re-bases and raises keep
+// exponent e ≤ 12, less the first sample's mantissa mref, and only when
+// float64(m)/10^e is the sample bit for bit. The first sample selects 2
+// bytes; the first offset past 16 bits widens the ring to 4. A raise of e
+// (it only rises) scales every offset and mref, at the ring's width if the
+// scaled offsets fit it, else at 4 bytes. The first sample no integer
+// width holds (−0, NaN, ±Inf, no exponent, an offset past 32 bits, a raise
+// past decimal.MantLimit or one that scales an offset past 32 bits)
+// widens the ring to float64 samples of v − ref for good. The width only
+// grows. Every form rebuilds the same window bit for bit — a raise keeps
 // each sample's mantissa exact — so the form never changes an estimate.
 //
 // Every estimate is an exact transform of the window, so results match
@@ -154,7 +148,7 @@ type StreamEstimator struct {
 	// flat (aliased-looking) spectrum. Anchoring to the first sample
 	// keeps the analyzed magnitudes small, the same numerical
 	// conditioning the batch estimator gets from subtracting the mean.
-	// Set by the first push; a re-base moves mref, never ref.
+	// Set by the first push; a raise rescales mref, never ref.
 	ref  float64
 	head int // ring slot the next Push overwrites (the oldest sample once warm)
 	// count is the total number of polls pushed.
@@ -174,12 +168,11 @@ type StreamEstimator struct {
 	memoAt int64
 }
 
-// spectral is what every StreamEstimator of one window length, cadence,
-// cut-off and taper shares: the configuration, the FFT plan, the taper's
-// coefficients and a pool of work buffers, so a series holds none of them.
+// spectral is what every StreamEstimator of one shape (spectralKey)
+// shares: the configuration, the FFT plan, the taper's coefficients and a
+// pool of work buffers, so a series holds none of them.
 type spectral struct {
-	n, emitEvery int
-	cutoff       float64
+	spectralKey
 	// plan is nil for window lengths that are not a power of two; those
 	// take the one-shot FFT (Bluestein) through dsp.Periodogram.
 	plan *dsp.Plan
@@ -205,7 +198,8 @@ type spectralKey struct {
 
 // spectrals maps a spectralKey to its *spectral. Entries are never
 // dropped: window lengths, cadences, cut-offs and tapers come from
-// configuration, a handful per process.
+// configuration, a handful per process. A NaN cut-off, which would never
+// find its entry, is refused before it gets here.
 var spectrals sync.Map
 
 func spectralFor(c StreamConfig) *spectral {
@@ -217,7 +211,7 @@ func spectralFor(c StreamConfig) *spectral {
 	if e, ok := spectrals.Load(key); ok {
 		return e.(*spectral)
 	}
-	e := &spectral{n: n, emitEvery: c.EmitEvery, cutoff: c.EnergyCutoff}
+	e := &spectral{spectralKey: key}
 	if n&(n-1) == 0 {
 		e.plan, _ = dsp.NewPlan(n) // a power of two cannot be refused
 	}
@@ -337,121 +331,102 @@ func exactFrom(v float64, e uint8) (int64, uint8, bool) {
 	return 0, 0, false
 }
 
-// hold stores v into an integer ring's head slot, raising the exponent,
-// re-basing or widening the ring to 4 bytes as v needs. When no integer
-// width holds v it widens the ring to float64 samples instead and
-// reports false: the caller stores v there.
+// hold stores v into an integer ring's head slot, raising the exponent or
+// widening the ring to 4 bytes as v needs. When no integer width holds v
+// it widens the ring to float64 samples instead and reports false: the
+// caller stores v there.
 func (s *StreamEstimator) hold(v float64) bool {
 	m, e, ok := exactFrom(v, s.exp)
-	if ok && (e > s.exp || !s.put(m)) {
-		ok = s.refit(m, e)
+	if ok && e > s.exp {
+		ok = s.rescale(e)
 	}
-	if !ok {
+	if ok = ok && s.put(m); !ok {
 		s.widen()
 	}
 	return ok
 }
 
-// put stores mantissa m into the head slot as an offset from mref, or
-// reports false when the offset does not fit the ring's width.
+// put stores mantissa m into the head slot as an offset from mref,
+// widening a 2-byte ring to 4 bytes if the offset needs it, or reports
+// false when the offset does not fit 32 bits.
 func (s *StreamEstimator) put(m int64) bool {
 	off := m - s.mref
-	if s.width == 2 {
-		if off != int64(int16(off)) {
-			return false
-		}
-		view[int16](s.ring, s.eng.n)[s.head] = int16(off)
-		return true
-	}
 	if off != int64(int32(off)) {
 		return false
 	}
-	view[int32](s.ring, s.eng.n)[s.head] = int32(off)
+	if s.width == 2 && off != int64(int16(off)) {
+		s.resize(4, 1)
+	}
+	if s.width == 2 {
+		view[int16](s.ring, s.eng.n)[s.head] = int16(off)
+	} else {
+		view[int32](s.ring, s.eng.n)[s.head] = int32(off)
+	}
 	return true
 }
 
-// refit stores mantissa m at exponent e ≥ exp after making room: at the
-// ring's width if the raised offsets and m's fit around the anchor, else
-// re-based if the window spans at most a quarter of that width, else at 4
-// bytes by the same two tests. It changes nothing and reports false when
-// no integer width passes, or when a raise would take a sample's mantissa
-// past decimal.MantLimit (a float64 no longer holds every mantissa and
-// offset sum exactly beyond it).
-func (s *StreamEstimator) refit(m int64, e uint8) bool {
+// rescale raises the integer ring's exponent to e: every offset and mref
+// gain e − exp zeros, which leaves each sample's float64 unchanged (the
+// same real quotient, rounded once), at the ring's width if the raised
+// offsets fit it, else at 4 bytes. It changes nothing and reports false
+// when they fit no integer width, or when a mantissa would pass
+// decimal.MantLimit (a float64 no longer holds it exactly beyond it).
+func (s *StreamEstimator) rescale(e uint8) bool {
 	k := int64(decimal.Pow10[e-s.exp])
 	lim := decimal.MantLimit / k
 	lo, hi := s.bounds()
 	if s.mref+lo < -lim || s.mref+hi > lim {
 		return false
 	}
-	// The window's least and greatest mantissas at e, m's included. An
-	// anchor the window has left may be past lim, and s.mref·k may wrap:
-	// offsets from it and every anchor + offset sum are exact modulo 2^64
-	// all the same, and the sums are mantissas, which int64 holds.
-	lo, hi = min((s.mref+lo)*k, m), max((s.mref+hi)*k, m)
-	for w := s.width; w <= 4; w *= 2 {
-		base, half := s.mref*k, int64(1)<<(8*w-1) // offsets lie in [−half, half)
-		switch {
-		case lo-base >= -half && hi-base < half:
-		case hi-lo <= half/2:
-			base = lo + (hi-lo)/2
-		default:
-			continue
-		}
-		s.rebase(w, k, base)
-		s.exp = e
-		return s.put(m)
+	w := s.width
+	if w == 2 && (lo < math.MinInt16/k || hi > math.MaxInt16/k) {
+		w = 4
 	}
-	return false
+	if lo < math.MinInt32/k || hi > math.MaxInt32/k {
+		return false
+	}
+	s.resize(w, k)
+	s.mref *= k
+	s.exp = e
+	return true
 }
 
-// bounds returns the least and greatest offsets in the window, leaving
-// out the head slot, which the push in progress overwrites. Only refit
-// calls it, and never before the first sample is in the ring.
+// bounds returns the least and greatest offsets in the ring, and 0 — the
+// offset of mref itself — whatever the ring holds.
 func (s *StreamEstimator) bounds() (lo, hi int64) {
-	n, warm := s.eng.n, s.count >= int64(s.eng.n)
 	if s.width == 2 {
-		return span(view[int16](s.ring, n), s.head, warm)
+		return span(view[int16](s.ring, s.eng.n))
 	}
-	return span(view[int32](s.ring, n), s.head, warm)
+	return span(view[int32](s.ring, s.eng.n))
 }
 
-func span[T offset](r []T, head int, warm bool) (lo, hi int64) {
-	lo, hi = math.MaxInt64, math.MinInt64
-	rest := r[head+1:]
-	if !warm {
-		rest = nil // slots from head on hold no sample yet
-	}
-	for _, part := range [2][]T{r[:head], rest} {
-		for _, o := range part {
-			lo, hi = min(lo, int64(o)), max(hi, int64(o))
-		}
+func span[T offset](r []T) (lo, hi int64) {
+	for _, o := range r {
+		lo, hi = min(lo, int64(o)), max(hi, int64(o))
 	}
 	return lo, hi
 }
 
-// rebase rewrites every offset for a ring of width w anchored at base,
-// with the mantissas raised by k: slot i goes from mref+off to
-// (mref+off)·k − base, the same sample. A slot outside the window may
-// wrap; it is overwritten before any estimate reads it.
-func (s *StreamEstimator) rebase(w uint8, k, base int64) {
+// resize rewrites the integer ring at width w ≥ its own, every offset
+// multiplied by k.
+func (s *StreamEstimator) resize(w uint8, k int64) {
 	n, to := s.eng.n, s.ring
 	switch {
 	case s.width == 2 && w == 2:
-		shift(view[int16](to, n), view[int16](s.ring, n), s.mref, k, base)
+		multiply(view[int16](to, n), view[int16](s.ring, n), k)
 	case s.width == 2:
 		to = newRing[int32](n)
-		shift(view[int32](to, n), view[int16](s.ring, n), s.mref, k, base)
+		multiply(view[int32](to, n), view[int16](s.ring, n), k)
 	default:
-		shift(view[int32](to, n), view[int32](s.ring, n), s.mref, k, base)
+		multiply(view[int32](to, n), view[int32](s.ring, n), k)
 	}
-	s.ring, s.width, s.mref = to, w, base
+	s.ring, s.width = to, w
 }
 
-func shift[D, S offset](dst []D, src []S, mref, k, base int64) {
+func multiply[D, S offset](dst []D, src []S, k int64) {
 	dst = dst[:len(src)]
 	for i, o := range src {
-		dst[i] = D((mref+int64(o))*k - base)
+		dst[i] = D(int64(o) * k)
 	}
 }
 

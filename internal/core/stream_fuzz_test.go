@@ -14,9 +14,8 @@ import (
 // FuzzStreamCompactMatchesWide drives a stream and one widened from its
 // first push (core.NewWidenedStream) with the same samples and requires
 // every emission and every Current to agree bit for bit: the integer
-// rings — their exponent raises, their re-bases, their 16- and 32-bit
-// edges and every widening — must rebuild exactly the window a float64
-// ring holds.
+// rings — their exponent raises, their 16- and 32-bit edges and every
+// widening — must rebuild exactly the window a float64 ring holds.
 //
 // data[0] picks the shape (window 16, 17 or 32; EmitEvery 1–4; Hann or
 // rectangular); the rest is 9-byte records, a kind byte and 8 payload
@@ -31,7 +30,7 @@ import (
 //	      from the first anchor at and just past the 32- and 16-bit edges
 //	4     NaN, −0, +0 or ±Inf
 //	5     the previous literal plus a signed 32-bit step at its exponent:
-//	      drifts that re-base
+//	      drifts
 func FuzzStreamCompactMatchesWide(f *testing.F) {
 	rec := func(kind byte, payload uint64) []byte {
 		return binary.LittleEndian.AppendUint64([]byte{kind}, payload)
@@ -87,9 +86,9 @@ func FuzzStreamCompactMatchesWide(f *testing.F) {
 	f.Add(seed(4, append(append(head, rec(4, 1), rec(4, 3)), tail...)...))
 	f.Add(seed(3, append(append(head, rec(1, math.Float64bits(math.Nextafter(48.15, 49)))), tail...)...))
 	f.Add(seed(6, append(append(head, rec(1, math.Float64bits(math.Pi))), tail...)...))
-	// The same tone at the 16-bit edges: one sample past the upper one,
-	// which re-bases a window that has left the lower edge, then two past
-	// the lower edge, a spread only 4 bytes hold.
+	// The same tone at the 16-bit edges: one sample past the upper one
+	// widens the ring to 4 bytes, and the last, two past the lower edge,
+	// lands in it.
 	edges16 := [][]byte{rec(0, 4801|2<<56), rec(3, 2), rec(3, 3)}
 	for i := 0; i < 40; i++ {
 		step := int8(-60 + math.Round(50*math.Sin(float64(i)/3)))
@@ -99,8 +98,8 @@ func FuzzStreamCompactMatchesWide(f *testing.F) {
 		edges16 = append(edges16, rec(3, uint64(uint8(step))<<8|2))
 	}
 	f.Add(seed(0, append(edges16, rec(3, 0xfe<<8|3))...))
-	// Hundredths drifting 3 to 4 a sample: past the 16-bit edge after
-	// about 90 samples, in the middle of every window, spanning little.
+	// Hundredths drifting 3 to 4 a sample: past the 16-bit edge of the
+	// first sample after about 90 samples, in the middle of a window.
 	drift := [][]byte{rec(0, 2000|2<<56)}
 	for i := 0; i < 120; i++ {
 		drift = append(drift, rec(5, uint64(uint32(int32(300+math.Round(100*math.Sin(float64(i)/2)))))))
@@ -117,15 +116,16 @@ func FuzzStreamCompactMatchesWide(f *testing.F) {
 	}
 	f.Add(seed(0, raise16...))
 	// A counter at 10^9 climbing 2 to 3·10^7 a sample: past 2^31 from its
-	// first sample after about 90, while 16 samples span under 2^30.
+	// first sample after about 90, while 16 samples span under 2^30; the
+	// ring goes 2 → 4 → 8.
 	counter := [][]byte{rec(0, 1_000_000_000)}
 	for i := 0; i < 100; i++ {
 		counter = append(counter, rec(5, uint64(uint32(int32(25_000_000+math.Round(5_000_000*math.Sin(float64(i))))))))
 	}
 	f.Add(seed(0, counter...))
 	// A first sample of 2·10^9 the window then leaves for a flat 0, and a
-	// raise by 12 decimals the window's spread allows: the anchor's raised
-	// mantissa wraps int64.
+	// raise by 12 decimals the window's spread allows and the first
+	// sample's mantissa does not.
 	wrap := [][]byte{rec(0, 2_000_000_000)}
 	for i := 0; i < 40; i++ {
 		wrap = append(wrap, rec(0, 0))

@@ -186,7 +186,8 @@ func transitionScript() []scriptStream {
 		return float64(100000+rng.Intn(1000000)-500000) / 100
 	})
 	// Tenths around 400 after a first sample of 0, then one hundredth: the
-	// raise takes the offsets past 16 bits, not the window's spread.
+	// raise takes the offsets from the first sample past 16 bits, though
+	// the window spans little.
 	add("raise-rebase", func(i int) float64 {
 		switch {
 		case i == 0:
@@ -197,7 +198,7 @@ func transitionScript() []scriptStream {
 		return float64(4000+rng.Intn(100)-50) / 10
 	})
 	// A byte counter 3e6 a sample on average: past 2^31 from its first
-	// sample by sample 716, while a window spans under 2^30.
+	// sample at sample 684, while a window spans under 2^30.
 	bytes := 1e12
 	add("counter-past-int32", func(int) float64 { bytes += float64(rng.Int63n(6_000_000)); return bytes })
 	// Hundredths, then a reading far above them, then a float.

@@ -217,8 +217,8 @@ func TestStreamConstantWindowReadsClean(t *testing.T) {
 
 // TestStreamStateSize pins the per-stream memory: a warm estimator
 // retains its sample ring — 2 bytes a sample for a stream of two-decimal
-// readings, 4 for a counter whose window spans more than 2^14, 8 for one
-// of arbitrary floats — and a small fixed header, nothing that scales
+// readings, 4 for a counter 2^15 past its first sample, 8 for one of
+// arbitrary floats — and a small fixed header, nothing that scales
 // with the window besides the ring.
 func TestStreamStateSize(t *testing.T) {
 	const (
@@ -273,10 +273,9 @@ func TestStreamStateSize(t *testing.T) {
 
 // TestStreamForm pins, for every stream of both differential scripts
 // under the serving window, the samples at which the ring takes a width
-// ("2@0" is the first sample's 2-byte ring) or re-bases ("r@i": the
-// anchor moved by more than a raise scales it), so TestStreamDifferential
-// keeps covering every width, the re-bases and raises inside them and
-// every way from one width to the next.
+// ("2@0" is the first sample's 2-byte ring), so TestStreamDifferential
+// keeps covering every width, the raises inside them and every way from
+// one width to the next. The anchor moves only as raises scale it.
 func TestStreamForm(t *testing.T) {
 	want := map[string]string{
 		"two-decimal":        "2@0",
@@ -291,12 +290,12 @@ func TestStreamForm(t *testing.T) {
 		"nan-first":          "8@0",
 		"negzero-first":      "8@0",
 		"int16-edges":        "2@0 4@600",
-		"rising-gauge":       "2@0 r@734",
-		"sinking-gauge":      "2@0 r@719",
-		"counter-int16":      "2@0 r@822",
+		"rising-gauge":       "2@0 4@734",
+		"sinking-gauge":      "2@0 4@719",
+		"counter-int16":      "2@0 4@822",
 		"raise-past-int16":   "2@0 4@300",
-		"raise-rebase":       "2@0 r@500",
-		"counter-past-int32": "2@0 4@1 r@684",
+		"raise-rebase":       "2@0 4@500",
+		"counter-past-int32": "2@0 4@1 8@684",
 		"two-four-eight":     "2@0 4@300 8@600",
 	}
 	for _, s := range append(streamScript(), transitionScript()...) {
@@ -312,7 +311,7 @@ func TestStreamForm(t *testing.T) {
 				got = append(got, fmt.Sprintf("%d@%d", st.width, i))
 			}
 			if k := int64(math.Pow10(int(st.exp - exp))); width != 0 && st.width < 8 && st.mref != mref*k {
-				got = append(got, fmt.Sprintf("r@%d", i))
+				t.Errorf("%s: sample %d moved the anchor %d at 10^-%d to %d at 10^-%d", s.name, i, mref, exp, st.mref, st.exp)
 			}
 		}
 		if g := strings.Join(got, " "); g != want[s.name] {
@@ -519,8 +518,9 @@ func TestStreamFeedOwnsItsUpdates(t *testing.T) {
 func TestStreamConfigValidation(t *testing.T) {
 	cases := []StreamConfig{
 		{}, // missing interval
-		{Interval: time.Second, WindowSamples: 8},  // window too short
-		{Interval: time.Second, EnergyCutoff: 1.5}, // cutoff out of range
+		{Interval: time.Second, WindowSamples: 8},         // window too short
+		{Interval: time.Second, EnergyCutoff: 1.5},        // cutoff out of range
+		{Interval: time.Second, EnergyCutoff: math.NaN()}, // would key a shared table no lookup finds
 	}
 	for i, cfg := range cases {
 		if _, err := NewStreamEstimator(cfg); err == nil {

@@ -91,8 +91,9 @@ type IngestConfig struct {
 	EnergyCutoff float64
 	// MaxSeries bounds the number of per-series estimator windows. Each
 	// estimated series holds its sample ring, 2 bytes per window sample
-	// for short decimal readings, 4 for counters and wide decimals and 8
-	// for others (about 0.8, 1.3 or 2.3 KiB with its header at the
+	// for short decimal readings, 4 for counters and wide decimals until
+	// they drift 2^31 units from their first reading, and 8 for others
+	// (about 0.8, 1.3 or 2.3 KiB with its header at the
 	// default 256), so a hostile cardinality
 	// explosion — an id per request — would grow the estimator without
 	// bound. Observations for new series beyond the cap

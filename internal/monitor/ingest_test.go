@@ -597,9 +597,9 @@ func TestIngestSeriesStateSize(t *testing.T) {
 // way a series gains or loses its analysis window — the interval lock, a
 // drift re-probe, a restore with and without an interval, and an LRU
 // eviction at each ring width — and every way a window changes width:
-// 2 → 4 and 4 → 8 bytes a sample at a later push, and to 8 from its first.
-// Each moves StateBytes by exactly the windows it counts; a re-base, which
-// keeps the width, moves nothing. Every series in the map costs its hook
+// 2 → 4 and 4 → 8 bytes a sample at a later push, 2 → 4 over a drift from
+// the first sample, and to 8 from its first. Each moves StateBytes by
+// exactly the windows it counts. Every series in the map costs its hook
 // state whether it holds a window or not.
 func TestIngestStateBytes(t *testing.T) {
 	const window = 64
@@ -639,17 +639,21 @@ func TestIngestStateBytes(t *testing.T) {
 	play([]step{
 		{"a probes its interval", func() { feed("a", probeGaps, time.Second) }, counts{series: 1}},
 		{"a locks", func() { feed("a", 1, time.Second) }, counts{series: 1, w2: 1}},
-		{"a spreads past 2^14: 4 bytes", func() { observe("a", time.Second, 1e6) }, counts{series: 1, w4: 1}},
+		{"a lands 10^6 from its first sample: 4 bytes", func() { observe("a", time.Second, 1e6) }, counts{series: 1, w4: 1}},
 		{"a takes a float: 8 bytes", func() { observe("a", time.Second, math.Pi) }, counts{series: 1, w8: 1}},
 		{"b probes beside it", func() { feed("b", 3, time.Second) }, counts{series: 2, w8: 1}},
 		{"a drifts and re-probes", func() { feed("a", probeGaps+1, time.Minute) }, counts{series: 2}},
 		{"b is restored locked", func() { e.RestoreState(IngestSeriesState{Series: "b", Interval: time.Second}) }, counts{series: 2, unpushed: 1}},
 		{"b's first sample", func() { observe("b", time.Second, 5) }, counts{series: 2, w2: 1}},
-		{"b drifts 40,000 past it and re-bases: still 2 bytes", func() {
-			for i := 1; i <= 200; i++ {
+		{"b drifts 200 a sample, 32,800 past it at the 164th: 4 bytes", func() {
+			for i := 1; i <= 163; i++ {
 				observe("b", time.Second, float64(5+200*i))
 			}
-		}, counts{series: 2, w2: 1}},
+			if w := want(counts{series: 2, w2: 1}); e.StateBytes() != w {
+				t.Fatalf("b drifted 32,600 from its first sample: StateBytes %d, want %d", e.StateBytes(), w)
+			}
+			observe("b", time.Second, 5+200*164)
+		}, counts{series: 2, w4: 1}},
 		{"b's first sample is a float: 8 bytes", func() {
 			e.RestoreState(IngestSeriesState{Series: "b", Interval: time.Second})
 			observe("b", time.Second, math.NaN())

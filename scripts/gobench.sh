@@ -23,7 +23,7 @@ commit=$(git rev-parse HEAD 2>/dev/null || echo unknown)
 	bench BenchmarkControllerRound 1x ./fleet/
 	# The estimator on the two shapes the tree runs: serving (window 256
 	# refreshed every 8 points; floats, two-decimal readings and a counter
-	# whose ring re-bases) and census (fill 1024, read once).
+	# that outgrows 16-bit offsets) and census (fill 1024, read once).
 	bench BenchmarkStreamVsBatchRefresh 1x .
 	# Ingest with and without the WAL (the delta is the durability tax),
 	# the bare parse/append core, and the bulk lane.

@@ -5,8 +5,8 @@
 # structs (each field is an independently settable value), the
 # //nyquist:allow-* annotation count, and the state one warm series
 # retains: the estimator's, for a stream of two-decimal readings (its
-# window held as 2-byte decimal offsets), a counter whose window spans more
-# than 2^14 (4-byte offsets) and one of arbitrary floats (8-byte samples)
+# window held as 2-byte decimal offsets), a counter 2^15 past its first
+# sample (4-byte offsets) and one of arbitrary floats (8-byte samples)
 # (core's TestStreamStateSize, one line per form), the retention
 # hold's on top of it (monitor's TestIngestSeriesStateSize) and the
 # store's, for a warm series and one shaped like highcard_http's (tsdb's
@@ -58,12 +58,12 @@
 # 3,549), the wide-window count behind StateBytes (monitor +19), and a
 # snapshot that keeps its segments when the directory fsync fails (wal
 # +12).
-# MAX_LOC was then raised by exactly the net 151 lines (21,935 → 22,086)
-# that sizing the estimator's window to the span it holds took: one ring of
-# 2-, 4- or 8-byte samples with its re-base and widening, and the shape's
-# settings moved into the shared spectral (core +130), the window counts
-# per width behind StateBytes and the probe's one buffer (monitor +21).
-MAX_LOC=22086
+# MAX_LOC was then raised by exactly the net 127 lines (21,935 → 22,062)
+# that sizing the estimator's window to its offsets took: one ring of 2-,
+# 4- or 8-byte samples with its widening, and the shape's settings moved
+# into the shared spectral (core +105), the window counts per width
+# behind StateBytes and the probe's one buffer (monitor +22).
+MAX_LOC=22062
 MAX_TSDB_LOC=3549
 MAX_FLAGS=19
 MAX_CONFIG_FIELDS=32
