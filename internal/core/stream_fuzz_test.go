@@ -134,6 +134,21 @@ func FuzzStreamCompactMatchesWide(f *testing.F) {
 		wrap = append(wrap, rec(0, uint64(1+i%3)|12<<56))
 	}
 	f.Add(seed(0, wrap...))
+	// A tone of whole numbers within ±3,000 with one 3,500 that lands in
+	// ring slot 0, then a tenth while it is still in the window: the raise
+	// must scale slot 0 past 16 bits too.
+	slot0 := [][]byte{rec(0, 0)}
+	for i := 1; i < 30; i++ {
+		v := int64(math.Round(3000 * math.Sin(2*math.Pi*float64(i)/16)))
+		if i == 16 {
+			v = 3500
+		}
+		slot0 = append(slot0, rec(0, uint64(v)&(1<<40-1)))
+		if i == 21 {
+			slot0 = append(slot0, rec(2, 5))
+		}
+	}
+	f.Add(seed(0, slot0...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			return

@@ -692,8 +692,7 @@ func TestIngestStateBytes(t *testing.T) {
 // new: one run formats an id and observes the probeGaps+1 points that
 // lock its interval. The hook state, the probe buffer, the stream's
 // header and its ring are four allocations; the id and the map's growth
-// are the harness's. (A probe that grew its buffer point by point and
-// sorted a fresh gap slice per point took 19.)
+// are the harness's.
 func TestIngestFirstSightAllocs(t *testing.T) {
 	e := NewIngestEstimator(nil, IngestConfig{})
 	n := 0
