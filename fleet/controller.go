@@ -60,10 +60,6 @@ type ControllerConfig struct {
 	// paper's 99 % keeps chasing the measurement-noise floor there —
 	// the same trade the §4.2 adaptive loop makes).
 	EnergyCutoff float64
-	// Headroom multiplies estimated Nyquist rates into granted poll
-	// rates; zero selects 1.2 (polling exactly at the critical rate
-	// leaves the top component ambiguous).
-	Headroom float64
 	// BudgetHz caps the fleet-wide steady-state sample rate; each
 	// round's desired rates are passed through monitor.Allocate against
 	// it. Zero disables budgeting (every desire is granted).
@@ -117,9 +113,6 @@ func (c ControllerConfig) withDefaults() (ControllerConfig, error) {
 	}
 	if c.EnergyCutoff == 0 {
 		c.EnergyCutoff = 0.90
-	}
-	if c.Headroom <= 1 {
-		c.Headroom = 1.2
 	}
 	if c.MinRate <= 0 {
 		c.MinRate = 1.0 / 3600
@@ -224,7 +217,7 @@ func (ctl *Controller) census() error {
 			// spectrum.
 			ctl.rate[r.Index] = clamp(2*r.PollRate, ctl.cfg.MinRate, ctl.cfg.MaxRate)
 		case r.Err == nil && r.Result.NyquistRate > 0:
-			ctl.rate[r.Index] = clamp(ctl.cfg.Headroom*r.Result.NyquistRate, ctl.cfg.MinRate, ctl.cfg.MaxRate)
+			ctl.rate[r.Index] = clamp(series.Headroom*r.Result.NyquistRate, ctl.cfg.MinRate, ctl.cfg.MaxRate)
 		}
 	}
 	ctl.scanRep = Aggregate(results, ctl.cfg.ScanWindow)
@@ -327,7 +320,7 @@ func (ctl *Controller) Step() (RoundSummary, error) {
 			if held, changed := ctl.policy[i].Clean(r.nyquist, 1); changed {
 				ctl.store.SetNyquistRate(devices[i].ID, held)
 			}
-			desired = clamp(ctl.cfg.Headroom*r.nyquist, ctl.cfg.MinRate, ctl.cfg.MaxRate)
+			desired = clamp(series.Headroom*r.nyquist, ctl.cfg.MinRate, ctl.cfg.MaxRate)
 			if desired > ctl.rate[i] {
 				desired = ctl.rate[i]
 			}

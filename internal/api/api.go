@@ -436,6 +436,8 @@ func (s *Server) queryResponse(res *tsdb.QueryResult, spec reconstructSpec, from
 	if err != nil {
 		return QueryResponse{}, fmt.Errorf("reconstruct %q: %v", res.ID, err)
 	}
+	s.metrics.reconBanded.Add(int64(rec.banded))
+	s.metrics.reconFilled[rec.fill].Add(int64(len(rec.pts) - rec.banded))
 	resp := queryResponseFrom(res, rec.pts)
 	resp.Reconstruct = rec.mode
 	resp.StepSeconds = rec.step.Seconds()

@@ -38,12 +38,13 @@ import (
 const bulkReadBuffer = 64 << 10
 
 // bulkFrameDeadline bounds one frame's exchange: from the arrival of its
-// header, the declared payload must be read and the response written
-// within this long, or the connection is dropped — a peer that declares
-// 8 MiB and trickles would otherwise pin the buffer and the goroutine
+// header's first byte, the rest of the header and the declared payload
+// must be read and the response written within this long, or the
+// connection is dropped — a peer that sends part of a header, or declares
+// 8 MiB and trickles, would otherwise pin the buffer and the goroutine
 // forever. 30 s for the largest frame is ≈ 280 KB/s, far below any link a
-// bulk pusher uses. Waiting for the next header carries no deadline: an
-// idle connection between frames is legal.
+// bulk pusher uses. Waiting for the next frame's first byte carries no
+// deadline: an idle connection between frames is legal.
 const bulkFrameDeadline = 30 * time.Second
 
 // ServeBulk accepts bulk-lane connections on ln until the listener
@@ -76,14 +77,18 @@ func (s *Server) serveBulkConn(conn net.Conn) {
 		wr      = bufio.NewWriterSize(conn, 4<<10)
 	)
 	for {
-		if _, err := io.ReadFull(rd, hdr[:]); err != nil {
+		if _, err := io.ReadFull(rd, hdr[:1]); err != nil {
 			// EOF on a frame boundary is the clean hangup; anything else
-			// (mid-header cut, reset) has no recovery either way.
+			// (reset) has no recovery either way.
 			return
 		}
-		// One deadline covers the payload read and the response write; it
-		// is lifted once the response is out (the end of the loop body).
+		// One deadline covers the rest of the header, the payload read and
+		// the response write; it is lifted once the response is out (the
+		// end of the loop body).
 		if conn.SetDeadline(time.Now().Add(s.bulkFrameTimeout)) != nil {
+			return
+		}
+		if _, err := io.ReadFull(rd, hdr[1:]); err != nil {
 			return
 		}
 		n := binary.BigEndian.Uint32(hdr[:])

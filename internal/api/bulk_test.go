@@ -32,8 +32,8 @@ func bulkExchange(t *testing.T, conn net.Conn, body string) IngestResponse {
 }
 
 // TestBulkLaneSlowPeer plays the lying peer: a header that declares a
-// megabyte, one byte of payload, then silence. The server must give the
-// frame up at its deadline — connection closed, buffer and goroutine
+// megabyte, one byte of payload, then silence — or two bytes of a header,
+// then silence. The server must give the frame up at its deadline — connection closed, buffer and goroutine
 // released, nyquistd_bulk_connections back at 0 — instead of waiting for
 // the rest forever. An idle connection between frames is not a slow
 // frame: it outlives the same deadline and its next frame is served.
@@ -52,24 +52,32 @@ func TestBulkLaneSlowPeer(t *testing.T) {
 		return client, done
 	}
 
-	client, done := serve()
 	lie := binary.BigEndian.AppendUint32(nil, 1<<20)
-	if _, err := client.Write(append(lie, '{')); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("server still waiting on a frame whose peer went silent after one byte")
-	}
-	if _, err := client.Read(make([]byte, 1)); err != io.EOF {
-		t.Fatalf("read on the abandoned connection = %v, want io.EOF (closed by the server)", err)
-	}
-	if got := srv.metrics.bulkConns.Value(); got != 0 {
-		t.Fatalf("nyquistd_bulk_connections = %v after the slow peer was dropped, want 0", got)
+	for _, c := range []struct {
+		name string
+		sent []byte
+	}{
+		{"one payload byte", append(lie, '{')},
+		{"half a header", lie[:2]},
+	} {
+		client, done := serve()
+		if _, err := client.Write(c.sent); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: server still waiting on a frame whose peer went silent", c.name)
+		}
+		if _, err := client.Read(make([]byte, 1)); err != io.EOF {
+			t.Fatalf("%s: read on the abandoned connection = %v, want io.EOF (closed by the server)", c.name, err)
+		}
+		if got := srv.metrics.bulkConns.Value(); got != 0 {
+			t.Fatalf("%s: nyquistd_bulk_connections = %v after the slow peer was dropped, want 0", c.name, got)
+		}
 	}
 
-	client, done = serve()
+	client, done := serve()
 	const line = `{"series":"idle","ts":1753500000,"value":1}` + "\n"
 	if out := bulkExchange(t, client, line); out.Accepted != 1 {
 		t.Fatalf("first frame: %+v", out)

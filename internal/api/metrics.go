@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/monitor"
 	"repro/internal/obs"
+	"repro/internal/series"
 	"repro/internal/tsdb"
 	"repro/internal/wal"
 )
@@ -91,6 +92,10 @@ type serverMetrics struct {
 	queryThinned     *obs.Counter
 	queryClamped     *obs.Counter
 	queryMatchSeries *obs.Histogram
+	// Reconstructed grid points: band-limited, and the rest by the
+	// interpolator that filled them (indexed by series.Interpolation).
+	reconBanded *obs.Counter
+	reconFilled [3]*obs.Counter
 
 	// Durability: fsync wall time, fed through Server.ObserveWALFsync
 	// from the log's group-commit path.
@@ -163,6 +168,12 @@ func newServerMetrics(reg *obs.Registry, store *tsdb.DB, est *monitor.IngestEsti
 		"Queries whose max_points exceeded the server cap and were clamped to it.")
 	m.queryMatchSeries = reg.Histogram("nyquistd_query_match_series",
 		"Series answered per ?match= fan-in query.", obs.SizeBuckets)
+	recon := reg.CounterVec("nyquistd_query_reconstruct_points_total",
+		"Reconstructed grid points served, by how each was computed: band-limited inside a run of samples (reconstruct=auto), or by the linear, nearest or previous interpolator.", "method")
+	m.reconBanded = recon.With("bandlimited")
+	for ip := range m.reconFilled {
+		m.reconFilled[ip] = recon.With(series.Interpolation(ip).String())
+	}
 
 	m.walFsync = reg.Histogram("nyquistd_wal_fsync_seconds",
 		"WAL group-commit fsync wall time.", obs.LatencyBuckets)
@@ -230,6 +241,8 @@ func newServerMetrics(reg *obs.Registry, store *tsdb.DB, est *monitor.IngestEsti
 		func() float64 { return float64(est.AliasedRefreshes()) })
 	reg.CounterFunc("nyquistd_estimator_evictions_total", "Idle series evicted at the estimator's series cap.",
 		func() float64 { return float64(est.Evicted()) })
+	reg.GaugeFunc("nyquistd_series_stale", "Estimated series whose newest point is older than 4 locked poll intervals by the daemon's clock: series their source stopped sending, found from the cadence the estimator already knows.",
+		func() float64 { return float64(est.Stale(time.Now())) })
 	reg.CounterFunc("nyquistd_estimator_rejected_total", "Observations dropped because the series cap held and nothing was idle.",
 		func() float64 { return float64(est.Rejected()) })
 

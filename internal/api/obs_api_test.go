@@ -13,7 +13,8 @@ import (
 
 // TestMetricsEndpoint drives real traffic through the server and then
 // checks GET /metrics: right content type, every required family
-// present, and request accounting that matches the traffic sent.
+// present, and request and reconstruction accounting that matches the
+// traffic sent.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 
@@ -23,7 +24,7 @@ func TestMetricsEndpoint(t *testing.T) {
 			apiStart.Add(time.Duration(i)*diurnalStep).Unix(), diurnalValue(i)))
 	}
 	postLines(t, ts.URL, lines)
-	resp, err := http.Get(ts.URL + "/api/v1/query?series=m.cpu")
+	resp, err := http.Get(ts.URL + "/api/v1/query?series=m.cpu&reconstruct=linear&step=675")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,6 +49,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := string(body)
+	// m.cpu's interval locked at 675 s; its newest point is stale once the
+	// daemon's clock is 4 intervals past it.
+	stale := 0
+	if time.Since(apiStart.Add(63*diurnalStep)) > 4*diurnalStep {
+		stale = 1
+	}
 	for _, want := range []string{
 		`nyquistd_http_requests_total{handler="ingest",code="2xx"} 1`,
 		`nyquistd_http_requests_total{handler="query",code="2xx"} 1`,
@@ -59,6 +66,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE nyquistd_estimator_state_bytes gauge",
 		"# TYPE nyquistd_estimator_retunes_total counter",
 		"# TYPE nyquistd_estimator_held_refreshes_total counter",
+		fmt.Sprintf("nyquistd_series_stale %d", stale),
+		// The window is not warm, so the 64-point grid is linear throughout.
+		`nyquistd_query_reconstruct_points_total{method="linear"} 64`,
+		`nyquistd_query_reconstruct_points_total{method="bandlimited"} 0`,
 		"nyquistd_wal_enabled 0",
 		"nyquistd_up 1",
 		"# TYPE nyquistd_http_request_seconds histogram",

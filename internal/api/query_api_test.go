@@ -302,14 +302,14 @@ func TestQueryReconstructGrid(t *testing.T) {
 // TestReconstructDefaultStepFollowsStoreHeadroom: with no ?step=, the
 // grid is cut at the store's own retention headroom over its recorded
 // rate — the pitch the tier buckets were sized at — not at a constant of
-// the API's. The 200 points all sit in the raw tail, which auto never
-// band-limits, so it resolves to linear.
+// the API's. The 200 points are one raw run of 1 s polls, above the
+// rate, so auto band-limits it.
 func TestReconstructDefaultStepFollowsStoreHeadroom(t *testing.T) {
 	const (
 		id   = "r/ramp"
 		rate = 0.05 // Hz, recorded as the series' Nyquist rate
 	)
-	wantStep := 1 / (tsdb.Headroom * rate) // seconds
+	wantStep := 1 / (series.Headroom * rate) // seconds
 	t.Run("default headroom 1.2", func(t *testing.T) {
 		store := tsdb.New(tsdb.Config{Retention: tsdb.RetentionConfig{RawCapacity: 4096}})
 		ts := httptest.NewServer(NewServer(Config{Store: store}).Handler())
@@ -321,8 +321,8 @@ func TestReconstructDefaultStepFollowsStoreHeadroom(t *testing.T) {
 			t.Fatalf("HTTP %d", code)
 		}
 		// The step is truncated to whole nanoseconds.
-		if qr.Reconstruct != "linear" || math.Abs(qr.StepSeconds-wantStep) > 1e-9 {
-			t.Fatalf("reconstruct=%q step=%v s, want linear at %v s", qr.Reconstruct, qr.StepSeconds, wantStep)
+		if qr.Reconstruct != "bandlimited" || math.Abs(qr.StepSeconds-wantStep) > 1e-9 {
+			t.Fatalf("reconstruct=%q step=%v s, want bandlimited at %v s", qr.Reconstruct, qr.StepSeconds, wantStep)
 		}
 		if want := int(199/wantStep) + 1; len(qr.Points) != want {
 			t.Fatalf("grid has %d slots, want %d over 199 s", len(qr.Points), want)
@@ -434,13 +434,16 @@ func TestReconstructionBeatsStairStep(t *testing.T) {
 		}
 		startPlaced := func(mode series.Interpolation) float64 {
 			first, last := plain.Points[0].Time, plain.Points[len(plain.Points)-1].Time
-			u, err := series.New(plain.Points).ResampleGrid(first, step, int(last.Sub(first)/step)+1, mode)
-			if err != nil {
+			values := make([]float64, int(last.Sub(first)/step)+1)
+			for i := range values {
+				values[i] = math.NaN()
+			}
+			if err := series.New(plain.Points).ResampleGrid(values, first, step, mode); err != nil {
 				t.Fatal(err)
 			}
-			pts := make([]PointJSON, len(u.Values))
-			for i, v := range u.Values {
-				pts[i] = PointJSON{TS: wireTime(u.TimeAt(i)), Value: v}
+			pts := make([]PointJSON, len(values))
+			for i, v := range values {
+				pts[i] = PointJSON{TS: wireTime(first.Add(time.Duration(i) * step)), Value: v}
 			}
 			return toneRMSE(t, pts)
 		}

@@ -45,22 +45,36 @@ func stitchedTone(segs []bucketSeg, raw int) *tsdb.QueryResult {
 	return res
 }
 
-// bandSpans is the oracle for which grid points auto band-limits: from the
-// first to the last centroid of every segment run — neighbouring segments
-// with one width and count merged — of at least 16 buckets with count > 1
-// and width·nyquist ≤ 1.
-func bandSpans(segs []bucketSeg, nyquist float64) (spans [][2]time.Time) {
-	at := apiStart
+// bandSpans is the oracle for which grid points auto band-limits in
+// stitchedTone(segs, raw): from the first to the last centroid of every
+// segment run — neighbouring segments with one width and count merged — of
+// at least 16 buckets with count > 1 and width·nyquist ≤ 1, and from the
+// first raw poll later than every centroid to the last, when at least 16
+// are (1 s polls: every nyquist here is at most 1 Hz).
+func bandSpans(segs []bucketSeg, raw int, nyquist float64) (spans [][2]time.Time) {
+	at, next := apiStart, apiStart
+	var edge time.Time
 	for i := 0; i < len(segs); {
 		s, n, start := segs[i], 0, at
 		for ; i < len(segs) && segs[i].width == s.width && segs[i].count == s.count; i++ {
 			n += segs[i].n
 			at = at.Add(time.Duration(segs[i].n) * s.width)
 		}
+		off := time.Duration(float64(s.width) * float64(s.count-1) / float64(2*s.count))
+		if n > 0 {
+			edge = at.Add(off - s.width)
+			next = at.Add(time.Duration(s.count)*time.Second - s.width)
+		}
 		if n >= 16 && s.count > 1 && s.width.Seconds()*nyquist <= 1 {
-			off := time.Duration(float64(s.width) * float64(s.count-1) / float64(2*s.count))
 			spans = append(spans, [2]time.Time{start.Add(off), at.Add(off - s.width)})
 		}
+	}
+	first := 0
+	for first < raw && !next.Add(time.Duration(first)*time.Second).After(edge) {
+		first++
+	}
+	if raw-first >= 16 {
+		spans = append(spans, [2]time.Time{next.Add(time.Duration(first) * time.Second), next.Add(time.Duration(raw-1) * time.Second)})
 	}
 	return spans
 }
@@ -94,10 +108,10 @@ func reconstructBoth(t testing.TB, segs []bucketSeg, raw int, nyquist float64, s
 }
 
 // TestBandRunSplitter: auto band-limits exactly the grid points between
-// the first and last centroid of each qualifying run, and leaves every
-// other point — a retune seam, a tier seam, the open partial bucket's
-// stretch, a run one bucket short, a tier cut below the Nyquist rate, the
-// raw tail — on its linear value, bit for bit.
+// the first and last sample of each qualifying run — every case's raw
+// tail is one — and leaves every other point — a retune seam, a tier
+// seam, the open partial bucket's stretch, a run one bucket short, a tier
+// cut below the Nyquist rate — on its linear value, bit for bit.
 func TestBandRunSplitter(t *testing.T) {
 	const nyq = 2 / tonePeriod // 0.05 Hz: a 16 s bucket is cut at 1.25× it
 	tier1 := bucketSeg{24, 16 * time.Second, 16}
@@ -108,17 +122,19 @@ func TestBandRunSplitter(t *testing.T) {
 		nyquist float64
 		runs    int
 	}{
-		{"retune mid-tier", []bucketSeg{tier1, retuned}, nyq, 2},
-		{"tier-2 to tier-1 seam", []bucketSeg{{20, 64 * time.Second, 64}, tier1}, nyq, 1},
-		{"open partial bucket", []bucketSeg{tier1, {1, 16 * time.Second, 5}}, nyq, 1},
-		{"15-bucket run", []bucketSeg{{15, 16 * time.Second, 16}, retuned}, nyq, 1},
+		{"retune mid-tier", []bucketSeg{tier1, retuned}, nyq, 3},
+		{"tier-2 to tier-1 seam", []bucketSeg{{20, 64 * time.Second, 64}, tier1}, nyq, 2},
+		// The partial bucket's centroid passes the first two raw polls,
+		// which stay outside the raw run.
+		{"open partial bucket", []bucketSeg{tier1, {1, 16 * time.Second, 5}}, nyq, 2},
+		{"15-bucket run", []bucketSeg{{15, 16 * time.Second, 16}, retuned}, nyq, 2},
 		// At 0.07 Hz the 16 s tier is cut at 0.89× the Nyquist rate, the
 		// 12 s one still at 1.19×.
-		{"width·nyquist above 1", []bucketSeg{tier1, retuned}, 0.07, 1},
+		{"width·nyquist above 1", []bucketSeg{tier1, retuned}, 0.07, 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			spans := bandSpans(c.segs, c.nyquist)
+			spans := bandSpans(c.segs, 64, c.nyquist)
 			if len(spans) != c.runs {
 				t.Fatalf("oracle finds %d runs, the case means %d", len(spans), c.runs)
 			}
@@ -138,8 +154,8 @@ func TestBandRunSplitter(t *testing.T) {
 			}
 		})
 	}
-	// No run at all: auto stays linear and says so.
-	if _, auto := reconstructBoth(t, []bucketSeg{{15, 16 * time.Second, 16}}, 64, nyq, 4*time.Second, 0); auto.mode != "linear" {
+	// No run at all — 15 buckets, 15 raw polls: auto stays linear and says so.
+	if _, auto := reconstructBoth(t, []bucketSeg{{15, 16 * time.Second, 16}}, 15, nyq, 4*time.Second, 0); auto.mode != "linear" {
 		t.Fatalf("auto with no run reconstructed %q, want linear", auto.mode)
 	}
 }
@@ -155,6 +171,7 @@ func FuzzReconstruct(f *testing.F) {
 	f.Add(uint16(20), uint8(64), uint16(24), uint8(16), uint8(0), uint16(0), uint16(50), uint32(1), uint16(96))
 	f.Add(uint16(15), uint8(16), uint16(0), uint8(16), uint8(3), uint16(300), uint16(70), uint32(999), uint16(7))
 	f.Add(uint16(200), uint8(2), uint16(200), uint8(2), uint8(1), uint16(1), uint16(400), uint32(250), uint16(1))
+	f.Add(uint16(0), uint8(0), uint16(0), uint8(0), uint8(0), uint16(500), uint16(300), uint32(700), uint16(4096))
 	f.Fuzz(func(t *testing.T, n1 uint16, c1 uint8, n2 uint16, c2 uint8, partial uint8, raw uint16, nyqMilliHz uint16, stepMs uint32, budget uint16) {
 		// Counts 1..40 at 1 s polls (width = count seconds), up to 300
 		// buckets a segment, a partial bucket short of the second count.
@@ -188,7 +205,7 @@ func FuzzReconstruct(f *testing.F) {
 		if len(auto.pts) > lim {
 			t.Fatalf("grid of %d points over a %d budget", len(auto.pts), lim)
 		}
-		spans := bandSpans(segs, nyq)
+		spans := bandSpans(segs, nRaw, nyq)
 		for i, p := range auto.pts {
 			if math.IsNaN(p.Value) || math.IsInf(p.Value, 0) {
 				t.Fatalf("grid point %d at %v is %v", i, p.Time.Sub(apiStart), p.Value)
@@ -203,14 +220,55 @@ func FuzzReconstruct(f *testing.F) {
 	})
 }
 
+// TestReconstructOnSample: a grid point that lands on a sample of a raw run
+// is that sample, bit for bit — the kernel's phase-0 row is exact — and
+// the points between are band-limited.
+func TestReconstructOnSample(t *testing.T) {
+	res := rawRun(256, time.Second)
+	stored := append([]series.Point(nil), res.Points...)
+	rec, err := reconstruct(res, reconstructSpec{want: true, auto: true, step: 3 * time.Second}, 2/tonePeriod, time.Time{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.mode != "bandlimited" || rec.banded != len(rec.pts) {
+		t.Fatalf("auto reconstructed %q with %d of %d points band-limited, want all", rec.mode, rec.banded, len(rec.pts))
+	}
+	for i, p := range rec.pts {
+		if want := stored[3*i]; !p.Time.Equal(want.Time) || math.Float64bits(p.Value) != math.Float64bits(want.Value) {
+			t.Fatalf("grid point %d: %v at %v, want the stored %v at %v", i, p.Value, p.Time, want.Value, want.Time)
+		}
+	}
+	half, err := reconstruct(rawRun(256, time.Second), reconstructSpec{want: true, auto: true, step: 1500 * time.Millisecond}, 2/tonePeriod, time.Time{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(half.pts); i += 2 {
+		p := half.pts[i]
+		if want := toneAt(p.Time.Sub(apiStart).Seconds()); math.Abs(p.Value-want) > 0.01 {
+			t.Fatalf("grid point %d at %v between samples: %v, want the tone's %v within the 0.01 its two-decimal samples allow", i, p.Time.Sub(apiStart), p.Value, want)
+		}
+	}
+}
+
+// rawRun is a raw-only query result: n polls of the tone, gap apart from
+// apiStart, at two decimals like the benchmark's telemetry.
+func rawRun(n int, gap time.Duration) *tsdb.QueryResult {
+	res := &tsdb.QueryResult{}
+	for i := 0; i < n; i++ {
+		at := apiStart.Add(time.Duration(i) * gap)
+		res.Points = append(res.Points, series.Point{Time: at, Value: math.Round(100*toneAt(at.Sub(apiStart).Seconds())) / 100})
+	}
+	return res
+}
+
 // BenchmarkReconstructTier is the cost of serving one series of the shape
 // the bench's steady_bulk checkpoint reconstructs: a 1,024-bucket tier-1
 // run of 8-poll means and a 4,096-point raw tail, on the default grid
 // (8 s, 1,536 points) under a 4,096-point budget. auto band-limits the run
-// (one 2,048-point transform and one 16,384-point inverse); linear is what
-// the same call cost before it did.
+// and the raw tail (the run's droop filter, then the kernel at each grid
+// point); linear is what the same call cost before it did.
 func BenchmarkReconstructTier(b *testing.B) {
-	const nyq = 1 / (tsdb.Headroom * 8) // the rate an 8 s tier-1 width is cut for
+	const nyq = 1 / (series.Headroom * 8) // the rate an 8 s tier-1 width is cut for
 	tmpl := stitchedTone([]bucketSeg{{1024, 8 * time.Second, 8}}, 4096)
 	for _, bc := range []struct {
 		name string
@@ -228,6 +286,39 @@ func BenchmarkReconstructTier(b *testing.B) {
 				res.Points = append(res.Points[:0:0], tmpl.Points...)
 				if _, err := reconstruct(&res, bc.spec, nyq, time.Time{}, 4096); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkReconstructMatch is the reconstruction half of one
+// dashboard_hot query: 16 raw-only members of 2,048 one-second polls, each
+// onto the 256-point grid its share of a 4,096-point budget allows. auto
+// band-limits every member's one raw run; linear is what the same call
+// cost before it did.
+func BenchmarkReconstructMatch(b *testing.B) {
+	const nyq = 0.25 // a 3.3 s default step: 615 points, clamped to 256
+	members := make([]*tsdb.QueryResult, 16)
+	for i := range members {
+		members[i] = rawRun(2048, time.Second)
+	}
+	for _, bc := range []struct {
+		name string
+		spec reconstructSpec
+	}{
+		{"auto", reconstructSpec{want: true, auto: true}},
+		{"linear", reconstructSpec{want: true, mode: series.Linear}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				// A raw-only result has no bucket point to move, so every
+				// pass reads the members as stored.
+				for _, res := range members {
+					if _, err := reconstruct(res, bc.spec, nyq, time.Time{}, 256); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})

@@ -80,7 +80,7 @@ type QueryResponse struct {
 	// Reconstruct and StepSeconds report server-side reconstruction:
 	// when present, Points is the signal resampled onto a uniform grid
 	// with this policy and pitch (auto reports what it resolved to:
-	// "bandlimited" when it band-limited a bucket run, else its
+	// "bandlimited" when it band-limited a raw or bucket run, else its
 	// interpolation).
 	Reconstruct string  `json:"reconstruct,omitempty"`
 	StepSeconds float64 `json:"step_seconds,omitempty"`

@@ -28,19 +28,7 @@ func Downsample(u *series.Uniform, targetRate float64) (*series.Uniform, error) 
 		copy(out, u.Values)
 		return &series.Uniform{Start: u.Start, Interval: u.Interval, Values: out}, nil
 	}
-	factor := int(math.Floor(fs / targetRate))
-	if factor < 1 {
-		factor = 1
-	}
-	vals, err := dsp.DecimateFiltered(u.Values, fs, factor)
-	if err != nil {
-		return nil, err
-	}
-	return &series.Uniform{
-		Start:    u.Start,
-		Interval: time.Duration(factor) * u.Interval,
-		Values:   vals,
-	}, nil
+	return downsampleByFactor(u, int(math.Floor(fs/targetRate)), true)
 }
 
 // DownsampleRaw keeps every k-th sample with no anti-alias filter — what a
@@ -54,36 +42,26 @@ func DownsampleRaw(u *series.Uniform, targetRate float64) (*series.Uniform, erro
 	if !(targetRate > 0) {
 		return nil, errors.New("core: target rate must be positive")
 	}
-	factor := int(math.Floor(fs / targetRate))
-	if factor < 1 {
-		factor = 1
-	}
-	vals, err := dsp.Decimate(u.Values, factor)
-	if err != nil {
-		return nil, err
-	}
-	return &series.Uniform{
-		Start:    u.Start,
-		Interval: time.Duration(factor) * u.Interval,
-		Values:   vals,
-	}, nil
+	return downsampleByFactor(u, int(math.Floor(fs/targetRate)), false)
 }
 
-// downsampleByFactor is Downsample with an explicit integer decimation
-// factor, avoiding floating-point drift in rate-to-factor conversion.
-func downsampleByFactor(u *series.Uniform, factor int) (*series.Uniform, error) {
-	if factor < 1 {
-		factor = 1
+// downsampleByFactor keeps every factor-th sample of u (factor < 1 keeps
+// them all), low-pass filtered at the new Nyquist limit first when
+// filtered; an explicit integer factor avoids floating-point drift in a
+// rate-to-factor conversion.
+func downsampleByFactor(u *series.Uniform, factor int, filtered bool) (*series.Uniform, error) {
+	factor = max(factor, 1)
+	var vals []float64
+	var err error
+	if filtered {
+		vals, err = dsp.DecimateFiltered(u.Values, u.SampleRate(), factor)
+	} else {
+		vals, err = dsp.Decimate(u.Values, factor)
 	}
-	vals, err := dsp.DecimateFiltered(u.Values, u.SampleRate(), factor)
 	if err != nil {
 		return nil, err
 	}
-	return &series.Uniform{
-		Start:    u.Start,
-		Interval: time.Duration(factor) * u.Interval,
-		Values:   vals,
-	}, nil
+	return &series.Uniform{Start: u.Start, Interval: time.Duration(factor) * u.Interval, Values: vals}, nil
 }
 
 // ReconstructConfig parameterizes Reconstruct.
@@ -152,7 +130,7 @@ func RoundTrip(u *series.Uniform, targetRate float64, cfg ReconstructConfig) (*s
 			break
 		}
 	}
-	down, err := downsampleByFactor(u, factor)
+	down, err := downsampleByFactor(u, factor, true)
 	if err != nil {
 		return nil, nil, err
 	}

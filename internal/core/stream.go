@@ -34,11 +34,6 @@ type StreamConfig struct {
 	Start time.Time
 }
 
-// suggestHeadroom multiplies the estimated Nyquist rate when suggesting a
-// poll interval: sampling exactly at the critical rate leaves the top
-// component ambiguous.
-const suggestHeadroom = 1.2
-
 func (c StreamConfig) withDefaults() (StreamConfig, error) {
 	if c.Interval <= 0 {
 		return c, series.ErrBadInterval
@@ -523,7 +518,7 @@ func (s *StreamEstimator) emit() *StreamUpdate {
 	} else {
 		s.streak = 0
 		if res.NyquistRate > 0 {
-			up.SuggestedInterval = time.Duration(float64(time.Second) / (suggestHeadroom * res.NyquistRate))
+			up.SuggestedInterval = time.Duration(float64(time.Second) / (series.Headroom * res.NyquistRate))
 		}
 	}
 	up.AliasStreak = s.streak

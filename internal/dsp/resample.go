@@ -41,24 +41,17 @@ func DecimateFiltered(x []float64, sampleRate float64, factor int) ([]float64, e
 // step used to compare a Nyquist-rate trace against the original (Fig. 6).
 // outLen must be >= len(x).
 func UpsampleFFT(x []float64, outLen int) ([]float64, error) {
-	if outLen == len(x) && outLen > 0 {
-		return append([]float64(nil), x...), nil
-	}
-	return UpsampleSpectrum(FFTReal(x), outLen)
-}
-
-// UpsampleSpectrum is UpsampleFFT given the full spectrum of the real
-// signal (FFTReal's output) instead of the signal, for a caller that
-// shapes the spectrum first — a droop correction — and so transforms
-// once, not twice. outLen must exceed len(spec).
-func UpsampleSpectrum(spec []complex128, outLen int) ([]float64, error) {
-	n := len(spec)
+	n := len(x)
 	if n == 0 {
 		return nil, ErrEmptySignal
 	}
-	if outLen <= n {
-		return nil, errors.New("dsp: upsampling target length not above input length")
+	if outLen < n {
+		return nil, errors.New("dsp: UpsampleFFT target length below input length")
 	}
+	if outLen == n {
+		return append([]float64(nil), x...), nil
+	}
+	spec := FFTReal(x)
 	padded := make([]complex128, outLen)
 	half := n / 2
 	for k := 0; k <= half; k++ {

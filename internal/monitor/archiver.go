@@ -36,10 +36,6 @@ type Archiver struct {
 type ArchiverConfig struct {
 	// WindowSamples is the analysis block size; zero selects 1024.
 	WindowSamples int
-	// Headroom multiplies the estimated Nyquist rate when choosing the
-	// archived rate; zero selects 1.2 (sampling exactly at the critical
-	// rate leaves the top component ambiguous).
-	Headroom float64
 	// Estimator configures per-block estimation.
 	Estimator core.EstimatorConfig
 	// QuantStep, when positive, is recorded so ReadBack can re-quantize
@@ -50,9 +46,6 @@ type ArchiverConfig struct {
 func (c ArchiverConfig) withDefaults() ArchiverConfig {
 	if c.WindowSamples <= 0 {
 		c.WindowSamples = 1024
-	}
-	if c.Headroom <= 1 {
-		c.Headroom = 1.2
 	}
 	return c
 }
@@ -109,7 +102,7 @@ func (a *Archiver) Flush() error {
 	case err != nil:
 		return err
 	default:
-		down, err := core.Downsample(u, a.cfg.Headroom*res.NyquistRate)
+		down, err := core.Downsample(u, series.Headroom*res.NyquistRate)
 		if err != nil {
 			return err
 		}

@@ -615,6 +615,27 @@ func (e *IngestEstimator) StateBytes() int64 {
 	return total
 }
 
+// staleIntervals is how many locked poll intervals a series' newest point
+// may age before Stale counts it.
+const staleIntervals = 4
+
+// Stale counts the estimated series whose newest point is older than
+// staleIntervals locked intervals at now: the sources that stopped
+// sending, found at one comparison a series from the cadence the hook
+// already knows.
+func (e *IngestEstimator) Stale(now time.Time) (n int) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	for _, s := range e.series {
+		s.mu.Lock()
+		if s.interval > 0 && s.haveLast && now.Sub(s.lastTime) > staleIntervals*s.interval {
+			n++
+		}
+		s.mu.Unlock()
+	}
+	return n
+}
+
 // Rejected returns the number of observations dropped because the
 // MaxSeries cap was hit.
 func (e *IngestEstimator) Rejected() int64 {

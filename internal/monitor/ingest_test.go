@@ -115,6 +115,28 @@ func TestIngestEstimatorLocksJitteredGrid(t *testing.T) {
 	}
 }
 
+// TestIngestEstimatorStale: a series counts as stale once its newest point
+// is more than four locked intervals old; a series still probing its
+// interval never does.
+func TestIngestEstimatorStale(t *testing.T) {
+	e := NewIngestEstimator(nil, IngestConfig{WindowSamples: 64})
+	for i := 0; i < 20; i++ {
+		e.Observe("ext/locked", series.Point{Time: ingestStart.Add(time.Duration(i) * 10 * time.Second), Value: float64(i)})
+	}
+	for i := 0; i < 3; i++ {
+		e.Observe("ext/probing", series.Point{Time: ingestStart.Add(time.Duration(i) * 10 * time.Second), Value: float64(i)})
+	}
+	last := ingestStart.Add(190 * time.Second)
+	for _, c := range []struct {
+		age  time.Duration
+		want int
+	}{{0, 0}, {40 * time.Second, 0}, {41 * time.Second, 1}, {time.Hour, 1}} {
+		if got := e.Stale(last.Add(c.age)); got != c.want {
+			t.Fatalf("newest point %v old at a 10 s interval: %d stale, want %d", c.age, got, c.want)
+		}
+	}
+}
+
 // TestIngestEstimatorUpdatedAtIsSampleTime: the refresh stamp is the
 // real timestamp of the sample that completed the window, jitter and
 // all, not a grid time extrapolated from the first sample.

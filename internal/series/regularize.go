@@ -51,55 +51,69 @@ func (s *Series) Regularize(interval time.Duration, ip Interpolation) (*Uniform,
 	if s.Len() == 0 {
 		return nil, ErrEmpty
 	}
-	pts := s.Points()
-	start := pts[0].Time
-	span := pts[len(pts)-1].Time.Sub(start)
-	n := int(span/interval) + 1
-	values := make([]float64, n)
-	switch ip {
-	case NearestNeighbor:
-		fillNearest(values, pts, start, interval)
-	case Linear:
-		fillLinear(values, pts, start, interval)
-	case PreviousValue:
-		fillPrevious(values, pts, start, interval)
-	default:
-		return nil, ErrBadInterpolation
+	start := s.Points()[0].Time
+	values := make([]float64, int(s.points[len(s.points)-1].Time.Sub(start)/interval)+1)
+	for i := range values {
+		values[i] = math.NaN()
+	}
+	if err := s.ResampleGrid(values, start, interval, ip); err != nil {
+		return nil, err
 	}
 	return &Uniform{Start: start, Interval: interval, Values: values}, nil
 }
 
-// ResampleGrid resamples the series onto an explicit uniform grid: n
-// slots at start, start+interval, ..., start + (n-1)·interval, each
-// filled according to the interpolation policy. Unlike Regularize, which
-// anchors at the first observation, the caller owns the grid — this is
-// the reconstruction entry point for serving a query's requested step,
-// where the grid must align with the request window rather than with
-// whatever sample happens to be stored first. Grid slots outside the
-// observed span clamp to the edge values (no extrapolation).
-func (s *Series) ResampleGrid(start time.Time, interval time.Duration, n int, ip Interpolation) (*Uniform, error) {
+// ResampleGrid resamples the series onto an explicit uniform grid: it
+// sets every NaN slot values[i] to the series at start + i·interval
+// according to the interpolation policy, and leaves every other slot — one
+// the caller has already computed another way — as it is, without
+// computing it. Unlike Regularize, which anchors at the first observation,
+// the caller owns the grid — this is the reconstruction entry point for
+// serving a query's requested step, where the grid must align with the
+// request window rather than with whatever sample happens to be stored
+// first. Grid slots outside the observed span clamp to the edge values (no
+// extrapolation).
+func (s *Series) ResampleGrid(values []float64, start time.Time, interval time.Duration, ip Interpolation) error {
 	if interval <= 0 {
-		return nil, ErrBadInterval
+		return ErrBadInterval
 	}
 	if s.Len() == 0 {
-		return nil, ErrEmpty
+		return ErrEmpty
 	}
-	if n < 1 {
-		return nil, ErrTooShort
+	if len(values) == 0 {
+		return ErrTooShort
 	}
-	pts := s.Points()
-	values := make([]float64, n)
-	switch ip {
-	case NearestNeighbor:
-		fillNearest(values, pts, start, interval)
-	case Linear:
-		fillLinear(values, pts, start, interval)
-	case PreviousValue:
-		fillPrevious(values, pts, start, interval)
-	default:
-		return nil, ErrBadInterpolation
+	if ip != NearestNeighbor && ip != Linear && ip != PreviousValue {
+		return ErrBadInterpolation
 	}
-	return &Uniform{Start: start, Interval: interval, Values: values}, nil
+	// j walks forward with t, so a slot already set costs nothing.
+	pts, j := s.Points(), 0
+	for i := range values {
+		if !math.IsNaN(values[i]) {
+			continue
+		}
+		t := start.Add(time.Duration(i) * interval)
+		switch ip {
+		case NearestNeighbor:
+			for j+1 < len(pts) && absDuration(pts[j+1].Time.Sub(t)) <= absDuration(pts[j].Time.Sub(t)) {
+				j++
+			}
+		case PreviousValue:
+			for j+1 < len(pts) && !pts[j+1].Time.After(t) {
+				j++
+			}
+		default:
+			for j+1 < len(pts) && pts[j+1].Time.Before(t) {
+				j++
+			}
+			if t0, t1 := pts[j].Time, pts[min(j+1, len(pts)-1)].Time; t.After(t0) && t1.After(t0) {
+				frac := t.Sub(t0).Seconds() / t1.Sub(t0).Seconds()
+				values[i] = pts[j].Value*(1-frac) + pts[j+1].Value*frac
+				continue
+			}
+		}
+		values[i] = pts[j].Value
+	}
+	return nil
 }
 
 // RegularizeAuto regularizes onto the series' own median interval with
@@ -113,60 +127,6 @@ func (s *Series) RegularizeAuto() (*Uniform, error) {
 		return nil, ErrBadInterval
 	}
 	return s.Regularize(iv, NearestNeighbor)
-}
-
-func fillNearest(values []float64, pts []Point, start time.Time, interval time.Duration) {
-	j := 0
-	for i := range values {
-		t := start.Add(time.Duration(i) * interval)
-		// Advance j while the next point is closer to t.
-		for j+1 < len(pts) {
-			cur := absDuration(pts[j].Time.Sub(t))
-			next := absDuration(pts[j+1].Time.Sub(t))
-			if next <= cur {
-				j++
-			} else {
-				break
-			}
-		}
-		values[i] = pts[j].Value
-	}
-}
-
-func fillLinear(values []float64, pts []Point, start time.Time, interval time.Duration) {
-	j := 0
-	for i := range values {
-		t := start.Add(time.Duration(i) * interval)
-		for j+1 < len(pts) && pts[j+1].Time.Before(t) {
-			j++
-		}
-		switch {
-		case !pts[j].Time.Before(t): // t at or before current point
-			values[i] = pts[j].Value
-		case j+1 >= len(pts): // t after the last point
-			values[i] = pts[len(pts)-1].Value
-		default:
-			t0, t1 := pts[j].Time, pts[j+1].Time
-			span := t1.Sub(t0).Seconds()
-			if span <= 0 {
-				values[i] = pts[j+1].Value
-				continue
-			}
-			frac := t.Sub(t0).Seconds() / span
-			values[i] = pts[j].Value*(1-frac) + pts[j+1].Value*frac
-		}
-	}
-}
-
-func fillPrevious(values []float64, pts []Point, start time.Time, interval time.Duration) {
-	j := 0
-	for i := range values {
-		t := start.Add(time.Duration(i) * interval)
-		for j+1 < len(pts) && !pts[j+1].Time.After(t) {
-			j++
-		}
-		values[i] = pts[j].Value
-	}
 }
 
 func absDuration(d time.Duration) time.Duration {

@@ -26,6 +26,11 @@ type Series struct {
 	sorted bool
 }
 
+// Headroom multiplies an estimated Nyquist rate into the rate the
+// pipeline polls, keeps and suggests: sampling exactly at the critical
+// rate leaves the top component ambiguous.
+const Headroom = 1.2
+
 // Errors returned by series operations.
 var (
 	// ErrEmpty indicates an operation that needs at least one sample.
@@ -44,6 +49,10 @@ func New(points []Point) *Series {
 	s.sort()
 	return s
 }
+
+// Sorted returns a Series over points, which must be in time order,
+// without copying them: the series owns the slice from then on.
+func Sorted(points []Point) *Series { return &Series{points: points, sorted: true} }
 
 // Append adds a point. Appending in time order is O(1); out-of-order points
 // are accepted and trigger a re-sort on the next read.

@@ -339,7 +339,7 @@ func (m *memSeries) retune() {
 
 // baseWidth derives the first tier's bucket width. The first tier is
 // lossless with respect to the estimated Nyquist rate: its bucket rate is
-// at least Headroom × rate, i.e. at least 2·f_max. While no estimate
+// at least series.Headroom × rate, i.e. at least 2·f_max. While no estimate
 // exists the native inter-sample interval stands in, making the first
 // tier lossless with respect to whatever is actually being polled.
 //
@@ -353,7 +353,7 @@ func (m *memSeries) retune() {
 func (m *memSeries) baseWidth() time.Duration {
 	var base time.Duration
 	if m.nyquist > 0 {
-		base = time.Duration(float64(time.Second) / (Headroom * m.nyquist))
+		base = time.Duration(float64(time.Second) / (series.Headroom * m.nyquist))
 	}
 	if base <= 0 {
 		base = m.gap

@@ -202,7 +202,7 @@ func TestTierWidthsAreWholePollIntervals(t *testing.T) {
 			if m.gap > 0 {
 				want = m.gap
 			}
-			if w := time.Duration(float64(time.Second) / (Headroom * m.nyquist)); m.nyquist > 0 && w > 0 {
+			if w := time.Duration(float64(time.Second) / (series.Headroom * m.nyquist)); m.nyquist > 0 && w > 0 {
 				want = w
 			}
 			want = min(want, maxTierWidth)

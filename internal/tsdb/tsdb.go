@@ -101,12 +101,6 @@ type RetentionConfig struct {
 	CompressBlock int
 }
 
-// Headroom multiplies the estimated Nyquist rate when sizing the first
-// (lossless) tier's bucket rate, matching the rest of the pipeline:
-// bucketing exactly at the critical rate leaves the top component
-// ambiguous.
-const Headroom = 1.2
-
 // fanout is the integer bucket-width multiplier between consecutive
 // tiers; an integer keeps the tier grids nested.
 const fanout = 4
@@ -318,7 +312,7 @@ func (db *DB) SealAll() int {
 
 // SetNyquistRate records the series' estimated Nyquist rate (2·f_max, in
 // hertz) and re-derives its tier bucket widths: the first tier becomes
-// lossless at Headroom×rate, deeper tiers widen by the fan-out. This is
+// lossless at series.Headroom×rate, deeper tiers widen by the fan-out. This is
 // the estimate→retain loop: live estimators feed their current estimate
 // here and retention follows the signal. Non-positive or non-finite rates
 // are ignored. Existing buckets keep their widths; only future buckets

@@ -30,9 +30,10 @@ commit=$(git rev-parse HEAD 2>/dev/null || echo unknown)
 	bench 'BenchmarkIngestBatch|BenchmarkIngestWithWAL|BenchmarkIngestBatchAffinity|BenchmarkBulkLane' 100x ./internal/api/
 	# Read path: the dashboard-hot raw window, sealed history with the
 	# decoded-block cache off and warmed, the ?match= fan-in, and
-	# reconstruct=auto (band-limited) against linear over a tier-1 run.
+	# reconstruct=auto (band-limited) against linear over a tier-1 run and
+	# over a dashboard_hot query's 16 raw members.
 	bench 'BenchmarkQueryHot|BenchmarkQueryCold|BenchmarkQueryCached|BenchmarkQueryMulti' 100x ./internal/tsdb/
-	bench BenchmarkReconstructTier 100x ./internal/api/
+	bench 'BenchmarkReconstructTier|BenchmarkReconstructMatch' 100x ./internal/api/
 	# Both codecs' two kernels, on binary-quantized (XOR) and two-decimal
 	# (decimal) data: ns and bytes per point and per bucket.
 	bench 'BenchmarkBlockEncode|BenchmarkBlockDecode|BenchmarkBucketBlockEncode|BenchmarkBucketBlockDecode' 1x ./internal/tsdb/

@@ -151,7 +151,8 @@ for fam in nyquistd_http_requests_total nyquistd_http_request_seconds \
     nyquistd_estimator_series nyquistd_estimator_probes_total nyquistd_up \
     nyquistd_bulk_frames_total nyquistd_bulk_bytes_total \
     nyquistd_bulk_connections nyquistd_ingest_batch_bytes \
-    nyquistd_heap_bytes; do
+    nyquistd_heap_bytes nyquistd_query_reconstruct_points_total \
+    nyquistd_series_stale; do
     grep -q "^# TYPE $fam " "$workdir/metrics.txt" || {
         echo "server_smoke: /metrics missing family $fam" >&2; exit 1; }
 done
@@ -254,6 +255,31 @@ for _ in $(seq 1 50); do
     sleep 0.1
 done
 [ "$n" -ge 3 ] || { echo "server_smoke: self-scrape stored $n samples of nyquistd_heap_bytes{class=\"unused\"}, want >= 3" >&2; exit 1; }
+
+# A series that stops: 16 polls 100 ms apart up to now lock its interval,
+# then nothing more arrives. Four intervals later nyquistd_series_stale
+# counts it — on /metrics and in its own self-scraped series.
+stale() { curl -sf "http://127.0.0.1:$port/metrics" | sed -n 's/^nyquistd_series_stale \([0-9]*\)$/\1/p'; }
+before=$(stale)
+python3 -c '
+import json, time
+now = time.time()
+for i in range(16):
+    print(json.dumps({"series": "smoke/stopped", "ts": round(now - 1.5 + 0.1 * i, 3), "value": i % 4}))
+' | curl -sf -X POST --data-binary @- "http://127.0.0.1:$port/api/v1/ingest" >/dev/null
+for _ in $(seq 1 50); do
+    after=$(stale)
+    [ "$after" -gt "$before" ] && break
+    sleep 0.1
+done
+[ "$after" -gt "$before" ] || { echo "server_smoke: nyquistd_series_stale $before -> $after after a series stopped, want it to count the series" >&2; exit 1; }
+for _ in $(seq 1 50); do
+    last=$(curl -sf "http://127.0.0.1:$port/api/v1/query?series=nyquistd_series_stale" | grep -o '"value":[0-9.e+-]*' | tail -1 | cut -d: -f2 || true)
+    awk -v v="${last:-0}" -v a="$after" 'BEGIN { exit !(v >= a) }' && break
+    sleep 0.1
+done
+awk -v v="${last:-0}" -v a="$after" 'BEGIN { exit !(v >= a) }' || { echo "server_smoke: self-scraped nyquistd_series_stale reads ${last:-nothing}, want >= $after" >&2; exit 1; }
+echo "server_smoke: a stopped series is counted stale ($before -> $after), on /metrics and self-scraped"
 
 grep -q '"wal":{' "$workdir/stats_after.json" || { echo "server_smoke: stats missing wal section" >&2; cat "$workdir/stats_after.json" >&2; exit 1; }
 grep -q '"points":1024' "$workdir/stats_after.json" || { echo "server_smoke: replay accounting missing 1024 points" >&2; cat "$workdir/stats_after.json" >&2; exit 1; }

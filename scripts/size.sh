@@ -63,8 +63,19 @@
 # 4- or 8-byte samples with its widening, and the shape's settings moved
 # into the shared spectral (core +105), the window counts per width
 # behind StateBytes and the probe's one buffer (monitor +22).
-MAX_LOC=22062
-MAX_TSDB_LOC=3549
+# MAX_LOC was then raised by exactly the net 104 lines (22,062 → 22,166)
+# that one band-limited kernel for raw and tier runs took. 28 of them are
+# the bulk lane's header deadline (api +5) and the nyquistd_series_stale
+# gauge (monitor +21, api +2); the other 76 are the kernel, its droop
+# filter and the in-place read less the FFT engine they replace
+# (api/reconstruct.go +148) and the reconstruct_points family (api +13),
+# less UpsampleSpectrum folded back (dsp −7), one fill loop for the three
+# interpolators with series.Sorted beside it (series −36), core's one
+# downsample body (−22) and one headroom constant (core −5, tsdb −6,
+# monitor −7, fleet −7, series +5). MAX_TSDB_LOC fell to the measured
+# 3,543.
+MAX_LOC=22166
+MAX_TSDB_LOC=3543
 MAX_FLAGS=19
 MAX_CONFIG_FIELDS=32
 MAX_ALLOWS=14
