@@ -7,11 +7,14 @@
 //
 // With -data-dir the daemon is restart-safe: sealed blocks and
 // estimator tuning state stream into a write-ahead log with batched
-// fsync (-fsync-every is the durability window), a background compactor
-// folds the log into block snapshots, and on boot the store and the
-// estimators are rebuilt from snapshot + log — a SIGKILLed daemon comes
-// back serving identical queries and estimates for everything that was
-// synced. Without -data-dir it serves memory-only, as before.
+// fsync (-fsync-every), a background compactor folds the log into block
+// snapshots (-snapshot-every), and on boot the store and the estimators
+// are rebuilt from snapshot + log. A series' open run (up to
+// -compress-block unsealed points) reaches disk only inside a snapshot,
+// so a SIGKILL loses, per series, exactly the points accepted after the
+// later of its last seal whose record was fsynced and the last completed
+// snapshot; a SIGTERM force-seals those runs and loses nothing. Without
+// -data-dir it serves memory-only.
 //
 // The daemon also observes itself: every subsystem reports into a
 // metrics registry served at GET /metrics (Prometheus text format),

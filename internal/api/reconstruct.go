@@ -112,8 +112,9 @@ type reconstruction struct {
 // none): auto mode band-limits the grid points inside runs (bandlimit) and
 // interpolates linearly between the rest when an estimate exists, and
 // falls back to nearest-neighbour otherwise; a missing step derives from
-// the estimate at series.Headroom, so the served grid is the one the tier
-// buckets were cut on, or from the stored points' median interval.
+// the estimate at series.Headroom, or from the stored points' median
+// interval. It is not floored to whole poll intervals as a tier width is
+// (tsdb's baseWidth), so it can differ from the tier grid.
 //
 // The grid is anchored at the later of `from` and the first stored
 // point (a bucket's centroid, when that is a bucket) and runs through the

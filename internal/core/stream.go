@@ -534,7 +534,8 @@ func (s *StreamEstimator) estimate(res *Result) {
 	n := s.eng.n
 	s.unpack(sc.frame, s.head, n)
 	s.unpack(sc.frame[n-s.head:], 0, s.head)
-	if taper := s.eng.taper; taper != nil {
+	var mean float64
+	if s.eng.taper != nil {
 		// Four partial sums: one chain of 256 dependent adds costs more
 		// than the taper's multiplies (measured, about 120 ns a refresh).
 		var s0, s1, s2, s3 float64
@@ -545,15 +546,15 @@ func (s *StreamEstimator) estimate(res *Result) {
 		for _, v := range f {
 			s0 += v
 		}
-		mean := ((s0 + s1) + (s2 + s3)) / float64(len(sc.frame))
-		for i, c := range taper {
-			sc.frame[i] = (sc.frame[i] - mean) * c
-		}
+		mean = ((s0 + s1) + (s2 + s3)) / float64(len(sc.frame))
 	}
 	power := sc.power
 	if s.eng.plan != nil {
-		_ = s.eng.plan.PSDInto(power, sc.fft, sc.frame) // lengths are fixed by spectralFor
+		_ = s.eng.plan.PSDInto(power, sc.fft, sc.frame, mean, s.eng.taper) // lengths are fixed by spectralFor
 	} else {
+		for i, c := range s.eng.taper {
+			sc.frame[i] = (sc.frame[i] - mean) * c
+		}
 		// Refuses only an empty frame or a bad rate; the config rules out
 		// both. Batch's window-power normalization scales every bin alike
 		// and cancels in the energy fractions below.

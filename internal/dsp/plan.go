@@ -8,15 +8,14 @@ import (
 )
 
 // Plan is a reusable FFT execution plan for one transform size: twiddle
-// factors and bit-reversal indices are computed once, and Execute works
+// factors and bit-reversal indices are computed once, and PSDInto works
 // in caller-provided buffers, so the per-transform cost is allocation-free
-// — the hot path for moving-window scans and Welch averaging, which
-// transform thousands of equal-length segments.
+// — the hot path for moving-window scans, which transform thousands of
+// equal-length windows.
 type Plan struct {
 	n       int
 	rev     []int
 	forward [][]complex128 // twiddles per stage
-	inverse [][]complex128
 }
 
 // NewPlan builds a plan for n-point transforms. n must be a power of two
@@ -31,25 +30,13 @@ func NewPlan(n int) (*Plan, error) {
 	for i := 0; i < n; i++ {
 		p.rev[i] = int(bits.Reverse64(uint64(i)) >> shift)
 	}
-	for _, inverse := range []bool{false, true} {
-		sign := -1.0
-		if inverse {
-			sign = 1.0
+	for size := 2; size <= n; size <<= 1 {
+		half := size >> 1
+		tw := make([]complex128, half)
+		for k := 0; k < half; k++ {
+			tw[k] = cmplx.Exp(complex(0, -2*math.Pi*float64(k)/float64(size)))
 		}
-		var stages [][]complex128
-		for size := 2; size <= n; size <<= 1 {
-			half := size >> 1
-			tw := make([]complex128, half)
-			for k := 0; k < half; k++ {
-				tw[k] = cmplx.Exp(complex(0, sign*2*math.Pi*float64(k)/float64(size)))
-			}
-			stages = append(stages, tw)
-		}
-		if inverse {
-			p.inverse = stages
-		} else {
-			p.forward = stages
-		}
+		p.forward = append(p.forward, tw)
 	}
 	return p, nil
 }
@@ -57,52 +44,25 @@ func NewPlan(n int) (*Plan, error) {
 // Size returns the transform length.
 func (p *Plan) Size() int { return p.n }
 
-// Forward computes the DFT of src into dst (both length Size; they may be
-// the same slice). No allocation.
-func (p *Plan) Forward(dst, src []complex128) error {
-	return p.execute(dst, src, p.forward, false)
-}
-
-// Inverse computes the inverse DFT (with 1/N normalization) of src into
-// dst. No allocation.
-func (p *Plan) Inverse(dst, src []complex128) error {
-	return p.execute(dst, src, p.inverse, true)
-}
-
-func (p *Plan) execute(dst, src []complex128, stages [][]complex128, normalize bool) error {
-	if len(dst) != p.n || len(src) != p.n {
-		return errors.New("dsp: plan buffer length mismatch")
-	}
-	if &dst[0] != &src[0] {
-		copy(dst, src)
-	}
-	for i, j := range p.rev {
-		if j > i {
-			dst[i], dst[j] = dst[j], dst[i]
-		}
-	}
-	butterflies(dst, stages)
-	if normalize {
-		inv := complex(1/float64(p.n), 0)
-		for i := range dst {
-			dst[i] *= inv
-		}
-	}
-	return nil
-}
-
 // butterflies runs the radix-2 stages over x, which must already be in
 // bit-reversed order; stages[s] holds the twiddles of the 2^(s+1)-point
 // stage, so a prefix of a larger plan's tables transforms a shorter x.
-func butterflies(x []complex128, stages [][]complex128) {
-	for s, tw := range stages {
-		size := 2 << s
-		half := size >> 1
-		for start := 0; start < len(x); start += size {
-			lo, hi := x[start:start+half], x[start+half:start+size]
-			for k, w := range tw {
+// Twiddle 0 is exactly 1; with unit set its butterflies skip the multiply,
+// which changes at most the sign of a zero part while values stay finite
+// (∞·0 is NaN).
+func butterflies(x []complex128, stages [][]complex128, unit bool) {
+	for _, tw := range stages {
+		half := len(tw)
+		for blk := x; len(blk) >= 2*half; blk = blk[2*half:] {
+			lo, hi := blk[:half], blk[half:][:half]
+			k := 0
+			if unit {
+				lo[0], hi[0] = lo[0]+hi[0], lo[0]-hi[0]
+				k = 1
+			}
+			for ; k < len(tw); k++ {
 				a := lo[k]
-				b := hi[k] * w
+				b := hi[k] * tw[k]
 				lo[k] = a + b
 				hi[k] = a - b
 			}
@@ -110,31 +70,52 @@ func butterflies(x []complex128, stages [][]complex128) {
 	}
 }
 
-// PSDInto computes a one-sided PSD of the real signal src (length Size)
-// into power (length Size/2+1), with the same normalization as
-// Periodogram under a nil window. Allocation-free.
+// PSDInto computes a one-sided PSD of the real window (src[i] − mean) ·
+// taper[i] (src of length Size; a nil taper is rectangular) into power
+// (length Size/2+1), with the same normalization as Periodogram under a
+// nil window. Allocation-free. Each bin is bit for bit (a NaN only as
+// NaN) what tapering a copy of src and then transforming it with every
+// twiddle multiplied gives.
 //
-// The real window is packed into a half-size complex transform (even
-// samples in the real parts, odd in the imaginary) that runs over the
-// plan's own tables: scratch must hold at least Size/2 entries, and only
-// the first Size/2 are used.
-func (p *Plan) PSDInto(power []float64, scratch []complex128, src []float64) error {
+// The window is tapered as it is packed into a half-size complex
+// transform (even samples in the real parts, odd in the imaginary) that
+// runs over the plan's own tables: scratch must hold at least Size/2
+// entries, and only the first Size/2 are used.
+func (p *Plan) PSDInto(power []float64, scratch []complex128, src []float64, mean float64, taper []float64) error {
 	n, h := p.n, p.n/2
-	if len(src) != n || len(scratch) < h || len(power) != h+1 {
+	if len(src) != n || len(scratch) < h || len(power) != h+1 || taper != nil && len(taper) != n {
 		return errors.New("dsp: PSDInto buffer length mismatch")
 	}
 	if n == 1 {
-		power[0] = src[0] * src[0]
+		v := src[0] - mean
+		if taper != nil {
+			v *= taper[0]
+		}
+		power[0] = v * v
 		return nil
 	}
+	// A bin that is not finite means an overflow or a non-finite sample,
+	// where a skipped multiply could differ: take it again with all of them.
+	if !p.psd(power, scratch[:h], src, mean, taper, true) {
+		p.psd(power, scratch[:h], src, mean, taper, false)
+	}
+	return nil
+}
+
+// psd is PSDInto's transform; it reports whether every bin is finite.
+func (p *Plan) psd(power []float64, z []complex128, src []float64, mean float64, taper []float64, unit bool) bool {
+	n, h := p.n, len(z)
 	// The h-point bit reversal of m is the n-point one shifted down: m < h
 	// has a zero top bit, which reverses into a zero bottom bit.
-	z := scratch[:h]
 	for m := range z {
-		z[p.rev[m]>>1] = complex(src[2*m], src[2*m+1])
+		re, im := src[2*m]-mean, src[2*m+1]-mean
+		if taper != nil {
+			re, im = re*taper[2*m], im*taper[2*m+1]
+		}
+		z[p.rev[m]>>1] = complex(re, im)
 	}
 	last := len(p.forward) - 1
-	butterflies(z, p.forward[:last])
+	butterflies(z, p.forward[:last], unit)
 	// Unpack: with E and O the transforms of the even and odd samples,
 	// Z[k] = E[k] + i·O[k] and conj(Z[h-k]) = E[k] - i·O[k], and the
 	// n-point bin is X[k] = E[k] + w^k·O[k] with w = e^{-2πi/n} — the
@@ -143,6 +124,7 @@ func (p *Plan) PSDInto(power []float64, scratch []complex128, src []float64) err
 	re0, im0 := real(z[0]), imag(z[0])
 	power[0] = (re0 + im0) * (re0 + im0) * norm
 	power[h] = (re0 - im0) * (re0 - im0) * norm
+	finite := power[0] <= math.MaxFloat64 && power[h] <= math.MaxFloat64
 	tw := p.forward[last]
 	for k := 1; k < h; k++ {
 		a, b := z[k], cmplx.Conj(z[h-k])
@@ -150,6 +132,7 @@ func (p *Plan) PSDInto(power []float64, scratch []complex128, src []float64) err
 		x := (a + b) + tw[k]*complex(imag(d), -real(d)) // 2·X[k]
 		re, im := real(x), imag(x)
 		power[k] = (re*re + im*im) * (norm / 2)
+		finite = finite && power[k] <= math.MaxFloat64
 	}
-	return nil
+	return finite
 }

@@ -75,14 +75,10 @@ func (s STFT) Compute(x []float64, sampleRate float64) (*Spectrogram, error) {
 	if wp == 0 {
 		wp = 1
 	}
-	scratch := make([]complex128, segLen)
-	frame := make([]float64, segLen)
+	scratch := make([]complex128, segLen/2)
 	for start := 0; start+segLen <= len(x); start += hop {
-		for i := range frame {
-			frame[i] = x[start+i] * coeffs[i]
-		}
 		power := make([]float64, nBins)
-		if err := plan.PSDInto(power, scratch, frame); err != nil {
+		if err := plan.PSDInto(power, scratch, x[start:start+segLen], 0, coeffs); err != nil {
 			return nil, err
 		}
 		for k := range power {

@@ -7,62 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestPlanMatchesFFT(t *testing.T) {
-	for _, n := range []int{2, 8, 64, 1024} {
-		p, err := NewPlan(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Size() != n {
-			t.Fatalf("size = %d", p.Size())
-		}
-		x := make([]complex128, n)
-		for i := range x {
-			x[i] = complex(math.Sin(float64(i)*0.7), math.Cos(float64(i)*0.3))
-		}
-		want := FFT(x)
-		got := make([]complex128, n)
-		if err := p.Forward(got, x); err != nil {
-			t.Fatal(err)
-		}
-		for k := range want {
-			if !complexAlmostEqual(got[k], want[k], 1e-9*float64(n)) {
-				t.Fatalf("n=%d bin %d: %v vs %v", n, k, got[k], want[k])
-			}
-		}
-		// Round trip through the plan.
-		back := make([]complex128, n)
-		if err := p.Inverse(back, got); err != nil {
-			t.Fatal(err)
-		}
-		for i := range x {
-			if !complexAlmostEqual(back[i], x[i], 1e-9*float64(n)) {
-				t.Fatalf("n=%d round trip index %d", n, i)
-			}
-		}
-	}
-}
-
-func TestPlanInPlace(t *testing.T) {
-	p, err := NewPlan(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]complex128, 16)
-	for i := range x {
-		x[i] = complex(float64(i), 0)
-	}
-	want := FFT(x)
-	if err := p.Forward(x, x); err != nil {
-		t.Fatal(err)
-	}
-	for k := range want {
-		if !complexAlmostEqual(x[k], want[k], 1e-9) {
-			t.Fatalf("in-place bin %d", k)
-		}
-	}
-}
-
 func TestPlanErrors(t *testing.T) {
 	if _, err := NewPlan(0); err == nil {
 		t.Fatal("zero size should fail")
@@ -71,11 +15,14 @@ func TestPlanErrors(t *testing.T) {
 		t.Fatal("non-power-of-two should fail")
 	}
 	p, _ := NewPlan(8)
-	if err := p.Forward(make([]complex128, 4), make([]complex128, 8)); err == nil {
-		t.Fatal("length mismatch should fail")
+	if p.Size() != 8 {
+		t.Fatalf("size = %d", p.Size())
 	}
-	if err := p.PSDInto(make([]float64, 3), make([]complex128, 8), make([]float64, 8)); err == nil {
+	if err := p.PSDInto(make([]float64, 3), make([]complex128, 8), make([]float64, 8), 0, nil); err == nil {
 		t.Fatal("PSD buffer mismatch should fail")
+	}
+	if err := p.PSDInto(make([]float64, 5), make([]complex128, 4), make([]float64, 8), 0, make([]float64, 4)); err == nil {
+		t.Fatal("taper length mismatch should fail")
 	}
 }
 
@@ -92,7 +39,7 @@ func TestPlanPSDMatchesPeriodogram(t *testing.T) {
 	}
 	power := make([]float64, n/2+1)
 	scratch := make([]complex128, n)
-	if err := p.PSDInto(power, scratch, x); err != nil {
+	if err := p.PSDInto(power, scratch, x, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	for k := range power {
@@ -142,7 +89,7 @@ func TestPlanPSDMatchesPeriodogramProperty(t *testing.T) {
 			scratchLen = n
 		}
 		got := make([]float64, n/2+1)
-		if err := p.PSDInto(got, make([]complex128, scratchLen), x); err != nil {
+		if err := p.PSDInto(got, make([]complex128, scratchLen), x, 0, nil); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		// Rounding error spreads across bins in proportion to the
@@ -168,7 +115,7 @@ func TestPlanPSDZeroAlloc(t *testing.T) {
 	power := make([]float64, n/2+1)
 	scratch := make([]complex128, n)
 	allocs := testing.AllocsPerRun(20, func() {
-		if err := p.PSDInto(power, scratch, x); err != nil {
+		if err := p.PSDInto(power, scratch, x, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -270,7 +217,7 @@ func BenchmarkPlanPSD1024(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := p.PSDInto(power, scratch, x); err != nil {
+		if err := p.PSDInto(power, scratch, x, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

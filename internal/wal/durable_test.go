@@ -184,6 +184,115 @@ func TestCrashRecoveryUnsyncedTail(t *testing.T) {
 	}
 }
 
+// TestCrashLossAcrossSnapshot pins the SIGKILL loss as an exact count
+// when open runs straddle a snapshot: per series, recovery returns
+// exactly the points accepted up to the later of its last seal whose
+// record was synced and the last completed snapshot, and nothing after.
+// Every series holds a non-empty open run at the snapshot and again at
+// the crash; for some the snapshot is the later instant, for others a
+// seal synced after it.
+func TestCrashLossAcrossSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	store1 := servingStore()
+	est1 := monitor.NewIngestEstimator(store1, ingestCfg)
+	// An hour-long group-commit window: only Sync and the snapshot's
+	// rotation reach the disk.
+	d1, err := Open(dir, store1, est1, Options{FsyncEvery: time.Hour, SnapshotEvery: -1, StateEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seriesN = 4
+	accepted := make([][]series.Point, seriesN)
+	id := func(s int) string { return fmt.Sprintf("ext/dev%02d/metric", s) }
+	push := func(s, k int) {
+		for ; k > 0; k-- {
+			i := len(accepted[s])
+			p := series.Point{
+				Time:  walStart.Add(time.Duration(i) * time.Second),
+				Value: twoTone(1.0/64, 1.0/16, float64(i)) + float64(s),
+			}
+			if err := store1.Append(id(s), p); err != nil {
+				t.Fatalf("append %s/%d: %v", id(s), i, err)
+			}
+			est1.Observe(id(s), p)
+			accepted[s] = append(accepted[s], p)
+		}
+	}
+	// sealed reports each series' points in sealed blocks, and that its
+	// open run is not empty.
+	sealed := func() []int {
+		out := make([]int, seriesN)
+		if err := store1.ExportSeries(func(ss tsdb.SeriesSnapshot) error {
+			var s int
+			if _, err := fmt.Sscanf(ss.ID, "ext/dev%02d/metric", &s); err != nil {
+				return err
+			}
+			if len(ss.Active) == 0 {
+				t.Fatalf("%s: open run empty at %d appends", ss.ID, ss.Appends)
+			}
+			out[s] = int(ss.Appends) - len(ss.Active)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for s, k := range []int{200, 250, 300, 350} {
+		push(s, k)
+	}
+	sealed()
+	if err := d1.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]int, seriesN)
+	for s := range want {
+		want[s] = len(accepted[s])
+	}
+	// After the snapshot: dev00 seals nothing, the rest seal a block past
+	// their snapshot count, and the sync makes those seals durable.
+	for s, k := range []int{10, 60, 100, 150} {
+		push(s, k)
+	}
+	for s, n := range sealed() {
+		want[s] = max(want[s], n)
+	}
+	if err := d1.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// Unsynced: dev00, dev01 and dev03 seal another block that never
+	// reaches the disk.
+	for s, k := range []int{50, 100, 20, 30} {
+		push(s, k)
+	}
+	sealed()
+	d1.abort()
+
+	store2 := servingStore()
+	est2 := monitor.NewIngestEstimator(store2, ingestCfg)
+	d2, err := Open(dir, store2, est2, Options{SnapshotEvery: -1, StateEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.abort()
+	if want[0] != 200 || want[1] != 256 || want[2] != 384 || want[3] != 384 {
+		t.Fatalf("precondition: durable counts %v, want the snapshot's 200 for dev00 and synced seals 256, 384, 384", want)
+	}
+	for s := range accepted {
+		res, err := store2.Query(id(s), time.Time{}, time.Time{}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Points) != want[s] {
+			t.Fatalf("%s: recovered %d points of %d accepted, want exactly %d", id(s), len(res.Points), len(accepted[s]), want[s])
+		}
+		for i, p := range res.Points {
+			if q := accepted[s][i]; !p.Time.Equal(q.Time) || math.Float64bits(p.Value) != math.Float64bits(q.Value) {
+				t.Fatalf("%s: point %d = %v, accepted %v", id(s), i, p, q)
+			}
+		}
+	}
+}
+
 // TestSnapshotCompaction pins the snapshot lifecycle: a snapshot
 // captures the full store (tiers included), deletes the covered
 // segments, and recovery from snapshot + later segments is identical to

@@ -12,9 +12,11 @@
 // (locked poll interval, trusted Nyquist rate), framed as
 // length-prefixed, CRC-32C-checked records in numbered segment files.
 // Appends land in a buffered writer and a group-commit flusher fsyncs
-// on a fixed cadence, so the ingest hot path never waits on the disk;
-// the durability window is the fsync interval plus the unsealed tail of
-// each series' active block.
+// on a fixed cadence, so the ingest hot path never waits on the disk.
+// A series' open run (its unsealed points) reaches disk only inside a
+// snapshot, which exports it. So a SIGKILL loses, per series, exactly the
+// points accepted after the later of two instants: its last seal whose
+// record was fsynced and the last completed snapshot.
 //
 // On boot the Durable layer loads the newest valid snapshot, replays
 // every later segment into the store (out-of-order duplicates from the

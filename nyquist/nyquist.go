@@ -172,7 +172,7 @@ type (
 	STFT = dsp.STFT
 	// Spectrogram is a time-resolved spectral view.
 	Spectrogram = dsp.Spectrogram
-	// Plan is a reusable allocation-free FFT execution plan.
+	// Plan is a reusable FFT plan: PSDInto, a tapered window's PSD.
 	Plan = dsp.Plan
 )
 

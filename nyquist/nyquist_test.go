@@ -198,12 +198,18 @@ func TestPublicSTFTAndPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]complex128, 256)
-	for i := range buf {
-		buf[i] = complex(x[i], 0)
-	}
-	if err := p.Forward(buf, buf); err != nil {
+	power := make([]float64, 129)
+	if err := p.PSDInto(power, make([]complex128, 128), x[:256], 0, nil); err != nil {
 		t.Fatal(err)
+	}
+	peak := 0
+	for k := range power {
+		if power[k] > power[peak] {
+			peak = k
+		}
+	}
+	if peak != 10 {
+		t.Fatalf("first segment peaks in bin %d, want the 10 Hz tone's", peak)
 	}
 }
 

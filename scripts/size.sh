@@ -74,7 +74,12 @@
 # downsample body (−22) and one headroom constant (core −5, tsdb −6,
 # monitor −7, fleet −7, series +5). MAX_TSDB_LOC fell to the measured
 # 3,543.
-MAX_LOC=22166
+# MAX_LOC then fell to the measured 22,152: the plan's transform tapers as
+# it packs and its inverse half went (dsp −21), less the taper loop the
+# estimator keeps for its Periodogram path (core +1) and the SIGKILL and
+# served-grid sentences aligned with docs/API.md (wal +2, nyquistd +3,
+# api +1).
+MAX_LOC=22152
 MAX_TSDB_LOC=3543
 MAX_FLAGS=19
 MAX_CONFIG_FIELDS=32
