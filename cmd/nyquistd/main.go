@@ -27,10 +27,9 @@
 //
 // Usage:
 //
-//	nyquistd [-addr :9464] [-shards 16] [-raw-capacity 4096]
-//	         [-tier-capacity 1024] [-compress-block 128]
-//	         [-cache-bytes 33554432] [-window 256] [-max-series 1000000]
-//	         [-max-body 8388608] [-bulk-addr ADDR]
+//	nyquistd [-addr :9464] [-shards 16] [-compress-block 128]
+//	         [-window 256] [-max-series 1000000] [-max-body 8388608]
+//	         [-bulk-addr ADDR]
 //	         [-data-dir DIR] [-fsync-every 10ms] [-snapshot-every 60s]
 //	         [-state-every 15s] [-scrub-every 60s] [-self-scrape 0]
 //	         [-debug-addr ADDR] [-log-level info] [-slow-query 1s]
@@ -58,8 +57,8 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/core"
 	"repro/internal/monitor"
-	"repro/internal/tsdb"
 	"repro/internal/wal"
 )
 
@@ -68,16 +67,13 @@ const drainTimeout = 10 * time.Second
 
 func main() {
 	var (
-		addr         = flag.String("addr", ":9464", "listen address (host:port; port 0 picks a free one)")
-		shards       = flag.Int("shards", 16, "store shard count")
-		rawCapacity  = flag.Int("raw-capacity", 4096, "per-series raw store capacity in points (0 = unbounded)")
-		tierCapacity = flag.Int("tier-capacity", 1024, "per-tier capacity in buckets")
-		compress     = flag.Int("compress-block", 128, "points per sealed block (capped at a quarter of each capacity)")
-		cacheBytes   = flag.Int64("cache-bytes", 32<<20, "decoded-block query cache budget in bytes, split across shards (0 = off)")
-		window       = flag.Int("window", 256, "per-series streaming-estimator window in samples (at least 16)")
-		maxSeries    = flag.Int("max-series", 1_000_000, "estimator series cap; new series beyond it are stored but not estimated (0 = unbounded)")
-		maxBody      = flag.Int64("max-body", 8<<20, "max ingest request body in bytes")
-		bulkAddr     = flag.String("bulk-addr", "", "listen address for the plain-TCP length-prefixed bulk ingest lane (empty = off)")
+		addr      = flag.String("addr", ":9464", "listen address (host:port; port 0 picks a free one)")
+		shards    = flag.Int("shards", 16, "store shard count")
+		compress  = flag.Int("compress-block", 128, "points per sealed block (capped at a quarter of each capacity)")
+		window    = flag.Int("window", 256, fmt.Sprintf("per-series streaming-estimator window in samples (at least %d)", core.MinSamples))
+		maxSeries = flag.Int("max-series", 1_000_000, "estimator series cap; new series beyond it are stored but not estimated (0 = unbounded)")
+		maxBody   = flag.Int64("max-body", 8<<20, "max ingest request body in bytes")
+		bulkAddr  = flag.String("bulk-addr", "", "listen address for the plain-TCP length-prefixed bulk ingest lane (empty = off)")
 
 		dataDir       = flag.String("data-dir", "", "durability directory for the WAL and snapshots (empty = memory-only)")
 		fsyncEvery    = flag.Duration("fsync-every", 10*time.Millisecond, "WAL group-commit window (negative = fsync every append)")
@@ -99,25 +95,26 @@ func main() {
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
-	if *compress <= 0 {
-		fmt.Fprintln(os.Stderr, "nyquistd: -compress-block must be positive")
-		os.Exit(2)
-	}
-	if *window < 16 {
+	// A value the daemon would silently replace is a usage error: a
+	// mistyped bound must not become a different bound, or none.
+	for _, bad := range []struct {
+		refused bool
+		msg     string
+	}{
+		{*shards <= 0, "-shards must be positive"},
+		{*compress <= 0, "-compress-block must be positive"},
 		// The estimator refuses shorter windows, and a series that can
 		// never lock would sit in the interval probe forever.
-		fmt.Fprintln(os.Stderr, "nyquistd: -window must be at least 16 samples")
-		os.Exit(2)
+		{*window < core.MinSamples, fmt.Sprintf("-window must be at least %d samples", core.MinSamples)},
+		{*maxSeries < 0, "-max-series must be 0 (unbounded) or positive"},
+		{*maxBody <= 0, "-max-body must be positive"},
+	} {
+		if bad.refused {
+			fmt.Fprintf(os.Stderr, "nyquistd: %s\n", bad.msg)
+			os.Exit(2)
+		}
 	}
-	store := tsdb.New(tsdb.Config{
-		Shards:     *shards,
-		CacheBytes: *cacheBytes,
-		Retention: tsdb.RetentionConfig{
-			RawCapacity:   *rawCapacity,
-			TierCapacity:  *tierCapacity,
-			CompressBlock: *compress,
-		},
-	})
+	store := api.ServingStore(*shards, *compress)
 	est := monitor.NewIngestEstimator(store, monitor.IngestConfig{
 		WindowSamples: *window,
 		MaxSeries:     *maxSeries,

@@ -51,122 +51,68 @@ type Controller struct {
 type ControllerConfig struct {
 	// Workers bounds the per-round worker pool; zero selects GOMAXPROCS.
 	Workers int
-	// SamplesPerRound is how many polls each device takes per control
-	// round (also the estimation window); zero selects 64, the minimum
-	// is 16 (the estimator's floor).
-	SamplesPerRound int
-	// EnergyCutoff is the estimation threshold; zero selects 0.90, the
-	// robust choice for the short windows a control round sees (the
-	// paper's 99 % keeps chasing the measurement-noise floor there —
-	// the same trade the §4.2 adaptive loop makes).
-	EnergyCutoff float64
 	// BudgetHz caps the fleet-wide steady-state sample rate; each
 	// round's desired rates are passed through monitor.Allocate against
 	// it. Zero disables budgeting (every desire is granted).
 	BudgetHz float64
-	// MinRate and MaxRate clamp per-device grants, in hertz. Zeros
-	// select 1/3600 (one poll per hour — the floor operators keep for
-	// liveness) and 1 (one per second).
-	MinRate, MaxRate float64
-	// ConvergeTol is the relative rate change below which a device
-	// counts as converged for the round; zero selects 0.05.
-	ConvergeTol float64
-	// ConvergeQuorum is the fraction of devices that must hold within
-	// tolerance for the fleet to count as converged; zero selects 0.9
-	// (regimes with recurring transients — microbursts — honestly never
-	// settle their last few devices, which keep probing as §4.2 says
-	// they should). Values outside (0, 1] are rejected.
-	ConvergeQuorum float64
 	// InitialScan seeds round-1 rates from a Scanner census at the
 	// production rates instead of starting blind, wiring the PR-1
 	// scanner into the loop. The census polls are billed.
 	InitialScan bool
-	// ScanWindow is the census audit window when InitialScan is set;
-	// zero selects 6 hours of signal time.
-	ScanWindow time.Duration
-	// Store receives every polled sample and the retention retunes;
-	// nil selects a fresh sharded store with bounded raw stores.
-	Store *Store
-	// Model prices samples; the zero value selects DefaultCostModel.
-	Model monitor.CostModel
-	// Start anchors stored sample timestamps; zero selects the
-	// pipeline's standard epoch.
-	Start time.Time
-	// QualityDevices is how many devices the final reconstruction-error
-	// audit samples (deterministically strided across the fleet); zero
-	// selects 32, negative disables the audit.
-	QualityDevices int
 }
 
-func (c ControllerConfig) withDefaults() (ControllerConfig, error) {
-	if c.Workers < 0 {
-		return c, errors.New("fleet: negative worker count")
-	}
-	if c.Workers == 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.SamplesPerRound == 0 {
-		c.SamplesPerRound = 64
-	}
-	if c.SamplesPerRound < 16 {
-		return c, errors.New("fleet: SamplesPerRound below the estimator's 16-sample floor")
-	}
-	if c.EnergyCutoff == 0 {
-		c.EnergyCutoff = 0.90
-	}
-	if c.MinRate <= 0 {
-		c.MinRate = 1.0 / 3600
-	}
-	if c.MaxRate <= 0 {
-		c.MaxRate = 1
-	}
-	if c.MaxRate < c.MinRate {
-		return c, errors.New("fleet: MaxRate below MinRate")
-	}
-	if c.ConvergeTol <= 0 {
-		c.ConvergeTol = 0.05
-	}
-	if c.ConvergeQuorum == 0 {
-		c.ConvergeQuorum = 0.9
-	}
-	if c.ConvergeQuorum < 0 || c.ConvergeQuorum > 1 {
-		return c, errors.New("fleet: ConvergeQuorum outside (0, 1]")
-	}
-	if c.ScanWindow <= 0 {
-		c.ScanWindow = 6 * time.Hour
-	}
-	if c.Model == (monitor.CostModel{}) {
-		c.Model = monitor.DefaultCostModel()
-	}
-	if c.Start.IsZero() {
-		c.Start = time.Date(2021, 11, 10, 0, 0, 0, 0, time.UTC)
-	}
-	if c.QualityDevices == 0 {
-		c.QualityDevices = 32
-	}
-	// Validate the estimation knob once, up front.
-	if _, err := core.NewEstimator(core.EstimatorConfig{EnergyCutoff: c.EnergyCutoff}); err != nil {
-		return c, err
-	}
-	return c, nil
-}
+// The loop's fixed settings.
+const (
+	// samplesPerRound is how many polls each device takes per control
+	// round (also the estimation window).
+	samplesPerRound = 64
+	// controlCutoff is the estimation threshold: 0.90, the robust choice
+	// for the short windows a control round sees (the paper's 99 % keeps
+	// chasing the measurement-noise floor there — the same trade the §4.2
+	// adaptive loop makes).
+	controlCutoff = 0.90
+	// minRate and maxRate clamp per-device grants, in hertz: one poll per
+	// hour (the floor operators keep for liveness) and one per second.
+	minRate, maxRate = 1.0 / 3600, 1
+	// convergeTol is the relative rate change below which a device counts
+	// as converged for the round.
+	convergeTol = 0.05
+	// convergeQuorum is the fraction of devices that must hold within
+	// tolerance for the fleet to count as converged (regimes with
+	// recurring transients — microbursts — honestly never settle their
+	// last few devices, which keep probing as §4.2 says they should).
+	convergeQuorum = 0.9
+	// scanWindow is the census audit window when InitialScan is set.
+	scanWindow = 6 * time.Hour
+	// qualityDevices is how many devices the final reconstruction-error
+	// audit samples, deterministically strided across the fleet.
+	qualityDevices = 32
+)
 
-// NewController validates cfg, builds the store if needed, and prepares a
+// controlEpoch anchors stored sample timestamps: the pipeline's standard
+// epoch.
+var controlEpoch = time.Date(2021, 11, 10, 0, 0, 0, 0, time.UTC)
+
+// NewController validates cfg, builds the store, and prepares a
 // run over the scenario: every device starts at its production poll rate
 // (or, with InitialScan, at the census estimate).
 func NewController(scenario *Scenario, cfg ControllerConfig) (*Controller, error) {
 	if scenario == nil || scenario.Fleet == nil || len(scenario.Fleet.Devices) == 0 {
 		return nil, errors.New("fleet: controller needs a built scenario")
 	}
-	c, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
+	if cfg.Workers < 0 {
+		return nil, errors.New("fleet: negative worker count")
+	}
+	if cfg.Workers == 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	n := len(scenario.Fleet.Devices)
 	ctl := &Controller{
-		cfg:       c,
-		scenario:  scenario,
-		store:     c.Store,
+		cfg:      cfg,
+		scenario: scenario,
+		store: tsdb.New(tsdb.Config{
+			Retention: tsdb.RetentionConfig{RawCapacity: 4 * samplesPerRound, TierCapacity: 2 * samplesPerRound},
+		}),
 		rate:      make([]float64, n),
 		cursor:    make([]float64, n),
 		cost:      make([]monitor.Cost, n),
@@ -174,16 +120,11 @@ func NewController(scenario *Scenario, cfg ControllerConfig) (*Controller, error
 		aliased:   make([]bool, n),
 		policy:    make([]core.RatePolicy, n),
 	}
-	if ctl.store == nil {
-		ctl.store = tsdb.New(tsdb.Config{
-			Retention: tsdb.RetentionConfig{RawCapacity: 4 * c.SamplesPerRound, TierCapacity: 2 * c.SamplesPerRound},
-		})
-	}
 	for i, d := range scenario.Fleet.Devices {
-		ctl.rate[i] = clamp(d.PollRate(), c.MinRate, c.MaxRate)
+		ctl.rate[i] = clamp(d.PollRate(), minRate, maxRate)
 		ctl.cursor[i] = scenario.PhaseOffset[i]
 	}
-	if c.InitialScan {
+	if cfg.InitialScan {
 		if err := ctl.census(); err != nil {
 			return nil, err
 		}
@@ -196,9 +137,9 @@ func NewController(scenario *Scenario, cfg ControllerConfig) (*Controller, error
 func (ctl *Controller) census() error {
 	sc, err := NewScanner(ScanConfig{
 		Workers:       ctl.cfg.Workers,
-		Window:        ctl.cfg.ScanWindow,
-		WindowSamples: ctl.cfg.SamplesPerRound,
-		EnergyCutoff:  ctl.cfg.EnergyCutoff,
+		Window:        scanWindow,
+		WindowSamples: samplesPerRound,
+		EnergyCutoff:  controlCutoff,
 	})
 	if err != nil {
 		return err
@@ -209,18 +150,18 @@ func (ctl *Controller) census() error {
 	}
 	sort.Slice(results, func(a, b int) bool { return results[a].Index < results[b].Index })
 	for _, r := range results {
-		ctl.censusC.Add(ctl.cfg.Model, r.Samples)
+		ctl.censusC.Add(monitor.DefaultCostModel(), r.Samples)
 		switch {
 		case errors.Is(r.Err, core.ErrAliased):
 			// Under-sampled at the production rate: start the loop above
 			// it so the first rounds probe instead of trusting a folded
 			// spectrum.
-			ctl.rate[r.Index] = clamp(2*r.PollRate, ctl.cfg.MinRate, ctl.cfg.MaxRate)
+			ctl.rate[r.Index] = clamp(2*r.PollRate, minRate, maxRate)
 		case r.Err == nil && r.Result.NyquistRate > 0:
-			ctl.rate[r.Index] = clamp(series.Headroom*r.Result.NyquistRate, ctl.cfg.MinRate, ctl.cfg.MaxRate)
+			ctl.rate[r.Index] = clamp(series.Headroom*r.Result.NyquistRate, minRate, maxRate)
 		}
 	}
-	ctl.scanRep = Aggregate(results, ctl.cfg.ScanWindow)
+	ctl.scanRep = Aggregate(results, scanWindow)
 	return nil
 }
 
@@ -303,7 +244,7 @@ func (ctl *Controller) Step() (RoundSummary, error) {
 			return sum, fmt.Errorf("fleet: round %d device %s: %w", ctl.round, devices[i].ID, r.err)
 		}
 		sum.Samples += r.samples
-		ctl.cost[i].Add(ctl.cfg.Model, r.samples)
+		ctl.cost[i].Add(monitor.DefaultCostModel(), r.samples)
 		ctl.aliased[i] = r.aliased
 		// core.RatePolicy decides (rounds are disjoint windows: turnover
 		// 1). A clean estimate may only lower or hold the poll rate — a
@@ -314,13 +255,13 @@ func (ctl *Controller) Step() (RoundSummary, error) {
 			sum.Aliased++
 			desired = ctl.rate[i]
 			if ctl.policy[i].Aliased() {
-				desired = clamp(2*ctl.rate[i], ctl.cfg.MinRate, ctl.cfg.MaxRate)
+				desired = clamp(2*ctl.rate[i], minRate, maxRate)
 			}
 		} else {
 			if held, changed := ctl.policy[i].Clean(r.nyquist, 1); changed {
 				ctl.store.SetNyquistRate(devices[i].ID, held)
 			}
-			desired = clamp(series.Headroom*r.nyquist, ctl.cfg.MinRate, ctl.cfg.MaxRate)
+			desired = clamp(series.Headroom*r.nyquist, minRate, maxRate)
 			if desired > ctl.rate[i] {
 				desired = ctl.rate[i]
 			}
@@ -348,9 +289,9 @@ func (ctl *Controller) Step() (RoundSummary, error) {
 		sum.Quality = 1
 	}
 	for i := range granted {
-		g := clamp(granted[i], ctl.cfg.MinRate, ctl.cfg.MaxRate)
+		g := clamp(granted[i], minRate, maxRate)
 		prev := ctl.rate[i]
-		ctl.converged[i] = math.Abs(g-prev) <= ctl.cfg.ConvergeTol*prev
+		ctl.converged[i] = math.Abs(g-prev) <= convergeTol*prev
 		if ctl.converged[i] {
 			sum.Converged++
 		}
@@ -366,7 +307,7 @@ func (ctl *Controller) Step() (RoundSummary, error) {
 func (ctl *Controller) pollOne(i int) perDevice {
 	d := ctl.scenario.Fleet.Devices[i]
 	rate := ctl.rate[i]
-	n := ctl.cfg.SamplesPerRound
+	const n = samplesPerRound
 	out := perDevice{samples: n}
 	interval := time.Duration(float64(time.Second) / rate)
 	if interval <= 0 {
@@ -376,7 +317,7 @@ func (ctl *Controller) pollOne(i int) perDevice {
 	st, err := core.NewStreamEstimator(core.StreamConfig{
 		Interval:      interval,
 		WindowSamples: n,
-		EnergyCutoff:  ctl.cfg.EnergyCutoff,
+		EnergyCutoff:  controlCutoff,
 		// The estimate is read once at the end of the round.
 		EmitEvery: 1 << 30,
 	})
@@ -393,7 +334,7 @@ func (ctl *Controller) pollOne(i int) perDevice {
 		block[k] = v
 	}
 	if err := ctl.store.AppendUniform(d.ID, &series.Uniform{
-		Start:    ctl.cfg.Start.Add(time.Duration(base * float64(time.Second))),
+		Start:    controlEpoch.Add(time.Duration(base * float64(time.Second))),
 		Interval: interval,
 		Values:   block,
 	}); err != nil {
@@ -421,7 +362,7 @@ func (ctl *Controller) pollOne(i int) perDevice {
 // fleet to count as converged.
 func (ctl *Controller) quorum() int {
 	n := len(ctl.rate)
-	q := int(math.Ceil(ctl.cfg.ConvergeQuorum * float64(n)))
+	q := int(math.Ceil(convergeQuorum * float64(n)))
 	if q < 1 {
 		q = 1
 	}
@@ -587,15 +528,12 @@ func (ctl *Controller) Report() *ControllerReport {
 // ranges aggregate meaningfully.
 func (ctl *Controller) qualityAudit() QualityAudit {
 	var q QualityAudit
-	if ctl.cfg.QualityDevices < 0 || ctl.round == 0 {
+	if ctl.round == 0 {
 		return q
 	}
 	n := len(ctl.rate)
-	stride := 1
-	if ctl.cfg.QualityDevices > 0 && n > ctl.cfg.QualityDevices {
-		// Ceil division keeps the audited count at or under the cap.
-		stride = (n + ctl.cfg.QualityDevices - 1) / ctl.cfg.QualityDevices
-	}
+	// Ceil division keeps the audited count at or under the cap.
+	stride := max(1, (n+qualityDevices-1)/qualityDevices)
 	const polls = 96
 	for i := 0; i < n; i += stride {
 		d := ctl.scenario.Fleet.Devices[i]
@@ -606,7 +544,7 @@ func (ctl *Controller) qualityAudit() QualityAudit {
 		for k := 0; k < polls; k++ {
 			ts := base + float64(k)*ivs
 			pts[k] = series.Point{
-				Time:  ctl.cfg.Start.Add(time.Duration(ts * float64(time.Second))),
+				Time:  controlEpoch.Add(time.Duration(ts * float64(time.Second))),
 				Value: d.At(ts),
 			}
 		}

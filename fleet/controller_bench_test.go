@@ -21,11 +21,7 @@ func BenchmarkControllerRound(b *testing.B) {
 			for _, d := range sc.Fleet.Devices {
 				prod += d.PollRate()
 			}
-			ctl, err := NewController(sc, ControllerConfig{
-				BudgetHz: prod,
-				// The audit is end-of-run reporting, not round work.
-				QualityDevices: -1,
-			})
+			ctl, err := NewController(sc, ControllerConfig{BudgetHz: prod})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -37,9 +33,9 @@ func BenchmarkControllerRound(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			samplesPerRound := float64(devices * 64)
+			samples := float64(devices * samplesPerRound)
 			b.ReportMetric(float64(devices)*float64(b.N)/b.Elapsed().Seconds(), "devices/s")
-			b.ReportMetric(samplesPerRound*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
+			b.ReportMetric(samples*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
 		})
 	}
 }

@@ -81,7 +81,7 @@ func TestControllerSoakAllRegimes(t *testing.T) {
 				t.Fatalf("%s: no convergence within %d rounds under budget %.4g Hz:\n%s",
 					sp.Name, sp.MaxRounds, budget, rep.Render())
 			}
-			slack := float64(devices) * (1.0 / 3600)
+			slack := float64(devices) * minRate
 			if rep.FinalHz > budget+slack {
 				t.Fatalf("%s: steady-state fleet rate %.4g Hz busts the %.4g Hz budget (+%.4g floor slack)",
 					sp.Name, rep.FinalHz, budget, slack)

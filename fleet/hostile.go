@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/dcsim"
 	"repro/internal/monitor"
@@ -30,48 +29,20 @@ type HostileConfig struct {
 	// Rounds is the number of wire rounds to run (0 = the spec's
 	// MaxRounds).
 	Rounds int
-	// SamplesPerRound is the per-device round size (0 =
-	// dcsim.DefaultSamplesPerRound).
-	SamplesPerRound int
-	// Window is the ingest estimator's analysis window (0 = 64 — short,
-	// so churn epochs and post-step recovery fit in a few rounds).
-	Window int
-	// EmitEvery is the estimate refresh cadence (0 = 8).
-	EmitEvery int
-	// Quorum is the fraction of a round's active estimable ids that must
-	// be warm with a clean estimate for the round to count as converged
-	// (0 = 0.9).
-	Quorum float64
-	// MaxSeries overrides the estimator capacity (0 = the regime budget:
-	// ceil(BudgetFraction x distinct wire ids)).
-	MaxSeries int
-	// EvictAfter overrides the estimator's LRU idle threshold (0 = one
-	// and a half rounds of wire traffic: a live series is observed every
-	// round so nothing active ever ages out, while a dead churn epoch is
-	// reclaimable from the round after next).
-	EvictAfter int
-	// Start anchors wire time (zero = the WireGen default).
-	Start time.Time
 }
 
-func (c HostileConfig) withDefaults(spec ScenarioSpec) HostileConfig {
-	if c.Rounds <= 0 {
-		c.Rounds = spec.MaxRounds
-	}
-	if c.SamplesPerRound <= 0 {
-		c.SamplesPerRound = dcsim.DefaultSamplesPerRound
-	}
-	if c.Window <= 0 {
-		c.Window = 64
-	}
-	if c.EmitEvery <= 0 {
-		c.EmitEvery = 8
-	}
-	if c.Quorum <= 0 {
-		c.Quorum = 0.9
-	}
-	return c
-}
+// The hostile pipeline's fixed settings.
+const (
+	// hostileWindow is the ingest estimator's analysis window: short, so
+	// churn epochs and post-step recovery fit in a few rounds.
+	hostileWindow = 64
+	// hostileEmitEvery is the estimate refresh cadence.
+	hostileEmitEvery = 8
+	// hostileQuorum is the fraction of a round's active estimable ids
+	// that must be warm with a clean estimate for the round to count as
+	// converged.
+	hostileQuorum = 0.9
+)
 
 // HostileRound is one wire round's accounting.
 type HostileRound struct {
@@ -138,10 +109,12 @@ type HostileReport struct {
 // call Run once.
 type HostileRunner struct {
 	sc    *Scenario
-	cfg   HostileConfig
 	gen   *dcsim.WireGen
 	store *Store
 	est   *monitor.IngestEstimator
+
+	rounds                int
+	maxSeries, evictAfter int
 
 	accepted map[string]int
 	truth    map[string]float64
@@ -154,22 +127,22 @@ func NewHostileRunner(sc *Scenario, cfg HostileConfig) (*HostileRunner, error) {
 	if sc == nil || sc.Fleet == nil || len(sc.Fleet.Devices) == 0 {
 		return nil, fmt.Errorf("fleet: hostile runner needs a built scenario")
 	}
-	cfg = cfg.withDefaults(sc.Spec)
-	gen := dcsim.NewWireGen(sc, dcsim.WireConfig{SamplesPerRound: cfg.SamplesPerRound, Start: cfg.Start})
-	distinct := gen.DistinctIDs(cfg.Rounds)
-	if cfg.MaxSeries <= 0 {
-		frac := sc.Spec.BudgetFraction
-		if frac <= 0 {
-			frac = 1
-		}
-		cfg.MaxSeries = int(math.Ceil(frac * float64(distinct)))
-		if cfg.MaxSeries < 1 {
-			cfg.MaxSeries = 1
-		}
+	rounds := cfg.Rounds
+	if rounds <= 0 {
+		rounds = sc.Spec.MaxRounds
 	}
-	if cfg.EvictAfter <= 0 {
-		cfg.EvictAfter = 3 * len(sc.Fleet.Devices) * cfg.SamplesPerRound / 2
+	gen := dcsim.NewWireGen(sc, dcsim.WireConfig{})
+	// The estimator's capacity is the regime budget: ceil(BudgetFraction x
+	// distinct wire ids).
+	frac := sc.Spec.BudgetFraction
+	if frac <= 0 {
+		frac = 1
 	}
+	maxSeries := max(1, int(math.Ceil(frac*float64(gen.DistinctIDs(rounds)))))
+	// The LRU idle threshold is one and a half rounds of wire traffic: a
+	// live series is observed every round so nothing active ever ages out,
+	// while a dead churn epoch is reclaimable from the round after next.
+	evictAfter := 3 * len(sc.Fleet.Devices) * dcsim.DefaultSamplesPerRound / 2
 	store := tsdb.New(tsdb.Config{
 		Shards: 8,
 		Retention: tsdb.RetentionConfig{
@@ -180,24 +153,26 @@ func NewHostileRunner(sc *Scenario, cfg HostileConfig) (*HostileRunner, error) {
 		},
 	})
 	est := monitor.NewIngestEstimator(store, monitor.IngestConfig{
-		WindowSamples: cfg.Window,
-		EmitEvery:     cfg.EmitEvery,
+		WindowSamples: hostileWindow,
+		EmitEvery:     hostileEmitEvery,
 		// The paper's 90 % cut-off: a 64-sample window has 32 bins and the
 		// hook's Hann main lobe spans four of them, so the default 99 %
 		// sits a lobe's skirt past the band edge — bin resolution, not
 		// leakage, is what this window length pays.
 		EnergyCutoff: 0.9,
-		MaxSeries:    cfg.MaxSeries,
-		EvictAfter:   cfg.EvictAfter,
+		MaxSeries:    maxSeries,
+		EvictAfter:   evictAfter,
 	})
 	return &HostileRunner{
-		sc:       sc,
-		cfg:      cfg,
-		gen:      gen,
-		store:    store,
-		est:      est,
-		accepted: make(map[string]int),
-		truth:    make(map[string]float64),
+		sc:         sc,
+		gen:        gen,
+		store:      store,
+		est:        est,
+		rounds:     rounds,
+		maxSeries:  maxSeries,
+		evictAfter: evictAfter,
+		accepted:   make(map[string]int),
+		truth:      make(map[string]float64),
 	}, nil
 }
 
@@ -214,12 +189,12 @@ func (r *HostileRunner) Run() (*HostileReport, error) {
 		Spec:            r.sc.Spec,
 		Seed:            r.sc.Seed,
 		Devices:         len(r.sc.Fleet.Devices),
-		SamplesPerRound: r.cfg.SamplesPerRound,
-		DistinctIDs:     r.gen.DistinctIDs(r.cfg.Rounds),
-		MaxSeries:       r.cfg.MaxSeries,
-		EvictAfter:      r.cfg.EvictAfter,
+		SamplesPerRound: dcsim.DefaultSamplesPerRound,
+		DistinctIDs:     r.gen.DistinctIDs(r.rounds),
+		MaxSeries:       r.maxSeries,
+		EvictAfter:      r.evictAfter,
 	}
-	for round := 1; round <= r.cfg.Rounds; round++ {
+	for round := 1; round <= r.rounds; round++ {
 		rs := HostileRound{Round: round}
 		var active []string
 		seen := make(map[string]bool)
@@ -248,7 +223,7 @@ func (r *HostileRunner) Run() (*HostileReport, error) {
 			}
 		}
 		for _, id := range active {
-			if r.accepted[id] < r.cfg.Window {
+			if r.accepted[id] < hostileWindow {
 				continue
 			}
 			rs.ActiveEstimable++
@@ -257,7 +232,7 @@ func (r *HostileRunner) Run() (*HostileReport, error) {
 			}
 		}
 		rs.QuorumMet = rs.ActiveEstimable > 0 &&
-			float64(rs.WarmClean) >= r.cfg.Quorum*float64(rs.ActiveEstimable)
+			float64(rs.WarmClean) >= hostileQuorum*float64(rs.ActiveEstimable)
 		rs.Evicted = r.est.Evicted()
 		rs.Live = r.est.Len()
 		rep.Rounds = append(rep.Rounds, rs)
@@ -270,7 +245,7 @@ func (r *HostileRunner) Run() (*HostileReport, error) {
 		if rs.QuorumMet && rep.ConvergedRound == 0 {
 			rep.ConvergedRound = round
 		}
-		if round == r.cfg.Rounds {
+		if round == r.rounds {
 			rep.FinalQuorumMet = rs.QuorumMet
 		}
 	}
@@ -298,7 +273,7 @@ func (r *HostileRunner) Run() (*HostileReport, error) {
 		if adv.Reprobes > 0 {
 			rep.ReprobedIDs++
 		}
-		if r.accepted[id] < r.cfg.Window || adv.NyquistRate <= 0 {
+		if r.accepted[id] < hostileWindow || adv.NyquistRate <= 0 {
 			continue
 		}
 		truth := r.truth[id]

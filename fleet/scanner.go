@@ -22,8 +22,6 @@ type ScanConfig struct {
 	// Window is the stretch of signal time audited per device; zero
 	// selects Day, the paper's per-datapoint trace length.
 	Window time.Duration
-	// Offset is where in signal time the audit window begins (seconds).
-	Offset float64
 	// WindowSamples, when positive, caps the streaming estimator's
 	// sliding window; devices with more polls than this in the audit
 	// window are estimated from their trailing window only. Zero analyzes
@@ -32,8 +30,6 @@ type ScanConfig struct {
 	// EnergyCutoff is the estimation threshold; zero selects the paper's
 	// 99 %.
 	EnergyCutoff float64
-	// Buffer is the result channel's capacity; zero selects 2×Workers.
-	Buffer int
 }
 
 func (c ScanConfig) withDefaults() ScanConfig {
@@ -42,9 +38,6 @@ func (c ScanConfig) withDefaults() ScanConfig {
 	}
 	if c.Window <= 0 {
 		c.Window = Day
-	}
-	if c.Buffer <= 0 {
-		c.Buffer = 2 * c.Workers
 	}
 	return c
 }
@@ -108,7 +101,9 @@ func (s *Scanner) Scan(f *Fleet) <-chan DeviceResult {
 // picking up devices, in-flight sends are abandoned, and the channel
 // closes without the remaining results.
 func (s *Scanner) ScanContext(ctx context.Context, f *Fleet) <-chan DeviceResult {
-	out := make(chan DeviceResult, s.cfg.Buffer)
+	// Two results per worker let each worker finish its next pair while the
+	// reader drains the last one.
+	out := make(chan DeviceResult, 2*s.cfg.Workers)
 	if f == nil || len(f.Devices) == 0 {
 		close(out)
 		return out
@@ -188,7 +183,7 @@ func (s *Scanner) scanOne(idx int, d *dcsim.Device) DeviceResult {
 	}
 	ivs := d.PollInterval.Seconds()
 	for i := 0; i < n; i++ {
-		st.Push(d.At(s.cfg.Offset + float64(i)*ivs))
+		st.Push(d.At(float64(i) * ivs))
 	}
 	dr.Result, dr.Err = st.Current()
 	return dr

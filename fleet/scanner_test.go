@@ -95,7 +95,7 @@ func TestScannerStreamsEveryPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := NewScanner(ScanConfig{Workers: 8, Buffer: 1})
+	sc, err := NewScanner(ScanConfig{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestScannerContextCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := NewScanner(ScanConfig{Workers: 2, Buffer: 1})
+	sc, err := NewScanner(ScanConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

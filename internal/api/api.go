@@ -54,28 +54,15 @@ import (
 
 // Config parameterizes a Server.
 type Config struct {
-	// Store is the backing store. Nil selects the serving default:
-	// 16-shard strict-append engine, 4096-point raw stores, two
-	// min/max/mean tiers of 1024 buckets, 128-entry Gorilla blocks.
+	// Store is the backing store. Nil selects DefaultStore.
 	Store *tsdb.DB
 	// Estimator is the estimate-on-ingest hook. Nil builds one over
-	// Store from Ingest; pass an existing estimator when it was already
-	// wired elsewhere (the durability layer restores state into it
-	// before the server starts).
+	// Store with the hook's defaults; pass an existing estimator when it
+	// was already wired elsewhere (the durability layer restores state
+	// into it before the server starts).
 	Estimator *monitor.IngestEstimator
-	// Ingest parameterizes the per-series estimate-on-ingest hook
-	// (ignored when Estimator is set).
-	Ingest monitor.IngestConfig
 	// MaxBodyBytes bounds an ingest request body; zero selects 8 MiB.
 	MaxBodyBytes int64
-	// MaxQueryPoints caps (and defaults) a query's point budget; zero
-	// selects 10000. Clients asking for more are thinned to this (the
-	// response carries "clamped": true when that happens).
-	MaxQueryPoints int
-	// MaxQuerySeries caps how many series one ?match= query may answer;
-	// zero selects 512. Extra matches are cut deterministically (smallest
-	// ids win) and reported via "truncated": true.
-	MaxQuerySeries int
 	// Logger receives structured request/error logs. Nil discards —
 	// embedders and benchmarks stay quiet by default; cmd/nyquistd
 	// passes a real handler.
@@ -86,20 +73,37 @@ type Config struct {
 	SlowQuery time.Duration
 }
 
-// DefaultStore returns the serving-default store configuration (see
-// Config.Store). The store is strict-append: a point it refuses (out of
-// order, or a timestamp outside the accepted range) is reported as
-// rejected, never as accepted — the contract the write-ahead log's
-// replay also relies on.
-func DefaultStore() *tsdb.DB {
+// The query surface's fixed limits.
+const (
+	// maxQueryPoints caps (and defaults) a query's point budget. Clients
+	// asking for more are thinned to this (the response carries
+	// "clamped": true when that happens).
+	maxQueryPoints = 10000
+	// maxQuerySeries caps how many series one ?match= query may answer.
+	// Extra matches are cut deterministically (smallest ids win) and
+	// reported via "truncated": true.
+	maxQuerySeries = 512
+)
+
+// DefaultStore returns the serving store at nyquistd's defaults: 16
+// shards and 128-entry blocks.
+func DefaultStore() *tsdb.DB { return ServingStore(16, 128) }
+
+// ServingStore returns the serving store with the given shard count and
+// block length: 4096-point raw stores, two min/max/mean tiers of 1024
+// buckets, and a 32 MiB decoded-block cache split across the shards. The
+// store is strict-append: a point it refuses (out of order, or a timestamp
+// outside the accepted range) is reported as rejected, never as accepted —
+// the contract the write-ahead log's replay also relies on.
+func ServingStore(shards, compressBlock int) *tsdb.DB {
 	return tsdb.New(tsdb.Config{
-		Shards:     16,
+		Shards:     shards,
 		CacheBytes: 32 << 20,
 		Retention: tsdb.RetentionConfig{
 			RawCapacity:   4096,
 			TierCapacity:  1024,
 			Tiers:         2,
-			CompressBlock: 128,
+			CompressBlock: compressBlock,
 		},
 	})
 }
@@ -145,16 +149,10 @@ func NewServer(cfg Config) *Server {
 		cfg.Store = DefaultStore()
 	}
 	if cfg.Estimator == nil {
-		cfg.Estimator = monitor.NewIngestEstimator(cfg.Store, cfg.Ingest)
+		cfg.Estimator = monitor.NewIngestEstimator(cfg.Store, monitor.IngestConfig{})
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 8 << 20
-	}
-	if cfg.MaxQueryPoints <= 0 {
-		cfg.MaxQueryPoints = 10000
-	}
-	if cfg.MaxQuerySeries <= 0 {
-		cfg.MaxQuerySeries = 512
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(127)}))
@@ -327,7 +325,7 @@ func allSpace(b []byte) bool {
 // handleQuery answers a tier-stitched range read: ?series= (one id) or
 // ?match= (prefix/glob over the id space), optional from/to (RFC3339 or
 // Unix seconds; absent = unbounded), max_points (defaulted and capped
-// by MaxQueryPoints; a request above the cap is clamped and says so),
+// by maxQueryPoints; a request above the cap is clamped and says so),
 // and reconstruct=/step= for server-side resampling onto a uniform grid
 // (see reconstruct.go).
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -359,7 +357,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, "bad range: from after to")
 		return
 	}
-	maxPoints := s.cfg.MaxQueryPoints
+	maxPoints := maxQueryPoints
 	clamped := false
 	if v := q.Get("max_points"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -451,7 +449,7 @@ func (s *Server) queryResponse(res *tsdb.QueryResult, spec reconstructSpec, from
 // fleet reports in, and a 404 would page someone over an empty rack.
 func (s *Server) handleQueryMatch(w http.ResponseWriter, r *http.Request, pattern string, from, to time.Time, maxPoints int, clamped bool, spec reconstructSpec) {
 	t0 := time.Now()
-	mres := s.store.QueryMatch(pattern, from, to, storeBudget(maxPoints, spec), s.cfg.MaxQuerySeries)
+	mres := s.store.QueryMatch(pattern, from, to, storeBudget(maxPoints, spec), maxQuerySeries)
 	s.metrics.querySeconds.ObserveSince(t0)
 	s.metrics.queryMatchSeries.Observe(float64(len(mres.Results)))
 	resp := MatchResponse{

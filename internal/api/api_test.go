@@ -39,9 +39,16 @@ func diurnalValue(i int) float64 {
 	return math.Round(v*4) / 4
 }
 
+// ingestServer returns a Server over the serving-default store whose
+// estimate-on-ingest hook runs ic.
+func ingestServer(ic monitor.IngestConfig) *Server {
+	store := DefaultStore()
+	return NewServer(Config{Store: store, Estimator: monitor.NewIngestEstimator(store, ic)})
+}
+
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	srv := NewServer(Config{Ingest: monitor.IngestConfig{WindowSamples: 256, EmitEvery: 8}})
+	srv := ingestServer(monitor.IngestConfig{WindowSamples: 256, EmitEvery: 8})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts
@@ -431,7 +438,7 @@ func TestQueryErrorStatuses(t *testing.T) {
 // path: overflow series are stored but flagged estimator_dropped, and
 // /api/v1/stats reports the cap and the rejected count.
 func TestIngestEstimatorCapSurfaced(t *testing.T) {
-	srv := NewServer(Config{Ingest: monitor.IngestConfig{WindowSamples: 64, MaxSeries: 2}})
+	srv := ingestServer(monitor.IngestConfig{WindowSamples: 64, MaxSeries: 2})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/dcsim"
-	"repro/internal/monitor"
 	"repro/internal/series"
 	"repro/internal/tsdb"
 )
@@ -77,22 +76,18 @@ func TestQueryParamValidation(t *testing.T) {
 // above the server cap is served at the cap and says so; a request under
 // it is not flagged.
 func TestQueryClampedFlag(t *testing.T) {
-	srv := NewServer(Config{
-		Ingest:         monitor.IngestConfig{WindowSamples: 256, EmitEvery: 8},
-		MaxQueryPoints: 50,
-	})
-	hts := newHTTPServer(t, srv)
+	_, hts := newTestServer(t)
 	postLines(t, hts.URL, rampLines("c/ramp", 200, time.Second))
 
 	var qr QueryResponse
-	if code := getJSON(t, hts.URL+"/api/v1/query?series=c/ramp&max_points=1000", &qr); code != http.StatusOK {
+	if code := getJSON(t, hts.URL+fmt.Sprintf("/api/v1/query?series=c/ramp&max_points=%d", maxQueryPoints+1), &qr); code != http.StatusOK {
 		t.Fatalf("HTTP %d", code)
 	}
 	if !qr.Clamped {
-		t.Fatal("max_points=1000 over a 50-point cap must set clamped")
+		t.Fatalf("max_points=%d over the %d-point cap must set clamped", maxQueryPoints+1, maxQueryPoints)
 	}
-	if len(qr.Points) > 50 || !qr.Thinned {
-		t.Fatalf("clamped query returned %d points (thinned=%v), want ≤50 thinned", len(qr.Points), qr.Thinned)
+	if len(qr.Points) != 200 {
+		t.Fatalf("clamped query returned %d points, want all 200 (under the cap)", len(qr.Points))
 	}
 	qr = QueryResponse{}
 	if code := getJSON(t, hts.URL+"/api/v1/query?series=c/ramp&max_points=30", &qr); code != http.StatusOK {
@@ -145,11 +140,7 @@ func metricValue(t *testing.T, base, family string) float64 {
 // TestQueryMatchEndpoint pins the multi-series fan-in surface: sorted
 // results, shared budget, the zero-match 200, and series-cap truncation.
 func TestQueryMatchEndpoint(t *testing.T) {
-	srv := NewServer(Config{
-		Ingest:         monitor.IngestConfig{WindowSamples: 256, EmitEvery: 8},
-		MaxQuerySeries: 2,
-	})
-	hts := newHTTPServer(t, srv)
+	_, hts := newTestServer(t)
 	for _, id := range []string{"fleet/dev2", "fleet/dev1", "fleet/dev3", "other/dev"} {
 		postLines(t, hts.URL, rampLines(id, 60, time.Second))
 	}
@@ -168,30 +159,48 @@ func TestQueryMatchEndpoint(t *testing.T) {
 		if code := getJSON(t, hts.URL+"/api/v1/query?"+url.Values{"match": {"fleet/dev?"}}.Encode(), &mr); code != http.StatusOK {
 			t.Fatalf("HTTP %d", code)
 		}
-		if mr.Matches != 3 {
-			t.Fatalf("matched %d series, want 3", mr.Matches)
+		if mr.Matches != 3 || mr.Truncated || len(mr.Results) != 3 {
+			t.Fatalf("matched %d, truncated=%v, results=%d — want 3/false/3", mr.Matches, mr.Truncated, len(mr.Results))
 		}
-		if !mr.Truncated || len(mr.Results) != 2 {
-			t.Fatalf("series cap 2: truncated=%v results=%d, want true/2", mr.Truncated, len(mr.Results))
-		}
-		// Deterministic, sorted: the two smallest ids.
-		if mr.Results[0].Series != "fleet/dev1" || mr.Results[1].Series != "fleet/dev2" {
-			t.Fatalf("kept %q, %q — want the two smallest ids, sorted", mr.Results[0].Series, mr.Results[1].Series)
-		}
-		for _, r := range mr.Results {
+		for i, r := range mr.Results {
+			if want := fmt.Sprintf("fleet/dev%d", i+1); r.Series != want {
+				t.Fatalf("result %d is %q, want %q — results must be sorted by id", i, r.Series, want)
+			}
 			if len(r.Points) != 60 {
 				t.Fatalf("series %q returned %d points, want 60", r.Series, len(r.Points))
 			}
 		}
 	})
+	t.Run("series-cap-truncates", func(t *testing.T) {
+		// One more id than the cap: the match is cut deterministically to
+		// the smallest maxQuerySeries ids, sorted.
+		lines := make([]string, maxQuerySeries+1)
+		for i := range lines {
+			lines[i] = fmt.Sprintf(`{"series":"cap/%04d","ts":%d,"value":1}`, i, apiStart.Unix())
+		}
+		postLines(t, hts.URL, lines)
+		var mr MatchResponse
+		if code := getJSON(t, hts.URL+"/api/v1/query?match=cap/", &mr); code != http.StatusOK {
+			t.Fatalf("HTTP %d", code)
+		}
+		if mr.Matches != maxQuerySeries+1 || !mr.Truncated || len(mr.Results) != maxQuerySeries {
+			t.Fatalf("matched %d, truncated=%v, results=%d — want %d/true/%d",
+				mr.Matches, mr.Truncated, len(mr.Results), maxQuerySeries+1, maxQuerySeries)
+		}
+		for i, r := range mr.Results {
+			if want := fmt.Sprintf("cap/%04d", i); r.Series != want {
+				t.Fatalf("kept %q at %d, want %q — the smallest ids, sorted", r.Series, i, want)
+			}
+		}
+	})
 	t.Run("budget-split", func(t *testing.T) {
 		var mr MatchResponse
-		if code := getJSON(t, hts.URL+"/api/v1/query?match=fleet/&max_points=20", &mr); code != http.StatusOK {
+		if code := getJSON(t, hts.URL+"/api/v1/query?match=fleet/&max_points=30", &mr); code != http.StatusOK {
 			t.Fatalf("HTTP %d", code)
 		}
 		for _, r := range mr.Results {
 			if len(r.Points) > 10 {
-				t.Fatalf("series %q got %d points of a 20-point budget over 2 answered series", r.Series, len(r.Points))
+				t.Fatalf("series %q got %d points of a 30-point budget over 3 answered series", r.Series, len(r.Points))
 			}
 		}
 	})

@@ -38,10 +38,7 @@ func TestIngestSoakConservation(t *testing.T) {
 		batches     = 12
 		batchLines  = 300
 	)
-	srv := NewServer(Config{
-		Store:  DefaultStore(),
-		Ingest: monitor.IngestConfig{WindowSamples: 64, EmitEvery: 8},
-	})
+	srv := ingestServer(monitor.IngestConfig{WindowSamples: 64, EmitEvery: 8})
 	hts := httptest.NewServer(srv.Handler())
 	defer hts.Close()
 	bln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -36,9 +36,9 @@ func (m Mode) String() string {
 type AdaptiveConfig struct {
 	// InitialRate is the first poll rate tried, in hertz. Required.
 	InitialRate float64
-	// MinRate and MaxRate bound the adapted rate. MaxRate is required;
-	// MinRate defaults to MaxRate/1e6.
-	MinRate, MaxRate float64
+	// MaxRate bounds the adapted rate from above, and MaxRate/1e6 from
+	// below. Required.
+	MaxRate float64
 	// Headroom multiplies the estimated Nyquist rate when setting the
 	// poll rate, keeping margin for first-of-their-kind events (§4.2
 	// last paragraph). Zero selects 2.
@@ -68,18 +68,15 @@ type AdaptiveConfig struct {
 	Detector DualRateConfig
 }
 
+// minRate is the adapted rate's floor.
+func (c AdaptiveConfig) minRate() float64 { return c.MaxRate / 1e6 }
+
 func (c AdaptiveConfig) validate() (AdaptiveConfig, error) {
 	if !(c.InitialRate > 0) {
 		return c, errors.New("core: adaptive sampler needs a positive initial rate")
 	}
 	if !(c.MaxRate > 0) {
 		return c, errors.New("core: adaptive sampler needs a positive max rate")
-	}
-	if c.MinRate <= 0 {
-		c.MinRate = c.MaxRate / 1e6
-	}
-	if c.MinRate > c.MaxRate {
-		return c, fmt.Errorf("core: min rate %v above max rate %v", c.MinRate, c.MaxRate)
 	}
 	if c.Headroom <= 0 {
 		c.Headroom = 2
@@ -184,7 +181,7 @@ func NewAdaptiveSampler(cfg AdaptiveConfig) (*AdaptiveSampler, error) {
 		cfg:      c,
 		detector: NewDualRateDetector(c.Detector),
 		est:      est,
-		rate:     clamp(c.InitialRate, c.MinRate, c.MaxRate),
+		rate:     clamp(c.InitialRate, c.minRate(), c.MaxRate),
 		mode:     Probing,
 	}, nil
 }
@@ -298,7 +295,7 @@ func (a *AdaptiveSampler) estimateWindow(src Sampler, start float64) float64 {
 }
 
 func (a *AdaptiveSampler) setRate(r float64) {
-	a.rate = clamp(r, a.cfg.MinRate, a.cfg.MaxRate)
+	a.rate = clamp(r, a.cfg.minRate(), a.cfg.MaxRate)
 }
 
 func clamp(v, lo, hi float64) float64 {

@@ -16,19 +16,6 @@ type DualRateConfig struct {
 	// Tolerance is the normalized spectral-divergence score above which
 	// aliasing is declared. Zero selects 0.1.
 	Tolerance float64
-	// NoiseFloor is the fraction of the strongest bin's power below
-	// which a bin is ignored in both spectra, filtering the measurement-
-	// noise floor as the paper suggests (§4.1). The floor must be
-	// relative to the peak rather than the total: white measurement
-	// noise spreads its fixed per-sample power across however many bins
-	// the rate yields, so per-bin noise power is rate-dependent and
-	// would otherwise register as spurious divergence. Zero selects
-	// 5e-3.
-	NoiseFloor float64
-	// Window tapers both traces before comparison; nil means Hann, which
-	// suppresses the leakage differences two different rates inevitably
-	// produce.
-	Window dsp.Window
 	// MedianPrefilter, when >= 3, runs both traces through a sliding
 	// median of that window before comparison — the paper's "noise
 	// especially of a small amplitude can be filtered using standard
@@ -42,14 +29,17 @@ func (c DualRateConfig) withDefaults() DualRateConfig {
 	if c.Tolerance <= 0 {
 		c.Tolerance = 0.1
 	}
-	if c.NoiseFloor <= 0 {
-		c.NoiseFloor = 5e-3
-	}
-	if c.Window == nil {
-		c.Window = dsp.Hann{}
-	}
 	return c
 }
+
+// dualRateNoiseFloor is the fraction of the strongest bin's power below
+// which a bin is ignored in both spectra, filtering the measurement-noise
+// floor as the paper suggests (§4.1). The floor must be relative to the
+// peak rather than the total: white measurement noise spreads its fixed
+// per-sample power across however many bins the rate yields, so per-bin
+// noise power is rate-dependent and would otherwise register as spurious
+// divergence.
+const dualRateNoiseFloor = 5e-3
 
 // DualRateDetector detects aliasing by comparing spectra measured at two
 // sampling rates.
@@ -118,11 +108,13 @@ func (d *DualRateDetector) Compare(fastX []float64, fastRate float64, slowX []fl
 		fastX = dsp.MedianFilter(fastX, cfg.MedianPrefilter)
 		slowX = dsp.MedianFilter(slowX, cfg.MedianPrefilter)
 	}
-	fastSpec, err := dsp.Periodogram(detrendCopy(fastX), fastRate, cfg.Window)
+	// A Hann taper on both traces suppresses the leakage differences two
+	// different rates inevitably produce.
+	fastSpec, err := dsp.Periodogram(detrendCopy(fastX), fastRate, dsp.Hann{})
 	if err != nil {
 		return nil, err
 	}
-	slowSpec, err := dsp.Periodogram(detrendCopy(slowX), slowRate, cfg.Window)
+	slowSpec, err := dsp.Periodogram(detrendCopy(slowX), slowRate, dsp.Hann{})
 	if err != nil {
 		return nil, err
 	}
@@ -130,7 +122,7 @@ func (d *DualRateDetector) Compare(fastX []float64, fastRate float64, slowX []fl
 	// a guard band: the top bins of the slow spectrum always disagree
 	// slightly because of leakage.
 	limit := slowRate / 2 * 0.9
-	floor := cfg.NoiseFloor * math.Max(peakPower(fastSpec), peakPower(slowSpec))
+	floor := dualRateNoiseFloor * math.Max(peakPower(fastSpec), peakPower(slowSpec))
 	var num, den float64
 	bins := 0
 	for k := 1; k < len(slowSpec.Freqs); k++ {

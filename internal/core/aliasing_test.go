@@ -163,7 +163,7 @@ func TestDualRateNoiseFiltered(t *testing.T) {
 	src := SamplerFunc(func(t float64) float64 {
 		return math.Sin(2*math.Pi*1*t) + 1e-5*math.Sin(2*math.Pi*11*t)
 	})
-	d := NewDualRateDetector(DualRateConfig{NoiseFloor: 1e-3})
+	d := NewDualRateDetector(DualRateConfig{})
 	v, _, err := d.Probe(src, 0, 30, 37, 10)
 	if err != nil {
 		t.Fatal(err)

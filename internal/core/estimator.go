@@ -24,8 +24,11 @@ const DefaultEnergyCutoff = 0.99
 // mistake it for a rate).
 var ErrAliased = errors.New("core: trace appears aliased; Nyquist rate not recoverable")
 
-// ErrTooShort is reported for traces with too few samples for a meaningful
-// spectral estimate.
+// MinSamples is the fewest samples a trace, or a stream's window, may hold
+// for a meaningful spectral estimate.
+const MinSamples = 16
+
+// ErrTooShort is reported for traces with fewer than MinSamples samples.
 var ErrTooShort = errors.New("core: trace too short for Nyquist estimation")
 
 // DetrendMode selects how the estimator removes the slow offset a
@@ -77,28 +80,23 @@ type EstimatorConfig struct {
 	// Window tapers the trace before the FFT; nil means rectangular,
 	// matching the paper's plain-FFT method.
 	Window dsp.Window
-	// Welch, when true, uses Welch's averaged periodogram with
-	// WelchSegments segments instead of a single FFT. More robust to
+	// Welch, when true, uses Welch's averaged periodogram with eight
+	// half-overlapping segments instead of a single FFT. More robust to
 	// noise at the price of frequency resolution.
 	Welch bool
-	// WelchSegments is the number of (half-overlapping) segments when
-	// Welch is set; zero selects 8.
-	WelchSegments int
-	// MinSamples rejects traces shorter than this; zero selects 16.
-	MinSamples int
-	// AliasedGuard is the fraction of the analyzed band the cut-off may
-	// reach before the trace is declared aliased. The paper's criterion
-	// is "all bins needed"; in practice a near-flat spectrum (noise or
-	// folded content) parks the cut-off within a hair of the top bin, so
-	// any cut-off above AliasedGuard * sampleRate/2 is treated as the
-	// aliased signature. Zero selects 0.95 (what every StreamEstimator
-	// runs); 1 restores the literal all-bins rule.
-	AliasedGuard float64
 }
 
-// defaultAliasedGuard is EstimatorConfig.AliasedGuard's default and the
-// streaming estimator's fixed guard.
-const defaultAliasedGuard = 0.95
+// welchSegments is the number of half-overlapping segments a Welch
+// estimate averages.
+const welchSegments = 8
+
+// aliasedGuard is the fraction of the analyzed band the cut-off may reach
+// before a trace is declared aliased, in the batch and the streaming
+// estimator alike. The paper's criterion is "all bins needed"; in practice
+// a near-flat spectrum (noise or folded content) parks the cut-off within
+// a hair of the top bin, so any cut-off above aliasedGuard * sampleRate/2
+// is treated as the aliased signature.
+const aliasedGuard = 0.95
 
 func (c EstimatorConfig) withDefaults() (EstimatorConfig, error) {
 	if c.EnergyCutoff == 0 {
@@ -106,18 +104,6 @@ func (c EstimatorConfig) withDefaults() (EstimatorConfig, error) {
 	}
 	if !(c.EnergyCutoff > 0 && c.EnergyCutoff <= 1) { // refuses NaN too
 		return c, fmt.Errorf("core: energy cutoff %v outside (0, 1]", c.EnergyCutoff)
-	}
-	if c.WelchSegments <= 0 {
-		c.WelchSegments = 8
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 16
-	}
-	if c.AliasedGuard <= 0 {
-		c.AliasedGuard = defaultAliasedGuard
-	}
-	if c.AliasedGuard > 1 {
-		return c, fmt.Errorf("core: aliased guard %v above 1", c.AliasedGuard)
 	}
 	return c, nil
 }
@@ -176,7 +162,7 @@ func (e *Estimator) Estimate(u *series.Uniform) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if u == nil || len(u.Values) < cfg.MinSamples {
+	if u == nil || len(u.Values) < MinSamples {
 		return nil, ErrTooShort
 	}
 	fs := u.SampleRate()
@@ -196,7 +182,7 @@ func (e *Estimator) Estimate(u *series.Uniform) (*Result, error) {
 	}
 	var spec *dsp.Spectrum
 	if cfg.Welch {
-		segLen := len(values) * 2 / (cfg.WelchSegments + 1)
+		segLen := len(values) * 2 / (welchSegments + 1)
 		spec, err = dsp.Welch(values, fs, dsp.WelchConfig{SegmentLen: segLen, Overlap: segLen / 2, Window: cfg.Window})
 	} else {
 		spec, err = dsp.Periodogram(values, fs, cfg.Window)
@@ -215,7 +201,7 @@ func (e *Estimator) Estimate(u *series.Uniform) (*Result, error) {
 		Spectrum:       spec,
 		EnergyCaptured: capturedFraction(spec, startBin, bin),
 	}
-	if bin >= len(spec.Power)-1 || cutFreq >= cfg.AliasedGuard*fs/2 {
+	if bin >= len(spec.Power)-1 || cutFreq >= aliasedGuard*fs/2 {
 		// (Nearly) all bins were needed: the paper concludes the signal
 		// is probably already aliased and records -1.
 		res.Aliased = true

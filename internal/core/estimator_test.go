@@ -137,9 +137,6 @@ func TestEstimatorConfigValidation(t *testing.T) {
 	if _, err := NewEstimator(EstimatorConfig{EnergyCutoff: math.NaN()}); err == nil {
 		t.Fatal("NaN cutoff should fail")
 	}
-	if _, err := NewEstimator(EstimatorConfig{AliasedGuard: 2}); err == nil {
-		t.Fatal("guard above 1 should fail")
-	}
 	e, err := NewEstimator(EstimatorConfig{EnergyCutoff: 0.9, Welch: true})
 	if err != nil {
 		t.Fatal(err)

@@ -160,7 +160,6 @@ func TestAdaptiveRateAlwaysBoundedProperty(t *testing.T) {
 		cfg := AdaptiveConfig{
 			InitialRate:   0.1 + float64(initSeed)/32,
 			MaxRate:       16,
-			MinRate:       0.05,
 			EpochDuration: 64,
 		}
 		a, err := NewAdaptiveSampler(cfg)
@@ -172,10 +171,10 @@ func TestAdaptiveRateAlwaysBoundedProperty(t *testing.T) {
 			return false
 		}
 		for _, e := range run.Epochs {
-			if e.Rate < cfg.MinRate-1e-12 || e.Rate > cfg.MaxRate+1e-12 {
+			if e.Rate < cfg.minRate()-1e-12 || e.Rate > cfg.MaxRate+1e-12 {
 				return false
 			}
-			if e.NextRate < cfg.MinRate-1e-12 || e.NextRate > cfg.MaxRate+1e-12 {
+			if e.NextRate < cfg.minRate()-1e-12 || e.NextRate > cfg.MaxRate+1e-12 {
 				return false
 			}
 		}

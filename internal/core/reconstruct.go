@@ -70,8 +70,6 @@ type ReconstructConfig struct {
 	// sensor's grid, the paper's trick for recovering quantized readings
 	// exactly (§4.3).
 	QuantStep float64
-	// QuantOffset shifts the quantization grid.
-	QuantOffset float64
 }
 
 // Reconstruct up-samples a (Nyquist-rate) trace back to targetLen samples
@@ -90,7 +88,7 @@ func Reconstruct(down *series.Uniform, targetLen int, cfg ReconstructConfig) (*s
 		return nil, err
 	}
 	if cfg.QuantStep > 0 {
-		q := &dsp.Quantizer{Step: cfg.QuantStep, Offset: cfg.QuantOffset}
+		q := &dsp.Quantizer{Step: cfg.QuantStep}
 		vals = q.Apply(vals)
 	}
 	interval := time.Duration(float64(down.Interval) * float64(len(down.Values)) / float64(targetLen))

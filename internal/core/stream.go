@@ -16,8 +16,8 @@ type StreamConfig struct {
 	// Interval is the spacing of the incoming polls. Required.
 	Interval time.Duration
 	// WindowSamples is the sliding analysis window length; zero selects
-	// 1024. Windows shorter than 16 samples are rejected, matching the
-	// batch estimator's minimum.
+	// 1024. Windows shorter than MinSamples are rejected, as the batch
+	// estimator rejects such traces.
 	WindowSamples int
 	// EnergyCutoff is the energy fraction threshold; zero selects
 	// DefaultEnergyCutoff. Values must lie in (0, 1].
@@ -41,7 +41,7 @@ func (c StreamConfig) withDefaults() (StreamConfig, error) {
 	if c.WindowSamples == 0 {
 		c.WindowSamples = 1024
 	}
-	if c.WindowSamples < 16 {
+	if c.WindowSamples < MinSamples {
 		return c, ErrTooShort
 	}
 	if c.EnergyCutoff == 0 {
@@ -587,7 +587,7 @@ func (s *StreamEstimator) estimate(res *Result) {
 		SampleRate:     fs,
 		EnergyCaptured: captured,
 	}
-	if bin >= last || cutFreq >= defaultAliasedGuard*fs/2 {
+	if bin >= last || cutFreq >= aliasedGuard*fs/2 {
 		res.Aliased = true
 		return
 	}

@@ -40,9 +40,10 @@ type WireConfig struct {
 	// SamplesPerRound is how many samples each device contributes per
 	// Round call (0 = 64).
 	SamplesPerRound int
-	// Start anchors wire time zero (zero value = 2026-07-01 UTC).
-	Start time.Time
 }
+
+// wireEpoch anchors wire time zero.
+var wireEpoch = time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
 
 // DefaultSamplesPerRound is the per-device round size hostile bars and
 // golden reports are calibrated against.
@@ -76,10 +77,9 @@ type wireDev struct {
 
 // WireGen generates rounds of wire traffic for one scenario.
 type WireGen struct {
-	sc    *Scenario
-	spr   int
-	start time.Time
-	devs  []*wireDev
+	sc   *Scenario
+	spr  int
+	devs []*wireDev
 }
 
 // NewWireGen builds the generator for a scenario.
@@ -88,11 +88,7 @@ func NewWireGen(s *Scenario, cfg WireConfig) *WireGen {
 	if spr <= 0 {
 		spr = DefaultSamplesPerRound
 	}
-	start := cfg.Start
-	if start.IsZero() {
-		start = time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
-	}
-	g := &WireGen{sc: s, spr: spr, start: start}
+	g := &WireGen{sc: s, spr: spr}
 	h := s.Hostile
 	n := len(s.Fleet.Devices)
 	rng := rand.New(rand.NewSource(s.Seed ^ int64(fnvName(s.Spec.Name+"/wire"))))
@@ -227,7 +223,7 @@ func (g *WireGen) sample(di int, wd *wireDev) WireSample {
 	ws := WireSample{
 		Device: di,
 		ID:     id,
-		Time:   g.start.Add(secondsToDuration(wire)),
+		Time:   wireEpoch.Add(secondsToDuration(wire)),
 		Value:  wd.dev.At(wd.cursor),
 	}
 	wd.cursor += wd.interval

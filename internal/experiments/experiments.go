@@ -22,9 +22,6 @@ type FleetConfig struct {
 	// TraceDuration is the per-device trace length; zero selects one
 	// day, the paper's per-datapoint window.
 	TraceDuration time.Duration
-	// Estimator configures Nyquist estimation; the zero value is the
-	// paper's method (99 % cut-off, plain FFT).
-	Estimator core.EstimatorConfig
 }
 
 func (c FleetConfig) withDefaults() FleetConfig {
@@ -56,10 +53,8 @@ func censusFleet(cfg FleetConfig) ([]pairResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	est, err := core.NewEstimator(cfg.Estimator)
-	if err != nil {
-		return nil, err
-	}
+	// The paper's method: 99 % cut-off, plain FFT.
+	var est core.Estimator
 	out := make([]pairResult, 0, fleet.Len())
 	for _, d := range fleet.Devices {
 		u := d.Trace(start, 0, cfg.TraceDuration)

@@ -16,12 +16,14 @@ import (
 type Fig6Config struct {
 	// Seed drives the synthetic temperature device.
 	Seed int64
-	// Duration is the trace length; zero selects two days.
-	Duration time.Duration
-	// PollInterval is the production rate; zero selects the paper's five
-	// minutes.
-	PollInterval time.Duration
 }
+
+const (
+	// fig6Duration is the trace length.
+	fig6Duration = 2 * dcsim.Day
+	// fig6Poll is the production rate: the paper's five minutes.
+	fig6Poll = 5 * time.Minute
+)
 
 // Fig6Result is the data behind Figure 6: an actual (5-minute) temperature
 // trace versus the version downsampled to its Nyquist rate and upsampled
@@ -47,16 +49,10 @@ type Fig6Result struct {
 // (adaptively inferred) Nyquist rate, upsample back, and measure the L2
 // distance.
 func RunFig6(cfg Fig6Config) (*Fig6Result, error) {
-	if cfg.Duration <= 0 {
-		cfg.Duration = 2 * dcsim.Day
-	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 5 * time.Minute
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 600))
 	// A temperature probe with a mid-range band limit so the 5-minute
 	// production polls oversample it comfortably.
-	dev, err := dcsim.NewDevice("temperature/fig6", dcsim.Temperature, 1e-4, cfg.PollInterval, rng, uint64(cfg.Seed)+606)
+	dev, err := dcsim.NewDevice("temperature/fig6", dcsim.Temperature, 1e-4, fig6Poll, rng, uint64(cfg.Seed)+606)
 	if err != nil {
 		return nil, err
 	}
@@ -66,8 +62,8 @@ func RunFig6(cfg Fig6Config) (*Fig6Result, error) {
 	// readings flip by one quantum and the distance is small but
 	// nonzero; EXPERIMENTS.md quantifies that variant.)
 	dev.SetNoiseAmp(0)
-	u := dev.Trace(start, 0, cfg.Duration)
-	pollRate := 1 / cfg.PollInterval.Seconds()
+	u := dev.Trace(start, 0, fig6Duration)
+	pollRate := 1 / fig6Poll.Seconds()
 
 	var est core.Estimator
 	eres, err := est.Estimate(u)
@@ -84,7 +80,7 @@ func RunFig6(cfg Fig6Config) (*Fig6Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	arun, err := sampler.Run(dev, 0, cfg.Duration.Seconds())
+	arun, err := sampler.Run(dev, 0, fig6Duration.Seconds())
 	if err != nil {
 		return nil, err
 	}
@@ -146,13 +142,15 @@ func (r *Fig6Result) Render() string {
 type Fig7Config struct {
 	// Seed drives the synthetic device.
 	Seed int64
-	// Window is the moving analysis window; zero selects the paper's 6 h.
-	Window time.Duration
-	// Step is the window step; zero selects the paper's 5 min.
-	Step time.Duration
-	// Duration is the trace length; zero selects 3 days.
-	Duration time.Duration
 }
+
+const (
+	// fig7Window and fig7Step are the paper's moving analysis window and
+	// its step.
+	fig7Window, fig7Step = 6 * time.Hour, 5 * time.Minute
+	// fig7Duration is the trace length.
+	fig7Duration = 3 * dcsim.Day
+)
 
 // Fig7Point is one moving-window Nyquist estimate.
 type Fig7Point struct {
@@ -184,15 +182,6 @@ type Fig7Result struct {
 // each step. A mid-trace burst raises the local rate, demonstrating why
 // adaptation must track time-varying Nyquist rates (§3.2, §4).
 func RunFig7(cfg Fig7Config) (*Fig7Result, error) {
-	if cfg.Window <= 0 {
-		cfg.Window = 6 * time.Hour
-	}
-	if cfg.Step <= 0 {
-		cfg.Step = 5 * time.Minute
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 3 * dcsim.Day
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 700))
 	dev, err := dcsim.NewDevice("temperature/fig7", dcsim.Temperature, 5e-5, 30*time.Second, rng, uint64(cfg.Seed)+707)
 	if err != nil {
@@ -200,16 +189,16 @@ func RunFig7(cfg Fig7Config) (*Fig7Result, error) {
 	}
 	// Regime change at 1/3 of the trace: sustained faster thermal
 	// oscillation (e.g. a failing fan cycling).
-	shiftOffset := cfg.Duration.Seconds() / 3
+	shiftOffset := fig7Duration.Seconds() / 3
 	dev.AddBurst(dcsim.Burst{
 		Start:    shiftOffset,
-		Duration: cfg.Duration.Seconds() / 3,
+		Duration: fig7Duration.Seconds() / 3,
 		Freq:     1e-3,
 		Amp:      8,
 	})
-	u := dev.Trace(start, 0, cfg.Duration)
+	u := dev.Trace(start, 0, fig7Duration)
 	var est core.Estimator
-	wins, err := est.MovingWindow(u, cfg.Window, cfg.Step)
+	wins, err := est.MovingWindow(u, fig7Window, fig7Step)
 	if err != nil {
 		return nil, err
 	}

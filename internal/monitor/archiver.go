@@ -18,7 +18,7 @@ import (
 // information the estimator could not bound.
 type Archiver struct {
 	cfg      ArchiverConfig
-	est      *core.Estimator
+	est      core.Estimator // the paper's method: 99 % cut-off, plain FFT
 	store    *tsdb.DB
 	id       string
 	interval time.Duration
@@ -36,8 +36,6 @@ type Archiver struct {
 type ArchiverConfig struct {
 	// WindowSamples is the analysis block size; zero selects 1024.
 	WindowSamples int
-	// Estimator configures per-block estimation.
-	Estimator core.EstimatorConfig
 	// QuantStep, when positive, is recorded so ReadBack can re-quantize
 	// reconstructions to the sensor grid.
 	QuantStep float64
@@ -59,12 +57,7 @@ func NewArchiver(id string, store *tsdb.DB, interval time.Duration, cfg Archiver
 	if interval <= 0 {
 		return nil, series.ErrBadInterval
 	}
-	c := cfg.withDefaults()
-	est, err := core.NewEstimator(c.Estimator)
-	if err != nil {
-		return nil, err
-	}
-	return &Archiver{cfg: c, est: est, store: store, id: id, interval: interval}, nil
+	return &Archiver{cfg: cfg.withDefaults(), store: store, id: id, interval: interval}, nil
 }
 
 // Ingest buffers one high-rate sample; completing a window triggers an

@@ -29,9 +29,6 @@ type Options struct {
 	// 10ms; negative syncs synchronously on every append (the paranoid
 	// configuration — every accepted record is durable before the next).
 	FsyncEvery time.Duration
-	// SegmentBytes rotates the live segment once it exceeds this size;
-	// zero selects 64 MiB.
-	SegmentBytes int64
 	// SnapshotEvery is the background compactor's cadence; zero selects
 	// 60s, negative disables automatic snapshots (Snapshot can still be
 	// called manually).
@@ -52,14 +49,19 @@ type Options struct {
 	// It is called with the log's mutex held, so it must be fast and
 	// nonblocking (an atomic histogram observe, not I/O).
 	SyncObserver func(time.Duration)
+
+	// segmentBytes rotates the live segment once it exceeds this size;
+	// zero selects 64 MiB. Only this package's tests set it, to rotate
+	// small logs.
+	segmentBytes int64
 }
 
 func (o Options) withDefaults() Options {
 	if o.FsyncEvery == 0 {
 		o.FsyncEvery = 10 * time.Millisecond
 	}
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 64 << 20
+	if o.segmentBytes <= 0 {
+		o.segmentBytes = 64 << 20
 	}
 	if o.SnapshotEvery == 0 {
 		o.SnapshotEvery = 60 * time.Second

@@ -21,7 +21,7 @@ func TestScrubDetectsBitFlip(t *testing.T) {
 	// Tiny segments + synchronous appends: the load seals several
 	// segments this session, giving the scrub real files to read.
 	d, err := Open(dir, store, est, Options{
-		FsyncEvery: -1, SegmentBytes: 4 << 10,
+		FsyncEvery: -1, segmentBytes: 4 << 10,
 		SnapshotEvery: -1, StateEvery: -1, ScrubEvery: -1,
 	})
 	if err != nil {

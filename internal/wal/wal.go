@@ -322,7 +322,7 @@ func (l *Log) appendRec(typ byte, fill func(*enc)) error {
 	l.st.Records++
 	l.markDirty()
 	if l.opts.FsyncEvery < 0 {
-		if l.segBytes >= l.opts.SegmentBytes {
+		if l.segBytes >= l.opts.segmentBytes {
 			if _, err := l.rotateLocked(); err != nil {
 				return l.noteErr(err)
 			}
@@ -484,9 +484,9 @@ func (l *Log) flushLoop() {
 				// Size-based rotation happens here, not in Append, so
 				// the two fsyncs and the file create it costs never sit
 				// under a caller's lock; a segment can overshoot
-				// SegmentBytes by at most one group-commit window of
+				// segmentBytes by at most one group-commit window of
 				// traffic.
-				if l.segBytes >= l.opts.SegmentBytes {
+				if l.segBytes >= l.opts.segmentBytes {
 					if _, err := l.rotateLocked(); err != nil {
 						l.noteErr(err)
 					}

@@ -20,7 +20,7 @@ func appendRaw(l *Log, typ byte, payload []byte) error {
 // rotations come back intact, typed and in order.
 func TestLogRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	l, err := openLog(dir, Options{FsyncEvery: -1, SegmentBytes: 256})
+	l, err := openLog(dir, Options{FsyncEvery: -1, segmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestLogRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(segs) < 2 {
-		t.Fatalf("tiny SegmentBytes produced %d segments, want rotation", len(segs))
+		t.Fatalf("tiny segmentBytes produced %d segments, want rotation", len(segs))
 	}
 	var got []rec
 	for _, idx := range segs {

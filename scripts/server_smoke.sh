@@ -73,15 +73,27 @@ start_daemon() {
     return 1
 }
 
-# A window no estimator accepts is a usage error, not a daemon that
-# stores points and never estimates them.
-rc=0
-"$workdir/nyquistd" -addr 127.0.0.1:0 -window 15 >"$workdir/badwindow.log" 2>&1 || rc=$?
-if [ "$rc" -ne 2 ] || ! grep -q -- "-window must be at least 16" "$workdir/badwindow.log"; then
-    echo "server_smoke: nyquistd -window 15 exited $rc, want 2 with a usage message" >&2
-    cat "$workdir/badwindow.log" >&2
-    exit 1
-fi
+# A value the daemon would silently replace is a usage error: a window
+# no estimator accepts is not a daemon that stores points and never
+# estimates them, and a mistyped bound is not a different bound (a
+# negative series cap would be none, a zero body limit 8 MiB, a negative
+# shard count 16). Each case is "flag value|expected message".
+for bad in "window 15|-window must be at least 16" \
+    "shards -3|-shards must be positive" \
+    "max-series -1|-max-series must be 0 (unbounded) or positive" \
+    "max-body 0|-max-body must be positive" \
+    "max-body -5|-max-body must be positive"; do
+    args=${bad%%|*}
+    want=${bad#*|}
+    rc=0
+    # $args is the flag name and its value, split on purpose.
+    "$workdir/nyquistd" -addr 127.0.0.1:0 -$args >"$workdir/badflag.log" 2>&1 || rc=$?
+    if [ "$rc" -ne 2 ] || ! grep -qF -- "$want" "$workdir/badflag.log"; then
+        echo "server_smoke: nyquistd -$args exited $rc, want 2 with \"$want\"" >&2
+        cat "$workdir/badflag.log" >&2
+        exit 1
+    fi
+done
 
 log="$workdir/nyquistd.log"
 start_daemon "$log" -addr 127.0.0.1:0 -bulk-addr 127.0.0.1:0
