@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"repro/fleet"
+	"repro/internal/monitor"
 	"repro/nyquist"
 )
 
@@ -159,7 +160,7 @@ func main() {
 	}
 
 	fmt.Printf("static:    %s\n", cmp.StaticCost)
-	fmt.Printf("adaptive:  %s (converged at %.3g Hz)\n", cmp.AdaptiveCost, cmp.FinalRate)
+	fmt.Printf("adaptive:  %s (converged at %.3g Hz)\n", cmp.AdaptiveCost, cmp.Run.FinalRate)
 	fmt.Printf("\ncost reduction:       %.1fx\n", cmp.CostReduction)
 	fmt.Printf("reconstruction NRMSE: %.4f (max error %.3g %s)\n",
 		cmp.Fidelity.NRMSE, cmp.Fidelity.MaxAbs, p.Unit)
@@ -522,10 +523,11 @@ func getJSON(client *http.Client, url string, out any) {
 	}
 }
 
-// reportStorage runs the production polls once more through the sharded
-// multi-resolution store with a riding stream estimator retuning the
-// retention tiers (the estimate→retain loop), then prints the operator's
-// retention and query view of the storage leg.
+// reportStorage feeds the production polls once more into the sharded
+// multi-resolution store and, point by point, through the ingest hook
+// nyquistd runs, whose estimates retune the retention tiers (the
+// estimate→retain loop), then prints the operator's retention and query
+// view of the storage leg.
 func reportStorage(dev *fleet.Device, interval time.Duration, dur time.Duration) {
 	n := int(dur.Seconds() / interval.Seconds())
 	if n < 256 {
@@ -534,18 +536,16 @@ func reportStorage(dev *fleet.Device, interval time.Duration, dur time.Duration)
 	store := fleet.NewTieredStore(fleet.StoreConfig{
 		Retention: fleet.RetentionConfig{RawCapacity: n / 8, TierCapacity: n / 16},
 	})
-	stream, err := nyquist.NewStreamEstimator(nyquist.StreamConfig{
-		Interval:      interval,
-		WindowSamples: 256,
-		EmitEvery:     64,
-	})
-	if err != nil {
-		fatal(err)
-	}
+	// The default 256-sample window, refreshed every quarter window.
+	est := monitor.NewIngestEstimator(store, monitor.IngestConfig{EmitEvery: 64})
 	start := time.Date(2021, 11, 10, 0, 0, 0, 0, time.UTC)
-	poller := &fleet.StaticPoller{ID: dev.ID, Target: dev, Interval: interval, Model: fleet.DefaultCostModel(), Stream: stream}
-	if _, err := poller.Run(store, start, 0, dur); err != nil {
-		fatal(err)
+	trace := dev.Trace(start, 0, dur)
+	for i, v := range trace.Values {
+		p := nyquist.Point{Time: trace.TimeAt(i), Value: v}
+		if err := store.Append(dev.ID, p); err != nil {
+			fatal(err)
+		}
+		est.Observe(dev.ID, p)
 	}
 
 	st := store.Stats()
@@ -554,7 +554,7 @@ func reportStorage(dev *fleet.Device, interval time.Duration, dur time.Duration)
 		st.Appends, st.Retained(), st.Compacted, st.Dropped)
 	for _, s := range store.Snapshot() {
 		if s.NyquistRate > 0 {
-			fmt.Printf("  retention tuned to %.4g Hz by the riding estimator\n", s.NyquistRate)
+			fmt.Printf("  retention tuned to %.4g Hz by the ingest estimator\n", s.NyquistRate)
 		}
 		for i, t := range s.Tiers {
 			if t.Buckets == 0 {

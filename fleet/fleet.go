@@ -1,8 +1,8 @@
 // Package fleet is the public API of the synthetic-datacenter simulation:
 // a deterministic population of monitored devices with known ground-truth
-// Nyquist rates, the monitoring pipeline (pollers, store, cost model) that
-// measures them, and the drivers that regenerate every figure of the
-// paper's evaluation.
+// Nyquist rates, the monitoring pipeline (store, cost model, the §4
+// deployment shapes) that measures them, and the drivers that regenerate
+// every figure of the paper's evaluation.
 //
 // The simulation substitutes for the paper's proprietary production traces
 // (see DESIGN.md); its per-metric Nyquist-rate distributions are
@@ -142,20 +142,14 @@ func NewTieredStore(cfg StoreConfig) *Store { return tsdb.New(cfg) }
 
 // Re-exported monitoring-pipeline types.
 type (
-	// StaticPoller samples at a fixed interval (today's practice).
-	StaticPoller = monitor.StaticPoller
-	// AdaptivePoller samples with the paper's dynamic method (§4.2).
-	AdaptivePoller = monitor.AdaptivePoller
-	// AdaptiveResult reports an adaptive polling run.
-	AdaptiveResult = monitor.AdaptiveResult
 	// CostModel prices samples through the pipeline.
 	CostModel = monitor.CostModel
 	// Cost is an accumulated resource bill.
 	Cost = monitor.Cost
 	// Comparison is a static-versus-adaptive head-to-head.
-	Comparison = monitor.Comparison
+	Comparison = experiments.Comparison
 	// CompareConfig parameterizes Compare.
-	CompareConfig = monitor.CompareConfig
+	CompareConfig = experiments.CompareConfig
 )
 
 // Re-exported budget-allocation types (the title's cost/quality trade).
@@ -172,13 +166,13 @@ type (
 
 // Archiver implements the paper's a-posteriori path: poll fast, estimate
 // per window, store only Nyquist-rate samples (§4).
-type Archiver = monitor.Archiver
+type Archiver = experiments.Archiver
 
 // ArchiverConfig parameterizes an Archiver.
-type ArchiverConfig = monitor.ArchiverConfig
+type ArchiverConfig = experiments.ArchiverConfig
 
 // NewArchiver returns an archiver writing to a store.
-var NewArchiver = monitor.NewArchiver
+var NewArchiver = experiments.NewArchiver
 
 // RateFromCounter differences a cumulative counter trace into the rate
 // signal spectral analysis operates on.
@@ -210,8 +204,9 @@ var (
 // DefaultCostModel returns the standard sample pricing.
 var DefaultCostModel = monitor.DefaultCostModel
 
-// Compare runs static and adaptive pollers head-to-head.
-var Compare = monitor.Compare
+// Compare bills a fixed poll rate against the adaptive loop and scores
+// the loop's reconstruction, over the whole epochs the loop ran.
+var Compare = experiments.Compare
 
 // ErrNoSeries marks queries for unknown series.
 var ErrNoSeries = tsdb.ErrNoSeries

@@ -58,11 +58,12 @@ func TestPublicPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := fleet.NewStore(0)
-	p := &fleet.StaticPoller{ID: d.ID, Target: d, Interval: 30 * time.Second, Model: fleet.DefaultCostModel()}
-	cost, err := p.Run(store, t0, 0, time.Hour)
-	if err != nil {
+	trace := d.Trace(t0, 0, time.Hour)
+	if err := store.AppendUniform(d.ID, trace); err != nil {
 		t.Fatal(err)
 	}
+	var cost fleet.Cost
+	cost.Add(fleet.DefaultCostModel(), trace.Len())
 	if cost.Samples != 120 || store.Points() != 120 {
 		t.Fatalf("cost %v, stored %d", cost, store.Points())
 	}

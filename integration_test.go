@@ -33,13 +33,11 @@ func TestPipelinePollStoreEstimateArchive(t *testing.T) {
 
 	// 1. Production polling into the store.
 	store := fleet.NewStore(0)
-	poller := &fleet.StaticPoller{ID: dev.ID, Target: dev, Interval: time.Minute, Model: fleet.DefaultCostModel()}
-	cost, err := poller.Run(store, t0, 0, 24*time.Hour)
-	if err != nil {
+	if err := store.AppendUniform(dev.ID, dev.Trace(t0, 0, 24*time.Hour)); err != nil {
 		t.Fatal(err)
 	}
-	if cost.Samples != 1440 {
-		t.Fatalf("polled %d samples", cost.Samples)
+	if store.Points() != 1440 {
+		t.Fatalf("polled %d samples", store.Points())
 	}
 
 	// 2. Audit the stored series (irregular-capable path).
@@ -277,11 +275,8 @@ func TestPipelineAlignedGroupFromStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := fleet.NewStore(0)
-	for _, p := range []*fleet.StaticPoller{
-		{ID: "cpu", Target: fast, Interval: 30 * time.Second, Model: fleet.DefaultCostModel()},
-		{ID: "mem", Target: slow, Interval: 2 * time.Minute, Model: fleet.DefaultCostModel()},
-	} {
-		if _, err := p.Run(store, t0, 0, 24*time.Hour); err != nil {
+	for _, d := range []*fleet.Device{fast, slow} {
+		if err := store.AppendUniform(d.ID, d.Trace(t0, 0, 24*time.Hour)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -316,7 +311,7 @@ func TestPipelineAlignedGroupFromStore(t *testing.T) {
 	}
 }
 
-// TestPipelineFleetAdaptiveCost runs the adaptive poller over a mixed
+// TestPipelineFleetAdaptiveCost runs the adaptive loop over a mixed
 // fleet of simulated devices and checks fleet-level economics.
 func TestPipelineFleetAdaptiveCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(106))
@@ -331,23 +326,21 @@ func TestPipelineFleetAdaptiveCost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		poller := &fleet.AdaptivePoller{
-			ID:     dev.ID + string(rune('0'+i)),
-			Target: dev,
-			Config: nyquist.AdaptiveConfig{
-				InitialRate:   1.0 / 300,
-				MaxRate:       1.0 / 30,
-				EpochDuration: 4 * 3600,
-				Estimator:     nyquist.EstimatorConfig{EnergyCutoff: 0.90},
-				Detector:      nyquist.DualRateConfig{Tolerance: 0.25},
-			},
-			Model: fleet.DefaultCostModel(),
-		}
-		res, err := poller.Run(nil, t0, 0, dur)
+		sampler, err := nyquist.NewAdaptiveSampler(nyquist.AdaptiveConfig{
+			InitialRate:   1.0 / 300,
+			MaxRate:       1.0 / 30,
+			EpochDuration: 4 * 3600,
+			Estimator:     nyquist.EstimatorConfig{EnergyCutoff: 0.90},
+			Detector:      nyquist.DualRateConfig{Tolerance: 0.25},
+		})
 		if err != nil {
-			t.Fatalf("%s: %v", poller.ID, err)
+			t.Fatal(err)
 		}
-		adaptiveSamples += res.Cost.Samples
+		run, err := sampler.Run(dev, 0, dur.Seconds())
+		if err != nil {
+			t.Fatalf("%s %d: %v", dev.ID, i, err)
+		}
+		adaptiveSamples += run.TotalSamples
 		staticSamples += int(dur.Seconds() / 30)
 	}
 	if adaptiveSamples >= staticSamples {

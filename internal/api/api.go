@@ -182,10 +182,6 @@ func (s *Server) Store() *tsdb.DB { return s.store }
 // Ingest exposes the estimate-on-ingest hook (durability wiring, tests).
 func (s *Server) Ingest() *monitor.IngestEstimator { return s.ingest }
 
-// Metrics exposes the registry the server instruments itself into and
-// serves at GET /metrics (self-scrape loop, tests); metrics are always on.
-func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }
-
 // SetReady flips the readiness gate (see Server.ready).
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 

@@ -281,7 +281,7 @@ func (a *AdaptiveSampler) Step(src Sampler, start float64) (*Epoch, error) {
 }
 
 func (a *AdaptiveSampler) estimateWindow(src Sampler, start float64) float64 {
-	x := sampleRange(src, start, a.cfg.EpochDuration, a.rate)
+	x := SampleRange(src, start, a.cfg.EpochDuration, a.rate)
 	interval := time.Duration(float64(time.Second) / a.rate)
 	if interval <= 0 {
 		return 0

@@ -219,8 +219,8 @@ func (d *DualRateDetector) Probe(src Sampler, start, dur, fastRate, slowRate flo
 	if slowRate <= 0 {
 		slowRate = SuggestSlowRate(fastRate)
 	}
-	fastX := sampleRange(src, start, dur, fastRate)
-	slowX := sampleRange(src, start, dur, slowRate)
+	fastX := SampleRange(src, start, dur, fastRate)
+	slowX := SampleRange(src, start, dur, slowRate)
 	v, err := d.Compare(fastX, fastRate, slowX, slowRate)
 	if err != nil {
 		return nil, 0, err
@@ -228,7 +228,9 @@ func (d *DualRateDetector) Probe(src Sampler, start, dur, fastRate, slowRate flo
 	return v, len(fastX) + len(slowX), nil
 }
 
-func sampleRange(src Sampler, start, dur, rate float64) []float64 {
+// SampleRange polls src at rate hertz from signal time start for dur
+// seconds: max(1, ⌊dur·rate⌋) samples at start + i/rate.
+func SampleRange(src Sampler, start, dur, rate float64) []float64 {
 	n := int(dur * rate)
 	if n < 1 {
 		n = 1

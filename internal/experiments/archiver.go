@@ -1,4 +1,4 @@
-package monitor
+package experiments
 
 import (
 	"errors"
@@ -52,7 +52,7 @@ func (c ArchiverConfig) withDefaults() ArchiverConfig {
 // the (uniform) spacing of the ingested samples.
 func NewArchiver(id string, store *tsdb.DB, interval time.Duration, cfg ArchiverConfig) (*Archiver, error) {
 	if store == nil {
-		return nil, errors.New("monitor: archiver needs a store")
+		return nil, errors.New("experiments: archiver needs a store")
 	}
 	if interval <= 0 {
 		return nil, series.ErrBadInterval
@@ -62,7 +62,7 @@ func NewArchiver(id string, store *tsdb.DB, interval time.Duration, cfg Archiver
 
 // Ingest buffers one high-rate sample; completing a window triggers an
 // automatic Flush. Samples are assumed to arrive in time order at the
-// configured interval (the poller's contract).
+// configured interval.
 func (a *Archiver) Ingest(p series.Point) error {
 	if !a.haveStart {
 		a.blockStart = p.Time
@@ -89,7 +89,7 @@ func (a *Archiver) Flush() error {
 		a.aliasedBlocks++
 		a.policy.Aliased()
 		if err := a.store.AppendUniform(a.id, u); err != nil {
-			return fmt.Errorf("monitor: archiver raw block: %w", err)
+			return fmt.Errorf("experiments: archiver raw block: %w", err)
 		}
 		a.kept += len(a.buf)
 	case err != nil:
@@ -100,7 +100,7 @@ func (a *Archiver) Flush() error {
 			return err
 		}
 		if err := a.store.AppendUniform(a.id, down); err != nil {
-			return fmt.Errorf("monitor: archiver block: %w", err)
+			return fmt.Errorf("experiments: archiver block: %w", err)
 		}
 		a.kept += len(down.Values)
 		// Close the estimate→retain loop: the block's Nyquist estimate
@@ -134,7 +134,7 @@ func (a *Archiver) Reduction() float64 {
 // quantum — the "reconstruct on demand" half of the a-posteriori path.
 func (a *Archiver) ReadBack(targetRate float64) (*series.Uniform, error) {
 	if !(targetRate > 0) {
-		return nil, errors.New("monitor: target rate must be positive")
+		return nil, errors.New("experiments: target rate must be positive")
 	}
 	stored, err := a.store.Full(a.id)
 	if err != nil {

@@ -1,4 +1,4 @@
-package monitor
+package experiments
 
 import (
 	"math"
@@ -7,7 +7,14 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/series"
+	"repro/internal/tsdb"
 )
+
+// newStore returns a store whose raw ring holds capacity points per
+// series (0 = unbounded).
+func newStore(capacity int) *tsdb.DB {
+	return tsdb.New(tsdb.Config{Retention: tsdb.RetentionConfig{RawCapacity: capacity}})
+}
 
 func TestArchiverCompressesOversampledStream(t *testing.T) {
 	store := newStore(0)
@@ -140,5 +147,51 @@ func TestArchiverErrors(t *testing.T) {
 	}
 	if _, err := a.ReadBack(1); err == nil {
 		t.Fatal("read back of empty archive should fail")
+	}
+}
+
+func TestArchiverBoundedStoreKeepsRunning(t *testing.T) {
+	// The seed archiver stalled for good once its bounded store filled.
+	// A long session over a tiny store must now run to completion with
+	// every block accepted.
+	s := newStore(3)
+	a, err := NewArchiver("x", s, time.Second, ArchiverConfig{WindowSamples: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1024; i++ {
+		if err := a.Ingest(series.Point{Time: start.Add(time.Duration(i) * time.Second), Value: float64(i % 7)}); err != nil {
+			t.Fatalf("ingest %d: %v", i, err)
+		}
+	}
+	raw, stored, _ := a.Savings()
+	if raw != 1024 || stored == 0 {
+		t.Fatalf("raw=%d stored=%d; the session must have kept archiving", raw, stored)
+	}
+}
+
+// TestArchiverClosesEstimateRetainLoop checks a clean block estimate
+// lands in the store's retention policy: after archiving, the series
+// carries the Nyquist rate the stream estimator found.
+func TestArchiverClosesEstimateRetainLoop(t *testing.T) {
+	s := newStore(256)
+	a, err := NewArchiver("temp", s, time.Second, ArchiverConfig{WindowSamples: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1024; i++ {
+		v := 40 + 5*math.Sin(2*math.Pi*16*float64(i)/1024)
+		if err := a.Ingest(series.Point{Time: start.Add(time.Duration(i) * time.Second), Value: v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := s.NyquistRate("temp")
+	if got <= 0 {
+		t.Fatal("store never learned the series' Nyquist rate")
+	}
+	// 16 cycles per 1024 s → f_max = 16/1024 Hz → Nyquist rate 32/1024.
+	want := 2 * 16.0 / 1024
+	if got < want/2 || got > 4*want {
+		t.Fatalf("retained rate %g Hz, want within a small factor of %g", got, want)
 	}
 }

@@ -235,7 +235,7 @@ func TestAdaptiveExperiment(t *testing.T) {
 	}
 	// The rate trajectory must rise during the burst interval.
 	var quietMax, burstMax float64
-	for _, e := range res.Epochs {
+	for _, e := range c.Run.Epochs {
 		if e.Start < 86400/3 {
 			if e.Rate > quietMax {
 				quietMax = e.Rate

@@ -91,10 +91,9 @@ func verdict(aliased bool) string {
 // AdaptiveResult quantifies §4.2 end-to-end: static versus adaptive
 // polling cost and fidelity on a device with a mid-run regime change.
 type AdaptiveResult struct {
-	// Comparison is the cost/quality head-to-head.
-	Comparison *monitor.Comparison
-	// Epochs is the adaptation trace for rendering.
-	Epochs []core.Epoch
+	// Comparison is the cost/quality head-to-head; its Run holds the
+	// adaptation trace the render plots.
+	Comparison *Comparison
 }
 
 // RunAdaptive reproduces the §4.2 scenario: a link's FCS-error rate is
@@ -110,36 +109,26 @@ func RunAdaptive(seed int64) (*AdaptiveResult, error) {
 	const day = 86400.0
 	dev.AddBurst(dcsim.Burst{Start: day / 3, Duration: day / 6, Freq: 3e-3, Amp: 25})
 
-	adaptiveCfg := core.AdaptiveConfig{
-		InitialRate:   1.0 / 300,
-		MaxRate:       1.0 / 15,
-		EpochDuration: 2 * 3600,
-		DecreaseAfter: 2,
-		Memory:        false,
-		// 90 % cut-off: per-epoch windows are short and noisy, and the
-		// 2x headroom already covers the tail the lower cut-off drops.
-		Estimator: core.EstimatorConfig{EnergyCutoff: 0.90},
-	}
-	cmp, err := monitor.Compare(dev, 0, 24*time.Hour, monitor.CompareConfig{
+	cmp, err := Compare(dev, 0, 24*time.Hour, CompareConfig{
 		StaticInterval: 30 * time.Second,
-		Adaptive:       adaptiveCfg,
-		ReferenceRate:  1.0 / 15,
-		QuantStep:      dev.Profile().QuantStep,
-		Model:          monitor.DefaultCostModel(),
+		Adaptive: core.AdaptiveConfig{
+			InitialRate:   1.0 / 300,
+			MaxRate:       1.0 / 15,
+			EpochDuration: 2 * 3600,
+			DecreaseAfter: 2,
+			Memory:        false,
+			// 90 % cut-off: per-epoch windows are short and noisy, and the
+			// 2x headroom already covers the tail the lower cut-off drops.
+			Estimator: core.EstimatorConfig{EnergyCutoff: 0.90},
+		},
+		ReferenceRate: 1.0 / 15,
+		QuantStep:     dev.Profile().QuantStep,
+		Model:         monitor.DefaultCostModel(),
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Re-run the bare sampler to expose the epoch trace.
-	sampler, err := core.NewAdaptiveSampler(adaptiveCfg)
-	if err != nil {
-		return nil, err
-	}
-	run, err := sampler.Run(dev, 0, day)
-	if err != nil {
-		return nil, err
-	}
-	return &AdaptiveResult{Comparison: cmp, Epochs: run.Epochs}, nil
+	return &AdaptiveResult{Comparison: cmp}, nil
 }
 
 // Render prints the cost/quality comparison and the rate trajectory.
@@ -154,8 +143,8 @@ func (r *AdaptiveResult) Render() string {
 	b.WriteString(tb.String())
 	fmt.Fprintf(&b, "\nCost reduction: %.1fx; reconstruction NRMSE vs dense reference: %.4f\n",
 		c.CostReduction, c.Fidelity.NRMSE)
-	pts := make([]report.Point, len(r.Epochs))
-	for i, e := range r.Epochs {
+	pts := make([]report.Point, len(c.Run.Epochs))
+	for i, e := range c.Run.Epochs {
 		pts[i] = report.Point{X: e.Start / 3600, Y: e.Rate}
 	}
 	b.WriteByte('\n')

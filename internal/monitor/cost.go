@@ -1,8 +1,9 @@
-// Package monitor is the monitoring-pipeline substrate: pollers that
-// sample devices at fixed or adaptive rates, an in-memory time-series
-// store, and the cost accounting that makes the paper's cost/quality
-// trade-off measurable (collection, transmission, storage and analysis all
-// scale with sample volume, §1 and §3.1).
+// Package monitor is the serving estimator and the accounting around it:
+// IngestEstimator, the estimate-on-ingest hook that closes the
+// estimate→retain loop for pushed series, the cost model that makes the
+// paper's cost/quality trade-off measurable (collection, transmission,
+// storage and analysis all scale with sample volume, §1 and §3.1), and the
+// budget allocator that trades the two.
 package monitor
 
 import "fmt"

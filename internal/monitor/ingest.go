@@ -16,7 +16,7 @@ import (
 )
 
 // IngestEstimator is the estimate-on-ingest hook for externally pushed
-// telemetry: the serving counterpart of the Archiver's riding stream.
+// telemetry: the serving counterpart of the Archiver's per-block estimate.
 // Controller-managed devices get their Nyquist estimates from the poll
 // loop itself; series that arrive over a network boundary (internal/api,
 // cmd/nyquistd) have no poller to ride, so the hook rebuilds the same
