@@ -172,15 +172,6 @@ func (ctl *Controller) CensusReport() *ScanReport { return ctl.scanRep }
 // Store returns the store the run writes through.
 func (ctl *Controller) Store() *Store { return ctl.store }
 
-// Round returns the number of completed control rounds.
-func (ctl *Controller) Round() int { return ctl.round }
-
-// Rates returns a copy of the current per-device poll rates (hertz),
-// indexed like the scenario's Fleet.Devices.
-func (ctl *Controller) Rates() []float64 {
-	return append([]float64(nil), ctl.rate...)
-}
-
 // RoundSummary is the fleet-level outcome of one control round.
 type RoundSummary struct {
 	// Round is the 1-based round index.

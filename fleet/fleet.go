@@ -31,8 +31,6 @@ type (
 	FleetConfig = dcsim.FleetConfig
 	// Burst is a transient high-frequency event (link flap, incident).
 	Burst = dcsim.Burst
-	// BandLimited is a strictly band-limited test signal.
-	BandLimited = dcsim.BandLimited
 	// Scenario is a built workload regime from the scenario catalog.
 	Scenario = dcsim.Scenario
 	// ScenarioSpec names and bounds one catalog regime.
@@ -60,12 +58,6 @@ var BuildScenario = dcsim.BuildScenario
 // Scenarios returns the scenario catalog specs in catalog order.
 var Scenarios = dcsim.Scenarios
 
-// ScenarioNames returns the catalog keys, sorted.
-var ScenarioNames = dcsim.ScenarioNames
-
-// ErrUnknownScenario reports a scenario name outside the catalog.
-var ErrUnknownScenario = dcsim.ErrUnknownScenario
-
 // The fourteen metric families of the paper's Fig. 5.
 const (
 	OutboundDiscards = dcsim.OutboundDiscards
@@ -87,9 +79,6 @@ const (
 // NumMetrics is the number of metric families.
 const NumMetrics = dcsim.NumMetrics
 
-// DiurnalFreq is one cycle per day in hertz.
-const DiurnalFreq = dcsim.DiurnalFreq
-
 // Day is the paper's per-datapoint trace length.
 const Day = dcsim.Day
 
@@ -98,12 +87,6 @@ var NewFleet = dcsim.NewFleet
 
 // NewDevice builds a single simulated device.
 var NewDevice = dcsim.NewDevice
-
-// NewBandLimited builds a band-limited test signal.
-var NewBandLimited = dcsim.NewBandLimited
-
-// NewHarmonicSeries builds a diurnal-harmonic test signal.
-var NewHarmonicSeries = dcsim.NewHarmonicSeries
 
 // AllMetrics returns every metric family in Fig. 5 order.
 var AllMetrics = dcsim.AllMetrics
@@ -208,9 +191,6 @@ var DefaultCostModel = monitor.DefaultCostModel
 // the loop's reconstruction, over the whole epochs the loop ran.
 var Compare = experiments.Compare
 
-// ErrNoSeries marks queries for unknown series.
-var ErrNoSeries = tsdb.ErrNoSeries
-
 // Re-exported experiment drivers (one per paper figure; each result has a
 // Render method producing the text form recorded in EXPERIMENTS.md).
 type (
@@ -275,24 +255,12 @@ var RunWindowAblation = experiments.RunWindowAblation
 // BudgetFrontierResult is the cost/quality frontier data.
 type BudgetFrontierResult = experiments.BudgetFrontierResult
 
-// ErgodicityResult is the §6 ergodicity exploration data.
-type ErgodicityResult = experiments.ErgodicityResult
-
-// WindowAblation is the window-length sweep data.
-type WindowAblation = experiments.WindowAblation
-
 // RunMemoryAblation compares the §4.2 adaptive loop with and without
 // requirement memory on recurring fast episodes.
 var RunMemoryAblation = experiments.RunMemoryAblation
 
-// MemoryAblation is the §4.2 memory ablation data.
-type MemoryAblation = experiments.MemoryAblation
-
 // RunEstimatorAblation scores estimator variants against ground truth.
 var RunEstimatorAblation = experiments.RunEstimatorAblation
-
-// EstimatorAblation is the estimator-variant comparison data.
-type EstimatorAblation = experiments.EstimatorAblation
 
 // RunTaperAblation decomposes the serving estimator's error by taper,
 // energy cut-off and window length.
@@ -301,12 +269,6 @@ var RunTaperAblation = experiments.RunTaperAblation
 // RunHeadroomAblation sweeps §4.2's headroom factor against a
 // first-of-its-kind event.
 var RunHeadroomAblation = experiments.RunHeadroomAblation
-
-// HeadroomAblation is the headroom sweep data.
-type HeadroomAblation = experiments.HeadroomAblation
-
-// FlapTrain builds the bursts of a periodically recurring event.
-var FlapTrain = dcsim.FlapTrain
 
 // Fig6Config parameterizes the Fig. 6 experiment.
 type Fig6Config = experiments.Fig6Config

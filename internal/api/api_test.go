@@ -317,11 +317,11 @@ func TestServerDefaultStoreCompresses(t *testing.T) {
 		if err := srv.Store().Append("a", series.Point{Time: time.Unix(int64(i), 0), Value: 1}); err != nil {
 			t.Fatal(err)
 		}
-		if sealed, want := srv.Store().SealedBlocks(), int64((i+1)/128); sealed != want {
+		if sealed, want := srv.Store().Stats().SealedBlocks, int64((i+1)/128); sealed != want {
 			t.Fatalf("%d points sealed %d blocks, want %d: the serving block length is 128", i+1, sealed, want)
 		}
 	}
-	if sh := srv.Store().Shards(); sh != 16 {
+	if sh := srv.Store().Stats().Shards; sh != 16 {
 		t.Fatalf("serving default shards %d, want 16", sh)
 	}
 	// A custom store must be honored untouched.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -223,6 +224,71 @@ func BenchmarkIngestBatchAffinity(b *testing.B) {
 	pointsPerSec := float64(b.N) * batchLines / b.Elapsed().Seconds()
 	b.ReportMetric(pointsPerSec, "points/s")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batchLines), "ns/point")
+}
+
+// BenchmarkIngestFrame is the ingest core on steady_bulk's frame shape
+// with the WAL armed: one op is a 4,096-line frame of 64 series × 64
+// consecutive samples (run-grouped, as bulk pushers send them), so the
+// parser's same-series sid reuse and the chunk's fan-out over the cores
+// both show, unlike in the 16-series, line-interleaved 1,000-line
+// benchmarks above.
+func BenchmarkIngestFrame(b *testing.B) {
+	store := DefaultStore()
+	est := monitor.NewIngestEstimator(store, monitor.IngestConfig{})
+	d, err := wal.Open(b.TempDir(), store, est, wal.Options{SnapshotEvery: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	srv := NewServer(Config{Store: store, Estimator: est})
+	srv.SetDurable(d)
+	const (
+		nSeries = 64
+		run     = 64
+		lines   = nSeries * run
+	)
+	start := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC).Unix()
+	mkFrame := func(iter int) []byte {
+		var sb strings.Builder
+		sb.Grow(lines * 64)
+		for s := 0; s < nSeries; s++ {
+			for k := iter * run; k < (iter+1)*run; k++ {
+				fmt.Fprintf(&sb, `{"series":"bench/dev%02d/metric","ts":%d,"value":%.2f}`+"\n",
+					s, start+30*int64(k), 40+10*math.Sin(float64(k*(s+1))/50)+float64(k%7)*0.01)
+			}
+		}
+		return []byte(sb.String())
+	}
+	frames := make([][]byte, 8)
+	refill := func(from int) {
+		for j := range frames {
+			frames[j] = mkFrame(from + j)
+		}
+	}
+	refill(0)
+	var br bytes.Reader
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%len(frames) == 0 {
+			b.StopTimer()
+			refill(i)
+			b.StartTimer()
+		}
+		br.Reset(frames[i%len(frames)])
+		var resp IngestResponse
+		var tally ingestTally
+		if err := srv.runIngest(&br, &resp, &tally); err != nil {
+			b.Fatal(err)
+		}
+		if resp.Accepted != lines {
+			b.Fatalf("accepted %d/%d (rejected %d: %+v)", resp.Accepted, lines, resp.Rejected, resp.Errors)
+		}
+		tally.flush(srv.metrics)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)*lines/b.Elapsed().Seconds(), "points/s")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/point")
 }
 
 // BenchmarkBulkLane measures the plain-TCP length-prefixed lane end to

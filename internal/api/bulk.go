@@ -129,6 +129,11 @@ func (s *Server) serveBulkConn(conn net.Conn) {
 				return
 			}
 		}
+		if n > 4*bulkReadBuffer {
+			// Shed it, as putIngestBatch does: idle connections pin none.
+			payload = nil
+			br.Reset(nil)
+		}
 		if wr.Flush() != nil || conn.SetDeadline(time.Time{}) != nil {
 			return
 		}

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"io"
 	"net"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -88,4 +90,43 @@ func TestBulkLaneSlowPeer(t *testing.T) {
 	}
 	client.Close()
 	<-done
+}
+
+// TestBulkLaneIdleConnShedsLargeFrame holds the bulk lane to what its
+// read buffer promises: a connection that once sent a frame larger than
+// 4 × bulkReadBuffer does not keep that frame's buffer while it idles.
+// Each of conns connections sends one frame of blank lines and waits; the
+// heap they hold between frames must stay well below the frames' bytes.
+func TestBulkLaneIdleConnShedsLargeFrame(t *testing.T) {
+	const (
+		conns = 8
+		frame = 2 << 20
+	)
+	srv := NewServer(Config{})
+	body := strings.Repeat("\n", frame)
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapInuse)
+	}
+	before := heap()
+	for range conns {
+		client, server := net.Pipe()
+		d := make(chan struct{})
+		go func() {
+			srv.serveBulkConn(server)
+			close(d)
+		}()
+		defer func() { client.Close(); <-d }()
+		if out := bulkExchange(t, client, body); out.Accepted != 0 || out.Rejected != 0 {
+			t.Fatalf("a frame of blank lines: %+v", out)
+		}
+	}
+	grew := heap() - before
+	t.Logf("%d idle connections after one %d-byte frame each hold %d heap bytes", conns, frame, grew)
+	if grew > conns*frame/4 {
+		t.Fatalf("%d idle connections hold %d heap bytes, want under a quarter of their %d frame bytes",
+			conns, grew, conns*frame)
+	}
 }

@@ -19,6 +19,7 @@
 package api
 
 import (
+	"bytes"
 	"math"
 	"strconv"
 	"time"
@@ -98,8 +99,8 @@ func fastParseLine(line []byte) (out fastLine, ok bool) {
 				if !nok {
 					return out, false
 				}
-				t, err := timeFromUnixSeconds(viewString(tok))
-				if err != nil {
+				t, eok := parseEpoch(tok)
+				if !eok {
 					return out, false
 				}
 				out.t = t
@@ -110,8 +111,8 @@ func fastParseLine(line []byte) (out fastLine, ok bool) {
 			if !nok || haveValue {
 				return out, false
 			}
-			v, err := strconv.ParseFloat(viewString(tok), 64)
-			if err != nil || math.IsInf(v, 0) {
+			v, vok := parseValue(tok)
+			if !vok {
 				return out, false
 			}
 			out.value = v
@@ -175,17 +176,20 @@ func (p *lineParser) simpleString() ([]byte, bool) {
 		return nil, false
 	}
 	start := p.i + 1
+	var high byte // OR of every byte: ≥ 0x80 when the string is not ASCII
 	for j := start; j < len(p.b); j++ {
 		switch c := p.b[j]; {
 		case c == '\\' || c < 0x20:
 			return nil, false
 		case c == '"':
 			out := p.b[start:j]
-			if !utf8.Valid(out) {
+			if high >= 0x80 && !utf8.Valid(out) {
 				return nil, false
 			}
 			p.i = j + 1
 			return out, true
+		default:
+			high |= c
 		}
 	}
 	return nil, false
@@ -256,4 +260,59 @@ func jsonNumber(tok []byte) bool {
 		}
 	}
 	return i == n
+}
+
+// decimalToken reads a token jsonNumber accepted as ±m/10^k: ok when it
+// has no exponent and at most 18 significant digits.
+func decimalToken(tok []byte) (m uint64, k int, ok bool) {
+	for _, c := range tok {
+		if c > '9' || m >= 1e17 {
+			return 0, 0, false // an exponent, or a 19th digit
+		}
+		if c >= '0' {
+			m = m*10 + uint64(c-'0')
+		}
+	}
+	if dot := bytes.IndexByte(tok, '.'); dot >= 0 {
+		k = len(tok) - 1 - dot
+	}
+	return m, k, true
+}
+
+// pow10 is 10^k for every k whose power of ten a float64 holds exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// parseValue is strconv.ParseFloat, less ±Inf, on a token jsonNumber
+// accepted. Up to 15 significant digits, 22 after the point and no exponent,
+// float64(m)/10^k divides two exact float64s: ParseFloat's bits (Clinger).
+//
+//nyquist:view
+func parseValue(tok []byte) (float64, bool) {
+	if m, k, ok := decimalToken(tok); ok && m < 1e15 && k < len(pow10) {
+		v := float64(m) / pow10[k]
+		if tok[0] == '-' {
+			v = -v
+		}
+		return v, true
+	}
+	v, err := strconv.ParseFloat(viewString(tok), 64)
+	return v, err == nil && !math.IsInf(v, 0)
+}
+
+// parseEpoch is timeFromUnixSeconds on a token jsonNumber accepted. A
+// whole number of seconds of at most 18 digits goes straight to
+// time.Unix(sec, 0), which is what timeFromUnixSeconds returns for it.
+//
+//nyquist:view
+func parseEpoch(tok []byte) (time.Time, bool) {
+	if m, k, ok := decimalToken(tok); ok && k == 0 {
+		sec := int64(m)
+		if tok[0] == '-' {
+			sec = -sec
+		}
+		return time.Unix(sec, 0), true
+	}
+	t, err := timeFromUnixSeconds(viewString(tok))
+	return t, err == nil
 }

@@ -147,37 +147,7 @@ func runDiff(t *testing.T, d *diffPair, body io.Reader, raw []byte) {
 		t.Fatalf("responses diverge on %q:\nbatched:  %s\nper-line: %s", truncateRaw(raw), got, wantJSON)
 	}
 
-	// Canonical snapshot rendering: every stored byte and counter, with
-	// the in-progress tier bucket dereferenced (its pointer identity is
-	// not part of the stored state).
-	render := func(ss tsdb.SeriesSnapshot) string {
-		var b strings.Builder
-		fmt.Fprintf(&b, "%s ny=%v gap=%v last=%v/%v app=%d comp=%d drop=%d\n",
-			ss.ID, ss.NyquistRate, ss.Gap, ss.LastTime, ss.HaveLast, ss.Appends, ss.Compacted, ss.Dropped)
-		for _, blk := range ss.Raw {
-			fmt.Fprintf(&b, "raw blk=%x n=%d\n", blk.Data(), blk.Len())
-		}
-		fmt.Fprintf(&b, "active=%v\n", ss.Active)
-		for _, tr := range ss.Tiers {
-			fmt.Fprintf(&b, "tier w=%v buckets=%+v", tr.Width, tr.Buckets)
-			if tr.Cur != nil {
-				fmt.Fprintf(&b, " cur=%+v", *tr.Cur)
-			}
-			b.WriteByte('\n')
-		}
-		return b.String()
-	}
-	snap := func(s *tsdb.DB) map[string]string {
-		out := map[string]string{}
-		if err := s.ExportSeries(func(ss tsdb.SeriesSnapshot) error {
-			out[ss.ID] = render(ss)
-			return nil
-		}); err != nil {
-			t.Fatalf("export: %v", err)
-		}
-		return out
-	}
-	gotSnap, wantSnap := snap(d.srv.Store()), snap(d.refStore)
+	gotSnap, wantSnap := storeSnapshot(t, d.srv.Store()), storeSnapshot(t, d.refStore)
 	if len(gotSnap) != len(wantSnap) {
 		t.Fatalf("stored series diverge: batched %d, per-line %d", len(gotSnap), len(wantSnap))
 	}
@@ -197,6 +167,35 @@ func runDiff(t *testing.T, d *diffPair, body io.Reader, raw []byte) {
 				wantState[i].Series, gotState[i], wantState[i])
 		}
 	}
+}
+
+// storeSnapshot renders every stored byte and counter of s per series, with
+// the in-progress tier bucket dereferenced (its pointer identity is not
+// part of the stored state).
+func storeSnapshot(t *testing.T, s *tsdb.DB) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	if err := s.ExportSeries(func(ss tsdb.SeriesSnapshot) error {
+		var b strings.Builder
+		fmt.Fprintf(&b, "%s ny=%v gap=%v last=%v/%v app=%d comp=%d drop=%d\n",
+			ss.ID, ss.NyquistRate, ss.Gap, ss.LastTime, ss.HaveLast, ss.Appends, ss.Compacted, ss.Dropped)
+		for _, blk := range ss.Raw {
+			fmt.Fprintf(&b, "raw blk=%x n=%d\n", blk.Data(), blk.Len())
+		}
+		fmt.Fprintf(&b, "active=%v\n", ss.Active)
+		for _, tr := range ss.Tiers {
+			fmt.Fprintf(&b, "tier w=%v buckets=%+v", tr.Width, tr.Buckets)
+			if tr.Cur != nil {
+				fmt.Fprintf(&b, " cur=%+v", *tr.Cur)
+			}
+			b.WriteByte('\n')
+		}
+		out[ss.ID] = b.String()
+		return nil
+	}); err != nil {
+		t.Fatalf("export: %v", err)
+	}
+	return out
 }
 
 func truncateRaw(raw []byte) []byte {

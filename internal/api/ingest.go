@@ -38,6 +38,8 @@ import (
 	"net/http"
 	"sync"
 
+	"repro/internal/cores"
+	"repro/internal/monitor"
 	"repro/internal/series"
 	"repro/internal/tsdb"
 )
@@ -133,11 +135,13 @@ type ingestBatch struct {
 	rejects []lineReject
 	sids    map[string]int32
 	series  []batchSeries
-	// estimator-run grouping scratch (counting-sort by sid per chunk).
+	lastSid int32 // the previous fast-parsed line's, tried first
+	// estimator-run scratch: a counting-sort by sid, and the admitted runs.
 	sidCounts []int32
 	sidOffs   []int32
-	sidOrder  []int32
 	runbuf    []series.Point
+	runs      []monitor.Run
+	wg        sync.WaitGroup
 }
 
 var ingestBatchPool = sync.Pool{New: func() any {
@@ -299,7 +303,10 @@ func (s *Server) runIngest(body io.Reader, resp *IngestResponse, tally *ingestTa
 // pending chunk; rejects are queued (in line order) so flushChunk can
 // interleave them with store verdicts for the response's error detail.
 func (s *Server) ingestLine(b *ingestBatch, line []byte, lineNo int32, tally *ingestTally) {
-	switch line = bytes.TrimRight(line, "\r\n"); {
+	for n := len(line); n > 0 && (line[n-1] == '\r' || line[n-1] == '\n'); n-- {
+		line = line[:n-1]
+	}
+	switch {
 	case len(line) > maxLineBytes:
 		b.addReject(lineNo, lineTooLongReason)
 		tally.rejTooLong++
@@ -308,7 +315,11 @@ func (s *Server) ingestLine(b *ingestBatch, line []byte, lineNo int32, tally *in
 	default:
 		if fl, ok := fastParseLine(line); ok {
 			tally.fast++
-			sid := b.sidFor(s, fl.series)
+			sid := b.lastSid
+			if int(sid) >= len(b.series) || b.series[sid].id != string(fl.series) {
+				sid = b.sidFor(s, fl.series)
+				b.lastSid = sid
+			}
 			b.pts = append(b.pts, tsdb.BatchPoint{ID: b.series[sid].id, P: series.Point{Time: fl.t, Value: fl.value}})
 			b.meta = append(b.meta, pointMeta{line: lineNo, sid: sid})
 			return
@@ -387,9 +398,11 @@ func (s *Server) flushChunk(b *ingestBatch, resp *IngestResponse, tally *ingestT
 
 // feedEstimator groups the chunk's accepted points into per-series runs
 // (arrival order within each run, series in first-appearance order) and
-// feeds each through ObserveRun. Cross-series interleaving is the only
-// thing this changes versus per-point Observe calls, and series are
-// independent in the estimator.
+// admits each, in that order. A chunk of cores.Floor points or more where
+// -max-series cannot bind is then observed on every core, run i in share
+// i mod n; otherwise each run is observed as it is admitted (ObserveRun).
+// Series are independent in the estimator and admission is serial, so
+// drops, evictions and LRU stamps are the same either way.
 func (s *Server) feedEstimator(b *ingestBatch, resp *IngestResponse, tally *ingestTally) {
 	nSids := len(b.series)
 	if nSids == 0 {
@@ -414,10 +427,10 @@ func (s *Server) feedEstimator(b *ingestBatch, resp *IngestResponse, tally *inge
 	if accepted == 0 {
 		return
 	}
-	if cap(b.sidOrder) < accepted {
-		b.sidOrder = make([]int32, accepted)
+	if cap(b.runbuf) < accepted {
+		b.runbuf = make([]series.Point, accepted)
 	}
-	b.sidOrder = b.sidOrder[:accepted]
+	b.runbuf = b.runbuf[:accepted]
 	off := int32(0)
 	for sid := range b.sidCounts {
 		b.sidOffs[sid] = off
@@ -426,25 +439,41 @@ func (s *Server) feedEstimator(b *ingestBatch, resp *IngestResponse, tally *inge
 	for i := range b.pts {
 		if b.pts[i].Err == nil {
 			sid := b.meta[i].sid
-			b.sidOrder[b.sidOffs[sid]] = int32(i)
+			b.runbuf[b.sidOffs[sid]] = b.pts[i].P
 			b.sidOffs[sid]++
 		}
 	}
+	// With room under the cap for every series, admission drops or evicts none.
+	n, limit := cores.Shares(accepted), s.ingest.Config().MaxSeries
+	shared := n > 1 && (limit == 0 || s.ingest.Len()+nSids <= limit)
 	start := int32(0)
 	for sid := 0; sid < nSids; sid++ {
 		end := start + b.sidCounts[sid]
 		if start == end {
 			continue
 		}
-		b.runbuf = b.runbuf[:0]
-		for _, idx := range b.sidOrder[start:end] {
-			b.runbuf = append(b.runbuf, b.pts[idx].P)
-		}
-		fed := s.ingest.ObserveRun(b.series[sid].id, b.runbuf)
-		if d := len(b.runbuf) - fed; d > 0 {
+		r := s.ingest.Admit(b.series[sid].id, b.runbuf[start:end])
+		if d := int(end-start) - len(r.Pts); d > 0 {
 			resp.EstimatorDropped += d
 			tally.estDropped += int64(d)
 		}
+		if shared {
+			b.runs = append(b.runs, r)
+		} else {
+			r.Observe()
+		}
 		start = end
+	}
+	if shared {
+		cores.Run(b, n, &b.wg)
+		clear(b.runs)
+		b.runs = b.runs[:0]
+	}
+}
+
+// Share observes the admitted runs i ≡ w (mod n).
+func (b *ingestBatch) Share(w, n int) {
+	for i := w; i < len(b.runs); i += n {
+		b.runs[i].Observe()
 	}
 }

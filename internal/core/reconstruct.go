@@ -28,36 +28,16 @@ func Downsample(u *series.Uniform, targetRate float64) (*series.Uniform, error) 
 		copy(out, u.Values)
 		return &series.Uniform{Start: u.Start, Interval: u.Interval, Values: out}, nil
 	}
-	return downsampleByFactor(u, int(math.Floor(fs/targetRate)), true)
-}
-
-// DownsampleRaw keeps every k-th sample with no anti-alias filter — what a
-// poller that simply lowers its rate produces. Safe only when the original
-// signal's Nyquist rate is at or below the new rate.
-func DownsampleRaw(u *series.Uniform, targetRate float64) (*series.Uniform, error) {
-	if u == nil || len(u.Values) == 0 {
-		return nil, series.ErrEmpty
-	}
-	fs := u.SampleRate()
-	if !(targetRate > 0) {
-		return nil, errors.New("core: target rate must be positive")
-	}
-	return downsampleByFactor(u, int(math.Floor(fs/targetRate)), false)
+	return downsampleByFactor(u, int(math.Floor(fs/targetRate)))
 }
 
 // downsampleByFactor keeps every factor-th sample of u (factor < 1 keeps
-// them all), low-pass filtered at the new Nyquist limit first when
-// filtered; an explicit integer factor avoids floating-point drift in a
-// rate-to-factor conversion.
-func downsampleByFactor(u *series.Uniform, factor int, filtered bool) (*series.Uniform, error) {
+// them all), low-pass filtered at the new Nyquist limit first; an
+// explicit integer factor avoids floating-point drift in a rate-to-factor
+// conversion.
+func downsampleByFactor(u *series.Uniform, factor int) (*series.Uniform, error) {
 	factor = max(factor, 1)
-	var vals []float64
-	var err error
-	if filtered {
-		vals, err = dsp.DecimateFiltered(u.Values, u.SampleRate(), factor)
-	} else {
-		vals, err = dsp.Decimate(u.Values, factor)
-	}
+	vals, err := dsp.DecimateFiltered(u.Values, u.SampleRate(), factor)
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +108,7 @@ func RoundTrip(u *series.Uniform, targetRate float64, cfg ReconstructConfig) (*s
 			break
 		}
 	}
-	down, err := downsampleByFactor(u, factor, true)
+	down, err := downsampleByFactor(u, factor)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -84,26 +84,6 @@ func TestDownsampleErrors(t *testing.T) {
 	if _, err := Downsample(u, 0); err == nil {
 		t.Fatal("zero target rate should fail")
 	}
-	if _, err := DownsampleRaw(nil, 1); !errors.Is(err, series.ErrEmpty) {
-		t.Fatalf("raw err = %v, want ErrEmpty", err)
-	}
-	if _, err := DownsampleRaw(u, -1); err == nil {
-		t.Fatal("negative rate should fail")
-	}
-}
-
-func TestDownsampleRawKeepsSamples(t *testing.T) {
-	u := uniformFromSamples([]float64{0, 1, 2, 3, 4, 5, 6, 7}, time.Second)
-	d, err := DownsampleRaw(u, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0, 2, 4, 6}
-	for i := range want {
-		if d.Values[i] != want[i] {
-			t.Fatalf("values = %v, want %v", d.Values, want)
-		}
-	}
 }
 
 func TestReconstructQuantizationRecovery(t *testing.T) {

@@ -243,11 +243,6 @@ func (s *StreamEstimator) SampleRate() float64 { return 1 / s.interval.Seconds()
 // WindowSamples returns the sliding window length.
 func (s *StreamEstimator) WindowSamples() int { return s.eng.n }
 
-// Turnover returns how many emitted updates it takes to replace every
-// sample of the window (WindowSamples / EmitEvery); one or less means
-// consecutive updates analyze disjoint windows.
-func (s *StreamEstimator) Turnover() int { return s.eng.n / s.eng.emitEvery }
-
 // Seen returns the total number of polls pushed so far.
 func (s *StreamEstimator) Seen() int64 { return s.count }
 

@@ -350,7 +350,10 @@ func TestFleetDefaults(t *testing.T) {
 	if f.Len() != 1613 {
 		t.Fatalf("fleet size %d, want 1613", f.Len())
 	}
-	by := f.ByMetric()
+	by := map[Metric][]*Device{}
+	for _, d := range f.Devices {
+		by[d.Metric] = append(by[d.Metric], d)
+	}
 	if len(by) != 14 {
 		t.Fatalf("metric families %d, want 14", len(by))
 	}

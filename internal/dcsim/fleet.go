@@ -95,15 +95,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	return f, nil
 }
 
-// ByMetric groups the fleet's devices by metric family.
-func (f *Fleet) ByMetric() map[Metric][]*Device {
-	out := make(map[Metric][]*Device, NumMetrics)
-	for _, d := range f.Devices {
-		out[d.Metric] = append(out[d.Metric], d)
-	}
-	return out
-}
-
 // Len returns the number of metric/device pairs.
 func (f *Fleet) Len() int { return len(f.Devices) }
 

@@ -117,41 +117,3 @@ func medianOf(buf []float64) float64 {
 	}
 	return (maxBelow + buf[k]) / 2
 }
-
-// Autocorrelation returns the biased sample autocorrelation of x up to
-// maxLag, normalized so lag 0 equals 1. It backs the autocorrelation
-// baseline estimator used in the ablation benches: the first zero
-// crossing of the ACF is a classic (cruder) bandwidth proxy against which
-// the paper's spectral method is compared.
-func Autocorrelation(x []float64, maxLag int) []float64 {
-	n := len(x)
-	if maxLag >= n {
-		maxLag = n - 1
-	}
-	if maxLag < 0 || n == 0 {
-		return nil
-	}
-	mean := 0.0
-	for _, v := range x {
-		mean += v
-	}
-	mean /= float64(n)
-	var c0 float64
-	for _, v := range x {
-		d := v - mean
-		c0 += d * d
-	}
-	out := make([]float64, maxLag+1)
-	if c0 == 0 {
-		out[0] = 1
-		return out
-	}
-	for lag := 0; lag <= maxLag; lag++ {
-		var acc float64
-		for i := 0; i+lag < n; i++ {
-			acc += (x[i] - mean) * (x[i+lag] - mean)
-		}
-		out[lag] = acc / c0
-	}
-	return out
-}

@@ -201,57 +201,6 @@ func TestMedianFilterMatchesSortDefinition(t *testing.T) {
 	}
 }
 
-func TestAutocorrelation(t *testing.T) {
-	// Period-4 signal: ACF must peak again at lag 4.
-	x := make([]float64, 400)
-	for i := range x {
-		x[i] = math.Sin(2 * math.Pi * float64(i) / 4)
-	}
-	acf := Autocorrelation(x, 8)
-	if !almostEqual(acf[0], 1, 1e-12) {
-		t.Fatalf("acf[0] = %v", acf[0])
-	}
-	if acf[4] < 0.9 {
-		t.Fatalf("acf[4] = %v, want ~1", acf[4])
-	}
-	if acf[2] > -0.9 {
-		t.Fatalf("acf[2] = %v, want ~-1", acf[2])
-	}
-}
-
-func TestAutocorrelationDegenerate(t *testing.T) {
-	if Autocorrelation(nil, 5) != nil {
-		t.Fatal("nil input")
-	}
-	acf := Autocorrelation([]float64{5, 5, 5}, 10)
-	if acf[0] != 1 {
-		t.Fatalf("constant acf[0] = %v", acf[0])
-	}
-	if len(acf) != 3 {
-		t.Fatalf("maxLag should clamp to n-1, got %d", len(acf))
-	}
-}
-
-func TestAutocorrelationBoundsProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		x := make([]float64, 128)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		acf := Autocorrelation(x, 32)
-		for _, v := range acf {
-			if v > 1+1e-9 || v < -1-1e-9 || math.IsNaN(v) {
-				return false
-			}
-		}
-		return acf[0] == 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkMedianFilter(b *testing.B) {
 	x := sineWave(4096, 1024, 60, 1)
 	b.ReportAllocs()

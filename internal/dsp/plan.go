@@ -41,16 +41,41 @@ func NewPlan(n int) (*Plan, error) {
 	return p, nil
 }
 
-// Size returns the transform length.
-func (p *Plan) Size() int { return p.n }
-
 // butterflies runs the radix-2 stages over x, which must already be in
 // bit-reversed order; stages[s] holds the twiddles of the 2^(s+1)-point
 // stage, so a prefix of a larger plan's tables transforms a shorter x.
+// Stages run in pairs, as radix-2² passes that load four points once and
+// do both stages' multiplies and adds on them in the same order, so every
+// value is bit for bit what the stages one after the other give.
 // Twiddle 0 is exactly 1; with unit set its butterflies skip the multiply,
 // which changes at most the sign of a zero part while values stay finite
 // (∞·0 is NaN).
 func butterflies(x []complex128, stages [][]complex128, unit bool) {
+	for ; len(stages) >= 2; stages = stages[2:] {
+		tw := stages[0]
+		h := len(tw)
+		wlo, whi := stages[1][:h], stages[1][h:][:h]
+		for blk := x; len(blk) >= 4*h; blk = blk[4*h:] {
+			q0, q1, q2, q3 := blk[:h], blk[h:][:h], blk[2*h:][:h], blk[3*h:][:h]
+			k := 0
+			if unit {
+				y0, y1 := q0[0]+q1[0], q0[0]-q1[0]
+				y2, y3 := q2[0]+q3[0], q2[0]-q3[0]
+				f := y3 * whi[0]
+				q0[0], q2[0] = y0+y2, y0-y2
+				q1[0], q3[0] = y1+f, y1-f
+				k = 1
+			}
+			for ; k < h; k++ {
+				a, b := q0[k], q1[k]*tw[k]
+				c, d := q2[k], q3[k]*tw[k]
+				y0, y1, y2, y3 := a+b, a-b, c+d, c-d
+				e, f := y2*wlo[k], y3*whi[k]
+				q0[k], q2[k] = y0+e, y0-e
+				q1[k], q3[k] = y1+f, y1-f
+			}
+		}
+	}
 	for _, tw := range stages {
 		half := len(tw)
 		for blk := x; len(blk) >= 2*half; blk = blk[2*half:] {
@@ -71,16 +96,16 @@ func butterflies(x []complex128, stages [][]complex128, unit bool) {
 }
 
 // PSDInto computes a one-sided PSD of the real window (src[i] − mean) ·
-// taper[i] (src of length Size; a nil taper is rectangular) into power
-// (length Size/2+1), with the same normalization as Periodogram under a
+// taper[i] (src of the plan's size n; a nil taper is rectangular) into power
+// (length n/2+1), with the same normalization as Periodogram under a
 // nil window. Allocation-free. Each bin is bit for bit (a NaN only as
 // NaN) what tapering a copy of src and then transforming it with every
 // twiddle multiplied gives.
 //
 // The window is tapered as it is packed into a half-size complex
 // transform (even samples in the real parts, odd in the imaginary) that
-// runs over the plan's own tables: scratch must hold at least Size/2
-// entries, and only the first Size/2 are used.
+// runs over the plan's own tables: scratch must hold at least n/2
+// entries, and only the first n/2 are used.
 func (p *Plan) PSDInto(power []float64, scratch []complex128, src []float64, mean float64, taper []float64) error {
 	n, h := p.n, p.n/2
 	if len(src) != n || len(scratch) < h || len(power) != h+1 || taper != nil && len(taper) != n {

@@ -140,15 +140,6 @@ func Welch(x []float64, sampleRate float64, cfg WelchConfig) (*Spectrum, error) 
 	return acc, nil
 }
 
-// TotalPower returns the sum of power across all bins of s.
-func (s *Spectrum) TotalPower() float64 {
-	var t float64
-	for _, p := range s.Power {
-		t += p
-	}
-	return t
-}
-
 // CumulativeCutoff returns the lowest frequency f such that bins at or
 // below f contain at least fraction*TotalPower of the spectrum's energy,
 // together with the index of that bin. When startBin > 0 the bins below it

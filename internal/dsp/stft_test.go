@@ -15,8 +15,8 @@ func TestPlanErrors(t *testing.T) {
 		t.Fatal("non-power-of-two should fail")
 	}
 	p, _ := NewPlan(8)
-	if p.Size() != 8 {
-		t.Fatalf("size = %d", p.Size())
+	if p.n != 8 {
+		t.Fatalf("size = %d", p.n)
 	}
 	if err := p.PSDInto(make([]float64, 3), make([]complex128, 8), make([]float64, 8), 0, nil); err == nil {
 		t.Fatal("PSD buffer mismatch should fail")
@@ -218,6 +218,27 @@ func BenchmarkPlanPSD1024(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := p.PSDInto(power, scratch, x, 0, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPlanPSD256Hann is the serving estimator's transform: a
+// 256-sample window, Hann-tapered as it is packed, mean removed.
+func BenchmarkPlanPSD256Hann(b *testing.B) {
+	const n = 256
+	x := sineWave(n, 256, 20, 1)
+	taper := make([]float64, n)
+	for i := range taper {
+		taper[i] = Hann{}.Coeff(i, n)
+	}
+	p, _ := NewPlan(n)
+	power := make([]float64, n/2+1)
+	scratch := make([]complex128, n/2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.PSDInto(power, scratch, x, 0.5, taper); err != nil {
 			b.Fatal(err)
 		}
 	}

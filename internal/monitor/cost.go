@@ -63,15 +63,6 @@ func (c *Cost) AddCost(o Cost) {
 	c.CPUUnits += o.CPUUnits
 }
 
-// Ratio returns how many times more expensive c is than o by sample count
-// (0 when o is empty).
-func (c Cost) Ratio(o Cost) float64 {
-	if o.Samples == 0 {
-		return 0
-	}
-	return float64(c.Samples) / float64(o.Samples)
-}
-
 // String renders the bill compactly.
 func (c Cost) String() string {
 	return fmt.Sprintf("samples=%d wire=%.0fB store=%.0fB cpu=%.1f", c.Samples, c.WireBytes, c.StoreBytes, c.CPUUnits)

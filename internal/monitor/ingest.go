@@ -165,6 +165,9 @@ type IngestAdvice struct {
 	// held rate drops to the highest among them.
 	HeldRefreshes int
 	HoldTurnover  int
+	// LastSeen is the estimator-wide observation count at the series'
+	// newest observation: its LRU recency stamp.
+	LastSeen int64
 }
 
 // ingestSeries is one series' hook state. Its own mutex serializes
@@ -243,6 +246,33 @@ func (e *IngestEstimator) Observe(id string, p series.Point) bool {
 // slot mid-run, exactly as per-point Observe calls would), and once the
 // series exists nothing declines.
 func (e *IngestEstimator) ObserveRun(id string, pts []series.Point) int {
+	s, kept := e.admit(id, pts)
+	e.observe(s, id, kept)
+	return len(kept)
+}
+
+// Run is a run Admit admitted: a batch admits its runs one after another,
+// then may observe them on any goroutines, series by series.
+type Run struct {
+	ID  string
+	Pts []series.Point // what admission kept
+	e   *IngestEstimator
+	s   *ingestSeries
+}
+
+// Admit is ObserveRun's serial half: the run's admission and its LRU
+// clock ticks.
+func (e *IngestEstimator) Admit(id string, pts []series.Point) Run {
+	s, kept := e.admit(id, pts)
+	return Run{ID: id, Pts: kept, e: e, s: s}
+}
+
+// Observe is ObserveRun's other half.
+func (r Run) Observe() { r.e.observe(r.s, r.ID, r.Pts) }
+
+// admit resolves id's series, retrying admission per point, and stamps
+// it; it returns pts less the prefix the MaxSeries cap dropped.
+func (e *IngestEstimator) admit(id string, pts []series.Point) (*ingestSeries, []series.Point) {
 	dropped := 0
 	var s *ingestSeries
 	var tick int64
@@ -254,22 +284,29 @@ func (e *IngestEstimator) ObserveRun(id string, pts []series.Point) int {
 		dropped++
 	}
 	if s == nil {
-		return 0
+		return nil, nil
 	}
-	s.lastSeen.Store(tick)
 	run := pts[dropped:]
+	s.lastSeen.Store(tick)
 	if len(run) > 1 {
 		// Advance the estimator-wide clock for the rest of the run in one
 		// add: intermediate tick values are observable only as LRU
 		// recency, and only the newest stamp matters.
 		s.lastSeen.Store(e.clock.Add(int64(len(run) - 1)))
 	}
+	return s, run
+}
+
+// observe feeds an admitted run under its series' lock.
+func (e *IngestEstimator) observe(s *ingestSeries, id string, run []series.Point) {
+	if s == nil {
+		return
+	}
 	s.mu.Lock()
 	for i := range run {
 		e.observeLocked(s, id, run[i])
 	}
 	s.mu.Unlock()
-	return len(run)
 }
 
 // lookupOrCreate resolves id's hook state, creating it on first sight.
@@ -561,6 +598,7 @@ func (e *IngestEstimator) Advice(id string) (IngestAdvice, bool) {
 		Reprobes:      s.reprobes,
 		HeldRefreshes: s.policy.Below(),
 		HoldTurnover:  e.turnover,
+		LastSeen:      s.lastSeen.Load(),
 	}
 	if s.est != nil {
 		adv.Warm = s.est.Warm()
@@ -575,18 +613,6 @@ func (e *IngestEstimator) Advice(id string) (IngestAdvice, bool) {
 		}
 	}
 	return adv, true
-}
-
-// Series returns the observed series ids, sorted.
-func (e *IngestEstimator) Series() []string {
-	e.mu.RLock()
-	out := make([]string, 0, len(e.series))
-	for id := range e.series {
-		out = append(out, id)
-	}
-	e.mu.RUnlock()
-	sort.Strings(out)
-	return out
 }
 
 // Len returns the number of observed series.

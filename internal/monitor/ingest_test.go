@@ -222,7 +222,7 @@ func TestIngestEstimatorConcurrent(t *testing.T) {
 				e.Observe(id, series.Point{Time: ts, Value: twoTone(0.01, 0.05, float64(i))})
 				if i%100 == 0 {
 					_, _ = e.Advice(id)
-					_ = e.Series()
+					_ = e.ExportState()
 				}
 			}
 		}(g)

@@ -12,8 +12,10 @@
 package tsdb
 
 import (
+	"slices"
 	"sync"
 
+	"repro/internal/cores"
 	"repro/internal/series"
 )
 
@@ -27,37 +29,27 @@ type BatchPoint struct {
 	Err error
 }
 
-// batchScratch is the pooled grouping state of one AppendBatch call: a
-// counting-sort of point indexes by target shard. Pooled so steady-state
-// batches allocate nothing for grouping.
+// batchScratch is the pooled state of one AppendBatch call: a
+// counting-sort of point indexes by target shard, and the batch its shares
+// apply. Pooled so steady-state batches allocate nothing for grouping.
 type batchScratch struct {
 	shardOf []uint32 // target shard per point
 	counts  []int32  // points per shard
-	offs    []int32  // running scatter offsets per shard
-	bounds  []int32  // group end offsets per shard (start = previous end)
+	offs    []int32  // scatter offsets per shard: each group's end once scattered
 	order   []int32  // point indexes grouped by shard, arrival order within
+	db      *DB
+	pts     []BatchPoint
+	wg      sync.WaitGroup
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
 func (sc *batchScratch) size(points, shards int) {
-	if cap(sc.shardOf) < points {
-		sc.shardOf = make([]uint32, points)
-		sc.order = make([]int32, points)
-	}
-	sc.shardOf = sc.shardOf[:points]
-	sc.order = sc.order[:points]
-	if cap(sc.counts) < shards {
-		sc.counts = make([]int32, shards)
-		sc.offs = make([]int32, shards)
-		sc.bounds = make([]int32, shards)
-	}
-	sc.counts = sc.counts[:shards]
-	sc.offs = sc.offs[:shards]
-	sc.bounds = sc.bounds[:shards]
-	for i := range sc.counts {
-		sc.counts[i] = 0
-	}
+	sc.shardOf = slices.Grow(sc.shardOf[:0], points)[:points]
+	sc.order = slices.Grow(sc.order[:0], points)[:points]
+	sc.counts = slices.Grow(sc.counts[:0], shards)[:shards]
+	sc.offs = slices.Grow(sc.offs[:0], shards)[:shards]
+	clear(sc.counts)
 }
 
 // AppendBatch appends every point of the batch, grouping points by
@@ -68,8 +60,8 @@ func (sc *batchScratch) size(points, shards int) {
 // applied in slice order, so per-series verdicts — and the per-series
 // seal order the WAL hook observes — match a sequential Append loop
 // exactly. Points of distinct series interleave differently than a
-// sequential loop would (shard by shard instead of arrival order), which
-// no contract observes: series are independent everywhere downstream.
+// sequential loop would (shard by shard, on every core for a large batch),
+// which no contract observes: series are independent everywhere downstream.
 //
 //nyquist:hotpath
 func (db *DB) AppendBatch(pts []BatchPoint) (accepted int) {
@@ -89,16 +81,30 @@ func (db *DB) AppendBatch(pts []BatchPoint) (accepted int) {
 	for s := range sc.counts {
 		sc.offs[s] = off
 		off += sc.counts[s]
-		sc.bounds[s] = off
 	}
 	for i := range pts {
 		s := sc.shardOf[i]
 		sc.order[sc.offs[s]] = int32(i)
 		sc.offs[s]++
 	}
-	start := int32(0)
-	for s := 0; s < int(shards); s++ {
-		end := sc.bounds[s]
+	sc.db, sc.pts = db, pts
+	cores.Run(sc, min(cores.Shares(len(pts)), int(shards)), &sc.wg)
+	sc.db, sc.pts = nil, nil
+	batchScratchPool.Put(sc)
+	for i := range pts {
+		if pts[i].Err == nil {
+			accepted++
+		}
+	}
+	return accepted
+}
+
+// Share applies the groups of shards s ≡ w (mod n): disjoint series.
+func (sc *batchScratch) Share(w, n int) {
+	db, pts := sc.db, sc.pts
+	for s := w; s < len(sc.offs); s += n {
+		end := sc.offs[s]
+		start := end - sc.counts[s]
 		if start == end {
 			continue
 		}
@@ -119,16 +125,10 @@ func (db *DB) AppendBatch(pts []BatchPoint) (accepted int) {
 				lastID = bp.ID
 			}
 			bp.Err = m.append(bp.P, &db.cfg.Retention)
-			if bp.Err == nil {
-				accepted++
-			}
 		}
 		if m != nil {
 			db.drainSealed(sh, lastID, m)
 		}
 		sh.mu.Unlock()
-		start = end
 	}
-	batchScratchPool.Put(sc)
-	return accepted
 }

@@ -79,7 +79,7 @@ func TestCacheHitMissAccounting(t *testing.T) {
 		Retention: RetentionConfig{RawCapacity: 4096, CompressBlock: 64}})
 	const id = "acct/series"
 	fillSealed(db, id, 64) // exactly one sealed block, empty active run
-	if got := db.SealedBlocks(); got != 1 {
+	if got := db.Stats().SealedBlocks; got != 1 {
 		t.Fatalf("sealed %d blocks, want 1", got)
 	}
 	if _, err := db.Query(id, time.Time{}, time.Time{}, 0); err != nil {

@@ -196,9 +196,6 @@ func New(cfg Config) *DB {
 	return db
 }
 
-// Shards returns the configured shard count.
-func (db *DB) Shards() int { return len(db.shards) }
-
 // DB exists only because bench/trace.go unwraps its store with it; the
 // [benchmark] PR that re-points the trace deletes it.
 func (db *DB) DB() *DB { return db }
@@ -398,10 +395,6 @@ func (db *DB) Points() int {
 	}
 	return total
 }
-
-// SealedBlocks returns the number of raw blocks sealed over the DB's
-// lifetime.
-func (db *DB) SealedBlocks() int64 { return db.sealedBlocks.Load() }
 
 // Stats aggregates the whole database for operator reporting.
 func (db *DB) Stats() Stats {

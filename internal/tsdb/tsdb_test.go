@@ -247,8 +247,8 @@ func TestBucketCoverageSurvivesRetune(t *testing.T) {
 
 func TestShardingSpreadsSeries(t *testing.T) {
 	db := New(Config{})
-	if db.Shards() != 16 {
-		t.Fatalf("default shards = %d, want 16", db.Shards())
+	if sh := db.Stats().Shards; sh != 16 {
+		t.Fatalf("default shards = %d, want 16", sh)
 	}
 	for i := 0; i < 64; i++ {
 		db.Append(string(rune('a'+i%26))+string(rune('0'+i/26)), series.Point{Time: start, Value: 1})

@@ -14,8 +14,8 @@
 //  2. Estimate its Nyquist rate with an Estimator — the paper's FFT/PSD
 //     method with a 99 % energy cut-off (§3.2). An ErrAliased result means
 //     the trace is already under-sampled and the rate cannot be trusted.
-//  3. Downsample to the Nyquist rate for storage (Downsample/RoundTrip)
-//     and reconstruct on demand (Reconstruct, §4.3), or run the
+//  3. Check that a trace survives downsampling to the Nyquist rate and
+//     band-limited reconstruction (RoundTrip, §4.3), or run the
 //     AdaptiveSampler loop to pick poll rates on-line (§4.2) with
 //     dual-rate aliasing detection (§4.1).
 //
@@ -124,21 +124,6 @@ type (
 // NewStreamEstimator validates cfg and returns a StreamEstimator.
 var NewStreamEstimator = core.NewStreamEstimator
 
-// Re-exported multivariate types (§6 "Multivariate signals").
-type (
-	// GroupResult is the joint Nyquist analysis of a signal set.
-	GroupResult = core.GroupResult
-)
-
-// Re-exported ergodicity types (§6 "Beyond Nyquist").
-type (
-	// ErgodicityReport compares time averages against ensemble averages.
-	ErgodicityReport = core.ErgodicityReport
-)
-
-// DetrendMode selects the estimator's pre-FFT trend removal.
-type DetrendMode = core.DetrendMode
-
 // Detrend modes.
 const (
 	// DetrendMean subtracts the mean (default).
@@ -164,20 +149,13 @@ type (
 	Spectrum = dsp.Spectrum
 	// Window tapers a signal before spectral analysis.
 	Window = dsp.Window
-	// WelchConfig parameterizes Welch PSD estimation.
-	WelchConfig = dsp.WelchConfig
 	// Quantizer models sensor resolution.
 	Quantizer = dsp.Quantizer
 	// STFT is a short-time Fourier transform configuration.
 	STFT = dsp.STFT
 	// Spectrogram is a time-resolved spectral view.
 	Spectrogram = dsp.Spectrogram
-	// Plan is a reusable FFT plan: PSDInto, a tapered window's PSD.
-	Plan = dsp.Plan
 )
-
-// NewPlan builds a reusable FFT plan for one power-of-two size.
-var NewPlan = dsp.NewPlan
 
 // Sentinel errors.
 var (
@@ -220,17 +198,6 @@ var ValidateRatePair = core.ValidateRatePair
 // SuggestSlowRate picks a companion probe rate with a safe ratio.
 var SuggestSlowRate = core.SuggestSlowRate
 
-// Downsample re-samples a trace to a target rate with anti-alias
-// filtering.
-var Downsample = core.Downsample
-
-// DownsampleRaw keeps every k-th sample with no filtering.
-var DownsampleRaw = core.DownsampleRaw
-
-// Reconstruct up-samples a Nyquist-rate trace by band-limited
-// interpolation (§4.3).
-var Reconstruct = core.Reconstruct
-
 // RoundTrip downsamples and reconstructs, returning fidelity metrics —
 // the Fig. 6 experiment.
 var RoundTrip = core.RoundTrip
@@ -238,48 +205,12 @@ var RoundTrip = core.RoundTrip
 // CompareSignals computes fidelity metrics between two signals.
 var CompareSignals = core.CompareSignals
 
-// Periodogram computes a one-sided PSD with a single windowed FFT.
-var Periodogram = dsp.Periodogram
-
-// Welch computes a variance-reduced PSD by averaging segments.
-var Welch = dsp.Welch
-
-// FFT returns the discrete Fourier transform of x.
-var FFT = dsp.FFT
-
-// IFFT returns the inverse transform.
-var IFFT = dsp.IFFT
-
-// LowPassFFT removes content above a cutoff frequency.
-var LowPassFFT = dsp.LowPassFFT
-
 // NewQuantizer returns a sensor-resolution model.
 var NewQuantizer = dsp.NewQuantizer
 
 // EstimateStep guesses a trace's quantization step.
 var EstimateStep = dsp.EstimateStep
 
-// MedianFilter removes impulsive noise with a sliding median.
-var MedianFilter = dsp.MedianFilter
-
-// Autocorrelation returns the normalized sample autocorrelation.
-var Autocorrelation = dsp.Autocorrelation
-
-// CrossCorrelation returns the zero-lag Pearson correlation of two
-// signals — the joint statistic multivariate consumers care about (§6).
-var CrossCorrelation = core.CrossCorrelation
-
 // GroupRoundTrip verifies a signal set survives a group-rate round trip
 // with correlations intact (§6).
 var GroupRoundTrip = core.GroupRoundTrip
-
-// KSDistance is the two-sample Kolmogorov-Smirnov statistic.
-var KSDistance = core.KSDistance
-
-// MeasureErgodicity compares per-device temporal distributions against
-// the fleet ensemble (§6's canarying assumption, made measurable).
-var MeasureErgodicity = core.MeasureErgodicity
-
-// CanaryHorizon reports how many samples a canary device needs before its
-// statistics match the ensemble (-1 when they never do).
-var CanaryHorizon = core.CanaryHorizon

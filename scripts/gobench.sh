@@ -25,9 +25,14 @@ commit=$(git rev-parse HEAD 2>/dev/null || echo unknown)
 	# refreshed every 8 points; floats, two-decimal readings and a counter
 	# that outgrows 16-bit offsets) and census (fill 1024, read once).
 	bench BenchmarkStreamVsBatchRefresh 1x .
+	# The serving estimator's transform alone: a 256-point Hann PSD.
+	bench 'BenchmarkPlanPSD256Hann' 100000x ./internal/dsp/
 	# Ingest with and without the WAL (the delta is the durability tax),
-	# the bare parse/append core, and the bulk lane.
+	# the bare parse/append core, and the bulk lane; then steady_bulk's
+	# frame shape (64 series x 64 consecutive samples, WAL armed), where
+	# the parser's sid reuse and the chunk's fan-out over the cores show.
 	bench 'BenchmarkIngestBatch|BenchmarkIngestWithWAL|BenchmarkIngestBatchAffinity|BenchmarkBulkLane' 100x ./internal/api/
+	bench 'BenchmarkIngestFrame' 100x ./internal/api/
 	# Read path: the dashboard-hot raw window, sealed history with the
 	# decoded-block cache off and warmed, the ?match= fan-in, and
 	# reconstruct=auto (band-limited) against linear over a tier-1 run and
