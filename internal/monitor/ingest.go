@@ -254,8 +254,8 @@ func (e *IngestEstimator) ObserveRun(id string, pts []series.Point) int {
 // Run is a run Admit admitted: a batch admits its runs one after another,
 // then may observe them on any goroutines, series by series.
 type Run struct {
-	ID  string
 	Pts []series.Point // what admission kept
+	id  string
 	e   *IngestEstimator
 	s   *ingestSeries
 }
@@ -264,11 +264,11 @@ type Run struct {
 // clock ticks.
 func (e *IngestEstimator) Admit(id string, pts []series.Point) Run {
 	s, kept := e.admit(id, pts)
-	return Run{ID: id, Pts: kept, e: e, s: s}
+	return Run{Pts: kept, id: id, e: e, s: s}
 }
 
 // Observe is ObserveRun's other half.
-func (r Run) Observe() { r.e.observe(r.s, r.ID, r.Pts) }
+func (r Run) Observe() { r.e.observe(r.s, r.id, r.Pts) }
 
 // admit resolves id's series, retrying admission per point, and stamps
 // it; it returns pts less the prefix the MaxSeries cap dropped.
