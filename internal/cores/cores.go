@@ -1,7 +1,8 @@
 // Package cores spreads one ingest chunk over the cores. Run hands each
 // share of a job to an idle helper goroutine, or runs it on the caller
-// when none is idle, so it never waits for one. Helpers start once, and
-// Run allocates nothing: its caller pools the job and the WaitGroup.
+// when none is idle, so it never waits for one. Helpers start once and
+// idle for the life of the process, holding nothing between shares; Run
+// allocates nothing, as its caller pools the job and the WaitGroup.
 package cores
 
 import (
@@ -55,8 +56,7 @@ func Run(j Job, n int, wg *sync.WaitGroup) {
 	wg.Wait()
 }
 
-// startHelpers starts a helper for every core but the caller's (one on a
-// single core).
+// startHelpers starts a helper per core but the caller's (one on one core).
 func startHelpers() {
 	for range max(runtime.GOMAXPROCS(0), 2) - 1 {
 		go func() {
