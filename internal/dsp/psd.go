@@ -141,7 +141,7 @@ func Welch(x []float64, sampleRate float64, cfg WelchConfig) (*Spectrum, error) 
 }
 
 // CumulativeCutoff returns the lowest frequency f such that bins at or
-// below f contain at least fraction*TotalPower of the spectrum's energy,
+// below f contain at least fraction of the spectrum's total energy,
 // together with the index of that bin. When startBin > 0 the bins below it
 // (typically DC) are excluded from both numerator and denominator. If the
 // total energy in scope is zero, the first in-scope frequency is returned.
