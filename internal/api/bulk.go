@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"time"
 )
 
@@ -46,6 +47,10 @@ const bulkReadBuffer = 64 << 10
 // bulk pusher uses. Waiting for the next frame's first byte carries no
 // deadline: an idle connection between frames is legal.
 const bulkFrameDeadline = 30 * time.Second
+
+// bulkIdleShed is how long a connection idles before it drops a payload
+// buffer over 4 × bulkReadBuffer; back-to-back frames keep reusing theirs.
+const bulkIdleShed = time.Second
 
 // ServeBulk accepts bulk-lane connections on ln until the listener
 // closes, serving each connection on its own goroutine. Closing ln is
@@ -78,13 +83,17 @@ func (s *Server) serveBulkConn(conn net.Conn) {
 	)
 	for {
 		if _, err := io.ReadFull(rd, hdr[:1]); err != nil {
+			if payload != nil && errors.Is(err, os.ErrDeadlineExceeded) && conn.SetReadDeadline(time.Time{}) == nil {
+				payload, br = nil, bytes.Reader{} // idle for bulkIdleShed: shed, wait on
+				continue
+			}
 			// EOF on a frame boundary is the clean hangup; anything else
 			// (reset) has no recovery either way.
 			return
 		}
 		// One deadline covers the rest of the header, the payload read and
-		// the response write; it is lifted once the response is out (the
-		// end of the loop body).
+		// the response write; once the response is out (the end of the
+		// loop body) it is lifted, or becomes the idle-shed deadline.
 		if conn.SetDeadline(time.Now().Add(s.bulkFrameTimeout)) != nil {
 			return
 		}
@@ -129,12 +138,11 @@ func (s *Server) serveBulkConn(conn net.Conn) {
 				return
 			}
 		}
-		if n > 4*bulkReadBuffer {
-			// Shed it, as putIngestBatch does: idle connections pin none.
-			payload = nil
-			br.Reset(nil)
+		idle := time.Time{}
+		if cap(payload) > 4*bulkReadBuffer {
+			idle = time.Now().Add(bulkIdleShed)
 		}
-		if wr.Flush() != nil || conn.SetDeadline(time.Time{}) != nil {
+		if wr.Flush() != nil || conn.SetDeadline(idle) != nil {
 			return
 		}
 	}

@@ -1,8 +1,10 @@
 package api
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -92,15 +94,82 @@ func TestBulkLaneSlowPeer(t *testing.T) {
 	<-done
 }
 
+// TestBulkLaneKeepsSteadyFrameBuffer holds a pusher's back-to-back
+// frames to one payload buffer. The frames are steady_bulk's shape — 64
+// series × 64 consecutive samples, 4,096 lines of 66 B, 270,336 B, above
+// 4 × bulkReadBuffer — so a buffer shed or regrown per frame would
+// allocate at least the frame's bytes again every time.
+func TestBulkLaneKeepsSteadyFrameBuffer(t *testing.T) {
+	const frames = 20
+	srv := NewServer(Config{})
+	client, server := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		srv.serveBulkConn(server)
+		close(done)
+	}()
+	defer func() { client.Close(); <-done }()
+	// Whole frames are built up front and the responses read into one
+	// buffer, so the client allocates nothing per exchange.
+	framed := make([][]byte, frames+1)
+	for f := range framed {
+		var sb strings.Builder
+		for sid := range 64 {
+			for k := range 64 {
+				fmt.Fprintf(&sb, "{\"series\":\"dash/rack%02d/dev%02d/temp\",\"ts\":%d,\"value\":%5.2f}\n",
+					sid/8, sid%8, 1753500000+30*(64*f+k), 20+float64(k%70))
+			}
+		}
+		framed[f] = append(binary.BigEndian.AppendUint32(nil, uint32(sb.Len())), sb.String()...)
+	}
+	size := len(framed[0]) - 4
+	if size != 4096*66 || size <= 4*bulkReadBuffer {
+		t.Fatalf("frame is %d bytes, want 4,096 × 66 B, above 4 × bulkReadBuffer", size)
+	}
+	resp := make([]byte, 64<<10)
+	exchange := func(f []byte) {
+		if _, err := client.Write(f); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(client, resp[:4]); err != nil {
+			t.Fatal(err)
+		}
+		n := binary.BigEndian.Uint32(resp[:4])
+		if _, err := io.ReadFull(client, resp[:n]); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(resp[:n], []byte(`"accepted":4096,`)) {
+			t.Fatalf("frame not wholly accepted: %s", resp[:n])
+		}
+	}
+	exchange(framed[0])
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, f := range framed[1:] {
+		exchange(f)
+	}
+	runtime.ReadMemStats(&after)
+	perFrame := int(after.TotalAlloc-before.TotalAlloc) / frames
+	t.Logf("%d steady frames of %d bytes allocate %d bytes a frame", frames, size, perFrame)
+	if raceEnabled {
+		t.Skip("race build: its sync.Pool drops pooled buffers at random")
+	}
+	if perFrame >= size {
+		t.Fatalf("a steady frame allocates %d bytes, want under its own %d: its buffer is not reused",
+			perFrame, size)
+	}
+}
+
 // TestBulkLaneIdleConnShedsLargeFrame holds the bulk lane to what its
 // read buffer promises: a connection that once sent a frame larger than
-// 4 × bulkReadBuffer does not keep that frame's buffer while it idles.
-// Each of conns connections sends one frame of blank lines and waits; the
-// heap they hold between frames must stay well below the frames' bytes.
+// 4 × bulkReadBuffer drops that frame's buffer once it has idled for
+// bulkIdleShed, and still serves its next frame. Each of conns
+// connections sends one frame of blank lines and waits; the heap they
+// hold must fall below half of a single frame's bytes.
 func TestBulkLaneIdleConnShedsLargeFrame(t *testing.T) {
 	const (
 		conns = 8
-		frame = 2 << 20
+		frame = 4 << 20
 	)
 	srv := NewServer(Config{})
 	body := strings.Repeat("\n", frame)
@@ -111,7 +180,8 @@ func TestBulkLaneIdleConnShedsLargeFrame(t *testing.T) {
 		return int64(ms.HeapInuse)
 	}
 	before := heap()
-	for range conns {
+	clients := make([]net.Conn, conns)
+	for i := range clients {
 		client, server := net.Pipe()
 		d := make(chan struct{})
 		go func() {
@@ -122,11 +192,19 @@ func TestBulkLaneIdleConnShedsLargeFrame(t *testing.T) {
 		if out := bulkExchange(t, client, body); out.Accepted != 0 || out.Rejected != 0 {
 			t.Fatalf("a frame of blank lines: %+v", out)
 		}
+		clients[i] = client
 	}
-	grew := heap() - before
-	t.Logf("%d idle connections after one %d-byte frame each hold %d heap bytes", conns, frame, grew)
-	if grew > conns*frame/4 {
-		t.Fatalf("%d idle connections hold %d heap bytes, want under a quarter of their %d frame bytes",
-			conns, grew, conns*frame)
+	time.Sleep(2 * bulkIdleShed) // past every connection's idle deadline
+	held := heap() - before
+	runtime.KeepAlive(body)
+	t.Logf("%d idle connections after one %d-byte frame each hold %d heap bytes", conns, frame, held)
+	if held > frame/2 {
+		t.Fatalf("%d connections idle for %v hold %d heap bytes, want under half of one frame's %d",
+			conns, 2*bulkIdleShed, held, frame)
+	}
+	for _, c := range clients {
+		if out := bulkExchange(t, c, `{"series":"idle","ts":1753500000,"value":1}`+"\n"); out.Accepted+out.Rejected != 1 {
+			t.Fatalf("frame after the buffer was shed: %+v", out)
+		}
 	}
 }

@@ -20,12 +20,13 @@ import (
 // 1 and 2 are above cores.Floor with room under MaxSeries, so they take
 // the shared path: 40 series, first run-grouped as steady_bulk sends them,
 // then interleaved line by line over two chunks, with out-of-order,
-// malformed, blank and reordered-key lines mixed in. Frame 3 brings 100
-// new series after them, so the cap binds: admission evicts the 40 by the
-// LRU stamps frames 1 and 2 left, then new series the same chunk admitted
-// and observed more than EvictAfter observations earlier. Frame 4 runs
-// every series on at the cap, and frame 5's 150 one-point series drop once
-// nothing is idle enough to evict.
+// malformed, blank and reordered-key lines mixed in. Frame 3 brings 65
+// new series, so the cap binds and evicts the five of the 40 whose LRU
+// stamps frames 1 and 2 left oldest: which five survive shows the stamps.
+// Frame 4 brings 35 more, so admission evicts the other 35, then new
+// series the same chunk admitted and observed more than EvictAfter
+// observations earlier. Frame 5 runs every series on at the cap, and frame
+// 6's 150 one-point series drop once nothing is idle enough to evict.
 func fanoutScript(seed int64) [][]byte {
 	rng := rand.New(rand.NewSource(seed))
 	base := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC).Unix()
@@ -75,8 +76,15 @@ func fanoutScript(seed int64) [][]byte {
 			}
 		}),
 		frame(func() {
-			for range 130 {
+			for range 160 {
 				for _, id := range a {
+					line(id)
+				}
+			}
+		}),
+		frame(func() {
+			for _, id := range b[:65] {
+				for range 20 {
 					line(id)
 				}
 			}
@@ -103,10 +111,10 @@ func fanoutScript(seed int64) [][]byte {
 	}
 }
 
-// fanoutRun is what one run of the script leaves: every response and the
-// estimator's advice (LRU stamps included) after every frame, and at the
-// end the store's export and query answers and the estimator's state and
-// counters.
+// fanoutRun is what one run of the script leaves: every response and
+// every surviving series' advice after every frame — which series survive
+// is the LRU stamps' outcome — and at the end the store's export and query
+// answers and the estimator's state and counters.
 type fanoutRun struct {
 	responses []string
 	advice    []map[string]monitor.IngestAdvice
@@ -168,17 +176,21 @@ func runFanoutScript(t *testing.T, frames [][]byte, shares int) fanoutRun {
 // the same frames, once with every chunk on one goroutine and once with
 // chunks of cores.Floor points or more split into two shares (forced, so
 // a one-CPU runner takes it too), must leave identical responses, stored
-// bytes, query answers, estimator state, advice and LRU stamps, and
-// counters — through out-of-order and malformed lines, several shards,
-// and a MaxSeries cap with a short EvictAfter that binds.
+// bytes, query answers, estimator state, advice, the same series surviving
+// every frame's evictions, and counters — through out-of-order and
+// malformed lines, several shards, and a MaxSeries cap with a short
+// EvictAfter that binds.
 func TestFanoutMatchesSerial(t *testing.T) {
 	frames := fanoutScript(7)
 	serial := runFanoutScript(t, frames, 1)
 	shared := runFanoutScript(t, frames, 2)
 
 	var resp IngestResponse
-	if err := json.Unmarshal([]byte(serial.responses[4]), &resp); err != nil || resp.EstimatorDropped == 0 {
-		t.Fatalf("frame 5 must drop at the cap: %+v, %v", resp, err)
+	if err := json.Unmarshal([]byte(serial.responses[5]), &resp); err != nil || resp.EstimatorDropped == 0 {
+		t.Fatalf("frame 6 must drop at the cap: %+v, %v", resp, err)
+	}
+	if n := len(serial.advice[2]); n != 100 {
+		t.Fatalf("frame 3 must leave the cap's 100 series, not %d", n)
 	}
 	if c := serial.counters; c[2] == 0 || c[5] == 0 {
 		t.Fatalf("the script must retune and evict: counters %v", c)

@@ -402,7 +402,8 @@ func (s *Server) flushChunk(b *ingestBatch, resp *IngestResponse, tally *ingestT
 // -max-series cannot bind is then observed on every core, run i in share
 // i mod n; otherwise each run is observed as it is admitted (ObserveRun).
 // Series are independent in the estimator and admission is serial, so
-// drops, evictions and LRU stamps are the same either way.
+// drops, evictions and LRU stamps are the same either way — per request,
+// unless a concurrent one fills the cap after the room check.
 func (s *Server) feedEstimator(b *ingestBatch, resp *IngestResponse, tally *ingestTally) {
 	nSids := len(b.series)
 	if nSids == 0 {

@@ -189,9 +189,6 @@ func NewAdaptiveSampler(cfg AdaptiveConfig) (*AdaptiveSampler, error) {
 // Rate returns the current poll rate in hertz.
 func (a *AdaptiveSampler) Rate() float64 { return a.rate }
 
-// Mode returns the current state.
-func (a *AdaptiveSampler) Mode() Mode { return a.mode }
-
 // Run advances the sampler over duration seconds of signal time starting
 // at start, one epoch per cfg.EpochDuration, and returns the full log.
 func (a *AdaptiveSampler) Run(src Sampler, start, duration float64) (*RunResult, error) {

@@ -185,8 +185,8 @@ func TestAdaptiveAccessors(t *testing.T) {
 	if a.Rate() != 1 {
 		t.Fatalf("initial Rate() = %v, want 1", a.Rate())
 	}
-	if a.Mode() != Probing {
-		t.Fatalf("initial Mode() = %v, want Probing", a.Mode())
+	if a.mode != Probing {
+		t.Fatalf("initial mode = %v, want Probing", a.mode)
 	}
 	if _, err := a.Run(twoTone(0.2, 1, 0.5), 0, 64*5); err != nil {
 		t.Fatal(err)

@@ -240,9 +240,6 @@ func NewStreamEstimator(cfg StreamConfig) (*StreamEstimator, error) {
 // SampleRate returns the configured poll rate in hertz.
 func (s *StreamEstimator) SampleRate() float64 { return 1 / s.interval.Seconds() }
 
-// WindowSamples returns the sliding window length.
-func (s *StreamEstimator) WindowSamples() int { return s.eng.n }
-
 // Seen returns the total number of polls pushed so far.
 func (s *StreamEstimator) Seen() int64 { return s.count }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // Floor is the chunk size, in points, below which a chunk stays on its
-// caller: a smaller one costs less than the hand-off.
+// caller: sharing gains from 1,024 points on, not below (EXPERIMENTS.md).
 const Floor = 1024
 
 // Procs is runtime.GOMAXPROCS; a test replaces it to share on one CPU.

@@ -165,9 +165,6 @@ type IngestAdvice struct {
 	// held rate drops to the highest among them.
 	HeldRefreshes int
 	HoldTurnover  int
-	// LastSeen is the estimator-wide observation count at the series'
-	// newest observation: its LRU recency stamp.
-	LastSeen int64
 }
 
 // ingestSeries is one series' hook state. Its own mutex serializes
@@ -598,7 +595,6 @@ func (e *IngestEstimator) Advice(id string) (IngestAdvice, bool) {
 		Reprobes:      s.reprobes,
 		HeldRefreshes: s.policy.Below(),
 		HoldTurnover:  e.turnover,
-		LastSeen:      s.lastSeen.Load(),
 	}
 	if s.est != nil {
 		adv.Warm = s.est.Warm()

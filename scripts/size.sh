@@ -100,16 +100,16 @@
 # FinalRate and StaticRate copies; fleet lost the three poller aliases (−5)
 # and api the (*Server).Metrics accessor nothing called (−4).
 # The ingest fan-out, the parser's exact number conversions and the
-# pair-fused transform then paid for their lines, so MAX_LOC held at the
-# measured 21,803 and MAX_TSDB_LOC fell to the measured 3,536. Added:
-# internal/cores (+69), api +93 (parser, feed shares, bulk-lane buffer
-# shedding), monitor +38 (Admit and Run, the advice's LRU stamp), dsp +28
-# (the fused passes); tsdb's share method replaced its loop. Deleted: the
-# nyquist and fleet re-exports nothing called (−69, −38),
-# dsp.Autocorrelation and core.DownsampleRaw, which only they reached
-# (−38, −20), and methods only tests called or nothing did (monitor −21,
-# fleet −9, dsp −12, dcsim −9, tsdb −7, core −5).
-MAX_LOC=21803
+# pair-fused transform then paid for their lines, so MAX_LOC fell to the
+# measured 21,802 and MAX_TSDB_LOC to the measured 3,536. Added:
+# internal/cores (+69), api +102 (parser, feed shares, the bulk lane's
+# idle buffer shedding), monitor +34 (Admit and Run), dsp +28 (the fused
+# passes); tsdb's share method replaced its loop. Deleted: the nyquist
+# and fleet re-exports nothing called (−69, −38), dsp.Autocorrelation and
+# core.DownsampleRaw, which only they reached (−38, −20), and methods only
+# tests called or nothing did (monitor −21, fleet −9, dsp −12, dcsim −9,
+# tsdb −7, core −11).
+MAX_LOC=21802
 MAX_TSDB_LOC=3536
 MAX_FLAGS=16
 MAX_CONFIG_FIELDS=28
