@@ -245,7 +245,7 @@ func BenchmarkAblationInterpolation(b *testing.B) {
 	for i := 0; i < 2880; i++ {
 		jitter := time.Duration(i%17) * 300 * time.Millisecond
 		ts := start.Add(time.Duration(i)*30*time.Second + jitter)
-		s.AppendValue(ts, 50+10*float64(i%120)/120)
+		s.Append(nyquist.Point{Time: ts, Value: 50 + 10*float64(i%120)/120})
 	}
 	for _, ip := range []nyquist.Interpolation{nyquist.NearestNeighbor, nyquist.Linear, nyquist.PreviousValue} {
 		b.Run(ip.String(), func(b *testing.B) {

@@ -169,9 +169,6 @@ func (ctl *Controller) census() error {
 // the run started blind.
 func (ctl *Controller) CensusReport() *ScanReport { return ctl.scanRep }
 
-// Store returns the store the run writes through.
-func (ctl *Controller) Store() *Store { return ctl.store }
-
 // RoundSummary is the fleet-level outcome of one control round.
 type RoundSummary struct {
 	// Round is the 1-based round index.

@@ -52,7 +52,7 @@ func TestControllerSoakAllRegimes(t *testing.T) {
 				readers.Add(1)
 				go func(r int) {
 					defer readers.Done()
-					store := ctl.Store()
+					store := ctl.store
 					from := time.Date(2021, 11, 10, 0, 0, 0, 0, time.UTC)
 					to := from.Add(365 * 24 * time.Hour)
 					for i := 0; ; i++ {

@@ -69,7 +69,7 @@ func TestControllerRetunesRetention(t *testing.T) {
 	if _, err := ctl.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	store := ctl.Store()
+	store := ctl.store
 	tuned := 0
 	for _, d := range sc.Fleet.Devices {
 		if store.NyquistRate(d.ID) > 0 {

@@ -48,10 +48,6 @@ type (
 // NewWireGen builds the wire-traffic generator for a scenario.
 var NewWireGen = dcsim.NewWireGen
 
-// DefaultSamplesPerRound is the per-device wire round size hostile bars
-// are calibrated against.
-const DefaultSamplesPerRound = dcsim.DefaultSamplesPerRound
-
 // BuildScenario builds a named workload regime deterministically.
 var BuildScenario = dcsim.BuildScenario
 
@@ -75,9 +71,6 @@ const (
 	Temperature      = dcsim.Temperature
 	FCSErrors        = dcsim.FCSErrors
 )
-
-// NumMetrics is the number of metric families.
-const NumMetrics = dcsim.NumMetrics
 
 // Day is the paper's per-datapoint trace length.
 const Day = dcsim.Day
@@ -170,19 +163,13 @@ var Frontier = monitor.Frontier
 
 // NewStore returns an empty time-series store whose raw ring holds
 // capacity points per series (0 = unbounded). The store is
-// strict-append: Append and AppendUniform return ErrOutOfOrder for a
-// point older than the series' newest accepted sample and ErrTimeRange
-// for a timestamp within a year of the int64-nanosecond limits, and a
-// rejected point does not land.
+// strict-append: Append and AppendUniform return an error for a point
+// older than the series' newest accepted sample or for a timestamp within
+// a year of the int64-nanosecond limits, and a rejected point does not
+// land.
 func NewStore(capacity int) *Store {
 	return tsdb.New(StoreConfig{Retention: RetentionConfig{RawCapacity: capacity}})
 }
-
-// ErrOutOfOrder and ErrTimeRange are the store's append rejections.
-var (
-	ErrOutOfOrder = tsdb.ErrOutOfOrder
-	ErrTimeRange  = tsdb.ErrTimeRange
-)
 
 // DefaultCostModel returns the standard sample pricing.
 var DefaultCostModel = monitor.DefaultCostModel

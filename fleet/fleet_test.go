@@ -64,8 +64,8 @@ func TestPublicPipeline(t *testing.T) {
 	}
 	var cost fleet.Cost
 	cost.Add(fleet.DefaultCostModel(), trace.Len())
-	if cost.Samples != 120 || store.Points() != 120 {
-		t.Fatalf("cost %v, stored %d", cost, store.Points())
+	if st := store.Stats(); cost.Samples != 120 || st.RawPoints+st.Buckets != 120 {
+		t.Fatalf("cost %v, stored %d", cost, st.RawPoints+st.Buckets)
 	}
 }
 
@@ -96,7 +96,7 @@ func TestPublicExperimentDrivers(t *testing.T) {
 
 func TestPublicMetricsEnumeration(t *testing.T) {
 	ms := fleet.AllMetrics()
-	if len(ms) != fleet.NumMetrics || fleet.NumMetrics != 14 {
+	if len(ms) != 14 {
 		t.Fatalf("metrics = %d", len(ms))
 	}
 	p := fleet.ProfileFor(fleet.Temperature)

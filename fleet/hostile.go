@@ -176,13 +176,6 @@ func NewHostileRunner(sc *Scenario, cfg HostileConfig) (*HostileRunner, error) {
 	}, nil
 }
 
-// Store returns the runner's live store — safe to query concurrently
-// with Run.
-func (r *HostileRunner) Store() *Store { return r.store }
-
-// Estimator returns the runner's ingest estimator.
-func (r *HostileRunner) Estimator() *monitor.IngestEstimator { return r.est }
-
 // Run executes the configured rounds and returns the report.
 func (r *HostileRunner) Run() (*HostileReport, error) {
 	rep := &HostileReport{

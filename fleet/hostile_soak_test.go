@@ -38,8 +38,8 @@ func TestHostileSoakAllRegimes(t *testing.T) {
 				readers.Add(1)
 				go func(g int) {
 					defer readers.Done()
-					store := r.Store()
-					est := r.Estimator()
+					store := r.store
+					est := r.est
 					from := time.Date(2026, 6, 1, 0, 0, 0, 0, time.UTC)
 					to := from.Add(365 * 24 * time.Hour)
 					for i := 0; ; i++ {

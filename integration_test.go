@@ -36,8 +36,8 @@ func TestPipelinePollStoreEstimateArchive(t *testing.T) {
 	if err := store.AppendUniform(dev.ID, dev.Trace(t0, 0, 24*time.Hour)); err != nil {
 		t.Fatal(err)
 	}
-	if store.Points() != 1440 {
-		t.Fatalf("polled %d samples", store.Points())
+	if st := store.Stats(); st.RawPoints+st.Buckets != 1440 {
+		t.Fatalf("polled %d samples", st.RawPoints+st.Buckets)
 	}
 
 	// 2. Audit the stored series (irregular-capable path).
@@ -46,8 +46,12 @@ func TestPipelinePollStoreEstimateArchive(t *testing.T) {
 		t.Fatal(err)
 	}
 	stored := nyquist.NewSeries(full.Points)
+	grid, err := stored.RegularizeAuto()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var est nyquist.Estimator
-	res, err := est.EstimateSeries(stored)
+	res, err := est.Estimate(grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +89,10 @@ func TestPipelinePollStoreEstimateArchive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := stored.Values()
+	orig := make([]float64, stored.Len())
+	for i, p := range stored.Points() {
+		orig[i] = p.Value
+	}
 	n := rec.Len()
 	if n > len(orig) {
 		n = len(orig)
@@ -144,8 +151,8 @@ func TestPipelineTraceExportImport(t *testing.T) {
 
 	var buf bytes.Buffer
 	buf.WriteString("timestamp,value\n")
-	for _, p := range u.Series().Points() {
-		fmt.Fprintf(&buf, "%s,%s\n", p.Time.UTC().Format(time.RFC3339Nano), strconv.FormatFloat(p.Value, 'g', -1, 64))
+	for i, v := range u.Values {
+		fmt.Fprintf(&buf, "%s,%s\n", u.TimeAt(i).UTC().Format(time.RFC3339Nano), strconv.FormatFloat(v, 'g', -1, 64))
 	}
 	back, err := trace.ReadCSV(&buf)
 	if err != nil {
@@ -159,7 +166,11 @@ func TestPipelineTraceExportImport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaCSV, err := est.EstimateSeries(back)
+	backGrid, err := back.RegularizeAuto()
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaCSV, err := est.Estimate(backGrid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,96 +229,6 @@ func TestPipelineAdaptiveOnFleetDevice(t *testing.T) {
 	burstNyquist := 2 * 8e-3
 	if static := int(86400 * burstNyquist); run.TotalSamples >= static {
 		t.Fatalf("adaptive cost %d not below burst-provisioned static %d", run.TotalSamples, static)
-	}
-}
-
-// TestPipelineGroupAudit audits a multi-metric device group jointly (§6
-// multivariate) from traces collected by one poller.
-func TestPipelineGroupAudit(t *testing.T) {
-	rng := rand.New(rand.NewSource(104))
-	names := []string{"cpu", "mem", "link"}
-	metrics := []fleet.Metric{fleet.CPUUtil5pct, fleet.MemoryUsage, fleet.LinkUtil}
-	bands := []float64{6e-4, 5e-5, 3e-4}
-	var traces []*nyquist.Uniform
-	var devs []*fleet.Device
-	for i := range names {
-		d, err := fleet.NewDevice(names[i], metrics[i], bands[i], time.Minute, rng, uint64(1100+i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		devs = append(devs, d)
-		traces = append(traces, d.Trace(t0, 0, 24*time.Hour))
-	}
-	var est nyquist.Estimator
-	g, err := est.EstimateGroup(names, traces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Names[g.Driver] != "cpu" {
-		t.Fatalf("driver = %s, want cpu (the fastest band)", g.Names[g.Driver])
-	}
-	if g.GroupRate < devs[0].TrueNyquist*0.5 || g.GroupRate > devs[0].TrueNyquist*2 {
-		t.Fatalf("group rate %v vs cpu requirement %v", g.GroupRate, devs[0].TrueNyquist)
-	}
-	// Joint downsampling at the group rate must preserve pairwise
-	// correlations.
-	worstNRMSE, drift, err := nyquist.GroupRoundTrip(traces, g.GroupRate, 1.5, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if worstNRMSE > 0.25 {
-		t.Fatalf("worst member NRMSE = %v", worstNRMSE)
-	}
-	_ = drift
-}
-
-// TestPipelineAlignedGroupFromStore collects two metrics at different
-// rates into the store, aligns them onto a common grid, and runs the §6
-// group analysis — the full multivariate workflow from raw polls.
-func TestPipelineAlignedGroupFromStore(t *testing.T) {
-	rng := rand.New(rand.NewSource(107))
-	fast, err := fleet.NewDevice("cpu", fleet.CPUUtil5pct, 5e-4, 30*time.Second, rng, 1107)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := fleet.NewDevice("mem", fleet.MemoryUsage, 1e-4, 2*time.Minute, rng, 1108)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := fleet.NewStore(0)
-	for _, d := range []*fleet.Device{fast, slow} {
-		if err := store.AppendUniform(d.ID, d.Trace(t0, 0, 24*time.Hour)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sCPU, err := store.Full("cpu")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sMem, err := store.Full("mem")
-	if err != nil {
-		t.Fatal(err)
-	}
-	aligned, err := nyquist.AlignToCommonGrid([]*nyquist.Series{nyquist.NewSeries(sCPU.Points), nyquist.NewSeries(sMem.Points)}, nyquist.NearestNeighbor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if aligned[0].Interval != aligned[1].Interval {
-		t.Fatal("alignment failed to unify intervals")
-	}
-	var est nyquist.Estimator
-	g, err := est.EstimateGroup([]string{"cpu", "mem"}, aligned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Names[g.Driver] != "cpu" {
-		t.Fatalf("driver = %s, want cpu", g.Names[g.Driver])
-	}
-	// The aligned grid is the memory poller's coarse one; the group rate
-	// must still be at or below it (otherwise joint downsampling at the
-	// group rate would be impossible).
-	if g.GroupRate > aligned[0].SampleRate() {
-		t.Fatalf("group rate %v above the aligned grid rate %v", g.GroupRate, aligned[0].SampleRate())
 	}
 }
 

@@ -176,12 +176,6 @@ func NewServer(cfg Config) *Server {
 	return s
 }
 
-// Store exposes the backing store (reporting, tests).
-func (s *Server) Store() *tsdb.DB { return s.store }
-
-// Ingest exposes the estimate-on-ingest hook (durability wiring, tests).
-func (s *Server) Ingest() *monitor.IngestEstimator { return s.ingest }
-
 // SetReady flips the readiness gate (see Server.ready).
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 

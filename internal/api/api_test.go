@@ -183,12 +183,12 @@ func TestServerEndToEnd(t *testing.T) {
 		st.RawCompressedEntries+st.TierCompressedEntries != st.CompressedEntries {
 		t.Fatalf("raw/tier split does not add up to the totals: %+v", st)
 	}
-	if want := srv.Store().Stats().OpenTailBytes; st.OpenTailBytes == 0 || st.OpenTailBytes != want {
+	if want := srv.store.Stats().OpenTailBytes; st.OpenTailBytes == 0 || st.OpenTailBytes != want {
 		t.Fatalf("open_tail_bytes = %d, the store reports %d", st.OpenTailBytes, want)
 	}
 
 	// The store really holds the data (not just the estimator).
-	if got := srv.Store().NyquistRate(id); got == 0 {
+	if got := srv.store.NyquistRate(id); got == 0 {
 		t.Fatal("store retention rate is 0 after clean estimates")
 	}
 }
@@ -314,19 +314,19 @@ func TestServerHealthz(t *testing.T) {
 func TestServerDefaultStoreCompresses(t *testing.T) {
 	srv := NewServer(Config{})
 	for i := 0; i < 128; i++ {
-		if err := srv.Store().Append("a", series.Point{Time: time.Unix(int64(i), 0), Value: 1}); err != nil {
+		if err := srv.store.Append("a", series.Point{Time: time.Unix(int64(i), 0), Value: 1}); err != nil {
 			t.Fatal(err)
 		}
-		if sealed, want := srv.Store().Stats().SealedBlocks, int64((i+1)/128); sealed != want {
+		if sealed, want := srv.store.Stats().SealedBlocks, int64((i+1)/128); sealed != want {
 			t.Fatalf("%d points sealed %d blocks, want %d: the serving block length is 128", i+1, sealed, want)
 		}
 	}
-	if sh := srv.Store().Stats().Shards; sh != 16 {
+	if sh := srv.store.Stats().Shards; sh != 16 {
 		t.Fatalf("serving default shards %d, want 16", sh)
 	}
 	// A custom store must be honored untouched.
 	custom := tsdb.New(tsdb.Config{Shards: 2})
-	if got := NewServer(Config{Store: custom}).Store(); got != custom {
+	if got := NewServer(Config{Store: custom}).store; got != custom {
 		t.Fatal("custom store replaced")
 	}
 }
@@ -400,7 +400,7 @@ func TestIngestOutOfOrderAccounting(t *testing.T) {
 	}
 
 	// The store holds exactly the 5 accepted points.
-	res, err := srv.Store().Query(id, time.Time{}, time.Time{}, 0)
+	res, err := srv.store.Query(id, time.Time{}, time.Time{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func TestIngestOutOfOrderAccounting(t *testing.T) {
 		t.Fatalf("store holds %d points, want 5 (the rejected point must not land)", len(res.Points))
 	}
 	// The estimator saw only the accepted points.
-	adv, ok := srv.Ingest().Advice(id)
+	adv, ok := srv.ingest.Advice(id)
 	if !ok || adv.Samples != 5 {
 		t.Fatalf("estimator samples = %d (ok=%v), want 5", adv.Samples, ok)
 	}

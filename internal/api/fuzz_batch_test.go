@@ -147,7 +147,7 @@ func runDiff(t *testing.T, d *diffPair, body io.Reader, raw []byte) {
 		t.Fatalf("responses diverge on %q:\nbatched:  %s\nper-line: %s", truncateRaw(raw), got, wantJSON)
 	}
 
-	gotSnap, wantSnap := storeSnapshot(t, d.srv.Store()), storeSnapshot(t, d.refStore)
+	gotSnap, wantSnap := storeSnapshot(t, d.srv.store), storeSnapshot(t, d.refStore)
 	if len(gotSnap) != len(wantSnap) {
 		t.Fatalf("stored series diverge: batched %d, per-line %d", len(gotSnap), len(wantSnap))
 	}
@@ -157,7 +157,7 @@ func runDiff(t *testing.T, d *diffPair, body io.Reader, raw []byte) {
 		}
 	}
 
-	gotState, wantState := d.srv.Ingest().ExportState(), d.refEst.ExportState()
+	gotState, wantState := d.srv.ingest.ExportState(), d.refEst.ExportState()
 	if len(gotState) != len(wantState) {
 		t.Fatalf("estimator series diverge: batched %d, per-line %d", len(gotState), len(wantState))
 	}

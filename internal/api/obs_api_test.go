@@ -145,7 +145,7 @@ func TestReadinessGate(t *testing.T) {
 	if got := status(http.MethodGet, "/metrics", ""); got != http.StatusOK {
 		t.Fatalf("/metrics while starting: HTTP %d, want 200", got)
 	}
-	if st := srv.Store().Stats(); st.Appends != 0 {
+	if st := srv.store.Stats(); st.Appends != 0 {
 		t.Fatalf("store received %d appends through a closed gate", st.Appends)
 	}
 
@@ -236,7 +236,7 @@ func TestSelfScrape(t *testing.T) {
 	time.Sleep(2 * time.Millisecond)
 	sc.ScrapeOnce()
 
-	res, err := srv.Store().Query("nyquistd_up", time.Time{}, time.Time{}, 0)
+	res, err := srv.store.Query("nyquistd_up", time.Time{}, time.Time{}, 0)
 	if err != nil {
 		t.Fatalf("query nyquistd_up from the store: %v", err)
 	}
@@ -251,12 +251,12 @@ func TestSelfScrape(t *testing.T) {
 
 	// The labeled ingest counter lands under its full exposition ID.
 	id := `nyquistd_ingest_points_total{result="accepted"}`
-	if _, err := srv.Store().Query(id, time.Time{}, time.Time{}, 0); err != nil {
+	if _, err := srv.store.Query(id, time.Time{}, time.Time{}, 0); err != nil {
 		t.Fatalf("query %s from the store: %v", id, err)
 	}
 
 	// No histogram buckets: cardinality stays bounded.
-	for _, sid := range srv.Store().IDs() {
+	for _, sid := range srv.store.IDs() {
 		if strings.Contains(sid, "_bucket{") {
 			t.Fatalf("self-scrape ingested a histogram bucket series: %s", sid)
 		}

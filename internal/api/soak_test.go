@@ -165,7 +165,7 @@ func TestIngestSoakConservation(t *testing.T) {
 			case <-stop:
 				return
 			case <-time.After(10 * time.Millisecond):
-				srv.Store().SealAll()
+				srv.store.SealAll()
 			}
 		}
 	}()
@@ -182,7 +182,7 @@ func TestIngestSoakConservation(t *testing.T) {
 		t.Fatalf("conservation broke: %d lines sent, responses account %d (accepted %d + rejected %d)",
 			wantLines, got, gotAccepted.Load(), gotRejected.Load())
 	}
-	if appends := srv.Store().Stats().Appends; appends != gotAccepted.Load() {
+	if appends := srv.store.Stats().Appends; appends != gotAccepted.Load() {
 		t.Fatalf("store Appends = %d, responses accepted %d", appends, gotAccepted.Load())
 	}
 	if v := srv.metrics.ingestAccepted.Value(); v != gotAccepted.Load() {

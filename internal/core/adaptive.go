@@ -186,9 +186,6 @@ func NewAdaptiveSampler(cfg AdaptiveConfig) (*AdaptiveSampler, error) {
 	}, nil
 }
 
-// Rate returns the current poll rate in hertz.
-func (a *AdaptiveSampler) Rate() float64 { return a.rate }
-
 // Run advances the sampler over duration seconds of signal time starting
 // at start, one epoch per cfg.EpochDuration, and returns the full log.
 func (a *AdaptiveSampler) Run(src Sampler, start, duration float64) (*RunResult, error) {

@@ -182,8 +182,8 @@ func TestAdaptiveAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Rate() != 1 {
-		t.Fatalf("initial Rate() = %v, want 1", a.Rate())
+	if a.rate != 1 {
+		t.Fatalf("initial rate = %v, want 1", a.rate)
 	}
 	if a.mode != Probing {
 		t.Fatalf("initial mode = %v, want Probing", a.mode)
@@ -191,15 +191,8 @@ func TestAdaptiveAccessors(t *testing.T) {
 	if _, err := a.Run(twoTone(0.2, 1, 0.5), 0, 64*5); err != nil {
 		t.Fatal(err)
 	}
-	if a.Rate() <= 0 {
-		t.Fatal("Rate() after run should be positive")
-	}
-}
-
-func TestGroupReductionUnmeasurable(t *testing.T) {
-	g := &GroupResult{Driver: -1}
-	if g.GroupReduction() != 0 {
-		t.Fatal("unmeasurable group reduction should be 0")
+	if a.rate <= 0 {
+		t.Fatal("rate after run should be positive")
 	}
 }
 

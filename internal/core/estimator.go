@@ -222,17 +222,6 @@ func (e *Estimator) Estimate(u *series.Uniform) (*Result, error) {
 	return res, nil
 }
 
-// EstimateSeries regularizes an irregular trace with nearest-neighbour
-// interpolation at its median interval (the paper's pre-cleaning) and then
-// estimates its Nyquist rate.
-func (e *Estimator) EstimateSeries(s *series.Series) (*Result, error) {
-	u, err := s.RegularizeAuto()
-	if err != nil {
-		return nil, err
-	}
-	return e.Estimate(u)
-}
-
 func capturedFraction(spec *dsp.Spectrum, startBin, bin int) float64 {
 	if bin < 0 || startBin < 0 || startBin >= len(spec.Power) {
 		return 0

@@ -171,8 +171,8 @@ func TestHigherCutoffRaisesRate(t *testing.T) {
 }
 
 func TestEstimateSeriesIrregular(t *testing.T) {
-	// Irregular 60s-ish polling of a slow tone; EstimateSeries must
-	// pre-clean and still find the right rate.
+	// Irregular 60s-ish polling of a slow tone; pre-cleaned at its median
+	// interval (RegularizeAuto), Estimate must still find the right rate.
 	rng := rand.New(rand.NewSource(5))
 	start := time.Date(2021, 11, 10, 0, 0, 0, 0, time.UTC)
 	s := &series.Series{}
@@ -181,10 +181,14 @@ func TestEstimateSeriesIrregular(t *testing.T) {
 		jitter := time.Duration(rng.Intn(10000)-5000) * time.Millisecond
 		ts := start.Add(time.Duration(i)*60*time.Second + jitter)
 		tsec := ts.Sub(start).Seconds()
-		s.AppendValue(ts, math.Sin(2*math.Pi*f0*tsec))
+		s.Append(series.Point{Time: ts, Value: math.Sin(2 * math.Pi * f0 * tsec)})
+	}
+	u, err := s.RegularizeAuto()
+	if err != nil {
+		t.Fatal(err)
 	}
 	var e Estimator
-	res, err := e.EstimateSeries(s)
+	res, err := e.Estimate(u)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -240,9 +240,6 @@ func NewStreamEstimator(cfg StreamConfig) (*StreamEstimator, error) {
 // SampleRate returns the configured poll rate in hertz.
 func (s *StreamEstimator) SampleRate() float64 { return 1 / s.interval.Seconds() }
 
-// Seen returns the total number of polls pushed so far.
-func (s *StreamEstimator) Seen() int64 { return s.count }
-
 // Warm reports whether a full window has been seen, i.e. estimates
 // describe real samples only.
 func (s *StreamEstimator) Warm() bool { return s.count >= int64(s.eng.n) }

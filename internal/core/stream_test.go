@@ -399,8 +399,8 @@ func TestStreamWarmupAndReset(t *testing.T) {
 	if st, err = NewStreamEstimator(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if st.Warm() || st.Seen() != 0 {
-		t.Fatalf("reset left warm=%v seen=%d", st.Warm(), st.Seen())
+	if st.Warm() || st.count != 0 {
+		t.Fatalf("reset left warm=%v seen=%d", st.Warm(), st.count)
 	}
 	if _, err := st.Current(); !errors.Is(err, ErrTooShort) {
 		t.Fatalf("Current after reset: %v, want ErrTooShort", err)

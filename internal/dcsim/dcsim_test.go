@@ -123,8 +123,8 @@ func TestBandLimitedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Components() != 1 {
-		t.Fatalf("nComps<1 should clamp to 1, got %d", b.Components())
+	if len(b.comps) != 1 {
+		t.Fatalf("nComps<1 should clamp to 1, got %d", len(b.comps))
 	}
 }
 
@@ -217,7 +217,7 @@ func TestDeviceSampleQuantized(t *testing.T) {
 	if got := d.PollRate(); math.Abs(got-1.0/300) > 1e-12 {
 		t.Fatalf("PollRate = %v", got)
 	}
-	if !d.Oversampled() {
+	if d.PollRate() <= d.TrueNyquist {
 		t.Fatal("1/300 Hz poll of 2e-4 Hz Nyquist device is oversampled")
 	}
 }
@@ -363,7 +363,13 @@ func TestFleetDefaults(t *testing.T) {
 		}
 	}
 	// Ground truth oversampling should be near the configured 89 %.
-	frac := f.OversampledFraction()
+	n := 0
+	for _, d := range f.Devices {
+		if d.PollRate() > d.TrueNyquist {
+			n++
+		}
+	}
+	frac := float64(n) / float64(len(f.Devices))
 	if frac < 0.84 || frac > 0.94 {
 		t.Fatalf("oversampled fraction %v, want ~0.89", frac)
 	}

@@ -171,12 +171,6 @@ func (d *Device) PollRate() float64 {
 	return 1 / d.PollInterval.Seconds()
 }
 
-// Oversampled reports whether the production poll rate exceeds the true
-// Nyquist rate (ground truth for Fig. 1).
-func (d *Device) Oversampled() bool {
-	return d.PollRate() > d.TrueNyquist
-}
-
 // Trace polls the device every PollInterval for the given duration
 // starting at startOffset (seconds of signal time) and returns the uniform
 // trace the production monitoring system would have collected.

@@ -98,21 +98,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 // Len returns the number of metric/device pairs.
 func (f *Fleet) Len() int { return len(f.Devices) }
 
-// OversampledFraction returns the ground-truth share of devices whose
-// production poll rate exceeds their true Nyquist rate.
-func (f *Fleet) OversampledFraction() float64 {
-	if len(f.Devices) == 0 {
-		return 0
-	}
-	n := 0
-	for _, d := range f.Devices {
-		if d.Oversampled() {
-			n++
-		}
-	}
-	return float64(n) / float64(len(f.Devices))
-}
-
 // logUniform draws from [lo, hi] log-uniformly.
 func logUniform(rng *rand.Rand, lo, hi float64) float64 {
 	if !(lo > 0) || !(hi > lo) {

@@ -146,7 +146,7 @@ func TestWireClockStepChangesCadence(t *testing.T) {
 	sc := buildHostile(t, "clockskew", 3, 4)
 	g := NewWireGen(sc, WireConfig{})
 	h := sc.Hostile
-	stepAt := int(h.StepAtFraction * float64(sc.Spec.MaxRounds*g.SamplesPerRound()))
+	stepAt := int(h.StepAtFraction * float64(sc.Spec.MaxRounds*g.spr))
 	var times []time.Time
 	for r := 0; r < sc.Spec.MaxRounds; r++ {
 		for _, ws := range g.Round() {
@@ -208,7 +208,7 @@ func TestHostileDevicesAreOversampled(t *testing.T) {
 		}
 		sc := buildHostile(t, sp.Name, 101, 48)
 		for _, d := range sc.Fleet.Devices {
-			if !d.Oversampled() {
+			if d.PollRate() <= d.TrueNyquist {
 				t.Errorf("%s: device %s polls at %.3g Hz below its true Nyquist %.3g Hz", sp.Name, d.ID, d.PollRate(), d.TrueNyquist)
 			}
 			if d.TrueNyquist < 4*DiurnalFreq {

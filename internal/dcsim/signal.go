@@ -119,9 +119,6 @@ func (b *BandLimited) At(t float64) float64 {
 // BandLimit returns the highest frequency present in the signal, in hertz.
 func (b *BandLimited) BandLimit() float64 { return b.limit }
 
-// Components returns the number of sinusoids.
-func (b *BandLimited) Components() int { return len(b.comps) }
-
 // whiteNoise produces deterministic white measurement noise: a hash of the
 // sample time and a per-device seed, mapped to [-1, 1). Unlike an AR
 // process it is well defined at any time instant, so two pollers sampling

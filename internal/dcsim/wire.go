@@ -121,9 +121,6 @@ func NewWireGen(s *Scenario, cfg WireConfig) *WireGen {
 	return g
 }
 
-// SamplesPerRound returns the per-device round size in effect.
-func (g *WireGen) SamplesPerRound() int { return g.spr }
-
 // Round generates the next round of traffic: SamplesPerRound samples per
 // device in device order, with any due backfilled samples released in
 // between. Withheld samples whose release index falls beyond the run

@@ -7,7 +7,7 @@
 //
 //	X[k] = sum_n x[n] * exp(-2*pi*i*k*n/N)
 //
-// and the inverse transform divides by N, so IFFT(FFT(x)) == x. Power
+// and the inverse transform divides by N, so IFFTReal(FFTReal(x)) == x. Power
 // spectral densities are one-sided unless stated otherwise.
 package dsp
 
@@ -17,20 +17,8 @@ import (
 	"math/cmplx"
 )
 
-// FFT returns the discrete Fourier transform of x. The input is not
-// modified. Any length is accepted: power-of-two lengths use the iterative
-// radix-2 Cooley-Tukey algorithm and other lengths fall back to Bluestein's
-// chirp-z algorithm, so the cost is O(N log N) in all cases. An empty input
-// yields an empty output.
-func FFT(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	fftInPlace(out, false)
-	return out
-}
-
 // IFFT returns the inverse discrete Fourier transform of x, normalized by
-// 1/N so that IFFT(FFT(x)) reproduces x up to rounding error.
+// 1/N so that it inverts the forward transform up to rounding error.
 func IFFT(x []complex128) []complex128 {
 	out := make([]complex128, len(x))
 	copy(out, x)

@@ -19,7 +19,7 @@ type Plan struct {
 }
 
 // NewPlan builds a plan for n-point transforms. n must be a power of two
-// (arbitrary sizes go through the one-shot FFT, which handles Bluestein).
+// (arbitrary sizes go through the one-shot FFTReal, which handles Bluestein).
 func NewPlan(n int) (*Plan, error) {
 	if n <= 0 || n&(n-1) != 0 {
 		return nil, errors.New("dsp: plan size must be a positive power of two")

@@ -43,16 +43,6 @@ func (q *Quantizer) Apply(x []float64) []float64 {
 	return out
 }
 
-// NoisePower returns the expected quantization-noise power Step^2/12 for a
-// uniform quantizer under the standard high-resolution model. The Nyquist
-// estimator uses it to size its energy cut-off sanity checks.
-func (q *Quantizer) NoisePower() float64 {
-	if q == nil {
-		return 0
-	}
-	return q.Step * q.Step / 12
-}
-
 // EstimateStep guesses the quantization step of a trace as the smallest
 // non-zero gap between distinct consecutive values. It returns 0 when the
 // trace looks unquantized (fewer than minDistinct distinct deltas agree) or

@@ -38,9 +38,6 @@ func TestQuantizerNil(t *testing.T) {
 	if got := q.Value(1.234); got != 1.234 {
 		t.Fatalf("nil quantizer should be identity, got %v", got)
 	}
-	if got := q.NoisePower(); got != 0 {
-		t.Fatalf("nil quantizer noise power = %v, want 0", got)
-	}
 }
 
 func TestNewQuantizerErrors(t *testing.T) {
@@ -94,13 +91,6 @@ func TestQuantizerApply(t *testing.T) {
 	}
 	if in[0] != 0.1 {
 		t.Fatal("Apply must not mutate its input")
-	}
-}
-
-func TestNoisePower(t *testing.T) {
-	q := &Quantizer{Step: 2}
-	if got, want := q.NoisePower(), 4.0/12; !almostEqual(got, want, 1e-12) {
-		t.Fatalf("NoisePower = %v, want %v", got, want)
 	}
 }
 

@@ -92,37 +92,3 @@ func (s STFT) Compute(x []float64, sampleRate float64) (*Spectrogram, error) {
 	}
 	return out, nil
 }
-
-// FrameCutoff returns, for each frame, the frequency below which fraction
-// of that frame's (non-DC) energy lies — the per-frame version of the
-// estimator's cut-off, tracing how the required rate moves through time.
-func (sg *Spectrogram) FrameCutoff(fraction float64) []float64 {
-	out := make([]float64, len(sg.Power))
-	for t, frame := range sg.Power {
-		var total float64
-		for k := 1; k < len(frame); k++ {
-			total += frame[k]
-		}
-		if total <= 0 {
-			out[t] = sg.Freqs[min2(1, len(sg.Freqs)-1)]
-			continue
-		}
-		target := fraction * total
-		var cum float64
-		for k := 1; k < len(frame); k++ {
-			cum += frame[k]
-			if cum >= target {
-				out[t] = sg.Freqs[k]
-				break
-			}
-		}
-	}
-	return out
-}
-
-func min2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

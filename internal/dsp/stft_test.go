@@ -166,33 +166,6 @@ func TestSTFTChirpTracksFrequency(t *testing.T) {
 	}
 }
 
-func TestSTFTFrameCutoffRises(t *testing.T) {
-	const fs = 256.0
-	n := 4096
-	x := make([]float64, n)
-	for i := range x {
-		f := 4.0
-		if i >= n/2 {
-			f = 60
-		}
-		x[i] = math.Sin(2 * math.Pi * f * float64(i) / fs)
-	}
-	sg, err := STFT{SegmentLen: 256}.Compute(x, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut := sg.FrameCutoff(0.99)
-	if len(cut) != len(sg.Power) {
-		t.Fatal("cutoff length mismatch")
-	}
-	if cut[0] > 10 {
-		t.Fatalf("early cutoff %v, want ~4", cut[0])
-	}
-	if cut[len(cut)-1] < 50 {
-		t.Fatalf("late cutoff %v, want ~60", cut[len(cut)-1])
-	}
-}
-
 func TestSTFTErrors(t *testing.T) {
 	if _, err := (STFT{}).Compute(nil, 1); err == nil {
 		t.Fatal("empty signal should fail")

@@ -54,8 +54,8 @@ func TestStoreAppendQuery(t *testing.T) {
 	if _, err := s.Query("missing", start, start.Add(time.Hour), 0); !errors.Is(err, tsdb.ErrNoSeries) {
 		t.Fatalf("err = %v, want tsdb.ErrNoSeries", err)
 	}
-	if s.Points() != 10 {
-		t.Fatalf("points = %d", s.Points())
+	if st := s.Stats(); st.RawPoints+st.Buckets != 10 {
+		t.Fatalf("points = %d", st.RawPoints+st.Buckets)
 	}
 	ids := s.IDs()
 	if len(ids) != 1 || ids[0] != "a" {
@@ -134,8 +134,8 @@ func TestStoreConcurrentAppend(t *testing.T) {
 	if got := accepted.Load() + rejected.Load(); got != writers*perWriter {
 		t.Fatalf("accepted %d + rejected %d = %d, attempted %d", accepted.Load(), rejected.Load(), got, writers*perWriter)
 	}
-	if st := s.Stats(); st.Appends != accepted.Load() || int64(s.Points()) != accepted.Load() {
-		t.Fatalf("appends = %d, points = %d, accepted %d", st.Appends, s.Points(), accepted.Load())
+	if st := s.Stats(); st.Appends != accepted.Load() || int64(st.RawPoints+st.Buckets) != accepted.Load() {
+		t.Fatalf("appends = %d, points = %d, accepted %d", st.Appends, st.RawPoints+st.Buckets, accepted.Load())
 	}
 	if len(s.IDs()) != 4 {
 		t.Fatalf("ids = %v", s.IDs())

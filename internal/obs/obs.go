@@ -300,9 +300,6 @@ func (v *CounterVec) With(values ...string) *Counter { return v.f.child(values).
 // GaugeVec hands out per-label-set gauges.
 type GaugeVec struct{ f *family }
 
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.f.child(values).gauge }
-
 // Func makes the gauge for the given label values sampled by fn at read
 // time, as GaugeFunc does for an unlabeled family. Call it before the
 // registry is first read.

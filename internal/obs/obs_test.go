@@ -96,7 +96,7 @@ func TestExpositionGolden(t *testing.T) {
 	r.GaugeFunc("test_fn", "A sampled gauge.", func() float64 { return 42 })
 	gv := r.GaugeVec("test_fv", "Sampled gauges, labeled.", "class")
 	gv.Func(func() float64 { return 7 }, "b")
-	gv.With("a").Set(2)
+	gv.f.child([]string{"a"}).gauge.Set(2)
 
 	var sb strings.Builder
 	if err := r.WriteProm(&sb); err != nil {

@@ -162,15 +162,3 @@ func (t *Table) String() string {
 	}
 	return b.String()
 }
-
-// CSV renders the table as comma-separated values.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	b.WriteString(strings.Join(t.header, ","))
-	b.WriteByte('\n')
-	for _, r := range t.rows {
-		b.WriteString(strings.Join(r, ","))
-		b.WriteByte('\n')
-	}
-	return b.String()
-}

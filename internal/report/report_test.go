@@ -127,10 +127,6 @@ func TestTableRender(t *testing.T) {
 	if len(lines) != 4 {
 		t.Fatalf("lines = %d, want 4 (header, sep, 2 rows)", len(lines))
 	}
-	csv := tb.CSV()
-	if !strings.HasPrefix(csv, "metric,value\n") {
-		t.Fatalf("csv:\n%s", csv)
-	}
 }
 
 func TestAsciiPlotRender(t *testing.T) {

@@ -1,6 +1,7 @@
 package series
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -11,7 +12,8 @@ import (
 // the first observation, covers the observed span on an exact uniform
 // grid, contains no NaN/Inf for finite inputs, and never invents values
 // outside the observed range (nearest and previous pick existing samples;
-// linear interpolates between neighbours).
+// linear interpolates between neighbours). A grid over maxGridSlots slots
+// is refused instead.
 func FuzzRegularize(f *testing.F) {
 	f.Add([]byte{10, 1, 200, 50, 30, 128}, uint16(7), uint8(0))
 	f.Add([]byte{0, 0, 0, 0, 1, 255}, uint16(1), uint8(1))
@@ -30,7 +32,7 @@ func FuzzRegularize(f *testing.F) {
 			// samples are part of the contract.
 			now = now.Add(time.Duration(data[i]) * time.Second)
 			v := float64(int8(data[i+1]))
-			s.AppendValue(now, v)
+			s.Append(Point{Time: now, Value: v})
 			if v < lo {
 				lo = v
 			}
@@ -45,12 +47,18 @@ func FuzzRegularize(f *testing.F) {
 			}
 			return
 		}
+		pts := s.Points()
+		first, last := pts[0].Time, pts[len(pts)-1].Time
+		if last.Sub(first)/interval >= maxGridSlots {
+			if !errors.Is(err, ErrGridTooLarge) {
+				t.Fatalf("grid over %d slots: err = %v, want ErrGridTooLarge", maxGridSlots, err)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("regularize(%v, %v) on %d points: %v", interval, ip, s.Len(), err)
 		}
 
-		pts := s.Points()
-		first, last := pts[0].Time, pts[len(pts)-1].Time
 		if !u.Start.Equal(first) {
 			t.Fatalf("grid starts at %v, want first observation %v", u.Start, first)
 		}

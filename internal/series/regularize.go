@@ -40,6 +40,16 @@ func (ip Interpolation) String() string {
 // ErrBadInterpolation reports an unknown Interpolation value.
 var ErrBadInterpolation = errors.New("series: unknown interpolation policy")
 
+// maxGridSlots bounds the grid Regularize allocates. 2^24 slots, 128 MiB
+// of values, hold half a year of 1-second polls (190 times the one-day
+// trace the paper audits); a grid that a few stray timestamps imply (an
+// hour at the 1 ns median of three samples, or 285 years at 1 s) is
+// refused before it is allocated.
+const maxGridSlots = 1 << 24
+
+// ErrGridTooLarge reports a grid of more than maxGridSlots slots.
+var ErrGridTooLarge = errors.New("series: regularized grid exceeds 2^24 slots")
+
 // Regularize resamples an irregular series onto a uniform grid with the
 // given interval, starting at the first observation. Every grid slot is
 // filled according to the interpolation policy, so the result has no gaps
@@ -52,7 +62,11 @@ func (s *Series) Regularize(interval time.Duration, ip Interpolation) (*Uniform,
 		return nil, ErrEmpty
 	}
 	start := s.Points()[0].Time
-	values := make([]float64, int(s.points[len(s.points)-1].Time.Sub(start)/interval)+1)
+	steps := s.points[len(s.points)-1].Time.Sub(start) / interval
+	if steps >= maxGridSlots {
+		return nil, ErrGridTooLarge
+	}
+	values := make([]float64, int(steps)+1)
 	for i := range values {
 		values[i] = math.NaN()
 	}

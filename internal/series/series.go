@@ -63,11 +63,6 @@ func (s *Series) Append(p Point) {
 	s.points = append(s.points, p)
 }
 
-// AppendValue adds a point with the given time and value.
-func (s *Series) AppendValue(t time.Time, v float64) {
-	s.Append(Point{Time: t, Value: v})
-}
-
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.points) }
 
@@ -76,43 +71,6 @@ func (s *Series) Len() int { return len(s.points) }
 func (s *Series) Points() []Point {
 	s.sort()
 	return s.points
-}
-
-// Values returns the sample values in time order as a fresh slice.
-func (s *Series) Values() []float64 {
-	s.sort()
-	out := make([]float64, len(s.points))
-	for i, p := range s.points {
-		out[i] = p.Value
-	}
-	return out
-}
-
-// Start returns the time of the earliest sample.
-func (s *Series) Start() (time.Time, error) {
-	if len(s.points) == 0 {
-		return time.Time{}, ErrEmpty
-	}
-	s.sort()
-	return s.points[0].Time, nil
-}
-
-// End returns the time of the latest sample.
-func (s *Series) End() (time.Time, error) {
-	if len(s.points) == 0 {
-		return time.Time{}, ErrEmpty
-	}
-	s.sort()
-	return s.points[len(s.points)-1].Time, nil
-}
-
-// Duration returns the time spanned by the series.
-func (s *Series) Duration() (time.Duration, error) {
-	if len(s.points) == 0 {
-		return 0, ErrEmpty
-	}
-	s.sort()
-	return s.points[len(s.points)-1].Time.Sub(s.points[0].Time), nil
 }
 
 // MedianInterval returns the median gap between consecutive samples. It is
@@ -129,39 +87,6 @@ func (s *Series) MedianInterval() (time.Duration, error) {
 	}
 	sort.Slice(gaps, func(i, j int) bool { return gaps[i] < gaps[j] })
 	return gaps[len(gaps)/2], nil
-}
-
-// SampleRate returns the nominal sampling rate in hertz implied by the
-// median interval.
-func (s *Series) SampleRate() (float64, error) {
-	iv, err := s.MedianInterval()
-	if err != nil {
-		return 0, err
-	}
-	if iv <= 0 {
-		return 0, ErrBadInterval
-	}
-	return 1 / iv.Seconds(), nil
-}
-
-// Window returns a new series holding the samples with from <= t < to.
-func (s *Series) Window(from, to time.Time) *Series {
-	s.sort()
-	lo := sort.Search(len(s.points), func(i int) bool { return !s.points[i].Time.Before(from) })
-	hi := sort.Search(len(s.points), func(i int) bool { return !s.points[i].Time.Before(to) })
-	return New(s.points[lo:hi])
-}
-
-// WindowInclusive returns a new series holding the samples with
-// from <= t <= end: the closed-interval companion to Window, for callers
-// whose window end is a grid point that must itself be retained (a
-// sample sitting exactly on the common end of an alignment span, for
-// example). A sample even one nanosecond past end is excluded.
-func (s *Series) WindowInclusive(from, end time.Time) *Series {
-	s.sort()
-	lo := sort.Search(len(s.points), func(i int) bool { return !s.points[i].Time.Before(from) })
-	hi := sort.Search(len(s.points), func(i int) bool { return s.points[i].Time.After(end) })
-	return New(s.points[lo:hi])
 }
 
 func (s *Series) sort() {
@@ -221,23 +146,6 @@ func (u *Uniform) Len() int { return len(u.Values) }
 // TimeAt returns the timestamp of sample i.
 func (u *Uniform) TimeAt(i int) time.Time {
 	return u.Start.Add(time.Duration(i) * u.Interval)
-}
-
-// Duration returns the time covered from the first to the last sample.
-func (u *Uniform) Duration() time.Duration {
-	if len(u.Values) < 2 {
-		return 0
-	}
-	return time.Duration(len(u.Values)-1) * u.Interval
-}
-
-// Series converts back to an explicit timestamped series.
-func (u *Uniform) Series() *Series {
-	pts := make([]Point, len(u.Values))
-	for i, v := range u.Values {
-		pts[i] = Point{Time: u.TimeAt(i), Value: v}
-	}
-	return New(pts)
 }
 
 // Slice returns the sub-signal covering sample indices [lo, hi).

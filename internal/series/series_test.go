@@ -24,47 +24,46 @@ func mk(offsets []float64, vals ...[]float64) *Series {
 	return New(pts)
 }
 
+// values returns s's sample values in time order.
+func values(s *Series) []float64 {
+	var out []float64
+	for _, p := range s.Points() {
+		out = append(out, p.Value)
+	}
+	return out
+}
+
 func TestSeriesSortsPoints(t *testing.T) {
 	s := mk([]float64{5, 1, 3})
-	vals := s.Values()
+	vals := values(s)
 	want := []float64{1, 3, 5}
 	for i := range want {
 		if vals[i] != want[i] {
-			t.Fatalf("Values() = %v, want sorted %v", vals, want)
+			t.Fatalf("values = %v, want sorted %v", vals, want)
 		}
 	}
 }
 
 func TestSeriesAppendOutOfOrder(t *testing.T) {
 	s := &Series{}
-	s.AppendValue(t0.Add(10*time.Second), 10)
-	s.AppendValue(t0, 0)
-	s.AppendValue(t0.Add(5*time.Second), 5)
-	got := s.Values()
+	s.Append(Point{Time: t0.Add(10 * time.Second), Value: 10})
+	s.Append(Point{Time: t0, Value: 0})
+	s.Append(Point{Time: t0.Add(5 * time.Second), Value: 5})
+	got := values(s)
 	want := []float64{0, 5, 10}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Values() = %v, want %v", got, want)
+			t.Fatalf("values = %v, want %v", got, want)
 		}
 	}
-	start, err := s.Start()
-	if err != nil || !start.Equal(t0) {
-		t.Fatalf("Start() = %v, %v", start, err)
-	}
-	end, err := s.End()
-	if err != nil || !end.Equal(t0.Add(10*time.Second)) {
-		t.Fatalf("End() = %v, %v", end, err)
+	pts := s.Points()
+	if !pts[0].Time.Equal(t0) || !pts[2].Time.Equal(t0.Add(10*time.Second)) {
+		t.Fatalf("points span %v .. %v", pts[0].Time, pts[2].Time)
 	}
 }
 
 func TestSeriesEmptyErrors(t *testing.T) {
 	s := &Series{}
-	if _, err := s.Start(); err != ErrEmpty {
-		t.Fatalf("Start on empty = %v, want ErrEmpty", err)
-	}
-	if _, err := s.Duration(); err != ErrEmpty {
-		t.Fatalf("Duration on empty = %v, want ErrEmpty", err)
-	}
 	if _, err := s.MedianInterval(); err != ErrTooShort {
 		t.Fatalf("MedianInterval on empty = %v, want ErrTooShort", err)
 	}
@@ -83,25 +82,6 @@ func TestMedianIntervalRobustToJitter(t *testing.T) {
 	if med != 10*time.Second {
 		t.Fatalf("median interval = %v, want 10s", med)
 	}
-	rate, err := s.SampleRate()
-	if err != nil || math.Abs(rate-0.1) > 1e-12 {
-		t.Fatalf("SampleRate = %v, %v, want 0.1", rate, err)
-	}
-}
-
-func TestWindow(t *testing.T) {
-	s := mk([]float64{0, 1, 2, 3, 4, 5})
-	w := s.Window(t0.Add(2*time.Second), t0.Add(5*time.Second))
-	got := w.Values()
-	want := []float64{2, 3, 4}
-	if len(got) != len(want) {
-		t.Fatalf("window = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("window = %v, want %v", got, want)
-		}
-	}
 }
 
 func TestUniformBasics(t *testing.T) {
@@ -111,9 +91,6 @@ func TestUniformBasics(t *testing.T) {
 	}
 	if got := u.SampleRate(); got != 0.5 {
 		t.Fatalf("SampleRate = %v, want 0.5", got)
-	}
-	if got := u.Duration(); got != 6*time.Second {
-		t.Fatalf("Duration = %v, want 6s", got)
 	}
 	if got := u.TimeAt(3); !got.Equal(t0.Add(6 * time.Second)) {
 		t.Fatalf("TimeAt(3) = %v", got)
@@ -125,7 +102,7 @@ func TestUniformBasics(t *testing.T) {
 
 func TestUniformSeriesRoundTrip(t *testing.T) {
 	u, _ := NewUniform(t0, time.Second, []float64{5, 6, 7})
-	s := u.Series()
+	s := New([]Point{{Time: t0, Value: 5}, {Time: t0.Add(time.Second), Value: 6}, {Time: t0.Add(2 * time.Second), Value: 7}})
 	u2, err := s.Regularize(time.Second, NearestNeighbor)
 	if err != nil {
 		t.Fatal(err)
@@ -260,8 +237,8 @@ func TestRegularizeCoversSpanProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dur, _ := s.Duration()
-		wantLen := int(dur/time.Second) + 1
+		sorted := s.Points()
+		wantLen := int(sorted[len(sorted)-1].Time.Sub(sorted[0].Time)/time.Second) + 1
 		if u.Len() != wantLen {
 			return false
 		}

@@ -6,60 +6,6 @@ import (
 	"time"
 )
 
-// TestWindowInclusiveEndpoint pins the closed-interval contract that
-// AlignToCommonGrid relies on (and that used to be faked with
-// Window(start, end+1ns)): a sample exactly at `end` is retained, a
-// sample one nanosecond past it is not.
-func TestWindowInclusiveEndpoint(t *testing.T) {
-	end := t0.Add(100 * time.Second)
-	s := &Series{}
-	s.AppendValue(t0, 1)
-	s.AppendValue(end, 2)                        // exactly on the window end
-	s.AppendValue(end.Add(time.Nanosecond), 3)   // 1ns past — must be cut
-	s.AppendValue(end.Add(2*time.Nanosecond), 4) //
-	s.AppendValue(t0.Add(-time.Nanosecond), 0)   // 1ns before start — cut
-	w := s.WindowInclusive(t0, end)
-	if w.Len() != 2 {
-		t.Fatalf("WindowInclusive kept %d samples, want 2", w.Len())
-	}
-	pts := w.Points()
-	if !pts[0].Time.Equal(t0) || pts[0].Value != 1 {
-		t.Fatalf("first kept sample %v=%v, want t0=1", pts[0].Time, pts[0].Value)
-	}
-	if !pts[1].Time.Equal(end) || pts[1].Value != 2 {
-		t.Fatalf("endpoint sample %v=%v, want end=2 — the closed end must survive", pts[1].Time, pts[1].Value)
-	}
-	// The half-open Window by contrast excludes the endpoint.
-	if got := s.Window(t0, end).Len(); got != 1 {
-		t.Fatalf("half-open Window kept %d samples, want 1", got)
-	}
-}
-
-// TestAlignKeepsNanosecondAlignedEndpoint pins the Align edge case: when
-// the shortest member's last sample sits exactly on the common grid end,
-// that sample must contribute to the aligned output rather than being
-// windowed away.
-func TestAlignKeepsNanosecondAlignedEndpoint(t *testing.T) {
-	// Both members end exactly at t0+90s; the common end IS a sample.
-	a := &Series{}
-	b := &Series{}
-	for i := 0; i <= 9; i++ {
-		a.AppendValue(t0.Add(time.Duration(i)*10*time.Second), float64(i))
-		b.AppendValue(t0.Add(time.Duration(i)*10*time.Second), 100+float64(i))
-	}
-	aligned, err := AlignToCommonGrid([]*Series{a, b}, NearestNeighbor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ua := aligned[0]
-	if ua.Len() != 10 {
-		t.Fatalf("aligned length %d, want 10 — the endpoint sample was lost", ua.Len())
-	}
-	if got := ua.Values[ua.Len()-1]; got != 9 {
-		t.Fatalf("last aligned value %v, want 9 (the sample on the window end)", got)
-	}
-}
-
 // TestResampleGrid pins the reconstruction entry point: the caller owns
 // the grid (anchor and pitch), values interpolate per policy, slots
 // outside the observed span clamp to the edges, and a slot the caller has
@@ -68,7 +14,7 @@ func TestResampleGrid(t *testing.T) {
 	s := &Series{}
 	// Samples at 0, 10, 20 s with values 0, 10, 20: linear in time.
 	for i := 0; i <= 2; i++ {
-		s.AppendValue(t0.Add(time.Duration(i)*10*time.Second), float64(10*i))
+		s.Append(Point{Time: t0.Add(time.Duration(i) * 10 * time.Second), Value: float64(10 * i)})
 	}
 	grid := func(s *Series, start time.Time, interval time.Duration, n int, ip Interpolation) ([]float64, error) {
 		values := make([]float64, n)

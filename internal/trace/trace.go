@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -67,6 +68,12 @@ func parseTimestamp(s string) (time.Time, error) {
 		return ts, nil
 	}
 	if sec, err := strconv.ParseFloat(s, 64); err == nil {
+		// int64(sec) is undefined past the int64 range, and a NaN or
+		// infinite epoch names no time: refuse what the store's int64
+		// nanoseconds cannot hold.
+		if !(math.Abs(sec) < math.MaxInt64/1e9) {
+			return time.Time{}, fmt.Errorf("trace: epoch %q outside the int64-nanosecond range", s)
+		}
 		whole := int64(sec)
 		frac := sec - float64(whole)
 		return time.Unix(whole, int64(frac*1e9)).UTC(), nil

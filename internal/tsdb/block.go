@@ -844,12 +844,6 @@ func RebuildBlock(data []byte, n int) (Block, error) {
 	return blk, nil
 }
 
-// First returns the first (oldest) timestamp; meaningless when Len is 0.
-func (blk Block) First() time.Time { return time.Unix(0, blk.firstNano) }
-
-// Last returns the last (newest) timestamp; meaningless when Len is 0.
-func (blk Block) Last() time.Time { return time.Unix(0, blk.lastNano) }
-
 // Points decodes the whole block, appending to dst (which may be nil).
 // Decoded timestamps denote the exact appended instants (Time.Equal
 // holds; the wall clock is rebuilt from UnixNano, so the Location

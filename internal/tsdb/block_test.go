@@ -41,9 +41,9 @@ func checkRoundTrip(t *testing.T, pts []series.Point) Block {
 		}
 	}
 	if len(pts) > 0 {
-		if !blk.First().Equal(pts[0].Time) || !blk.Last().Equal(pts[len(pts)-1].Time) {
+		if !time.Unix(0, blk.firstNano).Equal(pts[0].Time) || !time.Unix(0, blk.lastNano).Equal(pts[len(pts)-1].Time) {
 			t.Fatalf("block bounds [%v, %v], want [%v, %v]",
-				blk.First(), blk.Last(), pts[0].Time, pts[len(pts)-1].Time)
+				time.Unix(0, blk.firstNano), time.Unix(0, blk.lastNano), pts[0].Time, pts[len(pts)-1].Time)
 		}
 	}
 	return blk
@@ -486,7 +486,12 @@ func TestBlockNeverLargerThanXOR(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, d := range sc.Fleet.Devices {
-			runs[name+"/"+d.ID] = d.Trace(blockEpoch, sc.PhaseOffset[i], 300*d.PollInterval).Series().Points()
+			u := d.Trace(blockEpoch, sc.PhaseOffset[i], 300*d.PollInterval)
+			pts := make([]series.Point, u.Len())
+			for j, v := range u.Values {
+				pts[j] = series.Point{Time: u.TimeAt(j), Value: v}
+			}
+			runs[name+"/"+d.ID] = pts
 		}
 	}
 	for name, pts := range runs {

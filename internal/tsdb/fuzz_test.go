@@ -329,9 +329,9 @@ func FuzzBlockRoundTrip(f *testing.F) {
 						i, math.Float64bits(got[i].Value), math.Float64bits(want[i].Value))
 				}
 			}
-			if !b.First().Equal(want[0].Time) || !b.Last().Equal(want[len(want)-1].Time) {
+			if !time.Unix(0, b.firstNano).Equal(want[0].Time) || !time.Unix(0, b.lastNano).Equal(want[len(want)-1].Time) {
 				t.Fatalf("block bounds [%v, %v], want [%v, %v]",
-					b.First(), b.Last(), want[0].Time, want[len(want)-1].Time)
+					time.Unix(0, b.firstNano), time.Unix(0, b.lastNano), want[0].Time, want[len(want)-1].Time)
 			}
 		}
 	})

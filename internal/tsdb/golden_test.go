@@ -171,7 +171,7 @@ func goldenDump(t *testing.T, w *strings.Builder, db *DB, queries bool) {
 		fmt.Fprintf(w, "series %s nyquist=%s gap=%d last=%s appends=%d compacted=%d dropped=%d\n",
 			id, goldenBits(s.NyquistRate), s.Gap, last, s.Appends, s.Compacted, s.Dropped)
 		for i, blk := range s.Raw {
-			fmt.Fprintf(w, "raw %d n=%d first=%s last=%s data=%s\n", i, blk.Len(), goldenNano(blk.First()), goldenNano(blk.Last()), hex.EncodeToString(blk.Data()))
+			fmt.Fprintf(w, "raw %d n=%d first=%s last=%s data=%s\n", i, blk.Len(), goldenNano(time.Unix(0, blk.firstNano)), goldenNano(time.Unix(0, blk.lastNano)), hex.EncodeToString(blk.Data()))
 		}
 		for _, p := range s.Active {
 			fmt.Fprintf(w, "active %s %s\n", goldenNano(p.Time), goldenBits(p.Value))

@@ -112,7 +112,7 @@ func openRunDump(t *testing.T, w *strings.Builder, db *DB) {
 	for _, s := range snaps {
 		fmt.Fprintf(w, "series %s appends=%d raw=%d active=%d\n", s.ID, s.Appends, len(s.Raw), len(s.Active))
 		for i, blk := range s.Raw {
-			fmt.Fprintf(w, "raw %d n=%d first=%d last=%d data=%s\n", i, blk.Len(), blk.First().UnixNano(), blk.Last().UnixNano(), hex.EncodeToString(blk.Data()))
+			fmt.Fprintf(w, "raw %d n=%d first=%d last=%d data=%s\n", i, blk.Len(), blk.firstNano, blk.lastNano, hex.EncodeToString(blk.Data()))
 		}
 		for _, p := range s.Active {
 			fmt.Fprintf(w, "active %d %016x\n", p.Time.UnixNano(), math.Float64bits(p.Value))
@@ -137,7 +137,7 @@ func openRunPlay(t *testing.T) string {
 	var sealAll []string
 	hook := func(stage string) SealHook {
 		return func(id string, blk Block) {
-			line := fmt.Sprintf("seal %s %s n=%d first=%d last=%d data=%s\n", stage, id, blk.Len(), blk.First().UnixNano(), blk.Last().UnixNano(), hex.EncodeToString(blk.Data()))
+			line := fmt.Sprintf("seal %s %s n=%d first=%d last=%d data=%s\n", stage, id, blk.Len(), blk.firstNano, blk.lastNano, hex.EncodeToString(blk.Data()))
 			if stage == "sealall" {
 				sealAll = append(sealAll, line)
 				return

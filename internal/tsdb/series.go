@@ -379,8 +379,6 @@ func widen(w time.Duration) time.Duration {
 
 // retained counts currently held points: raw samples plus finalized and
 // in-progress buckets.
-func (m *memSeries) retained() int { return m.raw.size() + m.buckets() }
-
 func (m *memSeries) buckets() int {
 	n := 0
 	for _, t := range m.tiers {

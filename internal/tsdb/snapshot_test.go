@@ -94,8 +94,8 @@ func TestRebuildBlock(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RebuildBlock: %v", err)
 	}
-	if !re.First().Equal(blk.First()) || !re.Last().Equal(blk.Last()) {
-		t.Fatalf("rebuilt bounds [%v, %v], want [%v, %v]", re.First(), re.Last(), blk.First(), blk.Last())
+	if re.firstNano != blk.firstNano || re.lastNano != blk.lastNano {
+		t.Fatalf("rebuilt bounds [%d, %d], want [%d, %d]", re.firstNano, re.lastNano, blk.firstNano, blk.lastNano)
 	}
 	orig, _ := blk.Points(nil)
 	back, err := re.Points(nil)

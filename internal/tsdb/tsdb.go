@@ -381,21 +381,6 @@ func (db *DB) IDs() []string {
 	return out
 }
 
-// Points returns the total number of retained points (raw samples plus
-// finalized and in-progress tier buckets) across all series.
-func (db *DB) Points() int {
-	total := 0
-	for i := range db.shards {
-		sh := &db.shards[i]
-		sh.mu.RLock()
-		for _, m := range sh.series {
-			total += m.retained()
-		}
-		sh.mu.RUnlock()
-	}
-	return total
-}
-
 // Stats aggregates the whole database for operator reporting.
 func (db *DB) Stats() Stats {
 	st := Stats{Shards: len(db.shards), SeriesPerShard: make([]int, len(db.shards)), SealedBlocks: db.sealedBlocks.Load()}

@@ -35,8 +35,8 @@ func TestAppendQueryUnbounded(t *testing.T) {
 	if _, err := db.Query("missing", start, start.Add(time.Hour), 0); !errors.Is(err, ErrNoSeries) {
 		t.Fatalf("err = %v, want ErrNoSeries", err)
 	}
-	if db.Points() != 10 {
-		t.Fatalf("points = %d, want 10", db.Points())
+	if st := db.Stats(); st.RawPoints+st.Buckets != 10 {
+		t.Fatalf("points = %d, want 10", st.RawPoints+st.Buckets)
 	}
 	full, err := db.Full("a")
 	if err != nil {
@@ -269,8 +269,8 @@ func TestShardingSpreadsSeries(t *testing.T) {
 	// A single-shard DB still works (the benchmark baseline shape).
 	one := New(Config{Shards: 1})
 	appendN(one, "x", 10, time.Second)
-	if one.Points() != 10 {
-		t.Fatalf("single-shard points = %d", one.Points())
+	if st := one.Stats(); st.RawPoints+st.Buckets != 10 {
+		t.Fatalf("single-shard points = %d", st.RawPoints+st.Buckets)
 	}
 }
 

@@ -9,8 +9,9 @@
 //
 // Workflow:
 //
-//  1. Wrap a trace as a Series (irregular timestamps welcome) or a Uniform
-//     signal, e.g. from your TSDB export.
+//  1. Wrap a trace as a Series (irregular timestamps welcome) and pre-clean
+//     it onto its median grid with RegularizeAuto, or build a Uniform
+//     signal directly, e.g. from your TSDB export.
 //  2. Estimate its Nyquist rate with an Estimator — the paper's FFT/PSD
 //     method with a 99 % energy cut-off (§3.2). An ErrAliased result means
 //     the trace is already under-sampled and the rate cannot be trusted.
@@ -42,8 +43,6 @@ type (
 	Interpolation = series.Interpolation
 	// Gap is a stretch of missing samples.
 	Gap = series.Gap
-	// FiveNumber is a box-plot summary.
-	FiveNumber = series.FiveNumber
 )
 
 // Interpolation policies for Series.Regularize.
@@ -151,10 +150,6 @@ type (
 	Window = dsp.Window
 	// Quantizer models sensor resolution.
 	Quantizer = dsp.Quantizer
-	// STFT is a short-time Fourier transform configuration.
-	STFT = dsp.STFT
-	// Spectrogram is a time-resolved spectral view.
-	Spectrogram = dsp.Spectrogram
 )
 
 // Sentinel errors.
@@ -166,8 +161,6 @@ var (
 	ErrTooShort = core.ErrTooShort
 	// ErrRateRatio marks invalid dual-rate probe pairs.
 	ErrRateRatio = core.ErrRateRatio
-	// ErrLengthMismatch marks fidelity comparisons of unequal signals.
-	ErrLengthMismatch = core.ErrLengthMismatch
 )
 
 // DefaultEnergyCutoff is the paper's 99 % energy threshold.
@@ -178,10 +171,6 @@ func NewSeries(points []Point) *Series { return series.New(points) }
 
 // NewUniform constructs a uniformly sampled signal.
 var NewUniform = series.NewUniform
-
-// AlignToCommonGrid regularizes several differently polled series onto
-// one shared grid, the preparation step for multivariate analysis (§6).
-var AlignToCommonGrid = series.AlignToCommonGrid
 
 // NewEstimator validates cfg and returns an Estimator.
 var NewEstimator = core.NewEstimator
@@ -210,7 +199,3 @@ var NewQuantizer = dsp.NewQuantizer
 
 // EstimateStep guesses a trace's quantization step.
 var EstimateStep = dsp.EstimateStep
-
-// GroupRoundTrip verifies a signal set survives a group-rate round trip
-// with correlations intact (§6).
-var GroupRoundTrip = core.GroupRoundTrip

@@ -65,12 +65,13 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 }
 
 func TestPublicIrregularSeriesWorkflow(t *testing.T) {
-	s := nyquist.NewSeries(nil)
+	var pts []nyquist.Point
 	for i := 0; i < 600; i++ {
 		jitter := time.Duration(i%7) * 250 * time.Millisecond
 		ts := t0.Add(time.Duration(i)*30*time.Second + jitter)
-		s.AppendValue(ts, math.Sin(2*math.Pi*float64(i)/120))
+		pts = append(pts, nyquist.Point{Time: ts, Value: math.Sin(2 * math.Pi * float64(i) / 120)})
 	}
+	s := nyquist.NewSeries(pts)
 	u, err := s.Regularize(30*time.Second, nyquist.NearestNeighbor)
 	if err != nil {
 		t.Fatal(err)
@@ -78,8 +79,12 @@ func TestPublicIrregularSeriesWorkflow(t *testing.T) {
 	if u.Len() < 590 {
 		t.Fatalf("regularized length %d", u.Len())
 	}
+	auto, err := s.RegularizeAuto()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var est nyquist.Estimator
-	if _, err := est.EstimateSeries(s); err != nil {
+	if _, err := est.Estimate(auto); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -144,25 +149,6 @@ func TestPublicAdaptiveSampler(t *testing.T) {
 	}
 	if run.Epochs[0].Mode != nyquist.Probing {
 		t.Fatal("loop must start probing")
-	}
-}
-
-func TestPublicSTFT(t *testing.T) {
-	x := make([]float64, 2048)
-	for i := range x {
-		f := 10.0
-		if i >= 1024 {
-			f = 60
-		}
-		x[i] = math.Sin(2 * math.Pi * f * float64(i) / 256)
-	}
-	sg, err := (nyquist.STFT{SegmentLen: 256}).Compute(x, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut := sg.FrameCutoff(0.99)
-	if cut[0] > 20 || cut[len(cut)-1] < 50 {
-		t.Fatalf("cutoff trace %v .. %v does not follow the chirp", cut[0], cut[len(cut)-1])
 	}
 }
 

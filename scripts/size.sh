@@ -24,7 +24,10 @@
 # and the exported fields of every *Config/*Options struct in the main
 # module, the whole settable surface the six-struct count samples, and the
 # non-test files that declare a core.RatePolicy: one per estimate→retain
-# loop, so a new loop shows up in review.
+# loop, so a new loop shows up in review. Last, the root package's
+# TestSurface lists every declaration and method of the main module that no
+# non-test file references, outside its kept table: surface only tests
+# reach, to delete or to give a kept line.
 # The five counts below have ceilings: the script exits non-zero when one
 # is exceeded (CI's size step gates on it). Lower a ceiling when a PR
 # lowers the count; the rest is print-only, compared against the previous
@@ -109,8 +112,18 @@
 # core.DownsampleRaw, which only they reached (−38, −20), and methods only
 # tests called or nothing did (monitor −21, fleet −9, dsp −12, dcsim −9,
 # tsdb −7, core −11).
-MAX_LOC=21802
-MAX_TSDB_LOC=3536
+# MAX_LOC (21,802 → 21,285) and MAX_TSDB_LOC (3,536 → 3,513) then fell to
+# the measured values: the scan at the end of this script listed what no
+# non-test file reached, and it went — the §6 group estimate
+# (multivariate.go, core −186 with Estimator.EstimateSeries,
+# StreamEstimator.Seen and AdaptiveSampler.Rate), series.AlignToCommonGrid
+# with the Series/Uniform helpers only tests called (series −173 net, +15
+# for the Regularize grid bound), dsp.FFT, FrameCutoff and NoisePower (dsp
+# −56), facade names nothing called (nyquist −15, fleet −23), the
+# test-only accessors (dcsim −27, tsdb −23, report −12, api −6, obs −3),
+# and the epoch range check nyquistscan's CSV reader gained (trace +7).
+MAX_LOC=21285
+MAX_TSDB_LOC=3513
 MAX_FLAGS=16
 MAX_CONFIG_FIELDS=28
 MAX_ALLOWS=14
@@ -169,6 +182,7 @@ go test ./internal/tsdb -run '^TestSeriesStateBytes$' -count=1 -v | sed -n 's/.*
 go test ./internal/tsdb -run '^TestHighcardStateAccounted$' -count=1 -v | sed -n 's/.*\(highcard state bytes per series.*\)/\1/p'
 go test ./internal/api -run '^TestIngestBatchAllocCeiling$' -count=1 -v | sed -n 's/.*\(warm ingest allocs per point.*\)/\1/p'
 go test ./internal/monitor -run '^TestIngestEstimatorFlapRate$' -count=1 -v | sed -n 's/.*\(held-rate changes per 1,000 clean refreshes.*\)/retention \1/p'
+go test . -run '^TestSurface$' -count=1 -v | sed -n 's/.*\(unreferenced declarations: .*\)/\1/p; s/.*unreferenced: /  /p'
 if ((loc > MAX_LOC || tsdbloc > MAX_TSDB_LOC || flags > MAX_FLAGS || cfgfields > MAX_CONFIG_FIELDS || allows > MAX_ALLOWS)); then
 	echo "size.sh: a count exceeds its ceiling (see the top of this script)" >&2
 	exit 1
