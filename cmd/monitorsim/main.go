@@ -255,21 +255,9 @@ func runPush(baseURL, id string, samples, batch int) {
 		if sb.Len() == 0 {
 			return
 		}
-		resp, err := client.Post(baseURL+"/api/v1/ingest", "application/x-ndjson", strings.NewReader(sb.String()))
-		if err != nil {
-			fatal(err)
-		}
-		var out struct {
-			Accepted int `json:"accepted"`
-			Rejected int `json:"rejected"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&out)
-		resp.Body.Close()
-		if err != nil {
-			fatal(fmt.Errorf("push: decode ingest response: %w", err))
-		}
-		if resp.StatusCode != http.StatusOK || out.Rejected != 0 {
-			fatal(fmt.Errorf("push: ingest batch failed: HTTP %d, %d rejected", resp.StatusCode, out.Rejected))
+		out, status := postIngest(client, baseURL, "push", sb.String())
+		if status != http.StatusOK || out.Rejected != 0 {
+			fatal(fmt.Errorf("push: ingest batch failed: HTTP %d, %d rejected", status, out.Rejected))
 		}
 		sent += out.Accepted
 		sb.Reset()
@@ -454,23 +442,10 @@ func runPushScenario(baseURL, name string, seed int64, devices, begin, end, batc
 		if pending == 0 {
 			return
 		}
-		resp, err := client.Post(baseURL+"/api/v1/ingest", "application/x-ndjson", strings.NewReader(sb.String()))
-		if err != nil {
-			fatal(err)
-		}
-		var out struct {
-			Accepted         int `json:"accepted"`
-			Rejected         int `json:"rejected"`
-			EstimatorDropped int `json:"estimator_dropped"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&out)
-		resp.Body.Close()
-		if err != nil {
-			fatal(fmt.Errorf("push-scenario: decode ingest response: %w", err))
-		}
+		out, status := postIngest(client, baseURL, "push-scenario", sb.String())
 		// 400 = every line rejected: legitimate under hostile traffic.
-		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusBadRequest {
-			fatal(fmt.Errorf("push-scenario: ingest batch failed: HTTP %d", resp.StatusCode))
+		if status != http.StatusOK && status != http.StatusBadRequest {
+			fatal(fmt.Errorf("push-scenario: ingest batch failed: HTTP %d", status))
 		}
 		if out.Accepted+out.Rejected != pending {
 			fatal(fmt.Errorf("push-scenario: sent %d lines, server accounted %d accepted + %d rejected",
@@ -600,4 +575,26 @@ func key(s string) string {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "monitorsim:", err)
 	os.Exit(1)
+}
+
+// ingestReply is the part of an ingest response the push modes check.
+type ingestReply struct {
+	Accepted         int `json:"accepted"`
+	Rejected         int `json:"rejected"`
+	EstimatorDropped int `json:"estimator_dropped"`
+}
+
+// postIngest posts one JSON-lines batch and decodes the reply; mode
+// prefixes a decode failure.
+func postIngest(client *http.Client, baseURL, mode, body string) (ingestReply, int) {
+	resp, err := client.Post(baseURL+"/api/v1/ingest", "application/x-ndjson", strings.NewReader(body))
+	if err != nil {
+		fatal(err)
+	}
+	defer resp.Body.Close()
+	var out ingestReply
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		fatal(fmt.Errorf("%s: decode ingest response: %w", mode, err))
+	}
+	return out, resp.StatusCode
 }

@@ -235,11 +235,9 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, code int, ms
 }
 
 // handleIngest consumes a JSON-lines batch (see IngestLine) through the
-// batched zero-copy core in ingest.go: lines scan in place against a
-// pooled buffer, points land through per-shard batch appends, and repeat
-// series cost no per-line allocations. Malformed lines are counted and
-// reported, not fatal — a telemetry batch with one bad record must not
-// lose the other 999 — unless every line fails, which returns 400.
+// ingest core (ingest.go). Malformed lines are counted and reported, not
+// fatal — a telemetry batch with one bad record must not lose the other
+// 999 — unless every line fails, which returns 400.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	resp := IngestResponse{}
 	// Per-batch tallies, flushed into the registry once at the end: one

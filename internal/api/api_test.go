@@ -265,6 +265,37 @@ func TestServerErrors(t *testing.T) {
 	}
 }
 
+// TestIngestBodyLimitLandsCompleteLines holds the 413 contract: the body
+// is read up to MaxBodyBytes, the complete lines before the limit land,
+// the line the limit cuts is dropped, and the error says how many points
+// were accepted.
+func TestIngestBodyLimitLandsCompleteLines(t *testing.T) {
+	srv := NewServer(Config{MaxBodyBytes: 256})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	var sb strings.Builder
+	for i := range 64 {
+		fmt.Fprintf(&sb, "{\"series\":\"cut\",\"ts\":%d,\"value\":%d}\n", 1753500000+i, i)
+	}
+	resp, err := http.Post(ts.URL+"/api/v1/ingest", "application/x-ndjson", strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("HTTP %d, %+v, %v; want 413", resp.StatusCode, e, err)
+	}
+	const whole = 256 / 43 // each line is 43 bytes
+	if want := fmt.Sprintf("after %d accepted points", whole); !strings.Contains(e.Error, want) {
+		t.Fatalf("error %q does not say %q", e.Error, want)
+	}
+	st, err := srv.store.SeriesStats("cut")
+	if err != nil || st.Appends != whole {
+		t.Fatalf("stored %+v, %v; want the %d complete lines before the limit", st, err, whole)
+	}
+}
+
 // TestServerSeriesInventory checks the list and detail views.
 func TestServerSeriesInventory(t *testing.T) {
 	_, ts := newTestServer(t)

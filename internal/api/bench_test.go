@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -228,9 +229,10 @@ func BenchmarkIngestBatchAffinity(b *testing.B) {
 
 // BenchmarkIngestFrame is the ingest core on steady_bulk's frame shape
 // with the WAL armed: one op is a 4,096-line frame of 64 series × 64
-// consecutive samples (run-grouped, as bulk pushers send them), so the
-// parser's same-series sid reuse and the chunk's fan-out over the cores
-// both show, unlike in the 16-series, line-interleaved 1,000-line
+// consecutive samples (run-grouped, as bulk pushers send them), handed
+// over in memory as the bulk lane hands over its payload, so the
+// parser's same-series sid reuse and every stage's fan-out over the
+// cores show, unlike in the 16-series, line-interleaved 1,000-line
 // benchmarks above.
 func BenchmarkIngestFrame(b *testing.B) {
 	store := DefaultStore()
@@ -248,25 +250,30 @@ func BenchmarkIngestFrame(b *testing.B) {
 		lines   = nSeries * run
 	)
 	start := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC).Unix()
-	mkFrame := func(iter int) []byte {
-		var sb strings.Builder
-		sb.Grow(lines * 64)
-		for s := 0; s < nSeries; s++ {
-			for k := iter * run; k < (iter+1)*run; k++ {
-				fmt.Fprintf(&sb, `{"series":"bench/dev%02d/metric","ts":%d,"value":%.2f}`+"\n",
-					s, start+30*int64(k), 40+10*math.Sin(float64(k*(s+1))/50)+float64(k%7)*0.01)
-			}
-		}
-		return []byte(sb.String())
-	}
+	// Frames are rendered with strconv appends into buffers reused across
+	// refills, so the timed frames collect no garbage of their making.
 	frames := make([][]byte, 8)
 	refill := func(from int) {
 		for j := range frames {
-			frames[j] = mkFrame(from + j)
+			f, iter := frames[j][:0], from+j
+			for s := 0; s < nSeries; s++ {
+				for k := iter * run; k < (iter+1)*run; k++ {
+					f = append(f, `{"series":"bench/dev`...)
+					if s < 10 {
+						f = append(f, '0')
+					}
+					f = strconv.AppendInt(f, int64(s), 10)
+					f = append(f, `/metric","ts":`...)
+					f = strconv.AppendInt(f, start+30*int64(k), 10)
+					f = append(f, `,"value":`...)
+					f = strconv.AppendFloat(f, 40+10*math.Sin(float64(k*(s+1))/50)+float64(k%7)*0.01, 'f', 2, 64)
+					f = append(f, "}\n"...)
+				}
+			}
+			frames[j] = f
 		}
 	}
 	refill(0)
-	var br bytes.Reader
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -275,12 +282,9 @@ func BenchmarkIngestFrame(b *testing.B) {
 			refill(i)
 			b.StartTimer()
 		}
-		br.Reset(frames[i%len(frames)])
 		var resp IngestResponse
 		var tally ingestTally
-		if err := srv.runIngest(&br, &resp, &tally); err != nil {
-			b.Fatal(err)
-		}
+		srv.ingestFrame(frames[i%len(frames)], &resp, &tally)
 		if resp.Accepted != lines {
 			b.Fatalf("accepted %d/%d (rejected %d: %+v)", resp.Accepted, lines, resp.Rejected, resp.Errors)
 		}

@@ -1,23 +1,11 @@
 // The plain-TCP bulk ingest lane (nyquistd -bulk-addr): the same
-// JSON-lines batches as POST /api/v1/ingest, framed with a 4-byte
-// big-endian length prefix instead of HTTP. High-rate pushers pay HTTP's
-// per-request tax — header parsing, routing, response headers — hundreds
-// of times per second at 2M points/s with 4096-line batches; the bulk
-// lane strips the exchange to length+payload over one long-lived
-// connection while reusing the exact parse/append core (ingest.go), so
-// both lanes share one accounting contract and one metrics inventory.
-//
-// Wire protocol (see docs/API.md "Bulk lane"):
-//
-//	client → server:  repeated frames [uint32 big-endian N][N bytes JSON-lines]
-//	server → client:  per frame, [uint32 big-endian M][M bytes JSON]
-//
-// The response JSON is the same IngestResponse as the HTTP endpoint, or
-// {"error": "..."} for frame-level failures (oversize frame, server not
-// ready). A frame longer than MaxBodyBytes draws an error response and
-// closes the connection — the stream offset can't be trusted past a
-// frame the server refused to read. Closing the connection between
-// frames is the clean shutdown.
+// JSON-lines batches as POST /api/v1/ingest, each framed with a 4-byte
+// big-endian length and answered in order by one length-prefixed
+// IngestResponse, or {"error": "..."} for a frame refused whole, over one
+// long-lived connection (docs/API.md "Bulk lane" is the protocol). It
+// strips HTTP's per-request tax from high-rate pushers and hands each
+// payload to the ingest core (ingest.go) where it lies, so both lanes
+// share one accounting contract and one metrics inventory.
 
 package api
 
@@ -34,8 +22,8 @@ import (
 	"time"
 )
 
-// bulkReadBuffer sizes each connection's buffered reader; frames larger
-// than this stream through it in chunks.
+// bulkReadBuffer sizes each connection's buffered reader; a frame's
+// payload is read through it into the connection's payload buffer.
 const bulkReadBuffer = 64 << 10
 
 // bulkFrameDeadline bounds one frame's exchange: from the arrival of its
@@ -77,14 +65,13 @@ func (s *Server) serveBulkConn(conn net.Conn) {
 		hdr     [4]byte
 		payload []byte
 		out     bytes.Buffer
-		br      bytes.Reader
 		rd      = bufio.NewReaderSize(conn, bulkReadBuffer)
 		wr      = bufio.NewWriterSize(conn, 4<<10)
 	)
 	for {
 		if _, err := io.ReadFull(rd, hdr[:1]); err != nil {
 			if payload != nil && errors.Is(err, os.ErrDeadlineExceeded) && conn.SetReadDeadline(time.Time{}) == nil {
-				payload, br = nil, bytes.Reader{} // idle for bulkIdleShed: shed, wait on
+				payload = nil // idle for bulkIdleShed: shed, wait on
 				continue
 			}
 			// EOF on a frame boundary is the clean hangup; anything else
@@ -128,11 +115,9 @@ func (s *Server) serveBulkConn(conn net.Conn) {
 		} else {
 			resp := IngestResponse{}
 			var tally ingestTally
-			br.Reset(payload)
-			// A bytes.Reader can't hit the HTTP body limit, so the error
-			// return is always nil here; every line-level failure is already
-			// inside resp.
-			_ = s.runIngest(&br, &resp, &tally)
+			// Every line-level failure is inside resp; the lines are parsed
+			// in the payload buffer itself.
+			s.ingestFrame(payload, &resp, &tally)
 			tally.flush(s.metrics)
 			if s.writeBulkFrame(wr, &out, resp) != nil {
 				return

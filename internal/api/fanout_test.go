@@ -27,20 +27,26 @@ import (
 // series the same chunk admitted and observed more than EvictAfter
 // observations earlier. Frame 5 runs every series on at the cap, and frame
 // 6's 150 one-point series drop once nothing is idle enough to evict.
+// Frame 7 holds the parse's edge cases over two chunks: blank and CRLF
+// lines, an escaped name and an RFC 3339 ts at a parse block boundary half
+// way through the first window, a line over maxLineBytes, rejects on both
+// sides of the chunk boundary, and a last line without its newline.
 func fanoutScript(seed int64) [][]byte {
 	rng := rand.New(rand.NewSource(seed))
 	base := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC).Unix()
 	next := map[string]int{}
 	freq := map[string]float64{}
 	var sb strings.Builder
-	line := func(id string) {
+	sample := func(id string) (int64, float64) {
 		if freq[id] == 0 {
 			freq[id] = 0.02 + 0.2*rng.Float64()
 		}
 		k := next[id]
 		next[id]++
-		ts := base + 30*int64(k) + int64(rng.Intn(3))
-		v := 50 + 10*math.Sin(2*math.Pi*freq[id]*float64(k)) + rng.Float64()
+		return base + 30*int64(k) + int64(rng.Intn(3)), 50 + 10*math.Sin(2*math.Pi*freq[id]*float64(k)) + rng.Float64()
+	}
+	line := func(id string) {
+		ts, v := sample(id)
 		switch rng.Intn(60) {
 		case 0: // out of order: the store refuses it
 			fmt.Fprintf(&sb, "{\"series\":%q,\"ts\":%d,\"value\":%.2f}\n", id, ts-3000, v)
@@ -108,6 +114,33 @@ func fanoutScript(seed int64) [][]byte {
 				line(id)
 			}
 		}),
+		frame(func() {
+			pts := 0 // points so far: a chunk ends at its 4,096th
+			rejectAt := map[int]bool{ingestFlushPoints - 1: true, ingestFlushPoints: true}
+			for i := 0; pts < ingestFlushPoints+500; i++ {
+				id := a[i/8%len(a)]
+				ts, v := sample(id)
+				switch {
+				case i == ingestFlushPoints/2: // a parse block boundary, half way through the first window
+					sb.WriteString(" \t\r\n")
+				case i == ingestFlushPoints/2+1: // an escaped name: the fallback
+					fmt.Fprintf(&sb, "{\"series\":\"fan/esc\\u0061\",\"ts\":%d,\"value\":%.2f}\r\n", ts, v)
+					pts++
+				case i == ingestFlushPoints/2+2:
+					fmt.Fprintf(&sb, "{\"series\":%q,\"ts\":%q,\"value\":%.2f}\n", id, time.Unix(ts, 0).UTC().Format(time.RFC3339), v)
+					pts++
+				case i == 3000:
+					sb.WriteString("{\"series\":\"" + strings.Repeat("x", maxLineBytes) + "\"}\n")
+				case i == 3001, rejectAt[pts]: // rejects on both sides of the chunk boundary
+					delete(rejectAt, pts)
+					sb.WriteString("{\"series\":\"bad\",\"ts\":}\r\n")
+				default:
+					fmt.Fprintf(&sb, "{\"series\":%q,\"ts\":%d,\"value\":%.2f}\n", id, ts, v)
+					pts++
+				}
+			}
+			fmt.Fprintf(&sb, "{\"series\":%q,\"ts\":%d,\"value\":1}", a[0], base+1<<20) // no newline
+		}),
 	}
 }
 
@@ -117,6 +150,7 @@ func fanoutScript(seed int64) [][]byte {
 // answers and the estimator's state and counters.
 type fanoutRun struct {
 	responses []string
+	tallies   []ingestTally
 	advice    []map[string]monitor.IngestAdvice
 	store     map[string]string
 	queries   map[string]string
@@ -150,6 +184,7 @@ func runFanoutScript(t *testing.T, frames [][]byte, shares int) fanoutRun {
 		}
 		js, _ := json.Marshal(resp)
 		out.responses = append(out.responses, string(js))
+		out.tallies = append(out.tallies, tally)
 		adv := map[string]monitor.IngestAdvice{}
 		for _, st := range est.ExportState() {
 			adv[st.Series], _ = est.Advice(st.Series)
@@ -173,12 +208,13 @@ func runFanoutScript(t *testing.T, frames [][]byte, shares int) fanoutRun {
 }
 
 // TestFanoutMatchesSerial holds the shared ingest path to the serial one:
-// the same frames, once with every chunk on one goroutine and once with
-// chunks of cores.Floor points or more split into two shares (forced, so
-// a one-CPU runner takes it too), must leave identical responses, stored
-// bytes, query answers, estimator state, advice, the same series surviving
-// every frame's evictions, and counters — through out-of-order and
-// malformed lines, several shards, and a MaxSeries cap with a short
+// the same frames, once with every stage on one goroutine and once with
+// parse windows and chunks of cores.Floor lines or points or more split
+// into two shares (forced, so a one-CPU runner takes it too), must leave
+// identical responses with their error lines, metric deltas, stored
+// bytes, query answers, estimator state, advice, the same series
+// surviving every frame's evictions, and counters — through out-of-order
+// and malformed lines, several shards, and a MaxSeries cap with a short
 // EvictAfter that binds.
 func TestFanoutMatchesSerial(t *testing.T) {
 	frames := fanoutScript(7)
@@ -198,6 +234,9 @@ func TestFanoutMatchesSerial(t *testing.T) {
 	for i := range serial.responses {
 		if serial.responses[i] != shared.responses[i] {
 			t.Fatalf("frame %d response:\nserial: %s\nshared: %s", i+1, serial.responses[i], shared.responses[i])
+		}
+		if serial.tallies[i] != shared.tallies[i] {
+			t.Fatalf("frame %d metric deltas:\nserial: %+v\nshared: %+v", i+1, serial.tallies[i], shared.tallies[i])
 		}
 		if !reflect.DeepEqual(serial.advice[i], shared.advice[i]) {
 			t.Fatalf("advice after frame %d:\nserial: %v\nshared: %v", i+1, serial.advice[i], shared.advice[i])

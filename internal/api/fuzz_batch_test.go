@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cores"
 	"repro/internal/dcsim"
 	"repro/internal/monitor"
 	"repro/internal/series"
@@ -211,7 +212,9 @@ func truncateRaw(raw []byte) []byte {
 // reasons per line, identical stored bytes, and identical estimator
 // feeds. FuzzIngestLine holds the two parsers equal on one line; this
 // holds the whole pipeline — scanning, interning, shard regrouping,
-// chunk flushing, error-list merging — equal on arbitrary batches.
+// chunk flushing, error-list merging — equal on arbitrary batches, and
+// again on each batch repeated past cores.Floor lines, so its windows
+// parse in two shares.
 func FuzzIngestBatch(f *testing.F) {
 	for _, raw := range []string{
 		"",
@@ -259,6 +262,19 @@ func FuzzIngestBatch(f *testing.F) {
 			return
 		}
 		runDiff(t, newDiffPair(), bytes.NewReader(raw), raw)
+		// The input repeated past cores.Floor lines, parsed in two shares.
+		unit := raw
+		if !bytes.HasSuffix(unit, []byte{'\n'}) {
+			unit = append(unit[:len(unit):len(unit)], '\n')
+		}
+		reps := cores.Floor/bytes.Count(unit, []byte{'\n'}) + 1
+		if len(unit)*reps > 1<<20 {
+			return
+		}
+		defer func(procs func(int) int) { cores.Procs = procs }(cores.Procs)
+		cores.Procs = func(int) int { return 2 }
+		long := bytes.Repeat(unit, reps)
+		runDiff(t, newDiffPair(), bytes.NewReader(long), long)
 	})
 }
 

@@ -1,31 +1,24 @@
 // The batched ingest core shared by POST /api/v1/ingest and the plain-TCP
-// bulk lane (bulk.go): a chunked zero-copy line scanner feeding
-// tsdb.DB.AppendBatch. The old hot path paid per line — one ReadBytes
-// allocation, one string materialization, one shard-lock round trip, one
-// estimator lock — which profiling put ahead of the WAL as the ingest
-// ceiling. The core restructures the path so the steady state (repeat
-// series, numeric timestamps) allocates nothing per point:
+// bulk lane (bulk.go): an in-memory zero-copy line scanner feeding
+// tsdb.DB.AppendBatch that allocates nothing per point in the steady
+// state (repeat series, numeric timestamps):
 //
-//   - Lines are scanned in place against a pooled read buffer; the fast
-//     parser (fastline.go) yields the series name as a subslice and the
-//     timestamp/value as scalars, so nothing is copied per line.
-//   - Series ids are interned in a per-handler (Server-scoped) table, so
-//     a repeat series costs one allocation-free map lookup, ever.
-//   - Parsed points accumulate into a chunk (arrival order) and flush
-//     through AppendBatch: points grouped by FNV target shard, one
-//     shard-lock acquisition per shard per chunk.
-//   - Accepted points then feed the estimator in per-series runs
-//     (IngestEstimator.ObserveRun): one series resolution per series per
-//     chunk instead of per point.
+//   - A payload is scanned where it lies, a bulk frame in the lane's
+//     buffer or an HTTP body read whole into a pooled one. The fast parser
+//     (fastline.go) yields the series name as a subslice and the
+//     timestamp and value as scalars; a window of cores.Floor lines or
+//     more is parsed on every core.
+//   - Series ids are resolved in line order on the caller and interned in
+//     a per-handler table, so a repeat series costs one map lookup.
+//   - Points accumulate into a chunk that flushes through AppendBatch (one
+//     shard-lock acquisition per shard per chunk) and then feeds the
+//     estimator in per-series runs (IngestEstimator.Admit).
 //
-// The accounting contract is unchanged: accepted+rejected = emitted
-// lines, a store-rejected point never feeds the estimator, reject
-// reasons and the first-five error detail match the per-line path
-// line-for-line (FuzzIngestBatch holds the two implementations equal),
-// and per-series arrival order is preserved end to end. One deliberate
-// tightening: bytes past the MaxBodyBytes cutoff are dropped wholesale —
-// the old path would parse (and could ingest) the truncated partial line
-// at the limit boundary.
+// accepted+rejected = emitted lines, a store-rejected point never feeds
+// the estimator, reject reasons and the first-five error detail match the
+// per-line path line for line (FuzzIngestBatch holds the two equal),
+// per-series arrival order is preserved end to end, and bytes past the
+// MaxBodyBytes cutoff are dropped together with the line they cut.
 
 package api
 
@@ -36,7 +29,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cores"
 	"repro/internal/monitor"
@@ -48,8 +43,8 @@ const (
 	// maxLineBytes bounds one line; longer lines are rejected
 	// individually — the rest of the batch still lands.
 	maxLineBytes = 1 << 20
-	// ingestReadChunk is the pooled read-buffer granularity; the buffer
-	// grows (and is later shed) only when a single line exceeds it.
+	// ingestReadChunk is the pooled HTTP body buffer's size; a larger
+	// body grows it, and one over 4 × ingestReadChunk is shed after use.
 	ingestReadChunk = 64 << 10
 	// ingestFlushPoints caps the pending chunk: parsed points flush
 	// through AppendBatch at this size, bounding both batch memory and
@@ -125,42 +120,70 @@ type batchSeries struct {
 	accepted int32
 }
 
-// ingestBatch is the pooled per-request state: the read buffer, the
-// pending chunk, and the per-batch series index. Everything is reused
-// across requests; steady state allocates nothing here.
+// lineKind is what a parse share made of one line.
+type lineKind uint8
+
+const (
+	lineBlank    lineKind = iota
+	lineFast              // a point, its series name at the slot's [lo, hi)
+	lineFallback          // a point encoding/json parsed, its name as the ID
+	lineTooLong           // a reject, its reason lineTooLongReason
+	lineBadJSON           // a reject, its reason as the point's Err
+	lineBadShape          // a reject, its reason as the point's Err
+)
+
+// lineSlot is one line of a parse window. The caller sets [lo, hi) to the
+// line's bytes; the share that parses it sets the kind and, for a
+// fast-parsed point, narrows [lo, hi) to the series name. The point (or a
+// reject's reason) goes to the chunk's spare point at the same index.
+type lineSlot struct {
+	lo, hi int
+	kind   lineKind
+}
+
+// window is one parse job: lines of a payload, parsed in shares.
+type window struct {
+	data  []byte
+	slots []lineSlot
+	pts   []tsdb.BatchPoint // the chunk's spare points, one per slot
+	next  atomic.Int64      // the first line no share has taken
+}
+
+// ingestBatch is the pooled per-request state: the body buffer, the parse
+// window, the pending chunk, and the per-batch series index. Everything
+// is reused across requests; steady state allocates nothing here.
 type ingestBatch struct {
 	buf     []byte
+	win     window
 	pts     []tsdb.BatchPoint
 	meta    []pointMeta
 	rejects []lineReject
 	sids    map[string]int32
 	series  []batchSeries
 	lastSid int32 // the previous fast-parsed line's, tried first
-	// estimator-run scratch: a counting-sort by sid, and the admitted runs.
+	// estimator-run scratch: the accepted points' indexes counting-sorted
+	// by sid, and the admitted runs.
 	sidCounts []int32
 	sidOffs   []int32
-	runbuf    []series.Point
+	order     []int32
 	runs      []monitor.Run
+	nextRun   atomic.Int64 // the first run no share has taken
 	wg        sync.WaitGroup
 }
 
 var ingestBatchPool = sync.Pool{New: func() any {
 	return &ingestBatch{
-		buf:  make([]byte, ingestReadChunk),
+		pts:  make([]tsdb.BatchPoint, 0, ingestFlushPoints),
 		sids: make(map[string]int32),
 	}
 }}
 
-func getIngestBatch() *ingestBatch { return ingestBatchPool.Get().(*ingestBatch) }
-
 func putIngestBatch(b *ingestBatch) {
-	// Shed request-sized growth (a single huge line) so the pool holds
-	// only steady-state buffers.
-	if len(b.buf) > 4*ingestReadChunk {
-		//nyquist:allow-alloc shedding request-sized growth; steady-state batches reuse the pooled buffer
-		b.buf = make([]byte, ingestReadChunk)
+	if cap(b.buf) > 4*ingestReadChunk {
+		b.buf = nil // a large body's: the pool holds steady-state buffers
 	}
-	clear(b.pts) // drop string references before pooling
+	b.win.data, b.win.pts = nil, nil // drop the payload
+	clear(b.pts)                     // drop string references before pooling
 	b.pts = b.pts[:0]
 	b.meta = b.meta[:0]
 	clear(b.rejects)
@@ -168,7 +191,6 @@ func putIngestBatch(b *ingestBatch) {
 	clear(b.sids)
 	clear(b.series)
 	b.series = b.series[:0]
-	b.runbuf = b.runbuf[:0]
 	ingestBatchPool.Put(b)
 }
 
@@ -176,9 +198,9 @@ func (b *ingestBatch) addReject(line int32, reason string) {
 	b.rejects = append(b.rejects, lineReject{line: line, reason: reason})
 }
 
-// sidFor resolves a series name (as raw bytes into the read buffer) to
-// its per-batch index, interning the id on first sight. Repeat series —
-// the steady state — cost one allocation-free map lookup.
+// sidFor resolves a series name (as raw bytes into the payload) to its
+// per-batch index, interning the id on first sight. Repeat series — the
+// steady state — cost one allocation-free map lookup.
 func (b *ingestBatch) sidFor(s *Server, name []byte) int32 {
 	if sid, ok := b.sids[string(name)]; ok {
 		return sid
@@ -200,54 +222,18 @@ func (b *ingestBatch) addSid(id string) int32 {
 	return sid
 }
 
-// countSeries folds the per-batch series table into the response's
-// Series counter: distinct series that landed at least one accepted
-// point.
-func (b *ingestBatch) countSeries(resp *IngestResponse) {
-	for i := range b.series {
-		if b.series[i].accepted > 0 {
-			resp.Series++
-		}
-	}
-}
-
-// runIngest consumes one JSON-lines payload: scan, parse, batch-append,
-// estimate, account. It returns only a body-limit error (the HTTP
-// handler turns *http.MaxBytesError into the 413 contract); every other
-// read failure is folded into the response as a rejected line, exactly
-// like the per-line path did.
-//
-//nyquist:hotpath
-func (s *Server) runIngest(body io.Reader, resp *IngestResponse, tally *ingestTally) error {
-	b := getIngestBatch()
-	defer putIngestBatch(b)
-	var (
-		lineNo     int
-		start, end int
-		readErr    error
-		zeroReads  int
-	)
+// readBody reads body into b.buf up to its end or its first error; 100
+// reads in a row that return nothing are io.ErrNoProgress.
+func (b *ingestBatch) readBody(body io.Reader) ([]byte, error) {
+	data, zeroReads := b.buf[:0], 0
 	for {
-		if end == len(b.buf) {
-			if start > 0 {
-				// Slide the partial line to the front; completed lines
-				// were already consumed in place.
-				copy(b.buf, b.buf[start:end])
-				end -= start
-				start = 0
-			} else {
-				// One line larger than the whole buffer: grow. Bounded in
-				// practice by MaxBodyBytes — the same envelope the old
-				// per-line ReadBytes accumulation had.
-				//nyquist:allow-alloc grows only when one line exceeds the whole read buffer, bounded by MaxBodyBytes
-				nb := make([]byte, 2*len(b.buf))
-				copy(nb, b.buf[:end])
-				b.buf = nb
-			}
+		if len(data) == cap(data) {
+			//nyquist:allow-alloc the body buffer grows to the largest body, bounded by MaxBodyBytes, and one over 4 × ingestReadChunk is shed after use
+			data = slices.Grow(data, max(cap(data), ingestReadChunk))
+			b.buf = data
 		}
-		n, err := body.Read(b.buf[end:])
-		end += n
-		tally.bytes += int64(n)
+		n, err := body.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
 		if n == 0 && err == nil {
 			if zeroReads++; zeroReads > 100 {
 				err = io.ErrNoProgress
@@ -255,99 +241,187 @@ func (s *Server) runIngest(body io.Reader, resp *IngestResponse, tally *ingestTa
 		} else if n > 0 {
 			zeroReads = 0
 		}
-		for {
-			nl := bytes.IndexByte(b.buf[start:end], '\n')
-			if nl < 0 {
-				break
-			}
-			line := b.buf[start : start+nl]
-			start += nl + 1
-			lineNo++
-			s.ingestLine(b, line, int32(lineNo), tally)
-			if len(b.pts) >= ingestFlushPoints {
-				s.flushChunk(b, resp, tally)
-			}
-		}
-		if start == end {
-			start, end = 0, 0
-		}
 		if err != nil {
-			readErr = err
-			break
+			return data, err
 		}
 	}
-	if readErr == io.EOF {
-		if end > start {
-			// Final line without a trailing newline.
-			lineNo++
-			s.ingestLine(b, b.buf[start:end], int32(lineNo), tally)
-		}
-		readErr = nil
+}
+
+// runIngest consumes one JSON-lines body: read, scan, parse, batch-append,
+// estimate, account. It returns only a body-limit error (the HTTP handler
+// turns *http.MaxBytesError into the 413 contract); every other read
+// failure is folded into the response as a rejected line, exactly like
+// the per-line path did. Either way the complete lines before the failure
+// land and the partial line it cut off is dropped.
+//
+//nyquist:hotpath
+func (s *Server) runIngest(body io.Reader, resp *IngestResponse, tally *ingestTally) error {
+	b := ingestBatchPool.Get().(*ingestBatch)
+	defer putIngestBatch(b)
+	data, err := b.readBody(body)
+	tally.bytes += int64(len(data))
+	var readErr error
+	if err == io.EOF {
+		err = nil
 	} else {
+		data = data[:bytes.LastIndexByte(data, '\n')+1]
 		var tooLarge *http.MaxBytesError
-		if !errors.As(readErr, &tooLarge) {
-			lineNo++
-			b.addReject(int32(lineNo), readErr.Error())
-			tally.rejReadError++
-			readErr = nil
+		if !errors.As(err, &tooLarge) {
+			readErr, err = err, nil
 		}
+	}
+	s.ingestPayload(b, data, readErr, resp, tally)
+	return err
+}
+
+// ingestFrame is runIngest for a payload already in memory, a bulk frame:
+// its lines are parsed where they lie.
+//
+//nyquist:hotpath
+func (s *Server) ingestFrame(payload []byte, resp *IngestResponse, tally *ingestTally) {
+	b := ingestBatchPool.Get().(*ingestBatch)
+	defer putIngestBatch(b)
+	tally.bytes += int64(len(payload))
+	s.ingestPayload(b, payload, nil, resp, tally)
+}
+
+// ingestPayload lands every line of data (the last may lack its newline),
+// then readErr, if any, as one more rejected line. A window of lines holds
+// no more lines than the chunk has room for points, so the chunk flushes
+// exactly where a line-by-line loop would. Its lines are parsed in shares;
+// the caller takes their outcomes in line order, so ids are resolved in
+// first-appearance order and rejects queued as that loop does.
+func (s *Server) ingestPayload(b *ingestBatch, data []byte, readErr error, resp *IngestResponse, tally *ingestTally) {
+	lines := 0
+	for pos := 0; pos < len(data); {
+		base, slots := len(b.pts), b.win.slots[:0]
+		for len(slots) < ingestFlushPoints-base && pos < len(data) {
+			end := len(data)
+			if nl := bytes.IndexByte(data[pos:], '\n'); nl >= 0 {
+				end = pos + nl
+			}
+			slots = append(slots, lineSlot{lo: pos, hi: end})
+			pos = end + 1
+		}
+		// The window's spare points fit in the chunk's capacity.
+		b.win.data, b.win.slots, b.win.pts = data, slots, b.pts[base:base+len(slots)]
+		b.win.next.Store(0)
+		cores.Run(&b.win, cores.Shares(len(slots)), &b.wg)
+		for i, sl := range slots {
+			lines++
+			s.takeLine(b, data, sl, &b.win.pts[i], int32(lines), tally)
+		}
+		if len(b.pts) >= ingestFlushPoints {
+			s.flushChunk(b, resp, tally)
+		}
+	}
+	if readErr != nil {
+		lines++
+		b.addReject(int32(lines), readErr.Error())
+		tally.rejReadError++
 	}
 	s.flushChunk(b, resp, tally)
-	b.countSeries(resp)
-	tally.lines, tally.accepted, tally.rejected = int64(lineNo), int64(resp.Accepted), int64(resp.Rejected)
-	return readErr
+	for i := range b.series { // Series counts those that landed a point
+		if b.series[i].accepted > 0 {
+			resp.Series++
+		}
+	}
+	tally.lines, tally.accepted, tally.rejected = int64(lines), int64(resp.Accepted), int64(resp.Rejected)
 }
 
-// ingestLine classifies one physical line: blank separator, too long,
-// fast-parsed point, fallback-parsed point, or reject. Points join the
-// pending chunk; rejects are queued (in line order) so flushChunk can
-// interleave them with store verdicts for the response's error detail.
-func (s *Server) ingestLine(b *ingestBatch, line []byte, lineNo int32, tally *ingestTally) {
-	for n := len(line); n > 0 && (line[n-1] == '\r' || line[n-1] == '\n'); n-- {
-		line = line[:n-1]
+// parseBlock lines are one piece of a parse window: shares take the next
+// untaken block, so a share whose helper starts late parses less.
+const parseBlock = 128
+
+// Share parses blocks of the window's lines into their slots: blank
+// separator, too long, fast-parsed point, fallback-parsed point, or
+// reject.
+//
+//nyquist:hotpath
+func (win *window) Share(_, _ int) {
+	for lo := int(win.next.Add(parseBlock)) - parseBlock; lo < len(win.slots); lo = int(win.next.Add(parseBlock)) - parseBlock {
+		for i := lo; i < min(lo+parseBlock, len(win.slots)); i++ {
+			sl := &win.slots[i]
+			line := win.data[sl.lo:sl.hi]
+			for n := len(line); n > 0 && line[n-1] == '\r'; n-- {
+				line = line[:n-1]
+			}
+			switch {
+			case len(line) > maxLineBytes:
+				sl.kind = lineTooLong
+			case len(line) == 0 || allSpace(line):
+				sl.kind = lineBlank
+			default:
+				if fl, ok := fastParseLine(line); ok {
+					sl.kind, sl.lo = lineFast, sl.lo+cap(line)-cap(fl.series) // a subslice's offset
+					sl.hi = sl.lo + len(fl.series)
+					win.pts[i].P = fl.point()
+					continue
+				}
+				//nyquist:allow-alloc json fallback: a line the fast parser bails on pays encoding/json, validation and its reject reason
+				sl.kind = parseFallback(line, &win.pts[i])
+			}
+		}
 	}
-	switch {
-	case len(line) > maxLineBytes:
+}
+
+// parseFallback is the parse's cold half: a line the fast parser bailed on
+// goes through encoding/json and IngestLine.point, leaving in p the point
+// with its series name as ID, or the reject's reason as Err.
+func parseFallback(line []byte, p *tsdb.BatchPoint) lineKind {
+	var in IngestLine
+	if err := json.Unmarshal(line, &in); err != nil {
+		p.Err = errors.New("bad JSON: " + err.Error())
+		return lineBadJSON
+	}
+	pt, err := in.point()
+	if err != nil {
+		p.Err = err
+		return lineBadShape
+	}
+	p.ID, p.P = in.Series, pt
+	return lineFallback
+}
+
+// point is the line's sample: scalars that hold nothing of the line.
+func (fl *fastLine) point() series.Point { return series.Point{Time: fl.t, Value: fl.value} }
+
+// takeLine takes one parsed line, in line order: a point gets its series
+// index (the previous fast-parsed line's, the batch's, or a new one) and
+// joins the pending chunk; a reject is queued, in line order, so
+// flushChunk can interleave it with store verdicts for the response's
+// error detail.
+func (s *Server) takeLine(b *ingestBatch, data []byte, sl lineSlot, p *tsdb.BatchPoint, lineNo int32, tally *ingestTally) {
+	var sid int32
+	switch sl.kind {
+	case lineBlank:
+		return
+	case lineTooLong:
 		b.addReject(lineNo, lineTooLongReason)
 		tally.rejTooLong++
-	case len(line) == 0 || allSpace(line):
-		// blank separator
-	default:
-		if fl, ok := fastParseLine(line); ok {
-			tally.fast++
-			sid := b.lastSid
-			if int(sid) >= len(b.series) || b.series[sid].id != string(fl.series) {
-				sid = b.sidFor(s, fl.series)
-				b.lastSid = sid
-			}
-			b.pts = append(b.pts, tsdb.BatchPoint{ID: b.series[sid].id, P: series.Point{Time: fl.t, Value: fl.value}})
-			b.meta = append(b.meta, pointMeta{line: lineNo, sid: sid})
-			return
+		return
+	case lineBadJSON, lineBadShape:
+		b.addReject(lineNo, p.Err.Error())
+		tally.fallback++
+		if sl.kind == lineBadJSON {
+			tally.rejBadJSON++
+		} else {
+			tally.rejBadShape++
 		}
-		//nyquist:allow-alloc json fallback: a line the fast parser bails on pays encoding/json, validation and its reject reason
-		s.ingestLineFallback(b, line, lineNo, tally)
-	}
-}
-
-// ingestLineFallback is ingestLine's cold half: a line the fast parser
-// bailed on goes through encoding/json and IngestLine.point, and joins
-// the pending chunk or the rejects exactly as a fast-parsed one would.
-func (s *Server) ingestLineFallback(b *ingestBatch, line []byte, lineNo int32, tally *ingestTally) {
-	tally.fallback++
-	var in IngestLine
-	if jerr := json.Unmarshal(line, &in); jerr != nil {
-		b.addReject(lineNo, "bad JSON: "+jerr.Error())
-		tally.rejBadJSON++
 		return
+	case lineFallback:
+		tally.fallback++
+		sid = b.sidForString(s, p.ID)
+	default:
+		tally.fast++
+		name := data[sl.lo:sl.hi]
+		if sid = b.lastSid; int(sid) >= len(b.series) || b.series[sid].id != string(name) {
+			sid = b.sidFor(s, name)
+			b.lastSid = sid
+		}
 	}
-	p, perr := in.point()
-	if perr != nil {
-		b.addReject(lineNo, perr.Error())
-		tally.rejBadShape++
-		return
-	}
-	sid := b.sidForString(s, in.Series)
-	b.pts = append(b.pts, tsdb.BatchPoint{ID: b.series[sid].id, P: p})
+	b.pts = b.pts[:len(b.pts)+1] // p is this spare point or a later one
+	b.pts[len(b.pts)-1] = tsdb.BatchPoint{ID: b.series[sid].id, P: p.P}
 	b.meta = append(b.meta, pointMeta{line: lineNo, sid: sid})
 }
 
@@ -389,7 +463,7 @@ func (s *Server) flushChunk(b *ingestBatch, resp *IngestResponse, tally *ingestT
 	for ; ri < len(b.rejects); ri++ {
 		resp.reject(int(b.rejects[ri].line), b.rejects[ri].reason)
 	}
-	//nyquist:allow-alloc only a series' first sight and its interval probe allocate in the feed (and its run buffers, grown to the largest chunk); warm refreshes reuse estimator-owned state
+	//nyquist:allow-alloc only a series' first sight and its interval probe allocate in the feed (and its index buffers, grown to the largest chunk); warm refreshes reuse estimator-owned state
 	s.feedEstimator(b, resp, tally)
 	b.pts = b.pts[:0]
 	b.meta = b.meta[:0]
@@ -398,12 +472,15 @@ func (s *Server) flushChunk(b *ingestBatch, resp *IngestResponse, tally *ingestT
 
 // feedEstimator groups the chunk's accepted points into per-series runs
 // (arrival order within each run, series in first-appearance order) and
-// admits each, in that order. A chunk of cores.Floor points or more where
-// -max-series cannot bind is then observed on every core, run i in share
-// i mod n; otherwise each run is observed as it is admitted (ObserveRun).
-// Series are independent in the estimator and admission is serial, so
-// drops, evictions and LRU stamps are the same either way — per request,
-// unless a concurrent one fills the cap after the room check.
+// admits each, in that order. A run is a range of b.order, the accepted
+// points' indexes counting-sorted by series, so no point is copied. A
+// chunk of cores.Floor points or more where -max-series cannot bind is
+// then observed on every core, each share taking the next unobserved run;
+// otherwise each run
+// is observed as it is admitted. Series are independent in the estimator
+// and admission is serial, so drops, evictions and LRU stamps are the
+// same either way — per request, unless a concurrent one fills the cap
+// after the room check.
 func (s *Server) feedEstimator(b *ingestBatch, resp *IngestResponse, tally *ingestTally) {
 	nSids := len(b.series)
 	if nSids == 0 {
@@ -415,9 +492,7 @@ func (s *Server) feedEstimator(b *ingestBatch, resp *IngestResponse, tally *inge
 	}
 	b.sidCounts = b.sidCounts[:nSids]
 	b.sidOffs = b.sidOffs[:nSids]
-	for i := range b.sidCounts {
-		b.sidCounts[i] = 0
-	}
+	clear(b.sidCounts)
 	accepted := 0
 	for i := range b.pts {
 		if b.pts[i].Err == nil {
@@ -428,10 +503,7 @@ func (s *Server) feedEstimator(b *ingestBatch, resp *IngestResponse, tally *inge
 	if accepted == 0 {
 		return
 	}
-	if cap(b.runbuf) < accepted {
-		b.runbuf = make([]series.Point, accepted)
-	}
-	b.runbuf = b.runbuf[:accepted]
+	b.order = slices.Grow(b.order[:0], accepted)[:accepted]
 	off := int32(0)
 	for sid := range b.sidCounts {
 		b.sidOffs[sid] = off
@@ -440,41 +512,46 @@ func (s *Server) feedEstimator(b *ingestBatch, resp *IngestResponse, tally *inge
 	for i := range b.pts {
 		if b.pts[i].Err == nil {
 			sid := b.meta[i].sid
-			b.runbuf[b.sidOffs[sid]] = b.pts[i].P
+			b.order[b.sidOffs[sid]] = int32(i)
 			b.sidOffs[sid]++
 		}
 	}
 	// With room under the cap for every series, admission drops or evicts none.
 	n, limit := cores.Shares(accepted), s.ingest.Config().MaxSeries
 	shared := n > 1 && (limit == 0 || s.ingest.Len()+nSids <= limit)
-	start := int32(0)
+	start := 0
 	for sid := 0; sid < nSids; sid++ {
-		end := start + b.sidCounts[sid]
+		end := start + int(b.sidCounts[sid])
 		if start == end {
 			continue
 		}
-		r := s.ingest.Admit(b.series[sid].id, b.runbuf[start:end])
-		if d := int(end-start) - len(r.Pts); d > 0 {
+		r := s.ingest.Admit(b.series[sid].id, start, end)
+		if d := r.Lo - start; d > 0 {
 			resp.EstimatorDropped += d
 			tally.estDropped += int64(d)
 		}
 		if shared {
 			b.runs = append(b.runs, r)
 		} else {
-			r.Observe()
+			r.Observe(b.pts, b.order)
 		}
 		start = end
 	}
 	if shared {
+		b.nextRun.Store(0)
 		cores.Run(b, n, &b.wg)
 		clear(b.runs)
 		b.runs = b.runs[:0]
 	}
 }
 
-// Share observes the admitted runs i ≡ w (mod n).
-func (b *ingestBatch) Share(w, n int) {
-	for i := w; i < len(b.runs); i += n {
-		b.runs[i].Observe()
+// Share observes the next untaken block of admitted runs, about an eighth
+// of a share's, until none is left: few atomic adds for many short runs.
+func (b *ingestBatch) Share(_, n int) {
+	step := max(1, len(b.runs)/(8*n))
+	for lo := int(b.nextRun.Add(int64(step))) - step; lo < len(b.runs); lo = int(b.nextRun.Add(int64(step))) - step {
+		for _, r := range b.runs[lo:min(lo+step, len(b.runs))] {
+			r.Observe(b.pts, b.order)
+		}
 	}
 }

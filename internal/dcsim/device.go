@@ -73,21 +73,7 @@ func NewDevice(id string, m Metric, bandLimit float64, pollInterval time.Duratio
 	if err != nil {
 		return nil, err
 	}
-	var q *dsp.Quantizer
-	if p.QuantStep > 0 {
-		q = &dsp.Quantizer{Step: p.QuantStep}
-	}
-	return &Device{
-		ID:           id,
-		Metric:       m,
-		TrueNyquist:  2 * base.BandLimit(),
-		PollInterval: pollInterval,
-		profile:      p,
-		sig:          &Composite{Base: base},
-		quant:        q,
-		noise:        noise,
-		seed:         seed,
-	}, nil
+	return rawDevice(id, m, p, base, pollInterval, noise, seed), nil
 }
 
 // At returns the measured value at time t seconds: base signal plus any
@@ -126,10 +112,6 @@ func NewContinuousDevice(id string, m Metric, bandLimit float64, pollInterval ti
 	if err != nil {
 		return nil, err
 	}
-	var q *dsp.Quantizer
-	if p.QuantStep > 0 {
-		q = &dsp.Quantizer{Step: p.QuantStep}
-	}
 	// Under-sampled production traces carry a visible broadband floor
 	// (folded micro-bursts, counter churn); 15 % of the swing puts ~15 %
 	// of the energy there, which is what makes such traces land in the
@@ -138,17 +120,7 @@ func NewContinuousDevice(id string, m Metric, bandLimit float64, pollInterval ti
 	if n := 0.15 * p.Swing; n > noise {
 		noise = n
 	}
-	return &Device{
-		ID:           id,
-		Metric:       m,
-		TrueNyquist:  2 * base.BandLimit(),
-		PollInterval: pollInterval,
-		profile:      p,
-		sig:          &Composite{Base: base},
-		quant:        q,
-		noise:        noise,
-		seed:         seed,
-	}, nil
+	return rawDevice(id, m, p, base, pollInterval, noise, seed), nil
 }
 
 // SetNoiseAmp overrides the measurement-noise amplitude (0 models an
@@ -175,16 +147,16 @@ func (d *Device) PollRate() float64 {
 // starting at startOffset (seconds of signal time) and returns the uniform
 // trace the production monitoring system would have collected.
 func (d *Device) Trace(start time.Time, startOffset float64, duration time.Duration) *series.Uniform {
-	n := int(duration / d.PollInterval)
-	if n < 1 {
-		n = 1
-	}
-	ivs := d.PollInterval.Seconds()
-	vals := make([]float64, n)
+	vals, ivs := d.polls(duration)
 	for i := range vals {
 		vals[i] = d.At(startOffset + float64(i)*ivs)
 	}
 	return &series.Uniform{Start: start, Interval: d.PollInterval, Values: vals}
+}
+
+// polls sizes a trace of duration, one poll at least, at ivs seconds.
+func (d *Device) polls(duration time.Duration) (vals []float64, ivs float64) {
+	return make([]float64, max(int(duration/d.PollInterval), 1)), d.PollInterval.Seconds()
 }
 
 // CounterTrace exports the device as a cumulative counter, the way
@@ -194,12 +166,7 @@ func (d *Device) Trace(start time.Time, startOffset float64, duration time.Durat
 // (series.Diff) before spectral analysis — the paper treats its counter
 // metrics the same way.
 func (d *Device) CounterTrace(start time.Time, startOffset float64, duration time.Duration) *series.Uniform {
-	n := int(duration / d.PollInterval)
-	if n < 1 {
-		n = 1
-	}
-	ivs := d.PollInterval.Seconds()
-	vals := make([]float64, n)
+	vals, ivs := d.polls(duration)
 	// Integrate the clean rate with a few sub-steps per poll so the
 	// count is accurate even for long poll intervals, clamping negative
 	// rate excursions to zero as real counters do.

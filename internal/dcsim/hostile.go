@@ -132,9 +132,7 @@ func buildHostileFleet(s *Scenario, rng *rand.Rand) error {
 		if err != nil {
 			return err
 		}
-		seed := uint64(s.Seed) + uint64(i)*7919
-		dev := rawDevice(s.scenarioID(m, i), m, p, base, iv, 0, seed)
-		s.Fleet.Devices = append(s.Fleet.Devices, dev)
+		s.addDevice(i, m, p, base, iv, 0)
 	}
 	return nil
 }

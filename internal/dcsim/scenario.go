@@ -231,15 +231,15 @@ func pollIntervalFor(m Metric, rng *rand.Rand) (p Profile, iv float64) {
 	return p, d.Seconds()
 }
 
-// rawDevice assembles a Device from explicit parts — the in-package
-// constructor scenario builders use when the public NewDevice shapes
-// (harmonic/quiet/continuous) do not fit the regime.
-func rawDevice(id string, m Metric, p Profile, base *BandLimited, intervalSecs float64, noise float64, seed uint64) *Device {
+// rawDevice assembles a Device from explicit parts: NewDevice and
+// NewContinuousDevice end here, and so do the scenario builders whose
+// regime neither public shape fits.
+func rawDevice(id string, m Metric, p Profile, base *BandLimited, pollInterval time.Duration, noise float64, seed uint64) *Device {
 	d := &Device{
 		ID:           id,
 		Metric:       m,
 		TrueNyquist:  2 * base.BandLimit(),
-		PollInterval: secondsToDuration(intervalSecs),
+		PollInterval: pollInterval,
 		profile:      p,
 		sig:          &Composite{Base: base},
 		noise:        noise,
@@ -249,6 +249,13 @@ func rawDevice(id string, m Metric, p Profile, base *BandLimited, intervalSecs f
 		d.quant = &dsp.Quantizer{Step: p.QuantStep}
 	}
 	return d
+}
+
+// addDevice appends device i of a regime's fleet around base, seeded per
+// device.
+func (s *Scenario) addDevice(i int, m Metric, p Profile, base *BandLimited, iv, noise float64) {
+	seed := uint64(s.Seed) + uint64(i)*7919
+	s.Fleet.Devices = append(s.Fleet.Devices, rawDevice(s.scenarioID(m, i), m, p, base, secondsToDuration(iv), noise, seed))
 }
 
 // secondsToDuration converts seconds of signal time to a time.Duration.
@@ -342,9 +349,7 @@ func buildFlatline(s *Scenario, rng *rand.Rand) error {
 		if err != nil {
 			return err
 		}
-		seed := uint64(s.Seed) + uint64(i)*7919
-		dev := rawDevice(s.scenarioID(m, i), m, p, base, iv, 0, seed)
-		s.Fleet.Devices = append(s.Fleet.Devices, dev)
+		s.addDevice(i, m, p, base, iv, 0)
 	}
 	return nil
 }
@@ -367,9 +372,7 @@ func buildSweep(s *Scenario, rng *rand.Rand) error {
 		if err != nil {
 			return err
 		}
-		seed := uint64(s.Seed) + uint64(i)*7919
-		dev := rawDevice(s.scenarioID(m, i), m, p, base, iv, p.NoiseAmp, seed)
-		s.Fleet.Devices = append(s.Fleet.Devices, dev)
+		s.addDevice(i, m, p, base, iv, p.NoiseAmp)
 	}
 	return nil
 }
@@ -402,9 +405,7 @@ func buildRacks(s *Scenario, rng *rand.Rand) error {
 			return err
 		}
 		base := mergeBandLimited(rackBase, wiggle, p.Swing)
-		seed := uint64(s.Seed) + uint64(i)*7919
-		dev := rawDevice(s.scenarioID(m, i), m, p, base, iv, p.NoiseAmp, seed)
-		s.Fleet.Devices = append(s.Fleet.Devices, dev)
+		s.addDevice(i, m, p, base, iv, p.NoiseAmp)
 	}
 	return nil
 }

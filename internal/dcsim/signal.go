@@ -42,16 +42,20 @@ func NewBandLimited(rng *rand.Rand, bandLimit, amp float64, nComps int) (*BandLi
 		comps = append(comps, component{freq: f, amp: a, phase: 2 * math.Pi * rng.Float64()})
 		total += a
 	}
-	// Edge component pins the band limit.
-	edge := component{freq: bandLimit, amp: math.Max(total/6, 1), phase: 2 * math.Pi * rng.Float64()}
+	return b.pinned(rng, comps, total, amp), nil
+}
+
+// pinned appends the component that pins the band limit, at least a sixth
+// of the others' total amplitude, and scales the sum to amp.
+func (b *BandLimited) pinned(rng *rand.Rand, comps []component, total, amp float64) *BandLimited {
+	edge := component{freq: b.limit, amp: math.Max(total/6, 1), phase: 2 * math.Pi * rng.Float64()}
 	comps = append(comps, edge)
 	total += edge.amp
-	// Normalize to the requested amplitude scale.
 	for i := range comps {
 		comps[i].amp *= amp / total
 	}
 	b.comps = comps
-	return b, nil
+	return b
 }
 
 // NewHarmonicSeries builds a signal whose components sit at integer
@@ -97,14 +101,7 @@ func NewHarmonicSeries(rng *rand.Rand, baseFreq, bandLimit, amp float64, nComps 
 		comps = append(comps, component{freq: float64(k) * baseFreq, amp: a, phase: 2 * math.Pi * rng.Float64()})
 		total += a
 	}
-	edge := component{freq: float64(kMax) * baseFreq, amp: math.Max(total/6, 1), phase: 2 * math.Pi * rng.Float64()}
-	comps = append(comps, edge)
-	total += edge.amp
-	for i := range comps {
-		comps[i].amp *= amp / total
-	}
-	b.comps = comps
-	return b, nil
+	return b.pinned(rng, comps, total, amp), nil
 }
 
 // At returns the signal value at time t seconds.

@@ -243,67 +243,62 @@ func (e *IngestEstimator) Observe(id string, p series.Point) bool {
 // slot mid-run, exactly as per-point Observe calls would), and once the
 // series exists nothing declines.
 func (e *IngestEstimator) ObserveRun(id string, pts []series.Point) int {
-	s, kept := e.admit(id, pts)
-	e.observe(s, id, kept)
-	return len(kept)
+	r := e.Admit(id, 0, len(pts))
+	if r.s != nil {
+		r.s.mu.Lock()
+		for _, p := range pts[r.Lo:] {
+			e.observeLocked(r.s, id, p)
+		}
+		r.s.mu.Unlock()
+	}
+	return len(pts) - r.Lo
 }
 
 // Run is a run Admit admitted: a batch admits its runs one after another,
 // then may observe them on any goroutines, series by series.
 type Run struct {
-	Pts []series.Point // what admission kept
-	id  string
-	e   *IngestEstimator
-	s   *ingestSeries
+	Lo, Hi int // the positions admission kept
+	id     string
+	e      *IngestEstimator
+	s      *ingestSeries
 }
 
-// Admit is ObserveRun's serial half: the run's admission and its LRU
-// clock ticks.
-func (e *IngestEstimator) Admit(id string, pts []series.Point) Run {
-	s, kept := e.admit(id, pts)
-	return Run{Pts: kept, id: id, e: e, s: s}
-}
-
-// Observe is ObserveRun's other half.
-func (r Run) Observe() { r.e.observe(r.s, r.id, r.Pts) }
-
-// admit resolves id's series, retrying admission per point, and stamps
-// it; it returns pts less the prefix the MaxSeries cap dropped.
-func (e *IngestEstimator) admit(id string, pts []series.Point) (*ingestSeries, []series.Point) {
-	dropped := 0
+// Admit is ObserveRun's serial half for the run at positions [lo, hi):
+// its admission, retried per point, and its LRU clock ticks. What the
+// MaxSeries cap dropped is cut from the front of the run (all of it when
+// the series was not admitted).
+func (e *IngestEstimator) Admit(id string, lo, hi int) Run {
 	var s *ingestSeries
 	var tick int64
-	for dropped < len(pts) {
+	for ; lo < hi; lo++ {
 		tick = e.clock.Add(1)
 		if s = e.lookupOrCreate(id, tick); s != nil {
 			break
 		}
-		dropped++
 	}
-	if s == nil {
-		return nil, nil
+	if s != nil {
+		s.lastSeen.Store(tick)
+		if hi-lo > 1 {
+			// Advance the estimator-wide clock for the rest of the run in
+			// one add: intermediate tick values are observable only as LRU
+			// recency, and only the newest stamp matters.
+			s.lastSeen.Store(e.clock.Add(int64(hi - lo - 1)))
+		}
 	}
-	run := pts[dropped:]
-	s.lastSeen.Store(tick)
-	if len(run) > 1 {
-		// Advance the estimator-wide clock for the rest of the run in one
-		// add: intermediate tick values are observable only as LRU
-		// recency, and only the newest stamp matters.
-		s.lastSeen.Store(e.clock.Add(int64(len(run) - 1)))
-	}
-	return s, run
+	return Run{Lo: lo, Hi: hi, id: id, e: e, s: s}
 }
 
-// observe feeds an admitted run under its series' lock.
-func (e *IngestEstimator) observe(s *ingestSeries, id string, run []series.Point) {
-	if s == nil {
+// Observe is ObserveRun's other half: the run's points are
+// pts[order[i]].P for i in [r.Lo, r.Hi), so a batch copies none out.
+func (r Run) Observe(pts []tsdb.BatchPoint, order []int32) {
+	if r.s == nil {
 		return
 	}
-	s.mu.Lock()
-	for i := range run {
-		e.observeLocked(s, id, run[i])
+	r.s.mu.Lock()
+	for _, i := range order[r.Lo:r.Hi] {
+		r.e.observeLocked(r.s, r.id, pts[i].P)
 	}
-	s.mu.Unlock()
+	r.s.mu.Unlock()
 }
 
 // lookupOrCreate resolves id's hook state, creating it on first sight.

@@ -1,19 +1,9 @@
-// Shard-affinity batched appends: the write-path counterpart of
-// AppendUniform for mixed-series batches. The serving layer parses a
-// whole ingest batch before touching the store; AppendBatch then groups
-// the batch's points by their FNV target shard and flushes each group
-// under a single shard-lock acquisition — one lock round-trip per shard
-// per batch instead of one per point. Per-series arrival order is
-// preserved: a series maps to exactly one shard, the grouping scatter is
-// stable, and each shard's group is applied in arrival order, so the
-// strict-append verdict for every point is identical to what a per-point
-// Append loop would have produced.
-
 package tsdb
 
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cores"
 	"repro/internal/series"
@@ -21,8 +11,7 @@ import (
 
 // BatchPoint is one point of an AppendBatch call. Err is an output: nil
 // after the call means the point landed; a refused point carries
-// ErrOutOfOrder/ErrTimeRange exactly as Append would have returned it. Writing verdicts in place keeps the batch path free of
-// per-call result allocations.
+// ErrOutOfOrder/ErrTimeRange exactly as Append would have returned it.
 type BatchPoint struct {
 	ID  string
 	P   series.Point
@@ -33,10 +22,12 @@ type BatchPoint struct {
 // counting-sort of point indexes by target shard, and the batch its shares
 // apply. Pooled so steady-state batches allocate nothing for grouping.
 type batchScratch struct {
-	shardOf []uint32 // target shard per point
-	counts  []int32  // points per shard
-	offs    []int32  // scatter offsets per shard: each group's end once scattered
-	order   []int32  // point indexes grouped by shard, arrival order within
+	shardOf []uint32     // target shard per point
+	counts  []int32      // points per shard
+	offs    []int32      // scatter offsets per shard: each group's end once scattered
+	order   []int32      // point indexes grouped by shard, arrival order within
+	byLoad  []int32      // shards, most points first: the order shares take them
+	next    atomic.Int32 // byLoad's first shard no share has taken
 	db      *DB
 	pts     []BatchPoint
 	wg      sync.WaitGroup
@@ -49,19 +40,32 @@ func (sc *batchScratch) size(points, shards int) {
 	sc.order = slices.Grow(sc.order[:0], points)[:points]
 	sc.counts = slices.Grow(sc.counts[:0], shards)[:shards]
 	sc.offs = slices.Grow(sc.offs[:0], shards)[:shards]
+	sc.byLoad = slices.Grow(sc.byLoad[:0], shards)[:shards]
 	clear(sc.counts)
 }
 
-// AppendBatch appends every point of the batch, grouping points by
-// target shard so each touched shard's lock is taken once for the whole
-// batch. Each point's verdict is written to its Err field (nil, or
-// ErrOutOfOrder/ErrTimeRange as Append would have returned), and the
-// number of accepted points is returned. Points of the same series are
-// applied in slice order, so per-series verdicts — and the per-series
-// seal order the WAL hook observes — match a sequential Append loop
-// exactly. Points of distinct series interleave differently than a
-// sequential loop would (shard by shard, on every core for a large batch),
-// which no contract observes: series are independent everywhere downstream.
+// deal orders the shards by their groups' points, most first (insertion
+// sort, ties by index): shares take the next group as they free up, the
+// largest first, so the shares finish about together.
+func (sc *batchScratch) deal() {
+	for i := range sc.byLoad {
+		j := i
+		for ; j > 0 && sc.counts[sc.byLoad[j-1]] < sc.counts[i]; j-- {
+			sc.byLoad[j] = sc.byLoad[j-1]
+		}
+		sc.byLoad[j] = int32(i)
+	}
+	sc.next.Store(0)
+}
+
+// AppendBatch appends every point of the batch, writing each verdict to
+// its Err (nil, or ErrOutOfOrder/ErrTimeRange as Append would return) and
+// returning how many landed. Points are grouped by target shard, so each
+// touched shard's lock is taken once, and a large batch's groups are
+// applied on every core. A series lives in one shard, so its points are
+// applied in slice order and its verdicts and seal order (what the WAL
+// hook sees) match a sequential Append loop's; only the interleaving of
+// distinct series differs, which no contract observes.
 //
 //nyquist:hotpath
 func (db *DB) AppendBatch(pts []BatchPoint) (accepted int) {
@@ -72,8 +76,11 @@ func (db *DB) AppendBatch(pts []BatchPoint) (accepted int) {
 	sc := batchScratchPool.Get().(*batchScratch)
 	//nyquist:allow-alloc pooled scratch grows to the largest batch seen, then is reused
 	sc.size(len(pts), int(shards))
+	var s uint32
 	for i := range pts {
-		s := fnv32a(pts[i].ID) % shards
+		if i == 0 || pts[i].ID != pts[i-1].ID { // once a run: frames come run-grouped
+			s = fnv32a(pts[i].ID) % shards
+		}
 		sc.shardOf[i] = s
 		sc.counts[s]++
 	}
@@ -87,6 +94,7 @@ func (db *DB) AppendBatch(pts []BatchPoint) (accepted int) {
 		sc.order[sc.offs[s]] = int32(i)
 		sc.offs[s]++
 	}
+	sc.deal()
 	sc.db, sc.pts = db, pts
 	cores.Run(sc, min(cores.Shares(len(pts)), int(shards)), &sc.wg)
 	sc.db, sc.pts = nil, nil
@@ -99,14 +107,16 @@ func (db *DB) AppendBatch(pts []BatchPoint) (accepted int) {
 	return accepted
 }
 
-// Share applies the groups of shards s ≡ w (mod n): disjoint series.
-func (sc *batchScratch) Share(w, n int) {
+// Share applies the next untaken shard group, largest first, until none
+// is left: shares apply disjoint series.
+func (sc *batchScratch) Share(_, _ int) {
 	db, pts := sc.db, sc.pts
-	for s := w; s < len(sc.offs); s += n {
+	for k := int(sc.next.Add(1)) - 1; k < len(sc.byLoad); k = int(sc.next.Add(1)) - 1 {
+		s := sc.byLoad[k]
 		end := sc.offs[s]
 		start := end - sc.counts[s]
 		if start == end {
-			continue
+			return // the rest are empty too
 		}
 		sh := &db.shards[s]
 		sh.mu.Lock()

@@ -30,25 +30,14 @@
 // Snapshot and stats surfaces exist for operator reporting.
 //
 // Raw samples and finalized tier buckets are stored as sealed compressed
-// blocks (block.go): delta-of-delta timestamps and value columns held
-// either as Gorilla XOR chains or, when the column is decimal telemetry,
-// as bit-packed integer deltas — round-trip exact for arbitrary float64
-// values and int64-nanosecond instants. The newest entries of each store
-// wait in its open block, which is compressed as it fills: in the raw
-// store a run of at most one block coded point by point (≈ 2.2 bytes a
-// point on two-decimal telemetry, against 16 for a plain one) and
-// re-planned at its seal, in a tier a miniblock per 16 buckets with only
-// the newest few 48-byte buckets staged; instants are int64 nanoseconds
-// like the blocks', so neither holds pointers for the collector to walk.
-// Measured in 128-point blocks: 1.3 bytes/point on
-// binary-quantized (1/64) diurnal telemetry, 1.4 on two-decimal
-// telemetry, against 32 for a []Point; on the end-to-end benchmark's
-// two-decimal fleet, raw blocks and tier buckets together,
-// stored_bytes_per_point is 2.8 (`sh bench/run.sh --workload
-// steady_bulk`; 11.2 when every column was an XOR chain). The
-// cost is block-granular eviction and decode-on-read for cold history.
-// EncodeBlock/Block/RebuildBlock are usable on their own for wire
-// transfer or snapshot persistence.
+// blocks, round-trip exact for arbitrary float64 values and int64-
+// nanosecond instants (block.go documents the codecs). The newest entries
+// of each store wait in its open block, compressed as it fills, and
+// eviction is block-granular (compress.go); neither holds pointers for the
+// collector to walk. BenchmarkBlockEncode and the end-to-end
+// stored_bytes_per_point measure the sizes (EXPERIMENTS.md); the cost is
+// decode-on-read for cold history. EncodeBlock/Block/RebuildBlock are
+// usable on their own for wire transfer or snapshot persistence.
 package tsdb
 
 import (
@@ -285,26 +274,19 @@ func (db *DB) drainSealed(sh *shard, id string, m *memSeries) {
 // SealAll force-seals every series' active run, firing the seal hook for
 // each block sealed. This is the graceful-shutdown path: a write-ahead
 // log only sees sealed blocks, so sealing the active tails makes them
-// durable before exit. Returns the number of blocks sealed.
+// durable before exit. Returns the number of blocks sealed while it ran.
 func (db *DB) SealAll() int {
-	total := 0
-	h := db.hook()
+	before := db.sealedBlocks.Load()
 	for i := range db.shards {
 		sh := &db.shards[i]
 		sh.mu.Lock()
 		for id, m := range sh.series {
 			m.raw.seal()
-			for _, blk := range m.raw.takeSealed() {
-				total++
-				db.sealedBlocks.Add(1)
-				if h != nil {
-					h(id, blk)
-				}
-			}
+			db.drainSealed(sh, id, m)
 		}
 		sh.mu.Unlock()
 	}
-	return total
+	return int(db.sealedBlocks.Load() - before)
 }
 
 // SetNyquistRate records the series' estimated Nyquist rate (2·f_max, in

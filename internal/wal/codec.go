@@ -63,17 +63,10 @@ func (d *dec) uvarint() uint64 {
 	return v
 }
 
+// varint is binary.Varint's zigzag decoding over uvarint.
 func (d *dec) varint() int64 {
-	if d.fail != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.fail = errShortPayload
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
+	u := d.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
 }
 
 func (d *dec) f64() float64            { return math.Float64frombits(d.uvarint()) }

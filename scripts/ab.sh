@@ -3,11 +3,11 @@
 # command: check two refs out side by side, alternate the end-to-end
 # benchmark between them, and judge every metric BENCHMARK.json declares.
 #
-#   bash scripts/ab.sh <old-ref> <new-ref> [--workload W] [--pairs K]
+#   bash scripts/ab.sh <old-ref> <new-ref> [--workload W] [--pairs K] [--seed S]
 #
-# W defaults to steady_bulk, K to 10. Each ref becomes a `git worktree`
+# W defaults to steady_bulk, K to 10, S to 1. Each ref becomes a `git worktree`
 # under .bench_build/ab/ (removed on exit) and runs its own
-# `sh bench/run.sh --workload W --seed 1 --seconds 24 --trace 0`, so each
+# `sh bench/run.sh --workload W --seed S --seconds 24 --trace 0`, so each
 # side is measured by its own benchmark code; which side goes first
 # alternates pair by pair. Per metric it prints the parent's and the
 # change's median [quartiles] over the K runs, in how many pairs the change
@@ -30,17 +30,18 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-workload=steady_bulk pairs=10 refs=()
+workload=steady_bulk pairs=10 seed=1 refs=()
 while [ $# -gt 0 ]; do
 	case $1 in
 	--workload) workload=$2; shift 2 ;;
 	--pairs) pairs=$2; shift 2 ;;
+	--seed) seed=$2; shift 2 ;;
 	-*) echo "ab.sh: unknown option $1" >&2; exit 2 ;;
 	*) refs+=("$1"); shift ;;
 	esac
 done
 if [ ${#refs[@]} -ne 2 ] || ! [ "$pairs" -ge 1 ] 2>/dev/null; then
-	echo "usage: scripts/ab.sh <old-ref> <new-ref> [--workload W] [--pairs K]" >&2
+	echo "usage: scripts/ab.sh <old-ref> <new-ref> [--workload W] [--pairs K] [--seed S]" >&2
 	exit 2
 fi
 
@@ -62,7 +63,7 @@ results=$root/results.txt
 # "SIDE PAIR METRIC VALUE" lines (values verbatim, as printed).
 run() {
 	local out=$root/$1.out status=ok
-	(cd "$root/$1" && sh bench/run.sh --workload "$workload" --seed 1 --seconds 24 --trace 0) >"$out" 2>"$root/$1.err" || status=failed
+	(cd "$root/$1" && sh bench/run.sh --workload "$workload" --seed "$seed" --seconds 24 --trace 0) >"$out" 2>"$root/$1.err" || status=failed
 	echo "ab.sh: pair $2 $1: $status" >&2
 	{
 		grep -v '^{' "$out" | awk -v e2e="$(tail -1 "$out")" 'NF == 2 && index(e2e, "\"" $1 "\":{\"value\"") == 0'
@@ -75,7 +76,7 @@ for i in $(seq 1 "$pairs"); do
 	if ((i % 2)); then run old "$i"; run new "$i"; else run new "$i"; run old "$i"; fi
 done
 
-echo "workload $workload, $pairs alternating pairs: ${refs[0]} ($(git rev-parse --short "${refs[0]}")) -> ${refs[1]} ($(git rev-parse --short "${refs[1]}"))"
+echo "workload $workload, seed $seed, $pairs alternating pairs: ${refs[0]} ($(git rev-parse --short "${refs[0]}")) -> ${refs[1]} ($(git rev-parse --short "${refs[1]}"))"
 awk -v pairs="$pairs" '
 	function quantile(a, n, p,    pos, lo) {
 		pos = p * (n - 1); lo = int(pos)

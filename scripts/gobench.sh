@@ -12,8 +12,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# bench PATTERN BENCHTIME PACKAGE
-bench() { go test -run '^$' -bench "$1" -benchmem -benchtime "$2" "$3"; }
+# bench PATTERN BENCHTIME PACKAGE [GO-TEST-FLAGS...]
+bench() { go test -run '^$' -bench "$1" -benchmem -benchtime "$2" "${@:4}" "$3"; }
 
 commit=$(git rev-parse HEAD 2>/dev/null || echo unknown)
 [ -z "$(git status --porcelain 2>/dev/null)" ] || commit="$commit-dirty"
@@ -30,9 +30,10 @@ commit=$(git rev-parse HEAD 2>/dev/null || echo unknown)
 	# Ingest with and without the WAL (the delta is the durability tax),
 	# the bare parse/append core, and the bulk lane; then steady_bulk's
 	# frame shape (64 series x 64 consecutive samples, WAL armed), where
-	# the parser's sid reuse and the chunk's fan-out over the cores show.
+	# the parser's sid reuse and every stage's fan-out over the cores
+	# show: on one core and on two, so the per-core scaling is in the log.
 	bench 'BenchmarkIngestBatch|BenchmarkIngestWithWAL|BenchmarkIngestBatchAffinity|BenchmarkBulkLane' 100x ./internal/api/
-	bench 'BenchmarkIngestFrame' 100x ./internal/api/
+	bench 'BenchmarkIngestFrame' 100x ./internal/api/ -cpu 1,2
 	# Read path: the dashboard-hot raw window, sealed history with the
 	# decoded-block cache off and warmed, the ?match= fan-in, and
 	# reconstruct=auto (band-limited) against linear over a tier-1 run and
