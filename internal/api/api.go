@@ -90,15 +90,13 @@ const (
 func DefaultStore() *tsdb.DB { return ServingStore(16, 128) }
 
 // ServingStore returns the serving store with the given shard count and
-// block length: 4096-point raw stores, two min/max/mean tiers of 1024
-// buckets, and a 32 MiB decoded-block cache split across the shards. The
-// store is strict-append: a point it refuses (out of order, or a timestamp
+// block length: 4096-point raw stores and two min/max/mean tiers of 1024
+// buckets. The store is strict-append: a point it refuses (out of order, or a timestamp
 // outside the accepted range) is reported as rejected, never as accepted —
 // the contract the write-ahead log's replay also relies on.
 func ServingStore(shards, compressBlock int) *tsdb.DB {
 	return tsdb.New(tsdb.Config{
-		Shards:     shards,
-		CacheBytes: 32 << 20,
+		Shards: shards,
 		Retention: tsdb.RetentionConfig{
 			RawCapacity:   4096,
 			TierCapacity:  1024,

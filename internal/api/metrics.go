@@ -210,21 +210,6 @@ func newServerMetrics(reg *obs.Registry, store *tsdb.DB, est *monitor.IngestEsti
 	reg.GaugeFunc("nyquistd_tsdb_open_tail_bytes", "Bytes the open blocks hold allocated: the raw runs' buffers (unsealed points, compressed as they arrive), staged tier buckets and the tiers' open compressed payloads.",
 		func() float64 { return float64(ts.get().OpenTailBytes) })
 
-	reg.CounterFunc("nyquistd_query_cache_hits_total", "Sealed-block decodes served from the decoded-block cache.",
-		func() float64 { return float64(ts.get().Cache.Hits) })
-	reg.CounterFunc("nyquistd_query_cache_misses_total", "Sealed-block decodes that missed the cache and ran the codec.",
-		func() float64 { return float64(ts.get().Cache.Misses) })
-	reg.CounterFunc("nyquistd_query_cache_evictions_total", "Decoded-block cache entries LRU-evicted at the byte budget.",
-		func() float64 { return float64(ts.get().Cache.Evictions) })
-	reg.CounterFunc("nyquistd_query_cache_invalidations_total", "Decoded-block cache entries dropped because their block left retention.",
-		func() float64 { return float64(ts.get().Cache.Invalidations) })
-	reg.GaugeFunc("nyquistd_query_cache_bytes", "Decoded-block cache occupancy in bytes.",
-		func() float64 { return float64(ts.get().Cache.Bytes) })
-	reg.GaugeFunc("nyquistd_query_cache_entries", "Decoded-block cache entries currently held.",
-		func() float64 { return float64(ts.get().Cache.Entries) })
-	reg.GaugeFunc("nyquistd_query_cache_max_bytes", "Decoded-block cache byte budget (0 = cache disabled).",
-		func() float64 { return float64(ts.get().Cache.MaxBytes) })
-
 	reg.GaugeFunc("nyquistd_estimator_series", "Series with a live estimator window.",
 		func() float64 { return float64(est.Len()) })
 	reg.GaugeFunc("nyquistd_estimator_state_bytes", "Bytes the estimator holds for its series, from counts: every series' hook state (retention hold included) and each live analysis window's header and ring: 2 or 4 bytes a sample while the series' readings are decimals whose offsets from its first reading fit 16 or 32 bits, 8 once one does not.",

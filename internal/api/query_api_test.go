@@ -465,45 +465,6 @@ func TestReconstructionBeatsStairStep(t *testing.T) {
 	})
 }
 
-// TestStatsAndMetricsCacheBlock pins the cache's observability: the
-// default serving store caches decoded blocks, /api/v1/stats reports the
-// block, and the nyquistd_query_cache_* families move.
-func TestStatsAndMetricsCacheBlock(t *testing.T) {
-	_, ts := newTestServer(t)
-	const id = "obs/cached"
-	// 300 one-second samples: with 128-point blocks, two sealed blocks
-	// plus an active tail.
-	postLines(t, ts.URL, rampLines(id, 300, time.Second))
-	for i := 0; i < 3; i++ {
-		var qr QueryResponse
-		if code := getJSON(t, ts.URL+"/api/v1/query?series="+id, &qr); code != http.StatusOK {
-			t.Fatalf("HTTP %d", code)
-		}
-		if len(qr.Points) != 300 {
-			t.Fatalf("query returned %d points, want 300", len(qr.Points))
-		}
-	}
-	var st StatsResponse
-	if code := getJSON(t, ts.URL+"/api/v1/stats", &st); code != http.StatusOK {
-		t.Fatalf("stats: HTTP %d", code)
-	}
-	if st.Cache == nil {
-		t.Fatal("stats omit the cache block on the default (cached) store")
-	}
-	if st.Cache.MaxBytes != 32<<20 {
-		t.Fatalf("cache max_bytes %d, want the 32 MiB default", st.Cache.MaxBytes)
-	}
-	if st.Cache.Misses == 0 || st.Cache.Hits == 0 || st.Cache.Entries == 0 {
-		t.Fatalf("repeat queries over sealed blocks left the cache idle: %+v", st.Cache)
-	}
-	if got := metricValue(t, ts.URL, "nyquistd_query_cache_hits_total"); got <= 0 {
-		t.Fatalf("nyquistd_query_cache_hits_total = %v, want > 0", got)
-	}
-	if got := metricValue(t, ts.URL, "nyquistd_query_cache_max_bytes"); got != float64(32<<20) {
-		t.Fatalf("nyquistd_query_cache_max_bytes = %v, want %d", got, 32<<20)
-	}
-}
-
 // TestReconstructReadsUnthinnedStore: reconstruction resamples what the
 // store holds, not a stride-thinned subset of it. The series is a 40 s
 // tone polled at 1 Hz and recorded at its Nyquist rate, so the tier keeps

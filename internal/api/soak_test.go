@@ -21,8 +21,8 @@ import (
 
 // TestIngestSoakConservation is the concurrency soak for the batched
 // ingest path, meant to run under -race: HTTP and bulk-lane writers
-// pound disjoint series families while ?match= readers sweep the cached
-// read path and a background goroutine force-seals mid-soak. At the end
+// pound disjoint series families while ?match= readers sweep the read
+// path and a background goroutine force-seals mid-soak. At the end
 // the books must balance exactly — every line a writer sent is accounted
 // accepted or rejected in its response, the store's append counter
 // equals the sum of accepted responses, and the metrics registry agrees

@@ -289,28 +289,9 @@ type StatsResponse struct {
 	// runs' buffers (unsealed points, compressed as they arrive), staged
 	// tier buckets and the tiers' open compressed payloads.
 	OpenTailBytes int64 `json:"open_tail_bytes"`
-	// Cache reports the decoded-block LRU; absent when the cache is
-	// disabled (no CacheBytes budget).
-	Cache *CacheStatsJSON `json:"cache,omitempty"`
 	// WAL reports the durability subsystem; absent when the server runs
 	// memory-only.
 	WAL *WALStatsJSON `json:"wal,omitempty"`
-}
-
-// CacheStatsJSON is the decoded-block LRU's operator view.
-type CacheStatsJSON struct {
-	// MaxBytes is the configured budget across shards; Bytes and Entries
-	// the current occupancy.
-	MaxBytes int64 `json:"max_bytes"`
-	Bytes    int64 `json:"bytes"`
-	Entries  int   `json:"entries"`
-	// Hits and Misses count sealed-block decode lookups; Evictions counts
-	// LRU evictions at the byte budget, Invalidations entries dropped
-	// because their block left retention.
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
-	Evictions     int64 `json:"evictions"`
-	Invalidations int64 `json:"invalidations"`
 }
 
 // WALStatsJSON is the durability subsystem's operator view.
@@ -383,17 +364,6 @@ func statsResponseFrom(st tsdb.Stats, est *monitor.IngestEstimator, walStats *wa
 	}
 	if st.CompressedEntries > 0 {
 		out.BytesPerPoint = float64(st.CompressedBytes) / float64(st.CompressedEntries)
-	}
-	if st.Cache.MaxBytes > 0 {
-		out.Cache = &CacheStatsJSON{
-			MaxBytes:      st.Cache.MaxBytes,
-			Bytes:         st.Cache.Bytes,
-			Entries:       st.Cache.Entries,
-			Hits:          st.Cache.Hits,
-			Misses:        st.Cache.Misses,
-			Evictions:     st.Cache.Evictions,
-			Invalidations: st.Cache.Invalidations,
-		}
 	}
 	if walStats != nil {
 		w := &WALStatsJSON{

@@ -129,7 +129,7 @@ func (sc *batchScratch) Share(_, _ int) {
 			// per-series seal order (everything here is under the lock).
 			if m == nil || bp.ID != lastID {
 				if m != nil {
-					db.drainSealed(sh, lastID, m)
+					db.drainSealed(lastID, m)
 				}
 				m = sh.getOrCreate(bp.ID, &db.cfg.Retention)
 				lastID = bp.ID
@@ -137,7 +137,7 @@ func (sc *batchScratch) Share(_, _ int) {
 			bp.Err = m.append(bp.P, &db.cfg.Retention)
 		}
 		if m != nil {
-			db.drainSealed(sh, lastID, m)
+			db.drainSealed(lastID, m)
 		}
 		sh.mu.Unlock()
 	}

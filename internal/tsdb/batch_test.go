@@ -90,7 +90,7 @@ func TestAppendBatchMatchesSequential(t *testing.T) {
 		}
 		flush()
 
-		// Stats before any read path runs (queries warm the block cache).
+		// Whole-store stats, then every series read back.
 		sb, sr := dbBatch.Stats(), dbRef.Stats()
 		sb.SeriesPerShard, sr.SeriesPerShard = nil, nil
 		if fmt.Sprintf("%+v", sb) != fmt.Sprintf("%+v", sr) {

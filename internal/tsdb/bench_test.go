@@ -171,10 +171,10 @@ func BenchmarkQueryHot(b *testing.B) {
 // benchSealedStore builds the production store shape with most history in
 // sealed Gorilla blocks, and returns a query window that sits entirely in
 // the sealed region (past the active run, inside the raw ring), so every
-// query must decode blocks — or hit the decoded-block cache.
-func benchSealedStore(b *testing.B, cacheBytes int64) (*DB, []string, time.Time, time.Time) {
+// query must decode blocks.
+func benchSealedStore(b *testing.B) (*DB, []string, time.Time, time.Time) {
 	b.Helper()
-	db := New(Config{Shards: 16, CacheBytes: cacheBytes, Retention: RetentionConfig{
+	db := New(Config{Shards: 16, Retention: RetentionConfig{
 		RawCapacity: 4096, TierCapacity: 1024, Tiers: 2, CompressBlock: 128,
 	}})
 	const n = 20000
@@ -211,11 +211,10 @@ func reportTail(b *testing.B, lat []time.Duration) {
 	b.ReportMetric(float64(lat[len(lat)*99/100].Nanoseconds()), "p99-ns/op")
 }
 
-// BenchmarkQueryCold is the sealed-history read path with the decoded-
-// block cache off: every query pays the Gorilla decode for every block in
-// the window. The baseline BenchmarkQueryCached is measured against.
+// BenchmarkQueryCold is the sealed-history read path: every query pays
+// the Gorilla decode for every block in the window.
 func BenchmarkQueryCold(b *testing.B) {
-	db, ids, from, to := benchSealedStore(b, 0)
+	db, ids, from, to := benchSealedStore(b)
 	lat := make([]time.Duration, 0, b.N)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -231,49 +230,14 @@ func BenchmarkQueryCold(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if st := db.Stats(); st.Cache.Hits != 0 {
-		b.Fatalf("cold benchmark served %d cache hits", st.Cache.Hits)
-	}
-	reportTail(b, lat)
-}
-
-// BenchmarkQueryCached is the same sealed-history window with the
-// decoded-block cache on and warmed: repeat dashboard pulls decode each
-// block once, then serve from the LRU. The PR 8 acceptance bar is ≥2x
-// over BenchmarkQueryCold.
-func BenchmarkQueryCached(b *testing.B) {
-	db, ids, from, to := benchSealedStore(b, 64<<20)
-	for _, id := range ids { // warm the cache
-		if _, err := db.Query(id, from, to, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	lat := make([]time.Duration, 0, b.N)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		res, err := db.Query(ids[i%len(ids)], from, to, 0)
-		lat = append(lat, time.Since(t0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Points) == 0 {
-			b.Fatal("sealed window returned no points")
-		}
-	}
-	b.StopTimer()
-	if st := db.Stats(); st.Cache.Hits == 0 {
-		b.Fatal("cached benchmark never hit the cache")
-	}
 	reportTail(b, lat)
 }
 
 // BenchmarkQueryMulti is the fan-in read path: one QueryMatch answers the
 // whole 8-series family over the sealed window under a shared point
-// budget, with the cache on — the multi-panel dashboard shape.
+// budget — the multi-panel dashboard shape.
 func BenchmarkQueryMulti(b *testing.B) {
-	db, ids, from, to := benchSealedStore(b, 64<<20)
+	db, ids, from, to := benchSealedStore(b)
 	lat := make([]time.Duration, 0, b.N)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -10,39 +10,7 @@
 
 package tsdb
 
-import (
-	"math"
-
-	"repro/internal/series"
-)
-
-// pointSeg is one sealed segment of the raw store: a Gorilla block plus
-// its process-unique decoded-block cache key, assigned at seal (and on
-// snapshot restore).
-type pointSeg struct {
-	Block
-	seq uint64
-}
-
-// cachedWindow returns the segment's decoded points trimmed to [lo, hi),
-// served from c (and populating c on a miss). ok is false when there is
-// no cache and the caller must fall back to a streaming decode. The
-// returned slice aliases the shared cache entry and must never be mutated.
-func (s *pointSeg) cachedWindow(c *blockCache, lo, hi int64) (_ []series.Point, ok bool) {
-	if c == nil {
-		return nil, false
-	}
-	pts, hit := c.get(s.seq)
-	if !hit {
-		pts = make([]series.Point, 0, s.Len())
-		it := s.Iter()
-		for it.Next() {
-			pts = append(pts, it.Point())
-		}
-		c.put(s.seq, pts)
-	}
-	return trimWindow(pts, lo, hi), true
-}
+import "math"
 
 // appendSeg appends a sealed segment to a store's FIFO. A store of full
 // blocks never holds more than capacity/blockLen + 1 of them (a seal lands
@@ -61,21 +29,17 @@ func appendSeg[T any](segs []T, seg T, capacity, blockLen int) []T {
 	return append(segs, seg)
 }
 
-// compPoints is the raw store: a FIFO of sealed segments plus the open
+// compPoints is the raw store: a FIFO of sealed blocks plus the open
 // run of at most blockLen points.
 type compPoints struct {
 	blockLen int
 	capacity int // max total points; 0 = unbounded (never evicts)
-	segs     []pointSeg
+	segs     []Block
 	run      rawRun
 	n        int
 	// sealed queues blocks sealed since the last takeSealed — the DB's
 	// seal-hook feed.
 	sealed []Block
-	// evictedSeqs queues the cache keys of segments evicted from
-	// retention since the last takeEvictedSeqs — the DB drains it (under
-	// the shard lock) to invalidate the decoded-block cache.
-	evictedSeqs []uint64
 }
 
 func (c *compPoints) size() int { return c.n }
@@ -107,11 +71,10 @@ func (c *compPoints) seal() {
 	c.sealed = append(c.sealed, blk)
 }
 
-// addSeg lands a sealed block at the young end of the FIFO under a fresh
-// cache key. Its points are already counted in n (seal) or are counted
-// by the caller (restore).
+// addSeg lands a sealed block at the young end of the FIFO. Its points
+// are already counted in n (seal) or are counted by the caller (restore).
 func (c *compPoints) addSeg(blk Block) {
-	c.segs = appendSeg(c.segs, pointSeg{Block: blk, seq: nextSegSeq()}, c.capacity, c.blockLen)
+	c.segs = appendSeg(c.segs, blk, c.capacity, c.blockLen)
 }
 
 // takeSealed drains the sealed-block queue. The returned slice is reused
@@ -126,29 +89,14 @@ func (c *compPoints) takeSealed() []Block {
 	return out
 }
 
-// evictOldest removes and returns the oldest sealed segment. Its cache
-// key is queued for invalidation (see takeEvictedSeqs).
+// evictOldest removes and returns the oldest sealed block.
 func (c *compPoints) evictOldest() Block {
 	seg := c.segs[0]
 	copy(c.segs, c.segs[1:])
-	c.segs[len(c.segs)-1] = pointSeg{}
+	c.segs[len(c.segs)-1] = Block{}
 	c.segs = c.segs[:len(c.segs)-1]
-	c.evictedSeqs = append(c.evictedSeqs, seg.seq)
 	c.n -= seg.Len()
-	return seg.Block
-}
-
-// takeEvictedSeqs drains the queue of cache keys whose segments left
-// retention. The returned slice is reused by later evictions; the
-// caller (the DB, under the shard lock) must consume it before
-// releasing the lock.
-func (c *compPoints) takeEvictedSeqs() []uint64 {
-	if len(c.evictedSeqs) == 0 {
-		return nil
-	}
-	out := c.evictedSeqs
-	c.evictedSeqs = c.evictedSeqs[:0]
-	return out
+	return seg
 }
 
 // bounds returns the oldest and newest retained instants. Storage is in
@@ -168,26 +116,14 @@ func (c *compPoints) bounds() (oldest, newest int64, ok bool) {
 	return oldest, c.segs[len(c.segs)-1].lastNano, true
 }
 
-// each emits every retained point whose segment can overlap [lo, hi).
-// Sealed segments fully outside the window are skipped without decoding.
-// A non-nil cache serves repeated decodes of hot segments from memory:
-// cache-served segments are handed to bulk as one window-trimmed,
-// already-filtered slice (the query hot path appends it with a single
-// copy instead of a closure call per point); everything else streams
-// through emit, which the caller still filters.
-func (c *compPoints) each(lo, hi int64, cache *blockCache, bulk func([]series.Point), emit func(rawPoint)) {
+// each emits every retained point whose block can overlap [lo, hi).
+// Sealed blocks fully outside the window are skipped without decoding;
+// the caller filters what the others emit.
+func (c *compPoints) each(lo, hi int64, emit func(rawPoint)) {
 	for i := range c.segs {
-		s := &c.segs[i]
-		if s.firstNano >= hi || s.lastNano < lo {
-			continue
+		if s := &c.segs[i]; s.firstNano < hi && s.lastNano >= lo {
+			s.Iter().each(emit)
 		}
-		if pts, ok := s.cachedWindow(cache, lo, hi); ok {
-			if len(pts) > 0 {
-				bulk(pts)
-			}
-			continue
-		}
-		s.Iter().each(emit)
 	}
 	c.run.iter().each(emit)
 }

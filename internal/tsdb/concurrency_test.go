@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -167,4 +168,82 @@ func TestConcurrentSameSeries(t *testing.T) {
 			t.Fatalf("point %d at %v precedes %v", i, full.Points[i].Time, full.Points[i-1].Time)
 		}
 	}
+}
+
+// TestConcurrentReadersEvictingWriters is the -race soak of the read
+// path: point and pattern queries against live ingest, forced seals and
+// retention evictions. Run with -race in CI; correctness here is "no
+// race, no panic, contract holds".
+func TestConcurrentReadersEvictingWriters(t *testing.T) {
+	db := New(Config{Shards: 4,
+		Retention: RetentionConfig{RawCapacity: 256, TierCapacity: 64, Tiers: 2, CompressBlock: 16}})
+	ids := make([]string, 8)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("soak/dev%02d", i)
+		fillSealed(db, ids[i], 128)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	// Writers: keep appending (sealing and evicting) across all series.
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			i := 128
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, id := range ids {
+					db.Append(id, series.Point{Time: start.Add(time.Duration(i+w*100000) * time.Second), Value: float64(i)})
+				}
+				i++
+			}
+		}(w)
+	}
+	// A sealer forcing active-tail seals mid-read.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				db.SealAll()
+			}
+		}
+	}()
+	// Readers: point queries and pattern fan-ins.
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				id := ids[rng.Intn(len(ids))]
+				from := start.Add(time.Duration(rng.Intn(256)) * time.Second)
+				to := from.Add(time.Duration(1+rng.Intn(256)) * time.Second)
+				if _, err := db.Query(id, from, to, 64); err != nil {
+					t.Errorf("query: %v", err)
+					return
+				}
+				mres := db.QueryMatch("soak/*", from, to, 64, 4)
+				if len(mres.Results) > 4 {
+					t.Errorf("match returned %d results over the 4-series cap", len(mres.Results))
+					return
+				}
+			}
+		}(r)
+	}
+	time.Sleep(300 * time.Millisecond)
+	close(stop)
+	wg.Wait()
 }

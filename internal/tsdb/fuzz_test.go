@@ -26,36 +26,31 @@ import (
 //
 // The first input byte selects the engine configuration — bit 0 picks
 // raw block length 1 vs 2 (CompressBlock; the raw capacity of 8 allows
-// at most 2), bit 1 enables the decoded-block cache — so all
-// configurations face the same interleavings under the same contract
-// (the cache must be invisible to results, including across retention
-// evictions).
+// at most 2) — so both configurations face the same interleavings under
+// the same contract. Bit 1 once enabled a decoded-block cache, since
+// deleted, and is now ignored: the seeds and corpus keep their layout.
 func FuzzQueryRange(f *testing.F) {
 	f.Add([]byte{0x01, 0x10, 0x42, 0x02, 0x80, 0x03, 0x00, 0xff})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x01, 0x01, 0x02, 0x02, 0x03, 0x03, 0x07})
 	f.Add([]byte("append-cascade-query-interleaving"))
 	f.Add([]byte("Compressed-cascade-query-interleaving"))
-	// Block length 2 + cached (first byte 0x03), with queries (op 3) hitting
-	// the same windows twice so the second read serves from the cache.
+	// Block length 2 (first byte 0x03), with queries (op 3) reading the
+	// same windows twice.
 	f.Add([]byte{0x03, 0x00, 0x10, 0x01, 0x07, 0x00, 0x20, 0x03, 0x06, 0x03, 0x06, 0x03, 0x0c})
-	// Cached with reconstruct-style budgets and retention churn (op 0
-	// floods force evictions → invalidations).
+	// Reconstruct-style budgets and retention churn (op 0 floods force
+	// evictions).
 	f.Add([]byte{0x03, 0x00, 0xff, 0x00, 0xff, 0x00, 0xff, 0x00, 0xff, 0x03, 0x03, 0x00, 0xff, 0x03, 0x09})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		compress, cacheBytes := 1, int64(0)
+		compress := 1
 		if len(data) > 0 {
 			if data[0]%2 == 1 {
 				compress = 2
 			}
-			if (data[0]>>1)%2 == 1 {
-				cacheBytes = 1 << 20
-			}
 			data = data[1:]
 		}
 		db := New(Config{
-			Shards:     2,
-			CacheBytes: cacheBytes,
+			Shards: 2,
 			// Tiny capacities so a short op stream reaches the cascade
 			// and the last tier's forgetting path.
 			Retention: RetentionConfig{

@@ -135,7 +135,7 @@ func (db *DB) QueryMatch(pattern string, from, to time.Time, maxPoints, maxSerie
 			sh.mu.RLock()
 			for _, id := range shardIDs {
 				if m := sh.series[id]; m != nil {
-					local = append(local, m.query(id, from, to, perBudget, sh.cache))
+					local = append(local, m.query(id, from, to, perBudget))
 				}
 			}
 			sh.mu.RUnlock()

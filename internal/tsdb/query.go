@@ -78,9 +78,8 @@ func clampNano(t time.Time) int64 {
 }
 
 // query stitches the retained tiers over [from, to). Caller holds the
-// shard lock. A non-nil cache serves sealed-block decodes from the
-// shard's decoded-block LRU.
-func (m *memSeries) query(id string, from, to time.Time, maxPoints int, cache *blockCache) *QueryResult {
+// shard lock.
+func (m *memSeries) query(id string, from, to time.Time, maxPoints int) *QueryResult {
 	res := &QueryResult{ID: id}
 	lo, hi := windowNanos(from, to)
 	// Coarsest tier first: the cascade makes deeper tiers strictly older,
@@ -118,17 +117,11 @@ func (m *memSeries) query(id string, from, to time.Time, maxPoints int, cache *b
 	// blocks outside the window are skipped without decoding.
 	if oldest, newest, ok := m.raw.bounds(); ok && oldest < hi && newest >= lo {
 		before := len(res.Points)
-		keep := func(p rawPoint) {
+		m.raw.each(lo, hi, func(p rawPoint) {
 			if p.nano >= lo && p.nano < hi {
 				res.Points = append(res.Points, p.point())
 			}
-		}
-		// Cache-resident blocks arrive window-trimmed as whole slices;
-		// one bulk append per block keeps the cached read path free of
-		// the per-point closure cost the streaming decode pays.
-		m.raw.each(lo, hi, cache, func(pts []series.Point) {
-			res.Points = append(res.Points, pts...)
-		}, keep)
+		})
 		if n := len(res.Points) - before; n > 0 {
 			res.Tiers = append(res.Tiers, TierSlice{Tier: 0, Points: n})
 		}

@@ -101,7 +101,7 @@ func (m *memSeries) export(id string) SeriesSnapshot {
 		s.LastTime = time.Unix(0, m.lastNano)
 	}
 	for i := range m.raw.segs {
-		s.Raw = append(s.Raw, m.raw.segs[i].Block)
+		s.Raw = append(s.Raw, m.raw.segs[i])
 	}
 	if n := m.raw.run.n; n > 0 {
 		s.Active = make([]series.Point, 0, n)

@@ -38,8 +38,7 @@ const warmAppends = 15360
 func accountedBytes(m *memSeries) (tails, payloads, index, headers int64) {
 	tails = m.openTailBytes()
 	headers = int64(unsafe.Sizeof(*m)) + int64(cap(m.tiers))*int64(unsafe.Sizeof(m.tiers[0]))
-	index = int64(cap(m.raw.segs))*int64(unsafe.Sizeof(pointSeg{})) +
-		int64(cap(m.raw.sealed))*int64(unsafe.Sizeof(Block{})) + int64(cap(m.raw.evictedSeqs))*8
+	index = int64(cap(m.raw.segs)+cap(m.raw.sealed)) * int64(unsafe.Sizeof(Block{}))
 	for i := range m.raw.segs {
 		payloads += int64(cap(m.raw.segs[i].data))
 	}
@@ -103,6 +102,37 @@ func TestSeriesStateBytes(t *testing.T) {
 			t.Errorf("a %s retains %.0f B of heap, budget %d", shape.name, perHeap, shape.budget)
 		}
 		runtime.KeepAlive(db)
+	}
+}
+
+// TestEvictionRetainsNoState drives a store configured as
+// fleet.NewTieredStore builds one through 1,024 and then 2,048 raw-block
+// evictions, and requires that the series' bookkeeping — open blocks,
+// block indexes and queues, headers — holds no more bytes after the
+// second thousand than after the first: nothing may be queued per
+// evicted block that no reader drains.
+func TestEvictionRetainsNoState(t *testing.T) {
+	ret := RetentionConfig{RawCapacity: 256, TierCapacity: 64, Tiers: 2, CompressBlock: 16}
+	db := New(Config{Retention: ret})
+	const id = "evicting"
+	per := int64(blockLen(ret.CompressBlock, ret.RawCapacity))
+	i := 0
+	stateAfter := func(evictions int64) (tails, index, headers int64) {
+		for m := db.shardFor(id).series[id]; m == nil || m.compacted < evictions*per; m = db.shardFor(id).series[id] {
+			if err := db.Append(id, series.Point{Time: start.Add(time.Duration(i) * time.Second), Value: float64(i%97) / 4}); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}
+		tails, _, index, headers = accountedBytes(db.shardFor(id).series[id])
+		return tails, index, headers
+	}
+	const n = 1024
+	t1, i1, h1 := stateAfter(n)
+	t2, i2, h2 := stateAfter(2 * n)
+	t.Logf("after %d / %d evictions: open blocks %d / %d B, block index %d / %d B, headers %d / %d B", n, 2*n, t1, t2, i1, i2, h1, h2)
+	if t2 > t1 || i2 > i1 || h2 > h1 {
+		t.Errorf("series state grew between %d and %d evictions: open blocks %d → %d, index %d → %d, headers %d → %d B", n, 2*n, t1, t2, i1, i2, h1, h2)
 	}
 }
 

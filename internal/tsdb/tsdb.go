@@ -60,11 +60,6 @@ type Config struct {
 	Shards int
 	// Retention is the per-series retention policy.
 	Retention RetentionConfig
-	// CacheBytes, when positive, bounds a decoded-block LRU split evenly
-	// across the shards: queries over sealed compressed history serve
-	// repeat decodes from memory instead of re-running the codec; 0
-	// disables the cache.
-	CacheBytes int64
 }
 
 // RetentionConfig is the per-series multi-resolution retention policy.
@@ -112,9 +107,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Retention.CompressBlock <= 0 {
 		c.Retention.CompressBlock = 128
-	}
-	if c.CacheBytes < 0 {
-		c.CacheBytes = 0
 	}
 	return c
 }
@@ -165,9 +157,6 @@ type shard struct {
 	//nyquist:hotlock
 	mu     sync.RWMutex
 	series map[string]*memSeries
-	// cache is the shard's decoded-block LRU (nil = disabled). It has its
-	// own lock; the only ordering is shard lock → cache lock.
-	cache *blockCache
 }
 
 // New returns an empty DB. Zero-value config fields select defaults (16
@@ -175,12 +164,8 @@ type shard struct {
 func New(cfg Config) *DB {
 	c := cfg.withDefaults()
 	db := &DB{cfg: c, shards: make([]shard, c.Shards)}
-	per := c.CacheBytes / int64(c.Shards)
 	for i := range db.shards {
 		db.shards[i].series = make(map[string]*memSeries)
-		if per > 0 {
-			db.shards[i].cache = newBlockCache(per)
-		}
 	}
 	return db
 }
@@ -226,7 +211,7 @@ func (db *DB) Append(id string, p series.Point) error {
 	sh.mu.Lock()
 	m := sh.getOrCreate(id, &db.cfg.Retention)
 	err := m.append(p, &db.cfg.Retention)
-	db.drainSealed(sh, id, m)
+	db.drainSealed(id, m)
 	sh.mu.Unlock()
 	return err
 }
@@ -239,7 +224,7 @@ func (db *DB) AppendUniform(id string, u *series.Uniform) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	m := sh.getOrCreate(id, &db.cfg.Retention)
-	defer db.drainSealed(sh, id, m)
+	defer db.drainSealed(id, m)
 	for i, v := range u.Values {
 		if err := m.append(series.Point{Time: u.TimeAt(i), Value: v}, &db.cfg.Retention); err != nil {
 			return err
@@ -248,17 +233,10 @@ func (db *DB) AppendUniform(id string, u *series.Uniform) error {
 	return nil
 }
 
-// drainSealed hands any freshly sealed raw blocks to the seal hook and
-// invalidates decoded-block cache entries for segments that left
-// retention. Caller holds the shard lock, which is what serializes hook
-// calls per series and orders invalidations after the eviction they
-// reflect.
-func (db *DB) drainSealed(sh *shard, id string, m *memSeries) {
-	if sh.cache != nil {
-		for _, seq := range m.raw.takeEvictedSeqs() {
-			sh.cache.invalidate(seq)
-		}
-	}
+// drainSealed hands any freshly sealed raw blocks to the seal hook.
+// Caller holds the shard lock, which is what serializes hook calls per
+// series.
+func (db *DB) drainSealed(id string, m *memSeries) {
 	sealed := m.raw.takeSealed()
 	if len(sealed) == 0 {
 		return
@@ -282,7 +260,7 @@ func (db *DB) SealAll() int {
 		sh.mu.Lock()
 		for id, m := range sh.series {
 			m.raw.seal()
-			db.drainSealed(sh, id, m)
+			db.drainSealed(id, m)
 		}
 		sh.mu.Unlock()
 	}
@@ -340,7 +318,7 @@ func (db *DB) Query(id string, from, to time.Time, maxPoints int) (*QueryResult,
 	if m == nil {
 		return nil, ErrNoSeries
 	}
-	return m.query(id, from, to, maxPoints, sh.cache), nil
+	return m.query(id, from, to, maxPoints), nil
 }
 
 // Full returns everything retained for id across all tiers.
@@ -386,16 +364,6 @@ func (db *DB) Stats() Stats {
 			st.OpenTailBytes += m.openTailBytes()
 		}
 		sh.mu.RUnlock()
-		if c := sh.cache; c != nil {
-			bytes, entries := c.snapshot()
-			st.Cache.MaxBytes += c.maxBytes
-			st.Cache.Bytes += bytes
-			st.Cache.Entries += entries
-			st.Cache.Hits += c.hits.Load()
-			st.Cache.Misses += c.misses.Load()
-			st.Cache.Evictions += c.evictions.Load()
-			st.Cache.Invalidations += c.invalidations.Load()
-		}
 	}
 	st.CompressedBytes = st.RawCompressedBytes + st.TierCompressedBytes
 	st.CompressedEntries = st.RawCompressedEntries + st.TierCompressedEntries
@@ -471,9 +439,6 @@ type Stats struct {
 	// SealedBlocks counts raw blocks sealed over the DB's lifetime
 	// (append-filled plus force-sealed).
 	SealedBlocks int64
-	// Cache aggregates the per-shard decoded-block LRUs (zero-valued when
-	// the cache is disabled — Cache.MaxBytes == 0 distinguishes the two).
-	Cache CacheStats
 	// SeriesPerShard is the series count per shard (load-balance view).
 	SeriesPerShard []int
 }

@@ -319,8 +319,16 @@ func TestNegativeTiersPlainBoundedRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(full.Points) != st.RawPoints || full.Points[0].Value != float64(101-st.RawPoints) {
+	if len(full.Points) != st.RawPoints {
 		t.Fatalf("retained = %+v, want the newest %d", full.Points, st.RawPoints)
+	}
+	// Exactly the newest points, each at its own instant: nothing evicted
+	// comes back, nothing retained is missing.
+	for i, p := range full.Points {
+		k := 101 - st.RawPoints + i
+		if p.Value != float64(k) || !p.Time.Equal(start.Add(time.Duration(k)*time.Second)) {
+			t.Fatalf("retained point %d = %v@%v, want %d@%v", i, p.Value, p.Time, k, start.Add(time.Duration(k)*time.Second))
+		}
 	}
 }
 

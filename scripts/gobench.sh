@@ -34,11 +34,11 @@ commit=$(git rev-parse HEAD 2>/dev/null || echo unknown)
 	# show: on one core and on two, so the per-core scaling is in the log.
 	bench 'BenchmarkIngestBatch|BenchmarkIngestWithWAL|BenchmarkIngestBatchAffinity|BenchmarkBulkLane' 100x ./internal/api/
 	bench 'BenchmarkIngestFrame' 100x ./internal/api/ -cpu 1,2
-	# Read path: the dashboard-hot raw window, sealed history with the
-	# decoded-block cache off and warmed, the ?match= fan-in, and
+	# Read path: the dashboard-hot raw window, sealed history decoded on
+	# every read, the ?match= fan-in, and
 	# reconstruct=auto (band-limited) against linear over a tier-1 run and
 	# over a dashboard_hot query's 16 raw members.
-	bench 'BenchmarkQueryHot|BenchmarkQueryCold|BenchmarkQueryCached|BenchmarkQueryMulti' 100x ./internal/tsdb/
+	bench 'BenchmarkQueryHot|BenchmarkQueryCold|BenchmarkQueryMulti' 100x ./internal/tsdb/
 	bench 'BenchmarkReconstructTier|BenchmarkReconstructMatch' 100x ./internal/api/
 	# Both codecs' two kernels, on binary-quantized (XOR) and two-decimal
 	# (decimal) data: ns and bytes per point and per bucket.

@@ -158,8 +158,6 @@ for fam in nyquistd_http_requests_total nyquistd_http_request_seconds \
     nyquistd_ingest_points_total nyquistd_ingest_parse_total \
     nyquistd_query_seconds nyquistd_tsdb_appends_total \
     nyquistd_tsdb_series nyquistd_wal_enabled nyquistd_wal_fsync_seconds \
-    nyquistd_query_cache_hits_total nyquistd_query_cache_misses_total \
-    nyquistd_query_cache_bytes nyquistd_query_cache_max_bytes \
     nyquistd_estimator_series nyquistd_estimator_probes_total nyquistd_up \
     nyquistd_bulk_frames_total nyquistd_bulk_bytes_total \
     nyquistd_bulk_connections nyquistd_ingest_batch_bytes \
