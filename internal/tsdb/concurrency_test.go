@@ -170,11 +170,12 @@ func TestConcurrentSameSeries(t *testing.T) {
 	}
 }
 
-// TestConcurrentReadersEvictingWriters is the -race soak of the read
-// path: point and pattern queries against live ingest, forced seals and
-// retention evictions. Run with -race in CI; correctness here is "no
-// race, no panic, contract holds".
-func TestConcurrentReadersEvictingWriters(t *testing.T) {
+// TestCacheConcurrentReadersWriters is the -race soak of the read path
+// (named for the decoded-block cache it was written against): point and
+// pattern queries against live ingest, forced seals and retention
+// evictions. Run with -race in CI; correctness here is "no race, no
+// panic, contract holds".
+func TestCacheConcurrentReadersWriters(t *testing.T) {
 	db := New(Config{Shards: 4,
 		Retention: RetentionConfig{RawCapacity: 256, TierCapacity: 64, Tiers: 2, CompressBlock: 16}})
 	ids := make([]string, 8)
