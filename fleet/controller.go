@@ -191,11 +191,11 @@ type RoundSummary struct {
 	Converged int
 }
 
-// perDevice is one worker's outcome for one device in one round.
+// perDevice is one worker's outcome for one device in one round: the
+// estimator's answer on its window, or the error that kept it from one.
 type perDevice struct {
 	samples int
-	aliased bool
-	nyquist float64 // clean estimate to feed the store's retention (0 = none)
+	nyquist float64
 	err     error
 }
 
@@ -228,31 +228,28 @@ func (ctl *Controller) Step() (RoundSummary, error) {
 	demands := make([]monitor.Demand, n)
 	for i := range results {
 		r := &results[i]
-		if r.err != nil {
-			return sum, fmt.Errorf("fleet: round %d device %s: %w", ctl.round, devices[i].ID, r.err)
+		// core.RatePolicy decides (rounds are disjoint windows: turnover 1).
+		d, err := ctl.policy[i].Feed(r.nyquist, r.err, 1)
+		if err != nil {
+			return sum, fmt.Errorf("fleet: round %d device %s: %w", ctl.round, devices[i].ID, err)
+		}
+		if d.Changed {
+			ctl.store.SetNyquistRate(devices[i].ID, d.Held)
 		}
 		sum.Samples += r.samples
 		ctl.cost[i].Add(monitor.DefaultCostModel(), r.samples)
-		ctl.aliased[i] = r.aliased
-		// core.RatePolicy decides (rounds are disjoint windows: turnover
-		// 1). A clean estimate may only lower or hold the poll rate — a
-		// clean window certifies the current rate recovers the content,
-		// so chasing a noise-floor estimate upward is never warranted.
-		var desired float64
-		if r.aliased {
+		ctl.aliased[i] = d.Aliased
+		desired := ctl.rate[i]
+		if d.Aliased {
 			sum.Aliased++
-			desired = ctl.rate[i]
-			if ctl.policy[i].Aliased() {
-				desired = clamp(2*ctl.rate[i], minRate, maxRate)
+			if d.Probe {
+				desired = clamp(2*desired, minRate, maxRate)
 			}
 		} else {
-			if held, changed := ctl.policy[i].Clean(r.nyquist, 1); changed {
-				ctl.store.SetNyquistRate(devices[i].ID, held)
-			}
-			desired = clamp(series.Headroom*r.nyquist, minRate, maxRate)
-			if desired > ctl.rate[i] {
-				desired = ctl.rate[i]
-			}
+			// A clean estimate may only lower or hold the poll rate — a
+			// clean window certifies the current rate recovers the content,
+			// so chasing a noise-floor estimate upward is never warranted.
+			desired = min(clamp(series.Headroom*r.nyquist, minRate, maxRate), desired)
 		}
 		demands[i] = monitor.Demand{ID: devices[i].ID, NyquistRate: desired}
 		sum.DemandHz += desired
@@ -332,17 +329,10 @@ func (ctl *Controller) pollOne(i int) perDevice {
 	ctl.cursor[i] = base + float64(n)*ivs
 
 	res, err := st.Current()
-	switch {
-	case errors.Is(err, core.ErrAliased):
-		// The window needed (nearly) every bin: content above the
-		// current rate's Nyquist limit (or a noise blip — Step's
-		// RatePolicy decides whether to probe upward, §4.2).
-		out.aliased = true
-	case err != nil:
-		out.err = err
-	default:
+	if res != nil {
 		out.nyquist = res.NyquistRate
 	}
+	out.err = err
 	return out
 }
 

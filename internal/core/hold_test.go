@@ -1,240 +1,311 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
-// TestRetentionHold walks the §4.2 asymmetry step by step: every row
-// offers one estimate and states the held rate, whether it changed, and
-// how many lower estimates the hold has counted since.
+// Step inputs of policySteps that are not a clean rate.
+const (
+	aliased  = -1 // Feed(0, ErrAliased)
+	tooShort = -2 // Feed(0, ErrTooShort)
+	regrid   = -3 // Regrid()
+)
+
+// policyStep feeds one analysis window's answer from the estimator (a clean
+// rate, an aliased verdict or a window too short to estimate) or regrids,
+// and states the Decision's true flags, the held rate and the clean run and
+// counted lower estimates afterwards.
+type policyStep struct {
+	in           float64
+	flags        string // the Decision's true flags, space separated
+	held         float64
+	clean, below int
+}
+
+// runPolicy walks a fresh RatePolicy through steps at one turnover.
+func runPolicy(t *testing.T, turnover int, steps []policyStep) {
+	t.Helper()
+	var p RatePolicy
+	for i, st := range steps {
+		var d Decision
+		var err error
+		switch st.in {
+		case aliased:
+			d, err = p.Feed(0, ErrAliased, turnover)
+		case tooShort:
+			d, err = p.Feed(0, ErrTooShort, turnover)
+		case regrid:
+			p.Regrid()
+			d.Held = p.Held()
+		default:
+			d, err = p.Feed(st.in, nil, turnover)
+		}
+		var flags []string
+		for _, f := range []struct {
+			on   bool
+			name string
+		}{{d.Aliased, "aliased"}, {d.Probe, "probe"}, {d.Trusted, "trusted"}, {d.Changed, "changed"}} {
+			if f.on {
+				flags = append(flags, f.name)
+			}
+		}
+		if got := strings.Join(flags, " "); err != nil || got != st.flags || d.Held != st.held || p.Held() != d.Held ||
+			p.CleanStreak() != st.clean || p.Below() != st.below {
+			t.Fatalf("step %d (%v): %q held %v (policy %v) clean %d below %d err %v, want %q %v %d %d",
+				i, st.in, got, d.Held, p.Held(), p.CleanStreak(), p.Below(), err, st.flags, st.held, st.clean, st.below)
+		}
+	}
+}
+
+// TestRetentionHold walks the held rate, the §4.2 asymmetry RatePolicy
+// keeps, through Feed: it rises on the first trusted estimate above it and
+// falls only once turnover trusted estimates in a row have been lower. Over
+// overlapping windows (turnover > 1) each row's first clean estimate is not
+// yet trusted.
 func TestRetentionHold(t *testing.T) {
-	type step struct {
-		offer       float64
-		wantRate    float64
-		wantChanged bool
-		wantBelow   int
-	}
 	for _, tc := range []struct {
 		name     string
 		turnover int
-		steps    []step
+		steps    []policyStep
 	}{
-		{"raises at once, equal changes nothing", 4, []step{
-			{0.5, 0.5, true, 0},
-			{0.5, 0.5, false, 0},
-			{0.75, 0.75, true, 0},
-			{0.75, 0.75, false, 0},
+		{"raises at once, equal changes nothing", 4, []policyStep{
+			{0.5, "", 0, 1, 0},
+			{0.5, "trusted changed", 0.5, 2, 0},
+			{0.5, "trusted", 0.5, 3, 0},
+			{0.75, "trusted changed", 0.75, 4, 0},
+			{0.75, "trusted", 0.75, 5, 0},
 		}},
-		{"turnover-1 lower estimates change nothing, the turnover-th lowers to their max, not their last", 4, []step{
-			{1, 1, true, 0},
-			{0.5, 1, false, 1},
-			{0.75, 1, false, 2},
-			{0.25, 1, false, 3},
-			{0.5, 0.75, true, 0},
+		{"turnover-1 lower estimates change nothing, the turnover-th lowers to their max, not their last", 4, []policyStep{
+			{1, "", 0, 1, 0},
+			{1, "trusted changed", 1, 2, 0},
+			{0.5, "trusted", 1, 3, 1},
+			{0.75, "trusted", 1, 4, 2},
+			{0.25, "trusted", 1, 5, 3},
+			{0.5, "trusted changed", 0.75, 6, 0},
 			// The wait restarts from the new rate.
-			{0.5, 0.75, false, 1},
-			{0.5, 0.75, false, 2},
-			{0.5, 0.75, false, 3},
-			{0.5, 0.5, true, 0},
+			{0.5, "trusted", 0.75, 7, 1},
+			{0.5, "trusted", 0.75, 8, 2},
+			{0.5, "trusted", 0.75, 9, 3},
+			{0.5, "trusted changed", 0.5, 10, 0},
 		}},
-		{"a higher estimate mid-wait raises and clears the wait", 3, []step{
-			{1, 1, true, 0},
-			{0.5, 1, false, 1},
-			{0.5, 1, false, 2},
-			{2, 2, true, 0},
-			{0.5, 2, false, 1},
-			{0.75, 2, false, 2},
-			{0.25, 0.75, true, 0},
+		{"a higher estimate mid-wait raises and clears the wait", 3, []policyStep{
+			{1, "", 0, 1, 0},
+			{1, "trusted changed", 1, 2, 0},
+			{0.5, "trusted", 1, 3, 1},
+			{0.5, "trusted", 1, 4, 2},
+			{2, "trusted changed", 2, 5, 0},
+			{0.5, "trusted", 2, 6, 1},
+			{0.75, "trusted", 2, 7, 2},
+			{0.25, "trusted changed", 0.75, 8, 0},
 		}},
-		{"an equal estimate mid-wait clears the wait and its peak", 3, []step{
-			{1, 1, true, 0},
-			{0.75, 1, false, 1},
-			{0.75, 1, false, 2},
-			{1, 1, false, 0},
-			{0.25, 1, false, 1},
-			{0.25, 1, false, 2},
-			{0.25, 0.25, true, 0},
+		{"an equal estimate mid-wait clears the wait and its peak", 3, []policyStep{
+			{1, "", 0, 1, 0},
+			{1, "trusted changed", 1, 2, 0},
+			{0.75, "trusted", 1, 3, 1},
+			{0.75, "trusted", 1, 4, 2},
+			{1, "trusted", 1, 5, 0},
+			{0.25, "trusted", 1, 6, 1},
+			{0.25, "trusted", 1, 7, 2},
+			{0.25, "trusted changed", 0.25, 8, 0},
 		}},
-		{"turnover 1 follows every estimate", 1, []step{
-			{1, 1, true, 0},
-			{0.5, 0.5, true, 0},
-			{0.5, 0.5, false, 0},
-			{0.25, 0.25, true, 0},
-			{0.75, 0.75, true, 0},
+		{"turnover 1 follows every estimate", 1, []policyStep{
+			{1, "trusted changed", 1, 1, 0},
+			{0.5, "trusted changed", 0.5, 2, 0},
+			{0.5, "trusted", 0.5, 3, 0},
+			{0.25, "trusted changed", 0.25, 4, 0},
+			{0.75, "trusted changed", 0.75, 5, 0},
 		}},
-		{"turnover 0 and below likewise", -3, []step{
-			{1, 1, true, 0},
-			{0.5, 0.5, true, 0},
-			{0.75, 0.75, true, 0},
+		{"turnover 0 and below likewise", -3, []policyStep{
+			{1, "trusted changed", 1, 1, 0},
+			{0.5, "trusted changed", 0.5, 2, 0},
+			{0.75, "trusted changed", 0.75, 3, 0},
 		}},
-		{"NaN, zero, negative and +Inf never enter", 2, []step{
-			{math.NaN(), 0, false, 0},
-			{0, 0, false, 0},
-			{-1, 0, false, 0},
-			{math.Inf(1), 0, false, 0},
-			{1, 1, true, 0},
-			{0.5, 1, false, 1},
-			// Neither counted as lower estimates nor as a reset of the wait.
-			{math.NaN(), 1, false, 1},
-			{0, 1, false, 1},
-			{math.Inf(-1), 1, false, 1},
-			{math.Inf(1), 1, false, 1},
-			{0.25, 0.5, true, 0},
+		{"NaN, zero, negative and +Inf never enter", 3, []policyStep{
+			{math.NaN(), "", 0, 0, 0},
+			{0, "", 0, 0, 0},
+			{-0.5, "", 0, 0, 0},
+			{math.Inf(1), "", 0, 0, 0},
+			{1, "", 0, 1, 0},
+			{1, "trusted changed", 1, 2, 0},
+			{0.5, "trusted", 1, 3, 1},
+			// No verdict restarts the clean run, but is neither counted as a
+			// lower estimate nor a reset of the wait.
+			{math.NaN(), "", 1, 0, 1},
+			{0, "", 1, 0, 1},
+			{math.Inf(-1), "", 1, 0, 1},
+			{math.Inf(1), "", 1, 0, 1},
+			{0.25, "", 1, 1, 1},
+			{0.25, "trusted", 1, 2, 2},
+			{0.25, "trusted changed", 0.5, 3, 0},
 		}},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var h RetentionHold
-			for i, s := range tc.steps {
-				rate, changed := h.Offer(s.offer, tc.turnover)
-				if rate != s.wantRate || changed != s.wantChanged || h.Below() != s.wantBelow || h.Rate() != rate {
-					t.Fatalf("step %d: Offer(%v) = (%v, %v), below %d, Rate() %v; want (%v, %v), below %d",
-						i, s.offer, rate, changed, h.Below(), h.Rate(), s.wantRate, s.wantChanged, s.wantBelow)
-				}
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { runPolicy(t, tc.turnover, tc.steps) })
 	}
 }
 
-// TestRetentionHoldReset pins the restart/re-probe entry: the rate comes
-// back, the lower estimates counted so far do not.
+// TestRetentionHoldReset pins the restart and re-probe entries: the held
+// rate comes back, the lower estimates counted so far do not.
 func TestRetentionHoldReset(t *testing.T) {
-	var h RetentionHold
-	h.Offer(1, 3)
-	h.Offer(0.75, 3)
-	h.Offer(0.75, 3)
-	h.Reset(h.Rate())
-	if h.Rate() != 1 || h.Below() != 0 {
-		t.Fatalf("after Reset: rate %v, below %d; want 1, 0", h.Rate(), h.Below())
-	}
-	// A full fresh turnover is needed again, and the forgotten 0.75s do
-	// not set its level.
-	for i, want := range []float64{1, 1, 0.5} {
-		if rate, _ := h.Offer(0.5, 3); rate != want {
-			t.Fatalf("offer %d after Reset: rate %v, want %v", i, rate, want)
-		}
-	}
-	for _, bad := range []float64{math.NaN(), 0, -2, math.Inf(1)} {
-		h.Reset(bad)
-		if h.Rate() != 0 {
-			t.Fatalf("Reset(%v) holds %v, want nothing", bad, h.Rate())
-		}
-	}
-}
+	// Regrid keeps the held rate and forgets both runs and the wait: a fresh
+	// clean run and a full fresh turnover are needed again, and the
+	// forgotten 0.75s do not set the level it lowers to.
+	runPolicy(t, 3, []policyStep{
+		{1, "", 0, 1, 0},
+		{1, "trusted changed", 1, 2, 0},
+		{0.75, "trusted", 1, 3, 1},
+		{0.75, "trusted", 1, 4, 2},
+		{aliased, "aliased", 1, 0, 2},
+		{regrid, "", 1, 0, 0},
+		{aliased, "aliased", 1, 0, 0},
+		{0.5, "", 1, 1, 0},
+		{0.5, "trusted", 1, 2, 1},
+		{0.5, "trusted", 1, 3, 2},
+		{0.5, "trusted changed", 0.5, 4, 0},
+	})
 
-// TestRatePolicy walks the §4.2 contract one verdict at a time: every row
-// feeds one aliased verdict (rate < 0) or one clean estimate and states
-// what the policy answers and holds afterwards.
-func TestRatePolicy(t *testing.T) {
-	const aliased = -1
-	type step struct {
-		rate        float64
-		wantProbe   bool // aliased rows only
-		wantHeld    float64
-		wantChanged bool
-		wantClean   int
-		wantBelow   int
-	}
-	for _, tc := range []struct {
-		name     string
-		turnover int
-		steps    []step
-	}{
-		{"aliased once is a blip, twice probes, a clean verdict between starts over", 1, []step{
-			{aliased, false, 0, false, 0, 0},
-			{aliased, true, 0, false, 0, 0},
-			{aliased, true, 0, false, 0, 0},
-			{0.5, false, 0.5, true, 1, 0},
-			{aliased, false, 0.5, false, 0, 0},
-			{0.5, false, 0.5, false, 1, 0},
-			{aliased, false, 0.5, false, 0, 0},
-			{aliased, true, 0.5, false, 0, 0},
-		}},
-		{"disjoint windows trust the first clean estimate and follow every one", 1, []step{
-			{0.5, false, 0.5, true, 1, 0},
-			{0.25, false, 0.25, true, 2, 0},
-			{aliased, false, 0.25, false, 0, 0},
-			{0.75, false, 0.75, true, 1, 0},
-		}},
-		{"overlapping windows trust the second", 4, []step{
-			{0.5, false, 0, false, 1, 0},
-			{0.75, false, 0.75, true, 2, 0},
-			{aliased, false, 0.75, false, 0, 0},
-			{1, false, 0.75, false, 1, 0},
-			{1, false, 1, true, 2, 0},
-		}},
-		{"aliased verdicts neither count toward nor reset the hold's wait", 3, []step{
-			{1, false, 0, false, 1, 0},
-			{1, false, 1, true, 2, 0},
-			{0.5, false, 1, false, 3, 1},
-			{aliased, false, 1, false, 0, 1},
-			{aliased, true, 1, false, 0, 1},
-			{0.25, false, 1, false, 1, 1}, // first of a new clean run: not offered
-			{0.25, false, 1, false, 2, 2},
-			{0.375, false, 0.5, true, 3, 0}, // the third lower one: down to their max
-		}},
-		{"a rate that is none is no verdict: both runs start over, the hold is untouched", 4, []step{
-			{1, false, 0, false, 1, 0},
-			{1, false, 1, true, 2, 0},
-			{0.5, false, 1, false, 3, 1},
-			{0, false, 1, false, 0, 1},
-			{math.NaN(), false, 1, false, 0, 1},
-			{aliased, false, 1, false, 0, 1},
-			{math.Inf(1), false, 1, false, 0, 1},
-			{aliased, false, 1, false, 0, 1},
-		}},
-	} {
-		var p RatePolicy
-		for i, st := range tc.steps {
-			var held float64
-			var changed, probe bool
-			if st.rate == aliased {
-				probe = p.Aliased()
-				held = p.Held()
-			} else {
-				held, changed = p.Clean(st.rate, tc.turnover)
-			}
-			if probe != st.wantProbe || held != st.wantHeld || p.Held() != held || changed != st.wantChanged ||
-				p.CleanStreak() != st.wantClean || p.Below() != st.wantBelow {
-				t.Fatalf("%s: step %d (%v): probe %v held %v changed %v clean %d below %d, want %v %v %v %d %d",
-					tc.name, i, st.rate, probe, held, changed, p.CleanStreak(), p.Below(),
-					st.wantProbe, st.wantHeld, st.wantChanged, st.wantClean, st.wantBelow)
-			}
-		}
-	}
-
-	// Regrid keeps the held rate and clears both runs and the wait.
+	// Restore brings back the held rate and the clean run, not the wait.
 	var p RatePolicy
 	for _, r := range []float64{1, 1, 0.5, 0.5} {
-		p.Clean(r, 8)
+		p.Feed(r, nil, 8)
 	}
-	p.Aliased()
-	if p.Held() != 1 || p.Below() != 2 {
-		t.Fatalf("before regrid: held %v below %d, want 1 and 2", p.Held(), p.Below())
-	}
-	p.Regrid()
-	if p.Held() != 1 || p.Below() != 0 || p.CleanStreak() != 0 || p.Aliased() {
-		t.Fatalf("after regrid: held %v below %d clean %d (or the aliased run survived), want 1, 0, 0", p.Held(), p.Below(), p.CleanStreak())
-	}
-	// Restore brings back the held rate and the clean run, not the wait.
 	p.Restore(0.5, 1)
-	if held, changed := p.Clean(0.75, 8); held != 0.75 || !changed || p.CleanStreak() != 2 {
-		t.Fatalf("after restore: held %v changed %v clean %d, want the second clean verdict trusted", held, changed, p.CleanStreak())
+	if p.Below() != 0 {
+		t.Fatalf("after restore: below %d, want 0", p.Below())
 	}
-	p.Restore(math.NaN(), -3)
-	if p.Held() != 0 || p.CleanStreak() != 0 {
-		t.Fatalf("restoring no rate: held %v clean %d, want nothing held", p.Held(), p.CleanStreak())
+	if d, _ := p.Feed(0.75, nil, 8); d.Held != 0.75 || !d.Changed || p.CleanStreak() != 2 {
+		t.Fatalf("after restore: %+v clean %d, want the second clean verdict trusted", d, p.CleanStreak())
 	}
+	for _, bad := range []float64{math.NaN(), 0, -2, math.Inf(1)} {
+		p.Restore(bad, -3)
+		if p.Held() != 0 || p.CleanStreak() != 0 {
+			t.Fatalf("restoring %v: held %v clean %d, want nothing held", bad, p.Held(), p.CleanStreak())
+		}
+	}
+}
+
+// TestRatePolicy walks the verdicts: aliased ones, which probe only once
+// persistent and never touch the hold, windows too short to estimate,
+// which are no verdict, and the trust a clean run earns.
+func TestRatePolicy(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		turnover int
+		steps    []policyStep
+	}{
+		{"aliased once is a blip, twice probes, a clean verdict between starts over", 1, []policyStep{
+			{aliased, "aliased", 0, 0, 0},
+			{aliased, "aliased probe", 0, 0, 0},
+			{aliased, "aliased probe", 0, 0, 0},
+			{0.5, "trusted changed", 0.5, 1, 0},
+			{aliased, "aliased", 0.5, 0, 0},
+			{0.5, "trusted", 0.5, 1, 0},
+			{aliased, "aliased", 0.5, 0, 0},
+			{aliased, "aliased probe", 0.5, 0, 0},
+		}},
+		{"disjoint windows trust the first clean estimate and follow every one", 1, []policyStep{
+			{0.5, "trusted changed", 0.5, 1, 0},
+			{0.25, "trusted changed", 0.25, 2, 0},
+			{aliased, "aliased", 0.25, 0, 0},
+			{0.75, "trusted changed", 0.75, 1, 0},
+			{0.75, "trusted", 0.75, 2, 0},
+		}},
+		{"a window too short is no verdict: both runs start over, the hold is untouched", 1, []policyStep{
+			{0.5, "trusted changed", 0.5, 1, 0},
+			{aliased, "aliased", 0.5, 0, 0},
+			{tooShort, "", 0.5, 0, 0},
+			{aliased, "aliased", 0.5, 0, 0},
+			{0.25, "trusted changed", 0.25, 1, 0},
+			{tooShort, "", 0.25, 0, 0},
+			{0.125, "trusted changed", 0.125, 1, 0},
+		}},
+		{"overlapping windows trust the second", 4, []policyStep{
+			{0.5, "", 0, 1, 0},
+			{0.75, "trusted changed", 0.75, 2, 0},
+			{aliased, "aliased", 0.75, 0, 0},
+			{1, "", 0.75, 1, 0},
+			{1, "trusted changed", 1, 2, 0},
+		}},
+		{"aliased verdicts neither count toward nor reset the hold's wait", 3, []policyStep{
+			{1, "", 0, 1, 0},
+			{1, "trusted changed", 1, 2, 0},
+			{0.5, "trusted", 1, 3, 1},
+			{aliased, "aliased", 1, 0, 1},
+			{aliased, "aliased probe", 1, 0, 1},
+			{0.25, "", 1, 1, 1}, // first of a new clean run: not offered
+			{0.25, "trusted", 1, 2, 2},
+			{0.375, "trusted changed", 0.5, 3, 0}, // the third lower one: down to their max
+		}},
+		{"a rate that is none is no verdict: both runs start over, the hold is untouched", 4, []policyStep{
+			{1, "", 0, 1, 0},
+			{1, "trusted changed", 1, 2, 0},
+			{0.5, "trusted", 1, 3, 1},
+			{0, "", 1, 0, 1},
+			{math.NaN(), "", 1, 0, 1},
+			{aliased, "aliased", 1, 0, 1},
+			{math.Inf(1), "", 1, 0, 1},
+			{aliased, "aliased", 1, 0, 1},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { runPolicy(t, tc.turnover, tc.steps) })
+	}
+
+	// Any other error goes back to the caller with nothing fed: the aliased
+	// run it interrupts goes on.
+	var p RatePolicy
+	p.Feed(0.5, nil, 1)
+	p.Feed(0, ErrAliased, 1)
+	other := fmt.Errorf("poll: %w", errors.New("device unreachable"))
+	if d, err := p.Feed(0.25, other, 1); err != other || d != (Decision{Held: 0.5}) {
+		t.Fatalf("Feed with another error: %+v, %v; want nothing but the held rate, and the error", d, err)
+	}
+	if d, _ := p.Feed(0, ErrAliased, 1); !d.Probe {
+		t.Fatal("an error the policy returned broke the aliased run")
+	}
+	// A wrapped ErrAliased is still an aliased verdict.
+	if d, err := p.Feed(0, fmt.Errorf("window 3: %w", ErrAliased), 1); err != nil || !d.Probe {
+		t.Fatalf("wrapped ErrAliased: %+v, %v; want a persistent aliased verdict", d, err)
+	}
+}
+
+// parentHold is the retention hold RatePolicy absorbed, transcribed from
+// commit febcc4b: a rate that rises on the first estimate above it and
+// falls, to the highest of them, only once turnover estimates in a row
+// have all been lower.
+type parentHold struct {
+	rate, peak float64
+	below      int32
+}
+
+func (h *parentHold) offer(r float64, turnover int) (rate float64, changed bool) {
+	if !(r > 0) || math.IsInf(r, 1) {
+		return h.rate, false
+	}
+	if r >= h.rate {
+		changed = r != h.rate
+		h.rate, h.peak, h.below = r, 0, 0
+		return r, changed
+	}
+	h.below++
+	h.peak = max(h.peak, r)
+	if int(h.below) < turnover {
+		return h.rate, false
+	}
+	h.rate, h.peak, h.below = h.peak, 0, 0
+	return h.rate, true
 }
 
 // parentRule is the rule RatePolicy replaced, transcribed from the parent
 // commit: monitor's observeLocked/handOver (a clean-streak counter in
-// front of a RetentionHold) and fleet.Controller's aliased streak.
+// front of the hold) and fleet.Controller's aliased streak.
 type parentRule struct {
 	cleanStreak, streak int
 	lastNyquist         float64
-	hold                RetentionHold
+	hold                parentHold
 }
 
 func (p *parentRule) step(aliased bool, rate float64, turnover int) (probe bool, held float64, changed bool) {
@@ -248,13 +319,13 @@ func (p *parentRule) step(aliased bool, rate float64, turnover int) (probe bool,
 		p.cleanStreak++
 		if p.cleanStreak >= 2 {
 			p.lastNyquist = rate
-			held, changed = p.hold.Offer(rate, turnover)
+			held, changed = p.hold.offer(rate, turnover)
 			return probe, held, changed
 		}
 	} else {
 		p.cleanStreak = 0
 	}
-	return probe, p.hold.Rate(), false
+	return probe, p.hold.rate, false
 }
 
 // TestRatePolicyMatchesParentRule drives seeded random verdict sequences
@@ -276,7 +347,7 @@ func TestRatePolicyMatchesParentRule(t *testing.T) {
 			case r < 0.02:
 				p.Regrid()
 				want.cleanStreak, want.streak = 0, 0
-				want.hold.Reset(want.hold.Rate())
+				want.hold = parentHold{rate: want.hold.rate}
 				continue
 			case r < 0.22:
 				aliased = true
@@ -286,21 +357,19 @@ func TestRatePolicyMatchesParentRule(t *testing.T) {
 				rate = 0.125 * float64(1+rng.Intn(6))
 			}
 			wantProbe, wantHeld, wantChanged := want.step(aliased, rate, turnover)
-			var probe, changed bool
-			held := p.Held()
+			var err error
 			if aliased {
-				probe = p.Aliased()
-			} else {
-				held, changed = p.Clean(rate, turnover)
+				err = ErrAliased
 			}
-			if p.Trusted(turnover) {
+			d, err := p.Feed(rate, err, turnover)
+			if d.Trusted {
 				trusted = rate
 			}
-			if probe != wantProbe || held != wantHeld || changed != wantChanged ||
-				trusted != want.lastNyquist || p.CleanStreak() != want.cleanStreak || p.Below() != want.hold.Below() {
-				t.Fatalf("trial %d step %d (aliased %v rate %v turnover %d): policy probe %v trusted %v held %v changed %v clean %d below %d; parent %v %v %v %v %d %d",
-					trial, i, aliased, rate, turnover, probe, trusted, held, changed, p.CleanStreak(), p.Below(),
-					wantProbe, want.lastNyquist, wantHeld, wantChanged, want.cleanStreak, want.hold.Below())
+			if err != nil || d.Aliased != aliased || d.Probe != wantProbe || d.Held != wantHeld || d.Changed != wantChanged ||
+				trusted != want.lastNyquist || p.CleanStreak() != want.cleanStreak || p.Below() != int(want.hold.below) {
+				t.Fatalf("trial %d step %d (aliased %v rate %v turnover %d): policy %+v trusted %v clean %d below %d err %v; parent %v %v %v %v %d %d",
+					trial, i, aliased, rate, turnover, d, trusted, p.CleanStreak(), p.Below(), err,
+					wantProbe, want.lastNyquist, wantHeld, wantChanged, want.cleanStreak, want.hold.below)
 			}
 		}
 	}

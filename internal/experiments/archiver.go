@@ -84,31 +84,29 @@ func (a *Archiver) Flush() error {
 	}
 	u := &series.Uniform{Start: a.blockStart, Interval: a.interval, Values: a.buf}
 	res, err := a.est.Estimate(u)
-	switch {
-	case errors.Is(err, core.ErrAliased), errors.Is(err, core.ErrTooShort):
-		a.aliasedBlocks++
-		a.policy.Aliased()
-		if err := a.store.AppendUniform(a.id, u); err != nil {
-			return fmt.Errorf("experiments: archiver raw block: %w", err)
-		}
-		a.kept += len(a.buf)
-	case err != nil:
+	rate := 0.0
+	if res != nil {
+		rate = res.NyquistRate
+	}
+	d, err := a.policy.Feed(rate, err, 1)
+	if err != nil {
 		return err
-	default:
-		down, err := core.Downsample(u, series.Headroom*res.NyquistRate)
-		if err != nil {
-			return err
-		}
-		if err := a.store.AppendUniform(a.id, down); err != nil {
-			return fmt.Errorf("experiments: archiver block: %w", err)
-		}
-		a.kept += len(down.Values)
-		// Close the estimate→retain loop: the block's Nyquist estimate
-		// retunes the store's retention tiers, so a bounded store degrades
-		// this series on the signal's own terms rather than a default grid.
-		if held, changed := a.policy.Clean(res.NyquistRate, 1); changed {
-			a.store.SetNyquistRate(a.id, held)
-		}
+	}
+	block := u
+	if !d.Trusted {
+		a.aliasedBlocks++
+	} else if block, err = core.Downsample(u, series.Headroom*rate); err != nil {
+		return err
+	}
+	if err := a.store.AppendUniform(a.id, block); err != nil {
+		return fmt.Errorf("experiments: archiver block: %w", err)
+	}
+	a.kept += len(block.Values)
+	// Close the estimate→retain loop: the block's Nyquist estimate retunes
+	// the store's retention tiers, so a bounded store degrades this series
+	// on the signal's own terms rather than a default grid.
+	if d.Changed {
+		a.store.SetNyquistRate(a.id, d.Held)
 	}
 	a.buf = a.buf[:0]
 	a.haveStart = false
@@ -116,7 +114,8 @@ func (a *Archiver) Flush() error {
 }
 
 // Savings reports the raw sample count seen, the samples actually stored,
-// and the number of blocks retained raw because they looked aliased.
+// and the number of blocks retained raw because they looked aliased or
+// were too short to estimate.
 func (a *Archiver) Savings() (raw, stored, aliasedBlocks int) {
 	return a.raw, a.kept, a.aliasedBlocks
 }

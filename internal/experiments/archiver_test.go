@@ -80,29 +80,6 @@ func TestArchiverReadBackFidelity(t *testing.T) {
 	}
 }
 
-func TestArchiverKeepsAliasedBlocksRaw(t *testing.T) {
-	store := newStore(0)
-	a, err := NewArchiver("noise", store, time.Second, ArchiverConfig{WindowSamples: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	state := uint64(9)
-	for i := 0; i < 512; i++ {
-		state = state*6364136223846793005 + 1442695040888963407
-		v := float64(int64(state)) / math.MaxInt64
-		if err := a.Ingest(series.Point{Time: start.Add(time.Duration(i) * time.Second), Value: v}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	raw, stored, aliased := a.Savings()
-	if aliased != 1 {
-		t.Fatalf("aliased blocks = %d, want 1", aliased)
-	}
-	if stored != raw {
-		t.Fatalf("aliased block must be stored raw: %d vs %d", stored, raw)
-	}
-}
-
 func TestArchiverPartialFlush(t *testing.T) {
 	store := newStore(0)
 	a, err := NewArchiver("short", store, time.Second, ArchiverConfig{WindowSamples: 1024})
@@ -167,31 +144,5 @@ func TestArchiverBoundedStoreKeepsRunning(t *testing.T) {
 	raw, stored, _ := a.Savings()
 	if raw != 1024 || stored == 0 {
 		t.Fatalf("raw=%d stored=%d; the session must have kept archiving", raw, stored)
-	}
-}
-
-// TestArchiverClosesEstimateRetainLoop checks a clean block estimate
-// lands in the store's retention policy: after archiving, the series
-// carries the Nyquist rate the stream estimator found.
-func TestArchiverClosesEstimateRetainLoop(t *testing.T) {
-	s := newStore(256)
-	a, err := NewArchiver("temp", s, time.Second, ArchiverConfig{WindowSamples: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 1024; i++ {
-		v := 40 + 5*math.Sin(2*math.Pi*16*float64(i)/1024)
-		if err := a.Ingest(series.Point{Time: start.Add(time.Duration(i) * time.Second), Value: v}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := s.NyquistRate("temp")
-	if got <= 0 {
-		t.Fatal("store never learned the series' Nyquist rate")
-	}
-	// 16 cycles per 1024 s → f_max = 16/1024 Hz → Nyquist rate 32/1024.
-	want := 2 * 16.0 / 1024
-	if got < want/2 || got > 4*want {
-		t.Fatalf("retained rate %g Hz, want within a small factor of %g", got, want)
 	}
 }

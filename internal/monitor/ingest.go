@@ -27,10 +27,11 @@ import (
 //  2. Once the interval locks, every point feeds a per-series
 //     core.StreamEstimator, so a live §3.2 estimate, aliasing verdict
 //     and sweet-spot poll suggestion exist for every external series.
-//  3. Every refresh's verdict goes through the series' core.RatePolicy,
-//     the one door to the store's retention (tsdb.DB.SetNyquistRate) — the
-//     paper's estimate→retain loop, closed across the wire. Aliased
-//     windows only raise AliasStreak so clients can poll faster.
+//  3. Every refresh's rate and error go to the series' core.RatePolicy
+//     (Feed), which classifies them and is the one door to the store's
+//     retention (tsdb.DB.SetNyquistRate) — the paper's estimate→retain
+//     loop, closed across the wire. Aliased windows only raise AliasStreak
+//     so clients can poll faster.
 //
 // A sustained shift in the observed inter-arrival gap (a client
 // redeploy changing its poll rate) re-probes the interval and restarts
@@ -356,35 +357,34 @@ func (e *IngestEstimator) observeLocked(s *ingestSeries, id string, p series.Poi
 	s.lastTime, s.haveLast = p.Time, true
 	if up := e.push(s, p.Value); up != nil {
 		s.refresh(up, p.Time)
-		if up.Err != nil {
-			s.policy.Aliased()
-			e.aliasedRefreshes.Add(1)
-		} else {
-			e.handOver(s, id, up.Result.NyquistRate)
-		}
+		e.handOver(s, id, up.Result.NyquistRate, up.Err)
 	}
 }
 
-// handOver feeds one clean estimate to the series' policy: once trusted
-// it is the series' newest estimate, and the store is retuned only when
-// the held rate changes — an emission that leaves it where it was neither
-// takes the store's shard lock nor counts as a retune. Called with s.mu
-// held.
-func (e *IngestEstimator) handOver(s *ingestSeries, id string, rate float64) {
-	held, changed := s.policy.Clean(rate, e.turnover)
-	if !s.policy.Trusted(e.turnover) {
+// handOver feeds one refresh's estimate to the series' policy: an aliased
+// verdict is only counted, a trusted estimate is the series' newest, and
+// the store is retuned only when the held rate changes — an emission that
+// leaves it where it was neither takes the store's shard lock nor counts
+// as a retune. Called with s.mu held.
+func (e *IngestEstimator) handOver(s *ingestSeries, id string, rate float64, err error) {
+	// A stream reports no error but the aliased verdict, which Feed takes.
+	d, _ := s.policy.Feed(rate, err, e.turnover)
+	if d.Aliased {
+		e.aliasedRefreshes.Add(1)
+	}
+	if !d.Trusted {
 		return
 	}
 	s.lastNyquist = rate
-	if !changed {
-		if rate < held {
+	if !d.Changed {
+		if rate < d.Held {
 			e.heldRefreshes.Add(1)
 		}
 		return
 	}
 	e.retunes.Add(1)
 	if e.store != nil {
-		e.store.SetNyquistRate(id, held)
+		e.store.SetNyquistRate(id, d.Held)
 	}
 }
 

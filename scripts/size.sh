@@ -7,8 +7,9 @@
 # retains: the estimator's, for a stream of two-decimal readings (its
 # window held as 2-byte decimal offsets), a counter 2^15 past its first
 # sample (4-byte offsets) and one of arbitrary floats (8-byte samples)
-# (core's TestStreamStateSize, one line per form), the retention
-# hold's on top of it (monitor's TestIngestSeriesStateSize) and the
+# (core's TestStreamStateSize, one line per form), the rate policy's,
+# retention hold included, on top of it (monitor's
+# TestIngestSeriesStateSize) and the
 # store's, for a warm series and one shaped like highcard_http's (tsdb's
 # TestSeriesStateBytes), the share of a high-cardinality series' heap
 # those named parts cover (tsdb's TestHighcardStateAccounted, which fails
@@ -137,7 +138,12 @@
 # decoded-block cache no workload could see went with its config field
 # (tsdb.Config.CacheBytes), its stats and its seven metric families (tsdb
 # −269, api −47).
-MAX_LOC=20969
+# MAX_LOC (20,969 → 20,942) then fell to the measured value: the three
+# estimate→retain loops stopped classifying the estimator's answer, which
+# core.RatePolicy.Feed now reads itself, with RetentionHold folded into the
+# policy (core −16, fleet −10, experiments −1 with one append for raw and
+# downsampled blocks, monitor ±0).
+MAX_LOC=20942
 MAX_TSDB_LOC=3236
 MAX_FLAGS=16
 MAX_CONFIG_FIELDS=27
