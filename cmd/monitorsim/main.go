@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"repro/fleet"
+	"repro/internal/api"
 	"repro/internal/monitor"
 	"repro/nyquist"
 )
@@ -272,17 +273,10 @@ func runPush(baseURL, id string, samples, batch int) {
 	flush()
 	fmt.Printf("push: ingested %d points in batches of %d\n", sent, batch)
 
-	var est struct {
-		Warm            bool    `json:"warm"`
-		Aliased         bool    `json:"aliased"`
-		NyquistHz       float64 `json:"nyquist_hz"`
-		RetentionHz     float64 `json:"retention_nyquist_hz"`
-		IntervalSeconds float64 `json:"interval_seconds"`
-		Samples         int64   `json:"samples"`
-	}
+	var est api.EstimateResponse
 	getJSON(client, baseURL+"/api/v1/estimate?series="+url.QueryEscape(id), &est)
 	fmt.Printf("push: server estimate %.6g Hz (truth %.6g Hz), interval %.0f s, warm=%v aliased=%v retention=%.6g Hz\n",
-		est.NyquistHz, nyquist, est.IntervalSeconds, est.Warm, est.Aliased, est.RetentionHz)
+		est.NyquistHz, nyquist, est.IntervalSeconds, est.Warm, est.Aliased, est.RetentionNyquistHz)
 	if !est.Warm {
 		fatal(fmt.Errorf("push: estimate not warm after %d samples", sent))
 	}
@@ -294,23 +288,17 @@ func runPush(baseURL, id string, samples, batch int) {
 	if rel := math.Abs(est.NyquistHz-nyquist) / nyquist; rel > 0.25 {
 		fatal(fmt.Errorf("push: estimate %.6g Hz misses ground truth %.6g Hz by %.0f%%", est.NyquistHz, nyquist, 100*rel))
 	}
-	if est.RetentionHz == 0 {
+	if est.RetentionNyquistHz == 0 {
 		fatal(fmt.Errorf("push: retention was never retuned from the ingest estimates"))
 	}
 
-	var q struct {
-		Points  []struct{ TS string } `json:"points"`
-		Thinned bool                  `json:"thinned"`
-	}
+	var q api.QueryResponse
 	from := start.Add(time.Duration(samples*3/4) * step).Format(time.RFC3339)
 	getJSON(client, baseURL+"/api/v1/query?series="+url.QueryEscape(id)+"&from="+url.QueryEscape(from)+"&max_points=100", &q)
 	if len(q.Points) == 0 {
 		fatal(fmt.Errorf("push: recent-window query returned nothing"))
 	}
-	var st struct {
-		Appends       int64   `json:"appends"`
-		BytesPerPoint float64 `json:"bytes_per_point"`
-	}
+	var st api.StatsResponse
 	getJSON(client, baseURL+"/api/v1/stats", &st)
 	fmt.Printf("push: query returned %d points (thinned=%v); store holds %d appends at %.2f bytes/point\n",
 		len(q.Points), q.Thinned, st.Appends, st.BytesPerPoint)
@@ -577,22 +565,15 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// ingestReply is the part of an ingest response the push modes check.
-type ingestReply struct {
-	Accepted         int `json:"accepted"`
-	Rejected         int `json:"rejected"`
-	EstimatorDropped int `json:"estimator_dropped"`
-}
-
 // postIngest posts one JSON-lines batch and decodes the reply; mode
 // prefixes a decode failure.
-func postIngest(client *http.Client, baseURL, mode, body string) (ingestReply, int) {
+func postIngest(client *http.Client, baseURL, mode, body string) (api.IngestResponse, int) {
 	resp, err := client.Post(baseURL+"/api/v1/ingest", "application/x-ndjson", strings.NewReader(body))
 	if err != nil {
 		fatal(err)
 	}
 	defer resp.Body.Close()
-	var out ingestReply
+	var out api.IngestResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		fatal(fmt.Errorf("%s: decode ingest response: %w", mode, err))
 	}

@@ -172,18 +172,19 @@ func streamScan(u *nyquist.Uniform, window, step time.Duration, cutoff float64) 
 		return err
 	}
 	fmt.Printf("\nsliding-window scan (%v window, %v step, streaming):\n", window, step)
+	var policy nyquist.RatePolicy
 	n := 0
 	for _, up := range st.Feed(u.Values) {
 		n++
-		switch {
-		case errors.Is(up.Err, nyquist.ErrAliased):
-			fmt.Printf("  %s  aliased (streak %d) — try polling every %v\n",
-				up.WindowStart.Format(time.RFC3339), up.AliasStreak, up.SuggestedInterval)
-		case up.Err != nil:
-			fmt.Printf("  %s  error: %v\n", up.WindowStart.Format(time.RFC3339), up.Err)
-		default:
+		// A stream's only error is the aliased verdict, which Feed takes.
+		d, _ := policy.Feed(up.Result.NyquistRate, up.Err, winSamples/stepSamples)
+		advice := d.PollInterval(u.Interval, up.Result.NyquistRate)
+		if d.Aliased {
+			fmt.Printf("  %s  aliased (streak %d) — poll every %v\n",
+				up.WindowStart.Format(time.RFC3339), policy.AliasStreak(), advice)
+		} else {
 			fmt.Printf("  %s  %.4g Hz (sweet-spot poll every %v)\n",
-				up.WindowStart.Format(time.RFC3339), up.Result.NyquistRate, roundInterval(up.SuggestedInterval))
+				up.WindowStart.Format(time.RFC3339), up.Result.NyquistRate, roundInterval(advice))
 		}
 	}
 	if n == 0 {

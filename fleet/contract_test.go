@@ -67,7 +67,7 @@ func TestRatePolicyContract(t *testing.T) {
 				// Refreshes overlap: the first clean estimate shares most of
 				// its window with nothing trusted yet, so retention follows
 				// from the second.
-				_, w := hookRefreshes(t, monitor.IngestConfig{}, seg{winClean, 600})
+				_, w := hookRefreshes(t, monitor.IngestConfig{}, time.Second, seg{winClean, 600, 0})
 				if len(w) < 3 || w[0].retention != 0 {
 					t.Fatalf("%d refreshes, the first retained %v: want nothing retained from a first estimate", len(w), w[0].retention)
 				}
@@ -98,7 +98,7 @@ func TestRatePolicyContract(t *testing.T) {
 				// WindowSamples/EmitEvery refreshes replace every sample of
 				// the window: retention lowers on the turnover-th lower
 				// estimate in a row, to the highest of them.
-				e, w := hookRefreshes(t, monitor.IngestConfig{}, seg{winWide, 512}, seg{winClean, 768})
+				e, w := hookRefreshes(t, monitor.IngestConfig{}, time.Second, seg{winWide, 512, 0}, seg{winClean, 768, 0})
 				turnover := e.Config().WindowSamples / e.Config().EmitEvery
 				j := 1
 				for j < len(w) && w[j].retention >= w[j-1].retention {
@@ -141,8 +141,8 @@ func TestRatePolicyContract(t *testing.T) {
 				// Overlapping refreshes see any aliased stretch in several
 				// windows, so one aliased window is one disjoint refresh
 				// (EmitEvery = WindowSamples).
-				e, w := hookRefreshes(t, monitor.IngestConfig{WindowSamples: 64, EmitEvery: 64},
-					seg{winClean, 256}, seg{winAliased, 64}, seg{winClean, 192})
+				e, w := hookRefreshes(t, monitor.IngestConfig{WindowSamples: 64, EmitEvery: 64}, time.Second,
+					seg{winClean, 256, 0}, seg{winAliased, 64, 0}, seg{winClean, 192, 0})
 				n := 0
 				for i, r := range w {
 					if !r.adv.Aliased {
@@ -150,9 +150,10 @@ func TestRatePolicyContract(t *testing.T) {
 					}
 					n++
 					if r.adv.AliasStreak >= core.Persistence || r.retention != w[i-1].retention ||
-						r.held != w[i-1].held || r.adv.HeldRefreshes != w[i-1].adv.HeldRefreshes {
-						t.Fatalf("refresh %d: streak %d, retention %v → %v, held refreshes %d → %d: want a blip that moves nothing",
-							i, r.adv.AliasStreak, w[i-1].retention, r.retention, w[i-1].held, r.held)
+						r.held != w[i-1].held || r.adv.HeldRefreshes != w[i-1].adv.HeldRefreshes ||
+						r.adv.SuggestedInterval != w[i-1].adv.SuggestedInterval {
+						t.Fatalf("refresh %d: streak %d, retention %v → %v, held refreshes %d → %d, advice %v → %v: want a blip that moves nothing",
+							i, r.adv.AliasStreak, w[i-1].retention, r.retention, w[i-1].held, r.held, w[i-1].adv.SuggestedInterval, r.adv.SuggestedInterval)
 					}
 				}
 				if n != 1 || e.AliasedRefreshes() != 1 {
@@ -178,7 +179,7 @@ func TestRatePolicyContract(t *testing.T) {
 				}
 			}},
 			hook: cell{check: func(t *testing.T) {
-				_, w := hookRefreshes(t, monitor.IngestConfig{}, seg{winClean, 512}, seg{winAliased, 512})
+				_, w := hookRefreshes(t, monitor.IngestConfig{}, time.Second, seg{winClean, 512, 0}, seg{winAliased, 512, 0})
 				last := w[len(w)-1].adv
 				if !last.Aliased || last.AliasStreak < core.Persistence || last.SuggestedInterval != time.Second/2 {
 					t.Fatalf("advice %+v: want a persistent alias streak and half the poll interval suggested", last)
@@ -196,12 +197,109 @@ func TestRatePolicyContract(t *testing.T) {
 				checkAliasedHold(t, w, 4)
 			}},
 			hook: cell{check: func(t *testing.T) {
-				_, w := hookRefreshes(t, monitor.IngestConfig{},
-					seg{winClean, 512}, seg{winAliased, 100}, seg{winClean, 400}, seg{winAliased, 300}, seg{winClean, 300})
+				_, w := hookRefreshes(t, monitor.IngestConfig{}, time.Second,
+					seg{winClean, 512, 0}, seg{winAliased, 100, 0}, seg{winClean, 400, 0}, seg{winAliased, 300, 0}, seg{winClean, 300, 0})
 				checkAliasedHold(t, w, 40)
 				for i := 1; i < len(w); i++ {
 					if w[i].adv.Aliased && (w[i].retunes != w[i-1].retunes || w[i].held != w[i-1].held || w[i].adv.HeldRefreshes != w[i-1].adv.HeldRefreshes) {
 						t.Fatalf("aliased refresh %d moved the hold: retunes %d → %d, held refreshes %d → %d", i, w[i-1].retunes, w[i].retunes, w[i-1].held, w[i].held)
+					}
+				}
+			}},
+		},
+		{
+			clause: "a clean estimate never advises a faster poll",
+			controller: cell{check: func(t *testing.T) {
+				w := controllerWindows(t, winFast, winFast, winFast)
+				for i := 1; i < len(w); i++ {
+					if w[i].rate > w[i-1].rate {
+						t.Fatalf("round %d: poll rate %v → %v on a clean estimate", i, w[i-1].rate, w[i].rate)
+					}
+				}
+			}},
+			archiver: cell{cannot: "the Archiver advises no poll rate: it stores each block as polled or downsampled"},
+			hook: cell{check: func(t *testing.T) {
+				_, w := hookRefreshes(t, monitor.IngestConfig{}, time.Second, seg{winFast, 1024, 0})
+				for i, r := range w {
+					if r.adv.Aliased || r.adv.SuggestedInterval < r.adv.Interval {
+						t.Fatalf("refresh %d: aliased %v, advised %v at a %v poll: want a clean estimate that never speeds it up",
+							i, r.adv.Aliased, r.adv.SuggestedInterval, r.adv.Interval)
+					}
+				}
+			}},
+		},
+		{
+			clause:     "held advice is the locked interval and doubled advice exactly half of it",
+			controller: cell{cannot: "it moves rates, not intervals: the rows above check its held and doubled rates bit for bit"},
+			archiver:   cell{cannot: "the Archiver advises no poll rate"},
+			hook: cell{check: func(t *testing.T) {
+				// A minute, and 99 s, which a rate round trip through float64
+				// seconds (1e9 / (1/99)) drifts a nanosecond off.
+				for _, every := range []time.Duration{time.Minute, 99 * time.Second} {
+					_, w := hookRefreshes(t, monitor.IngestConfig{}, every, seg{winClean, 300, 0}, seg{winAliased, 512, 0})
+					var blips, raises int
+					for i, r := range w {
+						want := every // before any estimate is trusted
+						switch {
+						case r.adv.AliasStreak >= core.Persistence:
+							want, raises = every/2, raises+1
+						case r.adv.Aliased:
+							want, blips = w[i-1].adv.SuggestedInterval, blips+1
+						case i > 0:
+							continue // a clean estimate's own advice
+						}
+						if r.adv.Interval != every || r.adv.SuggestedInterval != want {
+							t.Fatalf("refresh %d (streak %d): advised %v at a locked %v, want %v", i, r.adv.AliasStreak, r.adv.SuggestedInterval, r.adv.Interval, want)
+						}
+					}
+					if blips != 1 || raises == 0 {
+						t.Fatalf("%v: %d one-window blips and %d raises: the scenario tests nothing", every, blips, raises)
+					}
+				}
+			}},
+		},
+		{
+			clause:     "advice waits for an estimate trusted since the last raise or re-probe",
+			controller: cell{cannot: "its rounds are disjoint (turnover 1): every clean round is trusted, and its rule reads that round's estimate"},
+			archiver:   cell{cannot: "the Archiver advises no poll rate"},
+			hook: cell{check: func(t *testing.T) {
+				// The first clean refresh after a persistent aliased run on the
+				// same grid, and the first on a grid the series is re-probed
+				// onto (a client that sped up past the raise, or redeployed
+				// faster), is not yet trusted: it holds the locked interval,
+				// not the longer one the clean run before it advised.
+				// Half-overlapping windows keep the noise's onset out of the
+				// last trusted estimate before the run.
+				for _, sc := range []struct {
+					name     string
+					cfg      monitor.IngestConfig
+					reprobes int64
+					segs     []seg
+				}{
+					{"same grid", monitor.IngestConfig{WindowSamples: 128, EmitEvery: 64}, 0, []seg{{winClean, 512, 0}, {winAliased, 512, 0}, {winClean, 512, 0}}},
+					{"raised, re-probed", monitor.IngestConfig{}, 1, []seg{{winClean, 512, 0}, {winAliased, 512, 0}, {winClean, 1024, time.Second / 4}}},
+					{"re-probed", monitor.IngestConfig{}, 1, []seg{{winClean, 512, 0}, {winClean, 1024, time.Second / 4}}},
+				} {
+					e, w := hookRefreshes(t, sc.cfg, time.Second, sc.segs...)
+					var prior time.Duration // the longest advice before the raise or re-probe
+					moved, after := -1, -1
+					for i, r := range w {
+						if moved < 0 && (r.adv.AliasStreak >= core.Persistence || r.adv.Interval != time.Second) {
+							moved = i
+						}
+						if moved < 0 {
+							prior = max(prior, r.adv.SuggestedInterval)
+						} else if !r.adv.Aliased && (r.adv.Interval != time.Second) == (sc.reprobes > 0) {
+							after = i
+							break
+						}
+					}
+					if after < 0 || !(prior > time.Second) || e.Reprobes() != sc.reprobes {
+						t.Fatalf("%s: clean again at refresh %d, advice up to %v before, %d re-probes: the scenario tests nothing", sc.name, after, prior, e.Reprobes())
+					}
+					if a := w[after].adv; a.SuggestedInterval != a.Interval {
+						t.Fatalf("%s: refresh %d advised %v at a locked %v (up to %v before): want the locked interval held",
+							sc.name, after, a.SuggestedInterval, a.Interval, prior)
 					}
 				}
 			}},
@@ -310,7 +408,12 @@ const (
 	winWide                   // plus a tone at 4 × contractTone, for this window only
 	winAliased                // plus content at the top of the window's band
 	winShort                  // a 10-sample block (the Archiver's partial Flush)
+	winFast                   // plus fastTone
 )
+
+// fastTone is in band at 1 s polls, yet its Nyquist rate with headroom is
+// above them.
+const fastTone = 0.42
 
 // contractTone is the steady content of every script, in hertz: on a bin
 // of the Archiver's and the hook's windows at 1 s polls.
@@ -374,6 +477,8 @@ func controllerWindows(t *testing.T, kinds ...winKind) []window {
 			d.AddBurst(Burst{Start: ctl.cursor[0], Duration: span, Freq: 4 * contractTone, Amp: 10})
 		case winAliased:
 			d.AddBurst(Burst{Start: ctl.cursor[0], Duration: span, Freq: 0.49 * ctl.rate[0], Amp: 1000})
+		case winFast:
+			d.AddBurst(Burst{Start: ctl.cursor[0], Duration: span, Freq: fastTone, Amp: 10})
 		}
 		sum, err := ctl.Step()
 		if err != nil {
@@ -445,17 +550,20 @@ func archiverWindows(t *testing.T, kinds ...winKind) []window {
 	return w
 }
 
-// seg is a stretch of a hook script: n polls of one kind.
+// seg is a stretch of a hook script: n polls of one kind, gap apart (0 =
+// the script's interval).
 type seg struct {
 	kind winKind
 	n    int
+	gap  time.Duration
 }
 
-// hookRefreshes observes the segments' 1 s polls of 50 + 10·sin(2π·contractTone·k)
-// (plus a tone four times higher in a wide stretch, and white noise of 1,000
-// times the tone's amplitude in an aliased one) through one IngestEstimator
-// over a store, and returns what it shows after each estimate refresh.
-func hookRefreshes(t *testing.T, cfg monitor.IngestConfig, segs ...seg) (*monitor.IngestEstimator, []window) {
+// hookRefreshes observes the segments' polls, every apart, of
+// 50 + 10·sin(2π·contractTone·k) (plus a tone four times higher in a wide
+// stretch, fastTone in a fast one, and white noise of 1,000 times the tone's
+// amplitude in an aliased one) through one IngestEstimator over a store, and
+// returns what it shows after each estimate refresh.
+func hookRefreshes(t *testing.T, cfg monitor.IngestConfig, every time.Duration, segs ...seg) (*monitor.IngestEstimator, []window) {
 	t.Helper()
 	const id = "contract/pushed"
 	store := NewStore(0)
@@ -463,21 +571,27 @@ func hookRefreshes(t *testing.T, cfg monitor.IngestConfig, segs ...seg) (*monito
 	rng := rand.New(rand.NewSource(1))
 	var w []window
 	var last time.Time
-	k := 0
+	at, k := contractStart, 0
 	for _, s := range segs {
+		gap := every
+		if s.gap > 0 {
+			gap = s.gap
+		}
 		for i := 0; i < s.n; i++ {
 			x := float64(k)
 			v := 50 + 10*math.Sin(2*math.Pi*contractTone*x)
 			switch s.kind {
 			case winWide:
 				v += 10 * math.Sin(2*math.Pi*4*contractTone*x)
+			case winFast:
+				v += 10 * math.Sin(2*math.Pi*fastTone*x)
 			case winAliased:
 				v += 1e4 * rng.NormFloat64()
 			}
-			e.Observe(id, series.Point{Time: contractStart.Add(time.Duration(k) * time.Second), Value: v})
-			k++
+			e.Observe(id, series.Point{Time: at, Value: v})
+			at, k = at.Add(gap), k+1
 			adv, _ := e.Advice(id)
-			if adv.UpdatedAt.Equal(last) {
+			if adv.UpdatedAt.IsZero() || adv.UpdatedAt.Equal(last) { // none yet, or re-probing
 				continue
 			}
 			last = adv.UpdatedAt

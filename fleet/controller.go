@@ -38,7 +38,6 @@ type Controller struct {
 	cursor    []float64 // per-device signal-time cursor (seconds)
 	cost      []monitor.Cost
 	converged []bool
-	aliased   []bool
 	policy    []core.RatePolicy // the §4.2 verdict-to-rate door, per device
 
 	round   int
@@ -117,7 +116,6 @@ func NewController(scenario *Scenario, cfg ControllerConfig) (*Controller, error
 		cursor:    make([]float64, n),
 		cost:      make([]monitor.Cost, n),
 		converged: make([]bool, n),
-		aliased:   make([]bool, n),
 		policy:    make([]core.RatePolicy, n),
 	}
 	for i, d := range scenario.Fleet.Devices {
@@ -238,19 +236,10 @@ func (ctl *Controller) Step() (RoundSummary, error) {
 		}
 		sum.Samples += r.samples
 		ctl.cost[i].Add(monitor.DefaultCostModel(), r.samples)
-		ctl.aliased[i] = d.Aliased
-		desired := ctl.rate[i]
 		if d.Aliased {
 			sum.Aliased++
-			if d.Probe {
-				desired = clamp(2*desired, minRate, maxRate)
-			}
-		} else {
-			// A clean estimate may only lower or hold the poll rate — a
-			// clean window certifies the current rate recovers the content,
-			// so chasing a noise-floor estimate upward is never warranted.
-			desired = min(clamp(series.Headroom*r.nyquist, minRate, maxRate), desired)
 		}
+		desired := clamp(d.PollRate(ctl.rate[i], r.nyquist), minRate, maxRate)
 		demands[i] = monitor.Demand{ID: devices[i].ID, NyquistRate: desired}
 		sum.DemandHz += desired
 	}
@@ -411,7 +400,7 @@ func (ctl *Controller) Devices() []DeviceStatus {
 			Rate:           ctl.rate[i],
 			TrueNyquist:    d.TrueNyquist,
 			Cost:           ctl.cost[i],
-			Aliased:        ctl.aliased[i],
+			Aliased:        ctl.policy[i].Standing().Aliased,
 			Converged:      ctl.converged[i],
 		}
 	}

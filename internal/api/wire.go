@@ -156,7 +156,8 @@ type EstimateResponse struct {
 	Warm bool `json:"warm"`
 	// NyquistHz is the latest trusted (clean-streak) estimate, 0 = none.
 	NyquistHz float64 `json:"nyquist_hz"`
-	// SuggestedIntervalSeconds is the sweet-spot poll interval.
+	// SuggestedIntervalSeconds is the sweet-spot poll interval, never
+	// shorter than IntervalSeconds but half it while AliasStreak ≥ 2.
 	SuggestedIntervalSeconds float64 `json:"suggested_interval_seconds"`
 	// Aliased/AliasStreak report the aliasing verdict of the newest
 	// window and how many consecutive refreshes carried it.

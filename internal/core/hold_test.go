@@ -7,6 +7,9 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/series"
 )
 
 // Step inputs of policySteps that are not a clean rate.
@@ -372,5 +375,149 @@ func TestRatePolicyMatchesParentRule(t *testing.T) {
 					wantProbe, want.lastNyquist, wantHeld, wantChanged, want.cleanStreak, want.hold.below)
 			}
 		}
+	}
+}
+
+// parentPollRule is fleet.Controller.Step's poll-rate rule at the parent
+// commit, unclamped: on an aliased window a probe doubles the rate and
+// anything else holds it; on a clean one the rate falls to Headroom ×
+// estimate or holds. The controller only ever saw trusted clean windows
+// (its rounds are disjoint) with a positive, finite estimate.
+func parentPollRule(aliased, probe bool, current, estimate float64) float64 {
+	switch {
+	case aliased && probe:
+		return 2 * current
+	case aliased:
+		return current
+	}
+	return min(series.Headroom*estimate, current)
+}
+
+// FuzzRatePolicyPoll drives random verdict sequences through a policy and
+// moves a poll rate by Decision.PollRate after each, as the controller
+// does: the rate rises only on a probe, and then exactly doubles; a trusted
+// clean window never raises it; where the controller could see the window
+// the rule is its parent's; and the policy's alias streak is the parent's.
+// Between windows, Standing reports the same run and probe, and trusts an
+// estimate from the window that trusted it to the next probe.
+// Each step is three bytes: the verdict, the estimate and the turnover.
+func FuzzRatePolicyPoll(f *testing.F) {
+	f.Add(1.0, []byte{3, 50, 1, 0, 0, 1, 0, 0, 1, 3, 90, 1, 3, 20, 1})
+	f.Add(0.25, []byte{3, 10, 4, 3, 40, 4, 0, 0, 4, 1, 0, 4, 3, 8, 4, 4, 1, 4, 2, 30, 4, 0, 0, 4, 0, 0, 4})
+	f.Add(60.0, []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 255, 0, 3, 1, 7})
+	f.Fuzz(func(t *testing.T, current float64, script []byte) {
+		if !(current > 0) || math.IsInf(current, 1) {
+			return
+		}
+		var p RatePolicy
+		var parent parentRule
+		standing := false
+		for i := 0; len(script) >= 3; i, script = i+1, script[3:] {
+			rate, turnover := float64(script[1])/64, int(script[2]%8)
+			var err error
+			switch script[0] % 5 {
+			case 0:
+				err = ErrAliased
+			case 1:
+				err = ErrTooShort
+			case 2:
+				err = errors.New("device unreachable")
+			case 4:
+				rate = []float64{math.NaN(), math.Inf(1), -rate}[script[1]%3]
+			}
+			d, ferr := p.Feed(rate, err, turnover)
+			if ferr != nil {
+				if script[0]%5 != 2 {
+					t.Fatalf("step %d: Feed(%v, %v) failed: %v", i, rate, err, ferr)
+				}
+				continue
+			}
+			clean, parentRate := err == nil && holdable(rate), 0.0
+			if clean {
+				parentRate = rate
+			}
+			probe, _, _ := parent.step(d.Aliased, parentRate, turnover)
+			next := d.PollRate(current, rate)
+			standing = (standing || d.Trusted) && !d.Probe
+			want := Decision{Held: d.Held, Aliased: parent.streak > 0, Probe: probe, Trusted: standing}
+			switch {
+			case p.Standing() != want:
+				t.Fatalf("step %d: standing %+v, want %+v", i, p.Standing(), want)
+			case d.Probe && next != 2*current, !d.Probe && next > current:
+				t.Fatalf("step %d (%+v): rate %v → %v: only a probe raises, and then exactly doubles", i, d, current, next)
+			case d.Trusted && next > current:
+				t.Fatalf("step %d: a trusted clean estimate %v raised the rate %v → %v", i, rate, current, next)
+			case d.Probe != probe || p.AliasStreak() != parent.streak:
+				t.Fatalf("step %d: probe %v, streak %d; the parent's rule %v, %d", i, d.Probe, p.AliasStreak(), probe, parent.streak)
+			case (d.Aliased || clean && turnover <= 1) && next != parentPollRule(d.Aliased, probe, current, rate):
+				t.Fatalf("step %d (%+v): rate %v → %v, the controller's parent rule %v", i, d, current, next, parentPollRule(d.Aliased, probe, current, rate))
+			}
+			current = min(max(next, 1e-6), 1e6)
+		}
+	})
+}
+
+// TestStreamAliasingStreak feeds a signal whose energy sits entirely at
+// the top of the analyzed band — the aliased signature — through a stream
+// and every update through a RatePolicy: the policy's streak counts the
+// aliased windows, and the advised interval holds on the first, a blip,
+// and is exactly half the poll interval from the second on.
+func TestStreamAliasingStreak(t *testing.T) {
+	st, err := NewStreamEstimator(StreamConfig{Interval: time.Second, WindowSamples: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p RatePolicy
+	emitted := 0
+	for i := 0; i < 200; i++ {
+		up := st.Push(float64(1 - 2*(i%2)))
+		if up == nil {
+			continue
+		}
+		emitted++
+		if !errors.Is(up.Err, ErrAliased) || !up.Result.Aliased {
+			t.Fatalf("emission %d: want ErrAliased, got %v", emitted, up.Err)
+		}
+		d, err := p.Feed(up.Result.NyquistRate, up.Err, 64)
+		want := time.Second / 2
+		if emitted < Persistence {
+			want = time.Second
+		}
+		if got := d.PollInterval(time.Second, up.Result.NyquistRate); err != nil || p.AliasStreak() != emitted || got != want {
+			t.Fatalf("emission %d: streak %d, advised %v (%v), want %v", emitted, p.AliasStreak(), got, err, want)
+		}
+	}
+	if emitted < Persistence {
+		t.Fatal("too few aliased emissions")
+	}
+}
+
+// TestStreamSweetSpot checks a trusted clean estimate advises the constant
+// 1.2 headroom on the estimated rate: one window over the whole trace is a
+// disjoint window, trusted at once.
+func TestStreamSweetSpot(t *testing.T) {
+	u := dayTrace(t, 1440, time.Minute, 0, 4)
+	st, err := NewStreamEstimator(StreamConfig{Interval: time.Minute, WindowSamples: u.Len()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last *StreamUpdate
+	for _, v := range u.Values {
+		if up := st.Push(v); up != nil {
+			last = up
+		}
+	}
+	if last == nil {
+		t.Fatal("no emission after a full window")
+	}
+	var p RatePolicy
+	d, err := p.Feed(last.Result.NyquistRate, last.Err, 1)
+	rate := last.Result.NyquistRate
+	if err != nil || !d.Trusted || d.PollRate(1.0/60, rate) != 1.2*rate {
+		t.Fatalf("decision %+v (%v): poll rate %v, want %v", d, err, d.PollRate(1.0/60, rate), 1.2*rate)
+	}
+	want := time.Duration(float64(time.Second) / (1.2 * rate))
+	if got := d.PollInterval(time.Minute, rate); got < want-1 || got > want+1 {
+		t.Fatalf("advised %v, want %v", got, want)
 	}
 }

@@ -58,8 +58,8 @@ func (c StreamConfig) withDefaults() (StreamConfig, error) {
 }
 
 // StreamUpdate is one emission of a streaming estimation: the estimate
-// over the window ending at the newest poll, plus the derived operator
-// guidance (aliasing risk and sweet-spot poll interval).
+// over the window ending at the newest poll and its aliasing verdict. What
+// a poll rate should do about them is a RatePolicy's to say.
 type StreamUpdate struct {
 	// Index is the zero-based index of the newest sample in the stream.
 	Index int64
@@ -76,28 +76,17 @@ type StreamUpdate struct {
 	// mirroring the batch estimator's contract. The Result is still
 	// populated (with Aliased set) so consumers can render the window.
 	Err error
-	// AliasStreak counts consecutive emitted updates that were aliased,
-	// ending with this one — the operator's aliasing-risk signal: a
-	// one-window blip is likely noise, a growing streak means the poll
-	// rate is genuinely too low.
-	AliasStreak int
-	// SuggestedInterval is the sweet-spot poll interval: 1/(1.2 ×
-	// NyquistRate) for clean windows, half the current interval for
-	// aliased ones (the §4.2 move: poll faster until the rate becomes
-	// recoverable).
-	SuggestedInterval time.Duration
 }
 
 // StreamEstimator is the incremental counterpart of Estimator: it keeps
 // the newest WindowSamples polls of a live stream in a ring and derives
-// the Nyquist rate, aliasing verdict and sweet-spot suggestion from one
-// FFT of that window whenever an estimate is consumed — at the EmitEvery
-// cadence in Push, or on Current. A push that emits nothing is one store
-// into the ring. The ring is the only per-stream array: the configuration,
-// the FFT tables and the work buffers are shared by every estimator of the
-// same shape, so memory is 2, 4 or 8 bytes per window sample and a small
-// header, no matter how long the stream runs or how many streams there
-// are.
+// the Nyquist rate and aliasing verdict from one FFT of that window
+// whenever an estimate is consumed — at the EmitEvery cadence in Push, or
+// on Current. A push that emits nothing is one store into the ring. The
+// ring is the only per-stream array: the configuration, the FFT tables
+// and the work buffers are shared by every estimator of the same shape,
+// so memory is 2, 4 or 8 bytes per window sample and a small header, no
+// matter how long the stream runs or how many streams there are.
 //
 // The ring's samples are 2 or 4 bytes wide while the stream's readings are
 // short decimals — what parsed telemetry carries — and 8 otherwise. An
@@ -148,8 +137,6 @@ type StreamEstimator struct {
 	head int // ring slot the next Push overwrites (the oldest sample once warm)
 	// count is the total number of polls pushed.
 	count int64
-	// streak is the current run of consecutive aliased emissions.
-	streak int
 	// exp is an integer ring's decimal exponent, width the ring's bytes a
 	// sample (SampleBytes).
 	exp, width uint8
@@ -488,8 +475,7 @@ func (s *StreamEstimator) Current() (*Result, error) {
 	return res, nil
 }
 
-// emit writes the cadence-gated update into s.up and maintains the alias
-// streak.
+// emit writes the cadence-gated update into s.up.
 func (s *StreamEstimator) emit() *StreamUpdate {
 	res := &s.memo
 	s.estimate(res)
@@ -502,15 +488,7 @@ func (s *StreamEstimator) emit() *StreamUpdate {
 	}
 	if res.Aliased {
 		up.Err = ErrAliased
-		s.streak++
-		up.SuggestedInterval = s.interval / 2
-	} else {
-		s.streak = 0
-		if res.NyquistRate > 0 {
-			up.SuggestedInterval = time.Duration(float64(time.Second) / (series.Headroom * res.NyquistRate))
-		}
 	}
-	up.AliasStreak = s.streak
 	return up
 }
 

@@ -323,59 +323,6 @@ func TestStreamForm(t *testing.T) {
 	}
 }
 
-// TestStreamAliasingStreak feeds a signal whose energy sits entirely at
-// the top of the analyzed band — the aliased signature — and checks the
-// risk signal.
-func TestStreamAliasingStreak(t *testing.T) {
-	st, err := NewStreamEstimator(StreamConfig{Interval: time.Second, WindowSamples: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var last *StreamUpdate
-	emitted := 0
-	for i := 0; i < 200; i++ {
-		if up := st.Push(float64(1 - 2*(i%2))); up != nil {
-			emitted++
-			if !errors.Is(up.Err, ErrAliased) {
-				t.Fatalf("emission %d: want ErrAliased, got %v", emitted, up.Err)
-			}
-			if up.AliasStreak != emitted {
-				t.Fatalf("emission %d: streak %d", emitted, up.AliasStreak)
-			}
-			if up.SuggestedInterval != time.Second/2 {
-				t.Fatalf("emission %d: suggested %v, want 500ms", emitted, up.SuggestedInterval)
-			}
-			last = up
-		}
-	}
-	if last == nil || !last.Result.Aliased {
-		t.Fatal("no aliased emissions")
-	}
-}
-
-// TestStreamSweetSpot checks the suggested interval applies the constant
-// 1.2 headroom to the estimated rate.
-func TestStreamSweetSpot(t *testing.T) {
-	u := dayTrace(t, 1440, time.Minute, 0, 4)
-	st, err := NewStreamEstimator(StreamConfig{Interval: time.Minute, WindowSamples: u.Len()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var last *StreamUpdate
-	for _, v := range u.Values {
-		if up := st.Push(v); up != nil {
-			last = up
-		}
-	}
-	if last == nil {
-		t.Fatal("no emission after a full window")
-	}
-	want := time.Duration(float64(time.Second) / (1.2 * last.Result.NyquistRate))
-	if last.SuggestedInterval != want {
-		t.Fatalf("suggested %v, want %v", last.SuggestedInterval, want)
-	}
-}
-
 // TestStreamWarmupAndReset checks nothing is emitted before a full
 // window, Current reports ErrTooShort, and a fresh estimator of the same
 // configuration — the reset — starts cold again.

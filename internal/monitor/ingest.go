@@ -25,13 +25,13 @@ import (
 //  1. The first few points of an unknown series probe its poll interval
 //     (the median positive gap — external pollers jitter).
 //  2. Once the interval locks, every point feeds a per-series
-//     core.StreamEstimator, so a live §3.2 estimate, aliasing verdict
-//     and sweet-spot poll suggestion exist for every external series.
+//     core.StreamEstimator, so a live §3.2 estimate and aliasing verdict
+//     exist for every external series.
 //  3. Every refresh's rate and error go to the series' core.RatePolicy
 //     (Feed), which classifies them and is the one door to the store's
 //     retention (tsdb.DB.SetNyquistRate) — the paper's estimate→retain
-//     loop, closed across the wire. Aliased windows only raise AliasStreak
-//     so clients can poll faster.
+//     loop, closed across the wire. Aliased windows only count, and halve
+//     the advice once persistent so clients can poll faster.
 //
 // A sustained shift in the observed inter-arrival gap (a client
 // redeploy changing its poll rate) re-probes the interval and restarts
@@ -143,9 +143,10 @@ type IngestAdvice struct {
 	Warm bool
 	// NyquistRate is the latest clean estimate in hertz (0 = none yet).
 	NyquistRate float64
-	// SuggestedInterval is the sweet-spot poll interval: 1/(1.2 ×
-	// NyquistRate) for clean windows, half the current interval while
-	// aliased.
+	// SuggestedInterval is the sweet-spot poll interval: half the locked
+	// one while aliasing persists, else 1/(1.2 × NyquistRate) but never
+	// shorter than the locked one once that estimate is trusted on this
+	// grid since the last raise (core.RatePolicy.Standing), else the locked one.
 	SuggestedInterval time.Duration
 	// Aliased reports that the newest window carried the aliased
 	// signature; AliasStreak counts consecutive aliased refreshes (≥ 2
@@ -596,8 +597,9 @@ func (e *IngestEstimator) Advice(id string) (IngestAdvice, bool) {
 	}
 	if up := s.last; up != nil {
 		adv.Aliased = up.Err != nil
-		adv.AliasStreak = up.AliasStreak
-		adv.SuggestedInterval = up.SuggestedInterval
+		adv.AliasStreak = s.policy.AliasStreak()
+		// While the policy's trusted estimate stands, lastNyquist is it.
+		adv.SuggestedInterval = s.policy.Standing().PollInterval(s.interval, s.lastNyquist)
 		adv.UpdatedAt = up.Time
 		if up.Result != nil {
 			adv.EnergyCaptured = up.Result.EnergyCaptured

@@ -10,8 +10,10 @@ import (
 
 // ExampleStreamEstimator demonstrates the streaming engine: polls arrive
 // one at a time, the estimator keeps a sliding six-hour window, and each
-// emission carries the current Nyquist rate and the sweet-spot poll
-// interval — no full-trace FFT, no unbounded buffering.
+// emission carries the current Nyquist rate, which a RatePolicy turns into
+// the sweet-spot poll interval — no full-trace FFT, no unbounded
+// buffering. The first window shares most of its samples with nothing
+// trusted yet, so its advice holds the 1-minute poll.
 func ExampleStreamEstimator() {
 	st, _ := nyquist.NewStreamEstimator(nyquist.StreamConfig{
 		Interval:      time.Minute,
@@ -20,6 +22,8 @@ func ExampleStreamEstimator() {
 		Start:         time.Date(2021, 11, 10, 0, 0, 0, 0, time.UTC),
 	})
 
+	var policy nyquist.RatePolicy
+
 	// Simulate half a day of 1-minute polls of a 12-cycles/day signal.
 	for i := 0; i < 720; i++ {
 		t := float64(i) * 60
@@ -27,13 +31,14 @@ func ExampleStreamEstimator() {
 		if up == nil {
 			continue // warming up, or between emissions
 		}
+		d, _ := policy.Feed(up.Result.NyquistRate, up.Err, 360/60)
 		fmt.Printf("%s  nyquist %.1f cycles/day  poll every %v\n",
 			up.Time.Format("15:04"),
 			up.Result.NyquistRate*86400,
-			up.SuggestedInterval.Round(time.Minute))
+			d.PollInterval(time.Minute, up.Result.NyquistRate).Round(time.Minute))
 	}
 	// Output:
-	// 05:59  nyquist 24.0 cycles/day  poll every 50m0s
+	// 05:59  nyquist 24.0 cycles/day  poll every 1m0s
 	// 06:59  nyquist 24.0 cycles/day  poll every 50m0s
 	// 07:59  nyquist 24.0 cycles/day  poll every 50m0s
 	// 08:59  nyquist 24.0 cycles/day  poll every 50m0s

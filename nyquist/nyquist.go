@@ -112,12 +112,17 @@ type (
 	StreamEstimator = core.StreamEstimator
 	// StreamConfig parameterizes streaming estimation.
 	StreamConfig = core.StreamConfig
-	// StreamUpdate is one emission: the windowed estimate plus aliasing
-	// risk and the sweet-spot poll interval. The update Push returns and
-	// its Result belong to the estimator, and the next emitting Push
-	// overwrites them; copy what you keep. Feed and Current return
-	// independent copies.
+	// StreamUpdate is one emission: the windowed estimate and its
+	// aliasing verdict. The update Push returns and its Result belong to
+	// the estimator, and the next emitting Push overwrites them; copy what
+	// you keep. Feed and Current return independent copies.
 	StreamUpdate = core.StreamUpdate
+	// RatePolicy reads each update (Feed, turnover WindowSamples/EmitEvery);
+	// its Decision's PollInterval is the sweet-spot poll interval.
+	RatePolicy = core.RatePolicy
+	// Decision is what one window asks of its loop; PollRate and
+	// PollInterval move a poll by the one poll-rate rule.
+	Decision = core.Decision
 )
 
 // NewStreamEstimator validates cfg and returns a StreamEstimator.

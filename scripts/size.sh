@@ -143,7 +143,16 @@
 # core.RatePolicy.Feed now reads itself, with RetentionHold folded into the
 # policy (core −16, fleet −10, experiments −1 with one append for raw and
 # downsampled blocks, monitor ±0).
-MAX_LOC=20942
+# MAX_LOC (20,942 → 20,941) then fell to the measured value: one
+# poll-rate rule, core.Decision.PollRate with its interval form and the
+# policy's standing decision between windows, replaced the stream's advice
+# (its alias streak and suggested interval) and the controller's own rule
+# and aliased flags (core +20: hold.go +42, stream.go −22; fleet −11); the
+# hook, nyquistscan and the facade call it (monitor +2, nyquistscan +1 with
+# its unreachable error branch gone, nyquist +5, api +1), and monitorsim
+# decodes the daemon's replies into api's own wire types instead of its
+# copies of them (−19).
+MAX_LOC=20941
 MAX_TSDB_LOC=3236
 MAX_FLAGS=16
 MAX_CONFIG_FIELDS=27
