@@ -41,11 +41,13 @@ type crashRecovery struct {
 func recoverRoomy(t *testing.T, dir, what string) crashRecovery {
 	t.Helper()
 	store := roomyStore()
-	d, err := Open(dir, store, monitor.NewIngestEstimator(store, fixtureIngest), fixtureOpts)
+	opts := fixtureOpts
+	opts.fs = newFaultFS()
+	d, err := Open(dir, store, monitor.NewIngestEstimator(store, fixtureIngest), opts)
 	if err != nil {
 		t.Fatalf("%s: Open: %v", what, err)
 	}
-	defer d.abort()
+	defer crash(t, d)
 	r := crashRecovery{snapshotLoaded: d.Replay().SnapshotLoaded, points: map[string][]series.Point{}}
 	_, r.corrupt = d.Scrub()
 	for _, id := range store.IDs() {
@@ -121,7 +123,7 @@ func TestCrashPointsV2(t *testing.T) {
 			if err := os.WriteFile(filepath.Join(dir, name), data[:cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, complete, err := readSnapshot(filepath.Join(dir, snap), false)
+			_, complete, err := readSnapshot(osFS{}, filepath.Join(dir, snap), false)
 			if err != nil {
 				t.Fatalf("%s cut at %d: readSnapshot: %v", name, cut, err)
 			}

@@ -50,10 +50,12 @@ type Options struct {
 	// nonblocking (an atomic histogram observe, not I/O).
 	SyncObserver func(time.Duration)
 
-	// segmentBytes rotates the live segment once it exceeds this size;
-	// zero selects 64 MiB. Only this package's tests set it, to rotate
-	// small logs.
+	// segmentBytes rotates the live segment once it exceeds this size
+	// (zero selects 64 MiB), and fs takes every file operation (nil selects
+	// osFS). Only this package's tests set them: to rotate small logs, and
+	// to fail the disk or crash.
 	segmentBytes int64
+	fs           fileSystem
 }
 
 func (o Options) withDefaults() Options {
@@ -62,6 +64,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.segmentBytes <= 0 {
 		o.segmentBytes = 64 << 20
+	}
+	if o.fs == nil {
+		o.fs = osFS{}
 	}
 	if o.SnapshotEvery == 0 {
 		o.SnapshotEvery = 60 * time.Second
@@ -162,9 +167,6 @@ func Open(dir string, store *tsdb.DB, est *monitor.IngestEstimator, opts Options
 	if store == nil || est == nil {
 		return nil, errors.New("wal: Open needs a store and an ingest estimator")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
 	d := &Durable{
 		dir:       dir,
 		opts:      opts.withDefaults(),
@@ -173,6 +175,9 @@ func Open(dir string, store *tsdb.DB, est *monitor.IngestEstimator, opts Options
 		lastState: make(map[string]stateRec),
 		stopc:     make(chan struct{}),
 		donec:     make(chan struct{}),
+	}
+	if err := d.opts.fs.MkdirAll(dir); err != nil {
+		return nil, err
 	}
 	if err := d.recover(); err != nil {
 		return nil, err
@@ -219,7 +224,7 @@ func (d *Durable) recover() error {
 	// ones — applied after the store replay so the estimator sees the
 	// final tuning.
 	states := map[string]stateRec{}
-	snaps, err := listFiles(d.dir, snapFmt)
+	snaps, err := listFiles(d.opts.fs, d.dir, snapFmt)
 	if err != nil {
 		return err
 	}
@@ -227,7 +232,7 @@ func (d *Durable) recover() error {
 		// The whole file is decoded before anything is applied, so a
 		// half-written snapshot never leaves a half-restored store; an
 		// incomplete one falls back to the previous.
-		snap, ok, err := readSnapshot(filepath.Join(d.dir, snapName(snaps[i])), true)
+		snap, ok, err := readSnapshot(d.opts.fs, filepath.Join(d.dir, snapName(snaps[i])), true)
 		if err != nil {
 			return fmt.Errorf("wal: loading %s: %w", snapName(snaps[i]), err)
 		}
@@ -247,7 +252,7 @@ func (d *Durable) recover() error {
 		break
 	}
 
-	segs, err := listFiles(d.dir, segFmt)
+	segs, err := listFiles(d.opts.fs, d.dir, segFmt)
 	if err != nil {
 		return err
 	}
@@ -255,7 +260,7 @@ func (d *Durable) recover() error {
 		if idx < fromSeg {
 			continue
 		}
-		records, torn, err := replayFile(filepath.Join(d.dir, segName(idx)), segMagic, func(ver uint64, typ byte, payload []byte) error {
+		records, torn, err := replayFile(d.opts.fs, filepath.Join(d.dir, segName(idx)), segMagic, func(ver uint64, typ byte, payload []byte) error {
 			switch typ {
 			case recBlock:
 				r, err := decodeBlockRec(payload, ver)
@@ -374,13 +379,13 @@ type snapshot struct {
 // (ErrVersion) is an error: an older snapshot plus the segments that
 // survive it would come up as a silently incomplete store. keep=false
 // decodes every record and keeps none (the scrub).
-func readSnapshot(path string, keep bool) (s snapshot, ok bool, err error) {
+func readSnapshot(fsys fileSystem, path string, keep bool) (s snapshot, ok bool, err error) {
 	var (
 		haveHdr, bad     bool
 		nSeries, nStates uint64
 		footer           *snapFooter
 	)
-	_, torn, err := replayFile(path, snapMagic, func(_ uint64, typ byte, payload []byte) error {
+	_, torn, err := replayFile(fsys, path, snapMagic, func(_ uint64, typ byte, payload []byte) error {
 		var derr error
 		switch typ {
 		case recSnapHeader:
@@ -442,11 +447,11 @@ func (d *Durable) snapshotLocked() error {
 		return err
 	}
 	tmp := filepath.Join(d.dir, fmt.Sprintf("snap-%08d.tmp", nextSeg))
-	f, w, err := createFramed(tmp, snapMagic, os.O_TRUNC)
+	f, w, err := createFramed(d.opts.fs, tmp, snapMagic, os.O_TRUNC)
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp) // no-op after the rename
+	defer d.opts.fs.Remove(tmp) // no-op after the rename
 	nSeries, err := d.writeSnapshot(w, nextSeg)
 	if err == nil {
 		err = w.Flush()
@@ -460,10 +465,10 @@ func (d *Durable) snapshotLocked() error {
 	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(d.dir, snapName(nextSeg))); err != nil {
+	if err := d.opts.fs.Rename(tmp, filepath.Join(d.dir, snapName(nextSeg))); err != nil {
 		return err
 	}
-	if err := syncDir(d.dir); err != nil {
+	if err := d.opts.fs.SyncDir(d.dir); err != nil {
 		// The rename may never reach the disk: keep the segments the
 		// snapshot covers, so a crash still recovers from them.
 		err = fmt.Errorf("wal: snapshot: sync %s: %w", d.dir, err)
@@ -477,7 +482,7 @@ func (d *Durable) snapshotLocked() error {
 	if err := d.log.RemoveBefore(nextSeg); err != nil {
 		return err
 	}
-	_, _, _ = removeBelow(d.dir, snapFmt, nextSeg)
+	_, _, _ = removeBelow(d.opts.fs, d.dir, snapFmt, nextSeg)
 	d.stats.Snapshots++
 	d.stats.LastSnapshot = time.Now()
 	d.stats.SnapshotSeries = nSeries
@@ -537,7 +542,7 @@ func (d *Durable) Scrub() (checked, corrupt int) {
 	// compaction deletes sealed segments behind each snapshot.
 	from, to := d.log.sealedRange()
 	for idx := from; idx < to; idx++ {
-		_, torn, err := replayFile(filepath.Join(d.dir, segName(idx)), segMagic, func(uint64, byte, []byte) error { return nil })
+		_, torn, err := replayFile(d.opts.fs, filepath.Join(d.dir, segName(idx)), segMagic, func(uint64, byte, []byte) error { return nil })
 		if errors.Is(err, fs.ErrNotExist) {
 			continue // compacted away behind a snapshot
 		}
@@ -552,10 +557,10 @@ func (d *Durable) Scrub() (checked, corrupt int) {
 			d.log.noteExternalErr(fmt.Errorf("wal: scrub: %s: %w", segName(idx), err))
 		}
 	}
-	if snaps, err := listFiles(d.dir, snapFmt); err == nil && len(snaps) > 0 {
+	if snaps, err := listFiles(d.opts.fs, d.dir, snapFmt); err == nil && len(snaps) > 0 {
 		name := snapName(snaps[len(snaps)-1])
 		checked++
-		if _, ok, err := readSnapshot(filepath.Join(d.dir, name), false); !ok {
+		if _, ok, err := readSnapshot(d.opts.fs, filepath.Join(d.dir, name), false); !ok {
 			if err == nil {
 				err = ErrCorrupt
 			}
@@ -568,20 +573,6 @@ func (d *Durable) Scrub() (checked, corrupt int) {
 	d.stats.ScrubCorrupt += int64(corrupt)
 	d.stats.LastScrub = time.Now()
 	return checked, corrupt
-}
-
-// syncDir fsyncs a directory so a just-renamed file's dirent is durable.
-// A variable so a test can fail it.
-var syncDir = func(dir string) error {
-	f, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = f.Sync()
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // writeStates appends a state record for every series whose tuning
@@ -644,16 +635,6 @@ func (d *Durable) Close() error {
 	err := d.log.Close()
 	d.store.OnSeal(nil)
 	return err
-}
-
-// abort is the crash simulation used by tests: drop everything since
-// the last group commit and stop, with no seal, no state sweep and no
-// flush.
-func (d *Durable) abort() {
-	close(d.stopc)
-	<-d.donec
-	d.store.OnSeal(nil)
-	d.log.abort()
 }
 
 // Stats reports the subsystem's operator view.

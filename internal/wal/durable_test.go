@@ -91,7 +91,7 @@ func TestCrashRecoveryWALOnly(t *testing.T) {
 	dir := t.TempDir()
 	store1 := servingStore()
 	est1 := monitor.NewIngestEstimator(store1, ingestCfg)
-	d1, err := Open(dir, store1, est1, Options{FsyncEvery: -1, SnapshotEvery: -1, StateEvery: -1})
+	d1, err := Open(dir, store1, est1, Options{FsyncEvery: -1, SnapshotEvery: -1, StateEvery: -1, fs: newFaultFS()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestCrashRecoveryWALOnly(t *testing.T) {
 	if !ok || preAdv.NyquistRate == 0 {
 		t.Fatalf("precondition: no trusted estimate before the crash: %+v", preAdv)
 	}
-	d1.abort() // crash: no Close, no final seal, no state sweep
+	crash(t, d1) // no Close, no final seal, no state sweep
 
 	store2 := servingStore()
 	est2 := monitor.NewIngestEstimator(store2, ingestCfg)
@@ -110,7 +110,7 @@ func TestCrashRecoveryWALOnly(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen after crash: %v", err)
 	}
-	defer d2.abort()
+	defer d2.Close()
 
 	info := d2.Replay()
 	if info.Points != 3*1024 {
@@ -150,7 +150,7 @@ func TestCrashRecoveryUnsyncedTail(t *testing.T) {
 	store1 := servingStore()
 	est1 := monitor.NewIngestEstimator(store1, ingestCfg)
 	// An hour-long group-commit window: nothing is synced unless we say so.
-	d1, err := Open(dir, store1, est1, Options{FsyncEvery: time.Hour, SnapshotEvery: -1, StateEvery: -1})
+	d1, err := Open(dir, store1, est1, Options{FsyncEvery: time.Hour, SnapshotEvery: -1, StateEvery: -1, fs: newFaultFS()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestCrashRecoveryUnsyncedTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	d1.abort()
+	crash(t, d1)
 
 	store2 := servingStore()
 	est2 := monitor.NewIngestEstimator(store2, ingestCfg)
@@ -174,7 +174,7 @@ func TestCrashRecoveryUnsyncedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d2.abort()
+	defer d2.Close()
 	res, err := store2.Query(id, time.Time{}, time.Time{}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ func TestCrashLossAcrossSnapshot(t *testing.T) {
 	est1 := monitor.NewIngestEstimator(store1, ingestCfg)
 	// An hour-long group-commit window: only Sync and the snapshot's
 	// rotation reach the disk.
-	d1, err := Open(dir, store1, est1, Options{FsyncEvery: time.Hour, SnapshotEvery: -1, StateEvery: -1})
+	d1, err := Open(dir, store1, est1, Options{FsyncEvery: time.Hour, SnapshotEvery: -1, StateEvery: -1, fs: newFaultFS()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestCrashLossAcrossSnapshot(t *testing.T) {
 		push(s, k)
 	}
 	sealed()
-	d1.abort()
+	crash(t, d1)
 
 	store2 := servingStore()
 	est2 := monitor.NewIngestEstimator(store2, ingestCfg)
@@ -273,7 +273,7 @@ func TestCrashLossAcrossSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d2.abort()
+	defer d2.Close()
 	if want[0] != 200 || want[1] != 256 || want[2] != 384 || want[3] != 384 {
 		t.Fatalf("precondition: durable counts %v, want the snapshot's 200 for dev00 and synced seals 256, 384, 384", want)
 	}
@@ -301,7 +301,7 @@ func TestSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
 	store1 := servingStore()
 	est1 := monitor.NewIngestEstimator(store1, ingestCfg)
-	d1, err := Open(dir, store1, est1, Options{FsyncEvery: -1, SnapshotEvery: -1, StateEvery: -1})
+	d1, err := Open(dir, store1, est1, Options{FsyncEvery: -1, SnapshotEvery: -1, StateEvery: -1, fs: newFaultFS()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestSnapshotCompaction(t *testing.T) {
 	if err := d1.Snapshot(); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	segsAfter, _ := listFiles(dir, segFmt)
+	segsAfter, _ := listFiles(osFS{}, dir, segFmt)
 	if len(segsAfter) != 1 {
 		t.Fatalf("snapshot left %d segments, want 1 (the live one)", len(segsAfter))
 	}
@@ -333,7 +333,7 @@ func TestSnapshotCompaction(t *testing.T) {
 		}
 		est1.Observe(id, p)
 	}
-	d1.abort()
+	crash(t, d1)
 
 	store2 := servingStore()
 	est2 := monitor.NewIngestEstimator(store2, ingestCfg)
@@ -341,7 +341,7 @@ func TestSnapshotCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen from snapshot: %v", err)
 	}
-	defer d2.abort()
+	defer d2.Close()
 	info := d2.Replay()
 	if !info.SnapshotLoaded {
 		t.Fatalf("snapshot not loaded on recovery: %+v", info)
@@ -381,7 +381,7 @@ func TestCleanShutdownSealsTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d2.abort()
+	defer d2.Close()
 	assertStoresMatch(t, store1, store2, "clean shutdown")
 	pre, _ := est1.Advice("ext/dev00/metric")
 	post, ok := est2.Advice("ext/dev00/metric")
@@ -461,7 +461,9 @@ func TestCrashRecoveryMidHold(t *testing.T) {
 	dir := t.TempDir()
 	store1 := servingStore()
 	est1 := monitor.NewIngestEstimator(store1, ingestCfg)
-	d1, err := Open(dir, store1, est1, opts)
+	crashable := opts
+	crashable.fs = newFaultFS()
+	d1, err := Open(dir, store1, est1, crashable)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +485,7 @@ func TestCrashRecoveryMidHold(t *testing.T) {
 	// re-derives is one of the ten lower ones.
 	store1.SealAll()
 	d1.writeStates()
-	d1.abort()
+	crash(t, d1)
 
 	store2 := servingStore()
 	est2 := monitor.NewIngestEstimator(store2, ingestCfg)
@@ -491,7 +493,7 @@ func TestCrashRecoveryMidHold(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen after crash: %v", err)
 	}
-	defer d2.abort()
+	defer d2.Close()
 	if got := store2.NyquistRate(id); got != held {
 		t.Fatalf("recovered retention rate %v, want the held %v (newest estimate before the crash: %v)", got, held, pre.NyquistRate)
 	}
@@ -536,30 +538,28 @@ func TestCrashRecoveryMidHold(t *testing.T) {
 // snapshot file gone — and requires every point back from the segments,
 // and the failure counted.
 func TestSnapshotKeepsSegmentsWhenDirSyncFails(t *testing.T) {
-	errSync := errors.New("injected directory fsync failure")
-	defer func(f func(string) error) { syncDir = f }(syncDir)
-	syncDir = func(string) error { return errSync }
-
 	dir := t.TempDir()
 	store1 := servingStore()
 	est1 := monitor.NewIngestEstimator(store1, ingestCfg)
-	d1, err := Open(dir, store1, est1, Options{FsyncEvery: -1, SnapshotEvery: -1, StateEvery: -1})
+	ffs := newFaultFS()
+	d1, err := Open(dir, store1, est1, Options{FsyncEvery: -1, SnapshotEvery: -1, StateEvery: -1, fs: ffs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ingestLoad(t, store1, est1, 2, 1024) // 8 sealed blocks per series, no tail
-	segsBefore, _ := listFiles(dir, segFmt)
-	if err := d1.Snapshot(); !errors.Is(err, errSync) {
+	segsBefore, _ := listFiles(osFS{}, dir, segFmt)
+	ffs.failNth("syncdir", 1)
+	if err := d1.Snapshot(); !errors.Is(err, errInjected) {
 		t.Fatalf("snapshot with a failing directory fsync returned %v, want the fsync's error", err)
 	}
-	if segs, _ := listFiles(dir, segFmt); len(segs) != len(segsBefore)+1 {
+	if segs, _ := listFiles(osFS{}, dir, segFmt); len(segs) != len(segsBefore)+1 {
 		t.Fatalf("%d segments after the failed snapshot, want the %d it covers plus the live one", len(segs), len(segsBefore))
 	}
 	if st := d1.Stats(); st.Log.Errors != 1 || st.Snapshots != 0 {
 		t.Fatalf("stats after the failed snapshot: %d log errors, %d snapshots; want 1 and 0", st.Log.Errors, st.Snapshots)
 	}
-	d1.abort()
-	snaps, _ := listFiles(dir, snapFmt)
+	crash(t, d1)
+	snaps, _ := listFiles(osFS{}, dir, snapFmt)
 	for _, idx := range snaps { // the dirent the failed fsync never made durable
 		if err := os.Remove(filepath.Join(dir, snapName(idx))); err != nil {
 			t.Fatal(err)
@@ -572,7 +572,7 @@ func TestSnapshotKeepsSegmentsWhenDirSyncFails(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	defer d2.abort()
+	defer d2.Close()
 	if info := d2.Replay(); info.SnapshotLoaded || info.Points != 2*1024 {
 		t.Fatalf("recovered %d points (snapshot loaded: %v), want all %d from the segments", info.Points, info.SnapshotLoaded, 2*1024)
 	}

@@ -79,7 +79,9 @@ func TestWriteFormatFixture(t *testing.T) {
 	}
 	store := fixtureStore()
 	est := monitor.NewIngestEstimator(store, fixtureIngest)
-	d, err := Open(dir, store, est, fixtureOpts)
+	opts := fixtureOpts
+	opts.fs = newFaultFS()
+	d, err := Open(dir, store, est, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +95,7 @@ func TestWriteFormatFixture(t *testing.T) {
 	}
 	d.writeStates()
 	fixtureLoad(t, store, est, 420, 500) // the last 4 points of each series stay unsealed and are lost
-	d.abort()
+	crash(t, d)
 }
 
 // dumpRecovered renders everything recovery is responsible for: the
@@ -151,7 +153,9 @@ func copyDir(t *testing.T, src string) string {
 func openFixture(t *testing.T, dir string) (*Durable, error) {
 	t.Helper()
 	store := fixtureStore()
-	return Open(dir, store, monitor.NewIngestEstimator(store, fixtureIngest), fixtureOpts)
+	opts := fixtureOpts
+	opts.fs = newFaultFS()
+	return Open(dir, store, monitor.NewIngestEstimator(store, fixtureIngest), opts)
 }
 
 // requireRecovery opens a copy of testdata/<version> (a snapshot and two
@@ -164,7 +168,7 @@ func requireRecovery(t *testing.T, version string) {
 	if err != nil {
 		t.Fatalf("opening the %s directory: %v", version, err)
 	}
-	defer d.abort()
+	defer d.Close()
 	want, err := os.ReadFile(filepath.Join("testdata", version, "recovered.golden"))
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +224,7 @@ func TestSnapshotRecordsMatchV2(t *testing.T) {
 	if err := d.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	d.abort()
+	crash(t, d)
 	frames := func(path string) []string {
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -260,7 +264,7 @@ func TestV1DirectoryUpgradesInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	fixtureLoad(t, d.store, d.est, 500, 596) // six whole blocks: nothing unsealed at the crash
-	d.abort()
+	crash(t, d)
 
 	d2, err := openFixture(t, dir)
 	if err != nil {
@@ -291,13 +295,13 @@ func TestV1DirectoryUpgradesInPlace(t *testing.T) {
 	if err := d2.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	d2.abort()
+	crash(t, d2)
 
 	d3, err := openFixture(t, dir)
 	if err != nil {
 		t.Fatalf("recovering a v2 snapshot: %v", err)
 	}
-	defer d3.abort()
+	defer d3.Close()
 	if !d3.Replay().SnapshotLoaded {
 		t.Fatalf("the v2 snapshot was not loaded: %+v", d3.Replay())
 	}
@@ -337,15 +341,15 @@ func TestRefusesFutureVersions(t *testing.T) {
 		if err := d.Snapshot(); err != nil {
 			t.Fatal(err)
 		}
-		d.abort()
+		crash(t, d)
 		// Re-frame the snapshot with its header's version raised.
-		snaps, err := listFiles(dir, snapFmt)
+		snaps, err := listFiles(osFS{}, dir, snapFmt)
 		if err != nil || len(snaps) != 1 {
 			t.Fatalf("snapshots %v, %v", snaps, err)
 		}
 		path := filepath.Join(dir, snapName(snaps[0]))
 		out := bytes.NewBufferString(snapMagic)
-		if _, _, err := replayFile(path, snapMagic, func(_ uint64, typ byte, payload []byte) error {
+		if _, _, err := replayFile(osFS{}, path, snapMagic, func(_ uint64, typ byte, payload []byte) error {
 			e := enc{}
 			e.openFrame(typ)
 			if typ == recSnapHeader {

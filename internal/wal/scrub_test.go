@@ -27,7 +27,7 @@ func TestScrubDetectsBitFlip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.abort()
+	defer d.Close()
 	ingestLoad(t, store, est, 2, 1024)
 
 	from, to := d.log.sealedRange()
@@ -83,7 +83,7 @@ func TestSnapshotFooterFallback(t *testing.T) {
 	dir := t.TempDir()
 	store1 := servingStore()
 	est1 := monitor.NewIngestEstimator(store1, ingestCfg)
-	d1, err := Open(dir, store1, est1, Options{FsyncEvery: -1, SnapshotEvery: -1, StateEvery: -1, ScrubEvery: -1})
+	d1, err := Open(dir, store1, est1, Options{FsyncEvery: -1, SnapshotEvery: -1, StateEvery: -1, ScrubEvery: -1, fs: newFaultFS()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestSnapshotFooterFallback(t *testing.T) {
 	if err := d1.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	snapsA, _ := listFiles(dir, snapFmt)
+	snapsA, _ := listFiles(osFS{}, dir, snapFmt)
 	if len(snapsA) != 1 {
 		t.Fatalf("%d snapshots after first Snapshot, want 1", len(snapsA))
 	}
@@ -104,10 +104,10 @@ func TestSnapshotFooterFallback(t *testing.T) {
 	if err := d1.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	d1.abort()
+	crash(t, d1)
 
 	// Corrupt snapshot B's footer (truncate its tail) and restore A.
-	snaps, _ := listFiles(dir, snapFmt)
+	snaps, _ := listFiles(osFS{}, dir, snapFmt)
 	pathB := filepath.Join(dir, snapName(snaps[len(snaps)-1]))
 	rawB, err := os.ReadFile(pathB)
 	if err != nil {
@@ -119,8 +119,8 @@ func TestSnapshotFooterFallback(t *testing.T) {
 	if err := os.WriteFile(pathA, copyA, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, okB, errB := readSnapshot(pathB, false)
-	_, okA, errA := readSnapshot(pathA, false)
+	_, okB, errB := readSnapshot(osFS{}, pathB, false)
+	_, okA, errA := readSnapshot(osFS{}, pathA, false)
 	if okB || !okA || errA != nil || errB != nil {
 		t.Fatal("corruption setup backwards: B must be incomplete, A complete")
 	}
@@ -131,7 +131,7 @@ func TestSnapshotFooterFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen past the corrupt snapshot: %v", err)
 	}
-	defer d2.abort()
+	defer d2.Close()
 	info := d2.Replay()
 	if !info.SnapshotLoaded || info.SnapshotSeq != snapsA[0] {
 		t.Fatalf("recovery did not fall back to snapshot %d: %+v", snapsA[0], info)
@@ -150,7 +150,7 @@ func TestEmptyDirColdStart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cold start on an empty dir: %v", err)
 	}
-	defer d.abort()
+	defer d.Close()
 	info := d.Replay()
 	if info.SnapshotLoaded || info.Segments != 0 || info.Records != 0 || info.Series != 0 {
 		t.Fatalf("cold start replayed something: %+v", info)

@@ -132,7 +132,7 @@ type Log struct {
 	opts Options
 
 	mu       sync.Mutex
-	f        *os.File
+	f        file
 	w        *bufio.Writer
 	seg      uint64 // current segment index
 	startSeg uint64 // first segment opened by this session (scrub floor)
@@ -164,8 +164,8 @@ func snapName(idx uint64) string { return fmt.Sprintf(snapFmt, idx) }
 
 // listFiles returns the indices of the files in dir named by format
 // (segFmt or snapFmt), sorted.
-func listFiles(dir, format string) ([]uint64, error) {
-	ents, err := os.ReadDir(dir)
+func listFiles(fsys fileSystem, dir, format string) ([]uint64, error) {
+	ents, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -184,8 +184,8 @@ func listFiles(dir, format string) ([]uint64, error) {
 // removeBelow deletes the files in dir named by format whose index is
 // below idx, returning how many went, their bytes and the first error (a
 // file that fails to delete is left for the next pass).
-func removeBelow(dir, format string, idx uint64) (n int, bytes int64, err error) {
-	idxs, err := listFiles(dir, format)
+func removeBelow(fsys fileSystem, dir, format string, idx uint64) (n int, bytes int64, err error) {
+	idxs, err := listFiles(fsys, dir, format)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -194,8 +194,8 @@ func removeBelow(dir, format string, idx uint64) (n int, bytes int64, err error)
 			break
 		}
 		path := filepath.Join(dir, fmt.Sprintf(format, i))
-		fi, serr := os.Stat(path)
-		if rerr := os.Remove(path); rerr != nil {
+		fi, serr := fsys.Stat(path)
+		if rerr := fsys.Remove(path); rerr != nil {
 			if err == nil {
 				err = rerr
 			}
@@ -212,8 +212,8 @@ func removeBelow(dir, format string, idx uint64) (n int, bytes int64, err error)
 // createFramed creates path (flag adds O_EXCL or O_TRUNC) behind a 1 MiB
 // buffered writer holding the file's magic. A failed write is sticky in
 // the writer, so the caller's Flush reports it.
-func createFramed(path, magic string, flag int) (*os.File, *bufio.Writer, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|flag, 0o644)
+func createFramed(fsys fileSystem, path, magic string, flag int) (file, *bufio.Writer, error) {
+	f, err := fsys.OpenFile(path, flag)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -227,7 +227,7 @@ func createFramed(path, magic string, flag int) (*os.File, *bufio.Writer, error)
 // past the newest becomes the append target.
 func openLog(dir string, opts Options) (*Log, error) {
 	opts = opts.withDefaults()
-	segs, err := listFiles(dir, segFmt)
+	segs, err := listFiles(opts.fs, dir, segFmt)
 	if err != nil {
 		return nil, err
 	}
@@ -237,7 +237,7 @@ func openLog(dir string, opts Options) (*Log, error) {
 		if idx >= next {
 			next = idx + 1
 		}
-		if fi, err := os.Stat(filepath.Join(dir, segName(idx))); err == nil {
+		if fi, err := opts.fs.Stat(filepath.Join(dir, segName(idx))); err == nil {
 			oldBytes += fi.Size()
 		}
 	}
@@ -261,7 +261,7 @@ func openLog(dir string, opts Options) (*Log, error) {
 // openSegment creates and syncs segment idx as the append target.
 // Caller holds mu (or is the constructor).
 func (l *Log) openSegment(idx uint64) error {
-	f, w, err := createFramed(filepath.Join(l.dir, segName(idx)), segMagic, os.O_EXCL)
+	f, w, err := createFramed(l.opts.fs, filepath.Join(l.dir, segName(idx)), segMagic, os.O_EXCL)
 	if err != nil {
 		return err
 	}
@@ -429,7 +429,7 @@ func (l *Log) Rotate() (uint64, error) {
 // RemoveBefore deletes segment files with index < seg — the compaction
 // step after a successful snapshot covering them.
 func (l *Log) RemoveBefore(seg uint64) error {
-	n, bytes, err := removeBelow(l.dir, segFmt, seg)
+	n, bytes, err := removeBelow(l.opts.fs, l.dir, segFmt, seg)
 	l.mu.Lock()
 	l.st.Segments -= n
 	l.oldBytes -= bytes
@@ -454,20 +454,6 @@ func (l *Log) Close() error {
 	close(l.stopc)
 	<-l.donec
 	return err
-}
-
-// abort drops buffered records and closes the file without flushing —
-// the test harness' SIGKILL: everything since the last group commit is
-// lost, exactly as a real crash would lose it.
-func (l *Log) abort() {
-	l.mu.Lock()
-	if !l.closed {
-		l.f.Close()
-		l.closed = true
-	}
-	l.mu.Unlock()
-	close(l.stopc)
-	<-l.donec
 }
 
 func (l *Log) flushLoop() {
@@ -527,8 +513,8 @@ func (l *Log) Stats() LogStats {
 // CRC-failing record, the expected shape after a crash — reporting
 // torn=true; fn errors abort the walk, and so does a version newer than
 // magic's (ErrVersion).
-func replayFile(path, magic string, fn func(ver uint64, typ byte, payload []byte) error) (records int64, torn bool, err error) {
-	f, err := os.Open(path)
+func replayFile(fsys fileSystem, path, magic string, fn func(ver uint64, typ byte, payload []byte) error) (records int64, torn bool, err error) {
+	f, err := fsys.Open(path)
 	if err != nil {
 		return 0, false, err
 	}

@@ -39,7 +39,7 @@ func TestLogRoundTrip(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := listFiles(dir, segFmt)
+	segs, err := listFiles(osFS{}, dir, segFmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestLogRoundTrip(t *testing.T) {
 	}
 	var got []rec
 	for _, idx := range segs {
-		_, torn, err := replayFile(filepath.Join(dir, segName(idx)), segMagic, func(_ uint64, typ byte, payload []byte) error {
+		_, torn, err := replayFile(osFS{}, filepath.Join(dir, segName(idx)), segMagic, func(_ uint64, typ byte, payload []byte) error {
 			got = append(got, rec{typ: typ, payload: append([]byte(nil), payload...)})
 			return nil
 		})
@@ -104,7 +104,7 @@ func TestLogTornTail(t *testing.T) {
 			if err := os.WriteFile(path, mutate(data), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			n, torn, err := replayFile(path, segMagic, func(uint64, byte, []byte) error { return nil })
+			n, torn, err := replayFile(osFS{}, path, segMagic, func(uint64, byte, []byte) error { return nil })
 			if err != nil {
 				t.Fatalf("replay errored instead of stopping: %v", err)
 			}
@@ -136,7 +136,7 @@ func TestLogGroupCommit(t *testing.T) {
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	n, _, err := replayFile(filepath.Join(dir, segName(1)), segMagic, func(uint64, byte, []byte) error { return nil })
+	n, _, err := replayFile(osFS{}, filepath.Join(dir, segName(1)), segMagic, func(uint64, byte, []byte) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestSealRecordZeroAlloc(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	records, torn, err := replayFile(filepath.Join(dir, segName(1)), segMagic, func(ver uint64, typ byte, payload []byte) error {
+	records, torn, err := replayFile(osFS{}, filepath.Join(dir, segName(1)), segMagic, func(ver uint64, typ byte, payload []byte) error {
 		r, err := decodeBlockRec(payload, ver)
 		if err != nil {
 			return err
@@ -220,7 +220,7 @@ func TestRemoveBefore(t *testing.T) {
 	if err := l.RemoveBefore(cur); err != nil {
 		t.Fatal(err)
 	}
-	segs, _ := listFiles(dir, segFmt)
+	segs, _ := listFiles(osFS{}, dir, segFmt)
 	if len(segs) != 1 || segs[0] != cur {
 		t.Fatalf("segments after RemoveBefore(%d) = %v, want just the live one", cur, segs)
 	}

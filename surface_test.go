@@ -32,7 +32,6 @@ var kept = map[string]string{
 	"nyquist.NewSeries":         "the only way to build the facade's Series; step 1 of its documented workflow",
 	"dcsim.Device.CounterTrace": "ROADMAP item 8's oracle: the counter a device exports",
 	"dcsim.Device.TraceAtRate":  "ROADMAP item 11(c)'s companion window",
-	"wal.Durable.abort":         "the crash tests' seam: drops the log without a final sync",
 	"bench.stack.post":          "bench/ changes only with the benchmark; its test drives the traced stack through it",
 }
 
