@@ -441,17 +441,23 @@ func (d *Durable) Snapshot() error {
 	return d.snapshotLocked()
 }
 
-func (d *Durable) snapshotLocked() error {
+func (d *Durable) snapshotLocked() (err error) {
+	defer func() {
+		if err != nil {
+			d.stats.SnapshotErrors++
+		}
+	}()
 	nextSeg, err := d.log.Rotate()
 	if err != nil {
 		return err
 	}
 	tmp := filepath.Join(d.dir, fmt.Sprintf("snap-%08d.tmp", nextSeg))
-	f, w, err := createFramed(d.opts.fs, tmp, snapMagic, os.O_TRUNC)
+	f, err := d.opts.fs.OpenFile(tmp, os.O_TRUNC)
 	if err != nil {
 		return err
 	}
 	defer d.opts.fs.Remove(tmp) // no-op after the rename
+	w := bufio.NewWriterSize(f, 1<<20)
 	nSeries, err := d.writeSnapshot(w, nextSeg)
 	if err == nil {
 		err = w.Flush()
@@ -494,6 +500,9 @@ func (d *Durable) snapshotLocked() error {
 // every series, every estimator state and the footer that counts them.
 // It returns the series count.
 func (d *Durable) writeSnapshot(w *bufio.Writer, nextSeg uint64) (int, error) {
+	if _, err := w.WriteString(snapMagic); err != nil {
+		return 0, err
+	}
 	var e enc
 	rec := func(typ byte, fill func(*enc)) error {
 		e.openFrame(typ)
@@ -613,7 +622,6 @@ func (d *Durable) background() {
 			grown := d.log.Stats().Bytes-d.bytesAtSnap >= snapshotMinBytes
 			if grown {
 				if err := d.snapshotLocked(); err != nil {
-					d.stats.SnapshotErrors++
 					fmt.Fprintf(os.Stderr, "wal: background snapshot failed: %v\n", err)
 				}
 			}

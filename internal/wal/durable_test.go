@@ -578,3 +578,118 @@ func TestSnapshotKeepsSegmentsWhenDirSyncFails(t *testing.T) {
 	}
 	assertStoresMatch(t, store1, store2, "failed directory fsync")
 }
+
+// roundRobinLoad appends rounds of one 128-point block to each of seriesN
+// series in turn, continuing where accepted leaves off, and returns the
+// points accepted per series. Between rounds, before(r) may arm a fault.
+func roundRobinLoad(t *testing.T, store *tsdb.DB, est *monitor.IngestEstimator, accepted map[string][]series.Point, seriesN, rounds int, before func(r int)) {
+	t.Helper()
+	for r := 0; r < rounds; r++ {
+		before(r)
+		for s := 0; s < seriesN; s++ {
+			id := fmt.Sprintf("ext/dev%02d/metric", s)
+			for k := 0; k < 128; k++ {
+				i := len(accepted[id])
+				p := series.Point{Time: walStart.Add(time.Duration(i) * time.Second), Value: twoTone(1.0/64, 1.0/16, float64(i)) + float64(s)}
+				if err := store.Append(id, p); err != nil {
+					t.Fatalf("append %s/%d: %v", id, i, err)
+				}
+				est.Observe(id, p)
+				accepted[id] = append(accepted[id], p)
+			}
+		}
+	}
+}
+
+// recoveredPoints opens dir on the real disk and returns every series'
+// points and what replay did.
+func recoveredPoints(t *testing.T, dir string) (map[string][]series.Point, ReplayInfo) {
+	t.Helper()
+	store := servingStore()
+	d, err := Open(dir, store, monitor.NewIngestEstimator(store, ingestCfg), Options{SnapshotEvery: -1, StateEvery: -1, ScrubEvery: -1})
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	defer d.Close()
+	got := map[string][]series.Point{}
+	for _, id := range store.IDs() {
+		res, err := store.Query(id, time.Time{}, time.Time{}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[id] = res.Points
+	}
+	return got, d.Replay()
+}
+
+// TestShortWriteMidFrame: the disk fills mid-record on the live segment —
+// a write lands half a frame and fails with ENOSPC — and then has room
+// again. The failure is counted once, the poisoned segment stays, and
+// after a crash every series recovers whole: the next segment took the
+// records the failed write left unsynced, so none of the blocks sealed
+// after it sits behind a hole.
+func TestShortWriteMidFrame(t *testing.T) {
+	dir := t.TempDir()
+	store1 := servingStore()
+	est1 := monitor.NewIngestEstimator(store1, ingestCfg)
+	ffs := newFaultFS()
+	d1, err := Open(dir, store1, est1, Options{FsyncEvery: -1, SnapshotEvery: -1, StateEvery: -1, ScrubEvery: -1, fs: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := map[string][]series.Point{}
+	roundRobinLoad(t, store1, est1, accepted, 3, 8, func(r int) {
+		if r == 4 {
+			ffs.failNth("write", 2) // the second series' block of round 4
+		}
+	})
+	if st := d1.Stats().Log; st.Errors != 1 || !strings.Contains(st.LastError, "no space left") {
+		t.Fatalf("log stats after one short write: %d errors, last %q", st.Errors, st.LastError)
+	}
+	segs, _ := listFiles(osFS{}, dir, segFmt)
+	crash(t, d1)
+
+	got, info := recoveredPoints(t, dir)
+	requirePrefix(t, "after a short write", got, accepted, true)
+	if !info.TornTail || info.Segments != len(segs) {
+		t.Fatalf("replay %+v: want the %d segments, the poisoned one torn", info, len(segs))
+	}
+}
+
+// TestSnapshotRenameFails: the rename of a complete snap-*.tmp to its
+// final name fails. The snapshot reports and counts the failure, compacts
+// nothing and leaves no temp file, and a crash recovers every point from
+// the segments it would have covered.
+func TestSnapshotRenameFails(t *testing.T) {
+	dir := t.TempDir()
+	store1 := servingStore()
+	est1 := monitor.NewIngestEstimator(store1, ingestCfg)
+	ffs := newFaultFS()
+	d1, err := Open(dir, store1, est1, Options{FsyncEvery: -1, SnapshotEvery: -1, StateEvery: -1, ScrubEvery: -1, fs: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := map[string][]series.Point{}
+	roundRobinLoad(t, store1, est1, accepted, 2, 8, func(int) {})
+	segsBefore, _ := listFiles(osFS{}, dir, segFmt)
+	ffs.failNth("rename", 1)
+	if err := d1.Snapshot(); !errors.Is(err, errInjected) {
+		t.Fatalf("snapshot with a failing rename returned %v, want the rename's error", err)
+	}
+	if st := d1.Stats(); st.SnapshotErrors != 1 || st.Snapshots != 0 {
+		t.Fatalf("stats after the failed snapshot: %d snapshot errors, %d snapshots; want 1 and 0", st.SnapshotErrors, st.Snapshots)
+	}
+	if segs, _ := listFiles(osFS{}, dir, segFmt); len(segs) != len(segsBefore)+1 {
+		t.Fatalf("%d segments after the failed snapshot, want the %d it covers plus the live one", len(segs), len(segsBefore))
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "snap-*")); len(left) != 0 {
+		t.Fatalf("the failed snapshot left %v", left)
+	}
+	crash(t, d1)
+
+	got, info := recoveredPoints(t, dir)
+	if info.SnapshotLoaded {
+		t.Fatalf("replay %+v loaded a snapshot that never landed", info)
+	}
+	requirePrefix(t, "after a failed rename", got, accepted, true)
+}

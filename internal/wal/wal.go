@@ -133,11 +133,17 @@ type Log struct {
 
 	mu       sync.Mutex
 	f        file
-	w        *bufio.Writer
 	seg      uint64 // current segment index
 	startSeg uint64 // first segment opened by this session (scrub floor)
 	segBytes int64  // bytes written to the current segment
 	oldBytes int64  // bytes in older (already sealed) live segments
+	// pending is what the live segment takes at its next sync: its magic
+	// while it has had no good sync (headed), then every record appended
+	// since the last good one. Only a good fsync clears it, so a segment
+	// poisoned by a failed write or fsync hands all of it to the next.
+	pending  []byte
+	headed   bool
+	poisoned bool
 	// st holds the counters; Stats fills in Bytes and UnsyncedAge.
 	st LogStats
 	// dirtySince is when the oldest write not yet fsynced was buffered;
@@ -209,19 +215,6 @@ func removeBelow(fsys fileSystem, dir, format string, idx uint64) (n int, bytes 
 	return n, bytes, err
 }
 
-// createFramed creates path (flag adds O_EXCL or O_TRUNC) behind a 1 MiB
-// buffered writer holding the file's magic. A failed write is sticky in
-// the writer, so the caller's Flush reports it.
-func createFramed(fsys fileSystem, path, magic string, flag int) (file, *bufio.Writer, error) {
-	f, err := fsys.OpenFile(path, flag)
-	if err != nil {
-		return nil, nil, err
-	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	_, _ = w.WriteString(magic)
-	return f, w, nil
-}
-
 // openLog opens dir for appending: existing segments are left untouched
 // (boot replays them; compaction deletes them) and a fresh segment one
 // past the newest becomes the append target.
@@ -258,16 +251,19 @@ func openLog(dir string, opts Options) (*Log, error) {
 	return l, nil
 }
 
-// openSegment creates and syncs segment idx as the append target.
+// openSegment creates segment idx as the append target. Its magic, and
+// the records a poisoned segment left unsynced, land at its first sync.
 // Caller holds mu (or is the constructor).
 func (l *Log) openSegment(idx uint64) error {
-	f, w, err := createFramed(l.opts.fs, filepath.Join(l.dir, segName(idx)), segMagic, os.O_EXCL)
+	f, err := l.opts.fs.OpenFile(filepath.Join(l.dir, segName(idx)), os.O_EXCL)
 	if err != nil {
 		return err
 	}
-	l.f, l.w = f, w
-	l.seg = idx
-	l.segBytes = int64(len(segMagic))
+	if !l.headed {
+		l.pending, l.headed = slices.Insert(l.pending, 0, []byte(segMagic)...), true
+	}
+	l.f, l.seg, l.poisoned = f, idx, false
+	l.segBytes = int64(len(l.pending))
 	l.markDirty()
 	return nil
 }
@@ -294,15 +290,18 @@ func (e *enc) closeFrame() []byte {
 	return e.b
 }
 
+// errBacklog refuses a record while a failing disk has left a segment's
+// worth of records unsynced: pending stays bounded through an outage.
+var errBacklog = errors.New("wal: unsynced backlog full, record dropped")
+
 // appendRec frames one record into the live segment, fill encoding its
-// payload straight into the log's framing buffer: once that buffer has
-// grown, an append allocates nothing. With a non-negative FsyncEvery the
-// write is buffered and becomes durable at the next group commit — no
-// file I/O happens on the caller's path (size-based rotation runs in the
-// flusher), so the seal hook appending under a shard lock only pays a
-// mutex and the encode. A negative FsyncEvery syncs (and rotates, when
-// due) before returning. Failures are counted in LogStats.Errors as well
-// as returned.
+// payload straight into the log's framing buffer: once that buffer and
+// pending have grown, an append allocates nothing. With a non-negative
+// FsyncEvery the record waits in pending and becomes durable at the next
+// group commit — no file I/O happens on the caller's path, so the seal
+// hook appending under a shard lock only pays a mutex and the encode. A
+// negative FsyncEvery commits before returning. Failures are counted in
+// LogStats.Errors as well as returned.
 func (l *Log) appendRec(typ byte, fill func(*enc)) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -312,27 +311,31 @@ func (l *Log) appendRec(typ byte, fill func(*enc)) error {
 		// durability, not just a caller error.
 		return l.noteErr(os.ErrClosed)
 	}
+	if int64(len(l.pending)) >= l.opts.segmentBytes {
+		return l.noteErr(errBacklog)
+	}
 	l.rec.openFrame(typ)
 	fill(&l.rec)
 	rec := l.rec.closeFrame()
-	if _, err := l.w.Write(rec); err != nil {
-		return l.noteErr(err)
-	}
+	l.pending = append(l.pending, rec...)
 	l.segBytes += int64(len(rec))
 	l.st.Records++
 	l.markDirty()
 	if l.opts.FsyncEvery < 0 {
-		if l.segBytes >= l.opts.segmentBytes {
-			if _, err := l.rotateLocked(); err != nil {
-				return l.noteErr(err)
-			}
-			return nil
-		}
-		if err := l.syncLocked(); err != nil {
-			return l.noteErr(err)
-		}
+		return l.commitLocked()
 	}
 	return nil
+}
+
+// commitLocked is one group commit: it rotates a segment grown past
+// segmentBytes, then syncs. Caller holds mu.
+func (l *Log) commitLocked() error {
+	if l.segBytes >= l.opts.segmentBytes {
+		if _, err := l.rotateLocked(); err != nil {
+			return err
+		}
+	}
+	return l.syncLocked()
 }
 
 // sealedRange returns the half-open segment-index interval [from, to)
@@ -364,18 +367,32 @@ func (l *Log) noteErr(err error) error {
 	return err
 }
 
-// syncLocked flushes the buffer and fsyncs. Caller holds mu.
+// syncLocked writes pending to the live segment and fsyncs it. A failed
+// write or fsync is sticky: the kernel may have dropped the segment's
+// unsynced pages, and a later fsync of the same file could succeed over
+// that hole and ack the records past it. So the segment is poisoned,
+// never synced again: the next sync first rotates to a new segment, which
+// takes pending whole. Failures are counted in LogStats.Errors as well as
+// returned. Caller holds mu.
 func (l *Log) syncLocked() error {
+	if l.poisoned {
+		if _, err := l.rotateLocked(); err != nil {
+			return err
+		}
+	}
 	if l.dirtySince.IsZero() {
 		return nil
 	}
 	begin := time.Now()
-	if err := l.w.Flush(); err != nil {
-		return err
+	_, err := l.f.Write(l.pending)
+	if err == nil {
+		err = l.f.Sync()
 	}
-	if err := l.f.Sync(); err != nil {
-		return err
+	if err != nil {
+		l.poisoned = true
+		return l.noteErr(err)
 	}
+	l.pending, l.headed = l.pending[:0], false
 	l.dirtySince = time.Time{}
 	l.st.Syncs++
 	if l.opts.SyncObserver != nil {
@@ -395,22 +412,24 @@ func (l *Log) Sync() error {
 	return l.syncLocked()
 }
 
-// rotateLocked seals the current segment (flush, fsync, close) and
-// opens the next one. Returns the new current segment index. Caller
-// holds mu.
+// rotateLocked seals the current segment — syncs it, unless it is
+// poisoned, and closes it — and opens the next one. Returns the new
+// current segment index. Failures are counted in LogStats.Errors as well
+// as returned. Caller holds mu.
 func (l *Log) rotateLocked() (uint64, error) {
-	if err := l.syncLocked(); err != nil {
-		return 0, err
+	if !l.poisoned {
+		if err := l.syncLocked(); err != nil {
+			return 0, err
+		}
 	}
-	if err := l.f.Close(); err != nil {
-		return 0, err
+	old, oldBytes := l.f, l.segBytes-int64(len(l.pending)) // what its good syncs landed
+	if err := l.openSegment(l.seg + 1); err != nil {
+		return 0, l.noteErr(err)
 	}
-	l.oldBytes += l.segBytes
+	l.noteErr(old.Close())
+	l.oldBytes += oldBytes
 	l.st.Segments++
 	l.st.Rotations++
-	if err := l.openSegment(l.seg + 1); err != nil {
-		return 0, err
-	}
 	return l.seg, nil
 }
 
@@ -468,17 +487,11 @@ func (l *Log) flushLoop() {
 			l.mu.Lock()
 			if !l.closed {
 				// Size-based rotation happens here, not in Append, so
-				// the two fsyncs and the file create it costs never sit
+				// the fsyncs and the file create it costs never sit
 				// under a caller's lock; a segment can overshoot
 				// segmentBytes by at most one group-commit window of
-				// traffic.
-				if l.segBytes >= l.opts.segmentBytes {
-					if _, err := l.rotateLocked(); err != nil {
-						l.noteErr(err)
-					}
-				} else if err := l.syncLocked(); err != nil {
-					l.noteErr(err)
-				}
+				// traffic. The commit counts its own failures.
+				_ = l.commitLocked()
 			}
 			l.mu.Unlock()
 		}

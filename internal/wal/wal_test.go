@@ -2,8 +2,11 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -223,5 +226,56 @@ func TestRemoveBefore(t *testing.T) {
 	segs, _ := listFiles(osFS{}, dir, segFmt)
 	if len(segs) != 1 || segs[0] != cur {
 		t.Fatalf("segments after RemoveBefore(%d) = %v, want just the live one", cur, segs)
+	}
+}
+
+// replayAll returns the payloads of every intact record in dir's
+// segments, in segment order.
+func replayAll(t *testing.T, dir string) []string {
+	t.Helper()
+	segs, err := listFiles(osFS{}, dir, segFmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, idx := range segs {
+		if _, _, err := replayFile(osFS{}, filepath.Join(dir, segName(idx)), segMagic, func(_ uint64, _ byte, payload []byte) error {
+			got = append(got, string(payload))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return got
+}
+
+// TestFailedSyncIsSticky: a failed fsync poisons its segment. The test FS
+// drops the segment's unsynced bytes, as a kernel that failed the
+// write-back does; a log that synced the same file again would land the
+// next record past that hole and ack it, and replay, stopping at the hole,
+// would lose an acked record. Recovery must instead be the prefix of what
+// was appended that holds every acked record: A, whose append reported
+// the failure, and B.
+func TestFailedSyncIsSticky(t *testing.T) {
+	dir := t.TempDir()
+	ffs := newFaultFS()
+	l, err := openLog(dir, Options{FsyncEvery: -1, fs: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ffs.failNth("sync", 1)
+	if err := appendRaw(l, recState, []byte("A")); !errors.Is(err, errInjected) {
+		t.Fatalf("append A over a failing fsync returned %v, want the fsync's error", err)
+	}
+	if err := appendRaw(l, recState, []byte("B")); err != nil {
+		t.Fatalf("append B after the failed fsync: %v", err)
+	}
+	if st := l.Stats(); st.Errors != 1 || !strings.Contains(st.LastError, errInjected.Error()) {
+		t.Fatalf("stats after one failed fsync: %d errors, last %q", st.Errors, st.LastError)
+	}
+	ffs.crash()
+	_ = l.Close()
+	if got := replayAll(t, dir); !slices.Equal(got, []string{"A", "B"}) {
+		t.Fatalf("recovered records %q, want [A B]", got)
 	}
 }
