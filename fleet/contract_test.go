@@ -305,6 +305,21 @@ func TestRatePolicyContract(t *testing.T) {
 			}},
 		},
 		{
+			clause:     "a client that follows halved advice is re-probed onto its new grid",
+			controller: cell{cannot: "it sets the poll rate itself, so no client can poll on a grid it did not lock"},
+			archiver:   cell{cannot: "the Archiver takes uniform blocks, each with its own interval, so it has no grid to re-probe"},
+			hook: cell{check: func(t *testing.T) {
+				// Persistent aliasing advises exactly half the locked
+				// interval. A client that takes that advice polls on the
+				// drift watch's edge, and the hook must re-probe onto it, or
+				// it reads every frequency at half its value.
+				e, adv := hookOnGrids(t, tone50(0.1), 500*time.Millisecond)
+				if e.Reprobes() != 1 || adv.Interval != 500*time.Millisecond {
+					t.Fatalf("%d re-probes, interval %v after 2,000 polls 500 ms apart: want one re-probe onto 500ms (estimate %v Hz)", e.Reprobes(), adv.Interval, adv.NyquistRate)
+				}
+			}},
+		},
+		{
 			clause:     "a window too short to estimate is no verdict",
 			controller: cell{cannot: "every round polls a full samplesPerRound window, so the estimator never answers ErrTooShort"},
 			archiver: cell{check: func(t *testing.T) {
@@ -349,31 +364,44 @@ func TestRatePolicyContract(t *testing.T) {
 //     and read right: the row a fix must keep.
 //   - A _total counter is estimated on its running total, whose ramp puts
 //     its cut-off at the floor whatever its increments do (ROADMAP 8).
+//   - A client that moves its polls by less than 2× in either direction
+//     is never re-probed: the hook keeps the old grid and reads a 0.1 Hz
+//     tone (true Nyquist 0.2 Hz) off by the ratio (ROADMAP 11; 11(d)'s
+//     cut check needs the hook to see cuts of less than 2×).
 func TestRatePolicyKnownDefects(t *testing.T) {
 	const points = 1024
 	for _, row := range []struct {
 		id       string
-		value    func(k int) float64
-		estimate float64 // Hz, today's
+		value    func(t float64) float64 // at t seconds
+		estimate float64                 // Hz, today's
 		suggest  time.Duration
 		known    string
+		regrid   time.Duration // the client's poll interval after 1,024 polls at 1 s (0: unchanged)
 	}{
-		{"tone_0.3hz", tone50(0.3), 2 * 78.0 / 256, 0, "ROADMAP 11"},
-		{"tone_0.6hz", tone50(0.6), 2 * 104.0 / 256, 0, "ROADMAP 11"},
-		{"tone_0.7hz", tone50(0.7), 2 * 78.0 / 256, 0, "ROADMAP 11"},
-		{"tone_0.9hz", tone50(0.9), 2 * 27.0 / 256, 3950617283, "ROADMAP 11"},
-		{"tone_1.1hz", tone50(1.1), 2 * 27.0 / 256, 0, "ROADMAP 11"},
-		{"tone_1.3hz", tone50(1.3), 2 * 78.0 / 256, 0, "ROADMAP 11"},
-		{"counter_0.02hz_total", counter(0.02, points), 2 * 2.0 / 256, 53333333333, "ROADMAP 8"},
-		{"counter_0.05hz_total", counter(0.05, points), 2 * 2.0 / 256, 53333333333, "ROADMAP 8"},
-		{"counter_0.1hz_total", counter(0.1, points), 2 * 2.0 / 256, 53333333333, "ROADMAP 8"},
-		{"counter_0.2hz_total", counter(0.2, points), 2 * 2.0 / 256, 53333333333, "ROADMAP 8"},
+		{"tone_0.3hz", tone50(0.3), 2 * 78.0 / 256, 0, "ROADMAP 11", 0},
+		{"tone_0.6hz", tone50(0.6), 2 * 104.0 / 256, 0, "ROADMAP 11", 0},
+		{"tone_0.7hz", tone50(0.7), 2 * 78.0 / 256, 0, "ROADMAP 11", 0},
+		{"tone_0.9hz", tone50(0.9), 2 * 27.0 / 256, 3950617283, "ROADMAP 11", 0},
+		{"tone_1.1hz", tone50(1.1), 2 * 27.0 / 256, 0, "ROADMAP 11", 0},
+		{"tone_1.3hz", tone50(1.3), 2 * 78.0 / 256, 0, "ROADMAP 11", 0},
+		{"counter_0.02hz_total", counter(0.02, points), 2 * 2.0 / 256, 53333333333, "ROADMAP 8", 0},
+		{"counter_0.05hz_total", counter(0.05, points), 2 * 2.0 / 256, 53333333333, "ROADMAP 8", 0},
+		{"counter_0.1hz_total", counter(0.1, points), 2 * 2.0 / 256, 53333333333, "ROADMAP 8", 0},
+		{"counter_0.2hz_total", counter(0.2, points), 2 * 2.0 / 256, 53333333333, "ROADMAP 8", 0},
+		{"tone_0.1hz_polls_0.73x", tone50(0.1), 2 * 20.0 / 256, 5333333333, "ROADMAP 11", 730 * time.Millisecond},
+		{"tone_0.1hz_polls_1.37x", tone50(0.1), 2 * 36.0 / 256, 2962962962, "ROADMAP 11", 1370 * time.Millisecond},
 	} {
-		e := monitor.NewIngestEstimator(nil, monitor.IngestConfig{})
-		for k := 0; k < points; k++ {
-			e.Observe(row.id, series.Point{Time: contractStart.Add(time.Duration(k) * time.Second), Value: row.value(k)})
+		var e *monitor.IngestEstimator
+		var adv monitor.IngestAdvice
+		if row.regrid == 0 {
+			e = monitor.NewIngestEstimator(nil, monitor.IngestConfig{})
+			for k := 0; k < points; k++ {
+				e.Observe(row.id, series.Point{Time: contractStart.Add(time.Duration(k) * time.Second), Value: row.value(float64(k))})
+			}
+			adv, _ = e.Advice(row.id)
+		} else if e, adv = hookOnGrids(t, row.value, row.regrid); e.Reprobes() != 0 || adv.Interval != time.Second {
+			t.Errorf("%s (%s): %d re-probes, interval %v; today's hook keeps the 1s grid", row.id, row.known, e.Reprobes(), adv.Interval)
 		}
-		adv, _ := e.Advice(row.id)
 		if adv.Aliased || adv.NyquistRate != row.estimate || e.AliasedRefreshes() != 0 {
 			t.Errorf("%s (%s): estimate %v Hz, aliased %v (%d refreshes); today's reading is %v Hz, never aliased",
 				row.id, row.known, adv.NyquistRate, adv.Aliased, e.AliasedRefreshes(), row.estimate)
@@ -384,20 +412,41 @@ func TestRatePolicyKnownDefects(t *testing.T) {
 	}
 }
 
-// tone50 is 50 + 10·sin(2πfk) at poll k.
-func tone50(f float64) func(int) float64 {
-	return func(k int) float64 { return 50 + 10*math.Sin(2*math.Pi*f*float64(k)) }
+// tone50 is 50 + 10·sin(2πft) at t seconds.
+func tone50(f float64) func(float64) float64 {
+	return func(t float64) float64 { return 50 + 10*math.Sin(2*math.Pi*f*t) }
 }
 
-// counter is a running total whose increments are round(1000 + 300·sin(2πfk)).
-func counter(f float64, n int) func(int) float64 {
+// counter is a running total, polled every second, whose increments are
+// round(1000 + 300·sin(2πfk)) at poll k.
+func counter(f float64, n int) func(float64) float64 {
 	total := make([]float64, n)
 	sum := 0.0
 	for k := range total {
 		sum += math.Round(1000 + 300*math.Sin(2*math.Pi*f*float64(k)))
 		total[k] = sum
 	}
-	return func(k int) float64 { return total[k] }
+	return func(t float64) float64 { return total[int(t)] }
+}
+
+// hookOnGrids observes value through one IngestEstimator under the default
+// config: 1,024 polls 1 s apart, then 2,000 polls every apart, as a client
+// that changed its poll interval. It returns the hook and its advice.
+func hookOnGrids(t *testing.T, value func(float64) float64, every time.Duration) (*monitor.IngestEstimator, monitor.IngestAdvice) {
+	t.Helper()
+	const id = "contract/regrid"
+	e := monitor.NewIngestEstimator(nil, monitor.IngestConfig{})
+	var at time.Duration
+	for k := 0; k < 1024+2000; k++ {
+		e.Observe(id, series.Point{Time: contractStart.Add(at), Value: value(at.Seconds())})
+		if k < 1024 {
+			at += time.Second
+		} else {
+			at += every
+		}
+	}
+	adv, _ := e.Advice(id)
+	return e, adv
 }
 
 // The scripts' windows: what each carries on top of the steady content.

@@ -327,7 +327,9 @@ func (e *IngestEstimator) lookupOrCreate(id string, tick int64) *ingestSeries {
 }
 
 // driftFactor bounds how far the observed gap may drift from the locked
-// interval (half/double) before it counts toward a re-probe.
+// interval before it counts toward a re-probe: half or double, edges
+// included, so a client that follows the halved advice of persistent
+// aliasing is re-probed onto its new grid.
 const driftFactor = 2
 
 // observeLocked is the per-point body shared by Observe and ObserveRun.
@@ -343,7 +345,7 @@ func (e *IngestEstimator) observeLocked(s *ingestSeries, id string, p series.Poi
 	// the frequency axis) is wrong, so re-probe.
 	if s.haveLast {
 		if gap := p.Time.Sub(s.lastTime); gap > 0 {
-			if gap < s.interval/driftFactor || gap > s.interval*driftFactor {
+			if gap <= s.interval/driftFactor || gap >= s.interval*driftFactor {
 				s.drift++
 			} else {
 				s.drift = 0
