@@ -50,13 +50,6 @@ func (f *faultFS) crash() {
 	f.crashed = true
 }
 
-// count returns how many operations of kind ran.
-func (f *faultFS) count(kind string) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.ops[kind]
-}
-
 // fault counts one operation of kind and returns its failure, if any.
 func (f *faultFS) fault(kind string) error {
 	f.mu.Lock()
