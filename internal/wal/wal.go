@@ -11,8 +11,11 @@
 // (via the store's seal hook) plus periodic per-series tuning state
 // (locked poll interval, trusted Nyquist rate), framed as
 // length-prefixed, CRC-32C-checked records in numbered segment files.
-// Appends land in a buffered writer and a group-commit flusher fsyncs
-// on a fixed cadence, so the ingest hot path never waits on the disk.
+// Appends land in the log's pending buffer and a group-commit flusher
+// writes and fsyncs it on a fixed cadence, so the ingest hot path never
+// waits on the disk. Every disk operation goes through one filesystem seam
+// (fs.go), and a failed write or fsync is sticky: the segment is poisoned,
+// never synced again, and the next segment takes all it left unsynced.
 // A series' open run (its unsealed points) reaches disk only inside a
 // snapshot, which exports it. So a SIGKILL loses, per series, exactly the
 // points accepted after the later of two instants: its last seal whose
@@ -422,14 +425,20 @@ func (l *Log) rotateLocked() (uint64, error) {
 			return 0, err
 		}
 	}
-	old, oldBytes := l.f, l.segBytes-int64(len(l.pending)) // what its good syncs landed
+	old, oldPath := l.f, filepath.Join(l.dir, segName(l.seg))
+	oldBytes, empty := l.segBytes-int64(len(l.pending)), l.headed // what its good syncs landed
 	if err := l.openSegment(l.seg + 1); err != nil {
 		return 0, l.noteErr(err)
 	}
 	l.noteErr(old.Close())
+	l.st.Rotations++
+	if empty && l.noteErr(l.opts.fs.Remove(oldPath)) == nil {
+		// No sync of it ever succeeded, so all it held rides in pending:
+		// a disk that keeps failing leaves no file per retry.
+		return l.seg, nil
+	}
 	l.oldBytes += oldBytes
 	l.st.Segments++
-	l.st.Rotations++
 	return l.seg, nil
 }
 

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -254,8 +255,10 @@ func replayAll(t *testing.T, dir string) []string {
 // write-back does; a log that synced the same file again would land the
 // next record past that hole and ack it, and replay, stopping at the hole,
 // would lose an acked record. Recovery must instead be the prefix of what
-// was appended that holds every acked record: A, whose append reported
-// the failure, and B.
+// was appended that holds every acked record: A and B, whose appends
+// reported the failure, and C. The second failure hits the segment the
+// first rotated to; neither poisoned segment ever had a good sync, so
+// neither is left behind.
 func TestFailedSyncIsSticky(t *testing.T) {
 	dir := t.TempDir()
 	ffs := newFaultFS()
@@ -263,19 +266,66 @@ func TestFailedSyncIsSticky(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ffs.failNth("sync", 1)
-	if err := appendRaw(l, recState, []byte("A")); !errors.Is(err, errInjected) {
-		t.Fatalf("append A over a failing fsync returned %v, want the fsync's error", err)
+	for _, rec := range []string{"A", "B"} {
+		ffs.failNth("sync", 1)
+		if err := appendRaw(l, recState, []byte(rec)); !errors.Is(err, errInjected) {
+			t.Fatalf("append %s over a failing fsync returned %v, want the fsync's error", rec, err)
+		}
 	}
-	if err := appendRaw(l, recState, []byte("B")); err != nil {
-		t.Fatalf("append B after the failed fsync: %v", err)
+	if err := appendRaw(l, recState, []byte("C")); err != nil {
+		t.Fatalf("append C after the failed fsyncs: %v", err)
 	}
-	if st := l.Stats(); st.Errors != 1 || !strings.Contains(st.LastError, errInjected.Error()) {
-		t.Fatalf("stats after one failed fsync: %d errors, last %q", st.Errors, st.LastError)
+	if st := l.Stats(); st.Errors != 2 || st.Segments != 1 || !strings.Contains(st.LastError, errInjected.Error()) {
+		t.Fatalf("stats after two failed fsyncs: %d errors, %d segments, last %q; want 2 and 1", st.Errors, st.Segments, st.LastError)
 	}
 	ffs.crash()
 	_ = l.Close()
-	if got := replayAll(t, dir); !slices.Equal(got, []string{"A", "B"}) {
-		t.Fatalf("recovered records %q, want [A B]", got)
+	if got := replayAll(t, dir); !slices.Equal(got, []string{"A", "B", "C"}) {
+		t.Fatalf("recovered records %q, want [A B C]", got)
+	}
+	if segs, _ := listFiles(osFS{}, dir, segFmt); !slices.Equal(segs, []uint64{3}) {
+		t.Fatalf("segments %v on disk, want only the third", segs)
+	}
+}
+
+// TestBacklogBound: while the disk fails, the log keeps at most a
+// segment's worth of unsynced records and refuses the next one, counted,
+// instead of growing through the outage; the first good sync lands every
+// record it kept and frees the room.
+func TestBacklogBound(t *testing.T) {
+	dir := t.TempDir()
+	ffs := newFaultFS()
+	l, err := openLog(dir, Options{FsyncEvery: time.Hour, segmentBytes: 256, fs: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ffs.failNth("sync", 1)
+	if err := l.Sync(); !errors.Is(err, errInjected) {
+		t.Fatalf("sync over a failing fsync returned %v", err)
+	}
+	var kept []string
+	for i := 0; ; i++ {
+		rec := fmt.Sprintf("record %02d", i)
+		if err := appendRaw(l, recState, []byte(rec)); errors.Is(err, errBacklog) {
+			break
+		} else if err != nil || i > 256 {
+			t.Fatalf("append %d: %v; want errBacklog once a segment's worth waits", i, err)
+		}
+		kept = append(kept, rec)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatalf("sync after the disk recovered: %v", err)
+	}
+	if err := appendRaw(l, recState, []byte("after")); err != nil {
+		t.Fatalf("append after the sync: %v", err)
+	}
+	if st := l.Stats(); st.Errors != 2 {
+		t.Fatalf("%d errors, want the failed fsync and the refused record", st.Errors)
+	}
+	_ = l.Sync()
+	ffs.crash()
+	_ = l.Close()
+	if got := replayAll(t, dir); !slices.Equal(got, append(kept, "after")) {
+		t.Fatalf("recovered %q, want the %d kept records and the one after", got, len(kept))
 	}
 }
