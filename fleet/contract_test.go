@@ -352,9 +352,9 @@ func TestRatePolicyContract(t *testing.T) {
 	}
 }
 
-// TestRatePolicyKnownDefects pins two findings the contract does not yet
-// hold, through IngestEstimator.Observe under the default config over
-// 1,024 polls 1 s apart. Each row asserts today's reading, so the change
+// TestRatePolicyKnownDefects pins three findings the contract does not
+// yet hold, through IngestEstimator.Observe under the default config over
+// 1,024 polls 1 s apart (hookOnGrids). Each row asserts today's reading, so the change
 // that lands the fix (ROADMAP 11(d) for folded tones, 8(a) for counters)
 // flips its rows.
 //
@@ -369,7 +369,7 @@ func TestRatePolicyContract(t *testing.T) {
 //     tone (true Nyquist 0.2 Hz) off by the ratio (ROADMAP 11; 11(d)'s
 //     cut check needs the hook to see cuts of less than 2×).
 func TestRatePolicyKnownDefects(t *testing.T) {
-	const points = 1024
+	const points = 1024 // hookOnGrids' polls at 1 s
 	for _, row := range []struct {
 		id       string
 		value    func(t float64) float64 // at t seconds
@@ -391,15 +391,8 @@ func TestRatePolicyKnownDefects(t *testing.T) {
 		{"tone_0.1hz_polls_0.73x", tone50(0.1), 2 * 20.0 / 256, 5333333333, "ROADMAP 11", 730 * time.Millisecond},
 		{"tone_0.1hz_polls_1.37x", tone50(0.1), 2 * 36.0 / 256, 2962962962, "ROADMAP 11", 1370 * time.Millisecond},
 	} {
-		var e *monitor.IngestEstimator
-		var adv monitor.IngestAdvice
-		if row.regrid == 0 {
-			e = monitor.NewIngestEstimator(nil, monitor.IngestConfig{})
-			for k := 0; k < points; k++ {
-				e.Observe(row.id, series.Point{Time: contractStart.Add(time.Duration(k) * time.Second), Value: row.value(float64(k))})
-			}
-			adv, _ = e.Advice(row.id)
-		} else if e, adv = hookOnGrids(t, row.value, row.regrid); e.Reprobes() != 0 || adv.Interval != time.Second {
+		e, adv := hookOnGrids(t, row.value, row.regrid)
+		if e.Reprobes() != 0 || adv.Interval != time.Second {
 			t.Errorf("%s (%s): %d re-probes, interval %v; today's hook keeps the 1s grid", row.id, row.known, e.Reprobes(), adv.Interval)
 		}
 		if adv.Aliased || adv.NyquistRate != row.estimate || e.AliasedRefreshes() != 0 {
@@ -430,14 +423,19 @@ func counter(f float64, n int) func(float64) float64 {
 }
 
 // hookOnGrids observes value through one IngestEstimator under the default
-// config: 1,024 polls 1 s apart, then 2,000 polls every apart, as a client
-// that changed its poll interval. It returns the hook and its advice.
+// config: 1,024 polls 1 s apart and then, unless every is 0, 2,000 polls
+// every apart, as a client that changed its poll interval. It returns the
+// hook and its advice.
 func hookOnGrids(t *testing.T, value func(float64) float64, every time.Duration) (*monitor.IngestEstimator, monitor.IngestAdvice) {
 	t.Helper()
-	const id = "contract/regrid"
+	const id = "contract/grids"
 	e := monitor.NewIngestEstimator(nil, monitor.IngestConfig{})
+	polls := 1024
+	if every > 0 {
+		polls += 2000
+	}
 	var at time.Duration
-	for k := 0; k < 1024+2000; k++ {
+	for k := 0; k < polls; k++ {
 		e.Observe(id, series.Point{Time: contractStart.Add(at), Value: value(at.Seconds())})
 		if k < 1024 {
 			at += time.Second

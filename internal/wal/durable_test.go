@@ -580,8 +580,9 @@ func TestSnapshotKeepsSegmentsWhenDirSyncFails(t *testing.T) {
 }
 
 // roundRobinLoad appends rounds of one 128-point block to each of seriesN
-// series in turn, continuing where accepted leaves off, and returns the
-// points accepted per series. Between rounds, before(r) may arm a fault.
+// series in turn, continuing where accepted leaves off and recording in it
+// every point the store accepted. Before round r, before(r) may arm a
+// fault.
 func roundRobinLoad(t *testing.T, store *tsdb.DB, est *monitor.IngestEstimator, accepted map[string][]series.Point, seriesN, rounds int, before func(r int)) {
 	t.Helper()
 	for r := 0; r < rounds; r++ {
