@@ -444,12 +444,19 @@ func (l *Log) rotateLocked() (uint64, error) {
 
 // Rotate seals the current segment and starts a new one, returning the
 // new segment's index: records appended after Rotate land in segments ≥
-// the returned index, which is the snapshot boundary contract.
+// the returned index, and records appended before it below — the
+// snapshot boundary contract. So a poisoned segment's carried records are
+// synced into a segment of their own first.
 func (l *Log) Rotate() (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return 0, os.ErrClosed
+	}
+	if l.poisoned {
+		if err := l.syncLocked(); err != nil {
+			return 0, err
+		}
 	}
 	return l.rotateLocked()
 }

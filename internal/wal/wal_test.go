@@ -329,3 +329,40 @@ func TestBacklogBound(t *testing.T) {
 		t.Fatalf("recovered %q, want the %d kept records and the one after", got, len(kept))
 	}
 }
+
+// TestRotateLandsCarriedRecordsFirst: the records a poisoned segment
+// carries into the next one were appended before Rotate, so they must land
+// below the index Rotate returns. A snapshot replays only the segments from
+// that index on, and a carried state record there would override the
+// snapshot's newer one.
+func TestRotateLandsCarriedRecordsFirst(t *testing.T) {
+	dir := t.TempDir()
+	ffs := newFaultFS()
+	l, err := openLog(dir, Options{FsyncEvery: time.Hour, fs: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := appendRaw(l, recState, []byte("A")); err != nil {
+		t.Fatal(err)
+	}
+	ffs.failNth("sync", 1)
+	if err := l.Sync(); !errors.Is(err, errInjected) {
+		t.Fatalf("sync over a failing fsync returned %v", err)
+	}
+	next, err := l.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := appendRaw(l, recState, []byte("B")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.RemoveBefore(next); err != nil {
+		t.Fatal(err)
+	}
+	if got := replayAll(t, dir); !slices.Equal(got, []string{"B"}) {
+		t.Fatalf("segments from the boundary %d hold %q, want only [B]", next, got)
+	}
+}
