@@ -17,7 +17,7 @@ var errCrashed = errors.New("crashed")
 
 // faultFS is the real file system under a test's control: it fails the
 // n-th operation of a kind, and it crashes. Reads (Open, ReadDir, Stat)
-// always pass through.
+// and MkdirAll always pass through.
 type faultFS struct {
 	osFS
 	mu      sync.Mutex
