@@ -13,6 +13,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -549,14 +550,14 @@ func (d *Durable) Scrub() (checked, corrupt int) {
 	// pass can rot before this one, so caching clean results would blind
 	// the scrub to exactly what it exists to catch. The set is bounded:
 	// compaction deletes sealed segments behind each snapshot.
-	from, to := d.log.sealedRange()
+	from, to, poisoned := d.log.sealedRange()
 	for idx := from; idx < to; idx++ {
 		_, torn, err := replayFile(d.opts.fs, filepath.Join(d.dir, segName(idx)), segMagic, func(uint64, byte, []byte) error { return nil })
 		if errors.Is(err, fs.ErrNotExist) {
 			continue // compacted away behind a snapshot
 		}
 		checked++
-		if err == nil && torn {
+		if err == nil && torn && !slices.Contains(poisoned, idx) {
 			// This session sealed the segment cleanly; a torn record now
 			// is bit rot, not a crash artifact.
 			err = ErrCorrupt

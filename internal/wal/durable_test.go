@@ -625,10 +625,10 @@ func recoveredPoints(t *testing.T, dir string) (map[string][]series.Point, Repla
 
 // TestShortWriteMidFrame: the disk fills mid-record on the live segment —
 // a write lands half a frame and fails with ENOSPC — and then has room
-// again. The failure is counted once, the poisoned segment stays, and
-// after a crash every series recovers whole: the next segment took the
-// records the failed write left unsynced, so none of the blocks sealed
-// after it sits behind a hole.
+// again. The failure is counted once, the scrub does not count it again,
+// the poisoned segment stays, and after a crash every series recovers
+// whole: the next segment took the records the failed write left
+// unsynced, so none of the blocks sealed after it sits behind a hole.
 func TestShortWriteMidFrame(t *testing.T) {
 	dir := t.TempDir()
 	store1 := servingStore()
@@ -644,6 +644,11 @@ func TestShortWriteMidFrame(t *testing.T) {
 			ffs.failNth("write", 2) // the second series' block of round 4
 		}
 	})
+	// The poisoned segment's torn tail is the failure already counted,
+	// and every record past it landed again: the scrub finds no corruption.
+	if checked, corrupt := d1.Scrub(); checked == 0 || corrupt != 0 {
+		t.Fatalf("scrub after the short write: %d files checked, %d corrupt", checked, corrupt)
+	}
 	if st := d1.Stats().Log; st.Errors != 1 || !strings.Contains(st.LastError, "no space left") {
 		t.Fatalf("log stats after one short write: %d errors, last %q", st.Errors, st.LastError)
 	}

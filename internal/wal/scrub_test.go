@@ -30,7 +30,7 @@ func TestScrubDetectsBitFlip(t *testing.T) {
 	defer d.Close()
 	ingestLoad(t, store, est, 2, 1024)
 
-	from, to := d.log.sealedRange()
+	from, to, _ := d.log.sealedRange()
 	if to-from < 2 {
 		t.Fatalf("load sealed only %d segments, the scrub needs at least one closed one", to-from)
 	}

@@ -147,6 +147,10 @@ type Log struct {
 	pending  []byte
 	headed   bool
 	poisoned bool
+	// poisonedSegs are the sealed segments a failed write or fsync
+	// poisoned: a torn tail there is that failure, counted when it
+	// happened, with every record past it landed again in a later segment.
+	poisonedSegs []uint64
 	// st holds the counters; Stats fills in Bytes and UnsyncedAge.
 	st LogStats
 	// dirtySince is when the oldest write not yet fsynced was buffered;
@@ -345,11 +349,12 @@ func (l *Log) commitLocked() error {
 // this session has written and sealed: from is the first segment the
 // session opened, to the live append target. Segments below from belong
 // to earlier sessions and may legitimately end in a torn tail (a crash),
-// so only this range is fair game for corruption checks.
-func (l *Log) sealedRange() (from, to uint64) {
+// so only this range is fair game for corruption checks — less the
+// poisoned segments in it, returned too.
+func (l *Log) sealedRange() (from, to uint64, poisoned []uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.startSeg, l.seg
+	return l.startSeg, l.seg, slices.Clone(l.poisonedSegs)
 }
 
 // noteExternalErr counts a durability failure detected outside the
@@ -425,17 +430,20 @@ func (l *Log) rotateLocked() (uint64, error) {
 			return 0, err
 		}
 	}
-	old, oldPath := l.f, filepath.Join(l.dir, segName(l.seg))
+	old, oldSeg, poisoned := l.f, l.seg, l.poisoned
 	oldBytes, empty := l.segBytes-int64(len(l.pending)), l.headed // what its good syncs landed
 	if err := l.openSegment(l.seg + 1); err != nil {
 		return 0, l.noteErr(err)
 	}
 	l.noteErr(old.Close())
 	l.st.Rotations++
-	if empty && l.noteErr(l.opts.fs.Remove(oldPath)) == nil {
+	if empty && l.noteErr(l.opts.fs.Remove(filepath.Join(l.dir, segName(oldSeg)))) == nil {
 		// No sync of it ever succeeded, so all it held rides in pending:
 		// a disk that keeps failing leaves no file per retry.
 		return l.seg, nil
+	}
+	if poisoned {
+		l.poisonedSegs = append(l.poisonedSegs, oldSeg)
 	}
 	l.oldBytes += oldBytes
 	l.st.Segments++
