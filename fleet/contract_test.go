@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -313,9 +314,35 @@ func TestRatePolicyContract(t *testing.T) {
 				// interval. A client that takes that advice polls on the
 				// drift watch's edge, and the hook must re-probe onto it, or
 				// it reads every frequency at half its value.
-				e, adv := hookOnGrids(t, tone50(0.1), 500*time.Millisecond)
+				e, adv := hookOnGrids(t, "contract/grids", tone50(0.1), 500*time.Millisecond)
 				if e.Reprobes() != 1 || adv.Interval != 500*time.Millisecond {
 					t.Fatalf("%d re-probes, interval %v after 2,000 polls 500 ms apart: want one re-probe onto 500ms (estimate %v Hz)", e.Reprobes(), adv.Interval, adv.NyquistRate)
+				}
+			}},
+		},
+		{
+			clause:     "a _total counter is estimated on its increments",
+			controller: cell{cannot: "it polls each device's rate signal as a gauge (Device.At), so no counter reaches its estimator"},
+			archiver:   cell{cannot: "its caller hands it uniform blocks, and a counter's caller differences its trace first (RateFromCounter)"},
+			hook: cell{check: func(t *testing.T) {
+				// Increments round(1000 + 300·sin(2πfk)) a poll: read at
+				// their rate and advised 1/(1.2 × rate), where the running
+				// total read a ramp's floor, 2·2/256 Hz, whatever f was.
+				for _, row := range []struct {
+					f, estimate float64 // Hz
+					suggest     time.Duration
+				}{
+					{0.02, 2 * 6.0 / 256, 17777777777},
+					{0.05, 2 * 14.0 / 256, 7619047619},
+					{0.1, 2 * 27.0 / 256, 3950617283},
+					{0.2, 2 * 52.0 / 256, 2051282051},
+				} {
+					id := fmt.Sprintf("counter_%vhz_total", row.f)
+					e, adv := hookOnGrids(t, id, counter(row.f, 1024), 0)
+					if adv.Aliased || e.AliasedRefreshes() != 0 || adv.NyquistRate != row.estimate || adv.SuggestedInterval != row.suggest {
+						t.Errorf("%s: estimate %v Hz, aliased %v (%d refreshes), advised %v; want %v Hz, never aliased, advised %v",
+							id, adv.NyquistRate, adv.Aliased, e.AliasedRefreshes(), adv.SuggestedInterval, row.estimate, row.suggest)
+					}
 				}
 			}},
 		},
@@ -352,24 +379,20 @@ func TestRatePolicyContract(t *testing.T) {
 	}
 }
 
-// TestRatePolicyKnownDefects pins three findings the contract does not
+// TestRatePolicyKnownDefects pins two findings the contract does not
 // yet hold, through IngestEstimator.Observe under the default config over
 // 1,024 polls 1 s apart (hookOnGrids). Each row asserts today's reading, so the change
-// that lands the fix (ROADMAP 11(d) for folded tones, 8(a) for counters)
-// flips its rows.
+// that lands the fix (ROADMAP 11(d)) flips its rows.
 //
 //   - A tone above the 0.5 Hz Nyquist limit folds into the band and is
 //     estimated clean, so the hook advises a slower poll for a series that
 //     is already under-sampled (ROADMAP 11). The 0.3 Hz tone is in band
 //     and read right: the row a fix must keep.
-//   - A _total counter is estimated on its running total, whose ramp puts
-//     its cut-off at the floor whatever its increments do (ROADMAP 8).
 //   - A client that moves its polls by less than 2× in either direction
 //     is never re-probed: the hook keeps the old grid and reads a 0.1 Hz
 //     tone (true Nyquist 0.2 Hz) off by the ratio (ROADMAP 11; 11(d)'s
 //     cut check needs the hook to see cuts of less than 2×).
 func TestRatePolicyKnownDefects(t *testing.T) {
-	const points = 1024 // hookOnGrids' polls at 1 s
 	for _, row := range []struct {
 		id       string
 		value    func(t float64) float64 // at t seconds
@@ -384,14 +407,10 @@ func TestRatePolicyKnownDefects(t *testing.T) {
 		{"tone_0.9hz", tone50(0.9), 2 * 27.0 / 256, 3950617283, "ROADMAP 11", 0},
 		{"tone_1.1hz", tone50(1.1), 2 * 27.0 / 256, 0, "ROADMAP 11", 0},
 		{"tone_1.3hz", tone50(1.3), 2 * 78.0 / 256, 0, "ROADMAP 11", 0},
-		{"counter_0.02hz_total", counter(0.02, points), 2 * 2.0 / 256, 53333333333, "ROADMAP 8", 0},
-		{"counter_0.05hz_total", counter(0.05, points), 2 * 2.0 / 256, 53333333333, "ROADMAP 8", 0},
-		{"counter_0.1hz_total", counter(0.1, points), 2 * 2.0 / 256, 53333333333, "ROADMAP 8", 0},
-		{"counter_0.2hz_total", counter(0.2, points), 2 * 2.0 / 256, 53333333333, "ROADMAP 8", 0},
 		{"tone_0.1hz_polls_0.73x", tone50(0.1), 2 * 20.0 / 256, 5333333333, "ROADMAP 11", 730 * time.Millisecond},
 		{"tone_0.1hz_polls_1.37x", tone50(0.1), 2 * 36.0 / 256, 2962962962, "ROADMAP 11", 1370 * time.Millisecond},
 	} {
-		e, adv := hookOnGrids(t, row.value, row.regrid)
+		e, adv := hookOnGrids(t, row.id, row.value, row.regrid)
 		if e.Reprobes() != 0 || adv.Interval != time.Second {
 			t.Errorf("%s (%s): %d re-probes, interval %v; today's hook keeps the 1s grid", row.id, row.known, e.Reprobes(), adv.Interval)
 		}
@@ -422,13 +441,12 @@ func counter(f float64, n int) func(float64) float64 {
 	return func(t float64) float64 { return total[int(t)] }
 }
 
-// hookOnGrids observes value through one IngestEstimator under the default
-// config: 1,024 polls 1 s apart and then, unless every is 0, 2,000 polls
-// every apart, as a client that changed its poll interval. It returns the
-// hook and its advice.
-func hookOnGrids(t *testing.T, value func(float64) float64, every time.Duration) (*monitor.IngestEstimator, monitor.IngestAdvice) {
+// hookOnGrids observes value as series id through one IngestEstimator under
+// the default config: 1,024 polls 1 s apart and then, unless every is 0,
+// 2,000 polls every apart, as a client that changed its poll interval. It
+// returns the hook and its advice.
+func hookOnGrids(t *testing.T, id string, value func(float64) float64, every time.Duration) (*monitor.IngestEstimator, monitor.IngestAdvice) {
 	t.Helper()
-	const id = "contract/grids"
 	e := monitor.NewIngestEstimator(nil, monitor.IngestConfig{})
 	polls := 1024
 	if every > 0 {

@@ -4,11 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/monitor"
 )
 
 // TestMetricsEndpoint drives real traffic through the server and then
@@ -282,6 +285,47 @@ func TestSelfScrape(t *testing.T) {
 		if !found {
 			t.Fatal("nyquistd_selfscrape_runs_total != 2 after two passes")
 		}
+	}
+}
+
+// TestSelfScrapeCounterEstimate pushes a load whose size follows an
+// 8-pass sine and self-scrapes after each push. The accepted-points counter
+// is estimated on its increments, the points each push landed, so it reads
+// the load's rhythm (a cut-off at bin 8 of the 64-sample window) — not the
+// floor a running total's ramp reads, bin 2, whatever the load does.
+func TestSelfScrapeCounterEstimate(t *testing.T) {
+	const (
+		id     = `nyquistd_ingest_points_total{result="accepted"}`
+		window = 64
+	)
+	srv := ingestServer(monitor.IngestConfig{WindowSamples: window, EmitEvery: 8})
+	h := srv.Handler()
+	sc := srv.NewSelfScraper(time.Hour) // manual ticks only
+	defer sc.Stop()
+	at := apiStart
+	for k := 0; k < 300; k++ {
+		lines := make([]string, 4+int(math.Round(3*math.Sin(2*math.Pi*float64(k)/8))))
+		for i := range lines {
+			lines[i] = fmt.Sprintf(`{"series":"load","ts":%d,"value":%d}`, at.Unix(), k)
+			at = at.Add(time.Second)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/ingest", strings.NewReader(strings.Join(lines, "\n"))))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("push %d: HTTP %d", k, rec.Code)
+		}
+		if _, rejected := sc.ScrapeOnce(); rejected != 0 {
+			t.Fatalf("scrape %d: %d samples rejected", k, rejected)
+		}
+		time.Sleep(time.Millisecond) // scrapes stamp the wall clock
+	}
+	adv, ok := srv.ingest.Advice(id)
+	if !ok || !adv.Warm || adv.Interval <= 0 {
+		t.Fatalf("advice %+v (found %v): want a warm window on a locked interval", adv, ok)
+	}
+	// The cut-off, half the Nyquist rate, in bins of the window.
+	if bin := adv.NyquistRate / 2 * window * adv.Interval.Seconds(); !(bin > 4) {
+		t.Fatalf("%s reads %v Hz, a cut-off at bin %.2f: want the load's 8, well above the ramp's 2", id, adv.NyquistRate, bin)
 	}
 }
 

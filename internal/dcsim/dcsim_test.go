@@ -332,6 +332,27 @@ func TestRateFromCounterRecoversNyquist(t *testing.T) {
 	}
 }
 
+// TestRateFromCounterReset pins how a counter reset is read: the poll after
+// the fall reads the new value as its increment (the counter restarted
+// from zero), not a negative spike, and every other poll reads its
+// difference over the interval.
+func TestRateFromCounterReset(t *testing.T) {
+	u := &series.Uniform{Start: testStart, Interval: 2 * time.Second, Values: []float64{100, 160, 230, 40, 90}}
+	rate, err := RateFromCounter(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []float64{30, 35, 20, 25}
+	if !rate.Start.Equal(testStart.Add(2*time.Second)) || len(rate.Values) != len(want) {
+		t.Fatalf("rate starts %v with %d values, want %v and %d", rate.Start, len(rate.Values), testStart.Add(2*time.Second), len(want))
+	}
+	for i, w := range want {
+		if rate.Values[i] != w {
+			t.Fatalf("rate = %v, want %v (the reset at poll 3 reads its new value)", rate.Values, want)
+		}
+	}
+}
+
 func TestRateFromCounterErrors(t *testing.T) {
 	if _, err := RateFromCounter(nil); err == nil {
 		t.Fatal("nil trace should fail")

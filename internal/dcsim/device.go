@@ -163,8 +163,8 @@ func (d *Device) polls(duration time.Duration) (vals []float64, ivs float64) {
 // drop/discard/byte metrics actually leave a switch: each poll reads the
 // integral of the underlying rate signal since the start, rounded to
 // whole events. Analysis pipelines difference such traces back into rates
-// (series.Diff) before spectral analysis — the paper treats its counter
-// metrics the same way.
+// (RateFromCounter, through series.Increment) before spectral analysis —
+// the paper treats its counter metrics the same way.
 func (d *Device) CounterTrace(start time.Time, startOffset float64, duration time.Duration) *series.Uniform {
 	vals, ivs := d.polls(duration)
 	// Integrate the clean rate with a few sub-steps per poll so the
@@ -187,21 +187,22 @@ func (d *Device) CounterTrace(start time.Time, startOffset float64, duration tim
 }
 
 // RateFromCounter converts a cumulative counter trace back into the
-// per-interval rate signal analysis operates on: the first difference
-// scaled by the sampling interval.
+// per-interval rate signal analysis operates on: each poll's increment
+// (series.Increment, which reads a reset as the new value) scaled by the
+// sampling interval.
 func RateFromCounter(u *series.Uniform) (*series.Uniform, error) {
 	if u == nil || u.Len() < 2 {
 		return nil, series.ErrTooShort
 	}
-	diffs := series.Diff(u.Values)
 	ivs := u.Interval.Seconds()
 	if !(ivs > 0) {
 		return nil, series.ErrBadInterval
 	}
-	for i := range diffs {
-		diffs[i] /= ivs
+	rates := make([]float64, u.Len()-1)
+	for i := range rates {
+		rates[i] = series.Increment(u.Values[i], u.Values[i+1]) / ivs
 	}
-	return &series.Uniform{Start: u.Start.Add(u.Interval), Interval: u.Interval, Values: diffs}, nil
+	return &series.Uniform{Start: u.Start.Add(u.Interval), Interval: u.Interval, Values: rates}, nil
 }
 
 // TraceAtRate polls at an arbitrary rate (hertz) instead of the production

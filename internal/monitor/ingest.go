@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,6 +33,12 @@ import (
 //     retention (tsdb.DB.SetNyquistRate) — the paper's estimate→retain
 //     loop, closed across the wire. Aliased windows only count, and halve
 //     the advice once persistent so clients can poll faster.
+//
+// A counter (a metric name, the id up to its first '{', ending in _total)
+// is estimated on its increments, as dcsim.RateFromCounter reads one:
+// each point after the first of a new or restored series, which only
+// primes the rule, reaches the window as series.Increment over the point
+// before. The store keeps the raw totals.
 //
 // A sustained shift in the observed inter-arrival gap (a client
 // redeploy changing its poll rate) re-probes the interval and restarts
@@ -92,8 +99,9 @@ type IngestConfig struct {
 	EnergyCutoff float64
 	// MaxSeries bounds the number of per-series estimator windows. Each
 	// estimated series holds its sample ring, 2 bytes per window sample
-	// for short decimal readings, 4 for counters and wide decimals until
-	// they drift 2^31 units from their first reading, and 8 for others
+	// for short decimal readings (a counter's increments among them), 4
+	// for wide decimals until they drift 2^31 units from their first
+	// reading, and 8 for others
 	// (about 0.8, 1.3 or 2.3 KiB with its header at the
 	// default 256), so a hostile cardinality
 	// explosion — an id per request — would grow the estimator without
@@ -182,8 +190,12 @@ type ingestSeries struct {
 	est      *core.StreamEstimator
 	interval time.Duration
 	pending  []series.Point // pre-lock probe window
-	lastTime time.Time
+	// lastTime (Unix nanoseconds) and, for a counter, prev are the newest
+	// point observed since creation or RestoreState, if haveLast.
+	lastTime int64
+	prev     float64
 	haveLast bool
+	counter  bool // a _total series, fed its increments
 	// evicted is set when eviction detaches the series; see setStream.
 	evicted  bool
 	samples  int64
@@ -320,7 +332,8 @@ func (e *IngestEstimator) lookupOrCreate(id string, tick int64) *ingestSeries {
 			e.rejected++
 			return nil
 		}
-		s = &ingestSeries{}
+		name, _, _ := strings.Cut(id, "{")
+		s = &ingestSeries{counter: strings.HasSuffix(name, "_total")}
 		e.series[id] = s
 	}
 	return s
@@ -336,6 +349,13 @@ const driftFactor = 2
 // Called with s.mu held.
 func (e *IngestEstimator) observeLocked(s *ingestSeries, id string, p series.Point) {
 	s.samples++
+	if s.counter {
+		if !s.haveLast { // a counter's first reading only primes the rule
+			s.prev, s.lastTime, s.haveLast = p.Value, p.Time.UnixNano(), true
+			return
+		}
+		p.Value, s.prev = series.Increment(s.prev, p.Value), p.Value
+	}
 	if s.est == nil {
 		s.probe(e, id, p)
 		return
@@ -344,7 +364,7 @@ func (e *IngestEstimator) observeLocked(s *ingestSeries, id string, p series.Poi
 	// the client changed its poll rate; the locked grid (and with it
 	// the frequency axis) is wrong, so re-probe.
 	if s.haveLast {
-		if gap := p.Time.Sub(s.lastTime); gap > 0 {
+		if gap := p.Time.Sub(time.Unix(0, s.lastTime)); gap > 0 {
 			if gap <= s.interval/driftFactor || gap >= s.interval*driftFactor {
 				s.drift++
 			} else {
@@ -357,7 +377,7 @@ func (e *IngestEstimator) observeLocked(s *ingestSeries, id string, p series.Poi
 			}
 		}
 	}
-	s.lastTime, s.haveLast = p.Time, true
+	s.lastTime, s.haveLast = p.Time.UnixNano(), true
 	if up := e.push(s, p.Value); up != nil {
 		s.refresh(up, p.Time)
 		e.handOver(s, id, up.Result.NyquistRate, up.Err)
@@ -467,7 +487,7 @@ func (s *ingestSeries) probe(e *IngestEstimator, id string, p series.Point) {
 		s.pending = make([]series.Point, 0, probeGaps+1)
 	}
 	s.pending = append(s.pending, p)
-	s.lastTime, s.haveLast = p.Time, true
+	s.lastTime, s.haveLast = p.Time.UnixNano(), true
 	var buf [maxPending]time.Duration
 	gaps := buf[:0]
 	for i := 1; i < len(s.pending); i++ {
@@ -649,7 +669,7 @@ func (e *IngestEstimator) Stale(now time.Time) (n int) {
 	defer e.mu.RUnlock()
 	for _, s := range e.series {
 		s.mu.Lock()
-		if s.interval > 0 && s.haveLast && now.Sub(s.lastTime) > staleIntervals*s.interval {
+		if s.interval > 0 && s.haveLast && now.Sub(time.Unix(0, s.lastTime)) > staleIntervals*s.interval {
 			n++
 		}
 		s.mu.Unlock()

@@ -70,16 +70,15 @@ func BoxStats(values []float64) FiveNumber {
 	}
 }
 
-// Diff returns the first difference of values: out[i] = values[i+1] -
-// values[i]. Monotone counters are differenced into rates before spectral
-// analysis.
-func Diff(values []float64) []float64 {
-	if len(values) < 2 {
-		return nil
+// Increment is a counter's increase from reading prev to reading cur: cur
+// − prev, or cur when the counter fell. A fall is a reset, read as
+// Prometheus rate() reads one: the counter restarted from zero and has
+// counted cur since. Monotone counters are differenced into rates before
+// spectral analysis, offline (dcsim.RateFromCounter) and on ingest
+// (monitor.IngestEstimator) alike, through this one rule.
+func Increment(prev, cur float64) float64 {
+	if cur < prev {
+		return cur
 	}
-	out := make([]float64, len(values)-1)
-	for i := range out {
-		out[i] = values[i+1] - values[i]
-	}
-	return out
+	return cur - prev
 }

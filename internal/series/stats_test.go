@@ -82,16 +82,26 @@ func TestBoxStatsOrderedProperty(t *testing.T) {
 	}
 }
 
-func TestDiff(t *testing.T) {
-	got := Diff([]float64{1, 4, 9, 16})
-	want := []float64{3, 5, 7}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Diff = %v, want %v", got, want)
+// TestIncrement is the counter rule's table: a monotone run differences
+// (what the first difference of 1, 4, 9, 16 reads), an unchanged reading
+// is no increase, and a fall is a reset that reads the new value, never a
+// negative spike.
+func TestIncrement(t *testing.T) {
+	for _, c := range []struct {
+		name            string
+		prev, cur, want float64
+	}{
+		{"1 → 4", 1, 4, 3},
+		{"4 → 9", 4, 9, 5},
+		{"9 → 16", 9, 16, 7},
+		{"unchanged", 16, 16, 0},
+		{"reset to zero", 1e9, 0, 0},
+		{"reset and counted", 1e9, 7, 7},
+		{"fractional", 0.25, 1.75, 1.5},
+	} {
+		if got := Increment(c.prev, c.cur); got != c.want {
+			t.Errorf("%s: Increment(%v, %v) = %v, want %v", c.name, c.prev, c.cur, got, c.want)
 		}
-	}
-	if Diff([]float64{1}) != nil {
-		t.Fatal("Diff of singleton should be nil")
 	}
 }
 

@@ -167,7 +167,14 @@
 # sentence. The drift watch counting its edges took +2
 # (monitor). MAX_WAL_OS_CALLS, a sixth ceiling, gates the os.* calls in
 # internal/wal outside fs.go at 0.
-MAX_LOC=21013
+# MAX_LOC (21,013 → 21,033) was then raised by the net 20 lines of ROADMAP
+# item 8(a): the serving hook estimating _total counters on their
+# increments. monitor took +20: the counter branch of observeLocked (+7),
+# the series' counter flag and its previous reading beside a lastTime held
+# as int64 nanoseconds (+4), the metric-name test at creation and its
+# import (+2) and the doc (+7). series.Increment replaced series.Diff
+# (series −1) and RateFromCounter's loop calls it (dcsim +1).
+MAX_LOC=21033
 MAX_TSDB_LOC=3236
 MAX_FLAGS=16
 MAX_CONFIG_FIELDS=27
