@@ -3,9 +3,14 @@ package api
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
+
+	"repro/internal/monitor"
+	"repro/internal/tsdb"
 )
 
 // TestFastParseZeroAlloc pins the per-line contract of the zero-copy
@@ -82,7 +87,7 @@ func TestIngestBatchAllocCeiling(t *testing.T) {
 		next++
 		var resp IngestResponse
 		var tally ingestTally
-		if err := srv.runIngest(&br, &resp, &tally); err != nil {
+		if err := srv.runIngest(&br, -1, &resp, &tally); err != nil {
 			t.Fatal(err)
 		}
 		if resp.Accepted != batchLines {
@@ -102,4 +107,57 @@ func TestIngestBatchAllocCeiling(t *testing.T) {
 		t.Fatalf("warm ingest batch allocates %.0f/batch = %.3f/point, ceiling %.2f/point",
 			perBatch, perPoint, ceiling)
 	}
+}
+
+// TestIngestBatchRestBytes prints the bytes one pooled ingest batch holds
+// at rest, once put back: after a highcard_http-shaped HTTP body (512
+// lines of 67 B, one series each) and after a steady_bulk-shaped frame
+// (64 series × 64 consecutive samples, 4,096 lines of 66 B). It counts the
+// batch, its payload buffer, its line slots, the chunk's points and the
+// other per-chunk slices at their capacities; the series map, cleared in
+// place, is not counted.
+func TestIngestBatchRestBytes(t *testing.T) {
+	rest := func(body string, frame bool) int {
+		srv := NewServer(Config{})
+		b := ingestBatchPool.New().(*ingestBatch)
+		limit := int(srv.cfg.MaxBodyBytes) + 1
+		if frame {
+			limit = len(body)
+		}
+		data, err := b.readBody(strings.NewReader(body), limit)
+		if err != nil && err != io.EOF {
+			t.Fatal(err)
+		}
+		var resp IngestResponse
+		var tally ingestTally
+		srv.ingestPayload(b, data, nil, &resp, &tally)
+		if resp.Rejected != 0 {
+			t.Fatalf("rejected %d lines: %+v", resp.Rejected, resp.Errors)
+		}
+		putIngestBatch(b)
+		return int(unsafe.Sizeof(*b)) + cap(b.buf) +
+			cap(b.win.slots)*int(unsafe.Sizeof(lineSlot{})) +
+			cap(b.pts)*int(unsafe.Sizeof(tsdb.BatchPoint{})) +
+			cap(b.meta)*int(unsafe.Sizeof(pointMeta{})) +
+			cap(b.rejects)*int(unsafe.Sizeof(lineReject{})) +
+			cap(b.series)*int(unsafe.Sizeof(batchSeries{})) +
+			(cap(b.sidCounts)+cap(b.sidOffs)+cap(b.order))*4 +
+			cap(b.runs)*int(unsafe.Sizeof(monitor.Run{}))
+	}
+	var body, frame strings.Builder
+	for s := range 512 {
+		fmt.Fprintf(&body, "{\"series\":\"highcard/rack%02d/s%04d/m\",\"ts\":%d,\"value\":%5.2f}\n",
+			s%16, s, 1753500000, 20+float64(s%70))
+	}
+	for s := range 64 {
+		for k := range 64 {
+			fmt.Fprintf(&frame, "{\"series\":\"dash/rack%02d/dev%02d/temp\",\"ts\":%d,\"value\":%5.2f}\n",
+				s/8, s%8, 1753500000+30*k, 20+float64(k%70))
+		}
+	}
+	if body.Len() != 512*67 || frame.Len() != 4096*66 {
+		t.Fatalf("body %d and frame %d bytes, want 512 × 67 and 4,096 × 66", body.Len(), frame.Len())
+	}
+	t.Logf("pooled ingest batch bytes at rest: %d after a 512-line highcard_http body, %d after a 4,096-line steady_bulk frame",
+		rest(body.String(), false), rest(frame.String(), true))
 }

@@ -246,7 +246,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// runIngest folds every read failure except the body limit into the
 	// response as a rejected line, so a non-nil error here is exactly the
 	// 413 contract.
-	if err := s.runIngest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), &resp, &tally); err != nil {
+	if err := s.runIngest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), -1, &resp, &tally); err != nil {
 		s.writeError(w, r, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("body exceeds %d bytes after %d accepted points; split the batch", s.cfg.MaxBodyBytes, resp.Accepted))
 		return

@@ -213,7 +213,7 @@ func BenchmarkIngestBatchAffinity(b *testing.B) {
 		br.Reset(bodies[i%len(bodies)])
 		var resp IngestResponse
 		var tally ingestTally
-		if err := srv.runIngest(&br, &resp, &tally); err != nil {
+		if err := srv.runIngest(&br, -1, &resp, &tally); err != nil {
 			b.Fatal(err)
 		}
 		if resp.Accepted != batchLines {
@@ -229,8 +229,8 @@ func BenchmarkIngestBatchAffinity(b *testing.B) {
 
 // BenchmarkIngestFrame is the ingest core on steady_bulk's frame shape
 // with the WAL armed: one op is a 4,096-line frame of 64 series × 64
-// consecutive samples (run-grouped, as bulk pushers send them), handed
-// over in memory as the bulk lane hands over its payload, so the
+// consecutive samples (run-grouped, as bulk pushers send them), read
+// from memory into the pooled batch as the bulk lane reads a frame, so the
 // parser's same-series sid reuse and every stage's fan-out over the
 // cores show, unlike in the 16-series, line-interleaved 1,000-line
 // benchmarks above.
@@ -274,6 +274,7 @@ func BenchmarkIngestFrame(b *testing.B) {
 		}
 	}
 	refill(0)
+	var br bytes.Reader
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -284,7 +285,11 @@ func BenchmarkIngestFrame(b *testing.B) {
 		}
 		var resp IngestResponse
 		var tally ingestTally
-		srv.ingestFrame(frames[i%len(frames)], &resp, &tally)
+		f := frames[i%len(frames)]
+		br.Reset(f)
+		if err := srv.runIngest(&br, int64(len(f)), &resp, &tally); err != nil {
+			b.Fatal(err)
+		}
 		if resp.Accepted != lines {
 			b.Fatalf("accepted %d/%d (rejected %d: %+v)", resp.Accepted, lines, resp.Rejected, resp.Errors)
 		}
@@ -428,7 +433,7 @@ func BenchmarkIngestWALParallel(b *testing.B) {
 			br.Reset(body)
 			var resp IngestResponse
 			var tally ingestTally
-			if err := srv.runIngest(&br, &resp, &tally); err != nil {
+			if err := srv.runIngest(&br, -1, &resp, &tally); err != nil {
 				b.Fatal(err)
 			}
 			if resp.Accepted != batchLines {

@@ -3,9 +3,9 @@
 // big-endian length and answered in order by one length-prefixed
 // IngestResponse, or {"error": "..."} for a frame refused whole, over one
 // long-lived connection (docs/API.md "Bulk lane" is the protocol). It
-// strips HTTP's per-request tax from high-rate pushers and hands each
-// payload to the ingest core (ingest.go) where it lies, so both lanes
-// share one accounting contract and one metrics inventory.
+// strips HTTP's per-request tax from high-rate pushers; each frame is read
+// by the ingest core's one entry (runIngest, ingest.go) as an HTTP body is,
+// so both lanes share one buffer policy, accounting and metrics inventory.
 
 package api
 
@@ -18,27 +18,22 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"time"
 )
 
-// bulkReadBuffer sizes each connection's buffered reader; a frame's
-// payload is read through it into the connection's payload buffer.
+// bulkReadBuffer sizes each connection's buffered reader, which with its
+// 4 KiB writer is all a connection holds between frames.
 const bulkReadBuffer = 64 << 10
 
 // bulkFrameDeadline bounds one frame's exchange: from the arrival of its
 // header's first byte, the rest of the header and the declared payload
 // must be read and the response written within this long, or the
 // connection is dropped — a peer that sends part of a header, or declares
-// 8 MiB and trickles, would otherwise pin the buffer and the goroutine
+// 8 MiB and trickles, would otherwise pin its buffer and the goroutine
 // forever. 30 s for the largest frame is ≈ 280 KB/s, far below any link a
 // bulk pusher uses. Waiting for the next frame's first byte carries no
 // deadline: an idle connection between frames is legal.
 const bulkFrameDeadline = 30 * time.Second
-
-// bulkIdleShed is how long a connection idles before it drops a payload
-// buffer over 4 × bulkReadBuffer; back-to-back frames keep reusing theirs.
-const bulkIdleShed = time.Second
 
 // ServeBulk accepts bulk-lane connections on ln until the listener
 // closes, serving each connection on its own goroutine. Closing ln is
@@ -62,25 +57,19 @@ func (s *Server) serveBulkConn(conn net.Conn) {
 	defer s.metrics.bulkConns.Add(-1)
 	defer conn.Close()
 	var (
-		hdr     [4]byte
-		payload []byte
-		out     bytes.Buffer
-		rd      = bufio.NewReaderSize(conn, bulkReadBuffer)
-		wr      = bufio.NewWriterSize(conn, 4<<10)
+		hdr [4]byte
+		out bytes.Buffer
+		rd  = bufio.NewReaderSize(conn, bulkReadBuffer)
+		wr  = bufio.NewWriterSize(conn, 4<<10)
 	)
 	for {
+		// EOF on a frame boundary is the clean hangup; anything else
+		// (reset) has no recovery either way.
 		if _, err := io.ReadFull(rd, hdr[:1]); err != nil {
-			if payload != nil && errors.Is(err, os.ErrDeadlineExceeded) && conn.SetReadDeadline(time.Time{}) == nil {
-				payload = nil // idle for bulkIdleShed: shed, wait on
-				continue
-			}
-			// EOF on a frame boundary is the clean hangup; anything else
-			// (reset) has no recovery either way.
 			return
 		}
 		// One deadline covers the rest of the header, the payload read and
-		// the response write; once the response is out (the end of the
-		// loop body) it is lifted, or becomes the idle-shed deadline.
+		// the response write; it is lifted once the response is out.
 		if conn.SetDeadline(time.Now().Add(s.bulkFrameTimeout)) != nil {
 			return
 		}
@@ -96,38 +85,29 @@ func (s *Server) serveBulkConn(conn net.Conn) {
 			wr.Flush()
 			return
 		}
-		if int(n) > cap(payload) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(rd, payload); err != nil {
-			return
-		}
-		s.metrics.bulkFrames.Inc()
-		s.metrics.bulkBytes.Add(int64(n))
+		var reply any
 		if !s.ready.Load() {
 			// Same gate as the HTTP data endpoints (middleware.go): no
 			// writes land while the WAL replays. The connection survives —
 			// the pusher retries the frame.
-			if s.writeBulkFrame(wr, &out, errorBody{Error: "starting: WAL replay in progress, retry shortly"}) != nil {
+			if _, err := rd.Discard(int(n)); err != nil {
 				return
 			}
+			reply = errorBody{Error: "starting: WAL replay in progress, retry shortly"}
 		} else {
+			// Every line-level failure is inside resp; a frame that ends
+			// short lands nothing.
 			resp := IngestResponse{}
 			var tally ingestTally
-			// Every line-level failure is inside resp; the lines are parsed
-			// in the payload buffer itself.
-			s.ingestFrame(payload, &resp, &tally)
-			tally.flush(s.metrics)
-			if s.writeBulkFrame(wr, &out, resp) != nil {
+			if s.runIngest(rd, int64(n), &resp, &tally) != nil {
 				return
 			}
+			tally.flush(s.metrics)
+			reply = resp
 		}
-		idle := time.Time{}
-		if cap(payload) > 4*bulkReadBuffer {
-			idle = time.Now().Add(bulkIdleShed)
-		}
-		if wr.Flush() != nil || conn.SetDeadline(idle) != nil {
+		s.metrics.bulkFrames.Inc()
+		s.metrics.bulkBytes.Add(int64(n))
+		if s.writeBulkFrame(wr, &out, reply) != nil || wr.Flush() != nil || conn.SetDeadline(time.Time{}) != nil {
 			return
 		}
 	}

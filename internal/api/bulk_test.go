@@ -35,12 +35,24 @@ func bulkExchange(t *testing.T, conn net.Conn, body string) IngestResponse {
 	return out
 }
 
+// heapInuse is the heap in use after a collection.
+func heapInuse() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapInuse)
+}
+
 // TestBulkLaneSlowPeer plays the lying peer: a header that declares a
-// megabyte, one byte of payload, then silence — or two bytes of a header,
-// then silence. The server must give the frame up at its deadline — connection closed, buffer and goroutine
-// released, nyquistd_bulk_connections back at 0 — instead of waiting for
-// the rest forever. An idle connection between frames is not a slow
-// frame: it outlives the same deadline and its next frame is served.
+// megabyte, one byte of payload or one whole line, then silence — or two
+// bytes of a header, then silence. The server must give the frame up at
+// its deadline — connection closed, buffer and goroutine released,
+// nyquistd_bulk_connections back at 0, nothing of the frame landed —
+// instead of waiting for the rest forever. Until then a liar's buffer
+// holds what it sent, not what it declared: eight peers that each declare
+// -max-body and send one byte hold under 1 MiB each. An idle connection
+// between frames is not a slow frame: it outlives the same deadline and
+// its next frame is served.
 func TestBulkLaneSlowPeer(t *testing.T) {
 	srv := NewServer(Config{})
 	srv.bulkFrameTimeout = 50 * time.Millisecond
@@ -62,6 +74,7 @@ func TestBulkLaneSlowPeer(t *testing.T) {
 		sent []byte
 	}{
 		{"one payload byte", append(lie, '{')},
+		{"one whole line", append(lie, `{"series":"torn","ts":1753500000,"value":1}`+"\n"...)},
 		{"half a header", lie[:2]},
 	} {
 		client, done := serve()
@@ -79,6 +92,45 @@ func TestBulkLaneSlowPeer(t *testing.T) {
 		if got := srv.metrics.bulkConns.Value(); got != 0 {
 			t.Fatalf("%s: nyquistd_bulk_connections = %v after the slow peer was dropped, want 0", c.name, got)
 		}
+		if ids := srv.store.IDs(); len(ids) != 0 {
+			t.Fatalf("%s: a torn frame landed %v", c.name, ids)
+		}
+	}
+
+	// Eight liars at once, on a server with the 30 s frame deadline. A
+	// pipe write returns once the server has read it, so after the payload
+	// byte the server is waiting inside the frame's read.
+	liars := NewServer(Config{})
+	const peers = 8
+	before := heapInuse()
+	dones := make([]chan struct{}, peers)
+	clients := make([]net.Conn, peers)
+	for i := range clients {
+		client, server := net.Pipe()
+		dones[i] = make(chan struct{})
+		go func(done chan struct{}) {
+			liars.serveBulkConn(server)
+			close(done)
+		}(dones[i])
+		clients[i] = client
+		if _, err := client.Write(binary.BigEndian.AppendUint32(nil, uint32(liars.cfg.MaxBodyBytes))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := client.Write([]byte{'{'}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := heapInuse() - before
+	t.Logf("%d peers that each declared %d bytes and sent one hold %d heap bytes", peers, liars.cfg.MaxBodyBytes, held)
+	if held >= peers<<20 {
+		t.Fatalf("%d lying peers hold %d heap bytes, want under 1 MiB each", peers, held)
+	}
+	for i, c := range clients {
+		c.Close()
+		<-dones[i]
+	}
+	if got := liars.metrics.bulkConns.Value(); got != 0 {
+		t.Fatalf("nyquistd_bulk_connections = %v after the liars hung up, want 0", got)
 	}
 
 	client, done := serve()
@@ -96,9 +148,9 @@ func TestBulkLaneSlowPeer(t *testing.T) {
 
 // TestBulkLaneKeepsSteadyFrameBuffer holds a pusher's back-to-back
 // frames to one payload buffer. The frames are steady_bulk's shape — 64
-// series × 64 consecutive samples, 4,096 lines of 66 B, 270,336 B, above
-// 4 × bulkReadBuffer — so a buffer shed or regrown per frame would
-// allocate at least the frame's bytes again every time.
+// series × 64 consecutive samples, 4,096 lines of 66 B, 270,336 B, within
+// ingestKeepBytes — so a buffer shed or regrown per frame would allocate
+// at least the frame's bytes again every time.
 func TestBulkLaneKeepsSteadyFrameBuffer(t *testing.T) {
 	const frames = 20
 	srv := NewServer(Config{})
@@ -123,8 +175,8 @@ func TestBulkLaneKeepsSteadyFrameBuffer(t *testing.T) {
 		framed[f] = append(binary.BigEndian.AppendUint32(nil, uint32(sb.Len())), sb.String()...)
 	}
 	size := len(framed[0]) - 4
-	if size != 4096*66 || size <= 4*bulkReadBuffer {
-		t.Fatalf("frame is %d bytes, want 4,096 × 66 B, above 4 × bulkReadBuffer", size)
+	if size != 4096*66 || size > ingestKeepBytes {
+		t.Fatalf("frame is %d bytes, want 4,096 × 66 B, within ingestKeepBytes", size)
 	}
 	resp := make([]byte, 64<<10)
 	exchange := func(f []byte) {
@@ -160,12 +212,12 @@ func TestBulkLaneKeepsSteadyFrameBuffer(t *testing.T) {
 	}
 }
 
-// TestBulkLaneIdleConnShedsLargeFrame holds the bulk lane to what its
-// read buffer promises: a connection that once sent a frame larger than
-// 4 × bulkReadBuffer drops that frame's buffer once it has idled for
-// bulkIdleShed, and still serves its next frame. Each of conns
-// connections sends one frame of blank lines and waits; the heap they
-// hold must fall below half of a single frame's bytes.
+// TestBulkLaneIdleConnShedsLargeFrame holds the bulk lane to what a
+// connection keeps between frames: its reader and writer, not the largest
+// frame it sent. Each of conns connections sends one frame of blank lines
+// larger than ingestKeepBytes; right after the responses, and again after
+// each has sent small frames back to back, the heap they hold must stay
+// under half of a single frame's bytes.
 func TestBulkLaneIdleConnShedsLargeFrame(t *testing.T) {
 	const (
 		conns = 8
@@ -173,13 +225,7 @@ func TestBulkLaneIdleConnShedsLargeFrame(t *testing.T) {
 	)
 	srv := NewServer(Config{})
 	body := strings.Repeat("\n", frame)
-	heap := func() int64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapInuse)
-	}
-	before := heap()
+	before := heapInuse()
 	clients := make([]net.Conn, conns)
 	for i := range clients {
 		client, server := net.Pipe()
@@ -194,17 +240,23 @@ func TestBulkLaneIdleConnShedsLargeFrame(t *testing.T) {
 		}
 		clients[i] = client
 	}
-	time.Sleep(2 * bulkIdleShed) // past every connection's idle deadline
-	held := heap() - before
-	runtime.KeepAlive(body)
-	t.Logf("%d idle connections after one %d-byte frame each hold %d heap bytes", conns, frame, held)
-	if held > frame/2 {
-		t.Fatalf("%d connections idle for %v hold %d heap bytes, want under half of one frame's %d",
-			conns, 2*bulkIdleShed, held, frame)
-	}
-	for _, c := range clients {
-		if out := bulkExchange(t, c, `{"series":"idle","ts":1753500000,"value":1}`+"\n"); out.Accepted+out.Rejected != 1 {
-			t.Fatalf("frame after the buffer was shed: %+v", out)
+	check := func(after string) {
+		t.Helper()
+		held := heapInuse() - before
+		runtime.KeepAlive(body)
+		t.Logf("%d connections %s hold %d heap bytes", conns, after, held)
+		if held > frame/2 {
+			t.Fatalf("%d connections %s hold %d heap bytes, want under half of one frame's %d",
+				conns, after, held, frame)
 		}
 	}
+	check(fmt.Sprintf("right after one %d-byte frame each", frame))
+	for k := range 16 {
+		for _, c := range clients {
+			if out := bulkExchange(t, c, fmt.Sprintf(`{"series":"busy","ts":%d,"value":1}`+"\n", 1753500000+k)); out.Accepted+out.Rejected != 1 {
+				t.Fatalf("small frame after the large one: %+v", out)
+			}
+		}
+	}
+	check("after 16 small frames each")
 }

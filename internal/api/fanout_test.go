@@ -179,7 +179,7 @@ func runFanoutScript(t *testing.T, frames [][]byte, shares int) fanoutRun {
 	for _, f := range frames {
 		var resp IngestResponse
 		var tally ingestTally
-		if err := srv.runIngest(bytes.NewReader(f), &resp, &tally); err != nil {
+		if err := srv.runIngest(bytes.NewReader(f), int64(len(f)), &resp, &tally); err != nil {
 			t.Fatal(err)
 		}
 		js, _ := json.Marshal(resp)

@@ -133,7 +133,7 @@ func runDiff(t *testing.T, d *diffPair, body io.Reader, raw []byte) {
 	t.Helper()
 	resp := IngestResponse{}
 	var tally ingestTally
-	if err := d.srv.runIngest(body, &resp, &tally); err != nil {
+	if err := d.srv.runIngest(body, -1, &resp, &tally); err != nil {
 		t.Fatalf("runIngest returned %v for a plain reader (only the HTTP body limit may error)", err)
 	}
 	want := referenceIngest(d.refStore, d.refEst, raw)
@@ -344,7 +344,7 @@ func TestIngestBatchReadErrorParity(t *testing.T) {
 	d := newDiffPair()
 	resp := IngestResponse{}
 	var tally ingestTally
-	if err := d.srv.runIngest(&stutterReader{data: raw, rng: rand.New(rand.NewSource(1)), err: boom}, &resp, &tally); err != nil {
+	if err := d.srv.runIngest(&stutterReader{data: raw, rng: rand.New(rand.NewSource(1)), err: boom}, -1, &resp, &tally); err != nil {
 		t.Fatalf("read errors must fold into the response, got %v", err)
 	}
 	if resp.Accepted != 2 || resp.Rejected != 1 {

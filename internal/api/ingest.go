@@ -3,11 +3,11 @@
 // tsdb.DB.AppendBatch that allocates nothing per point in the steady
 // state (repeat series, numeric timestamps):
 //
-//   - A payload is scanned where it lies, a bulk frame in the lane's
-//     buffer or an HTTP body read whole into a pooled one. The fast parser
-//     (fastline.go) yields the series name as a subslice and the
-//     timestamp and value as scalars; a window of cores.Floor lines or
-//     more is parsed on every core.
+//   - An HTTP body or a bulk frame is read whole into a pooled buffer,
+//     grown as its bytes arrive up to its bound, and scanned where it
+//     lies. The fast parser (fastline.go) yields the series name as a
+//     subslice and the timestamp and value as scalars; a window of
+//     cores.Floor lines or more is parsed on every core.
 //   - Series ids are resolved in line order on the caller and interned in
 //     a per-handler table, so a repeat series costs one map lookup.
 //   - Points accumulate into a chunk that flushes through AppendBatch (one
@@ -43,13 +43,17 @@ const (
 	// maxLineBytes bounds one line; longer lines are rejected
 	// individually — the rest of the batch still lands.
 	maxLineBytes = 1 << 20
-	// ingestReadChunk is the pooled HTTP body buffer's size; a larger
-	// body grows it, and one over 4 × ingestReadChunk is shed after use.
+	// ingestReadChunk is a payload buffer's first size.
 	ingestReadChunk = 64 << 10
 	// ingestFlushPoints caps the pending chunk: parsed points flush
 	// through AppendBatch at this size, bounding both batch memory and
 	// shard-lock hold times.
 	ingestFlushPoints = 4096
+	// ingestKeepBytes is the largest payload buffer a pooled batch keeps, a
+	// chunk's lines at 128 B: a 4,096-line frame of 66 B lines (270,336 B)
+	// keeps its buffer, an outlier's is shed. All else a batch holds is
+	// bounded by ingestFlushPoints.
+	ingestKeepBytes = ingestFlushPoints * 128
 )
 
 var lineTooLongReason = fmt.Sprintf("line exceeds %d bytes", maxLineBytes)
@@ -172,15 +176,12 @@ type ingestBatch struct {
 }
 
 var ingestBatchPool = sync.Pool{New: func() any {
-	return &ingestBatch{
-		pts:  make([]tsdb.BatchPoint, 0, ingestFlushPoints),
-		sids: make(map[string]int32),
-	}
+	return &ingestBatch{sids: make(map[string]int32)}
 }}
 
 func putIngestBatch(b *ingestBatch) {
-	if cap(b.buf) > 4*ingestReadChunk {
-		b.buf = nil // a large body's: the pool holds steady-state buffers
+	if cap(b.buf) > ingestKeepBytes {
+		b.buf = nil
 	}
 	b.win.data, b.win.pts = nil, nil // drop the payload
 	clear(b.pts)                     // drop string references before pooling
@@ -222,17 +223,20 @@ func (b *ingestBatch) addSid(id string) int32 {
 	return sid
 }
 
-// readBody reads body into b.buf up to its end or its first error; 100
-// reads in a row that return nothing are io.ErrNoProgress.
-func (b *ingestBatch) readBody(body io.Reader) ([]byte, error) {
+// readBody reads body into b.buf until its end or its first error, or
+// until limit bytes have arrived, which returns a nil error. The buffer
+// doubles as bytes arrive but never grows past limit. 100 reads in a row
+// that return nothing are io.ErrNoProgress.
+func (b *ingestBatch) readBody(body io.Reader, limit int) ([]byte, error) {
 	data, zeroReads := b.buf[:0], 0
-	for {
+	for len(data) < limit {
 		if len(data) == cap(data) {
-			//nyquist:allow-alloc the body buffer grows to the largest body, bounded by MaxBodyBytes, and one over 4 × ingestReadChunk is shed after use
-			data = slices.Grow(data, max(cap(data), ingestReadChunk))
-			b.buf = data
+			//nyquist:allow-alloc the buffer doubles up to the payload's bound (-max-body, or a frame's declared length), and one over ingestKeepBytes is shed after use
+			grown := make([]byte, len(data), min(max(2*cap(data), ingestReadChunk), limit))
+			copy(grown, data)
+			data, b.buf = grown, grown
 		}
-		n, err := body.Read(data[len(data):cap(data)])
+		n, err := body.Read(data[len(data):min(cap(data), limit)])
 		data = data[:len(data)+n]
 		if n == 0 && err == nil {
 			if zeroReads++; zeroReads > 100 {
@@ -241,29 +245,40 @@ func (b *ingestBatch) readBody(body io.Reader) ([]byte, error) {
 		} else if n > 0 {
 			zeroReads = 0
 		}
-		if err != nil {
+		if err != nil && len(data) < limit {
 			return data, err
 		}
 	}
+	return data, nil
 }
 
-// runIngest consumes one JSON-lines body: read, scan, parse, batch-append,
-// estimate, account. It returns only a body-limit error (the HTTP handler
-// turns *http.MaxBytesError into the 413 contract); every other read
-// failure is folded into the response as a rejected line, exactly like
-// the per-line path did. Either way the complete lines before the failure
-// land and the partial line it cut off is dropped.
+// runIngest is both lanes' one entry: it reads one JSON-lines payload into
+// a pooled batch, then scans, parses, batch-appends, estimates and
+// accounts it. A bulk frame passes its declared length as frame, the
+// read's bound; a frame that ends short lands nothing and its read error
+// is returned. An HTTP body passes frame −1: http.MaxBytesReader bounds it,
+// and only its limit error is returned (the handler's 413 contract); every
+// other read failure is folded into the response as a rejected line,
+// exactly like the per-line path did. Either way the body's complete lines
+// before the failure land and the partial line it cut off is dropped.
 //
 //nyquist:hotpath
-func (s *Server) runIngest(body io.Reader, resp *IngestResponse, tally *ingestTally) error {
+func (s *Server) runIngest(body io.Reader, frame int64, resp *IngestResponse, tally *ingestTally) error {
 	b := ingestBatchPool.Get().(*ingestBatch)
 	defer putIngestBatch(b)
-	data, err := b.readBody(body)
+	limit := s.cfg.MaxBodyBytes + 1 // http.MaxBytesReader reads a byte past its limit to tell
+	if frame >= 0 {
+		limit = frame
+	}
+	data, err := b.readBody(body, int(limit))
+	if frame >= 0 && err != nil {
+		return err
+	}
 	tally.bytes += int64(len(data))
 	var readErr error
 	if err == io.EOF {
 		err = nil
-	} else {
+	} else if err != nil {
 		data = data[:bytes.LastIndexByte(data, '\n')+1]
 		var tooLarge *http.MaxBytesError
 		if !errors.As(err, &tooLarge) {
@@ -272,17 +287,6 @@ func (s *Server) runIngest(body io.Reader, resp *IngestResponse, tally *ingestTa
 	}
 	s.ingestPayload(b, data, readErr, resp, tally)
 	return err
-}
-
-// ingestFrame is runIngest for a payload already in memory, a bulk frame:
-// its lines are parsed where they lie.
-//
-//nyquist:hotpath
-func (s *Server) ingestFrame(payload []byte, resp *IngestResponse, tally *ingestTally) {
-	b := ingestBatchPool.Get().(*ingestBatch)
-	defer putIngestBatch(b)
-	tally.bytes += int64(len(payload))
-	s.ingestPayload(b, payload, nil, resp, tally)
 }
 
 // ingestPayload lands every line of data (the last may lack its newline),
@@ -303,7 +307,7 @@ func (s *Server) ingestPayload(b *ingestBatch, data []byte, readErr error, resp 
 			slots = append(slots, lineSlot{lo: pos, hi: end})
 			pos = end + 1
 		}
-		// The window's spare points fit in the chunk's capacity.
+		b.pts = slices.Grow(b.pts, len(slots)) // room for the window's spare points
 		b.win.data, b.win.slots, b.win.pts = data, slots, b.pts[base:base+len(slots)]
 		b.win.next.Store(0)
 		cores.Run(&b.win, cores.Shares(len(slots)), &b.wg)

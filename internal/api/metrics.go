@@ -24,26 +24,21 @@ import (
 	"repro/internal/wal"
 )
 
-// statsTTL bounds how often a metrics gather may re-snapshot the store
-// and WAL. A gather touches each subsystem stat a dozen times (one per
-// family); without the cache a tight self-scrape interval would walk
-// every shard a dozen times per tick.
-const statsTTL = 50 * time.Millisecond
-
-// cached memoizes a stats snapshot for statsTTL.
+// cached holds a stats snapshot for one gather pass, which reads it once
+// per family, a dozen times.
 type cached[T any] struct {
+	reg   *obs.Registry
 	fetch func() T
 	mu    sync.Mutex
-	at    time.Time
+	pass  uint64
 	v     T
 }
 
 func (c *cached[T]) get() T {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if now := time.Now(); now.Sub(c.at) > statsTTL {
-		c.v = c.fetch()
-		c.at = now
+	if p := c.reg.Pass(); p != c.pass {
+		c.v, c.pass = c.fetch(), p
 	}
 	return c.v
 }
@@ -180,7 +175,7 @@ func newServerMetrics(reg *obs.Registry, store *tsdb.DB, est *monitor.IngestEsti
 
 	// ---- func-metric bridges ----
 
-	ts := &cached[tsdb.Stats]{fetch: store.Stats}
+	ts := &cached[tsdb.Stats]{reg: reg, fetch: store.Stats}
 	reg.GaugeFunc("nyquistd_tsdb_series", "Stored series.",
 		func() float64 { return float64(ts.get().Series) })
 	reg.GaugeFunc("nyquistd_tsdb_raw_points", "Full-resolution samples currently retained.",
@@ -231,7 +226,7 @@ func newServerMetrics(reg *obs.Registry, store *tsdb.DB, est *monitor.IngestEsti
 	reg.CounterFunc("nyquistd_estimator_rejected_total", "Observations dropped because the series cap held and nothing was idle.",
 		func() float64 { return float64(est.Rejected()) })
 
-	ws := &cached[wal.Stats]{fetch: func() wal.Stats {
+	ws := &cached[wal.Stats]{reg: reg, fetch: func() wal.Stats {
 		if d := getWAL(); d != nil {
 			return d.Stats()
 		}
@@ -286,7 +281,7 @@ func newServerMetrics(reg *obs.Registry, store *tsdb.DB, est *monitor.IngestEsti
 	reg.GaugeFunc("nyquistd_go_goroutines", "Live goroutines.",
 		func() float64 { return float64(runtime.NumGoroutine()) })
 	// runtime/metrics, unlike runtime.ReadMemStats, does not stop the world.
-	hs := &cached[[]metrics.Sample]{fetch: func() []metrics.Sample {
+	hs := &cached[[]metrics.Sample]{reg: reg, fetch: func() []metrics.Sample {
 		s := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}, {Name: "/memory/classes/heap/unused:bytes"}}
 		metrics.Read(s)
 		return s

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -292,12 +293,11 @@ func TestSelfScrape(t *testing.T) {
 // 8-pass sine and self-scrapes after each push. The accepted-points counter
 // is estimated on its increments, the points each push landed, so it reads
 // the load's rhythm (a cut-off at bin 8 of the 64-sample window) — not the
-// floor a running total's ramp reads, bin 2, whatever the load does.
+// floor a running total's ramp reads, bin 2, whatever the load does. So
+// does the store's appends counter, sampled from its stats once per scrape
+// (a 50 ms memo held it flat across scrapes 1 ms apart: it read aliased).
 func TestSelfScrapeCounterEstimate(t *testing.T) {
-	const (
-		id     = `nyquistd_ingest_points_total{result="accepted"}`
-		window = 64
-	)
+	const window = 64
 	srv := ingestServer(monitor.IngestConfig{WindowSamples: window, EmitEvery: 8})
 	h := srv.Handler()
 	sc := srv.NewSelfScraper(time.Hour) // manual ticks only
@@ -319,13 +319,81 @@ func TestSelfScrapeCounterEstimate(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond) // scrapes stamp the wall clock
 	}
-	adv, ok := srv.ingest.Advice(id)
-	if !ok || !adv.Warm || adv.Interval <= 0 {
-		t.Fatalf("advice %+v (found %v): want a warm window on a locked interval", adv, ok)
+	for _, id := range []string{`nyquistd_ingest_points_total{result="accepted"}`, "nyquistd_tsdb_appends_total"} {
+		adv, ok := srv.ingest.Advice(id)
+		if !ok || !adv.Warm || adv.Interval <= 0 {
+			t.Fatalf("%s: advice %+v (found %v): want a warm window on a locked interval", id, adv, ok)
+		}
+		// The cut-off, half the Nyquist rate, in bins of the window.
+		if bin := adv.NyquistRate / 2 * window * adv.Interval.Seconds(); adv.Aliased || !(bin > 4) {
+			t.Fatalf("%s reads %v Hz (aliased %v), a cut-off at bin %.2f: want the load's 8, well above the ramp's 2", id, adv.NyquistRate, adv.Aliased, bin)
+		}
 	}
-	// The cut-off, half the Nyquist rate, in bins of the window.
-	if bin := adv.NyquistRate / 2 * window * adv.Interval.Seconds(); !(bin > 4) {
-		t.Fatalf("%s reads %v Hz, a cut-off at bin %.2f: want the load's 8, well above the ramp's 2", id, adv.NyquistRate, bin)
+}
+
+// TestMetricsSnapshotPerGather holds every gather to a fresh snapshot of
+// the store's stats: ten appends between two back-to-back gathers show in
+// the second. Concurrent /metrics and self-scrape gathers under ingest
+// share the snapshots race-free (go test -race).
+func TestMetricsSnapshotPerGather(t *testing.T) {
+	srv := NewServer(Config{})
+	appends := func() float64 {
+		for _, smp := range srv.metrics.reg.Gather() {
+			if smp.Name == "nyquistd_tsdb_appends_total" {
+				return smp.Value
+			}
+		}
+		t.Fatal("no nyquistd_tsdb_appends_total sample")
+		return 0
+	}
+	next := 0
+	ingest := func() {
+		var sb strings.Builder
+		for range 10 {
+			fmt.Fprintf(&sb, `{"series":"snap","ts":%d,"value":1}`+"\n", apiStart.Unix()+int64(next))
+			next++
+		}
+		var resp IngestResponse
+		var tally ingestTally
+		if err := srv.runIngest(strings.NewReader(sb.String()), -1, &resp, &tally); err != nil || resp.Accepted != 10 {
+			t.Errorf("ingest: %v, %+v", err, resp)
+		}
+	}
+	if got := appends(); got != 0 {
+		t.Fatalf("appends before any ingest = %v", got)
+	}
+	ingest()
+	if got := appends(); got != 10 {
+		t.Fatalf("nyquistd_tsdb_appends_total = %v right after 10 appends, want 10", got)
+	}
+
+	h := srv.Handler()
+	sc := srv.NewSelfScraper(time.Hour) // manual ticks only
+	defer sc.Stop()
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				if g%2 == 1 {
+					sc.ScrapeOnce()
+					continue
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+				if rec.Code != http.StatusOK {
+					t.Errorf("/metrics: HTTP %d", rec.Code)
+				}
+			}
+		}()
+	}
+	for range 20 {
+		ingest()
+	}
+	wg.Wait()
+	if got, want := appends(), float64(srv.store.Stats().Appends); got != want {
+		t.Fatalf("nyquistd_tsdb_appends_total = %v after the concurrent gathers, want the store's %v", got, want)
 	}
 }
 

@@ -332,8 +332,7 @@ func (e *IngestEstimator) lookupOrCreate(id string, tick int64) *ingestSeries {
 			e.rejected++
 			return nil
 		}
-		name, _, _ := strings.Cut(id, "{")
-		s = &ingestSeries{counter: strings.HasSuffix(name, "_total")}
+		s = &ingestSeries{counter: isCounter(id)}
 		e.series[id] = s
 	}
 	return s
@@ -690,6 +689,23 @@ func (e *IngestEstimator) Evicted() int64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.evicted
+}
+
+// isCounter: id's metric name, up to its first '{', ends in _total.
+func isCounter(id string) bool {
+	name, _, _ := strings.Cut(id, "{")
+	return strings.HasSuffix(name, "_total")
+}
+
+// RewarmPoints is how many of a series' newest stored points a restart
+// re-feeds through Observe: a window and core.Persistence+2 refreshes, the
+// last on the newest point, plus a counter's priming point.
+func (e *IngestEstimator) RewarmPoints(id string) int {
+	n := e.cfg.WindowSamples + e.cfg.EmitEvery*(core.Persistence+2)
+	if isCounter(id) {
+		n++
+	}
+	return n
 }
 
 // Config returns the estimator's effective configuration (defaults

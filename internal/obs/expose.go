@@ -68,8 +68,13 @@ func (r *Registry) Handler(onWriteErr func(error)) http.Handler {
 	})
 }
 
-// eachFamily visits families sorted by name.
+// Pass counts the gathers begun: a func metric takes a costly snapshot
+// once per pass.
+func (r *Registry) Pass() uint64 { return r.passes.Load() }
+
+// eachFamily visits families sorted by name, as one gather pass.
 func (r *Registry) eachFamily(fn func(*family)) {
+	r.passes.Add(1)
 	r.mu.RLock()
 	names := append([]string(nil), r.names...)
 	r.mu.RUnlock()

@@ -190,6 +190,7 @@ type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
 	names    []string
+	passes   atomic.Uint64 // gathers begun
 }
 
 // NewRegistry returns an empty registry.

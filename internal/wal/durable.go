@@ -17,7 +17,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/monitor"
 	"repro/internal/series"
 	"repro/internal/tsdb"
@@ -344,12 +343,10 @@ func (d *Durable) recover() error {
 }
 
 // rewarmTails returns, per recovered series, the newest stored points
-// to re-feed through the estimator: enough to fill a window and cross
-// the retune debounce. Series without restored tuning state re-probe
-// their interval from the same tail.
+// to re-feed through the estimator, as many as it asks for
+// (monitor.IngestEstimator.RewarmPoints). Series without restored tuning
+// state re-probe their interval from the same tail.
 func (d *Durable) rewarmTails() map[string][]series.Point {
-	cfg := d.est.Config()
-	want := cfg.WindowSamples + cfg.EmitEvery*(core.Persistence+2)
 	tails := map[string][]series.Point{}
 	for _, id := range d.store.IDs() {
 		res, err := d.store.Query(id, time.Time{}, time.Time{}, 0)
@@ -357,7 +354,7 @@ func (d *Durable) rewarmTails() map[string][]series.Point {
 			continue
 		}
 		pts := res.Points
-		if len(pts) > want {
+		if want := d.est.RewarmPoints(id); len(pts) > want {
 			pts = pts[len(pts)-want:]
 		}
 		tails[id] = pts

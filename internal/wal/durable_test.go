@@ -371,6 +371,17 @@ func TestCleanShutdownSealsTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingestLoad(t, store1, est1, 1, 1000) // 7 sealed blocks + 104 active
+	// A counter beside the gauge: its increments ride twoTone.
+	const counter = "ext/dev00/bytes_total"
+	total := 0.0
+	for i := 0; i < 1000; i++ {
+		total += 10 + twoTone(1.0/64, 1.0/16, float64(i))
+		p := series.Point{Time: walStart.Add(time.Duration(i) * time.Second), Value: total}
+		if err := store1.Append(counter, p); err != nil {
+			t.Fatal(err)
+		}
+		est1.Observe(counter, p)
+	}
 	if err := d1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -393,6 +404,14 @@ func TestCleanShutdownSealsTail(t *testing.T) {
 	// re-observes those points.
 	if post.Samples != pre.Samples {
 		t.Fatalf("samples after clean restart = %d, want %d (rewarm must not double-count)", post.Samples, pre.Samples)
+	}
+	// The rewarm's last refresh lands on each series' newest stored point,
+	// a counter's too: its first rewarmed point only primes the differencing.
+	newest := walStart.Add(999 * time.Second)
+	for _, id := range []string{"ext/dev00/metric", counter} {
+		if adv, ok := est2.Advice(id); !ok || !adv.UpdatedAt.Equal(newest) {
+			t.Fatalf("%s: updated_at after clean restart %v, want its newest stored point %v", id, adv.UpdatedAt, newest)
+		}
 	}
 }
 

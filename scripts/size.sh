@@ -15,7 +15,9 @@
 # those named parts cover (tsdb's TestHighcardStateAccounted, which fails
 # under 90 %) — what a warm ingest batch
 # allocates per point (api's TestIngestBatchAllocCeiling: only the sealed
-# payloads the store keeps), and the retune flap rate: how often a steady
+# payloads the store keeps), the bytes one pooled ingest batch holds at
+# rest after a highcard_http-shaped body and a steady_bulk-shaped frame
+# (api's TestIngestBatchRestBytes), and the retune flap rate: how often a steady
 # fleet's retention moves (monitor's TestIngestEstimatorFlapRate), and the
 # os.* calls in internal/wal outside its filesystem seam (fs.go), which
 # must stay 0: the WAL reaches the disk through that one door.
@@ -174,7 +176,13 @@
 # as int64 nanoseconds (+4), the metric-name test at creation and its
 # import (+2) and the doc (+7). series.Increment replaced series.Diff
 # (series −1) and RateFromCounter's loop calls it (dcsim +1).
-MAX_LOC=21033
+# MAX_LOC (21,033 → 21,031) then fell to the measured value: a bulk frame
+# is read into the pooled ingest batch through the HTTP body's one entry,
+# and the connection's payload buffer, its idle shedding and ingestFrame
+# went (api −16); a metrics gather takes one stats snapshot per pass in
+# place of a 50 ms memo (api −5, obs +6); monitor decides how many stored
+# points rewarm a series, one more for a counter (monitor +16, wal −3).
+MAX_LOC=21031
 MAX_TSDB_LOC=3236
 MAX_FLAGS=16
 MAX_CONFIG_FIELDS=27
@@ -235,6 +243,7 @@ go test ./internal/monitor -run '^TestIngestSeriesStateSize$' -count=1 -v | sed 
 go test ./internal/tsdb -run '^TestSeriesStateBytes$' -count=1 -v | sed -n 's/.*\(state bytes per [a-z]* series.*\)/store \1/p'
 go test ./internal/tsdb -run '^TestHighcardStateAccounted$' -count=1 -v | sed -n 's/.*\(highcard state bytes per series.*\)/\1/p'
 go test ./internal/api -run '^TestIngestBatchAllocCeiling$' -count=1 -v | sed -n 's/.*\(warm ingest allocs per point.*\)/\1/p'
+go test ./internal/api -run '^TestIngestBatchRestBytes$' -count=1 -v | sed -n 's/.*\(pooled ingest batch bytes at rest.*\)/\1/p'
 go test ./internal/monitor -run '^TestIngestEstimatorFlapRate$' -count=1 -v | sed -n 's/.*\(held-rate changes per 1,000 clean refreshes.*\)/retention \1/p'
 go test . -run '^TestSurface$' -count=1 -v | sed -n 's/.*\(unreferenced declarations: .*\)/\1/p; s/.*unreferenced: /  /p'
 if ((loc > MAX_LOC || tsdbloc > MAX_TSDB_LOC || flags > MAX_FLAGS || cfgfields > MAX_CONFIG_FIELDS || allows > MAX_ALLOWS || walos > MAX_WAL_OS_CALLS)); then

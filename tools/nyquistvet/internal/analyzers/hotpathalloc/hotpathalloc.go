@@ -312,7 +312,11 @@ func checkCall(pass *analysis.Pass, dirs *directive.Map, call *ast.CallExpr, sta
 				}
 			}
 		}
-		checkBoxing(pass, call, callee.Type().(*types.Signature), note)
+		// The instantiated signature: a type parameter's constraint is no
+		// interface its argument is boxed into.
+		if sig, ok := pass.TypesInfo.TypeOf(call.Fun).(*types.Signature); ok {
+			checkBoxing(pass, call, sig, note)
+		}
 	}
 }
 

@@ -23,6 +23,7 @@ func HotFn(buf []byte, m map[string]int) string {
 	xs := []int{1, 2}          // want `hot path: slice literal allocates`
 	global = append(global, 1) // want `hot path: append grows package-level slice global`
 	sink(42)                   // want `hot path: interface conversion of non-pointer value allocates`
+	_ = same(42)               // a type parameter boxes nothing
 	helper()
 	if v, ok := m[string(buf)]; ok { // optimized lookup: no copy
 		_ = v
@@ -70,3 +71,5 @@ func Cold() string {
 }
 
 func sink(v interface{}) { _ = v }
+
+func same[T any](v T) T { return v }
